@@ -21,6 +21,8 @@ struct CampaignMetrics {
     sink_rows: &'static uvllm_obs::Counter,
     /// Jobs skipped because the sink already held their rows.
     resume_skips: &'static uvllm_obs::Counter,
+    /// Datasets built and validated ([`CampaignDataset::build`]).
+    dataset_builds: &'static uvllm_obs::Counter,
 }
 
 fn metrics() -> &'static CampaignMetrics {
@@ -28,7 +30,40 @@ fn metrics() -> &'static CampaignMetrics {
     METRICS.get_or_init(|| CampaignMetrics {
         sink_rows: uvllm_obs::registry().counter("campaign.sink_rows"),
         resume_skips: uvllm_obs::registry().counter("campaign.resume_skips"),
+        dataset_builds: uvllm_obs::registry().counter("campaign.dataset_builds"),
     })
+}
+
+/// A built and validated dataset in the form the engine runs on. It is
+/// a pure function of `(size, seed)` — the backend only picks the
+/// kernel the validation runs use — so one build serves every shard
+/// and every method list of that dataset: a resident worker keeps it
+/// across leases instead of paying the build per shard.
+#[derive(Debug)]
+pub struct CampaignDataset {
+    size: usize,
+    seed: u64,
+    backend: SimBackend,
+    instances: Vec<Arc<BenchInstance>>,
+}
+
+impl CampaignDataset {
+    /// Builds the dataset ([`uvllm::build_dataset_with`]); counted in
+    /// `campaign.dataset_builds`.
+    pub fn build(size: usize, seed: u64, backend: SimBackend) -> CampaignDataset {
+        metrics().dataset_builds.inc();
+        let instances = uvllm::build_dataset_with(size, seed, backend)
+            .instances
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        CampaignDataset { size, seed, backend, instances }
+    }
+
+    /// The full job-id space of these instances crossed with `methods`.
+    pub fn job_ids(&self, methods: &[MethodKind]) -> Vec<String> {
+        expand_jobs(&self.instances, methods).iter().map(Job::id).collect()
+    }
 }
 
 /// What to run and how wide.
@@ -242,10 +277,10 @@ impl Campaign {
         &self.config
     }
 
-    /// Runs the campaign: builds the dataset, warms the elaboration
-    /// cache with every golden design (exactly once per design), then
-    /// drains the sharded job queue across the worker pool, streaming
-    /// each finished row into `sink`.
+    /// Runs the campaign: builds the dataset, then [`Campaign::run_on`]
+    /// it — warms the elaboration cache with every golden design
+    /// (exactly once per design) and drains the sharded job queue
+    /// across the worker pool, streaming each finished row into `sink`.
     ///
     /// Output is deterministic: the same configuration produces
     /// byte-identical rows (modulo order) at any worker count, because
@@ -275,27 +310,65 @@ impl Campaign {
         sink: &mut dyn ResultSink,
         shared: Option<&SharedLlm>,
     ) -> std::io::Result<CampaignOutcome> {
-        // Every elaboration below — warm-up and worker-side alike —
-        // goes through the cache, which consults the process-default
-        // profile, so installing it first covers the whole run.
+        self.run_on(&self.build_dataset(), sink, shared)
+    }
+
+    /// Builds this campaign's dataset for [`Campaign::run_on`]. The
+    /// validation runs elaborate through the cache too, so the
+    /// optimization profile goes in before the build.
+    pub fn build_dataset(&self) -> CampaignDataset {
+        self.install_opt();
+        CampaignDataset::build(
+            self.config.dataset_size,
+            self.config.dataset_seed,
+            self.config.backend,
+        )
+    }
+
+    /// Every elaboration of a run — dataset validation, warm-up and
+    /// worker-side alike — goes through the cache, which consults the
+    /// process-default profile, so installing it first covers them all.
+    fn install_opt(&self) {
         uvllm_netlist::install_default_opt(
             uvllm_netlist::OptLevel::from_u8(self.config.opt_level)
                 .expect("validated in Campaign::new"),
         );
-        let dataset = uvllm::build_dataset_with(
-            self.config.dataset_size,
-            self.config.dataset_seed,
-            self.config.backend,
+    }
+
+    /// [`Campaign::run_shared`] on a dataset the caller already built —
+    /// the resident-worker path, where one [`CampaignDataset`] serves
+    /// every shard leased from the same run.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first sink I/O error, after the pool has wound down.
+    ///
+    /// # Panics
+    ///
+    /// If `dataset` was built for another size, seed or backend than
+    /// this campaign's configuration: its rows would silently belong to
+    /// a different campaign.
+    pub fn run_on(
+        &self,
+        dataset: &CampaignDataset,
+        sink: &mut dyn ResultSink,
+        shared: Option<&SharedLlm>,
+    ) -> std::io::Result<CampaignOutcome> {
+        let config = &self.config;
+        assert!(
+            (dataset.size, dataset.seed, dataset.backend)
+                == (config.dataset_size, config.dataset_seed, config.backend),
+            "dataset built for another configuration than the campaign it runs"
         );
-        let instances: Vec<Arc<BenchInstance>> =
-            dataset.instances.into_iter().map(Arc::new).collect();
+        self.install_opt();
+        let instances = &dataset.instances;
 
         // Pre-elaborate each distinct golden design once, before any
         // worker starts: afterwards every hit on the golden text —
         // and campaigns hit it constantly, every confirmed fix *is*
         // the golden text — costs a cache lookup, not an elaboration.
         let mut golden: Vec<&'static uvllm_designs::Design> = Vec::new();
-        for inst in &instances {
+        for inst in instances {
             if !golden.iter().any(|d| d.name == inst.design.name) {
                 golden.push(inst.design);
             }
@@ -315,7 +388,7 @@ impl Campaign {
             }
         }
 
-        let all_jobs = expand_jobs(&instances, &self.config.methods);
+        let all_jobs = expand_jobs(instances, &self.config.methods);
         let total_jobs = all_jobs.len();
         let completed = sink.completed_ids();
         let shard = self.config.shard;

@@ -43,6 +43,9 @@
 //!   ([`uvllm_sim::cache`]); workers then share elaborations of
 //!   repeated texts (mutated sources across methods, candidates across
 //!   metrics, the golden text behind every confirmed fix).
+//! * [`CampaignDataset`] / [`Campaign::run_on`] — dataset construction
+//!   split from the run, so a resident worker builds a run's dataset
+//!   once and serves every leased shard from it.
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.
@@ -82,7 +85,7 @@ pub mod sink;
 
 pub use engine::{
     default_worker_count, evaluate_parallel, evaluate_parallel_with, worker_count_from_env,
-    Campaign, CampaignConfig, CampaignOutcome,
+    Campaign, CampaignConfig, CampaignDataset, CampaignOutcome,
 };
 pub use eval::{
     evaluate_one, evaluate_one_on, evaluate_one_with, job_id, EvalRecord, EvalRow, LlmPolicy,

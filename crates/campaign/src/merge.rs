@@ -17,12 +17,11 @@
 //! same shards are byte-identical — the same canonical form the
 //! determinism suites compare against.
 
+use crate::engine::CampaignDataset;
 use crate::eval::{EvalRow, MethodKind};
-use crate::job::{expand_jobs, Job};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::Arc;
-use uvllm::BenchInstance;
+use uvllm_sim::SimBackend;
 
 /// How many offending job ids an error message spells out before
 /// switching to a count.
@@ -69,9 +68,7 @@ pub fn expected_job_ids(
     dataset_seed: u64,
     methods: &[MethodKind],
 ) -> Vec<String> {
-    let dataset = uvllm::build_dataset(dataset_size, dataset_seed);
-    let instances: Vec<Arc<BenchInstance>> = dataset.instances.into_iter().map(Arc::new).collect();
-    expand_jobs(&instances, methods).iter().map(Job::id).collect()
+    CampaignDataset::build(dataset_size, dataset_seed, SimBackend::from_env()).job_ids(methods)
 }
 
 /// Merges named shard row sets into one report, validating shard

@@ -3,13 +3,16 @@
 //! resumed JSONL files).
 
 use crate::eval::EvalRow;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// Aggregated view over a set of result rows.
+/// Aggregated view over a set of result rows — owned (`EvalRow`, the
+/// default) or borrowed (`&EvalRow`, for a holder that renders a report
+/// over rows it keeps, like the service's live aggregator).
 #[derive(Debug, Clone, Default)]
-pub struct CampaignReport {
-    rows: Vec<EvalRow>,
+pub struct CampaignReport<R = EvalRow> {
+    rows: Vec<R>,
 }
 
 /// `100 * num / den` with an empty-set guard.
@@ -30,21 +33,25 @@ pub fn pct_cell(v: f64) -> String {
     }
 }
 
-impl CampaignReport {
+impl<R: Borrow<EvalRow>> CampaignReport<R> {
     /// Builds a report over `rows`.
-    pub fn new(rows: Vec<EvalRow>) -> Self {
+    pub fn new(rows: Vec<R>) -> Self {
         CampaignReport { rows }
     }
 
     /// The underlying rows.
-    pub fn rows(&self) -> &[EvalRow] {
+    pub fn rows(&self) -> &[R] {
         &self.rows
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &EvalRow> {
+        self.rows.iter().map(Borrow::borrow)
     }
 
     /// Method labels present, in first-seen order.
     pub fn methods(&self) -> Vec<String> {
         let mut seen = Vec::new();
-        for row in &self.rows {
+        for row in self.iter() {
             if !seen.contains(&row.method) {
                 seen.push(row.method.clone());
             }
@@ -54,20 +61,20 @@ impl CampaignReport {
 
     /// Fix rate (%) over rows matching `filter`.
     pub fn fr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.rows.iter().filter(|r| filter(r)).collect();
+        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
         percent(selected.iter().filter(|r| r.fixed).count(), selected.len())
     }
 
     /// Hit rate (%) over rows matching `filter`.
     pub fn hr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.rows.iter().filter(|r| filter(r)).collect();
+        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
         percent(selected.iter().filter(|r| r.hit).count(), selected.len())
     }
 
     /// Mean simulated execution time (seconds) over rows matching
     /// `filter`.
     pub fn mean_sim_secs(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.rows.iter().filter(|r| filter(r)).collect();
+        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
         if selected.is_empty() {
             return f64::NAN;
         }
@@ -92,7 +99,7 @@ impl CampaignReport {
         ]);
         for method in self.methods() {
             let of_method = |r: &&EvalRow| r.method == method;
-            let rows: Vec<&EvalRow> = self.rows.iter().filter(of_method).collect();
+            let rows: Vec<&EvalRow> = self.iter().filter(of_method).collect();
             summary.row(vec![
                 method.clone(),
                 rows.len().to_string(),
@@ -121,10 +128,10 @@ impl CampaignReport {
         out.push_str(&split.render());
 
         // ---- Per-category FR (figure x-axes) ------------------------
-        let categories: BTreeSet<&String> = self.rows.iter().map(|r| &r.category).collect();
+        let categories: BTreeSet<&String> = self.iter().map(|r| &r.category).collect();
         let mut cat = AsciiTable::new(&["Category", "Rows", "FR/%", "HR/%"]);
         for category in categories {
-            let n = self.rows.iter().filter(|r| &r.category == category).count();
+            let n = self.iter().filter(|r| &r.category == category).count();
             cat.row(vec![
                 category.clone(),
                 n.to_string(),
@@ -136,7 +143,7 @@ impl CampaignReport {
         out.push_str(&cat.render());
 
         // ---- Per-design FR heat map (Fig. 7) ------------------------
-        let designs: BTreeSet<&String> = self.rows.iter().map(|r| &r.design).collect();
+        let designs: BTreeSet<&String> = self.iter().map(|r| &r.design).collect();
         let methods = self.methods();
         let mut heat_header: Vec<&str> = vec!["Design"];
         for m in &methods {
@@ -154,13 +161,12 @@ impl CampaignReport {
         out.push_str(&heat.render());
 
         // ---- Stage attribution (Table II) ---------------------------
-        let stages: BTreeSet<&String> =
-            self.rows.iter().filter_map(|r| r.fixed_by.as_ref()).collect();
+        let stages: BTreeSet<&String> = self.iter().filter_map(|r| r.fixed_by.as_ref()).collect();
         if !stages.is_empty() {
             let mut table = AsciiTable::new(&["Stage", "Fixes", "Share/%"]);
-            let fixed_total = self.rows.iter().filter(|r| r.fixed_by.is_some()).count();
+            let fixed_total = self.iter().filter(|r| r.fixed_by.is_some()).count();
             for stage in stages {
-                let n = self.rows.iter().filter(|r| r.fixed_by.as_ref() == Some(stage)).count();
+                let n = self.iter().filter(|r| r.fixed_by.as_ref() == Some(stage)).count();
                 table.row(vec![stage.clone(), n.to_string(), pct_cell(percent(n, fixed_total))]);
             }
             out.push_str("\n== Stage attribution (Table II) ==\n");

@@ -586,7 +586,7 @@ impl<M: LanguageModel + 'static> BatchedLlm<M> {
     }
 
     /// Sessions opened on this service so far. A resident worker holds
-    /// one service across many leased shards (`Campaign::run_shared`),
+    /// one service across many leased shards (`Campaign::run_on`),
     /// so this is its cumulative served-jobs gauge.
     pub fn sessions_opened(&self) -> u64 {
         self.next_session.load(Ordering::SeqCst)

@@ -13,10 +13,18 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use uvllm_campaign::{expected_job_ids, CampaignReport, EvalRow, SinkTailer};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use uvllm_campaign::{CampaignDataset, CampaignReport, EvalRow, MethodKind, SinkTailer};
 
+use crate::memo::Memo;
 use crate::store::RunSpec;
+
+/// Distinct job-id spaces a resident server keeps; resubmissions of a
+/// held spec skip the dataset build inside `POST /jobs`.
+const ID_SPACES_KEPT: usize = 8;
+
+/// What a run's job-id space is a function of.
+type IdSpaceKey = (usize, u64, Vec<MethodKind>);
 
 /// One run's rolling state.
 struct RunAgg {
@@ -27,14 +35,16 @@ struct RunAgg {
     rows: BTreeMap<String, EvalRow>,
     /// Located parse failures, contract violations, foreign rows.
     diags: Vec<String>,
-    /// The run's full job-id space (what "complete" means).
-    expected: HashSet<String>,
+    /// The run's full job-id space (what "complete" means), shared
+    /// with every other run of the same dataset and methods.
+    expected: Arc<HashSet<String>>,
     /// `serve.run.<id>.rows` — live per-run row count.
     run_rows: &'static uvllm_obs::Counter,
 }
 
-/// A point-in-time copy of one run's aggregation, for status rendering
-/// outside the aggregator lock.
+/// A point-in-time copy of one run's aggregation, rows included — what
+/// `GET /runs/<id>/rows` serves. Status queries use the copy-free
+/// [`RunSummary`].
 #[derive(Debug, Clone)]
 pub struct RunView {
     pub run: String,
@@ -50,18 +60,37 @@ impl RunView {
     pub fn complete(&self) -> bool {
         self.rows.len() == self.expected
     }
+}
 
-    /// The rolling Table-II style report over the rows so far.
-    pub fn report(&self) -> CampaignReport {
-        CampaignReport::new(self.rows.clone())
+/// What `GET /runs/<id>` reports of a run's aggregation, computed from
+/// the aggregator's own rows: a status poll copies none of them.
+#[derive(Debug, Clone)]
+pub struct RunSummary {
+    /// Deduplicated rows so far.
+    pub rows: usize,
+    /// Size of the expected job space.
+    pub expected: usize,
+    pub diags: Vec<String>,
+    /// The rolling Table-II style report over the rows so far, rendered.
+    pub report: String,
+}
+
+impl RunSummary {
+    /// True once every expected job has a row.
+    pub fn complete(&self) -> bool {
+        self.rows == self.expected
     }
 }
 
 /// All runs' rolling aggregation. One aggregator thread calls
-/// [`Aggregator::poll`] on a cadence; request handlers call it inline
-/// before reading so `GET /runs/<id>` is never staler than the sinks.
+/// [`Aggregator::poll`] on a cadence; request handlers call
+/// [`Aggregator::poll_run`] inline before reading so `GET /runs/<id>`
+/// is never staler than that run's sinks.
 pub struct Aggregator {
     runs: Mutex<Vec<RunAgg>>,
+    /// Job-id spaces by spec. Its own lock: a first submission builds
+    /// a dataset under it, which must not hold up polls and reads.
+    id_spaces: Mutex<Memo<IdSpaceKey, Arc<HashSet<String>>>>,
     /// `serve.rows_aggregated` — rows folded in across all runs.
     rows_aggregated: &'static uvllm_obs::Counter,
 }
@@ -70,6 +99,7 @@ impl Aggregator {
     pub fn new() -> Aggregator {
         Aggregator {
             runs: Mutex::new(Vec::new()),
+            id_spaces: Mutex::new(Memo::new(ID_SPACES_KEPT)),
             rows_aggregated: uvllm_obs::registry().counter("serve.rows_aggregated"),
         }
     }
@@ -78,13 +108,23 @@ impl Aggregator {
         self.runs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a submitted run: computes its expected job-id space
-    /// (dataset size × seed × methods) and starts tailers on its shard
-    /// sinks. The sinks need not exist yet — a tailer on a missing file
-    /// reports empty batches until the first worker creates it.
+    /// The job-id space of `spec` (dataset size × seed × methods),
+    /// built on the run's own backend the first time a spec is seen.
+    fn id_space(&self, spec: &RunSpec) -> Arc<HashSet<String>> {
+        let mut id_spaces = self.id_spaces.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (spec.size, spec.seed, spec.methods.clone());
+        Arc::clone(id_spaces.get_or_insert_with(key, || {
+            let dataset = CampaignDataset::build(spec.size, spec.seed, spec.backend);
+            Arc::new(dataset.job_ids(&spec.methods).into_iter().collect())
+        }))
+    }
+
+    /// Registers a submitted run: looks up its expected job-id space
+    /// and starts tailers on its shard sinks. The sinks need not exist
+    /// yet — a tailer on a missing file reports empty batches until the
+    /// first worker creates it.
     pub fn register(&self, run: &str, spec: &RunSpec, sinks: Vec<PathBuf>) {
-        let expected: HashSet<String> =
-            expected_job_ids(spec.size, spec.seed, &spec.methods).into_iter().collect();
+        let expected = self.id_space(spec);
         let run_rows = uvllm_obs::registry().counter(&format!("serve.run.{run}.rows"));
         self.lock().push(RunAgg {
             run: run.to_string(),
@@ -99,42 +139,55 @@ impl Aggregator {
     /// Tails every registered sink and folds fresh rows in. Cheap when
     /// nothing changed: each tailer resumes from its byte offset.
     pub fn poll(&self) {
-        let mut runs = self.lock();
-        for agg in runs.iter_mut() {
-            for tailer in &mut agg.tailers {
-                let batch = match tailer.poll() {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        agg.diags.push(format!("{}: {e}", tailer.path().display()));
-                        continue;
+        for agg in self.lock().iter_mut() {
+            self.fold(agg);
+        }
+    }
+
+    /// [`Aggregator::poll`] for one run: the read-your-writes step of a
+    /// status query, whose cost must not grow with the run table. The
+    /// aggregator thread's `poll` still visits every run, finished ones
+    /// included, so no sink goes unchecked.
+    pub fn poll_run(&self, run: &str) {
+        if let Some(agg) = self.lock().iter_mut().find(|a| a.run == run) {
+            self.fold(agg);
+        }
+    }
+
+    fn fold(&self, agg: &mut RunAgg) {
+        for tailer in &mut agg.tailers {
+            let batch = match tailer.poll() {
+                Ok(batch) => batch,
+                Err(e) => {
+                    agg.diags.push(format!("{}: {e}", tailer.path().display()));
+                    continue;
+                }
+            };
+            agg.diags.extend(batch.diags);
+            for row in batch.rows {
+                if !agg.expected.contains(&row.id) {
+                    agg.diags.push(format!(
+                        "{}: row '{}' is outside the run's job space",
+                        tailer.path().display(),
+                        row.id,
+                    ));
+                    continue;
+                }
+                match agg.rows.get(&row.id) {
+                    None => {
+                        agg.rows.insert(row.id.clone(), row);
+                        agg.run_rows.inc();
+                        self.rows_aggregated.inc();
                     }
-                };
-                agg.diags.extend(batch.diags);
-                for row in batch.rows {
-                    if !agg.expected.contains(&row.id) {
-                        agg.diags.push(format!(
-                            "{}: row '{}' is outside the run's job space",
-                            tailer.path().display(),
-                            row.id,
-                        ));
-                        continue;
-                    }
-                    match agg.rows.get(&row.id) {
-                        None => {
-                            agg.rows.insert(row.id.clone(), row);
-                            agg.run_rows.inc();
-                            self.rows_aggregated.inc();
-                        }
-                        // A byte-identical duplicate is a stolen
-                        // shard's overlap — expected, drop it.
-                        Some(first) if first.to_json_line() == row.to_json_line() => {}
-                        Some(_) => agg.diags.push(format!(
-                            "{}: row '{}' differs from an earlier copy — determinism \
-                             contract violation",
-                            tailer.path().display(),
-                            row.id,
-                        )),
-                    }
+                    // A byte-identical duplicate is a stolen shard's
+                    // overlap — expected, drop it.
+                    Some(first) if first.to_json_line() == row.to_json_line() => {}
+                    Some(_) => agg.diags.push(format!(
+                        "{}: row '{}' differs from an earlier copy — determinism \
+                         contract violation",
+                        tailer.path().display(),
+                        row.id,
+                    )),
                 }
             }
         }
@@ -149,6 +202,19 @@ impl Aggregator {
             rows: agg.rows.values().cloned().collect(),
             diags: agg.diags.clone(),
             expected: agg.expected.len(),
+        })
+    }
+
+    /// One run's counts, diagnostics and rendered report, or `None` for
+    /// unknown runs.
+    pub fn summary(&self, run: &str) -> Option<RunSummary> {
+        let runs = self.lock();
+        let agg = runs.iter().find(|a| a.run == run)?;
+        Some(RunSummary {
+            rows: agg.rows.len(),
+            expected: agg.expected.len(),
+            diags: agg.diags.clone(),
+            report: CampaignReport::new(agg.rows.values().collect()).render(),
         })
     }
 }
@@ -263,5 +329,65 @@ mod tests {
         assert!(view.diags[1].contains("determinism contract violation"), "{}", view.diags[1]);
         assert!(agg.view("run-nope").is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reading_one_run_leaves_the_others_to_the_background_poll() {
+        let rows = real_rows();
+        let (path_a, path_b) = (temp_path("read-a.jsonl"), temp_path("read-b.jsonl"));
+        let both = format!("{}\n{}\n", rows[0].to_json_line(), rows[1].to_json_line());
+        std::fs::write(&path_a, &both).unwrap();
+        std::fs::write(&path_b, &both).unwrap();
+
+        let agg = Aggregator::new();
+        agg.register("run-a", &spec(), vec![path_a.clone()]);
+        agg.register("run-b", &spec(), vec![path_b.clone()]);
+        agg.poll_run("run-a");
+        agg.poll_run("run-nope");
+        let summary = agg.summary("run-a").unwrap();
+        assert_eq!((summary.rows, summary.expected), (2, 2), "A's fresh rows fold in at once");
+        assert!(summary.complete());
+        assert!(summary.report.contains("campaign rows: 2"), "{}", summary.report);
+        assert_eq!(agg.summary("run-b").unwrap().rows, 0, "B waits for the background poll");
+        assert!(agg.summary("run-nope").is_none());
+        agg.poll();
+        assert_eq!(agg.view("run-b").unwrap().rows.len(), 2);
+
+        // A finished run nobody reads any more is still checked: the
+        // background poll reports a differing duplicate in its sink.
+        let mut mutated = rows[0].clone();
+        mutated.llm_calls += 1;
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path_b).unwrap();
+        writeln!(file, "{}", mutated.to_json_line()).unwrap();
+        agg.poll_run("run-a");
+        assert!(agg.summary("run-b").unwrap().diags.is_empty());
+        agg.poll();
+        let diags = agg.summary("run-b").unwrap().diags;
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].contains("determinism contract violation"), "{}", diags[0]);
+        assert!(agg.summary("run-a").unwrap().diags.is_empty());
+        let _ = std::fs::remove_file(&path_a);
+        let _ = std::fs::remove_file(&path_b);
+    }
+
+    #[test]
+    fn submissions_of_one_spec_share_one_id_space() {
+        let agg = Aggregator::new();
+        let other_methods = RunSpec { methods: vec![MethodKind::RtlRepair], ..spec() };
+        // Shards and lease do not shape the id space.
+        let same_ids = RunSpec { shards: 4, lease: Duration::from_secs(9), ..spec() };
+        agg.register("run-s1", &spec(), Vec::new());
+        agg.register("run-s2", &same_ids, Vec::new());
+        agg.register("run-s3", &other_methods, Vec::new());
+        let runs = agg.lock();
+        assert!(Arc::ptr_eq(&runs[0].expected, &runs[1].expected), "one spec, one id space");
+        assert!(!Arc::ptr_eq(&runs[0].expected, &runs[2].expected));
+        assert_eq!(runs[2].expected.len(), 2);
+        assert!(
+            runs[2].expected.iter().all(|id| id.ends_with("@RTLrepair")),
+            "{:?}",
+            runs[2].expected
+        );
+        assert!(runs[0].expected.is_disjoint(&runs[2].expected));
     }
 }

@@ -57,12 +57,13 @@
 pub mod aggregate;
 pub mod http;
 pub mod journal;
+mod memo;
 pub mod recovery;
 pub mod server;
 pub mod store;
 pub mod worker;
 
-pub use aggregate::{Aggregator, RunView};
+pub use aggregate::{Aggregator, RunSummary, RunView};
 pub use http::{read_request, respond, Request};
 pub use journal::{CrashSpec, FsyncPolicy, Journal, JournalConfig};
 pub use recovery::{recover, RecoveryReport};

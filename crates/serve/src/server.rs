@@ -4,8 +4,9 @@
 //! Threading model: one accept thread, one handler thread per
 //! connection (requests are one round trip and handlers share only the
 //! `Arc<ServeState>`), one aggregator thread polling shard sinks on a
-//! cadence. `GET /runs/…` and `GET /metrics` also poll inline so reads
-//! are never staler than the sinks.
+//! cadence. `GET /runs/<id>…` (that run's sinks) and `GET /metrics`
+//! (every sink) also poll inline so reads are never staler than the
+//! sinks.
 //!
 //! Shutdown (from `POST /shutdown`, [`Server::shutdown`], or the CLI's
 //! SIGINT handler — idempotent, first caller wins):
@@ -203,9 +204,11 @@ fn begin_shutdown(state: &Arc<ServeState>) {
     if state.shutting_down.swap(true, Ordering::SeqCst) {
         return;
     }
+    // Before the caller is answered, not on the thread below: a client
+    // told "draining" must not see a lease granted afterwards.
+    state.store.drain();
     let state = Arc::clone(state);
     std::thread::spawn(move || {
-        state.store.drain();
         while !state.store.drained() {
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -291,7 +294,9 @@ fn post_jobs(state: &Arc<ServeState>, body: &str) -> (u16, &'static str, String)
         Ok(run) => run,
         Err(e) => return (500, "text/plain", format!("submit failed: {e}\n")),
     };
-    let sinks = state.store.sinks(&run).expect("just submitted");
+    let Some(sinks) = state.store.sinks(&run) else {
+        return (500, "text/plain", format!("store lost run {run} right after accepting it\n"));
+    };
     state.agg.register(&run, &spec, sinks);
     json_ok(Json::Obj(vec![
         ("run".to_string(), s(run)),
@@ -362,12 +367,12 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         None => (rest, false),
     };
     // Read-your-writes for status queries: fold in anything workers
-    // appended since the last aggregator tick.
-    state.agg.poll();
-    let Some(view) = state.agg.view(run) else {
-        return (404, "text/plain", format!("no such run: {run}\n"));
-    };
+    // appended to this run's sinks since the last aggregator tick.
+    state.agg.poll_run(run);
     if rows_only {
+        let Some(view) = state.agg.view(run) else {
+            return (404, "text/plain", format!("no such run: {run}\n"));
+        };
         let mut text = String::new();
         for row in &view.rows {
             text.push_str(&row.to_json_line());
@@ -375,7 +380,12 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         }
         return (200, "application/jsonl", text);
     }
-    let (shards, shards_done) = state.store.status(run).expect("store and aggregator agree");
+    let Some(summary) = state.agg.summary(run) else {
+        return (404, "text/plain", format!("no such run: {run}\n"));
+    };
+    let Some((shards, shards_done)) = state.store.status(run) else {
+        return (500, "text/plain", format!("run {run} is aggregated but unknown to the store\n"));
+    };
     let rows_pushed: u64 = shards.iter().map(|s| s.rows_done).sum();
     let shard_rows: Vec<Json> = shards
         .iter()
@@ -390,14 +400,14 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         })
         .collect();
     json_ok(Json::Obj(vec![
-        ("run".to_string(), s(view.run.clone())),
-        ("done".to_string(), Json::Bool(shards_done && view.complete())),
-        ("rows".to_string(), Json::Num(view.rows.len() as f64)),
+        ("run".to_string(), s(run)),
+        ("done".to_string(), Json::Bool(shards_done && summary.complete())),
+        ("rows".to_string(), Json::Num(summary.rows as f64)),
         ("rows_pushed".to_string(), Json::Num(rows_pushed as f64)),
-        ("expected".to_string(), Json::Num(view.expected as f64)),
+        ("expected".to_string(), Json::Num(summary.expected as f64)),
         ("shards".to_string(), Json::Arr(shard_rows)),
-        ("diags".to_string(), Json::Arr(view.diags.iter().map(|d| s(d.clone())).collect())),
-        ("report".to_string(), s(view.report().render())),
+        ("diags".to_string(), Json::Arr(summary.diags.into_iter().map(s).collect())),
+        ("report".to_string(), s(summary.report)),
     ]))
 }
 
@@ -446,6 +456,27 @@ mod tests {
         let (status, body) = http::request(&addr, "GET", "/metrics", "").unwrap();
         assert_eq!(status, 200);
         uvllm_obs::validate_snapshot_json(&body).unwrap();
+        server.shutdown();
+    }
+
+    /// A run the aggregator knows and the store does not answers the
+    /// client with a 500 instead of panicking the handler thread.
+    #[test]
+    fn store_and_aggregator_disagreement_is_a_500_not_a_panic() {
+        let server = test_server("disagree");
+        let addr = server.addr().to_string();
+        let spec = RunSpec::from_json(
+            &Json::parse("{\"size\": 1, \"methods\": [\"Strider\"]}").unwrap(),
+            Duration::from_secs(1),
+        )
+        .unwrap();
+        server.state.agg.register("run-ghost", &spec, Vec::new());
+        let (status, body) = http::request(&addr, "GET", "/runs/run-ghost", "").unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("run-ghost"), "{body}");
+        // The rows endpoint needs nothing from the store.
+        let (status, body) = http::request(&addr, "GET", "/runs/run-ghost/rows", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, ""));
         server.shutdown();
     }
 

@@ -10,6 +10,12 @@
 //! already flushed. A stolen shard therefore continues mid-file and
 //! produces rows byte-identical to an uninterrupted run.
 //!
+//! A shard's turnaround is its engine run: the heartbeat thread waits
+//! on a channel, so it stops the moment the run returns (not at its
+//! next wake-up), and the worker keeps the datasets it has built
+//! ([`DATASETS_KEPT`] of them) so the shards of one run — or of a
+//! resubmitted spec — share one build.
+//!
 //! Crash-safe serving needs the mirror-image property on this side:
 //! with an `addr_file` configured, a worker treats transport errors as
 //! "the server is restarting", re-reads the file (a restarted server
@@ -18,16 +24,28 @@
 //! recovery's epoch bump, so the reconnecting worker sees the ordinary
 //! `409 LeaseLost`, abandons the shard, and re-leases it fresh.
 
+use crate::memo::Memo;
 use crate::store::{post_json, LeaseGrant};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use uvllm_campaign::{
-    BatchConfig, Campaign, CampaignConfig, EvalRow, JsonlSink, ResultSink, ShardSpec, SharedLlm,
+    BatchConfig, Campaign, CampaignConfig, CampaignDataset, EvalRow, JsonlSink, ResultSink,
+    ShardSpec, SharedLlm, SimBackend,
 };
 use uvllm_json::{s, Json};
 use uvllm_llm::BatchedLlm;
+
+/// Built datasets a worker keeps, most recently leased first. Two
+/// covers a worker alternating between two live runs; the bound is what
+/// keeps a resident worker from growing with every spec it has served.
+const DATASETS_KEPT: usize = 2;
+
+/// The worker's built datasets, keyed by what
+/// [`CampaignDataset::build`] takes.
+type Datasets = Memo<(usize, u64, SimBackend), CampaignDataset>;
 
 /// How a worker process connects and behaves.
 #[derive(Debug, Clone)]
@@ -99,19 +117,17 @@ pub struct WorkerSummary {
 }
 
 /// The server address as this worker currently knows it: a plain
-/// string, refreshed from the address file after transport errors.
-#[derive(Debug, Clone)]
+/// string, refreshed from the address file after transport errors (by
+/// the lease loop and the heartbeat thread alike, hence the lock).
+#[derive(Debug)]
 struct Endpoint {
-    addr: Arc<Mutex<String>>,
+    addr: Mutex<String>,
     file: Option<PathBuf>,
 }
 
 impl Endpoint {
     fn new(options: &WorkerOptions) -> Endpoint {
-        Endpoint {
-            addr: Arc::new(Mutex::new(options.server.clone())),
-            file: options.addr_file.clone(),
-        }
+        Endpoint { addr: Mutex::new(options.server.clone()), file: options.addr_file.clone() }
     }
 
     fn get(&self) -> String {
@@ -144,6 +160,7 @@ impl Endpoint {
 pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
     let shared: Option<SharedLlm> = options.llm_batch.clone().map(BatchedLlm::start);
     let endpoint = Endpoint::new(options);
+    let mut datasets = Datasets::new(DATASETS_KEPT);
     let mut summary = WorkerSummary::default();
     let mut idle = 0u64;
     loop {
@@ -185,12 +202,32 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
         if grant.stolen {
             summary.stolen += 1;
         }
-        run_lease(options, &endpoint, &grant, shared.as_ref(), &mut summary)?;
+        run_lease(options, &endpoint, &grant, shared.as_ref(), &mut datasets, &mut summary)?;
         if options.once {
             break;
         }
     }
     Ok(summary)
+}
+
+/// Renews a lease every `interval` until `stop` fires — a message, or
+/// (what [`run_lease`] does) the sender dropped — and returns at once
+/// when it does, however long the interval. `send` posts one heartbeat
+/// and returns the reply's status. Returns true if the lease was lost:
+/// a 409 means it was re-granted, so renewing stops (the thief owns
+/// the shard now). Other statuses and transport errors keep trying;
+/// the deadline is the arbiter.
+fn heartbeat_loop(
+    stop: &mpsc::Receiver<()>,
+    interval: Duration,
+    mut send: impl FnMut() -> Result<u16, String>,
+) -> bool {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+        if let Ok(409) = send() {
+            return true;
+        }
+    }
+    false
 }
 
 /// One granted shard: campaign run + heartbeats + completion report.
@@ -199,6 +236,7 @@ fn run_lease(
     endpoint: &Endpoint,
     grant: &LeaseGrant,
     shared: Option<&SharedLlm>,
+    datasets: &mut Datasets,
     summary: &mut WorkerSummary,
 ) -> Result<(), String> {
     let spec = &grant.spec;
@@ -221,45 +259,33 @@ fn run_lease(
     let mut sink = AbortingSink::new(sink, options.abort_after_rows, Arc::clone(&rows_done));
 
     // Heartbeat at a third of the lease so two misses still fit inside
-    // the deadline. A 409 means the lease was re-granted — remember it
-    // and stop renewing (the thief owns the shard now).
-    let done = Arc::new(AtomicBool::new(false));
-    let lost = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let done = Arc::clone(&done);
-        let lost = Arc::clone(&lost);
-        let rows_done = Arc::clone(&rows_done);
-        let endpoint = endpoint.clone();
-        let grant = grant.clone();
-        let interval = (grant.lease / 3).max(Duration::from_millis(10));
-        std::thread::spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
-                if done.load(Ordering::SeqCst) {
-                    break;
-                }
-                let body = renewal_body(&grant, Some(rows_done.load(Ordering::SeqCst)));
-                match post_json(&endpoint.get(), "/heartbeat", &body) {
-                    Ok((200, _)) => {}
-                    Ok((409, _)) => {
-                        lost.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    // 404s and transport hiccups: refresh the address
-                    // (a restarting server may move) and keep trying;
-                    // the deadline is the arbiter.
-                    Err(_) => {
+    // the deadline. The thread starts before the dataset is looked up:
+    // a first lease builds it, and that must not eat into the deadline
+    // unrenewed.
+    let interval = (grant.lease / 3).max(Duration::from_millis(10));
+    let (stop, stopped) = mpsc::channel::<()>();
+    let rows_pushed = &*rows_done;
+    let (run, lost) = std::thread::scope(|scope| {
+        let beat = scope.spawn(move || {
+            heartbeat_loop(&stopped, interval, || {
+                let body = renewal_body(grant, Some(rows_pushed.load(Ordering::SeqCst)));
+                // A restarting server may move: refresh the address on
+                // transport errors.
+                post_json(&endpoint.get(), "/heartbeat", &body)
+                    .map(|(status, _)| status)
+                    .inspect_err(|_| {
                         endpoint.refresh();
-                    }
-                    _ => {}
-                }
-            }
-        })
-    };
-
-    let run = campaign.run_shared(&mut sink, shared);
-    done.store(true, Ordering::SeqCst);
-    let _ = beat.join();
+                    })
+            })
+        });
+        let dataset = datasets
+            .get_or_insert_with((spec.size, spec.seed, spec.backend), || campaign.build_dataset());
+        let run = campaign.run_on(dataset, &mut sink, shared);
+        drop(stop);
+        // A heartbeat thread that died renewed nothing and learned
+        // nothing: `POST /complete` still answers 409 if the lease went.
+        (run, beat.join().unwrap_or(false))
+    });
 
     match run {
         Err(_) if sink.aborted() => {
@@ -270,7 +296,7 @@ fn run_lease(
         }
         Err(e) => Err(format!("shard {}/{} failed: {e}", grant.run, grant.shard)),
         Ok(_) => {
-            if lost.load(Ordering::SeqCst) {
+            if lost {
                 summary.lost += 1;
                 return Ok(());
             }
@@ -372,5 +398,65 @@ impl ResultSink for AbortingSink {
         self.written += 1;
         self.rows_done.fetch_add(1, Ordering::SeqCst);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn heartbeat_beats_at_the_interval_until_stopped() {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let (beat, beats) = mpsc::channel::<Instant>();
+        let started = Instant::now();
+        let interval = Duration::from_millis(20);
+        let lost = std::thread::scope(|scope| {
+            let heart = scope.spawn(move || {
+                heartbeat_loop(&stopped, interval, || {
+                    beat.send(Instant::now()).unwrap();
+                    Ok(200)
+                })
+            });
+            // The beats themselves are the clock: no sleeping here.
+            let third = beats.iter().nth(2).expect("three beats while running");
+            assert!(third - started >= 3 * interval, "beats come no faster than the interval");
+            drop(stop);
+            heart.join().unwrap()
+        });
+        assert!(!lost);
+    }
+
+    #[test]
+    fn heartbeat_returns_at_once_when_stopped_whatever_the_interval() {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let started = Instant::now();
+        let lost = std::thread::scope(|scope| {
+            let heart = scope.spawn(move || {
+                heartbeat_loop(&stopped, Duration::from_secs(60), || {
+                    panic!("no beat is due within the test")
+                })
+            });
+            drop(stop);
+            heart.join().unwrap()
+        });
+        assert!(!lost);
+        assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+    }
+
+    #[test]
+    fn heartbeat_stops_itself_on_409_and_rides_out_other_replies() {
+        // The sender stays alive: only the 409 can end the loop.
+        let (_stop, stopped) = mpsc::channel::<()>();
+        let mut replies =
+            vec![Ok(200), Err("connection refused".to_string()), Ok(404), Ok(409)].into_iter();
+        let mut sent = 0;
+        let lost = heartbeat_loop(&stopped, Duration::from_millis(1), || {
+            sent += 1;
+            replies.next().expect("the loop stops at the 409")
+        });
+        assert!(lost);
+        assert_eq!(sent, 4);
     }
 }

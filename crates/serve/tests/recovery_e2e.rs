@@ -20,6 +20,10 @@ use uvllm_serve::{http, post_json, run_worker, WorkerOptions, WorkerSummary};
 use uvllm_sim::SimBackend;
 
 const SIZE: usize = 4;
+/// The SIGKILL test's dataset. A shard of the `SIZE`-instance run is
+/// leased and done between two status polls; this one stays leased for
+/// hundreds of milliseconds, so the kill lands on a live lease.
+const SIGKILL_SIZE: usize = 256;
 const SEED: u64 = 0x42;
 const DEADLINE: Duration = Duration::from_secs(120);
 
@@ -29,9 +33,9 @@ fn methods() -> Vec<MethodKind> {
 
 /// Ground truth: the same configuration run directly through the
 /// engine, no server and no crash involved.
-fn baseline_rows(backend: SimBackend) -> Vec<String> {
+fn baseline_rows(backend: SimBackend, size: usize) -> Vec<String> {
     let config = CampaignConfig {
-        dataset_size: SIZE,
+        dataset_size: size,
         dataset_seed: SEED,
         methods: methods(),
         workers: 2,
@@ -97,9 +101,9 @@ fn wait_exit(child: &mut Child) {
     }
 }
 
-fn submit(addr: &str, backend: SimBackend) -> String {
+fn submit(addr: &str, backend: SimBackend, size: usize) -> String {
     let body = Json::Obj(vec![
-        ("size".to_string(), Json::Num(SIZE as f64)),
+        ("size".to_string(), Json::Num(size as f64)),
         ("seed".to_string(), s(format!("0x{SEED:X}"))),
         ("methods".to_string(), Json::Arr(methods().iter().map(|m| s(m.label())).collect())),
         ("backend".to_string(), s(backend.label())),
@@ -163,12 +167,12 @@ fn counter(addr: &str, name: &str) -> u64 {
 /// restarted server to the exact rows a crash-free run produces.
 fn restart_and_verify(
     backend: SimBackend,
+    size: usize,
     data_dir: &Path,
     addr_file: &Path,
     run: &str,
     workers: Vec<std::thread::JoinHandle<WorkerSummary>>,
 ) -> WorkerSummary {
-    let baseline = baseline_rows(backend);
     let mut heir = spawn_server(data_dir, addr_file, &[]);
     let addr = wait_addr(addr_file);
 
@@ -187,7 +191,10 @@ fn restart_and_verify(
     );
 
     // The acceptance gate: rows served after a kill + restart are
-    // byte-identical to the uninterrupted baseline.
+    // byte-identical to the uninterrupted baseline. (Computed here, not
+    // before the restart: the workers' reconnect budget must not depend
+    // on how long the baseline takes.)
+    let baseline = baseline_rows(backend, size);
     let (status, body) = http::request(&addr, "GET", &format!("/runs/{run}/rows"), "").unwrap();
     assert_eq!(status, 200);
     let served: Vec<&str> = body.lines().collect();
@@ -225,12 +232,12 @@ fn crash_after_complete_round_trip(backend: SimBackend) {
         &["--crash-after", "complete:1", "--compact-every", "8"],
     );
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend);
+    let run = submit(&addr, backend, SIZE);
     let workers = spawn_workers(&addr, &addr_file);
 
     // The abort fires on the first POST /complete; wait for the corpse.
     wait_exit(&mut doomed);
-    let total = restart_and_verify(backend, &data_dir, &addr_file, &run, workers);
+    let total = restart_and_verify(backend, SIZE, &data_dir, &addr_file, &run, workers);
     // The completing worker was mid-POST when the server died: its
     // retry had to re-read the address file, and the replayed journal
     // already held its Complete record, so the retry got 409.
@@ -258,7 +265,7 @@ fn sigkill_mid_run_recovers_byte_identical() {
     let addr_file = data_dir.join("addr");
     let mut doomed = spawn_server(&data_dir, &addr_file, &[]);
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend);
+    let run = submit(&addr, backend, SIGKILL_SIZE);
     let workers = spawn_workers(&addr, &addr_file);
 
     // Kill once at least one lease is live — recovery must fence it,
@@ -284,5 +291,5 @@ fn sigkill_mid_run_recovers_byte_identical() {
     }
     doomed.kill().unwrap(); // SIGKILL on Unix
     wait_exit(&mut doomed);
-    restart_and_verify(backend, &data_dir, &addr_file, &run, workers);
+    restart_and_verify(backend, SIGKILL_SIZE, &data_dir, &addr_file, &run, workers);
 }
