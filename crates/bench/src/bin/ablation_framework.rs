@@ -6,7 +6,7 @@
 //! Run: `cargo run -p uvllm-bench --bin ablation_framework --release`
 
 use uvllm::{BenchInstance, Uvllm, VerifyConfig};
-use uvllm_bench::report::{pct_cell, percent, Table};
+use uvllm_bench::report::{pct_cell, percent, AsciiTable};
 use uvllm_llm::{ModelProfile, OracleLlm};
 
 fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
@@ -51,7 +51,7 @@ fn main() {
     ];
 
     println!("Framework-mechanism ablation (FR %, {} instances)\n", dataset.instances.len());
-    let mut table = Table::new(&["Configuration", "FR Syntax", "FR Func."]);
+    let mut table = AsciiTable::new(&["Configuration", "FR Syntax", "FR Func."]);
     for (label, config) in configs {
         eprintln!("  running {label}...");
         let (syn, func) = run_with(&config, &dataset.instances);

@@ -5,7 +5,7 @@
 //! (set `UVLLM_BENCH_SIZE=80` for a quick pass).
 
 use uvllm_bench::harness::{dataset_size_from_env, evaluate, MethodKind};
-use uvllm_bench::report::{fr, hr, pct_cell, Table};
+use uvllm_bench::report::{fr, hr, pct_cell, AsciiTable};
 use uvllm_errgen::{ErrorCategory, SyntaxCategory};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
 
     println!("Fig. 5 — HR vs FR in Syntax-Error Verification (%)");
     println!("(deviation = HR - FR, the overfitting gap shaded in the paper)\n");
-    let mut table = Table::new(&[
+    let mut table = AsciiTable::new(&[
         "Category",
         "FR(UVLLM)",
         "HR(UVLLM)",

@@ -4,7 +4,7 @@
 //! Run: `cargo run -p uvllm-bench --bin fig6_functional --release`
 
 use uvllm_bench::harness::{dataset_size_from_env, evaluate, MethodKind};
-use uvllm_bench::report::{fr, hr, pct_cell, Table};
+use uvllm_bench::report::{fr, hr, pct_cell, AsciiTable};
 use uvllm_errgen::{ErrorCategory, FunctionalCategory};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         header.push(format!("HR({})", m.label()));
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
+    let mut table = AsciiTable::new(&header_refs);
     for cat in FunctionalCategory::ALL {
         let mut row = vec![cat.label().to_string()];
         for m in methods {

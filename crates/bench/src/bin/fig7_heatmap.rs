@@ -5,7 +5,7 @@
 //! Run: `cargo run -p uvllm-bench --bin fig7_heatmap --release`
 
 use uvllm_bench::harness::{dataset_size_from_env, evaluate, MethodKind};
-use uvllm_bench::report::{fr, pct_cell, Table};
+use uvllm_bench::report::{fr, pct_cell, AsciiTable};
 
 fn main() {
     let size = dataset_size_from_env();
@@ -15,7 +15,7 @@ fn main() {
     let records = evaluate(MethodKind::Uvllm, &dataset.instances);
 
     println!("Fig. 7 — UVLLM FR heat map per module (%; x = error type not applicable)\n");
-    let mut table = Table::new(&["Module", "Group", "Type", "Syntax FR", "Function FR", "n"]);
+    let mut table = AsciiTable::new(&["Module", "Group", "Type", "Syntax FR", "Function FR", "n"]);
     for design in uvllm_designs::all() {
         let syn: Vec<_> =
             records.iter().filter(|r| r.design == design.name && r.kind.is_syntax()).collect();

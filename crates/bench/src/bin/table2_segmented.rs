@@ -6,7 +6,7 @@
 
 use uvllm::Stage;
 use uvllm_bench::harness::{dataset_size_from_env, evaluate, EvalRecord, MethodKind};
-use uvllm_bench::report::{fr, mean_time, pct_cell, percent, secs_cell, Table};
+use uvllm_bench::report::{fr, mean_time, pct_cell, percent, secs_cell, AsciiTable};
 use uvllm_designs::Category;
 
 fn stage_fr(records: &[&EvalRecord], stage: Stage) -> f64 {
@@ -30,12 +30,12 @@ fn main() {
     let meic_recs = evaluate(MethodKind::Meic, &dataset.instances);
 
     println!("Table II — Performance of the segmented approach (FR %, Texec s)\n");
-    let mut table = Table::new(&[
+    let mut table = AsciiTable::new(&[
         "Types", "Pre FR", "Pre T", "MS FR", "MS T", "SL FR", "SL T", "UVLLM FR", "UVLLM T",
         "MEIC FR", "MEIC T", "Speedup",
     ]);
 
-    let emit = |label: String, u: Vec<&EvalRecord>, m: Vec<&EvalRecord>, table: &mut Table| {
+    let emit = |label: String, u: Vec<&EvalRecord>, m: Vec<&EvalRecord>, table: &mut AsciiTable| {
         if u.is_empty() {
             return;
         }

@@ -5,7 +5,7 @@
 //! Run: `cargo run -p uvllm-bench --bin table3_ablation --release`
 
 use uvllm_bench::harness::{dataset_size_from_env, evaluate, MethodKind};
-use uvllm_bench::report::{fr, mean_time, pct_cell, secs_cell, Table};
+use uvllm_bench::report::{fr, mean_time, pct_cell, secs_cell, AsciiTable};
 
 fn main() {
     let size = dataset_size_from_env();
@@ -17,7 +17,7 @@ fn main() {
 
     println!("Table III — Ablation: repair generation form\n");
     let mut table =
-        Table::new(&["Framework", "FR Syntax", "FR Func.", "Texec Syntax", "Texec Func."]);
+        AsciiTable::new(&["Framework", "FR Syntax", "FR Func.", "Texec Syntax", "Texec Func."]);
     for (label, recs) in [("UVLLM_pair", &pair_recs), ("UVLLM_comp", &comp_recs)] {
         let syn: Vec<_> = recs.iter().filter(|r| r.kind.is_syntax()).collect();
         let func: Vec<_> = recs.iter().filter(|r| !r.kind.is_syntax()).collect();

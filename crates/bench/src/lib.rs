@@ -24,4 +24,4 @@ pub mod harness;
 pub mod report;
 
 pub use harness::{evaluate, EvalRecord, EvalRow, MethodKind};
-pub use report::{fr, hr, mean_time, percent, Table};
+pub use report::{fr, hr, mean_time, percent, AsciiTable};

@@ -1,7 +1,6 @@
 //! Aggregation and ASCII table rendering for the experiment binaries.
 
 use crate::harness::EvalRecord;
-use std::fmt::Write;
 
 /// Fix rate over a record slice, in percent.
 pub fn fr(records: &[&EvalRecord]) -> f64 {
@@ -13,7 +12,7 @@ pub fn hr(records: &[&EvalRecord]) -> f64 {
     percent(records.iter().filter(|r| r.hit).count(), records.len())
 }
 
-pub use uvllm_campaign::report::{pct_cell, percent};
+pub use uvllm_campaign::report::{pct_cell, percent, AsciiTable};
 
 /// Mean `texec` in seconds.
 pub fn mean_time(records: &[&EvalRecord]) -> f64 {
@@ -21,59 +20,6 @@ pub fn mean_time(records: &[&EvalRecord]) -> f64 {
         return f64::NAN;
     }
     records.iter().map(|r| r.texec).sum::<f64>() / records.len() as f64
-}
-
-/// A minimal right-aligned ASCII table.
-#[derive(Debug, Default)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Table { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
-    }
-
-    /// Appends one row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.rows.push(cells);
-    }
-
-    /// Renders with column alignment.
-    pub fn render(&self) -> String {
-        let ncols = self.header.len().max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));
-        let mut widths = vec![0usize; ncols];
-        for (i, h) in self.header.iter().enumerate() {
-            widths[i] = widths[i].max(h.len());
-        }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let render_row = |out: &mut String, cells: &[String]| {
-            for (i, w) in widths.iter().enumerate() {
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                if i == 0 {
-                    let _ = write!(out, "{cell:<w$}");
-                } else {
-                    let _ = write!(out, "  {cell:>w$}");
-                }
-            }
-            out.push('\n');
-        };
-        render_row(&mut out, &self.header);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            render_row(&mut out, row);
-        }
-        out
-    }
 }
 
 /// Formats a seconds cell.
@@ -96,17 +42,5 @@ mod tests {
         assert_eq!(pct_cell(f64::NAN), "x");
         assert_eq!(pct_cell(86.99), "87.0");
         assert_eq!(secs_cell(13.829), "13.83");
-    }
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["Types", "FR/%", "Texec/s"]);
-        t.row(vec!["Arithmetic".into(), "84.3".into(), "14.20".into()]);
-        t.row(vec!["Control".into(), "89.1".into(), "10.61".into()]);
-        let s = t.render();
-        assert!(s.contains("Types"));
-        assert!(s.lines().count() == 4);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0].len(), lines[2].len());
     }
 }

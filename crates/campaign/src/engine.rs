@@ -71,7 +71,7 @@ impl CampaignDataset {
 pub struct CampaignConfig {
     /// Benchmark instances to build (the paper's dataset is 331).
     pub dataset_size: usize,
-    /// Dataset seed; the default matches [`uvllm::standard_dataset`].
+    /// Dataset seed.
     pub dataset_seed: u64,
     /// Methods to evaluate on every instance.
     pub methods: Vec<MethodKind>,
@@ -106,13 +106,6 @@ pub struct CampaignConfig {
     /// periodic flush; the end-of-run snapshot is always written when
     /// [`CampaignConfig::metrics_out`] is set).
     pub metrics_flush_jobs: usize,
-    /// Netlist optimization level (0–3) applied to every design the
-    /// elaboration cache hands out, via the standard `uvllm-netlist`
-    /// pipeline. The passes are waveform-equivalence-preserving, so
-    /// rows are byte-identical at every level — the knob changes
-    /// simulation cost, never verdicts. Cache keys include the level,
-    /// so optimized and unoptimized variants never collide.
-    pub opt_level: u8,
     /// `Some` wraps every job's model in a seeded
     /// [`uvllm_llm::FaultyLlm`] (per-job streams derived from the plan
     /// seed × the job's oracle seed). The fault-injection harness the
@@ -142,7 +135,6 @@ impl Default for CampaignConfig {
             llm_telemetry: false,
             metrics_out: None,
             metrics_flush_jobs: 64,
-            opt_level: 0,
             fault: None,
             resilience: None,
             pool: PoolPolicy::default(),
@@ -248,18 +240,14 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Rejects an invalid shard spec, an empty method list, a bad opt
-    /// level, or — when `config.workers == 0` defers sizing to the
-    /// environment — an unparsable `UVLLM_WORKERS` value
-    /// ([`worker_count_from_env`]'s message, propagated instead of
-    /// panicking inside the run).
+    /// Rejects an invalid shard spec, an empty method list, or — when
+    /// `config.workers == 0` defers sizing to the environment — an
+    /// unparsable `UVLLM_WORKERS` value ([`worker_count_from_env`]'s
+    /// message, propagated instead of panicking inside the run).
     pub fn new(config: CampaignConfig) -> Result<Campaign, String> {
         config.shard.validate()?;
         if config.methods.is_empty() {
             return Err("campaign needs at least one method".to_string());
-        }
-        if uvllm_netlist::OptLevel::from_u8(config.opt_level).is_none() {
-            return Err(format!("opt level must be 0..=3, got {}", config.opt_level));
         }
         let workers = if config.workers > 0 {
             config.workers
@@ -313,26 +301,13 @@ impl Campaign {
         self.run_on(&self.build_dataset(), sink, shared)
     }
 
-    /// Builds this campaign's dataset for [`Campaign::run_on`]. The
-    /// validation runs elaborate through the cache too, so the
-    /// optimization profile goes in before the build.
+    /// Builds this campaign's dataset for [`Campaign::run_on`].
     pub fn build_dataset(&self) -> CampaignDataset {
-        self.install_opt();
         CampaignDataset::build(
             self.config.dataset_size,
             self.config.dataset_seed,
             self.config.backend,
         )
-    }
-
-    /// Every elaboration of a run — dataset validation, warm-up and
-    /// worker-side alike — goes through the cache, which consults the
-    /// process-default profile, so installing it first covers them all.
-    fn install_opt(&self) {
-        uvllm_netlist::install_default_opt(
-            uvllm_netlist::OptLevel::from_u8(self.config.opt_level)
-                .expect("validated in Campaign::new"),
-        );
     }
 
     /// [`Campaign::run_shared`] on a dataset the caller already built —
@@ -360,7 +335,6 @@ impl Campaign {
                 == (config.dataset_size, config.dataset_seed, config.backend),
             "dataset built for another configuration than the campaign it runs"
         );
-        self.install_opt();
         let instances = &dataset.instances;
 
         // Pre-elaborate each distinct golden design once, before any
@@ -511,17 +485,7 @@ impl Campaign {
 
 /// Evaluates one method over pre-built instances on a worker pool,
 /// returning records in instance order — the parallel engine behind
-/// `uvllm_bench::harness::evaluate`. Runs on the process-default
-/// simulation backend.
-pub fn evaluate_parallel(
-    method: MethodKind,
-    instances: &[BenchInstance],
-    workers: usize,
-) -> Vec<EvalRecord> {
-    evaluate_parallel_with(method, instances, workers, SimBackend::from_env())
-}
-
-/// [`evaluate_parallel`] on an explicit simulation backend.
+/// `uvllm_bench::harness::evaluate`.
 pub fn evaluate_parallel_with(
     method: MethodKind,
     instances: &[BenchInstance],
@@ -693,27 +657,5 @@ mod tests {
         let mut no_methods = tiny_config(1);
         no_methods.methods.clear();
         assert!(Campaign::new(no_methods).is_err());
-        let mut bad_opt = tiny_config(1);
-        bad_opt.opt_level = 4;
-        assert!(Campaign::new(bad_opt).is_err());
-    }
-
-    /// The opt-level byte-identity contract: the netlist passes are
-    /// equivalence-preserving, so verdicts — and therefore rows — do
-    /// not depend on the optimization level.
-    #[test]
-    fn opt_levels_do_not_perturb_rows() {
-        let rows_at = |level: u8| {
-            let mut sink = MemorySink::new();
-            let mut config = tiny_config(2);
-            config.opt_level = level;
-            Campaign::new(config).unwrap().run(&mut sink).unwrap();
-            let mut rows: Vec<String> = sink.rows().iter().map(|r| r.to_json_line()).collect();
-            rows.sort();
-            rows
-        };
-        let plain = rows_at(0);
-        assert_eq!(plain, rows_at(2), "O2 rows must be byte-identical to O0 rows");
-        assert_eq!(plain, rows_at(3), "O3 rows must be byte-identical to O0 rows");
     }
 }

@@ -95,13 +95,6 @@ impl<'s> LlmPolicy<'s> {
         self
     }
 
-    /// Builds the service handle a job drives its repair loop through
-    /// (no fault/jitter salt — standalone call sites outside a campaign
-    /// job).
-    pub fn service_for(&self, model: Box<dyn LanguageModel>) -> Box<dyn LlmService> {
-        self.service_for_job(model, 0)
-    }
-
     /// Builds a job's service handle, deriving its fault and jitter
     /// streams from `salt` (the job's oracle seed) so both replay
     /// per-job regardless of worker count or pop order.

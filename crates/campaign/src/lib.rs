@@ -84,8 +84,8 @@ pub mod report;
 pub mod sink;
 
 pub use engine::{
-    default_worker_count, evaluate_parallel, evaluate_parallel_with, worker_count_from_env,
-    Campaign, CampaignConfig, CampaignDataset, CampaignOutcome,
+    default_worker_count, evaluate_parallel_with, worker_count_from_env, Campaign, CampaignConfig,
+    CampaignDataset, CampaignOutcome,
 };
 pub use eval::{
     evaluate_one, evaluate_one_on, evaluate_one_with, job_id, EvalRecord, EvalRow, LlmPolicy,

@@ -177,21 +177,25 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
 }
 
 /// A minimal right-aligned ASCII table (first column left-aligned).
-struct AsciiTable {
+#[derive(Debug)]
+pub struct AsciiTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl AsciiTable {
-    fn new(header: &[&str]) -> Self {
+    /// Creates a table with the given column headers.
+    pub fn new(header: &[&str]) -> Self {
         AsciiTable { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
     }
 
-    fn row(&mut self, cells: Vec<String>) {
+    /// Appends one row (stringified cells, at most one per header).
+    pub fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
-    fn render(&self) -> String {
+    /// Renders with column alignment.
+    pub fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -267,5 +271,17 @@ mod tests {
             assert!(rendered.contains(heading), "missing {heading}:\n{rendered}");
         }
         assert!((report.mean_sim_secs(|_| true) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let mut t = AsciiTable::new(&["Types", "FR/%", "Texec/s"]);
+        t.row(vec!["Arithmetic".into(), "84.3".into(), "14.20".into()]);
+        t.row(vec!["Control".into(), "89.1".into(), "10.61".into()]);
+        let s = t.render();
+        assert!(s.contains("Types"));
+        assert!(s.lines().count() == 4);
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0].len(), lines[2].len());
     }
 }

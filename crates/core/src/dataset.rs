@@ -134,11 +134,6 @@ pub fn build_dataset_with(
     dataset
 }
 
-/// The standard evaluation dataset (paper-sized, fixed seed).
-pub fn standard_dataset() -> Dataset {
-    build_dataset(PAPER_DATASET_SIZE, 0xDA7A)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,8 +57,7 @@ pub mod pipeline;
 pub mod stages;
 
 pub use dataset::{
-    build_dataset, build_dataset_with, build_instance, build_instance_with, standard_dataset,
-    BenchInstance, Dataset,
+    build_dataset, build_dataset_with, build_instance, build_instance_with, BenchInstance, Dataset,
 };
 pub use metrics::{
     fix_confirmed, fix_confirmed_with, fix_verdict_with, hit_confirmed, hit_confirmed_with,

@@ -883,7 +883,7 @@ pub fn endpoint_gate() -> EndpointGate {
 /// connection: `complete` pays one round trip per prompt,
 /// `complete_batch` one round trip for the whole batch. This is the
 /// workload model under which the batched service's overlap win is
-/// benchmarked (`BENCH_kernels.json`'s `llm_overlap` record).
+/// benchmarked (the `llm_wait` workload of `benchmark/`).
 #[derive(Debug)]
 pub struct SlowLlm<M: LanguageModel> {
     inner: M,

@@ -1,243 +1,9 @@
-//! Post-elaboration netlist passes and Yosys-JSON interchange.
+//! Yosys-JSON netlist interchange.
 //!
-//! This crate sits between elaboration ([`uvllm_sim::elab`]) and the
-//! two simulation kernels. It rewrites an elaborated [`Design`] in
-//! place through a small pipeline of semantics-preserving passes, and
-//! imports/exports designs in Yosys' JSON netlist format so
-//! third-party RTL can join a campaign and elaborated designs can
-//! round-trip out to other tools (see [`yosys`]).
-//!
-//! # Pass framework
-//!
-//! A [`Pass`] is a named rewrite returning how many rewrites it
-//! performed; a [`PassManager`] runs its passes in rounds until a full
-//! round changes nothing (capped, see [`PassManager::MAX_ROUNDS`]).
-//! Running the pipeline on its own output is therefore a no-op by
-//! construction — the idempotence tests pin `Design: PartialEq` over
-//! a double run.
-//!
-//! Every pass preserves *observable* four-state semantics: port and
-//! surviving-signal waveforms are bit-identical on both kernels, for
-//! any stimulus, X-propagation included. Passes may orphan internal
-//! signals (leaving them undriven/unread) but never renumber them.
-//!
-//! The soundness argument leans on one invariant shared with the
-//! kernels: every expression position has a *static* evaluation
-//! context width (the `ctx` of [`uvllm_sim::eval::eval`]), fully
-//! determined by the enclosing statement and operator — so a pass can
-//! replay the exact runtime widths at rewrite time. The walker in
-//! [`passes`] mirrors those rules; `eval.rs` is the normative source.
-//!
-//! # Levels
-//!
-//! | level | passes |
-//! |-------|--------|
-//! | `O0`  | none (identity) |
-//! | `O1`  | const folding, operand canonicalization |
-//! | `O2`  | `O1` + buffer removal |
-//! | `O3`  | `O2` + comb-chain rebalancing |
-//!
-//! [`opt_profile`] packages a level as a [`uvllm_sim::OptProfile`] so
-//! the elaboration cache keys variants separately;
-//! [`install_default_opt`] makes it the process default consumed by
-//! `elaborate_source_cached` / `compile_source_cached` (this is what
-//! the campaign CLI's `--opt-level` does).
+//! Imports and exports elaborated designs ([`uvllm_sim::elab::Design`])
+//! in Yosys' JSON netlist format, so third-party RTL can join a campaign
+//! and elaborated designs can round-trip out to other tools (see
+//! [`yosys`]). The simulator always runs the design as elaborated or
+//! imported; nothing here rewrites it.
 
-pub mod passes;
 pub mod yosys;
-
-mod metrics;
-
-use std::sync::Arc;
-
-use uvllm_sim::compile::CompiledDesign;
-use uvllm_sim::elab::Design;
-use uvllm_sim::OptProfile;
-
-pub use passes::{BufferRemoval, Canonicalize, ConstFold, Rebalance};
-
-/// A named, in-place rewrite of an elaborated design.
-pub trait Pass {
-    /// Stable pass name (used in stats and metrics).
-    fn name(&self) -> &'static str;
-
-    /// Applies the pass, returning the number of rewrites performed
-    /// (0 means the design was already a fixpoint of this pass).
-    fn run(&self, design: &mut Design) -> u64;
-}
-
-/// Optimization level selecting a standard pass pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OptLevel {
-    /// Identity — the elaborated design is used as-is.
-    O0,
-    /// Constant folding + operand canonicalization.
-    O1,
-    /// `O1` plus buffer/identity-assign removal.
-    O2,
-    /// `O2` plus comb-chain rebalancing (single-reader inlining).
-    O3,
-}
-
-impl OptLevel {
-    /// Parses a numeric level (`0..=3`).
-    pub fn from_u8(n: u8) -> Option<OptLevel> {
-        match n {
-            0 => Some(OptLevel::O0),
-            1 => Some(OptLevel::O1),
-            2 => Some(OptLevel::O2),
-            3 => Some(OptLevel::O3),
-            _ => None,
-        }
-    }
-
-    /// Cache label for this level; empty for `O0` (the identity label
-    /// used by un-optimized cache entries).
-    pub fn label(self) -> &'static str {
-        match self {
-            OptLevel::O0 => "",
-            OptLevel::O1 => "O1",
-            OptLevel::O2 => "O2",
-            OptLevel::O3 => "O3",
-        }
-    }
-}
-
-/// Rewrite tally for one pass across all rounds of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassStat {
-    pub name: &'static str,
-    pub rewrites: u64,
-}
-
-/// Deterministic statistics from one [`PassManager::run`].
-///
-/// All counts are exact and reproducible: passes walk the design
-/// single-threaded in process/statement order, so the same input
-/// design always yields the same stats.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Rounds executed (including the final all-quiet round).
-    pub rounds: u32,
-    /// Per-pass rewrite totals, in pipeline order.
-    pub per_pass: Vec<PassStat>,
-    /// Levelized comb depth before any pass ran.
-    pub depth_before: u32,
-    /// Levelized comb depth after the pipeline reached fixpoint.
-    pub depth_after: u32,
-}
-
-impl PipelineStats {
-    /// Total rewrites across all passes.
-    pub fn total_rewrites(&self) -> u64 {
-        self.per_pass.iter().map(|p| p.rewrites).sum()
-    }
-
-    /// Rewrites performed by the pass named `name` (0 if absent).
-    pub fn rewrites(&self, name: &str) -> u64 {
-        self.per_pass.iter().find(|p| p.name == name).map_or(0, |p| p.rewrites)
-    }
-}
-
-/// Runs a pipeline of passes to fixpoint.
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl PassManager {
-    /// Round cap: a backstop against a (buggy) pass pair that keeps
-    /// undoing each other. The standard passes strictly shrink the
-    /// design (nodes, inversions or processes), so real pipelines
-    /// converge in a handful of rounds.
-    pub const MAX_ROUNDS: u32 = 32;
-
-    /// An empty pipeline (identity).
-    pub fn new() -> PassManager {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// Appends a pass (builder style).
-    pub fn with_pass(mut self, pass: Box<dyn Pass>) -> PassManager {
-        self.passes.push(pass);
-        self
-    }
-
-    /// The standard pipeline for `level` (empty for `O0`).
-    pub fn standard(level: OptLevel) -> PassManager {
-        let mut pm = PassManager::new();
-        if level >= OptLevel::O1 {
-            pm = pm.with_pass(Box::new(ConstFold)).with_pass(Box::new(Canonicalize));
-        }
-        if level >= OptLevel::O2 {
-            pm = pm.with_pass(Box::new(BufferRemoval));
-        }
-        if level >= OptLevel::O3 {
-            pm = pm.with_pass(Box::new(Rebalance));
-        }
-        pm
-    }
-
-    /// Pass names, in pipeline order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs all passes in rounds until a full round performs no
-    /// rewrite, and reports deterministic per-pass statistics.
-    pub fn run(&self, design: &mut Design) -> PipelineStats {
-        let depth_before = levelized_depth(design);
-        let mut per_pass: Vec<PassStat> =
-            self.passes.iter().map(|p| PassStat { name: p.name(), rewrites: 0 }).collect();
-        let mut rounds = 0;
-        while rounds < Self::MAX_ROUNDS {
-            rounds += 1;
-            let mut round_rewrites = 0;
-            for (i, pass) in self.passes.iter().enumerate() {
-                let _span = uvllm_obs::Span::enter("netlist.pass");
-                let n = pass.run(design);
-                per_pass[i].rewrites += n;
-                round_rewrites += n;
-            }
-            if round_rewrites == 0 {
-                break;
-            }
-        }
-        let stats =
-            PipelineStats { rounds, per_pass, depth_before, depth_after: levelized_depth(design) };
-        metrics::record(&stats);
-        stats
-    }
-}
-
-/// Levelized combinational depth of a design: the length of the
-/// longest writer→reader chain of combinational processes, as seen by
-/// the compiled kernel's topological scheduler (1 = all comb processes
-/// are sources, 0 = no comb processes). Cyclic comb designs report the
-/// depth of the acyclic prefix.
-pub fn levelized_depth(design: &Design) -> u32 {
-    let cd = CompiledDesign::from_arc(Arc::new(design.clone()));
-    cd.comb_order().iter().map(|&pid| cd.level(pid) + 1).max().unwrap_or(0)
-}
-
-/// Packages `level` as a cache [`OptProfile`]: `None` for [`OptLevel::O0`]
-/// (identity — no profile needed), otherwise a profile whose transform
-/// runs the standard pipeline and records per-pass metrics.
-pub fn opt_profile(level: OptLevel) -> Option<OptProfile> {
-    match level {
-        OptLevel::O0 => None,
-        _ => Some(OptProfile::new(level.label(), {
-            Arc::new(move |design: &mut Design| {
-                PassManager::standard(level).run(design);
-            })
-        })),
-    }
-}
-
-/// Installs `level` as the process-default optimization profile picked
-/// up by `elaborate_source_cached` / `compile_source_cached` /
-/// `checkout_sim` (campaign `--opt-level` plumbing). `O0` resets to
-/// the identity profile.
-pub fn install_default_opt(level: OptLevel) {
-    uvllm_sim::set_default_opt_profile(opt_profile(level).unwrap_or_else(OptProfile::none));
-}

@@ -239,7 +239,6 @@ mod tests {
             seed: 0x42,
             methods: vec![MethodKind::Strider],
             backend: SimBackend::default(),
-            opt_level: 0,
             shards: 1,
             lease: Duration::from_secs(1),
         }

@@ -491,6 +491,18 @@ pub fn replay(dir: &Path) -> std::io::Result<Replay> {
     Ok(replay)
 }
 
+/// A framed `Submit` record as binaries that still had the `opt_level`
+/// spec member wrote it — the wire-compatibility fixture of the journal
+/// and recovery tests.
+#[cfg(test)]
+pub(crate) fn legacy_submit_record(seq: u64, run: &str, spec: &RunSpec) -> String {
+    let event = Event::Submit { run: run.to_string(), spec: spec.clone() };
+    let line = frame(seq, &event);
+    let body = line.trim_end().splitn(3, ':').nth(2).expect("len:crc:body");
+    let body = body.replace("\"shards\":", "\"opt_level\":2,\"shards\":");
+    format!("{}:{:08x}:{body}\n", body.len(), crc32(body.as_bytes()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,7 +516,6 @@ mod tests {
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Strider, MethodKind::Uvllm],
             backend: SimBackend::Compiled,
-            opt_level: 2,
             shards: 2,
             lease: Duration::from_millis(750),
         }
@@ -581,6 +592,17 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6]);
         let decoded: Vec<Event> = replay.events.into_iter().map(|(_, e)| e).collect();
         assert_eq!(decoded, events());
+    }
+
+    #[test]
+    fn submit_records_carrying_opt_level_decode_to_the_same_spec() {
+        let dir = temp_dir("legacy-submit");
+        let line = legacy_submit_record(1, "run-1", &spec());
+        assert!(line.contains("\"opt_level\":2"), "{line}");
+        std::fs::write(dir.join(JOURNAL_FILE), line).unwrap();
+        let replay = replay(&dir).unwrap();
+        assert!(replay.diag.is_none(), "{:?}", replay.diag);
+        assert_eq!(replay.events, vec![(1, events().remove(0))]);
     }
 
     #[test]

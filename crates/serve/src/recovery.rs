@@ -390,7 +390,6 @@ mod tests {
             seed: 0x42,
             methods: vec![MethodKind::Strider],
             backend: SimBackend::default(),
-            opt_level: 0,
             shards,
             lease: Duration::from_millis(500),
         }
@@ -461,6 +460,36 @@ mod tests {
         // ...while the completed shard stands.
         assert_eq!(run.shards[1].phase, ShardPhase::Done { worker: "b".into() });
         assert_eq!(run.shards[1].sink, dir.join("run-7").join("shard-1.jsonl"));
+    }
+
+    /// A journal written before `opt_level` left the spec: the member is
+    /// ignored and the run comes back exactly as a current binary would
+    /// have journalled it.
+    #[test]
+    fn journal_with_opt_level_in_its_submit_records_recovers() {
+        let dir = temp_dir("legacy-journal");
+        std::fs::write(
+            dir.join(crate::journal::JOURNAL_FILE),
+            crate::journal::legacy_submit_record(1, "run-7", &spec(2)),
+        )
+        .unwrap();
+        // Later records append behind the legacy one as usual.
+        let mut journal = Journal::open(&dir, JournalConfig::default(), 2, 1).unwrap();
+        journal
+            .append(&Event::Lease {
+                run: "run-7".into(),
+                shard: 0,
+                epoch: 1,
+                worker: "a".into(),
+                stolen: false,
+            })
+            .unwrap();
+        drop(journal);
+        let recovery = recover(&dir).unwrap();
+        assert!(recovery.report.diags.is_empty(), "{:?}", recovery.report.diags);
+        assert_eq!(recovery.report.records_replayed, 2);
+        assert_eq!(recovery.image.runs[0].spec, spec(2));
+        assert_eq!(recovery.report.leases_expired, 1);
     }
 
     #[test]

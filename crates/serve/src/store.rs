@@ -68,8 +68,6 @@ pub struct RunSpec {
     pub methods: Vec<MethodKind>,
     /// Simulation kernel.
     pub backend: SimBackend,
-    /// Netlist optimization level (0–3).
-    pub opt_level: u8,
     /// How many shards the job space is split into.
     pub shards: usize,
     /// Lease duration granted per shard.
@@ -128,16 +126,6 @@ impl RunSpec {
                     .ok_or_else(|| format!("unknown backend label '{label}'"))?
             }
         };
-        let opt_level = match json.get("opt_level") {
-            None => 0,
-            Some(v) => {
-                let n = v
-                    .as_u64()
-                    .filter(|&n| n <= 3)
-                    .ok_or("submission member 'opt_level' must be an integer 0..=3")?;
-                n as u8
-            }
-        };
         let shards = match json.get("shards") {
             None => 1,
             Some(v) => v
@@ -152,7 +140,7 @@ impl RunSpec {
                 v.as_u64().ok_or("submission member 'lease_ms' must be a positive integer")?,
             ),
         };
-        Ok(RunSpec { size, seed, methods, backend, opt_level, shards, lease })
+        Ok(RunSpec { size, seed, methods, backend, shards, lease })
     }
 
     /// The wire form, round-trippable through [`RunSpec::from_json`].
@@ -162,7 +150,6 @@ impl RunSpec {
             ("seed".to_string(), s(format!("0x{:X}", self.seed))),
             ("methods".to_string(), Json::Arr(self.methods.iter().map(|m| s(m.label())).collect())),
             ("backend".to_string(), s(self.backend.label())),
-            ("opt_level".to_string(), Json::Num(self.opt_level as f64)),
             ("shards".to_string(), Json::Num(self.shards as f64)),
             ("lease_ms".to_string(), Json::Num(self.lease.as_millis() as f64)),
         ])
@@ -707,7 +694,6 @@ mod tests {
             seed: 0x42,
             methods: vec![MethodKind::Strider],
             backend: SimBackend::default(),
-            opt_level: 0,
             shards,
             lease,
         }
@@ -743,7 +729,6 @@ mod tests {
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Uvllm, MethodKind::Meic],
             backend: SimBackend::Compiled,
-            opt_level: 2,
             shards: 4,
             lease: Duration::from_secs(30),
         };
@@ -763,13 +748,18 @@ mod tests {
         assert_eq!(spec.shards, 1);
         assert_eq!(spec.lease, Duration::from_secs(7));
 
+        // Bodies written for the retired `opt_level` member still decode:
+        // every level produced the same rows, so ignoring it is exact.
+        let old = Json::parse("{\"size\": 4, \"opt_level\": 2}").unwrap();
+        assert_eq!(RunSpec::from_json(&old, Duration::from_secs(7)).unwrap(), spec);
+        assert!(!spec.to_json().render().contains("opt_level"));
+
         let err = |text: &str| {
             RunSpec::from_json(&Json::parse(text).unwrap(), Duration::from_secs(1)).unwrap_err()
         };
         assert!(err("{}").contains("'size'"));
         assert!(err("{\"size\": 1, \"methods\": [\"nope\"]}").contains("'nope'"));
         assert!(err("{\"size\": 1, \"backend\": \"warp\"}").contains("'warp'"));
-        assert!(err("{\"size\": 1, \"opt_level\": 9}").contains("'opt_level'"));
         assert!(err("{\"size\": 1, \"seed\": \"0xZZ\"}").contains("'0xZZ'"));
     }
 

@@ -247,7 +247,6 @@ fn run_lease(
         workers: options.workers,
         shard: ShardSpec { index: grant.shard, count: spec.shards },
         backend: spec.backend,
-        opt_level: spec.opt_level,
         ..CampaignConfig::default()
     };
     let campaign = Campaign::new(config).map_err(|e| format!("bad grant config: {e}"))?;

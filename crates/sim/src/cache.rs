@@ -1,4 +1,5 @@
-//! Process-wide, content-addressed elaboration cache.
+//! Content-addressed elaboration cache: [`ElabCache`] is the value, the
+//! free functions act on one process-default instance of it.
 //!
 //! Parsing + elaboration is pure — the resulting [`Design`] depends only
 //! on the source text and the top-module name — so identical sources can
@@ -21,15 +22,6 @@
 //! candidate streams cannot exhaust memory. Results (including parse/
 //! elaboration failures) are cached; since elaboration is deterministic
 //! the cache is invisible to callers except in speed.
-//!
-//! **Pass configuration.** Every cache layer (elaboration, compilation,
-//! instance pool) keys on the active [`OptProfile`] label in addition
-//! to `(source, top)`: an optimized and an unoptimized variant of the
-//! same text are distinct entries and distinct pooled instances, so a
-//! mixed-profile process can never hand one caller the other's design.
-//! The profile's transform runs once per miss, right after elaboration,
-//! and its label is the cache discriminator — profiles with the same
-//! label **must** denote the same transform.
 
 use crate::compile::CompiledDesign;
 use crate::elab::{elaborate, Design};
@@ -44,89 +36,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// far above the working set of a campaign round).
 pub const ELAB_CACHE_CAPACITY: usize = 4096;
 
-/// `(source, top, opt label)` — the content address of one design
-/// variant. The empty label is the identity (no passes).
-type Key = (String, String, String);
+/// `(source, top)` — the content address of one design.
+type Key = (String, String);
 type CachedResult = Result<Arc<Design>, String>;
-
-/// A design rewrite applied between elaboration and the kernels.
-pub type DesignTransform = Arc<dyn Fn(&mut Design) + Send + Sync>;
-
-/// A named post-elaboration pass configuration.
-///
-/// The label keys every cache layer; the transform is what a cache miss
-/// runs on the freshly elaborated design. [`OptProfile::none`] (the
-/// default) is the identity with the empty label — exactly the
-/// pre-pass-framework behaviour.
-#[derive(Clone, Default)]
-pub struct OptProfile {
-    label: String,
-    transform: Option<DesignTransform>,
-}
-
-impl OptProfile {
-    /// The identity profile: no passes, empty cache label.
-    pub fn none() -> OptProfile {
-        OptProfile::default()
-    }
-
-    /// A named transform. The label becomes part of the cache key, so
-    /// it must uniquely identify the transform's behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty label — that is reserved for the identity.
-    pub fn new(label: impl Into<String>, transform: DesignTransform) -> OptProfile {
-        let label = label.into();
-        assert!(!label.is_empty(), "optimization profile label must be non-empty");
-        OptProfile { label, transform: Some(transform) }
-    }
-
-    /// The cache-key label (empty for the identity profile).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// True for the identity profile.
-    pub fn is_identity(&self) -> bool {
-        self.transform.is_none()
-    }
-
-    /// Applies the transform (no-op for the identity profile).
-    pub fn apply(&self, design: &mut Design) {
-        if let Some(transform) = &self.transform {
-            transform(design);
-        }
-    }
-}
-
-impl fmt::Debug for OptProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OptProfile")
-            .field("label", &self.label)
-            .field("transform", &self.transform.as_ref().map(|_| "..."))
-            .finish()
-    }
-}
-
-fn default_opt() -> &'static Mutex<OptProfile> {
-    static DEFAULT: OnceLock<Mutex<OptProfile>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Mutex::new(OptProfile::none()))
-}
-
-/// Sets the process-default pass configuration used by the label-less
-/// entry points ([`elaborate_source_cached`], [`compile_source_cached`],
-/// [`checkout_sim`]) — the lever the campaign CLI's `--opt-level` pulls
-/// without threading a profile through every layer. Variants never
-/// collide regardless: the label is part of every cache key.
-pub fn set_default_opt_profile(profile: OptProfile) {
-    *default_opt().lock().expect("default opt profile poisoned") = profile;
-}
-
-/// The current process-default pass configuration.
-pub fn default_opt_profile() -> OptProfile {
-    default_opt().lock().expect("default opt profile poisoned").clone()
-}
 
 /// A slot another thread is currently elaborating; waiters park on the
 /// condvar until the result lands.
@@ -140,6 +52,7 @@ enum Entry {
     Pending(Arc<InFlight>),
 }
 
+#[derive(Default)]
 struct Inner {
     map: HashMap<Key, Entry>,
     hits: u64,
@@ -147,7 +60,7 @@ struct Inner {
     evictions: u64,
 }
 
-/// Counters describing cache effectiveness (see [`stats`]).
+/// Counters describing cache effectiveness (see [`ElabCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ElabCacheStats {
     /// Lookups served from the cache (including waits on an elaboration
@@ -162,100 +75,141 @@ pub struct ElabCacheStats {
     pub entries: usize,
 }
 
-fn inner() -> &'static Mutex<Inner> {
-    static CACHE: OnceLock<Mutex<Inner>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| Mutex::new(Inner { map: HashMap::new(), hits: 0, misses: 0, evictions: 0 }))
+/// One elaboration cache. The free functions of this module
+/// ([`elaborate_source_cached`], [`stats`], [`reset`]) act on a single
+/// process-default instance; a caller that needs its own entries and
+/// counters (a test asserting absolute counts, say) owns one of these.
+#[derive(Default)]
+pub struct ElabCache {
+    inner: Mutex<Inner>,
 }
 
-/// Parses and elaborates `src` with `top` as root, memoised process-wide,
-/// under the process-default [`OptProfile`].
+impl ElabCache {
+    /// An empty cache with zeroed counters.
+    pub fn new() -> ElabCache {
+        ElabCache::default()
+    }
+
+    /// Parses and elaborates `src` with `top` as root, memoised in this
+    /// cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse or elaboration error message (also memoised).
+    pub fn elaborate(&self, src: &str, top: &str) -> CachedResult {
+        let key = (src.to_string(), top.to_string());
+        let flight: Arc<InFlight>;
+        {
+            let mut cache = self.inner.lock().expect("elab cache poisoned");
+            match cache.map.get(&key) {
+                Some(Entry::Ready(result)) => {
+                    let result = result.clone();
+                    cache.hits += 1;
+                    crate::metrics::cache().elab_hits.inc();
+                    return result;
+                }
+                Some(Entry::Pending(in_flight)) => {
+                    // Another thread is elaborating this exact key: wait
+                    // for its result instead of duplicating the work.
+                    let in_flight = Arc::clone(in_flight);
+                    cache.hits += 1;
+                    crate::metrics::cache().elab_hits.inc();
+                    drop(cache);
+                    let mut slot = in_flight.slot.lock().expect("in-flight slot poisoned");
+                    while slot.is_none() {
+                        slot = in_flight.ready.wait(slot).expect("in-flight slot poisoned");
+                    }
+                    return slot.clone().expect("checked above");
+                }
+                None => {
+                    flight = Arc::new(InFlight { slot: Mutex::new(None), ready: Condvar::new() });
+                    cache.misses += 1;
+                    crate::metrics::cache().elab_misses.inc();
+                    cache.map.insert(key.clone(), Entry::Pending(Arc::clone(&flight)));
+                }
+            }
+        }
+
+        // Elaborate outside the map lock: unrelated keys proceed in
+        // parallel across the worker pool.
+        let result: CachedResult = {
+            let parsed = {
+                let _span = uvllm_obs::Span::enter("parse");
+                uvllm_verilog::parse(src).map_err(|e| e.to_string())
+            };
+            parsed
+                .and_then(|file| {
+                    let _span = uvllm_obs::Span::enter("elab");
+                    elaborate(&file, top).map_err(|e| e.to_string())
+                })
+                .map(Arc::new)
+        };
+
+        {
+            let mut cache = self.inner.lock().expect("elab cache poisoned");
+            if cache.map.len() >= ELAB_CACHE_CAPACITY {
+                // Evict ready entries only; in-flight markers must survive
+                // or their waiters would hang.
+                cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
+                cache.evictions += 1;
+                crate::metrics::cache().elab_evictions.inc();
+            }
+            cache.map.insert(key, Entry::Ready(result.clone()));
+        }
+        let mut slot = flight.slot.lock().expect("in-flight slot poisoned");
+        *slot = Some(result.clone());
+        flight.ready.notify_all();
+        drop(slot);
+        result
+    }
+
+    /// Current cache counters.
+    pub fn stats(&self) -> ElabCacheStats {
+        let cache = self.inner.lock().expect("elab cache poisoned");
+        ElabCacheStats {
+            hits: cache.hits,
+            misses: cache.misses,
+            evictions: cache.evictions,
+            entries: cache.map.len(),
+        }
+    }
+
+    /// Empties the cache and zeroes the counters.
+    ///
+    /// Concurrent in-flight elaborations are left to finish on their own
+    /// condvars; only the map and counters are reset.
+    pub fn reset(&self) {
+        let mut cache = self.inner.lock().expect("elab cache poisoned");
+        // Keep pending markers so their waiters cannot hang.
+        cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
+        cache.hits = 0;
+        cache.misses = 0;
+        cache.evictions = 0;
+    }
+}
+
+fn default_cache() -> &'static ElabCache {
+    static CACHE: OnceLock<ElabCache> = OnceLock::new();
+    CACHE.get_or_init(ElabCache::new)
+}
+
+/// [`ElabCache::elaborate`] on the process-default cache.
 ///
 /// # Errors
 ///
 /// Returns the parse or elaboration error message (also memoised).
 pub fn elaborate_source_cached(src: &str, top: &str) -> CachedResult {
-    elaborate_source_opt(src, top, &default_opt_profile())
+    default_cache().elaborate(src, top)
 }
 
-/// [`elaborate_source_cached`] under an explicit pass configuration:
-/// the profile's transform runs once on each miss and its label keys
-/// the entry, so variants of one text never alias.
-///
-/// # Errors
-///
-/// Returns the parse or elaboration error message (also memoised).
-pub fn elaborate_source_opt(src: &str, top: &str, opt: &OptProfile) -> CachedResult {
-    let key = (src.to_string(), top.to_string(), opt.label().to_string());
-    let flight: Arc<InFlight>;
-    {
-        let mut cache = inner().lock().expect("elab cache poisoned");
-        match cache.map.get(&key) {
-            Some(Entry::Ready(result)) => {
-                let result = result.clone();
-                cache.hits += 1;
-                crate::metrics::cache().elab_hits.inc();
-                return result;
-            }
-            Some(Entry::Pending(in_flight)) => {
-                // Another thread is elaborating this exact key: wait for
-                // its result instead of duplicating the work.
-                let in_flight = Arc::clone(in_flight);
-                cache.hits += 1;
-                crate::metrics::cache().elab_hits.inc();
-                drop(cache);
-                let mut slot = in_flight.slot.lock().expect("in-flight slot poisoned");
-                while slot.is_none() {
-                    slot = in_flight.ready.wait(slot).expect("in-flight slot poisoned");
-                }
-                return slot.clone().expect("checked above");
-            }
-            None => {
-                flight = Arc::new(InFlight { slot: Mutex::new(None), ready: Condvar::new() });
-                cache.misses += 1;
-                crate::metrics::cache().elab_misses.inc();
-                cache.map.insert(key.clone(), Entry::Pending(Arc::clone(&flight)));
-            }
-        }
-    }
+/// [`ElabCache::stats`] of the process-default cache.
+pub fn stats() -> ElabCacheStats {
+    default_cache().stats()
+}
 
-    // Elaborate outside the map lock: unrelated keys proceed in
-    // parallel across the worker pool.
-    let result: CachedResult = {
-        let parsed = {
-            let _span = uvllm_obs::Span::enter("parse");
-            uvllm_verilog::parse(src).map_err(|e| e.to_string())
-        };
-        parsed
-            .and_then(|file| {
-                let _span = uvllm_obs::Span::enter("elab");
-                elaborate(&file, top).map_err(|e| e.to_string())
-            })
-            .map(|mut design| {
-                if !opt.is_identity() {
-                    let _span = uvllm_obs::Span::enter("optimize");
-                    opt.apply(&mut design);
-                }
-                Arc::new(design)
-            })
-    };
-
-    {
-        let mut cache = inner().lock().expect("elab cache poisoned");
-        if cache.map.len() >= ELAB_CACHE_CAPACITY {
-            // Evict ready entries only; in-flight markers must survive
-            // or their waiters would hang.
-            cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
-            cache.evictions += 1;
-            crate::metrics::cache().elab_evictions.inc();
-        }
-        cache.map.insert(key, Entry::Ready(result.clone()));
-    }
-    let mut slot = flight.slot.lock().expect("in-flight slot poisoned");
-    *slot = Some(result.clone());
-    flight.ready.notify_all();
-    drop(slot);
-    result
+/// [`ElabCache::reset`] on the process-default cache.
+pub fn reset() {
+    default_cache().reset()
 }
 
 type CompiledResult = Result<Arc<CompiledDesign>, String>;
@@ -278,21 +232,12 @@ fn compiled_inner() -> &'static Mutex<HashMap<Key, CompiledResult>> {
 ///
 /// Returns the parse or elaboration error message (also memoised).
 pub fn compile_source_cached(src: &str, top: &str) -> CompiledResult {
-    compile_source_opt(src, top, &default_opt_profile())
-}
-
-/// [`compile_source_cached`] under an explicit pass configuration.
-///
-/// # Errors
-///
-/// Returns the parse or elaboration error message (also memoised).
-pub fn compile_source_opt(src: &str, top: &str, opt: &OptProfile) -> CompiledResult {
-    let key = (src.to_string(), top.to_string(), opt.label().to_string());
+    let key = (src.to_string(), top.to_string());
     if let Some(hit) = compiled_inner().lock().expect("compile cache poisoned").get(&key) {
         return hit.clone();
     }
-    let result: CompiledResult = elaborate_source_opt(src, top, opt)
-        .map(|design| Arc::new(CompiledDesign::from_arc(design)));
+    let result: CompiledResult =
+        elaborate_source_cached(src, top).map(|design| Arc::new(CompiledDesign::from_arc(design)));
     let mut cache = compiled_inner().lock().expect("compile cache poisoned");
     if cache.len() >= ELAB_CACHE_CAPACITY {
         cache.clear();
@@ -424,24 +369,8 @@ impl Drop for PooledSim {
 /// [`CheckoutError::Sim`] when the design oscillates at time zero
 /// (such designs are never pooled — each checkout re-reports).
 pub fn checkout_sim(src: &str, top: &str) -> Result<PooledSim, CheckoutError> {
-    checkout_sim_opt(src, top, &default_opt_profile())
-}
-
-/// [`checkout_sim`] under an explicit pass configuration: the pooled
-/// instances of a text's optimized and unoptimized variants are
-/// segregated by the profile label, so a checkout always returns the
-/// requested variant.
-///
-/// # Errors
-///
-/// As [`checkout_sim`].
-pub fn checkout_sim_opt(
-    src: &str,
-    top: &str,
-    opt: &OptProfile,
-) -> Result<PooledSim, CheckoutError> {
-    let compiled = compile_source_opt(src, top, opt).map_err(CheckoutError::Build)?;
-    let key = (src.to_string(), top.to_string(), opt.label().to_string());
+    let compiled = compile_source_cached(src, top).map_err(CheckoutError::Build)?;
+    let key = (src.to_string(), top.to_string());
     let parked = {
         let mut pool = pool_inner().lock().expect("sim pool poisoned");
         let parked = pool.map.get_mut(&key).and_then(Vec::pop);
@@ -483,30 +412,6 @@ pub fn sim_pool_reset() {
     pool.reuses = 0;
 }
 
-/// Current cache counters.
-pub fn stats() -> ElabCacheStats {
-    let cache = inner().lock().expect("elab cache poisoned");
-    ElabCacheStats {
-        hits: cache.hits,
-        misses: cache.misses,
-        evictions: cache.evictions,
-        entries: cache.map.len(),
-    }
-}
-
-/// Empties the cache and zeroes the counters (test isolation).
-///
-/// Concurrent in-flight elaborations are left to finish on their own
-/// condvars; only the map and counters are reset.
-pub fn reset() {
-    let mut cache = inner().lock().expect("elab cache poisoned");
-    // Keep pending markers so their waiters cannot hang.
-    cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
-    cache.hits = 0;
-    cache.misses = 0;
-    cache.evictions = 0;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,49 +419,48 @@ mod tests {
     const ADD: &str = "module add(input [7:0] a, input [7:0] b, output [8:0] y);\n\
                        assign y = a + b;\nendmodule\n";
 
-    /// One sequential test: the cache (and its counters) are
-    /// process-global, so parallel test threads must not interleave
-    /// absolute-counter assertions.
+    /// Absolute-counter assertions run on a private cache, so sibling
+    /// tests elaborating through the process default cannot move them.
     #[test]
     fn cache_memoises_hits_failures_and_tops() {
-        reset();
-        let before = stats();
-        let a = elaborate_source_cached(ADD, "add").unwrap();
-        let b = elaborate_source_cached(ADD, "add").unwrap();
+        let cache = ElabCache::new();
+        let before = cache.stats();
+        let a = cache.elaborate(ADD, "add").unwrap();
+        let b = cache.elaborate(ADD, "add").unwrap();
         assert!(Arc::ptr_eq(&a, &b), "must share one elaboration");
-        let after = stats();
+        let after = cache.stats();
         assert_eq!(after.misses - before.misses, 1);
         assert!(after.hits > before.hits);
 
         // Failures are memoised too.
         let bad = "module broken(input a output y);\nendmodule\n";
-        let e1 = elaborate_source_cached(bad, "broken").unwrap_err();
-        let e2 = elaborate_source_cached(bad, "broken").unwrap_err();
+        let e1 = cache.elaborate(bad, "broken").unwrap_err();
+        let e2 = cache.elaborate(bad, "broken").unwrap_err();
         assert_eq!(e1, e2);
-        assert_eq!(stats().misses - after.misses, 1);
+        assert_eq!(cache.stats().misses - after.misses, 1);
 
         // Distinct top modules over one source are distinct entries.
         let two = "module m1(input a, output y);\nassign y = a;\nendmodule\n\
                    module m2(input a, output y);\nassign y = ~a;\nendmodule\n";
-        let d1 = elaborate_source_cached(two, "m1").unwrap();
-        let d2 = elaborate_source_cached(two, "m2").unwrap();
+        let d1 = cache.elaborate(two, "m1").unwrap();
+        let d2 = cache.elaborate(two, "m2").unwrap();
         assert_eq!(d1.top, "m1");
         assert_eq!(d2.top, "m2");
-        assert_eq!(stats().entries, 4);
+        assert_eq!(cache.stats().entries, 4);
 
         // Hammer one key from many threads: still exactly one miss.
-        reset();
-        let base = stats();
+        cache.reset();
+        let base = cache.stats();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..50 {
-                        elaborate_source_cached(ADD, "add").unwrap();
+                        cache.elaborate(ADD, "add").unwrap();
                     }
                 });
             }
         });
-        let hammered = stats();
+        let hammered = cache.stats();
         assert_eq!(hammered.misses - base.misses, 1, "one elaboration across 8 threads");
         assert_eq!(hammered.hits - base.hits, 399);
     }
@@ -599,45 +503,6 @@ mod tests {
                    always @(*) begin\ncase (a)\n1'b0: b = 1'b0;\ndefault: b = 1'b1;\nendcase\nend\n\
                    endmodule\n";
         assert!(matches!(checkout_sim(osc, "osc3"), Err(CheckoutError::Sim(_))));
-    }
-
-    #[test]
-    fn opt_profiles_key_separate_variants() {
-        use crate::elab::{SignalInfo, SignalKind};
-        // A transform whose effect is observable: it adds a marker signal.
-        let marker: DesignTransform = Arc::new(|design: &mut Design| {
-            design
-                .add_signal(SignalInfo {
-                    name: "__opt_marker".to_string(),
-                    width: 1,
-                    kind: SignalKind::Net,
-                    words: 1,
-                    lsb: 0,
-                    array_lo: 0,
-                    is_input: false,
-                    is_output: false,
-                })
-                .unwrap();
-        });
-        let profile = OptProfile::new("marker", marker);
-        let plain = elaborate_source_cached(ADD, "add").unwrap();
-        let opt = elaborate_source_opt(ADD, "add", &profile).unwrap();
-        assert!(!Arc::ptr_eq(&plain, &opt), "variants must not alias");
-        assert!(opt.signal_id("__opt_marker").is_some(), "transform ran on the opt variant");
-        assert!(plain.signal_id("__opt_marker").is_none(), "identity variant untouched");
-        // Memoised per label: a second opt lookup shares the first.
-        let opt2 = elaborate_source_opt(ADD, "add", &profile).unwrap();
-        assert!(Arc::ptr_eq(&opt, &opt2));
-        // The compiled cache and the pool separate variants the same way.
-        let cp = compile_source_opt(ADD, "add", &profile).unwrap();
-        let cn = compile_source_cached(ADD, "add").unwrap();
-        assert!(cp.design().signal_id("__opt_marker").is_some());
-        assert!(cn.design().signal_id("__opt_marker").is_none());
-        let sim = checkout_sim_opt(ADD, "add", &profile).unwrap();
-        assert!(sim.design().signal_id("__opt_marker").is_some());
-        drop(sim);
-        let sim = checkout_sim(ADD, "add").unwrap();
-        assert!(sim.design().signal_id("__opt_marker").is_none(), "pool returned wrong variant");
     }
 
     #[test]

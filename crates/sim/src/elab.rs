@@ -174,8 +174,7 @@ pub struct Process {
 /// A fully elaborated, executable design.
 ///
 /// Equality is structural (same signals, processes and port lists in
-/// the same order) — the invariant behind the netlist pass-idempotence
-/// tests: a pass pipeline at fixpoint leaves the design `==` to itself.
+/// the same order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     /// Name of the top module.
@@ -219,10 +218,9 @@ impl Design {
     }
 
     // ------------------------------------------------------------------
-    // Builder / mutation API — the surface the netlist pass framework
-    // and the Yosys-JSON importer rewrite designs through. Signal ids
-    // are append-only (passes may orphan a signal but never renumber
-    // one), so every `SignalId` held by an expression stays valid.
+    // Builder API — the surface the Yosys-JSON importer constructs
+    // designs through. Signal ids are append-only, so every `SignalId`
+    // held by an expression stays valid.
     // ------------------------------------------------------------------
 
     /// An empty design with no signals or processes: the starting point
@@ -276,13 +274,6 @@ impl Design {
         let id = ProcessId(self.processes.len() as u32);
         self.processes.push(process);
         id
-    }
-
-    /// Mutable process list, for rewrite passes. Removing a process is
-    /// allowed (process ids are not referenced by the IR); signals must
-    /// only ever be added, via [`Design::add_signal`].
-    pub fn processes_mut(&mut self) -> &mut Vec<Process> {
-        &mut self.processes
     }
 }
 

@@ -64,9 +64,8 @@ pub mod wave;
 
 pub use backend::{AnySim, SimBackend, SimControl};
 pub use cache::{
-    checkout_sim, checkout_sim_opt, compile_source_cached, compile_source_opt, default_opt_profile,
-    elaborate_source_cached, elaborate_source_opt, set_default_opt_profile, sim_pool_stats,
-    CheckoutError, DesignTransform, ElabCacheStats, OptProfile, PooledSim, SimPoolStats,
+    checkout_sim, compile_source_cached, elaborate_source_cached, sim_pool_stats, CheckoutError,
+    ElabCache, ElabCacheStats, PooledSim, SimPoolStats,
 };
 pub use compile::CompiledDesign;
 pub use elab::{elaborate, Design, ElabError, SignalId, SignalInfo, SignalKind};

@@ -45,24 +45,6 @@ impl std::error::Error for UvmError {}
 pub struct Driver;
 
 impl Driver {
-    /// Applies every input value of `txn` (works on either kernel),
-    /// resolving port names on the fly.
-    pub fn drive<S: SimControl + ?Sized>(
-        &self,
-        sim: &mut S,
-        iface: &DutInterface,
-        txn: &Transaction,
-    ) -> Result<(), SimError> {
-        for port in &iface.inputs {
-            let id = sim
-                .design()
-                .signal_id(&port.name)
-                .ok_or_else(|| SimError::UnknownSignal(port.name.clone()))?;
-            self.drive_port(sim, &port.name, id, port.width, txn)?;
-        }
-        Ok(())
-    }
-
     /// Pin-level fast path over pre-resolved ports (the environment's
     /// hot loop — no name lookups).
     pub fn drive_resolved<S: SimControl + ?Sized>(
@@ -125,21 +107,9 @@ impl Sequencer {
         Sequencer { sequences, current: 0 }
     }
 
-    /// Next transaction, advancing through sequences as they exhaust.
-    /// Also returns the name of the producing sequence.
-    pub fn next(&mut self, cycle: usize) -> Option<(Transaction, String)> {
-        while self.current < self.sequences.len() {
-            let seq = &mut self.sequences[self.current];
-            if let Some(t) = seq.next(cycle) {
-                return Some((t, seq.name().to_string()));
-            }
-            self.current += 1;
-        }
-        None
-    }
-
-    /// Allocation-free variant of [`Sequencer::next`]: refills `txn` in
-    /// place via [`Sequence::next_into`]. The buffer is cleared at
+    /// Next transaction, advancing through sequences as they exhaust:
+    /// refills `txn` in place via [`Sequence::next_into`], so the
+    /// steady state allocates nothing. The buffer is cleared at
     /// sequence boundaries so one sequence's key set cannot leak stale
     /// drive values into the next.
     pub fn next_into(&mut self, cycle: usize, txn: &mut Transaction) -> bool {
@@ -246,30 +216,14 @@ impl fmt::Debug for Environment {
 }
 
 impl Environment {
-    /// Builds an environment around a shared elaborated design on the
-    /// process-default backend ([`SimBackend::from_env`]). The `Arc`
-    /// is threaded through to the kernel as-is — nothing on this path
-    /// clones the design.
+    /// Builds an environment around a shared elaborated design on an
+    /// explicit simulation backend. The `Arc` is threaded through to
+    /// the kernel as-is — nothing on this path clones the design.
     ///
     /// # Errors
     ///
     /// [`UvmError::MissingPort`] when the DUT lacks an interface port;
     /// [`UvmError::Sim`] when time-zero settling fails.
-    pub fn new(
-        design: &Arc<Design>,
-        iface: DutInterface,
-        refmodel: Box<dyn RefModel>,
-        sequences: Vec<Box<dyn Sequence>>,
-    ) -> Result<Self, UvmError> {
-        Environment::new_with(design, iface, refmodel, sequences, SimBackend::from_env())
-    }
-
-    /// Builds an environment around a shared elaborated design on an
-    /// explicit simulation backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`Environment::new`].
     pub fn new_with(
         design: &Arc<Design>,
         iface: DutInterface,
@@ -378,7 +332,7 @@ impl Environment {
     /// # Errors
     ///
     /// [`UvmError::Elab`] on parse/elaboration failure, plus everything
-    /// [`Environment::new`] can return.
+    /// [`Environment::new_with`] can return.
     pub fn from_source(
         src: &str,
         top: &str,

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     // A reduced dataset for example purposes (the full evaluation uses
-    // 331, the paper's size — see `uvllm::standard_dataset`).
+    // 331, the paper's size — see `uvllm::dataset::PAPER_DATASET_SIZE`).
     let target = 120;
     println!("building {target} validated error instances...");
     let dataset = uvllm::build_dataset(target, 0xC0DE);

@@ -63,13 +63,13 @@ struct Args {
     /// into DIR and exit (no campaign run).
     emit_json: Option<String>,
     /// `--import-json FILE`: import a Yosys-JSON netlist and run the
-    /// interchange smoke (both kernels, optimized vs unoptimized,
-    /// re-export fixpoint) instead of a campaign.
+    /// interchange smoke (both kernels in lockstep, re-export fixpoint)
+    /// instead of a campaign.
     import_json: Option<String>,
 }
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
-     [--seed HEX] [--methods A,B,..] [--backend event|compiled] [--opt-level 0..3] \
+     [--seed HEX] [--methods A,B,..] [--backend event|compiled] \
      [--llm-batch N] [--llm-max-wait-ms MS] [--llm-latency-ms MS] \
      [--llm-telemetry] [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
      \x20      campaign [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
@@ -87,7 +87,7 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--poll-ms MS] [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
      [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
-     [--backend event|compiled] [--opt-level 0..3] [--shards N] [--lease-ms MS]\n\
+     [--backend event|compiled] [--shards N] [--lease-ms MS]\n\
      \x20      campaign status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
      \x20      campaign metrics --connect HOST:PORT [--out FILE]\n\
      \x20      campaign shutdown --connect HOST:PORT | campaign ping --connect HOST:PORT\n\
@@ -197,13 +197,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--llm-latency-ms must be a number".to_string())?;
                 config.llm_latency = Some(Duration::from_millis(ms));
             }
-            "--opt-level" => {
-                config.opt_level = value("--opt-level")?
-                    .parse()
-                    .ok()
-                    .filter(|n| *n <= 3)
-                    .ok_or_else(|| "--opt-level must be 0..=3".to_string())?;
-            }
             "--fault-seed" => {
                 let text = value("--fault-seed")?;
                 let text = text.trim_start_matches("0x");
@@ -311,7 +304,7 @@ fn run_campaign() -> Result<(), String> {
         return run_emit_json(&dir);
     }
     if let Some(path) = import_json {
-        return run_import_smoke(&path, config.opt_level);
+        return run_import_smoke(&path);
     }
     let campaign = Campaign::new(config).map_err(|m| format!("invalid campaign: {m}"))?;
     let config = campaign.config();
@@ -323,14 +316,13 @@ fn run_campaign() -> Result<(), String> {
     };
     println!(
         "campaign: {} instances x {} methods, {} workers, shard {}/{}, {} kernel, \
-         opt O{}, {llm_mode}, sink {out}",
+         {llm_mode}, sink {out}",
         config.dataset_size,
         config.methods.len(),
         config.effective_workers(),
         config.shard.index,
         config.shard.count,
         config.backend,
-        config.opt_level,
     );
 
     if let Some(fault) = &config.fault {
@@ -423,47 +415,29 @@ fn run_emit_json(dir: &str) -> Result<(), String> {
 
 /// `--import-json FILE`: imports a Yosys-JSON netlist (third-party or
 /// our own export) and runs the interchange smoke — seeded random
-/// stimulus on both kernels with the optimized design pinned
-/// port-identical to the unoptimized one, plus the re-export fixpoint.
-fn run_import_smoke(path: &str, opt_level: u8) -> Result<(), String> {
+/// stimulus with the event and compiled kernels pinned port-identical,
+/// plus the re-export fixpoint.
+fn run_import_smoke(path: &str) -> Result<(), String> {
     use std::sync::Arc;
-    use uvllm_netlist::{yosys, OptLevel, PassManager};
+    use uvllm_netlist::yosys;
     use uvllm_sim::{AnySim, Logic, SimBackend, SimControl};
 
     const CYCLES: usize = 200;
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let base = yosys::import_str(&text).map_err(|e| e.to_string())?;
+    let base = Arc::new(yosys::import_str(&text).map_err(|e| e.to_string())?);
     println!(
-        "imported '{}' from {path}: {} signals, {} processes, levelized depth {}",
+        "imported '{}' from {path}: {} signals, {} processes",
         base.top,
         base.signals().len(),
         base.processes().len(),
-        uvllm_netlist::levelized_depth(&base),
     );
 
-    // Optimize at the requested level (default O3: exercise everything).
-    let level = if opt_level == 0 { OptLevel::O3 } else { OptLevel::from_u8(opt_level).unwrap() };
-    let mut opt = base.clone();
-    let stats = PassManager::standard(level).run(&mut opt);
-    println!(
-        "optimized at {}: {} rewrites in {} rounds, depth {} -> {}",
-        level.label(),
-        stats.total_rewrites(),
-        stats.rounds,
-        stats.depth_before,
-        stats.depth_after,
-    );
-
-    // Drive all four sims (base/opt x event/compiled) in lockstep under
-    // seeded random stimulus; every port must agree on every cycle.
-    let base = Arc::new(base);
-    let opt = Arc::new(opt);
+    // Drive both kernels in lockstep under seeded random stimulus;
+    // every port must agree on every cycle.
     let mut sims = [
         AnySim::new(&base, SimBackend::EventDriven).map_err(|e| e.to_string())?,
         AnySim::new(&base, SimBackend::Compiled).map_err(|e| e.to_string())?,
-        AnySim::new(&opt, SimBackend::EventDriven).map_err(|e| e.to_string())?,
-        AnySim::new(&opt, SimBackend::Compiled).map_err(|e| e.to_string())?,
     ];
     let inputs: Vec<(String, u32)> = base
         .inputs()
@@ -507,7 +481,7 @@ fn run_import_smoke(path: &str, opt_level: u8) -> Result<(), String> {
             }
         }
     }
-    println!("equivalence: {CYCLES} cycles, base==optimized on both kernels, all ports");
+    println!("equivalence: {CYCLES} cycles, event==compiled, all ports");
 
     // Re-export fixpoint: our export of the imported design must
     // round-trip byte-identically through import.
@@ -784,13 +758,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
                 config.backend = SimBackend::from_label(&text)
                     .ok_or_else(|| format!("unknown backend '{text}' (event|compiled)"))?;
             }
-            "--opt-level" => {
-                config.opt_level = value("--opt-level")?
-                    .parse()
-                    .ok()
-                    .filter(|n| *n <= 3)
-                    .ok_or_else(|| "--opt-level must be 0..=3".to_string())?;
-            }
             "--shards" => shards = parse_ms("--shards", &value("--shards")?)? as usize,
             "--lease-ms" => lease_ms = Some(parse_ms("--lease-ms", &value("--lease-ms")?)?),
             other => return Err(format!("unknown submit flag '{other}' (try --help)")),
@@ -804,7 +771,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         ("seed".to_string(), s(format!("0x{:X}", config.dataset_seed))),
         ("methods".to_string(), Json::Arr(config.methods.iter().map(|m| s(m.label())).collect())),
         ("backend".to_string(), s(config.backend.label())),
-        ("opt_level".to_string(), Json::Num(config.opt_level as f64)),
         ("shards".to_string(), Json::Num(shards as f64)),
     ];
     if let Some(ms) = lease_ms {

@@ -19,24 +19,36 @@
 //! the way metric runs disable it).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, because libtest
+    /// spawns and retires sibling test threads at moments no lock in
+    /// this file can order against a measuring window; `const`
+    /// initialisation keeps the access itself allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed
-// atomic with no further invariants.
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread tears its
+    // locals down, where there is nothing left to count into.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counter is a plain
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,17 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations the calling thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// The counter is process-global, so the measuring tests must not run
-/// concurrently — a sibling test's allocations inside a measurement
-/// window would fail a strict delta for no real regression.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    ALLOCATIONS.with(Cell::get)
 }
 
 use uvllm_sim::{AnySim, Logic, SimBackend, SimControl};
@@ -67,7 +71,6 @@ use uvllm_uvm::{Environment, IoFrame, RandomSequence, RunSummary, Sequence};
 /// event propagation all run out of persistent scratch.
 #[test]
 fn kernels_are_allocation_free_for_all_designs_on_both_backends() {
-    let _guard = serial();
     for backend in SimBackend::ALL {
         for d in uvllm_designs::all() {
             let design = uvllm_sim::elaborate_source_cached(d.source, d.name)
@@ -142,7 +145,6 @@ fn kernels_are_allocation_free_for_all_designs_on_both_backends() {
 /// single allocation.
 #[test]
 fn refmodel_step_is_allocation_free_for_all_designs() {
-    let _guard = serial();
     for d in uvllm_designs::all() {
         let iface = (d.iface)();
         let spec = uvllm_uvm::IoSpec::from_interface(&iface);
@@ -200,7 +202,6 @@ fn run_counted(
 /// anywhere in the loop would show up as a delta of ≥ 2,000.
 #[test]
 fn environment_steady_state_is_allocation_free_per_cycle() {
-    let _guard = serial();
     for backend in SimBackend::ALL {
         // One design per category, sequential and combinational.
         for name in ["adder_8bit", "counter_12", "fifo_sync", "alu_8bit"] {
@@ -231,7 +232,6 @@ fn environment_steady_state_is_allocation_free_per_cycle() {
 /// costs hundreds of allocations for elaboration-scale structures.)
 #[test]
 fn pooled_checkout_rewinds_instead_of_rebuilding() {
-    let _guard = serial();
     let design = uvllm_designs::by_name("gray_counter_4").unwrap();
     // Unique text so this test owns the pool key.
     let code = format!("{}// alloc-test probe\n", design.source);
