@@ -16,6 +16,10 @@
 //!   branches on shared state, no heap. This is what lets the
 //!   simulation kernels stay inside the strict zero-allocations-per-
 //!   cycle bound (`tests/alloc_steady_state.rs`) with metrics enabled.
+//!   A [`Counter`] — the one kind the kernels record per settle — is
+//!   sharded over cache-line-sized cells and a thread adds into its
+//!   own, so workers counting the same events share no cache line;
+//!   totals are exact at every read, nothing is buffered.
 //!
 //! Histograms are fixed-shape: [`HISTOGRAM_BUCKETS`] log2 buckets
 //! covering the whole `u64` range (bucket 0 holds exactly the value 0;
@@ -34,8 +38,9 @@
 //! per call, so it belongs around coarse pipeline stages (parse,
 //! elaborate, simulate, repair), not inner loops.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use uvllm_json::Json;
@@ -52,16 +57,56 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 // Metric cells
 // ----------------------------------------------------------------------
 
-/// A monotonically increasing event count. `inc`/`add` are one relaxed
-/// atomic op; allocation-free by construction.
+/// Cells per [`Counter`]: recording threads beyond this many share
+/// cells (still exact, the add is atomic), which costs speed only.
+const COUNTER_CELLS: usize = 8;
+
+/// One cache line of a [`Counter`], so that two threads recording into
+/// different cells never write the same line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CounterCell {
+    value: AtomicU64,
+}
+
+/// Hands each recording thread its cell index, round-robin, so threads
+/// started one after another (a worker pool) land on different cells.
+static NEXT_CELL: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The cell this thread records into, assigned at its first record.
+    /// `const`-initialised and without a destructor: reading it never
+    /// allocates (the kernels record inside the zero-allocation bound).
+    static CELL: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The calling thread's cell index; cell 0 while the thread tears its
+/// locals down.
+#[inline]
+fn cell_index() -> usize {
+    CELL.try_with(|cell| {
+        cell.get().unwrap_or_else(|| {
+            let index = NEXT_CELL.fetch_add(1, Ordering::Relaxed) % COUNTER_CELLS;
+            cell.set(Some(index));
+            index
+        })
+    })
+    .unwrap_or(0)
+}
+
+/// A monotonically increasing event count, sharded over
+/// [`COUNTER_CELLS`] cache lines: `inc`/`add` are one relaxed atomic op
+/// on the recording thread's own line (workers recording the same
+/// counter do not bounce it between cores), `get` sums the cells.
+/// Allocation-free by construction.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    cells: [CounterCell; COUNTER_CELLS],
 }
 
 impl Counter {
     fn new() -> Counter {
-        Counter { value: AtomicU64::new(0) }
+        Counter::default()
     }
 
     /// Adds one.
@@ -74,16 +119,20 @@ impl Counter {
     /// kernels use to flush per-settle tallies in O(1) atomics).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cells[cell_index()].value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value, summed over the cells: exact for every `add`
+    /// that happens-before this call (the caller's own, and those of
+    /// threads it has joined), and never decreasing between two calls.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cells.iter().fold(0, |sum, cell| sum.wrapping_add(cell.value.load(Ordering::Relaxed)))
     }
 
     fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for cell in &self.cells {
+            cell.value.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -539,6 +588,96 @@ mod tests {
         g.dec();
         g.add(-3);
         assert_eq!(g.get(), 2);
+    }
+
+    #[test]
+    fn concurrent_adds_sum_exactly_and_reads_never_decrease() {
+        const THREADS: u64 = 8;
+        const ADDS: u64 = 100_000;
+        let _guard = serial();
+        let counter = Counter::new();
+        let start = std::sync::Barrier::new(THREADS as usize + 1);
+        let running = AtomicU64::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (counter, start, running) = (&counter, &start, &running);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..ADDS {
+                        // Mixed sizes: 1, then a batch that differs per
+                        // thread and per step.
+                        counter.inc();
+                        counter.add((i + t) % 7);
+                    }
+                    running.fetch_sub(1, Ordering::Release);
+                });
+            }
+            start.wait();
+            let mut last = 0;
+            while running.load(Ordering::Acquire) > 0 {
+                let now = counter.get();
+                assert!(now >= last, "get went backwards: {last} -> {now}");
+                last = now;
+            }
+        });
+        let expected: u64 =
+            (0..THREADS).map(|t| (0..ADDS).map(|i| 1 + (i + t) % 7).sum::<u64>()).sum();
+        assert_eq!(counter.get(), expected, "every add of every joined thread is in the total");
+        counter.reset();
+        assert_eq!(counter.get(), 0);
+    }
+
+    #[test]
+    fn cells_are_whole_cache_lines_and_new_threads_take_different_ones() {
+        assert_eq!(std::mem::align_of::<CounterCell>(), 64);
+        assert_eq!(std::mem::size_of::<CounterCell>(), 64);
+        assert_eq!(std::mem::size_of::<Counter>(), 64 * COUNTER_CELLS);
+        const { assert!(COUNTER_CELLS >= 8) };
+        // Cells go out in ticket order, one per thread at its first
+        // counter record; every test that records a counter holds
+        // `serial`, so no third thread draws between the two spawned
+        // here.
+        let _guard = serial();
+        let cell_of_new_thread = || {
+            std::thread::spawn(|| {
+                let first = cell_index();
+                assert_eq!(cell_index(), first, "a thread keeps its cell");
+                first
+            })
+            .join()
+            .expect("probe thread")
+        };
+        let (a, b) = (cell_of_new_thread(), cell_of_new_thread());
+        assert!(a < COUNTER_CELLS && b < COUNTER_CELLS);
+        assert_ne!(a, b, "threads started back to back must not share a cell");
+    }
+
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_which_threads_recorded() {
+        // The same totals written by one thread and spread over eight:
+        // private registries, so no other test's metrics are in them.
+        let _guard = serial();
+        let record = |registry: &Registry, share: u64| {
+            registry.counter("test.obs.shard.settles").add(40 / share);
+            registry.counter("test.obs.shard.events").add(8_000_000 / share);
+            let h = registry.histogram("test.obs.shard.wait_us");
+            for _ in 0..16 / share {
+                h.record(1024);
+            }
+            registry.gauge("test.obs.shard.depth").set(3);
+        };
+        let single = Registry::default();
+        record(&single, 1);
+        let spread = Registry::default();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| record(&spread, 8));
+            }
+        });
+        let (single, spread) = (single.snapshot().render(), spread.snapshot().render());
+        assert_eq!(single, spread);
+        validate_snapshot_json(&spread).expect("sharded counters render a valid snapshot");
+        assert!(spread.contains("\"test.obs.shard.events\":8000000"), "{spread}");
     }
 
     #[test]

@@ -38,8 +38,6 @@ struct RunAgg {
     /// The run's full job-id space (what "complete" means), shared
     /// with every other run of the same dataset and methods.
     expected: Arc<HashSet<String>>,
-    /// `serve.run.<id>.rows` — live per-run row count.
-    run_rows: &'static uvllm_obs::Counter,
 }
 
 /// A point-in-time copy of one run's aggregation, rows included — what
@@ -125,14 +123,12 @@ impl Aggregator {
     /// first worker creates it.
     pub fn register(&self, run: &str, spec: &RunSpec, sinks: Vec<PathBuf>) {
         let expected = self.id_space(spec);
-        let run_rows = uvllm_obs::registry().counter(&format!("serve.run.{run}.rows"));
         self.lock().push(RunAgg {
             run: run.to_string(),
             tailers: sinks.into_iter().map(SinkTailer::new).collect(),
             rows: BTreeMap::new(),
             diags: Vec::new(),
             expected,
-            run_rows,
         });
     }
 
@@ -176,7 +172,6 @@ impl Aggregator {
                 match agg.rows.get(&row.id) {
                     None => {
                         agg.rows.insert(row.id.clone(), row);
-                        agg.run_rows.inc();
                         self.rows_aggregated.inc();
                     }
                     // A byte-identical duplicate is a stolen shard's

@@ -480,6 +480,33 @@ mod tests {
         server.shutdown();
     }
 
+    /// The registry lives as long as the server, so nothing in it may
+    /// be keyed by run: a run's row count is in `GET /runs/<id>`.
+    #[test]
+    fn submissions_register_no_per_run_metric() {
+        let server = test_server("no-run-metric");
+        let addr = server.addr().to_string();
+        for _ in 0..3 {
+            let (status, body) =
+                http::request(&addr, "POST", "/jobs", "{\"size\": 1, \"shards\": 1}").unwrap();
+            assert_eq!(status, 200, "{body}");
+        }
+        let (status, body) = http::request(&addr, "GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200);
+        let snapshot = Json::parse(&body).unwrap();
+        let Some(Json::Obj(counters)) = snapshot.get("counters") else {
+            panic!("no counters object in {body}");
+        };
+        assert!(counters.iter().any(|(name, _)| name == "serve.jobs_submitted"), "{body}");
+        let per_run: Vec<&str> = counters
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.starts_with("serve.run."))
+            .collect();
+        assert!(per_run.is_empty(), "per-run counters leak for the server's life: {per_run:?}");
+        server.shutdown();
+    }
+
     #[test]
     fn shutdown_is_graceful_and_idempotent() {
         let server = test_server("shutdown");

@@ -3,9 +3,10 @@
 //! Kernel instrumentation follows the `uvllm-obs` contract: each
 //! simulator instance captures its kernel's handle struct at
 //! construction, accumulates tallies in locals inside the settle loop,
-//! and flushes them as a handful of relaxed atomic adds per settle —
-//! so the steady-state cycle loop stays allocation-free and the
-//! per-activation path stays atomic-free.
+//! and flushes them as a handful of relaxed atomic adds per settle,
+//! each into the calling thread's own cell of the counter — so the
+//! steady-state cycle loop stays allocation-free, the per-activation
+//! path stays atomic-free and workers share no cache line.
 
 use std::sync::OnceLock;
 use uvllm_obs::{registry, Counter};
@@ -13,8 +14,9 @@ use uvllm_obs::{registry, Counter};
 /// Event-kernel counters (`sim.event.*`).
 #[derive(Debug)]
 pub(crate) struct EventKernelMetrics {
-    /// Settle sweeps driven ([`crate::sched::Simulator`] event-loop
-    /// entries: pokes that triggered work, plus explicit settles).
+    /// Settles driven by [`crate::sched::Simulator`]: one per poke that
+    /// changed a value and per explicit settle, whether or not any
+    /// process had to run.
     pub settles: &'static Counter,
     /// Process activations executed.
     pub activations: &'static Counter,

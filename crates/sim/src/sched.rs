@@ -58,6 +58,21 @@ struct Write {
     value: Logic,
 }
 
+/// The per-design half of a [`Simulator`]: built once at construction,
+/// immutable afterwards and shared by clones. Kept apart from the
+/// signal values so the event loop borrows it while it mutates them —
+/// no per-settle reference-count traffic, no per-activation body clone.
+#[derive(Debug)]
+struct Plan {
+    design: Arc<Design>,
+    /// Per-process flat programs, lowered once.
+    programs: Vec<ProcessProgram>,
+    /// Combinational processes sensitive to each signal.
+    comb_sens: Vec<Vec<ProcessId>>,
+    /// Edge-triggered processes: (process, edge) per signal.
+    seq_sens: Vec<Vec<(ProcessId, Option<Edge>)>>,
+}
+
 /// An event-driven four-state simulator over an elaborated [`Design`].
 ///
 /// The harness drives it imperatively: [`Simulator::poke`] input values,
@@ -66,21 +81,12 @@ struct Write {
 /// cycles. Clocked logic reacts to edges produced by pokes.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    /// Shared so the event loop can borrow process bodies while
-    /// mutating state — no per-activation body clone.
-    design: Arc<Design>,
-    /// Per-process flat programs, lowered once at construction and
-    /// shared across clones (immutable after lowering).
-    programs: Arc<[ProcessProgram]>,
+    plan: Arc<Plan>,
     /// Current value per signal per word.
     words: Vec<Vec<Logic>>,
-    /// Combinational processes sensitive to each signal.
-    comb_sens: Vec<Vec<ProcessId>>,
-    /// Edge-triggered processes: (process, signal, edge).
-    seq_sens: Vec<Vec<(ProcessId, Option<Edge>)>>,
-    /// Persistent active event set (FIFO via cursor). Cleared, never
-    /// dropped, between runs so its capacity survives — pokes allocate
-    /// nothing once the high-water mark is reached.
+    /// Persistent active event set (FIFO via cursor), empty between
+    /// calls. Cleared, never dropped, so its capacity survives — pokes
+    /// allocate nothing once the high-water mark is reached.
     active: Vec<ProcessId>,
     /// Persistent non-blocking-assignment queue (same rationale).
     nba: Vec<Write>,
@@ -126,31 +132,9 @@ impl ValueReader for StateView<'_> {
     }
 }
 
-impl Simulator {
-    /// Builds a simulator over an owned `design`, runs `initial` blocks
-    /// and settles the combinational network once. Callers holding a
-    /// cached/shared elaboration use [`Simulator::from_arc`] instead —
-    /// nothing on either path clones the design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unstable`] if the design oscillates at time 0.
-    pub fn new(design: Design) -> Result<Self, SimError> {
-        Simulator::from_arc(Arc::new(design))
-    }
-
-    /// Builds a simulator over an already-shared design without
-    /// re-cloning it — the cheap path for cached elaborations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unstable`] if the design oscillates at time 0.
-    pub fn from_arc(design: Arc<Design>) -> Result<Self, SimError> {
+impl Plan {
+    fn new(design: Arc<Design>) -> Plan {
         let nsignals = design.signals().len();
-        let mut words = Vec::with_capacity(nsignals);
-        for info in design.signals() {
-            words.push(vec![Logic::xs(info.width); info.words as usize]);
-        }
         let mut comb_sens = vec![Vec::new(); nsignals];
         let mut seq_sens = vec![Vec::new(); nsignals];
         for (i, p) in design.processes().iter().enumerate() {
@@ -169,124 +153,8 @@ impl Simulator {
                 Trigger::Initial => {}
             }
         }
-        let programs: Arc<[ProcessProgram]> =
-            design.processes().iter().map(|p| lower_process(&design, &p.body)).collect();
-        let mut sim = Simulator {
-            design,
-            programs,
-            words,
-            comb_sens,
-            seq_sens,
-            active: Vec::new(),
-            nba: Vec::new(),
-            writes: Vec::new(),
-            time: 0,
-            initialised: false,
-            metrics: crate::metrics::event_kernel(),
-        };
-        sim.initialise()?;
-        Ok(sim)
-    }
-
-    fn initialise(&mut self) -> Result<(), SimError> {
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        // Run initial blocks, then every combinational process once so
-        // nets acquire their driven values.
-        for (i, p) in self.design.processes().iter().enumerate() {
-            if matches!(p.trigger, Trigger::Initial) {
-                active.push(ProcessId(i as u32));
-            }
-        }
-        for (i, p) in self.design.processes().iter().enumerate() {
-            if matches!(p.trigger, Trigger::Comb(_)) {
-                active.push(ProcessId(i as u32));
-            }
-        }
-        self.initialised = true;
-        self.drive(active)
-    }
-
-    /// The elaborated design being simulated.
-    pub fn design(&self) -> &Design {
-        &self.design
-    }
-
-    /// Current simulation time.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Sets the simulation time (monotonically increased by harnesses).
-    pub fn set_time(&mut self, time: u64) {
-        self.time = time;
-    }
-
-    /// Reads the current value of `id`.
-    pub fn peek(&self, id: SignalId) -> Logic {
-        self.words[id.0 as usize][0]
-    }
-
-    /// Reads word `index` of an array signal.
-    pub fn peek_word(&self, id: SignalId, index: u64) -> Logic {
-        self.words[id.0 as usize]
-            .get(index as usize)
-            .copied()
-            .unwrap_or_else(|| Logic::xs(self.design.signal(id).width))
-    }
-
-    /// Reads a signal by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] for unknown names.
-    pub fn peek_by_name(&self, name: &str) -> Result<Logic, SimError> {
-        let id =
-            self.design.signal_id(name).ok_or_else(|| SimError::UnknownSignal(name.to_string()))?;
-        Ok(self.peek(id))
-    }
-
-    /// Drives `id` to `value` and propagates the resulting events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unstable`] on combinational oscillation.
-    pub fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
-        let width = self.design.signal(id).width;
-        let value = value.resize(width);
-        let old = self.words[id.0 as usize][0];
-        if old == value {
-            return Ok(());
-        }
-        self.words[id.0 as usize][0] = value;
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        self.collect_triggered(id, old, value, None, &mut active);
-        self.drive(active)
-    }
-
-    /// Pokes a signal by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] or [`SimError::Unstable`].
-    pub fn poke_by_name(&mut self, name: &str, value: Logic) -> Result<(), SimError> {
-        let id =
-            self.design.signal_id(name).ok_or_else(|| SimError::UnknownSignal(name.to_string()))?;
-        self.poke(id, value)
-    }
-
-    /// Propagates any pending activity until the design is quiescent.
-    /// With the poke-driven API this is usually a no-op, but harnesses
-    /// call it after batches of pokes for clarity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unstable`] on combinational oscillation.
-    pub fn settle(&mut self) -> Result<(), SimError> {
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        self.drive(active)
+        let programs = design.processes().iter().map(|p| lower_process(&design, &p.body)).collect();
+        Plan { design, programs, comb_sens, seq_sens }
     }
 
     /// Pushes the processes triggered by `signal` transitioning
@@ -324,40 +192,197 @@ impl Simulator {
             }
         }
     }
+}
 
-    /// Runs the event loop over a seeded active set using the
-    /// persistent scratch queues. Every buffer is restored *cleared*
-    /// (capacity intact): a successful run drains them, and an
-    /// `Unstable` abort must not leave stale events or non-blocking
-    /// writes for a later run.
-    fn drive(&mut self, mut active: Vec<ProcessId>) -> Result<(), SimError> {
-        let programs = Arc::clone(&self.programs);
-        let mut nba = std::mem::take(&mut self.nba);
-        let mut writes = std::mem::take(&mut self.writes);
-        let mut tally = EventTally::default();
-        let result = self.run_events(&programs, &mut active, &mut nba, &mut writes, &mut tally);
-        // Flush the tallies: O(1) relaxed atomic adds per settle, no
-        // per-activation shared-cache-line traffic across workers.
+impl Simulator {
+    /// Builds a simulator over an owned `design`, runs `initial` blocks
+    /// and settles the combinational network once. Callers holding a
+    /// cached/shared elaboration use [`Simulator::from_arc`] instead —
+    /// nothing on either path clones the design.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Unstable`] if the design oscillates at time 0.
+    pub fn new(design: Design) -> Result<Self, SimError> {
+        Simulator::from_arc(Arc::new(design))
+    }
+
+    /// Builds a simulator over an already-shared design without
+    /// re-cloning it — the cheap path for cached elaborations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Unstable`] if the design oscillates at time 0.
+    pub fn from_arc(design: Arc<Design>) -> Result<Self, SimError> {
+        let words =
+            design.signals().iter().map(|s| vec![Logic::xs(s.width); s.words as usize]).collect();
+        let mut sim = Simulator {
+            plan: Arc::new(Plan::new(design)),
+            words,
+            active: Vec::new(),
+            nba: Vec::new(),
+            writes: Vec::new(),
+            time: 0,
+            initialised: false,
+            metrics: crate::metrics::event_kernel(),
+        };
+        sim.initialise()?;
+        Ok(sim)
+    }
+
+    fn initialise(&mut self) -> Result<(), SimError> {
+        // Run initial blocks, then every combinational process once so
+        // nets acquire their driven values.
+        let processes = self.plan.design.processes();
+        for (i, p) in processes.iter().enumerate() {
+            if matches!(p.trigger, Trigger::Initial) {
+                self.active.push(ProcessId(i as u32));
+            }
+        }
+        for (i, p) in processes.iter().enumerate() {
+            if matches!(p.trigger, Trigger::Comb(_)) {
+                self.active.push(ProcessId(i as u32));
+            }
+        }
+        self.initialised = true;
+        self.drive()
+    }
+
+    /// The elaborated design being simulated.
+    pub fn design(&self) -> &Design {
+        &self.plan.design
+    }
+
+    /// Current simulation time.
+    pub fn time(&self) -> u64 {
+        self.time
+    }
+
+    /// Sets the simulation time (monotonically increased by harnesses).
+    pub fn set_time(&mut self, time: u64) {
+        self.time = time;
+    }
+
+    /// Reads the current value of `id`.
+    pub fn peek(&self, id: SignalId) -> Logic {
+        self.words[id.0 as usize][0]
+    }
+
+    /// Reads word `index` of an array signal.
+    pub fn peek_word(&self, id: SignalId, index: u64) -> Logic {
+        self.words[id.0 as usize]
+            .get(index as usize)
+            .copied()
+            .unwrap_or_else(|| Logic::xs(self.design().signal(id).width))
+    }
+
+    /// Reads a signal by name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownSignal`] for unknown names.
+    pub fn peek_by_name(&self, name: &str) -> Result<Logic, SimError> {
+        let id = self
+            .design()
+            .signal_id(name)
+            .ok_or_else(|| SimError::UnknownSignal(name.to_string()))?;
+        Ok(self.peek(id))
+    }
+
+    /// Drives `id` to `value` and propagates the resulting events.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Unstable`] on combinational oscillation.
+    pub fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
+        let width = self.design().signal(id).width;
+        let value = value.resize(width);
+        let old = self.words[id.0 as usize][0];
+        if old == value {
+            return Ok(());
+        }
+        self.words[id.0 as usize][0] = value;
+        self.plan.collect_triggered(id, old, value, None, &mut self.active);
+        self.drive()
+    }
+
+    /// Pokes a signal by name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownSignal`] or [`SimError::Unstable`].
+    pub fn poke_by_name(&mut self, name: &str, value: Logic) -> Result<(), SimError> {
+        let id = self
+            .design()
+            .signal_id(name)
+            .ok_or_else(|| SimError::UnknownSignal(name.to_string()))?;
+        self.poke(id, value)
+    }
+
+    /// Propagates any pending activity until the design is quiescent.
+    /// Every poke propagates its own events, so there never is any:
+    /// harnesses call it after batches of pokes for clarity and it
+    /// costs them one counted, empty settle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Unstable`] on combinational oscillation.
+    pub fn settle(&mut self) -> Result<(), SimError> {
+        self.drive()
+    }
+
+    /// Runs the event loop over the active set its caller seeded, using
+    /// the persistent scratch queues. Every buffer is left *cleared*
+    /// (capacity intact) on both exits: a successful run drains them,
+    /// and an `Unstable` abort must not leave stale events or
+    /// non-blocking writes for a later run.
+    fn drive(&mut self) -> Result<(), SimError> {
+        // Flushed per settle in O(1) relaxed adds, each into the
+        // calling thread's own counter cell: no per-activation atomics
+        // and no cache line shared with another worker.
         let metrics = self.metrics;
         metrics.settles.inc();
+        if self.active.is_empty() {
+            // Nothing is sensitive to what changed (an explicit settle,
+            // the falling clock edge of a posedge-only design): the
+            // settle is counted and there is no event loop to run.
+            return Ok(());
+        }
+        let mut tally = EventTally::default();
+        let mut exec = Exec { plan: &self.plan, words: &mut self.words };
+        let result = exec.run_events(&mut self.active, &mut self.nba, &mut self.writes, &mut tally);
         if tally.activations > 0 {
             metrics.activations.add(tally.activations);
         }
-        if !active.is_empty() {
-            metrics.events.add(active.len() as u64);
-        }
+        metrics.events.add(self.active.len() as u64);
         if tally.nba_commits > 0 {
             metrics.nba_commits.add(tally.nba_commits);
         }
-        active.clear();
-        nba.clear();
-        writes.clear();
-        self.active = active;
-        self.nba = nba;
-        self.writes = writes;
+        self.active.clear();
+        self.nba.clear();
+        self.writes.clear();
         result
     }
 
+    /// True for signals procedurally driven (regs); used by tests.
+    pub fn is_var(&self, id: SignalId) -> bool {
+        self.design().signal(id).kind == SignalKind::Var
+    }
+
+    /// Iterates processes (used by the DFG builder for cross-checks).
+    pub fn processes(&self) -> &[Process] {
+        self.design().processes()
+    }
+}
+
+/// One drive's borrows of a [`Simulator`]: its immutable plan and its
+/// mutable signal values, side by side.
+struct Exec<'a> {
+    plan: &'a Plan,
+    words: &'a mut [Vec<Logic>],
+}
+
+impl Exec<'_> {
     /// Core event loop: runs `active` processes, applying blocking writes
     /// immediately and non-blocking writes at delta boundaries.
     ///
@@ -370,12 +395,12 @@ impl Simulator {
     /// sensitivity entries a real bug the simulator reproduces.
     fn run_events(
         &mut self,
-        programs: &[ProcessProgram],
         active: &mut Vec<ProcessId>,
         nba: &mut Vec<Write>,
         writes: &mut Vec<Write>,
         tally: &mut EventTally,
     ) -> Result<(), SimError> {
+        let programs = &self.plan.programs;
         let mut activations = 0usize;
         // FIFO via cursor (no front removal); the queue is bounded by
         // the activation cap.
@@ -409,7 +434,7 @@ impl Simulator {
     }
 
     fn view(&self) -> StateView<'_> {
-        StateView { design: &self.design, words: &self.words }
+        StateView { design: &self.plan.design, words: self.words }
     }
 
     /// Executes one precompiled process program as a program-counter
@@ -553,17 +578,7 @@ impl Simulator {
         // Array word writes do not produce scalar events (no process is
         // edge/level sensitive to a whole memory in this subset), but
         // combinational readers of the memory must re-run.
-        self.collect_triggered(w.signal, old, updated, current, active);
-    }
-
-    /// True for signals procedurally driven (regs); used by tests.
-    pub fn is_var(&self, id: SignalId) -> bool {
-        self.design.signal(id).kind == SignalKind::Var
-    }
-
-    /// Iterates processes (used by the DFG builder for cross-checks).
-    pub fn processes(&self) -> &[Process] {
-        self.design.processes()
+        self.plan.collect_triggered(w.signal, old, updated, current, active);
     }
 }
 
@@ -726,6 +741,43 @@ mod tests {
             Err(SimError::Unstable { .. }) => {}
             other => panic!("expected unstable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_exit_from_drive_leaves_the_scratch_queues_empty() {
+        // Stable while `trig` is 0; with `trig` high the two blocks
+        // chase each other until the activation cap.
+        let mut s = sim("module osc(input trig, input clk, input d, output reg a, output reg b,\n\
+             output reg q);\n\
+             always @(*) begin\nif (trig) begin\ncase (b)\n1'b0: a = 1'b1;\n\
+             default: a = 1'b0;\nendcase\nend else\na = 1'b0;\nend\n\
+             always @(*) begin\nif (trig) begin\ncase (a)\n1'b0: b = 1'b0;\n\
+             default: b = 1'b1;\nendcase\nend else\nb = 1'b0;\nend\n\
+             always @(posedge clk) q <= d;\nendmodule\n");
+        let scratch_is_empty =
+            |s: &Simulator| s.active.is_empty() && s.nba.is_empty() && s.writes.is_empty();
+        s.poke_by_name("clk", Logic::bit(false)).unwrap();
+        s.poke_by_name("d", Logic::bit(true)).unwrap();
+        s.poke_by_name("trig", Logic::bit(false)).unwrap();
+        assert!(scratch_is_empty(&s), "after working settles");
+        s.settle().unwrap();
+        assert!(scratch_is_empty(&s), "after the early exit");
+        let capacity = s.active.capacity();
+        assert!(capacity > 0, "the active set keeps its buffer across settles");
+
+        let err = s.poke_by_name("trig", Logic::bit(true)).unwrap_err();
+        assert_eq!(err, SimError::Unstable { activations: MAX_ACTIVATIONS });
+        assert!(scratch_is_empty(&s), "an abort must not leave events for a later run");
+        assert!(s.active.capacity() >= capacity);
+
+        // The aborted run queued nothing the next one can see: with the
+        // loop broken the design settles and the flop still works.
+        s.poke_by_name("trig", Logic::bit(false)).unwrap();
+        assert_eq!(u(&s, "a"), 0);
+        assert_eq!(u(&s, "b"), 0);
+        s.poke_by_name("clk", Logic::bit(true)).unwrap();
+        assert_eq!(u(&s, "q"), 1);
+        assert!(scratch_is_empty(&s));
     }
 
     #[test]

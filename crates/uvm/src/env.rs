@@ -198,6 +198,8 @@ pub struct Environment {
     /// Output ports pre-resolved to `(name, id)`.
     out_ports: Vec<(String, uvllm_sim::SignalId)>,
     clock_id: Option<uvllm_sim::SignalId>,
+    /// Reset line pre-resolved to `(id, active_low)`.
+    reset_line: Option<(uvllm_sim::SignalId, bool)>,
     /// Reusable slot-ordered observation/expectation buffers
     /// (steady-state: zero allocations/cycle).
     inputs_buf: Vec<Logic>,
@@ -269,6 +271,7 @@ impl Environment {
         let out_ports: Vec<(String, uvllm_sim::SignalId)> =
             iface.outputs.iter().map(|p| (p.name.clone(), resolve(&p.name))).collect();
         let clock_id = iface.clock.as_deref().map(resolve);
+        let reset_line = iface.reset.as_ref().map(|r| (resolve(&r.name), r.active_low));
         let wave = Waveform::new(&sim);
         // Intern the port layout once and hand it to the model: all
         // per-cycle traffic from here on is slot-indexed.
@@ -297,6 +300,7 @@ impl Environment {
             in_ports,
             out_ports,
             clock_id,
+            reset_line,
             inputs_buf,
             outputs_buf,
             expected_buf,
@@ -446,30 +450,27 @@ impl Environment {
 
     fn reset_phase(&mut self) -> Result<(), SimError> {
         self.refmodel.reset();
-        let Some(reset) = self.iface.reset.clone() else {
-            // Still initialise inputs to zero for a clean start.
-            for p in self.iface.inputs.clone() {
-                self.sim.poke_by_name(&p.name, Logic::zeros(p.width))?;
-            }
+        // Initialise inputs to zero for a clean start, reset or not.
+        for (_, id, width) in &self.in_ports {
+            self.sim.poke(*id, Logic::zeros(*width))?;
+        }
+        let Some((reset, active_low)) = self.reset_line else {
             return Ok(());
         };
-        let assert_v = Logic::bit(!reset.active_low);
-        let deassert_v = Logic::bit(reset.active_low);
-        for p in self.iface.inputs.clone() {
-            self.sim.poke_by_name(&p.name, Logic::zeros(p.width))?;
-        }
-        if let Some(clk) = self.iface.clock.clone() {
-            self.sim.poke_by_name(&clk, Logic::bit(false))?;
-            self.sim.poke_by_name(&reset.name, assert_v)?;
+        let assert_v = Logic::bit(!active_low);
+        let deassert_v = Logic::bit(active_low);
+        if let Some(clk) = self.clock_id {
+            self.sim.poke(clk, Logic::bit(false))?;
+            self.sim.poke(reset, assert_v)?;
             for _ in 0..2 {
-                self.sim.poke_by_name(&clk, Logic::bit(true))?;
-                self.sim.poke_by_name(&clk, Logic::bit(false))?;
+                self.sim.poke(clk, Logic::bit(true))?;
+                self.sim.poke(clk, Logic::bit(false))?;
                 self.sim.set_time(self.sim.time() + CYCLE_TIME);
             }
-            self.sim.poke_by_name(&reset.name, deassert_v)?;
+            self.sim.poke(reset, deassert_v)?;
         } else {
-            self.sim.poke_by_name(&reset.name, assert_v)?;
-            self.sim.poke_by_name(&reset.name, deassert_v)?;
+            self.sim.poke(reset, assert_v)?;
+            self.sim.poke(reset, deassert_v)?;
         }
         self.log.info(self.sim.time(), "driver", "reset sequence complete");
         Ok(())
@@ -521,8 +522,7 @@ impl Environment {
             &self.outputs_buf,
         );
         if !ok {
-            let new = self.scoreboard.mismatches()[before..].to_vec();
-            for m in &new {
+            for m in &self.scoreboard.mismatches()[before..] {
                 self.log.mismatch(m);
             }
         }

@@ -115,18 +115,43 @@ impl Scoreboard {
 /// output, in the spirit of UVM covergroups.
 ///
 /// Collectors are slot-indexed vectors sized on first sample, so the
-/// per-cycle path is plain indexing — no hashing, no name lookups, and
-/// (after the bin sets warm up) no allocations.
+/// per-cycle path is plain indexing and bit operations — no hashing,
+/// no name lookups, no allocations.
 #[derive(Debug, Clone, Default)]
 pub struct Coverage {
-    /// Input slot → (width, bins hit).
-    input_bins: Vec<(u32, HashSet<u32>)>,
+    /// Input slot → (width, mask of the bins hit: bit `b` is bin `b`).
+    input_bins: Vec<(u32, u16)>,
     /// Output slot → (width, bits seen 0, bits seen 1).
     toggles: Vec<(u32, u128, u128)>,
 }
 
-/// Number of value bins per input signal.
+/// Number of value bins per input signal (one bit each of a `u16`).
 const BINS: u32 = 16;
+
+/// Value bins of a `width`-bit input: one per value up to [`BINS`].
+fn bin_count(width: u32) -> u32 {
+    if width >= 32 {
+        BINS
+    } else {
+        (1u64 << width).min(BINS as u64) as u32
+    }
+}
+
+/// The bin `val` of a `width`-bit input falls into: equal-width bins
+/// over the value space, i.e. the top four bits of a value wider than
+/// four bits.
+fn input_bin(width: u32, val: u128) -> u32 {
+    let bin = if width <= 4 {
+        val as u32
+    } else if width < 32 {
+        (val >> (width - 4)) as u32
+    } else {
+        // Inputs of 32 bits and more keep the original arithmetic,
+        // whose value space is pinned at `u128::MAX`.
+        (val.saturating_mul(BINS as u128) / u128::MAX) as u32
+    };
+    bin.min(bin_count(width) - 1)
+}
 
 impl Coverage {
     /// New empty coverage collector.
@@ -139,7 +164,7 @@ impl Coverage {
     /// slot count does (i.e. never, in the steady state).
     pub fn sample(&mut self, inputs: &[Logic], outputs: &[Logic]) {
         if self.input_bins.len() < inputs.len() {
-            self.input_bins.resize_with(inputs.len(), || (0, HashSet::new()));
+            self.input_bins.resize(inputs.len(), (0, 0));
         }
         if self.toggles.len() < outputs.len() {
             self.toggles.resize(outputs.len(), (0, 0, 0));
@@ -150,16 +175,7 @@ impl Coverage {
                 entry.0 = v.width();
             }
             if let Some(val) = v.to_u128() {
-                let w = entry.0;
-                let total = if w >= 32 { u128::MAX } else { 1u128 << w };
-                let nbins = total.min(BINS as u128) as u32;
-                let bin = if total <= BINS as u128 {
-                    val as u32
-                } else {
-                    // Equal-width bins over the value space.
-                    ((val.saturating_mul(nbins as u128)) / total) as u32
-                };
-                entry.1.insert(bin.min(nbins - 1));
+                entry.1 |= 1 << input_bin(entry.0, val);
             }
         }
         for (slot, v) in outputs.iter().enumerate() {
@@ -178,12 +194,11 @@ impl Coverage {
         if self.input_bins.is_empty() {
             return 1.0;
         }
-        let mut hit = 0usize;
-        let mut total = 0usize;
+        let mut hit = 0u32;
+        let mut total = 0u32;
         for (w, bins) in &self.input_bins {
-            let space = if *w >= 32 { BINS } else { (1u64 << w).min(BINS as u64) as u32 };
-            total += space as usize;
-            hit += bins.len().min(space as usize);
+            total += bin_count(*w);
+            hit += bins.count_ones();
         }
         hit as f64 / total as f64
     }
@@ -291,6 +306,35 @@ mod tests {
         assert_eq!(cov.toggle_coverage(), 0.0);
         cov.sample(&[], &vals(&[(2, 0b10)]));
         assert!((cov.toggle_coverage() - 1.0).abs() < 1e-9);
+    }
+
+    /// The bin arithmetic `Coverage::sample` used before the shift:
+    /// a saturating `u128` multiply and a `u128` division per value.
+    fn bin_by_division(w: u32, val: u128) -> u32 {
+        let total = if w >= 32 { u128::MAX } else { 1u128 << w };
+        let nbins = total.min(BINS as u128) as u32;
+        let bin = if total <= BINS as u128 {
+            val as u32
+        } else {
+            ((val.saturating_mul(nbins as u128)) / total) as u32
+        };
+        bin.min(nbins - 1)
+    }
+
+    #[test]
+    fn shifted_bin_index_equals_the_division_it_replaced() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB1A5);
+        for w in 1..=40u32 {
+            let mask = uvllm_sim::logic::mask(w);
+            // Both ends of the value space, then 2000 seeded draws.
+            let edges = [0, 1, mask >> 1, (mask >> 1) + 1, mask - 1, mask];
+            let draws = (0..2000).map(|_| rng.random::<u64>() as u128 & mask);
+            for val in edges.into_iter().chain(draws) {
+                assert_eq!(input_bin(w, val), bin_by_division(w, val), "width {w}, value {val:#x}");
+            }
+        }
     }
 
     #[test]
