@@ -3,6 +3,7 @@
 
 use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
 use crate::job::{expand_jobs, Job, ShardSpec};
+use crate::memo::VerdictMemo;
 use crate::queue::{run_pool, run_pool_supervised, PoolPolicy, PoolStats};
 use crate::report::CampaignReport;
 use crate::sink::ResultSink;
@@ -39,12 +40,17 @@ fn metrics() -> &'static CampaignMetrics {
 /// kernel the validation runs use — so one build serves every shard
 /// and every method list of that dataset: a resident worker keeps it
 /// across leases instead of paying the build per shard.
+///
+/// It also owns the [`VerdictMemo`] of everything run on it: a final
+/// text is judged once per dataset, whichever job, worker or shard
+/// reaches it first. A fresh build starts cold.
 #[derive(Debug)]
 pub struct CampaignDataset {
     size: usize,
     seed: u64,
     backend: SimBackend,
     instances: Vec<Arc<BenchInstance>>,
+    verdicts: VerdictMemo,
 }
 
 impl CampaignDataset {
@@ -57,7 +63,12 @@ impl CampaignDataset {
             .into_iter()
             .map(Arc::new)
             .collect();
-        CampaignDataset { size, seed, backend, instances }
+        CampaignDataset { size, seed, backend, instances, verdicts: VerdictMemo::new() }
+    }
+
+    /// The judgements of every final text run on this dataset so far.
+    pub fn verdict_memo(&self) -> &VerdictMemo {
+        &self.verdicts
     }
 
     /// The full job-id space of these instances crossed with `methods`.
@@ -429,6 +440,7 @@ impl Campaign {
             self.workers,
             backend,
             &llm,
+            &dataset.verdicts,
             &self.config.pool,
             |_, record| {
                 let row = if telemetry { record.to_row_with_telemetry() } else { record.to_row() };

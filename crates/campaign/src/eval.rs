@@ -5,6 +5,7 @@
 //! engine can own it; the bench crate re-exports everything for
 //! compatibility.
 
+use crate::memo::VerdictMemo;
 use std::time::Duration;
 use uvllm::{BenchInstance, Stage, StageTimes, Uvllm, Verdict, VerifyConfig};
 use uvllm_baselines::{GptDirect, MeicRepair, RepairMethod, RtlRepair, StriderRepair};
@@ -482,7 +483,7 @@ pub fn evaluate_one_with(
     inst: &BenchInstance,
     backend: SimBackend,
 ) -> EvalRecord {
-    evaluate_one_on(method, inst, backend, &LlmPolicy::direct())
+    evaluate_one_on(method, inst, backend, &LlmPolicy::direct(), &VerdictMemo::new())
 }
 
 /// Evaluates `method` on one instance under an explicit simulation
@@ -496,18 +497,21 @@ pub fn evaluate_one_with(
 /// answers (inline vs. on the shared service thread), so backend and
 /// policy change wall-clock, not verdicts.
 ///
-/// Per-job cost model: every metric run crosses the scoreboard
-/// boundary through the index-based `IoFrame` exchange (zero
-/// allocations per checked cycle), and on the compiled backend the
-/// repeated runs over one candidate text share a pooled, state-reset
-/// `CompiledSim` instance (`uvllm_sim::checkout_sim`) instead of
-/// re-instantiating per run — `reset_state` makes a reused instance
-/// indistinguishable from a fresh one, so determinism is unaffected.
+/// Per-job cost model: the method runs, then its final text is judged —
+/// one hit run (the public vectors) and one fix run (the extended
+/// differential campaign), each ending at its first rejected cycle —
+/// unless `memo` already holds that text's judgement: methods end on
+/// few distinct texts (the golden text after a successful repair, the
+/// untouched mutant after a failed one), so within one dataset most
+/// jobs simulate nothing here. A verdict is a pure function of
+/// `(design, text)`, so a memoised judgement is the one the job would
+/// have computed.
 pub fn evaluate_one_on(
     method: MethodKind,
     inst: &BenchInstance,
     backend: SimBackend,
     llm: &LlmPolicy<'_>,
+    memo: &VerdictMemo,
 ) -> EvalRecord {
     let oracle_seed = inst.seed ^ method.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let design = inst.design;
@@ -613,13 +617,16 @@ pub fn evaluate_one_on(
         }
     };
     // `stage_us.simulate`: the verdict runs driving the final candidate
-    // through the UVM environment on the chosen kernel.
+    // through the UVM environment on the chosen kernel — or the memo
+    // lookup that stands in for them.
     let (hit, fix_outcome) = {
         let _span = uvllm_obs::Span::enter("simulate");
-        (
-            uvllm::metrics::hit_confirmed_with(design, &final_code, backend),
-            uvllm::metrics::fix_verdict_with(design, &final_code, backend),
-        )
+        memo.judge(design.name, &final_code, || {
+            (
+                uvllm::metrics::hit_confirmed_with(design, &final_code, backend),
+                uvllm::metrics::fix_verdict_with(design, &final_code, backend),
+            )
+        })
     };
     EvalRecord {
         instance_id: inst.id(),

@@ -37,6 +37,7 @@
 
 use crate::eval::{evaluate_one_on, EvalRecord, LlmPolicy};
 use crate::job::Job;
+use crate::memo::VerdictMemo;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -158,7 +159,8 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
 /// completion order) and the returned list is sorted back into job
 /// order.
 ///
-/// `workers == 0` is treated as 1.
+/// `workers == 0` is treated as 1. The pool judges on a memo of its
+/// own ([`run_pool_supervised`] takes the caller's).
 pub fn run_pool(
     jobs: Vec<Job>,
     workers: usize,
@@ -166,16 +168,20 @@ pub fn run_pool(
     llm: &LlmPolicy<'_>,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> Vec<EvalRecord> {
-    run_pool_supervised(jobs, workers, backend, llm, &PoolPolicy::default(), on_record).0
+    let memo = VerdictMemo::new();
+    run_pool_supervised(jobs, workers, backend, llm, &memo, &PoolPolicy::default(), on_record).0
 }
 
-/// [`run_pool`] under an explicit supervision policy, also returning
-/// what supervision did (module docs describe the semantics).
+/// [`run_pool`] under an explicit supervision policy and on the
+/// caller's verdict memo (the dataset's, so shards and resumed runs
+/// share judgements), also returning what supervision did (module docs
+/// describe the semantics).
 pub fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
     backend: SimBackend,
     llm: &LlmPolicy<'_>,
+    memo: &VerdictMemo,
     policy: &PoolPolicy,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
@@ -258,7 +264,7 @@ pub fn run_pool_supervised(
                                 std::thread::sleep(*stall);
                             }
                         }
-                        evaluate_one_on(job.method, &job.instance, backend, llm)
+                        evaluate_one_on(job.method, &job.instance, backend, llm, memo)
                     }));
                     *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
@@ -399,6 +405,7 @@ mod tests {
             2,
             SimBackend::default(),
             &LlmPolicy::direct(),
+            &VerdictMemo::new(),
             &policy,
             |_, _| {},
         );
@@ -427,6 +434,7 @@ mod tests {
             2,
             SimBackend::default(),
             &LlmPolicy::direct(),
+            &VerdictMemo::new(),
             &policy,
             |_, _| {},
         );

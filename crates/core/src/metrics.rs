@@ -29,15 +29,24 @@ pub const FR_CYCLES: usize = 800;
 pub const FR_EXTRA_SEEDS: [u64; 2] = [8, 9];
 
 /// How a metric run ended — the campaign's distinct outcome classes.
+///
+/// A run's class is that of its **first failing event**: a verdict run
+/// ends at the first cycle the scoreboard rejects
+/// ([`Environment::stop_at_first_mismatch`]), so a DUT that mismatches
+/// at cycle 10 and would have oscillated at cycle 500 is
+/// [`Verdict::Mismatch`], and one that oscillates before any mismatch
+/// is [`Verdict::Unstable`]. A verdict is a pure function of `(design,
+/// text, backend)` — and, the kernels being waveform-identical, of
+/// `(design, text)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Every checked cycle matched the golden model.
     Pass,
-    /// The run completed (or aborted for a non-oscillation reason) with
-    /// mismatches or another failure.
+    /// The scoreboard rejected a cycle (the run stopped there), or the
+    /// run aborted for a non-oscillation reason.
     Mismatch,
-    /// The DUT oscillated: `SimError::Unstable` with the activation
-    /// count at the simulator's cap.
+    /// The DUT oscillated before any mismatch: `SimError::Unstable`
+    /// with the activation count at the simulator's cap.
     Unstable {
         /// Process activations performed before giving up.
         activations: usize,
@@ -74,11 +83,13 @@ impl Verdict {
 
 /// Runs a set of sequences against `code` and classifies the outcome.
 ///
-/// Metric runs are pure pass/fail: the environment runs with waveform
-/// capture disabled (nobody reads the frames), and on the compiled
-/// backend the simulation instance comes out of the process-wide
-/// reset-reuse pool ([`uvllm_sim::checkout_sim`]) — the hit + fix runs
-/// of one candidate text share one instance.
+/// A verdict is a class, not a pass rate: the environment runs with
+/// waveform capture disabled (nobody reads the frames) and stops at the
+/// first cycle the scoreboard rejects, so a wrong candidate costs its
+/// passing prefix — a handful of cycles on the corpus — and one
+/// cycle's mismatch records instead of the whole stimulus. Every caller
+/// (the hit and fix runs of a campaign job, the dataset builder's
+/// validation run) keeps only [`Verdict::passed`] or the class.
 fn run_verdict(
     code: &str,
     design: &Design,
@@ -88,13 +99,16 @@ fn run_verdict(
     let iface = (design.iface)();
     match Environment::from_source_with(code, design.name, iface, (design.model)(), seqs, backend) {
         Ok(env) => {
-            let summary = env.without_waveform().run();
-            if summary.all_passed() {
-                Verdict::Pass
-            } else if let Some(activations) = summary.unstable {
-                Verdict::Unstable { activations }
-            } else {
-                Verdict::Mismatch
+            let summary = env.without_waveform().stop_at_first_mismatch().run();
+            match summary.unstable {
+                _ if summary.all_passed() => Verdict::Pass,
+                // First failing event: a mismatch recorded before the
+                // abort (the clock-low settle of the rejected cycle can
+                // still oscillate) classifies the run.
+                Some(activations) if summary.mismatches.is_empty() => {
+                    Verdict::Unstable { activations }
+                }
+                _ => Verdict::Mismatch,
             }
         }
         // A Sim error at construction can only be time-zero oscillation
@@ -222,6 +236,64 @@ mod tests {
         let after = uvllm_sim::sim_pool_stats();
         assert!(after.checkouts - before.checkouts >= 3);
         assert!(after.reuses - before.reuses >= 2, "later runs rewind the parked instance");
+    }
+
+    /// adder_8bit with a cross-coupled pair that oscillates when `a`
+    /// and `b` are both all-ones — the second corner pattern, cycle 801
+    /// of the FR stimulus — around `carry`, the expression for `cout`.
+    fn oscillating_adder(carry: &str) -> String {
+        format!(
+            "module adder_8bit(\n  input [7:0] a,\n  input [7:0] b,\n  input cin,\n  \
+             output [7:0] sum,\n  output cout\n);\nwire [8:0] full;\nwire trig;\nreg p;\nreg q;\n\
+             assign full = a + b + {{8'd0, cin}};\nassign sum = full[7:0] ^ {{7'd0, p}};\n\
+             assign cout = {carry};\nassign trig = (a == 8'hFF) && (b == 8'hFF);\n\
+             always @(*) begin\nif (trig) begin\ncase (q)\n1'b0: p = 1'b1;\n\
+             default: p = 1'b0;\nendcase\nend else\np = 1'b0;\nend\n\
+             always @(*) begin\nif (trig) begin\ncase (p)\n1'b0: q = 1'b0;\n\
+             default: q = 1'b1;\nendcase\nend else\nq = 1'b0;\nend\nendmodule\n"
+        )
+    }
+
+    /// The FR stimulus run to its end, as `(mismatches, unstable)`.
+    fn unstopped_fr_run(d: &Design, code: &str) -> (usize, Option<usize>) {
+        let env = Environment::from_source_with(
+            code,
+            d.name,
+            (d.iface)(),
+            (d.model)(),
+            fr_seqs(d),
+            SimBackend::from_env(),
+        )
+        .expect("env");
+        let summary = env.without_waveform().run();
+        (summary.mismatches.len(), summary.unstable)
+    }
+
+    #[test]
+    fn oscillation_before_any_mismatch_is_unstable() {
+        let d = by_name("adder_8bit").unwrap();
+        let code = oscillating_adder("full[8]");
+        assert_eq!(unstopped_fr_run(d, &code), (0, Some(uvllm_sim::MAX_ACTIVATIONS)));
+        assert_eq!(
+            fix_verdict_with(d, &code, SimBackend::from_env()),
+            Verdict::Unstable { activations: uvllm_sim::MAX_ACTIVATIONS }
+        );
+        assert!(hit_confirmed(d, &code), "the public vectors never reach the oscillation");
+    }
+
+    #[test]
+    fn a_run_is_classed_by_its_first_failing_event() {
+        // The carry is dropped, so the random stimulus mismatches within
+        // a few cycles; the oscillation waits at cycle 801. Run to the
+        // end, the stimulus meets both (the order `run_verdict` used to
+        // test them in made that `Unstable`); a verdict run stops at the
+        // mismatch, and that is its class.
+        let d = by_name("adder_8bit").unwrap();
+        let code = oscillating_adder("1'b0");
+        let (mismatches, unstable) = unstopped_fr_run(d, &code);
+        assert!(mismatches > 0);
+        assert_eq!(unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
+        assert_eq!(fix_verdict_with(d, &code, SimBackend::from_env()), Verdict::Mismatch);
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub struct Environment {
     /// harnesses (the campaign's metric runs) don't pay for frames
     /// nobody reads.
     record_waveform: bool,
+    /// When true, the run ends after the first cycle the scoreboard
+    /// rejects ([`Environment::stop_at_first_mismatch`]).
+    stop_at_first_mismatch: bool,
 }
 
 impl fmt::Debug for Environment {
@@ -305,6 +308,7 @@ impl Environment {
             outputs_buf,
             expected_buf,
             record_waveform: true,
+            stop_at_first_mismatch: false,
         })
     }
 
@@ -322,6 +326,18 @@ impl Environment {
     /// localization engine must keep capture on (the default).
     pub fn without_waveform(mut self) -> Self {
         self.record_waveform = false;
+        self
+    }
+
+    /// Ends the run after the first cycle the scoreboard rejects: the
+    /// summary then holds that one cycle's mismatches and `cycles` is
+    /// its index + 1. For callers that keep only the *class* of a run
+    /// (the campaign's verdict runs, dataset validation) — a run that
+    /// would have passed is unchanged, a failing one costs its passing
+    /// prefix. Repair pipelines, which read every mismatch, the pass
+    /// rate and the coverage of the whole stimulus, keep the default.
+    pub fn stop_at_first_mismatch(mut self) -> Self {
+        self.stop_at_first_mismatch = true;
         self
     }
 
@@ -390,7 +406,9 @@ impl Environment {
         self.sim.backend()
     }
 
-    /// Runs every sequence to exhaustion, returning the summary.
+    /// Runs every sequence to exhaustion (or to the first rejected
+    /// cycle under [`Environment::stop_at_first_mismatch`]), returning
+    /// the summary.
     pub fn run(mut self) -> RunSummary {
         let mut cycle = 0usize;
         let mut aborted = None;
@@ -420,6 +438,9 @@ impl Environment {
                     }
                 }
                 cycle += 1;
+                if self.stop_at_first_mismatch && !self.scoreboard.mismatches().is_empty() {
+                    break;
+                }
             }
         }
 
@@ -437,7 +458,7 @@ impl Environment {
         RunSummary {
             cycles: cycle,
             pass_rate,
-            mismatches: self.scoreboard.mismatches().to_vec(),
+            mismatches: self.scoreboard.into_mismatches(),
             log: self.log,
             waveform: self.wave,
             input_coverage: self.coverage.input_coverage(),
@@ -717,16 +738,19 @@ mod tests {
         assert_eq!(err, UvmError::MissingPort("nonexistent".to_string()));
     }
 
+    /// Two cross-coupled comb processes gated by `trig`: stable while
+    /// trig is 0, oscillating while it is 1.
+    const OSC: &str = "module osc(input trig, output reg a, output reg b, output y);\n\
+                       assign y = a;\n\
+                       always @(*) begin\nif (trig) begin\ncase (b)\n1'b0: a = 1'b1;\n\
+                       default: a = 1'b0;\nendcase\nend else\na = 1'b0;\nend\n\
+                       always @(*) begin\nif (trig) begin\ncase (a)\n1'b0: b = 1'b0;\n\
+                       default: b = 1'b1;\nendcase\nend else\nb = 1'b0;\nend\nendmodule\n";
+
     #[test]
     fn mid_run_oscillation_aborts_cleanly() {
-        // Two cross-coupled comb processes gated by `trig`: stable while
-        // trig is 0, oscillating once a random vector drives trig high.
-        let src = "module osc(input trig, output reg a, output reg b, output y);\n\
-                   assign y = a;\n\
-                   always @(*) begin\nif (trig) begin\ncase (b)\n1'b0: a = 1'b1;\n\
-                   default: a = 1'b0;\nendcase\nend else\na = 1'b0;\nend\n\
-                   always @(*) begin\nif (trig) begin\ncase (a)\n1'b0: b = 1'b0;\n\
-                   default: b = 1'b1;\nendcase\nend else\nb = 1'b0;\nend\nendmodule\n";
+        // Stable while trig is 0, oscillating once a random vector
+        // drives trig high.
         let iface =
             DutInterface::combinational(vec![PortSig::new("trig", 1)], vec![PortSig::new("y", 1)]);
         let model = FnModel::new(|s: &IoSpec| {
@@ -735,7 +759,7 @@ mod tests {
         });
         let seqs: Vec<Box<dyn Sequence>> =
             vec![Box::new(RandomSequence::new(&iface.inputs, 50, 3))];
-        let env = Environment::from_source(src, "osc", iface, Box::new(model), seqs)
+        let env = Environment::from_source(OSC, "osc", iface, Box::new(model), seqs)
             .expect("env builds: stable at reset");
         let summary = env.run();
         assert!(summary.aborted.is_some(), "oscillation must abort the run");
@@ -745,6 +769,96 @@ mod tests {
         assert_eq!(summary.unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
         // The scoreboard keeps whatever cycles completed before the hang.
         assert!(summary.pass_rate <= 1.0);
+    }
+
+    /// `osc` under directed `trig` values, the model expecting a
+    /// constant `y`.
+    fn osc_env(trig: &[u128], expected_y: u128) -> Environment {
+        let iface =
+            DutInterface::combinational(vec![PortSig::new("trig", 1)], vec![PortSig::new("y", 1)]);
+        let model = FnModel::new(move |s: &IoSpec| {
+            let y = s.output("y");
+            move |io: &mut IoFrame<'_>| io.set(y, expected_y)
+        });
+        let vectors =
+            trig.iter().map(|t| Transaction::new().with("trig", Logic::from_u128(1, *t))).collect();
+        let seqs: Vec<Box<dyn Sequence>> =
+            vec![Box::new(crate::sequence::DirectedSequence::new("trig", vectors))];
+        Environment::from_source(OSC, "osc", iface, Box::new(model), seqs).expect("env")
+    }
+
+    #[test]
+    fn stopping_at_the_first_mismatch_keeps_an_earlier_oscillation() {
+        // Three matching cycles, then the DUT oscillates: no mismatch
+        // ever stops the run, so it ends where the unstopped run ends.
+        let summary = osc_env(&[0, 0, 0, 1, 0], 0).stop_at_first_mismatch().run();
+        assert_eq!(summary.unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
+        assert!(summary.mismatches.is_empty());
+        assert_eq!(summary.cycles, 3);
+    }
+
+    #[test]
+    fn a_mismatch_before_an_oscillation_ends_the_stopped_run_first() {
+        // The model expects y = 1, the quiescent DUT drives 0: cycle 0
+        // mismatches, cycle 3 would oscillate. The unstopped run sees
+        // both events; the stopped run ends at the first one.
+        let full = osc_env(&[0, 0, 0, 1, 0], 1).run();
+        assert_eq!(full.unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
+        assert_eq!(full.mismatches.len(), 3);
+        let stopped = osc_env(&[0, 0, 0, 1, 0], 1).stop_at_first_mismatch().run();
+        assert_eq!(stopped.unstable, None);
+        assert!(stopped.aborted.is_none());
+        assert_eq!(stopped.cycles, 1);
+        assert_eq!(stopped.mismatches, full.mismatches[..1]);
+    }
+
+    #[test]
+    fn a_stopped_run_reports_exactly_its_first_bad_cycle() {
+        // Both outputs are wrong whenever a == 3: cycles 3 and 5 of the
+        // directed stimulus.
+        let src = "module m(input [7:0] a, output [7:0] y, output [7:0] z);\n\
+                   assign y = (a == 8'd3) ? 8'd0 : a;\n\
+                   assign z = (a == 8'd3) ? 8'd1 : a;\nendmodule\n";
+        let env = || {
+            let iface = DutInterface::combinational(
+                vec![PortSig::new("a", 8)],
+                vec![PortSig::new("y", 8), PortSig::new("z", 8)],
+            );
+            let model = FnModel::new(|s: &IoSpec| {
+                let (a, y, z) = (s.input("a"), s.output("y"), s.output("z"));
+                move |io: &mut IoFrame<'_>| {
+                    let v = io.get(a);
+                    io.set(y, v);
+                    io.set(z, v);
+                }
+            });
+            let vectors = [0u128, 1, 2, 3, 4, 3, 5]
+                .iter()
+                .map(|a| Transaction::new().with("a", Logic::from_u128(8, *a)))
+                .collect();
+            let seqs: Vec<Box<dyn Sequence>> =
+                vec![Box::new(crate::sequence::DirectedSequence::new("a", vectors))];
+            Environment::from_source(src, "m", iface, Box::new(model), seqs).expect("env")
+        };
+        let full = env().run();
+        assert_eq!(full.cycles, 7);
+        assert_eq!(full.mismatches.len(), 4);
+        assert_eq!(full.mismatches[0].cycle, 3);
+
+        let stopped = env().stop_at_first_mismatch().run();
+        assert_eq!(stopped.cycles, 4, "index of the first bad cycle + 1");
+        assert_eq!(stopped.mismatches, full.mismatches[..2], "one cycle's mismatches");
+        assert!(stopped.aborted.is_none() && !stopped.all_passed());
+        assert_eq!(stopped.pass_rate, 0.75);
+        let log = stopped.log.render();
+        assert_eq!(UvmLog::parse_mismatches(&log).len(), 2, "a one-cycle log:\n{log}");
+        assert!(log.contains("run complete: 4 cycles"), "{log}");
+
+        // A run that passes is the same run either way.
+        let (a, b) =
+            (osc_env(&[0, 0], 0).run(), osc_env(&[0, 0], 0).stop_at_first_mismatch().run());
+        assert!(a.all_passed() && b.all_passed());
+        assert_eq!((a.cycles, a.log.render()), (b.cycles, b.log.render()));
     }
 
     #[test]

@@ -93,6 +93,13 @@ impl Scoreboard {
         &self.mismatches
     }
 
+    /// Hands the recorded mismatches over, in time order — the end of a
+    /// run moves them into its summary instead of cloning every
+    /// signal name.
+    pub fn into_mismatches(self) -> Vec<Mismatch> {
+        self.mismatches
+    }
+
     /// Distinct mismatching signal names, in first-seen order.
     pub fn mismatch_signals(&self) -> Vec<String> {
         let mut seen = HashSet::new();
