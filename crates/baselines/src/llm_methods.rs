@@ -10,6 +10,7 @@
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::{Duration, Instant};
 use uvllm::stages::{directed_stage_with, UvmOutcome};
+use uvllm::StageMemo;
 use uvllm_designs::Design;
 use uvllm_llm::{AgentRole, CompleteResponse, ErrorInfo, LlmService, OutputMode, RepairPrompt};
 use uvllm_sim::SimBackend;
@@ -22,18 +23,26 @@ pub struct MeicRepair<'m> {
     /// Iteration budget (MEIC uses a dual-agent loop of ~10 rounds).
     pub max_iterations: usize,
     backend: SimBackend,
+    memo: Option<&'m StageMemo>,
 }
 
 impl<'m> MeicRepair<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        MeicRepair { llm, max_iterations: 10, backend: SimBackend::from_env() }
+        MeicRepair { llm, max_iterations: 10, backend: SimBackend::from_env(), memo: None }
     }
 
     /// Runs the method's internal acceptance tests on `backend`.
     pub fn with_backend(mut self, backend: SimBackend) -> Self {
         self.backend = backend;
+        self
+    }
+
+    /// Takes lint reports from `memo` (a campaign passes its dataset's)
+    /// instead of a memo of this method's own.
+    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
+        self.memo = Some(memo);
         self
     }
 }
@@ -44,6 +53,14 @@ impl RepairMethod for MeicRepair<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
+        let own_memo;
+        let memo = match self.memo {
+            Some(memo) => memo,
+            None => {
+                own_memo = StageMemo::new();
+                &own_memo
+            }
+        };
         let mut code = src.to_string();
         let mut time = Duration::ZERO;
         let mut iterations = 0;
@@ -70,7 +87,7 @@ impl RepairMethod for MeicRepair<'_> {
                 }
                 UvmOutcome::BuildFailed(msg) => {
                     // Compiler output, minimally processed.
-                    let lint = uvllm_lint::lint(&code);
+                    let lint = memo.lint(design.name, &code);
                     if lint.diagnostics.is_empty() {
                         format!("%Error: dut.v:1:1: {msg}")
                     } else {

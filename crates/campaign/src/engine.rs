@@ -3,13 +3,12 @@
 
 use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
 use crate::job::{expand_jobs, Job, ShardSpec};
-use crate::memo::VerdictMemo;
 use crate::queue::{run_pool, run_pool_supervised, PoolPolicy, PoolStats};
 use crate::report::CampaignReport;
 use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-use uvllm::BenchInstance;
+use uvllm::{BenchInstance, StageMemo};
 use uvllm_llm::{BatchConfig, BatchedLlm, FaultPlan, ResiliencePolicy};
 use uvllm_sim::SimBackend;
 
@@ -41,16 +40,17 @@ fn metrics() -> &'static CampaignMetrics {
 /// and every method list of that dataset: a resident worker keeps it
 /// across leases instead of paying the build per shard.
 ///
-/// It also owns the [`VerdictMemo`] of everything run on it: a final
-/// text is judged once per dataset, whichever job, worker or shard
-/// reaches it first. A fresh build starts cold.
+/// It also owns the [`StageMemo`] of everything run on it: a candidate
+/// text is linted, simulated, localized and judged once per dataset,
+/// whichever job, worker or shard reaches it first. A fresh build
+/// starts cold.
 #[derive(Debug)]
 pub struct CampaignDataset {
     size: usize,
     seed: u64,
     backend: SimBackend,
     instances: Vec<Arc<BenchInstance>>,
-    verdicts: VerdictMemo,
+    memo: StageMemo,
 }
 
 impl CampaignDataset {
@@ -63,12 +63,14 @@ impl CampaignDataset {
             .into_iter()
             .map(Arc::new)
             .collect();
-        CampaignDataset { size, seed, backend, instances, verdicts: VerdictMemo::new() }
+        CampaignDataset { size, seed, backend, instances, memo: StageMemo::new() }
     }
 
-    /// The judgements of every final text run on this dataset so far.
-    pub fn verdict_memo(&self) -> &VerdictMemo {
-        &self.verdicts
+    /// What the jobs run on this dataset so far have learnt about
+    /// their candidate texts: lint reports and UVM-stage facts beside
+    /// the verdicts the accessor was named for.
+    pub fn verdict_memo(&self) -> &StageMemo {
+        &self.memo
     }
 
     /// The full job-id space of these instances crossed with `methods`.
@@ -440,7 +442,7 @@ impl Campaign {
             self.workers,
             backend,
             &llm,
-            &dataset.verdicts,
+            &dataset.memo,
             &self.config.pool,
             |_, record| {
                 let row = if telemetry { record.to_row_with_telemetry() } else { record.to_row() };

@@ -5,9 +5,8 @@
 //! engine can own it; the bench crate re-exports everything for
 //! compatibility.
 
-use crate::memo::VerdictMemo;
 use std::time::Duration;
-use uvllm::{BenchInstance, Stage, StageTimes, Uvllm, Verdict, VerifyConfig};
+use uvllm::{BenchInstance, Stage, StageMemo, StageTimes, Uvllm, Verdict, VerifyConfig};
 use uvllm_baselines::{GptDirect, MeicRepair, RepairMethod, RtlRepair, StriderRepair};
 use uvllm_designs::Category;
 use uvllm_errgen::{ErrorCategory, ErrorKind};
@@ -483,7 +482,7 @@ pub fn evaluate_one_with(
     inst: &BenchInstance,
     backend: SimBackend,
 ) -> EvalRecord {
-    evaluate_one_on(method, inst, backend, &LlmPolicy::direct(), &VerdictMemo::new())
+    evaluate_one_on(method, inst, backend, &LlmPolicy::direct(), &StageMemo::new())
 }
 
 /// Evaluates `method` on one instance under an explicit simulation
@@ -499,19 +498,21 @@ pub fn evaluate_one_with(
 ///
 /// Per-job cost model: the method runs, then its final text is judged —
 /// one hit run (the public vectors) and one fix run (the extended
-/// differential campaign), each ending at its first rejected cycle —
-/// unless `memo` already holds that text's judgement: methods end on
-/// few distinct texts (the golden text after a successful repair, the
+/// differential campaign), each ending at its first rejected cycle.
+/// Whatever of that is a pure function of a candidate text — the lint
+/// reports and UVM-stage runs inside the method, the judgement after it
+/// — is taken from `memo` when another job has asked before: the six
+/// methods of an instance start from the same mutant and end on few
+/// distinct texts (the golden text after a successful repair, the
 /// untouched mutant after a failed one), so within one dataset most
-/// jobs simulate nothing here. A verdict is a pure function of
-/// `(design, text)`, so a memoised judgement is the one the job would
+/// jobs simulate little. A memoised answer is the one the job would
 /// have computed.
 pub fn evaluate_one_on(
     method: MethodKind,
     inst: &BenchInstance,
     backend: SimBackend,
     llm: &LlmPolicy<'_>,
-    memo: &VerdictMemo,
+    memo: &StageMemo,
 ) -> EvalRecord {
     let oracle_seed = inst.seed ^ method.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let design = inst.design;
@@ -541,7 +542,7 @@ pub fn evaluate_one_on(
                 // handle is a session of the campaign-wide BatchedLlm.
                 let service = llm.service_for_job(oracle(ModelProfile::Gpt4Turbo), oracle_seed);
                 let mut framework = Uvllm::with_service(service, config);
-                let out = framework.verify(design, &inst.mutated_src);
+                let out = framework.verify_on(design, &inst.mutated_src, memo);
                 let service = framework.into_service();
                 (
                     out.final_code,
@@ -557,7 +558,7 @@ pub fn evaluate_one_on(
             MethodKind::Meic => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = MeicRepair::new(&mut *service).with_backend(backend);
+                let mut m = MeicRepair::new(&mut *service).with_backend(backend).with_memo(memo);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,

@@ -46,10 +46,11 @@
 //! * [`CampaignDataset`] / [`Campaign::run_on`] — dataset construction
 //!   split from the run, so a resident worker builds a run's dataset
 //!   once and serves every leased shard from it.
-//! * [`VerdictMemo`] — owned by the dataset: a final text is judged
-//!   (hit run + fix run) once per dataset, and a worker that asks for a
-//!   text another worker is judging waits for that result
-//!   (`campaign.verdict_memo.{hits,misses}`).
+//! * [`StageMemo`] — owned by the dataset: a candidate text is linted,
+//!   run through the UVM stage and judged (hit run + fix run) once per
+//!   dataset, and a worker that asks for what another worker is working
+//!   out waits for that result (`campaign.stage_memo.{lint,uvm}.*`,
+//!   `campaign.verdict_memo.*`).
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.
@@ -82,7 +83,6 @@
 pub mod engine;
 pub mod eval;
 pub mod job;
-pub mod memo;
 pub mod merge;
 pub mod queue;
 pub mod report;
@@ -97,10 +97,10 @@ pub use eval::{
     MethodKind, SharedLlm,
 };
 pub use job::{expand_jobs, fnv1a64, Job, ShardSpec};
-pub use memo::VerdictMemo;
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
 pub use queue::{run_pool_supervised, PoolPolicy, PoolStats, WorkQueue};
 pub use report::CampaignReport;
 pub use sink::{JsonlSink, LineTailer, MemorySink, ResultSink, SinkTailer, TailBatch};
+pub use uvllm::StageMemo;
 pub use uvllm_llm::{BatchConfig, FaultPlan, ResiliencePolicy};
 pub use uvllm_sim::SimBackend;

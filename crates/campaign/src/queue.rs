@@ -37,13 +37,12 @@
 
 use crate::eval::{evaluate_one_on, EvalRecord, LlmPolicy};
 use crate::job::Job;
-use crate::memo::VerdictMemo;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use uvllm::Verdict;
+use uvllm::{StageMemo, Verdict};
 use uvllm_llm::Usage;
 use uvllm_sim::SimBackend;
 
@@ -159,7 +158,7 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
 /// completion order) and the returned list is sorted back into job
 /// order.
 ///
-/// `workers == 0` is treated as 1. The pool judges on a memo of its
+/// `workers == 0` is treated as 1. The pool analyses on a memo of its
 /// own ([`run_pool_supervised`] takes the caller's).
 pub fn run_pool(
     jobs: Vec<Job>,
@@ -168,20 +167,20 @@ pub fn run_pool(
     llm: &LlmPolicy<'_>,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> Vec<EvalRecord> {
-    let memo = VerdictMemo::new();
+    let memo = StageMemo::new();
     run_pool_supervised(jobs, workers, backend, llm, &memo, &PoolPolicy::default(), on_record).0
 }
 
 /// [`run_pool`] under an explicit supervision policy and on the
-/// caller's verdict memo (the dataset's, so shards and resumed runs
-/// share judgements), also returning what supervision did (module docs
+/// caller's stage memo (the dataset's, so shards and resumed runs
+/// share what they learn about a text), also returning what supervision did (module docs
 /// describe the semantics).
 pub fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
     backend: SimBackend,
     llm: &LlmPolicy<'_>,
-    memo: &VerdictMemo,
+    memo: &StageMemo,
     policy: &PoolPolicy,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
@@ -405,7 +404,7 @@ mod tests {
             2,
             SimBackend::default(),
             &LlmPolicy::direct(),
-            &VerdictMemo::new(),
+            &StageMemo::new(),
             &policy,
             |_, _| {},
         );
@@ -434,7 +433,7 @@ mod tests {
             2,
             SimBackend::default(),
             &LlmPolicy::direct(),
-            &VerdictMemo::new(),
+            &StageMemo::new(),
             &policy,
             |_, _| {},
         );

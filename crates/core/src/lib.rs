@@ -23,7 +23,10 @@
 //!    patches become "damage repairs" in subsequent prompts.
 //!
 //! [`metrics`] implements the paper's Hit Rate / Fix Rate split and
-//! [`dataset`] assembles the validated benchmark instances.
+//! [`dataset`] assembles the validated benchmark instances. [`memo`]
+//! keeps what the stages learn about a candidate text that is a pure
+//! function of it (lint report, UVM-stage facts, verdict), so that many
+//! runs over one dataset analyse each text once ([`Uvllm::verify_on`]).
 //!
 //! ## Example
 //!
@@ -51,6 +54,7 @@
 //! ```
 
 pub mod dataset;
+pub mod memo;
 pub mod metrics;
 pub mod patch;
 pub mod pipeline;
@@ -59,6 +63,7 @@ pub mod stages;
 pub use dataset::{
     build_dataset, build_dataset_with, build_instance, build_instance_with, BenchInstance, Dataset,
 };
+pub use memo::{Analysed, Judgement, StageMemo, UvmFacts};
 pub use metrics::{
     fix_confirmed, fix_confirmed_with, fix_verdict_with, hit_confirmed, hit_confirmed_with,
     mutant_is_detectable, mutant_is_detectable_with, Verdict,
@@ -66,6 +71,6 @@ pub use metrics::{
 pub use patch::{apply_pairs, PatchReport};
 pub use pipeline::{Stage, StageTimes, Uvllm, VerifyConfig, VerifyOutcome};
 pub use stages::{
-    directed_stage, directed_stage_with, postprocess, preprocess, repair, uvm_stage,
-    uvm_stage_with, PreprocessStats, RepairAttempt, UvmOutcome,
+    directed_stage, directed_stage_with, localize, postprocess, preprocess, preprocess_on, repair,
+    uvm_stage, uvm_stage_with, Localized, PreprocessStats, RepairAttempt, UvmOutcome,
 };

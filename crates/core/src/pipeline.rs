@@ -1,12 +1,11 @@
 //! The UVLLM orchestrator: the iterative loop of Fig. 2 with the
 //! score-register rollback mechanism.
 
-use crate::stages::{postprocess, preprocess, repair, uvm_stage_with, UvmOutcome};
+use crate::memo::StageMemo;
+use crate::stages::{preprocess_on, repair};
 use std::time::{Duration, Instant};
 use uvllm_designs::Design;
-use uvllm_llm::{
-    DirectService, ErrorInfo, LanguageModel, LlmService, OutputMode, RepairPair, Usage,
-};
+use uvllm_llm::{DirectService, LanguageModel, LlmService, OutputMode, RepairPair, Usage};
 use uvllm_sim::SimBackend;
 
 /// Which pipeline segment produced the final successful change —
@@ -180,6 +179,19 @@ impl<S: LlmService> Uvllm<S> {
     /// (§II of the paper). All history versions are kept in the score
     /// register; the best-scoring version is returned on failure.
     pub fn verify(&mut self, design: &Design, src: &str) -> VerifyOutcome {
+        self.verify_on(design, src, &StageMemo::new())
+    }
+
+    /// [`Uvllm::verify`] taking what is a pure function of a candidate
+    /// text — its lint report, what the UVM stage finds about it — from
+    /// `memo`: the loop re-enters its stages with the text it already
+    /// had whenever a repair does not apply or a rollback restores the
+    /// best version, and other runs on the same memo (the other methods
+    /// of an instance start from the same mutant) have met some of its
+    /// texts already. The outcome is the one [`Uvllm::verify`] returns,
+    /// [`VerifyOutcome::times`] aside: a stage served from the memo
+    /// takes no time.
+    pub fn verify_on(&mut self, design: &Design, src: &str, memo: &StageMemo) -> VerifyOutcome {
         let cfg = self.config.clone();
         let mut code = src.to_string();
         let mut times = StageTimes::default();
@@ -197,12 +209,13 @@ impl<S: LlmService> Uvllm<S> {
             iterations = iter + 1;
             // -------- Step 1: pre-processing --------------------------
             let wall = Instant::now();
-            let (pre_code, pre_stats) = preprocess(
+            let (pre_code, pre_stats) = preprocess_on(
                 &code,
-                design.spec,
+                design,
                 &mut self.service,
                 cfg.output_mode,
                 cfg.preproc_iters,
+                memo,
             );
             // Stage time = simulated LLM latency + measured substrate time.
             times.preprocess += pre_stats.llm_time + wall.elapsed();
@@ -214,7 +227,7 @@ impl<S: LlmService> Uvllm<S> {
 
             // -------- Step 2: UVM processing ---------------------------
             let wall = Instant::now();
-            let outcome = uvm_stage_with(&code, design, cfg.uvm_cycles, cfg.uvm_seed, cfg.backend);
+            let outcome = memo.uvm_stage(&code, design, cfg.uvm_cycles, cfg.uvm_seed, cfg.backend);
             times.uvm += wall.elapsed();
             let score = outcome.score();
             final_score = score;
@@ -248,14 +261,7 @@ impl<S: LlmService> Uvllm<S> {
 
             // -------- Step 3: post-processing -------------------------
             let sl_mode = cfg.sl_enabled && iter >= cfg.ms_threshold;
-            let error_info = match &outcome {
-                UvmOutcome::Ran(run) => postprocess(&code, design, run, sl_mode),
-                UvmOutcome::BuildFailed(msg) => {
-                    // Unbuildable code: hand the diagnostic text to the
-                    // repair agent as a lint log.
-                    ErrorInfo::LintLog(format!("%Error: dut.v:1:1: {msg}"))
-                }
-            };
+            let error_info = outcome.error_info(&code, design, sl_mode);
 
             // -------- Step 4: repair ----------------------------------
             let wall = Instant::now();

@@ -1,17 +1,22 @@
 //! The four pipeline stages of Fig. 2: pre-processing (Algorithm 1),
 //! UVM processing, post-processing (Algorithm 2) and repair.
 
+use crate::memo::StageMemo;
 use crate::patch::apply_pairs;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use uvllm_designs::Design;
 use uvllm_dfg::suspicious_lines;
+use uvllm_lint::LintReport;
 use uvllm_llm::{
     AgentRole, CompleteResponse, ErrorInfo, LlmService, MismatchInfo, OutputMode, RepairPair,
     RepairPrompt, RepairResponse,
 };
-use uvllm_sim::SimBackend;
+use uvllm_sim::{Logic, SimBackend};
 use uvllm_uvm::{
     CornerSequence, DirectedSequence, Environment, RandomSequence, RunSummary, Sequence, UvmError,
+    UvmLog,
 };
 
 /// Limit on mismatch records forwarded to prompts (token budget).
@@ -48,10 +53,39 @@ pub fn preprocess(
     output_mode: OutputMode,
     max_iters: usize,
 ) -> (String, PreprocessStats) {
+    preprocess_with(code, spec, llm, output_mode, max_iters, |code| {
+        Arc::new(uvllm_lint::lint(code))
+    })
+}
+
+/// [`preprocess`] of an implementation of `design`, taking every lint
+/// report from `memo`: a text is linted once per memo, whichever job
+/// reaches it first.
+pub fn preprocess_on(
+    code: &str,
+    design: &Design,
+    llm: &mut dyn LlmService,
+    output_mode: OutputMode,
+    max_iters: usize,
+    memo: &StageMemo,
+) -> (String, PreprocessStats) {
+    preprocess_with(code, design.spec, llm, output_mode, max_iters, |code| {
+        memo.lint(design.name, code)
+    })
+}
+
+fn preprocess_with(
+    code: &str,
+    spec: &str,
+    llm: &mut dyn LlmService,
+    output_mode: OutputMode,
+    max_iters: usize,
+    lint: impl Fn(&str) -> Arc<LintReport>,
+) -> (String, PreprocessStats) {
     let mut code = code.to_string();
     let mut stats = PreprocessStats::default();
     for _ in 0..max_iters {
-        let report = uvllm_lint::lint(&code);
+        let report = lint(&code);
         if !report.errors().is_empty() {
             stats.iterations += 1;
             let log = report.render(&code);
@@ -96,7 +130,7 @@ pub fn preprocess(
             break;
         }
     }
-    stats.clean = uvllm_lint::lint(&code).is_clean();
+    stats.clean = lint(&code).is_clean();
     (code, stats)
 }
 
@@ -171,63 +205,121 @@ pub fn directed_stage_with(code: &str, design: &Design, backend: SimBackend) -> 
     }
 }
 
-/// Post-processing (Algorithm 2): extracts mismatch timestamps/signals
-/// from the UVM log, joins input values from the waveform, and — in SL
-/// mode — runs the time-aware dynamic slice to list suspicious lines.
-pub fn postprocess(code: &str, design: &Design, run: &RunSummary, sl_mode: bool) -> ErrorInfo {
-    // getMismatch(L_UVM, PAT_MS): parse the rendered log.
-    let rendered = run.log.render();
-    let parsed = uvllm_uvm::UvmLog::parse_mismatches(&rendered);
-    if parsed.is_empty() {
-        return ErrorInfo::RawLog(tail(&rendered, 10));
-    }
+/// What post-processing keeps of a failed UVM run — the first half of
+/// Algorithm 2, everything that needs the log and the waveform. It is
+/// small (at most [`MAX_MISMATCH_RECORDS`] records and one waveform
+/// frame), so a memo can hold it where it could not hold the run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Localized {
+    found: Found,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Found {
+    /// The log has no mismatch line (the run aborted before one): its
+    /// last lines.
+    RawLog(String),
+    Mismatches {
+        /// At most [`MAX_MISMATCH_RECORDS`], two per signal, in log
+        /// order, each with the input values at its timestamp.
+        records: Vec<MismatchInfo>,
+        /// Every signal at the first record's timestamp — what the
+        /// dynamic slice of SL mode is taken under.
+        snapshot: HashMap<String, Logic>,
+    },
+}
+
+/// Post-processing, first half (Algorithm 2's `getMismatch` and
+/// `getInputValue`): reads mismatch timestamps/signals off the rendered
+/// UVM log and joins the input values from the waveform. The scan ends
+/// once [`MAX_MISMATCH_RECORDS`] are kept or every output port has its
+/// two: no later line can add a record.
+pub fn localize(design: &Design, run: &RunSummary) -> Localized {
     let iface = (design.iface)();
-    let mut records = Vec::new();
-    let mut seen_signals = Vec::new();
-    for (time, signal, expected, actual) in &parsed {
-        if records.len() >= MAX_MISMATCH_RECORDS {
-            break;
-        }
-        if seen_signals.iter().filter(|s| *s == signal).count() >= 2 {
-            continue; // at most two records per signal
-        }
-        seen_signals.push(signal.clone());
-        // getInputValue(W_S, MT).
-        let input_values = iface
-            .inputs
-            .iter()
-            .filter_map(|p| {
-                run.waveform.value_at(&p.name, *time).map(|v| (p.name.clone(), v.to_string()))
-            })
-            .collect();
-        records.push(MismatchInfo {
-            time: *time,
-            signal: signal.clone(),
-            expected: expected.clone(),
-            actual: actual.clone(),
-            input_values,
-        });
-    }
-    if !sl_mode {
-        return ErrorInfo::MismatchSignals(records);
-    }
-    // SL mode: dynamic slice at the first mismatch timestamp.
-    let signals: Vec<String> = {
-        let mut s: Vec<String> = records.iter().map(|m| m.signal.clone()).collect();
-        s.dedup();
-        s
-    };
-    let lines = match uvllm_verilog::parse(code) {
-        Ok(file) => match file.module(design.name) {
-            Some(module) => {
-                let snapshot = run.waveform.snapshot_at(records[0].time);
-                suspicious_lines(module, code, &signals, &snapshot)
+    let mut records: Vec<MismatchInfo> = Vec::new();
+    let mut full_ports = 0;
+    'scan: for entry in &run.log.entries {
+        let rendered = entry.render();
+        for line in rendered.lines() {
+            let Some((time, signal, expected, actual)) = UvmLog::parse_mismatch_line(line) else {
+                continue;
+            };
+            let kept = records.iter().filter(|r| r.signal == signal).count();
+            if kept >= 2 {
+                continue; // at most two records per signal
             }
-            None => Vec::new(),
-        },
-        Err(_) => Vec::new(),
+            if kept == 1 && iface.outputs.iter().any(|p| p.name == signal) {
+                full_ports += 1;
+            }
+            // getInputValue(W_S, MT).
+            let input_values = iface
+                .inputs
+                .iter()
+                .filter_map(|p| {
+                    run.waveform.value_at(&p.name, time).map(|v| (p.name.clone(), v.to_string()))
+                })
+                .collect();
+            records.push(MismatchInfo { time, signal, expected, actual, input_values });
+            if records.len() >= MAX_MISMATCH_RECORDS || full_ports == iface.outputs.len() {
+                break 'scan;
+            }
+        }
+    }
+    let found = match records.first() {
+        None => Found::RawLog(tail(&run.log.render(), 10)),
+        Some(first) => {
+            let snapshot = run.waveform.snapshot_at(first.time);
+            Found::Mismatches { records, snapshot }
+        }
     };
-    ErrorInfo::SuspiciousLines { signals: records, lines }
+    Localized { found }
+}
+
+impl Localized {
+    /// The error information the repair agent gets: the mismatch
+    /// records (MS mode), plus the suspicious lines of `code` in SL
+    /// mode; the raw log tail when the run left no mismatch line.
+    pub fn error_info(&self, code: &str, design: &Design, sl_mode: bool) -> ErrorInfo {
+        self.error_info_from(sl_mode, || self.slice(code, design))
+    }
+
+    /// [`Localized::error_info`] with the SL-mode lines supplied by the
+    /// caller (asked for at most once).
+    pub(crate) fn error_info_from(
+        &self,
+        sl_mode: bool,
+        lines: impl FnOnce() -> Vec<(u32, String)>,
+    ) -> ErrorInfo {
+        match &self.found {
+            Found::RawLog(tail) => ErrorInfo::RawLog(tail.clone()),
+            Found::Mismatches { records, .. } if !sl_mode => {
+                ErrorInfo::MismatchSignals(records.clone())
+            }
+            Found::Mismatches { records, .. } => {
+                ErrorInfo::SuspiciousLines { signals: records.clone(), lines: lines() }
+            }
+        }
+    }
+
+    /// Post-processing, second half: the time-aware dynamic slice of
+    /// `code` at the first mismatch timestamp — its suspicious lines.
+    /// Empty when `code` does not parse, has no module named after
+    /// `design`, or the run left no mismatch line.
+    pub fn slice(&self, code: &str, design: &Design) -> Vec<(u32, String)> {
+        let Found::Mismatches { records, snapshot } = &self.found else { return Vec::new() };
+        let mut signals: Vec<String> = records.iter().map(|m| m.signal.clone()).collect();
+        signals.dedup();
+        let Ok(file) = uvllm_verilog::parse(code) else { return Vec::new() };
+        file.module(design.name)
+            .map(|module| suspicious_lines(module, code, &signals, snapshot))
+            .unwrap_or_default()
+    }
+}
+
+/// Post-processing (Algorithm 2): [`localize`]s the run, then — in SL
+/// mode — slices `code` for its suspicious lines.
+pub fn postprocess(code: &str, design: &Design, run: &RunSummary, sl_mode: bool) -> ErrorInfo {
+    localize(design, run).error_info(code, design, sl_mode)
 }
 
 fn tail(text: &str, n: usize) -> String {

@@ -40,6 +40,21 @@ pub const ELAB_CACHE_CAPACITY: usize = 4096;
 type Key = (String, String);
 type CachedResult = Result<Arc<Design>, String>;
 
+/// Top → source → value: nested so a lookup borrows `(top, src)` and
+/// only a miss allocates the owned key.
+type ByText<V> = HashMap<String, HashMap<String, V>>;
+
+fn insert_text<V>(map: &mut ByText<V>, src: &str, top: &str, value: V) {
+    match map.get_mut(top) {
+        Some(of_top) => of_top.insert(src.to_string(), value),
+        None => map.entry(top.to_string()).or_default().insert(src.to_string(), value),
+    };
+}
+
+fn text_count<V>(map: &ByText<V>) -> usize {
+    map.values().map(HashMap::len).sum()
+}
+
 /// A slot another thread is currently elaborating; waiters park on the
 /// condvar until the result lands.
 struct InFlight {
@@ -54,10 +69,18 @@ enum Entry {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Key, Entry>,
+    map: ByText<Entry>,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl Inner {
+    fn retain_pending(&mut self) {
+        for of_top in self.map.values_mut() {
+            of_top.retain(|_, entry| matches!(entry, Entry::Pending(_)));
+        }
+    }
 }
 
 /// Counters describing cache effectiveness (see [`ElabCache::stats`]).
@@ -97,11 +120,10 @@ impl ElabCache {
     ///
     /// Returns the parse or elaboration error message (also memoised).
     pub fn elaborate(&self, src: &str, top: &str) -> CachedResult {
-        let key = (src.to_string(), top.to_string());
         let flight: Arc<InFlight>;
         {
             let mut cache = self.inner.lock().expect("elab cache poisoned");
-            match cache.map.get(&key) {
+            match cache.map.get(top).and_then(|of_top| of_top.get(src)) {
                 Some(Entry::Ready(result)) => {
                     let result = result.clone();
                     cache.hits += 1;
@@ -125,7 +147,7 @@ impl ElabCache {
                     flight = Arc::new(InFlight { slot: Mutex::new(None), ready: Condvar::new() });
                     cache.misses += 1;
                     crate::metrics::cache().elab_misses.inc();
-                    cache.map.insert(key.clone(), Entry::Pending(Arc::clone(&flight)));
+                    insert_text(&mut cache.map, src, top, Entry::Pending(Arc::clone(&flight)));
                 }
             }
         }
@@ -147,14 +169,14 @@ impl ElabCache {
 
         {
             let mut cache = self.inner.lock().expect("elab cache poisoned");
-            if cache.map.len() >= ELAB_CACHE_CAPACITY {
+            if text_count(&cache.map) >= ELAB_CACHE_CAPACITY {
                 // Evict ready entries only; in-flight markers must survive
                 // or their waiters would hang.
-                cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
+                cache.retain_pending();
                 cache.evictions += 1;
                 crate::metrics::cache().elab_evictions.inc();
             }
-            cache.map.insert(key, Entry::Ready(result.clone()));
+            insert_text(&mut cache.map, src, top, Entry::Ready(result.clone()));
         }
         let mut slot = flight.slot.lock().expect("in-flight slot poisoned");
         *slot = Some(result.clone());
@@ -170,7 +192,7 @@ impl ElabCache {
             hits: cache.hits,
             misses: cache.misses,
             evictions: cache.evictions,
-            entries: cache.map.len(),
+            entries: text_count(&cache.map),
         }
     }
 
@@ -181,7 +203,7 @@ impl ElabCache {
     pub fn reset(&self) {
         let mut cache = self.inner.lock().expect("elab cache poisoned");
         // Keep pending markers so their waiters cannot hang.
-        cache.map.retain(|_, entry| matches!(entry, Entry::Pending(_)));
+        cache.retain_pending();
         cache.hits = 0;
         cache.misses = 0;
         cache.evictions = 0;
@@ -214,8 +236,8 @@ pub fn reset() {
 
 type CompiledResult = Result<Arc<CompiledDesign>, String>;
 
-fn compiled_inner() -> &'static Mutex<HashMap<Key, CompiledResult>> {
-    static CACHE: OnceLock<Mutex<HashMap<Key, CompiledResult>>> = OnceLock::new();
+fn compiled_inner() -> &'static Mutex<ByText<CompiledResult>> {
+    static CACHE: OnceLock<Mutex<ByText<CompiledResult>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -232,17 +254,22 @@ fn compiled_inner() -> &'static Mutex<HashMap<Key, CompiledResult>> {
 ///
 /// Returns the parse or elaboration error message (also memoised).
 pub fn compile_source_cached(src: &str, top: &str) -> CompiledResult {
-    let key = (src.to_string(), top.to_string());
-    if let Some(hit) = compiled_inner().lock().expect("compile cache poisoned").get(&key) {
-        return hit.clone();
+    let cached = compiled_inner()
+        .lock()
+        .expect("compile cache poisoned")
+        .get(top)
+        .and_then(|of_top| of_top.get(src))
+        .cloned();
+    if let Some(hit) = cached {
+        return hit;
     }
     let result: CompiledResult =
         elaborate_source_cached(src, top).map(|design| Arc::new(CompiledDesign::from_arc(design)));
     let mut cache = compiled_inner().lock().expect("compile cache poisoned");
-    if cache.len() >= ELAB_CACHE_CAPACITY {
+    if text_count(&cache) >= ELAB_CACHE_CAPACITY {
         cache.clear();
     }
-    cache.insert(key, result.clone());
+    insert_text(&mut cache, src, top, result.clone());
     result
 }
 

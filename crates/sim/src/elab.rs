@@ -815,6 +815,12 @@ impl<'a> Elab<'a> {
                 };
                 let init = const_eval_with(&f.init.1, consts, f.span)?;
                 consts.insert(var.clone(), init);
+                if runs_past_unroll_limit(f, var, consts) {
+                    return Err(ElabError::new(
+                        format!("for loop exceeds {MAX_UNROLL} unrolled iterations"),
+                        f.span,
+                    ));
+                }
                 let mut body = Vec::new();
                 let mut iters: u64 = 0;
                 loop {
@@ -1097,6 +1103,61 @@ fn range_lsb(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u32
             let l = const_eval(&r.lsb, consts, r.span)?;
             Ok(m.min(l).max(0) as u32)
         }
+    }
+}
+
+/// True when `f` is certain to run past [`MAX_UNROLL`] trips: a body
+/// that writes no elaboration-time constant leaves the trip count to
+/// the condition and the step, so it is counted without lowering
+/// anything. Anything short of that certainty (such a write, a
+/// condition or step that does not evaluate) answers `false` and the
+/// unrolling loop decides as it goes. `consts[var]` holds the initial
+/// value on entry and on return.
+fn runs_past_unroll_limit(f: &ForStmt, var: &str, consts: &mut HashMap<String, i64>) -> bool {
+    if writes_constant(&f.body, consts) {
+        return false;
+    }
+    let init = consts[var];
+    let mut trips: u64 = 0;
+    let past = loop {
+        if !matches!(const_eval_with(&f.cond, consts, f.span), Ok(c) if c != 0) {
+            break false;
+        }
+        trips += 1;
+        if trips > MAX_UNROLL {
+            break true;
+        }
+        let Ok(next) = const_eval_with(&f.step.1, consts, f.span) else { break false };
+        *consts.get_mut(var).expect("the caller inserted the loop variable") = next;
+    };
+    *consts.get_mut(var).expect("the caller inserted the loop variable") = init;
+    past
+}
+
+/// True when lowering `stmt` can change `consts`: it assigns a name
+/// held there (see `Stmt::Blocking` in `lower_stmt`) or reuses one as
+/// the variable of a nested loop.
+fn writes_constant(stmt: &Stmt, consts: &HashMap<String, i64>) -> bool {
+    match stmt {
+        Stmt::Block(b) => b.stmts.iter().any(|s| writes_constant(s, consts)),
+        Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
+            matches!(&a.lhs, LValue::Ident(name, _) if consts.contains_key(name))
+        }
+        Stmt::If(i) => {
+            writes_constant(&i.then_branch, consts)
+                || i.else_branch.as_deref().is_some_and(|e| writes_constant(e, consts))
+        }
+        Stmt::Case(c) => {
+            c.arms.iter().any(|arm| writes_constant(&arm.body, consts))
+                || c.default.as_deref().is_some_and(|d| writes_constant(d, consts))
+        }
+        Stmt::For(f) => match &f.init.0 {
+            LValue::Ident(name, _) if !consts.contains_key(name) => {
+                writes_constant(&f.body, consts)
+            }
+            _ => true,
+        },
+        Stmt::SysCall(_) | Stmt::Null(_) => false,
     }
 }
 
@@ -1392,6 +1453,75 @@ mod tests {
         )
         .unwrap();
         assert!(elaborate(&file, "f").is_err());
+    }
+
+    /// The unrolled bodies of the one `for` in an `always @(*) begin … end`.
+    fn unrolled_bodies(d: &Design) -> usize {
+        match &d.processes()[0].body {
+            LStmt::Block(stmts) => match &stmts[0] {
+                LStmt::Block(unrolled) => unrolled.len(),
+                other => panic!("expected unrolled block, got {other:?}"),
+            },
+            other => panic!("expected block, got {other:?}"),
+        }
+    }
+
+    fn looping(header: &str, body: &str) -> String {
+        format!(
+            "module f(input [7:0] d, output reg [7:0] q);\ninteger i;\ninteger j;\n\
+             always @(*) begin\nfor ({header}) {body}\nend\nendmodule\n"
+        )
+    }
+
+    #[test]
+    fn a_loop_that_never_ends_is_rejected_before_any_body_is_lowered() {
+        // The divider's step with its sign flipped. `missing` is not
+        // declared: lowering one body would report that instead.
+        let src = looping("i = 7; i >= 0; i = i + 1", "q[0] = d[i] & missing;");
+        let err = elaborate(&parse(&src).unwrap(), "f").unwrap_err();
+        assert_eq!(err.message, "for loop exceeds 4096 unrolled iterations");
+        assert!(err.span.text(&src).starts_with("for (i = 7; i >= 0; i = i + 1)"));
+        // The same message and span as the loop that is unrolled until
+        // the limit (its body steps the variable, so it is not counted
+        // ahead).
+        let unrolled = looping("i = 7; i >= 0; i = i", "begin q[0] = d[0]; i = i + 1; end");
+        let late = elaborate(&parse(&unrolled).unwrap(), "f").unwrap_err();
+        assert_eq!(late.message, err.message);
+        assert!(late.span.text(&unrolled).starts_with("for (i = 7; i >= 0; i = i)"));
+    }
+
+    #[test]
+    fn a_body_that_writes_its_loop_variable_decides_the_trip_count() {
+        let skipping = looping("i = 0; i < 8; i = i + 1", "begin q[i] = d[i]; i = i + 1; end");
+        assert_eq!(unrolled_bodies(&elab(&skipping)), 4);
+        // Condition and step alone never end; the body's write does.
+        let stepping = looping("i = 0; i < 8; i = i", "begin q[i] = d[i]; i = i + 1; end");
+        assert_eq!(unrolled_bodies(&elab(&stepping)), 8);
+    }
+
+    #[test]
+    fn nested_loops_and_the_unroll_limit_are_unchanged() {
+        let nested = looping(
+            "i = 0; i < 4; i = i + 1",
+            "for (j = 0; j < 2; j = j + 1) q[i * 2 + j] = d[i * 2 + j];",
+        );
+        let d = elab(&nested);
+        match &d.processes()[0].body {
+            LStmt::Block(stmts) => match &stmts[0] {
+                LStmt::Block(outer) => {
+                    assert_eq!(outer.len(), 4);
+                    for inner in outer {
+                        assert!(matches!(inner, LStmt::Block(b) if b.len() == 2), "{inner:?}");
+                    }
+                }
+                other => panic!("expected unrolled block, got {other:?}"),
+            },
+            other => panic!("expected block, got {other:?}"),
+        }
+        let at_limit = looping("i = 0; i < 4096; i = i + 1", "q[0] = d[0];");
+        assert_eq!(unrolled_bodies(&elab(&at_limit)), 4096);
+        let past_limit = looping("i = 0; i < 4097; i = i + 1", "q[0] = d[0];");
+        assert!(elaborate(&parse(&past_limit).unwrap(), "f").is_err());
     }
 
     #[test]

@@ -109,31 +109,27 @@ impl UvmLog {
     /// `(time, signal, expected, actual)` as strings. This mirrors the
     /// `PAT_MS` pattern matching of Algorithm 2.
     pub fn parse_mismatches(rendered: &str) -> Vec<(u64, String, String, String)> {
-        let mut out = Vec::new();
-        for line in rendered.lines() {
-            if !line.starts_with("UVM_ERROR") {
-                continue;
-            }
-            let Some(time) = line
-                .split('@')
-                .nth(1)
-                .and_then(|s| s.trim().split(' ').next())
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let Some(rest) = line.split("mismatch on signal '").nth(1) else { continue };
-            let Some((signal, tail)) = split_quoted(rest) else { continue };
-            let expected = tail
-                .split("expected ")
-                .nth(1)
-                .and_then(|s| s.split(' ').next())
-                .unwrap_or_default();
-            let actual =
-                tail.split("actual ").nth(1).and_then(|s| s.split(' ').next()).unwrap_or_default();
-            out.push((time, signal, expected.to_string(), actual.to_string()));
+        rendered.lines().filter_map(UvmLog::parse_mismatch_line).collect()
+    }
+
+    /// [`UvmLog::parse_mismatches`] for one rendered line — for a reader
+    /// that stops before the end of the log.
+    pub fn parse_mismatch_line(line: &str) -> Option<(u64, String, String, String)> {
+        if !line.starts_with("UVM_ERROR") {
+            return None;
         }
-        out
+        let time = line
+            .split('@')
+            .nth(1)
+            .and_then(|s| s.trim().split(' ').next())
+            .and_then(|s| s.parse::<u64>().ok())?;
+        let rest = line.split("mismatch on signal '").nth(1)?;
+        let (signal, tail) = split_quoted(rest)?;
+        let expected =
+            tail.split("expected ").nth(1).and_then(|s| s.split(' ').next()).unwrap_or_default();
+        let actual =
+            tail.split("actual ").nth(1).and_then(|s| s.split(' ').next()).unwrap_or_default();
+        Some((time, signal, expected.to_string(), actual.to_string()))
     }
 }
 
