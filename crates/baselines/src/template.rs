@@ -14,7 +14,7 @@ use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
 use uvllm_sim::SimBackend;
 use uvllm_verilog::lexer::tokenize;
-use uvllm_verilog::span::{LineMap, Span};
+use uvllm_verilog::span::Span;
 use uvllm_verilog::token::{Token, TokenKind};
 
 /// One candidate textual edit.
@@ -132,20 +132,17 @@ fn apply(src: &str, c: &Candidate) -> String {
     s
 }
 
-/// Runs the public tests; `Some(true)` = pass, `Some(false)` = fail,
-/// `None` = does not build.
-fn public_verdict(design: &Design, code: &str, backend: SimBackend) -> Option<bool> {
-    match directed_stage_with(code, design, backend) {
-        UvmOutcome::Ran(run) => Some(run.all_passed()),
-        UvmOutcome::BuildFailed(_) => None,
-    }
+/// Whether a run of the public tests built and passed.
+fn passed(public_run: &UvmOutcome) -> bool {
+    matches!(public_run, UvmOutcome::Ran(run) if run.all_passed())
 }
 
-/// Shared search driver for the two template methods.
+/// Shared search driver for the two template methods. `src_passes`:
+/// the untouched `src` already passes the public tests.
 fn template_search(
-    name: &'static str,
     design: &Design,
     src: &str,
+    src_passes: bool,
     candidates: Vec<Candidate>,
     budget: usize,
     backend: SimBackend,
@@ -154,7 +151,7 @@ fn template_search(
     let mut iterations = 0;
     // Unrepaired code that already passes: accept as-is (the escape
     // hatch the paper criticises).
-    if public_verdict(design, src, backend) == Some(true) {
+    if src_passes {
         return MethodOutcome {
             final_code: src.to_string(),
             claimed_success: true,
@@ -169,7 +166,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if public_verdict(design, &candidate, backend) == Some(true) {
+        if passed(&directed_stage_with(&candidate, design, backend)) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -178,7 +175,6 @@ fn template_search(
                 usage: Usage::default(),
             };
         }
-        let _ = name;
     }
     MethodOutcome {
         final_code: src.to_string(),
@@ -230,7 +226,9 @@ impl RepairMethod for StriderRepair {
             };
         };
         // Localize: which outputs mismatch on the public tests?
-        let mismatch_signals: Vec<String> = match directed_stage_with(src, design, self.backend) {
+        let public_run = directed_stage_with(src, design, self.backend);
+        let src_passes = passed(&public_run);
+        let mismatch_signals: Vec<String> = match public_run {
             UvmOutcome::Ran(run) => {
                 let mut s: Vec<String> = run.mismatches.iter().map(|m| m.signal.clone()).collect();
                 s.sort();
@@ -254,7 +252,7 @@ impl RepairMethod for StriderRepair {
         if candidates.is_empty() {
             candidates = template_candidates(src, None);
         }
-        template_search("Strider", design, src, candidates, self.budget, self.backend)
+        template_search(design, src, src_passes, candidates, self.budget, self.backend)
     }
 }
 
@@ -300,21 +298,9 @@ impl RepairMethod for RtlRepair {
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(src);
         candidates.extend(template_candidates(src, None));
-        template_search("RTLrepair", design, src, candidates, self.budget, self.backend)
+        let src_passes = passed(&directed_stage_with(src, design, self.backend));
+        template_search(design, src, src_passes, candidates, self.budget, self.backend)
     }
-}
-
-/// Maps suspicious line numbers to statement spans (exposed for tests).
-pub fn line_spans(src: &str, lines: &[u32]) -> Vec<Span> {
-    let map = LineMap::new(src);
-    lines
-        .iter()
-        .filter_map(|l| {
-            let start = map.line_start(*l)?;
-            let end = map.line_start(l + 1).unwrap_or(src.len());
-            Some(Span::new(start, end))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -67,9 +67,8 @@ impl CampaignDataset {
     }
 
     /// What the jobs run on this dataset so far have learnt about
-    /// their candidate texts: lint reports and UVM-stage facts beside
-    /// the verdicts the accessor was named for.
-    pub fn verdict_memo(&self) -> &StageMemo {
+    /// their candidate texts: lint reports, UVM-stage facts and verdicts.
+    pub fn memo(&self) -> &StageMemo {
         &self.memo
     }
 

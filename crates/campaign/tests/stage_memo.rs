@@ -65,7 +65,7 @@ fn a_text_is_analysed_once_per_dataset() {
     let [lint_hits, lint_misses, uvm_hits, uvm_misses] = counters;
     assert!(lint_misses > 0 && lint_hits > lint_misses, "lint: {lint_hits} / {lint_misses}");
     assert!(uvm_misses > 0 && uvm_hits > 0, "uvm: {uvm_hits} / {uvm_misses}");
-    let filled = slots(unsharded.verdict_memo());
+    let filled = slots(unsharded.memo());
     let count = |slot: usize| filled.iter().filter(|(_, _, s)| s[slot]).count() as u64;
     assert_eq!((count(0), count(1)), (lint_misses, uvm_misses), "a miss is a slot filled");
 
@@ -95,7 +95,7 @@ fn a_text_is_analysed_once_per_dataset() {
             Campaign::new(shard).unwrap().run_on(&dataset, &mut sink, None).unwrap();
             union.extend(lines(&sink));
         }
-        assert_eq!(slots(dataset.verdict_memo()), filled);
+        assert_eq!(slots(dataset.memo()), filled);
         union
     });
     assert_eq!(sharded, rows);
@@ -104,7 +104,7 @@ fn a_text_is_analysed_once_per_dataset() {
     // A UVM slot is served for the stimulus it was made with and no
     // other: a different one is run afresh, counted as a miss, and the
     // slot keeps answering for its own.
-    let memo = unsharded.verdict_memo();
+    let memo = unsharded.memo();
     let cfg = VerifyConfig::default();
     let kept = memo
         .analysed()

@@ -74,7 +74,7 @@ fn a_text_is_judged_once_per_dataset() {
             Campaign::new(shard).unwrap().run_on(&dataset, &mut sink, None).unwrap();
             union.extend(lines(&sink));
         }
-        assert_eq!(dataset.verdict_memo().judged().len() as u64, misses);
+        assert_eq!(dataset.memo().judged().len() as u64, misses);
         union
     });
     assert_eq!(sharded, rows);

@@ -146,12 +146,6 @@ impl<M: LanguageModel> Uvllm<DirectService<M>> {
     pub fn model(&self) -> &M {
         self.service.model()
     }
-
-    /// Consumes the framework, returning the model (and its usage
-    /// accounting).
-    pub fn into_model(self) -> M {
-        self.service.into_inner()
-    }
 }
 
 impl<S: LlmService> Uvllm<S> {

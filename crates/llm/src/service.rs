@@ -159,13 +159,6 @@ pub struct WaitStats {
     pub max_batch: usize,
 }
 
-impl WaitStats {
-    /// Total wait in whole milliseconds.
-    pub fn wait_ms(&self) -> u64 {
-        self.wait.as_millis() as u64
-    }
-}
-
 /// The submission protocol every pipeline stage drives — the successor
 /// of passing `&mut M` around.
 ///
@@ -298,12 +291,6 @@ impl<M: LanguageModel> DirectService<M> {
     /// The wrapped model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Consumes the adapter, returning the model (and its usage
-    /// accounting).
-    pub fn into_inner(self) -> M {
-        self.model
     }
 }
 
@@ -583,13 +570,6 @@ impl<M: LanguageModel + 'static> BatchedLlm<M> {
     /// The (normalized) flush policy in force.
     pub fn config(&self) -> &BatchConfig {
         &self.config
-    }
-
-    /// Sessions opened on this service so far. A resident worker holds
-    /// one service across many leased shards (`Campaign::run_on`),
-    /// so this is its cumulative served-jobs gauge.
-    pub fn sessions_opened(&self) -> u64 {
-        self.next_session.load(Ordering::SeqCst)
     }
 
     /// Opens a session owning `model` and returns its client handle.

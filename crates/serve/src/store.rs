@@ -603,10 +603,6 @@ impl JobStore {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// True once no shard holds an unexpired lease — in-flight workers
     /// have either completed or run out their deadlines, so shutdown
     /// can proceed to the final aggregation pass.

@@ -176,11 +176,6 @@ impl CompiledDesign {
         &self.design
     }
 
-    /// Shared handle to the design.
-    pub fn design_arc(&self) -> &Arc<Design> {
-        &self.design
-    }
-
     /// First arena slot of `signal` (its words follow consecutively).
     pub fn slot(&self, signal: crate::elab::SignalId) -> usize {
         self.slots[signal.0 as usize] as usize

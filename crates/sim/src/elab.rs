@@ -216,65 +216,6 @@ impl Design {
     pub fn outputs(&self) -> &[SignalId] {
         &self.outputs
     }
-
-    // ------------------------------------------------------------------
-    // Builder API — the surface the Yosys-JSON importer constructs
-    // designs through. Signal ids are append-only, so every `SignalId`
-    // held by an expression stays valid.
-    // ------------------------------------------------------------------
-
-    /// An empty design with no signals or processes: the starting point
-    /// for programmatic construction (e.g. importing third-party RTL).
-    pub fn new_empty(top: impl Into<String>) -> Design {
-        Design {
-            top: top.into(),
-            signals: Vec::new(),
-            by_name: HashMap::new(),
-            processes: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-        }
-    }
-
-    /// Appends a signal, enforcing elaboration's invariants (unique
-    /// name, width 1..=128, at least one word). Top-level port flags on
-    /// `info` register the signal in [`Design::inputs`] /
-    /// [`Design::outputs`] in call order.
-    ///
-    /// # Errors
-    ///
-    /// Rejects duplicate names and out-of-range widths with a message.
-    pub fn add_signal(&mut self, info: SignalInfo) -> Result<SignalId, String> {
-        if self.by_name.contains_key(&info.name) {
-            return Err(format!("duplicate declaration of '{}'", info.name));
-        }
-        if info.width == 0 || info.width > 128 {
-            return Err(format!(
-                "signal '{}' width {} out of supported range 1..=128",
-                info.name, info.width
-            ));
-        }
-        if info.words == 0 {
-            return Err(format!("signal '{}' needs at least one word", info.name));
-        }
-        let id = SignalId(self.signals.len() as u32);
-        self.by_name.insert(info.name.clone(), id);
-        if info.is_input {
-            self.inputs.push(id);
-        }
-        if info.is_output {
-            self.outputs.push(id);
-        }
-        self.signals.push(info);
-        Ok(id)
-    }
-
-    /// Appends a process and returns its id.
-    pub fn add_process(&mut self, process: Process) -> ProcessId {
-        let id = ProcessId(self.processes.len() as u32);
-        self.processes.push(process);
-        id
-    }
 }
 
 /// Elaboration failure.
@@ -1246,7 +1187,7 @@ fn const_eval_with(e: &Expr, consts: &HashMap<String, i64>, span: Span) -> Resul
 }
 
 /// Collects every signal read by a lowered expression.
-pub fn expr_signals(e: &LExpr) -> Vec<SignalId> {
+fn expr_signals(e: &LExpr) -> Vec<SignalId> {
     let mut out = Vec::new();
     collect_expr_signals(e, &mut out);
     out.sort();

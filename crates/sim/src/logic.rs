@@ -62,14 +62,6 @@ impl Logic {
         l
     }
 
-    /// All-Z value of the given width.
-    pub fn zs(width: u32) -> Self {
-        let mut l = Logic::zeros(width);
-        l.xz = mask(width);
-        l.val = mask(width);
-        l
-    }
-
     /// A known value from an integer, truncated to `width` bits.
     pub fn from_u128(width: u32, value: u128) -> Self {
         let mut l = Logic::zeros(width);
@@ -117,11 +109,6 @@ impl Logic {
         } else {
             None
         }
-    }
-
-    /// Converts to `u64`, or `None` when unknown or too wide.
-    pub fn to_u64(&self) -> Option<u64> {
-        self.to_u128().and_then(|v| u64::try_from(v).ok())
     }
 
     /// Zero-extends or truncates to `width`.

@@ -10,7 +10,7 @@
 //! heap allocations**. `tests/alloc_steady_state.rs` enforces that
 //! bound on this kernel alongside the compiled one.
 
-use crate::elab::{Design, Process, ProcessId, SignalId, SignalKind, Trigger};
+use crate::elab::{Design, Process, ProcessId, SignalId, Trigger};
 use crate::eval::{case_matches, eval, eval_into, ValueReader};
 use crate::logic::{Logic, Tri};
 use crate::program::{lower_process, Dst, Op, ProcessProgram};
@@ -362,11 +362,6 @@ impl Simulator {
         self.nba.clear();
         self.writes.clear();
         result
-    }
-
-    /// True for signals procedurally driven (regs); used by tests.
-    pub fn is_var(&self, id: SignalId) -> bool {
-        self.design().signal(id).kind == SignalKind::Var
     }
 
     /// Iterates processes (used by the DFG builder for cross-checks).

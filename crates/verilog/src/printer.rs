@@ -42,13 +42,6 @@ pub fn print_stmt(stmt: &Stmt) -> String {
     out
 }
 
-/// Renders an assignment target.
-pub fn print_lvalue(lv: &LValue) -> String {
-    let mut out = String::new();
-    lvalue_into(&mut out, lv);
-    out
-}
-
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
         out.push_str("  ");

@@ -59,13 +59,6 @@ use uvllm_serve::{
 struct Args {
     config: CampaignConfig,
     out: String,
-    /// `--emit-json DIR`: export every catalog design as Yosys-JSON
-    /// into DIR and exit (no campaign run).
-    emit_json: Option<String>,
-    /// `--import-json FILE`: import a Yosys-JSON netlist and run the
-    /// interchange smoke (both kernels in lockstep, re-export fixpoint)
-    /// instead of a campaign.
-    import_json: Option<String>,
 }
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
@@ -76,7 +69,6 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--fault-latency-ms MS]\n\
      \x20      campaign [--llm-retries N] [--llm-timeout-ms MS] [--llm-breaker-threshold N] \
      [--job-deadline-ms MS] [--inject-panic PAT] [--inject-stall PAT:MS]\n\
-     \x20      campaign --emit-json DIR | --import-json FILE.json\n\
      \x20      campaign merge [--size N] [--seed HEX] [--methods A,B,..] \
      [--out FILE] SHARD.jsonl..\n\
      \x20      campaign metrics-check METRICS.json\n\
@@ -132,14 +124,9 @@ fn parse_common(
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut out = "campaign.jsonl".to_string();
     let mut max_wait: Option<Duration> = None;
-    let mut emit_json = None;
-    let mut import_json = None;
     let mut fault = FaultPlan::default();
     let mut fault_on = false;
     // Campaign-shaped resilience defaults: validate completions (a
@@ -262,8 +249,6 @@ fn parse_args() -> Result<Args, String> {
                     ms.parse().map_err(|_| "--inject-stall wants PATTERN:MS".to_string())?;
                 config.pool.inject_stall = Some((pattern.to_string(), Duration::from_millis(ms)));
             }
-            "--emit-json" => emit_json = Some(value("--emit-json")?),
-            "--import-json" => import_json = Some(value("--import-json")?),
             "--llm-telemetry" => config.llm_telemetry = true,
             "--metrics-out" => {
                 config.metrics_out = Some(std::path::PathBuf::from(value("--metrics-out")?));
@@ -295,17 +280,11 @@ fn parse_args() -> Result<Args, String> {
     }
     // Invalid UVLLM_WORKERS (workers == 0 defers to the environment)
     // surfaces as an Err from Campaign::new, already a clean CLI error.
-    Ok(Args { config, out, emit_json, import_json })
+    Ok(Args { config, out })
 }
 
 fn run_campaign() -> Result<(), String> {
-    let Args { config, out, emit_json, import_json } = parse_args()?;
-    if let Some(dir) = emit_json {
-        return run_emit_json(&dir);
-    }
-    if let Some(path) = import_json {
-        return run_import_smoke(&path);
-    }
+    let Args { config, out } = parse_args()?;
     let campaign = Campaign::new(config).map_err(|m| format!("invalid campaign: {m}"))?;
     let config = campaign.config();
     let llm_mode = match &config.llm_batch {
@@ -395,105 +374,6 @@ fn run_campaign() -> Result<(), String> {
     Ok(())
 }
 
-/// `--emit-json DIR`: exports every catalog design as Yosys-JSON into
-/// `DIR/<name>.json` so external tools (Yosys itself included) can
-/// consume the campaign workloads.
-fn run_emit_json(dir: &str) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    let mut count = 0usize;
-    for d in uvllm_designs::all() {
-        let file = uvllm_verilog::parse(d.source).map_err(|e| format!("{}: {e}", d.name))?;
-        let design = uvllm_sim::elaborate(&file, d.name).map_err(|e| format!("{}: {e}", d.name))?;
-        let path = format!("{dir}/{}.json", d.name);
-        std::fs::write(&path, uvllm_netlist::yosys::export_string(&design))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        count += 1;
-    }
-    println!("exported {count} designs to {dir}/");
-    Ok(())
-}
-
-/// `--import-json FILE`: imports a Yosys-JSON netlist (third-party or
-/// our own export) and runs the interchange smoke — seeded random
-/// stimulus with the event and compiled kernels pinned port-identical,
-/// plus the re-export fixpoint.
-fn run_import_smoke(path: &str) -> Result<(), String> {
-    use std::sync::Arc;
-    use uvllm_netlist::yosys;
-    use uvllm_sim::{AnySim, Logic, SimBackend, SimControl};
-
-    const CYCLES: usize = 200;
-
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let base = Arc::new(yosys::import_str(&text).map_err(|e| e.to_string())?);
-    println!(
-        "imported '{}' from {path}: {} signals, {} processes",
-        base.top,
-        base.signals().len(),
-        base.processes().len(),
-    );
-
-    // Drive both kernels in lockstep under seeded random stimulus;
-    // every port must agree on every cycle.
-    let mut sims = [
-        AnySim::new(&base, SimBackend::EventDriven).map_err(|e| e.to_string())?,
-        AnySim::new(&base, SimBackend::Compiled).map_err(|e| e.to_string())?,
-    ];
-    let inputs: Vec<(String, u32)> = base
-        .inputs()
-        .iter()
-        .map(|&id| (base.signal(id).name.clone(), base.signal(id).width))
-        .collect();
-    let ports: Vec<String> = base
-        .inputs()
-        .iter()
-        .chain(base.outputs())
-        .map(|&id| base.signal(id).name.clone())
-        .collect();
-    // splitmix64: deterministic stimulus without pulling in a dev-dep.
-    let mut state = 0x17E2_C4A6_E0D5_EED1u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for cycle in 0..CYCLES {
-        for (name, width) in &inputs {
-            let v = Logic::from_u128(*width, ((next() as u128) << 64) | next() as u128);
-            for sim in sims.iter_mut() {
-                sim.poke_by_name(name, v).map_err(|e| format!("poke {name}: {e}"))?;
-            }
-        }
-        for sim in sims.iter_mut() {
-            sim.settle().map_err(|e| format!("cycle {cycle}: {e}"))?;
-        }
-        for name in &ports {
-            let reference = sims[0].peek_by_name(name).map_err(|e| e.to_string())?;
-            for (i, sim) in sims.iter().enumerate().skip(1) {
-                let got = sim.peek_by_name(name).map_err(|e| e.to_string())?;
-                if got != reference {
-                    return Err(format!(
-                        "cycle {cycle}: port '{name}': sim#{i} diverged ({got} != {reference})"
-                    ));
-                }
-            }
-        }
-    }
-    println!("equivalence: {CYCLES} cycles, event==compiled, all ports");
-
-    // Re-export fixpoint: our export of the imported design must
-    // round-trip byte-identically through import.
-    let first = yosys::export_string(&base);
-    let second = yosys::export_string(&yosys::import_str(&first).map_err(|e| e.to_string())?);
-    if first != second {
-        return Err("re-export is not a fixpoint".to_string());
-    }
-    println!("re-export fixpoint: ok ({} bytes)", first.len());
-    Ok(())
-}
-
 /// Validates a `--metrics-out` snapshot file against the
 /// `uvllm-metrics/v1` schema (the CI gate for metrics artifacts).
 fn run_metrics_check(paths: Vec<String>) -> Result<(), String> {
@@ -510,10 +390,7 @@ fn run_metrics_check(paths: Vec<String>) -> Result<(), String> {
 }
 
 fn run_merge(args: Vec<String>) -> Result<(), String> {
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut out = String::new();
     let mut shard_paths: Vec<String> = Vec::new();
     let mut args = args.into_iter();
@@ -738,10 +615,7 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
 /// with `RUN=$(campaign submit ...)`.
 fn run_submit(args: Vec<String>) -> Result<(), String> {
     let mut server = String::new();
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut shards = 1usize;
     let mut lease_ms: Option<u64> = None;
     let mut out = String::new();

@@ -45,11 +45,12 @@ fn golden_designs_elaborate_exactly_once_per_worker_set() {
     );
     assert!(after_probe.hits > after_run.hits);
 
-    // The campaign workload itself reused elaborations heavily: the
+    // The campaign workload itself elaborated no text twice: the
     // mutated source of each instance is shared by both methods, and
-    // every metric check re-visits its candidate.
+    // every metric check re-visits its candidate, so every miss is a
+    // distinct text still resident.
     assert!(
-        after_run.hits >= after_run.misses,
-        "cache should serve at least as many hits as misses (got {after_run:?})"
+        after_run.misses <= after_run.entries as u64,
+        "a text was elaborated more than once (got {after_run:?})"
     );
 }

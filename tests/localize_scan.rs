@@ -75,7 +75,7 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
     let dataset = campaign.build_dataset();
     campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
     let staged: Vec<_> =
-        dataset.verdict_memo().analysed().into_iter().filter(|a| a.uvm.is_some()).collect();
+        dataset.memo().analysed().into_iter().filter(|a| a.uvm.is_some()).collect();
     assert_eq!(staged.len(), 659, "distinct texts through the UVM stage");
 
     let cfg = VerifyConfig { backend: uvllm_sim::SimBackend::default(), ..VerifyConfig::default() };

@@ -76,7 +76,7 @@ fn sweep(seed: u64) -> usize {
     let campaign = Campaign::new(config).unwrap();
     let dataset = campaign.build_dataset();
     campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
-    let judged = dataset.verdict_memo().judged();
+    let judged = dataset.memo().judged();
 
     // Two threads, like the campaign itself: the run-to-the-end side
     // costs what every verdict cost before the memo.
