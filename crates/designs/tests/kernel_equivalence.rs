@@ -3,11 +3,13 @@
 //! design under seeded random stimulus.
 //!
 //! Every design is driven through the same reset protocol and hundreds
-//! of random input vectors on both kernels in lockstep; after every
-//! settle, *every* signal — internal nets, registers and each memory
-//! word, not just ports — is compared, and the recorded waveforms must
-//! render to byte-identical VCD. This is the contract that lets the
-//! campaign engine treat the backend as a pure speed knob.
+//! of random input vectors on both kernels in lockstep — once poking
+//! the inputs one at a time, once staging each cycle's inputs as one
+//! time step, the way the UVM driver does; after every settle, *every*
+//! signal — internal nets, registers and each memory word, not just
+//! ports — is compared, and the recorded waveforms must render to
+//! byte-identical VCD. This is the contract that lets the campaign
+//! engine treat the backend as a pure speed knob.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -37,6 +39,32 @@ fn poke_both(name: &str, v: Logic, ev: &mut AnySim, cp: &mut AnySim, ctx: &str) 
     assert_state_identical(ev, cp, ctx);
 }
 
+/// Drives `inputs` on both kernels — one poke each, or staged together
+/// and settled once — asserting complete state agreement after every
+/// drive.
+fn drive_inputs(
+    inputs: &[(&str, Logic)],
+    batched: bool,
+    ev: &mut AnySim,
+    cp: &mut AnySim,
+    ctx: &str,
+) {
+    if !batched {
+        for (name, v) in inputs {
+            poke_both(name, *v, ev, cp, ctx);
+        }
+        return;
+    }
+    for sim in [&mut *ev, &mut *cp] {
+        for (name, v) in inputs {
+            sim.stage(sim.design().signal_id(name).unwrap(), *v);
+        }
+        let backend = sim.backend();
+        sim.settle().unwrap_or_else(|e| panic!("{ctx}: {backend} settle of a batch: {e}"));
+    }
+    assert_state_identical(ev, cp, ctx);
+}
+
 /// Compares every word of every signal between the two kernels.
 fn assert_state_identical(ev: &AnySim, cp: &AnySim, ctx: &str) {
     for (i, info) in ev.design().signals().iter().enumerate() {
@@ -50,23 +78,24 @@ fn assert_state_identical(ev: &AnySim, cp: &AnySim, ctx: &str) {
 }
 
 /// Drives one design on both kernels with identical stimulus, capturing
-/// and comparing waveforms cycle by cycle.
-fn drive_differentially(d: &uvllm_designs::Design, seed: u64) {
+/// and comparing waveforms cycle by cycle. `batched` stages each
+/// cycle's inputs as one time step instead of poking them one by one.
+fn drive_differentially(d: &uvllm_designs::Design, seed: u64, batched: bool) {
     let design = elaborated(d);
     let iface: DutInterface = (d.iface)();
     let mut ev = AnySim::new(&design, SimBackend::EventDriven).unwrap();
     let mut cp = AnySim::new(&design, SimBackend::Compiled).unwrap();
     let mut wave_e = Waveform::new(&ev);
     let mut wave_c = Waveform::new(&cp);
-    let ctx = format!("{}#{seed:x}", d.name);
+    let ctx = format!("{}#{seed:x}{}", d.name, if batched { " batched" } else { "" });
     assert_state_identical(&ev, &cp, &ctx);
 
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Reset protocol, mirroring the UVM environment's reset phase.
-    for p in &iface.inputs {
-        poke_both(&p.name, Logic::zeros(p.width), &mut ev, &mut cp, &ctx);
-    }
+    let zeros: Vec<_> =
+        iface.inputs.iter().map(|p| (p.name.as_str(), Logic::zeros(p.width))).collect();
+    drive_inputs(&zeros, batched, &mut ev, &mut cp, &ctx);
     if let Some(reset) = &iface.reset {
         let assert_v = Logic::bit(!reset.active_low);
         let deassert_v = Logic::bit(reset.active_low);
@@ -84,15 +113,15 @@ fn drive_differentially(d: &uvllm_designs::Design, seed: u64) {
     }
 
     for cycle in 0..CYCLES {
-        for p in &iface.inputs {
-            let v = Logic::from_u128(p.width, wide(&mut rng));
-            poke_both(&p.name, v, &mut ev, &mut cp, &ctx);
-        }
+        let vector: Vec<_> = iface
+            .inputs
+            .iter()
+            .map(|p| (p.name.as_str(), Logic::from_u128(p.width, wide(&mut rng))))
+            .collect();
+        drive_inputs(&vector, batched, &mut ev, &mut cp, &ctx);
         if let Some(clk) = &iface.clock {
             poke_both(clk, Logic::bit(true), &mut ev, &mut cp, &ctx);
         }
-        ev.settle().unwrap();
-        cp.settle().unwrap();
         let t = cycle as u64 * 10;
         ev.set_time(t);
         cp.set_time(t);
@@ -109,13 +138,15 @@ fn drive_differentially(d: &uvllm_designs::Design, seed: u64) {
     assert_eq!(wave_e.to_vcd(d.name), wave_c.to_vcd(d.name), "{ctx}: VCD diverged");
 }
 
-/// The headline acceptance test: all 27 designs, every seed,
-/// waveform-identical kernels.
+/// The headline acceptance test: all 27 designs, every seed, inputs
+/// poked and inputs staged, waveform-identical kernels.
 #[test]
 fn kernels_are_waveform_identical_on_all_designs() {
     for d in all() {
         for seed in SEEDS {
-            drive_differentially(d, seed ^ fnv(d.name));
+            for batched in [false, true] {
+                drive_differentially(d, seed ^ fnv(d.name), batched);
+            }
         }
     }
 }

@@ -71,8 +71,12 @@ pub struct CompiledSim {
     /// is 0, compile-time-marked processes run fully unchecked.
     xz_slots: usize,
     init_xz_slots: usize,
-    /// Dirty flag per process (combinational processes only).
+    /// Queued flag per process: a combinational process awaiting its
+    /// sweep (counted in `dirty_count`) or an edge-triggered one
+    /// waiting in `seq_fired`. Cleared as the process is taken to run,
+    /// so a wake-up of a process that has not run yet is idempotent.
     dirty: Vec<bool>,
+    /// Number of combinational processes flagged in `dirty`.
     dirty_count: usize,
     /// Edge-triggered processes fired but not yet executed (FIFO).
     seq_fired: Vec<u32>,
@@ -264,22 +268,39 @@ impl CompiledSim {
         self.xz[slot] = xz;
     }
 
-    /// Drives `id` to `value` and propagates until quiescent.
+    /// Writes `value` to `id` and marks the processes the change
+    /// wakes, running none of them (see [`crate::SimControl::stage`]).
+    pub fn stage(&mut self, id: SignalId, value: Logic) {
+        let cd = Arc::clone(&self.cd);
+        self.write(&cd, id, value);
+    }
+
+    /// [`CompiledSim::stage`], reporting whether the value changed.
+    fn write(&mut self, cd: &Arc<CompiledDesign>, id: SignalId, value: Logic) -> bool {
+        let info = cd.design().signal(id);
+        let value = value.resize(info.width);
+        let slot = cd.slot(id);
+        let old = Logic::from_planes(info.width, self.val[slot], self.xz[slot]);
+        if old == value {
+            return false;
+        }
+        self.store(slot, value.val(), value.xz());
+        self.mark_triggered(cd, id, old, value, None);
+        true
+    }
+
+    /// Drives `id` to `value` and propagates until quiescent, staged
+    /// values included; a poke of the value already held with nothing
+    /// staged is not a settle at all.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unstable`] on combinational oscillation.
     pub fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
-        let info = self.cd.design().signal(id);
-        let value = value.resize(info.width);
-        let slot = self.cd.slot(id);
-        let old = Logic::from_planes(info.width, self.val[slot], self.xz[slot]);
-        if old == value {
+        let cd = Arc::clone(&self.cd);
+        if !self.write(&cd, id, value) && self.dirty_count == 0 && self.seq_fired.is_empty() {
             return Ok(());
         }
-        self.store(slot, value.val(), value.xz());
-        let cd = Arc::clone(&self.cd);
-        self.mark_triggered(&cd, id, old, value, None);
         self.run_with_scratch(&cd)
     }
 
@@ -296,7 +317,9 @@ impl CompiledSim {
         result
     }
 
-    /// Propagates pending activity until the design is quiescent.
+    /// Runs every process marked since the last run — each once,
+    /// however many staged values woke it — until the design is
+    /// quiescent.
     ///
     /// # Errors
     ///
@@ -388,13 +411,18 @@ impl CompiledSim {
                 // empty) `seq_fired`; both capacities survive the swap.
                 let mut batch =
                     std::mem::replace(&mut self.seq_fired, std::mem::take(&mut self.seq_scratch));
-                for &pid in &batch {
+                for (taken, &pid) in batch.iter().enumerate() {
                     if activations == MAX_ACTIVATIONS {
+                        // The dropped rest of the batch can fire again.
+                        for &dropped in &batch[taken..] {
+                            self.dirty[dropped as usize] = false;
+                        }
                         batch.clear();
                         self.seq_scratch = batch;
                         return Err(SimError::Unstable { activations });
                     }
                     activations += 1;
+                    self.dirty[pid as usize] = false;
                     if self.exec_process(cd, pid, nba) {
                         tally.fast += 1;
                     } else {
@@ -563,7 +591,8 @@ impl CompiledSim {
 
     /// Dirties combinational dependents and fires edge-triggered
     /// processes for a `signal` transition, skipping the running process
-    /// (a process misses its own events, IEEE 1364).
+    /// (a process misses its own events, IEEE 1364) and those already
+    /// marked (a wake-up is idempotent until the process runs).
     fn mark_triggered(
         &mut self,
         cd: &Arc<CompiledDesign>,
@@ -591,7 +620,10 @@ impl CompiledSim {
                 Some(Edge::Neg) => !is0(&old_b) && is0(&new_b),
                 None => true,
             };
-            if fire && Some(*pid) != current {
+            if fire
+                && Some(*pid) != current
+                && !std::mem::replace(&mut self.dirty[*pid as usize], true)
+            {
                 self.seq_fired.push(*pid);
             }
         }
@@ -857,6 +889,9 @@ impl crate::backend::SimControl for CompiledSim {
     }
     fn peek_word(&self, id: SignalId, index: u64) -> Logic {
         CompiledSim::peek_word(self, id, index)
+    }
+    fn stage(&mut self, id: SignalId, value: Logic) {
+        CompiledSim::stage(self, id, value);
     }
     fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
         CompiledSim::poke(self, id, value)

@@ -14,9 +14,9 @@ use uvllm_obs::{registry, Counter};
 /// Event-kernel counters (`sim.event.*`).
 #[derive(Debug)]
 pub(crate) struct EventKernelMetrics {
-    /// Settles driven by [`crate::sched::Simulator`]: one per poke that
-    /// changed a value and per explicit settle, whether or not any
-    /// process had to run.
+    /// Drives of [`crate::sched::Simulator`]: one per settle and per
+    /// poke that changed a value or had staged values to drain, whether
+    /// or not any process had to run. A stage counts nothing.
     pub settles: &'static Counter,
     /// Process activations executed.
     pub activations: &'static Counter,

@@ -75,10 +75,16 @@ struct Plan {
 
 /// An event-driven four-state simulator over an elaborated [`Design`].
 ///
-/// The harness drives it imperatively: [`Simulator::poke`] input values,
-/// [`Simulator::settle`] to propagate, read back with
+/// The harness drives it imperatively: [`Simulator::stage`] the input
+/// values of one time step and [`Simulator::settle`] to propagate them
+/// ([`Simulator::poke`] is both, for one signal), read back with
 /// [`Simulator::peek`], and advance [`Simulator::set_time`] between
-/// cycles. Clocked logic reacts to edges produced by pokes.
+/// cycles. Clocked logic reacts to edges produced by staged values.
+///
+/// **Wake-once:** a process woken twice before it runs, runs once — by
+/// two staged inputs it is sensitive to, or by two writes of one delta.
+/// Once it has started it can be woken again (by anything but its own
+/// writes).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     plan: Arc<Plan>,
@@ -88,6 +94,11 @@ pub struct Simulator {
     /// calls. Cleared, never dropped, so its capacity survives — pokes
     /// allocate nothing once the high-water mark is reached.
     active: Vec<ProcessId>,
+    /// Per-process "waiting in `active`" flag: set when the process is
+    /// queued, cleared when the event loop pops it, so a wake-up of a
+    /// process that has not run yet is idempotent. Set for exactly the
+    /// processes in `active`; all clear once a drive returns.
+    pending: Vec<bool>,
     /// Persistent non-blocking-assignment queue (same rationale).
     nba: Vec<Write>,
     /// Persistent write-staging buffer for concatenated targets (all
@@ -159,7 +170,9 @@ impl Plan {
 
     /// Pushes the processes triggered by `signal` transitioning
     /// `old` → `new` onto `out`, skipping the running process (a
-    /// process misses its own events, IEEE 1364).
+    /// process misses its own events, IEEE 1364) and every process
+    /// already waiting there (`pending`: a wake-up is idempotent until
+    /// the process runs).
     fn collect_triggered(
         &self,
         signal: SignalId,
@@ -167,11 +180,15 @@ impl Plan {
         new: Logic,
         current: Option<ProcessId>,
         out: &mut Vec<ProcessId>,
+        pending: &mut [bool],
     ) {
-        for pid in &self.comb_sens[signal.0 as usize] {
-            if Some(*pid) != current {
-                out.push(*pid);
+        let mut wake = |pid: ProcessId| {
+            if Some(pid) != current && !std::mem::replace(&mut pending[pid.0 as usize], true) {
+                out.push(pid);
             }
+        };
+        for pid in &self.comb_sens[signal.0 as usize] {
+            wake(*pid);
         }
         let seq = &self.seq_sens[signal.0 as usize];
         if seq.is_empty() {
@@ -187,8 +204,8 @@ impl Plan {
                 Some(Edge::Neg) => !is0(&old_b) && is0(&new_b),
                 None => true,
             };
-            if fire && Some(*pid) != current {
-                out.push(*pid);
+            if fire {
+                wake(*pid);
             }
         }
     }
@@ -216,10 +233,12 @@ impl Simulator {
     pub fn from_arc(design: Arc<Design>) -> Result<Self, SimError> {
         let words =
             design.signals().iter().map(|s| vec![Logic::xs(s.width); s.words as usize]).collect();
+        let pending = vec![false; design.processes().len()];
         let mut sim = Simulator {
             plan: Arc::new(Plan::new(design)),
             words,
             active: Vec::new(),
+            pending,
             nba: Vec::new(),
             writes: Vec::new(),
             time: 0,
@@ -237,11 +256,13 @@ impl Simulator {
         for (i, p) in processes.iter().enumerate() {
             if matches!(p.trigger, Trigger::Initial) {
                 self.active.push(ProcessId(i as u32));
+                self.pending[i] = true;
             }
         }
         for (i, p) in processes.iter().enumerate() {
             if matches!(p.trigger, Trigger::Comb(_)) {
                 self.active.push(ProcessId(i as u32));
+                self.pending[i] = true;
             }
         }
         self.initialised = true;
@@ -289,20 +310,40 @@ impl Simulator {
         Ok(self.peek(id))
     }
 
-    /// Drives `id` to `value` and propagates the resulting events.
+    /// Writes `value` to `id` and queues the processes the change
+    /// wakes, running none of them: several signals staged before one
+    /// [`Simulator::settle`] change in the same time step, as a
+    /// testbench driver's pin assignments do. Work stays queued until
+    /// the next `settle` or `poke`.
+    pub fn stage(&mut self, id: SignalId, value: Logic) {
+        self.write(id, value);
+    }
+
+    /// [`Simulator::stage`], reporting whether the value changed.
+    fn write(&mut self, id: SignalId, value: Logic) -> bool {
+        let width = self.design().signal(id).width;
+        let value = value.resize(width);
+        let old = self.words[id.0 as usize][0];
+        if old == value {
+            return false;
+        }
+        self.words[id.0 as usize][0] = value;
+        self.plan.collect_triggered(id, old, value, None, &mut self.active, &mut self.pending);
+        true
+    }
+
+    /// Drives `id` to `value` and propagates the resulting events,
+    /// along with anything staged before: [`Simulator::stage`] plus
+    /// [`Simulator::settle`], except that a poke of the value already
+    /// held with nothing staged is not a settle at all.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unstable`] on combinational oscillation.
     pub fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
-        let width = self.design().signal(id).width;
-        let value = value.resize(width);
-        let old = self.words[id.0 as usize][0];
-        if old == value {
+        if !self.write(id, value) && self.active.is_empty() {
             return Ok(());
         }
-        self.words[id.0 as usize][0] = value;
-        self.plan.collect_triggered(id, old, value, None, &mut self.active);
         self.drive()
     }
 
@@ -319,10 +360,11 @@ impl Simulator {
         self.poke(id, value)
     }
 
-    /// Propagates any pending activity until the design is quiescent.
-    /// Every poke propagates its own events, so there never is any:
-    /// harnesses call it after batches of pokes for clarity and it
-    /// costs them one counted, empty settle.
+    /// Runs every process the values staged since the last drive woke
+    /// — each once, however many of them woke it — and whatever those
+    /// wake in turn, until the design is quiescent. The drain of a
+    /// [`Simulator::stage`] batch; with nothing staged it is one
+    /// counted, empty settle.
     ///
     /// # Errors
     ///
@@ -333,9 +375,10 @@ impl Simulator {
 
     /// Runs the event loop over the active set its caller seeded, using
     /// the persistent scratch queues. Every buffer is left *cleared*
-    /// (capacity intact) on both exits: a successful run drains them,
-    /// and an `Unstable` abort must not leave stale events or
-    /// non-blocking writes for a later run.
+    /// (capacity intact) and every `pending` flag clear on both exits:
+    /// a successful run pops every process it queued, and an `Unstable`
+    /// abort must not leave stale events, non-blocking writes or a
+    /// process that can never be woken again for a later run.
     fn drive(&mut self) -> Result<(), SimError> {
         // Flushed per settle in O(1) relaxed adds, each into the
         // calling thread's own counter cell: no per-activation atomics
@@ -349,8 +392,13 @@ impl Simulator {
             return Ok(());
         }
         let mut tally = EventTally::default();
-        let mut exec = Exec { plan: &self.plan, words: &mut self.words };
+        let mut exec =
+            Exec { plan: &self.plan, words: &mut self.words, pending: &mut self.pending };
         let result = exec.run_events(&mut self.active, &mut self.nba, &mut self.writes, &mut tally);
+        if result.is_err() {
+            // The processes still queued at the abort keep their flag.
+            self.pending.fill(false);
+        }
         if tally.activations > 0 {
             metrics.activations.add(tally.activations);
         }
@@ -375,6 +423,7 @@ impl Simulator {
 struct Exec<'a> {
     plan: &'a Plan,
     words: &'a mut [Vec<Logic>],
+    pending: &'a mut [bool],
 }
 
 impl Exec<'_> {
@@ -388,6 +437,10 @@ impl Exec<'_> {
     /// that resets and rebuilds its outputs) stabilise instead of
     /// re-triggering forever, and equally what makes genuinely missing
     /// sensitivity entries a real bug the simulator reproduces.
+    ///
+    /// A process's `pending` flag is cleared as it is popped, before it
+    /// runs: until then further wake-ups are absorbed, from then on a
+    /// write by another process queues it again.
     fn run_events(
         &mut self,
         active: &mut Vec<ProcessId>,
@@ -404,6 +457,7 @@ impl Exec<'_> {
             while head < active.len() {
                 let pid = active[head];
                 head += 1;
+                self.pending[pid.0 as usize] = false;
                 if activations == MAX_ACTIVATIONS {
                     break 'run Err(SimError::Unstable { activations });
                 }
@@ -573,7 +627,7 @@ impl Exec<'_> {
         // Array word writes do not produce scalar events (no process is
         // edge/level sensitive to a whole memory in this subset), but
         // combinational readers of the memory must re-run.
-        self.plan.collect_triggered(w.signal, old, updated, current, active);
+        self.plan.collect_triggered(w.signal, old, updated, current, active, self.pending);
     }
 }
 
@@ -592,6 +646,9 @@ impl crate::backend::SimControl for Simulator {
     }
     fn peek_word(&self, id: SignalId, index: u64) -> Logic {
         Simulator::peek_word(self, id, index)
+    }
+    fn stage(&mut self, id: SignalId, value: Logic) {
+        Simulator::stage(self, id, value);
     }
     fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
         Simulator::poke(self, id, value)
@@ -749,8 +806,13 @@ mod tests {
              always @(*) begin\nif (trig) begin\ncase (a)\n1'b0: b = 1'b0;\n\
              default: b = 1'b1;\nendcase\nend else\nb = 1'b0;\nend\n\
              always @(posedge clk) q <= d;\nendmodule\n");
-        let scratch_is_empty =
-            |s: &Simulator| s.active.is_empty() && s.nba.is_empty() && s.writes.is_empty();
+        // Empty queues and no process flagged as waiting in them.
+        let scratch_is_empty = |s: &Simulator| {
+            s.active.is_empty()
+                && s.nba.is_empty()
+                && s.writes.is_empty()
+                && s.pending.iter().all(|waiting| !waiting)
+        };
         s.poke_by_name("clk", Logic::bit(false)).unwrap();
         s.poke_by_name("d", Logic::bit(true)).unwrap();
         s.poke_by_name("trig", Logic::bit(false)).unwrap();
@@ -759,14 +821,17 @@ mod tests {
         assert!(scratch_is_empty(&s), "after the early exit");
         let capacity = s.active.capacity();
         assert!(capacity > 0, "the active set keeps its buffer across settles");
+        assert_eq!(s.clone().pending, vec![false; 3], "a quiescent clone has nothing waiting");
 
         let err = s.poke_by_name("trig", Logic::bit(true)).unwrap_err();
         assert_eq!(err, SimError::Unstable { activations: MAX_ACTIVATIONS });
         assert!(scratch_is_empty(&s), "an abort must not leave events for a later run");
         assert!(s.active.capacity() >= capacity);
 
-        // The aborted run queued nothing the next one can see: with the
-        // loop broken the design settles and the flop still works.
+        // The aborted run queued nothing the next one can see and left
+        // no process unwakeable: the block that was waiting at the abort
+        // is queued by the next poke, so with the loop broken the design
+        // settles, and the flop still works.
         s.poke_by_name("trig", Logic::bit(false)).unwrap();
         assert_eq!(u(&s, "a"), 0);
         assert_eq!(u(&s, "b"), 0);

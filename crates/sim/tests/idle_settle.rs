@@ -1,10 +1,11 @@
 //! A settle that has no process to run costs one counted settle and
-//! nothing else: no activation, no event, no value moves. The
+//! nothing else: no activation, no event, no value moves — and a
+//! `stage` costs nothing until the settle that ends its batch. The
 //! `sim.event.*` counters are process-wide, so this file holds exactly
 //! one test — nothing else in its process drives a simulator, and the
 //! deltas below are exact.
 
-use uvllm_sim::{Logic, SimControl, Simulator};
+use uvllm_sim::{AnySim, Logic, SimBackend, SimControl, Simulator};
 
 /// A text no other test elaborates.
 const IDLE_PROBE: &str = "module idle_probe(input clk, input d, input spare,\n\
@@ -12,6 +13,19 @@ const IDLE_PROBE: &str = "module idle_probe(input clk, input d, input spare,\n\
      assign y = ~d;\n\
      always @(posedge clk) q <= d;\n\
      endmodule\n";
+
+/// A second text no other test elaborates.
+const PAIR_PROBE: &str = "module pair_probe(input [7:0] a, input [7:0] b, output [8:0] y);\n\
+     assign y = a + b;\n\
+     endmodule\n";
+
+/// Process activations so far, on either kernel.
+fn activations() -> u64 {
+    ["sim.event.activations", "sim.compiled.fastpath_hits", "sim.compiled.fallback_hits"]
+        .iter()
+        .map(|name| uvllm_obs::registry().counter(name).get())
+        .sum()
+}
 
 /// `(settles, activations, events, nba_commits)` of the event kernel.
 fn counts() -> [u64; 4] {
@@ -73,4 +87,37 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
     let rising = delta(&mut sim, |sim| sim.poke_by_name("clk", bit(true)).unwrap());
     assert_eq!(rising, [1, 1, 1, 1], "the flop samples d and commits q");
     assert_eq!(sim.peek_by_name("q").unwrap(), bit(false));
+
+    // Staging counts nothing and runs nothing; the settle that ends the
+    // batch is the one counted drive, empty or not.
+    let id = |name: &str| sim.design().signal_id(name).unwrap();
+    let (d, spare) = (id("d"), id("spare"));
+    let staged_unheard = delta(&mut sim, |sim| {
+        sim.stage(spare, bit(false));
+        sim.settle().unwrap();
+    });
+    assert_eq!(staged_unheard, [1, 0, 0, 0], "a staged signal nobody reads, settled");
+    let staged_pair = delta(&mut sim, |sim| {
+        sim.stage(d, bit(true));
+        sim.stage(spare, bit(true));
+        sim.settle().unwrap();
+    });
+    assert_eq!(staged_pair, [1, 1, 1, 0], "two staged signals, one heard: one settle");
+    assert_eq!(sim.peek_by_name("y").unwrap(), bit(false));
+    let stage_alone = delta(&mut sim, |sim| sim.stage(d, bit(false)));
+    assert_eq!(stage_alone, [0, 0, 0, 0], "stage without a settle");
+    assert_eq!(sim.peek_by_name("y").unwrap(), bit(false), "the assignment has not run yet");
+
+    // Two staged inputs of one assignment wake it once, on either kernel.
+    let adder = uvllm_sim::elaborate_source_cached(PAIR_PROBE, "pair_probe").expect("elaborates");
+    let (a, b) = (adder.signal_id("a").unwrap(), adder.signal_id("b").unwrap());
+    for backend in SimBackend::ALL {
+        let mut sim = AnySim::new(&adder, backend).expect("stable at time 0");
+        let before = activations();
+        sim.stage(a, Logic::from_u128(8, 200));
+        sim.stage(b, Logic::from_u128(8, 100));
+        sim.settle().unwrap();
+        assert_eq!(activations() - before, 1, "{backend}");
+        assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(300), "{backend}");
+    }
 }

@@ -46,7 +46,11 @@ pub struct Driver;
 
 impl Driver {
     /// Pin-level fast path over pre-resolved ports (the environment's
-    /// hot loop — no name lookups).
+    /// hot loop — no name lookups). All pins are assigned in one time
+    /// step — staged, then settled once — so on return the inputs are
+    /// driven *and propagated*, and a process sensitive to several of
+    /// them has run once. A port the transaction does not name is
+    /// driven to zero; the kernel resizes each value to its signal.
     pub fn drive_resolved<S: SimControl + ?Sized>(
         &self,
         sim: &mut S,
@@ -54,23 +58,10 @@ impl Driver {
         txn: &Transaction,
     ) -> Result<(), SimError> {
         for (name, id, width) in ports {
-            self.drive_port(sim, name, *id, *width, txn)?;
+            let v = txn.values.get(name).copied().unwrap_or_else(|| Logic::zeros(*width));
+            sim.stage(*id, v);
         }
-        Ok(())
-    }
-
-    /// Drives one port: missing transaction values default to zero and
-    /// everything is resized to the port width.
-    fn drive_port<S: SimControl + ?Sized>(
-        &self,
-        sim: &mut S,
-        name: &str,
-        id: uvllm_sim::SignalId,
-        width: u32,
-        txn: &Transaction,
-    ) -> Result<(), SimError> {
-        let v = txn.values.get(name).copied().unwrap_or_else(|| Logic::zeros(width));
-        sim.poke(id, v.resize(width))
+        sim.settle()
     }
 }
 
@@ -177,6 +168,15 @@ impl RunSummary {
 }
 
 /// The top-level verification environment.
+///
+/// All data inputs of a cycle (and the zeros of the reset phase) change
+/// in the same time step: the driver stages every pin and settles once
+/// ([`SimControl::stage`]), so a DUT process sensitive to several
+/// inputs wakes once per cycle and sees all of them. A DUT whose
+/// combinational processes have complete sensitivity lists and do not
+/// read their own outputs behaves exactly as under pin-by-pin driving;
+/// one that does not gets IEEE 1364's answer, where pin-by-pin driving
+/// gave it one wake-up per changed pin in interface order.
 pub struct Environment {
     sim: AnySim,
     iface: DutInterface,
@@ -471,10 +471,10 @@ impl Environment {
 
     fn reset_phase(&mut self) -> Result<(), SimError> {
         self.refmodel.reset();
-        // Initialise inputs to zero for a clean start, reset or not.
-        for (_, id, width) in &self.in_ports {
-            self.sim.poke(*id, Logic::zeros(*width))?;
-        }
+        // Initialise inputs to zero for a clean start, reset or not:
+        // an empty transaction drives every port to its default, in one
+        // time step like every later cycle's inputs.
+        self.in_agent.driver.drive_resolved(&mut self.sim, &self.in_ports, &Transaction::new())?;
         let Some((reset, active_low)) = self.reset_line else {
             return Ok(());
         };
@@ -497,18 +497,21 @@ impl Environment {
         Ok(())
     }
 
-    /// One driven + checked cycle. This is the hot loop of the whole
-    /// verification stack: the driver and monitors work through
-    /// pre-resolved port ids, observations land in reused slot-ordered
-    /// buffers, and the reference model reads/writes its [`IoFrame`] in
-    /// place — the steady state performs no name lookups and no
-    /// per-cycle allocations beyond the waveform frame.
+    /// One driven + checked cycle: the cycle's inputs staged and
+    /// settled as one time step, the rising edge, the sample, the
+    /// falling edge — every drive returns with the design quiescent, so
+    /// there is nothing left for an explicit settle to do. This is the
+    /// hot loop of the whole verification stack: the driver and
+    /// monitors work through pre-resolved port ids, observations land
+    /// in reused slot-ordered buffers, and the reference model
+    /// reads/writes its [`IoFrame`] in place — the steady state
+    /// performs no name lookups and no per-cycle allocations beyond the
+    /// waveform frame.
     fn one_cycle(&mut self, cycle: usize, txn: &Transaction) -> Result<(), SimError> {
         self.in_agent.driver.drive_resolved(&mut self.sim, &self.in_ports, txn)?;
         if let Some(clk) = self.clock_id {
             self.sim.poke(clk, Logic::bit(true))?;
         }
-        self.sim.settle()?;
 
         // Capture the post-edge state for the localization engine.
         if self.record_waveform {
