@@ -9,7 +9,7 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::{Duration, Instant};
-use uvllm::stages::{directed_stage_with, UvmOutcome};
+use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
 use uvllm_designs::Design;
 use uvllm_llm::{AgentRole, CompleteResponse, ErrorInfo, LlmService, OutputMode, RepairPrompt};
@@ -22,7 +22,6 @@ pub struct MeicRepair<'m> {
     llm: &'m mut dyn LlmService,
     /// Iteration budget (MEIC uses a dual-agent loop of ~10 rounds).
     pub max_iterations: usize,
-    backend: SimBackend,
     memo: Option<&'m StageMemo>,
 }
 
@@ -30,12 +29,12 @@ impl<'m> MeicRepair<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        MeicRepair { llm, max_iterations: 10, backend: SimBackend::from_env(), memo: None }
+        MeicRepair { llm, max_iterations: 10, memo: None }
     }
 
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
 
@@ -68,7 +67,7 @@ impl RepairMethod for MeicRepair<'_> {
             iterations += 1;
             let wall = Instant::now();
             // Run the method's own (weak) acceptance test.
-            let log = match directed_stage_with(&code, design, self.backend) {
+            let log = match directed_stage(&code, design) {
                 UvmOutcome::Ran(run) => {
                     if run.all_passed() {
                         // NOTE: if the weak tests never trip over the
@@ -115,7 +114,7 @@ impl RepairMethod for MeicRepair<'_> {
         // from a final check.
         let wall = Instant::now();
         let claimed = matches!(
-            directed_stage_with(&code, design, self.backend),
+            directed_stage(&code, design),
             UvmOutcome::Ran(r) if r.all_passed()
         );
         time += wall.elapsed();
@@ -136,19 +135,18 @@ pub struct GptDirect<'m> {
     llm: &'m mut dyn LlmService,
     /// Samples per instance (the paper asks the model 5 times).
     pub samples: usize,
-    backend: SimBackend,
 }
 
 impl<'m> GptDirect<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        GptDirect { llm, samples: 5, backend: SimBackend::from_env() }
+        GptDirect { llm, samples: 5 }
     }
 
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
 }
@@ -175,7 +173,7 @@ impl RepairMethod for GptDirect<'_> {
             }
             let wall = Instant::now();
             let passed = matches!(
-                directed_stage_with(&resp.code, design, self.backend),
+                directed_stage(&resp.code, design),
                 UvmOutcome::Ran(r) if r.all_passed()
             );
             time += wall.elapsed();

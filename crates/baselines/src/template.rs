@@ -8,7 +8,7 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::Instant;
-use uvllm::stages::{directed_stage_with, UvmOutcome};
+use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
@@ -145,7 +145,6 @@ fn template_search(
     src_passes: bool,
     candidates: Vec<Candidate>,
     budget: usize,
-    backend: SimBackend,
 ) -> MethodOutcome {
     let wall = Instant::now();
     let mut iterations = 0;
@@ -166,7 +165,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if passed(&directed_stage_with(&candidate, design, backend)) {
+        if passed(&directed_stage(&candidate, design)) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -192,18 +191,17 @@ fn template_search(
 pub struct StriderRepair {
     /// Candidate budget per instance.
     pub budget: usize,
-    backend: SimBackend,
 }
 
 impl StriderRepair {
     /// Default configuration (300-candidate budget).
     pub fn new() -> Self {
-        StriderRepair { budget: 300, backend: SimBackend::from_env() }
+        StriderRepair { budget: 300 }
     }
 
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
 }
@@ -226,7 +224,7 @@ impl RepairMethod for StriderRepair {
             };
         };
         // Localize: which outputs mismatch on the public tests?
-        let public_run = directed_stage_with(src, design, self.backend);
+        let public_run = directed_stage(src, design);
         let src_passes = passed(&public_run);
         let mismatch_signals: Vec<String> = match public_run {
             UvmOutcome::Ran(run) => {
@@ -252,7 +250,7 @@ impl RepairMethod for StriderRepair {
         if candidates.is_empty() {
             candidates = template_candidates(src, None);
         }
-        template_search(design, src, src_passes, candidates, self.budget, self.backend)
+        template_search(design, src, src_passes, candidates, self.budget)
     }
 }
 
@@ -263,18 +261,17 @@ impl RepairMethod for StriderRepair {
 pub struct RtlRepair {
     /// Candidate budget per instance.
     pub budget: usize,
-    backend: SimBackend,
 }
 
 impl RtlRepair {
     /// Default configuration (400-candidate budget).
     pub fn new() -> Self {
-        RtlRepair { budget: 400, backend: SimBackend::from_env() }
+        RtlRepair { budget: 400 }
     }
 
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
 }
@@ -298,8 +295,8 @@ impl RepairMethod for RtlRepair {
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(src);
         candidates.extend(template_candidates(src, None));
-        let src_passes = passed(&directed_stage_with(src, design, self.backend));
-        template_search(design, src, src_passes, candidates, self.budget, self.backend)
+        let src_passes = passed(&directed_stage(src, design));
+        template_search(design, src, src_passes, candidates, self.budget)
     }
 }
 

@@ -10,15 +10,9 @@ pub use uvllm_campaign::{evaluate_one, EvalRecord, EvalRow, MethodKind};
 use uvllm::BenchInstance;
 
 /// Evaluates `method` on every instance (records in instance order),
-/// fanned out over [`worker_count_from_env`] campaign workers on the
-/// [`sim_backend_from_env`] simulation kernel.
+/// fanned out over [`worker_count_from_env`] campaign workers.
 pub fn evaluate(method: MethodKind, instances: &[BenchInstance]) -> Vec<EvalRecord> {
-    uvllm_campaign::evaluate_parallel_with(
-        method,
-        instances,
-        worker_count_from_env(),
-        sim_backend_from_env(),
-    )
+    uvllm_campaign::evaluate_parallel(method, instances, worker_count_from_env())
 }
 
 /// Reads the dataset size from `UVLLM_BENCH_SIZE` (default: the paper's
@@ -37,14 +31,6 @@ pub fn dataset_size_from_env() -> usize {
 /// (see [`uvllm_campaign::worker_count_from_env`]).
 pub fn worker_count_from_env() -> usize {
     uvllm_campaign::default_worker_count()
-}
-
-/// Reads the simulation kernel from `UVLLM_SIM_BACKEND` (`event` /
-/// `compiled`; default: the event-driven engine). Every harness entry
-/// point honours this flag, so a whole experiment can be flipped onto
-/// the compiled levelized kernel without touching code.
-pub fn sim_backend_from_env() -> uvllm_sim::SimBackend {
-    uvllm_sim::SimBackend::from_env()
 }
 
 #[cfg(test)]

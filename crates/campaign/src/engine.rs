@@ -35,8 +35,7 @@ fn metrics() -> &'static CampaignMetrics {
 }
 
 /// A built and validated dataset in the form the engine runs on. It is
-/// a pure function of `(size, seed)` — the backend only picks the
-/// kernel the validation runs use — so one build serves every shard
+/// a pure function of `(size, seed)`, so one build serves every shard
 /// and every method list of that dataset: a resident worker keeps it
 /// across leases instead of paying the build per shard.
 ///
@@ -48,22 +47,18 @@ fn metrics() -> &'static CampaignMetrics {
 pub struct CampaignDataset {
     size: usize,
     seed: u64,
-    backend: SimBackend,
     instances: Vec<Arc<BenchInstance>>,
     memo: StageMemo,
 }
 
 impl CampaignDataset {
-    /// Builds the dataset ([`uvllm::build_dataset_with`]); counted in
+    /// Builds the dataset ([`uvllm::build_dataset`]); counted in
     /// `campaign.dataset_builds`.
-    pub fn build(size: usize, seed: u64, backend: SimBackend) -> CampaignDataset {
+    pub fn build(size: usize, seed: u64) -> CampaignDataset {
         metrics().dataset_builds.inc();
-        let instances = uvllm::build_dataset_with(size, seed, backend)
-            .instances
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        CampaignDataset { size, seed, backend, instances, memo: StageMemo::new() }
+        let instances =
+            uvllm::build_dataset(size, seed).instances.into_iter().map(Arc::new).collect();
+        CampaignDataset { size, seed, instances, memo: StageMemo::new() }
     }
 
     /// What the jobs run on this dataset so far have learnt about
@@ -91,8 +86,9 @@ pub struct CampaignConfig {
     pub workers: usize,
     /// Which `i/n` slice of the job space this process owns.
     pub shard: ShardSpec,
-    /// Simulation kernel every job runs on (recorded per row; the two
-    /// kernels are waveform-identical, so verdicts do not depend on it).
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    /// Nothing reads it.
+    #[doc(hidden)]
     pub backend: SimBackend,
     /// `Some` runs every job's LLM traffic through one shared
     /// [`BatchedLlm`] with this flush policy; `None` (default) gives
@@ -141,7 +137,7 @@ impl Default for CampaignConfig {
             methods: MethodKind::ALL.to_vec(),
             workers: 0,
             shard: ShardSpec::default(),
-            backend: SimBackend::from_env(),
+            backend: SimBackend,
             llm_batch: None,
             llm_latency: None,
             llm_telemetry: false,
@@ -315,11 +311,7 @@ impl Campaign {
 
     /// Builds this campaign's dataset for [`Campaign::run_on`].
     pub fn build_dataset(&self) -> CampaignDataset {
-        CampaignDataset::build(
-            self.config.dataset_size,
-            self.config.dataset_seed,
-            self.config.backend,
-        )
+        CampaignDataset::build(self.config.dataset_size, self.config.dataset_seed)
     }
 
     /// [`Campaign::run_shared`] on a dataset the caller already built —
@@ -332,8 +324,8 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// If `dataset` was built for another size, seed or backend than
-    /// this campaign's configuration: its rows would silently belong to
+    /// If `dataset` was built for another size or seed than this
+    /// campaign's configuration: its rows would silently belong to
     /// a different campaign.
     pub fn run_on(
         &self,
@@ -343,8 +335,7 @@ impl Campaign {
     ) -> std::io::Result<CampaignOutcome> {
         let config = &self.config;
         assert!(
-            (dataset.size, dataset.seed, dataset.backend)
-                == (config.dataset_size, config.dataset_seed, config.backend),
+            (dataset.size, dataset.seed) == (config.dataset_size, config.dataset_seed),
             "dataset built for another configuration than the campaign it runs"
         );
         let instances = &dataset.instances;
@@ -360,18 +351,7 @@ impl Campaign {
             }
         }
         for design in &golden {
-            match self.config.backend {
-                // The compiled cache has no in-flight dedup, so warming
-                // it here (before the pool starts) is what makes
-                // per-design levelization happen exactly once; it pulls
-                // the elaboration through its own cache on the way.
-                SimBackend::Compiled => {
-                    let _ = uvllm_sim::compile_source_cached(design.source, design.name);
-                }
-                SimBackend::EventDriven => {
-                    let _ = uvllm_sim::elaborate_source_cached(design.source, design.name);
-                }
-            }
+            let _ = uvllm_sim::elaborate_source_cached(design.source, design.name);
         }
 
         let all_jobs = expand_jobs(instances, &self.config.methods);
@@ -403,7 +383,6 @@ impl Campaign {
         let existing_rows = sink.existing_rows();
         let sink = Mutex::new(sink);
         let sink_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let backend = self.config.backend;
         let telemetry = self.config.llm_telemetry;
         let metrics_out = self.config.metrics_out.as_deref();
         let flush_every = self.config.metrics_flush_jobs;
@@ -439,7 +418,6 @@ impl Campaign {
         let (new_records, pool_stats) = run_pool_supervised(
             jobs,
             self.workers,
-            backend,
             &llm,
             &dataset.memo,
             &self.config.pool,
@@ -499,15 +477,14 @@ impl Campaign {
 /// Evaluates one method over pre-built instances on a worker pool,
 /// returning records in instance order — the parallel engine behind
 /// `uvllm_bench::harness::evaluate`.
-pub fn evaluate_parallel_with(
+pub fn evaluate_parallel(
     method: MethodKind,
     instances: &[BenchInstance],
     workers: usize,
-    backend: SimBackend,
 ) -> Vec<EvalRecord> {
     let shared: Vec<Arc<BenchInstance>> = instances.iter().cloned().map(Arc::new).collect();
     let jobs = expand_jobs(&shared, &[method]);
-    run_pool(jobs, workers.max(1), backend, &LlmPolicy::direct(), |_, _| {})
+    run_pool(jobs, workers.max(1), &LlmPolicy::direct(), |_, _| {})
 }
 
 #[cfg(test)]
@@ -522,7 +499,6 @@ mod tests {
             methods: vec![MethodKind::Strider, MethodKind::RtlRepair],
             workers,
             shard: ShardSpec::default(),
-            backend: SimBackend::default(),
             ..CampaignConfig::default()
         }
     }
@@ -607,7 +583,6 @@ mod tests {
             dataset_seed: 0x42,
             methods: vec![MethodKind::Uvllm, MethodKind::GptDirect],
             workers: 2,
-            backend: SimBackend::default(),
             ..CampaignConfig::default()
         };
         let rows_of = |config: CampaignConfig| {

@@ -20,7 +20,7 @@ use uvllm_sim::SimBackend;
 
 /// The shared batched LLM service a campaign pool hangs its sessions
 /// off: per-job models are boxed so latency-injection wrappers and
-/// different backend kinds ride the same service.
+/// different model kinds ride the same service.
 pub type SharedLlm = BatchedLlm<Box<dyn LanguageModel>>;
 
 /// How campaign jobs obtain their [`LlmService`] handle.
@@ -189,7 +189,9 @@ pub struct EvalRecord {
     pub kind: ErrorKind,
     pub category: ErrorCategory,
     pub method: MethodKind,
-    /// Simulation kernel the job ran on.
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    /// Nothing reads it: every row says `event`.
+    #[doc(hidden)]
     pub backend: SimBackend,
     /// Passed the public directed vectors (Hit Rate).
     pub hit: bool,
@@ -243,7 +245,7 @@ impl EvalRecord {
             syntax: self.kind.is_syntax(),
             category: self.category.label().to_string(),
             method: self.method.label().to_string(),
-            backend: self.backend.label().to_string(),
+            backend: KERNEL_LABEL.to_string(),
             hit: self.hit,
             fixed: self.fixed,
             outcome: self.fix_outcome.label().to_string(),
@@ -270,6 +272,10 @@ impl EvalRecord {
         row
     }
 }
+
+/// The `backend` member of every row: the simulation kernel's name,
+/// kept on the row so older sinks and their digests stay comparable.
+const KERNEL_LABEL: &str = "event";
 
 /// Stable identifier of one campaign job.
 pub fn job_id(instance_id: &str, method: MethodKind) -> String {
@@ -299,7 +305,8 @@ pub struct EvalRow {
     pub category: String,
     /// Method label.
     pub method: String,
-    /// Simulation-kernel label (`event` / `compiled`).
+    /// Simulation-kernel label: `event` on every row this build writes;
+    /// rows of older builds may say `compiled`, and decode as they are.
     pub backend: String,
     pub hit: bool,
     pub fixed: bool,
@@ -433,7 +440,7 @@ impl EvalRow {
             // existed decode with their historical implicit values.
             backend: match v.get("backend") {
                 Some(_) => str_member("backend")?,
-                None => SimBackend::EventDriven.label().to_string(),
+                None => KERNEL_LABEL.to_string(),
             },
             hit: bool_member("hit")?,
             fixed: bool_member("fixed")?,
@@ -469,32 +476,20 @@ impl EvalRow {
     }
 }
 
-/// Evaluates `method` on one instance on the process-default simulation
-/// backend ([`SimBackend::from_env`]).
+/// Evaluates `method` on one instance, with a per-job [`DirectService`]
+/// around the job's oracle.
 pub fn evaluate_one(method: MethodKind, inst: &BenchInstance) -> EvalRecord {
-    evaluate_one_with(method, inst, SimBackend::from_env())
+    evaluate_one_on(method, inst, &LlmPolicy::direct(), &StageMemo::new())
 }
 
-/// Evaluates `method` on one instance on an explicit simulation
-/// backend, with a per-job [`DirectService`] around the job's oracle.
-pub fn evaluate_one_with(
-    method: MethodKind,
-    inst: &BenchInstance,
-    backend: SimBackend,
-) -> EvalRecord {
-    evaluate_one_on(method, inst, backend, &LlmPolicy::direct(), &StageMemo::new())
-}
-
-/// Evaluates `method` on one instance under an explicit simulation
-/// backend and LLM dispatch policy.
+/// Evaluates `method` on one instance under an explicit LLM dispatch
+/// policy.
 ///
 /// Everything stochastic is derived from the instance seed and the
 /// method salt, so the record is a pure function of its job — the
-/// bedrock of campaign determinism and resumability. The two backends
-/// are waveform-identical (enforced by the differential equivalence
-/// suite) and the LLM policy only changes *where* the job's own model
-/// answers (inline vs. on the shared service thread), so backend and
-/// policy change wall-clock, not verdicts.
+/// bedrock of campaign determinism and resumability. The LLM policy
+/// only changes *where* the job's own model answers (inline vs. on the
+/// shared service thread), so it changes wall-clock, not verdicts.
 ///
 /// Per-job cost model: the method runs, then its final text is judged —
 /// one hit run (the public vectors) and one fix run (the extended
@@ -510,7 +505,6 @@ pub fn evaluate_one_with(
 pub fn evaluate_one_on(
     method: MethodKind,
     inst: &BenchInstance,
-    backend: SimBackend,
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
 ) -> EvalRecord {
@@ -533,7 +527,6 @@ pub fn evaluate_one_on(
                     } else {
                         OutputMode::Pairs
                     },
-                    backend,
                     ..VerifyConfig::default()
                 };
                 // The job drives its own service handle (and, through it,
@@ -558,7 +551,7 @@ pub fn evaluate_one_on(
             MethodKind::Meic => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = MeicRepair::new(&mut *service).with_backend(backend).with_memo(memo);
+                let mut m = MeicRepair::new(&mut *service).with_memo(memo);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -574,7 +567,7 @@ pub fn evaluate_one_on(
             MethodKind::GptDirect => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = GptDirect::new(&mut *service).with_backend(backend);
+                let mut m = GptDirect::new(&mut *service);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -588,7 +581,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::Strider => {
-                let mut m = StriderRepair::new().with_backend(backend);
+                let mut m = StriderRepair::new();
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -602,7 +595,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::RtlRepair => {
-                let mut m = RtlRepair::new().with_backend(backend);
+                let mut m = RtlRepair::new();
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -618,14 +611,14 @@ pub fn evaluate_one_on(
         }
     };
     // `stage_us.simulate`: the verdict runs driving the final candidate
-    // through the UVM environment on the chosen kernel — or the memo
-    // lookup that stands in for them.
+    // through the UVM environment — or the memo lookup that stands in
+    // for them.
     let (hit, fix_outcome) = {
         let _span = uvllm_obs::Span::enter("simulate");
         memo.judge(design.name, &final_code, || {
             (
-                uvllm::metrics::hit_confirmed_with(design, &final_code, backend),
-                uvllm::metrics::fix_verdict_with(design, &final_code, backend),
+                uvllm::metrics::hit_confirmed(design, &final_code),
+                uvllm::metrics::fix_verdict(design, &final_code),
             )
         })
     };
@@ -636,7 +629,7 @@ pub fn evaluate_one_on(
         kind: inst.kind,
         category: inst.ground_truth.category,
         method,
-        backend,
+        backend: Default::default(),
         hit,
         fixed: fix_outcome.passed(),
         fix_outcome,

@@ -89,12 +89,11 @@ pub mod report;
 pub mod sink;
 
 pub use engine::{
-    default_worker_count, evaluate_parallel_with, worker_count_from_env, Campaign, CampaignConfig,
+    default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,
     CampaignDataset, CampaignOutcome,
 };
 pub use eval::{
-    evaluate_one, evaluate_one_on, evaluate_one_with, job_id, EvalRecord, EvalRow, LlmPolicy,
-    MethodKind, SharedLlm,
+    evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
 };
 pub use job::{expand_jobs, fnv1a64, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
@@ -103,4 +102,3 @@ pub use report::CampaignReport;
 pub use sink::{JsonlSink, LineTailer, MemorySink, ResultSink, SinkTailer, TailBatch};
 pub use uvllm::StageMemo;
 pub use uvllm_llm::{BatchConfig, FaultPlan, ResiliencePolicy};
-pub use uvllm_sim::SimBackend;

@@ -21,7 +21,6 @@ use crate::engine::CampaignDataset;
 use crate::eval::{EvalRow, MethodKind};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use uvllm_sim::SimBackend;
 
 /// How many offending job ids an error message spells out before
 /// switching to a count.
@@ -68,7 +67,7 @@ pub fn expected_job_ids(
     dataset_seed: u64,
     methods: &[MethodKind],
 ) -> Vec<String> {
-    CampaignDataset::build(dataset_size, dataset_seed, SimBackend::from_env()).job_ids(methods)
+    CampaignDataset::build(dataset_size, dataset_seed).job_ids(methods)
 }
 
 /// Merges named shard row sets into one report, validating shard
@@ -173,7 +172,6 @@ mod tests {
     use crate::engine::{Campaign, CampaignConfig};
     use crate::job::ShardSpec;
     use crate::sink::MemorySink;
-    use uvllm_sim::SimBackend;
 
     fn config(shard: ShardSpec) -> CampaignConfig {
         CampaignConfig {
@@ -182,7 +180,6 @@ mod tests {
             methods: vec![MethodKind::Strider, MethodKind::RtlRepair],
             workers: 2,
             shard,
-            backend: SimBackend::default(),
             ..CampaignConfig::default()
         }
     }

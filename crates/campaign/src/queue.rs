@@ -44,7 +44,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm::{StageMemo, Verdict};
 use uvllm_llm::Usage;
-use uvllm_sim::SimBackend;
 
 /// Registry handles for pool supervision (`campaign.*`), resolved once.
 #[derive(Debug)]
@@ -127,7 +126,7 @@ pub struct PoolStats {
 /// The row recorded for a quarantined job: every identity field comes
 /// from the job itself (the evaluation never produced a record), the
 /// verdict marks why, and all result fields are the honest zeros.
-fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRecord {
+fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
     EvalRecord {
         instance_id: job.instance.id(),
         design: job.instance.design.name,
@@ -135,7 +134,7 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
         kind: job.instance.kind,
         category: job.instance.ground_truth.category,
         method: job.method,
-        backend,
+        backend: Default::default(),
         hit: false,
         fixed: false,
         fix_outcome: verdict,
@@ -150,8 +149,8 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
     }
 }
 
-/// Runs `jobs` on `workers` OS threads with every evaluation on
-/// `backend`, drawing LLM service handles from `llm` (a per-job
+/// Runs `jobs` on `workers` OS threads, drawing LLM service handles
+/// from `llm` (a per-job
 /// [`uvllm_llm::DirectService`], or sessions of the shared
 /// [`crate::SharedLlm`] so workers' LLM round trips overlap);
 /// `on_record` observes every finished job (from worker threads, in
@@ -163,12 +162,11 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
 pub fn run_pool(
     jobs: Vec<Job>,
     workers: usize,
-    backend: SimBackend,
     llm: &LlmPolicy<'_>,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> Vec<EvalRecord> {
     let memo = StageMemo::new();
-    run_pool_supervised(jobs, workers, backend, llm, &memo, &PoolPolicy::default(), on_record).0
+    run_pool_supervised(jobs, workers, llm, &memo, &PoolPolicy::default(), on_record).0
 }
 
 /// [`run_pool`] under an explicit supervision policy and on the
@@ -178,7 +176,6 @@ pub fn run_pool(
 pub fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
-    backend: SimBackend,
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
     policy: &PoolPolicy,
@@ -263,7 +260,7 @@ pub fn run_pool_supervised(
                                 std::thread::sleep(*stall);
                             }
                         }
-                        evaluate_one_on(job.method, &job.instance, backend, llm, memo)
+                        evaluate_one_on(job.method, &job.instance, llm, memo)
                     }));
                     *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
@@ -322,7 +319,7 @@ pub fn run_pool_supervised(
                                 }
                                 _ => quarantined_panics.fetch_add(1, Ordering::Relaxed),
                             };
-                            let record = quarantine_record(&job, backend, verdict);
+                            let record = quarantine_record(&job, verdict);
                             worker_jobs.inc();
                             on_record(&job, &record);
                             results
@@ -377,7 +374,7 @@ mod tests {
         let jobs = jobs_on("mux4", &[MethodKind::Strider, MethodKind::RtlRepair], 3);
         let expected: Vec<String> = jobs.iter().map(Job::id).collect();
         let seen = AtomicUsize::new(0);
-        let records = run_pool(jobs, 4, SimBackend::default(), &LlmPolicy::direct(), |_, _| {
+        let records = run_pool(jobs, 4, &LlmPolicy::direct(), |_, _| {
             seen.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(seen.load(Ordering::Relaxed), expected.len());
@@ -387,8 +384,7 @@ mod tests {
 
     #[test]
     fn empty_queue_is_fine() {
-        let records =
-            run_pool(Vec::new(), 8, SimBackend::default(), &LlmPolicy::direct(), |_, _| {});
+        let records = run_pool(Vec::new(), 8, &LlmPolicy::direct(), |_, _| {});
         assert!(records.is_empty());
     }
 
@@ -402,7 +398,6 @@ mod tests {
         let (records, stats) = run_pool_supervised(
             jobs,
             2,
-            SimBackend::default(),
             &LlmPolicy::direct(),
             &StageMemo::new(),
             &policy,
@@ -431,7 +426,6 @@ mod tests {
         let (records, stats) = run_pool_supervised(
             jobs,
             2,
-            SimBackend::default(),
             &LlmPolicy::direct(),
             &StageMemo::new(),
             &policy,
@@ -447,7 +441,7 @@ mod tests {
     #[test]
     fn panic_rows_serialize_with_the_worker_panic_outcome() {
         let jobs = jobs_on("mux4", &[MethodKind::Strider], 1);
-        let record = quarantine_record(&jobs[0], SimBackend::default(), Verdict::WorkerPanic);
+        let record = quarantine_record(&jobs[0], Verdict::WorkerPanic);
         let row = record.to_row();
         assert_eq!(row.outcome, "worker_panic");
         let line = row.to_json_line();

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use uvllm::{StageMemo, VerifyConfig};
-use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind, ShardSpec, SimBackend};
+use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind, ShardSpec};
 
 fn config(workers: usize) -> CampaignConfig {
     CampaignConfig {
@@ -17,7 +17,6 @@ fn config(workers: usize) -> CampaignConfig {
         dataset_seed: 0xD15E,
         methods: MethodKind::ALL.to_vec(),
         workers,
-        backend: SimBackend::default(),
         ..CampaignConfig::default()
     }
 }
@@ -112,9 +111,7 @@ fn a_text_is_analysed_once_per_dataset() {
         .find(|a| a.uvm.as_ref().is_some_and(|facts| !facts.passed()))
         .expect("some candidate failed its UVM stage");
     let design = uvllm_designs::by_name(kept.design).unwrap();
-    let ask = |memo: &StageMemo, cycles, seed| {
-        memo.uvm_stage(&kept.text, design, cycles, seed, SimBackend::default())
-    };
+    let ask = |memo: &StageMemo, cycles, seed| memo.uvm_stage(&kept.text, design, cycles, seed);
     let before = memo_counters();
     let own = ask(memo, cfg.uvm_cycles, cfg.uvm_seed);
     assert!(Arc::ptr_eq(&own, kept.uvm.as_ref().unwrap()));

@@ -6,7 +6,7 @@
 //! `campaign.verdict_memo.*` counters are process-wide, and the exact
 //! deltas asserted here must not see another test's campaign.
 
-use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind, ShardSpec, SimBackend};
+use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind, ShardSpec};
 
 fn config(workers: usize) -> CampaignConfig {
     CampaignConfig {
@@ -14,7 +14,6 @@ fn config(workers: usize) -> CampaignConfig {
         dataset_seed: 0xD15E,
         methods: MethodKind::ALL.to_vec(),
         workers,
-        backend: SimBackend::default(),
         ..CampaignConfig::default()
     }
 }

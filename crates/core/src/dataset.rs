@@ -1,7 +1,7 @@
 //! Benchmark dataset assembly: designs × mutation operators → validated
 //! error instances (§III-E; the paper's open-sourced 331-instance set).
 
-use crate::metrics::mutant_is_detectable_with;
+use crate::metrics::mutant_is_detectable;
 use uvllm_designs::{all, Design};
 use uvllm_errgen::{mutate, ErrorKind, GroundTruth};
 
@@ -59,25 +59,13 @@ pub fn build_instance(
     kind: ErrorKind,
     base_seed: u64,
 ) -> Option<BenchInstance> {
-    build_instance_with(design, kind, base_seed, uvllm_sim::SimBackend::from_env())
-}
-
-/// [`build_instance`] with the detection run on an explicit simulation
-/// backend (validation verdicts are backend-independent — the kernels
-/// are waveform-identical — so this is purely a speed knob).
-pub fn build_instance_with(
-    design: &'static Design,
-    kind: ErrorKind,
-    base_seed: u64,
-    backend: uvllm_sim::SimBackend,
-) -> Option<BenchInstance> {
     for attempt in 0..6u64 {
         let seed = base_seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
         let Ok(out) = mutate(design.source, kind, seed) else { continue };
         let valid = if kind.is_syntax() {
             uvllm_verilog::parse(&out.mutated_src).is_err()
         } else {
-            mutant_is_detectable_with(design, &out.mutated_src, backend)
+            mutant_is_detectable(design, &out.mutated_src)
         };
         if valid {
             return Some(BenchInstance {
@@ -96,16 +84,6 @@ pub fn build_instance_with(
 /// `(design, kind)` pair with fresh seeds each round, mirroring the
 /// paper's "27 modules × 9 error types, 331 instances" construction.
 pub fn build_dataset(target: usize, base_seed: u64) -> Dataset {
-    build_dataset_with(target, base_seed, uvllm_sim::SimBackend::from_env())
-}
-
-/// [`build_dataset`] with validation runs on an explicit simulation
-/// backend.
-pub fn build_dataset_with(
-    target: usize,
-    base_seed: u64,
-    backend: uvllm_sim::SimBackend,
-) -> Dataset {
     let designs = all();
     let mut dataset = Dataset::default();
     let mut round = 0u64;
@@ -119,7 +97,7 @@ pub fn build_dataset_with(
                     .wrapping_add(round.wrapping_mul(0x1000))
                     .wrapping_add(kind as u64 * 37)
                     .wrapping_add(design.name.len() as u64);
-                match build_instance_with(design, kind, seed, backend) {
+                match build_instance(design, kind, seed) {
                     Some(instance) => dataset.instances.push(instance),
                     None => {
                         if round == 0 {
@@ -132,6 +110,16 @@ pub fn build_dataset_with(
         round += 1;
     }
     dataset
+}
+
+/// Benchmark compatibility; goes with the next `benchmark` PR.
+#[doc(hidden)]
+pub fn build_dataset_with(
+    target: usize,
+    base_seed: u64,
+    _backend: uvllm_sim::SimBackend,
+) -> Dataset {
+    build_dataset(target, base_seed)
 }
 
 #[cfg(test)]

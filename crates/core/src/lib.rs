@@ -60,17 +60,12 @@ pub mod patch;
 pub mod pipeline;
 pub mod stages;
 
-pub use dataset::{
-    build_dataset, build_dataset_with, build_instance, build_instance_with, BenchInstance, Dataset,
-};
+pub use dataset::{build_dataset, build_dataset_with, build_instance, BenchInstance, Dataset};
 pub use memo::{Analysed, Judgement, StageMemo, UvmFacts};
-pub use metrics::{
-    fix_confirmed, fix_confirmed_with, fix_verdict_with, hit_confirmed, hit_confirmed_with,
-    mutant_is_detectable, mutant_is_detectable_with, Verdict,
-};
+pub use metrics::{fix_confirmed, fix_verdict, hit_confirmed, mutant_is_detectable, Verdict};
 pub use patch::{apply_pairs, PatchReport};
 pub use pipeline::{Stage, StageTimes, Uvllm, VerifyConfig, VerifyOutcome};
 pub use stages::{
-    directed_stage, directed_stage_with, localize, postprocess, preprocess, preprocess_on, repair,
-    uvm_stage, uvm_stage_with, Localized, PreprocessStats, RepairAttempt, UvmOutcome,
+    directed_stage, localize, postprocess, preprocess, preprocess_on, repair, uvm_stage,
+    uvm_stage_with, Localized, PreprocessStats, RepairAttempt, UvmOutcome,
 };

@@ -13,13 +13,12 @@
 //! fresh one.
 
 use crate::metrics::Verdict;
-use crate::stages::{localize, uvm_stage_with, Localized, UvmOutcome};
+use crate::stages::{localize, uvm_stage, Localized, UvmOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use uvllm_designs::Design;
 use uvllm_lint::LintReport;
 use uvllm_llm::ErrorInfo;
-use uvllm_sim::SimBackend;
 
 /// Registry handles of one slot kind, resolved once.
 #[derive(Debug)]
@@ -60,8 +59,8 @@ fn metrics() -> &'static MemoMetrics {
 pub type Judgement = (bool, Verdict);
 
 /// What a UVM-stage run was driven with: `(cycles, seed)` of the random
-/// sequence and the kernel it ran on.
-type Stimulus = (usize, u64, SimBackend);
+/// sequence.
+type Stimulus = (usize, u64);
 
 /// What the UVM stage found about one text under one stimulus — what
 /// the loop reads, not the run: a campaign's distinct runs held whole
@@ -210,21 +209,17 @@ impl StageMemo {
         fill(&self.entry(design, text).lint, &metrics().lint, || Arc::new(lint()))
     }
 
-    /// What [`uvm_stage_with`] finds about `code` as an implementation
-    /// of `design`. A slot is served only for the `(cycles, seed,
-    /// backend)` it was made with; any other stimulus is run and not
-    /// kept.
+    /// What [`uvm_stage`] finds about `code` as an implementation of
+    /// `design`. A slot is served only for the `(cycles, seed)` it was
+    /// made with; any other stimulus is run and not kept.
     pub fn uvm_stage(
         &self,
         code: &str,
         design: &Design,
         cycles: usize,
         seed: u64,
-        backend: SimBackend,
     ) -> Arc<UvmFacts> {
-        self.uvm_facts_with(code, design, (cycles, seed, backend), || {
-            uvm_stage_with(code, design, cycles, seed, backend)
-        })
+        self.uvm_facts_with(code, design, (cycles, seed), || uvm_stage(code, design, cycles, seed))
     }
 
     fn uvm_facts_with(
@@ -356,10 +351,9 @@ mod tests {
     }
 
     fn ask_uvm(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
-        let facts =
-            memo.uvm_facts_with(text, design(), (120, 0xBEEF, SimBackend::default()), || {
-                UvmOutcome::BuildFailed(make().to_string())
-            });
+        let facts = memo.uvm_facts_with(text, design(), (120, 0xBEEF), || {
+            UvmOutcome::BuildFailed(make().to_string())
+        });
         match &facts.result {
             UvmResult::BuildFailed(msg) => msg.parse().unwrap(),
             other => panic!("expected the build failure put in, got {other:?}"),
@@ -492,29 +486,25 @@ mod tests {
         let d = uvllm_designs::by_name("adder_8bit").unwrap();
         let memo = StageMemo::new();
         let broken = d.source.replace("a + b", "a - b");
-        let (event, compiled) = (SimBackend::EventDriven, SimBackend::Compiled);
-        let facts = |cycles, seed, backend| memo.uvm_stage(&broken, d, cycles, seed, backend);
-        let direct = |cycles, seed, backend| {
-            let outcome = uvm_stage_with(&broken, d, cycles, seed, backend);
-            UvmFacts::of(Arc::from(broken.as_str()), (cycles, seed, backend), d, outcome)
+        let facts = |cycles, seed| memo.uvm_stage(&broken, d, cycles, seed);
+        let direct = |cycles, seed| {
+            let outcome = uvm_stage(&broken, d, cycles, seed);
+            UvmFacts::of(Arc::from(broken.as_str()), (cycles, seed), d, outcome)
         };
         let same = |a: &UvmFacts, b: &UvmFacts| {
             a.score == b.score
                 && a.error_info(&broken, d, true) == b.error_info(&broken, d, true)
                 && a.stimulus == b.stimulus
         };
-        let made = facts(40, 1, event);
-        assert!(same(&made, &direct(40, 1, event)));
+        let made = facts(40, 1);
+        assert!(same(&made, &direct(40, 1)));
         // Another stimulus is run, answered and not kept ...
-        for (cycles, seed, backend) in [(40, 2, event), (60, 1, event), (40, 1, compiled)] {
-            let other = facts(cycles, seed, backend);
-            assert!(
-                same(&other, &direct(cycles, seed, backend)),
-                "({cycles}, {seed}, {backend:?})"
-            );
+        for (cycles, seed) in [(40, 2), (60, 1)] {
+            let other = facts(cycles, seed);
+            assert!(same(&other, &direct(cycles, seed)), "({cycles}, {seed})");
             assert!(!Arc::ptr_eq(&other, &made));
         }
         // ... and the slot still answers for the one it was made with.
-        assert!(Arc::ptr_eq(&facts(40, 1, event), &made));
+        assert!(Arc::ptr_eq(&facts(40, 1), &made));
     }
 }

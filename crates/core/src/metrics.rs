@@ -15,7 +15,6 @@
 //!   repair.
 
 use uvllm_designs::Design;
-use uvllm_sim::SimBackend;
 use uvllm_uvm::{CornerSequence, DirectedSequence, Environment, RandomSequence, Sequence};
 
 /// Seed of the first FR random campaign; the dataset builder validates
@@ -36,8 +35,7 @@ pub const FR_EXTRA_SEEDS: [u64; 2] = [8, 9];
 /// at cycle 10 and would have oscillated at cycle 500 is
 /// [`Verdict::Mismatch`], and one that oscillates before any mismatch
 /// is [`Verdict::Unstable`]. A verdict is a pure function of `(design,
-/// text, backend)` — and, the kernels being waveform-identical, of
-/// `(design, text)`.
+/// text)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Every checked cycle matched the golden model.
@@ -90,14 +88,9 @@ impl Verdict {
 /// cycle's mismatch records instead of the whole stimulus. Every caller
 /// (the hit and fix runs of a campaign job, the dataset builder's
 /// validation run) keeps only [`Verdict::passed`] or the class.
-fn run_verdict(
-    code: &str,
-    design: &Design,
-    seqs: Vec<Box<dyn Sequence>>,
-    backend: SimBackend,
-) -> Verdict {
+fn run_verdict(code: &str, design: &Design, seqs: Vec<Box<dyn Sequence>>) -> Verdict {
     let iface = (design.iface)();
-    match Environment::from_source_with(code, design.name, iface, (design.model)(), seqs, backend) {
+    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
         Ok(env) => {
             let summary = env.without_waveform().stop_at_first_mismatch().run();
             match summary.unstable {
@@ -140,46 +133,31 @@ fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
 
 /// Hit-Rate check: does `code` pass the public directed vectors?
 pub fn hit_confirmed(design: &Design, code: &str) -> bool {
-    hit_confirmed_with(design, code, SimBackend::from_env())
-}
-
-/// [`hit_confirmed`] on an explicit simulation backend.
-pub fn hit_confirmed_with(design: &Design, code: &str, backend: SimBackend) -> bool {
-    run_verdict(code, design, hit_seqs(design), backend).passed()
+    run_verdict(code, design, hit_seqs(design)).passed()
 }
 
 /// Fix-Rate check: extended differential validation against the golden
 /// model (the mechanized "expert review").
 pub fn fix_confirmed(design: &Design, code: &str) -> bool {
-    fix_confirmed_with(design, code, SimBackend::from_env())
-}
-
-/// [`fix_confirmed`] on an explicit simulation backend.
-pub fn fix_confirmed_with(design: &Design, code: &str, backend: SimBackend) -> bool {
-    fix_verdict_with(design, code, backend).passed()
+    fix_verdict(design, code).passed()
 }
 
 /// The full classified Fix-Rate outcome: lets campaign rows distinguish
 /// "fails the differential campaign" from "oscillates" from "does not
 /// build".
-pub fn fix_verdict_with(design: &Design, code: &str, backend: SimBackend) -> Verdict {
-    run_verdict(code, design, fr_seqs(design), backend)
+pub fn fix_verdict(design: &Design, code: &str) -> Verdict {
+    run_verdict(code, design, fr_seqs(design))
 }
 
 /// The quick validation run used by the dataset builder: a strict prefix
 /// of the FR campaign, so "fails validation" implies "fails FR".
 pub fn mutant_is_detectable(design: &Design, code: &str) -> bool {
-    mutant_is_detectable_with(design, code, SimBackend::from_env())
-}
-
-/// [`mutant_is_detectable`] on an explicit simulation backend.
-pub fn mutant_is_detectable_with(design: &Design, code: &str, backend: SimBackend) -> bool {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> = vec![
         Box::new(RandomSequence::new(&iface.inputs, VALIDATION_CYCLES, FR_PRIMARY_SEED)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    !run_verdict(code, design, seqs, backend).passed()
+    !run_verdict(code, design, seqs).passed()
 }
 
 #[cfg(test)]
@@ -219,25 +197,6 @@ mod tests {
         assert!(!fix_confirmed(d, &broken));
     }
 
-    #[test]
-    fn compiled_metric_runs_reuse_pooled_instances() {
-        // The six metric runs of a campaign job hit the same candidate
-        // text repeatedly: after the first, the compiled backend must
-        // serve checkouts by rewinding a parked instance, not by
-        // rebuilding one.
-        let d = by_name("gray_counter_4").unwrap();
-        // A comment makes the text (and so the pool key) unique to this
-        // test; the counters are process-global.
-        let code = format!("{}// pool-reuse probe\n", d.source);
-        let before = uvllm_sim::sim_pool_stats();
-        assert!(hit_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        assert!(fix_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        assert!(hit_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        let after = uvllm_sim::sim_pool_stats();
-        assert!(after.checkouts - before.checkouts >= 3);
-        assert!(after.reuses - before.reuses >= 2, "later runs rewind the parked instance");
-    }
-
     /// adder_8bit with a cross-coupled pair that oscillates when `a`
     /// and `b` are both all-ones — the second corner pattern, cycle 801
     /// of the FR stimulus — around `carry`, the expression for `cout`.
@@ -256,15 +215,8 @@ mod tests {
 
     /// The FR stimulus run to its end, as `(mismatches, unstable)`.
     fn unstopped_fr_run(d: &Design, code: &str) -> (usize, Option<usize>) {
-        let env = Environment::from_source_with(
-            code,
-            d.name,
-            (d.iface)(),
-            (d.model)(),
-            fr_seqs(d),
-            SimBackend::from_env(),
-        )
-        .expect("env");
+        let env = Environment::from_source(code, d.name, (d.iface)(), (d.model)(), fr_seqs(d))
+            .expect("env");
         let summary = env.without_waveform().run();
         (summary.mismatches.len(), summary.unstable)
     }
@@ -275,7 +227,7 @@ mod tests {
         let code = oscillating_adder("full[8]");
         assert_eq!(unstopped_fr_run(d, &code), (0, Some(uvllm_sim::MAX_ACTIVATIONS)));
         assert_eq!(
-            fix_verdict_with(d, &code, SimBackend::from_env()),
+            fix_verdict(d, &code),
             Verdict::Unstable { activations: uvllm_sim::MAX_ACTIVATIONS }
         );
         assert!(hit_confirmed(d, &code), "the public vectors never reach the oscillation");
@@ -293,7 +245,7 @@ mod tests {
         let (mismatches, unstable) = unstopped_fr_run(d, &code);
         assert!(mismatches > 0);
         assert_eq!(unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
-        assert_eq!(fix_verdict_with(d, &code, SimBackend::from_env()), Verdict::Mismatch);
+        assert_eq!(fix_verdict(d, &code), Verdict::Mismatch);
     }
 
     #[test]

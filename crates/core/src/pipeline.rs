@@ -69,8 +69,9 @@ pub struct VerifyConfig {
     pub rollback_enabled: bool,
     /// Disable to ablate SL-mode escalation (stay in MS mode forever).
     pub sl_enabled: bool,
-    /// Simulation kernel for the UVM processing stage (defaults to the
-    /// process-wide [`SimBackend::from_env`] selection).
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
+    /// Nothing reads it.
+    #[doc(hidden)]
     pub backend: SimBackend,
 }
 
@@ -85,7 +86,7 @@ impl Default for VerifyConfig {
             output_mode: OutputMode::Pairs,
             rollback_enabled: true,
             sl_enabled: true,
-            backend: SimBackend::from_env(),
+            backend: SimBackend,
         }
     }
 }
@@ -221,7 +222,7 @@ impl<S: LlmService> Uvllm<S> {
 
             // -------- Step 2: UVM processing ---------------------------
             let wall = Instant::now();
-            let outcome = memo.uvm_stage(&code, design, cfg.uvm_cycles, cfg.uvm_seed, cfg.backend);
+            let outcome = memo.uvm_stage(&code, design, cfg.uvm_cycles, cfg.uvm_seed);
             times.uvm += wall.elapsed();
             let score = outcome.score();
             final_score = score;

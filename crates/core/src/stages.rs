@@ -159,25 +159,14 @@ impl UvmOutcome {
 }
 
 /// Runs the UVM testbench (random + corner sequences against the golden
-/// reference model) on `code`, on the process-default backend.
+/// reference model) on `code`.
 pub fn uvm_stage(code: &str, design: &Design, cycles: usize, seed: u64) -> UvmOutcome {
-    uvm_stage_with(code, design, cycles, seed, SimBackend::from_env())
-}
-
-/// [`uvm_stage`] on an explicit simulation backend.
-pub fn uvm_stage_with(
-    code: &str,
-    design: &Design,
-    cycles: usize,
-    seed: u64,
-    backend: SimBackend,
-) -> UvmOutcome {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> = vec![
         Box::new(RandomSequence::new(&iface.inputs, cycles, seed)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    match Environment::from_source_with(code, design.name, iface, (design.model)(), seqs, backend) {
+    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
         Err(UvmError::Elab(m)) => UvmOutcome::BuildFailed(m),
         Err(UvmError::MissingPort(p)) => {
@@ -187,19 +176,25 @@ pub fn uvm_stage_with(
     }
 }
 
-/// Runs the weak directed public testbench (`T_pub`) — the evaluation's
-/// Hit-Rate test set and the feedback loop of the baseline methods —
-/// on the process-default backend.
-pub fn directed_stage(code: &str, design: &Design) -> UvmOutcome {
-    directed_stage_with(code, design, SimBackend::from_env())
+/// Benchmark compatibility; goes with the next `benchmark` PR.
+#[doc(hidden)]
+pub fn uvm_stage_with(
+    code: &str,
+    design: &Design,
+    cycles: usize,
+    seed: u64,
+    _backend: SimBackend,
+) -> UvmOutcome {
+    uvm_stage(code, design, cycles, seed)
 }
 
-/// [`directed_stage`] on an explicit simulation backend.
-pub fn directed_stage_with(code: &str, design: &Design, backend: SimBackend) -> UvmOutcome {
+/// Runs the weak directed public testbench (`T_pub`) — the evaluation's
+/// Hit-Rate test set and the feedback loop of the baseline methods.
+pub fn directed_stage(code: &str, design: &Design) -> UvmOutcome {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> =
         vec![Box::new(DirectedSequence::new("public", (design.directed_vectors)()))];
-    match Environment::from_source_with(code, design.name, iface, (design.model)(), seqs, backend) {
+    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
         Err(e) => UvmOutcome::BuildFailed(e.to_string()),
     }

@@ -1,21 +1,25 @@
-//! Differential equivalence suite: the event-driven and the compiled
-//! levelized kernels must be **waveform-identical** on every benchmark
-//! design under seeded random stimulus.
+//! Differential equivalence suite: the event-driven kernel and the
+//! independent reference interpreter (`uvllm-refsim`) must be
+//! **waveform-identical** on every benchmark design under seeded random
+//! stimulus.
 //!
-//! Every design is driven through the same reset protocol and hundreds
-//! of random input vectors on both kernels in lockstep — once poking
-//! the inputs one at a time, once staging each cycle's inputs as one
-//! time step, the way the UVM driver does; after every settle, *every*
-//! signal — internal nets, registers and each memory word, not just
-//! ports — is compared, and the recorded waveforms must render to
-//! byte-identical VCD. This is the contract that lets the campaign
-//! engine treat the backend as a pure speed knob.
+//! Every design is driven through the same reset protocol and random
+//! input vectors on both simulators in lockstep — once poking the
+//! inputs one at a time, once staging each cycle's inputs as one time
+//! step, the way the UVM driver does; after every drive, *every* signal
+//! — internal nets, registers and each memory word, not just ports — is
+//! compared, and the recorded waveforms must render to byte-identical
+//! VCD. The reference shares only the parser and elaboration with the
+//! kernel, so agreement here checks the kernel's four-state operators,
+//! expression widths and scheduling, not just its consistency with
+//! itself.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use uvllm_designs::all;
-use uvllm_sim::{elaborate, AnySim, Design, Logic, SignalId, SimBackend, SimControl, Waveform};
+use uvllm_refsim::{lockstep, RefSim};
+use uvllm_sim::{elaborate, Design, Logic, SimControl, SimError, Simulator, Waveform};
 use uvllm_uvm::DutInterface;
 
 /// Cycles of random stimulus per (design, seed) pair.
@@ -32,84 +36,91 @@ fn wide(rng: &mut StdRng) -> u128 {
     ((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128
 }
 
-/// Pokes both kernels and asserts complete state agreement afterwards.
-fn poke_both(name: &str, v: Logic, ev: &mut AnySim, cp: &mut AnySim, ctx: &str) {
-    ev.poke_by_name(name, v).unwrap_or_else(|e| panic!("{ctx}: event poke {name}: {e}"));
-    cp.poke_by_name(name, v).unwrap_or_else(|e| panic!("{ctx}: compiled poke {name}: {e}"));
-    assert_state_identical(ev, cp, ctx);
+/// The kernel and the reference over one design, with `ctx` naming the
+/// run in failure messages.
+struct Pair {
+    kernel: Simulator,
+    reference: RefSim,
+    ctx: String,
 }
 
-/// Drives `inputs` on both kernels — one poke each, or staged together
-/// and settled once — asserting complete state agreement after every
-/// drive.
-fn drive_inputs(
-    inputs: &[(&str, Logic)],
-    batched: bool,
-    ev: &mut AnySim,
-    cp: &mut AnySim,
-    ctx: &str,
-) {
-    if !batched {
-        for (name, v) in inputs {
-            poke_both(name, *v, ev, cp, ctx);
-        }
-        return;
+impl Pair {
+    fn new(design: &Arc<Design>, ctx: String) -> Pair {
+        let kernel = Simulator::from_arc(Arc::clone(design)).unwrap();
+        let reference = RefSim::new(Arc::clone(design)).unwrap();
+        let mut pair = Pair { kernel, reference, ctx };
+        pair.drive("time zero", |_| Ok(()));
+        pair
     }
-    for sim in [&mut *ev, &mut *cp] {
-        for (name, v) in inputs {
-            sim.stage(sim.design().signal_id(name).unwrap(), *v);
-        }
-        let backend = sim.backend();
-        sim.settle().unwrap_or_else(|e| panic!("{ctx}: {backend} settle of a batch: {e}"));
+
+    /// Runs `drive` on both and asserts they end it the same way and in
+    /// the same state.
+    fn drive(&mut self, what: &str, drive: impl Fn(&mut dyn SimControl) -> Result<(), SimError>) {
+        lockstep(&mut self.kernel, &mut self.reference, drive)
+            .unwrap_or_else(|difference| panic!("{}: after {what}: {difference}", self.ctx))
+            .unwrap_or_else(|e| panic!("{}: {what}: {e}", self.ctx));
     }
-    assert_state_identical(ev, cp, ctx);
+
+    fn poke(&mut self, name: &str, v: Logic) {
+        let id = self.kernel.design().signal_id(name).unwrap();
+        self.drive(&format!("poke {name} = {v}"), |sim| sim.poke(id, v));
+    }
+
+    /// Drives `inputs` — one poke each, or staged together and settled
+    /// once.
+    fn inputs(&mut self, inputs: &[(&str, Logic)], batched: bool) {
+        if !batched {
+            for (name, v) in inputs {
+                self.poke(name, *v);
+            }
+            return;
+        }
+        let design = self.kernel.design();
+        let ids: Vec<_> =
+            inputs.iter().map(|(name, v)| (design.signal_id(name).unwrap(), *v)).collect();
+        self.drive("a staged batch", |sim| {
+            for (id, v) in &ids {
+                sim.stage(*id, *v);
+            }
+            sim.settle()
+        });
+    }
+
+    fn set_time(&mut self, t: u64) {
+        self.kernel.set_time(t);
+        self.reference.set_time(t);
+    }
 }
 
-/// Compares every word of every signal between the two kernels.
-fn assert_state_identical(ev: &AnySim, cp: &AnySim, ctx: &str) {
-    for (i, info) in ev.design().signals().iter().enumerate() {
-        let id = SignalId(i as u32);
-        for word in 0..info.words as u64 {
-            let a = ev.peek_word(id, word);
-            let b = cp.peek_word(id, word);
-            assert_eq!(a, b, "{ctx}: signal '{}' word {word}: event={a} compiled={b}", info.name);
-        }
-    }
-}
-
-/// Drives one design on both kernels with identical stimulus, capturing
-/// and comparing waveforms cycle by cycle. `batched` stages each
-/// cycle's inputs as one time step instead of poking them one by one.
+/// Drives one design on both simulators with identical stimulus,
+/// capturing and comparing waveforms cycle by cycle. `batched` stages
+/// each cycle's inputs as one time step instead of poking them one by
+/// one.
 fn drive_differentially(d: &uvllm_designs::Design, seed: u64, batched: bool) {
     let design = elaborated(d);
     let iface: DutInterface = (d.iface)();
-    let mut ev = AnySim::new(&design, SimBackend::EventDriven).unwrap();
-    let mut cp = AnySim::new(&design, SimBackend::Compiled).unwrap();
-    let mut wave_e = Waveform::new(&ev);
-    let mut wave_c = Waveform::new(&cp);
     let ctx = format!("{}#{seed:x}{}", d.name, if batched { " batched" } else { "" });
-    assert_state_identical(&ev, &cp, &ctx);
-
+    let mut pair = Pair::new(&design, ctx);
+    let mut wave_kernel = Waveform::new(&pair.kernel);
+    let mut wave_reference = Waveform::new(&pair.reference);
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Reset protocol, mirroring the UVM environment's reset phase.
     let zeros: Vec<_> =
         iface.inputs.iter().map(|p| (p.name.as_str(), Logic::zeros(p.width))).collect();
-    drive_inputs(&zeros, batched, &mut ev, &mut cp, &ctx);
+    pair.inputs(&zeros, batched);
     if let Some(reset) = &iface.reset {
-        let assert_v = Logic::bit(!reset.active_low);
-        let deassert_v = Logic::bit(reset.active_low);
-        poke_both(&reset.name, assert_v, &mut ev, &mut cp, &ctx);
+        pair.poke(&reset.name, Logic::bit(!reset.active_low));
         if let Some(clk) = &iface.clock {
-            poke_both(clk, Logic::bit(false), &mut ev, &mut cp, &ctx);
+            pair.poke(clk, Logic::bit(false));
             for _ in 0..2 {
-                poke_both(clk, Logic::bit(true), &mut ev, &mut cp, &ctx);
-                poke_both(clk, Logic::bit(false), &mut ev, &mut cp, &ctx);
+                pair.poke(clk, Logic::bit(true));
+                pair.poke(clk, Logic::bit(false));
             }
         }
-        poke_both(&reset.name, deassert_v, &mut ev, &mut cp, &ctx);
+        pair.poke(&reset.name, Logic::bit(reset.active_low));
     } else if let Some(clk) = &iface.clock {
-        poke_both(clk, Logic::bit(false), &mut ev, &mut cp, &ctx);
+        pair.poke(clk, Logic::bit(false));
     }
 
     for cycle in 0..CYCLES {
@@ -118,28 +129,30 @@ fn drive_differentially(d: &uvllm_designs::Design, seed: u64, batched: bool) {
             .iter()
             .map(|p| (p.name.as_str(), Logic::from_u128(p.width, wide(&mut rng))))
             .collect();
-        drive_inputs(&vector, batched, &mut ev, &mut cp, &ctx);
+        pair.inputs(&vector, batched);
         if let Some(clk) = &iface.clock {
-            poke_both(clk, Logic::bit(true), &mut ev, &mut cp, &ctx);
+            pair.poke(clk, Logic::bit(true));
         }
-        let t = cycle as u64 * 10;
-        ev.set_time(t);
-        cp.set_time(t);
-        wave_e.capture(&ev);
-        wave_c.capture(&cp);
-        assert_state_identical(&ev, &cp, &format!("{ctx} cycle {cycle}"));
+        pair.set_time(cycle as u64 * 10);
+        wave_kernel.capture(&pair.kernel);
+        wave_reference.capture(&pair.reference);
         if let Some(clk) = &iface.clock {
-            poke_both(clk, Logic::bit(false), &mut ev, &mut cp, &ctx);
+            pair.poke(clk, Logic::bit(false));
         }
     }
 
     // The recorded waveforms render to byte-identical VCD.
-    assert_eq!(wave_e.len(), CYCLES);
-    assert_eq!(wave_e.to_vcd(d.name), wave_c.to_vcd(d.name), "{ctx}: VCD diverged");
+    assert_eq!(wave_kernel.len(), CYCLES);
+    assert_eq!(
+        wave_kernel.to_vcd(d.name),
+        wave_reference.to_vcd(d.name),
+        "{}: VCD diverged",
+        pair.ctx
+    );
 }
 
 /// The headline acceptance test: all 27 designs, every seed, inputs
-/// poked and inputs staged, waveform-identical kernels.
+/// poked and inputs staged, waveform-identical simulators.
 #[test]
 fn kernels_are_waveform_identical_on_all_designs() {
     for d in all() {
@@ -161,13 +174,11 @@ fn fnv(name: &str) -> u64 {
     hash
 }
 
-/// Differential pin-down for the event kernel's precompiled process
-/// programs: every lowering shape — nested concat targets, constant
-/// part selects, dynamic bit and array-word writes, case dispatch with
-/// a default arm, if/else chains, mixed blocking/non-blocking regions —
-/// driven on both kernels in lockstep. Because the compiled kernel is
-/// untouched by the program rework, agreement here pins the event
-/// kernel's waveforms to their pre-refactor behaviour.
+/// Every lowering shape of the kernel's precompiled process programs —
+/// nested concat targets, constant part selects, dynamic bit and
+/// array-word writes, case dispatch with a default arm, if/else chains,
+/// mixed blocking/non-blocking regions — driven on both simulators in
+/// lockstep, half of it before reset so the X regime runs too.
 #[test]
 fn program_lowering_corners_match_across_kernels() {
     const STRESS: &str = "module stress(input clk, input rst_n, input [3:0] idx,\n\
@@ -190,61 +201,22 @@ fn program_lowering_corners_match_across_kernels() {
          end\nend\nendmodule\n";
     let file = uvllm_verilog::parse(STRESS).unwrap();
     let design = Arc::new(uvllm_sim::elaborate(&file, "stress").unwrap());
-    let mut ev = AnySim::new(&design, SimBackend::EventDriven).unwrap();
-    let mut cp = AnySim::new(&design, SimBackend::Compiled).unwrap();
-    let ctx = "stress";
-    assert_state_identical(&ev, &cp, ctx);
+    let mut pair = Pair::new(&design, "stress".to_string());
     let mut rng = StdRng::seed_from_u64(0x57E55);
     // Half the run before reset deasserts: case dispatch over an X
     // selector, NBA writes of X, dropped unknown-index writes — the
     // X-regime paths of the program interpreter.
-    poke_both("clk", Logic::bit(false), &mut ev, &mut cp, ctx);
+    pair.poke("clk", Logic::bit(false));
     for phase in 0..2 {
         if phase == 1 {
-            poke_both("rst_n", Logic::bit(false), &mut ev, &mut cp, ctx);
-            poke_both("rst_n", Logic::bit(true), &mut ev, &mut cp, ctx);
+            pair.poke("rst_n", Logic::bit(false));
+            pair.poke("rst_n", Logic::bit(true));
         }
         for _ in 0..200 {
-            poke_both("idx", Logic::from_u128(4, wide(&mut rng)), &mut ev, &mut cp, ctx);
-            poke_both("d", Logic::from_u128(8, wide(&mut rng)), &mut ev, &mut cp, ctx);
-            poke_both("clk", Logic::bit(true), &mut ev, &mut cp, ctx);
-            poke_both("clk", Logic::bit(false), &mut ev, &mut cp, ctx);
-        }
-    }
-}
-
-/// The compiled kernel also agrees with the event engine through the
-/// whole UVM environment (scoreboard verdicts, pass rates, mismatch
-/// counts) — on pristine and deliberately broken DUTs alike.
-#[test]
-fn uvm_verdicts_match_across_backends() {
-    use uvllm_uvm::{CornerSequence, Environment, RandomSequence, Sequence};
-    for d in all().into_iter().take(6) {
-        for (label, code) in
-            [("golden", d.source.to_string()), ("broken", d.source.replace("+ 4'd1", "+ 4'd2"))]
-        {
-            let mut summaries = Vec::new();
-            for backend in SimBackend::ALL {
-                let iface = (d.iface)();
-                let seqs: Vec<Box<dyn Sequence>> = vec![
-                    Box::new(RandomSequence::new(&iface.inputs, 120, 0xBEEF)),
-                    Box::new(CornerSequence::new(&iface.inputs)),
-                ];
-                let env =
-                    Environment::from_source_with(&code, d.name, iface, (d.model)(), seqs, backend)
-                        .unwrap_or_else(|e| panic!("{}/{label}: {e}", d.name));
-                summaries.push(env.run());
-            }
-            let (a, b) = (&summaries[0], &summaries[1]);
-            assert_eq!(a.cycles, b.cycles, "{}/{label}", d.name);
-            assert_eq!(a.pass_rate, b.pass_rate, "{}/{label}", d.name);
-            assert_eq!(a.mismatches.len(), b.mismatches.len(), "{}/{label}", d.name);
-            assert_eq!(
-                a.waveform.to_vcd(d.name),
-                b.waveform.to_vcd(d.name),
-                "{}/{label}: environment waveforms diverged",
-                d.name
-            );
+            pair.poke("idx", Logic::from_u128(4, wide(&mut rng)));
+            pair.poke("d", Logic::from_u128(8, wide(&mut rng)));
+            pair.poke("clk", Logic::bit(true));
+            pair.poke("clk", Logic::bit(false));
         }
     }
 }

@@ -261,7 +261,7 @@ impl Metric {
 }
 
 /// The process-wide metric namespace. Names are flat dotted strings
-/// (`sim.compiled.activations`); the map is only touched at
+/// (`sim.event.activations`); the map is only touched at
 /// registration and snapshot time, never on the recording path.
 #[derive(Debug, Default)]
 pub struct Registry {

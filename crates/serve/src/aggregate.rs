@@ -107,12 +107,12 @@ impl Aggregator {
     }
 
     /// The job-id space of `spec` (dataset size × seed × methods),
-    /// built on the run's own backend the first time a spec is seen.
+    /// built the first time a spec is seen.
     fn id_space(&self, spec: &RunSpec) -> Arc<HashSet<String>> {
         let mut id_spaces = self.id_spaces.lock().unwrap_or_else(PoisonError::into_inner);
         let key = (spec.size, spec.seed, spec.methods.clone());
         Arc::clone(id_spaces.get_or_insert_with(key, || {
-            let dataset = CampaignDataset::build(spec.size, spec.seed, spec.backend);
+            let dataset = CampaignDataset::build(spec.size, spec.seed);
             Arc::new(dataset.job_ids(&spec.methods).into_iter().collect())
         }))
     }
@@ -226,14 +226,12 @@ mod tests {
     use std::io::Write;
     use std::time::Duration;
     use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
-    use uvllm_sim::SimBackend;
 
     fn spec() -> RunSpec {
         RunSpec {
             size: 2,
             seed: 0x42,
             methods: vec![MethodKind::Strider],
-            backend: SimBackend::default(),
             shards: 1,
             lease: Duration::from_secs(1),
         }

@@ -491,15 +491,16 @@ pub fn replay(dir: &Path) -> std::io::Result<Replay> {
     Ok(replay)
 }
 
-/// A framed `Submit` record as binaries that still had the `opt_level`
-/// spec member wrote it — the wire-compatibility fixture of the journal
-/// and recovery tests.
+/// A framed `Submit` record as binaries that still had a retired spec
+/// member wrote it — `member` is that member's JSON text, such as
+/// `"opt_level":2` or `"backend":"compiled"`. The wire-compatibility
+/// fixture of the journal and recovery tests.
 #[cfg(test)]
-pub(crate) fn legacy_submit_record(seq: u64, run: &str, spec: &RunSpec) -> String {
+pub(crate) fn legacy_submit_record(seq: u64, run: &str, spec: &RunSpec, member: &str) -> String {
     let event = Event::Submit { run: run.to_string(), spec: spec.clone() };
     let line = frame(seq, &event);
     let body = line.trim_end().splitn(3, ':').nth(2).expect("len:crc:body");
-    let body = body.replace("\"shards\":", "\"opt_level\":2,\"shards\":");
+    let body = body.replace("\"shards\":", &format!("{member},\"shards\":"));
     format!("{}:{:08x}:{body}\n", body.len(), crc32(body.as_bytes()))
 }
 
@@ -508,14 +509,12 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use uvllm_campaign::MethodKind;
-    use uvllm_sim::SimBackend;
 
     fn spec() -> RunSpec {
         RunSpec {
             size: 3,
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Strider, MethodKind::Uvllm],
-            backend: SimBackend::Compiled,
             shards: 2,
             lease: Duration::from_millis(750),
         }
@@ -594,15 +593,27 @@ mod tests {
         assert_eq!(decoded, events());
     }
 
-    #[test]
-    fn submit_records_carrying_opt_level_decode_to_the_same_spec() {
-        let dir = temp_dir("legacy-submit");
-        let line = legacy_submit_record(1, "run-1", &spec());
-        assert!(line.contains("\"opt_level\":2"), "{line}");
+    /// Replays a journal holding one `Submit` record that carries
+    /// `member`, asserting it decodes to the spec a current binary
+    /// journals.
+    fn legacy_submit_replays_as_current(name: &str, member: &str) {
+        let dir = temp_dir(name);
+        let line = legacy_submit_record(1, "run-1", &spec(), member);
+        assert!(line.contains(member), "{line}");
         std::fs::write(dir.join(JOURNAL_FILE), line).unwrap();
         let replay = replay(&dir).unwrap();
         assert!(replay.diag.is_none(), "{:?}", replay.diag);
         assert_eq!(replay.events, vec![(1, events().remove(0))]);
+    }
+
+    #[test]
+    fn submit_records_carrying_opt_level_decode_to_the_same_spec() {
+        legacy_submit_replays_as_current("legacy-submit", "\"opt_level\":2");
+    }
+
+    #[test]
+    fn submit_records_carrying_a_backend_decode_to_the_same_spec() {
+        legacy_submit_replays_as_current("legacy-backend", "\"backend\":\"compiled\"");
     }
 
     #[test]

@@ -382,14 +382,12 @@ mod tests {
     use crate::journal::{Journal, JournalConfig};
     use std::time::Duration;
     use uvllm_campaign::MethodKind;
-    use uvllm_sim::SimBackend;
 
     fn spec(shards: usize) -> RunSpec {
         RunSpec {
             size: 2,
             seed: 0x42,
             methods: vec![MethodKind::Strider],
-            backend: SimBackend::default(),
             shards,
             lease: Duration::from_millis(500),
         }
@@ -462,15 +460,14 @@ mod tests {
         assert_eq!(run.shards[1].sink, dir.join("run-7").join("shard-1.jsonl"));
     }
 
-    /// A journal written before `opt_level` left the spec: the member is
-    /// ignored and the run comes back exactly as a current binary would
-    /// have journalled it.
-    #[test]
-    fn journal_with_opt_level_in_its_submit_records_recovers() {
-        let dir = temp_dir("legacy-journal");
+    /// Recovers a journal whose `Submit` record carries the retired
+    /// spec `member`: the member is ignored and the run comes back
+    /// exactly as a current binary would have journalled it.
+    fn legacy_journal_recovers_as_current(name: &str, member: &str) {
+        let dir = temp_dir(name);
         std::fs::write(
             dir.join(crate::journal::JOURNAL_FILE),
-            crate::journal::legacy_submit_record(1, "run-7", &spec(2)),
+            crate::journal::legacy_submit_record(1, "run-7", &spec(2), member),
         )
         .unwrap();
         // Later records append behind the legacy one as usual.
@@ -490,6 +487,19 @@ mod tests {
         assert_eq!(recovery.report.records_replayed, 2);
         assert_eq!(recovery.image.runs[0].spec, spec(2));
         assert_eq!(recovery.report.leases_expired, 1);
+    }
+
+    /// A journal written before `opt_level` left the spec.
+    #[test]
+    fn journal_with_opt_level_in_its_submit_records_recovers() {
+        legacy_journal_recovers_as_current("legacy-journal", "\"opt_level\":2");
+    }
+
+    /// A journal written before `backend` left the spec, by a run on
+    /// the kernel that no longer exists.
+    #[test]
+    fn journal_with_a_backend_in_its_submit_records_recovers() {
+        legacy_journal_recovers_as_current("legacy-backend", "\"backend\":\"compiled\"");
     }
 
     #[test]

@@ -31,7 +31,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm_campaign::MethodKind;
 use uvllm_json::{s, Json};
-use uvllm_sim::SimBackend;
 
 /// Registry handles for the store (`serve.*`), resolved once.
 #[derive(Debug)]
@@ -66,8 +65,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Methods to evaluate on every instance.
     pub methods: Vec<MethodKind>,
-    /// Simulation kernel.
-    pub backend: SimBackend,
     /// How many shards the job space is split into.
     pub shards: usize,
     /// Lease duration granted per shard.
@@ -78,7 +75,9 @@ impl RunSpec {
     /// Decodes a submission body. Every member except `size` has a
     /// default; `seed` accepts a hex string (`"0x42"`) or a number —
     /// the hex-string form is canonical because f64 JSON numbers lose
-    /// precision above 2^53.
+    /// precision above 2^53. Members of retired options (`opt_level`,
+    /// `backend`) are ignored whatever their value: every value they
+    /// took produced the same rows.
     ///
     /// # Errors
     ///
@@ -117,15 +116,6 @@ impl RunSpec {
                 methods
             }
         };
-        let backend = match json.get("backend") {
-            None => SimBackend::default(),
-            Some(v) => {
-                let label =
-                    v.as_str().ok_or("submission member 'backend' must be a string label")?;
-                SimBackend::from_label(label)
-                    .ok_or_else(|| format!("unknown backend label '{label}'"))?
-            }
-        };
         let shards = match json.get("shards") {
             None => 1,
             Some(v) => v
@@ -140,7 +130,7 @@ impl RunSpec {
                 v.as_u64().ok_or("submission member 'lease_ms' must be a positive integer")?,
             ),
         };
-        Ok(RunSpec { size, seed, methods, backend, shards, lease })
+        Ok(RunSpec { size, seed, methods, shards, lease })
     }
 
     /// The wire form, round-trippable through [`RunSpec::from_json`].
@@ -149,7 +139,6 @@ impl RunSpec {
             ("size".to_string(), Json::Num(self.size as f64)),
             ("seed".to_string(), s(format!("0x{:X}", self.seed))),
             ("methods".to_string(), Json::Arr(self.methods.iter().map(|m| s(m.label())).collect())),
-            ("backend".to_string(), s(self.backend.label())),
             ("shards".to_string(), Json::Num(self.shards as f64)),
             ("lease_ms".to_string(), Json::Num(self.lease.as_millis() as f64)),
         ])
@@ -685,14 +674,7 @@ mod tests {
     use crate::recovery::SNAPSHOT_FILE;
 
     fn spec(shards: usize, lease: Duration) -> RunSpec {
-        RunSpec {
-            size: 2,
-            seed: 0x42,
-            methods: vec![MethodKind::Strider],
-            backend: SimBackend::default(),
-            shards,
-            lease,
-        }
+        RunSpec { size: 2, seed: 0x42, methods: vec![MethodKind::Strider], shards, lease }
     }
 
     fn store_dir(name: &str) -> PathBuf {
@@ -724,7 +706,6 @@ mod tests {
             // Above 2^53: the f64 number path would corrupt this.
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Uvllm, MethodKind::Meic],
-            backend: SimBackend::Compiled,
             shards: 4,
             lease: Duration::from_secs(30),
         };
@@ -744,18 +725,26 @@ mod tests {
         assert_eq!(spec.shards, 1);
         assert_eq!(spec.lease, Duration::from_secs(7));
 
-        // Bodies written for the retired `opt_level` member still decode:
-        // every level produced the same rows, so ignoring it is exact.
-        let old = Json::parse("{\"size\": 4, \"opt_level\": 2}").unwrap();
-        assert_eq!(RunSpec::from_json(&old, Duration::from_secs(7)).unwrap(), spec);
-        assert!(!spec.to_json().render().contains("opt_level"));
+        // Bodies written for the retired `opt_level` and `backend`
+        // members still decode: every value produced the same rows, so
+        // ignoring them is exact — a label no build ever knew included.
+        for old in [
+            "{\"size\": 4, \"opt_level\": 2}",
+            "{\"size\": 4, \"backend\": \"compiled\"}",
+            "{\"size\": 4, \"backend\": \"event\"}",
+            "{\"size\": 4, \"backend\": \"warp\"}",
+        ] {
+            let old = Json::parse(old).unwrap();
+            assert_eq!(RunSpec::from_json(&old, Duration::from_secs(7)).unwrap(), spec);
+        }
+        let wire = spec.to_json().render();
+        assert!(!wire.contains("opt_level") && !wire.contains("backend"), "{wire}");
 
         let err = |text: &str| {
             RunSpec::from_json(&Json::parse(text).unwrap(), Duration::from_secs(1)).unwrap_err()
         };
         assert!(err("{}").contains("'size'"));
         assert!(err("{\"size\": 1, \"methods\": [\"nope\"]}").contains("'nope'"));
-        assert!(err("{\"size\": 1, \"backend\": \"warp\"}").contains("'warp'"));
         assert!(err("{\"size\": 1, \"seed\": \"0xZZ\"}").contains("'0xZZ'"));
     }
 

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use uvllm_campaign::{
     BatchConfig, Campaign, CampaignConfig, CampaignDataset, EvalRow, JsonlSink, ResultSink,
-    ShardSpec, SharedLlm, SimBackend,
+    ShardSpec, SharedLlm,
 };
 use uvllm_json::{s, Json};
 use uvllm_llm::BatchedLlm;
@@ -45,7 +45,7 @@ const DATASETS_KEPT: usize = 2;
 
 /// The worker's built datasets, keyed by what
 /// [`CampaignDataset::build`] takes.
-type Datasets = Memo<(usize, u64, SimBackend), CampaignDataset>;
+type Datasets = Memo<(usize, u64), CampaignDataset>;
 
 /// How a worker process connects and behaves.
 #[derive(Debug, Clone)]
@@ -246,7 +246,6 @@ fn run_lease(
         methods: spec.methods.clone(),
         workers: options.workers,
         shard: ShardSpec { index: grant.shard, count: spec.shards },
-        backend: spec.backend,
         ..CampaignConfig::default()
     };
     let campaign = Campaign::new(config).map_err(|e| format!("bad grant config: {e}"))?;
@@ -277,8 +276,8 @@ fn run_lease(
                     })
             })
         });
-        let dataset = datasets
-            .get_or_insert_with((spec.size, spec.seed, spec.backend), || campaign.build_dataset());
+        let dataset =
+            datasets.get_or_insert_with((spec.size, spec.seed), || campaign.build_dataset());
         let run = campaign.run_on(dataset, &mut sink, shared);
         drop(stop);
         // A heartbeat thread that died renewed nothing and learned

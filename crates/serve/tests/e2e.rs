@@ -1,13 +1,12 @@
 //! End-to-end service gates: a full campaign served over HTTP with a
 //! worker killed mid-shard must converge — the expired lease is stolen,
 //! the thief resumes the dead worker's sink, and the final rows are
-//! byte-identical to a plain CLI-style run. On both simulation kernels.
+//! byte-identical to a plain CLI-style run.
 
 use std::time::Duration;
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, ServeConfig, Server, WorkerOptions};
-use uvllm_sim::SimBackend;
 
 const SIZE: usize = 4;
 const SEED: u64 = 0x42;
@@ -18,13 +17,12 @@ fn methods() -> Vec<MethodKind> {
 
 /// The ground truth: the same configuration run directly through the
 /// engine, no server involved.
-fn baseline_rows(backend: SimBackend) -> Vec<String> {
+fn baseline_rows() -> Vec<String> {
     let config = CampaignConfig {
         dataset_size: SIZE,
         dataset_seed: SEED,
         methods: methods(),
         workers: 2,
-        backend,
         ..CampaignConfig::default()
     };
     let mut sink = MemorySink::new();
@@ -46,12 +44,11 @@ fn start_server(name: &str) -> Server {
     .unwrap()
 }
 
-fn submit(addr: &str, backend: SimBackend) -> String {
+fn submit(addr: &str) -> String {
     let body = Json::Obj(vec![
         ("size".to_string(), Json::Num(SIZE as f64)),
         ("seed".to_string(), s(format!("0x{SEED:X}"))),
         ("methods".to_string(), Json::Arr(methods().iter().map(|m| s(m.label())).collect())),
-        ("backend".to_string(), s(backend.label())),
         ("shards".to_string(), Json::Num(2.0)),
         ("lease_ms".to_string(), Json::Num(400.0)),
     ]);
@@ -60,11 +57,12 @@ fn submit(addr: &str, backend: SimBackend) -> String {
     json.get("run").and_then(Json::as_str).unwrap().to_string()
 }
 
-fn steal_round_trip(backend: SimBackend) {
-    let baseline = baseline_rows(backend);
-    let server = start_server(backend.label());
+#[test]
+fn stolen_lease_rows_are_byte_identical_event_driven() {
+    let baseline = baseline_rows();
+    let server = start_server("event");
     let addr = server.addr().to_string();
-    let run = submit(&addr, backend);
+    let run = submit(&addr);
 
     // Worker "doomed" takes shard 0 and dies after flushing one row:
     // its sink keeps the row, no completion is reported, and its lease
@@ -131,21 +129,10 @@ fn steal_round_trip(backend: SimBackend) {
 
     let (status, _) = http::request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 200);
-    let data_dir =
-        std::env::temp_dir().join(format!("uvllm-e2e-{}-{}", std::process::id(), backend.label()));
+    let data_dir = std::env::temp_dir().join(format!("uvllm-e2e-{}-event", std::process::id()));
     server.join();
     let text = std::fs::read_to_string(data_dir.join("metrics.json")).unwrap();
     uvllm_obs::validate_snapshot_json(&text).unwrap();
-}
-
-#[test]
-fn stolen_lease_rows_are_byte_identical_event_driven() {
-    steal_round_trip(SimBackend::EventDriven);
-}
-
-#[test]
-fn stolen_lease_rows_are_byte_identical_compiled() {
-    steal_round_trip(SimBackend::Compiled);
 }
 
 /// Idle workers exit on their idle budget, and a worker arriving at a

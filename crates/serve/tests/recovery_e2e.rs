@@ -4,7 +4,7 @@
 //! directory. The restarted server must replay its journal, fence the
 //! pre-crash leases (stale workers observe `409 LeaseLost`), resume
 //! granting, and finish with rows byte-identical to a direct engine
-//! run. On both simulation kernels.
+//! run.
 //!
 //! The server runs as a *separate OS process* (the `uvllm-serve`
 //! binary) so the kill is a real process death, not a cooperative
@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, WorkerOptions, WorkerSummary};
-use uvllm_sim::SimBackend;
 
 const SIZE: usize = 4;
 /// The SIGKILL test's dataset. A shard of the `SIZE`-instance run is
@@ -33,13 +32,12 @@ fn methods() -> Vec<MethodKind> {
 
 /// Ground truth: the same configuration run directly through the
 /// engine, no server and no crash involved.
-fn baseline_rows(backend: SimBackend, size: usize) -> Vec<String> {
+fn baseline_rows(size: usize) -> Vec<String> {
     let config = CampaignConfig {
         dataset_size: size,
         dataset_seed: SEED,
         methods: methods(),
         workers: 2,
-        backend,
         ..CampaignConfig::default()
     };
     let mut sink = MemorySink::new();
@@ -101,12 +99,11 @@ fn wait_exit(child: &mut Child) {
     }
 }
 
-fn submit(addr: &str, backend: SimBackend, size: usize) -> String {
+fn submit(addr: &str, size: usize) -> String {
     let body = Json::Obj(vec![
         ("size".to_string(), Json::Num(size as f64)),
         ("seed".to_string(), s(format!("0x{SEED:X}"))),
         ("methods".to_string(), Json::Arr(methods().iter().map(|m| s(m.label())).collect())),
-        ("backend".to_string(), s(backend.label())),
         ("shards".to_string(), Json::Num(2.0)),
         ("lease_ms".to_string(), Json::Num(600.0)),
     ]);
@@ -166,7 +163,6 @@ fn counter(addr: &str, name: &str) -> u64 {
 /// let the surviving workers reconnect and finish, and hold the
 /// restarted server to the exact rows a crash-free run produces.
 fn restart_and_verify(
-    backend: SimBackend,
     size: usize,
     data_dir: &Path,
     addr_file: &Path,
@@ -194,7 +190,7 @@ fn restart_and_verify(
     // byte-identical to the uninterrupted baseline. (Computed here, not
     // before the restart: the workers' reconnect budget must not depend
     // on how long the baseline takes.)
-    let baseline = baseline_rows(backend, size);
+    let baseline = baseline_rows(size);
     let (status, body) = http::request(&addr, "GET", &format!("/runs/{run}/rows"), "").unwrap();
     assert_eq!(status, 200);
     let served: Vec<&str> = body.lines().collect();
@@ -223,8 +219,9 @@ fn restart_and_verify(
 /// own fsync) inside the first shard completion, after the journal
 /// append but before the reply. The completing worker never gets its
 /// ack; recovery replays the record anyway.
-fn crash_after_complete_round_trip(backend: SimBackend) {
-    let data_dir = fresh_dir(&format!("abort-{}", backend.label()));
+#[test]
+fn crash_after_complete_recovers_byte_identical_event_driven() {
+    let data_dir = fresh_dir("abort-event");
     let addr_file = data_dir.join("addr");
     let mut doomed = spawn_server(
         &data_dir,
@@ -232,26 +229,16 @@ fn crash_after_complete_round_trip(backend: SimBackend) {
         &["--crash-after", "complete:1", "--compact-every", "8"],
     );
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend, SIZE);
+    let run = submit(&addr, SIZE);
     let workers = spawn_workers(&addr, &addr_file);
 
     // The abort fires on the first POST /complete; wait for the corpse.
     wait_exit(&mut doomed);
-    let total = restart_and_verify(backend, SIZE, &data_dir, &addr_file, &run, workers);
+    let total = restart_and_verify(SIZE, &data_dir, &addr_file, &run, workers);
     // The completing worker was mid-POST when the server died: its
     // retry had to re-read the address file, and the replayed journal
     // already held its Complete record, so the retry got 409.
     assert!(total.reconnects >= 1, "no worker re-read the address file ({total:?})");
-}
-
-#[test]
-fn crash_after_complete_recovers_byte_identical_event_driven() {
-    crash_after_complete_round_trip(SimBackend::EventDriven);
-}
-
-#[test]
-fn crash_after_complete_recovers_byte_identical_compiled() {
-    crash_after_complete_round_trip(SimBackend::Compiled);
 }
 
 /// Literal SIGKILL at a nondeterministic moment: wait until workers
@@ -260,12 +247,11 @@ fn crash_after_complete_recovers_byte_identical_compiled() {
 /// replay must recover a consistent store and the run must converge.
 #[test]
 fn sigkill_mid_run_recovers_byte_identical() {
-    let backend = SimBackend::EventDriven;
     let data_dir = fresh_dir("sigkill");
     let addr_file = data_dir.join("addr");
     let mut doomed = spawn_server(&data_dir, &addr_file, &[]);
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend, SIGKILL_SIZE);
+    let run = submit(&addr, SIGKILL_SIZE);
     let workers = spawn_workers(&addr, &addr_file);
 
     // Kill once at least one lease is live — recovery must fence it,
@@ -291,5 +277,5 @@ fn sigkill_mid_run_recovers_byte_identical() {
     }
     doomed.kill().unwrap(); // SIGKILL on Unix
     wait_exit(&mut doomed);
-    restart_and_verify(backend, SIGKILL_SIZE, &data_dir, &addr_file, &run, workers);
+    restart_and_verify(SIGKILL_SIZE, &data_dir, &addr_file, &run, workers);
 }

@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, ServeConfig, Server, WorkerOptions};
-use uvllm_sim::SimBackend;
 
 const SEED: u64 = 0x42;
 
@@ -79,7 +78,6 @@ fn one_worker_builds_a_runs_dataset_once_and_serves_identical_rows() {
         dataset_seed: SEED,
         methods: methods(),
         workers: 2,
-        backend: SimBackend::default(),
         ..CampaignConfig::default()
     };
     let mut sink = MemorySink::new();

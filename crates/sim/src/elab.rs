@@ -649,7 +649,7 @@ impl<'a> Elab<'a> {
                 for item in items {
                     parts.push(self.expr_as_target(item, scope, span)?);
                 }
-                Ok(LTarget::Concat(parts))
+                concat_target(parts, &self.design, span)
             }
             _ => {
                 Err(ElabError::new("output port connections must be assignable expressions", span))
@@ -839,7 +839,7 @@ impl<'a> Elab<'a> {
                 for p in parts {
                     out.push(self.lower_lvalue_in(p, scope, consts, span)?);
                 }
-                Ok(LTarget::Concat(out))
+                concat_target(out, &self.design, span)
             }
         }
     }
@@ -1017,7 +1017,28 @@ fn part_offset(msb: i64, lsb: i64, decl_lsb: u32, span: Span) -> Result<(u32, u3
             span,
         ));
     }
-    Ok((off as u32, (msb - lsb + 1) as u32))
+    let width = msb - lsb + 1;
+    if width > 128 || off > u32::MAX as i64 {
+        return Err(ElabError::new(
+            format!("part select [{msb}:{lsb}] out of supported range (at most 128 bits)"),
+            span,
+        ));
+    }
+    Ok((off as u32, width as u32))
+}
+
+/// A concatenated assignment target, rejected when it is wider than a
+/// value can be (128 bits).
+fn concat_target(parts: Vec<LTarget>, design: &Design, span: Span) -> Result<LTarget, ElabError> {
+    let target = LTarget::Concat(parts);
+    let width = target.width(design);
+    if width > 128 {
+        return Err(ElabError::new(
+            format!("concatenated assignment target of {width} bits (at most 128)"),
+            span,
+        ));
+    }
+    Ok(target)
 }
 
 fn range_width(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u32, ElabError> {

@@ -32,18 +32,20 @@ pub fn eval<R: ValueReader>(r: &R, e: &LExpr, ctx: u32) -> Logic {
     match &e.kind {
         LExprKind::Const(l) => l.resize(w),
         LExprKind::Sig(s) => r.read(*s).resize(w),
+        // An X or out-of-range index reads X of the select's own width,
+        // zero-extended like any other operand.
         LExprKind::Word(s, index) => {
             let idx = eval(r, index, index.width);
             match idx.to_u128() {
-                Some(i) if (i as u64) < r.word_count(*s) => r.read_word(*s, i as u64).resize(w),
-                _ => Logic::xs(w),
+                Some(i) if i < r.word_count(*s) as u128 => r.read_word(*s, i as u64).resize(w),
+                _ => Logic::xs(r.width(*s)).resize(w),
             }
         }
         LExprKind::BitSel(s, index) => {
             let idx = eval(r, index, index.width);
             match idx.to_u128() {
                 Some(i) if i < r.width(*s) as u128 => r.read(*s).get_bit(i as u32).resize(w),
-                _ => Logic::xs(w),
+                _ => Logic::xs(1).resize(w),
             }
         }
         LExprKind::PartSel(s, off) => r.read(*s).get_slice(*off, e.width).resize(w),
@@ -103,8 +105,9 @@ fn eval_binary<R: ValueReader>(r: &R, op: BinaryOp, a: &LExpr, b: &LExpr, w: u32
         Mod => eval(r, a, w).rem(&eval(r, b, w), w),
         Pow => eval(r, a, w).pow(&eval(r, b, b.width), w),
         Shl => eval(r, a, w).shl(&eval(r, b, b.width), w),
-        Shr => eval(r, a, w).shr(&eval(r, b, b.width), w),
-        AShr => eval(r, a, w).ashr(&eval(r, b, b.width), w),
+        // Every operand of the elaborated IR is unsigned, so `>>>` is a
+        // logical shift (IEEE 1364-2005 §5.1.12).
+        Shr | AShr => eval(r, a, w).shr(&eval(r, b, b.width), w),
         Lt | Le | Gt | Ge => {
             let ow = a.width.max(b.width);
             let x = eval(r, a, ow);
@@ -145,7 +148,7 @@ fn eval_binary<R: ValueReader>(r: &R, op: BinaryOp, a: &LExpr, b: &LExpr, w: u32
 /// Evaluates `e` in a context of at least `width` bits and stores the
 /// result, masked to exactly `width` bits, into `out`.
 ///
-/// This is the assignment-staging helper of the kernels' hot loops:
+/// This is the assignment-staging helper of the kernel's hot loop:
 /// the context evaluation and the target-width truncation happen in
 /// one step and the result lands in a slot the caller reuses across
 /// ops. (`Logic` is `Copy` — two `u128` planes — so expression

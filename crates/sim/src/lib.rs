@@ -13,23 +13,18 @@
 //! fire on poke-induced transitions. Process bodies are lowered once at
 //! construction into flat *process programs* (pre-resolved targets,
 //! precomputed widths, patched jump offsets) and the scheduler reuses
-//! persistent scratch queues, so steady-state cycles allocate nothing
-//! on this kernel too. [`wave::Waveform`] records per-cycle snapshots
-//! for the localization engine.
+//! persistent scratch queues, so steady-state cycles allocate nothing.
+//! [`wave::Waveform`] records per-cycle snapshots for the localization
+//! engine.
 //!
-//! Two interchangeable kernels implement that surface (both behind
-//! [`SimControl`], selected via [`SimBackend`] / [`AnySim`]): the
-//! event-driven [`Simulator`] above, and the **compiled levelized
-//! kernel** ([`kernel::CompiledSim`]) which lowers the design further
-//! ([`compile::CompiledDesign`]) into a flat SoA value arena, a CSR
-//! sensitivity index and a topological execution order, with a
-//! two-state `u128` fast path that falls back to the four-state
-//! evaluator on any X/Z (processes whose bodies provably cannot
-//! generate X skip even the per-read probe while the arena holds no
-//! unknown bits). Compiled instances are pool-managed: [`checkout_sim`]
-//! rewinds a parked instance ([`kernel::CompiledSim::reset_state`])
-//! instead of re-instantiating. The differential equivalence suite
-//! keeps the two kernels waveform-identical.
+//! Harnesses drive the simulator through [`SimControl`]. The
+//! workspace's test-only `uvllm-refsim` crate implements the same
+//! trait as a deliberately slow, bit-at-a-time reference interpreter
+//! over the same elaborated [`Design`]: it shares the parser,
+//! [`elab::elaborate`] and the IR with this crate, and [`Logic`] only
+//! as the value at the trait boundary — no evaluator, no scheduler, no
+//! [`Logic`] operator — and the differential suites hold the two to
+//! identical state after every drive.
 //!
 //! ## Example
 //!
@@ -52,10 +47,8 @@
 
 pub mod backend;
 pub mod cache;
-pub mod compile;
 pub mod elab;
 pub mod eval;
-pub mod kernel;
 pub mod logic;
 mod metrics;
 mod program;
@@ -63,14 +56,9 @@ pub mod sched;
 pub mod wave;
 
 pub use backend::{AnySim, SimBackend, SimControl};
-pub use cache::{
-    checkout_sim, compile_source_cached, elaborate_source_cached, sim_pool_stats, CheckoutError,
-    ElabCache, ElabCacheStats, PooledSim, SimPoolStats,
-};
-pub use compile::CompiledDesign;
+pub use cache::{elaborate_source_cached, ElabCache, ElabCacheStats};
 pub use elab::{elaborate, Design, ElabError, SignalId, SignalInfo, SignalKind};
 pub use eval::{eval, eval_into, ValueReader};
-pub use kernel::CompiledSim;
 pub use logic::{Logic, Tri};
 pub use sched::{SimError, Simulator, MAX_ACTIVATIONS};
 pub use wave::Waveform;

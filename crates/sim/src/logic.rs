@@ -141,7 +141,7 @@ impl Logic {
     }
 
     /// Stores `value` (1 bit) at `index` in place; out-of-range writes
-    /// are ignored. The in-place masked word ops are the kernels'
+    /// are ignored. The in-place masked word ops are the kernel's
     /// write-application primitive — no temporary value is built.
     pub fn set_bit(&mut self, index: u32, value: Logic) {
         if index >= self.width {
@@ -265,9 +265,14 @@ impl Logic {
         if let Some(p) = Logic::poisoned(w, &[self, other]) {
             return p;
         }
-        let mut acc: u128 = 1;
-        for _ in 0..other.val.min(128) {
-            acc = acc.wrapping_mul(self.val);
+        // Square-and-multiply modulo 2^128, which `w <= 128` divides.
+        let (mut acc, mut base, mut exponent) = (1u128, self.val, other.val);
+        while exponent > 0 {
+            if exponent & 1 == 1 {
+                acc = acc.wrapping_mul(base);
+            }
+            base = base.wrapping_mul(base);
+            exponent >>= 1;
         }
         Logic::from_u128(w, acc)
     }

@@ -27,29 +27,12 @@ pub(crate) struct EventKernelMetrics {
     pub nba_commits: &'static Counter,
 }
 
-/// Compiled-kernel counters (`sim.compiled.*`).
-#[derive(Debug)]
-pub(crate) struct CompiledKernelMetrics {
-    /// Delta-cycle driver entries ([`crate::kernel::CompiledSim`]).
-    pub settles: &'static Counter,
-    /// Process activations that ran the unchecked two-state fast path.
-    pub fastpath_hits: &'static Counter,
-    /// Process activations that ran the four-state fallback.
-    pub fallback_hits: &'static Counter,
-    /// Non-blocking assignments committed at delta boundaries.
-    pub nba_commits: &'static Counter,
-}
-
-/// Cache and instance-pool counters (`sim.elab_cache.*`, `sim.pool.*`).
+/// Elaboration-cache counters (`sim.elab_cache.*`).
 #[derive(Debug)]
 pub(crate) struct CacheMetrics {
     pub elab_hits: &'static Counter,
     pub elab_misses: &'static Counter,
     pub elab_evictions: &'static Counter,
-    pub pool_checkouts: &'static Counter,
-    pub pool_reuses: &'static Counter,
-    /// `reset_state` rewinds performed on reused pooled instances.
-    pub pool_resets: &'static Counter,
 }
 
 pub(crate) fn event_kernel() -> &'static EventKernelMetrics {
@@ -62,24 +45,11 @@ pub(crate) fn event_kernel() -> &'static EventKernelMetrics {
     })
 }
 
-pub(crate) fn compiled_kernel() -> &'static CompiledKernelMetrics {
-    static METRICS: OnceLock<CompiledKernelMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CompiledKernelMetrics {
-        settles: registry().counter("sim.compiled.settles"),
-        fastpath_hits: registry().counter("sim.compiled.fastpath_hits"),
-        fallback_hits: registry().counter("sim.compiled.fallback_hits"),
-        nba_commits: registry().counter("sim.compiled.nba_commits"),
-    })
-}
-
 pub(crate) fn cache() -> &'static CacheMetrics {
     static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
     METRICS.get_or_init(|| CacheMetrics {
         elab_hits: registry().counter("sim.elab_cache.hits"),
         elab_misses: registry().counter("sim.elab_cache.misses"),
         elab_evictions: registry().counter("sim.elab_cache.evictions"),
-        pool_checkouts: registry().counter("sim.pool.checkouts"),
-        pool_reuses: registry().counter("sim.pool.reuses"),
-        pool_resets: registry().counter("sim.pool.resets"),
     })
 }

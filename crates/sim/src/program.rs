@@ -55,10 +55,12 @@ pub(crate) enum Op {
     Branch { cond: LExpr, on_false: u32, on_unknown: u32 },
     /// Unconditional jump (end of a then-block or case arm).
     Jump { to: u32 },
-    /// `case`/`casez`/`casex` dispatch: labels are scanned in source
-    /// order and the first match jumps to its arm; no match jumps to
-    /// `fallback` (the default arm, or past the statement).
-    Case { kind: CaseKind, sel: LExpr, arms: Vec<(Vec<LExpr>, u32)>, fallback: u32 },
+    /// `case`/`casez`/`casex` dispatch: the selector and every label
+    /// are evaluated at `width`, the widest of them all (IEEE 1364-2005
+    /// §9.5); labels are scanned in source order and the first match
+    /// jumps to its arm; no match jumps to `fallback` (the default arm,
+    /// or past the statement).
+    Case { kind: CaseKind, sel: LExpr, width: u32, arms: Vec<(Vec<LExpr>, u32)>, fallback: u32 },
 }
 
 /// A process body lowered to a flat op array. Execution lives in
@@ -130,7 +132,15 @@ fn lower_stmt(design: &Design, stmt: &LStmt, ops: &mut Vec<Op>) {
         }
         LStmt::Case { kind, expr, arms, default, .. } => {
             let case_at = ops.len();
-            ops.push(Op::Case { kind: *kind, sel: expr.clone(), arms: Vec::new(), fallback: 0 });
+            let labels = arms.iter().flat_map(|(labels, _)| labels);
+            let width = labels.fold(expr.width, |w, label| w.max(label.width));
+            ops.push(Op::Case {
+                kind: *kind,
+                sel: expr.clone(),
+                width,
+                arms: Vec::new(),
+                fallback: 0,
+            });
             let mut lowered_arms = Vec::with_capacity(arms.len());
             let mut arm_ends = Vec::with_capacity(arms.len());
             for (labels, body) in arms {

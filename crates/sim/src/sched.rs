@@ -8,7 +8,7 @@
 //! set, the NBA queue, the write-staging buffer — cleared, never
 //! dropped, between deltas), so a steady-state cycle performs **zero
 //! heap allocations**. `tests/alloc_steady_state.rs` enforces that
-//! bound on this kernel alongside the compiled one.
+//! bound.
 
 use crate::elab::{Design, Process, ProcessId, SignalId, Trigger};
 use crate::eval::{case_matches, eval, eval_into, ValueReader};
@@ -194,14 +194,16 @@ impl Plan {
         if seq.is_empty() {
             return;
         }
-        let old_b = old.get_bit(0);
-        let new_b = new.get_bit(0);
-        let is1 = |l: &Logic| l.truthiness() == Tri::True;
-        let is0 = |l: &Logic| l.to_u128() == Some(0);
+        // The IEEE 1364 edge table on the least significant bit: a
+        // posedge is 0->1, 0->X/Z or X/Z->1; a negedge 1->0, 1->X/Z or
+        // X/Z->0 (`None` is X or Z).
+        let (from, to) = (old.get_bit(0).to_u128(), new.get_bit(0).to_u128());
+        let rising = matches!((from, to), (Some(0), Some(1) | None) | (None, Some(1)));
+        let falling = matches!((from, to), (Some(1), Some(0) | None) | (None, Some(0)));
         for (pid, edge) in seq {
             let fire = match edge {
-                Some(Edge::Pos) => !is1(&old_b) && is1(&new_b),
-                Some(Edge::Neg) => !is0(&old_b) && is0(&new_b),
+                Some(Edge::Pos) => rising,
+                Some(Edge::Neg) => falling,
                 None => true,
             };
             if fire {
@@ -552,12 +554,12 @@ impl Exec<'_> {
                     pc = *to as usize;
                     continue;
                 }
-                Op::Case { kind, sel, arms, fallback } => {
-                    let s = eval(&self.view(), sel, sel.width);
+                Op::Case { kind, sel, width, arms, fallback } => {
+                    let s = eval(&self.view(), sel, *width);
                     let mut target = *fallback;
                     'arms: for (labels, arm_start) in arms {
                         for label in labels {
-                            let lv = eval(&self.view(), label, label.width);
+                            let lv = eval(&self.view(), label, *width);
                             if case_matches(*kind, &s, &lv) {
                                 target = *arm_start;
                                 break 'arms;
@@ -592,9 +594,7 @@ impl Exec<'_> {
             }
             Dst::Word { sig, index, width, limit } => {
                 let i = eval(&self.view(), index, index.width).to_u128()?;
-                // The `as u64` truncation mirrors the compiled kernel's
-                // word resolution exactly (equivalence over speed).
-                if (i as u64) < *limit as u64 {
+                if i < *limit as u128 {
                     Some(Write {
                         signal: *sig,
                         word: i as u64,

@@ -24,7 +24,7 @@ pub struct Waveform {
 
 impl Waveform {
     /// Creates an empty waveform recorder for `sim`'s design (works on
-    /// either kernel via [`SimControl`]).
+    /// anything that implements [`SimControl`]).
     pub fn new<S: SimControl + ?Sized>(sim: &S) -> Self {
         let mut names = Vec::new();
         let mut ids = Vec::new();

@@ -5,7 +5,7 @@
 //! one test — nothing else in its process drives a simulator, and the
 //! deltas below are exact.
 
-use uvllm_sim::{AnySim, Logic, SimBackend, SimControl, Simulator};
+use uvllm_sim::{Logic, SimControl, Simulator};
 
 /// A text no other test elaborates.
 const IDLE_PROBE: &str = "module idle_probe(input clk, input d, input spare,\n\
@@ -18,14 +18,6 @@ const IDLE_PROBE: &str = "module idle_probe(input clk, input d, input spare,\n\
 const PAIR_PROBE: &str = "module pair_probe(input [7:0] a, input [7:0] b, output [8:0] y);\n\
      assign y = a + b;\n\
      endmodule\n";
-
-/// Process activations so far, on either kernel.
-fn activations() -> u64 {
-    ["sim.event.activations", "sim.compiled.fastpath_hits", "sim.compiled.fallback_hits"]
-        .iter()
-        .map(|name| uvllm_obs::registry().counter(name).get())
-        .sum()
-}
 
 /// `(settles, activations, events, nba_commits)` of the event kernel.
 fn counts() -> [u64; 4] {
@@ -108,16 +100,15 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
     assert_eq!(stage_alone, [0, 0, 0, 0], "stage without a settle");
     assert_eq!(sim.peek_by_name("y").unwrap(), bit(false), "the assignment has not run yet");
 
-    // Two staged inputs of one assignment wake it once, on either kernel.
+    // Two staged inputs of one assignment wake it once.
     let adder = uvllm_sim::elaborate_source_cached(PAIR_PROBE, "pair_probe").expect("elaborates");
     let (a, b) = (adder.signal_id("a").unwrap(), adder.signal_id("b").unwrap());
-    for backend in SimBackend::ALL {
-        let mut sim = AnySim::new(&adder, backend).expect("stable at time 0");
-        let before = activations();
+    let mut sim = Simulator::from_arc(adder).expect("stable at time 0");
+    let pair = delta(&mut sim, |sim| {
         sim.stage(a, Logic::from_u128(8, 200));
         sim.stage(b, Logic::from_u128(8, 100));
         sim.settle().unwrap();
-        assert_eq!(activations() - before, 1, "{backend}");
-        assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(300), "{backend}");
-    }
+    });
+    assert_eq!(pair[1], 1, "one activation for two staged inputs");
+    assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(300));
 }

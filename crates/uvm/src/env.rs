@@ -8,10 +8,7 @@ use crate::refmodel::{IoFrame, IoSpec, RefModel};
 use crate::scoreboard::{Coverage, Mismatch, Scoreboard};
 use crate::sequence::Sequence;
 use std::fmt;
-use std::sync::Arc;
-use uvllm_sim::{
-    AnySim, CheckoutError, Design, Logic, SimBackend, SimControl, SimError, Simulator, Waveform,
-};
+use uvllm_sim::{Logic, SimBackend, SimControl, SimError, Simulator, Waveform};
 
 /// Nanoseconds per clock cycle in the recorded waveform.
 pub const CYCLE_TIME: u64 = 10;
@@ -178,7 +175,7 @@ impl RunSummary {
 /// one that does not gets IEEE 1364's answer, where pin-by-pin driving
 /// gave it one wake-up per changed pin in interface order.
 pub struct Environment {
-    sim: AnySim,
+    sim: Simulator,
     iface: DutInterface,
     refmodel: Box<dyn RefModel>,
     in_agent: InAgent,
@@ -221,37 +218,19 @@ impl fmt::Debug for Environment {
 }
 
 impl Environment {
-    /// Builds an environment around a shared elaborated design on an
-    /// explicit simulation backend. The `Arc` is threaded through to
-    /// the kernel as-is — nothing on this path clones the design.
-    ///
-    /// # Errors
-    ///
-    /// [`UvmError::MissingPort`] when the DUT lacks an interface port;
-    /// [`UvmError::Sim`] when time-zero settling fails.
-    pub fn new_with(
-        design: &Arc<Design>,
-        iface: DutInterface,
-        refmodel: Box<dyn RefModel>,
-        sequences: Vec<Box<dyn Sequence>>,
-        backend: SimBackend,
-    ) -> Result<Self, UvmError> {
-        let sim = AnySim::new(design, backend).map_err(|e| UvmError::Sim(e.to_string()))?;
-        Environment::with_sim(sim, iface, refmodel, sequences)
-    }
-
-    /// Wraps an already-built simulation (either kernel), binding the
-    /// reference model to the interface's [`IoSpec`].
+    /// Wraps an already-built simulator, binding the reference model to
+    /// the interface's [`IoSpec`].
     ///
     /// # Errors
     ///
     /// [`UvmError::MissingPort`] when the DUT lacks an interface port.
     pub fn with_sim(
-        sim: AnySim,
+        sim: impl Into<Simulator>,
         iface: DutInterface,
         mut refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
+        let sim = sim.into();
         let design = sim.design();
         let mut required: Vec<&str> = Vec::new();
         if let Some(c) = &iface.clock {
@@ -341,8 +320,7 @@ impl Environment {
         self
     }
 
-    /// Parses, elaborates and wraps `src` in one call on the
-    /// process-default backend ([`SimBackend::from_env`]).
+    /// Parses, elaborates and wraps `src` in one call.
     ///
     /// Elaboration goes through the process-wide content-addressed
     /// cache ([`uvllm_sim::cache`]), so repeated runs over the same
@@ -351,8 +329,9 @@ impl Environment {
     ///
     /// # Errors
     ///
-    /// [`UvmError::Elab`] on parse/elaboration failure, plus everything
-    /// [`Environment::new_with`] can return.
+    /// [`UvmError::Elab`] on parse/elaboration failure,
+    /// [`UvmError::Sim`] when time-zero settling fails, plus everything
+    /// [`Environment::with_sim`] can return.
     pub fn from_source(
         src: &str,
         top: &str,
@@ -360,50 +339,26 @@ impl Environment {
         refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
-        Environment::from_source_with(src, top, iface, refmodel, sequences, SimBackend::from_env())
+        let design = uvllm_sim::elaborate_source_cached(src, top).map_err(UvmError::Elab)?;
+        let sim = Simulator::from_arc(design).map_err(|e| UvmError::Sim(e.to_string()))?;
+        Environment::with_sim(sim, iface, refmodel, sequences)
     }
 
-    /// Parses, elaborates and wraps `src` on an explicit backend. The
-    /// compiled backend additionally memoises the *compiled* design
-    /// ([`uvllm_sim::compile_source_cached`]) **and** checks a reusable
-    /// simulation instance out of the process-wide pool
-    /// ([`uvllm_sim::checkout_sim`]): repeated texts skip elaboration,
-    /// levelization *and* re-instantiation — the instance's state is
-    /// rewound instead.
+    /// Benchmark compatibility; goes with the next `benchmark` PR.
     ///
     /// # Errors
     ///
     /// As [`Environment::from_source`].
+    #[doc(hidden)]
     pub fn from_source_with(
         src: &str,
         top: &str,
         iface: DutInterface,
         refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
-        backend: SimBackend,
+        _backend: SimBackend,
     ) -> Result<Self, UvmError> {
-        let sim = match backend {
-            SimBackend::EventDriven => {
-                let design =
-                    uvllm_sim::elaborate_source_cached(src, top).map_err(UvmError::Elab)?;
-                AnySim::Event(
-                    Simulator::from_arc(design).map_err(|e| UvmError::Sim(e.to_string()))?,
-                )
-            }
-            SimBackend::Compiled => {
-                let pooled = uvllm_sim::checkout_sim(src, top).map_err(|e| match e {
-                    CheckoutError::Build(m) => UvmError::Elab(m),
-                    CheckoutError::Sim(e) => UvmError::Sim(e.to_string()),
-                })?;
-                AnySim::Compiled(pooled)
-            }
-        };
-        Environment::with_sim(sim, iface, refmodel, sequences)
-    }
-
-    /// The simulation backend this environment runs on.
-    pub fn backend(&self) -> SimBackend {
-        self.sim.backend()
+        Environment::from_source(src, top, iface, refmodel, sequences)
     }
 
     /// Runs every sequence to exhaustion (or to the first rejected
@@ -862,27 +817,6 @@ mod tests {
             (osc_env(&[0, 0], 0).run(), osc_env(&[0, 0], 0).stop_at_first_mismatch().run());
         assert!(a.all_passed() && b.all_passed());
         assert_eq!((a.cycles, a.log.render()), (b.cycles, b.log.render()));
-    }
-
-    #[test]
-    fn both_backends_run_the_same_environment() {
-        for backend in SimBackend::ALL {
-            let iface = adder_iface();
-            let seqs: Vec<Box<dyn Sequence>> =
-                vec![Box::new(RandomSequence::new(&iface.inputs, 25, 11))];
-            let env = Environment::from_source_with(
-                GOOD_ADDER,
-                "add",
-                iface,
-                adder_model(),
-                seqs,
-                backend,
-            )
-            .expect("env");
-            assert_eq!(env.backend(), backend);
-            let summary = env.run();
-            assert!(summary.all_passed(), "{backend}: {}", summary.log.render());
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! cargo run --release --example campaign -- --workers 8
 //! cargo run --release --example campaign -- --workers 8 --shard 0/4 --out shard0.jsonl
 //! cargo run --release --example campaign -- --size 60 --methods UVLLM,MEIC
-//! cargo run --release --example campaign -- --backend compiled
 //! cargo run --release --example campaign -- --workers 8 --llm-batch 8
 //! cargo run --release --example campaign -- --llm-batch 8 --llm-latency-ms 5 --llm-telemetry
 //! cargo run --release --example campaign -- --metrics-out metrics.json
@@ -49,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use uvllm_campaign::{
     expected_job_ids, merge_rows, read_shard, BatchConfig, Campaign, CampaignConfig,
-    CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec, SimBackend,
+    CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec,
 };
 use uvllm_json::{s, Json};
 use uvllm_serve::{
@@ -62,7 +61,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
-     [--seed HEX] [--methods A,B,..] [--backend event|compiled] \
+     [--seed HEX] [--methods A,B,..] \
      [--llm-batch N] [--llm-max-wait-ms MS] [--llm-latency-ms MS] \
      [--llm-telemetry] [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
      \x20      campaign [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
@@ -79,7 +78,7 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--poll-ms MS] [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
      [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
-     [--backend event|compiled] [--shards N] [--lease-ms MS]\n\
+     [--shards N] [--lease-ms MS]\n\
      \x20      campaign status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
      \x20      campaign metrics --connect HOST:PORT [--out FILE]\n\
      \x20      campaign shutdown --connect HOST:PORT | campaign ping --connect HOST:PORT\n\
@@ -159,11 +158,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--workers must be a number".to_string())?;
             }
             "--shard" => config.shard = ShardSpec::parse(&value("--shard")?)?,
-            "--backend" => {
-                let text = value("--backend")?;
-                config.backend = SimBackend::from_label(&text)
-                    .ok_or_else(|| format!("unknown backend '{text}' (event|compiled)"))?;
-            }
             "--llm-batch" => {
                 let max_batch: usize = value("--llm-batch")?
                     .parse()
@@ -294,14 +288,12 @@ fn run_campaign() -> Result<(), String> {
         None => "per-job llm".to_string(),
     };
     println!(
-        "campaign: {} instances x {} methods, {} workers, shard {}/{}, {} kernel, \
-         {llm_mode}, sink {out}",
+        "campaign: {} instances x {} methods, {} workers, shard {}/{}, {llm_mode}, sink {out}",
         config.dataset_size,
         config.methods.len(),
         config.effective_workers(),
         config.shard.index,
         config.shard.count,
-        config.backend,
     );
 
     if let Some(fault) = &config.fault {
@@ -627,11 +619,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         }
         match flag.as_str() {
             "--connect" => server = value("--connect")?,
-            "--backend" => {
-                let text = value("--backend")?;
-                config.backend = SimBackend::from_label(&text)
-                    .ok_or_else(|| format!("unknown backend '{text}' (event|compiled)"))?;
-            }
             "--shards" => shards = parse_ms("--shards", &value("--shards")?)? as usize,
             "--lease-ms" => lease_ms = Some(parse_ms("--lease-ms", &value("--lease-ms")?)?),
             other => return Err(format!("unknown submit flag '{other}' (try --help)")),
@@ -644,7 +631,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         ("size".to_string(), Json::Num(config.dataset_size as f64)),
         ("seed".to_string(), s(format!("0x{:X}", config.dataset_seed))),
         ("methods".to_string(), Json::Arr(config.methods.iter().map(|m| s(m.label())).collect())),
-        ("backend".to_string(), s(config.backend.label())),
         ("shards".to_string(), Json::Num(shards as f64)),
     ];
     if let Some(ms) = lease_ms {
@@ -657,10 +643,9 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
     let run =
         json.get("run").and_then(Json::as_str).ok_or("POST /jobs answered without a run id")?;
     eprintln!(
-        "submitted {run}: {} instances x {} methods, {} kernel, {shards} shard(s)",
+        "submitted {run}: {} instances x {} methods, {shards} shard(s)",
         config.dataset_size,
         config.methods.len(),
-        config.backend,
     );
     println!("{run}");
     Ok(())

@@ -15,7 +15,6 @@ fn small_config(workers: usize) -> CampaignConfig {
         methods: vec![MethodKind::Uvllm, MethodKind::Meic, MethodKind::Strider],
         workers,
         shard: ShardSpec::default(),
-        backend: uvllm_campaign::SimBackend::default(),
         ..CampaignConfig::default()
     }
 }

@@ -16,7 +16,6 @@ fn golden_designs_elaborate_exactly_once_per_worker_set() {
         methods: vec![MethodKind::Uvllm, MethodKind::Strider],
         workers: 4,
         shard: ShardSpec::default(),
-        backend: uvllm_campaign::SimBackend::default(),
         ..CampaignConfig::default()
     };
 

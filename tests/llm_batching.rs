@@ -18,7 +18,6 @@ fn llm_config(workers: usize) -> CampaignConfig {
         methods: vec![MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect],
         workers,
         shard: ShardSpec::default(),
-        backend: uvllm_campaign::SimBackend::default(),
         ..CampaignConfig::default()
     }
 }

@@ -8,7 +8,7 @@
 //! oracle, so it shares no code with the function it checks.
 
 use std::collections::BTreeMap;
-use uvllm::stages::{postprocess, uvm_stage_with, UvmOutcome, MAX_MISMATCH_RECORDS};
+use uvllm::stages::{postprocess, uvm_stage, UvmOutcome, MAX_MISMATCH_RECORDS};
 use uvllm::VerifyConfig;
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 use uvllm_designs::Design;
@@ -68,7 +68,6 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
     let config = CampaignConfig {
         methods: vec![MethodKind::Uvllm, MethodKind::UvllmComplete],
         workers: 2,
-        backend: uvllm_sim::SimBackend::default(),
         ..CampaignConfig::default()
     };
     let campaign = Campaign::new(config).unwrap();
@@ -78,7 +77,7 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
         dataset.memo().analysed().into_iter().filter(|a| a.uvm.is_some()).collect();
     assert_eq!(staged.len(), 659, "distinct texts through the UVM stage");
 
-    let cfg = VerifyConfig { backend: uvllm_sim::SimBackend::default(), ..VerifyConfig::default() };
+    let cfg = VerifyConfig::default();
     let halves = staged.split_at(staged.len() / 2);
     let (failing, stopped_early) = std::thread::scope(|scope| {
         let workers: Vec<_> = [halves.0, halves.1]
@@ -91,7 +90,7 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
                         let design = uvllm_designs::by_name(analysed.design).unwrap();
                         let code = &analysed.text;
                         let UvmOutcome::Ran(run) =
-                            uvm_stage_with(code, design, cfg.uvm_cycles, cfg.uvm_seed, cfg.backend)
+                            uvm_stage(code, design, cfg.uvm_cycles, cfg.uvm_seed)
                         else {
                             continue;
                         };

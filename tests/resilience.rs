@@ -3,7 +3,7 @@
 //! * **byte-identity under faults** — a campaign with LLM faults
 //!   injected at double-digit rates, absorbed by the resilient
 //!   service's retries, produces rows byte-identical to the fault-free
-//!   run, on both simulation kernels (the injector fabricates faults
+//!   run (the injector fabricates faults
 //!   without consuming the model's stream, so a retried ticket lands on
 //!   exactly the completion the clean run saw);
 //! * **replay** — the same `--fault-seed` produces the same fault
@@ -20,14 +20,13 @@ use std::time::Duration;
 use uvllm_campaign::{
     Campaign, CampaignConfig, FaultPlan, MemorySink, MethodKind, ResiliencePolicy,
 };
-use uvllm_sim::SimBackend;
 
 /// The replay test measures *deltas* of the process-global resilience
 /// counters; every test that injects faults takes this lock so a
 /// concurrent sibling cannot bleed into the measured window.
 static FAULT_COUNTERS: Mutex<()> = Mutex::new(());
 
-fn config(backend: SimBackend) -> CampaignConfig {
+fn config() -> CampaignConfig {
     CampaignConfig {
         dataset_size: 8,
         dataset_seed: 0xFA11,
@@ -36,7 +35,6 @@ fn config(backend: SimBackend) -> CampaignConfig {
         // service; Strider covers the LLM-free path staying untouched.
         methods: vec![MethodKind::Uvllm, MethodKind::GptDirect, MethodKind::Strider],
         workers: 2,
-        backend,
         ..CampaignConfig::default()
     }
 }
@@ -65,28 +63,26 @@ fn sorted_rows(config: CampaignConfig) -> Vec<String> {
 }
 
 #[test]
-fn faulted_rows_match_the_fault_free_baseline_on_both_kernels() {
+fn faulted_rows_match_the_fault_free_baseline() {
     let _serial = FAULT_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-        let baseline = sorted_rows(config(backend));
-        assert_eq!(baseline.len(), 24, "8 instances x 3 methods");
-        let mut faulted = config(backend);
-        faulted.fault = Some(faults());
-        faulted.resilience = Some(retries(8));
-        let rows = sorted_rows(faulted);
-        assert!(
-            !rows.iter().any(|r| r.contains("\"degraded\"")),
-            "[{backend}] 8 retries must absorb 25% fault rates without degrading"
-        );
-        assert_eq!(rows, baseline, "[{backend}] faulted rows must match the fault-free run");
-    }
+    let baseline = sorted_rows(config());
+    assert_eq!(baseline.len(), 24, "8 instances x 3 methods");
+    let mut faulted = config();
+    faulted.fault = Some(faults());
+    faulted.resilience = Some(retries(8));
+    let rows = sorted_rows(faulted);
+    assert!(
+        !rows.iter().any(|r| r.contains("\"degraded\"")),
+        "8 retries must absorb 25% fault rates without degrading"
+    );
+    assert_eq!(rows, baseline, "faulted rows must match the fault-free run");
 }
 
 #[test]
 fn the_same_fault_seed_replays_rows_and_counters() {
     let _serial = FAULT_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let run = || {
-        let mut faulted = config(SimBackend::EventDriven);
+        let mut faulted = config();
         faulted.fault = Some(FaultPlan { seed: 0xBAD5EED, ..faults() });
         faulted.resilience = Some(retries(8));
         let before = |name: &str| uvllm_obs::registry().counter(name).get();
@@ -104,7 +100,7 @@ fn the_same_fault_seed_replays_rows_and_counters() {
 
 #[test]
 fn an_injected_panic_quarantines_one_job_and_the_rest_complete() {
-    let mut with_panic = config(SimBackend::EventDriven);
+    let mut with_panic = config();
     let victim = "@GPT-4-turbo";
     with_panic.pool.inject_panic = Some(victim.to_string());
     let mut sink = MemorySink::new();
@@ -117,7 +113,7 @@ fn an_injected_panic_quarantines_one_job_and_the_rest_complete() {
     assert_eq!(outcome.pool_stats.quarantined_panics, 8);
 
     // Rows the panic did not touch are byte-identical to a clean run.
-    let baseline = sorted_rows(config(SimBackend::EventDriven));
+    let baseline = sorted_rows(config());
     let mut unaffected: Vec<String> =
         sink.rows().iter().filter(|r| !r.id.contains(victim)).map(|r| r.to_json_line()).collect();
     unaffected.sort();
@@ -134,7 +130,7 @@ fn a_starved_retry_budget_degrades_honestly() {
     // answer most prompts, so NoResponse surfaces; the engine treats
     // that like any other per-call model failure, and the campaign
     // still completes with every row present.
-    let mut starved = config(SimBackend::EventDriven);
+    let mut starved = config();
     starved.fault = Some(FaultPlan { error_rate: 0.35, ..FaultPlan::default() });
     starved.resilience =
         Some(ResiliencePolicy { retries: 0, breaker_threshold: 100, ..retries(0) });
@@ -147,7 +143,7 @@ fn a_starved_retry_budget_degrades_honestly() {
     assert!(outcome.metrics.counter("llm.degraded").unwrap_or(0) > 0);
 
     // Rows that did not degrade match the fault-free baseline exactly.
-    let baseline = sorted_rows(config(SimBackend::EventDriven));
+    let baseline = sorted_rows(config());
     let kept: Vec<String> =
         sink.rows().iter().filter(|r| r.degraded != Some(true)).map(|r| r.to_json_line()).collect();
     for line in &kept {

@@ -13,7 +13,7 @@
 //! campaign.
 
 use std::fmt::Write as _;
-use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, SimBackend};
+use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
 
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
@@ -38,10 +38,7 @@ const COUNTERS: [&str; 13] = [
 fn counts_of_a_default_campaign(workers: usize) -> String {
     uvllm_sim::cache::reset();
     let before = uvllm_obs::registry().snapshot();
-    // The event kernel whatever `UVLLM_SIM_BACKEND` says: `sim.event.*`
-    // counts its settles.
-    let config =
-        CampaignConfig { workers, backend: SimBackend::default(), ..CampaignConfig::default() };
+    let config = CampaignConfig { workers, ..CampaignConfig::default() };
     Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
     let after = uvllm_obs::registry().snapshot();
 
