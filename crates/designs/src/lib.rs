@@ -132,7 +132,7 @@ pub fn by_category(category: Category) -> Vec<&'static Design> {
 pub fn tx(pairs: &[(&str, u32, u128)]) -> Transaction {
     let mut t = Transaction::new();
     for (n, w, v) in pairs {
-        t.values.insert((*n).to_string(), Logic::from_u128(*w, *v));
+        t.insert((*n).to_string(), Logic::from_u128(*w, *v));
     }
     t
 }

@@ -21,7 +21,7 @@ fn drive_port_by_port(
     txn: &Transaction,
 ) -> Result<(), SimError> {
     for (name, id, width) in ports {
-        let v = txn.values.get(name).copied().unwrap_or_else(|| Logic::zeros(*width));
+        let v = txn.get(name).copied().unwrap_or_else(|| Logic::zeros(*width));
         sim.poke(*id, v.resize(*width))?;
     }
     Ok(())

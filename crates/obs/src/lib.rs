@@ -16,10 +16,11 @@
 //!   branches on shared state, no heap. This is what lets the
 //!   simulation kernels stay inside the strict zero-allocations-per-
 //!   cycle bound (`tests/alloc_steady_state.rs`) with metrics enabled.
-//!   A [`Counter`] — the one kind the kernels record per settle — is
-//!   sharded over cache-line-sized cells and a thread adds into its
-//!   own, so workers counting the same events share no cache line;
-//!   totals are exact at every read, nothing is buffered.
+//!   A [`Counter`] is sharded over cache-line-sized cells and a thread
+//!   adds into its own, so workers counting the same events share no
+//!   cache line; totals are exact at every read, the registry buffers
+//!   nothing. (A recorder may: the simulator adds its `sim.event.*`
+//!   tallies once, when it drops.)
 //!
 //! Histograms are fixed-shape: [`HISTOGRAM_BUCKETS`] log2 buckets
 //! covering the whole `u64` range (bucket 0 holds exactly the value 0;
@@ -116,7 +117,7 @@ impl Counter {
     }
 
     /// Adds `n` (a batch of locally accumulated events — the idiom the
-    /// kernels use to flush per-settle tallies in O(1) atomics).
+    /// kernel uses to add a simulator's tallies in O(1) atomics).
     #[inline]
     pub fn add(&self, n: u64) {
         self.cells[cell_index()].value.fetch_add(n, Ordering::Relaxed);

@@ -111,8 +111,12 @@ impl Logic {
         }
     }
 
-    /// Zero-extends or truncates to `width`.
+    /// Zero-extends or truncates to `width`. At the value's own width
+    /// this is a copy: every constructor masks the planes to the width.
     pub fn resize(&self, width: u32) -> Logic {
+        if width == self.width {
+            return *self;
+        }
         Logic::from_planes(width, self.val, self.xz)
     }
 
@@ -722,6 +726,41 @@ mod tests {
         assert_eq!(min.ashr(&Logic::from_u128(8, 8), 8).to_u128(), Some(0xFF));
         // Shift counts saturate at the operand width.
         assert_eq!(min.ashr(&Logic::from_u128(8, 200), 8).to_u128(), Some(0xFF));
+    }
+
+    #[test]
+    fn resize_to_the_own_width_is_the_masked_value() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5E1F);
+        let mut wide = || ((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128;
+        for width in [1, 7, 64, 127, 128] {
+            for _ in 0..200 {
+                let (val, xz) = (wide(), wide());
+                let v = Logic::from_planes(width, val, xz);
+                assert_eq!(v.resize(width), Logic::from_planes(width, val, xz), "width {width}");
+                // The copy is only right if every way of building a
+                // value leaves its planes masked to its width.
+                let b = Logic::from_planes(width, wide(), wide() & wide());
+                let amount = Logic::from_u128(8, wide() % 140);
+                let mut slice = v;
+                slice.set_slice(width / 2, b);
+                for r in [
+                    v.add(&b, width),
+                    v.bitnot(width),
+                    v.bitand(&b, width),
+                    v.merge(&b, width),
+                    v.shl(&amount, width),
+                    v.ashr(&amount, width),
+                    v.get_slice(width / 3, width),
+                    Logic::concat(v, b),
+                    slice,
+                ] {
+                    let own = Logic::from_planes(r.width(), r.val(), r.xz());
+                    assert_eq!(r.resize(r.width()), own, "width {width}: {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Kernel instrumentation follows the `uvllm-obs` contract: each
 //! simulator instance captures its kernel's handle struct at
-//! construction, accumulates tallies in locals inside the settle loop,
-//! and flushes them as a handful of relaxed atomic adds per settle,
-//! each into the calling thread's own cell of the counter — so the
-//! steady-state cycle loop stays allocation-free, the per-activation
-//! path stays atomic-free and workers share no cache line.
+//! construction, tallies its work in plain fields of its own and adds
+//! them to the registry once, when it drops — a handful of relaxed
+//! atomic adds per simulator, each into the dropping thread's own cell
+//! of the counter. So the steady-state cycle loop stays allocation-free
+//! and atomic-free, and workers share no cache line. The price: a
+//! `sim.event.*` read sees the simulators that have dropped, not the
+//! live ones.
 
 use std::sync::OnceLock;
 use uvllm_obs::{registry, Counter};
@@ -16,7 +18,8 @@ use uvllm_obs::{registry, Counter};
 pub(crate) struct EventKernelMetrics {
     /// Drives of [`crate::sched::Simulator`]: one per settle and per
     /// poke that changed a value or had staged values to drain, whether
-    /// or not any process had to run. A stage counts nothing.
+    /// or not any process had to run. A stage counts nothing. Like the
+    /// other three, added when the simulator drops.
     pub settles: &'static Counter,
     /// Process activations executed.
     pub activations: &'static Counter,

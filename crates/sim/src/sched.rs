@@ -85,7 +85,11 @@ struct Plan {
 /// two staged inputs it is sensitive to, or by two writes of one delta.
 /// Once it has started it can be woken again (by anything but its own
 /// writes).
-#[derive(Debug, Clone)]
+///
+/// **Counting:** the kernel's work (`sim.event.*`) is tallied in the
+/// simulator and added to the registry once, when it drops; a clone
+/// starts at zero, so every drive is counted exactly once.
+#[derive(Debug)]
 pub struct Simulator {
     plan: Arc<Plan>,
     /// Current value per signal per word.
@@ -107,17 +111,58 @@ pub struct Simulator {
     time: u64,
     /// Set when the initial blocks have been run.
     initialised: bool,
-    /// Registry handles, resolved once at construction (`sim.event.*`);
-    /// the event loop flushes locally accumulated tallies through them
-    /// in a handful of relaxed atomic adds per settle.
+    /// Registry handles, resolved once at construction (`sim.event.*`),
+    /// through which `tally` is added on drop.
     metrics: &'static crate::metrics::EventKernelMetrics,
+    /// The work of every drive of this simulator so far, in plain
+    /// fields: a drive adds to them and touches no shared counter.
+    tally: EventTally,
 }
 
-/// Per-drive tallies, accumulated in locals and flushed once.
+/// Kernel work of one simulator, one field per `sim.event.*` counter.
 #[derive(Debug, Default)]
 struct EventTally {
+    settles: u64,
     activations: u64,
+    events: u64,
     nba_commits: u64,
+}
+
+impl Clone for Simulator {
+    /// An independent simulator in the same state, with zero tallies:
+    /// its drop adds only what the clone itself drove.
+    fn clone(&self) -> Self {
+        Simulator {
+            plan: Arc::clone(&self.plan),
+            words: self.words.clone(),
+            active: self.active.clone(),
+            pending: self.pending.clone(),
+            nba: self.nba.clone(),
+            writes: self.writes.clone(),
+            time: self.time,
+            initialised: self.initialised,
+            metrics: self.metrics,
+            tally: EventTally::default(),
+        }
+    }
+}
+
+impl Drop for Simulator {
+    /// Adds this simulator's tallies to `sim.event.*`: at most four
+    /// relaxed adds for its whole life.
+    fn drop(&mut self) {
+        let (metrics, tally) = (self.metrics, &self.tally);
+        for (counter, n) in [
+            (metrics.settles, tally.settles),
+            (metrics.activations, tally.activations),
+            (metrics.events, tally.events),
+            (metrics.nba_commits, tally.nba_commits),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
 }
 
 struct StateView<'a> {
@@ -246,6 +291,7 @@ impl Simulator {
             time: 0,
             initialised: false,
             metrics: crate::metrics::event_kernel(),
+            tally: EventTally::default(),
         };
         sim.initialise()?;
         Ok(sim)
@@ -382,32 +428,22 @@ impl Simulator {
     /// abort must not leave stale events, non-blocking writes or a
     /// process that can never be woken again for a later run.
     fn drive(&mut self) -> Result<(), SimError> {
-        // Flushed per settle in O(1) relaxed adds, each into the
-        // calling thread's own counter cell: no per-activation atomics
-        // and no cache line shared with another worker.
-        let metrics = self.metrics;
-        metrics.settles.inc();
+        self.tally.settles += 1;
         if self.active.is_empty() {
             // Nothing is sensitive to what changed (an explicit settle,
             // the falling clock edge of a posedge-only design): the
             // settle is counted and there is no event loop to run.
             return Ok(());
         }
-        let mut tally = EventTally::default();
         let mut exec =
             Exec { plan: &self.plan, words: &mut self.words, pending: &mut self.pending };
-        let result = exec.run_events(&mut self.active, &mut self.nba, &mut self.writes, &mut tally);
+        let result =
+            exec.run_events(&mut self.active, &mut self.nba, &mut self.writes, &mut self.tally);
         if result.is_err() {
             // The processes still queued at the abort keep their flag.
             self.pending.fill(false);
         }
-        if tally.activations > 0 {
-            metrics.activations.add(tally.activations);
-        }
-        metrics.events.add(self.active.len() as u64);
-        if tally.nba_commits > 0 {
-            metrics.nba_commits.add(tally.nba_commits);
-        }
+        self.tally.events += self.active.len() as u64;
         self.active.clear();
         self.nba.clear();
         self.writes.clear();
@@ -480,7 +516,7 @@ impl Exec<'_> {
             }
             nba.clear();
         };
-        tally.activations = activations as u64;
+        tally.activations += activations as u64;
         result
     }
 

@@ -1,9 +1,13 @@
 //! A settle that has no process to run costs one counted settle and
 //! nothing else: no activation, no event, no value moves — and a
-//! `stage` costs nothing until the settle that ends its batch. The
-//! `sim.event.*` counters are process-wide, so this file holds exactly
-//! one test — nothing else in its process drives a simulator, and the
-//! deltas below are exact.
+//! `stage` costs nothing until the settle that ends its batch.
+//!
+//! A simulator adds its `sim.event.*` tallies to the registry when it
+//! drops, and a clone starts at zero. So each step below runs on a
+//! clone that is dropped before the counters are read, and the original
+//! then takes the same step. The counters are process-wide, so this file
+//! holds exactly one test — nothing else in its process drives a
+//! simulator, and the deltas below are exact.
 
 use uvllm_sim::{Logic, SimControl, Simulator};
 
@@ -25,12 +29,22 @@ fn counts() -> [u64; 4] {
         .map(|name| uvllm_obs::registry().counter(&format!("sim.event.{name}")).get())
 }
 
-/// Runs `step` and returns what it added to each counter.
-fn delta(sim: &mut Simulator, step: impl FnOnce(&mut Simulator)) -> [u64; 4] {
+/// What the counters gained since `before`.
+fn since(before: [u64; 4]) -> [u64; 4] {
+    let now = counts();
+    std::array::from_fn(|i| now[i] - before[i])
+}
+
+/// Runs `step` on a clone of `sim` and returns what dropping the clone
+/// added to each counter, then advances `sim` by the same step.
+fn delta(sim: &mut Simulator, step: impl Fn(&mut Simulator)) -> [u64; 4] {
     let before = counts();
+    let mut clone = sim.clone();
+    step(&mut clone);
+    drop(clone);
+    let added = since(before);
     step(sim);
-    let after = counts();
-    std::array::from_fn(|i| after[i] - before[i])
+    added
 }
 
 #[test]
@@ -103,6 +117,7 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
     // Two staged inputs of one assignment wake it once.
     let adder = uvllm_sim::elaborate_source_cached(PAIR_PROBE, "pair_probe").expect("elaborates");
     let (a, b) = (adder.signal_id("a").unwrap(), adder.signal_id("b").unwrap());
+    let before = counts();
     let mut sim = Simulator::from_arc(adder).expect("stable at time 0");
     let pair = delta(&mut sim, |sim| {
         sim.stage(a, Logic::from_u128(8, 200));
@@ -111,4 +126,26 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
     });
     assert_eq!(pair[1], 1, "one activation for two staged inputs");
     assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(300));
+
+    // A live simulator's drives are not counted yet: so far only the
+    // dropped clone's batch is, not the original's time-zero settle or
+    // its own batch.
+    assert_eq!(since(before), pair, "only the dropped clone is counted");
+    sim.poke(a, Logic::from_u128(8, 1)).unwrap();
+    assert_eq!(since(before), pair, "a live simulator's drive");
+
+    // Dropping a clone adds only what the clone drove, not the history
+    // of the simulator it was cloned from.
+    let mark = counts();
+    let mut clone = sim.clone();
+    clone.poke(b, Logic::from_u128(8, 2)).unwrap();
+    assert_eq!(clone.peek_by_name("y").unwrap().to_u128(), Some(3));
+    drop(clone);
+    assert_eq!(since(mark), [1, 1, 1, 0], "the clone's one heard poke");
+
+    // The original's own work lands when it drops: its time-zero
+    // settle, its batch and its poke, each running the assignment once.
+    let mark = counts();
+    drop(sim);
+    assert_eq!(since(mark), [3, 3, 3, 0], "the original, on drop");
 }

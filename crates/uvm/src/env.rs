@@ -46,16 +46,18 @@ impl Driver {
     /// hot loop — no name lookups). All pins are assigned in one time
     /// step — staged, then settled once — so on return the inputs are
     /// driven *and propagated*, and a process sensitive to several of
-    /// them has run once. A port the transaction does not name is
-    /// driven to zero; the kernel resizes each value to its signal.
+    /// them has run once. Port *i* reads entry *i* of a transaction in
+    /// port order and searches by name otherwise. A port the
+    /// transaction does not name is driven to zero; the kernel resizes
+    /// each value to its signal.
     pub fn drive_resolved<S: SimControl + ?Sized>(
         &self,
         sim: &mut S,
         ports: &[(String, uvllm_sim::SignalId, u32)],
         txn: &Transaction,
     ) -> Result<(), SimError> {
-        for (name, id, width) in ports {
-            let v = txn.values.get(name).copied().unwrap_or_else(|| Logic::zeros(*width));
+        for (slot, (name, id, width)) in ports.iter().enumerate() {
+            let v = txn.slot(slot, name).copied().unwrap_or_else(|| Logic::zeros(*width));
             sim.stage(*id, v);
         }
         sim.settle()
@@ -106,7 +108,7 @@ impl Sequencer {
                 return true;
             }
             self.current += 1;
-            txn.values.clear();
+            txn.clear();
         }
         false
     }
@@ -817,6 +819,60 @@ mod tests {
             (osc_env(&[0, 0], 0).run(), osc_env(&[0, 0], 0).stop_at_first_mismatch().run());
         assert!(a.all_passed() && b.all_passed());
         assert_eq!((a.cycles, a.log.render()), (b.cycles, b.log.render()));
+    }
+
+    #[test]
+    fn directed_vectors_out_of_port_order_drive_what_ordered_ones_do() {
+        // `clk`-free `a + b + c`: vectors listing ports out of interface
+        // order, naming a port the interface lacks and leaving `b` out
+        // must drive, every cycle, what the same vectors in interface
+        // order with `b` zero do.
+        let src = "module m(input [7:0] a, input [7:0] b, input [3:0] c, output [9:0] y);\n\
+                   assign y = a + b + c;\nendmodule\n";
+        let run = |vectors: Vec<Transaction>| {
+            let iface = DutInterface::combinational(
+                vec![PortSig::new("a", 8), PortSig::new("b", 8), PortSig::new("c", 4)],
+                vec![PortSig::new("y", 10)],
+            );
+            let model = FnModel::new(|s: &IoSpec| {
+                let (a, b, c, y) = (s.input("a"), s.input("b"), s.input("c"), s.output("y"));
+                move |io: &mut IoFrame<'_>| {
+                    let v = io.get(a) + io.get(b) + io.get(c);
+                    io.set(y, v);
+                }
+            });
+            let seqs: Vec<Box<dyn Sequence>> =
+                vec![Box::new(crate::sequence::DirectedSequence::new("mixed", vectors))];
+            Environment::from_source(src, "m", iface, Box::new(model), seqs).expect("env").run()
+        };
+        let cases = [(200u128, 9u128), (17, 15), (0, 0), (255, 1), (3, 7)];
+        let ordered = cases
+            .iter()
+            .map(|(a, c)| {
+                Transaction::new()
+                    .with("a", Logic::from_u128(8, *a))
+                    .with("b", Logic::zeros(8))
+                    .with("c", Logic::from_u128(4, *c))
+            })
+            .collect();
+        let mixed = cases
+            .iter()
+            .map(|(a, c)| {
+                Transaction::new()
+                    .with("c", Logic::from_u128(4, *c))
+                    .with("nonexistent", Logic::ones(8))
+                    .with("a", Logic::from_u128(8, *a))
+            })
+            .collect();
+        let (ordered, mixed) = (run(ordered), run(mixed));
+        assert!(ordered.all_passed(), "log:\n{}", ordered.log.render());
+        assert!(mixed.all_passed(), "log:\n{}", mixed.log.render());
+        assert_eq!(mixed.cycles, cases.len());
+        let y = |s: &RunSummary| s.waveform.series("y").expect("y is recorded");
+        assert_eq!(y(&mixed), y(&ordered));
+        let sums: Vec<_> = cases.iter().map(|(a, c)| Some(a + c)).collect();
+        assert_eq!(y(&mixed).iter().map(|(_, v)| v.to_u128()).collect::<Vec<_>>(), sums);
+        assert_eq!(mixed.waveform.to_vcd("m"), ordered.waveform.to_vcd("m"));
     }
 
     #[test]

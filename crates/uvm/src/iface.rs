@@ -1,7 +1,6 @@
 //! DUT interface descriptions shared by drivers, monitors and reference
 //! models.
 
-use std::collections::BTreeMap;
 use uvllm_sim::Logic;
 
 /// One named port with its width.
@@ -73,10 +72,16 @@ impl DutInterface {
 }
 
 /// A single stimulus item: values for every data input for one cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Values are held by input name, one entry per name, in the order
+/// they were first inserted. A transaction built in interface order
+/// holds port *i* at entry *i*, so the driver and the random sequence
+/// reach it by slot (checking the name there) instead of searching; a
+/// transaction in any other order still works, by name. Equality
+/// ignores the order and [`Transaction::render`] sorts by name.
+#[derive(Debug, Clone, Default)]
 pub struct Transaction {
-    /// Input name → driven value. `BTreeMap` keeps log rendering stable.
-    pub values: BTreeMap<String, Logic>,
+    values: Vec<(String, Logic)>,
 }
 
 impl Transaction {
@@ -87,13 +92,79 @@ impl Transaction {
 
     /// Builder-style value insertion.
     pub fn with(mut self, name: impl Into<String>, value: Logic) -> Self {
-        self.values.insert(name.into(), value);
+        self.insert(name.into(), value);
         self
     }
 
-    /// Renders as `a=8'h12 b=8'h03` for logs.
+    /// The value driven on input `name`, if the transaction names it.
+    pub fn get(&self, name: &str) -> Option<&Logic> {
+        self.values.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Mutable access to the value driven on input `name`.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Logic> {
+        self.values.iter_mut().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Sets input `name` to `value`, returning the value it replaces. A
+    /// new name goes after every existing one.
+    pub fn insert(&mut self, name: String, value: Logic) -> Option<Logic> {
+        match self.get_mut(&name) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.values.push((name, value));
+                None
+            }
+        }
+    }
+
+    /// Removes every value, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
+
+    /// [`Transaction::get_mut`], trying entry `slot` before searching.
+    pub(crate) fn slot_mut(&mut self, slot: usize, name: &str) -> Option<&mut Logic> {
+        match self.values.get(slot) {
+            Some((k, _)) if k == name => Some(&mut self.values[slot].1),
+            _ => self.get_mut(name),
+        }
+    }
+
+    /// [`Transaction::get`], trying entry `slot` before searching.
+    pub(crate) fn slot(&self, slot: usize, name: &str) -> Option<&Logic> {
+        match self.values.get(slot) {
+            Some((k, v)) if k == name => Some(v),
+            _ => self.get(name),
+        }
+    }
+
+    /// Renders as `a=8'h12 b=8'h03` for logs, sorted by name.
     pub fn render(&self) -> String {
-        self.values.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+        let mut sorted: Vec<_> = self.values.iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        sorted.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+    }
+}
+
+impl PartialEq for Transaction {
+    /// The same names with the same values, in any order.
+    fn eq(&self, other: &Self) -> bool {
+        self.values.len() == other.values.len()
+            && self.values.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
+impl Eq for Transaction {}
+
+impl std::ops::Index<&str> for Transaction {
+    type Output = Logic;
+
+    /// # Panics
+    ///
+    /// Panics when the transaction does not name `name`.
+    fn index(&self, name: &str) -> &Logic {
+        self.get(name).unwrap_or_else(|| panic!("transaction has no value for '{name}'"))
     }
 }
 
@@ -120,5 +191,24 @@ mod tests {
         let t =
             Transaction::new().with("b", Logic::from_u128(4, 3)).with("a", Logic::from_u128(4, 1));
         assert_eq!(t.render(), "a=4'h1 b=4'h3");
+    }
+
+    #[test]
+    fn transaction_holds_one_value_per_name_and_compares_in_any_order() {
+        let (one, two) = (Logic::from_u128(4, 1), Logic::from_u128(4, 2));
+        let mut t = Transaction::new().with("b", one).with("a", one);
+        assert_eq!(t.insert("b".to_string(), two), Some(one), "a known name is replaced");
+        assert_eq!((t["a"], t["b"]), (one, two));
+        assert_eq!(t, Transaction::new().with("a", one).with("b", two));
+        assert_ne!(t, Transaction::new().with("a", one));
+        assert_ne!(t, Transaction::new().with("a", one).with("b", one));
+        // Slot lookups fall back to the name when the slot holds another.
+        assert_eq!(
+            (t.slot(0, "b"), t.slot(0, "a"), t.slot(5, "a")),
+            (Some(&two), Some(&one), Some(&one))
+        );
+        assert_eq!(t.slot(1, "c"), None);
+        t.clear();
+        assert_eq!(t, Transaction::new());
     }
 }

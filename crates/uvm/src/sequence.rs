@@ -67,22 +67,23 @@ impl Sequence for RandomSequence {
         self.next_into(cycle, &mut t).then_some(t)
     }
 
-    /// In-place refill: the key set is every input, so after the first
-    /// cycle each value is updated through `get_mut` and the random
-    /// phase of a run allocates nothing per cycle.
+    /// In-place refill: the key set is every input, inserted in input
+    /// order on the first cycle, so from then on input *i* is updated in
+    /// entry *i* and the random phase of a run allocates nothing and
+    /// searches nothing per cycle.
     fn next_into(&mut self, _cycle: usize, txn: &mut Transaction) -> bool {
         if self.produced >= self.len {
             return false;
         }
         self.produced += 1;
-        for p in &self.inputs {
+        for (i, p) in self.inputs.iter().enumerate() {
             let lo: u128 = self.rng.random::<u64>() as u128;
             let hi: u128 = self.rng.random::<u64>() as u128;
             let v = Logic::from_u128(p.width, (hi << 64) | lo);
-            match txn.values.get_mut(p.name.as_str()) {
+            match txn.slot_mut(i, &p.name) {
                 Some(slot) => *slot = v,
                 None => {
-                    txn.values.insert(p.name.clone(), v);
+                    txn.insert(p.name.clone(), v);
                 }
             }
         }
@@ -132,7 +133,6 @@ impl Sequence for DirectedSequence {
 /// plus alternating patterns — the coverage-closing tail of a UVM run.
 #[derive(Debug)]
 pub struct CornerSequence {
-    inputs: Vec<PortSig>,
     patterns: Vec<Transaction>,
     at: usize,
 }
@@ -144,7 +144,7 @@ impl CornerSequence {
         let uniform = |f: &dyn Fn(u32) -> u128| {
             let mut t = Transaction::new();
             for p in inputs {
-                t.values.insert(p.name.clone(), Logic::from_u128(p.width, f(p.width)));
+                t.insert(p.name.clone(), Logic::from_u128(p.width, f(p.width)));
             }
             t
         };
@@ -158,11 +158,11 @@ impl CornerSequence {
             let mut t = Transaction::new();
             for p in inputs {
                 let v = if p.width > bit { 1u128 << bit } else { 1 };
-                t.values.insert(p.name.clone(), Logic::from_u128(p.width, v));
+                t.insert(p.name.clone(), Logic::from_u128(p.width, v));
             }
             patterns.push(t);
         }
-        CornerSequence { inputs: inputs.to_vec(), patterns, at: 0 }
+        CornerSequence { patterns, at: 0 }
     }
 
     /// Number of patterns produced.
@@ -184,7 +184,6 @@ impl Sequence for CornerSequence {
     fn next(&mut self, _cycle: usize) -> Option<Transaction> {
         let t = self.patterns.get(self.at).cloned();
         self.at += 1;
-        let _ = &self.inputs;
         t
     }
 }
@@ -219,7 +218,7 @@ mod tests {
         let mut s = RandomSequence::new(&ports(), 100, 1);
         let mut i = 0;
         while let Some(t) = s.next(i) {
-            assert!(t.values["b"].to_u128().unwrap() < 16);
+            assert!(t["b"].to_u128().unwrap() < 16);
             i += 1;
         }
     }
@@ -241,10 +240,10 @@ mod tests {
     fn corner_sequence_covers_extremes() {
         let mut s = CornerSequence::new(&ports());
         let first = s.next(0).unwrap();
-        assert_eq!(first.values["a"].to_u128(), Some(0));
+        assert_eq!(first["a"].to_u128(), Some(0));
         let second = s.next(1).unwrap();
-        assert_eq!(second.values["a"].to_u128(), Some(0xff));
-        assert_eq!(second.values["b"].to_u128(), Some(0xf));
+        assert_eq!(second["a"].to_u128(), Some(0xff));
+        assert_eq!(second["b"].to_u128(), Some(0xf));
         assert!(s.len() >= 8);
     }
 }
