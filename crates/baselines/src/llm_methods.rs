@@ -38,8 +38,8 @@ impl<'m> MeicRepair<'m> {
         self
     }
 
-    /// Takes lint reports from `memo` (a campaign passes its dataset's)
-    /// instead of a memo of this method's own.
+    /// Takes elaborations and lint reports from `memo` (a campaign
+    /// passes its dataset's) instead of a memo of each repair's own.
     pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
         self.memo = Some(memo);
         self
@@ -52,14 +52,8 @@ impl RepairMethod for MeicRepair<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
-        let own_memo;
-        let memo = match self.memo {
-            Some(memo) => memo,
-            None => {
-                own_memo = StageMemo::new();
-                &own_memo
-            }
-        };
+        let own_memo = StageMemo::new();
+        let memo = self.memo.unwrap_or(&own_memo);
         let mut code = src.to_string();
         let mut time = Duration::ZERO;
         let mut iterations = 0;
@@ -67,7 +61,7 @@ impl RepairMethod for MeicRepair<'_> {
             iterations += 1;
             let wall = Instant::now();
             // Run the method's own (weak) acceptance test.
-            let log = match directed_stage(&code, design) {
+            let log = match directed_stage(&code, design, memo) {
                 UvmOutcome::Ran(run) => {
                     if run.all_passed() {
                         // NOTE: if the weak tests never trip over the
@@ -114,7 +108,7 @@ impl RepairMethod for MeicRepair<'_> {
         // from a final check.
         let wall = Instant::now();
         let claimed = matches!(
-            directed_stage(&code, design),
+            directed_stage(&code, design, memo),
             UvmOutcome::Ran(r) if r.all_passed()
         );
         time += wall.elapsed();
@@ -135,18 +129,26 @@ pub struct GptDirect<'m> {
     llm: &'m mut dyn LlmService,
     /// Samples per instance (the paper asks the model 5 times).
     pub samples: usize,
+    memo: Option<&'m StageMemo>,
 }
 
 impl<'m> GptDirect<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        GptDirect { llm, samples: 5 }
+        GptDirect { llm, samples: 5, memo: None }
     }
 
     /// Benchmark compatibility; goes with the next `benchmark` PR.
     #[doc(hidden)]
     pub fn with_backend(self, _backend: SimBackend) -> Self {
+        self
+    }
+
+    /// Takes elaborations from `memo` (a campaign passes its dataset's)
+    /// instead of a memo of each repair's own.
+    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
+        self.memo = Some(memo);
         self
     }
 }
@@ -157,6 +159,8 @@ impl RepairMethod for GptDirect<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
+        let own_memo = StageMemo::new();
+        let memo = self.memo.unwrap_or(&own_memo);
         let mut time = Duration::ZERO;
         let mut best = src.to_string();
         let mut iterations = 0;
@@ -173,7 +177,7 @@ impl RepairMethod for GptDirect<'_> {
             }
             let wall = Instant::now();
             let passed = matches!(
-                directed_stage(&resp.code, design),
+                directed_stage(&resp.code, design, memo),
                 UvmOutcome::Ran(r) if r.all_passed()
             );
             time += wall.elapsed();
@@ -227,17 +231,19 @@ mod tests {
         assert_eq!(out.usage.calls, 0, "no repair was ever attempted");
         assert_eq!(out.final_code, buggy);
         // Externally: HR hits, FR does not — the paper's headline gap.
-        assert!(uvllm::metrics::hit_confirmed(d, &out.final_code));
-        assert!(!uvllm::metrics::fix_confirmed(d, &out.final_code));
+        let memo = StageMemo::new();
+        assert!(uvllm::metrics::hit_confirmed(d, &out.final_code, &memo));
+        assert!(!uvllm::metrics::fix_confirmed(d, &out.final_code, &memo));
     }
 
     #[test]
     fn meic_repairs_visible_bugs_sometimes() {
         let d = by_name("alu_8bit").unwrap();
+        let memo = StageMemo::new();
         let mut repaired = 0;
         for seed in 0..8 {
             let Ok(m) = mutate(d.source, ErrorKind::OperatorMisuse, seed) else { continue };
-            if !uvllm::metrics::mutant_is_detectable(d, &m.mutated_src) {
+            if !uvllm::metrics::mutant_is_detectable(d, &m.mutated_src, &memo) {
                 continue;
             }
             let mut oracle = DirectService::new(OracleLlm::new(
@@ -246,9 +252,9 @@ mod tests {
                 ModelProfile::Gpt4TurboWeakHarness,
                 seed,
             ));
-            let mut meic = MeicRepair::new(&mut oracle);
+            let mut meic = MeicRepair::new(&mut oracle).with_memo(&memo);
             let out = meic.repair(d, &m.mutated_src);
-            if out.claimed_success && uvllm::metrics::fix_confirmed(d, &out.final_code) {
+            if out.claimed_success && uvllm::metrics::fix_confirmed(d, &out.final_code, &memo) {
                 repaired += 1;
             }
         }

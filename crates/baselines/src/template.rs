@@ -9,6 +9,7 @@
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::Instant;
 use uvllm::stages::{directed_stage, UvmOutcome};
+use uvllm::StageMemo;
 use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
@@ -145,6 +146,7 @@ fn template_search(
     src_passes: bool,
     candidates: Vec<Candidate>,
     budget: usize,
+    memo: &StageMemo,
 ) -> MethodOutcome {
     let wall = Instant::now();
     let mut iterations = 0;
@@ -165,7 +167,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if passed(&directed_stage(&candidate, design)) {
+        if passed(&directed_stage(&candidate, design, memo)) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -188,15 +190,16 @@ fn template_search(
 /// Mismatching output signals (from the public run) select suspicious
 /// statements via the DFG; templates are tried there first.
 #[derive(Debug, Default)]
-pub struct StriderRepair {
+pub struct StriderRepair<'m> {
     /// Candidate budget per instance.
     pub budget: usize,
+    memo: Option<&'m StageMemo>,
 }
 
-impl StriderRepair {
+impl<'m> StriderRepair<'m> {
     /// Default configuration (300-candidate budget).
     pub fn new() -> Self {
-        StriderRepair { budget: 300 }
+        StriderRepair { budget: 300, memo: None }
     }
 
     /// Benchmark compatibility; goes with the next `benchmark` PR.
@@ -204,9 +207,16 @@ impl StriderRepair {
     pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
+
+    /// Takes elaborations from `memo` (a campaign passes its dataset's)
+    /// instead of a memo of each repair's own.
+    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
 }
 
-impl RepairMethod for StriderRepair {
+impl RepairMethod for StriderRepair<'_> {
     fn name(&self) -> &str {
         "Strider"
     }
@@ -223,8 +233,10 @@ impl RepairMethod for StriderRepair {
                 usage: Usage::default(),
             };
         };
+        let own_memo = StageMemo::new();
+        let memo = self.memo.unwrap_or(&own_memo);
         // Localize: which outputs mismatch on the public tests?
-        let public_run = directed_stage(src, design);
+        let public_run = directed_stage(src, design, memo);
         let src_passes = passed(&public_run);
         let mismatch_signals: Vec<String> = match public_run {
             UvmOutcome::Ran(run) => {
@@ -250,7 +262,7 @@ impl RepairMethod for StriderRepair {
         if candidates.is_empty() {
             candidates = template_candidates(src, None);
         }
-        template_search(design, src, src_passes, candidates, self.budget)
+        template_search(design, src, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -258,15 +270,16 @@ impl RepairMethod for StriderRepair {
 /// constant and declaration-width changes (its strength on "incorrect
 /// bitwidth" in Fig. 6 comes from the width templates).
 #[derive(Debug, Default)]
-pub struct RtlRepair {
+pub struct RtlRepair<'m> {
     /// Candidate budget per instance.
     pub budget: usize,
+    memo: Option<&'m StageMemo>,
 }
 
-impl RtlRepair {
+impl<'m> RtlRepair<'m> {
     /// Default configuration (400-candidate budget).
     pub fn new() -> Self {
-        RtlRepair { budget: 400 }
+        RtlRepair { budget: 400, memo: None }
     }
 
     /// Benchmark compatibility; goes with the next `benchmark` PR.
@@ -274,9 +287,16 @@ impl RtlRepair {
     pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
+
+    /// Takes elaborations from `memo` (a campaign passes its dataset's)
+    /// instead of a memo of each repair's own.
+    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
 }
 
-impl RepairMethod for RtlRepair {
+impl RepairMethod for RtlRepair<'_> {
     fn name(&self) -> &str {
         "RTLrepair"
     }
@@ -295,8 +315,10 @@ impl RepairMethod for RtlRepair {
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(src);
         candidates.extend(template_candidates(src, None));
-        let src_passes = passed(&directed_stage(src, design));
-        template_search(design, src, src_passes, candidates, self.budget)
+        let own_memo = StageMemo::new();
+        let memo = self.memo.unwrap_or(&own_memo);
+        let src_passes = passed(&directed_stage(src, design, memo));
+        template_search(design, src, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -316,8 +338,8 @@ mod tests {
         let mut strider = StriderRepair::new();
         let out = strider.repair(d, &buggy);
         assert!(out.claimed_success);
-        assert!(hit_confirmed(d, &out.final_code));
-        assert!(!fix_confirmed(d, &out.final_code), "overfit accepted");
+        assert!(hit_confirmed(d, &out.final_code, &StageMemo::new()));
+        assert!(!fix_confirmed(d, &out.final_code, &StageMemo::new()), "overfit accepted");
     }
 
     #[test]
@@ -331,8 +353,8 @@ mod tests {
         let mut strider = StriderRepair::new();
         let out = strider.repair(d, &buggy);
         assert!(out.claimed_success, "template should find the fix");
-        assert!(hit_confirmed(d, &out.final_code));
-        assert!(fix_confirmed(d, &out.final_code), "this one is a true fix");
+        assert!(hit_confirmed(d, &out.final_code, &StageMemo::new()));
+        assert!(fix_confirmed(d, &out.final_code, &StageMemo::new()), "this one is a true fix");
     }
 
     #[test]
@@ -349,7 +371,7 @@ mod tests {
         let mut rtl = RtlRepair::new();
         let out = rtl.repair(d, &buggy);
         if out.claimed_success {
-            assert!(hit_confirmed(d, &out.final_code));
+            assert!(hit_confirmed(d, &out.final_code, &StageMemo::new()));
         }
     }
 

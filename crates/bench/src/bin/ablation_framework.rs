@@ -23,7 +23,12 @@ fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
         );
         let mut framework = Uvllm::new(&mut llm, config.clone());
         let out = framework.verify(inst.design, &inst.mutated_src);
-        let fixed = out.success && uvllm::metrics::fix_confirmed(inst.design, &out.final_code);
+        let fixed = out.success
+            && uvllm::metrics::fix_confirmed(
+                inst.design,
+                &out.final_code,
+                &uvllm::StageMemo::new(),
+            );
         if inst.kind.is_syntax() {
             n_syntax += 1;
             fixed_syntax += fixed as usize;
@@ -38,7 +43,7 @@ fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
 fn main() {
     let size = std::env::var("UVLLM_BENCH_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(160);
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A);
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
 
     let configs: [(&str, VerifyConfig); 4] = [
         ("full framework", VerifyConfig::default()),

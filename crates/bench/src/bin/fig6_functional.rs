@@ -10,7 +10,7 @@ use uvllm_errgen::{ErrorCategory, FunctionalCategory};
 fn main() {
     let size = dataset_size_from_env();
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A);
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
     let functional: Vec<_> = dataset.functional().into_iter().cloned().collect();
     eprintln!("{} functional instances; evaluating 5 methods...", functional.len());
 

@@ -10,7 +10,7 @@ use uvllm_bench::report::{fr, pct_cell, AsciiTable};
 fn main() {
     let size = dataset_size_from_env();
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A);
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
     eprintln!("{} instances; evaluating UVLLM...", dataset.instances.len());
     let records = evaluate(MethodKind::Uvllm, &dataset.instances);
 

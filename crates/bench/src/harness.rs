@@ -43,7 +43,8 @@ mod tests {
     #[test]
     fn evaluate_one_produces_consistent_record() {
         let d = by_name("adder_8bit").unwrap();
-        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5).expect("instance");
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5, &uvllm::StageMemo::new())
+            .expect("instance");
         let rec = evaluate_one(MethodKind::Uvllm, &inst);
         assert_eq!(rec.design, "adder_8bit");
         assert_eq!(rec.group, Category::Arithmetic);
@@ -60,7 +61,8 @@ mod tests {
     #[test]
     fn methods_are_deterministic() {
         let d = by_name("counter_12").unwrap();
-        let inst = build_instance(d, ErrorKind::ValueMisuse, 9).expect("instance");
+        let inst = build_instance(d, ErrorKind::ValueMisuse, 9, &uvllm::StageMemo::new())
+            .expect("instance");
         let a = evaluate_one(MethodKind::Meic, &inst);
         let b = evaluate_one(MethodKind::Meic, &inst);
         assert_eq!(a.fixed, b.fixed);
@@ -71,7 +73,8 @@ mod tests {
     #[test]
     fn script_methods_report_zero_llm_usage() {
         let d = by_name("alu_8bit").unwrap();
-        let inst = build_instance(d, ErrorKind::OperatorMisuse, 2).expect("instance");
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 2, &uvllm::StageMemo::new())
+            .expect("instance");
         let rec = evaluate_one(MethodKind::Strider, &inst);
         assert_eq!(rec.usage.calls, 0);
         let rec = evaluate_one(MethodKind::RtlRepair, &inst);
@@ -81,8 +84,11 @@ mod tests {
     #[test]
     fn parallel_evaluate_matches_serial_evaluate_one() {
         let d = by_name("adder_8bit").unwrap();
-        let instances: Vec<BenchInstance> =
-            (0..4).filter_map(|s| build_instance(d, ErrorKind::OperatorMisuse, s)).collect();
+        let instances: Vec<BenchInstance> = (0..4)
+            .filter_map(|s| {
+                build_instance(d, ErrorKind::OperatorMisuse, s, &uvllm::StageMemo::new())
+            })
+            .collect();
         assert!(!instances.is_empty());
         let parallel = evaluate(MethodKind::Uvllm, &instances);
         assert_eq!(parallel.len(), instances.len());

@@ -1,5 +1,5 @@
-//! The campaign engine: dataset assembly, golden-design cache warm-up,
-//! shard/resume filtering and the worker pool, glued to a result sink.
+//! The campaign engine: dataset assembly, shard/resume filtering and the
+//! worker pool, glued to a result sink.
 
 use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
 use crate::job::{expand_jobs, Job, ShardSpec};
@@ -40,9 +40,9 @@ fn metrics() -> &'static CampaignMetrics {
 /// across leases instead of paying the build per shard.
 ///
 /// It also owns the [`StageMemo`] of everything run on it: a candidate
-/// text is linted, simulated, localized and judged once per dataset,
-/// whichever job, worker or shard reaches it first. A fresh build
-/// starts cold.
+/// text is elaborated, linted, simulated, localized and judged once per
+/// dataset, whichever job, worker or shard reaches it first. A fresh
+/// build starts with the elaborations of its own validation runs.
 #[derive(Debug)]
 pub struct CampaignDataset {
     size: usize,
@@ -52,17 +52,19 @@ pub struct CampaignDataset {
 }
 
 impl CampaignDataset {
-    /// Builds the dataset ([`uvllm::build_dataset`]); counted in
-    /// `campaign.dataset_builds`.
+    /// Builds the dataset ([`uvllm::build_dataset`]) through its own
+    /// memo; counted in `campaign.dataset_builds`.
     pub fn build(size: usize, seed: u64) -> CampaignDataset {
         metrics().dataset_builds.inc();
+        let memo = StageMemo::new();
         let instances =
-            uvllm::build_dataset(size, seed).instances.into_iter().map(Arc::new).collect();
-        CampaignDataset { size, seed, instances, memo: StageMemo::new() }
+            uvllm::build_dataset(size, seed, &memo).instances.into_iter().map(Arc::new).collect();
+        CampaignDataset { size, seed, instances, memo }
     }
 
-    /// What the jobs run on this dataset so far have learnt about
-    /// their candidate texts: lint reports, UVM-stage facts and verdicts.
+    /// What the build and the jobs run on this dataset so far have
+    /// learnt about their candidate texts: elaborations, lint reports,
+    /// UVM-stage facts and verdicts.
     pub fn memo(&self) -> &StageMemo {
         &self.memo
     }
@@ -220,11 +222,7 @@ pub struct CampaignOutcome {
     pub sharded_out: usize,
     /// Jobs skipped because the sink already had their rows.
     pub resumed: usize,
-    /// Distinct designs pre-elaborated into the cache.
-    pub golden_designs: usize,
-    /// Elaboration-cache counters after the run.
-    pub elab_stats: uvllm_sim::ElabCacheStats,
-    /// Registry snapshot taken when the pool wound down: kernel, cache,
+    /// Registry snapshot taken when the pool wound down: kernel, stage-memo,
     /// campaign and LLM-service counters (`llm.ticket_wait_us` and
     /// friends replace the old `llm_wait_total` / `llm_batch_max`
     /// roll-ups; per-job waits stay on [`EvalRecord`]).
@@ -274,9 +272,8 @@ impl Campaign {
     }
 
     /// Runs the campaign: builds the dataset, then [`Campaign::run_on`]
-    /// it — warms the elaboration cache with every golden design
-    /// (exactly once per design) and drains the sharded job queue
-    /// across the worker pool, streaming each finished row into `sink`.
+    /// it — drains the sharded job queue across the worker pool,
+    /// streaming each finished row into `sink`.
     ///
     /// Output is deterministic: the same configuration produces
     /// byte-identical rows (modulo order) at any worker count, because
@@ -338,23 +335,7 @@ impl Campaign {
             (dataset.size, dataset.seed) == (config.dataset_size, config.dataset_seed),
             "dataset built for another configuration than the campaign it runs"
         );
-        let instances = &dataset.instances;
-
-        // Pre-elaborate each distinct golden design once, before any
-        // worker starts: afterwards every hit on the golden text —
-        // and campaigns hit it constantly, every confirmed fix *is*
-        // the golden text — costs a cache lookup, not an elaboration.
-        let mut golden: Vec<&'static uvllm_designs::Design> = Vec::new();
-        for inst in instances {
-            if !golden.iter().any(|d| d.name == inst.design.name) {
-                golden.push(inst.design);
-            }
-        }
-        for design in &golden {
-            let _ = uvllm_sim::elaborate_source_cached(design.source, design.name);
-        }
-
-        let all_jobs = expand_jobs(instances, &self.config.methods);
+        let all_jobs = expand_jobs(&dataset.instances, &self.config.methods);
         let total_jobs = all_jobs.len();
         let completed = sink.completed_ids();
         let shard = self.config.shard;
@@ -466,8 +447,6 @@ impl Campaign {
             total_jobs,
             sharded_out,
             resumed,
-            golden_designs: golden.len(),
-            elab_stats: uvllm_sim::cache::stats(),
             metrics: metrics_snapshot,
             pool_stats,
         })
@@ -512,7 +491,6 @@ mod tests {
         assert_eq!(sink.rows().len(), 12);
         assert_eq!(outcome.resumed, 0);
         assert_eq!(outcome.sharded_out, 0);
-        assert!(outcome.golden_designs >= 1);
         assert_eq!(outcome.report.rows().len(), 12);
     }
 

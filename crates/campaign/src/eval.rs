@@ -567,7 +567,7 @@ pub fn evaluate_one_on(
             MethodKind::GptDirect => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = GptDirect::new(&mut *service);
+                let mut m = GptDirect::new(&mut *service).with_memo(memo);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -581,7 +581,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::Strider => {
-                let mut m = StriderRepair::new();
+                let mut m = StriderRepair::new().with_memo(memo);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -595,7 +595,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::RtlRepair => {
-                let mut m = RtlRepair::new();
+                let mut m = RtlRepair::new().with_memo(memo);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -617,8 +617,8 @@ pub fn evaluate_one_on(
         let _span = uvllm_obs::Span::enter("simulate");
         memo.judge(design.name, &final_code, || {
             (
-                uvllm::metrics::hit_confirmed(design, &final_code),
-                uvllm::metrics::fix_verdict(design, &final_code),
+                uvllm::metrics::hit_confirmed(design, &final_code, memo),
+                uvllm::metrics::fix_verdict(design, &final_code, memo),
             )
         })
     };
@@ -653,7 +653,8 @@ mod tests {
     #[test]
     fn row_round_trips_through_jsonl() {
         let d = by_name("adder_8bit").unwrap();
-        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5).expect("instance");
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5, &uvllm::StageMemo::new())
+            .expect("instance");
         let rec = evaluate_one(MethodKind::Uvllm, &inst);
         let row = rec.to_row();
         let line = row.to_json_line();
@@ -667,7 +668,8 @@ mod tests {
     #[test]
     fn rows_are_a_pure_function_of_the_job() {
         let d = by_name("counter_12").unwrap();
-        let inst = build_instance(d, ErrorKind::ValueMisuse, 9).expect("instance");
+        let inst = build_instance(d, ErrorKind::ValueMisuse, 9, &uvllm::StageMemo::new())
+            .expect("instance");
         for method in [MethodKind::Uvllm, MethodKind::Meic, MethodKind::Strider] {
             let a = evaluate_one(method, &inst).to_row();
             let b = evaluate_one(method, &inst).to_row();

@@ -113,7 +113,9 @@ mod tests {
     fn sample_jobs() -> Vec<Job> {
         let d = by_name("adder_8bit").unwrap();
         let instances: Vec<Arc<BenchInstance>> = (0..4)
-            .filter_map(|s| build_instance(d, ErrorKind::OperatorMisuse, s))
+            .filter_map(|s| {
+                build_instance(d, ErrorKind::OperatorMisuse, s, &uvllm::StageMemo::new())
+            })
             .map(Arc::new)
             .collect();
         expand_jobs(&instances, &MethodKind::ALL)

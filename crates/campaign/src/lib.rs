@@ -38,18 +38,15 @@
 //! * [`merge_rows`] / `campaign merge` — combine shard JSONL files into
 //!   one report, validating shard disjointness and full job-space
 //!   coverage (failures name the `(instance, method)` pairs).
-//! * elaboration cache — [`Campaign::run`] pre-elaborates every golden
-//!   design exactly once into the process-wide content-addressed cache
-//!   ([`uvllm_sim::cache`]); workers then share elaborations of
-//!   repeated texts (mutated sources across methods, candidates across
-//!   metrics, the golden text behind every confirmed fix).
 //! * [`CampaignDataset`] / [`Campaign::run_on`] — dataset construction
 //!   split from the run, so a resident worker builds a run's dataset
 //!   once and serves every leased shard from it.
-//! * [`StageMemo`] — owned by the dataset: a candidate text is linted,
-//!   run through the UVM stage and judged (hit run + fix run) once per
-//!   dataset, and a worker that asks for what another worker is working
-//!   out waits for that result (`campaign.stage_memo.{lint,uvm}.*`,
+//! * [`StageMemo`] — owned by the dataset: a candidate text is
+//!   elaborated, linted, run through the UVM stage and judged (hit run +
+//!   fix run) once per dataset — mutated sources across methods,
+//!   candidates across metrics, the golden text behind every confirmed
+//!   fix — and a worker that asks for what another worker is working
+//!   out waits for that result (`campaign.stage_memo.{elab,lint,uvm}.*`,
 //!   `campaign.verdict_memo.*`).
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the

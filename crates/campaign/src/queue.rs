@@ -362,7 +362,9 @@ mod tests {
     fn jobs_on(design: &str, methods: &[MethodKind], seeds: u64) -> Vec<Job> {
         let d = by_name(design).unwrap();
         let instances: Vec<_> = (0..seeds)
-            .filter_map(|s| build_instance(d, ErrorKind::MissingSemicolon, s))
+            .filter_map(|s| {
+                build_instance(d, ErrorKind::MissingSemicolon, s, &uvllm::StageMemo::new())
+            })
             .map(Arc::new)
             .collect();
         assert!(!instances.is_empty());

@@ -1,6 +1,7 @@
 //! Benchmark dataset assembly: designs × mutation operators → validated
 //! error instances (§III-E; the paper's open-sourced 331-instance set).
 
+use crate::memo::StageMemo;
 use crate::metrics::mutant_is_detectable;
 use uvllm_designs::{all, Design};
 use uvllm_errgen::{mutate, ErrorKind, GroundTruth};
@@ -54,10 +55,15 @@ impl Dataset {
 /// * functional kinds must either fail to build (declaration errors) or
 ///   fail the detection run — which is a strict prefix of the FR
 ///   campaign, so every admitted instance fails FR before repair.
+///
+/// The detection run elaborates through `memo`, so a campaign that
+/// builds its dataset through its own memo finds every admitted
+/// mutant already elaborated.
 pub fn build_instance(
     design: &'static Design,
     kind: ErrorKind,
     base_seed: u64,
+    memo: &StageMemo,
 ) -> Option<BenchInstance> {
     for attempt in 0..6u64 {
         let seed = base_seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
@@ -65,7 +71,7 @@ pub fn build_instance(
         let valid = if kind.is_syntax() {
             uvllm_verilog::parse(&out.mutated_src).is_err()
         } else {
-            mutant_is_detectable(design, &out.mutated_src)
+            mutant_is_detectable(design, &out.mutated_src, memo)
         };
         if valid {
             return Some(BenchInstance {
@@ -83,7 +89,8 @@ pub fn build_instance(
 /// Builds a dataset of (up to) `target` instances by cycling over every
 /// `(design, kind)` pair with fresh seeds each round, mirroring the
 /// paper's "27 modules × 9 error types, 331 instances" construction.
-pub fn build_dataset(target: usize, base_seed: u64) -> Dataset {
+/// Validation runs elaborate through `memo` ([`build_instance`]).
+pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo) -> Dataset {
     let designs = all();
     let mut dataset = Dataset::default();
     let mut round = 0u64;
@@ -97,7 +104,7 @@ pub fn build_dataset(target: usize, base_seed: u64) -> Dataset {
                     .wrapping_add(round.wrapping_mul(0x1000))
                     .wrapping_add(kind as u64 * 37)
                     .wrapping_add(design.name.len() as u64);
-                match build_instance(design, kind, seed) {
+                match build_instance(design, kind, seed, memo) {
                     Some(instance) => dataset.instances.push(instance),
                     None => {
                         if round == 0 {
@@ -119,7 +126,7 @@ pub fn build_dataset_with(
     base_seed: u64,
     _backend: uvllm_sim::SimBackend,
 ) -> Dataset {
-    build_dataset(target, base_seed)
+    build_dataset(target, base_seed, &StageMemo::new())
 }
 
 #[cfg(test)]
@@ -130,7 +137,8 @@ mod tests {
     #[test]
     fn instance_building_validates_syntax() {
         let d = by_name("adder_8bit").unwrap();
-        let inst = build_instance(d, ErrorKind::MissingSemicolon, 1).expect("instance");
+        let inst =
+            build_instance(d, ErrorKind::MissingSemicolon, 1, &StageMemo::new()).expect("instance");
         assert!(uvllm_verilog::parse(&inst.mutated_src).is_err());
         assert!(!inst.id().is_empty());
     }
@@ -138,21 +146,22 @@ mod tests {
     #[test]
     fn instance_building_validates_functional() {
         let d = by_name("adder_8bit").unwrap();
-        let inst = build_instance(d, ErrorKind::OperatorMisuse, 1).expect("instance");
+        let memo = StageMemo::new();
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 1, &memo).expect("instance");
         assert!(uvllm_verilog::parse(&inst.mutated_src).is_ok());
-        assert!(!crate::metrics::fix_confirmed(d, &inst.mutated_src));
+        assert!(!crate::metrics::fix_confirmed(d, &inst.mutated_src, &memo));
     }
 
     #[test]
     fn inapplicable_pairs_are_skipped() {
         // mux4 has no instances -> port mismatch cannot be imposed.
         let d = by_name("mux4").unwrap();
-        assert!(build_instance(d, ErrorKind::PortMismatch, 1).is_none());
+        assert!(build_instance(d, ErrorKind::PortMismatch, 1, &StageMemo::new()).is_none());
     }
 
     #[test]
     fn small_dataset_builds_quickly_and_mixes_kinds() {
-        let ds = build_dataset(40, 0x5EED);
+        let ds = build_dataset(40, 0x5EED, &StageMemo::new());
         assert_eq!(ds.instances.len(), 40);
         assert!(!ds.syntax().is_empty());
         assert!(!ds.functional().is_empty());

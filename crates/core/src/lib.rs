@@ -25,8 +25,10 @@
 //! [`metrics`] implements the paper's Hit Rate / Fix Rate split and
 //! [`dataset`] assembles the validated benchmark instances. [`memo`]
 //! keeps what the stages learn about a candidate text that is a pure
-//! function of it (lint report, UVM-stage facts, verdict), so that many
-//! runs over one dataset analyse each text once ([`Uvllm::verify_on`]).
+//! function of it (elaboration, lint report, UVM-stage facts, verdict),
+//! so that many runs over one dataset analyse each text once
+//! ([`Uvllm::verify_on`]); every function that simulates a text takes
+//! the memo to elaborate it through.
 //!
 //! ## Example
 //!
@@ -47,7 +49,8 @@
 //! let mut framework = Uvllm::new(&mut llm, VerifyConfig::default());
 //! let outcome = framework.verify(design, &broken.mutated_src);
 //! if outcome.success {
-//!     assert!(uvllm::metrics::fix_confirmed(design, &outcome.final_code));
+//!     let memo = uvllm::StageMemo::new();
+//!     assert!(uvllm::metrics::fix_confirmed(design, &outcome.final_code, &memo));
 //! }
 //! # Ok(())
 //! # }
@@ -61,7 +64,7 @@ pub mod pipeline;
 pub mod stages;
 
 pub use dataset::{build_dataset, build_dataset_with, build_instance, BenchInstance, Dataset};
-pub use memo::{Analysed, Judgement, StageMemo, UvmFacts};
+pub use memo::{Analysed, Elaborated, Judgement, StageMemo, UvmFacts};
 pub use metrics::{fix_confirmed, fix_verdict, hit_confirmed, mutant_is_detectable, Verdict};
 pub use patch::{apply_pairs, PatchReport};
 pub use pipeline::{Stage, StageTimes, Uvllm, VerifyConfig, VerifyOutcome};

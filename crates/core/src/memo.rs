@@ -1,14 +1,15 @@
 //! The stage memo: a candidate text is analysed once per dataset.
 //!
 //! Everything the methods learn about a candidate text that is a pure
-//! function of it — its lint report, what the UVM stage found, its
-//! verdict — is kept in one entry per `(design, text)`, each slot filled
-//! by its first asker. The loop of Fig. 2 re-enters every stage with the
-//! text it already had whenever a repair does not apply or a rollback
-//! restores the best version, UVLLM and UVLLM(comp) start from the same
-//! mutant, and methods end on few distinct texts, so within one dataset
-//! most stage calls repeat an earlier one. The campaign's dataset owns
-//! one memo and every job of that dataset, on any worker and in any
+//! function of it — its elaboration, its lint report, what the UVM stage
+//! found, its verdict — is kept in one entry per `(design, text)`, each
+//! slot filled by its first asker. The loop of Fig. 2 re-enters every
+//! stage with the text it already had whenever a repair does not apply
+//! or a rollback restores the best version, UVLLM and UVLLM(comp) start
+//! from the same mutant, and methods end on few distinct texts, so
+//! within one dataset most stage calls repeat an earlier one. The campaign's dataset owns
+//! one memo — the dataset builder's validation runs already elaborate
+//! through it — and every job of that dataset, on any worker and in any
 //! shard, asks it before analysing; a caller without a dataset passes a
 //! fresh one.
 
@@ -38,9 +39,10 @@ impl SlotMetrics {
     }
 }
 
-/// `campaign.stage_memo.{lint,uvm}.*` and `campaign.verdict_memo.*`.
+/// `campaign.stage_memo.{elab,lint,uvm}.*` and `campaign.verdict_memo.*`.
 #[derive(Debug)]
 struct MemoMetrics {
+    elab: SlotMetrics,
     lint: SlotMetrics,
     uvm: SlotMetrics,
     verdict: SlotMetrics,
@@ -49,6 +51,7 @@ struct MemoMetrics {
 fn metrics() -> &'static MemoMetrics {
     static METRICS: OnceLock<MemoMetrics> = OnceLock::new();
     METRICS.get_or_init(|| MemoMetrics {
+        elab: SlotMetrics::named("campaign.stage_memo.elab"),
         lint: SlotMetrics::named("campaign.stage_memo.lint"),
         uvm: SlotMetrics::named("campaign.stage_memo.uvm"),
         verdict: SlotMetrics::named("campaign.verdict_memo"),
@@ -57,6 +60,10 @@ fn metrics() -> &'static MemoMetrics {
 
 /// What a candidate text was judged to be: `(hit, fix verdict)`.
 pub type Judgement = (bool, Verdict);
+
+/// A text's elaboration as its design's top module, or why it has none
+/// (the parse or elaboration error message).
+pub type Elaborated = Result<Arc<uvllm_sim::Design>, String>;
 
 /// What a UVM-stage run was driven with: `(cycles, seed)` of the random
 /// sequence.
@@ -134,14 +141,15 @@ type ByText = HashMap<Arc<str>, Arc<Entry>>;
 #[derive(Debug)]
 struct Entry {
     text: Arc<str>,
+    elab: OnceLock<Elaborated>,
     lint: OnceLock<Arc<LintReport>>,
     uvm: OnceLock<Arc<UvmFacts>>,
     verdict: OnceLock<Judgement>,
 }
 
-/// `(design name, text)` → lint report, UVM-stage facts and verdict,
-/// keyed on the full text like the elaboration cache (a hash collision
-/// would be a wrong row).
+/// `(design name, text)` → elaboration, lint report, UVM-stage facts
+/// and verdict, keyed on the full text (a hash collision would be a
+/// wrong row).
 ///
 /// Every slot is filled once, with in-flight dedup: the map lock is held
 /// just long enough to find or insert the text's entry, and a caller
@@ -165,6 +173,7 @@ pub struct StageMemo {
 pub struct Analysed {
     pub design: &'static str,
     pub text: String,
+    pub elab: Option<Elaborated>,
     pub lint: Option<Arc<LintReport>>,
     pub uvm: Option<Arc<UvmFacts>>,
     pub verdict: Option<Judgement>,
@@ -185,6 +194,7 @@ impl StageMemo {
                 let text: Arc<str> = Arc::from(text);
                 let entry = Arc::new(Entry {
                     text: Arc::clone(&text),
+                    elab: OnceLock::new(),
                     lint: OnceLock::new(),
                     uvm: OnceLock::new(),
                     verdict: OnceLock::new(),
@@ -193,6 +203,26 @@ impl StageMemo {
                 entry
             }
         }
+    }
+
+    /// `text` parsed and elaborated with `design` as its top module
+    /// ([`uvllm_sim::elaborate_source`]); every simulation of the text
+    /// shares the one [`uvllm_sim::Design`].
+    ///
+    /// # Errors
+    ///
+    /// The parse or elaboration error message, kept like a success.
+    pub fn elaborate(&self, design: &'static str, text: &str) -> Elaborated {
+        self.elaborate_with(design, text, || uvllm_sim::elaborate_source(text, design))
+    }
+
+    fn elaborate_with(
+        &self,
+        design: &'static str,
+        text: &str,
+        elaborate: impl FnOnce() -> Elaborated,
+    ) -> Elaborated {
+        fill(&self.entry(design, text).elab, &metrics().elab, elaborate)
     }
 
     /// The lint report of `text`, an implementation of `design`.
@@ -219,7 +249,9 @@ impl StageMemo {
         cycles: usize,
         seed: u64,
     ) -> Arc<UvmFacts> {
-        self.uvm_facts_with(code, design, (cycles, seed), || uvm_stage(code, design, cycles, seed))
+        self.uvm_facts_with(code, design, (cycles, seed), || {
+            uvm_stage(code, design, cycles, seed, self)
+        })
     }
 
     fn uvm_facts_with(
@@ -275,6 +307,7 @@ impl StageMemo {
                 out.push(Analysed {
                     design,
                     text: text.to_string(),
+                    elab: entry.elab.get().cloned(),
                     lint: entry.lint.get().cloned(),
                     uvm: entry.uvm.get().cloned(),
                     verdict: entry.verdict.get().copied(),
@@ -337,6 +370,11 @@ mod tests {
         uvllm_designs::by_name("mux4").unwrap()
     }
 
+    fn ask_elab(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
+        let elaborated = memo.elaborate_with(design().name, text, || Err(make().to_string()));
+        elaborated.expect_err("the failure put in").parse().unwrap()
+    }
+
     fn ask_lint(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
         let report = memo.lint_with(design().name, text, || LintReport {
             diagnostics: vec![Diagnostic {
@@ -369,8 +407,8 @@ mod tests {
         }
     }
 
-    const SLOT_KINDS: [(&str, Ask); 3] =
-        [("lint", ask_lint), ("uvm", ask_uvm), ("verdict", ask_verdict)];
+    const SLOT_KINDS: [(&str, Ask); 4] =
+        [("elab", ask_elab), ("lint", ask_lint), ("uvm", ask_uvm), ("verdict", ask_verdict)];
 
     #[test]
     fn concurrent_askers_judge_each_key_once_and_agree() {
@@ -474,11 +512,76 @@ mod tests {
             assert!(alone.is_err(), "{kind}");
             let other = memo.analysed().into_iter().find(|a| a.text == "other").unwrap();
             assert!(
-                other.lint.is_none() && other.uvm.is_none() && other.verdict.is_none(),
+                other.elab.is_none()
+                    && other.lint.is_none()
+                    && other.uvm.is_none()
+                    && other.verdict.is_none(),
                 "{kind}: the slot stayed empty"
             );
             assert_eq!(ask(&memo, "other", &mut || 9), 9, "{kind}");
         }
+    }
+
+    #[test]
+    fn one_elaboration_per_text_shared_and_failures_kept() {
+        const ADD: &str = "module add(input [7:0] a, input [7:0] b, output [8:0] y);\n\
+                           assign y = a + b;\nendmodule\n";
+        let memo = StageMemo::new();
+        let elaborate = |design: &'static str, text: &str, made: &AtomicUsize| {
+            memo.elaborate_with(design, text, || {
+                made.fetch_add(1, Ordering::Relaxed);
+                uvllm_sim::elaborate_source(text, design)
+            })
+        };
+
+        // Eight threads at once on one text: one elaboration, one `Arc`.
+        let made = AtomicUsize::new(0);
+        let start = Barrier::new(8);
+        let designs: Vec<Arc<uvllm_sim::Design>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        elaborate("add", ADD, &made).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(made.load(Ordering::Relaxed), 1);
+        assert!(designs.iter().all(|d| Arc::ptr_eq(d, &designs[0])), "one shared elaboration");
+        assert!(Arc::ptr_eq(&memo.elaborate("add", ADD).unwrap(), &designs[0]));
+
+        // A text that does not parse, and one that parses but does not
+        // elaborate, are kept as their error messages.
+        let unparsable = "module add(input a output y);\nendmodule\n";
+        let undeclared = "module add(input a, output y);\nassign y = b;\nendmodule\n";
+        for bad in [unparsable, undeclared] {
+            let made = AtomicUsize::new(0);
+            let first = elaborate("add", bad, &made).unwrap_err();
+            assert_eq!(first, uvllm_sim::elaborate_source(bad, "add").unwrap_err());
+            assert_eq!(elaborate("add", bad, &made).unwrap_err(), first);
+            assert_eq!(made.load(Ordering::Relaxed), 1, "{first}");
+        }
+
+        // One text under two design names is two entries, each with its
+        // own top module.
+        let two = "module m1(input a, output y);\nassign y = a;\nendmodule\n\
+                   module m2(input a, output y);\nassign y = ~a;\nendmodule\n";
+        assert_eq!(memo.elaborate("m1", two).unwrap().top, "m1");
+        assert_eq!(memo.elaborate("m2", two).unwrap().top, "m2");
+        let entries: Vec<_> = memo.analysed().into_iter().filter(|a| a.text == two).collect();
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|a| a.elab.is_some()));
+
+        // A filler that panics leaves the slot empty for the next asker.
+        let text = ADD.replace("a + b", "a - b");
+        let panicked =
+            catch_unwind(AssertUnwindSafe(|| memo.elaborate_with("add", &text, || panic!())));
+        assert!(panicked.is_err());
+        let entry = memo.analysed().into_iter().find(|a| a.text == text).unwrap();
+        assert!(entry.elab.is_none());
+        assert_eq!(memo.elaborate("add", &text).unwrap().top, "add");
     }
 
     #[test]
@@ -488,7 +591,7 @@ mod tests {
         let broken = d.source.replace("a + b", "a - b");
         let facts = |cycles, seed| memo.uvm_stage(&broken, d, cycles, seed);
         let direct = |cycles, seed| {
-            let outcome = uvm_stage(&broken, d, cycles, seed);
+            let outcome = uvm_stage(&broken, d, cycles, seed, &StageMemo::new());
             UvmFacts::of(Arc::from(broken.as_str()), (cycles, seed), d, outcome)
         };
         let same = |a: &UvmFacts, b: &UvmFacts| {

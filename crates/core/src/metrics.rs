@@ -14,8 +14,10 @@
 //!   instance admitted to the benchmark is guaranteed to fail FR before
 //!   repair.
 
+use crate::memo::StageMemo;
+use crate::stages::environment;
 use uvllm_designs::Design;
-use uvllm_uvm::{CornerSequence, DirectedSequence, Environment, RandomSequence, Sequence};
+use uvllm_uvm::{CornerSequence, DirectedSequence, RandomSequence, Sequence};
 
 /// Seed of the first FR random campaign; the dataset builder validates
 /// instances against a prefix of this exact stream.
@@ -31,8 +33,8 @@ pub const FR_EXTRA_SEEDS: [u64; 2] = [8, 9];
 ///
 /// A run's class is that of its **first failing event**: a verdict run
 /// ends at the first cycle the scoreboard rejects
-/// ([`Environment::stop_at_first_mismatch`]), so a DUT that mismatches
-/// at cycle 10 and would have oscillated at cycle 500 is
+/// ([`uvllm_uvm::Environment::stop_at_first_mismatch`]), so a DUT that
+/// mismatches at cycle 10 and would have oscillated at cycle 500 is
 /// [`Verdict::Mismatch`], and one that oscillates before any mismatch
 /// is [`Verdict::Unstable`]. A verdict is a pure function of `(design,
 /// text)`.
@@ -79,7 +81,8 @@ impl Verdict {
     }
 }
 
-/// Runs a set of sequences against `code` and classifies the outcome.
+/// Runs a set of sequences against `code`, elaborated through `memo`,
+/// and classifies the outcome.
 ///
 /// A verdict is a class, not a pass rate: the environment runs with
 /// waveform capture disabled (nobody reads the frames) and stops at the
@@ -88,9 +91,13 @@ impl Verdict {
 /// cycle's mismatch records instead of the whole stimulus. Every caller
 /// (the hit and fix runs of a campaign job, the dataset builder's
 /// validation run) keeps only [`Verdict::passed`] or the class.
-fn run_verdict(code: &str, design: &Design, seqs: Vec<Box<dyn Sequence>>) -> Verdict {
-    let iface = (design.iface)();
-    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
+fn run_verdict(
+    code: &str,
+    design: &Design,
+    seqs: Vec<Box<dyn Sequence>>,
+    memo: &StageMemo,
+) -> Verdict {
+    match environment(code, design, (design.iface)(), seqs, memo) {
         Ok(env) => {
             let summary = env.without_waveform().stop_at_first_mismatch().run();
             match summary.unstable {
@@ -132,50 +139,53 @@ fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
 }
 
 /// Hit-Rate check: does `code` pass the public directed vectors?
-pub fn hit_confirmed(design: &Design, code: &str) -> bool {
-    run_verdict(code, design, hit_seqs(design)).passed()
+pub fn hit_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
+    run_verdict(code, design, hit_seqs(design), memo).passed()
 }
 
 /// Fix-Rate check: extended differential validation against the golden
 /// model (the mechanized "expert review").
-pub fn fix_confirmed(design: &Design, code: &str) -> bool {
-    fix_verdict(design, code).passed()
+pub fn fix_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
+    fix_verdict(design, code, memo).passed()
 }
 
 /// The full classified Fix-Rate outcome: lets campaign rows distinguish
 /// "fails the differential campaign" from "oscillates" from "does not
 /// build".
-pub fn fix_verdict(design: &Design, code: &str) -> Verdict {
-    run_verdict(code, design, fr_seqs(design))
+pub fn fix_verdict(design: &Design, code: &str, memo: &StageMemo) -> Verdict {
+    run_verdict(code, design, fr_seqs(design), memo)
 }
 
 /// The quick validation run used by the dataset builder: a strict prefix
 /// of the FR campaign, so "fails validation" implies "fails FR".
-pub fn mutant_is_detectable(design: &Design, code: &str) -> bool {
+pub fn mutant_is_detectable(design: &Design, code: &str, memo: &StageMemo) -> bool {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> = vec![
         Box::new(RandomSequence::new(&iface.inputs, VALIDATION_CYCLES, FR_PRIMARY_SEED)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    !run_verdict(code, design, seqs).passed()
+    !run_verdict(code, design, seqs, memo).passed()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use uvllm_designs::by_name;
+    use uvllm_uvm::Environment;
 
     #[test]
     fn pristine_designs_pass_both_metrics() {
+        let memo = StageMemo::new();
         for name in ["adder_8bit", "counter_12", "fifo_sync", "alu_8bit"] {
             let d = by_name(name).unwrap();
-            assert!(hit_confirmed(d, d.source), "{name} HR");
-            assert!(fix_confirmed(d, d.source), "{name} FR");
+            assert!(hit_confirmed(d, d.source, &memo), "{name} HR");
+            assert!(fix_confirmed(d, d.source, &memo), "{name} FR");
         }
     }
 
     #[test]
     fn carry_bug_passes_hr_but_fails_fr() {
+        let memo = StageMemo::new();
         // The weak directed vectors of adder_8bit never produce a carry,
         // so a broken carry chain "hits" but is not "fixed" — the
         // HR-vs-FR gap of Figures 5/6 in one test.
@@ -185,16 +195,17 @@ mod tests {
             "assign sum = a + b + {7'd0, cin};\nassign cout = 1'b0;",
         );
         assert_ne!(buggy, d.source);
-        assert!(hit_confirmed(d, &buggy), "weak tests should miss the bug");
-        assert!(!fix_confirmed(d, &buggy), "differential campaign must catch it");
+        assert!(hit_confirmed(d, &buggy, &memo), "weak tests should miss the bug");
+        assert!(!fix_confirmed(d, &buggy, &memo), "differential campaign must catch it");
     }
 
     #[test]
     fn syntax_broken_code_fails_both() {
+        let memo = StageMemo::new();
         let d = by_name("mux4").unwrap();
         let broken = d.source.replace(';', "");
-        assert!(!hit_confirmed(d, &broken));
-        assert!(!fix_confirmed(d, &broken));
+        assert!(!hit_confirmed(d, &broken, &memo));
+        assert!(!fix_confirmed(d, &broken, &memo));
     }
 
     /// adder_8bit with a cross-coupled pair that oscillates when `a`
@@ -223,18 +234,20 @@ mod tests {
 
     #[test]
     fn oscillation_before_any_mismatch_is_unstable() {
+        let memo = StageMemo::new();
         let d = by_name("adder_8bit").unwrap();
         let code = oscillating_adder("full[8]");
         assert_eq!(unstopped_fr_run(d, &code), (0, Some(uvllm_sim::MAX_ACTIVATIONS)));
         assert_eq!(
-            fix_verdict(d, &code),
+            fix_verdict(d, &code, &memo),
             Verdict::Unstable { activations: uvllm_sim::MAX_ACTIVATIONS }
         );
-        assert!(hit_confirmed(d, &code), "the public vectors never reach the oscillation");
+        assert!(hit_confirmed(d, &code, &memo), "the public vectors never reach the oscillation");
     }
 
     #[test]
     fn a_run_is_classed_by_its_first_failing_event() {
+        let memo = StageMemo::new();
         // The carry is dropped, so the random stimulus mismatches within
         // a few cycles; the oscillation waits at cycle 801. Run to the
         // end, the stimulus meets both (the order `run_verdict` used to
@@ -245,16 +258,17 @@ mod tests {
         let (mismatches, unstable) = unstopped_fr_run(d, &code);
         assert!(mismatches > 0);
         assert_eq!(unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
-        assert_eq!(fix_verdict(d, &code), Verdict::Mismatch);
+        assert_eq!(fix_verdict(d, &code, &memo), Verdict::Mismatch);
     }
 
     #[test]
     fn validation_prefix_implies_fr_failure() {
+        let memo = StageMemo::new();
         // Any mutant flagged by the validation run must also fail FR.
         let d = by_name("counter_12").unwrap();
         let buggy = d.source.replace("4'd11", "4'd13");
-        if mutant_is_detectable(d, &buggy) {
-            assert!(!fix_confirmed(d, &buggy));
+        if mutant_is_detectable(d, &buggy, &memo) {
+            assert!(!fix_confirmed(d, &buggy, &memo));
         }
     }
 }

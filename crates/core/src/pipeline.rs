@@ -341,7 +341,7 @@ mod tests {
                 // cross-stage compensation).
                 assert!(out.fixed_by.is_some());
                 // The repaired code must be exactly equivalent.
-                assert!(crate::metrics::fix_confirmed(d, &out.final_code));
+                assert!(crate::metrics::fix_confirmed(d, &out.final_code, &StageMemo::new()));
             }
         }
         assert!(succeeded >= 5, "only {succeeded}/{total} repaired");

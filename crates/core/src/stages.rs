@@ -13,10 +13,10 @@ use uvllm_llm::{
     AgentRole, CompleteResponse, ErrorInfo, LlmService, MismatchInfo, OutputMode, RepairPair,
     RepairPrompt, RepairResponse,
 };
-use uvllm_sim::{Logic, SimBackend};
+use uvllm_sim::{Logic, SimBackend, Simulator};
 use uvllm_uvm::{
-    CornerSequence, DirectedSequence, Environment, RandomSequence, RunSummary, Sequence, UvmError,
-    UvmLog,
+    CornerSequence, DirectedSequence, DutInterface, Environment, RandomSequence, RunSummary,
+    Sequence, UvmError, UvmLog,
 };
 
 /// Limit on mismatch records forwarded to prompts (token budget).
@@ -158,15 +158,35 @@ impl UvmOutcome {
     }
 }
 
+/// The UVM environment of `code` as an implementation of `design`,
+/// driven by `seqs`, on the elaboration `memo` holds for the text.
+pub(crate) fn environment(
+    code: &str,
+    design: &Design,
+    iface: DutInterface,
+    seqs: Vec<Box<dyn Sequence>>,
+    memo: &StageMemo,
+) -> Result<Environment, UvmError> {
+    let elaborated = memo.elaborate(design.name, code).map_err(UvmError::Elab)?;
+    let sim = Simulator::from_arc(elaborated).map_err(|e| UvmError::Sim(e.to_string()))?;
+    Environment::with_sim(sim, iface, (design.model)(), seqs)
+}
+
 /// Runs the UVM testbench (random + corner sequences against the golden
-/// reference model) on `code`.
-pub fn uvm_stage(code: &str, design: &Design, cycles: usize, seed: u64) -> UvmOutcome {
+/// reference model) on `code`, elaborated through `memo`.
+pub fn uvm_stage(
+    code: &str,
+    design: &Design,
+    cycles: usize,
+    seed: u64,
+    memo: &StageMemo,
+) -> UvmOutcome {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> = vec![
         Box::new(RandomSequence::new(&iface.inputs, cycles, seed)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
+    match environment(code, design, iface, seqs, memo) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
         Err(UvmError::Elab(m)) => UvmOutcome::BuildFailed(m),
         Err(UvmError::MissingPort(p)) => {
@@ -185,16 +205,16 @@ pub fn uvm_stage_with(
     seed: u64,
     _backend: SimBackend,
 ) -> UvmOutcome {
-    uvm_stage(code, design, cycles, seed)
+    uvm_stage(code, design, cycles, seed, &StageMemo::new())
 }
 
 /// Runs the weak directed public testbench (`T_pub`) — the evaluation's
-/// Hit-Rate test set and the feedback loop of the baseline methods.
-pub fn directed_stage(code: &str, design: &Design) -> UvmOutcome {
-    let iface = (design.iface)();
+/// Hit-Rate test set and the feedback loop of the baseline methods — on
+/// `code`, elaborated through `memo`.
+pub fn directed_stage(code: &str, design: &Design, memo: &StageMemo) -> UvmOutcome {
     let seqs: Vec<Box<dyn Sequence>> =
         vec![Box::new(DirectedSequence::new("public", (design.directed_vectors)()))];
-    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
+    match environment(code, design, (design.iface)(), seqs, memo) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
         Err(e) => UvmOutcome::BuildFailed(e.to_string()),
     }
@@ -451,7 +471,7 @@ mod tests {
     fn uvm_stage_detects_functional_bug() {
         let d = by_name("adder_8bit").unwrap();
         let buggy = d.source.replace("a + b", "a - b");
-        let outcome = uvm_stage(&buggy, d, 50, 1);
+        let outcome = uvm_stage(&buggy, d, 50, 1, &StageMemo::new());
         assert!(!outcome.passed());
         assert!(outcome.score() < 0.9);
         let UvmOutcome::Ran(run) = outcome else { panic!("should run") };
@@ -462,7 +482,7 @@ mod tests {
     fn uvm_stage_build_failure() {
         let d = by_name("adder_8bit").unwrap();
         let broken = d.source.replace(";", "");
-        let outcome = uvm_stage(&broken, d, 10, 1);
+        let outcome = uvm_stage(&broken, d, 10, 1, &StageMemo::new());
         assert!(matches!(outcome, UvmOutcome::BuildFailed(_)));
         assert_eq!(outcome.score(), 0.0);
     }
@@ -471,7 +491,7 @@ mod tests {
     fn postprocess_extracts_ms_and_sl() {
         let d = by_name("adder_8bit").unwrap();
         let buggy = d.source.replace("a + b", "a - b");
-        let UvmOutcome::Ran(run) = uvm_stage(&buggy, d, 50, 1) else { panic!() };
+        let UvmOutcome::Ran(run) = uvm_stage(&buggy, d, 50, 1, &StageMemo::new()) else { panic!() };
         let ms = postprocess(&buggy, d, &run, false);
         match &ms {
             ErrorInfo::MismatchSignals(records) => {
@@ -505,10 +525,10 @@ mod tests {
             "assign sum = a + b + {7'd0, cin};\nassign cout = 1'b0;",
         );
         let _ = buggy;
-        let outcome = directed_stage(&buggy2, d);
+        let outcome = directed_stage(&buggy2, d, &StageMemo::new());
         assert!(outcome.passed(), "weak testbench should miss the carry bug");
         // The strong UVM stage catches it.
-        assert!(!uvm_stage(&buggy2, d, 100, 2).passed());
+        assert!(!uvm_stage(&buggy2, d, 100, 2, &StageMemo::new()).passed());
     }
 
     #[test]

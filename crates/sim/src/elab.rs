@@ -10,6 +10,7 @@
 use crate::logic::{mask, Logic};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use uvllm_verilog::ast::*;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::SourceFile;
@@ -263,6 +264,25 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
     };
     ctx.module(top_module, "", &HashMap::new(), true)?;
     Ok(ctx.design)
+}
+
+/// Parses `src` and elaborates it with `top` as the root module — the
+/// one way from source text to a shareable [`Design`]. Uncached: a
+/// caller that meets a text repeatedly keeps the result (a campaign
+/// keeps it in its dataset's stage memo). Counted in
+/// `sim.elaborations`; the `parse` and `elab` spans time the two halves.
+///
+/// # Errors
+///
+/// The parse or elaboration error message.
+pub fn elaborate_source(src: &str, top: &str) -> Result<Arc<Design>, String> {
+    crate::metrics::elaborations().inc();
+    let file = {
+        let _span = uvllm_obs::Span::enter("parse");
+        uvllm_verilog::parse(src).map_err(|e| e.to_string())?
+    };
+    let _span = uvllm_obs::Span::enter("elab");
+    elaborate(&file, top).map(Arc::new).map_err(|e| e.to_string())
 }
 
 struct Elab<'a> {

@@ -17,6 +17,13 @@
 //! [`wave::Waveform`] records per-cycle snapshots for the localization
 //! engine.
 //!
+//! [`elaborate_source`] is the one way from source text to a shareable
+//! `Arc<Design>`: parse plus elaboration, uncached, counted in
+//! `sim.elaborations`. This crate keeps no process-wide state about
+//! texts; a caller that simulates one text many times holds its
+//! elaboration (a campaign holds it in its dataset's stage memo, one
+//! per `(design, text)`) and builds each [`Simulator`] from it.
+//!
 //! Harnesses drive the simulator through [`SimControl`]. The
 //! workspace's test-only `uvllm-refsim` crate implements the same
 //! trait as a deliberately slow, bit-at-a-time reference interpreter
@@ -46,6 +53,7 @@
 //! ```
 
 pub mod backend;
+#[doc(hidden)]
 pub mod cache;
 pub mod elab;
 pub mod eval;
@@ -56,8 +64,9 @@ pub mod sched;
 pub mod wave;
 
 pub use backend::{AnySim, SimBackend, SimControl};
-pub use cache::{elaborate_source_cached, ElabCache, ElabCacheStats};
-pub use elab::{elaborate, Design, ElabError, SignalId, SignalInfo, SignalKind};
+#[doc(hidden)]
+pub use cache::{elaborate_source_cached, ElabCacheStats};
+pub use elab::{elaborate, elaborate_source, Design, ElabError, SignalId, SignalInfo, SignalKind};
 pub use eval::{eval, eval_into, ValueReader};
 pub use logic::{Logic, Tri};
 pub use sched::{SimError, Simulator, MAX_ACTIVATIONS};

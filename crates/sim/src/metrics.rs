@@ -30,14 +30,6 @@ pub(crate) struct EventKernelMetrics {
     pub nba_commits: &'static Counter,
 }
 
-/// Elaboration-cache counters (`sim.elab_cache.*`).
-#[derive(Debug)]
-pub(crate) struct CacheMetrics {
-    pub elab_hits: &'static Counter,
-    pub elab_misses: &'static Counter,
-    pub elab_evictions: &'static Counter,
-}
-
 pub(crate) fn event_kernel() -> &'static EventKernelMetrics {
     static METRICS: OnceLock<EventKernelMetrics> = OnceLock::new();
     METRICS.get_or_init(|| EventKernelMetrics {
@@ -48,11 +40,9 @@ pub(crate) fn event_kernel() -> &'static EventKernelMetrics {
     })
 }
 
-pub(crate) fn cache() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        elab_hits: registry().counter("sim.elab_cache.hits"),
-        elab_misses: registry().counter("sim.elab_cache.misses"),
-        elab_evictions: registry().counter("sim.elab_cache.evictions"),
-    })
+/// `sim.elaborations`: calls of [`crate::elaborate_source`], failed
+/// ones included.
+pub(crate) fn elaborations() -> &'static Counter {
+    static COUNTER: OnceLock<&'static Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| registry().counter("sim.elaborations"))
 }

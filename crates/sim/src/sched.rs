@@ -261,7 +261,7 @@ impl Plan {
 impl Simulator {
     /// Builds a simulator over an owned `design`, runs `initial` blocks
     /// and settles the combinational network once. Callers holding a
-    /// cached/shared elaboration use [`Simulator::from_arc`] instead —
+    /// shared elaboration use [`Simulator::from_arc`] instead —
     /// nothing on either path clones the design.
     ///
     /// # Errors
@@ -272,7 +272,8 @@ impl Simulator {
     }
 
     /// Builds a simulator over an already-shared design without
-    /// re-cloning it — the cheap path for cached elaborations.
+    /// re-cloning it — the cheap path for an elaboration a stage memo
+    /// holds.
     ///
     /// # Errors
     ///

@@ -49,7 +49,7 @@ fn delta(sim: &mut Simulator, step: impl Fn(&mut Simulator)) -> [u64; 4] {
 
 #[test]
 fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
-    let design = uvllm_sim::elaborate_source_cached(IDLE_PROBE, "idle_probe").expect("elaborates");
+    let design = uvllm_sim::elaborate_source(IDLE_PROBE, "idle_probe").expect("elaborates");
     let mut sim = Simulator::from_arc(design).expect("stable at time 0");
     let bit = |v: bool| Logic::bit(v);
     for (name, value) in [("clk", false), ("d", true), ("spare", false)] {
@@ -115,7 +115,7 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
     assert_eq!(sim.peek_by_name("y").unwrap(), bit(false), "the assignment has not run yet");
 
     // Two staged inputs of one assignment wake it once.
-    let adder = uvllm_sim::elaborate_source_cached(PAIR_PROBE, "pair_probe").expect("elaborates");
+    let adder = uvllm_sim::elaborate_source(PAIR_PROBE, "pair_probe").expect("elaborates");
     let (a, b) = (adder.signal_id("a").unwrap(), adder.signal_id("b").unwrap());
     let before = counts();
     let mut sim = Simulator::from_arc(adder).expect("stable at time 0");

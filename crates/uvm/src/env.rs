@@ -324,10 +324,10 @@ impl Environment {
 
     /// Parses, elaborates and wraps `src` in one call.
     ///
-    /// Elaboration goes through the process-wide content-addressed
-    /// cache ([`uvllm_sim::cache`]), so repeated runs over the same
-    /// text — differential metrics, multi-method campaigns — elaborate
-    /// once and share the result.
+    /// Nothing is cached: every call parses and elaborates `src` afresh
+    /// ([`uvllm_sim::elaborate_source`]). A caller that simulates one
+    /// text repeatedly keeps its elaboration and builds each run with
+    /// [`Environment::with_sim`] (the campaign's stage memo does this).
     ///
     /// # Errors
     ///
@@ -341,7 +341,7 @@ impl Environment {
         refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
-        let design = uvllm_sim::elaborate_source_cached(src, top).map_err(UvmError::Elab)?;
+        let design = uvllm_sim::elaborate_source(src, top).map_err(UvmError::Elab)?;
         let sim = Simulator::from_arc(design).map_err(|e| UvmError::Sim(e.to_string()))?;
         Environment::with_sim(sim, iface, refmodel, sequences)
     }

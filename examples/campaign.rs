@@ -332,13 +332,6 @@ fn run_campaign() -> Result<(), String> {
         outcome.resumed,
         outcome.sharded_out,
     );
-    println!(
-        "elaboration cache: {} golden designs pre-warmed; {} hits / {} misses ({} entries)",
-        outcome.golden_designs,
-        outcome.elab_stats.hits,
-        outcome.elab_stats.misses,
-        outcome.elab_stats.entries,
-    );
     let tickets = outcome.metrics.counter("llm.tickets").unwrap_or(0);
     let flushes = outcome.metrics.counter("llm.flushes").unwrap_or(0);
     let prompts = outcome.metrics.counter("llm.flushed_prompts").unwrap_or(0);

@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Independent validation — the paper's Fix-Rate check.
     if outcome.success {
-        let confirmed = uvllm::metrics::fix_confirmed(design, &outcome.final_code);
+        let confirmed =
+            uvllm::metrics::fix_confirmed(design, &outcome.final_code, &uvllm::StageMemo::new());
         println!(
             "  expert (differential) validation: {}",
             if confirmed { "CONFIRMED" } else { "REJECTED (overfit!)" }

@@ -69,7 +69,7 @@ use uvllm_uvm::{Environment, IoFrame, RandomSequence, RunSummary, Sequence};
 #[test]
 fn kernel_is_allocation_free_for_all_designs() {
     for d in uvllm_designs::all() {
-        let design = uvllm_sim::elaborate_source_cached(d.source, d.name)
+        let design = uvllm_sim::elaborate_source(d.source, d.name)
             .unwrap_or_else(|e| panic!("{}: {e}", d.name));
         let mut sim = Simulator::from_arc(std::sync::Arc::clone(&design)).unwrap();
         let iface = (d.iface)();
@@ -188,8 +188,8 @@ fn environment_steady_state_is_allocation_free_per_cycle() {
     // One design per category, sequential and combinational.
     for name in ["adder_8bit", "counter_12", "fifo_sync", "alu_8bit"] {
         let design = uvllm_designs::by_name(name).unwrap();
-        // Prime the process-wide elaboration cache so both measured
-        // runs start from the same state.
+        // A first run takes the process's one-time allocations (metric
+        // registration) so both measured runs start from the same state.
         let (warm, _) = run_counted(design, 64);
         assert!(warm.all_passed(), "{name}: golden model must pass");
         let (short, short_allocs) = run_counted(design, 500);

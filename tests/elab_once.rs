@@ -1,55 +1,50 @@
-//! Elaboration-cache accounting: a campaign elaborates each golden
-//! design exactly once per worker set.
+//! No text is elaborated twice in a campaign: every elaboration of a
+//! campaign — the dataset builder's validation runs and every job's
+//! simulations — goes through its dataset's stage memo, whose `elab`
+//! slot is filled once per `(design, text)`.
 //!
-//! Lives in its own integration-test binary (= its own process) because
-//! the elaboration cache and its counters are process-global; sharing a
-//! process with other campaign tests would make the absolute counter
-//! assertions racy.
+//! So, over a build plus a run, `sim.elaborations` (every parse and
+//! elaboration the simulator did) moves by exactly
+//! `campaign.stage_memo.elab.misses`, and that is the number of memo
+//! entries holding an elaboration, at any worker count.
+//!
+//! One `#[test]` in a binary of its own: both counters are process-wide,
+//! and the exact deltas must not see another test's elaborations.
 
-use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind, ShardSpec};
+use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 
-#[test]
-fn golden_designs_elaborate_exactly_once_per_worker_set() {
+/// `(sim.elaborations, stage_memo.elab.misses, filled elab slots)` of
+/// one cold campaign at `workers`.
+fn elaborations_of_a_campaign(workers: usize) -> (u64, u64, u64) {
     let config = CampaignConfig {
         dataset_size: 12,
         dataset_seed: 0xD15E,
         methods: vec![MethodKind::Uvllm, MethodKind::Strider],
-        workers: 4,
-        shard: ShardSpec::default(),
+        workers,
         ..CampaignConfig::default()
     };
+    let counter = |name| uvllm_obs::registry().counter(name).get();
+    let before = (counter("sim.elaborations"), counter("campaign.stage_memo.elab.misses"));
+    let campaign = Campaign::new(config).unwrap();
+    let dataset = campaign.build_dataset();
+    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    let filled = dataset.memo().analysed().iter().filter(|a| a.elab.is_some()).count();
+    (
+        counter("sim.elaborations") - before.0,
+        counter("campaign.stage_memo.elab.misses") - before.1,
+        filled as u64,
+    )
+}
 
-    uvllm_sim::cache::reset();
-    let mut sink = MemorySink::new();
-    let outcome = Campaign::new(config).unwrap().run(&mut sink).unwrap();
-    assert!(outcome.golden_designs >= 1);
-    let after_run = uvllm_sim::cache::stats();
-    assert_eq!(after_run.evictions, 0, "small campaign must not thrash the cache");
-
-    // Every golden design is cache-resident: requesting each again adds
-    // hits but zero misses. Combined with the no-eviction check and the
-    // cache's elaborate-under-lock memoisation, that means each design
-    // was parsed + elaborated exactly once across the whole worker set.
-    let designs: std::collections::HashSet<&str> =
-        sink.rows().iter().map(|r| r.design.as_str()).collect();
-    assert_eq!(designs.len(), outcome.golden_designs);
-    for name in designs {
-        let design = uvllm_designs::by_name(name).unwrap();
-        uvllm_sim::elaborate_source_cached(design.source, design.name).unwrap();
+#[test]
+fn a_campaign_elaborates_each_text_once() {
+    let mut seen = Vec::new();
+    for workers in [1, 4] {
+        let (elaborations, misses, filled) = elaborations_of_a_campaign(workers);
+        assert!(elaborations > 0);
+        assert_eq!(elaborations, misses, "an elaboration bypassed the memo at {workers} workers");
+        assert_eq!(misses, filled, "a text was elaborated twice at {workers} workers");
+        seen.push(elaborations);
     }
-    let after_probe = uvllm_sim::cache::stats();
-    assert_eq!(
-        after_probe.misses, after_run.misses,
-        "golden designs must already be resident (elaborated exactly once)"
-    );
-    assert!(after_probe.hits > after_run.hits);
-
-    // The campaign workload itself elaborated no text twice: the
-    // mutated source of each instance is shared by both methods, and
-    // every metric check re-visits its candidate, so every miss is a
-    // distinct text still resident.
-    assert!(
-        after_run.misses <= after_run.entries as u64,
-        "a text was elaborated more than once (got {after_run:?})"
-    );
+    assert_eq!(seen[0], seen[1], "the distinct texts do not depend on the worker count");
 }

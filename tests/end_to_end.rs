@@ -31,7 +31,11 @@ fn syntax_error_full_journey() {
         let outcome = framework.verify(design, &broken.mutated_src);
         if outcome.success {
             journeys += 1;
-            assert!(uvllm::metrics::fix_confirmed(design, &outcome.final_code));
+            assert!(uvllm::metrics::fix_confirmed(
+                design,
+                &outcome.final_code,
+                &uvllm::StageMemo::new()
+            ));
             assert!(uvllm_lint::lint(&outcome.final_code).errors().is_empty());
         }
     }
@@ -46,7 +50,12 @@ fn functional_error_full_journey() {
     let mut confirmed = 0;
     let mut attempted = 0;
     for seed in 0..12 {
-        let Some(inst) = uvllm::build_instance(design, ErrorKind::OperatorMisuse, seed) else {
+        let Some(inst) = uvllm::build_instance(
+            design,
+            ErrorKind::OperatorMisuse,
+            seed,
+            &uvllm::StageMemo::new(),
+        ) else {
             continue;
         };
         attempted += 1;
@@ -57,7 +66,8 @@ fn functional_error_full_journey() {
         if outcome.success {
             // UVLLM's acceptance is its own strong testbench; confirm
             // against the extended campaign like the paper's experts.
-            if uvllm::metrics::fix_confirmed(design, &outcome.final_code) {
+            if uvllm::metrics::fix_confirmed(design, &outcome.final_code, &uvllm::StageMemo::new())
+            {
                 confirmed += 1;
             }
             assert!(matches!(
@@ -161,7 +171,9 @@ fn damage_is_rolled_back_and_remembered() {
 fn ground_truth_fixes_are_sound() {
     let design = uvllm_designs::by_name("lifo_stack").expect("design");
     for kind in ErrorKind::ALL {
-        let Some(inst) = uvllm::build_instance(design, kind, 3) else { continue };
+        let Some(inst) = uvllm::build_instance(design, kind, 3, &uvllm::StageMemo::new()) else {
+            continue;
+        };
         // Applying the ground-truth window pair restores a working file.
         let repaired = inst.mutated_src.replacen(
             &inst.ground_truth.buggy_window,
@@ -169,7 +181,7 @@ fn ground_truth_fixes_are_sound() {
             1,
         );
         assert!(
-            uvllm::metrics::fix_confirmed(design, &repaired),
+            uvllm::metrics::fix_confirmed(design, &repaired, &uvllm::StageMemo::new()),
             "{kind}: ground-truth fix did not restore equivalence"
         );
     }

@@ -83,14 +83,14 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
         let workers: Vec<_> = [halves.0, halves.1]
             .into_iter()
             .map(|half| {
-                let cfg = &cfg;
+                let (cfg, memo) = (&cfg, dataset.memo());
                 scope.spawn(move || {
                     let (mut failing, mut stopped_early) = (0usize, 0usize);
                     for analysed in half {
                         let design = uvllm_designs::by_name(analysed.design).unwrap();
                         let code = &analysed.text;
                         let UvmOutcome::Ran(run) =
-                            uvm_stage(code, design, cfg.uvm_cycles, cfg.uvm_seed)
+                            uvm_stage(code, design, cfg.uvm_cycles, cfg.uvm_seed, memo)
                         else {
                             continue;
                         };

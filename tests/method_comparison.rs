@@ -5,7 +5,7 @@ use uvllm_bench::harness::{evaluate, MethodKind};
 use uvllm_bench::report::{fr, hr};
 
 fn small_dataset() -> uvllm::Dataset {
-    uvllm::build_dataset(48, 0x7E57)
+    uvllm::build_dataset(48, 0x7E57, &uvllm::StageMemo::new())
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn template_methods_only_touch_functional_instances() {
 fn fixed_records_always_hit() {
     // FR is a strict superset of HR's test content, so fixed ⇒ hit for
     // every method — a consistency invariant of the harness itself.
-    let ds = uvllm::build_dataset(24, 0xAB);
+    let ds = uvllm::build_dataset(24, 0xAB, &uvllm::StageMemo::new());
     for method in [MethodKind::Uvllm, MethodKind::Meic, MethodKind::Strider, MethodKind::RtlRepair]
     {
         for rec in evaluate(method, &ds.instances) {

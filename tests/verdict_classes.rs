@@ -111,7 +111,8 @@ fn unstable_design_becomes_a_distinct_outcome_row() {
     // an interface-compatible adder whose cross-coupled always blocks
     // oscillate as soon as stimulus drives a[0] high.
     let d = uvllm_designs::by_name("adder_8bit").unwrap();
-    let mut inst = build_instance(d, ErrorKind::OperatorMisuse, 5).expect("instance");
+    let mut inst = build_instance(d, ErrorKind::OperatorMisuse, 5, &uvllm::StageMemo::new())
+        .expect("instance");
     inst.mutated_src = "module adder_8bit(\n  input [7:0] a,\n  input [7:0] b,\n  input cin,\n\
                         \x20 output [7:0] sum,\n  output cout\n);\nreg p;\nreg q;\n\
                         assign sum = {7'd0, p};\nassign cout = q;\n\

@@ -18,11 +18,12 @@ use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
 /// (`llm_batch: None`, one direct service per job) never opens.
-const COUNTERS: [&str; 13] = [
+const COUNTERS: [&str; 14] = [
     "sim.event.settles",
     "sim.event.activations",
-    "sim.elab_cache.misses",
-    "sim.elab_cache.hits",
+    "sim.elaborations",
+    "campaign.stage_memo.elab.misses",
+    "campaign.stage_memo.elab.hits",
     "campaign.stage_memo.lint.misses",
     "campaign.stage_memo.lint.hits",
     "campaign.stage_memo.uvm.misses",
@@ -36,7 +37,6 @@ const COUNTERS: [&str; 13] = [
 
 /// One cold default campaign at `workers`, as golden-file text.
 fn counts_of_a_default_campaign(workers: usize) -> String {
-    uvllm_sim::cache::reset();
     let before = uvllm_obs::registry().snapshot();
     let config = CampaignConfig { workers, ..CampaignConfig::default() };
     Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
