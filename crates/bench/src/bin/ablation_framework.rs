@@ -43,7 +43,7 @@ fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
 fn main() {
     let size = std::env::var("UVLLM_BENCH_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(160);
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new(), 1);
 
     let configs: [(&str, VerifyConfig); 4] = [
         ("full framework", VerifyConfig::default()),

@@ -11,7 +11,7 @@ use uvllm_errgen::{ErrorCategory, SyntaxCategory};
 fn main() {
     let size = dataset_size_from_env();
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new(), 1);
     let syntax: Vec<_> = dataset.syntax().into_iter().cloned().collect();
     eprintln!("{} syntax instances; evaluating 3 methods...", syntax.len());
 

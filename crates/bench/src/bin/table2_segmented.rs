@@ -24,7 +24,7 @@ fn stage_time(records: &[&EvalRecord], pick: fn(&uvllm::StageTimes) -> f64) -> f
 fn main() {
     let size = dataset_size_from_env();
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new(), 1);
     eprintln!("{} instances; evaluating UVLLM + MEIC...", dataset.instances.len());
     let uvllm_recs = evaluate(MethodKind::Uvllm, &dataset.instances);
     let meic_recs = evaluate(MethodKind::Meic, &dataset.instances);

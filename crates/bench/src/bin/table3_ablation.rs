@@ -10,7 +10,7 @@ use uvllm_bench::report::{fr, mean_time, pct_cell, secs_cell, AsciiTable};
 fn main() {
     let size = dataset_size_from_env();
     eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new(), 1);
     eprintln!("{} instances; evaluating both repair forms...", dataset.instances.len());
     let pair_recs = evaluate(MethodKind::Uvllm, &dataset.instances);
     let comp_recs = evaluate(MethodKind::UvllmComplete, &dataset.instances);

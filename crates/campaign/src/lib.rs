@@ -9,9 +9,14 @@
 //! * [`Job`] — one (benchmark instance × method) unit of work;
 //!   [`ShardSpec`] assigns jobs to cooperating processes by stable
 //!   hash, so `--shard i/n` partitions a campaign with no coordination.
-//! * [`WorkQueue`] / [`queue::run_pool`] — a shared `Mutex<VecDeque>`
-//!   drained by `N` OS threads (`std::thread::scope`); jobs are coarse,
-//!   so one lock per job is noise. The pool is supervision-grade:
+//! * [`WorkQueue`] / [`queue::run_pool`] — the job list cut into one
+//!   contiguous stretch per worker, drained by `N` OS threads
+//!   (`std::thread::scope`): worker *k* starts at job `k·n/w`, a worker
+//!   whose stretch is empty steals the back half of the largest
+//!   remaining one, and requeued jobs go first. Workers so hold
+//!   different instances and do not wait on each other's memo slots;
+//!   jobs are coarse, so one lock per job is noise. The pool is
+//!   supervision-grade:
 //!   per-job `catch_unwind` with requeue-once-then-quarantine
 //!   (`worker_panic` rows), an optional watchdog-enforced per-job
 //!   deadline (`job_timeout` rows), and poison-recovering locks — see
@@ -40,14 +45,17 @@
 //!   coverage (failures name the `(instance, method)` pairs).
 //! * [`CampaignDataset`] / [`Campaign::run_on`] — dataset construction
 //!   split from the run, so a resident worker builds a run's dataset
-//!   once and serves every leased shard from it.
+//!   once and serves every leased shard from it. The build validates
+//!   candidates on the campaign's worker count and is the same dataset
+//!   at any count.
 //! * [`StageMemo`] — owned by the dataset: a candidate text is
 //!   elaborated, linted, run through the UVM stage and judged (hit run +
 //!   fix run) once per dataset — mutated sources across methods,
 //!   candidates across metrics, the golden text behind every confirmed
 //!   fix — and a worker that asks for what another worker is working
 //!   out waits for that result (`campaign.stage_memo.{elab,lint,uvm}.*`,
-//!   `campaign.verdict_memo.*`).
+//!   `campaign.verdict_memo.*`; the waits in
+//!   `campaign.stage_memo.wait_us`).
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.

@@ -61,13 +61,14 @@ pub fn read_shard(path: impl AsRef<Path>) -> Result<Vec<EvalRow>, String> {
 }
 
 /// The full job-id space of a campaign configuration — what a complete
-/// merge must cover.
+/// merge must cover. Its dataset is built on one thread per CPU.
 pub fn expected_job_ids(
     dataset_size: usize,
     dataset_seed: u64,
     methods: &[MethodKind],
 ) -> Vec<String> {
-    CampaignDataset::build(dataset_size, dataset_seed).job_ids(methods)
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    CampaignDataset::build(dataset_size, dataset_seed, workers).job_ids(methods)
 }
 
 /// Merges named shard row sets into one report, validating shard

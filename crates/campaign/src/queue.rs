@@ -1,11 +1,21 @@
 //! The shared work queue and the supervised worker pool that drains it.
 //!
-//! Deliberately boring concurrency: a `Mutex<VecDeque<Job>>` popped by
-//! `N` OS threads (`std::thread::scope`). Jobs are coarse — one job is
-//! a full verification run with hundreds of simulated cycles — so a
-//! single uncontended lock per job is noise, and plain `std` keeps the
+//! Deliberately boring concurrency: one `Mutex` over the job list,
+//! popped by `N` OS threads (`std::thread::scope`). Jobs are coarse — one
+//! job is a full verification run with hundreds of simulated cycles — so
+//! a single uncontended lock per job is noise, and plain `std` keeps the
 //! engine dependency-free. Determinism does not depend on pop order:
 //! every record is a pure function of its job.
+//!
+//! The list is cut into **one contiguous stretch per worker**: worker
+//! *k* starts at job `k·n/w` and walks forward. A worker whose stretch
+//! is empty **steals the back half of the largest remaining stretch**,
+//! so the pool drains to the end without idling. The list is
+//! instance-major, so workers walking it side by side would hold two
+//! methods of the same mutant and park on each other's in-flight
+//! [`StageMemo`] slots; stretches keep them on different instances,
+//! mostly of different designs. Requeued jobs sit in a small shared
+//! deque every worker checks first.
 //!
 //! The pool is *supervision-grade* (fault isolation, the campaign-side
 //! half of the resilience layer):
@@ -38,6 +48,7 @@
 use crate::eval::{evaluate_one_on, EvalRecord, LlmPolicy};
 use crate::job::Job;
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -65,31 +76,75 @@ fn metrics() -> &'static PoolMetrics {
     })
 }
 
-/// A multi-consumer queue of jobs.
+/// A multi-consumer queue of jobs, cut into one stretch per worker
+/// (module docs).
 #[derive(Debug)]
 pub struct WorkQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    state: Mutex<Stretches>,
+}
+
+/// What a [`WorkQueue`]'s one lock guards.
+#[derive(Debug)]
+struct Stretches {
+    /// The job list; a claimed job's cell is empty.
+    jobs: Vec<Option<Job>>,
+    /// Worker *k*'s unclaimed stretch of `jobs`.
+    owned: Vec<Range<usize>>,
+    /// Jobs handed back for their retry, served before any stretch.
+    requeued: VecDeque<Job>,
 }
 
 impl WorkQueue {
-    /// Wraps a job list.
-    pub fn new(jobs: Vec<Job>) -> Self {
-        WorkQueue { jobs: Mutex::new(jobs.into()) }
+    /// Cuts `jobs` into `workers` contiguous stretches (`workers == 0`
+    /// is treated as 1): worker *k* owns `k·n/w .. (k+1)·n/w`.
+    pub fn new(jobs: Vec<Job>, workers: usize) -> Self {
+        let (n, workers) = (jobs.len(), workers.max(1));
+        let owned = (0..workers).map(|k| k * n / workers..(k + 1) * n / workers).collect();
+        let jobs = jobs.into_iter().map(Some).collect();
+        WorkQueue { state: Mutex::new(Stretches { jobs, owned, requeued: VecDeque::new() }) }
     }
 
-    /// Takes the next job, or `None` when drained.
-    pub fn pop(&self) -> Option<Job> {
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).pop_front()
+    /// Worker `worker`'s next job: a requeued one if any, else the next
+    /// of its stretch, else the first of the back half it steals from
+    /// the largest remaining stretch; `None` when drained.
+    ///
+    /// # Panics
+    ///
+    /// If `worker` is not below the worker count the queue was cut for.
+    pub fn pop(&self, worker: usize) -> Option<Job> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(job) = state.requeued.pop_front() {
+            return Some(job);
+        }
+        if state.owned[worker].is_empty() {
+            let (victim, len) = state
+                .owned
+                .iter()
+                .map(ExactSizeIterator::len)
+                .enumerate()
+                .max_by_key(|&(_, len)| len)?;
+            if len == 0 {
+                return None;
+            }
+            let stretch = &mut state.owned[victim];
+            let back = stretch.start + len / 2..stretch.end;
+            stretch.end = back.start;
+            state.owned[worker] = back;
+        }
+        let index = state.owned[worker].next()?;
+        state.jobs[index].take()
     }
 
-    /// Returns a job to the back of the queue (supervision requeue).
+    /// Hands a job back for its retry (supervision requeue): the next
+    /// pop of any worker takes it.
     pub fn push(&self, job: Job) {
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).push_back(job);
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).requeued.push_back(job);
     }
 
     /// Jobs not yet claimed.
     pub fn remaining(&self) -> usize {
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).len()
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.owned.iter().map(ExactSizeIterator::len).sum::<usize>() + state.requeued.len()
     }
 }
 
@@ -182,7 +237,7 @@ pub fn run_pool_supervised(
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
     let workers = workers.max(1).min(jobs.len().max(1));
-    let queue = WorkQueue::new(jobs);
+    let queue = WorkQueue::new(jobs, workers);
     let results: Mutex<Vec<(usize, EvalRecord)>> = Mutex::new(Vec::new());
     // Job indices that already used their single retry.
     let retried: Mutex<HashSet<usize>> = Mutex::new(HashSet::new());
@@ -243,7 +298,7 @@ pub fn run_pool_supervised(
             let quarantined_panics = &quarantined_panics;
             let quarantined_timeouts = &quarantined_timeouts;
             scope.spawn(move || {
-                while let Some(job) = queue.pop() {
+                while let Some(job) = queue.pop(worker) {
                     depth.dec();
                     flag.store(false, Ordering::Release);
                     let started = Instant::now();
@@ -369,6 +424,134 @@ mod tests {
             .collect();
         assert!(!instances.is_empty());
         expand_jobs(&instances, methods)
+    }
+
+    /// `n` jobs numbered `0..n`, all of one instance (the queue never
+    /// looks inside a job).
+    fn numbered_jobs(n: usize) -> Vec<Job> {
+        let mut jobs = jobs_on("mux4", &[MethodKind::Strider], 1);
+        let job = jobs.pop().unwrap();
+        (0..n).map(|index| Job { index, ..job.clone() }).collect()
+    }
+
+    fn index_of(job: Option<Job>) -> Option<usize> {
+        job.map(|job| job.index)
+    }
+
+    #[test]
+    fn stretches_partition_the_list() {
+        for n in [0, 1, 5, 12, 331 * 6] {
+            for workers in 1..=8 {
+                let queue = WorkQueue::new(numbered_jobs(n), workers);
+                let state = queue.state.lock().unwrap();
+                assert_eq!(state.owned.len(), workers);
+                let mut next = 0;
+                for (k, stretch) in state.owned.iter().enumerate() {
+                    assert_eq!(stretch.start, next, "n {n}, worker {k} of {workers}");
+                    assert_eq!(stretch.start, k * n / workers);
+                    next = stretch.end;
+                }
+                assert_eq!(next, n, "n {n}, {workers} workers");
+                drop(state);
+                assert_eq!(queue.remaining(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn worker_k_starts_at_job_k_n_over_w() {
+        let (n, workers) = (20, 3);
+        let queue = WorkQueue::new(numbered_jobs(n), workers);
+        for k in 0..workers {
+            assert_eq!(index_of(queue.pop(k)), Some(k * n / workers));
+        }
+        // Each worker then walks forward through its own stretch.
+        assert_eq!(index_of(queue.pop(1)), Some(7));
+        assert_eq!(index_of(queue.pop(0)), Some(1));
+    }
+
+    #[test]
+    fn an_emptied_worker_steals_the_back_half_of_the_largest_stretch() {
+        // Stretches 0..4, 4..8, 8..12.
+        let queue = WorkQueue::new(numbered_jobs(12), 3);
+        for expected in 0..4 {
+            assert_eq!(index_of(queue.pop(0)), Some(expected));
+        }
+        assert_eq!(index_of(queue.pop(1)), Some(4));
+        // Worker 0 is empty; 8..12 (4 left) beats 5..8 (3 left).
+        assert_eq!(index_of(queue.pop(0)), Some(10));
+        assert_eq!(index_of(queue.pop(0)), Some(11));
+        assert_eq!(index_of(queue.pop(2)), Some(8));
+        assert_eq!(index_of(queue.pop(2)), Some(9));
+        // 5..8 is now the largest: its back half (2 of 3) goes.
+        assert_eq!(index_of(queue.pop(2)), Some(6));
+        assert_eq!(index_of(queue.pop(1)), Some(5));
+        // A one-job stretch is stolen whole.
+        assert_eq!(index_of(queue.pop(1)), Some(7));
+        for worker in 0..3 {
+            assert_eq!(index_of(queue.pop(worker)), None);
+        }
+        assert_eq!(queue.remaining(), 0);
+    }
+
+    #[test]
+    fn a_requeued_job_is_served_before_stretch_jobs() {
+        let queue = WorkQueue::new(numbered_jobs(6), 2);
+        let first = queue.pop(0).unwrap();
+        assert_eq!(first.index, 0);
+        queue.push(first);
+        assert_eq!(queue.remaining(), 6);
+        assert_eq!(index_of(queue.pop(1)), Some(0), "the retry goes to whoever pops next");
+        assert_eq!(index_of(queue.pop(1)), Some(3));
+        assert_eq!(index_of(queue.pop(0)), Some(1));
+    }
+
+    #[test]
+    fn remaining_stays_exact() {
+        let n = 50;
+        let queue = WorkQueue::new(numbered_jobs(n), 4);
+        let mut outstanding = n;
+        let mut retried = HashSet::new();
+        let mut step = 0usize;
+        while let Some(job) = queue.pop(step % 4) {
+            outstanding -= 1;
+            // Every seventh job is handed back once.
+            if job.index % 7 == 0 && retried.insert(job.index) {
+                queue.push(job);
+                outstanding += 1;
+            }
+            assert_eq!(queue.remaining(), outstanding, "after step {step}");
+            step += 1;
+        }
+        assert_eq!(outstanding, 0);
+        assert_eq!(queue.remaining(), 0);
+    }
+
+    #[test]
+    fn eight_threads_drain_every_job_exactly_once() {
+        const THREADS: usize = 8;
+        let n = 2000;
+        let queue = WorkQueue::new(numbered_jobs(n), THREADS);
+        let start = std::sync::Barrier::new(THREADS);
+        let mut popped: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|worker| {
+                    let (queue, start) = (&queue, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut mine = Vec::new();
+                        while let Some(job) = queue.pop(worker) {
+                            mine.push(job.index);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        popped.sort_unstable();
+        assert_eq!(popped, (0..n).collect::<Vec<_>>());
+        assert_eq!(queue.remaining(), 0);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use crate::memo::StageMemo;
 use crate::metrics::mutant_is_detectable;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, PoisonError};
 use uvllm_designs::{all, Design};
 use uvllm_errgen::{mutate, ErrorKind, GroundTruth};
 
@@ -86,37 +88,119 @@ pub fn build_instance(
     None
 }
 
+/// Rounds of fresh seeds over every `(design, kind)` pair.
+const ROUNDS: usize = 8;
+
 /// Builds a dataset of (up to) `target` instances by cycling over every
 /// `(design, kind)` pair with fresh seeds each round, mirroring the
 /// paper's "27 modules × 9 error types, 331 instances" construction.
 /// Validation runs elaborate through `memo` ([`build_instance`]).
-pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo) -> Dataset {
+///
+/// The candidates `(round, design, kind)` are examined in that order
+/// until `target` instances are found; a pair none of whose round-0
+/// attempts validates is `inapplicable`. `workers` threads (the calling
+/// thread and `workers − 1` helpers, all in one scope) validate
+/// candidates side by side, claiming them in that order and never past
+/// `finished prefix + (target − found in it)`: each claimed candidate
+/// is one the one-thread build examines too, so the dataset, and every
+/// elaboration made for it, is the same at any `workers`.
+pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo, workers: usize) -> Dataset {
     let designs = all();
-    let mut dataset = Dataset::default();
-    let mut round = 0u64;
-    while dataset.instances.len() < target && round < 8 {
-        for design in &designs {
-            for kind in ErrorKind::ALL {
-                if dataset.instances.len() >= target {
-                    break;
-                }
-                let seed = base_seed
-                    .wrapping_add(round.wrapping_mul(0x1000))
-                    .wrapping_add(kind as u64 * 37)
-                    .wrapping_add(design.name.len() as u64);
-                match build_instance(design, kind, seed, memo) {
-                    Some(instance) => dataset.instances.push(instance),
-                    None => {
-                        if round == 0 {
-                            dataset.inapplicable.push((design.name, kind));
-                        }
-                    }
+    let kinds = ErrorKind::ALL.len();
+    let pairs = designs.len() * kinds;
+    let candidates = ROUNDS * pairs;
+    let validate = |candidate: usize| {
+        let (round, design) = (candidate / pairs, designs[candidate % pairs / kinds]);
+        let kind = ErrorKind::ALL[candidate % kinds];
+        let seed = base_seed
+            .wrapping_add((round as u64).wrapping_mul(0x1000))
+            .wrapping_add(kind as u64 * 37)
+            .wrapping_add(design.name.len() as u64);
+        build_instance(design, kind, seed, memo).ok_or((design.name, kind))
+    };
+
+    let claims = Mutex::new(Claims {
+        outcomes: (0..candidates).map(|_| None).collect(),
+        next: 0,
+        prefix: 0,
+        found: 0,
+        panicked: false,
+    });
+    let progress = Condvar::new();
+    let claim_and_validate = || {
+        let mut state = claims.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if state.panicked || state.found == target || state.prefix == candidates {
+                progress.notify_all();
+                return;
+            }
+            if state.next == (state.prefix + (target - state.found)).min(candidates) {
+                // Every claimable candidate is in flight elsewhere.
+                state = progress.wait(state).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            let candidate = state.next;
+            state.next += 1;
+            drop(state);
+            let outcome = catch_unwind(AssertUnwindSafe(|| validate(candidate)));
+            state = claims.lock().unwrap_or_else(PoisonError::into_inner);
+            match outcome {
+                Ok(outcome) => state.finish(candidate, outcome),
+                Err(panic) => {
+                    // Nobody may wait for a candidate that never finishes.
+                    state.panicked = true;
+                    progress.notify_all();
+                    drop(state);
+                    resume_unwind(panic);
                 }
             }
+            progress.notify_all();
         }
-        round += 1;
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(claim_and_validate);
+        }
+        claim_and_validate();
+    });
+
+    let state = claims.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut dataset = Dataset::default();
+    for (candidate, outcome) in state.outcomes.into_iter().take(state.prefix).enumerate() {
+        match outcome.expect("the finished prefix holds every claimed candidate") {
+            Ok(instance) => dataset.instances.push(instance),
+            Err(pair) if candidate < pairs => dataset.inapplicable.push(pair),
+            Err(_) => {}
+        }
     }
     dataset
+}
+
+/// A candidate's outcome: its instance, or the pair that yielded none.
+type Validated = Result<BenchInstance, (&'static str, ErrorKind)>;
+
+/// The shared state of one [`build_dataset`].
+struct Claims {
+    /// Outcome of each candidate, by candidate index.
+    outcomes: Vec<Option<Validated>>,
+    /// The next candidate to claim.
+    next: usize,
+    /// Candidates `0..prefix` are all finished.
+    prefix: usize,
+    /// Instances among the first `prefix` candidates.
+    found: usize,
+    /// A validation panicked: the build stops and the panic propagates.
+    panicked: bool,
+}
+
+impl Claims {
+    fn finish(&mut self, candidate: usize, outcome: Validated) {
+        self.outcomes[candidate] = Some(outcome);
+        while let Some(Some(outcome)) = self.outcomes.get(self.prefix) {
+            self.found += usize::from(outcome.is_ok());
+            self.prefix += 1;
+        }
+    }
 }
 
 /// Benchmark compatibility; goes with the next `benchmark` PR.
@@ -126,7 +210,7 @@ pub fn build_dataset_with(
     base_seed: u64,
     _backend: uvllm_sim::SimBackend,
 ) -> Dataset {
-    build_dataset(target, base_seed, &StageMemo::new())
+    build_dataset(target, base_seed, &StageMemo::new(), 1)
 }
 
 #[cfg(test)]
@@ -161,7 +245,7 @@ mod tests {
 
     #[test]
     fn small_dataset_builds_quickly_and_mixes_kinds() {
-        let ds = build_dataset(40, 0x5EED, &StageMemo::new());
+        let ds = build_dataset(40, 0x5EED, &StageMemo::new(), 1);
         assert_eq!(ds.instances.len(), 40);
         assert!(!ds.syntax().is_empty());
         assert!(!ds.functional().is_empty());

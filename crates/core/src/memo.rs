@@ -17,6 +17,7 @@ use crate::metrics::Verdict;
 use crate::stages::{localize, uvm_stage, Localized, UvmOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 use uvllm_designs::Design;
 use uvllm_lint::LintReport;
 use uvllm_llm::ErrorInfo;
@@ -39,13 +40,17 @@ impl SlotMetrics {
     }
 }
 
-/// `campaign.stage_memo.{elab,lint,uvm}.*` and `campaign.verdict_memo.*`.
+/// `campaign.stage_memo.{elab,lint,uvm}.*`, `campaign.verdict_memo.*`
+/// and `campaign.stage_memo.wait_us`.
 #[derive(Debug)]
 struct MemoMetrics {
     elab: SlotMetrics,
     lint: SlotMetrics,
     uvm: SlotMetrics,
     verdict: SlotMetrics,
+    /// Time an asker that found a slot empty spent waiting for another
+    /// thread to fill it, any slot kind.
+    wait_us: &'static uvllm_obs::Histogram,
 }
 
 fn metrics() -> &'static MemoMetrics {
@@ -55,7 +60,14 @@ fn metrics() -> &'static MemoMetrics {
         lint: SlotMetrics::named("campaign.stage_memo.lint"),
         uvm: SlotMetrics::named("campaign.stage_memo.uvm"),
         verdict: SlotMetrics::named("campaign.verdict_memo"),
+        wait_us: uvllm_obs::registry().histogram("campaign.stage_memo.wait_us"),
     })
+}
+
+/// Records the wait of an asker that found a slot empty at `asked` and
+/// got another thread's value.
+fn waited_since(asked: Instant) {
+    metrics().wait_us.record(asked.elapsed().as_micros() as u64);
 }
 
 /// What a candidate text was judged to be: `(hit, fix verdict)`.
@@ -154,7 +166,8 @@ struct Entry {
 /// Every slot is filled once, with in-flight dedup: the map lock is held
 /// just long enough to find or insert the text's entry, and a caller
 /// that finds another thread filling the slot it wants waits for that
-/// result instead of analysing again, so each `misses` counter counts
+/// result instead of analysing again (the wait is timed in
+/// `campaign.stage_memo.wait_us`), so each `misses` counter counts
 /// distinct texts at any worker count. A filler that panics leaves the
 /// slot empty (the panic propagates to its caller only): the next
 /// asker, or one that was waiting, fills it.
@@ -265,9 +278,19 @@ impl StageMemo {
         let facts =
             |outcome| Arc::new(UvmFacts::of(Arc::clone(&entry.text), stimulus, design, outcome));
         let mut run = Some(run);
-        let kept = entry
-            .uvm
-            .get_or_init(|| facts(run.take().expect("the slot is initialised at most once")()));
+        let kept = match entry.uvm.get() {
+            Some(kept) => kept,
+            None => {
+                let asked = Instant::now();
+                let kept = entry.uvm.get_or_init(|| {
+                    facts(run.take().expect("the slot is initialised at most once")())
+                });
+                if run.is_some() {
+                    waited_since(asked);
+                }
+                kept
+            }
+        };
         let counters = &metrics().uvm;
         match run {
             None => {
@@ -335,8 +358,14 @@ impl StageMemo {
 
 /// The value of `slot`, made by `make` if this is its first asker;
 /// counted as a miss when `make` ran here and as a hit otherwise
-/// (waiting for another thread's `make` included).
+/// (waiting for another thread's `make` included, that wait also
+/// timed in `campaign.stage_memo.wait_us`).
 fn fill<T: Clone>(slot: &OnceLock<T>, counters: &SlotMetrics, make: impl FnOnce() -> T) -> T {
+    if let Some(value) = slot.get() {
+        counters.hits.inc();
+        return value.clone();
+    }
+    let asked = Instant::now();
     let mut made_here = false;
     let value = slot
         .get_or_init(|| {
@@ -349,6 +378,7 @@ fn fill<T: Clone>(slot: &OnceLock<T>, counters: &SlotMetrics, make: impl FnOnce(
         counters.misses.inc();
     } else {
         counters.hits.inc();
+        waited_since(asked);
     }
     value
 }

@@ -102,8 +102,12 @@ fn check(design: &uvllm_designs::Design, src: &str, seed: u64) -> Result<Option<
 #[test]
 #[ignore = "331 mutants on the slow reference; CI runs it in release"]
 fn every_mutant_of_the_default_dataset_agrees_with_the_reference() {
-    let dataset =
-        uvllm::build_dataset(uvllm::dataset::PAPER_DATASET_SIZE, 0xDA7A, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(
+        uvllm::dataset::PAPER_DATASET_SIZE,
+        0xDA7A,
+        &uvllm::StageMemo::new(),
+        1,
+    );
     assert_eq!(dataset.instances.len(), 331);
     let mut tally = Tally::default();
     let mut divergences = Vec::new();

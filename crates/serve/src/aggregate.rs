@@ -107,12 +107,13 @@ impl Aggregator {
     }
 
     /// The job-id space of `spec` (dataset size × seed × methods),
-    /// built the first time a spec is seen.
+    /// built the first time a spec is seen, on one thread per CPU.
     fn id_space(&self, spec: &RunSpec) -> Arc<HashSet<String>> {
         let mut id_spaces = self.id_spaces.lock().unwrap_or_else(PoisonError::into_inner);
         let key = (spec.size, spec.seed, spec.methods.clone());
         Arc::clone(id_spaces.get_or_insert_with(key, || {
-            let dataset = CampaignDataset::build(spec.size, spec.seed);
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let dataset = CampaignDataset::build(spec.size, spec.seed, workers);
             Arc::new(dataset.job_ids(&spec.methods).into_iter().collect())
         }))
     }

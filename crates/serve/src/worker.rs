@@ -43,8 +43,8 @@ use uvllm_llm::BatchedLlm;
 /// keeps a resident worker from growing with every spec it has served.
 const DATASETS_KEPT: usize = 2;
 
-/// The worker's built datasets, keyed by what
-/// [`CampaignDataset::build`] takes.
+/// The worker's built datasets, keyed by the size and seed
+/// [`CampaignDataset::build`] takes (its thread count changes nothing).
 type Datasets = Memo<(usize, u64), CampaignDataset>;
 
 /// How a worker process connects and behaves.

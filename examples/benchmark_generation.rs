@@ -11,7 +11,7 @@ fn main() {
     // 331, the paper's size — see `uvllm::dataset::PAPER_DATASET_SIZE`).
     let target = 120;
     println!("building {target} validated error instances...");
-    let dataset = uvllm::build_dataset(target, 0xC0DE, &uvllm::StageMemo::new());
+    let dataset = uvllm::build_dataset(target, 0xC0DE, &uvllm::StageMemo::new(), 1);
 
     println!("\n{} instances built:", dataset.instances.len());
     let mut by_kind: BTreeMap<&str, usize> = BTreeMap::new();

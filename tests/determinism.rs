@@ -6,15 +6,15 @@ use uvllm_bench::harness::{evaluate_one, MethodKind};
 
 #[test]
 fn dataset_builds_identically() {
-    let a = uvllm::build_dataset(30, 0x1234, &uvllm::StageMemo::new());
-    let b = uvllm::build_dataset(30, 0x1234, &uvllm::StageMemo::new());
+    let a = uvllm::build_dataset(30, 0x1234, &uvllm::StageMemo::new(), 1);
+    let b = uvllm::build_dataset(30, 0x1234, &uvllm::StageMemo::new(), 1);
     assert_eq!(a.instances.len(), b.instances.len());
     for (x, y) in a.instances.iter().zip(&b.instances) {
         assert_eq!(x.id(), y.id());
         assert_eq!(x.mutated_src, y.mutated_src);
         assert_eq!(x.ground_truth, y.ground_truth);
     }
-    let c = uvllm::build_dataset(30, 0x9999, &uvllm::StageMemo::new());
+    let c = uvllm::build_dataset(30, 0x9999, &uvllm::StageMemo::new(), 1);
     let ids_a: Vec<_> = a.instances.iter().map(|i| i.id()).collect();
     let ids_c: Vec<_> = c.instances.iter().map(|i| i.id()).collect();
     assert_ne!(ids_a, ids_c, "different seeds should differ");
@@ -22,7 +22,7 @@ fn dataset_builds_identically() {
 
 #[test]
 fn full_evaluation_is_reproducible() {
-    let ds = uvllm::build_dataset(8, 0x42, &uvllm::StageMemo::new());
+    let ds = uvllm::build_dataset(8, 0x42, &uvllm::StageMemo::new(), 1);
     for method in [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect] {
         for inst in &ds.instances {
             let a = evaluate_one(method, inst);
@@ -40,7 +40,7 @@ fn full_evaluation_is_reproducible() {
 fn methods_draw_independent_randomness() {
     // The same instance evaluated by different LLM methods must not
     // share oracle draws (salted seeds), yet each stays deterministic.
-    let ds = uvllm::build_dataset(6, 0x77, &uvllm::StageMemo::new());
+    let ds = uvllm::build_dataset(6, 0x77, &uvllm::StageMemo::new(), 1);
     for inst in &ds.instances {
         let u = evaluate_one(MethodKind::Uvllm, inst);
         let m = evaluate_one(MethodKind::Meic, inst);
