@@ -90,7 +90,10 @@ pub struct CampaignConfig {
     pub dataset_seed: u64,
     /// Methods to evaluate on every instance.
     pub methods: Vec<MethodKind>,
-    /// Worker threads (0 = one per available CPU).
+    /// Jobs that compute at once, i.e. CPU slots (0 = one per available
+    /// CPU). An unbatched pool runs this many threads; a batched one
+    /// (`llm_batch`, or a caller-owned service) runs two per slot, and a
+    /// thread waiting on the LLM lends its slot to another.
     pub workers: usize,
     /// Which `i/n` slice of the job space this process owns.
     pub shard: ShardSpec,

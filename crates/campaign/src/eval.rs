@@ -5,6 +5,8 @@
 //! engine can own it; the bench crate re-exports everything for
 //! compatibility.
 
+use crate::slots::{CpuSlots, SlotLending};
+use std::sync::Arc;
 use std::time::Duration;
 use uvllm::{BenchInstance, Stage, StageMemo, StageTimes, Uvllm, Verdict, VerifyConfig};
 use uvllm_baselines::{GptDirect, MeicRepair, RepairMethod, RtlRepair, StriderRepair};
@@ -32,7 +34,7 @@ pub type SharedLlm = BatchedLlm<Box<dyn LanguageModel>>;
 /// workers keep simulating. Either way the job's model sees the same
 /// prompts in the same order, so rows are byte-identical across
 /// policies (the batching determinism contract).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LlmPolicy<'s> {
     batched: Option<&'s SharedLlm>,
     latency: Option<Duration>,
@@ -47,6 +49,9 @@ pub struct LlmPolicy<'s> {
     /// around every job's service handle (per-job jitter derivation,
     /// same salt discipline as the fault plan).
     resilience: Option<ResiliencePolicy>,
+    /// The CPU slots of the batched pool running the jobs, which every
+    /// job's handle lends out while it waits on the LLM.
+    cpu_slots: Option<Arc<CpuSlots>>,
 }
 
 impl LlmPolicy<'static> {
@@ -58,6 +63,7 @@ impl LlmPolicy<'static> {
             gate: endpoint_gate(),
             fault: None,
             resilience: None,
+            cpu_slots: None,
         }
     }
 }
@@ -71,7 +77,21 @@ impl<'s> LlmPolicy<'s> {
             gate: endpoint_gate(),
             fault: None,
             resilience: None,
+            cpu_slots: None,
         }
+    }
+
+    /// True when jobs open sessions on a shared batched service — the
+    /// policy under which a pool keeps more jobs in flight than it has
+    /// CPU slots.
+    pub(crate) fn is_batched(&self) -> bool {
+        self.batched.is_some()
+    }
+
+    /// This policy with every job's handle lending its slot of `slots`
+    /// out for each wait on the LLM.
+    pub(crate) fn lending(&self, slots: Arc<CpuSlots>) -> LlmPolicy<'s> {
+        LlmPolicy { cpu_slots: Some(slots), ..self.clone() }
     }
 
     /// Injects a per-round-trip endpoint latency in *direct* mode
@@ -102,7 +122,9 @@ impl<'s> LlmPolicy<'s> {
     /// Layering, inside out: model → [`FaultyLlm`] (faults originate at
     /// the backend) → latency wrapper / batched session (transport) →
     /// [`ResilientService`] (retries sit above the transport, exactly
-    /// where a production client's retry loop lives).
+    /// where a production client's retry loop lives) → on a batched
+    /// pool, the handle that lends the job's CPU slot out for every
+    /// wait, backoff included.
     pub fn service_for_job(&self, model: Box<dyn LanguageModel>, salt: u64) -> Box<dyn LlmService> {
         let model: Box<dyn LanguageModel> = match &self.fault {
             Some(plan) => Box::new(FaultyLlm::new(model, plan.derive(salt))),
@@ -119,8 +141,12 @@ impl<'s> LlmPolicy<'s> {
                 None => Box::new(DirectService::new(model)),
             },
         };
-        match &self.resilience {
+        let service: Box<dyn LlmService> = match &self.resilience {
             Some(policy) => Box::new(ResilientService::new(service, policy.derive(salt))),
+            None => service,
+        };
+        match &self.cpu_slots {
+            Some(slots) => Box::new(SlotLending::new(service, Arc::clone(slots))),
             None => service,
         }
     }

@@ -10,12 +10,15 @@
 //!   [`ShardSpec`] assigns jobs to cooperating processes by stable
 //!   hash, so `--shard i/n` partitions a campaign with no coordination.
 //! * [`WorkQueue`] / [`queue::run_pool`] — the job list cut into one
-//!   contiguous stretch per worker, drained by `N` OS threads
-//!   (`std::thread::scope`): worker *k* starts at job `k·n/w`, a worker
+//!   contiguous stretch per pool thread, drained by those threads
+//!   (`std::thread::scope`): thread *k* starts at job `k·n/t`, a thread
 //!   whose stretch is empty steals the back half of the largest
-//!   remaining one, and requeued jobs go first. Workers so hold
+//!   remaining one, and requeued jobs go first. Threads so hold
 //!   different instances and do not wait on each other's memo slots;
-//!   jobs are coarse, so one lock per job is noise. The pool is
+//!   jobs are coarse, so one lock per job is noise. `workers` is the
+//!   number of jobs that compute at once: an unbatched pool runs one
+//!   thread per worker, a batched one two, and a thread waiting on the
+//!   LLM lends its CPU slot to another. The pool is
 //!   supervision-grade:
 //!   per-job `catch_unwind` with requeue-once-then-quarantine
 //!   (`worker_panic` rows), an optional watchdog-enforced per-job
@@ -92,6 +95,7 @@ pub mod merge;
 pub mod queue;
 pub mod report;
 pub mod sink;
+mod slots;
 
 pub use engine::{
     default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,

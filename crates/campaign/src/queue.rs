@@ -1,21 +1,29 @@
 //! The shared work queue and the supervised worker pool that drains it.
 //!
 //! Deliberately boring concurrency: one `Mutex` over the job list,
-//! popped by `N` OS threads (`std::thread::scope`). Jobs are coarse — one
-//! job is a full verification run with hundreds of simulated cycles — so
-//! a single uncontended lock per job is noise, and plain `std` keeps the
-//! engine dependency-free. Determinism does not depend on pop order:
-//! every record is a pure function of its job.
+//! popped by the pool's threads (`std::thread::scope`). Jobs are coarse
+//! — one job is a full verification run with hundreds of simulated
+//! cycles — so a single uncontended lock per job is noise, and plain
+//! `std` keeps the engine dependency-free. Determinism does not depend
+//! on pop order: every record is a pure function of its job.
 //!
-//! The list is cut into **one contiguous stretch per worker**: worker
-//! *k* starts at job `k·n/w` and walks forward. A worker whose stretch
-//! is empty **steals the back half of the largest remaining stretch**,
-//! so the pool drains to the end without idling. The list is
-//! instance-major, so workers walking it side by side would hold two
+//! **Threads and CPU slots.** `workers` is how many jobs may compute at
+//! once. An unbatched pool runs one thread per worker. A pool on a
+//! batched LLM service runs `JOBS_IN_FLIGHT_PER_SLOT` (2) threads per
+//! worker under one CPU slot per worker: a thread holds a slot while it
+//! evaluates a job and lends it out while it waits on the LLM, so a
+//! second job computes while the first waits and the service's flushes
+//! fill (`crate::slots`).
+//!
+//! The list is cut into **one contiguous stretch per thread**: thread
+//! *k* of *t* starts at job `k·n/t` and walks forward. A thread whose
+//! stretch is empty **steals the back half of the largest remaining
+//! stretch**, so the pool drains to the end without idling. The list is
+//! instance-major, so threads walking it side by side would hold two
 //! methods of the same mutant and park on each other's in-flight
 //! [`StageMemo`] slots; stretches keep them on different instances,
 //! mostly of different designs. Requeued jobs sit in a small shared
-//! deque every worker checks first.
+//! deque every thread checks first.
 //!
 //! The pool is *supervision-grade* (fault isolation, the campaign-side
 //! half of the resilience layer):
@@ -47,11 +55,12 @@
 
 use crate::eval::{evaluate_one_on, EvalRecord, LlmPolicy};
 use crate::job::Job;
+use crate::slots::{CpuSlots, JOBS_IN_FLIGHT_PER_SLOT};
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm::{StageMemo, Verdict};
 use uvllm_llm::Usage;
@@ -76,8 +85,8 @@ fn metrics() -> &'static PoolMetrics {
     })
 }
 
-/// A multi-consumer queue of jobs, cut into one stretch per worker
-/// (module docs).
+/// A multi-consumer queue of jobs, cut into one stretch per consumer
+/// thread (module docs).
 #[derive(Debug)]
 pub struct WorkQueue {
     state: Mutex<Stretches>,
@@ -88,35 +97,35 @@ pub struct WorkQueue {
 struct Stretches {
     /// The job list; a claimed job's cell is empty.
     jobs: Vec<Option<Job>>,
-    /// Worker *k*'s unclaimed stretch of `jobs`.
+    /// Thread *k*'s unclaimed stretch of `jobs`.
     owned: Vec<Range<usize>>,
     /// Jobs handed back for their retry, served before any stretch.
     requeued: VecDeque<Job>,
 }
 
 impl WorkQueue {
-    /// Cuts `jobs` into `workers` contiguous stretches (`workers == 0`
-    /// is treated as 1): worker *k* owns `k·n/w .. (k+1)·n/w`.
-    pub fn new(jobs: Vec<Job>, workers: usize) -> Self {
-        let (n, workers) = (jobs.len(), workers.max(1));
-        let owned = (0..workers).map(|k| k * n / workers..(k + 1) * n / workers).collect();
+    /// Cuts `jobs` into `threads` contiguous stretches (`threads == 0`
+    /// is treated as 1): thread *k* owns `k·n/t .. (k+1)·n/t`.
+    pub fn new(jobs: Vec<Job>, threads: usize) -> Self {
+        let (n, threads) = (jobs.len(), threads.max(1));
+        let owned = (0..threads).map(|k| k * n / threads..(k + 1) * n / threads).collect();
         let jobs = jobs.into_iter().map(Some).collect();
         WorkQueue { state: Mutex::new(Stretches { jobs, owned, requeued: VecDeque::new() }) }
     }
 
-    /// Worker `worker`'s next job: a requeued one if any, else the next
+    /// Thread `thread`'s next job: a requeued one if any, else the next
     /// of its stretch, else the first of the back half it steals from
     /// the largest remaining stretch; `None` when drained.
     ///
     /// # Panics
     ///
-    /// If `worker` is not below the worker count the queue was cut for.
-    pub fn pop(&self, worker: usize) -> Option<Job> {
+    /// If `thread` is not below the thread count the queue was cut for.
+    pub fn pop(&self, thread: usize) -> Option<Job> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(job) = state.requeued.pop_front() {
             return Some(job);
         }
-        if state.owned[worker].is_empty() {
+        if state.owned[thread].is_empty() {
             let (victim, len) = state
                 .owned
                 .iter()
@@ -129,14 +138,14 @@ impl WorkQueue {
             let stretch = &mut state.owned[victim];
             let back = stretch.start + len / 2..stretch.end;
             stretch.end = back.start;
-            state.owned[worker] = back;
+            state.owned[thread] = back;
         }
-        let index = state.owned[worker].next()?;
+        let index = state.owned[thread].next()?;
         state.jobs[index].take()
     }
 
     /// Hands a job back for its retry (supervision requeue): the next
-    /// pop of any worker takes it.
+    /// pop of any thread takes it.
     pub fn push(&self, job: Job) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).requeued.push_back(job);
     }
@@ -204,13 +213,13 @@ fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
     }
 }
 
-/// Runs `jobs` on `workers` OS threads, drawing LLM service handles
-/// from `llm` (a per-job
+/// Runs `jobs` with at most `workers` computing at once, drawing LLM
+/// service handles from `llm` (a per-job
 /// [`uvllm_llm::DirectService`], or sessions of the shared
-/// [`crate::SharedLlm`] so workers' LLM round trips overlap);
-/// `on_record` observes every finished job (from worker threads, in
-/// completion order) and the returned list is sorted back into job
-/// order.
+/// [`crate::SharedLlm`], on which a pool thread waiting for an answer
+/// lends its CPU slot to another — module docs); `on_record` observes
+/// every finished job (from pool threads, in completion order) and the
+/// returned list is sorted back into job order.
 ///
 /// `workers == 0` is treated as 1. The pool analyses on a memo of its
 /// own ([`run_pool_supervised`] takes the caller's).
@@ -236,8 +245,17 @@ pub fn run_pool_supervised(
     policy: &PoolPolicy,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let queue = WorkQueue::new(jobs, workers);
+    let workers = workers.max(1);
+    let (threads, slots) = if llm.is_batched() {
+        (workers * JOBS_IN_FLIGHT_PER_SLOT, Some(Arc::new(CpuSlots::new(workers))))
+    } else {
+        (workers, None)
+    };
+    let threads = threads.min(jobs.len().max(1));
+    let lending = slots.as_ref().map(|slots| llm.lending(Arc::clone(slots)));
+    let llm = lending.as_ref().unwrap_or(llm);
+    let slots = slots.as_deref();
+    let queue = WorkQueue::new(jobs, threads);
     let results: Mutex<Vec<(usize, EvalRecord)>> = Mutex::new(Vec::new());
     // Job indices that already used their single retry.
     let retried: Mutex<HashSet<usize>> = Mutex::new(HashSet::new());
@@ -252,11 +270,11 @@ pub fn run_pool_supervised(
     let depth = uvllm_obs::registry().gauge("campaign.queue_depth");
     depth.set(queue.remaining() as i64);
 
-    // Watchdog state: per-worker start instant of the in-flight job and
+    // Watchdog state: per-thread start instant of the in-flight job and
     // the overrun flag the watchdog raises.
-    let inflight: Vec<Mutex<Option<Instant>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let overrun: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(false)).collect();
-    let active = AtomicUsize::new(workers);
+    let inflight: Vec<Mutex<Option<Instant>>> = (0..threads).map(|_| Mutex::new(None)).collect();
+    let overrun: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
+    let active = AtomicUsize::new(threads);
 
     std::thread::scope(|scope| {
         if let Some(deadline) = policy.job_deadline {
@@ -282,15 +300,15 @@ pub fn run_pool_supervised(
             });
         }
 
-        for worker in 0..workers {
-            let worker_jobs =
-                uvllm_obs::registry().counter(&format!("campaign.worker.{worker}.jobs"));
+        for thread in 0..threads {
+            let thread_jobs =
+                uvllm_obs::registry().counter(&format!("campaign.worker.{thread}.jobs"));
             let queue = &queue;
             let results = &results;
             let retried = &retried;
             let on_record = &on_record;
-            let slot = &inflight[worker];
-            let flag = &overrun[worker];
+            let started_at = &inflight[thread];
+            let flag = &overrun[thread];
             let active = &active;
             let panicked = &panicked;
             let requeued = &requeued;
@@ -298,11 +316,14 @@ pub fn run_pool_supervised(
             let quarantined_panics = &quarantined_panics;
             let quarantined_timeouts = &quarantined_timeouts;
             scope.spawn(move || {
-                while let Some(job) = queue.pop(worker) {
+                while let Some(job) = queue.pop(thread) {
                     depth.dec();
+                    // Held until this job's row is in (or it is
+                    // requeued), lent out while it waits on the LLM.
+                    let _cpu = slots.map(CpuSlots::hold);
                     flag.store(false, Ordering::Release);
                     let started = Instant::now();
-                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(started);
+                    *started_at.lock().unwrap_or_else(PoisonError::into_inner) = Some(started);
                     let job_id = job.id();
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(pattern) = &policy.inject_panic {
@@ -317,7 +338,7 @@ pub fn run_pool_supervised(
                         }
                         evaluate_one_on(job.method, &job.instance, llm, memo)
                     }));
-                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                    *started_at.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
                     // Classify the attempt: a panic always fails it; a
                     // completed evaluation fails when the watchdog (or
@@ -341,7 +362,7 @@ pub fn run_pool_supervised(
                             Some(Verdict::JobTimeout)
                         }
                         Ok(record) => {
-                            worker_jobs.inc();
+                            thread_jobs.inc();
                             on_record(&job, &record);
                             results
                                 .lock()
@@ -375,7 +396,7 @@ pub fn run_pool_supervised(
                                 _ => quarantined_panics.fetch_add(1, Ordering::Relaxed),
                             };
                             let record = quarantine_record(&job, verdict);
-                            worker_jobs.inc();
+                            thread_jobs.inc();
                             on_record(&job, &record);
                             results
                                 .lock()

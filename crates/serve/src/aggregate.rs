@@ -69,7 +69,9 @@ pub struct RunSummary {
     /// Size of the expected job space.
     pub expected: usize,
     pub diags: Vec<String>,
-    /// The rolling Table-II style report over the rows so far, rendered.
+    /// The Table-II style report over the run's rows, rendered once
+    /// every expected row is in; empty before that, so the polls of a
+    /// running campaign pay for no render.
     pub report: String,
 }
 
@@ -201,16 +203,21 @@ impl Aggregator {
         })
     }
 
-    /// One run's counts, diagnostics and rendered report, or `None` for
-    /// unknown runs.
+    /// One run's counts, diagnostics and — once complete — rendered
+    /// report, or `None` for unknown runs.
     pub fn summary(&self, run: &str) -> Option<RunSummary> {
         let runs = self.lock();
         let agg = runs.iter().find(|a| a.run == run)?;
+        let complete = agg.rows.len() == agg.expected.len();
         Some(RunSummary {
             rows: agg.rows.len(),
             expected: agg.expected.len(),
             diags: agg.diags.clone(),
-            report: CampaignReport::new(agg.rows.values().collect()).render(),
+            report: if complete {
+                CampaignReport::new(agg.rows.values().collect()).render()
+            } else {
+                String::new()
+            },
         })
     }
 }

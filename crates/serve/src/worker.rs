@@ -54,7 +54,8 @@ pub struct WorkerOptions {
     pub server: String,
     /// Worker name quoted in leases (shows up in run status).
     pub name: String,
-    /// Evaluation threads per leased shard (0 = one per CPU).
+    /// Jobs that compute at once per leased shard (0 = one per CPU);
+    /// with `llm_batch`, two evaluation threads per such CPU slot.
     pub workers: usize,
     /// Delay between `204 No Content` lease polls.
     pub poll: Duration,

@@ -100,6 +100,9 @@ fn stolen_lease_rows_are_byte_identical_event_driven() {
     assert_eq!(status, 200);
     let status_json = Json::parse(&body).unwrap();
     assert_eq!(status_json.get("done").and_then(Json::as_bool), Some(false));
+    // A running campaign's status carries no report: polls pay for no
+    // render until every row is in.
+    assert_eq!(status_json.get("report").and_then(Json::as_str), Some(""), "{body}");
 
     // The thief polls again: shard 0's lease expires and is re-granted
     // as stolen; the sink resume protocol skips the dead worker's row.
@@ -114,6 +117,8 @@ fn stolen_lease_rows_are_byte_identical_event_driven() {
     let status_json = Json::parse(&body).unwrap();
     assert_eq!(status_json.get("done").and_then(Json::as_bool), Some(true), "{body}");
     assert_eq!(status_json.get("diags").and_then(Json::as_array).map(<[Json]>::len), Some(0));
+    let report = status_json.get("report").and_then(Json::as_str).unwrap();
+    assert!(report.contains(&format!("campaign rows: {}", SIZE * methods().len())), "{report}");
     let shards = status_json.get("shards").and_then(Json::as_array).unwrap();
     let steals: u64 = shards.iter().map(|s| s.get("steals").and_then(Json::as_u64).unwrap()).sum();
     assert!(steals >= 1, "{body}");

@@ -715,7 +715,8 @@ fn run_status(args: Vec<String>) -> Result<(), String> {
         std::fs::write(&path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {} row(s) to {path}", body.lines().count());
     }
-    if let Some(report) = json.get("report").and_then(Json::as_str) {
+    // The server renders the report only once every row is in.
+    if let Some(report) = json.get("report").and_then(Json::as_str).filter(|r| !r.is_empty()) {
         println!("{report}");
     }
     Ok(())

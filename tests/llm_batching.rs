@@ -48,6 +48,22 @@ fn batched_rows_match_direct_rows_at_1_2_and_8_workers() {
     }
 }
 
+/// A batched pool keeps two jobs in flight per worker: at one worker, a
+/// job waiting on the LLM lends its CPU slot to a second job, whose
+/// prompts can ride the same flush — which one job at a time never can.
+#[test]
+fn one_batched_worker_flushes_two_jobs_prompts_together() {
+    let mut config = llm_config(1);
+    config.llm_batch = Some(BatchConfig {
+        max_batch: 2,
+        max_wait: Duration::from_millis(20),
+        ..BatchConfig::default()
+    });
+    let outcome = Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
+    let batch_max = outcome.new_records.iter().map(|r| r.llm_batch_max).max();
+    assert_eq!(batch_max, Some(2), "no flush carried two jobs' prompts");
+}
+
 #[test]
 fn injected_latency_changes_wall_clock_not_rows() {
     let mut direct = llm_config(2);
