@@ -292,27 +292,7 @@ impl Campaign {
     ///
     /// Returns the first sink I/O error, after the pool has wound down.
     pub fn run(&self, sink: &mut dyn ResultSink) -> std::io::Result<CampaignOutcome> {
-        self.run_shared(sink, None)
-    }
-
-    /// [`Campaign::run`] on a caller-owned batched LLM service instead
-    /// of one constructed per run — the resident-worker path, where one
-    /// [`SharedLlm`] outlives many leased shards and its flush policy
-    /// keeps coalescing prompts across them. `None` behaves exactly
-    /// like [`Campaign::run`] (a per-run service is started when
-    /// `config.llm_batch` asks for one). Rows are byte-identical either
-    /// way: sessions see their own prompts in submission order
-    /// regardless of which service thread carries them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sink I/O error, after the pool has wound down.
-    pub fn run_shared(
-        &self,
-        sink: &mut dyn ResultSink,
-        shared: Option<&SharedLlm>,
-    ) -> std::io::Result<CampaignOutcome> {
-        self.run_on(&self.build_dataset(), sink, shared)
+        self.run_on(&self.build_dataset(), sink, None)
     }
 
     /// Builds this campaign's dataset for [`Campaign::run_on`], on as
@@ -321,9 +301,15 @@ impl Campaign {
         CampaignDataset::build(self.config.dataset_size, self.config.dataset_seed, self.workers)
     }
 
-    /// [`Campaign::run_shared`] on a dataset the caller already built —
-    /// the resident-worker path, where one [`CampaignDataset`] serves
-    /// every shard leased from the same run.
+    /// [`Campaign::run`] on a dataset the caller already built — the
+    /// resident-worker path, where one [`CampaignDataset`] serves every
+    /// shard leased from the same run — and, with `shared`, on a
+    /// caller-owned batched LLM service whose flush policy keeps
+    /// coalescing prompts across leased shards. `None` starts a per-run
+    /// service when `config.llm_batch` asks for one. Rows are
+    /// byte-identical either way: sessions see their own prompts in
+    /// submission order regardless of which service thread carries
+    /// them.
     ///
     /// # Errors
     ///

@@ -21,9 +21,9 @@
 //!   LLM lends its CPU slot to another. The pool is
 //!   supervision-grade:
 //!   per-job `catch_unwind` with requeue-once-then-quarantine
-//!   (`worker_panic` rows), an optional watchdog-enforced per-job
-//!   deadline (`job_timeout` rows), and poison-recovering locks — see
-//!   [`PoolPolicy`] / [`PoolStats`].
+//!   (`worker_panic` rows), an optional per-job deadline checked when
+//!   the job returns (`job_timeout` rows), and poison-recovering locks
+//!   — see [`PoolPolicy`] / [`PoolStats`].
 //! * fault tolerance — `CampaignConfig::fault` injects seeded LLM
 //!   faults ([`uvllm_llm::FaultPlan`]) and `CampaignConfig::resilience`
 //!   wraps every job's service in retry/backoff + circuit breaking +

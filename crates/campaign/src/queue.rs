@@ -36,14 +36,13 @@
 //!   chance; a second failure quarantines the job as a distinct
 //!   [`Verdict::WorkerPanic`] row so the campaign stays complete and
 //!   honest instead of silently losing coverage.
-//! * An optional per-job wall-clock deadline is enforced by a watchdog
-//!   thread that flags overrunning jobs. Safe Rust cannot preempt a
-//!   compute-bound thread, so the flag is honored when the evaluation
-//!   returns: the late result is discarded and the job is requeued once
-//!   / quarantined as [`Verdict::JobTimeout`]. (The row is pure
-//!   wall-clock policy and therefore only meaningful when the deadline
-//!   knob is set — deadline-free campaigns keep the determinism
-//!   contract.)
+//! * An optional per-job wall-clock deadline is checked when the
+//!   evaluation returns (safe Rust cannot preempt a compute-bound
+//!   thread): a job that took longer has its late result discarded and
+//!   is requeued once / quarantined as [`Verdict::JobTimeout`]. (The row
+//!   is pure wall-clock policy and therefore only meaningful when the
+//!   deadline knob is set — deadline-free campaigns keep the
+//!   determinism contract.)
 //! * Shared-state locks recover from poisoning (`PoisonError::into_inner`)
 //!   — a defense-in-depth layer behind `catch_unwind`: even a panic in
 //!   an observability callback cannot wedge the remaining workers.
@@ -59,7 +58,7 @@ use crate::slots::{CpuSlots, JOBS_IN_FLIGHT_PER_SLOT};
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm::{StageMemo, Verdict};
@@ -161,14 +160,14 @@ impl WorkQueue {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolPolicy {
     /// Per-job wall-clock budget. `None` (default) disables the
-    /// watchdog — the deterministic configuration.
+    /// deadline — the deterministic configuration.
     pub job_deadline: Option<Duration>,
     /// Fault injection: panic any job whose id contains this substring
     /// (deterministic, so the job fails its retry too and quarantines).
     pub inject_panic: Option<String>,
     /// Fault injection: stall any job whose id contains the substring
     /// by the given duration before evaluating (used with
-    /// [`PoolPolicy::job_deadline`] to exercise the watchdog).
+    /// [`PoolPolicy::job_deadline`] to exercise the deadline).
     pub inject_stall: Option<(String, Duration)>,
 }
 
@@ -270,36 +269,7 @@ pub fn run_pool_supervised(
     let depth = uvllm_obs::registry().gauge("campaign.queue_depth");
     depth.set(queue.remaining() as i64);
 
-    // Watchdog state: per-thread start instant of the in-flight job and
-    // the overrun flag the watchdog raises.
-    let inflight: Vec<Mutex<Option<Instant>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    let overrun: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-    let active = AtomicUsize::new(threads);
-
     std::thread::scope(|scope| {
-        if let Some(deadline) = policy.job_deadline {
-            let inflight = &inflight;
-            let overrun = &overrun;
-            let active = &active;
-            // Poll a few times per deadline window; safe Rust cannot
-            // preempt a compute-bound worker, so the flag is the whole
-            // mechanism — workers honor it when the evaluation returns.
-            let tick = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(200));
-            scope.spawn(move || {
-                while active.load(Ordering::Acquire) > 0 {
-                    for (slot, flag) in inflight.iter().zip(overrun) {
-                        let started = *slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        if let Some(started) = started {
-                            if started.elapsed() >= deadline {
-                                flag.store(true, Ordering::Release);
-                            }
-                        }
-                    }
-                    std::thread::sleep(tick);
-                }
-            });
-        }
-
         for thread in 0..threads {
             let thread_jobs =
                 uvllm_obs::registry().counter(&format!("campaign.worker.{thread}.jobs"));
@@ -307,9 +277,6 @@ pub fn run_pool_supervised(
             let results = &results;
             let retried = &retried;
             let on_record = &on_record;
-            let started_at = &inflight[thread];
-            let flag = &overrun[thread];
-            let active = &active;
             let panicked = &panicked;
             let requeued = &requeued;
             let timed_out = &timed_out;
@@ -321,9 +288,7 @@ pub fn run_pool_supervised(
                     // Held until this job's row is in (or it is
                     // requeued), lent out while it waits on the LLM.
                     let _cpu = slots.map(CpuSlots::hold);
-                    flag.store(false, Ordering::Release);
                     let started = Instant::now();
-                    *started_at.lock().unwrap_or_else(PoisonError::into_inner) = Some(started);
                     let job_id = job.id();
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(pattern) = &policy.inject_panic {
@@ -338,13 +303,11 @@ pub fn run_pool_supervised(
                         }
                         evaluate_one_on(job.method, &job.instance, llm, memo)
                     }));
-                    *started_at.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
                     // Classify the attempt: a panic always fails it; a
-                    // completed evaluation fails when the watchdog (or
-                    // the elapsed clock, covering polling granularity)
-                    // says the deadline was blown — the late result is
-                    // discarded, never half-trusted.
+                    // completed evaluation fails when it took longer
+                    // than the deadline — the late result is discarded,
+                    // never half-trusted.
                     let failure = match outcome {
                         Err(_) => {
                             panicked.fetch_add(1, Ordering::Relaxed);
@@ -352,10 +315,9 @@ pub fn run_pool_supervised(
                             Some(Verdict::WorkerPanic)
                         }
                         Ok(_)
-                            if flag.load(Ordering::Acquire)
-                                || policy
-                                    .job_deadline
-                                    .is_some_and(|deadline| started.elapsed() >= deadline) =>
+                            if policy
+                                .job_deadline
+                                .is_some_and(|deadline| started.elapsed() >= deadline) =>
                         {
                             timed_out.fetch_add(1, Ordering::Relaxed);
                             metrics().job_timeouts.inc();
@@ -405,7 +367,6 @@ pub fn run_pool_supervised(
                         }
                     }
                 }
-                active.fetch_sub(1, Ordering::Release);
             });
         }
     });
@@ -640,7 +601,8 @@ mod tests {
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
         assert_eq!(got, expected);
         assert_eq!(records[1].fix_outcome, Verdict::JobTimeout);
-        assert!(stats.timed_out >= 2, "stall is deterministic: attempt + retry both overrun");
+        assert_ne!(records[0].fix_outcome, Verdict::JobTimeout, "only the stalled job overran");
+        assert_eq!(stats.timed_out, 2, "stall is deterministic: attempt + retry both overrun");
         assert_eq!(stats.quarantined_timeouts, 1);
     }
 

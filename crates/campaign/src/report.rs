@@ -2,7 +2,7 @@
 //! over [`EvalRow`]s (so they work identically for fresh runs and
 //! resumed JSONL files).
 
-use crate::eval::EvalRow;
+use crate::eval::{EvalRow, MethodKind};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -48,7 +48,9 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
         self.rows.iter().map(Borrow::borrow)
     }
 
-    /// Method labels present, in first-seen order.
+    /// Method labels present: the known ones in table order
+    /// ([`MethodKind::ALL`]), then any other label in first-seen order.
+    /// The report is a function of the row set, not of row order.
     pub fn methods(&self) -> Vec<String> {
         let mut seen = Vec::new();
         for row in self.iter() {
@@ -56,6 +58,8 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
                 seen.push(row.method.clone());
             }
         }
+        let rank = |label: &String| MethodKind::ALL.iter().position(|m| m.label() == label);
+        seen.sort_by_key(|label| rank(label).unwrap_or(MethodKind::ALL.len()));
         seen
     }
 
@@ -72,13 +76,15 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
     }
 
     /// Mean simulated execution time (seconds) over rows matching
-    /// `filter`.
+    /// `filter`, summed in whole milliseconds so row order cannot move
+    /// a rounding.
     pub fn mean_sim_secs(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
         let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
         if selected.is_empty() {
             return f64::NAN;
         }
-        selected.iter().map(|r| r.sim_latency_ms as f64 / 1000.0).sum::<f64>()
+        selected.iter().map(|r| r.sim_latency_ms).sum::<u64>() as f64
+            / 1000.0
             / selected.len() as f64
     }
 
@@ -271,6 +277,31 @@ mod tests {
             assert!(rendered.contains(heading), "missing {heading}:\n{rendered}");
         }
         assert!((report.mean_sim_secs(|_| true) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn report_is_a_function_of_the_row_set_not_row_order() {
+        let mut rows = vec![
+            row("RTLrepair", "mux4", false, true, true),
+            row("Custom", "mux4", true, false, false),
+            row("MEIC", "adder_8bit", true, true, false),
+            row("GPT-4-turbo", "mux4", true, true, true),
+        ];
+        // A mean of exactly 14.345 s: summed as f64 seconds, one order
+        // of these rows renders 14.34 and the other 14.35.
+        for ms in [1858, 25547, 15630] {
+            rows.push(EvalRow {
+                sim_latency_ms: ms,
+                ..row("UVLLM", "adder_8bit", false, true, true)
+            });
+        }
+        let forward = CampaignReport::new(rows.clone());
+        rows.reverse();
+        let backward = CampaignReport::new(rows);
+        let table_order = ["UVLLM", "MEIC", "GPT-4-turbo", "RTLrepair", "Custom"];
+        assert_eq!(forward.methods(), table_order, "known labels in table order, then others");
+        assert_eq!(forward.render(), backward.render());
+        assert!(forward.render().contains("14.34"), "{}", forward.render());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub enum Verdict {
     /// dying (fault isolation — see `uvllm-campaign`'s worker pool).
     WorkerPanic,
     /// The job blew its per-job wall-clock deadline and was quarantined
-    /// by the campaign watchdog.
+    /// by the campaign's worker pool.
     JobTimeout,
 }
 

@@ -1,7 +1,8 @@
 //! The write-ahead journal: every job-store state transition is
-//! appended to `data_dir/journal.jsonl` *before* the in-memory state
-//! mutates, so a crashed server can rebuild the store on the next boot
-//! (see [`crate::recovery`]).
+//! appended to `data_dir/journal.jsonl`, then applied by the same
+//! [`crate::recovery::StoreImage::apply`] that replay runs, so a
+//! crashed server can rebuild the store on the next boot (see
+//! [`crate::recovery`]).
 //!
 //! ## Record framing
 //!
@@ -362,12 +363,6 @@ impl Journal {
     /// Records currently in the file.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Sequence number the next append will get (the last appended
-    /// record's seq is this minus one).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Appends one record, syncs per the fsync policy, fires the crash

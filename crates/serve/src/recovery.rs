@@ -2,6 +2,11 @@
 //! `store.snapshot.json` + `journal.jsonl` after a crash (or a clean
 //! restart — the path is the same).
 //!
+//! [`StoreImage`] is the store's one state machine. A live transition
+//! is appended, then applied by the same [`StoreImage::apply`] that
+//! replay runs, so the state a restart rebuilds is the state the
+//! crashed process held.
+//!
 //! The snapshot is a periodic compaction checkpoint: the full store
 //! image plus the sequence number of the last journal record folded
 //! into it. Recovery loads the snapshot (a corrupt or missing one
@@ -34,15 +39,35 @@ pub const SNAPSHOT_FORMAT: &str = "uvllm-store-snapshot/v1";
 
 /// A shard's durable lifecycle phase. Lease deadlines are `Instant`s
 /// and meaningless across processes, so they are not part of the
-/// image — recovery expires every lease anyway.
+/// image — the live store keeps them beside it, and recovery expires
+/// every lease anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardPhase {
     /// Never leased, or reclaimed and waiting.
     Pending,
-    /// Leased to `worker` when the image was taken.
+    /// Leased to `worker`.
     Leased { worker: String },
     /// Completed by `worker`.
     Done { worker: String },
+}
+
+impl ShardPhase {
+    /// The wire label: `"pending" | "leased" | "done"`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ShardPhase::Pending => "pending",
+            ShardPhase::Leased { .. } => "leased",
+            ShardPhase::Done { .. } => "done",
+        }
+    }
+
+    /// The holding or completing worker, if any.
+    pub fn worker(&self) -> Option<&str> {
+        match self {
+            ShardPhase::Pending => None,
+            ShardPhase::Leased { worker } | ShardPhase::Done { worker } => Some(worker),
+        }
+    }
 }
 
 /// One shard's durable state.
@@ -67,8 +92,8 @@ pub struct RunImage {
     pub shards: Vec<ShardImage>,
 }
 
-/// The whole store's durable state: what the snapshot holds and what
-/// journal replay folds events into.
+/// The whole store's durable state: what the live store transitions,
+/// what the snapshot holds and what journal replay folds events into.
 #[derive(Debug, Clone, Default)]
 pub struct StoreImage {
     /// Sequence number of the last record folded in (0 = none).
@@ -89,8 +114,10 @@ impl StoreImage {
     }
 
     /// Folds one journal record in, skipping stale sequence numbers
-    /// (already in the snapshot). Unknown runs/shards are reported,
-    /// not fatal — a truncated journal suffix must not brick the boot.
+    /// (already in the snapshot): every live transition right after
+    /// its append, and every replayed record at boot. Unknown
+    /// runs/shards are reported, not fatal — a truncated journal
+    /// suffix must not brick the boot.
     pub fn apply(&mut self, seq: u64, event: &Event, data_dir: &Path, diags: &mut Vec<String>) {
         if seq <= self.seq {
             return;
@@ -161,14 +188,9 @@ impl StoreImage {
                     .shards
                     .iter()
                     .map(|shard| {
-                        let (phase, worker) = match &shard.phase {
-                            ShardPhase::Pending => ("pending", None),
-                            ShardPhase::Leased { worker } => ("leased", Some(worker.clone())),
-                            ShardPhase::Done { worker } => ("done", Some(worker.clone())),
-                        };
                         Json::Obj(vec![
-                            ("state".to_string(), s(phase)),
-                            ("worker".to_string(), worker.map_or(Json::Null, s)),
+                            ("state".to_string(), s(shard.phase.label())),
+                            ("worker".to_string(), shard.phase.worker().map_or(Json::Null, s)),
                             ("epoch".to_string(), Json::Num(shard.epoch as f64)),
                             ("steals".to_string(), Json::Num(shard.steals as f64)),
                             ("sink".to_string(), s(shard.sink.display().to_string())),

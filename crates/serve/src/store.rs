@@ -9,13 +9,16 @@
 //! deadline — the rows are already on disk and byte-identical to what
 //! any other worker would produce, so late completion loses nothing.
 //!
-//! The store is write-ahead journaled: every transition is appended to
-//! `data_dir/journal.jsonl` (see [`crate::journal`]) *before* the
-//! in-memory state mutates, and the journal is periodically compacted
-//! into `store.snapshot.json`. [`JobStore::open`] replays both on
-//! boot (see [`crate::recovery`]), so runs survive server crashes the
-//! same way they already survive worker crashes. The journal lives
-//! inside the state mutex — journal order *is* state-mutation order.
+//! The store's state is a [`StoreImage`], and it is write-ahead
+//! journaled: every transition is validated against the image,
+//! appended to `data_dir/journal.jsonl` (see [`crate::journal`]), then
+//! applied by the same [`StoreImage::apply`] that replay runs. The
+//! journal is periodically compacted into `store.snapshot.json`.
+//! [`JobStore::open`] replays both on boot (see [`crate::recovery`]),
+//! so runs survive server crashes the same way they already survive
+//! worker crashes. The journal lives inside the state mutex — journal
+//! order *is* state-mutation order. Only lease deadlines, which mean
+//! nothing to another process, live beside the image.
 //!
 //! Leases are granted round-robin across active runs: the scan starts
 //! at the run after the previously granted one, so two concurrent
@@ -24,9 +27,10 @@
 
 use crate::http;
 use crate::journal::{Event, Journal, JournalConfig};
-use crate::recovery::{self, RecoveryReport, RunImage, ShardImage, ShardPhase, StoreImage};
+use crate::recovery::{self, RecoveryReport, RunImage, ShardPhase, StoreImage};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm_campaign::MethodKind;
@@ -156,86 +160,6 @@ fn parse_seed(v: &Json) -> Result<u64, String> {
     })
 }
 
-/// Where one shard stands in its lifecycle.
-#[derive(Debug, Clone)]
-enum ShardState {
-    /// Never leased, or reclaimed and waiting for the next worker.
-    Pending,
-    /// Leased to `worker` until `deadline`; only calls quoting `epoch`
-    /// touch it.
-    Leased { worker: String, epoch: u64, deadline: Instant },
-    /// Completed by `worker`.
-    Done { worker: String },
-}
-
-#[derive(Debug)]
-struct Shard {
-    state: ShardState,
-    /// The fencing token: bumped on every grant, so a reclaimed shard's
-    /// previous holder can no longer heartbeat or complete it.
-    epoch: u64,
-    /// How many times an expired lease on this shard was re-granted.
-    steals: u64,
-    /// The JSONL sink every holder appends to. Append-only + resume
-    /// protocol means a second holder continues where the corpse left
-    /// off, skipping completed rows.
-    sink: PathBuf,
-    /// Last worker-pushed progress (heartbeat `rows_done`) — fresher
-    /// than the aggregator's sink poll, purely informational.
-    rows_done: u64,
-}
-
-#[derive(Debug)]
-struct Run {
-    id: String,
-    spec: RunSpec,
-    shards: Vec<Shard>,
-}
-
-impl Run {
-    /// Rehydrates a recovered run. Recovery has already expired every
-    /// lease, so a leased image phase cannot occur; map it to pending
-    /// defensively rather than trusting a deadline from a dead process.
-    fn from_image(image: RunImage) -> Run {
-        let shards = image
-            .shards
-            .into_iter()
-            .map(|shard| Shard {
-                state: match shard.phase {
-                    ShardPhase::Pending | ShardPhase::Leased { .. } => ShardState::Pending,
-                    ShardPhase::Done { worker } => ShardState::Done { worker },
-                },
-                epoch: shard.epoch,
-                steals: shard.steals,
-                sink: shard.sink,
-                rows_done: shard.rows_done,
-            })
-            .collect();
-        Run { id: image.id, spec: image.spec, shards }
-    }
-
-    fn to_image(&self) -> RunImage {
-        let shards = self
-            .shards
-            .iter()
-            .map(|shard| ShardImage {
-                phase: match &shard.state {
-                    ShardState::Pending => ShardPhase::Pending,
-                    ShardState::Leased { worker, .. } => {
-                        ShardPhase::Leased { worker: worker.clone() }
-                    }
-                    ShardState::Done { worker } => ShardPhase::Done { worker: worker.clone() },
-                },
-                epoch: shard.epoch,
-                steals: shard.steals,
-                sink: shard.sink.clone(),
-                rows_done: shard.rows_done,
-            })
-            .collect();
-        RunImage { id: self.id.clone(), spec: self.spec.clone(), shards }
-    }
-}
-
 /// One granted lease, everything a worker needs to run the shard.
 #[derive(Debug, Clone)]
 pub struct LeaseGrant {
@@ -337,11 +261,64 @@ pub struct ShardStatus {
 /// order is exactly state-mutation order — no torn interleavings.
 #[derive(Debug)]
 struct StoreInner {
-    runs: Vec<Run>,
+    /// The store's state, transitioned only by [`StoreInner::commit`].
+    image: StoreImage,
     journal: Journal,
+    /// Lease deadlines by `(run index, shard)`: an entry exactly while
+    /// that shard is leased. Process-local, so beside the image.
+    deadlines: HashMap<(usize, usize), Instant>,
     /// Round-robin cursor: index of the run the next lease scan starts
     /// at, advanced past each run that grants.
     cursor: usize,
+    /// The number the next submitted run's `run-N` id gets.
+    next_run: u64,
+}
+
+impl StoreInner {
+    /// Journals `event`, then applies it to the image with the function
+    /// boot-time replay runs. The caller has validated `event` against
+    /// the image.
+    fn commit(&mut self, event: &Event, data_dir: &Path) -> std::io::Result<()> {
+        let seq = self.journal.append(event)?;
+        let mut diags = Vec::new();
+        self.image.apply(seq, event, data_dir, &mut diags);
+        debug_assert!(diags.is_empty(), "a validated transition failed to apply: {diags:?}");
+        Ok(())
+    }
+
+    /// Compacts when the journal has grown past its threshold: write
+    /// the image as `store.snapshot.json`, then truncate the journal.
+    /// Called once a transition's records are all in. A failed
+    /// compaction is non-fatal — the journal just keeps growing and the
+    /// next transition retries.
+    fn maybe_compact(&mut self, data_dir: &Path) {
+        if !self.journal.wants_compaction() {
+            return;
+        }
+        if let Err(e) = recovery::write_snapshot(data_dir, &self.image) {
+            eprintln!("serve: snapshot write failed ({e}); journal keeps growing");
+            return;
+        }
+        if let Err(e) = self.journal.truncate() {
+            eprintln!("serve: journal truncate after snapshot failed ({e})");
+        }
+    }
+
+    fn run(&self, id: &str) -> Option<&RunImage> {
+        self.image.runs.iter().find(|r| r.id == id)
+    }
+
+    /// The run's index and the holder of the lease `epoch` names on its
+    /// `shard`, if that lease is still the shard's.
+    fn live_lease(&self, run: &str, shard: usize, epoch: u64) -> Result<(usize, &str), LeaseError> {
+        let index =
+            self.image.runs.iter().position(|r| r.id == run).ok_or(LeaseError::UnknownRun)?;
+        let image = self.image.runs[index].shards.get(shard).ok_or(LeaseError::UnknownShard)?;
+        match &image.phase {
+            ShardPhase::Leased { worker } if image.epoch == epoch => Ok((index, worker)),
+            _ => Err(LeaseError::LeaseLost),
+        }
+    }
 }
 
 /// The resident store behind the HTTP surface. All mutation goes
@@ -354,10 +331,6 @@ pub struct JobStore {
     inner: Mutex<StoreInner>,
     draining: AtomicBool,
 }
-
-/// Process-wide run counter: parallel servers in one test binary must
-/// not collide on per-run metric names or data directories.
-static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 
 impl JobStore {
     fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
@@ -382,16 +355,15 @@ impl JobStore {
         let data_dir = data_dir.into();
         std::fs::create_dir_all(&data_dir)?;
         let recovered = recovery::recover(&data_dir)?;
-        // Run ids must clear every recovered id; the counter is
-        // process-global, so only ratchet it forward.
-        NEXT_RUN.fetch_max(recovered.image.max_run_number() + 1, Ordering::SeqCst);
-        let journal =
-            Journal::open(&data_dir, config, recovered.image.seq + 1, recovered.journal_records)?;
-        let runs = recovered.image.runs.into_iter().map(Run::from_image).collect();
+        let image = recovered.image;
+        let journal = Journal::open(&data_dir, config, image.seq + 1, recovered.journal_records)?;
+        // Recovery expired every lease, so no deadline is owed yet.
+        let next_run = image.max_run_number() + 1;
+        let inner = StoreInner { image, journal, deadlines: HashMap::new(), cursor: 0, next_run };
         let store = JobStore {
             data_dir,
             default_lease,
-            inner: Mutex::new(StoreInner { runs, journal, cursor: 0 }),
+            inner: Mutex::new(inner),
             draining: AtomicBool::new(false),
         };
         Ok((store, recovered.report))
@@ -405,28 +377,6 @@ impl JobStore {
         self.default_lease
     }
 
-    /// Compacts when the journal has grown past its threshold: write
-    /// the full image as `store.snapshot.json`, then truncate the
-    /// journal. Called with the lock held, after a successful append.
-    /// A failed compaction is non-fatal — the journal just keeps
-    /// growing and the next transition retries.
-    fn maybe_compact(inner: &mut StoreInner, data_dir: &Path) {
-        if !inner.journal.wants_compaction() {
-            return;
-        }
-        let image = StoreImage {
-            seq: inner.journal.next_seq() - 1,
-            runs: inner.runs.iter().map(Run::to_image).collect(),
-        };
-        if let Err(e) = recovery::write_snapshot(data_dir, &image) {
-            eprintln!("serve: snapshot write failed ({e}); journal keeps growing");
-            return;
-        }
-        if let Err(e) = inner.journal.truncate() {
-            eprintln!("serve: journal truncate after snapshot failed ({e})");
-        }
-    }
-
     /// Registers a run and creates its shard-sink directory. Returns
     /// the run id.
     ///
@@ -434,25 +384,15 @@ impl JobStore {
     ///
     /// Directory-creation and journal failures.
     pub fn submit(&self, spec: RunSpec) -> std::io::Result<String> {
-        let id = format!("run-{}", NEXT_RUN.fetch_add(1, Ordering::SeqCst));
-        let dir = self.data_dir.join(&id);
-        std::fs::create_dir_all(&dir)?;
-        let shards = (0..spec.shards)
-            .map(|i| Shard {
-                state: ShardState::Pending,
-                epoch: 0,
-                steals: 0,
-                sink: dir.join(format!("shard-{i}.jsonl")),
-                rows_done: 0,
-            })
-            .collect();
         let mut inner = self.lock();
-        inner.journal.append(&Event::Submit { run: id.clone(), spec: spec.clone() })?;
-        inner.runs.push(Run { id: id.clone(), spec, shards });
-        Self::maybe_compact(&mut inner, &self.data_dir);
+        let run = format!("run-{}", inner.next_run);
+        inner.next_run += 1;
+        std::fs::create_dir_all(self.data_dir.join(&run))?;
+        inner.commit(&Event::Submit { run: run.clone(), spec }, &self.data_dir)?;
+        inner.maybe_compact(&self.data_dir);
         drop(inner);
         metrics().jobs_submitted.inc();
-        Ok(id)
+        Ok(run)
     }
 
     /// Grants an available shard, scanning runs round-robin from the
@@ -466,54 +406,48 @@ impl JobStore {
         let now = Instant::now();
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let count = inner.runs.len();
+        let count = inner.image.runs.len();
         for offset in 0..count {
             let run_index = (inner.cursor + offset) % count;
-            let run = &inner.runs[run_index];
+            let run = &inner.image.runs[run_index];
+            let expired =
+                |shard| inner.deadlines.get(&(run_index, shard)).is_none_or(|d| *d <= now);
             let candidate =
-                run.shards.iter().enumerate().find_map(|(i, shard)| match &shard.state {
-                    ShardState::Pending => Some((i, false)),
-                    ShardState::Leased { deadline, .. } if *deadline <= now => Some((i, true)),
+                run.shards.iter().enumerate().find_map(|(i, shard)| match shard.phase {
+                    ShardPhase::Pending => Some((i, false)),
+                    ShardPhase::Leased { .. } if expired(i) => Some((i, true)),
                     _ => None,
                 });
-            let Some((shard_index, stolen)) = candidate else { continue };
-            let epoch = run.shards[shard_index].epoch + 1;
+            let Some((shard, stolen)) = candidate else { continue };
+            let deadline = now + run.spec.lease;
             let event = Event::Lease {
                 run: run.id.clone(),
-                shard: shard_index,
-                epoch,
+                shard,
+                epoch: run.shards[shard].epoch + 1,
                 worker: worker.to_string(),
                 stolen,
             };
-            if let Err(e) = inner.journal.append(&event) {
+            if let Err(e) = inner.commit(&event, &self.data_dir) {
                 return LeaseOutcome::Error(format!("journal append failed: {e}"));
             }
-            let run = &mut inner.runs[run_index];
-            let shard = &mut run.shards[shard_index];
+            inner.deadlines.insert((run_index, shard), deadline);
             if stolen {
                 metrics().leases_expired.inc();
                 metrics().leases_stolen.inc();
-                shard.steals += 1;
             }
-            shard.epoch = epoch;
-            shard.state = ShardState::Leased {
-                worker: worker.to_string(),
-                epoch,
-                deadline: now + run.spec.lease,
-            };
             metrics().leases_granted.inc();
-            let grant = LeaseGrant {
+            inner.cursor = (run_index + 1) % count;
+            inner.maybe_compact(&self.data_dir);
+            let run = &inner.image.runs[run_index];
+            return LeaseOutcome::Granted(Box::new(LeaseGrant {
                 run: run.id.clone(),
-                shard: shard_index,
-                epoch,
+                shard,
+                epoch: run.shards[shard].epoch,
                 stolen,
                 lease: run.spec.lease,
-                sink: shard.sink.clone(),
+                sink: run.shards[shard].sink.clone(),
                 spec: run.spec.clone(),
-            };
-            inner.cursor = (run_index + 1) % count;
-            Self::maybe_compact(inner, &self.data_dir);
-            return LeaseOutcome::Granted(Box::new(grant));
+            }));
         }
         LeaseOutcome::Empty
     }
@@ -533,24 +467,15 @@ impl JobStore {
         rows_done: u64,
     ) -> Result<(), LeaseError> {
         let now = Instant::now();
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let index = inner.runs.iter().position(|r| r.id == run).ok_or(LeaseError::UnknownRun)?;
-        let lease = inner.runs[index].spec.lease;
-        match inner.runs[index].shards.get(shard).ok_or(LeaseError::UnknownShard)?.state {
-            ShardState::Leased { epoch: held, .. } if held == epoch => {}
-            _ => return Err(LeaseError::LeaseLost),
-        }
+        let mut inner = self.lock();
+        let (index, _) = inner.live_lease(run, shard, epoch)?;
+        let deadline = now + inner.image.runs[index].spec.lease;
+        let event = Event::Heartbeat { run: run.to_string(), shard, epoch, rows_done };
         inner
-            .journal
-            .append(&Event::Heartbeat { run: run.to_string(), shard, epoch, rows_done })
+            .commit(&event, &self.data_dir)
             .map_err(|e| LeaseError::Internal(format!("journal append failed: {e}")))?;
-        let state = &mut inner.runs[index].shards[shard];
-        if let ShardState::Leased { deadline, .. } = &mut state.state {
-            *deadline = now + lease;
-        }
-        state.rows_done = rows_done;
-        Self::maybe_compact(inner, &self.data_dir);
+        inner.deadlines.insert((index, shard), deadline);
+        inner.maybe_compact(&self.data_dir);
         metrics().heartbeats.inc();
         Ok(())
     }
@@ -565,25 +490,21 @@ impl JobStore {
     /// [`LeaseError`] for unknown runs/shards, stale epochs, and
     /// journal failures.
     pub fn complete(&self, run: &str, shard: usize, epoch: u64) -> Result<(), LeaseError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let index = inner.runs.iter().position(|r| r.id == run).ok_or(LeaseError::UnknownRun)?;
-        let worker =
-            match &inner.runs[index].shards.get(shard).ok_or(LeaseError::UnknownShard)?.state {
-                ShardState::Leased { epoch: held, worker, .. } if *held == epoch => worker.clone(),
-                _ => return Err(LeaseError::LeaseLost),
-            };
+        let mut inner = self.lock();
+        let (index, worker) = inner.live_lease(run, shard, epoch)?;
+        let event =
+            Event::Complete { run: run.to_string(), shard, epoch, worker: worker.to_string() };
         inner
-            .journal
-            .append(&Event::Complete { run: run.to_string(), shard, epoch, worker: worker.clone() })
+            .commit(&event, &self.data_dir)
             .map_err(|e| LeaseError::Internal(format!("journal append failed: {e}")))?;
-        inner.runs[index].shards[shard].state = ShardState::Done { worker };
-        if inner.runs[index].shards.iter().all(|s| matches!(s.state, ShardState::Done { .. })) {
+        inner.deadlines.remove(&(index, shard));
+        let shards = &inner.image.runs[index].shards;
+        if shards.iter().all(|s| matches!(s.phase, ShardPhase::Done { .. })) {
             // Derived state; losing this append loses only an audit
             // record, so it doesn't fail the complete.
-            let _ = inner.journal.append(&Event::Finish { run: run.to_string() });
+            let _ = inner.commit(&Event::Finish { run: run.to_string() }, &self.data_dir);
         }
-        Self::maybe_compact(inner, &self.data_dir);
+        inner.maybe_compact(&self.data_dir);
         Ok(())
     }
 
@@ -597,54 +518,38 @@ impl JobStore {
     /// can proceed to the final aggregation pass.
     pub fn drained(&self) -> bool {
         let now = Instant::now();
-        self.lock().runs.iter().all(|run| {
-            run.shards.iter().all(|shard| match &shard.state {
-                ShardState::Leased { deadline, .. } => *deadline <= now,
-                _ => true,
-            })
-        })
+        self.lock().deadlines.values().all(|deadline| *deadline <= now)
     }
 
     /// The spec a run was submitted with, if the run exists.
     pub fn spec(&self, run: &str) -> Option<RunSpec> {
-        self.lock().runs.iter().find(|r| r.id == run).map(|r| r.spec.clone())
+        self.lock().run(run).map(|r| r.spec.clone())
     }
 
     /// Shard sink paths for a run, in shard order.
     pub fn sinks(&self, run: &str) -> Option<Vec<PathBuf>> {
-        self.lock()
-            .runs
-            .iter()
-            .find(|r| r.id == run)
-            .map(|r| r.shards.iter().map(|s| s.sink.clone()).collect())
+        self.lock().run(run).map(|r| r.shards.iter().map(|s| s.sink.clone()).collect())
     }
 
     /// All run ids, submission order.
     pub fn run_ids(&self) -> Vec<String> {
-        self.lock().runs.iter().map(|r| r.id.clone()).collect()
+        self.lock().image.runs.iter().map(|r| r.id.clone()).collect()
     }
 
     /// Per-shard status rows plus "all shards done".
     pub fn status(&self, run: &str) -> Option<(Vec<ShardStatus>, bool)> {
         let inner = self.lock();
-        let run = inner.runs.iter().find(|r| r.id == run)?;
-        let rows: Vec<ShardStatus> = run
+        let rows: Vec<ShardStatus> = inner
+            .run(run)?
             .shards
             .iter()
             .enumerate()
-            .map(|(shard, state)| {
-                let (label, worker) = match &state.state {
-                    ShardState::Pending => ("pending", None),
-                    ShardState::Leased { worker, .. } => ("leased", Some(worker.clone())),
-                    ShardState::Done { worker } => ("done", Some(worker.clone())),
-                };
-                ShardStatus {
-                    shard,
-                    state: label,
-                    worker,
-                    steals: state.steals,
-                    rows_done: state.rows_done,
-                }
+            .map(|(shard, image)| ShardStatus {
+                shard,
+                state: image.phase.label(),
+                worker: image.phase.worker().map(str::to_string),
+                steals: image.steals,
+                rows_done: image.rows_done,
             })
             .collect();
         let done = rows.iter().all(|r| r.state == "done");
@@ -670,8 +575,9 @@ pub fn post_json(addr: &str, path: &str, body: &Json) -> Result<(u16, Json), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JOURNAL_FILE;
+    use crate::journal::{FsyncPolicy, JOURNAL_FILE};
     use crate::recovery::SNAPSHOT_FILE;
+    use std::collections::HashSet;
 
     fn spec(shards: usize, lease: Duration) -> RunSpec {
         RunSpec { size: 2, seed: 0x42, methods: vec![MethodKind::Strider], shards, lease }
@@ -835,6 +741,113 @@ mod tests {
             vec![first.clone(), second.clone(), first.clone(), second.clone(), first, second],
             "grants must interleave the two runs"
         );
+    }
+
+    #[test]
+    fn run_ids_are_minted_per_store() {
+        let lease = Duration::from_secs(60);
+        let (first, second) = (store("ids-a", lease), store("ids-b", lease));
+        assert_eq!(first.submit(spec(1, lease)).unwrap(), "run-1");
+        assert_eq!(second.submit(spec(1, lease)).unwrap(), "run-1", "no process-wide counter");
+        assert_eq!(first.submit(spec(1, lease)).unwrap(), "run-2");
+    }
+
+    /// xorshift64: the seeded transition loop's deterministic dice.
+    fn roll(state: &mut u64, below: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % below
+    }
+
+    /// Shards with an entry in the deadline table, and shards leased in
+    /// the image: the two must always be the same set.
+    fn deadline_keys_and_leased_shards(store: &JobStore) -> [HashSet<(usize, usize)>; 2] {
+        let inner = store.lock();
+        let leased = inner.image.runs.iter().enumerate().flat_map(|(run, image)| {
+            image.shards.iter().enumerate().filter_map(move |(shard, image)| {
+                matches!(image.phase, ShardPhase::Leased { .. }).then_some((run, shard))
+            })
+        });
+        [inner.deadlines.keys().copied().collect(), leased.collect()]
+    }
+
+    #[test]
+    fn live_state_is_replayed_state() {
+        for compact_every in [0, 3] {
+            let dir = store_dir(&format!("replayed-{compact_every}"));
+            let config =
+                JournalConfig { fsync: FsyncPolicy::Never, compact_every, crash_after: None };
+            // A zero lease: every held lease is expired at once, so the
+            // next grant on its shard is a steal, with no waiting.
+            let lease = Duration::ZERO;
+            let (store, _) = JobStore::open(&dir, lease, config).unwrap();
+            let mut dice = 0x5EED_CAFE + compact_every;
+            let mut grants: Vec<LeaseGrant> = Vec::new();
+            let (mut steals, mut refused) = (0, 0);
+            for _ in 0..400 {
+                match roll(&mut dice, 10) {
+                    0 => {
+                        let shards = 1 + roll(&mut dice, 3) as usize;
+                        store.submit(spec(shards, lease)).unwrap();
+                    }
+                    1..=4 => {
+                        let worker = format!("w{}", roll(&mut dice, 3));
+                        if let LeaseOutcome::Granted(grant) = store.lease(&worker) {
+                            steals += u64::from(grant.stolen);
+                            grants.push(*grant);
+                        }
+                    }
+                    verb if !grants.is_empty() => {
+                        // Any grant ever made: most of them are stale.
+                        let g = &grants[roll(&mut dice, grants.len() as u64) as usize];
+                        let outcome = if verb < 7 {
+                            store.heartbeat(&g.run, g.shard, g.epoch, roll(&mut dice, 100))
+                        } else {
+                            store.complete(&g.run, g.shard, g.epoch)
+                        };
+                        match outcome {
+                            Ok(()) => {}
+                            Err(LeaseError::LeaseLost) => refused += 1,
+                            Err(other) => panic!("{other:?}"),
+                        }
+                    }
+                    _ => {}
+                }
+                let [deadlines, leased] = deadline_keys_and_leased_shards(&store);
+                assert_eq!(deadlines, leased, "a deadline exactly while leased");
+            }
+            assert!(steals > 0 && refused > 0, "{steals} steals, {refused} stale calls refused");
+
+            let live: Vec<(String, Vec<ShardStatus>)> = store
+                .run_ids()
+                .into_iter()
+                .map(|run| (run.clone(), store.status(&run).unwrap().0))
+                .collect();
+            drop(store);
+            let (store, report) = store_at(&dir, lease);
+            assert!(report.diags.is_empty(), "{:?}", report.diags);
+            assert_eq!(store.run_ids().len(), live.len());
+            for (run, live) in &live {
+                let replayed = store.status(run).unwrap().0;
+                assert_eq!(replayed.len(), live.len());
+                for (live, replayed) in live.iter().zip(&replayed) {
+                    // Recovery expires a lease: only that differs.
+                    let (state, worker) = match live.state {
+                        "leased" => ("pending", None),
+                        state => (state, live.worker.clone()),
+                    };
+                    assert_eq!(
+                        (replayed.state, &replayed.worker, replayed.steals, replayed.rows_done),
+                        (state, &worker, live.steals, live.rows_done),
+                        "{run} shard {} at compact_every {compact_every}",
+                        live.shard
+                    );
+                }
+            }
+            let next = store.submit(spec(1, lease)).unwrap();
+            assert_eq!(next, format!("run-{}", live.len() + 1), "ids resume past the recovered");
+        }
     }
 
     #[test]
