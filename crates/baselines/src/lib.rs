@@ -15,11 +15,15 @@
 //! the harness then measures Hit Rate (public tests) and Fix Rate
 //! (extended differential validation) externally — reproducing the
 //! HR-vs-FR gaps of Figures 5 and 6.
+//!
+//! The two LLM methods' loops are resumable state ([`MeicRun`],
+//! [`GptDirectRun`]) whose steps return the prompt they need; their
+//! [`RepairMethod`] impls answer each one in turn, blocking.
 
 pub mod llm_methods;
 pub mod method;
 pub mod template;
 
-pub use llm_methods::{GptDirect, MeicRepair};
+pub use llm_methods::{GptDirect, GptDirectRun, MeicRepair, MeicRun};
 pub use method::{MethodOutcome, RepairMethod};
 pub use template::{RtlRepair, StriderRepair};

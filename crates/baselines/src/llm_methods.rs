@@ -12,36 +12,34 @@ use std::time::{Duration, Instant};
 use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
 use uvllm_designs::Design;
-use uvllm_llm::{AgentRole, CompleteResponse, ErrorInfo, LlmService, OutputMode, RepairPrompt};
+use uvllm_llm::{
+    drive, AgentRole, CompleteResponse, Completion, ErrorInfo, LlmError, LlmService, OutputMode,
+    RepairPrompt, Step, Usage,
+};
 use uvllm_sim::SimBackend;
+
+/// MEIC's iteration budget (a dual-agent loop of ~10 rounds).
+const MEIC_ITERATIONS: usize = 10;
+/// GPT-direct's samples per instance (the paper asks the model 5 times).
+const GPT_SAMPLES: usize = 5;
 
 /// MEIC-style baseline: iterate LLM whole-code repairs against the
 /// finite public testbench, feeding raw logs back, until the tests pass
-/// or the iteration budget is spent.
+/// or the iteration budget is spent ([`MeicRun`]).
 pub struct MeicRepair<'m> {
     llm: &'m mut dyn LlmService,
-    /// Iteration budget (MEIC uses a dual-agent loop of ~10 rounds).
-    pub max_iterations: usize,
-    memo: Option<&'m StageMemo>,
 }
 
 impl<'m> MeicRepair<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        MeicRepair { llm, max_iterations: 10, memo: None }
+        MeicRepair { llm }
     }
 
     /// Benchmark compatibility; goes with the next `benchmark` PR.
     #[doc(hidden)]
     pub fn with_backend(self, _backend: SimBackend) -> Self {
-        self
-    }
-
-    /// Takes elaborations and lint reports from `memo` (a campaign
-    /// passes its dataset's) instead of a memo of each repair's own.
-    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
-        self.memo = Some(memo);
         self
     }
 }
@@ -52,103 +50,124 @@ impl RepairMethod for MeicRepair<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
-        let own_memo = StageMemo::new();
-        let memo = self.memo.unwrap_or(&own_memo);
-        let mut code = src.to_string();
-        let mut time = Duration::ZERO;
-        let mut iterations = 0;
-        for _ in 0..self.max_iterations {
-            iterations += 1;
-            let wall = Instant::now();
-            // Run the method's own (weak) acceptance test.
-            let log = match directed_stage(&code, design, memo) {
-                UvmOutcome::Ran(run) => {
-                    if run.all_passed() {
-                        // NOTE: if the weak tests never trip over the
-                        // bug, MEIC exits here *without any repair* —
-                        // the escape the paper measured at ~10%.
-                        time += wall.elapsed();
-                        return MethodOutcome {
-                            final_code: code,
-                            claimed_success: true,
-                            iterations,
-                            time,
-                            usage: self.llm.usage(),
-                        };
-                    }
-                    run.log.render()
-                }
-                UvmOutcome::BuildFailed(msg) => {
-                    // Compiler output, minimally processed.
-                    let lint = memo.lint(design.name, &code);
-                    if lint.diagnostics.is_empty() {
-                        format!("%Error: dut.v:1:1: {msg}")
-                    } else {
-                        lint.render(&code)
-                    }
-                }
-            };
-            time += wall.elapsed();
-            let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &code)
-                .with_error_info(ErrorInfo::RawLog(tail(&log, 15)))
-                .with_output_mode(OutputMode::Complete);
-            let ticket = self.llm.submit(&prompt);
-            let Ok(completion) = self.llm.await_completion(ticket) else { break };
-            // MEIC's dual-agent design runs a second, scoring model pass
-            // over every candidate (comparable prompt, shorter output);
-            // account its latency without disturbing the repair draw.
-            time += completion.latency + completion.latency.mul_f32(0.8);
-            if let Ok(resp) = CompleteResponse::parse(&completion.content) {
-                if !resp.code.trim().is_empty() {
-                    code = resp.code;
-                }
-            }
-        }
-        // Budget exhausted: report the last candidate, claimed state
-        // from a final check.
-        let wall = Instant::now();
-        let claimed = matches!(
-            directed_stage(&code, design, memo),
-            UvmOutcome::Ran(r) if r.all_passed()
-        );
-        time += wall.elapsed();
-        MethodOutcome {
-            final_code: code,
-            claimed_success: claimed,
-            iterations,
-            time,
-            usage: self.llm.usage(),
-        }
+        let mut run = MeicRun::new(design, src);
+        answered(self.llm, |memo, reply| run.step(memo, reply))
     }
 }
 
-/// Plain GPT-4-turbo baseline: up to `samples` independent whole-code
+/// Runs a baseline's step function on a memo of its own, answering its
+/// prompts through `llm`, blocking.
+fn answered(
+    llm: &mut dyn LlmService,
+    mut step: impl FnMut(&StageMemo, Option<Result<Completion, LlmError>>) -> Step<MethodOutcome>,
+) -> MethodOutcome {
+    let memo = StageMemo::new();
+    let mut outcome = drive(|prompt| llm.complete(prompt), |reply| step(&memo, reply));
+    outcome.usage = llm.usage();
+    outcome
+}
+
+/// One [`MeicRepair`] run as resumable state: each step runs the weak
+/// acceptance test and returns the next whole-code repair prompt, until
+/// the tests pass or the budget is spent. The outcome's `usage` is
+/// zero: the caller owns the service.
+#[derive(Debug)]
+pub struct MeicRun<'d> {
+    design: &'d Design,
+    code: String,
+    iterations: usize,
+    /// Modelled LLM latency plus the compute of the steps.
+    time: Duration,
+}
+
+impl<'d> MeicRun<'d> {
+    /// A run on `src`, not yet started.
+    pub fn new(design: &'d Design, src: &str) -> Self {
+        MeicRun { design, code: src.to_string(), iterations: 0, time: Duration::ZERO }
+    }
+
+    /// Runs until the LLM must answer a repair prompt or the run ends;
+    /// `reply` answers the prompt the previous call asked for.
+    pub fn step(
+        &mut self,
+        memo: &StageMemo,
+        reply: Option<Result<Completion, LlmError>>,
+    ) -> Step<MethodOutcome> {
+        let wall = Instant::now();
+        let design = self.design;
+        match reply {
+            None => {}
+            Some(Err(_)) => return Step::Done(self.finish(self.passes(memo), wall)),
+            Some(Ok(completion)) => {
+                // MEIC's dual-agent design runs a second, scoring model
+                // pass over every candidate (comparable prompt, shorter
+                // output); account its latency without disturbing the
+                // repair draw.
+                self.time += completion.latency + completion.latency.mul_f32(0.8);
+                if let Ok(resp) = CompleteResponse::parse(&completion.content) {
+                    if !resp.code.trim().is_empty() {
+                        self.code = resp.code;
+                    }
+                }
+            }
+        }
+        if self.iterations == MEIC_ITERATIONS {
+            // Budget exhausted: report the last candidate, claimed
+            // state from a final check.
+            return Step::Done(self.finish(self.passes(memo), wall));
+        }
+        self.iterations += 1;
+        // Run the method's own (weak) acceptance test.
+        let log = match directed_stage(&self.code, design, memo) {
+            // NOTE: if the weak tests never trip over the bug, MEIC
+            // exits here *without any repair* — the escape the paper
+            // measured at ~10%.
+            UvmOutcome::Ran(run) if run.all_passed() => return Step::Done(self.finish(true, wall)),
+            UvmOutcome::Ran(run) => run.log.render(),
+            UvmOutcome::BuildFailed(msg) => {
+                // Compiler output, minimally processed.
+                let lint = memo.lint(design.name, &self.code);
+                if lint.diagnostics.is_empty() {
+                    format!("%Error: dut.v:1:1: {msg}")
+                } else {
+                    lint.render(&self.code)
+                }
+            }
+        };
+        self.time += wall.elapsed();
+        Step::NeedLlm(
+            RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &self.code)
+                .with_error_info(ErrorInfo::RawLog(tail(&log, 15)))
+                .with_output_mode(OutputMode::Complete),
+        )
+    }
+
+    fn passes(&self, memo: &StageMemo) -> bool {
+        matches!(directed_stage(&self.code, self.design, memo), UvmOutcome::Ran(r) if r.all_passed())
+    }
+
+    fn finish(&mut self, claimed: bool, wall: Instant) -> MethodOutcome {
+        outcome(&mut self.code, claimed, self.iterations, self.time + wall.elapsed())
+    }
+}
+
+/// Plain GPT-4-turbo baseline: up to five independent whole-code
 /// repairs from specification + code only (pass@k style); the first
-/// candidate that passes the public tests is kept.
+/// candidate that passes the public tests is kept ([`GptDirectRun`]).
 pub struct GptDirect<'m> {
     llm: &'m mut dyn LlmService,
-    /// Samples per instance (the paper asks the model 5 times).
-    pub samples: usize,
-    memo: Option<&'m StageMemo>,
 }
 
 impl<'m> GptDirect<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        GptDirect { llm, samples: 5, memo: None }
+        GptDirect { llm }
     }
 
     /// Benchmark compatibility; goes with the next `benchmark` PR.
     #[doc(hidden)]
     pub fn with_backend(self, _backend: SimBackend) -> Self {
-        self
-    }
-
-    /// Takes elaborations from `memo` (a campaign passes its dataset's)
-    /// instead of a memo of each repair's own.
-    pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
-        self.memo = Some(memo);
         self
     }
 }
@@ -159,46 +178,82 @@ impl RepairMethod for GptDirect<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
-        let own_memo = StageMemo::new();
-        let memo = self.memo.unwrap_or(&own_memo);
-        let mut time = Duration::ZERO;
-        let mut best = src.to_string();
-        let mut iterations = 0;
-        for _ in 0..self.samples {
-            iterations += 1;
-            let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, src)
-                .with_output_mode(OutputMode::Complete);
-            let ticket = self.llm.submit(&prompt);
-            let Ok(completion) = self.llm.await_completion(ticket) else { break };
-            time += completion.latency;
-            let Ok(resp) = CompleteResponse::parse(&completion.content) else { continue };
-            if resp.code.trim().is_empty() {
-                continue;
+        let mut run = GptDirectRun::new(design, src);
+        answered(self.llm, |memo, reply| run.step(memo, reply))
+    }
+}
+
+/// One [`GptDirect`] run as resumable state: each step judges the last
+/// sample and asks for the next, until one passes the public tests or
+/// the samples are spent. The outcome's `usage` is zero: the caller
+/// owns the service.
+#[derive(Debug)]
+pub struct GptDirectRun<'d> {
+    design: &'d Design,
+    prompt: RepairPrompt,
+    /// The last sample that parsed (the mutant until one does).
+    best: String,
+    iterations: usize,
+    /// Modelled LLM latency plus the compute of the steps.
+    time: Duration,
+}
+
+impl<'d> GptDirectRun<'d> {
+    /// A run sampling repairs of `src`, not yet started.
+    pub fn new(design: &'d Design, src: &str) -> Self {
+        let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, src)
+            .with_output_mode(OutputMode::Complete);
+        GptDirectRun { design, prompt, best: src.to_string(), iterations: 0, time: Duration::ZERO }
+    }
+
+    /// Judges the sample `reply` answers, then asks for the next one
+    /// unless the run ends.
+    pub fn step(
+        &mut self,
+        memo: &StageMemo,
+        reply: Option<Result<Completion, LlmError>>,
+    ) -> Step<MethodOutcome> {
+        let wall = Instant::now();
+        let claimed = match reply {
+            None => false,
+            Some(Err(_)) => return Step::Done(self.finish(false, wall)),
+            Some(Ok(completion)) => {
+                self.time += completion.latency;
+                match CompleteResponse::parse(&completion.content) {
+                    Ok(resp) if !resp.code.trim().is_empty() => {
+                        self.best = resp.code;
+                        matches!(
+                            directed_stage(&self.best, self.design, memo),
+                            UvmOutcome::Ran(r) if r.all_passed()
+                        )
+                    }
+                    _ => false,
+                }
             }
-            let wall = Instant::now();
-            let passed = matches!(
-                directed_stage(&resp.code, design, memo),
-                UvmOutcome::Ran(r) if r.all_passed()
-            );
-            time += wall.elapsed();
-            best = resp.code;
-            if passed {
-                return MethodOutcome {
-                    final_code: best,
-                    claimed_success: true,
-                    iterations,
-                    time,
-                    usage: self.llm.usage(),
-                };
-            }
+        };
+        if claimed || self.iterations == GPT_SAMPLES {
+            return Step::Done(self.finish(claimed, wall));
         }
-        MethodOutcome {
-            final_code: best,
-            claimed_success: false,
-            iterations,
-            time,
-            usage: self.llm.usage(),
-        }
+        self.iterations += 1;
+        self.time += wall.elapsed();
+        Step::NeedLlm(self.prompt.clone())
+    }
+
+    fn finish(&mut self, claimed: bool, wall: Instant) -> MethodOutcome {
+        outcome(&mut self.best, claimed, self.iterations, self.time + wall.elapsed())
+    }
+}
+
+/// A step function's outcome, settled on `code`; its `usage` is zero,
+/// the caller owns the service.
+fn outcome(code: &mut String, claimed: bool, iterations: usize, time: Duration) -> MethodOutcome {
+    let final_code = std::mem::take(code);
+    MethodOutcome {
+        final_code,
+        claimed_success: claimed,
+        iterations,
+        time,
+        usage: Usage::default(),
     }
 }
 
@@ -252,7 +307,7 @@ mod tests {
                 ModelProfile::Gpt4TurboWeakHarness,
                 seed,
             ));
-            let mut meic = MeicRepair::new(&mut oracle).with_memo(&memo);
+            let mut meic = MeicRepair::new(&mut oracle);
             let out = meic.repair(d, &m.mutated_src);
             if out.claimed_success && uvllm::metrics::fix_confirmed(d, &out.final_code, &memo) {
                 repaired += 1;

@@ -1,22 +1,28 @@
 //! Per-job evaluation: method dispatch, the `EvalRecord` produced for
 //! every (instance × method) pair, and its deterministic JSONL form.
 //!
+//! A job is resumable state (`JobRun`): its method's loop returns the
+//! prompt it needs instead of blocking on it, so a pool on a batched
+//! service parks a job waiting on the LLM as data and keeps its threads
+//! computing; [`evaluate_one_on`] runs one job to its end, blocking.
+//!
 //! This logic moved here from `uvllm-bench::harness` so the campaign
 //! engine can own it; the bench crate re-exports everything for
 //! compatibility.
 
-use crate::slots::{CpuSlots, SlotLending};
-use std::sync::Arc;
-use std::time::Duration;
-use uvllm::{BenchInstance, Stage, StageMemo, StageTimes, Uvllm, Verdict, VerifyConfig};
-use uvllm_baselines::{GptDirect, MeicRepair, RepairMethod, RtlRepair, StriderRepair};
+use std::task::{ready, Poll, Waker};
+use std::time::{Duration, Instant};
+use uvllm::{BenchInstance, Stage, StageMemo, StageTimes, Verdict, Verification, VerifyConfig};
+use uvllm_baselines::{
+    GptDirectRun, MeicRun, MethodOutcome, RepairMethod, RtlRepair, StriderRepair,
+};
 use uvllm_designs::Category;
 use uvllm_errgen::{ErrorCategory, ErrorKind};
 use uvllm_json::Json;
 use uvllm_llm::{
-    endpoint_gate, BatchedLlm, DirectService, EndpointGate, FaultPlan, FaultyLlm, LanguageModel,
-    LlmService, ModelProfile, OracleLlm, OutputMode, ResiliencePolicy, ResilienceStats,
-    ResilientService, SlowLlm, Usage, WaitStats,
+    block_on, endpoint_gate, BatchedLlm, Completion, DirectService, EndpointGate, FaultPlan,
+    FaultyLlm, LanguageModel, LlmError, LlmService, ModelProfile, OracleLlm, OutputMode,
+    ResiliencePolicy, ResilientService, SlowLlm, Step, Ticket, Usage,
 };
 use uvllm_sim::SimBackend;
 
@@ -49,10 +55,13 @@ pub struct LlmPolicy<'s> {
     /// around every job's service handle (per-job jitter derivation,
     /// same salt discipline as the fault plan).
     resilience: Option<ResiliencePolicy>,
-    /// The CPU slots of the batched pool running the jobs, which every
-    /// job's handle lends out while it waits on the LLM.
-    cpu_slots: Option<Arc<CpuSlots>>,
+    /// Wraps every job's finished handle: a test's stub in front of it.
+    #[cfg(test)]
+    pub(crate) wrap: Option<WrapService>,
 }
+
+#[cfg(test)]
+pub(crate) type WrapService = fn(Box<dyn LlmService>) -> Box<dyn LlmService>;
 
 impl LlmPolicy<'static> {
     /// Per-job direct services, no injected latency: the default.
@@ -63,7 +72,8 @@ impl LlmPolicy<'static> {
             gate: endpoint_gate(),
             fault: None,
             resilience: None,
-            cpu_slots: None,
+            #[cfg(test)]
+            wrap: None,
         }
     }
 }
@@ -71,27 +81,17 @@ impl LlmPolicy<'static> {
 impl<'s> LlmPolicy<'s> {
     /// Sessions on a shared batched service.
     pub fn batched(service: &'s SharedLlm) -> LlmPolicy<'s> {
-        LlmPolicy {
-            batched: Some(service),
-            latency: None,
-            gate: endpoint_gate(),
-            fault: None,
-            resilience: None,
-            cpu_slots: None,
+        LlmPolicy { batched: Some(service), ..LlmPolicy::direct() }
+    }
+
+    /// Jobs a pool of `workers` threads keeps in flight: on a batched
+    /// service, `workers` computing, one flush being answered and one
+    /// filling; a direct one answers at submit time, so none park.
+    pub(crate) fn jobs_in_flight(&self, workers: usize) -> usize {
+        match self.batched {
+            Some(service) => workers + 2 * service.config().max_batch,
+            None => workers,
         }
-    }
-
-    /// True when jobs open sessions on a shared batched service — the
-    /// policy under which a pool keeps more jobs in flight than it has
-    /// CPU slots.
-    pub(crate) fn is_batched(&self) -> bool {
-        self.batched.is_some()
-    }
-
-    /// This policy with every job's handle lending its slot of `slots`
-    /// out for each wait on the LLM.
-    pub(crate) fn lending(&self, slots: Arc<CpuSlots>) -> LlmPolicy<'s> {
-        LlmPolicy { cpu_slots: Some(slots), ..self.clone() }
     }
 
     /// Injects a per-round-trip endpoint latency in *direct* mode
@@ -122,9 +122,8 @@ impl<'s> LlmPolicy<'s> {
     /// Layering, inside out: model → [`FaultyLlm`] (faults originate at
     /// the backend) → latency wrapper / batched session (transport) →
     /// [`ResilientService`] (retries sit above the transport, exactly
-    /// where a production client's retry loop lives) → on a batched
-    /// pool, the handle that lends the job's CPU slot out for every
-    /// wait, backoff included.
+    /// where a production client's retry loop lives; on a session, a
+    /// retry's backoff is a not-before the service holds it back for).
     pub fn service_for_job(&self, model: Box<dyn LanguageModel>, salt: u64) -> Box<dyn LlmService> {
         let model: Box<dyn LanguageModel> = match &self.fault {
             Some(plan) => Box::new(FaultyLlm::new(model, plan.derive(salt))),
@@ -145,10 +144,11 @@ impl<'s> LlmPolicy<'s> {
             Some(policy) => Box::new(ResilientService::new(service, policy.derive(salt))),
             None => service,
         };
-        match &self.cpu_slots {
-            Some(slots) => Box::new(SlotLending::new(service, Arc::clone(slots))),
-            None => service,
+        #[cfg(test)]
+        if let Some(wrap) = self.wrap {
+            return wrap(service);
         }
+        service
     }
 }
 
@@ -534,139 +534,174 @@ pub fn evaluate_one_on(
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
 ) -> EvalRecord {
-    let oracle_seed = inst.seed ^ method.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let design = inst.design;
-    let oracle = |profile| -> Box<dyn LanguageModel> {
-        Box::new(OracleLlm::new(inst.ground_truth.clone(), design.source, profile, oracle_seed))
-    };
-    let (final_code, claimed, texec, stage_times, fixed_by, usage, wait, resilience) = {
-        // `stage_us.repair` spans the whole method run (localize +
-        // repair attempts + internal re-simulation), mirroring the
-        // paper's repair stage; parse/elab/simulate stages are timed at
-        // their own layers.
-        let _span = uvllm_obs::Span::enter("repair");
-        match method {
+    let mut run = JobRun::start(method, inst, llm);
+    block_on(|waker| run.advance(inst, memo, waker))
+}
+
+/// One job as resumable state: its method's loop, the service handle
+/// the loop's prompts go through, and the prompt it waits on. A pool
+/// parks it while an answer is out; [`evaluate_one_on`] blocks instead.
+pub(crate) struct JobRun {
+    kind: MethodKind,
+    /// The job's own handle (and, through it, its own seeded model), so
+    /// a job shares no mutable LLM state with other jobs even when the
+    /// handle is a session of the campaign-wide [`SharedLlm`]. `None`
+    /// for the methods that ask no LLM.
+    service: Option<Box<dyn LlmService>>,
+    machine: Machine,
+    /// The prompt submitted and not yet answered.
+    ticket: Option<Ticket>,
+    /// Compute spent in the method's steps so far.
+    compute: Duration,
+}
+
+enum Machine {
+    Uvllm(Verification<'static>),
+    Meic(MeicRun<'static>),
+    Gpt(GptDirectRun<'static>),
+    /// Strider and RTLrepair ask no LLM: they run in one step.
+    Template,
+}
+
+impl JobRun {
+    /// The job of `method` on `inst`, not yet started, with its handle
+    /// from `llm`. Everything stochastic is derived from the instance
+    /// seed and the method salt.
+    pub(crate) fn start(method: MethodKind, inst: &BenchInstance, llm: &LlmPolicy<'_>) -> JobRun {
+        let (design, src) = (inst.design, inst.mutated_src.as_str());
+        let (machine, profile) = match method {
             MethodKind::Uvllm | MethodKind::UvllmComplete => {
-                let config = VerifyConfig {
-                    output_mode: if method == MethodKind::UvllmComplete {
-                        OutputMode::Complete
-                    } else {
-                        OutputMode::Pairs
-                    },
-                    ..VerifyConfig::default()
+                let output_mode = if method == MethodKind::UvllmComplete {
+                    OutputMode::Complete
+                } else {
+                    OutputMode::Pairs
                 };
-                // The job drives its own service handle (and, through it,
-                // its own seeded model): the whole run is Send and shares
-                // no mutable LLM state with other jobs even when the
-                // handle is a session of the campaign-wide BatchedLlm.
-                let service = llm.service_for_job(oracle(ModelProfile::Gpt4Turbo), oracle_seed);
-                let mut framework = Uvllm::with_service(service, config);
-                let out = framework.verify_on(design, &inst.mutated_src, memo);
-                let service = framework.into_service();
+                let config = VerifyConfig { output_mode, ..VerifyConfig::default() };
+                (
+                    Machine::Uvllm(Verification::new(design, src, config)),
+                    Some(ModelProfile::Gpt4Turbo),
+                )
+            }
+            MethodKind::Meic => {
+                (Machine::Meic(MeicRun::new(design, src)), Some(ModelProfile::Gpt4TurboWeakHarness))
+            }
+            MethodKind::GptDirect => (
+                Machine::Gpt(GptDirectRun::new(design, src)),
+                Some(ModelProfile::Gpt4TurboWeakHarness),
+            ),
+            MethodKind::Strider | MethodKind::RtlRepair => (Machine::Template, None),
+        };
+        let oracle_seed = inst.seed ^ method.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let service = profile.map(|profile| {
+            let oracle =
+                OracleLlm::new(inst.ground_truth.clone(), design.source, profile, oracle_seed);
+            llm.service_for_job(Box::new(oracle), oracle_seed)
+        });
+        JobRun { kind: method, service, machine, ticket: None, compute: Duration::ZERO }
+    }
+
+    /// Steps the job, submitting each prompt it needs through its handle
+    /// and polling for the answer, until it is done (its record) or an
+    /// answer is not in yet (`Pending`: `waker` is woken when it is).
+    pub(crate) fn advance(
+        &mut self,
+        inst: &BenchInstance,
+        memo: &StageMemo,
+        waker: &Waker,
+    ) -> Poll<EvalRecord> {
+        let mut reply = None;
+        loop {
+            if let Some(ticket) = self.ticket {
+                let llm = self.service.as_deref_mut().expect("a ticket was submitted");
+                reply = Some(ready!(llm.poll_completion(ticket, waker)));
+                self.ticket = None;
+            }
+            match self.step(inst, memo, reply.take()) {
+                Step::Done(record) => return Poll::Ready(record),
+                Step::NeedLlm(prompt) => {
+                    let llm = self.service.as_deref_mut().expect("only the LLM methods ask");
+                    self.ticket = Some(llm.submit(&prompt));
+                }
+            }
+        }
+    }
+
+    /// Runs the method until the LLM must answer a prompt, or to its end
+    /// and then judges its final text; `reply` answers the prompt the
+    /// previous call asked for. See [`evaluate_one_on`] for the cost
+    /// model.
+    fn step(
+        &mut self,
+        inst: &BenchInstance,
+        memo: &StageMemo,
+        reply: Option<Result<Completion, LlmError>>,
+    ) -> Step<EvalRecord> {
+        let (design, src) = (inst.design, inst.mutated_src.as_str());
+        let started = Instant::now();
+        let of_method = |out: MethodOutcome| {
+            (out.final_code, out.claimed_success, out.time.as_secs_f64(), None, None)
+        };
+        let step = match &mut self.machine {
+            Machine::Uvllm(run) => run.step(memo, reply).map(|out| {
                 (
                     out.final_code,
                     out.success,
                     out.times.total().as_secs_f64(),
                     Some(out.times),
                     out.fixed_by,
-                    out.usage,
-                    service.wait_stats(),
-                    service.resilience_stats(),
                 )
-            }
-            MethodKind::Meic => {
-                let mut service =
-                    llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = MeicRepair::new(&mut *service).with_memo(memo);
-                let out = m.repair(design, &inst.mutated_src);
+            }),
+            Machine::Meic(run) => run.step(memo, reply).map(of_method),
+            Machine::Gpt(run) => run.step(memo, reply).map(of_method),
+            Machine::Template => Step::Done(of_method(match self.kind {
+                MethodKind::Strider => StriderRepair::new().with_memo(memo).repair(design, src),
+                _ => RtlRepair::new().with_memo(memo).repair(design, src),
+            })),
+        };
+        self.compute += started.elapsed();
+        let (final_code, claimed, texec, stage_times, fixed_by) = match step {
+            Step::NeedLlm(prompt) => return Step::NeedLlm(prompt),
+            Step::Done(settled) => settled,
+        };
+        // `stage_us.repair`: the compute of the whole method run
+        // (localize + repair attempts + internal re-simulation), waits
+        // on the LLM excluded, mirroring the paper's repair stage;
+        // parse/elab/simulate stages are timed at their own layers.
+        uvllm_obs::registry().histogram("stage_us.repair").record(self.compute.as_micros() as u64);
+        // `stage_us.simulate`: the verdict runs driving the final
+        // candidate through the UVM environment — or the memo lookup
+        // that stands in for them.
+        let (hit, fix_outcome) = {
+            let _span = uvllm_obs::Span::enter("simulate");
+            memo.judge(design.name, &final_code, || {
                 (
-                    out.final_code,
-                    out.claimed_success,
-                    out.time.as_secs_f64(),
-                    None,
-                    None,
-                    out.usage,
-                    service.wait_stats(),
-                    service.resilience_stats(),
+                    uvllm::metrics::hit_confirmed(design, &final_code, memo),
+                    uvllm::metrics::fix_verdict(design, &final_code, memo),
                 )
-            }
-            MethodKind::GptDirect => {
-                let mut service =
-                    llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = GptDirect::new(&mut *service).with_memo(memo);
-                let out = m.repair(design, &inst.mutated_src);
-                (
-                    out.final_code,
-                    out.claimed_success,
-                    out.time.as_secs_f64(),
-                    None,
-                    None,
-                    out.usage,
-                    service.wait_stats(),
-                    service.resilience_stats(),
-                )
-            }
-            MethodKind::Strider => {
-                let mut m = StriderRepair::new().with_memo(memo);
-                let out = m.repair(design, &inst.mutated_src);
-                (
-                    out.final_code,
-                    out.claimed_success,
-                    out.time.as_secs_f64(),
-                    None,
-                    None,
-                    out.usage,
-                    WaitStats::default(),
-                    ResilienceStats::default(),
-                )
-            }
-            MethodKind::RtlRepair => {
-                let mut m = RtlRepair::new().with_memo(memo);
-                let out = m.repair(design, &inst.mutated_src);
-                (
-                    out.final_code,
-                    out.claimed_success,
-                    out.time.as_secs_f64(),
-                    None,
-                    None,
-                    out.usage,
-                    WaitStats::default(),
-                    ResilienceStats::default(),
-                )
-            }
-        }
-    };
-    // `stage_us.simulate`: the verdict runs driving the final candidate
-    // through the UVM environment — or the memo lookup that stands in
-    // for them.
-    let (hit, fix_outcome) = {
-        let _span = uvllm_obs::Span::enter("simulate");
-        memo.judge(design.name, &final_code, || {
-            (
-                uvllm::metrics::hit_confirmed(design, &final_code, memo),
-                uvllm::metrics::fix_verdict(design, &final_code, memo),
-            )
+            })
+        };
+        let service = self.service.as_deref();
+        let wait = service.map(|s| s.wait_stats()).unwrap_or_default();
+        Step::Done(EvalRecord {
+            instance_id: inst.id(),
+            design: design.name,
+            group: design.category,
+            kind: inst.kind,
+            category: inst.ground_truth.category,
+            method: self.kind,
+            backend: Default::default(),
+            hit,
+            fixed: fix_outcome.passed(),
+            fix_outcome,
+            claimed,
+            texec,
+            stage_times,
+            fixed_by,
+            usage: service.map(|s| s.usage()).unwrap_or_default(),
+            llm_wait: wait.wait,
+            llm_batch_max: wait.max_batch as u64,
+            degraded: service.is_some_and(|s| s.resilience_stats().degraded > 0),
         })
-    };
-    EvalRecord {
-        instance_id: inst.id(),
-        design: design.name,
-        group: design.category,
-        kind: inst.kind,
-        category: inst.ground_truth.category,
-        method,
-        backend: Default::default(),
-        hit,
-        fixed: fix_outcome.passed(),
-        fix_outcome,
-        claimed,
-        texec,
-        stage_times,
-        fixed_by,
-        usage,
-        llm_wait: wait.wait,
-        llm_batch_max: wait.max_batch as u64,
-        degraded: resilience.degraded > 0,
     }
 }
 

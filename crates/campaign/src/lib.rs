@@ -15,14 +15,14 @@
 //!   whose stretch is empty steals the back half of the largest
 //!   remaining one, and requeued jobs go first. Threads so hold
 //!   different instances and do not wait on each other's memo slots;
-//!   jobs are coarse, so one lock per job is noise. `workers` is the
-//!   number of jobs that compute at once: an unbatched pool runs one
-//!   thread per worker, a batched one two, and a thread waiting on the
-//!   LLM lends its CPU slot to another. The pool is
-//!   supervision-grade:
-//!   per-job `catch_unwind` with requeue-once-then-quarantine
+//!   jobs are coarse, so one lock per job is noise. The pool runs
+//!   `workers` threads; on a batched service a job waiting on the LLM is
+//!   parked as data (its repair loop is a step function) and the thread
+//!   takes a woken or a new job, up to `workers + 2 × max_batch` in
+//!   flight. The pool is supervision-grade:
+//!   `catch_unwind` around every step with requeue-once-then-quarantine
 //!   (`worker_panic` rows), an optional per-job deadline checked when
-//!   the job returns (`job_timeout` rows), and poison-recovering locks
+//!   the job is done (`job_timeout` rows), and poison-recovering locks
 //!   — see [`PoolPolicy`] / [`PoolStats`].
 //! * fault tolerance — `CampaignConfig::fault` injects seeded LLM
 //!   faults ([`uvllm_llm::FaultPlan`]) and `CampaignConfig::resilience`
@@ -95,7 +95,6 @@ pub mod merge;
 pub mod queue;
 pub mod report;
 pub mod sink;
-mod slots;
 
 pub use engine::{
     default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,

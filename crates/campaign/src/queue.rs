@@ -7,13 +7,18 @@
 //! `std` keeps the engine dependency-free. Determinism does not depend
 //! on pop order: every record is a pure function of its job.
 //!
-//! **Threads and CPU slots.** `workers` is how many jobs may compute at
-//! once. An unbatched pool runs one thread per worker. A pool on a
-//! batched LLM service runs `JOBS_IN_FLIGHT_PER_SLOT` (2) threads per
-//! worker under one CPU slot per worker: a thread holds a slot while it
-//! evaluates a job and lends it out while it waits on the LLM, so a
-//! second job computes while the first waits and the service's flushes
-//! fill (`crate::slots`).
+//! **Parked jobs.** The pool runs `workers` threads, batched or not. A
+//! job is resumable state ([`crate::eval`]): a thread steps it until it
+//! needs the LLM, submits the prompt through the job's handle and polls
+//! once. A ready answer (always, on a direct service) is stepped on; a
+//! pending one *parks* the job — data in the pool's table, no thread —
+//! until the service wakes it. A thread takes, in order: a woken parked
+//! job (re-polled, then stepped); else a new job, while fewer than the
+//! cap are in flight; else it waits. The cap is `workers + 2 ×
+//! max_batch` on a batched service — `workers` computing, one flush
+//! being answered and one filling — and `workers` on a direct one, whose
+//! jobs never park. No [`StageMemo`] fill spans an LLM wait, so a thread
+//! waiting on a memo slot always waits on a filler that is computing.
 //!
 //! The list is cut into **one contiguous stretch per thread**: thread
 //! *k* of *t* starts at job `k·n/t` and walks forward. A thread whose
@@ -28,17 +33,18 @@
 //! The pool is *supervision-grade* (fault isolation, the campaign-side
 //! half of the resilience layer):
 //!
-//! * Every evaluation runs inside `catch_unwind`, so one panicking job
-//!   cannot kill its worker thread (which would abort the scope and the
-//!   whole run) or poison the shared mutexes.
+//! * Every step of a job runs inside `catch_unwind`, so one panicking
+//!   job cannot kill its worker thread (which would abort the scope and
+//!   the whole run) or poison the shared mutexes. A panic drops the
+//!   job's state, which closes its LLM session.
 //! * A failed job is **requeued once** — transient failures (a flaky
 //!   model, an OOM-killed subprocess in a real deployment) get one more
 //!   chance; a second failure quarantines the job as a distinct
 //!   [`Verdict::WorkerPanic`] row so the campaign stays complete and
 //!   honest instead of silently losing coverage.
-//! * An optional per-job wall-clock deadline is checked when the
-//!   evaluation returns (safe Rust cannot preempt a compute-bound
-//!   thread): a job that took longer has its late result discarded and
+//! * An optional per-job wall-clock deadline is checked when the job is
+//!   done (safe Rust cannot preempt a compute-bound thread): a job that
+//!   took longer has its late result discarded and
 //!   is requeued once / quarantined as [`Verdict::JobTimeout`]. (The row
 //!   is pure wall-clock policy and therefore only meaningful when the
 //!   deadline knob is set — deadline-free campaigns keep the
@@ -52,14 +58,13 @@
 //! testable end-to-end: they fire by job-id substring match inside the
 //! supervised region, exactly where a real fault would.
 
-use crate::eval::{evaluate_one_on, EvalRecord, LlmPolicy};
+use crate::eval::{EvalRecord, JobRun, LlmPolicy};
 use crate::job::Job;
-use crate::slots::{CpuSlots, JOBS_IN_FLIGHT_PER_SLOT};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::task::{Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 use uvllm::{StageMemo, Verdict};
 use uvllm_llm::Usage;
@@ -212,13 +217,12 @@ fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
     }
 }
 
-/// Runs `jobs` with at most `workers` computing at once, drawing LLM
-/// service handles from `llm` (a per-job
-/// [`uvllm_llm::DirectService`], or sessions of the shared
-/// [`crate::SharedLlm`], on which a pool thread waiting for an answer
-/// lends its CPU slot to another — module docs); `on_record` observes
-/// every finished job (from pool threads, in completion order) and the
-/// returned list is sorted back into job order.
+/// Runs `jobs` on `workers` threads, drawing LLM service handles from
+/// `llm` (a per-job [`uvllm_llm::DirectService`], or sessions of the
+/// shared [`crate::SharedLlm`], on which a job waiting for an answer is
+/// parked — module docs); `on_record` observes every finished job (from
+/// pool threads, in completion order) and the returned list is sorted
+/// back into job order.
 ///
 /// `workers == 0` is treated as 1. The pool analyses on a memo of its
 /// own ([`run_pool_supervised`] takes the caller's).
@@ -230,6 +234,134 @@ pub fn run_pool(
 ) -> Vec<EvalRecord> {
     let memo = StageMemo::new();
     run_pool_supervised(jobs, workers, llm, &memo, &PoolPolicy::default(), on_record).0
+}
+
+/// A job in flight: taken from the queue, not yet recorded or requeued.
+struct Flight {
+    /// Keyed on its job's index while it is parked: a stale wake (from
+    /// an attempt that panicked) costs its retry one spurious poll.
+    job: Job,
+    /// `None` until the job's first step starts it.
+    run: Option<JobRun>,
+    started: Instant,
+    /// Moves the flight from the parked table to the woken queue.
+    waker: Waker,
+}
+
+/// A pool's shared state, under one lock.
+#[derive(Default)]
+struct Board {
+    state: Mutex<BoardState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct BoardState {
+    /// Jobs in flight, parked ones included.
+    in_flight: usize,
+    /// Threads waiting on `changed` (a notify is a syscall: skip it
+    /// when nobody waits).
+    waiting: usize,
+    parked: HashMap<usize, Flight>,
+    /// Parked jobs whose answer is in, in wake order.
+    woken: VecDeque<Flight>,
+    /// Flights woken before they were parked: they do not park.
+    early: HashSet<usize>,
+    /// Job indices that already used their single retry.
+    retried: HashSet<usize>,
+    results: Vec<(usize, EvalRecord)>,
+    stats: PoolStats,
+}
+
+impl Board {
+    /// Every update is one whole step under the lock, and no job code
+    /// runs under it, so a poisoned guard still holds valid state.
+    fn lock(&self) -> MutexGuard<'_, BoardState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl BoardState {
+    /// Books a failed attempt of `job`: its first failure requeues it
+    /// (while it still counts as in flight, so no thread exits while
+    /// its retry is owed); its second quarantines it with a distinct
+    /// outcome row, so coverage stays complete and the failure visible.
+    fn failed(
+        &mut self,
+        job: &Job,
+        verdict: Verdict,
+        queue: &WorkQueue,
+        depth: &uvllm_obs::Gauge,
+    ) -> Option<EvalRecord> {
+        let stats = &mut self.stats;
+        let (failed, quarantined) = match verdict {
+            Verdict::JobTimeout => (&mut stats.timed_out, &mut stats.quarantined_timeouts),
+            _ => (&mut stats.panicked, &mut stats.quarantined_panics),
+        };
+        *failed += 1;
+        if self.retried.insert(job.index) {
+            stats.requeued += 1;
+            metrics().requeues.inc();
+            depth.inc();
+            queue.push(job.clone());
+            return None;
+        }
+        *quarantined += 1;
+        Some(quarantine_record(job, verdict))
+    }
+}
+
+/// The waker of one flight.
+struct FlightWaker {
+    board: Arc<Board>,
+    index: usize,
+}
+
+impl Wake for FlightWaker {
+    fn wake(self: Arc<Self>) {
+        let mut state = self.board.lock();
+        match state.parked.remove(&self.index) {
+            Some(flight) => {
+                state.woken.push_back(flight);
+                if state.waiting > 0 {
+                    self.board.changed.notify_one();
+                }
+            }
+            None => {
+                state.early.insert(self.index);
+            }
+        }
+    }
+}
+
+/// Steps `flight` until it is done (its record) or waits on an answer
+/// that is not in yet. A new flight starts here, under the caller's
+/// `catch_unwind`, where the injected faults fire.
+fn fly(
+    flight: &mut Flight,
+    llm: &LlmPolicy<'_>,
+    memo: &StageMemo,
+    policy: &PoolPolicy,
+) -> Poll<EvalRecord> {
+    let Flight { job, run, waker, .. } = flight;
+    let run = match run {
+        Some(run) => run,
+        None => {
+            let job_id = job.id();
+            if let Some(pattern) = &policy.inject_panic {
+                if job_id.contains(pattern.as_str()) {
+                    panic!("injected worker panic for job {job_id}");
+                }
+            }
+            if let Some((pattern, stall)) = &policy.inject_stall {
+                if job_id.contains(pattern.as_str()) {
+                    std::thread::sleep(*stall);
+                }
+            }
+            run.insert(JobRun::start(job.method, &job.instance, llm))
+        }
+    };
+    run.advance(&job.instance, memo, waker)
 }
 
 /// [`run_pool`] under an explicit supervision policy and on the
@@ -245,24 +377,10 @@ pub fn run_pool_supervised(
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
     let workers = workers.max(1);
-    let (threads, slots) = if llm.is_batched() {
-        (workers * JOBS_IN_FLIGHT_PER_SLOT, Some(Arc::new(CpuSlots::new(workers))))
-    } else {
-        (workers, None)
-    };
-    let threads = threads.min(jobs.len().max(1));
-    let lending = slots.as_ref().map(|slots| llm.lending(Arc::clone(slots)));
-    let llm = lending.as_ref().unwrap_or(llm);
-    let slots = slots.as_deref();
+    let threads = workers.min(jobs.len().max(1));
+    let cap = llm.jobs_in_flight(workers);
     let queue = WorkQueue::new(jobs, threads);
-    let results: Mutex<Vec<(usize, EvalRecord)>> = Mutex::new(Vec::new());
-    // Job indices that already used their single retry.
-    let retried: Mutex<HashSet<usize>> = Mutex::new(HashSet::new());
-    let panicked = AtomicU64::new(0);
-    let requeued = AtomicU64::new(0);
-    let timed_out = AtomicU64::new(0);
-    let quarantined_panics = AtomicU64::new(0);
-    let quarantined_timeouts = AtomicU64::new(0);
+    let board = Arc::new(Board::default());
     // `campaign.queue_depth` tracks unclaimed jobs; gauges are absolute,
     // so concurrent pools would fight over it — campaigns run one pool
     // at a time, which is the case the snapshot documents.
@@ -273,116 +391,88 @@ pub fn run_pool_supervised(
         for thread in 0..threads {
             let thread_jobs =
                 uvllm_obs::registry().counter(&format!("campaign.worker.{thread}.jobs"));
-            let queue = &queue;
-            let results = &results;
-            let retried = &retried;
-            let on_record = &on_record;
-            let panicked = &panicked;
-            let requeued = &requeued;
-            let timed_out = &timed_out;
-            let quarantined_panics = &quarantined_panics;
-            let quarantined_timeouts = &quarantined_timeouts;
-            scope.spawn(move || {
-                while let Some(job) = queue.pop(thread) {
-                    depth.dec();
-                    // Held until this job's row is in (or it is
-                    // requeued), lent out while it waits on the LLM.
-                    let _cpu = slots.map(CpuSlots::hold);
-                    let started = Instant::now();
-                    let job_id = job.id();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(pattern) = &policy.inject_panic {
-                            if job_id.contains(pattern.as_str()) {
-                                panic!("injected worker panic for job {job_id}");
+            let (queue, board, on_record) = (&queue, &board, &on_record);
+            scope.spawn(move || loop {
+                // A woken job first, then a new one while in flight
+                // stays below the cap; otherwise wait for either.
+                let mut flight = {
+                    let mut state = board.lock();
+                    loop {
+                        if let Some(flight) = state.woken.pop_front() {
+                            break flight;
+                        }
+                        if state.in_flight < cap {
+                            if let Some(job) = queue.pop(thread) {
+                                depth.dec();
+                                state.in_flight += 1;
+                                let waker =
+                                    FlightWaker { board: Arc::clone(board), index: job.index };
+                                let waker = Waker::from(Arc::new(waker));
+                                break Flight { job, run: None, started: Instant::now(), waker };
+                            }
+                            if state.in_flight == 0 {
+                                return;
                             }
                         }
-                        if let Some((pattern, stall)) = &policy.inject_stall {
-                            if job_id.contains(pattern.as_str()) {
-                                std::thread::sleep(*stall);
-                            }
-                        }
-                        evaluate_one_on(job.method, &job.instance, llm, memo)
-                    }));
-
-                    // Classify the attempt: a panic always fails it; a
-                    // completed evaluation fails when it took longer
-                    // than the deadline — the late result is discarded,
-                    // never half-trusted.
-                    let failure = match outcome {
-                        Err(_) => {
-                            panicked.fetch_add(1, Ordering::Relaxed);
-                            metrics().panics.inc();
-                            Some(Verdict::WorkerPanic)
-                        }
-                        Ok(_)
-                            if policy
-                                .job_deadline
-                                .is_some_and(|deadline| started.elapsed() >= deadline) =>
-                        {
-                            timed_out.fetch_add(1, Ordering::Relaxed);
-                            metrics().job_timeouts.inc();
-                            Some(Verdict::JobTimeout)
-                        }
-                        Ok(record) => {
-                            thread_jobs.inc();
-                            on_record(&job, &record);
-                            results
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((job.index, record));
-                            None
-                        }
-                    };
-
-                    if let Some(verdict) = failure {
-                        let first_failure = retried
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(job.index);
-                        if first_failure {
-                            // Requeue once: the worker stays in its
-                            // loop, so the retried job cannot starve
-                            // even if every other worker has exited.
-                            requeued.fetch_add(1, Ordering::Relaxed);
-                            metrics().requeues.inc();
-                            depth.inc();
-                            queue.push(job);
-                        } else {
-                            // Second failure: quarantine with a
-                            // distinct outcome row so coverage stays
-                            // complete and the failure visible.
-                            match verdict {
-                                Verdict::JobTimeout => {
-                                    quarantined_timeouts.fetch_add(1, Ordering::Relaxed)
-                                }
-                                _ => quarantined_panics.fetch_add(1, Ordering::Relaxed),
-                            };
-                            let record = quarantine_record(&job, verdict);
-                            thread_jobs.inc();
-                            on_record(&job, &record);
-                            results
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((job.index, record));
-                        }
+                        state.waiting += 1;
+                        state = board.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                        state.waiting -= 1;
                     }
+                };
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| fly(&mut flight, llm, memo, policy)));
+
+                // Classify the attempt: a panic always fails it; a
+                // finished job fails when it took longer than the
+                // deadline — the late result is discarded, never
+                // half-trusted.
+                let attempt = match outcome {
+                    Ok(Poll::Pending) => {
+                        let mut state = board.lock();
+                        if state.early.remove(&flight.job.index) {
+                            state.woken.push_back(flight);
+                        } else {
+                            state.parked.insert(flight.job.index, flight);
+                        }
+                        continue;
+                    }
+                    Err(_) => {
+                        metrics().panics.inc();
+                        Err(Verdict::WorkerPanic)
+                    }
+                    Ok(Poll::Ready(_))
+                        if policy.job_deadline.is_some_and(|d| flight.started.elapsed() >= d) =>
+                    {
+                        metrics().job_timeouts.inc();
+                        Err(Verdict::JobTimeout)
+                    }
+                    Ok(Poll::Ready(record)) => Ok(record),
+                };
+                let job = flight.job;
+                let record = match attempt {
+                    Ok(record) => Some(record),
+                    Err(verdict) => board.lock().failed(&job, verdict, queue, depth),
+                };
+                if let Some(record) = &record {
+                    thread_jobs.inc();
+                    on_record(&job, record);
+                }
+                let mut state = board.lock();
+                state.in_flight -= 1;
+                state.results.extend(record.map(|record| (job.index, record)));
+                let wake = state.waiting > 0;
+                drop(state);
+                if wake {
+                    board.changed.notify_all();
                 }
             });
         }
     });
 
-    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut state = board.lock();
+    let mut results = std::mem::take(&mut state.results);
     results.sort_by_key(|(index, _)| *index);
-    (
-        results.into_iter().map(|(_, record)| record).collect(),
-        PoolStats {
-            panicked: panicked.into_inner(),
-            requeued: requeued.into_inner(),
-            timed_out: timed_out.into_inner(),
-            quarantined_panics: quarantined_panics.into_inner(),
-            quarantined_timeouts: quarantined_timeouts.into_inner(),
-        },
-    )
+    (results.into_iter().map(|(_, record)| record).collect(), state.stats)
 }
 
 #[cfg(test)]
@@ -395,6 +485,7 @@ mod tests {
     use uvllm::build_instance;
     use uvllm_designs::by_name;
     use uvllm_errgen::ErrorKind;
+    use uvllm_llm::Ticket;
 
     fn jobs_on(design: &str, methods: &[MethodKind], seeds: u64) -> Vec<Job> {
         let d = by_name(design).unwrap();
@@ -547,6 +638,93 @@ mod tests {
         assert_eq!(seen.load(Ordering::Relaxed), expected.len());
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
         assert_eq!(got, expected, "results must come back in job order");
+    }
+
+    /// Tickets submitted and not yet answered, across every job.
+    static OUTSTANDING: AtomicUsize = AtomicUsize::new(0);
+    /// The most [`OUTSTANDING`] ever was.
+    static MOST_OUTSTANDING: AtomicUsize = AtomicUsize::new(0);
+    /// The pool threads that submitted.
+    static SUBMITTERS: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+    /// Holds each of the two pool threads at its first submission until
+    /// the other has submitted too, so both take part.
+    static BOTH_SUBMIT: std::sync::Barrier = std::sync::Barrier::new(2);
+
+    /// Counts a job's outstanding tickets in front of its real handle.
+    struct Counting(Box<dyn uvllm_llm::LlmService>);
+
+    impl uvllm_llm::LlmService for Counting {
+        fn backend_name(&self) -> &str {
+            self.0.backend_name()
+        }
+
+        fn submit(&mut self, prompt: &uvllm_llm::RepairPrompt) -> Ticket {
+            let first = {
+                let mut submitters = SUBMITTERS.lock().unwrap();
+                let me = std::thread::current().id();
+                !submitters.contains(&me) && {
+                    submitters.push(me);
+                    true
+                }
+            };
+            if first {
+                BOTH_SUBMIT.wait();
+            }
+            let now = OUTSTANDING.fetch_add(1, Ordering::SeqCst) + 1;
+            MOST_OUTSTANDING.fetch_max(now, Ordering::SeqCst);
+            self.0.submit(prompt)
+        }
+
+        fn await_completion(
+            &mut self,
+            _: Ticket,
+        ) -> Result<uvllm_llm::Completion, uvllm_llm::LlmError> {
+            unreachable!("a pool polls")
+        }
+
+        fn poll_completion(
+            &mut self,
+            ticket: Ticket,
+            waker: &Waker,
+        ) -> Poll<Result<uvllm_llm::Completion, uvllm_llm::LlmError>> {
+            let answer = self.0.poll_completion(ticket, waker);
+            if answer.is_ready() {
+                OUTSTANDING.fetch_sub(1, Ordering::SeqCst);
+            }
+            answer
+        }
+
+        fn usage(&self) -> Usage {
+            self.0.usage()
+        }
+
+        fn wait_stats(&self) -> uvllm_llm::WaitStats {
+            self.0.wait_stats()
+        }
+    }
+
+    #[test]
+    fn a_batched_pool_runs_workers_threads_and_parks_up_to_the_cap() {
+        let (workers, max_batch) = (2, 2);
+        let service = crate::SharedLlm::start(uvllm_llm::BatchConfig {
+            max_batch,
+            round_trip: Duration::from_millis(10),
+            ..uvllm_llm::BatchConfig::default()
+        });
+        let mut llm = LlmPolicy::batched(&service);
+        llm.wrap = Some(|inner| Box::new(Counting(inner)));
+        // Syntax mutants: every job of these methods asks the LLM.
+        let methods = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect];
+        let jobs = jobs_on("alu_8bit", &methods, 6);
+        let expected = jobs.len();
+        let records = run_pool(jobs, workers, &llm, |_, _| {});
+        assert_eq!(records.len(), expected);
+        assert_eq!(SUBMITTERS.lock().unwrap().len(), workers, "one thread per worker");
+        assert_eq!(OUTSTANDING.load(Ordering::SeqCst), 0);
+        let most = MOST_OUTSTANDING.load(Ordering::SeqCst);
+        let cap = workers + 2 * max_batch;
+        assert!(most <= cap, "{most} jobs waited at once, over the cap of {cap}");
+        assert!(most > workers, "jobs waiting on the LLM are parked, not holding threads");
     }
 
     #[test]

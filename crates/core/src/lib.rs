@@ -27,8 +27,14 @@
 //! keeps what the stages learn about a candidate text that is a pure
 //! function of it (elaboration, lint report, UVM-stage facts, verdict),
 //! so that many runs over one dataset analyse each text once
-//! ([`Uvllm::verify_on`]); every function that simulates a text takes
+//! ([`Verification::step`]); every function that simulates a text takes
 //! the memo to elaborate it through.
+//!
+//! The loop itself is resumable state ([`Verification`], with
+//! [`Preprocessing`] inside it): a step runs the stages until the LLM
+//! must answer a prompt and returns that prompt, so a caller can park
+//! the run while it waits. [`Uvllm::verify`] answers each prompt in
+//! turn, blocking.
 //!
 //! ## Example
 //!
@@ -67,8 +73,8 @@ pub use dataset::{build_dataset, build_dataset_with, build_instance, BenchInstan
 pub use memo::{Analysed, Elaborated, Judgement, StageMemo, UvmFacts};
 pub use metrics::{fix_confirmed, fix_verdict, hit_confirmed, mutant_is_detectable, Verdict};
 pub use patch::{apply_pairs, PatchReport};
-pub use pipeline::{Stage, StageTimes, Uvllm, VerifyConfig, VerifyOutcome};
+pub use pipeline::{Stage, StageTimes, Uvllm, Verification, VerifyConfig, VerifyOutcome};
 pub use stages::{
-    directed_stage, localize, postprocess, preprocess, preprocess_on, repair, uvm_stage,
-    uvm_stage_with, Localized, PreprocessStats, RepairAttempt, UvmOutcome,
+    directed_stage, localize, postprocess, preprocess, repair, uvm_stage, uvm_stage_with,
+    Localized, PreprocessStats, Preprocessing, RepairAttempt, UvmOutcome,
 };

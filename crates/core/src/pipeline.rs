@@ -2,10 +2,13 @@
 //! score-register rollback mechanism.
 
 use crate::memo::StageMemo;
-use crate::stages::{preprocess_on, repair};
+use crate::stages::{apply_repair, repair_prompt, Preprocessing};
 use std::time::{Duration, Instant};
 use uvllm_designs::Design;
-use uvllm_llm::{DirectService, LanguageModel, LlmService, OutputMode, RepairPair, Usage};
+use uvllm_llm::{
+    drive, Completion, DirectService, LanguageModel, LlmError, LlmService, OutputMode, RepairPair,
+    Step, Usage,
+};
 use uvllm_sim::SimBackend;
 
 /// Which pipeline segment produced the final successful change —
@@ -31,7 +34,9 @@ impl Stage {
     }
 }
 
-/// Simulated + measured execution time per stage (Table II's `Texec`).
+/// Simulated + measured execution time per stage (Table II's `Texec`):
+/// the modelled LLM latency plus the compute the stage did, never time
+/// spent waiting for an answer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimes {
     pub preprocess: Duration,
@@ -105,7 +110,8 @@ pub struct VerifyOutcome {
     pub fixed_by: Option<Stage>,
     /// Per-stage execution time.
     pub times: StageTimes,
-    /// LLM token/cost accounting.
+    /// LLM token/cost accounting (zero from [`Verification::step`]: the
+    /// caller owns the service).
     pub usage: Usage,
     /// Rollbacks triggered by score regressions.
     pub rollbacks: usize,
@@ -117,55 +123,24 @@ pub struct VerifyOutcome {
     pub final_score: f64,
 }
 
-/// The UVLLM framework: drives an [`LlmService`] handle and verifies
-/// DUTs against their specification using the four-stage loop.
-///
-/// The framework *owns* its service handle (generic `S`), which makes a
-/// whole verification run `Send` — the property the campaign engine
-/// relies on to run jobs on worker threads. Every LLM interaction goes
-/// through the submit/await ticket protocol, so the same pipeline runs
-/// unchanged on an in-process [`DirectService`] or on a session of a
-/// shared [`uvllm_llm::BatchedLlm`] (the campaign's batched mode).
-///
-/// [`Uvllm::new`] keeps the historical model-owning construction:
-/// `Uvllm::new(model, config)` wraps the [`LanguageModel`] in a
-/// [`DirectService`]; borrowing callers keep working via the
-/// `LanguageModel` forwarding impl for `&mut M`.
-pub struct Uvllm<S: LlmService> {
+/// The UVLLM framework: verifies DUTs against their specification with
+/// the four-stage loop ([`Verification`]), asking its model in-process
+/// (a [`DirectService`]) for every prompt the loop needs. Borrowing
+/// callers pass `&mut M` (the `LanguageModel` forwarding impl).
+pub struct Uvllm<M: LanguageModel> {
     config: VerifyConfig,
-    service: S,
+    service: DirectService<M>,
 }
 
-impl<M: LanguageModel> Uvllm<DirectService<M>> {
-    /// Creates a framework instance around a model backend (wrapped in
-    /// an unbatched [`DirectService`]).
+impl<M: LanguageModel> Uvllm<M> {
+    /// Creates a framework instance around a model backend.
     pub fn new(llm: M, config: VerifyConfig) -> Self {
-        Uvllm::with_service(DirectService::new(llm), config)
+        Uvllm { config, service: DirectService::new(llm) }
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &M {
         self.service.model()
-    }
-}
-
-impl<S: LlmService> Uvllm<S> {
-    /// Creates a framework instance around an [`LlmService`] handle —
-    /// the constructor batched campaigns use to hand every job a
-    /// session of the shared service.
-    pub fn with_service(service: S, config: VerifyConfig) -> Self {
-        Uvllm { config, service }
-    }
-
-    /// The wrapped service handle.
-    pub fn service(&self) -> &S {
-        &self.service
-    }
-
-    /// Consumes the framework, returning the service handle (and its
-    /// usage/wait accounting).
-    pub fn into_service(self) -> S {
-        self.service
     }
 
     /// Runs the full verification loop on `src` for `design`.
@@ -174,129 +149,197 @@ impl<S: LlmService> Uvllm<S> {
     /// (§II of the paper). All history versions are kept in the score
     /// register; the best-scoring version is returned on failure.
     pub fn verify(&mut self, design: &Design, src: &str) -> VerifyOutcome {
-        self.verify_on(design, src, &StageMemo::new())
+        let memo = StageMemo::new();
+        let mut run = Verification::new(design, src, self.config.clone());
+        let mut outcome =
+            drive(|prompt| self.service.complete(prompt), |reply| run.step(&memo, reply));
+        outcome.usage = self.service.usage();
+        outcome
+    }
+}
+
+/// One run of the loop of Fig. 2 as resumable state: the code, the score
+/// register, the damage list and the stage counters. Each
+/// [`Verification::step`] runs stages until the LLM must answer a prompt
+/// and returns it; the run holds no thread while it waits.
+#[derive(Debug)]
+pub struct Verification<'d> {
+    design: &'d Design,
+    config: VerifyConfig,
+    code: String,
+    /// Main-loop iterations begun.
+    iterations: usize,
+    phase: Phase,
+    times: StageTimes,
+    rollbacks: usize,
+    script_fixes: usize,
+    damage: Vec<RepairPair>,
+    /// Score register: best (score, code) seen so far.
+    best: (f64, String),
+    last_change: Option<(Stage, Vec<RepairPair>)>,
+    final_score: f64,
+}
+
+/// Where a [`Verification`] resumes.
+#[derive(Debug)]
+enum Phase {
+    /// At the top of the main loop.
+    Iterate,
+    /// Step 1, pre-processing.
+    Preprocess(Preprocessing<'static>),
+    /// Step 4, waiting for the repair agent (in SL mode or not), the
+    /// prompt's compute `spent`.
+    Repair { sl_mode: bool, spent: Duration },
+}
+
+impl<'d> Verification<'d> {
+    /// A run of `config`'s loop on `src` for `design`, not yet started.
+    pub fn new(design: &'d Design, src: &str, config: VerifyConfig) -> Self {
+        Verification {
+            design,
+            config,
+            code: src.to_string(),
+            iterations: 0,
+            phase: Phase::Iterate,
+            times: StageTimes::default(),
+            rollbacks: 0,
+            script_fixes: 0,
+            damage: Vec::new(),
+            best: (-1.0, src.to_string()),
+            last_change: None,
+            final_score: 0.0,
+        }
     }
 
-    /// [`Uvllm::verify`] taking what is a pure function of a candidate
-    /// text — its lint report, what the UVM stage finds about it — from
-    /// `memo`: the loop re-enters its stages with the text it already
-    /// had whenever a repair does not apply or a rollback restores the
-    /// best version, and other runs on the same memo (the other methods
-    /// of an instance start from the same mutant) have met some of its
-    /// texts already. The outcome is the one [`Uvllm::verify`] returns,
-    /// [`VerifyOutcome::times`] aside: a stage served from the memo
-    /// takes no time.
-    pub fn verify_on(&mut self, design: &Design, src: &str, memo: &StageMemo) -> VerifyOutcome {
-        let cfg = self.config.clone();
-        let mut code = src.to_string();
-        let mut times = StageTimes::default();
-        let mut rollbacks = 0usize;
-        let mut script_fixes = 0usize;
-        let mut damage: Vec<RepairPair> = Vec::new();
-        // Score register: best (score, code) seen so far.
-        let mut best: (f64, String) = (-1.0, code.clone());
-        let mut last_change: Option<(Stage, Vec<RepairPair>)> = None;
-        let mut fixed_by = None;
-        let mut final_score = 0.0;
-        let mut iterations = 0;
-
-        for iter in 0..cfg.max_iterations {
-            iterations = iter + 1;
-            // -------- Step 1: pre-processing --------------------------
-            let wall = Instant::now();
-            let (pre_code, pre_stats) = preprocess_on(
-                &code,
-                design,
-                &mut self.service,
-                cfg.output_mode,
-                cfg.preproc_iters,
-                memo,
-            );
-            // Stage time = simulated LLM latency + measured substrate time.
-            times.preprocess += pre_stats.llm_time + wall.elapsed();
-            script_fixes += pre_stats.script_fixes;
-            if pre_stats.changed {
-                code = pre_code;
-                last_change = Some((Stage::Preprocess, Vec::new()));
-            }
-
-            // -------- Step 2: UVM processing ---------------------------
-            let wall = Instant::now();
-            let outcome = memo.uvm_stage(&code, design, cfg.uvm_cycles, cfg.uvm_seed);
-            times.uvm += wall.elapsed();
-            let score = outcome.score();
-            final_score = score;
-
-            if outcome.passed() {
-                fixed_by = last_change.as_ref().map(|(s, _)| *s);
-                return VerifyOutcome {
-                    success: true,
-                    final_code: code,
-                    iterations,
-                    fixed_by,
-                    times,
-                    usage: self.service.usage(),
-                    rollbacks,
-                    damage_repairs: damage.len(),
-                    script_fixes,
-                    final_score: score,
-                };
-            }
-
-            // -------- Rollback mechanism ------------------------------
-            if cfg.rollback_enabled && score < best.0 {
-                rollbacks += 1;
-                if let Some((_, pairs)) = last_change.take() {
-                    damage.extend(pairs);
+    /// Runs the loop until the LLM must answer a prompt or the run ends;
+    /// `reply` answers the prompt the previous call asked for.
+    ///
+    /// What is a pure function of a candidate text — its lint report,
+    /// what the UVM stage finds about it — comes from `memo`: the loop
+    /// re-enters its stages with the text it already had whenever a
+    /// repair does not apply or a rollback restores the best version,
+    /// and other runs on the same memo (the other methods of an
+    /// instance start from the same mutant) have met some of its texts
+    /// already. A stage served from the memo takes no time.
+    pub fn step(
+        &mut self,
+        memo: &StageMemo,
+        mut reply: Option<Result<Completion, LlmError>>,
+    ) -> Step<VerifyOutcome> {
+        let design = self.design;
+        let mut lap = Instant::now();
+        loop {
+            match &mut self.phase {
+                Phase::Iterate => {
+                    if self.iterations == self.config.max_iterations {
+                        return Step::Done(self.outcome(false));
+                    }
+                    self.iterations += 1;
+                    self.phase = Phase::Preprocess(Preprocessing::new(
+                        &self.code,
+                        design.spec,
+                        self.config.output_mode,
+                        self.config.preproc_iters,
+                    ));
                 }
-                code = best.1.clone();
-            } else if score >= best.0 {
-                best = (score, code.clone());
-            }
+                Phase::Preprocess(stage) => {
+                    // -------- Step 1: pre-processing ------------------
+                    let step = stage.step(reply.take(), &|code| memo.lint(design.name, code));
+                    self.times.preprocess += lap.elapsed();
+                    let (pre_code, pre_stats) = match step {
+                        Step::NeedLlm(prompt) => return Step::NeedLlm(prompt),
+                        Step::Done(done) => done,
+                    };
+                    self.times.preprocess += pre_stats.llm_time;
+                    self.script_fixes += pre_stats.script_fixes;
+                    if pre_stats.changed {
+                        self.code = pre_code;
+                        self.last_change = Some((Stage::Preprocess, Vec::new()));
+                    }
 
-            // -------- Step 3: post-processing -------------------------
-            let sl_mode = cfg.sl_enabled && iter >= cfg.ms_threshold;
-            let error_info = outcome.error_info(&code, design, sl_mode);
+                    // -------- Step 2: UVM processing ------------------
+                    lap = Instant::now();
+                    let cfg = &self.config;
+                    let outcome = memo.uvm_stage(&self.code, design, cfg.uvm_cycles, cfg.uvm_seed);
+                    self.times.uvm += lap.elapsed();
+                    let score = outcome.score();
+                    self.final_score = score;
+                    if outcome.passed() {
+                        return Step::Done(self.outcome(true));
+                    }
 
-            // -------- Step 4: repair ----------------------------------
-            let wall = Instant::now();
-            let attempt = repair(
-                &code,
-                design.spec,
-                &mut self.service,
-                error_info,
-                &damage,
-                cfg.output_mode,
-                sl_mode,
-            );
-            let stage_time = attempt.llm_time + wall.elapsed();
-            let stage = if sl_mode { Stage::RepairSl } else { Stage::RepairMs };
-            match stage {
-                Stage::RepairSl => times.sl += stage_time,
-                _ => times.ms += stage_time,
-            }
-            if attempt.changed {
-                code = attempt.code;
-                last_change = Some((stage, attempt.applied));
+                    // -------- Rollback mechanism ----------------------
+                    if cfg.rollback_enabled && score < self.best.0 {
+                        self.rollbacks += 1;
+                        if let Some((_, pairs)) = self.last_change.take() {
+                            self.damage.extend(pairs);
+                        }
+                        self.code = self.best.1.clone();
+                    } else if score >= self.best.0 {
+                        self.best = (score, self.code.clone());
+                    }
+
+                    // -------- Step 3: post-processing -----------------
+                    let sl_mode = cfg.sl_enabled && self.iterations > cfg.ms_threshold;
+                    let error_info = outcome.error_info(&self.code, design, sl_mode);
+
+                    // -------- Step 4: repair --------------------------
+                    lap = Instant::now();
+                    let prompt = repair_prompt(
+                        &self.code,
+                        design.spec,
+                        error_info,
+                        &self.damage,
+                        cfg.output_mode,
+                        sl_mode,
+                    );
+                    self.phase = Phase::Repair { sl_mode, spent: lap.elapsed() };
+                    return Step::NeedLlm(prompt);
+                }
+                Phase::Repair { sl_mode, spent } => {
+                    let (stage, time) = if *sl_mode {
+                        (Stage::RepairSl, &mut self.times.sl)
+                    } else {
+                        (Stage::RepairMs, &mut self.times.ms)
+                    };
+                    let answer = reply.take().expect("a repair step is called with its answer");
+                    let attempt = apply_repair(&self.code, answer, self.config.output_mode);
+                    // Stage time = simulated LLM latency + measured
+                    // substrate time.
+                    *time += *spent + attempt.llm_time + lap.elapsed();
+                    if attempt.changed {
+                        self.code = attempt.code;
+                        self.last_change = Some((stage, attempt.applied));
+                    }
+                    self.phase = Phase::Iterate;
+                    lap = Instant::now();
+                }
             }
         }
+    }
 
-        // Budget exhausted: return the best version from the register.
-        if best.0 > final_score {
-            code = best.1;
-            final_score = best.0;
-        }
+    fn outcome(&mut self, success: bool) -> VerifyOutcome {
+        let fixed_by = if success {
+            self.last_change.as_ref().map(|(stage, _)| *stage)
+        } else {
+            // Budget exhausted: the best version from the register.
+            if self.best.0 > self.final_score {
+                self.code = std::mem::take(&mut self.best.1);
+                self.final_score = self.best.0;
+            }
+            None
+        };
         VerifyOutcome {
-            success: false,
-            final_code: code,
-            iterations,
+            success,
+            final_code: std::mem::take(&mut self.code),
+            iterations: self.iterations,
             fixed_by,
-            times,
-            usage: self.service.usage(),
-            rollbacks,
-            damage_repairs: damage.len(),
-            script_fixes,
-            final_score,
+            times: self.times,
+            usage: Usage::default(),
+            rollbacks: self.rollbacks,
+            damage_repairs: self.damage.len(),
+            script_fixes: self.script_fixes,
+            final_score: self.final_score,
         }
     }
 }

@@ -10,8 +10,8 @@ use uvllm_designs::Design;
 use uvllm_dfg::suspicious_lines;
 use uvllm_lint::LintReport;
 use uvllm_llm::{
-    AgentRole, CompleteResponse, ErrorInfo, LlmService, MismatchInfo, OutputMode, RepairPair,
-    RepairPrompt, RepairResponse,
+    drive, AgentRole, CompleteResponse, Completion, ErrorInfo, LlmError, LlmService, MismatchInfo,
+    OutputMode, RepairPair, RepairPrompt, RepairResponse, Step,
 };
 use uvllm_sim::{Logic, SimBackend, Simulator};
 use uvllm_uvm::{
@@ -39,13 +39,8 @@ pub struct PreprocessStats {
     pub clean: bool,
 }
 
-/// Pre-processes the DUT with the joint LLM-script loop of Algorithm 1:
-/// lint; syntax errors go to the LLM agent, fixable warnings to the
-/// script templates; iterate until clean or `max_iters`.
-///
-/// The LLM is consumed through the [`LlmService`] submit/await
-/// protocol: on a shared [`uvllm_llm::BatchedLlm`] the await is where
-/// this job's round trip overlaps other workers' simulation time.
+/// Pre-processes the DUT with the joint LLM-script loop of Algorithm 1
+/// ([`Preprocessing`]), asking `llm` for every syntax repair.
 pub fn preprocess(
     code: &str,
     spec: &str,
@@ -53,85 +48,85 @@ pub fn preprocess(
     output_mode: OutputMode,
     max_iters: usize,
 ) -> (String, PreprocessStats) {
-    preprocess_with(code, spec, llm, output_mode, max_iters, |code| {
-        Arc::new(uvllm_lint::lint(code))
-    })
+    let mut stage = Preprocessing::new(code, spec, output_mode, max_iters);
+    let lint = |code: &str| Arc::new(uvllm_lint::lint(code));
+    drive(|prompt| llm.complete(prompt), |reply| stage.step(reply, &lint))
 }
 
-/// [`preprocess`] of an implementation of `design`, taking every lint
-/// report from `memo`: a text is linted once per memo, whichever job
-/// reaches it first.
-pub fn preprocess_on(
-    code: &str,
-    design: &Design,
-    llm: &mut dyn LlmService,
+/// The joint LLM-script loop of Algorithm 1 as resumable state: lint;
+/// syntax errors go to the LLM agent, fixable warnings to the script
+/// templates; iterate until clean or `max_iters`.
+#[derive(Debug)]
+pub struct Preprocessing<'s> {
+    code: String,
+    spec: &'s str,
     output_mode: OutputMode,
-    max_iters: usize,
-    memo: &StageMemo,
-) -> (String, PreprocessStats) {
-    preprocess_with(code, design.spec, llm, output_mode, max_iters, |code| {
-        memo.lint(design.name, code)
-    })
+    iters_left: usize,
+    stats: PreprocessStats,
 }
 
-fn preprocess_with(
-    code: &str,
-    spec: &str,
-    llm: &mut dyn LlmService,
-    output_mode: OutputMode,
-    max_iters: usize,
-    lint: impl Fn(&str) -> Arc<LintReport>,
-) -> (String, PreprocessStats) {
-    let mut code = code.to_string();
-    let mut stats = PreprocessStats::default();
-    for _ in 0..max_iters {
-        let report = lint(&code);
-        if !report.errors().is_empty() {
-            stats.iterations += 1;
-            let log = report.render(&code);
-            let prompt = RepairPrompt::new(AgentRole::SyntaxFixer, spec, &code)
-                .with_error_info(ErrorInfo::LintLog(log))
-                .with_output_mode(output_mode);
-            let ticket = llm.submit(&prompt);
-            let Ok(completion) = llm.await_completion(ticket) else { break };
-            stats.llm_calls += 1;
-            stats.llm_time += completion.latency;
-            match output_mode {
-                OutputMode::Pairs => {
-                    if let Ok(resp) = RepairResponse::parse(&completion.content) {
-                        let (next, report) = apply_pairs(&code, &resp.correct);
-                        if report.changed() {
-                            stats.changed = true;
-                            code = next;
-                        }
-                    }
-                }
-                OutputMode::Complete => {
-                    if let Ok(resp) = CompleteResponse::parse(&completion.content) {
-                        if resp.code != code && !resp.code.trim().is_empty() {
-                            stats.changed = true;
-                            code = resp.code;
-                        }
-                    }
-                }
-            }
-        } else if !report.fixable_warnings().is_empty() {
-            stats.iterations += 1;
-            let (next, n) = uvllm_lint::apply_fixes(&code, &report);
-            stats.script_fixes += n;
-            if n > 0 {
-                stats.changed = true;
-                code = next;
-            } else {
-                break;
-            }
-        } else {
-            stats.clean = true;
-            break;
+impl<'s> Preprocessing<'s> {
+    /// The stage about to lint `code` for the first time.
+    pub fn new(code: &str, spec: &'s str, output_mode: OutputMode, max_iters: usize) -> Self {
+        Preprocessing {
+            code: code.to_string(),
+            spec,
+            output_mode,
+            iters_left: max_iters,
+            stats: PreprocessStats::default(),
         }
     }
-    stats.clean = lint(&code).is_clean();
-    (code, stats)
+
+    /// Runs lint→fix iterations, taking every lint report from `lint`,
+    /// until a syntax error needs the LLM agent or the stage ends with
+    /// the code and its statistics. `reply` answers the prompt the
+    /// previous call asked for.
+    pub fn step(
+        &mut self,
+        reply: Option<Result<Completion, LlmError>>,
+        lint: &dyn Fn(&str) -> Arc<LintReport>,
+    ) -> Step<(String, PreprocessStats)> {
+        match reply {
+            None => {}
+            // A failed call ends the stage.
+            Some(Err(_)) => self.iters_left = 0,
+            Some(answer) => {
+                self.stats.llm_calls += 1;
+                let attempt = apply_repair(&self.code, answer, self.output_mode);
+                self.stats.llm_time += attempt.llm_time;
+                if attempt.changed {
+                    self.stats.changed = true;
+                    self.code = attempt.code;
+                }
+            }
+        }
+        while self.iters_left > 0 {
+            self.iters_left -= 1;
+            let report = lint(&self.code);
+            if !report.errors().is_empty() {
+                self.stats.iterations += 1;
+                let log = report.render(&self.code);
+                return Step::NeedLlm(
+                    RepairPrompt::new(AgentRole::SyntaxFixer, self.spec, &self.code)
+                        .with_error_info(ErrorInfo::LintLog(log))
+                        .with_output_mode(self.output_mode),
+                );
+            }
+            if report.fixable_warnings().is_empty() {
+                break;
+            }
+            self.stats.iterations += 1;
+            let (next, n) = uvllm_lint::apply_fixes(&self.code, &report);
+            self.stats.script_fixes += n;
+            if n == 0 {
+                break;
+            }
+            self.stats.changed = true;
+            self.code = next;
+        }
+        self.stats.clean = lint(&self.code).is_clean();
+        Step::Done((std::mem::take(&mut self.code), std::mem::take(&mut self.stats)))
+    }
 }
 
 /// Outcome of the UVM processing stage.
@@ -357,8 +352,8 @@ pub struct RepairAttempt {
     pub llm_time: Duration,
 }
 
-/// Invokes the repair agent (§III-D) in the given mode, through the
-/// [`LlmService`] submit/await protocol.
+/// Invokes the repair agent (§III-D) in the given mode: asks `llm` the
+/// [`repair_prompt`] and applies its answer ([`apply_repair`]).
 pub fn repair(
     code: &str,
     spec: &str,
@@ -368,14 +363,35 @@ pub fn repair(
     output_mode: OutputMode,
     sl_mode: bool,
 ) -> RepairAttempt {
+    let prompt = repair_prompt(code, spec, error_info, damage_repairs, output_mode, sl_mode);
+    apply_repair(code, llm.complete(&prompt), output_mode)
+}
+
+/// The repair agent's prompt for `code`.
+pub(crate) fn repair_prompt(
+    code: &str,
+    spec: &str,
+    error_info: ErrorInfo,
+    damage_repairs: &[RepairPair],
+    output_mode: OutputMode,
+    sl_mode: bool,
+) -> RepairPrompt {
     let role =
         if sl_mode { AgentRole::SuspiciousLineDebugger } else { AgentRole::MismatchDebugger };
-    let prompt = RepairPrompt::new(role, spec, code)
+    RepairPrompt::new(role, spec, code)
         .with_error_info(error_info)
         .with_damage_repairs(damage_repairs.to_vec())
-        .with_output_mode(output_mode);
-    let ticket = llm.submit(&prompt);
-    let Ok(completion) = llm.await_completion(ticket) else {
+        .with_output_mode(output_mode)
+}
+
+/// Applies the repair agent's answer to `code`; a failed call leaves
+/// it unchanged.
+pub(crate) fn apply_repair(
+    code: &str,
+    reply: Result<Completion, LlmError>,
+    output_mode: OutputMode,
+) -> RepairAttempt {
+    let Ok(completion) = reply else {
         return RepairAttempt {
             code: code.to_string(),
             applied: Vec::new(),

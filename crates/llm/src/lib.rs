@@ -16,12 +16,13 @@
 //!   purely from lint logs (no ground truth).
 //! * [`ScriptedLlm`] — canned responses for deterministic tests.
 //!
-//! The pipeline does not call these backends directly: it drives an
-//! [`LlmService`] handle through the submit/await ticket protocol of
-//! [`service`] — either a [`DirectService`] around one model, or an
-//! [`LlmClient`] session of a shared [`BatchedLlm`] that coalesces
-//! prompts from many workers into [`LanguageModel::complete_batch`]
-//! round trips.
+//! The pipeline does not call these backends directly: its repair loops
+//! are step functions that return the prompt they need ([`Step`]), and
+//! their callers answer it through an [`LlmService`] handle and the
+//! submit/await (or poll) ticket protocol of [`service`] — either a
+//! [`DirectService`] around one model, or an [`LlmClient`] session of a
+//! shared [`BatchedLlm`] that coalesces prompts from many workers into
+//! [`LanguageModel::complete_batch`] round trips.
 //!
 //! ## Example
 //!
@@ -64,6 +65,6 @@ pub use resilient::{ResiliencePolicy, ResilienceStats, ResilientService};
 pub use response::{CompleteResponse, RepairResponse};
 pub use scripted::ScriptedLlm;
 pub use service::{
-    endpoint_gate, BatchConfig, BatchedLlm, DirectService, EndpointGate, LlmClient, LlmService,
-    SlowLlm, Ticket, WaitStats,
+    block_on, drive, endpoint_gate, BatchConfig, BatchedLlm, DirectService, EndpointGate,
+    LlmClient, LlmService, SlowLlm, Step, Ticket, WaitStats,
 };

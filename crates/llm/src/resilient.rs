@@ -11,7 +11,10 @@
 //!   delays of `base · 2^(attempt-1)` capped at `max` and scaled by a
 //!   seeded jitter factor — the jitter *sequence* replays from the
 //!   policy seed, so fault-injection campaigns are reproducible while
-//!   real deployments still avoid thundering-herd synchronization.
+//!   real deployments still avoid thundering-herd synchronization. A
+//!   retry is a not-before on the resubmission
+//!   ([`LlmService::submit_not_before`]): a queued inner service holds
+//!   it back, so a polling caller waits out the backoff on no thread.
 //! * **Per-ticket deadline.** An optional wall-clock budget across all
 //!   of a ticket's attempts: once blown, the layer stops retrying and
 //!   degrades (an already-delivered good completion is never discarded
@@ -48,10 +51,11 @@ use crate::heuristic::HeuristicLlm;
 use crate::model::{Completion, LanguageModel, LlmError, Usage};
 use crate::prompt::RepairPrompt;
 use crate::response::{CompleteResponse, RepairResponse};
-use crate::service::{LlmService, Ticket, WaitStats};
+use crate::service::{block_on, LlmService, Ticket, WaitStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::sync::OnceLock;
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 use uvllm_obs::{registry, Counter, Histogram};
 
@@ -237,10 +241,12 @@ impl Breaker {
 /// One submitted-but-unredeemed prompt.
 struct PendingTicket {
     prompt: RepairPrompt,
-    /// The inner service's ticket for the eager first attempt; `None`
-    /// when the breaker fast-failed the submission.
+    /// The inner service's ticket for the current attempt; `None` when
+    /// the breaker fast-failed its submission.
     inner_ticket: Option<Ticket>,
     submitted: Instant,
+    /// Retries issued so far.
+    attempt: u32,
 }
 
 /// The resilience wrapper (module docs).
@@ -299,10 +305,11 @@ impl<S: LlmService> ResilientService<S> {
         self.stats.degraded > 0
     }
 
-    /// Submits through the breaker: `None` means fast-failed.
-    fn guarded_submit(&mut self, prompt: &RepairPrompt) -> Option<Ticket> {
+    /// Submits through the breaker, for the backend no earlier than
+    /// `not_before`: `None` means fast-failed (at once).
+    fn guarded_submit(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Option<Ticket> {
         if self.breaker.admit() {
-            Some(self.inner.submit(prompt))
+            Some(self.inner.submit_not_before(prompt, not_before))
         } else {
             None
         }
@@ -357,37 +364,54 @@ impl<S: LlmService> LlmService for ResilientService<S> {
         self.next_ticket += 1;
         // Eager first attempt: submitting to the inner service right
         // away preserves whatever pipelining/batching it does; retries
-        // (synchronous submit+await rounds) only begin once the caller
-        // blocks on redemption.
-        let inner_ticket = self.guarded_submit(prompt);
+        // are issued as the caller redeems the ticket.
+        let submitted = Instant::now();
+        let inner_ticket = self.guarded_submit(prompt, submitted);
         self.pending.insert(
             ticket.id(),
-            PendingTicket { prompt: prompt.clone(), inner_ticket, submitted: Instant::now() },
+            PendingTicket { prompt: prompt.clone(), inner_ticket, submitted, attempt: 0 },
         );
         ticket
     }
 
     fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        let mut pending = self.pending.remove(&ticket.id()).ok_or_else(|| {
-            LlmError::NoResponse(format!("ticket #{} was never issued by this handle", ticket.id()))
-        })?;
-        let mut attempt = 0u32;
+        block_on(|waker| self.poll_completion(ticket, waker))
+    }
+
+    fn poll_completion(
+        &mut self,
+        ticket: Ticket,
+        waker: &Waker,
+    ) -> Poll<Result<Completion, LlmError>> {
+        let Some(mut pending) = self.pending.remove(&ticket.id()) else {
+            return Poll::Ready(Err(LlmError::NoResponse(format!(
+                "ticket #{} was never issued by this handle",
+                ticket.id()
+            ))));
+        };
         loop {
             // A fast-failed attempt (breaker open) says nothing about
             // the backend's health, so it must not feed the breaker —
             // otherwise the rejected ticket that ticked Open → HalfOpen
             // would itself count as a failed probe and re-open it.
             let was_real_attempt = pending.inner_ticket.is_some();
-            let outcome = match pending.inner_ticket.take() {
-                Some(inner_ticket) => self.inner.await_completion(inner_ticket),
+            let outcome = match pending.inner_ticket {
+                Some(inner_ticket) => match self.inner.poll_completion(inner_ticket, waker) {
+                    Poll::Ready(outcome) => outcome,
+                    Poll::Pending => {
+                        self.pending.insert(ticket.id(), pending);
+                        return Poll::Pending;
+                    }
+                },
                 None => Err(LlmError::Transient("circuit breaker open".to_string())),
             };
+            pending.inner_ticket = None;
             let failure = match outcome {
                 Ok(completion) if self.acceptable(&completion) => {
                     self.breaker.on_success();
                     self.stats.breaker_transitions = self.breaker.transitions;
                     self.usage.record(&completion);
-                    return Ok(completion);
+                    return Poll::Ready(Ok(completion));
                 }
                 Ok(_) => {
                     LlmError::Transient("malformed completion (failed validation)".to_string())
@@ -396,7 +420,7 @@ impl<S: LlmService> LlmService for ResilientService<S> {
                 // untouched: retrying cannot change them, and counting
                 // them against the breaker would make the resilience
                 // layer perturb fault-free runs.
-                Err(err) if !err.is_retryable() => return Err(err),
+                Err(err) if !err.is_retryable() => return Poll::Ready(Err(err)),
                 Err(err) => err,
             };
             if was_real_attempt {
@@ -404,29 +428,27 @@ impl<S: LlmService> LlmService for ResilientService<S> {
             }
             self.stats.faults_seen += 1;
             self.stats.breaker_transitions = self.breaker.transitions;
-            if attempt >= self.policy.retries {
-                return self.degrade(&pending, failure);
+            if pending.attempt >= self.policy.retries {
+                return Poll::Ready(self.degrade(&pending, failure));
             }
             if let Some(deadline) = self.policy.ticket_deadline {
                 if pending.submitted.elapsed() >= deadline {
                     self.stats.deadline_misses += 1;
                     metrics().deadline_misses.inc();
                     let miss = LlmError::DeadlineExceeded(format!(
-                        "ticket #{} exceeded its {deadline:?} budget after {attempt} retries",
-                        ticket.id()
+                        "ticket #{} exceeded its {deadline:?} budget after {} retries",
+                        ticket.id(),
+                        pending.attempt
                     ));
-                    return self.degrade(&pending, miss);
+                    return Poll::Ready(self.degrade(&pending, miss));
                 }
             }
-            attempt += 1;
+            pending.attempt += 1;
             self.stats.retries += 1;
             metrics().retries.inc();
-            let delay = self.backoff(attempt);
+            let delay = self.backoff(pending.attempt);
             metrics().retry_delay_us.record(delay.as_micros() as u64);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            pending.inner_ticket = self.guarded_submit(&pending.prompt);
+            pending.inner_ticket = self.guarded_submit(&pending.prompt, Instant::now() + delay);
         }
     }
 
@@ -690,6 +712,113 @@ mod tests {
             (out, s.resilience_stats())
         };
         assert_eq!(run(mk()), run(mk()), "same seeds, same schedule and stats");
+    }
+
+    /// A queued inner service: answers a ticket on its second poll,
+    /// waking the poller on the first, and records how far ahead of its
+    /// submission each request asked not to be sent.
+    struct Queued {
+        inner: DirectService<FaultyLlm<ScriptedLlm>>,
+        polled: std::collections::HashSet<Ticket>,
+        delays: Vec<Duration>,
+    }
+
+    impl LlmService for Queued {
+        fn backend_name(&self) -> &str {
+            "queued"
+        }
+
+        fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
+            self.submit_not_before(prompt, Instant::now())
+        }
+
+        fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
+            self.delays.push(not_before.saturating_duration_since(Instant::now()));
+            self.inner.submit(prompt)
+        }
+
+        fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
+            self.inner.await_completion(ticket)
+        }
+
+        fn poll_completion(
+            &mut self,
+            ticket: Ticket,
+            waker: &Waker,
+        ) -> Poll<Result<Completion, LlmError>> {
+            if self.polled.insert(ticket) {
+                waker.wake_by_ref();
+                return Poll::Pending;
+            }
+            Poll::Ready(self.inner.await_completion(ticket))
+        }
+
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+
+        fn wait_stats(&self) -> WaitStats {
+            self.inner.wait_stats()
+        }
+    }
+
+    #[test]
+    fn polled_retries_ask_for_the_blocking_paths_delays() {
+        // Backoffs of 1000 s and up (nothing sleeps: the stub only
+        // records them) dwarf the clock reads between computing a
+        // not-before and recording it.
+        let policy = ResiliencePolicy {
+            retries: 8,
+            base_backoff: Duration::from_secs(1000),
+            max_backoff: Duration::from_secs(64_000),
+            breaker_threshold: 100,
+            ..ResiliencePolicy::default()
+        };
+        let service = || {
+            let plan = FaultPlan { seed: 13, error_rate: 0.5, ..FaultPlan::default() };
+            let inner = Queued {
+                inner: DirectService::new(FaultyLlm::new(scripted(12), plan)),
+                polled: Default::default(),
+                delays: Vec::new(),
+            };
+            ResilientService::new(inner, policy.clone())
+        };
+        let mut blocking = service();
+        let blocked: Vec<String> =
+            (0..12).map(|_| blocking.complete(&prompt()).unwrap().content).collect();
+        let mut polling = service();
+        let polled: Vec<String> = (0..12)
+            .map(|_| {
+                let ticket = polling.submit(&prompt());
+                loop {
+                    if let Poll::Ready(answer) = polling.poll_completion(ticket, Waker::noop()) {
+                        break answer.unwrap().content;
+                    }
+                }
+            })
+            .collect();
+        assert_eq!(polled, blocked);
+        assert_eq!(polling.resilience_stats(), blocking.resilience_stats());
+        let retries = blocking.resilience_stats().retries;
+        assert!(retries > 0, "0.5 error rate over 12 tickets must retry");
+        let (by_block, by_poll) = (&blocking.inner().delays, &polling.inner().delays);
+        assert_eq!(by_block.len() as u64, 12 + retries, "one submission per attempt");
+        assert_eq!(by_block.iter().filter(|d| !d.is_zero()).count() as u64, retries);
+        assert_eq!(by_poll.len(), by_block.len());
+        let mut attempt = 0;
+        for (a, b) in by_block.iter().zip(by_poll) {
+            assert!(a.abs_diff(*b) < Duration::from_secs(1), "{a:?} vs {b:?}");
+            // A first attempt asks for no delay; retry `n` for a jittered
+            // `base · 2^(n-1)`, within [½, 1) of it.
+            attempt = if a.is_zero() { 0 } else { attempt + 1 };
+            if attempt > 0 {
+                let full = (policy.base_backoff * (1 << (attempt - 1))).min(policy.max_backoff);
+                assert!(
+                    *a > full / 2 - Duration::from_secs(1) && *a <= full,
+                    "retry {attempt}: {a:?}"
+                );
+            }
+        }
     }
 
     #[test]

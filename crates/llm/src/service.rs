@@ -9,7 +9,11 @@
 //! 1. [`LlmService::submit`] hands the service a [`RepairPrompt`] and
 //!    returns a [`Ticket`] immediately;
 //! 2. [`LlmService::await_completion`] redeems the ticket, blocking
-//!    only until *that* prompt's answer is ready.
+//!    only until *that* prompt's answer is ready, or
+//!    [`LlmService::poll_completion`] asks for it without blocking and
+//!    leaves a [`Waker`] to be woken when it is in — what a repair loop
+//!    written as a step function ([`Step`]) needs to wait as data, not
+//!    as a blocked thread.
 //!
 //! Two implementations cover the two deployment shapes:
 //!
@@ -24,15 +28,19 @@
 //!   the [`BatchConfig`] flush policy (`max_batch` reached, or
 //!   `max_wait` elapsed since the first pending prompt), fanned to the
 //!   session models via [`LanguageModel::complete_batch`], and the
-//!   blocked jobs are woken as each flush completes — so one worker's
-//!   LLM round trip overlaps every other worker's simulation time.
+//!   parked jobs are woken as each flush completes — so one job's LLM
+//!   round trip overlaps every other job's simulation time. A request
+//!   submitted with a not-before time ([`LlmService::submit_not_before`],
+//!   a retry's backoff) stays out of flush windows until it is due.
 //!
 //! **Determinism contract:** a session's model sees exactly the prompts
-//! submitted through that session, in submission order, no matter how
-//! flushes interleave sessions. A campaign job therefore produces the
-//! same completions (and the same usage accounting) through a
-//! [`BatchedLlm`] session as through a [`DirectService`] — batch
-//! schedule and worker count change wall-clock only.
+//! submitted through that session, in the order they join flush windows
+//! — submission order, for a session with one prompt outstanding at a
+//! time, which is how every repair loop asks — no matter how flushes
+//! interleave sessions. A campaign job therefore produces the same
+//! completions (and the same usage accounting) through a [`BatchedLlm`]
+//! session as through a [`DirectService`] — batch schedule and worker
+//! count change wall-clock only.
 //!
 //! [`SlowLlm`] models the remote endpoint this layer is built for: a
 //! fixed per-round-trip latency on an exclusive connection
@@ -45,7 +53,8 @@ use crate::model::{Completion, LanguageModel, LlmError, Usage};
 use crate::prompt::RepairPrompt;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::task::{Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 use uvllm_obs::{registry, Counter, Gauge, Histogram};
 
@@ -55,6 +64,8 @@ use uvllm_obs::{registry, Counter, Gauge, Histogram};
 /// service-wide aggregates campaigns snapshot.
 #[derive(Debug)]
 struct LlmMetrics {
+    /// Sessions opened on any [`BatchedLlm`].
+    sessions: &'static Counter,
     /// Prompts submitted but not yet pulled into a flush window.
     queue_depth: &'static Gauge,
     /// Tickets redeemed across all handles.
@@ -79,6 +90,7 @@ struct LlmMetrics {
 fn metrics() -> &'static LlmMetrics {
     static METRICS: OnceLock<LlmMetrics> = OnceLock::new();
     METRICS.get_or_init(|| LlmMetrics {
+        sessions: registry().counter("llm.sessions"),
         queue_depth: registry().gauge("llm.queue_depth"),
         tickets: registry().counter("llm.tickets"),
         ticket_wait_us: registry().histogram("llm.ticket_wait_us"),
@@ -182,6 +194,33 @@ pub trait LlmService: Send {
     /// never issued (or already redeemed).
     fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError>;
 
+    /// The ticket's answer if it is in, without blocking; otherwise
+    /// `Pending`, and `waker` is woken once it is. A ticket answered
+    /// `Ready` is redeemed.
+    ///
+    /// The default, for services that answer at submit time, awaits.
+    fn poll_completion(
+        &mut self,
+        ticket: Ticket,
+        waker: &Waker,
+    ) -> Poll<Result<Completion, LlmError>> {
+        let _ = waker;
+        Poll::Ready(self.await_completion(ticket))
+    }
+
+    /// [`LlmService::submit`] for a prompt that must not reach the
+    /// backend before `not_before` (a retry's backoff).
+    ///
+    /// The default waits until then on the calling thread; a queued
+    /// service holds the request back instead.
+    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
+        let wait = not_before.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        self.submit(prompt)
+    }
+
     /// Submit-then-await in one call — the drop-in replacement for the
     /// old `LanguageModel::complete` call sites.
     ///
@@ -211,10 +250,8 @@ pub trait LlmService: Send {
     }
 }
 
-// Forwarding impls so pipelines generic over `S: LlmService` accept
-// mutable borrows and boxed trait objects alike.
-
-impl<S: LlmService + ?Sized> LlmService for &mut S {
+// So a wrapper generic over `S: LlmService` takes a boxed trait object.
+impl<S: LlmService + ?Sized> LlmService for Box<S> {
     fn backend_name(&self) -> &str {
         (**self).backend_name()
     }
@@ -225,6 +262,18 @@ impl<S: LlmService + ?Sized> LlmService for &mut S {
 
     fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
         (**self).await_completion(ticket)
+    }
+
+    fn poll_completion(
+        &mut self,
+        ticket: Ticket,
+        waker: &Waker,
+    ) -> Poll<Result<Completion, LlmError>> {
+        (**self).poll_completion(ticket, waker)
+    }
+
+    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
+        (**self).submit_not_before(prompt, not_before)
     }
 
     fn usage(&self) -> Usage {
@@ -240,29 +289,60 @@ impl<S: LlmService + ?Sized> LlmService for &mut S {
     }
 }
 
-impl<S: LlmService + ?Sized> LlmService for Box<S> {
-    fn backend_name(&self) -> &str {
-        (**self).backend_name()
-    }
+/// What a step function of a repair loop asks for next: the answer to a
+/// prompt, or nothing more.
+#[derive(Debug)]
+pub enum Step<T> {
+    /// Call the step again with this prompt's answer.
+    NeedLlm(RepairPrompt),
+    /// The loop ended with this result.
+    Done(T),
+}
 
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        (**self).submit(prompt)
+impl<T> Step<T> {
+    /// Maps the result of a finished step.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Step<U> {
+        match self {
+            Step::NeedLlm(prompt) => Step::NeedLlm(prompt),
+            Step::Done(done) => Step::Done(f(done)),
+        }
     }
+}
 
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        (**self).await_completion(ticket)
+/// Runs a step function to its end, answering every prompt it asks for
+/// with `complete` (blocking): the first call gets `None`, each later
+/// one the answer to the prompt the call before asked for.
+pub fn drive<T>(
+    mut complete: impl FnMut(&RepairPrompt) -> Result<Completion, LlmError>,
+    mut step: impl FnMut(Option<Result<Completion, LlmError>>) -> Step<T>,
+) -> T {
+    let mut reply = None;
+    loop {
+        match step(reply.take()) {
+            Step::Done(done) => return done,
+            Step::NeedLlm(prompt) => reply = Some(complete(&prompt)),
+        }
     }
+}
 
-    fn usage(&self) -> Usage {
-        (**self).usage()
+/// Polls until `poll` is ready, parking the calling thread in between:
+/// the blocking redemption of a service that can answer later.
+pub fn block_on<T>(mut poll: impl FnMut(&Waker) -> Poll<T>) -> T {
+    let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    loop {
+        if let Poll::Ready(value) = poll(&waker) {
+            return value;
+        }
+        std::thread::park();
     }
+}
 
-    fn wait_stats(&self) -> WaitStats {
-        (**self).wait_stats()
-    }
+/// Wakes a thread parked in [`block_on`].
+struct Unpark(std::thread::Thread);
 
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        (**self).resilience_stats()
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
 }
 
@@ -383,24 +463,9 @@ impl<T> Chan<T> {
         }
     }
 
-    /// Blocks for the next item; `None` once closed *and* drained.
-    fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("llm service queue poisoned");
-        }
-    }
-
-    /// [`Chan::recv`] bounded by a timeout.
-    fn recv_timeout(&self, timeout: Duration) -> Recv<T> {
-        let deadline = Instant::now() + timeout;
+    /// Blocks for the next item until `deadline` (`None`: for as long as
+    /// it takes); `Closed` once closed *and* drained.
+    fn recv(&self, deadline: Option<Instant>) -> Recv<T> {
         let mut state = self.state.lock().expect("llm service queue poisoned");
         loop {
             if let Some(item) = state.queue.pop_front() {
@@ -410,15 +475,17 @@ impl<T> Chan<T> {
             if state.closed {
                 return Recv::Closed;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Recv::Timeout;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .expect("llm service queue poisoned");
-            state = guard;
+            state = match deadline {
+                None => self.not_empty.wait(state).expect("llm service queue poisoned"),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Recv::Timeout;
+                    }
+                    let waited = self.not_empty.wait_timeout(state, deadline - now);
+                    waited.expect("llm service queue poisoned").0
+                }
+            };
         }
     }
 
@@ -427,10 +494,6 @@ impl<T> Chan<T> {
         state.closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().expect("llm service queue poisoned").closed
     }
 }
 
@@ -445,64 +508,68 @@ struct Delivery {
     batch_size: usize,
 }
 
-/// One submitted prompt's rendezvous point between the blocked caller
-/// and the service thread.
+/// One submitted prompt's rendezvous point between its client and the
+/// service thread: the delivery, or the waker of whoever polled first.
+#[derive(Default)]
 struct Slot {
-    delivery: Mutex<Option<Delivery>>,
-    ready: Condvar,
+    state: Mutex<SlotState>,
 }
 
+#[derive(Default)]
+struct SlotState {
+    delivery: Option<Delivery>,
+    waker: Option<Waker>,
+}
+
+// Every update of a slot is one whole assignment, so a poisoned guard
+// still holds a valid state (and `Reply`'s `Drop` must not panic).
 impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot { delivery: Mutex::new(None), ready: Condvar::new() })
-    }
-
     fn deliver(&self, result: Result<Completion, LlmError>, batch_size: usize) {
-        let mut guard = self.delivery.lock().expect("llm ticket slot poisoned");
-        *guard = Some(Delivery { result, batch_size });
-        self.ready.notify_all();
+        let waker = {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.delivery = Some(Delivery { result, batch_size });
+            state.waker.take()
+        };
+        if let Some(waker) = waker {
+            waker.wake();
+        }
     }
 
-    /// Blocks until delivered. A slow flush (a long endpoint round
-    /// trip) is *not* an error, however long it takes — the wait only
-    /// gives up once `service_gone` reports the queue closed (shutdown
-    /// or a panicked service thread) and a grace window for the
-    /// shutdown drain has passed without a delivery.
-    fn wait(&self, service_gone: &dyn Fn() -> bool) -> Delivery {
-        let mut guard = self.delivery.lock().expect("llm ticket slot poisoned");
-        let mut grace_passes = 0u32;
-        loop {
-            if let Some(delivery) = guard.take() {
-                return delivery;
+    fn poll(&self, waker: &Waker) -> Poll<Delivery> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match state.delivery.take() {
+            Some(delivery) => Poll::Ready(delivery),
+            None => {
+                state.waker = Some(waker.clone());
+                Poll::Pending
             }
-            if service_gone() {
-                // Closed queue: the drain (or the panic closer) is the
-                // last writer that could still fill this slot. Give it
-                // a bounded grace window, then report the loss.
-                grace_passes += 1;
-                if grace_passes > 50 {
-                    return Delivery {
-                        result: Err(LlmError::ServiceClosed(
-                            "ticket was never answered (service shut down)".to_string(),
-                        )),
-                        batch_size: 0,
-                    };
-                }
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(guard, Duration::from_millis(100))
-                    .expect("llm ticket slot poisoned");
-                guard = next;
-            } else {
-                // Service alive: block until woken (re-polling liveness
-                // once a second so a panic that closed the queue is
-                // noticed even without a notification).
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(guard, Duration::from_secs(1))
-                    .expect("llm ticket slot poisoned");
-                guard = next;
-            }
+        }
+    }
+}
+
+/// The service's end of a ticket: answers it once, and answers
+/// [`LlmError::ServiceClosed`] when dropped unanswered — by a flush that
+/// unwinds, or by the drain of a service thread that died — so no
+/// waiter waits forever.
+struct Reply(Option<Arc<Slot>>);
+
+impl Reply {
+    fn send(mut self, result: Result<Completion, LlmError>, batch_size: usize) {
+        if let Some(slot) = self.0.take() {
+            slot.deliver(result, batch_size);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.deliver(
+                Err(LlmError::ServiceClosed(
+                    "ticket was never answered (service shut down)".to_string(),
+                )),
+                0,
+            );
         }
     }
 }
@@ -510,7 +577,9 @@ impl Slot {
 struct PendingRequest {
     session: u64,
     prompt: RepairPrompt,
-    slot: Arc<Slot>,
+    /// The request joins no flush window before this.
+    not_before: Instant,
+    reply: Reply,
 }
 
 enum Msg<M> {
@@ -580,7 +649,7 @@ impl<M: LanguageModel + 'static> BatchedLlm<M> {
     /// the handle's accounting via per-ticket deltas.
     pub fn client(&self, model: M) -> LlmClient<M> {
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        uvllm_obs::registry().counter("llm.sessions").inc();
+        metrics().sessions.inc();
         let name = model.name().to_string();
         // A closed service rejects the registration; the client's
         // submissions then poison their own tickets, so the error
@@ -622,72 +691,71 @@ impl<M: LanguageModel + 'static> Drop for BatchedLlm<M> {
     }
 }
 
-/// The dedicated service thread: accumulate → flush, forever.
-/// Closes the queue if the service thread unwinds, so blocked callers
-/// observe "service gone" (and error out after the grace window)
-/// instead of waiting on slots a dead thread will never fill.
+/// Closes and drains the queue if the service thread unwinds: every
+/// request it held — queued, pending, deferred or mid-flush — is
+/// dropped, and its [`Reply`] answers the ticket `ServiceClosed`.
 struct PanicCloser<'c, T>(&'c Chan<T>);
 
 impl<T> Drop for PanicCloser<'_, T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.close();
+            while let Recv::Item(_) = self.0.recv(None) {}
         }
     }
 }
 
+/// The dedicated service thread: accumulate → flush, until the queue
+/// closes. A flush window opens with its first prompt and flushes when
+/// `max_batch` prompts are in or `max_wait` after it opened; a deferred
+/// request joins a window once due, so the timed wait runs to the
+/// earlier of the window's end and the next due time.
 fn service_loop<M: LanguageModel>(chan: Arc<Chan<Msg<M>>>, config: BatchConfig) -> HashMap<u64, M> {
     let _panic_closer = PanicCloser(&chan);
     let mut sessions: HashMap<u64, M> = HashMap::new();
     let mut pending: Vec<PendingRequest> = Vec::new();
-    while let Some(msg) = chan.recv() {
-        handle_msg(msg, &mut sessions, &mut pending);
-        if pending.is_empty() {
-            continue;
-        }
-        // The flush window opens with the first pending prompt: gather
-        // until the batch fills or `max_wait` elapses.
-        let deadline = Instant::now() + config.max_wait;
-        while pending.len() < config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match chan.recv_timeout(deadline - now) {
-                Recv::Item(msg) => handle_msg(msg, &mut sessions, &mut pending),
-                Recv::Timeout | Recv::Closed => break,
-            }
+    let mut deferred: Vec<PendingRequest> = Vec::new();
+    let mut window_ends: Option<Instant> = None;
+    loop {
+        let now = Instant::now();
+        let (due, later): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut deferred).into_iter().partition(|r| r.not_before <= now);
+        deferred = later;
+        metrics().queue_depth.add(-(due.len() as i64));
+        pending.extend(due);
+        if !pending.is_empty() && window_ends.is_none() {
+            window_ends = Some(now + config.max_wait);
         }
         let reason = if pending.len() >= config.max_batch {
-            FlushReason::Full
+            Some(FlushReason::Full)
         } else {
-            FlushReason::Timeout
+            window_ends.filter(|end| now >= *end).map(|_| FlushReason::Timeout)
         };
-        flush(&mut sessions, &mut pending, config.round_trip, reason);
+        if let Some(reason) = reason {
+            flush(&mut sessions, &mut pending, config.round_trip, reason);
+            window_ends = None;
+            continue;
+        }
+        let wake_at = deferred.iter().map(|r| r.not_before).chain(window_ends).min();
+        match chan.recv(wake_at) {
+            Recv::Item(Msg::Open { session, model }) => {
+                sessions.insert(session, model);
+            }
+            Recv::Item(Msg::Close { session }) => {
+                sessions.remove(&session);
+            }
+            // Joins a window at the top of the loop, once due.
+            Recv::Item(Msg::Request(request)) => deferred.push(request),
+            Recv::Timeout => {}
+            Recv::Closed => break,
+        }
     }
     // Drain on shutdown: the queue is closed and empty; anything still
-    // pending (a partial window interrupted by close) is answered.
+    // pending or deferred is answered now.
+    metrics().queue_depth.add(-(deferred.len() as i64));
+    pending.append(&mut deferred);
     flush(&mut sessions, &mut pending, config.round_trip, FlushReason::Shutdown);
     sessions
-}
-
-fn handle_msg<M: LanguageModel>(
-    msg: Msg<M>,
-    sessions: &mut HashMap<u64, M>,
-    pending: &mut Vec<PendingRequest>,
-) {
-    match msg {
-        Msg::Open { session, model } => {
-            sessions.insert(session, model);
-        }
-        Msg::Close { session } => {
-            sessions.remove(&session);
-        }
-        Msg::Request(request) => {
-            metrics().queue_depth.dec();
-            pending.push(request);
-        }
-    }
 }
 
 /// Answers one flush: one injected round trip for the whole batch, then
@@ -725,25 +793,25 @@ fn flush<M: LanguageModel>(
         }
     }
     for (session, group) in groups {
-        let (prompts, slots): (Vec<RepairPrompt>, Vec<Arc<Slot>>) =
-            group.into_iter().map(|r| (r.prompt, r.slot)).unzip();
+        let (prompts, replies): (Vec<RepairPrompt>, Vec<Reply>) =
+            group.into_iter().map(|r| (r.prompt, r.reply)).unzip();
         match sessions.get_mut(&session) {
             Some(model) => {
                 let mut results = model.complete_batch(&prompts).into_iter();
-                for slot in slots {
+                for reply in replies {
                     // A malformed override returning too few results
-                    // must not strand a blocked caller.
+                    // must not strand a waiting caller.
                     let result = results.next().unwrap_or_else(|| {
                         Err(LlmError::NoResponse(
                             "backend returned fewer batch results than prompts".to_string(),
                         ))
                     });
-                    slot.deliver(result, batch_size);
+                    reply.send(result, batch_size);
                 }
             }
             None => {
-                for slot in slots {
-                    slot.deliver(
+                for reply in replies {
+                    reply.send(
                         Err(LlmError::ServiceClosed(format!(
                             "session {session} is not registered"
                         ))),
@@ -787,34 +855,50 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
     }
 
     fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
+        self.submit_not_before(prompt, Instant::now())
+    }
+
+    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        let slot = Slot::new();
+        let slot = Arc::new(Slot::default());
         let request = PendingRequest {
             session: self.session,
             prompt: prompt.clone(),
-            slot: Arc::clone(&slot),
+            not_before,
+            reply: Reply(Some(Arc::clone(&slot))),
         };
-        if self.chan.send(Msg::Request(request)).is_err() {
-            // Service already stopped: poison the slot so the error
-            // surfaces at redemption like any other failure.
-            slot.deliver(
-                Err(LlmError::ServiceClosed("service stopped before submission".to_string())),
-                0,
-            );
-        } else {
+        // Stamped before the send: a send blocked on a full queue is
+        // part of the ticket's wait. A stopped service hands the request
+        // back, and dropping it answers the ticket `ServiceClosed`.
+        let submitted = Instant::now();
+        if self.chan.send(Msg::Request(request)).is_ok() {
             metrics().queue_depth.inc();
         }
-        self.outstanding.insert(ticket.0, OutstandingTicket { slot, submitted: Instant::now() });
+        self.outstanding.insert(ticket.0, OutstandingTicket { slot, submitted });
         ticket
     }
 
     fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        let outstanding = self.outstanding.remove(&ticket.0).ok_or_else(|| {
-            LlmError::NoResponse(format!("ticket #{} was never issued by this handle", ticket.0))
-        })?;
-        let delivery = outstanding.slot.wait(&|| self.chan.is_closed());
+        block_on(|waker| self.poll_completion(ticket, waker))
+    }
+
+    fn poll_completion(
+        &mut self,
+        ticket: Ticket,
+        waker: &Waker,
+    ) -> Poll<Result<Completion, LlmError>> {
+        let Some(outstanding) = self.outstanding.get(&ticket.0) else {
+            return Poll::Ready(Err(LlmError::NoResponse(format!(
+                "ticket #{} was never issued by this handle",
+                ticket.0
+            ))));
+        };
+        let Poll::Ready(delivery) = outstanding.slot.poll(waker) else {
+            return Poll::Pending;
+        };
         let waited = outstanding.submitted.elapsed();
+        self.outstanding.remove(&ticket.0);
         self.stats.tickets += 1;
         self.stats.wait += waited;
         self.stats.max_batch = self.stats.max_batch.max(delivery.batch_size);
@@ -826,7 +910,7 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
             // recorded for this completion, attributed to this handle.
             self.usage.record(completion);
         }
-        delivery.result
+        Poll::Ready(delivery.result)
     }
 
     fn usage(&self) -> Usage {
@@ -1060,6 +1144,134 @@ mod tests {
             "a session sees its prompts in order: identical RNG stream"
         );
         assert_eq!(direct.usage(), client.usage());
+    }
+
+    /// Sends on a channel each time it is woken.
+    struct Signal(Mutex<std::sync::mpsc::Sender<()>>);
+
+    impl Wake for Signal {
+        fn wake(self: Arc<Self>) {
+            let _ = self.0.lock().unwrap().send(());
+        }
+    }
+
+    fn signal() -> (Waker, std::sync::mpsc::Receiver<()>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Waker::from(Arc::new(Signal(Mutex::new(tx)))), rx)
+    }
+
+    #[test]
+    fn poll_completion_wakes_its_waker_on_delivery() {
+        let service = BatchedLlm::start(BatchConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(30),
+            ..BatchConfig::default()
+        });
+        let mut client = service.client(scripted(&["one", "two"]));
+        let (waker, woken) = signal();
+        let first = client.submit(&prompt());
+        assert!(client.poll_completion(first, &waker).is_pending(), "the window is still open");
+        assert!(woken.try_recv().is_err());
+        // The second prompt fills the window: the flush answers both.
+        let second = client.submit(&prompt());
+        woken.recv_timeout(Duration::from_secs(10)).expect("the delivery wakes the poller");
+        let answer = client.poll_completion(first, &waker);
+        assert!(matches!(answer, Poll::Ready(Ok(c)) if c.content == "one"));
+        assert_eq!(client.await_completion(second).unwrap().content, "two");
+        assert_eq!(client.wait_stats().tickets, 2);
+        assert!(
+            matches!(
+                client.poll_completion(first, &waker),
+                Poll::Ready(Err(LlmError::NoResponse(_)))
+            ),
+            "a ticket answered Ready is redeemed"
+        );
+    }
+
+    /// Records when its backend was asked.
+    struct Stamped {
+        inner: ScriptedLlm,
+        asked: Arc<Mutex<Vec<Instant>>>,
+    }
+
+    impl LanguageModel for Stamped {
+        fn name(&self) -> &str {
+            "stamped"
+        }
+
+        fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+            self.asked.lock().unwrap().push(Instant::now());
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+    }
+
+    #[test]
+    fn a_not_before_request_reaches_the_backend_no_earlier_than_its_instant() {
+        let service: BatchedLlm<Box<dyn LanguageModel>> = BatchedLlm::start(BatchConfig {
+            max_batch: 1,
+            max_wait: Duration::ZERO,
+            ..BatchConfig::default()
+        });
+        let asked = Arc::new(Mutex::new(Vec::new()));
+        let mut late = service
+            .client(Box::new(Stamped { inner: scripted(&["late"]), asked: Arc::clone(&asked) }));
+        let mut eager = service.client(Box::new(scripted(&["now"])));
+        let due = Instant::now() + Duration::from_millis(50);
+        let ticket = late.submit_not_before(&prompt(), due);
+        // A request submitted after it, due at once, is not held up.
+        assert_eq!(eager.complete(&prompt()).unwrap().content, "now");
+        assert_eq!(late.await_completion(ticket).unwrap().content, "late");
+        let asked = asked.lock().unwrap();
+        assert_eq!(asked.len(), 1);
+        assert!(asked[0] >= due, "asked {:?} before its due time", due - asked[0]);
+    }
+
+    /// A backend that panics when asked.
+    struct Panicking;
+
+    impl LanguageModel for Panicking {
+        fn name(&self) -> &str {
+            "panicking"
+        }
+
+        fn complete(&mut self, _: &RepairPrompt) -> Result<Completion, LlmError> {
+            panic!("injected backend panic")
+        }
+
+        fn usage(&self) -> Usage {
+            Usage::default()
+        }
+    }
+
+    #[test]
+    fn a_panicking_backend_answers_every_outstanding_ticket_service_closed() {
+        let service: BatchedLlm<Box<dyn LanguageModel>> = BatchedLlm::start(BatchConfig {
+            max_batch: 3,
+            max_wait: Duration::from_secs(30),
+            ..BatchConfig::default()
+        });
+        let mut doomed = service.client(Box::new(Panicking));
+        let mut bystander = service.client(Box::new(scripted(&["b1", "b2", "b3"])));
+        let far = Instant::now() + Duration::from_secs(3600);
+        let deferred = bystander.submit_not_before(&prompt(), far);
+        // The third prompt fills the window; its flush asks the
+        // panicking session first, so the bystander's two go unanswered.
+        let dead = doomed.submit(&prompt());
+        let stranded = [bystander.submit(&prompt()), bystander.submit(&prompt())];
+        let closed = |result: Result<Completion, LlmError>| {
+            matches!(result, Err(LlmError::ServiceClosed(_)))
+        };
+        assert!(closed(doomed.await_completion(dead)));
+        for ticket in stranded.into_iter().chain([deferred]) {
+            assert!(closed(bystander.await_completion(ticket)), "a stranded ticket is answered");
+        }
+        let late = bystander.submit(&prompt());
+        assert!(closed(bystander.await_completion(late)));
+        assert!(service.stop().is_empty(), "the service thread died with its sessions");
     }
 
     #[test]

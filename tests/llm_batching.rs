@@ -5,7 +5,8 @@
 
 use std::time::Duration;
 use uvllm_campaign::{
-    BatchConfig, Campaign, CampaignConfig, EvalRow, MemorySink, MethodKind, ShardSpec,
+    BatchConfig, Campaign, CampaignConfig, EvalRow, FaultPlan, MemorySink, MethodKind,
+    ResiliencePolicy, ShardSpec,
 };
 
 /// LLM-heavy slice: the pipeline method plus both LLM baselines, so
@@ -48,20 +49,61 @@ fn batched_rows_match_direct_rows_at_1_2_and_8_workers() {
     }
 }
 
-/// A batched pool keeps two jobs in flight per worker: at one worker, a
-/// job waiting on the LLM lends its CPU slot to a second job, whose
-/// prompts can ride the same flush — which one job at a time never can.
+/// A batched pool parks a job waiting on the LLM and starts another on
+/// the same thread: one worker keeps enough jobs in flight to fill a
+/// four-prompt flush, which one job per thread never can.
 #[test]
-fn one_batched_worker_flushes_two_jobs_prompts_together() {
+fn one_batched_worker_fills_a_four_prompt_flush_from_four_jobs() {
     let mut config = llm_config(1);
     config.llm_batch = Some(BatchConfig {
-        max_batch: 2,
+        max_batch: 4,
         max_wait: Duration::from_millis(20),
         ..BatchConfig::default()
     });
     let outcome = Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
     let batch_max = outcome.new_records.iter().map(|r| r.llm_batch_max).max();
-    assert_eq!(batch_max, Some(2), "no flush carried two jobs' prompts");
+    assert_eq!(batch_max, Some(4), "no flush carried four jobs' prompts");
+}
+
+/// Retries under a batched service are not-before resubmissions the
+/// service holds back: the faulted rows still equal the fault-free
+/// direct rows, and the same fault seed draws the same faults and
+/// retries as a direct run. (No other test in this binary injects
+/// faults, so the process-wide counters' deltas are this test's own.)
+#[test]
+fn batched_faulted_rows_and_retries_match_the_direct_run() {
+    let faulted = |workers: usize, llm_batch: Option<BatchConfig>| {
+        let mut config = llm_config(workers);
+        config.llm_batch = llm_batch;
+        config.fault =
+            Some(FaultPlan { error_rate: 0.15, malform_rate: 0.10, ..FaultPlan::default() });
+        config.resilience = Some(ResiliencePolicy {
+            retries: 8,
+            base_backoff: Duration::from_micros(50),
+            max_backoff: Duration::from_micros(400),
+            breaker_threshold: 100,
+            validate: true,
+            ..ResiliencePolicy::default()
+        });
+        let count = |name: &str| uvllm_obs::registry().counter(name).get();
+        let (retries, faults) = (count("llm.retries"), count("llm.faults.errors"));
+        let rows = sorted_lines(config);
+        (rows, count("llm.retries") - retries, count("llm.faults.errors") - faults)
+    };
+    let expected = sorted_lines(llm_config(1));
+    let (direct, retries, faults) = faulted(1, None);
+    assert_eq!(direct, expected, "faulted direct rows must match the fault-free run");
+    assert!(faults > 0 && retries > 0, "the plan must inject faults that are retried");
+    for workers in [1, 2] {
+        for max_batch in [2, 8] {
+            let batch = BatchConfig { max_batch, ..BatchConfig::default() };
+            let (rows, batched_retries, batched_faults) = faulted(workers, Some(batch));
+            let at = format!("{workers} workers, max_batch {max_batch}");
+            assert_eq!(rows, expected, "batched faulted rows at {at}");
+            assert_eq!(batched_retries, retries, "retries at {at}");
+            assert_eq!(batched_faults, faults, "injected errors at {at}");
+        }
+    }
 }
 
 #[test]
