@@ -14,9 +14,10 @@ use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
 use uvllm_sim::SimBackend;
-use uvllm_verilog::lexer::tokenize;
+use uvllm_verilog::parser::parse_with_tokens;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::token::{Token, TokenKind};
+use uvllm_verilog::SourceFile;
 
 /// One candidate textual edit.
 #[derive(Debug, Clone)]
@@ -25,17 +26,17 @@ struct Candidate {
     replacement: String,
 }
 
-/// Generates operator-flip and literal-perturbation candidates inside
-/// the given byte regions (or everywhere when `regions` is `None`).
-fn template_candidates(src: &str, regions: Option<&[Span]>) -> Vec<Candidate> {
-    let Ok(tokens) = tokenize(src) else { return Vec::new() };
+/// Generates operator-flip and literal-perturbation candidates from the
+/// `tokens` of `src` inside the given byte regions (or everywhere when
+/// `regions` is `None`).
+fn template_candidates(src: &str, tokens: &[Token], regions: Option<&[Span]>) -> Vec<Candidate> {
     let in_region = |t: &Token| match regions {
         None => true,
         Some(rs) => rs.iter().any(|r| t.span.start >= r.start && t.span.end <= r.end),
     };
     let mut out = Vec::new();
     for t in tokens.iter().filter(|t| in_region(t)) {
-        match &t.kind {
+        match t.kind {
             TokenKind::Plus => out.push(Candidate { span: t.span, replacement: "-".into() }),
             TokenKind::Minus => out.push(Candidate { span: t.span, replacement: "+".into() }),
             TokenKind::Amp => out.push(Candidate { span: t.span, replacement: "|".into() }),
@@ -47,7 +48,7 @@ fn template_candidates(src: &str, regions: Option<&[Span]>) -> Vec<Candidate> {
             TokenKind::Gt => out.push(Candidate { span: t.span, replacement: ">=".into() }),
             TokenKind::EqEq => out.push(Candidate { span: t.span, replacement: "!=".into() }),
             TokenKind::NotEq => out.push(Candidate { span: t.span, replacement: "==".into() }),
-            TokenKind::Number(n) if n.digits.chars().all(|c| c.is_ascii_hexdigit()) => {
+            TokenKind::Number(n) if n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) => {
                 let text = t.span.text(src);
                 for delta in [1i64, -1] {
                     if let Some(rep) = shift_literal(text, delta) {
@@ -97,8 +98,7 @@ fn shift_literal(text: &str, delta: i64) -> Option<String> {
 }
 
 /// Bitwidth templates: widen/narrow declared ranges by one bit.
-fn bitwidth_candidates(src: &str) -> Vec<Candidate> {
-    let Ok(file) = uvllm_verilog::parse(src) else { return Vec::new() };
+fn bitwidth_candidates(file: &SourceFile) -> Vec<Candidate> {
     let mut out = Vec::new();
     let mut push = |r: &uvllm_verilog::ast::Range| {
         use uvllm_verilog::ast::Expr;
@@ -131,6 +131,17 @@ fn apply(src: &str, c: &Candidate) -> String {
     let mut s = src.to_string();
     s.replace_range(c.span.start..c.span.end, &c.replacement);
     s
+}
+
+/// The outcome for an input a template method does not take on.
+fn unrepaired(src: &str) -> MethodOutcome {
+    MethodOutcome {
+        final_code: src.to_string(),
+        claimed_success: false,
+        iterations: 0,
+        time: std::time::Duration::ZERO,
+        usage: Usage::default(),
+    }
 }
 
 /// Whether a run of the public tests built and passed.
@@ -224,15 +235,7 @@ impl RepairMethod for StriderRepair<'_> {
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
         // Functional-only method: syntax-broken inputs are returned
         // unrepaired (the paper evaluates Strider on functional errors).
-        let Ok(file) = uvllm_verilog::parse(src) else {
-            return MethodOutcome {
-                final_code: src.to_string(),
-                claimed_success: false,
-                iterations: 0,
-                time: std::time::Duration::ZERO,
-                usage: Usage::default(),
-            };
-        };
+        let Ok((file, tokens)) = parse_with_tokens(src) else { return unrepaired(src) };
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
         // Localize: which outputs mismatch on the public tests?
@@ -257,10 +260,10 @@ impl RepairMethod for StriderRepair<'_> {
             spans
         });
         let regions = regions.filter(|r| !r.is_empty());
-        let mut candidates = template_candidates(src, regions.as_deref());
+        let mut candidates = template_candidates(src, &tokens, regions.as_deref());
         // Fall back to a global search when localization found nothing.
         if candidates.is_empty() {
-            candidates = template_candidates(src, None);
+            candidates = template_candidates(src, &tokens, None);
         }
         template_search(design, src, src_passes, candidates, self.budget, memo)
     }
@@ -302,19 +305,11 @@ impl RepairMethod for RtlRepair<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
-        if uvllm_verilog::parse(src).is_err() {
-            return MethodOutcome {
-                final_code: src.to_string(),
-                claimed_success: false,
-                iterations: 0,
-                time: std::time::Duration::ZERO,
-                usage: Usage::default(),
-            };
-        }
+        let Ok((file, tokens)) = parse_with_tokens(src) else { return unrepaired(src) };
         // Width templates first (the method's signature strength), then
         // the generic operator/constant space.
-        let mut candidates = bitwidth_candidates(src);
-        candidates.extend(template_candidates(src, None));
+        let mut candidates = bitwidth_candidates(&file);
+        candidates.extend(template_candidates(src, &tokens, None));
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
         let src_passes = passed(&directed_stage(src, design, memo));

@@ -4,9 +4,9 @@
 use crate::memo::StageMemo;
 use crate::metrics::mutant_is_detectable;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use uvllm_designs::{all, Design};
-use uvllm_errgen::{mutate, ErrorKind, GroundTruth};
+use uvllm_errgen::{ErrorKind, GroundTruth, Prepared};
 
 /// Default instance count, matching the paper's dataset size.
 pub const PAPER_DATASET_SIZE: usize = 331;
@@ -53,7 +53,8 @@ impl Dataset {
 /// Builds one validated instance for `(design, kind)` if possible.
 ///
 /// Validation guarantees the injected error is *real*:
-/// * syntax kinds must fail to parse;
+/// * syntax kinds must fail to parse, which [`Prepared::mutate`]
+///   already checked;
 /// * functional kinds must either fail to build (declaration errors) or
 ///   fail the detection run — which is a strict prefix of the FR
 ///   campaign, so every admitted instance fails FR before repair.
@@ -67,15 +68,26 @@ pub fn build_instance(
     base_seed: u64,
     memo: &StageMemo,
 ) -> Option<BenchInstance> {
+    build_prepared_instance(design, &prepare(design), kind, base_seed, memo)
+}
+
+/// `design`'s golden source, lexed and parsed for mutation.
+fn prepare(design: &'static Design) -> Prepared<'static> {
+    Prepared::new(design.source).expect("golden designs parse")
+}
+
+/// [`build_instance`] from `golden`, `design`'s [`prepare`]d source.
+fn build_prepared_instance(
+    design: &'static Design,
+    golden: &Prepared<'static>,
+    kind: ErrorKind,
+    base_seed: u64,
+    memo: &StageMemo,
+) -> Option<BenchInstance> {
     for attempt in 0..6u64 {
         let seed = base_seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
-        let Ok(out) = mutate(design.source, kind, seed) else { continue };
-        let valid = if kind.is_syntax() {
-            uvllm_verilog::parse(&out.mutated_src).is_err()
-        } else {
-            mutant_is_detectable(design, &out.mutated_src, memo)
-        };
-        if valid {
+        let Ok(out) = golden.mutate(kind, seed) else { continue };
+        if kind.is_syntax() || mutant_is_detectable(design, &out.mutated_src, memo) {
             return Some(BenchInstance {
                 design,
                 kind,
@@ -94,7 +106,8 @@ const ROUNDS: usize = 8;
 /// Builds a dataset of (up to) `target` instances by cycling over every
 /// `(design, kind)` pair with fresh seeds each round, mirroring the
 /// paper's "27 modules × 9 error types, 331 instances" construction.
-/// Validation runs elaborate through `memo` ([`build_instance`]).
+/// Validation runs elaborate through `memo` ([`build_instance`]); each
+/// golden source a candidate needs is lexed and parsed once per build.
 ///
 /// The candidates `(round, design, kind)` are examined in that order
 /// until `target` instances are found; a pair none of whose round-0
@@ -106,17 +119,21 @@ const ROUNDS: usize = 8;
 /// elaboration made for it, is the same at any `workers`.
 pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo, workers: usize) -> Dataset {
     let designs = all();
+    let goldens: Vec<OnceLock<Prepared<'static>>> =
+        designs.iter().map(|_| OnceLock::new()).collect();
     let kinds = ErrorKind::ALL.len();
     let pairs = designs.len() * kinds;
     let candidates = ROUNDS * pairs;
     let validate = |candidate: usize| {
-        let (round, design) = (candidate / pairs, designs[candidate % pairs / kinds]);
+        let (round, index) = (candidate / pairs, candidate % pairs / kinds);
+        let design = designs[index];
         let kind = ErrorKind::ALL[candidate % kinds];
         let seed = base_seed
             .wrapping_add((round as u64).wrapping_mul(0x1000))
             .wrapping_add(kind as u64 * 37)
             .wrapping_add(design.name.len() as u64);
-        build_instance(design, kind, seed, memo).ok_or((design.name, kind))
+        let golden = goldens[index].get_or_init(|| prepare(design));
+        build_prepared_instance(design, golden, kind, seed, memo).ok_or((design.name, kind))
     };
 
     let claims = Mutex::new(Claims {

@@ -29,5 +29,5 @@
 pub mod mutate;
 pub mod taxonomy;
 
-pub use mutate::{applicable_kinds, mutate, GroundTruth, MutateError, MutationOutcome};
+pub use mutate::{applicable_kinds, mutate, GroundTruth, MutateError, MutationOutcome, Prepared};
 pub use taxonomy::{ErrorCategory, ErrorKind, FunctionalCategory, SyntaxCategory};

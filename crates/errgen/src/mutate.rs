@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 use uvllm_verilog::ast::*;
-use uvllm_verilog::lexer::tokenize;
+use uvllm_verilog::parser::parse_with_tokens;
 use uvllm_verilog::span::{LineMap, Span};
 use uvllm_verilog::token::{Keyword, Token, TokenKind};
 use uvllm_verilog::{parse, SourceFile};
@@ -79,44 +79,78 @@ struct Edit {
 ///
 /// # Errors
 ///
-/// [`MutateError::BadInput`] when `src` does not parse;
-/// [`MutateError::NoApplicableSite`] when the operator has nowhere to
-/// apply (or every candidate fails validation).
+/// As [`Prepared::new`] and [`Prepared::mutate`].
 pub fn mutate(src: &str, kind: ErrorKind, seed: u64) -> Result<MutationOutcome, MutateError> {
-    let file = parse(src).map_err(|e| MutateError::BadInput(e.to_string()))?;
-    let tokens = tokenize(src).map_err(|e| MutateError::BadInput(e.to_string()))?;
-    let mut candidates = collect_candidates(src, &file, &tokens, kind);
-    if candidates.is_empty() {
-        return Err(MutateError::NoApplicableSite(kind));
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ (kind as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    candidates.shuffle(&mut rng);
-    for edit in candidates {
-        let mutated = apply_edit(src, &edit);
-        if mutated == src {
-            continue;
-        }
-        let valid =
-            if kind.is_syntax() { parse(&mutated).is_err() } else { parse(&mutated).is_ok() };
-        if !valid {
-            continue;
-        }
-        let gt = ground_truth(src, &mutated, &edit, kind);
-        return Ok(MutationOutcome { mutated_src: mutated, ground_truth: gt });
-    }
-    Err(MutateError::NoApplicableSite(kind))
+    Prepared::new(src)?.mutate(kind, seed)
 }
 
 /// Operators that have at least one candidate site in `src` (before
 /// validation). Used to build the Fig. 7 applicability matrix.
 pub fn applicable_kinds(src: &str) -> Vec<ErrorKind> {
-    let Ok(file) = parse(src) else { return Vec::new() };
-    let Ok(tokens) = tokenize(src) else { return Vec::new() };
-    ErrorKind::ALL
-        .iter()
-        .copied()
-        .filter(|k| !collect_candidates(src, &file, &tokens, *k).is_empty())
-        .collect()
+    Prepared::new(src).map(|p| p.applicable_kinds()).unwrap_or_default()
+}
+
+/// A source lexed and parsed once, to be mutated any number of times: a
+/// dataset build prepares each golden design once.
+#[derive(Debug)]
+pub struct Prepared<'s> {
+    src: &'s str,
+    file: SourceFile,
+    tokens: Vec<Token>,
+}
+
+impl<'s> Prepared<'s> {
+    /// Lexes and parses `src`.
+    ///
+    /// # Errors
+    ///
+    /// [`MutateError::BadInput`] when `src` does not parse.
+    pub fn new(src: &'s str) -> Result<Self, MutateError> {
+        let (file, mut tokens) =
+            parse_with_tokens(src).map_err(|e| MutateError::BadInput(e.to_string()))?;
+        // Held for a whole dataset build: give back the capacity
+        // `tokenize` reserves for its worst case.
+        tokens.shrink_to_fit();
+        Ok(Prepared { src, file, tokens })
+    }
+
+    /// Applies mutation operator `kind` with deterministic `seed`. A
+    /// syntax mutant is guaranteed not to parse, a functional one to
+    /// parse.
+    ///
+    /// # Errors
+    ///
+    /// [`MutateError::NoApplicableSite`] when the operator has nowhere
+    /// to apply (or every candidate fails validation).
+    pub fn mutate(&self, kind: ErrorKind, seed: u64) -> Result<MutationOutcome, MutateError> {
+        let src = self.src;
+        let mut candidates = collect_candidates(src, &self.file, &self.tokens, kind);
+        if candidates.is_empty() {
+            return Err(MutateError::NoApplicableSite(kind));
+        }
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (kind as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        candidates.shuffle(&mut rng);
+        for edit in candidates {
+            let mutated = apply_edit(src, &edit);
+            if mutated == src || parse(&mutated).is_ok() == kind.is_syntax() {
+                continue;
+            }
+            let gt = ground_truth(src, &mutated, &edit, kind);
+            return Ok(MutationOutcome { mutated_src: mutated, ground_truth: gt });
+        }
+        Err(MutateError::NoApplicableSite(kind))
+    }
+
+    /// Operators that have at least one candidate site (before
+    /// validation).
+    pub fn applicable_kinds(&self) -> Vec<ErrorKind> {
+        ErrorKind::ALL
+            .iter()
+            .copied()
+            .filter(|k| !collect_candidates(self.src, &self.file, &self.tokens, *k).is_empty())
+            .collect()
+    }
 }
 
 fn apply_edit(src: &str, edit: &Edit) -> String {
@@ -445,8 +479,8 @@ fn value_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
     let mut out = Vec::new();
     for (span, _) in &regions {
         for t in tokens.iter().filter(|t| t.span.start >= span.start && t.span.end <= span.end) {
-            let TokenKind::Number(n) = &t.kind else { continue };
-            if !n.digits.chars().all(|c| c.is_ascii_hexdigit()) {
+            let TokenKind::Number(n) = t.kind else { continue };
+            if !n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) {
                 continue;
             }
             let text = t.span.text(src);
@@ -531,7 +565,10 @@ fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
                 }
                 continue;
             }
-            let TokenKind::Ident(name) = &t.kind else { continue };
+            if t.kind != TokenKind::Ident {
+                continue;
+            }
+            let name = t.span.text(src);
             let Some((_, w)) = widths.iter().find(|(n, _)| n == name) else { continue };
             // Deterministic partner: the next declared signal of the
             // same width (candidate order is then shuffled by seed).
@@ -547,7 +584,6 @@ fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
                     break;
                 }
             }
-            let _ = src;
         }
     }
     out
@@ -599,7 +635,7 @@ fn judgment_sites(src: &str, tokens: &[Token]) -> Vec<Edit> {
         }
         for t in &tokens[start..=end.min(tokens.len() - 1)] {
             match &t.kind {
-                TokenKind::Number(n) if n.digits.chars().all(|c| c.is_ascii_hexdigit()) => {
+                TokenKind::Number(n) if n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) => {
                     let text = t.span.text(src);
                     let doubled = double_literal(text);
                     if doubled != text {

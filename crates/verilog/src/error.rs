@@ -28,6 +28,12 @@ pub enum SyntaxErrorKind {
         /// What the parser was looking for.
         expected: String,
     },
+    /// Expressions or statements nest deeper than the parser follows
+    /// ([`crate::parser::MAX_NESTING`]).
+    TooDeep {
+        /// The nesting bound that was exceeded.
+        limit: usize,
+    },
 }
 
 /// A fatal syntax error with location information.
@@ -49,6 +55,16 @@ impl SyntaxError {
     /// Creates an error of `kind` at `span` with `message`.
     pub fn new(kind: SyntaxErrorKind, span: Span, message: impl Into<String>) -> Self {
         SyntaxError { kind, span, message: message.into() }
+    }
+
+    /// A literal at `span` whose width, `written` without underscores,
+    /// is outside 1..=128.
+    pub(crate) fn unsupported_width(span: Span, written: impl fmt::Display) -> Self {
+        SyntaxError::new(
+            SyntaxErrorKind::MalformedNumber,
+            span,
+            format!("unsupported literal width {written} (1..=128)"),
+        )
     }
 
     /// Renders the error in compiler-log style against `src`.

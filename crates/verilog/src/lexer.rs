@@ -25,12 +25,15 @@ impl<'a> Lexer<'a> {
     /// Lexes the entire input, returning tokens (including a final
     /// [`TokenKind::Eof`]) or the first lexical error.
     ///
+    /// The token vector is the one allocation: every token covers at
+    /// least one byte, so it is sized for one token per byte plus `Eof`.
+    ///
     /// # Errors
     ///
     /// Returns a [`SyntaxError`] for unterminated comments/strings,
     /// malformed based literals and unexpected characters.
     pub fn tokenize(mut self) -> Result<Vec<Token>, SyntaxError> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.bytes.len() + 1);
         loop {
             let tok = self.next_token()?;
             let eof = tok.kind == TokenKind::Eof;
@@ -323,10 +326,9 @@ impl<'a> Lexer<'a> {
         while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'$') {
             self.pos += 1;
         }
-        let text = &self.src[start..self.pos];
-        let kind = match Keyword::lookup(text) {
+        let kind = match Keyword::lookup(&self.src[start..self.pos]) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident,
         };
         Token::new(kind, Span::new(start, self.pos))
     }
@@ -336,15 +338,11 @@ impl<'a> Lexer<'a> {
         while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
             self.pos += 1;
         }
-        Token::new(
-            TokenKind::SysIdent(self.src[start..self.pos].to_string()),
-            Span::new(start, self.pos),
-        )
+        Token::new(TokenKind::SysIdent, Span::new(start, self.pos))
     }
 
     fn lex_string(&mut self, start: usize) -> Result<Token, SyntaxError> {
         self.pos += 1; // opening quote
-        let content_start = self.pos;
         while self.pos < self.bytes.len() && self.peek() != b'"' {
             if self.peek() == b'\\' {
                 self.pos += 1;
@@ -358,31 +356,29 @@ impl<'a> Lexer<'a> {
                 "unterminated string literal",
             ));
         }
-        let content = self.src[content_start..self.pos].to_string();
         self.pos += 1; // closing quote
-        Ok(Token::new(TokenKind::Str(content), Span::new(start, self.pos)))
+        Ok(Token::new(TokenKind::Str, Span::new(start, self.pos)))
     }
 
     fn lex_number(&mut self, start: usize) -> Result<Token, SyntaxError> {
         while matches!(self.peek(), b'0'..=b'9' | b'_') {
             self.pos += 1;
         }
-        if self.peek() == b'\'' {
-            let width_text: String =
-                self.src[start..self.pos].chars().filter(|c| *c != '_').collect();
-            let width = width_text.parse::<u32>().ok();
-            return self.lex_based_literal(start, width);
+        let digits = Span::new(start, self.pos);
+        if self.peek() != b'\'' {
+            let number = NumberToken { width: None, base: NumberBase::Dec, digits, signed: false };
+            return Ok(Token::new(TokenKind::Number(number), digits));
         }
-        let digits: String = self.src[start..self.pos].chars().filter(|c| *c != '_').collect();
-        Ok(Token::new(
-            TokenKind::Number(NumberToken {
-                width: None,
-                base: NumberBase::Dec,
-                digits,
-                signed: false,
-            }),
-            Span::new(start, self.pos),
-        ))
+        let written = digits.text(self.src);
+        let width = written
+            .bytes()
+            .filter(|b| *b != b'_')
+            .try_fold(0u32, |w, b| w.checked_mul(10)?.checked_add(u32::from(b - b'0')));
+        let token = self.lex_based_literal(start, width)?;
+        match width {
+            Some(_) => Ok(token),
+            None => Err(SyntaxError::unsupported_width(token.span, written.replace('_', ""))),
+        }
     }
 
     /// Lexes the `'b0101` part of a based literal; `width` was already
@@ -423,33 +419,30 @@ impl<'a> Lexer<'a> {
         ) {
             self.pos += 1;
         }
-        let raw = &self.src[digits_start..self.pos];
-        let digits: String =
-            raw.chars().filter(|c| *c != '_').map(|c| c.to_ascii_lowercase()).collect();
-        if digits.is_empty() {
+        let span = Span::new(start, self.pos);
+        let number = NumberToken { width, base, digits: Span::new(digits_start, self.pos), signed };
+        let count = number.digit_chars(self.src).count();
+        if count == 0 {
             return Err(SyntaxError::new(
                 SyntaxErrorKind::MalformedNumber,
-                Span::new(start, self.pos),
+                span,
                 "based literal has no digits",
             ));
         }
-        for ch in digits.chars() {
+        for ch in number.digit_chars(self.src) {
             let ok = match ch {
-                'x' | 'z' | '?' => base != NumberBase::Dec || digits.len() == 1,
+                'x' | 'z' | '?' => base != NumberBase::Dec || count == 1,
                 _ => ch.to_digit(16).map(|d| d < base.radix()).unwrap_or(false),
             };
             if !ok {
                 return Err(SyntaxError::new(
                     SyntaxErrorKind::MalformedNumber,
-                    Span::new(start, self.pos),
+                    span,
                     format!("digit '{ch}' is invalid for base {}", base.radix()),
                 ));
             }
         }
-        Ok(Token::new(
-            TokenKind::Number(NumberToken { width, base, digits, signed }),
-            Span::new(start, self.pos),
-        ))
+        Ok(Token::new(TokenKind::Number(number), span))
     }
 }
 
@@ -470,6 +463,13 @@ mod tests {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
+    fn digits(src: &str, kind: &TokenKind) -> String {
+        match kind {
+            TokenKind::Number(n) => n.digit_chars(src).collect(),
+            other => panic!("expected number, got {other:?}"),
+        }
+    }
+
     #[test]
     fn lexes_module_header() {
         let ks = kinds("module m(input a);");
@@ -477,10 +477,10 @@ mod tests {
             ks,
             vec![
                 TokenKind::Keyword(Keyword::Module),
-                TokenKind::Ident("m".into()),
+                TokenKind::Ident,
                 TokenKind::LParen,
                 TokenKind::Keyword(Keyword::Input),
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident,
                 TokenKind::RParen,
                 TokenKind::Semi,
                 TokenKind::Eof,
@@ -490,19 +490,17 @@ mod tests {
 
     #[test]
     fn lexes_based_literals() {
-        let ks = kinds("8'hFF 4'b10x1 'd15 12'o777 3'sb101");
+        let src = "8'hFF 4'b10x1 'd15 12'o777 3'sb101";
+        let ks = kinds(src);
         match &ks[0] {
             TokenKind::Number(n) => {
                 assert_eq!(n.width, Some(8));
                 assert_eq!(n.base, NumberBase::Hex);
-                assert_eq!(n.digits, "ff");
             }
             other => panic!("expected number, got {other:?}"),
         }
-        match &ks[1] {
-            TokenKind::Number(n) => assert_eq!(n.digits, "10x1"),
-            other => panic!("expected number, got {other:?}"),
-        }
+        assert_eq!(digits(src, &ks[0]), "ff");
+        assert_eq!(digits(src, &ks[1]), "10x1");
         match &ks[2] {
             TokenKind::Number(n) => {
                 assert_eq!(n.width, None);
@@ -574,15 +572,42 @@ mod tests {
 
     #[test]
     fn underscores_in_numbers() {
-        let ks = kinds("32'hDEAD_BEEF 1_000");
-        match &ks[0] {
-            TokenKind::Number(n) => assert_eq!(n.digits, "deadbeef"),
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &ks[1] {
-            TokenKind::Number(n) => assert_eq!(n.digits, "1000"),
-            other => panic!("expected number, got {other:?}"),
-        }
+        let src = "32'hDEAD_BEEF 1_000";
+        let ks = kinds(src);
+        assert_eq!(digits(src, &ks[0]), "deadbeef");
+        assert_eq!(digits(src, &ks[1]), "1000");
+    }
+
+    #[test]
+    fn width_past_u32_is_malformed() {
+        let err = tokenize("99999999999'd1").unwrap_err();
+        assert_eq!(err.kind, SyntaxErrorKind::MalformedNumber);
+        assert_eq!(err.message, "unsupported literal width 99999999999 (1..=128)");
+        assert_eq!(err.span, Span::new(0, 14));
+        let err = tokenize("99_999_999_999'd1").unwrap_err();
+        assert_eq!(err.message, "unsupported literal width 99999999999 (1..=128)");
+        // A width that fits in 32 bits lexes; the parser rejects it.
+        let src = "module m(output y);\nassign y = 4000000000'd1;\nendmodule\n";
+        let err = crate::parse(src).unwrap_err();
+        assert_eq!(err.kind, SyntaxErrorKind::MalformedNumber);
+        assert_eq!(err.message, "unsupported literal width 4000000000 (1..=128)");
+        let err = crate::parse(&src.replace("4000000000", "99999999999")).unwrap_err();
+        assert_eq!(err.kind, SyntaxErrorKind::MalformedNumber);
+        assert_eq!(err.message, "unsupported literal width 99999999999 (1..=128)");
+    }
+
+    #[test]
+    fn tokens_own_no_text() {
+        let src = "assign y = $f(\"s\") + 8'sh_A;";
+        let toks = tokenize(src).unwrap();
+        let texts: Vec<&str> = toks.iter().map(|t| t.span.text(src)).collect();
+        assert_eq!(texts, ["assign", "y", "=", "$f", "(", "\"s\"", ")", "+", "8'sh_A", ";", ""]);
+        assert_eq!(toks[1].kind, TokenKind::Ident);
+        assert_eq!(toks[3].kind, TokenKind::SysIdent);
+        assert_eq!(toks[5].kind, TokenKind::Str);
+        let TokenKind::Number(n) = toks[8].kind else { panic!("{:?}", toks[8]) };
+        assert_eq!((n.width, n.base, n.signed), (Some(8), NumberBase::Hex, true));
+        assert_eq!(n.digits.text(src), "_A");
     }
 
     #[test]

@@ -6,6 +6,15 @@ use crate::lexer::tokenize;
 use crate::span::Span;
 use crate::token::{Keyword, NumberBase, NumberToken, Token, TokenKind};
 
+/// How deep expressions, statements and assignment targets may nest: a
+/// parenthesis, a unary operator, a `begin`, an `if` arm each add a
+/// level. Deeper input is a [`SyntaxErrorKind::TooDeep`] error instead
+/// of a stack overflow, here or in the recursive passes over the AST.
+/// A text at the bound parses, lints, elaborates and simulates on a
+/// 2 MB thread even unoptimised (`tests/nesting.rs`); the default
+/// corpus nests far less deeply.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a complete Verilog source file.
 ///
 /// # Errors
@@ -15,8 +24,19 @@ use crate::token::{Keyword, NumberBase, NumberToken, Token, TokenKind};
 /// [`SyntaxError::render`]) so the pre-processing stage can feed them to
 /// repair back-ends unchanged.
 pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
+    parse_with_tokens(src).map(|(file, _)| file)
+}
+
+/// [`parse`], also returning the tokens it parsed, for callers that read
+/// both: the text is lexed once.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), SyntaxError> {
     let tokens = tokenize(src)?;
-    Parser::new(tokens).parse_source_file()
+    let file = Parser::new(src, &tokens).parse_source_file()?;
+    Ok((file, tokens))
 }
 
 /// Parses a single expression (used by tests and patch validation).
@@ -26,36 +46,64 @@ pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
 /// Returns an error when `src` is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr, SyntaxError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(src, &tokens);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    src: &'a str,
+    /// `src` lexed; the last token is `Eof`.
+    tokens: &'a [Token],
     pos: usize,
+    /// Productions open under [`Parser::nested`].
+    depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, tokens: &'a [Token]) -> Self {
+        Parser { src, tokens, pos: 0, depth: 0 }
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &'a Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &'a TokenKind {
         &self.peek().kind
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+        let t = *self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
+    }
+
+    /// The source text at `span`, as the AST keeps it.
+    fn text(&self, span: Span) -> String {
+        span.text(self.src).to_string()
+    }
+
+    /// Runs `production` one nesting level deeper, failing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        production: fn(&mut Self) -> Result<T, SyntaxError>,
+    ) -> Result<T, SyntaxError> {
+        if self.depth == MAX_NESTING {
+            return Err(SyntaxError::new(
+                SyntaxErrorKind::TooDeep { limit: MAX_NESTING },
+                self.peek().span,
+                format!("syntax error, nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let out = production(self);
+        self.depth -= 1;
+        out
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -95,11 +143,14 @@ impl Parser {
         } else {
             SyntaxError::new(
                 SyntaxErrorKind::UnexpectedToken {
-                    found: tok.kind.to_string(),
+                    found: tok.display(self.src).to_string(),
                     expected: expected.to_string(),
                 },
                 tok.span,
-                format!("syntax error, unexpected '{}', expected {expected}", tok.kind),
+                format!(
+                    "syntax error, unexpected '{}', expected {expected}",
+                    tok.display(self.src)
+                ),
             )
         }
     }
@@ -121,12 +172,11 @@ impl Parser {
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<(String, Span), SyntaxError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let tok = self.bump();
-                Ok((name, tok.span))
-            }
-            _ => Err(self.error(what)),
+        if self.at(&TokenKind::Ident) {
+            let span = self.bump().span;
+            Ok((self.text(span), span))
+        } else {
+            Err(self.error(what))
         }
     }
 
@@ -287,7 +337,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn item(&mut self, ports: &mut Vec<Port>, items: &mut Vec<Item>) -> Result<(), SyntaxError> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Keyword(Keyword::Input) => self.body_port_decl(PortDir::Input, ports, items),
             TokenKind::Keyword(Keyword::Output) => {
                 self.body_port_decl(PortDir::Output, ports, items)
@@ -357,7 +407,7 @@ impl Parser {
                 items.push(Item::Initial(InitialBlock { body, span }));
                 Ok(())
             }
-            TokenKind::Ident(_) => {
+            TokenKind::Ident => {
                 let inst = self.instance()?;
                 items.push(Item::Instance(inst));
                 Ok(())
@@ -536,6 +586,10 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, SyntaxError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, SyntaxError> {
         // Tolerate (and discard) simple delay controls `#N`.
         if self.at(&TokenKind::Hash) {
             self.bump();
@@ -543,146 +597,163 @@ impl Parser {
                 self.bump();
             }
         }
-        match self.peek_kind().clone() {
-            TokenKind::Keyword(Keyword::Begin) => {
-                let start = self.bump().span;
-                let label = if self.eat(&TokenKind::Colon) {
-                    Some(self.expect_ident("block label")?.0)
-                } else {
-                    None
-                };
-                let mut stmts = Vec::new();
-                while !self.at_kw(Keyword::End) {
-                    if self.at(&TokenKind::Eof) {
-                        return Err(self.error("'end'"));
-                    }
-                    stmts.push(self.stmt()?);
+        // One function per statement form keeps this frame, the one
+        // every nesting level stacks, small.
+        match self.peek_kind() {
+            TokenKind::Keyword(Keyword::Begin) => self.block(),
+            TokenKind::Keyword(Keyword::If) => self.if_stmt(),
+            TokenKind::Keyword(Keyword::Case) => self.case_stmt(CaseKind::Case),
+            TokenKind::Keyword(Keyword::Casez) => self.case_stmt(CaseKind::Casez),
+            TokenKind::Keyword(Keyword::Casex) => self.case_stmt(CaseKind::Casex),
+            TokenKind::Keyword(Keyword::For) => self.for_stmt(),
+            TokenKind::SysIdent => self.sys_task(),
+            TokenKind::Semi => Ok(Stmt::Null(self.bump().span)),
+            _ => self.assignment(),
+        }
+    }
+
+    /// `begin [: label] … end`.
+    fn block(&mut self) -> Result<Stmt, SyntaxError> {
+        let start = self.bump().span;
+        let label = if self.eat(&TokenKind::Colon) {
+            Some(self.expect_ident("block label")?.0)
+        } else {
+            None
+        };
+        let mut stmts = Vec::new();
+        while !self.at_kw(Keyword::End) {
+            if self.at(&TokenKind::Eof) {
+                return Err(self.error("'end'"));
+            }
+            stmts.push(self.stmt()?);
+        }
+        let end = self.bump().span; // `end`
+        Ok(Stmt::Block(Block { label, stmts, span: start.merge(end) }))
+    }
+
+    /// `if (…) … [else …]`.
+    fn if_stmt(&mut self) -> Result<Stmt, SyntaxError> {
+        let start = self.bump().span;
+        self.expect(&TokenKind::LParen, "'(' after 'if'")?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen, "')' closing condition")?;
+        let then_branch = Box::new(self.stmt()?);
+        let (else_branch, end) = if self.at_kw(Keyword::Else) {
+            self.bump();
+            let e = self.stmt()?;
+            let sp = e.span();
+            (Some(Box::new(e)), sp)
+        } else {
+            (None, then_branch.span())
+        };
+        Ok(Stmt::If(IfStmt { cond, then_branch, else_branch, span: start.merge(end) }))
+    }
+
+    /// `case`/`casez`/`casex` (`kind`) through `endcase`.
+    fn case_stmt(&mut self, kind: CaseKind) -> Result<Stmt, SyntaxError> {
+        let start = self.bump().span;
+        self.expect(&TokenKind::LParen, "'(' after 'case'")?;
+        let expr = self.expr()?;
+        self.expect(&TokenKind::RParen, "')' closing case expression")?;
+        let mut arms = Vec::new();
+        let mut default = None;
+        while !self.at_kw(Keyword::Endcase) {
+            if self.at(&TokenKind::Eof) {
+                return Err(self.error("'endcase'"));
+            }
+            if self.eat_kw(Keyword::Default) {
+                self.eat(&TokenKind::Colon);
+                default = Some(Box::new(self.stmt()?));
+            } else {
+                let astart = self.peek().span;
+                let mut labels = vec![self.expr()?];
+                while self.eat(&TokenKind::Comma) {
+                    labels.push(self.expr()?);
                 }
-                let end = self.bump().span; // `end`
-                Ok(Stmt::Block(Block { label, stmts, span: start.merge(end) }))
+                self.expect(&TokenKind::Colon, "':' after case label")?;
+                let body = self.stmt()?;
+                let span = astart.merge(body.span());
+                arms.push(CaseArm { labels, body, span });
             }
-            TokenKind::Keyword(Keyword::If) => {
-                let start = self.bump().span;
-                self.expect(&TokenKind::LParen, "'(' after 'if'")?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen, "')' closing condition")?;
-                let then_branch = Box::new(self.stmt()?);
-                let (else_branch, end) = if self.at_kw(Keyword::Else) {
-                    self.bump();
-                    let e = self.stmt()?;
-                    let sp = e.span();
-                    (Some(Box::new(e)), sp)
-                } else {
-                    (None, then_branch.span())
-                };
-                Ok(Stmt::If(IfStmt { cond, then_branch, else_branch, span: start.merge(end) }))
-            }
-            TokenKind::Keyword(kw @ (Keyword::Case | Keyword::Casez | Keyword::Casex)) => {
-                let kind = match kw {
-                    Keyword::Case => CaseKind::Case,
-                    Keyword::Casez => CaseKind::Casez,
-                    _ => CaseKind::Casex,
-                };
-                let start = self.bump().span;
-                self.expect(&TokenKind::LParen, "'(' after 'case'")?;
-                let expr = self.expr()?;
-                self.expect(&TokenKind::RParen, "')' closing case expression")?;
-                let mut arms = Vec::new();
-                let mut default = None;
-                while !self.at_kw(Keyword::Endcase) {
-                    if self.at(&TokenKind::Eof) {
-                        return Err(self.error("'endcase'"));
-                    }
-                    if self.eat_kw(Keyword::Default) {
-                        self.eat(&TokenKind::Colon);
-                        default = Some(Box::new(self.stmt()?));
+        }
+        let end = self.bump().span; // `endcase`
+        Ok(Stmt::Case(CaseStmt { kind, expr, arms, default, span: start.merge(end) }))
+    }
+
+    /// `for (init; cond; step) body`.
+    fn for_stmt(&mut self) -> Result<Stmt, SyntaxError> {
+        let start = self.bump().span;
+        self.expect(&TokenKind::LParen, "'(' after 'for'")?;
+        let init_lhs = self.lvalue()?;
+        self.expect(&TokenKind::Assign, "'=' in for initialiser")?;
+        let init_rhs = self.expr()?;
+        self.expect(&TokenKind::Semi, "';' after for initialiser")?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::Semi, "';' after for condition")?;
+        let step_lhs = self.lvalue()?;
+        self.expect(&TokenKind::Assign, "'=' in for step")?;
+        let step_rhs = self.expr()?;
+        self.expect(&TokenKind::RParen, "')' closing for header")?;
+        let body = Box::new(self.stmt()?);
+        let span = start.merge(body.span());
+        Ok(Stmt::For(ForStmt {
+            init: (init_lhs, init_rhs),
+            cond,
+            step: (step_lhs, step_rhs),
+            body,
+            span,
+        }))
+    }
+
+    /// A system task call such as `$display(…);`.
+    fn sys_task(&mut self) -> Result<Stmt, SyntaxError> {
+        let start = self.bump().span;
+        let name = self.text(start);
+        let mut args = Vec::new();
+        if self.eat(&TokenKind::LParen) {
+            if !self.at(&TokenKind::RParen) {
+                loop {
+                    // String arguments to $display etc. are kept
+                    // as zero literals; they have no behavioural
+                    // meaning in this subset.
+                    if self.eat(&TokenKind::Str) {
+                        args.push(Expr::number(0));
                     } else {
-                        let astart = self.peek().span;
-                        let mut labels = vec![self.expr()?];
-                        while self.eat(&TokenKind::Comma) {
-                            labels.push(self.expr()?);
-                        }
-                        self.expect(&TokenKind::Colon, "':' after case label")?;
-                        let body = self.stmt()?;
-                        let span = astart.merge(body.span());
-                        arms.push(CaseArm { labels, body, span });
+                        args.push(self.expr()?);
+                    }
+                    if !self.eat(&TokenKind::Comma) {
+                        break;
                     }
                 }
-                let end = self.bump().span; // `endcase`
-                Ok(Stmt::Case(CaseStmt { kind, expr, arms, default, span: start.merge(end) }))
             }
-            TokenKind::Keyword(Keyword::For) => {
-                let start = self.bump().span;
-                self.expect(&TokenKind::LParen, "'(' after 'for'")?;
-                let init_lhs = self.lvalue()?;
-                self.expect(&TokenKind::Assign, "'=' in for initialiser")?;
-                let init_rhs = self.expr()?;
-                self.expect(&TokenKind::Semi, "';' after for initialiser")?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::Semi, "';' after for condition")?;
-                let step_lhs = self.lvalue()?;
-                self.expect(&TokenKind::Assign, "'=' in for step")?;
-                let step_rhs = self.expr()?;
-                self.expect(&TokenKind::RParen, "')' closing for header")?;
-                let body = Box::new(self.stmt()?);
-                let span = start.merge(body.span());
-                Ok(Stmt::For(ForStmt {
-                    init: (init_lhs, init_rhs),
-                    cond,
-                    step: (step_lhs, step_rhs),
-                    body,
-                    span,
-                }))
-            }
-            TokenKind::SysIdent(name) => {
-                let start = self.bump().span;
-                let mut args = Vec::new();
-                if self.eat(&TokenKind::LParen) {
-                    if !self.at(&TokenKind::RParen) {
-                        loop {
-                            // String arguments to $display etc. are kept
-                            // as zero literals; they have no behavioural
-                            // meaning in this subset.
-                            if let TokenKind::Str(_) = self.peek_kind() {
-                                self.bump();
-                                args.push(Expr::number(0));
-                            } else {
-                                args.push(self.expr()?);
-                            }
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&TokenKind::RParen, "')' closing call")?;
-                }
-                let end = self.expect(&TokenKind::Semi, "';' after system task")?.span;
-                Ok(Stmt::SysCall(SysCall { name, args, span: start.merge(end) }))
-            }
-            TokenKind::Semi => {
-                let t = self.bump();
-                Ok(Stmt::Null(t.span))
-            }
-            _ => {
-                // Assignment statement.
-                let lhs = self.lvalue()?;
-                let start = lhs.span();
-                if self.eat(&TokenKind::Assign) {
-                    let rhs = self.expr()?;
-                    let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
-                    Ok(Stmt::Blocking(Assign { lhs, rhs, span: start.merge(end) }))
-                } else if self.eat(&TokenKind::LeAssign) {
-                    let rhs = self.expr()?;
-                    let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
-                    Ok(Stmt::NonBlocking(Assign { lhs, rhs, span: start.merge(end) }))
-                } else {
-                    Err(self.error("'=' or '<='"))
-                }
-            }
+            self.expect(&TokenKind::RParen, "')' closing call")?;
+        }
+        let end = self.expect(&TokenKind::Semi, "';' after system task")?.span;
+        Ok(Stmt::SysCall(SysCall { name, args, span: start.merge(end) }))
+    }
+
+    /// A blocking or non-blocking assignment statement.
+    fn assignment(&mut self) -> Result<Stmt, SyntaxError> {
+        let lhs = self.lvalue()?;
+        let start = lhs.span();
+        if self.eat(&TokenKind::Assign) {
+            let rhs = self.expr()?;
+            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
+            Ok(Stmt::Blocking(Assign { lhs, rhs, span: start.merge(end) }))
+        } else if self.eat(&TokenKind::LeAssign) {
+            let rhs = self.expr()?;
+            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
+            Ok(Stmt::NonBlocking(Assign { lhs, rhs, span: start.merge(end) }))
+        } else {
+            Err(self.error("'=' or '<='"))
         }
     }
 
     fn lvalue(&mut self) -> Result<LValue, SyntaxError> {
+        self.nested(Self::lvalue_body)
+    }
+
+    fn lvalue_body(&mut self) -> Result<LValue, SyntaxError> {
         if self.at(&TokenKind::LBrace) {
             let start = self.bump().span;
             let mut parts = vec![self.lvalue()?];
@@ -714,7 +785,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, SyntaxError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, SyntaxError> {
@@ -788,7 +859,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(Expr::Unary(op, Box::new(operand)));
         }
         self.postfix()
@@ -812,22 +883,21 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, SyntaxError> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Number(n) => {
                 let span = self.bump().span;
-                Ok(Expr::Number(self.number_from_token(&n, span)?))
+                Ok(Expr::Number(self.number_from_token(n, span)?))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::Ident(name))
+            TokenKind::Ident => {
+                let span = self.bump().span;
+                Ok(Expr::Ident(self.text(span)))
             }
-            TokenKind::SysIdent(name) => {
+            TokenKind::SysIdent => {
                 // `$signed(x)` / `$unsigned(x)` are treated as transparent.
                 self.bump();
                 self.expect(&TokenKind::LParen, "'(' after system function")?;
                 let inner = self.expr()?;
                 self.expect(&TokenKind::RParen, "')' closing system function")?;
-                let _ = name;
                 Ok(inner)
             }
             TokenKind::LParen => {
@@ -865,8 +935,9 @@ impl Parser {
     fn number_from_token(&self, n: &NumberToken, span: Span) -> Result<Number, SyntaxError> {
         let mut value: u128 = 0;
         let mut xz: u128 = 0;
-        if n.base == NumberBase::Dec && !n.digits.contains(['x', 'z', '?']) {
-            for ch in n.digits.chars() {
+        let digits = || n.digit_chars(self.src);
+        if n.base == NumberBase::Dec && !digits().any(|c| matches!(c, 'x' | 'z' | '?')) {
+            for ch in digits() {
                 let d = ch.to_digit(10).unwrap_or(0) as u128;
                 value = value.wrapping_mul(10).wrapping_add(d);
             }
@@ -874,12 +945,12 @@ impl Parser {
             // `'dx` style: all bits X or Z.
             let all = n.width.map(mask).unwrap_or(u128::MAX);
             xz = all;
-            if n.digits.starts_with('z') {
+            if digits().next() == Some('z') {
                 value = all;
             }
         } else {
             let bits = n.base.bits_per_digit();
-            for ch in n.digits.chars() {
+            for ch in digits() {
                 value <<= bits;
                 xz <<= bits;
                 match ch {
@@ -903,11 +974,7 @@ impl Parser {
         }
         if let Some(w) = n.width {
             if w == 0 || w > 128 {
-                return Err(SyntaxError::new(
-                    SyntaxErrorKind::MalformedNumber,
-                    span,
-                    format!("unsupported literal width {w} (1..=128)"),
-                ));
+                return Err(SyntaxError::unsupported_width(span, w));
             }
             value &= mask(w);
             xz &= mask(w);

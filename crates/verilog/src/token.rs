@@ -1,10 +1,13 @@
 //! Token definitions for the Verilog lexer.
 
 use crate::span::Span;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A lexed token: kind plus the source span it was read from.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A token owns no text: identifiers, literals and strings are read
+/// back from the source through [`Token::span`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub kind: TokenKind,
     pub span: Span,
@@ -14,6 +17,39 @@ impl Token {
     /// Creates a token of `kind` covering `span`.
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
+    }
+
+    /// The token as error messages show it, read from `src` (the text
+    /// it was lexed from): literals normalised the way
+    /// [`NumberToken::digit_chars`] reads them, widths without
+    /// underscores and no signedness marker (`8'sh_FF` shows as `8'hff`).
+    pub(crate) fn display<'s>(&'s self, src: &'s str) -> impl fmt::Display + 's {
+        Shown { token: self, src }
+    }
+}
+
+/// [`Token::display`]'s rendering.
+struct Shown<'s> {
+    token: &'s Token,
+    src: &'s str,
+}
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.token.kind {
+            TokenKind::Ident | TokenKind::SysIdent | TokenKind::Str => {
+                f.write_str(self.token.span.text(self.src))
+            }
+            TokenKind::Number(n) => {
+                if let Some(w) = n.width {
+                    write!(f, "{w}'{}", n.base.letter())?;
+                } else if n.base != NumberBase::Dec {
+                    write!(f, "'{}", n.base.letter())?;
+                }
+                n.digit_chars(self.src).try_for_each(|c| f.write_char(c))
+            }
+            kind => f.write_str(kind.spelling()),
+        }
     }
 }
 
@@ -140,19 +176,28 @@ impl Keyword {
 
 /// A numeric literal as written in the source.
 ///
-/// `32'hDEAD_beef` lexes to `width: Some(32)`, `base: Hex`,
-/// `digits: "DEADbeef"`. Plain decimal numbers have `width: None` and
-/// `base: Dec`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `32'hDEAD_beef` lexes to `width: Some(32)`, `base: Hex` and `digits`
+/// spanning `DEAD_beef`, which [`NumberToken::digit_chars`] reads as
+/// `deadbeef`. Plain decimal numbers have `width: None` and `base: Dec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NumberToken {
     /// Explicit bit width before the base marker, if any.
     pub width: Option<u32>,
     /// Radix of the digits.
     pub base: NumberBase,
-    /// Digit characters with underscores stripped (may contain `x`/`z`/`?`).
-    pub digits: String,
+    /// Where the digit characters are, underscores and case as written
+    /// (may contain `x`/`z`/`?`).
+    pub digits: Span,
     /// Whether the literal used a signed base marker such as `'sd`.
     pub signed: bool,
+}
+
+impl NumberToken {
+    /// The digits read from `src` with underscores dropped and letters
+    /// lower-cased.
+    pub fn digit_chars<'s>(&self, src: &'s str) -> impl Iterator<Item = char> + 's {
+        self.digits.text(src).chars().filter(|c| *c != '_').map(|c| c.to_ascii_lowercase())
+    }
 }
 
 /// Radix of a based literal.
@@ -197,18 +242,19 @@ impl NumberBase {
 }
 
 /// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier (not a keyword).
-    Ident(String),
+    /// Identifier (not a keyword); the token's span is its name.
+    Ident,
     /// Reserved word.
     Keyword(Keyword),
     /// Numeric literal.
     Number(NumberToken),
-    /// String literal contents (without quotes).
-    Str(String),
-    /// System task/function name including the `$`, e.g. `$display`.
-    SysIdent(String),
+    /// String literal; the token's span covers it with its quotes.
+    Str,
+    /// System task/function name including the `$`, e.g. `$display`;
+    /// the token's span is the name.
+    SysIdent,
 
     // Punctuation and operators.
     LParen,
@@ -268,69 +314,61 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl TokenKind {
+    /// The fixed source spelling of a keyword or punctuation kind
+    /// (`^~` spells as `~^`); identifiers, literals and strings, whose
+    /// text is in the source, spell as the empty string.
+    fn spelling(&self) -> &'static str {
         use TokenKind::*;
         match self {
-            Ident(s) => write!(f, "{s}"),
-            Keyword(k) => write!(f, "{}", k.as_str()),
-            Number(n) => {
-                if let Some(w) = n.width {
-                    write!(f, "{w}'{}{}", n.base.letter(), n.digits)
-                } else if n.base == NumberBase::Dec {
-                    write!(f, "{}", n.digits)
-                } else {
-                    write!(f, "'{}{}", n.base.letter(), n.digits)
-                }
-            }
-            Str(s) => write!(f, "\"{s}\""),
-            SysIdent(s) => write!(f, "{s}"),
-            LParen => write!(f, "("),
-            RParen => write!(f, ")"),
-            LBracket => write!(f, "["),
-            RBracket => write!(f, "]"),
-            LBrace => write!(f, "{{"),
-            RBrace => write!(f, "}}"),
-            Semi => write!(f, ";"),
-            Comma => write!(f, ","),
-            Colon => write!(f, ":"),
-            Dot => write!(f, "."),
-            Hash => write!(f, "#"),
-            At => write!(f, "@"),
-            Question => write!(f, "?"),
-            Assign => write!(f, "="),
-            PlusColon => write!(f, "+:"),
-            MinusColon => write!(f, "-:"),
-            Plus => write!(f, "+"),
-            Minus => write!(f, "-"),
-            Star => write!(f, "*"),
-            Slash => write!(f, "/"),
-            Percent => write!(f, "%"),
-            Power => write!(f, "**"),
-            Not => write!(f, "!"),
-            Tilde => write!(f, "~"),
-            Amp => write!(f, "&"),
-            Pipe => write!(f, "|"),
-            Caret => write!(f, "^"),
-            TildeAmp => write!(f, "~&"),
-            TildePipe => write!(f, "~|"),
-            TildeCaret => write!(f, "~^"),
-            AndAnd => write!(f, "&&"),
-            OrOr => write!(f, "||"),
-            EqEq => write!(f, "=="),
-            NotEq => write!(f, "!="),
-            CaseEq => write!(f, "==="),
-            CaseNe => write!(f, "!=="),
-            Lt => write!(f, "<"),
-            Le => write!(f, "<="),
-            Gt => write!(f, ">"),
-            Ge => write!(f, ">="),
-            Shl => write!(f, "<<"),
-            Shr => write!(f, ">>"),
-            AShr => write!(f, ">>>"),
-            AShl => write!(f, "<<<"),
-            LeAssign => write!(f, "<="),
-            Eof => write!(f, "<eof>"),
+            Keyword(k) => k.as_str(),
+            Ident | Number(_) | Str | SysIdent => "",
+            LParen => "(",
+            RParen => ")",
+            LBracket => "[",
+            RBracket => "]",
+            LBrace => "{",
+            RBrace => "}",
+            Semi => ";",
+            Comma => ",",
+            Colon => ":",
+            Dot => ".",
+            Hash => "#",
+            At => "@",
+            Question => "?",
+            Assign => "=",
+            PlusColon => "+:",
+            MinusColon => "-:",
+            Plus => "+",
+            Minus => "-",
+            Star => "*",
+            Slash => "/",
+            Percent => "%",
+            Power => "**",
+            Not => "!",
+            Tilde => "~",
+            Amp => "&",
+            Pipe => "|",
+            Caret => "^",
+            TildeAmp => "~&",
+            TildePipe => "~|",
+            TildeCaret => "~^",
+            AndAnd => "&&",
+            OrOr => "||",
+            EqEq => "==",
+            NotEq => "!=",
+            CaseEq => "===",
+            CaseNe => "!==",
+            Lt => "<",
+            Le => "<=",
+            Gt => ">",
+            Ge => ">=",
+            Shl => "<<",
+            Shr => ">>",
+            AShr => ">>>",
+            AShl => "<<<",
+            LeAssign => "<=",
+            Eof => "<eof>",
         }
     }
 }
@@ -356,20 +394,13 @@ mod tests {
 
     #[test]
     fn number_token_display() {
-        let tok = TokenKind::Number(NumberToken {
-            width: Some(8),
-            base: NumberBase::Hex,
-            digits: "ff".into(),
-            signed: false,
-        });
-        assert_eq!(tok.to_string(), "8'hff");
-        let dec = TokenKind::Number(NumberToken {
-            width: None,
-            base: NumberBase::Dec,
-            digits: "42".into(),
-            signed: false,
-        });
-        assert_eq!(dec.to_string(), "42");
+        let src = "8'sh_FF 4_2 'O1_7 ^~ \"a_b\" $x";
+        let shown: Vec<String> = crate::lexer::tokenize(src)
+            .unwrap()
+            .iter()
+            .map(|t| t.display(src).to_string())
+            .collect();
+        assert_eq!(shown, ["8'hff", "42", "'o17", "~^", "\"a_b\"", "$x", "<eof>"]);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! ([`kernel_is_allocation_free_for_all_designs`] covers every golden
 //! design). Waveform capture remains exempt (one frame per cycle, by
 //! design, and disabled here the way metric runs disable it).
+//!
+//! The Verilog front end is pinned too: lexing a golden design is one
+//! allocation, and each golden's parse stays at its measured count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -204,4 +207,68 @@ fn environment_steady_state_is_allocation_free_per_cycle() {
              long run: {long_allocs})"
         );
     }
+}
+
+/// Lexing makes one allocation, the token vector: tokens own no text.
+#[test]
+fn tokenize_makes_one_allocation_per_golden() {
+    for d in uvllm_designs::all() {
+        let before = allocations();
+        let tokens = uvllm_verilog::lexer::tokenize(d.source).unwrap();
+        let delta = allocations() - before;
+        drop(tokens);
+        assert_eq!(delta, 1, "{}: tokenize made {delta} allocations", d.name);
+    }
+}
+
+/// Allocations of one `parse` of each golden design, as measured when the
+/// front end stopped copying tokens (the mean was 137 before, 44 of them
+/// lexing): the token vector plus what the AST keeps.
+const PARSE_ALLOCATIONS: [(&str, u64); 27] = [
+    ("accu", 32),
+    ("adder_8bit", 24),
+    ("adder_16bit", 81),
+    ("sub_8bit", 28),
+    ("mul_8bit", 13),
+    ("mul_pipe_8bit", 36),
+    ("div_8bit", 59),
+    ("counter_12", 37),
+    ("updown_counter_8", 41),
+    ("gray_counter_4", 33),
+    ("johnson_counter_4", 31),
+    ("seq_detector_101", 77),
+    ("traffic_light", 85),
+    ("ram_sync", 28),
+    ("fifo_sync", 111),
+    ("lifo_stack", 73),
+    ("regfile", 49),
+    ("rom_16x8", 44),
+    ("alu_8bit", 76),
+    ("mux4", 27),
+    ("decoder_3to8", 16),
+    ("priority_encoder_8", 56),
+    ("parity_gen_8", 17),
+    ("edge_detector", 31),
+    ("shift_reg_8", 30),
+    ("barrel_shifter_8", 44),
+    ("pwm_8", 29),
+];
+
+/// No golden design's parse allocates more than its pin, and the mean
+/// stays at most half the copying front end's 137.
+#[test]
+fn parse_allocations_stay_at_their_pins() {
+    assert_eq!(PARSE_ALLOCATIONS.len(), uvllm_designs::all().len());
+    let mut total = 0;
+    for (name, pin) in PARSE_ALLOCATIONS {
+        let design = uvllm_designs::by_name(name).unwrap();
+        let before = allocations();
+        let file = uvllm_verilog::parse(design.source).unwrap();
+        let delta = allocations() - before;
+        drop(file);
+        assert!(delta <= pin, "{name}: parse made {delta} allocations, pinned at {pin}");
+        total += delta;
+    }
+    let mean = total as f64 / PARSE_ALLOCATIONS.len() as f64;
+    assert!(mean <= 68.0, "parse makes {mean:.1} allocations per golden design on average");
 }
