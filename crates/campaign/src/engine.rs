@@ -9,7 +9,7 @@ use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use uvllm::{BenchInstance, StageMemo};
-use uvllm_llm::{BatchConfig, BatchedLlm, FaultPlan, ResiliencePolicy};
+use uvllm_llm::{BatchConfig, FaultPlan, ResiliencePolicy};
 use uvllm_sim::SimBackend;
 
 /// Registry handles for the engine (`campaign.*`), resolved once.
@@ -101,14 +101,14 @@ pub struct CampaignConfig {
     /// Nothing reads it.
     #[doc(hidden)]
     pub backend: SimBackend,
-    /// `Some` runs every job's LLM traffic through one shared
-    /// [`BatchedLlm`] with this flush policy; `None` (default) gives
-    /// each job an in-process direct service. Either way the rows are
-    /// byte-identical — batching changes wall-clock only.
+    /// `Some` batches every job's LLM traffic on one service loop
+    /// ([`uvllm_llm::BatchedLlm`]); `None` (default) answers inline, or
+    /// one prompt at a time when latency, faults or resilience are set.
+    /// Either way the rows are byte-identical.
     pub llm_batch: Option<BatchConfig>,
-    /// Injected endpoint round-trip latency: per prompt in direct mode
-    /// (on one exclusive connection), per flush in batched mode. The
-    /// knob behind the overlap benchmark; `None` for real runs.
+    /// Injected endpoint round trip, per batch on the loop's one
+    /// exclusive connection (a batch is one prompt without `llm_batch`).
+    /// The knob behind the overlap benchmark; `None` for real runs.
     pub llm_latency: Option<Duration>,
     /// Record per-job `llm_wait_ms` / `llm_batch_max` telemetry members
     /// in JSONL rows. Off by default: the members are wall-clock
@@ -125,15 +125,12 @@ pub struct CampaignConfig {
     /// periodic flush; the end-of-run snapshot is always written when
     /// [`CampaignConfig::metrics_out`] is set).
     pub metrics_flush_jobs: usize,
-    /// `Some` wraps every job's model in a seeded
-    /// [`uvllm_llm::FaultyLlm`] (per-job streams derived from the plan
-    /// seed × the job's oracle seed). The fault-injection harness the
-    /// resilience layer is proven against; `None` for real runs.
+    /// `Some` injects seeded faults into every job's session (per-job
+    /// streams from the plan seed × the job's oracle seed): the harness
+    /// the resilience policy is proven against; `None` for real runs.
     pub fault: Option<FaultPlan>,
-    /// `Some` wraps every job's service handle in a
-    /// [`uvllm_llm::ResilientService`] with this policy (per-job jitter
-    /// derivation). Independent of `fault`, so resilience can run
-    /// against real transports too.
+    /// `Some` retries, breaks and degrades every job's session under
+    /// this policy (per-job jitter derivation). Independent of `fault`.
     pub resilience: Option<ResiliencePolicy>,
     /// Worker-pool supervision: per-job deadline and the deterministic
     /// failure-injection knobs (see [`PoolPolicy`]).
@@ -304,12 +301,9 @@ impl Campaign {
     /// [`Campaign::run`] on a dataset the caller already built — the
     /// resident-worker path, where one [`CampaignDataset`] serves every
     /// shard leased from the same run — and, with `shared`, on a
-    /// caller-owned batched LLM service whose flush policy keeps
-    /// coalescing prompts across leased shards. `None` starts a per-run
-    /// service when `config.llm_batch` asks for one. Rows are
-    /// byte-identical either way: sessions see their own prompts in
-    /// submission order regardless of which service thread carries
-    /// them.
+    /// caller-owned LLM service loop that keeps batching prompts across
+    /// leased shards (`None`: the run's [`LlmPolicy`] starts its own
+    /// loop if it needs one). Rows are byte-identical either way.
     ///
     /// # Errors
     ///
@@ -365,24 +359,15 @@ impl Campaign {
         let flush_every = self.config.metrics_flush_jobs;
         let finished = std::sync::atomic::AtomicUsize::new(0);
 
-        // One shared batching service for the whole pool: every job
-        // opens a session on it, so LLM round trips from all workers
-        // coalesce while the rest of the pool keeps simulating. A
-        // caller-owned service (resident workers) takes precedence and
-        // outlives this run.
-        let own_llm: Option<SharedLlm> = match shared {
-            Some(_) => None,
-            None => self.config.llm_batch.as_ref().map(|batch| {
-                let batch = BatchConfig {
-                    round_trip: self.config.llm_latency.unwrap_or(batch.round_trip),
-                    ..batch.clone()
-                };
-                BatchedLlm::start(batch)
-            }),
-        };
-        let llm = match shared.or(own_llm.as_ref()) {
+        // One service loop for the whole pool: every job opens a session
+        // on it, so LLM round trips from all workers coalesce while the
+        // rest of the pool keeps simulating. A caller-owned loop
+        // (resident workers) takes precedence and outlives this run.
+        let llm = match shared {
             Some(service) => LlmPolicy::batched(service),
-            None => LlmPolicy::direct().with_latency(self.config.llm_latency),
+            None => LlmPolicy::direct()
+                .with_batch(self.config.llm_batch.clone())
+                .with_latency(self.config.llm_latency),
         }
         .with_faults(self.config.fault.clone())
         .with_resilience(self.config.resilience.clone());
@@ -419,14 +404,10 @@ impl Campaign {
                 }
             },
         );
+        // Joins this run's loop before the snapshot; every session was
+        // drained when its job finished. A caller-owned `shared` loop
+        // keeps running for the next run.
         drop(llm);
-        if let Some(service) = own_llm {
-            // Joins the service thread; every session was drained when
-            // its job finished, so this is bookkeeping, not a wait. A
-            // caller-owned `shared` service keeps running for the next
-            // run instead.
-            drop(service);
-        }
         if let Some(e) = sink_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
@@ -544,12 +525,11 @@ mod tests {
         assert!(default_worker_count() >= 1);
     }
 
-    /// The core gate of the resilience layer: a campaign with LLM
-    /// faults injected at double-digit rates, retried by the resilient
-    /// service, produces rows byte-identical to the fault-free run.
-    /// FaultyLlm fabricates faults without consuming the inner oracle's
-    /// stream, so a retried ticket lands on exactly the completion the
-    /// fault-free run saw.
+    /// The core gate of the resilience policy: a campaign with LLM
+    /// faults injected at double-digit rates, retried by the service
+    /// loop, produces rows byte-identical to the fault-free run. A
+    /// faulted prompt never reaches the oracle, so a retried ticket
+    /// lands on exactly the completion the fault-free run saw.
     #[test]
     fn faults_plus_retries_reproduce_the_fault_free_rows() {
         let llm_config = || CampaignConfig {

@@ -2,14 +2,14 @@
 //! every (instance × method) pair, and its deterministic JSONL form.
 //!
 //! A job is resumable state (`JobRun`): its method's loop returns the
-//! prompt it needs instead of blocking on it, so a pool on a batched
-//! service parks a job waiting on the LLM as data and keeps its threads
-//! computing; [`evaluate_one_on`] runs one job to its end, blocking.
-//!
-//! This logic moved here from `uvllm-bench::harness` so the campaign
-//! engine can own it; the bench crate re-exports everything for
-//! compatibility.
+//! prompt it needs instead of blocking on it, so a pool on the LLM
+//! service loop parks a job waiting on an answer as data and keeps its
+//! threads computing; [`evaluate_one_on`] runs one job to its end,
+//! blocking. [`LlmPolicy`] says where a job's prompts go: inline to its
+//! own model, or to a session of the service loop carrying the job's
+//! fault and resilience streams.
 
+use std::sync::{Arc, OnceLock};
 use std::task::{ready, Poll, Waker};
 use std::time::{Duration, Instant};
 use uvllm::{BenchInstance, Stage, StageMemo, StageTimes, Verdict, Verification, VerifyConfig};
@@ -20,40 +20,38 @@ use uvllm_designs::Category;
 use uvllm_errgen::{ErrorCategory, ErrorKind};
 use uvllm_json::Json;
 use uvllm_llm::{
-    block_on, endpoint_gate, BatchedLlm, Completion, DirectService, EndpointGate, FaultPlan,
-    FaultyLlm, LanguageModel, LlmError, LlmService, ModelProfile, OracleLlm, OutputMode,
-    ResiliencePolicy, ResilientService, SlowLlm, Step, Ticket, Usage,
+    block_on, BatchConfig, BatchedLlm, Completion, DirectService, FaultPlan, LanguageModel,
+    LlmError, LlmService, ModelProfile, OracleLlm, OutputMode, ResiliencePolicy, Step, Ticket,
+    Usage,
 };
 use uvllm_sim::SimBackend;
 
-/// The shared batched LLM service a campaign pool hangs its sessions
-/// off: per-job models are boxed so latency-injection wrappers and
-/// different model kinds ride the same service.
+/// The LLM service loop a campaign pool opens its jobs' sessions on:
+/// per-job models are boxed so different model kinds ride one loop.
 pub type SharedLlm = BatchedLlm<Box<dyn LanguageModel>>;
 
-/// How campaign jobs obtain their [`LlmService`] handle.
-///
-/// *Direct* policy gives each job an in-process [`DirectService`]
-/// around its own model — the historical exclusive path. *Batched*
-/// policy opens a session per job on one [`SharedLlm`], so every
-/// worker's LLM round trips coalesce into batches while the other
-/// workers keep simulating. Either way the job's model sees the same
-/// prompts in the same order, so rows are byte-identical across
-/// policies (the batching determinism contract).
+/// How campaign jobs obtain their [`LlmService`] handle: with no
+/// batching, latency, faults or resilience set, an inline
+/// [`DirectService`] around the job's own model; otherwise a session on
+/// a [`SharedLlm`] loop — the caller's (*batched*), or one the policy
+/// starts on first use, sending one prompt at a time unless
+/// [`LlmPolicy::with_batch`] says otherwise. Either way a job's model
+/// sees the same prompts in the same order, so rows are byte-identical.
 #[derive(Debug, Clone)]
 pub struct LlmPolicy<'s> {
+    /// A caller's loop, which outlives the policy.
     batched: Option<&'s SharedLlm>,
+    /// The batching of the loop the policy starts itself.
+    batch: Option<BatchConfig>,
+    /// That loop, shared by the policy's clones.
+    own: Arc<OnceLock<SharedLlm>>,
+    /// That loop's endpoint round trip, over the batch's.
     latency: Option<Duration>,
-    /// The exclusive endpoint connection that direct-mode injected
-    /// latency serializes on (one gate per campaign = one endpoint).
-    gate: EndpointGate,
-    /// Seeded fault injection applied to every job's model (each job
-    /// derives its own stream from the plan seed × its oracle seed, so
-    /// fault schedules replay at any worker count).
+    /// Each job's fault plan, derived from the plan seed × its oracle
+    /// seed, so fault schedules replay at any worker count.
     fault: Option<FaultPlan>,
-    /// Retry/backoff + circuit-breaker + degradation policy wrapped
-    /// around every job's service handle (per-job jitter derivation,
-    /// same salt discipline as the fault plan).
+    /// Each job's retry/breaker/degradation policy (per-job jitter
+    /// derivation, same salt discipline as the fault plan).
     resilience: Option<ResiliencePolicy>,
     /// Wraps every job's finished handle: a test's stub in front of it.
     #[cfg(test)]
@@ -64,12 +62,13 @@ pub struct LlmPolicy<'s> {
 pub(crate) type WrapService = fn(Box<dyn LlmService>) -> Box<dyn LlmService>;
 
 impl LlmPolicy<'static> {
-    /// Per-job direct services, no injected latency: the default.
+    /// Per-job direct services: the default.
     pub fn direct() -> Self {
         LlmPolicy {
             batched: None,
+            batch: None,
+            own: Arc::default(),
             latency: None,
-            gate: endpoint_gate(),
             fault: None,
             resilience: None,
             #[cfg(test)]
@@ -79,70 +78,70 @@ impl LlmPolicy<'static> {
 }
 
 impl<'s> LlmPolicy<'s> {
-    /// Sessions on a shared batched service.
+    /// Sessions on a caller's service loop.
     pub fn batched(service: &'s SharedLlm) -> LlmPolicy<'s> {
         LlmPolicy { batched: Some(service), ..LlmPolicy::direct() }
     }
 
-    /// Jobs a pool of `workers` threads keeps in flight: on a batched
-    /// service, `workers` computing, one flush being answered and one
-    /// filling; a direct one answers at submit time, so none park.
-    pub(crate) fn jobs_in_flight(&self, workers: usize) -> usize {
-        match self.batched {
-            Some(service) => workers + 2 * service.config().max_batch,
-            None => workers,
+    /// The loop jobs open sessions on; `None` answers them inline.
+    fn service(&self) -> Option<&SharedLlm> {
+        let inline = self.batch.is_none()
+            && self.latency.is_none()
+            && self.fault.is_none()
+            && self.resilience.is_none();
+        if self.batched.is_some() || inline {
+            return self.batched;
         }
+        Some(self.own.get_or_init(|| {
+            let one_at_a_time =
+                BatchConfig { max_batch: 1, max_wait: Duration::ZERO, round_trip: Duration::ZERO };
+            let batch = self.batch.clone().unwrap_or(one_at_a_time);
+            SharedLlm::start(BatchConfig {
+                round_trip: self.latency.unwrap_or(batch.round_trip),
+                ..batch
+            })
+        }))
     }
 
-    /// Injects a per-round-trip endpoint latency in *direct* mode
-    /// (batched mode injects it per flush via
-    /// [`uvllm_llm::BatchConfig::round_trip`] instead — the engine
-    /// wires both from one knob).
-    pub fn with_latency(mut self, latency: Option<Duration>) -> Self {
-        self.latency = latency;
-        self
+    /// Jobs a pool of `workers` threads keeps in flight: on a service
+    /// loop, `workers` computing, one batch on the wire and one filling;
+    /// inline services answer at submit time, so none park.
+    pub(crate) fn jobs_in_flight(&self, workers: usize) -> usize {
+        workers + self.service().map_or(0, |service| 2 * service.config().max_batch)
     }
 
-    /// Wraps every job's model in a seeded [`FaultyLlm`].
-    pub fn with_faults(mut self, fault: Option<FaultPlan>) -> Self {
-        self.fault = fault;
-        self
+    /// Batches the loop the policy starts itself (a caller's loop has
+    /// its own [`BatchConfig`]).
+    pub fn with_batch(self, batch: Option<BatchConfig>) -> Self {
+        LlmPolicy { batch, own: Arc::default(), ..self }
     }
 
-    /// Wraps every job's service handle in a [`ResilientService`].
-    pub fn with_resilience(mut self, resilience: Option<ResiliencePolicy>) -> Self {
-        self.resilience = resilience;
-        self
+    /// The endpoint round trip of the loop the policy starts itself.
+    pub fn with_latency(self, latency: Option<Duration>) -> Self {
+        LlmPolicy { latency, own: Arc::default(), ..self }
+    }
+
+    /// Injects seeded faults into every job's session.
+    pub fn with_faults(self, fault: Option<FaultPlan>) -> Self {
+        LlmPolicy { fault, ..self }
+    }
+
+    /// Retries, breaks and degrades every job's session.
+    pub fn with_resilience(self, resilience: Option<ResiliencePolicy>) -> Self {
+        LlmPolicy { resilience, ..self }
     }
 
     /// Builds a job's service handle, deriving its fault and jitter
     /// streams from `salt` (the job's oracle seed) so both replay
     /// per-job regardless of worker count or pop order.
-    ///
-    /// Layering, inside out: model → [`FaultyLlm`] (faults originate at
-    /// the backend) → latency wrapper / batched session (transport) →
-    /// [`ResilientService`] (retries sit above the transport, exactly
-    /// where a production client's retry loop lives; on a session, a
-    /// retry's backoff is a not-before the service holds it back for).
     pub fn service_for_job(&self, model: Box<dyn LanguageModel>, salt: u64) -> Box<dyn LlmService> {
-        let model: Box<dyn LanguageModel> = match &self.fault {
-            Some(plan) => Box::new(FaultyLlm::new(model, plan.derive(salt))),
-            None => model,
-        };
-        let service: Box<dyn LlmService> = match self.batched {
-            Some(service) => Box::new(service.client(model)),
-            None => match self.latency {
-                Some(latency) => Box::new(DirectService::new(SlowLlm::new(
-                    model,
-                    latency,
-                    EndpointGate::clone(&self.gate),
-                ))),
-                None => Box::new(DirectService::new(model)),
-            },
-        };
-        let service: Box<dyn LlmService> = match &self.resilience {
-            Some(policy) => Box::new(ResilientService::new(service, policy.derive(salt))),
-            None => service,
+        let service: Box<dyn LlmService> = match self.service() {
+            Some(service) => Box::new(service.session(
+                model,
+                self.fault.as_ref().map(|plan| plan.derive(salt)),
+                self.resilience.as_ref().map(|policy| policy.derive(salt)),
+            )),
+            None => Box::new(DirectService::new(model)),
         };
         #[cfg(test)]
         if let Some(wrap) = self.wrap {
@@ -514,8 +513,8 @@ pub fn evaluate_one(method: MethodKind, inst: &BenchInstance) -> EvalRecord {
 /// Everything stochastic is derived from the instance seed and the
 /// method salt, so the record is a pure function of its job — the
 /// bedrock of campaign determinism and resumability. The LLM policy
-/// only changes *where* the job's own model answers (inline vs. on the
-/// shared service thread), so it changes wall-clock, not verdicts.
+/// only changes *where* the job's own model answers (inline or in the
+/// service loop), so it changes timing, not verdicts.
 ///
 /// Per-job cost model: the method runs, then its final text is judged —
 /// one hit run (the public vectors) and one fix run (the extended

@@ -26,9 +26,9 @@
 //!   — see [`PoolPolicy`] / [`PoolStats`].
 //! * fault tolerance — `CampaignConfig::fault` injects seeded LLM
 //!   faults ([`uvllm_llm::FaultPlan`]) and `CampaignConfig::resilience`
-//!   wraps every job's service in retry/backoff + circuit breaking +
-//!   degradation ([`uvllm_llm::ResiliencePolicy`]); degraded jobs are
-//!   tagged in their rows (`"degraded": true`).
+//!   retries, breaks and degrades ([`uvllm_llm::ResiliencePolicy`]):
+//!   both are data of each job's session on the service loop; degraded
+//!   jobs are tagged in their rows (`"degraded": true`).
 //! * [`evaluate_one`] — the per-job evaluation (moved here from
 //!   `uvllm-bench`), a *pure function of the job*: each job owns an
 //!   [`OracleLlm`](uvllm_llm::OracleLlm) seeded from the instance seed
@@ -37,12 +37,12 @@
 //!   LLM state is shared across workers.
 //! * [`LlmPolicy`] / [`SharedLlm`] — how jobs obtain that handle:
 //!   per-job [`DirectService`](uvllm_llm::DirectService)s (default), or
-//!   per-job *sessions* on one shared
-//!   [`BatchedLlm`](uvllm_llm::BatchedLlm)
-//!   (`CampaignConfig::llm_batch`), which coalesces prompts from every
-//!   worker into batches so LLM round trips overlap simulation time.
-//!   Sessions see their own prompts in submission order, so rows are
-//!   byte-identical batched or not.
+//!   per-job *sessions* on one [`BatchedLlm`](uvllm_llm::BatchedLlm)
+//!   event loop (`CampaignConfig::llm_batch`, or batches of one when
+//!   latency, faults or resilience are set without it), which batches
+//!   prompts from every worker so LLM round trips overlap simulation
+//!   time. Sessions see their own prompts in submission order, so rows
+//!   are byte-identical batched or not.
 //! * [`merge_rows`] / `campaign merge` — combine shard JSONL files into
 //!   one report, validating shard disjointness and full job-space
 //!   coverage (failures name the `(instance, method)` pairs).

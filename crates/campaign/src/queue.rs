@@ -10,14 +10,14 @@
 //! **Parked jobs.** The pool runs `workers` threads, batched or not. A
 //! job is resumable state ([`crate::eval`]): a thread steps it until it
 //! needs the LLM, submits the prompt through the job's handle and polls
-//! once. A ready answer (always, on a direct service) is stepped on; a
-//! pending one *parks* the job — data in the pool's table, no thread —
-//! until the service wakes it. A thread takes, in order: a woken parked
-//! job (re-polled, then stepped); else a new job, while fewer than the
-//! cap are in flight; else it waits. The cap is `workers + 2 ×
-//! max_batch` on a batched service — `workers` computing, one flush
-//! being answered and one filling — and `workers` on a direct one, whose
-//! jobs never park. No [`StageMemo`] fill spans an LLM wait, so a thread
+//! once. A ready answer (always, on an inline direct service) is stepped
+//! on; a pending one *parks* the job — data in the pool's table, no
+//! thread — until the service loop wakes it. A thread takes, in order: a
+//! woken parked job (re-polled, then stepped); else a new job, while
+//! fewer than the cap are in flight; else it waits. The cap is
+//! `workers + 2 × max_batch` on a service loop — `workers` computing,
+//! one batch on the wire and one filling — and `workers` on inline
+//! direct services, whose jobs never park. No [`StageMemo`] fill spans an LLM wait, so a thread
 //! waiting on a memo slot always waits on a filler that is computing.
 //!
 //! The list is cut into **one contiguous stretch per thread**: thread

@@ -178,10 +178,6 @@ impl LanguageModel for HeuristicLlm {
         Ok(completion)
     }
 
-    // `complete_batch` keeps the provided sequential implementation:
-    // rule application is pure per prompt, so the default already *is*
-    // the one-pass batch answer.
-
     fn usage(&self) -> Usage {
         self.usage
     }

@@ -18,11 +18,11 @@
 //!
 //! The pipeline does not call these backends directly: its repair loops
 //! are step functions that return the prompt they need ([`Step`]), and
-//! their callers answer it through an [`LlmService`] handle and the
-//! submit/await (or poll) ticket protocol of [`service`] — either a
-//! [`DirectService`] around one model, or an [`LlmClient`] session of a
-//! shared [`BatchedLlm`] that coalesces prompts from many workers into
-//! [`LanguageModel::complete_batch`] round trips.
+//! their callers answer it through an [`LlmService`] ticket handle of
+//! [`service`] — a [`DirectService`] around one model, or an
+//! [`LlmClient`] session of the [`BatchedLlm`] event loop, which batches
+//! prompts from many workers and applies injected faults ([`FaultPlan`])
+//! and retries ([`ResiliencePolicy`]) as plain data, on one [`Clock`].
 //!
 //! ## Example
 //!
@@ -56,15 +56,15 @@ pub mod scripted;
 pub mod service;
 
 pub use calibration::{FailureMode, InfoMode, ModelProfile};
-pub use fault::{FaultCounts, FaultPlan, FaultyLlm};
+pub use fault::FaultPlan;
 pub use heuristic::HeuristicLlm;
 pub use model::{count_tokens, Completion, LanguageModel, LatencyModel, LlmError, Pricing, Usage};
 pub use oracle::{module_name_of, OracleLlm};
 pub use prompt::{AgentRole, ErrorInfo, MismatchInfo, OutputMode, RepairPair, RepairPrompt};
-pub use resilient::{ResiliencePolicy, ResilienceStats, ResilientService};
+pub use resilient::{ResiliencePolicy, ResilienceStats};
 pub use response::{CompleteResponse, RepairResponse};
 pub use scripted::ScriptedLlm;
 pub use service::{
-    block_on, drive, endpoint_gate, BatchConfig, BatchedLlm, DirectService, EndpointGate,
-    LlmClient, LlmService, SlowLlm, Step, Ticket, WaitStats,
+    block_on, drive, BatchConfig, BatchedLlm, Clock, DirectService, LlmClient, LlmService, Step,
+    Ticket, VirtualClock, WaitStats,
 };

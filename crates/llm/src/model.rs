@@ -127,8 +127,8 @@ pub enum LlmError {
     ServiceClosed(String),
     /// A transient infrastructure failure (flaky endpoint, dropped
     /// connection, 5xx): the request may succeed if retried. Produced
-    /// by real transports and by [`crate::fault::FaultyLlm`]; consumed
-    /// by [`crate::resilient::ResilientService`]'s retry loop.
+    /// by real transports and injected faults ([`crate::FaultPlan`]);
+    /// retried under a [`crate::ResiliencePolicy`].
     Transient(String),
     /// The ticket's answer did not arrive within the configured
     /// per-ticket deadline (see
@@ -178,22 +178,6 @@ pub trait LanguageModel: Send {
     /// Returns [`LlmError::NoResponse`] when the backend cannot answer.
     fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError>;
 
-    /// Answers a whole batch of prompts in one backend round trip — the
-    /// primitive the [`crate::service::BatchedLlm`] fan-out is built on.
-    ///
-    /// The provided implementation answers sequentially, which keeps
-    /// every backend's per-prompt behaviour (and RNG consumption order)
-    /// identical to a loop of [`LanguageModel::complete`] calls — the
-    /// property the campaign determinism contract rests on. Backends
-    /// that can do better override it (the scripted backend dequeues a
-    /// whole batch of replies in one step; a real endpoint would issue
-    /// one HTTP request — see `SlowLlm`, which pays one round trip per
-    /// batch); overrides must preserve the per-prompt results of the
-    /// sequential default.
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        prompts.iter().map(|p| self.complete(p)).collect()
-    }
-
     /// Cumulative usage so far.
     fn usage(&self) -> Usage;
 }
@@ -210,10 +194,6 @@ impl<M: LanguageModel + ?Sized> LanguageModel for &mut M {
         (**self).complete(prompt)
     }
 
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        (**self).complete_batch(prompts)
-    }
-
     fn usage(&self) -> Usage {
         (**self).usage()
     }
@@ -226,10 +206,6 @@ impl<M: LanguageModel + ?Sized> LanguageModel for Box<M> {
 
     fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
         (**self).complete(prompt)
-    }
-
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        (**self).complete_batch(prompts)
     }
 
     fn usage(&self) -> Usage {

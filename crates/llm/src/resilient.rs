@@ -1,91 +1,38 @@
-//! Resilient serving: retry/backoff, circuit breaking and graceful
-//! degradation on top of any [`LlmService`].
+//! Resilience as plain data: the retry, circuit-breaker and degradation
+//! policy the service loop ([`crate::BatchedLlm`]) applies to every
+//! answer of a session opened with a [`ResiliencePolicy`].
 //!
-//! [`ResilientService`] wraps an inner service and re-drives its
-//! submit/await protocol so callers see a *policy* instead of raw
-//! failures:
-//!
-//! * **Retry with exponential backoff + seeded jitter.** Retryable
-//!   failures ([`LlmError::is_retryable`], malformed completions when
-//!   validation is on) are retried up to a per-ticket budget, with
-//!   delays of `base · 2^(attempt-1)` capped at `max` and scaled by a
-//!   seeded jitter factor — the jitter *sequence* replays from the
-//!   policy seed, so fault-injection campaigns are reproducible while
-//!   real deployments still avoid thundering-herd synchronization. A
-//!   retry is a not-before on the resubmission
-//!   ([`LlmService::submit_not_before`]): a queued inner service holds
-//!   it back, so a polling caller waits out the backoff on no thread.
-//! * **Per-ticket deadline.** An optional wall-clock budget across all
-//!   of a ticket's attempts: once blown, the layer stops retrying and
-//!   degrades (an already-delivered good completion is never discarded
-//!   — paid-for answers are kept, which also keeps deadline-free runs
-//!   deterministic).
+//! * **Retry.** A retryable failure ([`LlmError::is_retryable`], or a
+//!   malformed completion under `validate`) goes back into the loop's
+//!   queue, due after `base · 2^(attempt-1)` capped at `max` and scaled
+//!   by a jitter factor seeded by the policy, up to a per-ticket budget
+//!   and an optional deadline judged on the loop's clock.
 //! * **Circuit breaker.** Closed → Open on a run of consecutive
-//!   failures; Open fast-fails submissions without touching the inner
-//!   service for a *ticket-counted* cooldown (ticket counts, not wall
-//!   clock, so breaker behaviour is identical at any worker count);
-//!   then HalfOpen lets one probe ticket through — success closes the
-//!   breaker, failure re-opens it.
-//! * **Graceful degradation.** When the retry budget, deadline or
-//!   breaker exhausts a ticket, the prompt is answered by the
-//!   rule-based [`HeuristicLlm`] fallback instead of erroring the whole
-//!   job; every such ticket is counted in
-//!   [`ResilienceStats::degraded`] so campaign rows can be tagged
-//!   honestly rather than passing degraded output off as the primary
-//!   backend's.
+//!   failures; Open fast-fails attempts unsent for a cool-down counted
+//!   in tickets (not time, so it behaves alike at any worker count);
+//!   HalfOpen then lets one probe through, whose outcome closes or
+//!   re-opens it.
+//! * **Degradation.** A ticket the budget, deadline or breaker exhausts
+//!   is answered by the rule-based [`HeuristicLlm`] and counted in
+//!   [`ResilienceStats::degraded`], so rows are tagged honestly.
 //!
-//! **Transparency contract:** with no faults arriving, the wrapper is
-//! invisible — completions, usage totals and semantic errors
-//! ([`LlmError::NoResponse`], [`LlmError::ServiceClosed`]) pass through
-//! unchanged, so enabling resilience cannot perturb a healthy
-//! campaign's rows.
-//!
-//! **Usage accounting:** the wrapper keeps its *own* [`Usage`],
-//! recording only finally-accepted completions. The inner handle's
-//! per-ticket deltas would count fabricated garbage and abandoned
-//! attempts; accepted-only accounting makes a faulted-but-retried run's
-//! numbers equal a fault-free run's, which is what the byte-identity
-//! gate checks.
+//! With no faults arriving the policy is invisible: completions, usage
+//! and semantic errors pass through unchanged, and usage counts accepted
+//! completions only, so a faulted-but-retried run accounts like a
+//! fault-free one.
 
 use crate::heuristic::HeuristicLlm;
-use crate::model::{Completion, LanguageModel, LlmError, Usage};
+use crate::model::{Completion, LanguageModel, LlmError};
 use crate::prompt::RepairPrompt;
 use crate::response::{CompleteResponse, RepairResponse};
-use crate::service::{block_on, LlmService, Ticket, WaitStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use std::collections::HashMap;
-use std::sync::OnceLock;
-use std::task::{Poll, Waker};
-use std::time::{Duration, Instant};
-use uvllm_obs::{registry, Counter, Histogram};
+use std::time::Duration;
+use uvllm_obs::registry;
 
-/// Registry handles for the resilience layer (`llm.*`), resolved once.
-#[derive(Debug)]
-struct ResilienceMetrics {
-    /// Retry attempts issued (not counting first attempts).
-    retries: &'static Counter,
-    /// Backoff delay per retry, in microseconds.
-    retry_delay_us: &'static Histogram,
-    /// Circuit-breaker state changes (any direction).
-    breaker_transitions: &'static Counter,
-    /// Tickets answered by the degradation fallback.
-    degraded: &'static Counter,
-    /// Tickets that blew their wall-clock deadline.
-    deadline_misses: &'static Counter,
-}
+/// Tickets an open breaker fast-fails before it lets a probe through.
+const BREAKER_COOLDOWN: u32 = 8;
 
-fn metrics() -> &'static ResilienceMetrics {
-    static METRICS: OnceLock<ResilienceMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| ResilienceMetrics {
-        retries: registry().counter("llm.retries"),
-        retry_delay_us: registry().histogram("llm.retry_delay_us"),
-        breaker_transitions: registry().counter("llm.breaker_transitions"),
-        degraded: registry().counter("llm.degraded"),
-        deadline_misses: registry().counter("llm.deadline_misses"),
-    })
-}
-
-/// Knobs of a [`ResilientService`].
+/// How a session retries, breaks and degrades (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResiliencePolicy {
     /// Retry attempts per ticket beyond the first (0 disables retry).
@@ -97,22 +44,15 @@ pub struct ResiliencePolicy {
     /// Seed of the jitter stream (campaigns derive a per-job seed so
     /// every job's delays replay independently of worker count).
     pub jitter_seed: u64,
-    /// Optional wall-clock budget per ticket across all attempts; blown
-    /// budgets stop retrying and degrade. `None` (the default) keeps
-    /// retry decisions free of wall-clock and therefore deterministic.
+    /// Optional budget per ticket across all attempts, on the loop's
+    /// clock; a blown budget stops retrying and degrades.
     pub ticket_deadline: Option<Duration>,
     /// Consecutive failures that trip the breaker Closed → Open.
     pub breaker_threshold: u32,
-    /// Submissions fast-failed while Open before probing (HalfOpen).
-    pub breaker_cooldown: u32,
     /// Treat completions that parse as neither [`RepairResponse`] nor
     /// [`CompleteResponse`] as retryable failures. On for campaign
-    /// wiring (every genuine backend emits structured output); off by
-    /// default so plain-text services are not penalized.
+    /// wiring; off by default so plain-text services are not penalized.
     pub validate: bool,
-    /// Route exhausted tickets to the [`HeuristicLlm`] fallback instead
-    /// of surfacing the final failure.
-    pub degrade: bool,
 }
 
 impl Default for ResiliencePolicy {
@@ -124,9 +64,7 @@ impl Default for ResiliencePolicy {
             jitter_seed: 0x5E11_1E57,
             ticket_deadline: None,
             breaker_threshold: 5,
-            breaker_cooldown: 8,
             validate: false,
-            degrade: true,
         }
     }
 }
@@ -140,11 +78,19 @@ impl ResiliencePolicy {
             ..self.clone()
         }
     }
+
+    /// Backoff before retry `attempt` (1-based): `base · 2^(attempt-1)`
+    /// capped at `max`, scaled by a jitter factor in `[0.5, 1.0)`.
+    pub(crate) fn backoff(&self, attempt: u32, jitter: &mut StdRng) -> Duration {
+        let exp = attempt.saturating_sub(1).min(16);
+        let capped = self.base_backoff.saturating_mul(1u32 << exp).min(self.max_backoff);
+        capped.mul_f64(0.5 + 0.5 * jitter.random::<f64>())
+    }
 }
 
-/// What the resilience layer did on one handle — surfaced through
-/// [`LlmService::resilience_stats`] so campaign rows can be tagged
-/// without downcasting the boxed service.
+/// What the resilience policy did on one handle, surfaced through
+/// [`crate::LlmService::resilience_stats`] so campaign rows can be
+/// tagged without downcasting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Retry attempts issued.
@@ -156,7 +102,7 @@ pub struct ResilienceStats {
     pub degraded: u64,
     /// Breaker state transitions.
     pub breaker_transitions: u64,
-    /// Tickets that blew their wall-clock deadline.
+    /// Tickets that blew their deadline.
     pub deadline_misses: u64,
 }
 
@@ -168,311 +114,153 @@ enum BreakerState {
     HalfOpen,
 }
 
+/// What the loop does with a ticket after an attempt.
 #[derive(Debug)]
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    threshold: u32,
-    cooldown: u32,
-    transitions: u64,
+pub(crate) enum Settled {
+    /// Deliver this final answer.
+    Answer(Result<Completion, LlmError>),
+    /// Send the prompt again this long from now (the breaker admitted it).
+    Retry(Duration),
 }
 
-impl Breaker {
-    fn new(policy: &ResiliencePolicy) -> Self {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            threshold: policy.breaker_threshold.max(1),
-            cooldown: policy.breaker_cooldown.max(1),
-            transitions: 0,
-        }
-    }
-
-    fn transition(&mut self, to: BreakerState) {
-        if self.state != to {
-            self.state = to;
-            self.transitions += 1;
-            metrics().breaker_transitions.inc();
-        }
-    }
-
-    /// Consulted per submission: `true` lets the attempt through to the
-    /// inner service (Closed, or the HalfOpen probe); `false` fast-fails
-    /// it and ticks the Open cooldown.
-    fn admit(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open { cooldown_left } => {
-                if cooldown_left <= 1 {
-                    self.transition(BreakerState::HalfOpen);
-                } else {
-                    self.state = BreakerState::Open { cooldown_left: cooldown_left - 1 };
-                }
-                false
-            }
-        }
-    }
-
-    fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.transition(BreakerState::Closed);
-        }
-    }
-
-    fn on_failure(&mut self) {
-        match self.state {
-            BreakerState::HalfOpen => {
-                // Failed probe: straight back to Open.
-                self.consecutive_failures = self.threshold;
-                self.transition(BreakerState::Open { cooldown_left: self.cooldown });
-            }
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.threshold {
-                    self.transition(BreakerState::Open { cooldown_left: self.cooldown });
-                }
-            }
-            BreakerState::Open { .. } => {}
-        }
-    }
-}
-
-/// One submitted-but-unredeemed prompt.
-struct PendingTicket {
-    prompt: RepairPrompt,
-    /// The inner service's ticket for the current attempt; `None` when
-    /// the breaker fast-failed its submission.
-    inner_ticket: Option<Ticket>,
-    submitted: Instant,
-    /// Retries issued so far.
-    attempt: u32,
-}
-
-/// The resilience wrapper (module docs).
-pub struct ResilientService<S: LlmService> {
-    inner: S,
+/// A session's resilience state in the service loop: its policy, jitter
+/// stream, breaker and fallback.
+#[derive(Debug)]
+pub(crate) struct Resilience {
     policy: ResiliencePolicy,
-    fallback: HeuristicLlm,
     jitter: StdRng,
-    breaker: Breaker,
-    pending: HashMap<u64, PendingTicket>,
-    next_ticket: u64,
-    usage: Usage,
-    stats: ResilienceStats,
+    fallback: HeuristicLlm,
+    breaker: BreakerState,
+    consecutive_failures: u32,
+    pub(crate) stats: ResilienceStats,
 }
 
-impl<S: LlmService> std::fmt::Debug for ResilientService<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientService")
-            .field("backend", &self.inner.backend_name())
-            .field("policy", &self.policy)
-            .field("breaker", &self.breaker.state)
-            .finish()
-    }
-}
-
-impl<S: LlmService> ResilientService<S> {
-    /// Wraps `inner` under `policy`.
-    pub fn new(inner: S, policy: ResiliencePolicy) -> Self {
-        let jitter = StdRng::seed_from_u64(policy.jitter_seed);
-        let breaker = Breaker::new(&policy);
-        ResilientService {
-            inner,
+impl Resilience {
+    pub(crate) fn new(policy: ResiliencePolicy) -> Self {
+        Resilience {
+            jitter: StdRng::seed_from_u64(policy.jitter_seed),
             policy,
             fallback: HeuristicLlm::new(),
-            jitter,
-            breaker,
-            pending: HashMap::new(),
-            next_ticket: 0,
-            usage: Usage::default(),
+            breaker: BreakerState::Closed,
+            consecutive_failures: 0,
             stats: ResilienceStats::default(),
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
+    /// Moves the breaker to a state other than its current one.
+    fn transition(&mut self, to: BreakerState) {
+        self.breaker = to;
+        self.stats.breaker_transitions += 1;
+        registry().counter("llm.breaker_transitions").inc();
     }
 
-    /// Consumes the wrapper, returning the inner service.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// True once any ticket was answered by the degradation fallback.
-    pub fn degraded(&self) -> bool {
-        self.stats.degraded > 0
-    }
-
-    /// Submits through the breaker, for the backend no earlier than
-    /// `not_before`: `None` means fast-failed (at once).
-    fn guarded_submit(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Option<Ticket> {
-        if self.breaker.admit() {
-            Some(self.inner.submit_not_before(prompt, not_before))
+    /// Consulted before each attempt is sent: `true` lets it through
+    /// (Closed, or the HalfOpen probe); `false` fast-fails it and ticks
+    /// the Open cool-down.
+    pub(crate) fn admit(&mut self) -> bool {
+        let BreakerState::Open { cooldown_left } = self.breaker else { return true };
+        if cooldown_left <= 1 {
+            self.transition(BreakerState::HalfOpen);
         } else {
-            None
+            self.breaker = BreakerState::Open { cooldown_left: cooldown_left - 1 };
+        }
+        false
+    }
+
+    /// Judges an attempt's outcome (`None`: the breaker fast-failed it),
+    /// `elapsed` after the ticket was submitted, and decides the
+    /// ticket's next step. `attempt` counts the retries issued so far.
+    pub(crate) fn settle(
+        &mut self,
+        prompt: &RepairPrompt,
+        mut outcome: Option<Result<Completion, LlmError>>,
+        attempt: &mut u32,
+        elapsed: Duration,
+    ) -> Settled {
+        loop {
+            // A fast-failed attempt says nothing about the backend's
+            // health, so only a sent one feeds the breaker.
+            let sent = outcome.is_some();
+            match outcome.take() {
+                Some(Ok(completion)) if self.acceptable(&completion) => {
+                    self.consecutive_failures = 0;
+                    if self.breaker == BreakerState::HalfOpen {
+                        self.transition(BreakerState::Closed);
+                    }
+                    return Settled::Answer(Ok(completion));
+                }
+                // Semantic answers and shutdown pass through: retrying
+                // cannot change them.
+                Some(Err(err)) if !err.is_retryable() => return Settled::Answer(Err(err)),
+                // A malformed completion, a retryable error, a fast-fail.
+                _ => {}
+            }
+            if sent {
+                self.on_failure();
+            }
+            self.stats.faults_seen += 1;
+            if *attempt >= self.policy.retries {
+                return Settled::Answer(self.fall_back(prompt));
+            }
+            if self.policy.ticket_deadline.is_some_and(|deadline| elapsed >= deadline) {
+                self.stats.deadline_misses += 1;
+                registry().counter("llm.deadline_misses").inc();
+                return Settled::Answer(self.fall_back(prompt));
+            }
+            *attempt += 1;
+            self.stats.retries += 1;
+            registry().counter("llm.retries").inc();
+            let delay = self.policy.backoff(*attempt, &mut self.jitter);
+            registry().histogram("llm.retry_delay_us").record(delay.as_micros() as u64);
+            if self.admit() {
+                return Settled::Retry(delay);
+            }
+        }
+    }
+
+    /// A sent attempt failed: a failed probe, or the threshold's worth
+    /// of consecutive failures while Closed, opens the breaker.
+    fn on_failure(&mut self) {
+        self.consecutive_failures += 1;
+        let threshold = self.policy.breaker_threshold.max(1);
+        if self.breaker == BreakerState::HalfOpen
+            || (self.breaker == BreakerState::Closed && self.consecutive_failures >= threshold)
+        {
+            self.transition(BreakerState::Open { cooldown_left: BREAKER_COOLDOWN });
         }
     }
 
     /// A completion is acceptable when validation is off or it parses
-    /// as one of the structured-output schemas every genuine backend
-    /// emits.
+    /// as one of the structured-output schemas genuine backends emit.
     fn acceptable(&self, completion: &Completion) -> bool {
         !self.policy.validate
             || RepairResponse::parse(&completion.content).is_ok()
             || CompleteResponse::parse(&completion.content).is_ok()
     }
 
-    /// Backoff for retry attempt `n` (1-based): `base · 2^(n-1)` capped
-    /// at `max`, scaled by a seeded jitter factor in `[0.5, 1.0)`.
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let raw = self.policy.base_backoff.saturating_mul(1u32 << exp);
-        let capped = raw.min(self.policy.max_backoff);
-        let factor = 0.5 + 0.5 * self.jitter.random::<f64>();
-        capped.mul_f64(factor)
-    }
-
-    /// Answers an exhausted ticket via the fallback chain.
-    fn degrade(&mut self, pending: &PendingTicket, last: LlmError) -> Result<Completion, LlmError> {
-        if !self.policy.degrade {
-            return Err(last);
-        }
+    /// Answers an exhausted ticket from the fallback. When it has no
+    /// applicable rule, its semantic `NoResponse` surfaces (the repair
+    /// loops already fall back on it) rather than a retryable failure.
+    fn fall_back(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
         self.stats.degraded += 1;
-        metrics().degraded.inc();
-        match self.fallback.complete(&pending.prompt) {
-            Ok(completion) => {
-                self.usage.record(&completion);
-                Ok(completion)
-            }
-            // The fallback had no applicable rule: surface its semantic
-            // "no response" (the repair loops already degrade on it)
-            // rather than the transient failure a caller might retry.
-            Err(err) => Err(err),
-        }
-    }
-}
-
-impl<S: LlmService> LlmService for ResilientService<S> {
-    fn backend_name(&self) -> &str {
-        self.inner.backend_name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        let ticket = Ticket::new(self.next_ticket);
-        self.next_ticket += 1;
-        // Eager first attempt: submitting to the inner service right
-        // away preserves whatever pipelining/batching it does; retries
-        // are issued as the caller redeems the ticket.
-        let submitted = Instant::now();
-        let inner_ticket = self.guarded_submit(prompt, submitted);
-        self.pending.insert(
-            ticket.id(),
-            PendingTicket { prompt: prompt.clone(), inner_ticket, submitted, attempt: 0 },
-        );
-        ticket
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        block_on(|waker| self.poll_completion(ticket, waker))
-    }
-
-    fn poll_completion(
-        &mut self,
-        ticket: Ticket,
-        waker: &Waker,
-    ) -> Poll<Result<Completion, LlmError>> {
-        let Some(mut pending) = self.pending.remove(&ticket.id()) else {
-            return Poll::Ready(Err(LlmError::NoResponse(format!(
-                "ticket #{} was never issued by this handle",
-                ticket.id()
-            ))));
-        };
-        loop {
-            // A fast-failed attempt (breaker open) says nothing about
-            // the backend's health, so it must not feed the breaker —
-            // otherwise the rejected ticket that ticked Open → HalfOpen
-            // would itself count as a failed probe and re-open it.
-            let was_real_attempt = pending.inner_ticket.is_some();
-            let outcome = match pending.inner_ticket {
-                Some(inner_ticket) => match self.inner.poll_completion(inner_ticket, waker) {
-                    Poll::Ready(outcome) => outcome,
-                    Poll::Pending => {
-                        self.pending.insert(ticket.id(), pending);
-                        return Poll::Pending;
-                    }
-                },
-                None => Err(LlmError::Transient("circuit breaker open".to_string())),
-            };
-            pending.inner_ticket = None;
-            let failure = match outcome {
-                Ok(completion) if self.acceptable(&completion) => {
-                    self.breaker.on_success();
-                    self.stats.breaker_transitions = self.breaker.transitions;
-                    self.usage.record(&completion);
-                    return Poll::Ready(Ok(completion));
-                }
-                Ok(_) => {
-                    LlmError::Transient("malformed completion (failed validation)".to_string())
-                }
-                // Semantic answers and terminal shutdown pass through
-                // untouched: retrying cannot change them, and counting
-                // them against the breaker would make the resilience
-                // layer perturb fault-free runs.
-                Err(err) if !err.is_retryable() => return Poll::Ready(Err(err)),
-                Err(err) => err,
-            };
-            if was_real_attempt {
-                self.breaker.on_failure();
-            }
-            self.stats.faults_seen += 1;
-            self.stats.breaker_transitions = self.breaker.transitions;
-            if pending.attempt >= self.policy.retries {
-                return Poll::Ready(self.degrade(&pending, failure));
-            }
-            if let Some(deadline) = self.policy.ticket_deadline {
-                if pending.submitted.elapsed() >= deadline {
-                    self.stats.deadline_misses += 1;
-                    metrics().deadline_misses.inc();
-                    let miss = LlmError::DeadlineExceeded(format!(
-                        "ticket #{} exceeded its {deadline:?} budget after {} retries",
-                        ticket.id(),
-                        pending.attempt
-                    ));
-                    return Poll::Ready(self.degrade(&pending, miss));
-                }
-            }
-            pending.attempt += 1;
-            self.stats.retries += 1;
-            metrics().retries.inc();
-            let delay = self.backoff(pending.attempt);
-            metrics().retry_delay_us.record(delay.as_micros() as u64);
-            pending.inner_ticket = self.guarded_submit(&pending.prompt, Instant::now() + delay);
-        }
-    }
-
-    fn usage(&self) -> Usage {
-        self.usage
-    }
-
-    fn wait_stats(&self) -> WaitStats {
-        self.inner.wait_stats()
-    }
-
-    fn resilience_stats(&self) -> ResilienceStats {
-        self.stats
+        registry().counter("llm.degraded").inc();
+        self.fallback.complete(prompt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultyLlm};
-    use crate::model::{count_tokens, LanguageModel};
+    use crate::fault::FaultPlan;
+    use crate::model::{count_tokens, Usage};
     use crate::prompt::AgentRole;
     use crate::scripted::ScriptedLlm;
-    use crate::service::DirectService;
+    use crate::service::{
+        BatchConfig, BatchedLlm, Clock, DirectService, LlmClient, LlmService, VirtualClock,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::task::{Poll, Waker};
 
     fn prompt() -> RepairPrompt {
         RepairPrompt::new(AgentRole::SyntaxFixer, "spec", "module m; endmodule")
@@ -490,18 +278,42 @@ mod tests {
         }
     }
 
+    fn faults(seed: u64, error_rate: f64) -> Option<FaultPlan> {
+        Some(FaultPlan { seed, error_rate, ..FaultPlan::default() })
+    }
+
+    /// More time than any retry chain here takes.
+    const AGES: Duration = Duration::from_secs(1 << 20);
+
+    /// A loop on a virtual clock: one connection, `rtt` a round trip.
+    fn service<M: LanguageModel>(rtt: Duration) -> (BatchedLlm<M>, VirtualClock) {
+        let clock = VirtualClock::default();
+        let config = BatchConfig { max_batch: 1, max_wait: Duration::ZERO, round_trip: rtt };
+        (BatchedLlm::start_on(config, Clock::Virtual(clock.clone())), clock)
+    }
+
+    /// Submits, lets [`AGES`] pass and redeems: the whole retry chain.
+    fn ask<M: LanguageModel>(
+        client: &mut LlmClient<M>,
+        clock: &VirtualClock,
+        prompt: &RepairPrompt,
+    ) -> Result<Completion, LlmError> {
+        let ticket = client.submit(prompt);
+        clock.advance(AGES);
+        client.await_completion(ticket)
+    }
+
     /// A backend that fails its first `fail_first` calls with a
-    /// transient error, then answers.
+    /// transient error, then answers; the counter counts every call.
     struct FlakyLlm {
         fail_first: usize,
-        calls: usize,
+        calls: Arc<AtomicUsize>,
         usage: Usage,
     }
 
-    impl FlakyLlm {
-        fn new(fail_first: usize) -> Self {
-            FlakyLlm { fail_first, calls: 0, usage: Usage::default() }
-        }
+    fn flaky(fail_first: usize) -> (FlakyLlm, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        (FlakyLlm { fail_first, calls: Arc::clone(&calls), usage: Usage::default() }, calls)
     }
 
     impl LanguageModel for FlakyLlm {
@@ -510,13 +322,12 @@ mod tests {
         }
 
         fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
-            self.calls += 1;
-            if self.calls <= self.fail_first {
+            let calls = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+            if calls <= self.fail_first {
                 return Err(LlmError::Transient("flake".to_string()));
             }
-            let content = format!("ok{}", self.calls);
             let completion = Completion {
-                content,
+                content: format!("ok{calls}"),
                 prompt_tokens: count_tokens(&prompt.render()),
                 completion_tokens: 1,
                 latency: Duration::ZERO,
@@ -533,17 +344,19 @@ mod tests {
     #[test]
     fn transparent_without_faults() {
         let mut plain = DirectService::new(scripted(3));
-        let mut resilient = ResilientService::new(DirectService::new(scripted(3)), fast_policy());
+        let (service, clock) = service(Duration::ZERO);
+        let mut resilient = service.session(scripted(3), None, Some(fast_policy()));
         for _ in 0..3 {
             assert_eq!(
                 plain.complete(&prompt()).unwrap().content,
-                resilient.complete(&prompt()).unwrap().content,
+                ask(&mut resilient, &clock, &prompt()).unwrap().content,
             );
         }
         assert_eq!(resilient.usage(), plain.usage(), "accepted-only accounting matches");
         assert_eq!(resilient.resilience_stats(), ResilienceStats::default());
         // Semantic errors pass through unchanged (exhausted backend).
-        assert!(matches!(resilient.complete(&prompt()), Err(LlmError::NoResponse(_))));
+        let exhausted = ask(&mut resilient, &clock, &prompt());
+        assert!(matches!(exhausted, Err(LlmError::NoResponse(_))));
         assert_eq!(resilient.resilience_stats().faults_seen, 0);
     }
 
@@ -554,16 +367,11 @@ mod tests {
         let mut baseline = DirectService::new(scripted(16));
         let expected: Vec<String> =
             (0..16).map(|_| baseline.complete(&prompt()).unwrap().content).collect();
-
-        let plan = FaultPlan { seed: 11, error_rate: 0.4, ..FaultPlan::default() };
-        let faulty = DirectService::new(FaultyLlm::new(scripted(16), plan));
-        let mut resilient = ResilientService::new(
-            faulty,
-            ResiliencePolicy { retries: 8, breaker_threshold: 100, ..fast_policy() },
-        );
+        let (service, clock) = service(Duration::ZERO);
+        let policy = ResiliencePolicy { retries: 8, breaker_threshold: 100, ..fast_policy() };
+        let mut resilient = service.session(scripted(16), faults(11, 0.4), Some(policy));
         let delivered: Vec<String> =
-            (0..16).map(|_| resilient.complete(&prompt()).unwrap().content).collect();
-
+            (0..16).map(|_| ask(&mut resilient, &clock, &prompt()).unwrap().content).collect();
         assert_eq!(delivered, expected);
         assert_eq!(resilient.usage(), baseline.usage());
         let stats = resilient.resilience_stats();
@@ -581,19 +389,17 @@ mod tests {
         .to_json();
         let plan =
             FaultPlan { seed: 3, malform_rate: 0.3, truncate_rate: 0.2, ..FaultPlan::default() };
-        let inner = ScriptedLlm::new((0..16).map(|_| good.clone()));
-        let faulty = DirectService::new(FaultyLlm::new(inner, plan));
-        let mut resilient = ResilientService::new(
-            faulty,
-            ResiliencePolicy {
-                retries: 8,
-                validate: true,
-                breaker_threshold: 100,
-                ..fast_policy()
-            },
-        );
+        let policy = ResiliencePolicy {
+            retries: 8,
+            validate: true,
+            breaker_threshold: 100,
+            ..fast_policy()
+        };
+        let (service, clock) = service(Duration::ZERO);
+        let model = ScriptedLlm::new((0..16).map(|_| good.clone()));
+        let mut resilient = service.session(model, Some(plan), Some(policy));
         for _ in 0..16 {
-            let c = resilient.complete(&prompt()).unwrap();
+            let c = ask(&mut resilient, &clock, &prompt()).unwrap();
             assert_eq!(c.content, good, "garbage must never be delivered");
         }
         let stats = resilient.resilience_stats();
@@ -603,22 +409,18 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_degrades_and_is_counted() {
-        let plan = FaultPlan { seed: 5, error_rate: 1.0, ..FaultPlan::default() };
-        let faulty = DirectService::new(FaultyLlm::new(scripted(4), plan));
-        let mut resilient = ResilientService::new(
-            faulty,
-            ResiliencePolicy { retries: 2, breaker_threshold: 100, ..fast_policy() },
-        );
+        let (service, clock) = service(Duration::ZERO);
+        let policy = ResiliencePolicy { retries: 2, breaker_threshold: 100, ..fast_policy() };
+        let mut resilient = service.session(scripted(4), faults(5, 1.0), Some(policy));
         // The heuristic fallback has no lint log to work from, so the
         // degraded answer is its semantic NoResponse — but the ticket is
         // still tagged degraded, which is what row honesty rests on.
-        let result = resilient.complete(&prompt());
+        let result = ask(&mut resilient, &clock, &prompt());
         assert!(matches!(result, Err(LlmError::NoResponse(_))), "got {result:?}");
         let stats = resilient.resilience_stats();
         assert_eq!(stats.degraded, 1);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.faults_seen, 3, "initial attempt + 2 retries all failed");
-        assert!(resilient.degraded());
     }
 
     #[test]
@@ -629,13 +431,10 @@ mod tests {
         let log = "%Error: dut.v:3:1: syntax error, unexpected 'endmodule', expected ';'";
         let p = RepairPrompt::new(AgentRole::SyntaxFixer, "passes a through", code)
             .with_error_info(ErrorInfo::LintLog(log.to_string()));
-        let plan = FaultPlan { seed: 5, error_rate: 1.0, ..FaultPlan::default() };
-        let faulty = DirectService::new(FaultyLlm::new(scripted(1), plan));
-        let mut resilient = ResilientService::new(
-            faulty,
-            ResiliencePolicy { retries: 1, breaker_threshold: 100, ..fast_policy() },
-        );
-        let completion = resilient.complete(&p).expect("heuristic fallback answers");
+        let (service, clock) = service(Duration::ZERO);
+        let policy = ResiliencePolicy { retries: 1, breaker_threshold: 100, ..fast_policy() };
+        let mut resilient = service.session(scripted(1), faults(5, 1.0), Some(policy));
+        let completion = ask(&mut resilient, &clock, &p).expect("heuristic fallback answers");
         let parsed = RepairResponse::parse(&completion.content).expect("structured output");
         assert_eq!(parsed.correct[0].patched, "assign y = a;");
         assert_eq!(resilient.resilience_stats().degraded, 1);
@@ -644,129 +443,60 @@ mod tests {
 
     #[test]
     fn breaker_opens_and_fast_fails_without_touching_inner() {
-        let plan = FaultPlan { seed: 9, error_rate: 1.0, ..FaultPlan::default() };
-        let faulty = DirectService::new(FaultyLlm::new(scripted(0), plan));
-        let policy = ResiliencePolicy {
-            retries: 0,
-            degrade: false,
-            breaker_threshold: 3,
-            breaker_cooldown: 4,
-            ..fast_policy()
-        };
-        let mut resilient = ResilientService::new(faulty, policy);
+        let (model, calls) = flaky(usize::MAX);
+        let (service, clock) = service(Duration::ZERO);
+        let policy = ResiliencePolicy { retries: 0, breaker_threshold: 3, ..fast_policy() };
+        let mut resilient = service.session(model, None, Some(policy));
         for _ in 0..3 {
-            assert!(resilient.complete(&prompt()).is_err());
+            assert!(ask(&mut resilient, &clock, &prompt()).is_err());
         }
-        let tripped = resilient.inner().model().injected().errors;
-        assert_eq!(tripped, 3, "three real attempts tripped the breaker");
-        assert!(resilient.resilience_stats().breaker_transitions >= 1);
-        // While Open, submissions fast-fail: the inner model sees nothing.
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "three real attempts tripped the breaker");
+        assert_eq!(resilient.resilience_stats().breaker_transitions, 1);
+        // While Open, attempts fast-fail: the model sees nothing.
         for _ in 0..3 {
-            assert!(resilient.complete(&prompt()).is_err());
+            assert!(ask(&mut resilient, &clock, &prompt()).is_err());
         }
-        assert_eq!(
-            resilient.inner().model().injected().errors,
-            tripped,
-            "open breaker must not touch the inner service"
-        );
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "an open breaker sends nothing");
     }
 
     #[test]
     fn halfopen_probe_closes_the_breaker_on_success() {
         // Fails 3 calls (tripping threshold 3), then recovers.
-        let policy = ResiliencePolicy {
-            retries: 0,
-            degrade: false,
-            breaker_threshold: 3,
-            breaker_cooldown: 2,
-            ..fast_policy()
-        };
-        let mut resilient = ResilientService::new(DirectService::new(FlakyLlm::new(3)), policy);
+        let (model, _) = flaky(3);
+        let (service, clock) = service(Duration::ZERO);
+        let policy = ResiliencePolicy { retries: 0, breaker_threshold: 3, ..fast_policy() };
+        let mut resilient = service.session(model, None, Some(policy));
         for _ in 0..3 {
-            assert!(resilient.complete(&prompt()).is_err());
+            assert!(ask(&mut resilient, &clock, &prompt()).is_err());
         }
-        // Two fast-failed tickets tick the cooldown to the probe.
-        assert!(resilient.complete(&prompt()).is_err());
-        assert!(resilient.complete(&prompt()).is_err());
-        // Probe ticket reaches the (now healthy) backend and closes the
-        // breaker; subsequent tickets flow normally.
-        assert_eq!(resilient.complete(&prompt()).unwrap().content, "ok4");
-        assert_eq!(resilient.complete(&prompt()).unwrap().content, "ok5");
-        let stats = resilient.resilience_stats();
+        // The cool-down's fast-failed tickets tick the breaker to its probe.
+        for _ in 0..BREAKER_COOLDOWN {
+            assert!(ask(&mut resilient, &clock, &prompt()).is_err());
+        }
+        // The probe reaches the (now healthy) backend and closes the
+        // breaker; later tickets flow normally.
+        assert_eq!(ask(&mut resilient, &clock, &prompt()).unwrap().content, "ok4");
+        assert_eq!(ask(&mut resilient, &clock, &prompt()).unwrap().content, "ok5");
         // Closed→Open, Open→HalfOpen, HalfOpen→Closed.
-        assert_eq!(stats.breaker_transitions, 3);
+        assert_eq!(resilient.resilience_stats().breaker_transitions, 3);
     }
 
     #[test]
     fn jitter_sequence_replays_from_the_seed() {
-        let mk = || {
-            let plan = FaultPlan { seed: 21, error_rate: 0.5, ..FaultPlan::default() };
-            let faulty = DirectService::new(FaultyLlm::new(scripted(8), plan));
-            ResilientService::new(
-                faulty,
-                ResiliencePolicy { retries: 4, breaker_threshold: 100, ..fast_policy() },
-            )
+        let run = || {
+            let (service, clock) = service(Duration::ZERO);
+            let policy = ResiliencePolicy { retries: 4, breaker_threshold: 100, ..fast_policy() };
+            let mut s = service.session(scripted(8), faults(21, 0.5), Some(policy));
+            let out: Vec<String> =
+                (0..8).map(|_| ask(&mut s, &clock, &prompt()).unwrap().content).collect();
+            (out, s.resilience_stats(), s.wait_stats())
         };
-        let run = |mut s: ResilientService<_>| -> (Vec<String>, ResilienceStats) {
-            let out = (0..8).map(|_| s.complete(&prompt()).unwrap().content).collect();
-            (out, s.resilience_stats())
-        };
-        assert_eq!(run(mk()), run(mk()), "same seeds, same schedule and stats");
-    }
-
-    /// A queued inner service: answers a ticket on its second poll,
-    /// waking the poller on the first, and records how far ahead of its
-    /// submission each request asked not to be sent.
-    struct Queued {
-        inner: DirectService<FaultyLlm<ScriptedLlm>>,
-        polled: std::collections::HashSet<Ticket>,
-        delays: Vec<Duration>,
-    }
-
-    impl LlmService for Queued {
-        fn backend_name(&self) -> &str {
-            "queued"
-        }
-
-        fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-            self.submit_not_before(prompt, Instant::now())
-        }
-
-        fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
-            self.delays.push(not_before.saturating_duration_since(Instant::now()));
-            self.inner.submit(prompt)
-        }
-
-        fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-            self.inner.await_completion(ticket)
-        }
-
-        fn poll_completion(
-            &mut self,
-            ticket: Ticket,
-            waker: &Waker,
-        ) -> Poll<Result<Completion, LlmError>> {
-            if self.polled.insert(ticket) {
-                waker.wake_by_ref();
-                return Poll::Pending;
-            }
-            Poll::Ready(self.inner.await_completion(ticket))
-        }
-
-        fn usage(&self) -> Usage {
-            self.inner.usage()
-        }
-
-        fn wait_stats(&self) -> WaitStats {
-            self.inner.wait_stats()
-        }
+        assert_eq!(run(), run(), "same seeds, same schedule, stats and waits");
     }
 
     #[test]
     fn polled_retries_ask_for_the_blocking_paths_delays() {
-        // Backoffs of 1000 s and up (nothing sleeps: the stub only
-        // records them) dwarf the clock reads between computing a
-        // not-before and recording it.
+        let rtt = Duration::from_millis(10);
         let policy = ResiliencePolicy {
             retries: 8,
             base_backoff: Duration::from_secs(1000),
@@ -774,71 +504,70 @@ mod tests {
             breaker_threshold: 100,
             ..ResiliencePolicy::default()
         };
-        let service = || {
-            let plan = FaultPlan { seed: 13, error_rate: 0.5, ..FaultPlan::default() };
-            let inner = Queued {
-                inner: DirectService::new(FaultyLlm::new(scripted(12), plan)),
-                polled: Default::default(),
-                delays: Vec::new(),
-            };
-            ResilientService::new(inner, policy.clone())
+        // Each ticket's waits, redeemed by blocking or by polling.
+        let waits = |poll: bool| -> Vec<(Duration, u64)> {
+            let (service, clock) = service(rtt);
+            let mut client = service.session(scripted(12), faults(13, 0.5), Some(policy.clone()));
+            (0..12)
+                .map(|_| {
+                    let (wait, retries) =
+                        (client.wait_stats().wait, client.resilience_stats().retries);
+                    let ticket = client.submit(&prompt());
+                    clock.advance(AGES);
+                    let answer = match poll {
+                        false => client.await_completion(ticket),
+                        true => loop {
+                            if let Poll::Ready(answer) =
+                                client.poll_completion(ticket, Waker::noop())
+                            {
+                                break answer;
+                            }
+                        },
+                    };
+                    answer.unwrap();
+                    (client.wait_stats().wait - wait, client.resilience_stats().retries - retries)
+                })
+                .collect()
         };
-        let mut blocking = service();
-        let blocked: Vec<String> =
-            (0..12).map(|_| blocking.complete(&prompt()).unwrap().content).collect();
-        let mut polling = service();
-        let polled: Vec<String> = (0..12)
-            .map(|_| {
-                let ticket = polling.submit(&prompt());
-                loop {
-                    if let Poll::Ready(answer) = polling.poll_completion(ticket, Waker::noop()) {
-                        break answer.unwrap().content;
-                    }
-                }
-            })
-            .collect();
-        assert_eq!(polled, blocked);
-        assert_eq!(polling.resilience_stats(), blocking.resilience_stats());
-        let retries = blocking.resilience_stats().retries;
-        assert!(retries > 0, "0.5 error rate over 12 tickets must retry");
-        let (by_block, by_poll) = (&blocking.inner().delays, &polling.inner().delays);
-        assert_eq!(by_block.len() as u64, 12 + retries, "one submission per attempt");
-        assert_eq!(by_block.iter().filter(|d| !d.is_zero()).count() as u64, retries);
-        assert_eq!(by_poll.len(), by_block.len());
-        let mut attempt = 0;
-        for (a, b) in by_block.iter().zip(by_poll) {
-            assert!(a.abs_diff(*b) < Duration::from_secs(1), "{a:?} vs {b:?}");
-            // A first attempt asks for no delay; retry `n` for a jittered
-            // `base · 2^(n-1)`, within [½, 1) of it.
-            attempt = if a.is_zero() { 0 } else { attempt + 1 };
-            if attempt > 0 {
-                let full = (policy.base_backoff * (1 << (attempt - 1))).min(policy.max_backoff);
-                assert!(
-                    *a > full / 2 - Duration::from_secs(1) && *a <= full,
-                    "retry {attempt}: {a:?}"
-                );
-            }
+        let blocked = waits(false);
+        assert_eq!(waits(true), blocked);
+        // Retry `n` is sent one jittered `base · 2^(n-1)` after the
+        // failure before it landed, the jitter replaying from the seed.
+        let mut jitter = StdRng::seed_from_u64(policy.jitter_seed);
+        for (wait, retries) in &blocked {
+            let backoffs: Duration =
+                (1..=*retries as u32).map(|n| policy.backoff(n, &mut jitter)).sum();
+            assert_eq!(*wait, rtt * (*retries as u32 + 1) + backoffs);
         }
+        assert!(blocked.iter().any(|(_, r)| *r > 0), "0.5 error rate over 12 tickets must retry");
     }
 
     #[test]
     fn deadline_stops_retrying() {
-        let plan = FaultPlan { seed: 2, error_rate: 1.0, ..FaultPlan::default() };
-        let faulty = DirectService::new(FaultyLlm::new(scripted(0), plan));
         let policy = ResiliencePolicy {
             retries: 1_000,
-            degrade: false,
             breaker_threshold: u32::MAX,
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(5),
             ticket_deadline: Some(Duration::from_millis(20)),
             ..ResiliencePolicy::default()
         };
-        let mut resilient = ResilientService::new(faulty, policy);
-        let result = resilient.complete(&prompt());
-        assert!(matches!(result, Err(LlmError::DeadlineExceeded(_))), "got {result:?}");
+        // The deadline is judged when an attempt fails: the first failure
+        // at or past 20 ms after submission degrades the ticket.
+        let mut jitter = StdRng::seed_from_u64(policy.jitter_seed);
+        let (mut elapsed, mut retries) = (Duration::ZERO, 0);
+        while elapsed < Duration::from_millis(20) {
+            retries += 1;
+            elapsed += policy.backoff(retries, &mut jitter);
+        }
+        let (service, clock) = service(Duration::ZERO);
+        let mut resilient = service.session(scripted(0), faults(2, 1.0), Some(policy));
+        let result = ask(&mut resilient, &clock, &prompt());
+        assert!(matches!(result, Err(LlmError::NoResponse(_))), "got {result:?}");
         let stats = resilient.resilience_stats();
         assert_eq!(stats.deadline_misses, 1);
-        assert!(stats.retries < 1_000, "the deadline, not the budget, stopped the loop");
+        assert_eq!(stats.degraded, 1);
+        assert_eq!(stats.retries, u64::from(retries), "the deadline, not the budget, stopped it");
+        assert_eq!(resilient.wait_stats().wait, elapsed);
     }
 }

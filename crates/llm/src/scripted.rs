@@ -46,36 +46,6 @@ impl LanguageModel for ScriptedLlm {
         Ok(completion)
     }
 
-    /// Answers the whole batch in one step: the next `prompts.len()`
-    /// responses are dequeued up front (one drain, not N pops through
-    /// `complete`), then paired with the prompts in batch order — the
-    /// same results and usage the sequential default produces, which is
-    /// what lets deterministic tests replay through the batched
-    /// service.
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        let served: Vec<Option<String>> =
-            prompts.iter().map(|_| self.responses.pop_front()).collect();
-        prompts
-            .iter()
-            .zip(served)
-            .map(|(prompt, content)| {
-                let content = content.ok_or_else(|| {
-                    LlmError::NoResponse("scripted backend exhausted".to_string())
-                })?;
-                let prompt_tokens = count_tokens(&prompt.render());
-                let completion_tokens = count_tokens(&content);
-                let completion = Completion {
-                    content,
-                    prompt_tokens,
-                    completion_tokens,
-                    latency: std::time::Duration::from_millis(10),
-                };
-                self.usage.record(&completion);
-                Ok(completion)
-            })
-            .collect()
-    }
-
     fn usage(&self) -> Usage {
         self.usage
     }

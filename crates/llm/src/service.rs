@@ -1,141 +1,64 @@
 //! The LLM *service* layer: a submit/await ticket protocol that
-//! decouples asking for a completion from blocking on it.
+//! decouples asking for a completion from blocking on it, and the one
+//! event loop that answers it under every serving policy.
 //!
-//! The repair pipeline historically called `complete(&mut M, prompt)`
-//! directly — a blocking, exclusive, one-prompt-at-a-time coupling that
-//! forces every campaign worker to stall on the model while its
-//! simulator sits idle. This module replaces that call with a protocol:
+//! [`LlmService::submit`] returns a [`Ticket`] at once;
+//! [`LlmService::await_completion`] blocks until *that* prompt's answer
+//! is in, and [`LlmService::poll_completion`] leaves a [`Waker`] instead
+//! — how a repair loop written as a step function ([`Step`]) waits as
+//! data, not as a thread.
 //!
-//! 1. [`LlmService::submit`] hands the service a [`RepairPrompt`] and
-//!    returns a [`Ticket`] immediately;
-//! 2. [`LlmService::await_completion`] redeems the ticket, blocking
-//!    only until *that* prompt's answer is ready, or
-//!    [`LlmService::poll_completion`] asks for it without blocking and
-//!    leaves a [`Waker`] to be woken when it is in — what a repair loop
-//!    written as a step function ([`Step`]) needs to wait as data, not
-//!    as a blocked thread.
-//!
-//! Two implementations cover the two deployment shapes:
-//!
-//! * [`DirectService`] — the in-process adapter: wraps one
-//!   [`LanguageModel`] and answers at submit time. Zero concurrency,
-//!   zero overhead; behaviourally identical to the old direct call.
-//! * [`BatchedLlm`] — a shared service owning the backend(s) on a
-//!   dedicated thread. Callers register *sessions* (one per campaign
-//!   job, carrying that job's own model so oracle determinism is
-//!   untouched) and obtain [`LlmClient`] handles; submissions from all
-//!   workers land in one bounded queue, are coalesced into batches by
-//!   the [`BatchConfig`] flush policy (`max_batch` reached, or
-//!   `max_wait` elapsed since the first pending prompt), fanned to the
-//!   session models via [`LanguageModel::complete_batch`], and the
-//!   parked jobs are woken as each flush completes — so one job's LLM
-//!   round trip overlaps every other job's simulation time. A request
-//!   submitted with a not-before time ([`LlmService::submit_not_before`],
-//!   a retry's backoff) stays out of flush windows until it is due.
+//! * [`DirectService`] — the policy-free inline adapter: one
+//!   [`LanguageModel`], answered at submit time. No thread, no queue.
+//! * [`BatchedLlm`] — the service loop, on a thread of its own. Each
+//!   session ([`LlmClient`], one per campaign job) carries its job's
+//!   model and, as plain data, a [`FaultPlan`] and a
+//!   [`ResiliencePolicy`]. The loop keeps requests by due time (a retry
+//!   is due its backoff after the failure), sends a batch once
+//!   `max_batch` are due or `max_wait` after the first ([`BatchConfig`]),
+//!   and keeps at most one batch on the wire — the endpoint is one
+//!   exclusive connection — landing `round_trip` after it was sent while
+//!   the next window fills. A fault is drawn as its prompt is sent and
+//!   replaces or delays that one answer; validation, retry, breaker and
+//!   degradation run as an answer lands, and a ticket is answered once,
+//!   finally. The loop waits for the earliest of the next message, due
+//!   request and landing on its [`Clock`] (real, or a [`VirtualClock`]
+//!   a test advances) and never sleeps.
 //!
 //! **Determinism contract:** a session's model sees exactly the prompts
-//! submitted through that session, in the order they join flush windows
-//! — submission order, for a session with one prompt outstanding at a
-//! time, which is how every repair loop asks — no matter how flushes
-//! interleave sessions. A campaign job therefore produces the same
-//! completions (and the same usage accounting) through a [`BatchedLlm`]
-//! session as through a [`DirectService`] — batch schedule and worker
-//! count change wall-clock only.
-//!
-//! [`SlowLlm`] models the remote endpoint this layer is built for: a
-//! fixed per-round-trip latency on an exclusive connection
-//! ([`EndpointGate`]). One `complete` pays one round trip; one
-//! `complete_batch` pays one round trip for the whole batch — which is
-//! exactly the amortization the batched service exists to exploit
-//! (`BatchConfig::round_trip` injects the same cost per flush).
+//! sent for that session, in sending order — submission order, for a
+//! session with one prompt outstanding at a time, as every repair loop
+//! asks — however batches interleave sessions, so a job gets the same
+//! completions and usage on a session as on a [`DirectService`].
 
+use crate::fault::{FaultPlan, FaultStream};
 use crate::model::{Completion, LanguageModel, LlmError, Usage};
 use crate::prompt::RepairPrompt;
-use std::collections::{HashMap, VecDeque};
+use crate::resilient::{Resilience, ResiliencePolicy, ResilienceStats, Settled};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::task::{Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-use uvllm_obs::{registry, Counter, Gauge, Histogram};
+use uvllm_obs::registry;
 
-/// Registry handles for the service layer (`llm.*`), resolved once.
-/// Per-handle [`WaitStats`] stay for per-job row telemetry (a global
-/// registry cannot attribute waits to one job); these are the
-/// service-wide aggregates campaigns snapshot.
-#[derive(Debug)]
-struct LlmMetrics {
-    /// Sessions opened on any [`BatchedLlm`].
-    sessions: &'static Counter,
-    /// Prompts submitted but not yet pulled into a flush window.
-    queue_depth: &'static Gauge,
-    /// Tickets redeemed across all handles.
-    tickets: &'static Counter,
-    /// Submission-to-delivery wall time per ticket, in microseconds.
-    ticket_wait_us: &'static Histogram,
-    /// Prompts per flush.
-    batch_size: &'static Histogram,
-    /// Flushes answered (any reason).
-    flushes: &'static Counter,
-    /// Prompts answered across all flushes (`flushed_prompts / flushes`
-    /// is the mean batch size).
-    flushed_prompts: &'static Counter,
-    /// Flushes triggered by a full batch window.
-    flush_full: &'static Counter,
-    /// Flushes triggered by the `max_wait` deadline.
-    flush_timeout: &'static Counter,
-    /// Flushes draining the queue at service shutdown.
-    flush_shutdown: &'static Counter,
-}
-
-fn metrics() -> &'static LlmMetrics {
-    static METRICS: OnceLock<LlmMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| LlmMetrics {
-        sessions: registry().counter("llm.sessions"),
-        queue_depth: registry().gauge("llm.queue_depth"),
-        tickets: registry().counter("llm.tickets"),
-        ticket_wait_us: registry().histogram("llm.ticket_wait_us"),
-        batch_size: registry().histogram("llm.batch_size"),
-        flushes: registry().counter("llm.flushes"),
-        flushed_prompts: registry().counter("llm.flushed_prompts"),
-        flush_full: registry().counter("llm.flush.full"),
-        flush_timeout: registry().counter("llm.flush.timeout"),
-        flush_shutdown: registry().counter("llm.flush.shutdown"),
-    })
-}
-
-/// Why a flush fired (tallied per flush in the registry).
-#[derive(Debug, Clone, Copy)]
-enum FlushReason {
-    Full,
-    Timeout,
-    Shutdown,
-}
-
-/// Flush policy and sizing of a [`BatchedLlm`] service.
+/// Batching and endpoint latency of a [`BatchedLlm`] loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchConfig {
-    /// Flush as soon as this many prompts are pending.
+    /// Send a batch as soon as this many prompts are due.
     pub max_batch: usize,
-    /// Flush a partial batch this long after its first prompt arrived,
+    /// Send a partial batch this long after its first prompt was due,
     /// so a lone straggler is never parked behind an empty queue.
     pub max_wait: Duration,
-    /// Capacity of the bounded submission queue; `submit` blocks while
-    /// it is full (backpressure instead of unbounded buffering).
-    pub queue_cap: usize,
-    /// Injected endpoint round-trip latency paid once per flush —
-    /// simulates the remote-API cost the batching amortizes (zero in
-    /// production use; the benchmarks set it).
+    /// Endpoint round trip: a batch lands this long after it was sent
+    /// (zero in production use; the benchmarks set it).
     pub round_trip: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
-            queue_cap: 256,
-            round_trip: Duration::ZERO,
-        }
+        BatchConfig { max_batch: 8, max_wait: Duration::from_millis(2), round_trip: Duration::ZERO }
     }
 }
 
@@ -145,29 +68,16 @@ impl Default for BatchConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ticket(u64);
 
-impl Ticket {
-    /// Mints a ticket — for service implementors in this crate only
-    /// (callers obtain tickets from [`LlmService::submit`]).
-    pub(crate) fn new(id: u64) -> Ticket {
-        Ticket(id)
-    }
-
-    /// The handle-local ticket id.
-    pub(crate) fn id(self) -> u64 {
-        self.0
-    }
-}
-
 /// Service-side accounting a handle accumulates ticket by ticket:
-/// how long its caller spent blocked on the LLM and how large the
-/// batches its prompts rode in were.
+/// how long its caller waited on the LLM and how large the batches its
+/// prompts rode in were.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
     /// Tickets redeemed.
     pub tickets: u64,
-    /// Total wall-clock time from submission to delivery.
+    /// Total time from submission to delivery.
     pub wait: Duration,
-    /// Largest flush any of this handle's prompts was part of.
+    /// Largest batch any of this handle's prompts was part of.
     pub max_batch: usize,
 }
 
@@ -208,21 +118,7 @@ pub trait LlmService: Send {
         Poll::Ready(self.await_completion(ticket))
     }
 
-    /// [`LlmService::submit`] for a prompt that must not reach the
-    /// backend before `not_before` (a retry's backoff).
-    ///
-    /// The default waits until then on the calling thread; a queued
-    /// service holds the request back instead.
-    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
-        let wait = not_before.saturating_duration_since(Instant::now());
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        self.submit(prompt)
-    }
-
-    /// Submit-then-await in one call — the drop-in replacement for the
-    /// old `LanguageModel::complete` call sites.
+    /// Submit-then-await in one call.
     ///
     /// # Errors
     ///
@@ -234,58 +130,18 @@ pub trait LlmService: Send {
 
     /// Usage attributed to this handle (for a [`DirectService`], the
     /// wrapped model's total; for an [`LlmClient`], the sum of its own
-    /// redeemed tickets — the per-ticket deltas that keep per-job
+    /// delivered answers — the per-ticket deltas that keep per-job
     /// accounting exact on a shared service).
     fn usage(&self) -> Usage;
 
     /// Wait/batch telemetry accumulated by this handle.
     fn wait_stats(&self) -> WaitStats;
 
-    /// What the resilience layer did on this handle. Plain services
-    /// report the all-zero default; [`crate::ResilientService`]
-    /// overrides it — campaign code reads it through `Box<dyn
-    /// LlmService>` to tag degraded rows without downcasting.
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        crate::resilient::ResilienceStats::default()
-    }
-}
-
-// So a wrapper generic over `S: LlmService` takes a boxed trait object.
-impl<S: LlmService + ?Sized> LlmService for Box<S> {
-    fn backend_name(&self) -> &str {
-        (**self).backend_name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        (**self).submit(prompt)
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        (**self).await_completion(ticket)
-    }
-
-    fn poll_completion(
-        &mut self,
-        ticket: Ticket,
-        waker: &Waker,
-    ) -> Poll<Result<Completion, LlmError>> {
-        (**self).poll_completion(ticket, waker)
-    }
-
-    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
-        (**self).submit_not_before(prompt, not_before)
-    }
-
-    fn usage(&self) -> Usage {
-        (**self).usage()
-    }
-
-    fn wait_stats(&self) -> WaitStats {
-        (**self).wait_stats()
-    }
-
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        (**self).resilience_stats()
+    /// What the resilience policy did on this handle (all zeros without
+    /// one) — campaign code reads it through `Box<dyn LlmService>` to
+    /// tag degraded rows without downcasting.
+    fn resilience_stats(&self) -> ResilienceStats {
+        ResilienceStats::default()
     }
 }
 
@@ -346,14 +202,9 @@ impl Wake for Unpark {
     }
 }
 
-// ----------------------------------------------------------------------
-// DirectService: the unbatched in-process adapter
-// ----------------------------------------------------------------------
-
 /// Adapts one [`LanguageModel`] to the [`LlmService`] protocol with no
 /// threads and no queue: the answer is computed at submit time and the
-/// ticket redeems it. Batch size is always 1 and wait time always ~0 —
-/// the baseline the batched service is measured against.
+/// ticket redeems it. Batch size is always 1.
 #[derive(Debug)]
 pub struct DirectService<M: LanguageModel> {
     model: M,
@@ -383,9 +234,7 @@ impl<M: LanguageModel> LlmService for DirectService<M> {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         // The caller blocks right here while the model answers (that is
-        // what "direct" means), so the elapsed time is this ticket's
-        // wait — e.g. a SlowLlm endpoint round trip shows up in
-        // telemetry exactly like a batched ticket's queue time.
+        // what "direct" means), so the elapsed time is this ticket's wait.
         let asked = Instant::now();
         let result = self.model.complete(prompt);
         self.stats.wait += asked.elapsed();
@@ -411,124 +260,97 @@ impl<M: LanguageModel> LlmService for DirectService<M> {
     }
 }
 
-// ----------------------------------------------------------------------
-// A bounded MPSC channel (std-only; Mutex + two Condvars)
-// ----------------------------------------------------------------------
-
-struct ChanState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
+/// The time source of a [`BatchedLlm`] loop and its sessions.
+#[derive(Debug, Clone, Default)]
+pub enum Clock {
+    /// The system's monotonic clock.
+    #[default]
+    Real,
+    /// A test's clock: it moves only on [`VirtualClock::advance`].
+    Virtual(VirtualClock),
 }
 
-/// A bounded blocking queue: `send` applies backpressure when full,
-/// `recv` drains remaining items after close (which is what gives the
-/// service its drain-on-shutdown guarantee).
-struct Chan<T> {
-    state: Mutex<ChanState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-enum Recv<T> {
-    Item(T),
-    Timeout,
-    Closed,
-}
-
-impl<T> Chan<T> {
-    fn new(cap: usize) -> Self {
-        Chan {
-            state: Mutex::new(ChanState { queue: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
+impl Clock {
+    /// The current instant.
+    pub fn now(&self) -> Instant {
+        match self {
+            Clock::Real => Instant::now(),
+            Clock::Virtual(clock) => clock.now(),
         }
     }
 
-    /// Blocks while the queue is full; returns the item back when the
-    /// channel is closed.
-    fn send(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if state.closed {
-                return Err(item);
+    /// The loop's next message, waited for until `deadline` at most
+    /// (`None`: for as long as it takes); `None` at the deadline. On a
+    /// virtual clock every advance arrives as a message. The channel
+    /// stays connected: the service holds a sender until it has sent
+    /// [`Msg::Shutdown`] and joined the loop.
+    fn wait<M>(&self, rx: &Receiver<Msg<M>>, deadline: Option<Instant>) -> Option<Msg<M>> {
+        match (self, deadline) {
+            (Clock::Real, Some(at)) => {
+                rx.recv_timeout(at.saturating_duration_since(Instant::now())).ok()
             }
-            if state.queue.len() < self.cap {
-                state.queue.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).expect("llm service queue poisoned");
+            _ => Some(rx.recv().expect("the service outlives its loop")),
         }
-    }
-
-    /// Blocks for the next item until `deadline` (`None`: for as long as
-    /// it takes); `Closed` once closed *and* drained.
-    fn recv(&self, deadline: Option<Instant>) -> Recv<T> {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.not_full.notify_one();
-                return Recv::Item(item);
-            }
-            if state.closed {
-                return Recv::Closed;
-            }
-            state = match deadline {
-                None => self.not_empty.wait(state).expect("llm service queue poisoned"),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Recv::Timeout;
-                    }
-                    let waited = self.not_empty.wait_timeout(state, deadline - now);
-                    waited.expect("llm service queue poisoned").0
-                }
-            };
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
-// ----------------------------------------------------------------------
-// BatchedLlm: the shared batching service
-// ----------------------------------------------------------------------
+/// A clock for tests: it reads the instant it was made until
+/// [`VirtualClock::advance`] moves it, which wakes every loop it drives.
+#[derive(Clone)]
+pub struct VirtualClock(Arc<Mutex<(Instant, Vec<WakeLoop>)>>);
 
-/// What the service thread delivers into a ticket's slot.
+/// Wakes one loop on a virtual clock; `false` once that loop is gone.
+type WakeLoop = Box<dyn Fn() -> bool + Send>;
+
+impl VirtualClock {
+    /// The current instant.
+    pub fn now(&self) -> Instant {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).0
+    }
+
+    /// Moves time forward by `by`.
+    pub fn advance(&self, by: Duration) {
+        let mut time = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        time.0 += by;
+        time.1.retain(|wake| wake());
+    }
+}
+
+impl Default for VirtualClock {
+    fn default() -> Self {
+        VirtualClock(Arc::new(Mutex::new((Instant::now(), Vec::new()))))
+    }
+}
+
+impl std::fmt::Debug for VirtualClock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("VirtualClock").field(&self.now()).finish()
+    }
+}
+
+/// What the loop delivers into a ticket's slot.
 struct Delivery {
-    result: Result<Completion, LlmError>,
-    /// Size of the flush this prompt was answered in.
+    result: Answer,
+    /// Size of the batch the final attempt rode in.
     batch_size: usize,
+    /// Submission to delivery, on the loop's clock.
+    waited: Duration,
+    /// The session's resilience counters after this ticket.
+    resilience: Option<ResilienceStats>,
 }
 
-/// One submitted prompt's rendezvous point between its client and the
-/// service thread: the delivery, or the waker of whoever polled first.
+/// One ticket's rendezvous point between its client and the loop: the
+/// delivery, or the waker of whoever polled first. Every update is one
+/// whole assignment, so a poisoned guard still holds a valid state.
 #[derive(Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-}
+struct Slot(Mutex<(Option<Delivery>, Option<Waker>)>);
 
-#[derive(Default)]
-struct SlotState {
-    delivery: Option<Delivery>,
-    waker: Option<Waker>,
-}
-
-// Every update of a slot is one whole assignment, so a poisoned guard
-// still holds a valid state (and `Reply`'s `Drop` must not panic).
 impl Slot {
-    fn deliver(&self, result: Result<Completion, LlmError>, batch_size: usize) {
+    fn deliver(&self, delivery: Delivery) {
         let waker = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.delivery = Some(Delivery { result, batch_size });
-            state.waker.take()
+            let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            state.0 = Some(delivery);
+            state.1.take()
         };
         if let Some(waker) = waker {
             waker.wake();
@@ -536,27 +358,26 @@ impl Slot {
     }
 
     fn poll(&self, waker: &Waker) -> Poll<Delivery> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match state.delivery.take() {
+        let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match state.0.take() {
             Some(delivery) => Poll::Ready(delivery),
             None => {
-                state.waker = Some(waker.clone());
+                state.1 = Some(waker.clone());
                 Poll::Pending
             }
         }
     }
 }
 
-/// The service's end of a ticket: answers it once, and answers
-/// [`LlmError::ServiceClosed`] when dropped unanswered — by a flush that
-/// unwinds, or by the drain of a service thread that died — so no
-/// waiter waits forever.
+/// The loop's end of a ticket: answers it once, and answers
+/// [`LlmError::ServiceClosed`] when dropped unanswered — by a stopped
+/// service or a loop that unwinds — so no waiter waits forever.
 struct Reply(Option<Arc<Slot>>);
 
 impl Reply {
-    fn send(mut self, result: Result<Completion, LlmError>, batch_size: usize) {
+    fn send(mut self, delivery: Delivery) {
         if let Some(slot) = self.0.take() {
-            slot.deliver(result, batch_size);
+            slot.deliver(delivery);
         }
     }
 }
@@ -564,47 +385,235 @@ impl Reply {
 impl Drop for Reply {
     fn drop(&mut self) {
         if let Some(slot) = self.0.take() {
-            slot.deliver(
-                Err(LlmError::ServiceClosed(
-                    "ticket was never answered (service shut down)".to_string(),
-                )),
-                0,
-            );
+            let result = Err(LlmError::ServiceClosed("ticket was never answered".to_string()));
+            slot.deliver(Delivery {
+                result,
+                batch_size: 0,
+                waited: Duration::ZERO,
+                resilience: None,
+            });
         }
     }
 }
 
-struct PendingRequest {
+/// A prompt's answer, as the model or a fault gave it.
+type Answer = Result<Completion, LlmError>;
+
+/// One ticket's prompt in the loop.
+struct Request {
     session: u64,
     prompt: RepairPrompt,
-    /// The request joins no flush window before this.
-    not_before: Instant,
     reply: Reply,
+    /// When the ticket was submitted: its wait and deadline count from
+    /// here.
+    submitted: Instant,
+    /// Retries issued so far.
+    attempt: u32,
 }
 
 enum Msg<M> {
-    /// Register a session and the model that answers its prompts.
+    /// Register a session: its model and policies.
     Open {
         session: u64,
         model: M,
+        faults: Option<FaultPlan>,
+        resilience: Option<ResiliencePolicy>,
     },
     /// Drop a session's model (its client handle went away).
     Close {
         session: u64,
     },
-    Request(PendingRequest),
+    Submit(Request),
+    /// The virtual clock moved.
+    Tick,
+    /// Answer everything accepted, then stop.
+    Shutdown,
 }
 
-/// The shared batched LLM service (see module docs).
+/// A session's model and its state under the session's policies.
+struct Session<M> {
+    model: M,
+    faults: Option<FaultStream>,
+    resilience: Option<Resilience>,
+}
+
+/// The loop's state (module docs). Events run in time order; those of
+/// one instant in arrival order, landings before sends.
+struct ServiceLoop<M> {
+    config: BatchConfig,
+    sessions: BTreeMap<u64, Session<M>>,
+    /// Requests not yet sent, by due time.
+    queue: BTreeMap<(Instant, u64), Request>,
+    /// Answers on their way back, by landing time, with their batch size.
+    landings: BTreeMap<(Instant, u64), (Request, Answer, usize)>,
+    /// When the batch on the wire lands: no batch is sent before.
+    wire_free: Instant,
+    /// Every event up to here has run.
+    cursor: Instant,
+    /// Arrival order: the tie-break of events at one instant.
+    seq: u64,
+}
+
+impl<M: LanguageModel> ServiceLoop<M> {
+    /// Runs until shut down, then answers everything accepted — time
+    /// runs ahead without waiting — and returns the session models in
+    /// session order.
+    fn run(mut self, rx: Receiver<Msg<M>>, clock: Clock) -> Vec<M> {
+        let mut msg = None;
+        loop {
+            // Read before draining: whatever was sent before this
+            // instant is in the channel.
+            let now = clock.now();
+            while let Some(next) = msg.take().or_else(|| rx.try_recv().ok()) {
+                if !self.receive(next) {
+                    self.run_until(None);
+                    return self.sessions.into_values().map(|session| session.model).collect();
+                }
+            }
+            self.run_until(Some(now));
+            // A request drained above may be due by the clock's current
+            // reading, and the tick of the advance that made it due may
+            // have been drained with it: wait only for a later event.
+            let next = self.next_event();
+            if next.is_none_or(|at| at > clock.now()) {
+                msg = clock.wait(&rx, next);
+            }
+        }
+    }
+
+    /// Takes one message; `false` for shutdown.
+    fn receive(&mut self, msg: Msg<M>) -> bool {
+        match msg {
+            Msg::Open { session, model, faults, resilience } => {
+                let faults = faults.map(FaultStream::new);
+                let resilience = resilience.map(Resilience::new);
+                self.sessions.insert(session, Session { model, faults, resilience });
+            }
+            Msg::Close { session } => {
+                self.sessions.remove(&session);
+            }
+            Msg::Submit(request) => {
+                let at = request.submitted.max(self.cursor);
+                let session = self.sessions.get_mut(&request.session);
+                match session.and_then(|s| s.resilience.as_mut()).is_none_or(Resilience::admit) {
+                    true => self.enqueue(request, at),
+                    false => self.settle(request, None, 0, at),
+                }
+            }
+            Msg::Tick => {}
+            Msg::Shutdown => return false,
+        }
+        true
+    }
+
+    fn enqueue(&mut self, request: Request, due: Instant) {
+        self.seq += 1;
+        self.queue.insert((due, self.seq), request);
+        registry().gauge("llm.queue_depth").inc();
+    }
+
+    /// When the next batch goes: once its window is full or `max_wait`
+    /// after its first request was due, and not before the wire is free.
+    fn send_time(&self) -> Option<Instant> {
+        let window_ends = self.queue.keys().next()?.0 + self.config.max_wait;
+        let full = self.queue.keys().nth(self.config.max_batch - 1);
+        let ready = full.map_or(window_ends, |(due, _)| window_ends.min(*due));
+        Some(ready.max(self.wire_free))
+    }
+
+    fn next_event(&self) -> Option<Instant> {
+        let landing = self.landings.keys().next().map(|(at, _)| *at);
+        landing.into_iter().chain(self.send_time()).min()
+    }
+
+    /// Runs every event due by `now` (`None`: every event, which is what
+    /// a shutdown drains).
+    fn run_until(&mut self, now: Option<Instant>) {
+        while let Some(at) = self.next_event().filter(|at| now.is_none_or(|now| *at <= now)) {
+            self.cursor = at;
+            match self.landings.first_entry() {
+                Some(landing) if landing.key().0 == at => {
+                    let (request, answer, batch_size) = landing.remove();
+                    self.settle(request, Some(answer), batch_size, at);
+                }
+                _ => self.send(at, now.is_none()),
+            }
+        }
+    }
+
+    /// Sends the due head of the queue, up to `max_batch` prompts, as one
+    /// batch landing `round_trip` from `at`, each prompt answered by its
+    /// session.
+    fn send(&mut self, at: Instant, draining: bool) {
+        let mut batch = Vec::new();
+        while batch.len() < self.config.max_batch {
+            match self.queue.first_entry() {
+                Some(request) if request.key().0 <= at => batch.push(request.remove()),
+                _ => break,
+            }
+        }
+        let size = batch.len();
+        let r = registry();
+        r.gauge("llm.queue_depth").add(-(size as i64));
+        r.counter("llm.flushes").inc();
+        r.counter("llm.flushed_prompts").add(size as u64);
+        r.histogram("llm.batch_size").record(size as u64);
+        let reason = match (draining, size == self.config.max_batch) {
+            (true, _) => "llm.flush.shutdown",
+            (false, true) => "llm.flush.full",
+            (false, false) => "llm.flush.timeout",
+        };
+        r.counter(reason).inc();
+        self.wire_free = at + self.config.round_trip;
+        for request in batch {
+            // A closed session's request is dropped, answering `ServiceClosed`.
+            let Some(session) = self.sessions.get_mut(&request.session) else { continue };
+            // A fault drawn for the prompt replaces its answer or delays it.
+            let faults = session.faults.as_mut();
+            let (replaced, stall) =
+                faults.map_or((None, Duration::ZERO), |faults| faults.decide(&request.prompt));
+            let answer = replaced.unwrap_or_else(|| session.model.complete(&request.prompt));
+            self.seq += 1;
+            self.landings.insert((self.wire_free + stall, self.seq), (request, answer, size));
+        }
+    }
+
+    /// Routes an attempt's outcome at `at` (`None`: the breaker
+    /// fast-failed it) through the session's resilience policy, if any:
+    /// back into the queue, or to the caller.
+    fn settle(
+        &mut self,
+        mut request: Request,
+        outcome: Option<Answer>,
+        batch_size: usize,
+        at: Instant,
+    ) {
+        let waited = at.saturating_duration_since(request.submitted);
+        let session = self.sessions.get_mut(&request.session);
+        let (result, resilience) = match session.and_then(|s| s.resilience.as_mut()) {
+            Some(policy) => {
+                match policy.settle(&request.prompt, outcome, &mut request.attempt, waited) {
+                    Settled::Retry(backoff) => return self.enqueue(request, at + backoff),
+                    Settled::Answer(result) => (result, Some(policy.stats)),
+                }
+            }
+            None => (outcome.expect("only a resilient session fast-fails"), None),
+        };
+        request.reply.send(Delivery { result, batch_size, waited, resilience });
+    }
+}
+
+/// The shared LLM service loop (see module docs).
 ///
-/// Dropping the service closes the queue, drains every already-accepted
-/// submission, and joins the thread; [`BatchedLlm::stop`] does the same
-/// but hands the session models back (tests use this to audit usage).
+/// Dropping the service answers every accepted submission and joins the
+/// loop's thread; [`BatchedLlm::stop`] does the same but hands the
+/// session models back (tests use this to audit usage).
 pub struct BatchedLlm<M: LanguageModel + 'static> {
-    chan: Arc<Chan<Msg<M>>>,
-    thread: Mutex<Option<std::thread::JoinHandle<HashMap<u64, M>>>>,
+    tx: Sender<Msg<M>>,
+    thread: Option<std::thread::JoinHandle<Vec<M>>>,
     next_session: AtomicU64,
     config: BatchConfig,
+    clock: Clock,
 }
 
 impl<M: LanguageModel + 'static> std::fmt::Debug for BatchedLlm<M> {
@@ -614,239 +623,106 @@ impl<M: LanguageModel + 'static> std::fmt::Debug for BatchedLlm<M> {
 }
 
 impl<M: LanguageModel + 'static> BatchedLlm<M> {
-    /// Starts the service thread (sizes below 1 are clamped up).
+    /// Starts the loop on the real clock (`max_batch` below 1 is 1).
     pub fn start(config: BatchConfig) -> Self {
-        let config = BatchConfig {
-            max_batch: config.max_batch.max(1),
-            queue_cap: config.queue_cap.max(1),
-            ..config
-        };
-        let chan = Arc::new(Chan::new(config.queue_cap));
-        let worker_chan = Arc::clone(&chan);
-        let worker_config = config.clone();
-        let thread = std::thread::Builder::new()
-            .name("uvllm-llm-service".to_string())
-            .spawn(move || service_loop(worker_chan, worker_config))
-            .expect("spawn llm service thread");
-        BatchedLlm {
-            chan,
-            thread: Mutex::new(Some(thread)),
-            next_session: AtomicU64::new(0),
-            config,
-        }
+        BatchedLlm::start_on(config, Clock::Real)
     }
 
-    /// The (normalized) flush policy in force.
+    /// Starts the loop on `clock`.
+    pub fn start_on(config: BatchConfig, clock: Clock) -> Self {
+        let config = BatchConfig { max_batch: config.max_batch.max(1), ..config };
+        let (tx, rx) = mpsc::channel();
+        if let Clock::Virtual(VirtualClock(time)) = &clock {
+            let tick = tx.clone();
+            let wake = move || tick.send(Msg::Tick).is_ok();
+            time.lock().unwrap_or_else(PoisonError::into_inner).1.push(Box::new(wake));
+        }
+        let (start, loop_clock) = (clock.now(), clock.clone());
+        let service_loop = ServiceLoop {
+            config: config.clone(),
+            sessions: BTreeMap::new(),
+            queue: BTreeMap::new(),
+            landings: BTreeMap::new(),
+            wire_free: start,
+            cursor: start,
+            seq: 0,
+        };
+        let thread = std::thread::Builder::new()
+            .name("uvllm-llm-service".to_string())
+            .spawn(move || service_loop.run(rx, loop_clock))
+            .expect("spawn llm service thread");
+        BatchedLlm { tx, thread: Some(thread), next_session: AtomicU64::new(0), config, clock }
+    }
+
+    /// The (normalized) batching policy in force.
     pub fn config(&self) -> &BatchConfig {
         &self.config
     }
 
-    /// Opens a session owning `model` and returns its client handle.
-    ///
-    /// Each campaign job opens a session with its own (seeded) model, so
-    /// batching never mixes RNG streams across jobs; a deployment with
-    /// one real endpoint opens a single session and hands out clones of
-    /// the handle's accounting via per-ticket deltas.
+    /// Opens a session owning `model`, with no fault or resilience policy.
     pub fn client(&self, model: M) -> LlmClient<M> {
+        self.session(model, None, None)
+    }
+
+    /// Opens a session owning `model` under the given policies. Each
+    /// campaign job opens one with its own seeded model and policy
+    /// streams, so batching never mixes RNG streams across jobs.
+    pub fn session(
+        &self,
+        model: M,
+        faults: Option<FaultPlan>,
+        resilience: Option<ResiliencePolicy>,
+    ) -> LlmClient<M> {
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        metrics().sessions.inc();
+        registry().counter("llm.sessions").inc();
         let name = model.name().to_string();
-        // A closed service rejects the registration; the client's
-        // submissions then poison their own tickets, so the error
-        // surfaces at await time like every other service failure.
-        let _ = self.chan.send(Msg::Open { session, model });
+        // A stopped service rejects the registration; the session's
+        // tickets then answer `ServiceClosed` at redemption.
+        let _ = self.tx.send(Msg::Open { session, model, faults, resilience });
         LlmClient {
-            chan: Arc::clone(&self.chan),
+            tx: self.tx.clone(),
+            clock: self.clock.clone(),
             session,
             name,
             next_ticket: 0,
             outstanding: HashMap::new(),
             usage: Usage::default(),
             stats: WaitStats::default(),
+            resilience: ResilienceStats::default(),
         }
     }
 
-    /// Shuts the service down: closes the queue, drains and answers
-    /// every accepted submission, joins the thread, and returns the
-    /// session models (in session-open order) for auditing.
-    pub fn stop(self) -> Vec<M> {
-        self.chan.close();
-        let handle = self.thread.lock().expect("llm service handle poisoned").take();
-        let sessions = match handle {
-            Some(h) => h.join().unwrap_or_default(),
-            None => HashMap::new(),
-        };
-        let mut models: Vec<(u64, M)> = sessions.into_iter().collect();
-        models.sort_by_key(|(session, _)| *session);
-        models.into_iter().map(|(_, model)| model).collect()
+    /// Shuts the service down: answers every accepted submission, joins
+    /// the loop, and returns the session models (in session-open order)
+    /// for auditing.
+    pub fn stop(mut self) -> Vec<M> {
+        self.shutdown()
+    }
+
+    fn shutdown(&mut self) -> Vec<M> {
+        let _ = self.tx.send(Msg::Shutdown);
+        self.thread.take().and_then(|thread| thread.join().ok()).unwrap_or_default()
     }
 }
 
 impl<M: LanguageModel + 'static> Drop for BatchedLlm<M> {
     fn drop(&mut self) {
-        self.chan.close();
-        if let Some(handle) = self.thread.lock().expect("llm service handle poisoned").take() {
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
-/// Closes and drains the queue if the service thread unwinds: every
-/// request it held — queued, pending, deferred or mid-flush — is
-/// dropped, and its [`Reply`] answers the ticket `ServiceClosed`.
-struct PanicCloser<'c, T>(&'c Chan<T>);
-
-impl<T> Drop for PanicCloser<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-            while let Recv::Item(_) = self.0.recv(None) {}
-        }
-    }
-}
-
-/// The dedicated service thread: accumulate → flush, until the queue
-/// closes. A flush window opens with its first prompt and flushes when
-/// `max_batch` prompts are in or `max_wait` after it opened; a deferred
-/// request joins a window once due, so the timed wait runs to the
-/// earlier of the window's end and the next due time.
-fn service_loop<M: LanguageModel>(chan: Arc<Chan<Msg<M>>>, config: BatchConfig) -> HashMap<u64, M> {
-    let _panic_closer = PanicCloser(&chan);
-    let mut sessions: HashMap<u64, M> = HashMap::new();
-    let mut pending: Vec<PendingRequest> = Vec::new();
-    let mut deferred: Vec<PendingRequest> = Vec::new();
-    let mut window_ends: Option<Instant> = None;
-    loop {
-        let now = Instant::now();
-        let (due, later): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut deferred).into_iter().partition(|r| r.not_before <= now);
-        deferred = later;
-        metrics().queue_depth.add(-(due.len() as i64));
-        pending.extend(due);
-        if !pending.is_empty() && window_ends.is_none() {
-            window_ends = Some(now + config.max_wait);
-        }
-        let reason = if pending.len() >= config.max_batch {
-            Some(FlushReason::Full)
-        } else {
-            window_ends.filter(|end| now >= *end).map(|_| FlushReason::Timeout)
-        };
-        if let Some(reason) = reason {
-            flush(&mut sessions, &mut pending, config.round_trip, reason);
-            window_ends = None;
-            continue;
-        }
-        let wake_at = deferred.iter().map(|r| r.not_before).chain(window_ends).min();
-        match chan.recv(wake_at) {
-            Recv::Item(Msg::Open { session, model }) => {
-                sessions.insert(session, model);
-            }
-            Recv::Item(Msg::Close { session }) => {
-                sessions.remove(&session);
-            }
-            // Joins a window at the top of the loop, once due.
-            Recv::Item(Msg::Request(request)) => deferred.push(request),
-            Recv::Timeout => {}
-            Recv::Closed => break,
-        }
-    }
-    // Drain on shutdown: the queue is closed and empty; anything still
-    // pending or deferred is answered now.
-    metrics().queue_depth.add(-(deferred.len() as i64));
-    pending.append(&mut deferred);
-    flush(&mut sessions, &mut pending, config.round_trip, FlushReason::Shutdown);
-    sessions
-}
-
-/// Answers one flush: one injected round trip for the whole batch, then
-/// each session's prompts go to its own model as one
-/// [`LanguageModel::complete_batch`] call, in submission order.
-fn flush<M: LanguageModel>(
-    sessions: &mut HashMap<u64, M>,
-    pending: &mut Vec<PendingRequest>,
-    round_trip: Duration,
-    reason: FlushReason,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let batch_size = pending.len();
-    let m = metrics();
-    m.flushes.inc();
-    m.flushed_prompts.add(batch_size as u64);
-    m.batch_size.record(batch_size as u64);
-    match reason {
-        FlushReason::Full => m.flush_full.inc(),
-        FlushReason::Timeout => m.flush_timeout.inc(),
-        FlushReason::Shutdown => m.flush_shutdown.inc(),
-    }
-    if !round_trip.is_zero() {
-        std::thread::sleep(round_trip);
-    }
-    // Group by session, preserving both first-appearance session order
-    // and submission order within each session.
-    let mut groups: Vec<(u64, Vec<PendingRequest>)> = Vec::new();
-    for request in pending.drain(..) {
-        match groups.iter_mut().find(|(session, _)| *session == request.session) {
-            Some((_, group)) => group.push(request),
-            None => groups.push((request.session, vec![request])),
-        }
-    }
-    for (session, group) in groups {
-        let (prompts, replies): (Vec<RepairPrompt>, Vec<Reply>) =
-            group.into_iter().map(|r| (r.prompt, r.reply)).unzip();
-        match sessions.get_mut(&session) {
-            Some(model) => {
-                let mut results = model.complete_batch(&prompts).into_iter();
-                for reply in replies {
-                    // A malformed override returning too few results
-                    // must not strand a waiting caller.
-                    let result = results.next().unwrap_or_else(|| {
-                        Err(LlmError::NoResponse(
-                            "backend returned fewer batch results than prompts".to_string(),
-                        ))
-                    });
-                    reply.send(result, batch_size);
-                }
-            }
-            None => {
-                for reply in replies {
-                    reply.send(
-                        Err(LlmError::ServiceClosed(format!(
-                            "session {session} is not registered"
-                        ))),
-                        batch_size,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A session handle onto a [`BatchedLlm`] — the [`LlmService`] the
-/// pipeline actually holds when a campaign runs batched.
+/// A session handle onto a [`BatchedLlm`] — the [`LlmService`] a job
+/// holds when its LLM traffic goes through the loop.
 pub struct LlmClient<M: LanguageModel + 'static> {
-    chan: Arc<Chan<Msg<M>>>,
+    tx: Sender<Msg<M>>,
+    clock: Clock,
     session: u64,
     name: String,
     next_ticket: u64,
-    outstanding: HashMap<u64, OutstandingTicket>,
+    outstanding: HashMap<u64, Arc<Slot>>,
     usage: Usage,
     stats: WaitStats,
-}
-
-struct OutstandingTicket {
-    slot: Arc<Slot>,
-    submitted: Instant,
-}
-
-impl<M: LanguageModel + 'static> std::fmt::Debug for LlmClient<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LlmClient")
-            .field("session", &self.session)
-            .field("backend", &self.name)
-            .finish()
-    }
+    resilience: ResilienceStats,
 }
 
 impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
@@ -855,27 +731,20 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
     }
 
     fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        self.submit_not_before(prompt, Instant::now())
-    }
-
-    fn submit_not_before(&mut self, prompt: &RepairPrompt, not_before: Instant) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         let slot = Arc::new(Slot::default());
-        let request = PendingRequest {
+        let request = Request {
             session: self.session,
             prompt: prompt.clone(),
-            not_before,
             reply: Reply(Some(Arc::clone(&slot))),
+            submitted: self.clock.now(),
+            attempt: 0,
         };
-        // Stamped before the send: a send blocked on a full queue is
-        // part of the ticket's wait. A stopped service hands the request
-        // back, and dropping it answers the ticket `ServiceClosed`.
-        let submitted = Instant::now();
-        if self.chan.send(Msg::Request(request)).is_ok() {
-            metrics().queue_depth.inc();
-        }
-        self.outstanding.insert(ticket.0, OutstandingTicket { slot, submitted });
+        // A stopped service hands the request back, and dropping it
+        // answers the ticket `ServiceClosed`.
+        let _ = self.tx.send(Msg::Submit(request));
+        self.outstanding.insert(ticket.0, slot);
         ticket
     }
 
@@ -888,26 +757,25 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
         ticket: Ticket,
         waker: &Waker,
     ) -> Poll<Result<Completion, LlmError>> {
-        let Some(outstanding) = self.outstanding.get(&ticket.0) else {
+        let Some(slot) = self.outstanding.get(&ticket.0) else {
             return Poll::Ready(Err(LlmError::NoResponse(format!(
                 "ticket #{} was never issued by this handle",
                 ticket.0
             ))));
         };
-        let Poll::Ready(delivery) = outstanding.slot.poll(waker) else {
+        let Poll::Ready(delivery) = slot.poll(waker) else {
             return Poll::Pending;
         };
-        let waited = outstanding.submitted.elapsed();
         self.outstanding.remove(&ticket.0);
         self.stats.tickets += 1;
-        self.stats.wait += waited;
+        self.stats.wait += delivery.waited;
         self.stats.max_batch = self.stats.max_batch.max(delivery.batch_size);
-        let m = metrics();
-        m.tickets.inc();
-        m.ticket_wait_us.record(waited.as_micros() as u64);
+        self.resilience = delivery.resilience.unwrap_or(self.resilience);
+        registry().counter("llm.tickets").inc();
+        registry().histogram("llm.ticket_wait_us").record(delivery.waited.as_micros() as u64);
         if let Ok(completion) = &delivery.result {
-            // The per-ticket usage delta: exactly what the backend
-            // recorded for this completion, attributed to this handle.
+            // The per-ticket usage delta: what was delivered for this
+            // ticket, attributed to this handle.
             self.usage.record(completion);
         }
         Poll::Ready(delivery.result)
@@ -920,67 +788,16 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
     fn wait_stats(&self) -> WaitStats {
         self.stats
     }
+
+    fn resilience_stats(&self) -> ResilienceStats {
+        self.resilience
+    }
 }
 
 impl<M: LanguageModel + 'static> Drop for LlmClient<M> {
     fn drop(&mut self) {
-        // Best effort: free the session's model on the service thread.
-        let _ = self.chan.send(Msg::Close { session: self.session });
-    }
-}
-
-// ----------------------------------------------------------------------
-// SlowLlm: an injected-latency endpoint model
-// ----------------------------------------------------------------------
-
-/// The exclusive connection to a simulated remote endpoint: all
-/// [`SlowLlm`] wrappers sharing a gate serialize their round trips, the
-/// way requests on one API connection do.
-pub type EndpointGate = Arc<Mutex<()>>;
-
-/// A fresh exclusive endpoint connection.
-pub fn endpoint_gate() -> EndpointGate {
-    Arc::new(Mutex::new(()))
-}
-
-/// Wraps a backend with a fixed per-round-trip latency on an exclusive
-/// connection: `complete` pays one round trip per prompt,
-/// `complete_batch` one round trip for the whole batch. This is the
-/// workload model under which the batched service's overlap win is
-/// benchmarked (the `llm_wait` workload of `benchmark/`).
-#[derive(Debug)]
-pub struct SlowLlm<M: LanguageModel> {
-    inner: M,
-    round_trip: Duration,
-    gate: EndpointGate,
-}
-
-impl<M: LanguageModel> SlowLlm<M> {
-    /// Wraps `inner` behind a `round_trip`-latency connection.
-    pub fn new(inner: M, round_trip: Duration, gate: EndpointGate) -> Self {
-        SlowLlm { inner, round_trip, gate }
-    }
-}
-
-impl<M: LanguageModel> LanguageModel for SlowLlm<M> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
-        let _connection = self.gate.lock().expect("endpoint gate poisoned");
-        std::thread::sleep(self.round_trip);
-        self.inner.complete(prompt)
-    }
-
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        let _connection = self.gate.lock().expect("endpoint gate poisoned");
-        std::thread::sleep(self.round_trip);
-        self.inner.complete_batch(prompts)
-    }
-
-    fn usage(&self) -> Usage {
-        self.inner.usage()
+        // Best effort: free the session's model in the loop.
+        let _ = self.tx.send(Msg::Close { session: self.session });
     }
 }
 
@@ -996,6 +813,23 @@ mod tests {
 
     fn scripted(responses: &[&str]) -> ScriptedLlm {
         ScriptedLlm::new(responses.iter().map(|s| s.to_string()))
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A loop on a virtual clock, and the clock.
+    fn on_virtual<M: LanguageModel>(config: BatchConfig) -> (BatchedLlm<M>, VirtualClock) {
+        let clock = VirtualClock::default();
+        (BatchedLlm::start_on(config, Clock::Virtual(clock.clone())), clock)
+    }
+
+    /// Redeems `ticket` and returns how long it waited, on the loop's clock.
+    fn waited<M: LanguageModel>(client: &mut LlmClient<M>, ticket: Ticket) -> Duration {
+        let before = client.wait_stats().wait;
+        client.await_completion(ticket).expect("answered");
+        client.wait_stats().wait - before
     }
 
     #[test]
@@ -1018,7 +852,7 @@ mod tests {
 
     #[test]
     fn batched_flushes_when_max_batch_reached() {
-        let service = BatchedLlm::start(BatchConfig {
+        let (service, _clock) = on_virtual(BatchConfig {
             max_batch: 3,
             max_wait: Duration::from_secs(30),
             ..BatchConfig::default()
@@ -1027,24 +861,23 @@ mod tests {
         let tickets: Vec<Ticket> = (0..3).map(|_| client.submit(&prompt())).collect();
         let contents: Vec<String> =
             tickets.into_iter().map(|t| client.await_completion(t).unwrap().content).collect();
-        // The batch fills long before max_wait, answers arrive in
-        // submission order, and all three rode one flush.
+        // The batch fills with no time passing, answers arrive in
+        // submission order, and all three rode one batch.
         assert_eq!(contents, ["one", "two", "three"]);
         assert_eq!(client.wait_stats().max_batch, 3);
-        assert!(client.wait_stats().wait < Duration::from_secs(10));
+        assert_eq!(client.wait_stats().wait, Duration::ZERO);
     }
 
     #[test]
     fn batched_flushes_partial_batch_on_max_wait() {
-        let service = BatchedLlm::start(BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(20),
-            ..BatchConfig::default()
-        });
+        let (service, clock) =
+            on_virtual(BatchConfig { max_batch: 64, max_wait: ms(20), ..BatchConfig::default() });
         let mut client = service.client(scripted(&["lone"]));
         let ticket = client.submit(&prompt());
+        clock.advance(Duration::from_secs(1));
         assert_eq!(client.await_completion(ticket).unwrap().content, "lone");
-        assert_eq!(client.wait_stats().max_batch, 1, "partial flush of one");
+        assert_eq!(client.wait_stats().wait, ms(20), "sent when its window ran out");
+        assert_eq!(client.wait_stats().max_batch, 1, "partial batch of one");
     }
 
     #[test]
@@ -1188,46 +1021,40 @@ mod tests {
         );
     }
 
-    /// Records when its backend was asked.
-    struct Stamped {
-        inner: ScriptedLlm,
-        asked: Arc<Mutex<Vec<Instant>>>,
-    }
-
-    impl LanguageModel for Stamped {
-        fn name(&self) -> &str {
-            "stamped"
-        }
-
-        fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
-            self.asked.lock().unwrap().push(Instant::now());
-            self.inner.complete(prompt)
-        }
-
-        fn usage(&self) -> Usage {
-            self.inner.usage()
-        }
-    }
-
     #[test]
     fn a_not_before_request_reaches_the_backend_no_earlier_than_its_instant() {
-        let service: BatchedLlm<Box<dyn LanguageModel>> = BatchedLlm::start(BatchConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            ..BatchConfig::default()
-        });
-        let asked = Arc::new(Mutex::new(Vec::new()));
-        let mut late = service
-            .client(Box::new(Stamped { inner: scripted(&["late"]), asked: Arc::clone(&asked) }));
-        let mut eager = service.client(Box::new(scripted(&["now"])));
-        let due = Instant::now() + Duration::from_millis(50);
-        let ticket = late.submit_not_before(&prompt(), due);
-        // A request submitted after it, due at once, is not held up.
-        assert_eq!(eager.complete(&prompt()).unwrap().content, "now");
-        assert_eq!(late.await_completion(ticket).unwrap().content, "late");
-        let asked = asked.lock().unwrap();
-        assert_eq!(asked.len(), 1);
-        assert!(asked[0] >= due, "asked {:?} before its due time", due - asked[0]);
+        use crate::response::RepairResponse;
+        use rand::{rngs::StdRng, SeedableRng};
+        let rtt = ms(10);
+        let (service, clock) =
+            on_virtual(BatchConfig { max_batch: 1, max_wait: Duration::ZERO, round_trip: rtt });
+        let policy = ResiliencePolicy {
+            validate: true,
+            base_backoff: Duration::from_secs(1),
+            max_backoff: Duration::from_secs(1),
+            ..ResiliencePolicy::default()
+        };
+        let good =
+            RepairResponse { module_name: "m".into(), analysis: "a".into(), correct: vec![] }
+                .to_json();
+        let mut late = service.session(
+            ScriptedLlm::new(["garbage".to_string(), good.clone()]),
+            None,
+            Some(policy.clone()),
+        );
+        let mut eager = service.client(scripted(&["now"]));
+        let retried = late.submit(&prompt());
+        let at_once = eager.submit(&prompt());
+        clock.advance(Duration::from_secs(10));
+        // The garbled first answer lands at `rtt`; its retry is due one
+        // jittered backoff later. The request submitted after it rides
+        // the exclusive connection right behind the first attempt, not
+        // behind the retry.
+        let backoff = policy.backoff(1, &mut StdRng::seed_from_u64(policy.jitter_seed));
+        assert_eq!(waited(&mut eager, at_once), rtt * 2);
+        assert_eq!(late.await_completion(retried).unwrap().content, good);
+        assert_eq!(late.wait_stats().wait, rtt + backoff + rtt);
+        assert_eq!(late.resilience_stats().retries, 1);
     }
 
     /// A backend that panics when asked.
@@ -1256,41 +1083,92 @@ mod tests {
         });
         let mut doomed = service.client(Box::new(Panicking));
         let mut bystander = service.client(Box::new(scripted(&["b1", "b2", "b3"])));
-        let far = Instant::now() + Duration::from_secs(3600);
-        let deferred = bystander.submit_not_before(&prompt(), far);
-        // The third prompt fills the window; its flush asks the
-        // panicking session first, so the bystander's two go unanswered.
+        // The third prompt fills the window; its batch asks the
+        // panicking session first, so the bystander's two go unanswered,
+        // and so does the one queued behind them.
         let dead = doomed.submit(&prompt());
-        let stranded = [bystander.submit(&prompt()), bystander.submit(&prompt())];
+        let stranded: Vec<Ticket> = (0..3).map(|_| bystander.submit(&prompt())).collect();
         let closed = |result: Result<Completion, LlmError>| {
             matches!(result, Err(LlmError::ServiceClosed(_)))
         };
         assert!(closed(doomed.await_completion(dead)));
-        for ticket in stranded.into_iter().chain([deferred]) {
+        for ticket in stranded {
             assert!(closed(bystander.await_completion(ticket)), "a stranded ticket is answered");
         }
         let late = bystander.submit(&prompt());
         assert!(closed(bystander.await_completion(late)));
-        assert!(service.stop().is_empty(), "the service thread died with its sessions");
+        assert!(service.stop().is_empty(), "the loop died with its sessions");
     }
 
     #[test]
-    fn slow_llm_amortizes_round_trips_across_a_batch() {
-        let gate = endpoint_gate();
-        let rtt = Duration::from_millis(10);
-        let mut slow = SlowLlm::new(scripted(&["a", "b", "c"]), rtt, Arc::clone(&gate));
-        let prompts = vec![prompt(), prompt(), prompt()];
-        let start = Instant::now();
-        let results = slow.complete_batch(&prompts);
-        let batched_elapsed = start.elapsed();
-        assert!(results.iter().all(Result::is_ok));
-        assert!(batched_elapsed < rtt * 3, "one round trip for the batch, not three");
+    fn round_trips_amortize_across_a_batch() {
+        let rtt = ms(10);
+        // Three prompts in one batch: each waits one round trip.
+        let (service, clock) = on_virtual(BatchConfig {
+            max_batch: 3,
+            max_wait: Duration::from_secs(1),
+            round_trip: rtt,
+        });
+        let mut client = service.client(scripted(&["a", "b", "c"]));
+        let tickets: Vec<Ticket> = (0..3).map(|_| client.submit(&prompt())).collect();
+        clock.advance(Duration::from_secs(1));
+        let waits: Vec<Duration> = tickets.into_iter().map(|t| waited(&mut client, t)).collect();
+        assert_eq!(waits, [rtt, rtt, rtt]);
+        // One prompt per round trip on the exclusive connection: the
+        // third waits for all three.
+        let (service, clock) =
+            on_virtual(BatchConfig { max_batch: 1, max_wait: Duration::ZERO, round_trip: rtt });
+        let mut client = service.client(scripted(&["a", "b", "c"]));
+        let tickets: Vec<Ticket> = (0..3).map(|_| client.submit(&prompt())).collect();
+        clock.advance(Duration::from_secs(1));
+        let waits: Vec<Duration> = tickets.into_iter().map(|t| waited(&mut client, t)).collect();
+        assert_eq!(waits, [rtt, rtt * 2, rtt * 3]);
+    }
 
-        let mut slow = SlowLlm::new(scripted(&["a", "b", "c"]), rtt, gate);
-        let start = Instant::now();
-        for p in &prompts {
-            slow.complete(p).unwrap();
-        }
-        assert!(start.elapsed() >= rtt * 3, "per-prompt completion pays per-prompt round trips");
+    #[test]
+    fn a_stalled_answer_lands_late_without_holding_its_batch() {
+        let (rtt, stall) = (ms(10), ms(50));
+        let (service, clock) = on_virtual(BatchConfig {
+            max_batch: 4,
+            max_wait: Duration::from_secs(1),
+            round_trip: rtt,
+        });
+        let stalling = FaultPlan { latency_rate: 1.0, latency: stall, ..FaultPlan::default() };
+        // Four sessions share one batch; two of them stall.
+        let mut clients: Vec<_> = (0..4)
+            .map(|i| {
+                service.session(
+                    scripted(&["x"]),
+                    [1, 2].contains(&i).then(|| stalling.clone()),
+                    None,
+                )
+            })
+            .collect();
+        let tickets: Vec<Ticket> = clients.iter_mut().map(|c| c.submit(&prompt())).collect();
+        clock.advance(Duration::from_secs(1));
+        let waits: Vec<Duration> =
+            clients.iter_mut().zip(tickets).map(|(c, t)| waited(c, t)).collect();
+        assert_eq!(waits, [rtt, rtt + stall, rtt + stall, rtt]);
+        assert!(clients.iter().all(|c| c.wait_stats().max_batch == 4));
+    }
+
+    #[test]
+    fn a_second_window_fills_while_a_batch_is_on_the_wire() {
+        let rtt = ms(10);
+        let (service, clock) =
+            on_virtual(BatchConfig { max_batch: 2, max_wait: ms(1), round_trip: rtt });
+        let mut client = service.client(scripted(&["a", "b", "c", "d", "e"]));
+        // Full at 0 ms: on the wire until 10 ms.
+        let mut tickets: Vec<Ticket> = (0..2).map(|_| client.submit(&prompt())).collect();
+        clock.advance(ms(2));
+        // Full at 2 ms, sent when the first batch lands.
+        tickets.extend((0..2).map(|_| client.submit(&prompt())));
+        clock.advance(ms(3));
+        // Its window ends at 6 ms, but the wire is busy until 20 ms.
+        tickets.push(client.submit(&prompt()));
+        clock.advance(Duration::from_secs(1));
+        let waits: Vec<Duration> = tickets.into_iter().map(|t| waited(&mut client, t)).collect();
+        assert_eq!(waits, [rtt, rtt, ms(18), ms(18), ms(25)]);
+        assert_eq!(client.usage().calls, 5);
     }
 }

@@ -1,16 +1,16 @@
-//! `complete_batch` partial-failure semantics, through every layer
-//! that batches: the trait-level default, [`FaultyLlm`]'s injector, and
-//! the [`BatchedLlm`] service's ticket protocol.
+//! Partial-failure semantics of a batch on the service loop: a faulted
+//! session's prompts, and failures of the model itself.
 //!
-//! The contract under test: a failed prompt fails *its own* slot and
+//! The contract under test: a failed prompt fails *its own* ticket and
 //! nothing else. Sibling prompts in the same batch get exactly the
 //! completions a failure-free run would have delivered, and the
 //! accounting ([`Usage`]) reflects only the completions that actually
 //! arrived — a batch with failures in it never books phantom calls.
 
+use std::time::Duration;
 use uvllm_llm::{
-    AgentRole, BatchConfig, BatchedLlm, FaultPlan, FaultyLlm, LlmError, LlmService, RepairPrompt,
-    ScriptedLlm, Usage,
+    AgentRole, BatchConfig, BatchedLlm, FaultPlan, LlmError, LlmService, RepairPrompt, ScriptedLlm,
+    Usage,
 };
 
 fn prompt(tag: &str) -> RepairPrompt {
@@ -25,49 +25,62 @@ fn scripts(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("{{\"module name\": \"m{i}\", \"analysis\": \"a\"}}")).collect()
 }
 
-/// Trait-level default batch: an exhausted scripted backend answers the
-/// prefix it has scripts for and fails the tail, slot by slot.
+/// A model's own failure lands in its own ticket: in one batch of four
+/// from two sessions, the session whose script runs out fails its
+/// second prompt while the other session's answers arrive untouched.
 #[test]
 fn batch_failures_land_in_their_own_slots() {
-    use uvllm_llm::LanguageModel;
-    let mut model = ScriptedLlm::new(scripts(2));
-    let prompts: Vec<RepairPrompt> = ["a", "b", "c", "d"].iter().map(|t| prompt(t)).collect();
-    let results = model.complete_batch(&prompts);
-    assert_eq!(results.len(), 4, "one result per prompt, failures included");
-    assert!(results[0].is_ok() && results[1].is_ok());
-    for failed in &results[2..] {
-        assert!(
-            matches!(failed, Err(LlmError::NoResponse(_))),
-            "exhausted slots fail as NoResponse: {failed:?}"
-        );
-    }
-    // Accounting counts the two delivered completions, nothing else.
-    assert_eq!(model.usage().calls, 2);
-    let delivered: u64 =
-        results.iter().flatten().map(|c| c.prompt_tokens + c.completion_tokens).sum();
-    assert_eq!(model.usage().prompt_tokens + model.usage().completion_tokens, delivered);
+    let service = BatchedLlm::start(BatchConfig {
+        max_batch: 4,
+        max_wait: Duration::from_secs(3600),
+        ..BatchConfig::default()
+    });
+    let mut short = service.client(ScriptedLlm::new(scripts(1)));
+    let mut long = service.client(ScriptedLlm::new(scripts(2)));
+    let tickets =
+        [short.submit(&prompt("a")), long.submit(&prompt("b")), short.submit(&prompt("c"))];
+    let last = long.submit(&prompt("d"));
+    let first = short.await_completion(tickets[0]);
+    let exhausted = short.await_completion(tickets[2]);
+    let answers = [long.await_completion(tickets[1]), long.await_completion(last)];
+    assert_eq!(short.wait_stats().max_batch, 4, "one batch of four");
+    assert!(first.is_ok());
+    assert!(
+        matches!(&exhausted, Err(LlmError::NoResponse(_))),
+        "the exhausted slot fails as NoResponse: {exhausted:?}"
+    );
+    let contents: Vec<String> = answers.into_iter().map(|a| a.unwrap().content).collect();
+    assert_eq!(contents, scripts(2), "the sibling session's answers are untouched");
+    assert_eq!(short.usage().calls, 1, "a failure books no call");
+    assert_eq!(long.usage().calls, 2);
 }
 
 /// Injected faults error their own slot; sibling slots receive the
-/// fault-free completions in script order (the injector fabricates
-/// faults without consuming the inner model's stream).
+/// fault-free completions in script order (a faulted prompt never
+/// reaches the model, so it does not consume or shift the script).
 #[test]
 fn injected_batch_faults_do_not_shift_sibling_answers() {
     use uvllm_llm::LanguageModel;
+    let service = BatchedLlm::start(BatchConfig {
+        max_batch: 8,
+        max_wait: Duration::from_secs(3600),
+        ..BatchConfig::default()
+    });
     let plan = FaultPlan { error_rate: 0.4, ..FaultPlan::default() };
-    let mut model = FaultyLlm::new(ScriptedLlm::new(scripts(8)), plan);
-    let prompts: Vec<RepairPrompt> = (0..8).map(|i| prompt(&format!("p{i}"))).collect();
-    let results = model.complete_batch(&prompts);
+    let mut session = service.session(ScriptedLlm::new(scripts(8)), Some(plan), None);
+    let tickets: Vec<_> = (0..8).map(|i| session.submit(&prompt(&format!("p{i}")))).collect();
+    let results: Vec<_> = tickets.into_iter().map(|t| session.await_completion(t)).collect();
+    assert_eq!(session.wait_stats().max_batch, 8, "one batch of eight");
     let errors = results.iter().filter(|r| r.is_err()).count();
     assert!(errors > 0 && errors < 8, "0.4 over 8 draws must fault some but not all: {errors}");
-    // The k-th delivered completion is the k-th script — faulted
-    // siblings did not consume (or shift) the inner stream.
+    // The k-th delivered completion is the k-th script.
     let delivered: Vec<&str> = results.iter().flatten().map(|c| c.content.as_str()).collect();
     let expected = scripts(8);
     for (k, content) in delivered.iter().enumerate() {
         assert_eq!(*content, expected[k], "delivered completion #{k} shifted");
     }
-    assert_eq!(model.inner().remaining(), 8 - delivered.len(), "faults never drain the script");
+    let model = service.stop().pop().expect("the session's model");
+    assert_eq!(model.remaining(), 8 - delivered.len(), "faults never drain the script");
     assert_eq!(model.usage().calls, delivered.len() as u64);
 }
 
