@@ -9,6 +9,7 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::{Duration, Instant};
+use uvllm::metrics::hit_confirmed;
 use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
 use uvllm_designs::Design;
@@ -17,6 +18,7 @@ use uvllm_llm::{
     RepairPrompt, Step, Usage,
 };
 use uvllm_sim::SimBackend;
+use uvllm_uvm::tail_lines;
 
 /// MEIC's iteration budget (a dual-agent loop of ~10 rounds).
 const MEIC_ITERATIONS: usize = 10;
@@ -117,33 +119,35 @@ impl<'d> MeicRun<'d> {
             return Step::Done(self.finish(self.passes(memo), wall));
         }
         self.iterations += 1;
-        // Run the method's own (weak) acceptance test.
-        let log = match directed_stage(&self.code, design, memo) {
+        // Run the method's own (weak) acceptance test; its log's last
+        // lines are the feedback.
+        let log_tail = match directed_stage(&self.code, design, memo) {
             // NOTE: if the weak tests never trip over the bug, MEIC
             // exits here *without any repair* — the escape the paper
             // measured at ~10%.
             UvmOutcome::Ran(run) if run.all_passed() => return Step::Done(self.finish(true, wall)),
-            UvmOutcome::Ran(run) => run.log.render(),
+            UvmOutcome::Ran(run) => run.log.render_tail(15),
             UvmOutcome::BuildFailed(msg) => {
                 // Compiler output, minimally processed.
                 let lint = memo.lint(design.name, &self.code);
-                if lint.diagnostics.is_empty() {
+                let log = if lint.diagnostics.is_empty() {
                     format!("%Error: dut.v:1:1: {msg}")
                 } else {
                     lint.render(&self.code)
-                }
+                };
+                tail_lines(&log, 15)
             }
         };
         self.time += wall.elapsed();
         Step::NeedLlm(
             RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &self.code)
-                .with_error_info(ErrorInfo::RawLog(tail(&log, 15)))
+                .with_error_info(ErrorInfo::RawLog(log_tail))
                 .with_output_mode(OutputMode::Complete),
         )
     }
 
     fn passes(&self, memo: &StageMemo) -> bool {
-        matches!(directed_stage(&self.code, self.design, memo), UvmOutcome::Ran(r) if r.all_passed())
+        hit_confirmed(self.design, &self.code, memo)
     }
 
     fn finish(&mut self, claimed: bool, wall: Instant) -> MethodOutcome {
@@ -222,10 +226,7 @@ impl<'d> GptDirectRun<'d> {
                 match CompleteResponse::parse(&completion.content) {
                     Ok(resp) if !resp.code.trim().is_empty() => {
                         self.best = resp.code;
-                        matches!(
-                            directed_stage(&self.best, self.design, memo),
-                            UvmOutcome::Ran(r) if r.all_passed()
-                        )
+                        hit_confirmed(self.design, &self.best, memo)
                     }
                     _ => false,
                 }
@@ -255,12 +256,6 @@ fn outcome(code: &mut String, claimed: bool, iterations: usize, time: Duration) 
         time,
         usage: Usage::default(),
     }
-}
-
-fn tail(text: &str, n: usize) -> String {
-    let lines: Vec<&str> = text.lines().collect();
-    let start = lines.len().saturating_sub(n);
-    lines[start..].join("\n")
 }
 
 #[cfg(test)]

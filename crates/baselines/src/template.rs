@@ -8,6 +8,7 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::Instant;
+use uvllm::metrics::hit_confirmed;
 use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
 use uvllm_designs::Design;
@@ -144,11 +145,6 @@ fn unrepaired(src: &str) -> MethodOutcome {
     }
 }
 
-/// Whether a run of the public tests built and passed.
-fn passed(public_run: &UvmOutcome) -> bool {
-    matches!(public_run, UvmOutcome::Ran(run) if run.all_passed())
-}
-
 /// Shared search driver for the two template methods. `src_passes`:
 /// the untouched `src` already passes the public tests.
 fn template_search(
@@ -178,7 +174,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if passed(&directed_stage(&candidate, design, memo)) {
+        if hit_confirmed(design, &candidate, memo) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -240,7 +236,7 @@ impl RepairMethod for StriderRepair<'_> {
         let memo = self.memo.unwrap_or(&own_memo);
         // Localize: which outputs mismatch on the public tests?
         let public_run = directed_stage(src, design, memo);
-        let src_passes = passed(&public_run);
+        let src_passes = matches!(&public_run, UvmOutcome::Ran(run) if run.all_passed());
         let mismatch_signals: Vec<String> = match public_run {
             UvmOutcome::Ran(run) => {
                 let mut s: Vec<String> = run.mismatches.iter().map(|m| m.signal.clone()).collect();
@@ -312,7 +308,7 @@ impl RepairMethod for RtlRepair<'_> {
         candidates.extend(template_candidates(src, &tokens, None));
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
-        let src_passes = passed(&directed_stage(src, design, memo));
+        let src_passes = hit_confirmed(design, src, memo);
         template_search(design, src, src_passes, candidates, self.budget, memo)
     }
 }
@@ -320,7 +316,7 @@ impl RepairMethod for RtlRepair<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvllm::metrics::{fix_confirmed, hit_confirmed};
+    use uvllm::metrics::fix_confirmed;
     use uvllm_designs::by_name;
 
     #[test]

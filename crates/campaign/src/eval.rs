@@ -53,13 +53,12 @@ pub struct LlmPolicy<'s> {
     /// Each job's retry/breaker/degradation policy (per-job jitter
     /// derivation, same salt discipline as the fault plan).
     resilience: Option<ResiliencePolicy>,
-    /// Wraps every job's finished handle: a test's stub in front of it.
-    #[cfg(test)]
-    pub(crate) wrap: Option<WrapService>,
+    /// Wraps every job's finished handle ([`LlmPolicy::with_wrap`]).
+    wrap: Option<WrapService>,
 }
 
-#[cfg(test)]
-pub(crate) type WrapService = fn(Box<dyn LlmService>) -> Box<dyn LlmService>;
+/// A layer put in front of every job's [`LlmService`] handle.
+pub type WrapService = fn(Box<dyn LlmService>) -> Box<dyn LlmService>;
 
 impl LlmPolicy<'static> {
     /// Per-job direct services: the default.
@@ -71,7 +70,6 @@ impl LlmPolicy<'static> {
             latency: None,
             fault: None,
             resilience: None,
-            #[cfg(test)]
             wrap: None,
         }
     }
@@ -131,6 +129,13 @@ impl<'s> LlmPolicy<'s> {
         LlmPolicy { resilience, ..self }
     }
 
+    /// Puts `wrap` in front of every job's handle: a stub, or a tap that
+    /// sees every prompt and answer of the job. Rows do not move as long
+    /// as the layer passes prompts and answers through unchanged.
+    pub fn with_wrap(self, wrap: WrapService) -> Self {
+        LlmPolicy { wrap: Some(wrap), ..self }
+    }
+
     /// Builds a job's service handle, deriving its fault and jitter
     /// streams from `salt` (the job's oracle seed) so both replay
     /// per-job regardless of worker count or pop order.
@@ -143,7 +148,6 @@ impl<'s> LlmPolicy<'s> {
             )),
             None => Box::new(DirectService::new(model)),
         };
-        #[cfg(test)]
         if let Some(wrap) = self.wrap {
             return wrap(service);
         }

@@ -102,6 +102,7 @@ pub use engine::{
 };
 pub use eval::{
     evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
+    WrapService,
 };
 pub use job::{expand_jobs, fnv1a64, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};

@@ -711,8 +711,7 @@ mod tests {
             round_trip: Duration::from_millis(10),
             ..uvllm_llm::BatchConfig::default()
         });
-        let mut llm = LlmPolicy::batched(&service);
-        llm.wrap = Some(|inner| Box::new(Counting(inner)));
+        let llm = LlmPolicy::batched(&service).with_wrap(|inner| Box::new(Counting(inner)));
         // Syntax mutants: every job of these methods asks the LLM.
         let methods = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect];
         let jobs = jobs_on("alu_8bit", &methods, 6);

@@ -2,8 +2,8 @@
 //!
 //! Everything the methods learn about a candidate text that is a pure
 //! function of it — its elaboration, its lint report, what the UVM stage
-//! found, its verdict — is kept in one entry per `(design, text)`, each
-//! slot filled by its first asker. The loop of Fig. 2 re-enters every
+//! found, whether it passes the public tests, its verdict — is kept in
+//! one entry per `(design, text)`, each slot filled by its first asker. The loop of Fig. 2 re-enters every
 //! stage with the text it already had whenever a repair does not apply
 //! or a rollback restores the best version, UVLLM and UVLLM(comp) start
 //! from the same mutant, and methods end on few distinct texts, so
@@ -40,13 +40,14 @@ impl SlotMetrics {
     }
 }
 
-/// `campaign.stage_memo.{elab,lint,uvm}.*`, `campaign.verdict_memo.*`
+/// `campaign.stage_memo.{elab,lint,uvm,hit}.*`, `campaign.verdict_memo.*`
 /// and `campaign.stage_memo.wait_us`.
 #[derive(Debug)]
 struct MemoMetrics {
     elab: SlotMetrics,
     lint: SlotMetrics,
     uvm: SlotMetrics,
+    hit: SlotMetrics,
     verdict: SlotMetrics,
     /// Time an asker that found a slot empty spent waiting for another
     /// thread to fill it, any slot kind.
@@ -59,6 +60,7 @@ fn metrics() -> &'static MemoMetrics {
         elab: SlotMetrics::named("campaign.stage_memo.elab"),
         lint: SlotMetrics::named("campaign.stage_memo.lint"),
         uvm: SlotMetrics::named("campaign.stage_memo.uvm"),
+        hit: SlotMetrics::named("campaign.stage_memo.hit"),
         verdict: SlotMetrics::named("campaign.verdict_memo"),
         wait_us: uvllm_obs::registry().histogram("campaign.stage_memo.wait_us"),
     })
@@ -156,11 +158,12 @@ struct Entry {
     elab: OnceLock<Elaborated>,
     lint: OnceLock<Arc<LintReport>>,
     uvm: OnceLock<Arc<UvmFacts>>,
+    hit: OnceLock<bool>,
     verdict: OnceLock<Judgement>,
 }
 
-/// `(design name, text)` → elaboration, lint report, UVM-stage facts
-/// and verdict, keyed on the full text (a hash collision would be a
+/// `(design name, text)` → elaboration, lint report, UVM-stage facts,
+/// hit and verdict, keyed on the full text (a hash collision would be a
 /// wrong row).
 ///
 /// Every slot is filled once, with in-flight dedup: the map lock is held
@@ -189,6 +192,7 @@ pub struct Analysed {
     pub elab: Option<Elaborated>,
     pub lint: Option<Arc<LintReport>>,
     pub uvm: Option<Arc<UvmFacts>>,
+    pub hit: Option<bool>,
     pub verdict: Option<Judgement>,
 }
 
@@ -210,6 +214,7 @@ impl StageMemo {
                     elab: OnceLock::new(),
                     lint: OnceLock::new(),
                     uvm: OnceLock::new(),
+                    hit: OnceLock::new(),
                     verdict: OnceLock::new(),
                 });
                 of_design.insert(text, Arc::clone(&entry));
@@ -308,6 +313,14 @@ impl StageMemo {
         }
     }
 
+    /// Whether `text`, an implementation of `design`, passes the public
+    /// tests, running `confirm` only if no caller has asked before
+    /// ([`crate::metrics::hit_confirmed`]): a template candidate, a
+    /// sample or a final text is run once whoever asks.
+    pub fn hit(&self, design: &'static str, text: &str, confirm: impl FnOnce() -> bool) -> bool {
+        fill(&self.entry(design, text).hit, &metrics().hit, confirm)
+    }
+
     /// The judgement of `text` as an implementation of `design`,
     /// running `judge` only if no caller has judged this text before.
     pub fn judge(
@@ -333,6 +346,7 @@ impl StageMemo {
                     elab: entry.elab.get().cloned(),
                     lint: entry.lint.get().cloned(),
                     uvm: entry.uvm.get().cloned(),
+                    hit: entry.hit.get().copied(),
                     verdict: entry.verdict.get().copied(),
                 });
             }
@@ -505,7 +519,10 @@ mod tests {
             memo.analysed().into_iter().filter(|a| a.design == design().name).collect();
         assert_eq!(of_mux4.len(), 1);
         assert!(of_mux4[0].lint.is_some() && of_mux4[0].uvm.is_none());
-        assert!(of_mux4[0].verdict.is_none());
+        assert!(of_mux4[0].hit.is_none() && of_mux4[0].verdict.is_none());
+        assert!(memo.hit("a", "text", || true));
+        assert!(memo.hit("a", "text", || unreachable!("memoised")));
+        assert!(!memo.hit("b", "text", || false));
         assert_eq!(memo.judged().len(), 2);
     }
 
@@ -545,6 +562,7 @@ mod tests {
                 other.elab.is_none()
                     && other.lint.is_none()
                     && other.uvm.is_none()
+                    && other.hit.is_none()
                     && other.verdict.is_none(),
                 "{kind}: the slot stayed empty"
             );

@@ -138,9 +138,12 @@ fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
     seqs
 }
 
-/// Hit-Rate check: does `code` pass the public directed vectors?
+/// Hit-Rate check: does `code` pass the public directed vectors? A
+/// verdict run, asked once per text through `memo`'s hit slot — the
+/// question template search, the baselines' acceptance checks and every
+/// job's judgement all ask.
 pub fn hit_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
-    run_verdict(code, design, hit_seqs(design), memo).passed()
+    memo.hit(design.name, code, || run_verdict(code, design, hit_seqs(design), memo).passed())
 }
 
 /// Fix-Rate check: extended differential validation against the golden

@@ -15,12 +15,11 @@ use uvllm_llm::{
 };
 use uvllm_sim::{Logic, SimBackend, Simulator};
 use uvllm_uvm::{
-    CornerSequence, DirectedSequence, DutInterface, Environment, RandomSequence, RunSummary,
-    Sequence, UvmError, UvmLog,
+    CornerSequence, DirectedSequence, DutInterface, Environment, KeptRecords, RandomSequence,
+    RunSummary, Sequence, UvmError,
 };
 
-/// Limit on mismatch records forwarded to prompts (token budget).
-pub const MAX_MISMATCH_RECORDS: usize = 5;
+pub use uvllm_uvm::MAX_MISMATCH_RECORDS;
 
 /// Statistics of one pre-processing invocation.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -168,7 +167,9 @@ pub(crate) fn environment(
 }
 
 /// Runs the UVM testbench (random + corner sequences against the golden
-/// reference model) on `code`, elaborated through `memo`.
+/// reference model) on `code`, elaborated through `memo`. The run
+/// records waveform frames only where post-processing reads them
+/// ([`Environment::frames_at_kept_records`]).
 pub fn uvm_stage(
     code: &str,
     design: &Design,
@@ -182,7 +183,7 @@ pub fn uvm_stage(
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
     match environment(code, design, iface, seqs, memo) {
-        Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
+        Ok(env) => UvmOutcome::Ran(Box::new(env.frames_at_kept_records().run())),
         Err(UvmError::Elab(m)) => UvmOutcome::BuildFailed(m),
         Err(UvmError::MissingPort(p)) => {
             UvmOutcome::BuildFailed(format!("DUT lost its port '{p}'"))
@@ -203,21 +204,24 @@ pub fn uvm_stage_with(
     uvm_stage(code, design, cycles, seed, &StageMemo::new())
 }
 
-/// Runs the weak directed public testbench (`T_pub`) — the evaluation's
-/// Hit-Rate test set and the feedback loop of the baseline methods — on
-/// `code`, elaborated through `memo`.
+/// Runs the weak directed public testbench (`T_pub`) to its end on
+/// `code`, elaborated through `memo`, for a caller that reads the run's
+/// log or mismatches (the baselines' feedback); no waveform is
+/// recorded. A caller that keeps only whether the text passes asks
+/// [`crate::metrics::hit_confirmed`], which stops at the first mismatch
+/// and is memoised.
 pub fn directed_stage(code: &str, design: &Design, memo: &StageMemo) -> UvmOutcome {
     let seqs: Vec<Box<dyn Sequence>> =
         vec![Box::new(DirectedSequence::new("public", (design.directed_vectors)()))];
     match environment(code, design, (design.iface)(), seqs, memo) {
-        Ok(env) => UvmOutcome::Ran(Box::new(env.run())),
+        Ok(env) => UvmOutcome::Ran(Box::new(env.without_waveform().run())),
         Err(e) => UvmOutcome::BuildFailed(e.to_string()),
     }
 }
 
 /// What post-processing keeps of a failed UVM run — the first half of
-/// Algorithm 2, everything that needs the log and the waveform. It is
-/// small (at most [`MAX_MISMATCH_RECORDS`] records and one waveform
+/// Algorithm 2, everything that needs the records and the waveform. It
+/// is small (at most [`MAX_MISMATCH_RECORDS`] records and one waveform
 /// frame), so a memo can hold it where it could not hold the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Localized {
@@ -226,12 +230,12 @@ pub struct Localized {
 
 #[derive(Debug, Clone, PartialEq)]
 enum Found {
-    /// The log has no mismatch line (the run aborted before one): its
-    /// last lines.
+    /// The run has no mismatch record (it aborted before one): the last
+    /// lines of its log.
     RawLog(String),
     Mismatches {
-        /// At most [`MAX_MISMATCH_RECORDS`], two per signal, in log
-        /// order, each with the input values at its timestamp.
+        /// The records [`KeptRecords`] keeps, in log order, each with
+        /// the input values at its timestamp.
         records: Vec<MismatchInfo>,
         /// Every signal at the first record's timestamp — what the
         /// dynamic slice of SL mode is taken under.
@@ -240,43 +244,39 @@ enum Found {
 }
 
 /// Post-processing, first half (Algorithm 2's `getMismatch` and
-/// `getInputValue`): reads mismatch timestamps/signals off the rendered
-/// UVM log and joins the input values from the waveform. The scan ends
-/// once [`MAX_MISMATCH_RECORDS`] are kept or every output port has its
-/// two: no later line can add a record.
+/// `getInputValue`): takes the kept mismatch records off the run's
+/// typed records — the ones its log lines render — and joins the input
+/// values from the waveform. The scan ends once no later record can be
+/// kept.
 pub fn localize(design: &Design, run: &RunSummary) -> Localized {
     let iface = (design.iface)();
+    let mut kept = KeptRecords::new(iface.outputs.len());
     let mut records: Vec<MismatchInfo> = Vec::new();
-    let mut full_ports = 0;
-    'scan: for entry in &run.log.entries {
-        let rendered = entry.render();
-        for line in rendered.lines() {
-            let Some((time, signal, expected, actual)) = UvmLog::parse_mismatch_line(line) else {
-                continue;
-            };
-            let kept = records.iter().filter(|r| r.signal == signal).count();
-            if kept >= 2 {
-                continue; // at most two records per signal
-            }
-            if kept == 1 && iface.outputs.iter().any(|p| p.name == signal) {
-                full_ports += 1;
-            }
-            // getInputValue(W_S, MT).
-            let input_values = iface
-                .inputs
-                .iter()
-                .filter_map(|p| {
-                    run.waveform.value_at(&p.name, time).map(|v| (p.name.clone(), v.to_string()))
-                })
-                .collect();
-            records.push(MismatchInfo { time, signal, expected, actual, input_values });
-            if records.len() >= MAX_MISMATCH_RECORDS || full_ports == iface.outputs.len() {
-                break 'scan;
-            }
+    for (i, m) in run.mismatches.iter().enumerate() {
+        if kept.is_done() {
+            break;
         }
+        if !kept.offer(&run.mismatches, i) {
+            continue;
+        }
+        // getInputValue(W_S, MT).
+        let input_values = iface
+            .inputs
+            .iter()
+            .filter_map(|p| {
+                run.waveform.value_at(&p.name, m.time).map(|v| (p.name.clone(), v.to_string()))
+            })
+            .collect();
+        records.push(MismatchInfo {
+            time: m.time,
+            signal: m.signal.clone(),
+            expected: m.expected.to_string(),
+            actual: m.actual.to_string(),
+            input_values,
+        });
     }
     let found = match records.first() {
-        None => Found::RawLog(tail(&run.log.render(), 10)),
+        None => Found::RawLog(run.log.render_tail(10)),
         Some(first) => {
             let snapshot = run.waveform.snapshot_at(first.time);
             Found::Mismatches { records, snapshot }
@@ -330,12 +330,6 @@ impl Localized {
 /// mode — slices `code` for its suspicious lines.
 pub fn postprocess(code: &str, design: &Design, run: &RunSummary, sl_mode: bool) -> ErrorInfo {
     localize(design, run).error_info(code, design, sl_mode)
-}
-
-fn tail(text: &str, n: usize) -> String {
-    let lines: Vec<&str> = text.lines().collect();
-    let start = lines.len().saturating_sub(n);
-    lines[start..].join("\n")
 }
 
 /// One repair-agent invocation: builds the prompt, calls the model,

@@ -8,6 +8,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded input — a request body of
+/// 100 000 `[` — would overflow the stack and abort the process; past
+/// this depth it is a parse error instead. Nothing this workspace
+/// writes nests deeper than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -78,9 +85,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first problem.
+    /// Returns a message with the byte offset of the first problem,
+    /// nesting deeper than [`MAX_DEPTH`] included.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -109,14 +117,14 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
                 items[i].write(out, indent, depth + 1);
             }),
             Json::Obj(members) => {
                 write_seq(out, indent, depth, '{', '}', members.len(), |out, i| {
                     let (k, v) = &members[i];
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -126,6 +134,35 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends `text` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped, every other run of bytes copied whole.
+pub fn write_string(out: &mut String, text: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // The byte is ASCII, so both ends of the run are char boundaries.
+        out.push_str(&text[run..i]);
+        run = i + 1;
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&text[run..]);
+    out.push('"');
 }
 
 /// Convenience constructor for string values.
@@ -174,27 +211,12 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,8 +245,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -232,6 +254,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing past
+    /// [`MAX_DEPTH`] instead of recursing on.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -261,74 +295,68 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self.peek().ok_or_else(|| "unterminated string".to_string())?;
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or_else(|| "unterminated string".to_string())?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let e = self.peek().ok_or_else(|| "unterminated escape".to_string())?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.peek().ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs: join when a low surrogate
-                            // follows, replace lone surrogates.
-                            let c = if (0xD800..0xDC00).contains(&cp)
-                                && self.bytes.get(self.pos) == Some(&b'\\')
-                                && self.bytes.get(self.pos + 1) == Some(&b'u')
-                            {
-                                let lo_hex = self
-                                    .bytes
-                                    .get(self.pos + 2..self.pos + 6)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                match u32::from_str_radix(lo_hex, 16) {
-                                    Ok(lo) if (0xDC00..0xE000).contains(&lo) => {
-                                        self.pos += 6;
-                                        let joined =
-                                            0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                        char::from_u32(joined).unwrap_or('\u{FFFD}')
-                                    }
-                                    _ => '\u{FFFD}',
-                                }
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let c = self.unicode_escape()?;
+                    out.push(c);
                 }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at b.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("invalid UTF-8 at byte {start}"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose hex digits start at `pos`.
+    /// Surrogate pairs: join when a low surrogate follows, replace lone
+    /// surrogates.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        let cp = u32::from_str_radix(hex, 16)
+            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        if !((0xD800..0xDC00).contains(&cp)
+            && self.bytes.get(self.pos) == Some(&b'\\')
+            && self.bytes.get(self.pos + 1) == Some(&b'u'))
+        {
+            return Ok(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+        }
+        let lo_hex = self
+            .bytes
+            .get(self.pos + 2..self.pos + 6)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        Ok(match u32::from_str_radix(lo_hex, 16) {
+            Ok(lo) if (0xDC00..0xE000).contains(&lo) => {
+                self.pos += 6;
+                let joined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                char::from_u32(joined).unwrap_or('\u{FFFD}')
+            }
+            _ => '\u{FFFD}',
+        })
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -383,15 +411,6 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +454,49 @@ mod tests {
     fn unicode_in_strings_survives() {
         let v = Json::parse("{\"k\": \"héllo — ≤ 𝄞\"}").unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("héllo — ≤ 𝄞"));
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_an_abort() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Json::parse(&past).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // A hostile body: far past any stack, answered as an error.
+        let hostile = "[".repeat(100_000);
+        assert!(Json::parse(&hostile).unwrap_err().contains("nesting deeper than"));
+        let mixed = "[{\"a\":".repeat(50_000);
+        assert!(Json::parse(&mixed).unwrap_err().contains("nesting deeper than"));
+    }
+
+    #[test]
+    fn strings_decode_and_encode_in_runs() {
+        let cases = [
+            "",
+            "plain ascii",
+            "ends with escape\n",
+            "\"quoted\" \\ back\\slash",
+            "ctl \u{1} \u{1f} \u{7f} del",
+            "héllo — ≤ 𝄞 mixed\twith\r\nescapes",
+        ];
+        for text in cases {
+            let mut rendered = String::new();
+            write_string(&mut rendered, text);
+            assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(text), "{rendered}");
+        }
+        let mut rendered = String::new();
+        write_string(&mut rendered, "a\u{1}b\"c\\d\ne");
+        assert_eq!(rendered, r#""a\u0001b\"c\\d\ne""#);
+        let decoded = Json::parse(r#""\/\b\f\u00e9\ud834\udd1e \ud834 x""#).unwrap();
+        assert_eq!(decoded.as_str(), Some("/\u{8}\u{c}é𝄞 \u{FFFD} x"));
+        assert_eq!(Json::parse("\"open").unwrap_err(), "unterminated string");
+        assert_eq!(Json::parse("\"open\\").unwrap_err(), "unterminated escape");
+        assert_eq!(Json::parse(r#""bad \q""#).unwrap_err(), "bad escape at byte 6");
     }
 
     #[test]

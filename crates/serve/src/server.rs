@@ -459,6 +459,26 @@ mod tests {
         server.shutdown();
     }
 
+    /// A body nested past `uvllm_json::MAX_DEPTH` is a 400 on every
+    /// endpoint that parses one, and the server serves the next request
+    /// (it used to overflow the handler's stack and abort the process).
+    #[test]
+    fn a_deeply_nested_body_is_a_400_and_the_server_serves_on() {
+        let server = test_server("nested");
+        let addr = server.addr().to_string();
+        let hostile = "[".repeat(100_000);
+        for path in ["/jobs", "/lease", "/heartbeat", "/complete"] {
+            let (status, body) = http::request(&addr, "POST", path, &hostile).unwrap();
+            assert_eq!(status, 400, "{path}: {body}");
+            assert!(body.contains("nesting deeper than 128 levels at byte 128"), "{path}: {body}");
+        }
+        let (status, body) = http::request(&addr, "GET", "/healthz", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        let (status, body) = http::request(&addr, "POST", "/jobs", "{\"size\": 2}").unwrap();
+        assert_eq!(status, 200, "{body}");
+        server.shutdown();
+    }
+
     /// A run the aggregator knows and the store does not answers the
     /// client with a 500 instead of panicking the handler thread.
     #[test]

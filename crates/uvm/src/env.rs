@@ -5,7 +5,7 @@ use crate::assertion::Assertion;
 use crate::iface::{DutInterface, Transaction};
 use crate::log::UvmLog;
 use crate::refmodel::{IoFrame, IoSpec, RefModel};
-use crate::scoreboard::{Coverage, Mismatch, Scoreboard};
+use crate::scoreboard::{Coverage, KeptRecords, Mismatch, Scoreboard};
 use crate::sequence::Sequence;
 use std::fmt;
 use uvllm_sim::{Logic, SimBackend, SimControl, SimError, Simulator, Waveform};
@@ -139,9 +139,12 @@ pub struct RunSummary {
     pub pass_rate: f64,
     /// All mismatches in time order.
     pub mismatches: Vec<Mismatch>,
-    /// Rendered UVM log.
+    /// The UVM log.
     pub log: UvmLog,
-    /// Recorded waveform (one capture per checked cycle).
+    /// Recorded waveform frames: one per checked cycle by default, only
+    /// at the cycles of kept records under
+    /// [`Environment::frames_at_kept_records`], none under
+    /// [`Environment::without_waveform`] (an empty waveform).
     pub waveform: Waveform,
     /// Input-bin coverage in `[0, 1]`.
     pub input_coverage: f64,
@@ -185,7 +188,11 @@ pub struct Environment {
     scoreboard: Scoreboard,
     coverage: Coverage,
     log: UvmLog,
-    wave: Waveform,
+    /// Built at the first frame, so a run that records none builds none.
+    wave: Option<Waveform>,
+    frames: Frames,
+    /// The records Algorithm 2 keeps, under [`Frames::AtKeptRecords`].
+    kept: KeptRecords,
     assertions: Vec<Assertion>,
     assertion_failures: usize,
     /// Interned I/O layout shared with the reference model; also the
@@ -204,13 +211,20 @@ pub struct Environment {
     inputs_buf: Vec<Logic>,
     outputs_buf: Vec<Logic>,
     expected_buf: Vec<Logic>,
-    /// When false, per-cycle waveform capture is skipped — pass/fail
-    /// harnesses (the campaign's metric runs) don't pay for frames
-    /// nobody reads.
-    record_waveform: bool,
     /// When true, the run ends after the first cycle the scoreboard
     /// rejects ([`Environment::stop_at_first_mismatch`]).
     stop_at_first_mismatch: bool,
+}
+
+/// Which cycles a run records a waveform frame at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Frames {
+    /// Every checked cycle.
+    Every,
+    /// The cycles holding a mismatch record Algorithm 2 keeps.
+    AtKeptRecords,
+    /// None.
+    Off,
 }
 
 impl fmt::Debug for Environment {
@@ -256,7 +270,6 @@ impl Environment {
             iface.outputs.iter().map(|p| (p.name.clone(), resolve(&p.name))).collect();
         let clock_id = iface.clock.as_deref().map(resolve);
         let reset_line = iface.reset.as_ref().map(|r| (resolve(&r.name), r.active_low));
-        let wave = Waveform::new(&sim);
         // Intern the port layout once and hand it to the model: all
         // per-cycle traffic from here on is slot-indexed.
         let spec = IoSpec::from_interface(&iface);
@@ -264,6 +277,7 @@ impl Environment {
         let inputs_buf = iface.inputs.iter().map(|p| Logic::xs(p.width)).collect();
         let outputs_buf: Vec<Logic> = iface.outputs.iter().map(|p| Logic::xs(p.width)).collect();
         let expected_buf = outputs_buf.clone();
+        let kept = KeptRecords::new(iface.outputs.len());
         Ok(Environment {
             sim,
             iface,
@@ -277,7 +291,9 @@ impl Environment {
             scoreboard: Scoreboard::new(),
             coverage: Coverage::new(),
             log: UvmLog::new(),
-            wave,
+            wave: None,
+            frames: Frames::Every,
+            kept,
             assertions: Vec::new(),
             assertion_failures: 0,
             spec,
@@ -288,7 +304,6 @@ impl Environment {
             inputs_buf,
             outputs_buf,
             expected_buf,
-            record_waveform: true,
             stop_at_first_mismatch: false,
         })
     }
@@ -300,13 +315,23 @@ impl Environment {
         self
     }
 
-    /// Disables per-cycle waveform capture. Pass/fail harnesses that
-    /// never query the waveform (metric runs, baseline acceptance
-    /// tests) skip the one remaining per-cycle allocation; the summary
-    /// then carries an empty waveform. Repair pipelines that feed the
-    /// localization engine must keep capture on (the default).
+    /// Disables waveform capture. Pass/fail harnesses that never query
+    /// the waveform (metric runs, baseline acceptance tests) skip the
+    /// one remaining per-cycle allocation; the summary then carries an
+    /// empty waveform.
     pub fn without_waveform(mut self) -> Self {
-        self.record_waveform = false;
+        self.frames = Frames::Off;
+        self
+    }
+
+    /// Records a frame only at the cycles holding a mismatch record
+    /// Algorithm 2 keeps ([`KeptRecords`]): the frames post-processing
+    /// reads — the input values at each kept record and the snapshot at
+    /// the first — and no other. The waveform answers those timestamps
+    /// exactly as a frame per cycle would; the log, the records and the
+    /// pass rate are those of the full run.
+    pub fn frames_at_kept_records(mut self) -> Self {
+        self.frames = Frames::AtKeptRecords;
         self
     }
 
@@ -417,7 +442,7 @@ impl Environment {
             pass_rate,
             mismatches: self.scoreboard.into_mismatches(),
             log: self.log,
-            waveform: self.wave,
+            waveform: self.wave.unwrap_or_default(),
             input_coverage: self.coverage.input_coverage(),
             toggle_coverage: self.coverage.toggle_coverage(),
             aborted,
@@ -463,7 +488,7 @@ impl Environment {
     /// in reused slot-ordered buffers, and the reference model
     /// reads/writes its [`IoFrame`] in place — the steady state
     /// performs no name lookups and no per-cycle allocations beyond the
-    /// waveform frame.
+    /// waveform frame a run that records one per cycle takes.
     fn one_cycle(&mut self, cycle: usize, txn: &Transaction) -> Result<(), SimError> {
         self.in_agent.driver.drive_resolved(&mut self.sim, &self.in_ports, txn)?;
         if let Some(clk) = self.clock_id {
@@ -471,8 +496,8 @@ impl Environment {
         }
 
         // Capture the post-edge state for the localization engine.
-        if self.record_waveform {
-            self.wave.capture(&self.sim);
+        if self.frames == Frames::Every {
+            self.capture();
         }
 
         self.in_agent.monitor.observe_slots(
@@ -503,8 +528,16 @@ impl Environment {
             &self.outputs_buf,
         );
         if !ok {
-            for m in &self.scoreboard.mismatches()[before..] {
+            let records = self.scoreboard.mismatches();
+            let mut kept = false;
+            for (i, m) in records.iter().enumerate().skip(before) {
                 self.log.mismatch(m);
+                kept |= self.frames == Frames::AtKeptRecords && self.kept.offer(records, i);
+            }
+            // The monitors, the model and the scoreboard only read the
+            // design: this is the post-edge state a frame per cycle holds.
+            if kept {
+                self.capture();
             }
         }
         self.coverage.sample(&self.inputs_buf, &self.outputs_buf);
@@ -529,6 +562,12 @@ impl Environment {
         }
         self.sim.set_time(self.sim.time() + CYCLE_TIME);
         Ok(())
+    }
+
+    /// Records a frame of the design's current state.
+    fn capture(&mut self) {
+        let sim = &self.sim;
+        self.wave.get_or_insert_with(|| Waveform::new(sim)).capture(sim);
     }
 }
 
@@ -595,6 +634,46 @@ mod tests {
         assert_eq!(parsed[0].1, "y");
         // Waveform recorded one frame per cycle.
         assert_eq!(summary.waveform.len(), summary.cycles);
+    }
+
+    #[test]
+    fn kept_record_frames_answer_like_a_frame_per_cycle() {
+        let run = |kept_only: bool| {
+            let iface = adder_iface();
+            let seqs: Vec<Box<dyn Sequence>> =
+                vec![Box::new(RandomSequence::new(&iface.inputs, 30, 7))];
+            let env = Environment::from_source(BAD_ADDER, "add", iface, adder_model(), seqs)
+                .expect("env");
+            if kept_only {
+                env.frames_at_kept_records().run()
+            } else {
+                env.run()
+            }
+        };
+        let (every, kept) = (run(false), run(true));
+        assert_eq!(kept.log, every.log);
+        assert_eq!(kept.mismatches, every.mismatches);
+        assert_eq!(kept.pass_rate, every.pass_rate);
+        // One output, so two records are all Algorithm 2 keeps.
+        assert!(every.mismatches.len() > 2);
+        assert_eq!(kept.waveform.len(), 2);
+        for m in &every.mismatches[..2] {
+            for name in ["a", "b", "y"] {
+                assert_eq!(
+                    kept.waveform.value_at(name, m.time),
+                    every.waveform.value_at(name, m.time)
+                );
+            }
+            assert_eq!(kept.waveform.snapshot_at(m.time), every.waveform.snapshot_at(m.time));
+        }
+        // A run that records no frame builds no waveform.
+        let iface = adder_iface();
+        let seqs: Vec<Box<dyn Sequence>> =
+            vec![Box::new(RandomSequence::new(&iface.inputs, 30, 7))];
+        let env = Environment::from_source(GOOD_ADDER, "add", iface, adder_model(), seqs);
+        let passing = env.expect("env").frames_at_kept_records().run();
+        assert!(passing.all_passed() && passing.waveform.is_empty());
+        assert!(passing.waveform.names().is_empty());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! UVLLM paper, Fig. 3): sequences feed a sequencer, a driver translates
 //! transactions to pin wiggles on the simulated DUT, monitors sample
 //! pins, and a scoreboard compares against an executable reference model
-//! while collecting functional coverage. Runs emit a UVM-style log whose
-//! mismatch lines the post-processing stage parses, plus a waveform for
-//! time-aware slicing.
+//! while collecting functional coverage. Runs emit a UVM-style log, the
+//! typed mismatch records the post-processing stage reads, and waveform
+//! frames for time-aware slicing.
 //!
 //! The environment↔reference-model boundary is index-based: port names
 //! are interned once into an [`IoSpec`] and each cycle's values cross
@@ -55,7 +55,7 @@ pub mod sequence;
 pub use assertion::Assertion;
 pub use env::{Driver, Environment, Monitor, RunSummary, Sequencer, UvmError, CYCLE_TIME};
 pub use iface::{DutInterface, PortSig, ResetSpec, Transaction};
-pub use log::{LogEntry, UvmLog, UvmSeverity};
+pub use log::{tail_lines, LogEntry, LogMessage, UvmLog, UvmSeverity};
 pub use refmodel::{FnModel, InSlot, IoFrame, IoSpec, OutSlot, RefModel};
-pub use scoreboard::{Coverage, Mismatch, Scoreboard};
+pub use scoreboard::{Coverage, KeptRecords, Mismatch, Scoreboard, MAX_MISMATCH_RECORDS};
 pub use sequence::{CornerSequence, DirectedSequence, RandomSequence, Sequence};

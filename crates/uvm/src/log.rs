@@ -1,8 +1,12 @@
-//! UVM-style simulation log: the artefact the post-processing stage
-//! parses (Algorithm 2's `getMismatch` consumes these lines).
+//! UVM-style simulation log: the artefact Algorithm 2's `getMismatch`
+//! reads. Entries are kept typed — a scoreboard mismatch is its record,
+//! not its text — and formatted only when rendered, so a reader of the
+//! records ([`crate::RunSummary::mismatches`]) pays for no text and a
+//! reader of the text gets the same bytes as ever.
 
 use crate::scoreboard::Mismatch;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use uvllm_sim::Logic;
 
 /// Log severity, following UVM report levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,21 +28,54 @@ impl fmt::Display for UvmSeverity {
     }
 }
 
+/// What one log entry says.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogMessage {
+    Text(String),
+    /// A scoreboard mismatch, rendered in the canonical format
+    /// [`UvmLog::parse_mismatch_line`] reads back.
+    Mismatch {
+        signal: String,
+        expected: Logic,
+        actual: Logic,
+    },
+}
+
+impl fmt::Display for LogMessage {
+    /// The signal name is quote-escaped so [`UvmLog::parse_mismatches`]
+    /// recovers it byte-exactly whatever characters it contains.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LogMessage::Text(text) => f.write_str(text),
+            LogMessage::Mismatch { signal, expected, actual } => {
+                f.write_str("mismatch on signal '")?;
+                for c in signal.chars() {
+                    if c == '\\' || c == '\'' {
+                        f.write_char('\\')?;
+                    }
+                    f.write_char(c)?;
+                }
+                write!(f, "': expected {expected} actual {actual}")
+            }
+        }
+    }
+}
+
 /// One log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     pub severity: UvmSeverity,
     pub time: u64,
     /// Emitting component, e.g. `scoreboard`, `driver`.
-    pub component: String,
-    pub message: String,
+    pub component: &'static str,
+    pub message: LogMessage,
 }
 
-impl LogEntry {
-    /// Renders in UVM log style:
+impl fmt::Display for LogEntry {
+    /// UVM log style:
     /// `UVM_ERROR @ 125 [scoreboard] mismatch on signal 'sum': …`.
-    pub fn render(&self) -> String {
-        format!("{} @ {} [{}] {}", self.severity, self.time, self.component, self.message)
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} @ {} [{}] {}", self.severity, self.time, self.component, self.message)
     }
 }
 
@@ -55,41 +92,33 @@ impl UvmLog {
     }
 
     /// Appends an info entry.
-    pub fn info(&mut self, time: u64, component: &str, message: impl Into<String>) {
-        self.entries.push(LogEntry {
-            severity: UvmSeverity::Info,
-            time,
-            component: component.to_string(),
-            message: message.into(),
-        });
+    pub fn info(&mut self, time: u64, component: &'static str, message: impl Into<String>) {
+        self.push(UvmSeverity::Info, time, component, LogMessage::Text(message.into()));
     }
 
     /// Appends an error entry.
-    pub fn error(&mut self, time: u64, component: &str, message: impl Into<String>) {
-        self.entries.push(LogEntry {
-            severity: UvmSeverity::Error,
-            time,
-            component: component.to_string(),
-            message: message.into(),
-        });
+    pub fn error(&mut self, time: u64, component: &'static str, message: impl Into<String>) {
+        self.push(UvmSeverity::Error, time, component, LogMessage::Text(message.into()));
     }
 
-    /// Records a scoreboard mismatch in the canonical format parsed by
-    /// the localization engine. The signal name is quote-escaped so
-    /// [`UvmLog::parse_mismatches`] recovers it byte-exactly whatever
-    /// characters it contains.
+    /// Records a scoreboard mismatch (typed; formatted when rendered).
     pub fn mismatch(&mut self, m: &Mismatch) {
-        self.entries.push(LogEntry {
-            severity: UvmSeverity::Error,
-            time: m.time,
-            component: "scoreboard".to_string(),
-            message: format!(
-                "mismatch on signal '{}': expected {} actual {}",
-                escape_signal(&m.signal),
-                m.expected,
-                m.actual
-            ),
-        });
+        let message = LogMessage::Mismatch {
+            signal: m.signal.clone(),
+            expected: m.expected,
+            actual: m.actual,
+        };
+        self.push(UvmSeverity::Error, m.time, "scoreboard", message);
+    }
+
+    fn push(
+        &mut self,
+        severity: UvmSeverity,
+        time: u64,
+        component: &'static str,
+        message: LogMessage,
+    ) {
+        self.entries.push(LogEntry { severity, time, component, message });
     }
 
     /// Number of error entries.
@@ -100,9 +129,21 @@ impl UvmLog {
             .count()
     }
 
-    /// Renders the full log.
+    /// Renders the full log, one entry per line.
     pub fn render(&self) -> String {
-        self.entries.iter().map(LogEntry::render).collect::<Vec<_>>().join("\n")
+        render_entries(&self.entries)
+    }
+
+    /// The last `n` lines of [`UvmLog::render`] — `tail_lines(&log.render(),
+    /// n)` byte for byte — rendering only the entries they come from.
+    pub fn render_tail(&self, n: usize) -> String {
+        let mut lines = 0;
+        let mut from = self.entries.len();
+        while from > 0 && lines < n {
+            from -= 1;
+            lines += self.entries[from].to_string().lines().count();
+        }
+        tail_lines(&render_entries(&self.entries[from..]), n)
     }
 
     /// Parses mismatch lines back out of a rendered log:
@@ -133,17 +174,23 @@ impl UvmLog {
     }
 }
 
-/// Escapes a signal name for embedding between single quotes:
-/// `\` → `\\`, `'` → `\'`. Inverse of the scan in [`split_quoted`].
-fn escape_signal(signal: &str) -> String {
-    let mut out = String::with_capacity(signal.len());
-    for c in signal.chars() {
-        if c == '\\' || c == '\'' {
-            out.push('\\');
+/// `entries` rendered and joined with newlines.
+fn render_entries(entries: &[LogEntry]) -> String {
+    let mut out = String::new();
+    for (i, entry) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
         }
-        out.push(c);
+        let _ = write!(out, "{entry}");
     }
     out
+}
+
+/// The last `n` lines of `text` (as [`str::lines`] splits it), joined
+/// with newlines.
+pub fn tail_lines(text: &str, n: usize) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    lines[lines.len().saturating_sub(n)..].join("\n")
 }
 
 /// Splits `rest` at its first *unescaped* closing quote, returning the
@@ -190,6 +237,29 @@ mod tests {
         assert_eq!(parsed[0].1, "sum");
         assert_eq!(parsed[0].2, "8'h1a");
         assert_eq!(parsed[0].3, "8'h0a");
+    }
+
+    #[test]
+    fn render_tail_is_the_tail_of_the_rendered_log() {
+        let mut log = UvmLog::new();
+        assert_eq!(log.render_tail(10), "");
+        log.info(0, "driver", "reset sequence complete");
+        log.mismatch(&Mismatch {
+            time: 10,
+            cycle: 0,
+            signal: "it's".to_string(),
+            expected: Logic::from_u128(4, 0x3),
+            actual: Logic::xs(4),
+        });
+        log.error(20, "env", "aborted: first line\nsecond line\n\nfourth line");
+        log.error(30, "assert", "ends with a newline\n");
+        log.error(40, "assert", "carriage return\r\nthen more\r");
+        log.info(50, "env", "run complete: 5 cycles, pass rate 20.00%, 1 mismatches");
+        let rendered = log.render();
+        assert!(rendered.lines().count() > 8, "multi-line entries:\n{rendered}");
+        for n in 0..rendered.lines().count() + 3 {
+            assert_eq!(log.render_tail(n), tail_lines(&rendered, n), "n = {n}");
+        }
     }
 
     #[test]

@@ -24,6 +24,55 @@ pub struct Mismatch {
     pub actual: Logic,
 }
 
+/// Limit on the mismatch records Algorithm 2 forwards to a prompt
+/// (token budget).
+pub const MAX_MISMATCH_RECORDS: usize = 5;
+
+/// Which of a run's mismatch records Algorithm 2 keeps, decided in log
+/// order: at most [`MAX_MISMATCH_RECORDS`], two per signal. Once the
+/// limit is reached or every output has its two, no later record can
+/// be kept ([`KeptRecords::is_done`]). The environment asks it which
+/// cycles need a waveform frame, post-processing which records to
+/// read, so both keep the same ones.
+#[derive(Debug, Clone, Default)]
+pub struct KeptRecords {
+    outputs: usize,
+    /// Indices of the kept records.
+    kept: Vec<usize>,
+    /// Signals with two kept records.
+    full: usize,
+}
+
+impl KeptRecords {
+    /// The filter for a run of a DUT with `outputs` output ports.
+    pub fn new(outputs: usize) -> Self {
+        KeptRecords { outputs, kept: Vec::new(), full: 0 }
+    }
+
+    /// Offers `records[index]`, the next record in log order; true when
+    /// it is kept.
+    pub fn offer(&mut self, records: &[Mismatch], index: usize) -> bool {
+        if self.is_done() {
+            return false;
+        }
+        let signal = &records[index].signal;
+        let before = self.kept.iter().filter(|&&k| records[k].signal == *signal).count();
+        if before >= 2 {
+            return false;
+        }
+        if before == 1 {
+            self.full += 1;
+        }
+        self.kept.push(index);
+        true
+    }
+
+    /// True when no later record can be kept.
+    pub fn is_done(&self) -> bool {
+        self.kept.len() >= MAX_MISMATCH_RECORDS || self.full == self.outputs
+    }
+}
+
 /// Accumulates comparison outcomes; its pass rate is the score the
 /// rollback mechanism uses (§III-C of the paper).
 #[derive(Debug, Clone, Default)]

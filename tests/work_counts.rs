@@ -18,7 +18,7 @@ use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
 /// (`llm_batch: None`, one direct service per job) never opens.
-const COUNTERS: [&str; 14] = [
+const COUNTERS: [&str; 16] = [
     "sim.event.settles",
     "sim.event.activations",
     "sim.elaborations",
@@ -28,6 +28,8 @@ const COUNTERS: [&str; 14] = [
     "campaign.stage_memo.lint.hits",
     "campaign.stage_memo.uvm.misses",
     "campaign.stage_memo.uvm.hits",
+    "campaign.stage_memo.hit.misses",
+    "campaign.stage_memo.hit.hits",
     "campaign.verdict_memo.misses",
     "campaign.verdict_memo.hits",
     "campaign.dataset_builds",
