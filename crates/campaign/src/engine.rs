@@ -158,21 +158,6 @@ impl Default for CampaignConfig {
     }
 }
 
-impl CampaignConfig {
-    /// Resolves `workers == 0` to [`default_worker_count`].
-    ///
-    /// Prefer validating through [`Campaign::new`], which resolves the
-    /// count up front and surfaces a bad `UVLLM_WORKERS` as a config
-    /// `Err` instead of this method's panic.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            default_worker_count()
-        }
-    }
-}
-
 /// Reads the worker-count override from `UVLLM_WORKERS`.
 ///
 /// Returns `Ok(None)` when the variable is unset.
@@ -275,6 +260,12 @@ impl Campaign {
     /// The validated configuration.
     pub fn config(&self) -> &CampaignConfig {
         &self.config
+    }
+
+    /// Pool threads the run uses: `config.workers`, or what a zero
+    /// resolved to (`UVLLM_WORKERS`, else one per available CPU).
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Runs the campaign: builds the dataset, then [`Campaign::run_on`]

@@ -79,6 +79,22 @@ impl ShardSpec {
     }
 }
 
+/// Parses a dataset or fault seed: hex digits with an optional `0x` /
+/// `0X` prefix, so `42`, `0x42` and `0X42` all read as `0x42`. The one
+/// seed syntax of the CLI flags and of a served run's `seed` member.
+///
+/// # Errors
+///
+/// Names the rejected text.
+pub fn parse_seed(text: &str) -> Result<u64, String> {
+    let digits = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")).unwrap_or(text);
+    // Digits only: `from_str_radix` alone also takes a leading `+`.
+    Some(digits)
+        .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|d| u64::from_str_radix(d, 16).ok())
+        .ok_or_else(|| format!("bad hex seed '{text}'"))
+}
+
 /// FNV-1a: a stable, platform-independent hash for shard assignment
 /// (std's hashers are either randomised or unspecified across
 /// versions; shard membership must survive both).
@@ -143,6 +159,17 @@ mod tests {
         assert!(ShardSpec::parse("0/0").is_err());
         assert!(ShardSpec::parse("x").is_err());
         assert!(ShardSpec::parse("a/b").is_err());
+    }
+
+    #[test]
+    fn seeds_are_hex_with_an_optional_prefix() {
+        for text in ["0x42", "0X42", "42"] {
+            assert_eq!(parse_seed(text), Ok(0x42), "{text}");
+        }
+        for text in ["0x0x42", "", "0xZZ", "0x", "+42", "0x-1"] {
+            let err = parse_seed(text).unwrap_err();
+            assert!(err.contains(&format!("'{text}'")), "{text}: {err}");
+        }
     }
 
     #[test]

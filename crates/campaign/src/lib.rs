@@ -104,7 +104,7 @@ pub use eval::{
     evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
     WrapService,
 };
-pub use job::{expand_jobs, fnv1a64, Job, ShardSpec};
+pub use job::{expand_jobs, fnv1a64, parse_seed, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
 pub use queue::{run_pool_supervised, PoolPolicy, PoolStats, WorkQueue};
 pub use report::CampaignReport;

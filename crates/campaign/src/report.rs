@@ -49,18 +49,15 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
     }
 
     /// Method labels present: the known ones in table order
-    /// ([`MethodKind::ALL`]), then any other label in first-seen order.
+    /// ([`MethodKind::ALL`]), then any other label in label order.
     /// The report is a function of the row set, not of row order.
     pub fn methods(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for row in self.iter() {
-            if !seen.contains(&row.method) {
-                seen.push(row.method.clone());
-            }
-        }
+        let labels: BTreeSet<&String> = self.iter().map(|row| &row.method).collect();
+        let mut labels: Vec<String> = labels.into_iter().cloned().collect();
         let rank = |label: &String| MethodKind::ALL.iter().position(|m| m.label() == label);
-        seen.sort_by_key(|label| rank(label).unwrap_or(MethodKind::ALL.len()));
-        seen
+        // Stable: labels of equal rank (the unknown ones) stay sorted.
+        labels.sort_by_key(|label| rank(label).unwrap_or(MethodKind::ALL.len()));
+        labels
     }
 
     /// Fix rate (%) over rows matching `filter`.
@@ -302,6 +299,23 @@ mod tests {
         assert_eq!(forward.methods(), table_order, "known labels in table order, then others");
         assert_eq!(forward.render(), backward.render());
         assert!(forward.render().contains("14.34"), "{}", forward.render());
+    }
+
+    #[test]
+    fn unknown_labels_follow_the_known_ones_in_label_order() {
+        let rows = vec![
+            row("Zeta", "mux4", false, true, false),
+            row("UVLLM", "mux4", false, true, true),
+            row("Alpha", "adder_8bit", true, false, false),
+            row("MEIC", "mux4", true, true, true),
+        ];
+        let mut reversed = rows.clone();
+        reversed.reverse();
+        let forward = CampaignReport::new(rows);
+        let backward = CampaignReport::new(reversed);
+        assert_eq!(forward.methods(), ["UVLLM", "MEIC", "Alpha", "Zeta"]);
+        assert_eq!(forward.methods(), backward.methods());
+        assert_eq!(forward.render(), backward.render());
     }
 
     #[test]

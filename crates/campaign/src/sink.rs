@@ -218,7 +218,10 @@ pub struct JsonlSink {
 impl JsonlSink {
     /// Opens (or creates) `path`, reading any rows a previous run left
     /// behind. Malformed lines — e.g. a row torn by a kill ——
-    /// are dropped, so the jobs they came from simply run again.
+    /// are dropped, so the jobs they came from simply run again. A job
+    /// id written more than once (a stolen shard's overlap, two writers
+    /// on one file) keeps its first row, as the live aggregator does,
+    /// so a resumed report counts each job once.
     ///
     /// # Errors
     ///
@@ -229,7 +232,9 @@ impl JsonlSink {
         // malformed complete lines are dropped (their jobs re-run), and
         // anything past the tailer's offset is a torn tail to repair.
         let mut tailer = SinkTailer::new(&path);
-        let existing = tailer.poll()?.rows;
+        let mut ids = HashSet::new();
+        let existing: Vec<EvalRow> =
+            tailer.poll()?.rows.into_iter().filter(|row| ids.insert(row.id.clone())).collect();
         let torn_tail =
             std::fs::metadata(&path).map(|meta| meta.len() > tailer.offset()).unwrap_or(false);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -364,6 +369,23 @@ mod tests {
         let reopened = JsonlSink::open(&path).unwrap();
         assert_eq!(reopened.resumed(), 3);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_copy_of_a_repeated_job() {
+        let dir = std::env::temp_dir().join(format!("uvllm-sink-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.jsonl");
+        let first = row("a@M");
+        let second = EvalRow { llm_calls: 9, ..row("a@M") };
+        let lines = [&first, &row("b@M"), &second].map(|r| format!("{}\n", r.to_json_line()));
+        std::fs::write(&path, lines.concat()).unwrap();
+        let sink = JsonlSink::open(&path).unwrap();
+        assert_eq!(sink.resumed(), 2);
+        let rows = sink.existing_rows();
+        assert_eq!(rows.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(), ["a@M", "b@M"]);
+        assert_eq!(rows[0].llm_calls, first.llm_calls, "the first copy wins");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use uvllm_campaign::MethodKind;
+use uvllm_campaign::{parse_seed, MethodKind};
 use uvllm_json::{s, Json};
 
 /// Registry handles for the store (`serve.*`), resolved once.
@@ -97,7 +97,7 @@ impl RunSpec {
         }
         let seed = match json.get("seed") {
             None => 0xDA7A,
-            Some(v) => parse_seed(v)?,
+            Some(v) => seed_member(v)?,
         };
         let methods = match json.get("methods") {
             None => MethodKind::ALL.to_vec(),
@@ -149,11 +149,9 @@ impl RunSpec {
     }
 }
 
-fn parse_seed(v: &Json) -> Result<u64, String> {
+fn seed_member(v: &Json) -> Result<u64, String> {
     if let Some(text) = v.as_str() {
-        let digits = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")).unwrap_or(text);
-        return u64::from_str_radix(digits, 16)
-            .map_err(|_| format!("submission member 'seed' has a bad hex value '{text}'"));
+        return parse_seed(text).map_err(|e| format!("submission member 'seed': {e}"));
     }
     v.as_u64().ok_or_else(|| {
         "submission member 'seed' must be a hex string like \"0xDA7A\" or an integer".to_string()

@@ -6,9 +6,9 @@
 //! granting, and finish with rows byte-identical to a direct engine
 //! run.
 //!
-//! The server runs as a *separate OS process* (the `uvllm-serve`
-//! binary) so the kill is a real process death, not a cooperative
-//! shutdown; workers re-find the restarted server through the shared
+//! The server runs as a *separate OS process* (`campaign serve`) so
+//! the kill is a real process death, not a cooperative shutdown;
+//! workers re-find the restarted server through the shared
 //! `--addr-file`.
 
 use std::path::{Path, PathBuf};
@@ -54,13 +54,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Spawns the standalone `uvllm-serve` binary on an ephemeral port,
-/// publishing its address to `addr_file`.
+/// Spawns `campaign serve` on an ephemeral port, publishing its
+/// address to `addr_file`.
 fn spawn_server(data_dir: &Path, addr_file: &Path, extra: &[&str]) -> Child {
     // Clear any previous address so `wait_addr` sees the new publish.
     let _ = std::fs::remove_file(addr_file);
-    Command::new(env!("CARGO_BIN_EXE_uvllm-serve"))
-        .arg("--addr")
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["serve", "--addr"])
         .arg("127.0.0.1:0")
         .arg("--addr-file")
         .arg(addr_file)

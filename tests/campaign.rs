@@ -120,6 +120,35 @@ fn resume_after_partial_sink_skips_completed_jobs() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A sink file that holds one job's row twice (a stolen shard's
+/// overlap, or two writers on one `--out`) resumes with each job once:
+/// the report counts `total_jobs` rows, not one more.
+#[test]
+fn resumed_report_counts_a_repeated_row_once() {
+    let campaign = Campaign::new(small_config(2)).unwrap();
+    let mut reference = MemorySink::new();
+    campaign.run(&mut reference).unwrap();
+    let rows = reference.existing_rows();
+
+    let path = temp_path("repeated.jsonl");
+    let mut text = String::new();
+    for row in rows.iter().take(5).chain(rows.first()) {
+        text.push_str(&row.to_json_line());
+        text.push('\n');
+    }
+    std::fs::write(&path, text).unwrap();
+
+    let mut sink = JsonlSink::open(&path).unwrap();
+    assert_eq!(sink.resumed(), 5);
+    let outcome = campaign.run(&mut sink).unwrap();
+    assert_eq!(outcome.resumed, 5);
+    assert_eq!(outcome.report.rows().len(), outcome.total_jobs);
+    let mut got: Vec<String> = outcome.report.rows().iter().map(|r| r.to_json_line()).collect();
+    got.sort();
+    assert_eq!(got, sorted_lines(&reference));
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Shards are worker-count-invariant too, and partition the campaign.
 #[test]
 fn sharded_runs_union_to_the_whole_campaign() {
