@@ -3,7 +3,7 @@
 
 use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
 use crate::job::{expand_jobs, Job, ShardSpec};
-use crate::queue::{run_pool, run_pool_supervised, PoolPolicy, PoolStats};
+use crate::queue::{run_pool_supervised, PoolPolicy, PoolStats};
 use crate::report::CampaignReport;
 use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -14,7 +14,7 @@ use uvllm_sim::SimBackend;
 
 /// Registry handles for the engine (`campaign.*`), resolved once.
 /// Worker-side counters (`campaign.worker.<i>.jobs`, `campaign.queue_depth`)
-/// live in [`crate::queue::run_pool`].
+/// live in [`crate::queue::run_pool_supervised`].
 #[derive(Debug)]
 struct CampaignMetrics {
     /// Rows successfully appended to the sink by this process.
@@ -158,48 +158,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Reads the worker-count override from `UVLLM_WORKERS`.
-///
-/// Returns `Ok(None)` when the variable is unset.
-///
-/// # Errors
-///
-/// A set-but-invalid value (not a positive integer) is rejected with a
-/// message naming the variable — never silently replaced by the CPU
-/// count, which used to mask typos like `UVLLM_WORKERS=eight`.
-pub fn worker_count_from_env() -> Result<Option<usize>, String> {
-    match std::env::var("UVLLM_WORKERS") {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("UVLLM_WORKERS is set to a non-unicode value".to_string())
-        }
-        Ok(text) => match text.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!(
-                "UVLLM_WORKERS must be a positive integer, got '{text}' \
-                 (unset it to use one worker per available CPU)"
-            )),
-        },
-    }
-}
-
-/// The worker count used when none is configured: the `UVLLM_WORKERS`
-/// environment variable, else one worker per available CPU. The single
-/// sizing policy for campaigns and the bench harness alike.
-///
-/// # Panics
-///
-/// Panics with [`worker_count_from_env`]'s message when the variable is
-/// set but invalid — a configuration error that must not degrade into a
-/// silent CPU-count fallback.
-pub fn default_worker_count() -> usize {
-    match worker_count_from_env() {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        Err(message) => panic!("{message}"),
-    }
-}
-
 /// What a finished (shard of a) campaign looked like.
 #[derive(Debug)]
 pub struct CampaignOutcome {
@@ -227,8 +185,7 @@ pub struct CampaignOutcome {
 #[derive(Debug, Clone)]
 pub struct Campaign {
     config: CampaignConfig,
-    /// Worker count resolved at validation time (so a bad
-    /// `UVLLM_WORKERS` is a config `Err`, not a mid-run panic).
+    /// `config.workers`, or what a zero resolved to.
     workers: usize,
 }
 
@@ -237,22 +194,15 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Rejects an invalid shard spec, an empty method list, or — when
-    /// `config.workers == 0` defers sizing to the environment — an
-    /// unparsable `UVLLM_WORKERS` value ([`worker_count_from_env`]'s
-    /// message, propagated instead of panicking inside the run).
+    /// Rejects an invalid shard spec or an empty method list.
     pub fn new(config: CampaignConfig) -> Result<Campaign, String> {
         config.shard.validate()?;
         if config.methods.is_empty() {
             return Err("campaign needs at least one method".to_string());
         }
-        let workers = if config.workers > 0 {
-            config.workers
-        } else {
-            match worker_count_from_env()? {
-                Some(n) => n,
-                None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            }
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
         Ok(Campaign { config, workers })
     }
@@ -262,8 +212,8 @@ impl Campaign {
         &self.config
     }
 
-    /// Pool threads the run uses: `config.workers`, or what a zero
-    /// resolved to (`UVLLM_WORKERS`, else one per available CPU).
+    /// Pool threads the run uses: `config.workers`, or one per
+    /// available CPU when that is zero.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -421,19 +371,6 @@ impl Campaign {
     }
 }
 
-/// Evaluates one method over pre-built instances on a worker pool,
-/// returning records in instance order — the parallel engine behind
-/// `uvllm_bench::harness::evaluate`.
-pub fn evaluate_parallel(
-    method: MethodKind,
-    instances: &[BenchInstance],
-    workers: usize,
-) -> Vec<EvalRecord> {
-    let shared: Vec<Arc<BenchInstance>> = instances.iter().cloned().map(Arc::new).collect();
-    let jobs = expand_jobs(&shared, &[method]);
-    run_pool(jobs, workers.max(1), &LlmPolicy::direct(), |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +413,24 @@ mod tests {
     }
 
     #[test]
+    fn pool_records_match_serial_evaluate_one() {
+        let config = CampaignConfig {
+            methods: vec![MethodKind::Uvllm, MethodKind::Strider],
+            ..tiny_config(2)
+        };
+        let campaign = Campaign::new(config).unwrap();
+        let dataset = campaign.build_dataset();
+        let outcome = campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+        let jobs = expand_jobs(&dataset.instances, &campaign.config.methods);
+        assert_eq!(outcome.new_records.len(), jobs.len());
+        for (record, job) in outcome.new_records.iter().zip(&jobs) {
+            let serial = crate::eval::evaluate_one(job.method, &job.instance);
+            assert_eq!(record.job_id(), job.id(), "records come back in job order");
+            assert_eq!(record.to_row().to_json_line(), serial.to_row().to_json_line());
+        }
+    }
+
+    #[test]
     fn shards_union_to_the_full_campaign() {
         let mut whole = MemorySink::new();
         Campaign::new(tiny_config(1)).unwrap().run(&mut whole).unwrap();
@@ -491,29 +446,6 @@ mod tests {
         expected.sort();
         union.sort();
         assert_eq!(union, expected, "3-way shard must partition the campaign exactly");
-    }
-
-    #[test]
-    fn unparsable_worker_env_is_rejected_not_defaulted() {
-        // Other tests in this binary pass explicit worker counts, so
-        // mutating the variable here cannot change their behaviour.
-        std::env::set_var("UVLLM_WORKERS", "eight");
-        let err = worker_count_from_env().unwrap_err();
-        assert!(err.contains("UVLLM_WORKERS"), "error must name the variable: {err}");
-        assert!(err.contains("eight"), "error must echo the bad value: {err}");
-        // Campaign::new resolves workers eagerly, so an auto-workers
-        // config (workers == 0) surfaces the same error as Err instead
-        // of panicking inside the pool later.
-        let err = Campaign::new(tiny_config(0)).map(|_| ()).unwrap_err();
-        assert!(err.contains("UVLLM_WORKERS"), "Campaign::new must propagate the env error: {err}");
-        std::env::set_var("UVLLM_WORKERS", "0");
-        assert!(worker_count_from_env().is_err(), "zero workers is invalid");
-        std::env::set_var("UVLLM_WORKERS", "3");
-        assert_eq!(worker_count_from_env(), Ok(Some(3)));
-        assert_eq!(default_worker_count(), 3);
-        std::env::remove_var("UVLLM_WORKERS");
-        assert_eq!(worker_count_from_env(), Ok(None));
-        assert!(default_worker_count() >= 1);
     }
 
     /// The core gate of the resilience policy: a campaign with LLM

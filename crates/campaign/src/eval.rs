@@ -110,7 +110,7 @@ impl<'s> LlmPolicy<'s> {
 
     /// Batches the loop the policy starts itself (a caller's loop has
     /// its own [`BatchConfig`]).
-    pub fn with_batch(self, batch: Option<BatchConfig>) -> Self {
+    pub(crate) fn with_batch(self, batch: Option<BatchConfig>) -> Self {
         LlmPolicy { batch, own: Arc::default(), ..self }
     }
 
@@ -255,7 +255,7 @@ pub struct EvalRecord {
 
 impl EvalRecord {
     /// The campaign job identifier this record answers.
-    pub fn job_id(&self) -> String {
+    pub(crate) fn job_id(&self) -> String {
         job_id(&self.instance_id, self.method)
     }
 
@@ -294,7 +294,7 @@ impl EvalRecord {
     /// filled in (opt-in: these vary with batch schedule and machine
     /// load, so rows carrying them are excluded from the determinism
     /// contract).
-    pub fn to_row_with_telemetry(&self) -> EvalRow {
+    pub(crate) fn to_row_with_telemetry(&self) -> EvalRow {
         let mut row = self.to_row();
         row.llm_wait_ms = Some(self.llm_wait.as_millis() as u64);
         row.llm_batch_max = Some(self.llm_batch_max);
@@ -307,7 +307,7 @@ impl EvalRecord {
 const KERNEL_LABEL: &str = "event";
 
 /// Stable identifier of one campaign job.
-pub fn job_id(instance_id: &str, method: MethodKind) -> String {
+pub(crate) fn job_id(instance_id: &str, method: MethodKind) -> String {
     format!("{instance_id}@{}", method.label())
 }
 
@@ -727,6 +727,33 @@ mod tests {
         assert_eq!(back, row);
         assert_eq!(back.id, rec.job_id());
         assert!(back.id.ends_with("@UVLLM"));
+    }
+
+    #[test]
+    fn evaluate_one_produces_consistent_record() {
+        let d = by_name("adder_8bit").unwrap();
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5, &uvllm::StageMemo::new())
+            .expect("instance");
+        let rec = evaluate_one(MethodKind::Uvllm, &inst);
+        assert_eq!(rec.design, "adder_8bit");
+        assert_eq!(rec.group, Category::Arithmetic);
+        assert!(rec.texec > 0.0);
+        // Fixed implies hit (FR campaign includes the public vectors).
+        if rec.fixed {
+            assert!(rec.hit);
+        }
+        assert!(rec.stage_times.is_some());
+    }
+
+    #[test]
+    fn script_methods_report_zero_llm_usage() {
+        let d = by_name("alu_8bit").unwrap();
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 2, &uvllm::StageMemo::new())
+            .expect("instance");
+        let rec = evaluate_one(MethodKind::Strider, &inst);
+        assert_eq!(rec.usage.calls, 0);
+        let rec = evaluate_one(MethodKind::RtlRepair, &inst);
+        assert_eq!(rec.usage.calls, 0);
     }
 
     #[test]

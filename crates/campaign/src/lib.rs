@@ -9,7 +9,7 @@
 //! * [`Job`] — one (benchmark instance × method) unit of work;
 //!   [`ShardSpec`] assigns jobs to cooperating processes by stable
 //!   hash, so `--shard i/n` partitions a campaign with no coordination.
-//! * [`WorkQueue`] / [`queue::run_pool`] — the job list cut into one
+//! * [`queue`] — the job list cut into one
 //!   contiguous stretch per pool thread, drained by those threads
 //!   (`std::thread::scope`): thread *k* starts at job `k·n/t`, a thread
 //!   whose stretch is empty steals the back half of the largest
@@ -29,12 +29,11 @@
 //!   retries, breaks and degrades ([`uvllm_llm::ResiliencePolicy`]):
 //!   both are data of each job's session on the service loop; degraded
 //!   jobs are tagged in their rows (`"degraded": true`).
-//! * [`evaluate_one`] — the per-job evaluation (moved here from
-//!   `uvllm-bench`), a *pure function of the job*: each job owns an
-//!   [`OracleLlm`](uvllm_llm::OracleLlm) seeded from the instance seed
-//!   and method salt, and the pipeline owns its LLM service handle
-//!   ([`uvllm::Uvllm`] is generic over `S: LlmService`), so no mutable
-//!   LLM state is shared across workers.
+//! * [`evaluate_one`] — the per-job evaluation, a *pure function of the
+//!   job*: each job owns an [`OracleLlm`](uvllm_llm::OracleLlm) seeded
+//!   from the instance seed and method salt, and the pipeline owns its
+//!   LLM service handle ([`uvllm::Uvllm`] is generic over
+//!   `S: LlmService`), so no mutable LLM state is shared across workers.
 //! * [`LlmPolicy`] / [`SharedLlm`] — how jobs obtain that handle:
 //!   per-job [`DirectService`](uvllm_llm::DirectService)s (default), or
 //!   per-job *sessions* on one [`BatchedLlm`](uvllm_llm::BatchedLlm)
@@ -62,8 +61,9 @@
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.
-//! * [`CampaignReport`] — the Table II / Fig. 5–7 rollups over rows,
-//!   identical for fresh and resumed runs.
+//! * [`CampaignReport`] — the paper's tables over rows (Table II/III,
+//!   Figs. 5–7), identical for fresh, resumed and merged runs: every
+//!   artefact is a view of the rows, never a second evaluation.
 //!
 //! **Determinism contract:** the same [`CampaignConfig`] produces
 //! byte-identical JSONL rows (modulo row order) at any worker count and
@@ -96,17 +96,14 @@ pub mod queue;
 pub mod report;
 pub mod sink;
 
-pub use engine::{
-    default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,
-    CampaignDataset, CampaignOutcome,
-};
+pub use engine::{Campaign, CampaignConfig, CampaignDataset, CampaignOutcome};
 pub use eval::{
-    evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
+    evaluate_one, evaluate_one_on, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
     WrapService,
 };
 pub use job::{expand_jobs, fnv1a64, parse_seed, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
-pub use queue::{run_pool_supervised, PoolPolicy, PoolStats, WorkQueue};
+pub use queue::{PoolPolicy, PoolStats};
 pub use report::CampaignReport;
 pub use sink::{JsonlSink, LineTailer, MemorySink, ResultSink, SinkTailer, TailBatch};
 pub use uvllm::StageMemo;

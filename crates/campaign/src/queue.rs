@@ -92,7 +92,7 @@ fn metrics() -> &'static PoolMetrics {
 /// A multi-consumer queue of jobs, cut into one stretch per consumer
 /// thread (module docs).
 #[derive(Debug)]
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     state: Mutex<Stretches>,
 }
 
@@ -215,25 +215,6 @@ fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
         llm_batch_max: 0,
         degraded: false,
     }
-}
-
-/// Runs `jobs` on `workers` threads, drawing LLM service handles from
-/// `llm` (a per-job [`uvllm_llm::DirectService`], or sessions of the
-/// shared [`crate::SharedLlm`], on which a job waiting for an answer is
-/// parked — module docs); `on_record` observes every finished job (from
-/// pool threads, in completion order) and the returned list is sorted
-/// back into job order.
-///
-/// `workers == 0` is treated as 1. The pool analyses on a memo of its
-/// own ([`run_pool_supervised`] takes the caller's).
-pub fn run_pool(
-    jobs: Vec<Job>,
-    workers: usize,
-    llm: &LlmPolicy<'_>,
-    on_record: impl Fn(&Job, &EvalRecord) + Sync,
-) -> Vec<EvalRecord> {
-    let memo = StageMemo::new();
-    run_pool_supervised(jobs, workers, llm, &memo, &PoolPolicy::default(), on_record).0
 }
 
 /// A job in flight: taken from the queue, not yet recorded or requeued.
@@ -364,11 +345,16 @@ fn fly(
     run.advance(&job.instance, memo, waker)
 }
 
-/// [`run_pool`] under an explicit supervision policy and on the
-/// caller's stage memo (the dataset's, so shards and resumed runs
-/// share what they learn about a text), also returning what supervision did (module docs
-/// describe the semantics).
-pub fn run_pool_supervised(
+/// Runs `jobs` on `workers` threads (`0` is treated as 1), drawing LLM
+/// service handles from `llm` (a per-job [`uvllm_llm::DirectService`],
+/// or sessions of the shared [`crate::SharedLlm`], on which a job
+/// waiting for an answer is parked — module docs), under the
+/// supervision `policy` and on the caller's stage memo (the dataset's,
+/// so shards and resumed runs share what they learn about a text).
+/// `on_record` observes every finished job (from pool threads, in
+/// completion order); the returned list is sorted back into job order,
+/// beside what supervision did.
+pub(crate) fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
     llm: &LlmPolicy<'_>,
@@ -486,6 +472,17 @@ mod tests {
     use uvllm_designs::by_name;
     use uvllm_errgen::ErrorKind;
     use uvllm_llm::Ticket;
+
+    /// [`run_pool_supervised`] on a memo of its own, unsupervised.
+    fn run_pool(
+        jobs: Vec<Job>,
+        workers: usize,
+        llm: &LlmPolicy<'_>,
+        on_record: impl Fn(&Job, &EvalRecord) + Sync,
+    ) -> Vec<EvalRecord> {
+        let memo = StageMemo::new();
+        run_pool_supervised(jobs, workers, llm, &memo, &PoolPolicy::default(), on_record).0
+    }
 
     fn jobs_on(design: &str, methods: &[MethodKind], seeds: u64) -> Vec<Job> {
         let d = by_name(design).unwrap();

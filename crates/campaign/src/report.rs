@@ -1,11 +1,16 @@
-//! Campaign-level aggregation: the Table II / Fig. 5–7 rollups computed
-//! over [`EvalRow`]s (so they work identically for fresh runs and
-//! resumed JSONL files).
+//! Campaign-level aggregation: the paper's tables — Table II (the
+//! segmented pipeline), Table III (pairs vs complete code) and
+//! Figs. 5–7 — rendered over [`EvalRow`]s, so fresh, resumed and merged
+//! runs print the same report. Texec is the rows' modelled LLM latency
+//! (`sim_latency_ms`), never wall-clock.
 
 use crate::eval::{EvalRow, MethodKind};
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
+use uvllm::Stage;
+use uvllm_designs::Category;
+use uvllm_errgen::{FunctionalCategory, SyntaxCategory};
 
 /// Aggregated view over a set of result rows — owned (`EvalRow`, the
 /// default) or borrowed (`&EvalRow`, for a holder that renders a report
@@ -33,6 +38,132 @@ pub fn pct_cell(v: f64) -> String {
     }
 }
 
+/// Formats a seconds cell (NaN → `x`).
+fn secs_cell(v: f64) -> String {
+    if v.is_nan() {
+        "x".to_string()
+    } else {
+        format!("{v:.2}")
+    }
+}
+
+/// Table II's stages, in column order.
+const STAGES: [Stage; 3] = [Stage::Preprocess, Stage::RepairMs, Stage::RepairSl];
+
+/// Counts over one slice of one method's rows: what every cell reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    rows: usize,
+    hit: usize,
+    fixed: usize,
+    claimed: usize,
+    llm_calls: u64,
+    /// Summed in whole milliseconds, so row order cannot move a rounding.
+    sim_ms: u64,
+    /// Fixed rows per [`STAGES`] entry, by `fixed_by`.
+    by_stage: [usize; 3],
+}
+
+impl Tally {
+    fn add(&mut self, row: &EvalRow) {
+        self.rows += 1;
+        self.hit += usize::from(row.hit);
+        self.fixed += usize::from(row.fixed);
+        self.claimed += usize::from(row.claimed);
+        self.llm_calls += row.llm_calls;
+        self.sim_ms += row.sim_latency_ms;
+        if let (true, Some(stage)) = (row.fixed, &row.fixed_by) {
+            if let Some(i) = STAGES.iter().position(|s| s.label() == stage) {
+                self.by_stage[i] += 1;
+            }
+        }
+    }
+
+    fn fr(&self) -> f64 {
+        percent(self.fixed, self.rows)
+    }
+
+    fn hr(&self) -> f64 {
+        percent(self.hit, self.rows)
+    }
+
+    /// Mean Texec in seconds.
+    fn texec(&self) -> f64 {
+        if self.rows == 0 {
+            return f64::NAN;
+        }
+        self.sim_ms as f64 / 1000.0 / self.rows as f64
+    }
+}
+
+/// Which of a method's rows a [`Tally`] counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slice<'r> {
+    All,
+    /// Syntax (`true`) or functional rows.
+    Class(bool),
+    /// A design group's rows of one class (Table II).
+    Group(&'r str, bool),
+    /// An error category's rows, and the class they are of (Figs. 5–6).
+    Category(&'r str, bool),
+    Design(&'r str),
+    /// A design's rows of one class (Fig. 7).
+    DesignClass(&'r str, bool),
+}
+
+/// Every [`Tally`] the tables read, keyed by method label and slice.
+struct Tallies<'r>(HashMap<(&'r str, Slice<'r>), Tally>);
+
+impl<'r> Tallies<'r> {
+    fn new(rows: impl Iterator<Item = &'r EvalRow>) -> Self {
+        let mut tallies: HashMap<(&str, Slice), Tally> = HashMap::new();
+        for row in rows {
+            let (design, syntax) = (row.design.as_str(), row.syntax);
+            for slice in [
+                Slice::All,
+                Slice::Class(syntax),
+                Slice::Group(&row.group, syntax),
+                Slice::Category(&row.category, syntax),
+                Slice::Design(design),
+                Slice::DesignClass(design, syntax),
+            ] {
+                tallies.entry((&row.method, slice)).or_default().add(row);
+            }
+        }
+        Tallies(tallies)
+    }
+
+    fn get(&self, method: &'r str, slice: Slice<'r>) -> Tally {
+        self.0.get(&(method, slice)).copied().unwrap_or_default()
+    }
+
+    /// The labels `pick` reads off the keys present, in the order of
+    /// `known`, then any other label in label order.
+    fn labels(
+        &self,
+        pick: impl Fn(&'r str, Slice<'r>) -> Option<&'r str>,
+        known: &[&str],
+    ) -> Vec<&'r str> {
+        ordered(self.0.keys().filter_map(|&(method, slice)| pick(method, slice)), known)
+    }
+}
+
+/// `labels` in the order of `known`, then any other label in label
+/// order: a function of the label set, not of row order.
+fn ordered<'r>(labels: impl Iterator<Item = &'r str>, known: &[&str]) -> Vec<&'r str> {
+    let mut labels: Vec<&str> = labels.collect::<BTreeSet<_>>().into_iter().collect();
+    // Stable: labels of equal rank (the unknown ones) stay sorted.
+    labels.sort_by_key(|label| known.iter().position(|k| k == label).unwrap_or(known.len()));
+    labels
+}
+
+/// Appends `table` under `title`, unless it has no rows.
+fn section(out: &mut String, title: &str, table: &AsciiTable) {
+    if !table.rows.is_empty() {
+        let _ = write!(out, "\n== {title} ==\n{}", table.render());
+    }
+}
+
 impl<R: Borrow<EvalRow>> CampaignReport<R> {
     /// Builds a report over `rows`.
     pub fn new(rows: Vec<R>) -> Self {
@@ -52,45 +183,37 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
     /// ([`MethodKind::ALL`]), then any other label in label order.
     /// The report is a function of the row set, not of row order.
     pub fn methods(&self) -> Vec<String> {
-        let labels: BTreeSet<&String> = self.iter().map(|row| &row.method).collect();
-        let mut labels: Vec<String> = labels.into_iter().cloned().collect();
-        let rank = |label: &String| MethodKind::ALL.iter().position(|m| m.label() == label);
-        // Stable: labels of equal rank (the unknown ones) stay sorted.
-        labels.sort_by_key(|label| rank(label).unwrap_or(MethodKind::ALL.len()));
-        labels
+        let labels = self.iter().map(|row| row.method.as_str());
+        ordered(labels, &MethodKind::ALL.map(|m| m.label())).into_iter().map(String::from).collect()
     }
 
     /// Fix rate (%) over rows matching `filter`.
     pub fn fr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
-        percent(selected.iter().filter(|r| r.fixed).count(), selected.len())
+        self.tally(filter).fr()
     }
 
     /// Hit rate (%) over rows matching `filter`.
     pub fn hr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
-        percent(selected.iter().filter(|r| r.hit).count(), selected.len())
+        self.tally(filter).hr()
     }
 
-    /// Mean simulated execution time (seconds) over rows matching
-    /// `filter`, summed in whole milliseconds so row order cannot move
-    /// a rounding.
-    pub fn mean_sim_secs(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        let selected: Vec<&EvalRow> = self.iter().filter(|r| filter(r)).collect();
-        if selected.is_empty() {
-            return f64::NAN;
-        }
-        selected.iter().map(|r| r.sim_latency_ms).sum::<u64>() as f64
-            / 1000.0
-            / selected.len() as f64
+    fn tally(&self, filter: impl Fn(&EvalRow) -> bool) -> Tally {
+        let mut tally = Tally::default();
+        self.iter().filter(|r| filter(r)).for_each(|r| tally.add(r));
+        tally
     }
 
-    /// Renders every rollup as aligned ASCII tables.
+    /// Renders the per-method summary and the paper's tables as aligned
+    /// ASCII tables; a table with no rows to show is left out.
     pub fn render(&self) -> String {
+        let tallies = Tallies::new(self.iter());
+        let methods = tallies.labels(
+            |m, slice| (slice == Slice::All).then_some(m),
+            &MethodKind::ALL.map(|m| m.label()),
+        );
         let mut out = String::new();
         let _ = writeln!(out, "campaign rows: {}", self.rows.len());
 
-        // ---- Per-method summary (Fig. 5/6 aggregate + cost) ---------
         let mut summary = AsciiTable::new(&[
             "Method",
             "Jobs",
@@ -100,83 +223,204 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
             "SimT/s",
             "LLM calls",
         ]);
-        for method in self.methods() {
-            let of_method = |r: &&EvalRow| r.method == method;
-            let rows: Vec<&EvalRow> = self.iter().filter(of_method).collect();
+        for &method in &methods {
+            let all = tallies.get(method, Slice::All);
             summary.row(vec![
-                method.clone(),
-                rows.len().to_string(),
-                pct_cell(self.hr(|r| r.method == method)),
-                pct_cell(self.fr(|r| r.method == method)),
-                pct_cell(percent(rows.iter().filter(|r| r.claimed).count(), rows.len())),
-                format!("{:.2}", self.mean_sim_secs(|r| r.method == method)),
-                rows.iter().map(|r| r.llm_calls).sum::<u64>().to_string(),
+                method.to_string(),
+                all.rows.to_string(),
+                pct_cell(all.hr()),
+                pct_cell(all.fr()),
+                pct_cell(percent(all.claimed, all.rows)),
+                secs_cell(all.texec()),
+                all.llm_calls.to_string(),
             ]);
         }
-        out.push_str("\n== Per-method summary ==\n");
-        out.push_str(&summary.render());
+        section(&mut out, "Per-method summary", &summary);
 
-        // ---- Syntax vs functional split (Fig. 5 / Fig. 6) -----------
-        let mut split = AsciiTable::new(&["Method", "Syn HR", "Syn FR", "Fun HR", "Fun FR"]);
-        for method in self.methods() {
-            split.row(vec![
-                method.clone(),
-                pct_cell(self.hr(|r| r.method == method && r.syntax)),
-                pct_cell(self.fr(|r| r.method == method && r.syntax)),
-                pct_cell(self.hr(|r| r.method == method && !r.syntax)),
-                pct_cell(self.fr(|r| r.method == method && !r.syntax)),
-            ]);
-        }
-        out.push_str("\n== Syntax vs functional (Fig. 5/6) ==\n");
-        out.push_str(&split.render());
+        section(&mut out, "Table II: segmented UVLLM (FR/%, Texec/s)", &table2(&tallies));
+        section(&mut out, "Table III: repair generation form (FR/%, Texec/s)", &table3(&tallies));
+        let (syntax, functional) = (SyntaxCategory::ALL, FunctionalCategory::ALL);
+        let title = "Fig. 5: HR vs FR, syntax errors (%)";
+        figure(&mut out, title, &tallies, true, &syntax.map(|c| c.label()), &FIG5);
+        let title = "Fig. 6: HR vs FR, functional errors (%)";
+        figure(&mut out, title, &tallies, false, &functional.map(|c| c.label()), &FIG6);
 
-        // ---- Per-category FR (figure x-axes) ------------------------
-        let categories: BTreeSet<&String> = self.iter().map(|r| &r.category).collect();
-        let mut cat = AsciiTable::new(&["Category", "Rows", "FR/%", "HR/%"]);
-        for category in categories {
-            let n = self.iter().filter(|r| &r.category == category).count();
-            cat.row(vec![
-                category.clone(),
-                n.to_string(),
-                pct_cell(self.fr(|r| &r.category == category)),
-                pct_cell(self.hr(|r| &r.category == category)),
-            ]);
-        }
-        out.push_str("\n== Per-category (all methods) ==\n");
-        out.push_str(&cat.render());
-
-        // ---- Per-design FR heat map (Fig. 7) ------------------------
-        let designs: BTreeSet<&String> = self.iter().map(|r| &r.design).collect();
-        let methods = self.methods();
-        let mut heat_header: Vec<&str> = vec!["Design"];
-        for m in &methods {
-            heat_header.push(m);
-        }
+        let catalogue: Vec<&str> = uvllm_designs::all().iter().map(|d| d.name).collect();
+        let designs = tallies.labels(
+            |_, slice| match slice {
+                Slice::Design(design) => Some(design),
+                _ => None,
+            },
+            &catalogue,
+        );
+        section(&mut out, "Fig. 7: UVLLM FR per design (%)", &fig7(&tallies, &designs));
+        let mut heat_header = vec!["Design"];
+        heat_header.extend(&methods);
         let mut heat = AsciiTable::new(&heat_header);
-        for design in designs {
-            let mut cells = vec![design.clone()];
-            for method in &methods {
-                cells.push(pct_cell(self.fr(|r| &r.design == design && &r.method == method)));
+        for &design in &designs {
+            let mut cells = vec![design.to_string()];
+            for &method in &methods {
+                cells.push(pct_cell(tallies.get(method, Slice::Design(design)).fr()));
             }
             heat.row(cells);
         }
-        out.push_str("\n== Per-design FR heat map (Fig. 7) ==\n");
-        out.push_str(&heat.render());
-
-        // ---- Stage attribution (Table II) ---------------------------
-        let stages: BTreeSet<&String> = self.iter().filter_map(|r| r.fixed_by.as_ref()).collect();
-        if !stages.is_empty() {
-            let mut table = AsciiTable::new(&["Stage", "Fixes", "Share/%"]);
-            let fixed_total = self.iter().filter(|r| r.fixed_by.is_some()).count();
-            for stage in stages {
-                let n = self.iter().filter(|r| r.fixed_by.as_ref() == Some(stage)).count();
-                table.row(vec![stage.clone(), n.to_string(), pct_cell(percent(n, fixed_total))]);
-            }
-            out.push_str("\n== Stage attribution (Table II) ==\n");
-            out.push_str(&table.render());
-        }
+        section(&mut out, "Per-design FR, all methods (%)", &heat);
         out
     }
+}
+
+/// The methods Fig. 5 compares on syntax errors (the template methods
+/// cannot repair an unparsable text).
+const FIG5: [MethodKind; 3] = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect];
+
+/// The methods Fig. 6 compares on functional errors.
+const FIG6: [MethodKind; 5] = [
+    MethodKind::Uvllm,
+    MethodKind::Meic,
+    MethodKind::GptDirect,
+    MethodKind::Strider,
+    MethodKind::RtlRepair,
+];
+
+/// Table II: per design group × error class, the UVLLM fix rate split
+/// by the stage whose change fixed the text, its Texec, and MEIC's for
+/// the speedup. A fix UVLLM did not claim — its budget ran out on a
+/// version that passes — has no stage: it is counted under `Other FR`,
+/// so the four FR columns before `UVLLM FR` sum to it.
+fn table2(tallies: &Tallies<'_>) -> AsciiTable {
+    let (uvllm, meic) = (MethodKind::Uvllm.label(), MethodKind::Meic.label());
+    let groups = tallies.labels(
+        |_, slice| match slice {
+            Slice::Group(group, _) => Some(group),
+            _ => None,
+        },
+        &Category::ALL.map(|c| c.label()),
+    );
+    let mut table = AsciiTable::new(&[
+        "Types", "Pre FR", "MS FR", "SL FR", "Other FR", "UVLLM FR", "UVLLM T", "MEIC FR",
+        "MEIC T", "Speedup",
+    ]);
+    let mut line = |label: String, slice: Slice<'_>| {
+        let (u, m) = (tallies.get(uvllm, slice), tallies.get(meic, slice));
+        if u.rows == 0 {
+            return;
+        }
+        let (ut, mt) = (u.texec(), m.texec());
+        let mut cells = vec![label];
+        let other = u.fixed - u.by_stage.iter().sum::<usize>();
+        cells.extend(u.by_stage.into_iter().chain([other]).map(|n| pct_cell(percent(n, u.rows))));
+        cells.extend([
+            pct_cell(u.fr()),
+            secs_cell(ut),
+            pct_cell(m.fr()),
+            secs_cell(mt),
+            if ut > 0.0 && mt.is_finite() { format!("{:.2}x", mt / ut) } else { "x".into() },
+        ]);
+        table.row(cells);
+    };
+    for (syntax, tag, total) in [(true, "s", "Syntax"), (false, "f", "Function")] {
+        for &group in &groups {
+            line(format!("{group} {tag}"), Slice::Group(group, syntax));
+        }
+        line(total.to_string(), Slice::Class(syntax));
+    }
+    line("Overall".to_string(), Slice::All);
+    table
+}
+
+/// Table III: pair-wise repair vs complete-code regeneration.
+fn table3(tallies: &Tallies<'_>) -> AsciiTable {
+    let mut table =
+        AsciiTable::new(&["Framework", "FR Syntax", "FR Func.", "Texec Syntax", "Texec Func."]);
+    for method in [MethodKind::Uvllm, MethodKind::UvllmComplete] {
+        let label = method.label();
+        let (s, f) =
+            (tallies.get(label, Slice::Class(true)), tallies.get(label, Slice::Class(false)));
+        if s.rows + f.rows > 0 {
+            table.row(vec![
+                label.to_string(),
+                pct_cell(s.fr()),
+                pct_cell(f.fr()),
+                secs_cell(s.texec()),
+                secs_cell(f.texec()),
+            ]);
+        }
+    }
+    table
+}
+
+/// Fig. 5 or 6: FR and HR per error category of one class (in the
+/// order of `known`) for each of `shown` that has rows of that class,
+/// then their HR − FR deviation — the overfitting gap the paper shades.
+fn figure(
+    out: &mut String,
+    title: &str,
+    tallies: &Tallies<'_>,
+    syntax: bool,
+    known: &[&str],
+    shown: &[MethodKind],
+) {
+    let methods: Vec<&str> = shown
+        .iter()
+        .map(MethodKind::label)
+        .filter(|m| tallies.get(m, Slice::Class(syntax)).rows > 0)
+        .collect();
+    if methods.is_empty() {
+        return;
+    }
+    let mut header = vec!["Category".to_string()];
+    for m in &methods {
+        header.extend([format!("FR({m})"), format!("HR({m})")]);
+    }
+    let mut table = AsciiTable::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
+    let categories = tallies.labels(
+        |_, slice| match slice {
+            Slice::Category(category, class) if class == syntax => Some(category),
+            _ => None,
+        },
+        known,
+    );
+    let lines = categories.iter().map(|&c| (c, Slice::Category(c, syntax)));
+    for (label, slice) in lines.chain([("Average", Slice::Class(syntax))]) {
+        let mut cells = vec![label.to_string()];
+        for m in &methods {
+            let t = tallies.get(m, slice);
+            cells.extend([pct_cell(t.fr()), pct_cell(t.hr())]);
+        }
+        table.row(cells);
+    }
+    section(out, title, &table);
+    out.push_str("HR-FR deviation/pp:");
+    for m in &methods {
+        let t = tallies.get(m, Slice::Class(syntax));
+        let _ = write!(out, "  {m} {:+.1}", t.hr() - t.fr());
+    }
+    out.push('\n');
+}
+
+/// Fig. 7: UVLLM's syntax and functional fix rates per design, with the
+/// design's group and module type from the catalogue.
+fn fig7(tallies: &Tallies<'_>, designs: &[&str]) -> AsciiTable {
+    let uvllm = MethodKind::Uvllm.label();
+    let mut table = AsciiTable::new(&["Module", "Group", "Type", "Syntax FR", "Function FR", "n"]);
+    for &design in designs {
+        let s = tallies.get(uvllm, Slice::DesignClass(design, true));
+        let f = tallies.get(uvllm, Slice::DesignClass(design, false));
+        if s.rows + f.rows == 0 {
+            continue;
+        }
+        let (group, kind) = uvllm_designs::by_name(design)
+            .map_or(("-", "-"), |d| (d.category.label(), d.module_type));
+        table.row(vec![
+            design.to_string(),
+            group.to_string(),
+            kind.to_string(),
+            pct_cell(s.fr()),
+            pct_cell(f.fr()),
+            (s.rows + f.rows).to_string(),
+        ]);
+    }
+    table
 }
 
 /// A minimal right-aligned ASCII table (first column left-aligned).
@@ -258,6 +502,80 @@ mod tests {
         }
     }
 
+    /// `row` re-filed under another group, category and fixing stage.
+    fn staged(row: EvalRow, group: &str, category: &str, stage: Option<Stage>) -> EvalRow {
+        EvalRow {
+            group: group.into(),
+            category: category.into(),
+            fixed_by: stage.filter(|_| row.fixed).map(|s| s.label().to_string()),
+            ..row
+        }
+    }
+
+    /// Rows for every table: UVLLM fixes by each stage in known groups
+    /// and an unknown one, an unclaimed fix, both repair forms, the
+    /// Fig. 5/6 baselines, an unknown method and an uncatalogued design.
+    fn rows_for_every_table() -> Vec<EvalRow> {
+        let mut rows = vec![
+            row("RTLrepair", "mux4", false, true, true),
+            row("Strider", "counter_12", false, true, false),
+            row("Custom", "mux4", true, false, false),
+            row("MEIC", "adder_8bit", true, true, false),
+            row("MEIC", "counter_12", false, true, true),
+            row("GPT-4-turbo", "mux4", true, true, true),
+            row("UVLLM(comp)", "mux4", true, true, true),
+            row("UVLLM(comp)", "my_core", false, false, false),
+            staged(
+                row("UVLLM", "counter_12", true, true, true),
+                "Control",
+                "Data handling",
+                Some(Stage::Preprocess),
+            ),
+            staged(
+                row("UVLLM", "counter_12", true, true, true),
+                "Control",
+                "Scope issues",
+                Some(Stage::RepairSl),
+            ),
+            staged(row("UVLLM", "fifo_sync", true, false, false), "Memory", "Data handling", None),
+            EvalRow {
+                claimed: false,
+                ..staged(
+                    row("UVLLM", "fifo_sync", true, true, true),
+                    "Memory",
+                    "Scope issues",
+                    None,
+                )
+            },
+            staged(
+                row("UVLLM", "my_core", true, true, true),
+                "Custom group",
+                "Scope issues",
+                Some(Stage::RepairMs),
+            ),
+        ];
+        // A functional mean of exactly 14.345 s: summed as f64 seconds,
+        // one order of these rows renders 14.34 and the other 14.35.
+        for ms in [1858, 25547, 15630] {
+            rows.push(EvalRow {
+                sim_latency_ms: ms,
+                ..row("UVLLM", "adder_8bit", false, true, true)
+            });
+        }
+        rows
+    }
+
+    /// The cells of `table`'s body lines in the rendered report.
+    fn table_lines<'a>(rendered: &'a str, table: &str) -> Vec<Vec<&'a str>> {
+        let start = rendered.find(&format!("== {table}")).expect("table rendered");
+        rendered[start..]
+            .lines()
+            .skip(3)
+            .take_while(|line| !line.is_empty() && !line.starts_with("=="))
+            .map(|line| line.split_whitespace().collect())
+            .collect()
+    }
+
     #[test]
     fn rates_and_rendering() {
         let report = CampaignReport::new(vec![
@@ -270,35 +588,82 @@ mod tests {
         assert!(report.fr(|r| r.method == "nope").is_nan());
         assert_eq!(report.methods(), vec!["UVLLM".to_string(), "MEIC".to_string()]);
         let rendered = report.render();
-        for heading in ["Per-method summary", "Fig. 5/6", "Fig. 7", "Table II"] {
+        for heading in ["Per-method summary", "Table II", "Table III", "Fig. 5", "Fig. 6", "Fig. 7"]
+        {
             assert!(rendered.contains(heading), "missing {heading}:\n{rendered}");
         }
-        assert!((report.mean_sim_secs(|_| true) - 2.0).abs() < 1e-9);
+        // Every row's modelled latency is 2 s, so every Texec mean is too.
+        let summary = table_lines(&rendered, "Per-method summary");
+        assert!(summary.iter().all(|cells| cells[5] == "2.00"), "{rendered}");
     }
 
     #[test]
     fn report_is_a_function_of_the_row_set_not_row_order() {
-        let mut rows = vec![
-            row("RTLrepair", "mux4", false, true, true),
-            row("Custom", "mux4", true, false, false),
-            row("MEIC", "adder_8bit", true, true, false),
-            row("GPT-4-turbo", "mux4", true, true, true),
-        ];
-        // A mean of exactly 14.345 s: summed as f64 seconds, one order
-        // of these rows renders 14.34 and the other 14.35.
-        for ms in [1858, 25547, 15630] {
-            rows.push(EvalRow {
-                sim_latency_ms: ms,
-                ..row("UVLLM", "adder_8bit", false, true, true)
-            });
-        }
+        let mut rows = rows_for_every_table();
         let forward = CampaignReport::new(rows.clone());
         rows.reverse();
         let backward = CampaignReport::new(rows);
-        let table_order = ["UVLLM", "MEIC", "GPT-4-turbo", "RTLrepair", "Custom"];
-        assert_eq!(forward.methods(), table_order, "known labels in table order, then others");
-        assert_eq!(forward.render(), backward.render());
-        assert!(forward.render().contains("14.34"), "{}", forward.render());
+        let table_order = ["UVLLM", "UVLLM(comp)", "MEIC", "GPT-4-turbo", "Strider", "RTLrepair"];
+        let mut known_then_others = table_order.to_vec();
+        known_then_others.push("Custom");
+        assert_eq!(
+            forward.methods(),
+            known_then_others,
+            "known labels in table order, then others"
+        );
+        let rendered = forward.render();
+        assert_eq!(rendered, backward.render());
+        for heading in [
+            "Per-method summary",
+            "Table II",
+            "Table III",
+            "Fig. 5",
+            "Fig. 6",
+            "Fig. 7",
+            "Per-design FR",
+        ] {
+            assert!(rendered.contains(heading), "missing {heading}:\n{rendered}");
+        }
+        // Table III and Table II's functional lines read the 14.345 s mean.
+        assert!(rendered.contains("14.34"), "{rendered}");
+        // Groups in Table II order, then the unknown one; catalogue
+        // designs in catalogue order, then the uncatalogued one.
+        let types: Vec<&str> = table_lines(&rendered, "Table II").iter().map(|c| c[0]).collect();
+        assert_eq!(
+            types,
+            ["Control", "Memory", "Custom", "Syntax", "Arithmetic", "Function", "Overall"]
+        );
+        let designs: Vec<&str> = table_lines(&rendered, "Fig. 7").iter().map(|c| c[0]).collect();
+        assert_eq!(designs, ["adder_8bit", "counter_12", "fifo_sync", "my_core"]);
+    }
+
+    #[test]
+    fn table2_stage_cells_sum_to_the_uvllm_cell() {
+        let rendered = CampaignReport::new(rows_for_every_table()).render();
+        let lines = table_lines(&rendered, "Table II");
+        assert_eq!(lines.len(), 7, "{rendered}");
+        let mut others = 0.0;
+        for cells in lines {
+            // Types, three stage FRs, Other FR, UVLLM FR/T, MEIC FR/T,
+            // speedup.
+            let fr: Vec<f64> =
+                cells[cells.len() - 9..][..5].iter().map(|c| c.parse().unwrap()).collect();
+            let parts = fr[0] + fr[1] + fr[2] + fr[3];
+            // Each of the five cells is rounded to 0.1.
+            assert!((parts - fr[4]).abs() <= 0.25, "{cells:?} in\n{rendered}");
+            others += fr[3];
+        }
+        assert!(others > 0.0, "the unclaimed fix is counted under Other FR:\n{rendered}");
+    }
+
+    #[test]
+    fn percent_and_guards() {
+        assert!((percent(1, 2) - 50.0).abs() < 1e-9);
+        assert!(percent(0, 0).is_nan());
+        assert_eq!(pct_cell(f64::NAN), "x");
+        assert_eq!(pct_cell(86.99), "87.0");
+        assert_eq!(secs_cell(13.829), "13.83");
+        assert_eq!(secs_cell(f64::NAN), "x");
     }
 
     #[test]

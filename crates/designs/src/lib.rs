@@ -9,7 +9,8 @@
 //! * a natural-language specification (prompt material),
 //! * the pin-level [`DutInterface`],
 //! * an executable golden [`RefModel`] (the paper's LLM-generated
-//!   C/C++ reference models, substituted per DESIGN.md), and
+//!   C/C++ reference models, written here in Rust against the
+//!   `IoSpec`/`IoFrame` exchange of the README's "Simulation"), and
 //! * a deliberately *weak* directed vector set — the "finite test
 //!   cases" style of testbench the paper criticises; baselines iterate
 //!   against it and the evaluation's Hit Rate is measured on it.

@@ -3,7 +3,8 @@
 //! The probabilities below are the per-call success rates of the
 //! simulated GPT-4-turbo, chosen so that the *pipeline-level* fix rates
 //! reproduce the shape of the paper's evaluation (Figures 5–7,
-//! Tables II–III); see EXPERIMENTS.md for the measured outcomes. They
+//! Tables II–III); the README's "Paper tables" shows the measured
+//! outcomes, pinned in `tests/golden/paper_artefacts.txt`. They
 //! encode two robust qualitative findings from the LLM-debugging
 //! literature that the paper leans on:
 //!

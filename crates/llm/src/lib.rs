@@ -11,7 +11,7 @@
 //!   (error-kind × information-mode) probabilities from
 //!   [`calibration`]; on failure it produces realistic wrong answers
 //!   that exercise the rollback machinery. This is the substitution for
-//!   the OpenAI API documented in DESIGN.md.
+//!   the OpenAI API (README, "The LLM service layer").
 //! * [`HeuristicLlm`] — a genuinely rule-based syntax fixer working
 //!   purely from lint logs (no ground truth).
 //! * [`ScriptedLlm`] — canned responses for deterministic tests.

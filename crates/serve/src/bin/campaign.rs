@@ -251,8 +251,6 @@ fn parse_run(args: Vec<String>) -> Result<(CampaignConfig, String), String> {
         // point of the fault plan is to exercise the resilience layer.
         resilience(&mut config);
     }
-    // Invalid UVLLM_WORKERS (workers == 0 defers to the environment)
-    // surfaces as an Err from Campaign::new, already a clean CLI error.
     Ok((config, out))
 }
 

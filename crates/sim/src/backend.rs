@@ -4,7 +4,6 @@
 use crate::elab::{Design, SignalId};
 use crate::logic::Logic;
 use crate::sched::{SimError, Simulator};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The simulation surface the UVM environment, the waveform recorder
@@ -86,17 +85,6 @@ pub trait SimControl {
             .enumerate()
             .filter(|(_, info)| info.words == 1)
             .map(|(i, _)| (SignalId(i as u32), self.peek(SignalId(i as u32))))
-            .collect()
-    }
-
-    /// Convenience: map of signal name to current value for scalars.
-    fn named_values(&self) -> HashMap<String, Logic> {
-        self.design()
-            .signals()
-            .iter()
-            .enumerate()
-            .filter(|(_, info)| info.words == 1)
-            .map(|(i, info)| (info.name.clone(), self.peek(SignalId(i as u32))))
             .collect()
     }
 }

@@ -1,7 +1,6 @@
 //! The UVM environment: sequencer → driver → DUT → monitor → scoreboard
 //! (Fig. 3 of the paper), with waveform capture and coverage.
 
-use crate::assertion::Assertion;
 use crate::iface::{DutInterface, Transaction};
 use crate::log::UvmLog;
 use crate::refmodel::{IoFrame, IoSpec, RefModel};
@@ -11,7 +10,7 @@ use std::fmt;
 use uvllm_sim::{Logic, SimBackend, SimControl, SimError, Simulator, Waveform};
 
 /// Nanoseconds per clock cycle in the recorded waveform.
-pub const CYCLE_TIME: u64 = 10;
+pub(crate) const CYCLE_TIME: u64 = 10;
 
 /// Environment construction / execution failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +65,7 @@ impl Driver {
 
 /// Observes DUT pins.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Monitor;
+pub(crate) struct Monitor;
 
 impl Monitor {
     /// Refreshes slot `i` of `into` with the current value of the `i`-th
@@ -86,7 +85,7 @@ impl Monitor {
 }
 
 /// Pulls transactions out of a list of sequences in order.
-pub struct Sequencer {
+pub(crate) struct Sequencer {
     sequences: Vec<Box<dyn Sequence>>,
     current: usize,
 }
@@ -124,7 +123,7 @@ impl fmt::Debug for Sequencer {
 }
 
 /// The input-side agent of Fig. 3: sequencer + driver (+ input monitor).
-pub struct InAgent {
+pub(crate) struct InAgent {
     pub sequencer: Sequencer,
     pub driver: Driver,
     pub monitor: Monitor,
@@ -158,8 +157,6 @@ pub struct RunSummary {
     /// `SimError::Unstable` as a distinct outcome instead of an opaque
     /// abort string.
     pub unstable: Option<usize>,
-    /// Immediate-assertion failures observed (cycle count, not unique).
-    pub assertion_failures: usize,
 }
 
 impl RunSummary {
@@ -193,8 +190,6 @@ pub struct Environment {
     frames: Frames,
     /// The records Algorithm 2 keeps, under [`Frames::AtKeptRecords`].
     kept: KeptRecords,
-    assertions: Vec<Assertion>,
-    assertion_failures: usize,
     /// Interned I/O layout shared with the reference model; also the
     /// slot order of every buffer below.
     spec: IoSpec,
@@ -294,8 +289,6 @@ impl Environment {
             wave: None,
             frames: Frames::Every,
             kept,
-            assertions: Vec::new(),
-            assertion_failures: 0,
             spec,
             in_ports,
             out_ports,
@@ -306,13 +299,6 @@ impl Environment {
             expected_buf,
             stop_at_first_mismatch: false,
         })
-    }
-
-    /// Attaches immediate assertions checked after every cycle — the
-    /// paper's extensibility hook for AI-generated protocol properties.
-    pub fn with_assertions(mut self, assertions: Vec<Assertion>) -> Self {
-        self.assertions = assertions;
-        self
     }
 
     /// Disables waveform capture. Pass/fail harnesses that never query
@@ -447,7 +433,6 @@ impl Environment {
             toggle_coverage: self.coverage.toggle_coverage(),
             aborted,
             unstable,
-            assertion_failures: self.assertion_failures,
         }
     }
 
@@ -541,21 +526,6 @@ impl Environment {
             }
         }
         self.coverage.sample(&self.inputs_buf, &self.outputs_buf);
-
-        // Immediate assertions over the post-edge snapshot.
-        if !self.assertions.is_empty() {
-            let snapshot = self.sim.named_values();
-            for a in &self.assertions {
-                if !a.holds(&snapshot) {
-                    self.assertion_failures += 1;
-                    self.log.error(
-                        time,
-                        "assert",
-                        format!("assertion '{}' failed: {}", a.name, a.text),
-                    );
-                }
-            }
-        }
 
         if let Some(clk) = self.clock_id {
             self.sim.poke(clk, Logic::bit(false))?;
@@ -709,61 +679,6 @@ mod tests {
             .expect("env");
         let summary = env.run();
         assert!(summary.all_passed(), "log:\n{}", summary.log.render());
-    }
-
-    #[test]
-    fn assertions_catch_protocol_violations() {
-        use crate::assertion::Assertion;
-        let src = "module m(input clk, input rst_n, input en, output reg [3:0] q);\n\
-                   always @(posedge clk or negedge rst_n) begin\n\
-                   if (!rst_n) q <= 4'd0;\nelse if (en) q <= q + 4'd2;\nend\nendmodule\n";
-        #[derive(Default)]
-        struct M {
-            q: u128,
-            en: InSlot,
-            q_out: OutSlot,
-        }
-        impl RefModel for M {
-            fn bind(&mut self, spec: &IoSpec) {
-                self.en = spec.input("en");
-                self.q_out = spec.output("q");
-            }
-            fn reset(&mut self) {
-                self.q = 0;
-            }
-            fn step(&mut self, io: &mut IoFrame<'_>) {
-                if io.get(self.en) == 1 {
-                    self.q = (self.q + 2) & 0xf;
-                }
-                io.set(self.q_out, self.q);
-            }
-        }
-        let iface = DutInterface::clocked(vec![PortSig::new("en", 1)], vec![PortSig::new("q", 4)]);
-        let seqs: Vec<Box<dyn Sequence>> =
-            vec![Box::new(RandomSequence::new(&iface.inputs, 40, 5))];
-        let env = Environment::from_source(src, "m", iface, Box::<M>::default(), seqs)
-            .expect("env")
-            .with_assertions(vec![
-                Assertion::parse("q_even", "q[0] == 1'b0").expect("parse"),
-                Assertion::parse("q_small", "q < 4'd15").expect("parse"),
-            ]);
-        let summary = env.run();
-        // The DUT matches its model (both step by 2), so the scoreboard
-        // passes — but the q_small assertion fires whenever q == 15
-        // (never: q stays even), while q_even always holds.
-        assert!(summary.all_passed());
-        assert_eq!(summary.assertion_failures, 0);
-
-        // Now assert something false and watch it fire.
-        let iface = DutInterface::clocked(vec![PortSig::new("en", 1)], vec![PortSig::new("q", 4)]);
-        let seqs: Vec<Box<dyn Sequence>> =
-            vec![Box::new(RandomSequence::new(&iface.inputs, 40, 5))];
-        let env = Environment::from_source(src, "m", iface, Box::<M>::default(), seqs)
-            .expect("env")
-            .with_assertions(vec![Assertion::parse("q_zero", "q == 4'd0").expect("parse")]);
-        let summary = env.run();
-        assert!(summary.assertion_failures > 0);
-        assert!(summary.log.render().contains("assertion 'q_zero' failed"));
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl DutInterface {
         }
     }
 
-    /// True when the DUT has a clock.
-    pub fn is_sequential(&self) -> bool {
-        self.clock.is_some()
-    }
-
     /// Looks up an input port by name.
     pub fn input(&self, name: &str) -> Option<&PortSig> {
         self.inputs.iter().find(|p| p.name == name)
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn interface_constructors() {
         let iface = DutInterface::clocked(vec![PortSig::new("d", 8)], vec![PortSig::new("q", 8)]);
-        assert!(iface.is_sequential());
+        assert!(iface.clock.is_some());
         assert_eq!(iface.clock.as_deref(), Some("clk"));
         assert!(iface.reset.as_ref().unwrap().active_low);
         assert!(iface.input("d").is_some());
@@ -183,7 +178,7 @@ mod tests {
         assert!(iface.input("q").is_none());
 
         let comb = DutInterface::combinational(vec![PortSig::new("a", 1)], vec![]);
-        assert!(!comb.is_sequential());
+        assert!(comb.clock.is_none());
     }
 
     #[test]

@@ -44,7 +44,6 @@
 //! # }
 //! ```
 
-pub mod assertion;
 pub mod env;
 pub mod iface;
 pub mod log;
@@ -52,10 +51,9 @@ pub mod refmodel;
 pub mod scoreboard;
 pub mod sequence;
 
-pub use assertion::Assertion;
-pub use env::{Driver, Environment, Monitor, RunSummary, Sequencer, UvmError, CYCLE_TIME};
+pub use env::{Driver, Environment, RunSummary, UvmError};
 pub use iface::{DutInterface, PortSig, ResetSpec, Transaction};
-pub use log::{tail_lines, LogEntry, LogMessage, UvmLog, UvmSeverity};
+pub use log::{tail_lines, UvmLog};
 pub use refmodel::{FnModel, InSlot, IoFrame, IoSpec, OutSlot, RefModel};
-pub use scoreboard::{Coverage, KeptRecords, Mismatch, Scoreboard, MAX_MISMATCH_RECORDS};
+pub use scoreboard::{Coverage, KeptRecords, Mismatch, MAX_MISMATCH_RECORDS};
 pub use sequence::{CornerSequence, DirectedSequence, RandomSequence, Sequence};

@@ -10,27 +10,23 @@ use uvllm_sim::Logic;
 
 /// Log severity, following UVM report levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UvmSeverity {
+pub(crate) enum UvmSeverity {
     Info,
-    Warning,
     Error,
-    Fatal,
 }
 
 impl fmt::Display for UvmSeverity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             UvmSeverity::Info => "UVM_INFO",
-            UvmSeverity::Warning => "UVM_WARNING",
             UvmSeverity::Error => "UVM_ERROR",
-            UvmSeverity::Fatal => "UVM_FATAL",
         })
     }
 }
 
 /// What one log entry says.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogMessage {
+pub(crate) enum LogMessage {
     Text(String),
     /// A scoreboard mismatch, rendered in the canonical format
     /// [`UvmLog::parse_mismatch_line`] reads back.
@@ -63,7 +59,7 @@ impl fmt::Display for LogMessage {
 
 /// One log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
+pub(crate) struct LogEntry {
     pub severity: UvmSeverity,
     pub time: u64,
     /// Emitting component, e.g. `scoreboard`, `driver`.
@@ -82,7 +78,7 @@ impl fmt::Display for LogEntry {
 /// The whole log of one UVM run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UvmLog {
-    pub entries: Vec<LogEntry>,
+    pub(crate) entries: Vec<LogEntry>,
 }
 
 impl UvmLog {
@@ -119,14 +115,6 @@ impl UvmLog {
         message: LogMessage,
     ) {
         self.entries.push(LogEntry { severity, time, component, message });
-    }
-
-    /// Number of error entries.
-    pub fn error_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.severity, UvmSeverity::Error | UvmSeverity::Fatal))
-            .count()
     }
 
     /// Renders the full log, one entry per line.
@@ -267,7 +255,8 @@ mod tests {
         let mut log = UvmLog::new();
         log.info(0, "env", "starting");
         log.error(5, "scoreboard", "boom");
-        assert_eq!(log.error_count(), 1);
+        let errors = log.entries.iter().filter(|e| e.severity == UvmSeverity::Error).count();
+        assert_eq!(errors, 1);
     }
 
     #[test]

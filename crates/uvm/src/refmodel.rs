@@ -3,8 +3,8 @@
 //!
 //! In the paper these models are C/C++ programs generated by an LLM from
 //! the specification and bound via DPI; here they are Rust
-//! implementations fulfilling the same contract (see DESIGN.md for the
-//! substitution rationale).
+//! implementations fulfilling the same contract (the README's
+//! "Simulation" puts the exchange below in context).
 //!
 //! # The `IoSpec` / `IoFrame` contract
 //!
@@ -83,7 +83,7 @@ pub struct IoSpec {
 
 impl IoSpec {
     /// Builds a spec from explicit port lists.
-    pub fn from_ports(inputs: &[PortSig], outputs: &[PortSig]) -> IoSpec {
+    pub(crate) fn from_ports(inputs: &[PortSig], outputs: &[PortSig]) -> IoSpec {
         IoSpec {
             inputs: inputs.iter().map(|p| (p.name.clone(), p.width)).collect(),
             outputs: outputs.iter().map(|p| (p.name.clone(), p.width)).collect(),
@@ -120,7 +120,7 @@ impl IoSpec {
     }
 
     /// Non-panicking [`IoSpec::input`].
-    pub fn try_input(&self, name: &str) -> Option<InSlot> {
+    pub(crate) fn try_input(&self, name: &str) -> Option<InSlot> {
         self.inputs
             .iter()
             .position(|(n, _)| n == name)
@@ -128,40 +128,20 @@ impl IoSpec {
     }
 
     /// Non-panicking [`IoSpec::output`].
-    pub fn try_output(&self, name: &str) -> Option<OutSlot> {
+    pub(crate) fn try_output(&self, name: &str) -> Option<OutSlot> {
         self.outputs
             .iter()
             .position(|(n, _)| n == name)
             .map(|i| OutSlot { index: i as u32, width: self.outputs[i].1 })
     }
 
-    /// Number of input slots.
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Number of output slots.
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Name of input slot `i`.
-    pub fn input_name(&self, i: usize) -> &str {
-        &self.inputs[i].0
-    }
-
     /// Name of output slot `i`.
-    pub fn output_name(&self, i: usize) -> &str {
+    pub(crate) fn output_name(&self, i: usize) -> &str {
         &self.outputs[i].0
     }
 
-    /// Width of input slot `i`.
-    pub fn input_width(&self, i: usize) -> u32 {
-        self.inputs[i].1
-    }
-
     /// Width of output slot `i`.
-    pub fn output_width(&self, i: usize) -> u32 {
+    pub(crate) fn output_width(&self, i: usize) -> u32 {
         self.outputs[i].1
     }
 }
@@ -190,23 +170,10 @@ impl<'a> IoFrame<'a> {
         self.inputs[slot.index as usize].to_u128().unwrap_or(0) & mask(slot.width)
     }
 
-    /// Reads an input as a four-state value.
-    #[inline]
-    pub fn get_logic(&self, slot: InSlot) -> Logic {
-        self.inputs[slot.index as usize]
-    }
-
     /// Writes an expected output value (truncated to the port width).
     #[inline]
     pub fn set(&mut self, slot: OutSlot, value: u128) {
         self.outputs[slot.index as usize] = Logic::from_u128(slot.width, value);
-    }
-
-    /// Writes an expected four-state output value (resized to the port
-    /// width).
-    #[inline]
-    pub fn set_logic(&mut self, slot: OutSlot, value: Logic) {
-        self.outputs[slot.index as usize] = value.resize(slot.width);
     }
 
     /// Marks an output as expected-unknown (all X at the port width).
@@ -328,7 +295,6 @@ mod tests {
         let frame = IoFrame::new(&inputs, &mut outputs);
         assert_eq!(frame.get(a), 0, "X input reads as zero");
         assert_eq!(frame.get(b), 0xf, "value masked to the port width");
-        assert_eq!(frame.get_logic(a), Logic::xs(8));
     }
 
     #[test]
@@ -344,18 +310,11 @@ mod tests {
         let mut frame = IoFrame::new(&inputs, &mut outputs);
         frame.set_x(y);
         assert_eq!(outputs[0], Logic::xs(8));
-        let mut frame = IoFrame::new(&inputs, &mut outputs);
-        frame.set_logic(y, Logic::from_u128(4, 7));
-        assert_eq!(outputs[0], Logic::from_u128(8, 7));
     }
 
     #[test]
     fn spec_resolves_slots_once() {
         let spec = spec();
-        assert_eq!(spec.input_count(), 2);
-        assert_eq!(spec.output_count(), 1);
-        assert_eq!(spec.input_name(1), "b");
-        assert_eq!(spec.input_width(0), 8);
         assert_eq!(spec.output_name(0), "y");
         assert_eq!(spec.output_width(0), 8);
         assert!(spec.try_input("missing").is_none());

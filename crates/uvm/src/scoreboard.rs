@@ -8,7 +8,6 @@
 //! mismatch is actually recorded.
 
 use crate::refmodel::IoSpec;
-use std::collections::HashSet;
 use uvllm_sim::Logic;
 
 /// One observed deviation between the DUT and the reference model.
@@ -76,7 +75,7 @@ impl KeptRecords {
 /// Accumulates comparison outcomes; its pass rate is the score the
 /// rollback mechanism uses (§III-C of the paper).
 #[derive(Debug, Clone, Default)]
-pub struct Scoreboard {
+pub(crate) struct Scoreboard {
     checked_cycles: usize,
     passed_cycles: usize,
     mismatches: Vec<Mismatch>,
@@ -91,7 +90,7 @@ impl Scoreboard {
     /// Compares one cycle of outputs, slot by slot; records any
     /// mismatches. `expected` and `actual` must be in `spec` output-slot
     /// order. Returns `true` when the cycle passed.
-    pub fn check_cycle(
+    pub(crate) fn check_cycle(
         &mut self,
         time: u64,
         cycle: usize,
@@ -132,11 +131,6 @@ impl Scoreboard {
         }
     }
 
-    /// Cycles compared so far.
-    pub fn checked_cycles(&self) -> usize {
-        self.checked_cycles
-    }
-
     /// All recorded mismatches in time order.
     pub fn mismatches(&self) -> &[Mismatch] {
         &self.mismatches
@@ -145,25 +139,8 @@ impl Scoreboard {
     /// Hands the recorded mismatches over, in time order — the end of a
     /// run moves them into its summary instead of cloning every
     /// signal name.
-    pub fn into_mismatches(self) -> Vec<Mismatch> {
+    pub(crate) fn into_mismatches(self) -> Vec<Mismatch> {
         self.mismatches
-    }
-
-    /// Distinct mismatching signal names, in first-seen order.
-    pub fn mismatch_signals(&self) -> Vec<String> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for m in &self.mismatches {
-            if seen.insert(m.signal.clone()) {
-                out.push(m.signal.clone());
-            }
-        }
-        out
-    }
-
-    /// True when every checked cycle passed (and at least one ran).
-    pub fn all_passed(&self) -> bool {
-        self.checked_cycles > 0 && self.mismatches.is_empty()
     }
 }
 
@@ -301,8 +278,7 @@ mod tests {
         assert!(!sb.check_cycle(10, 1, &spec, &exp, &vals(&[(8, 11)])));
         assert!((sb.pass_rate() - 0.5).abs() < 1e-9);
         assert_eq!(sb.mismatches().len(), 1);
-        assert_eq!(sb.mismatch_signals(), vec!["y".to_string()]);
-        assert!(!sb.all_passed());
+        assert_eq!(sb.mismatches()[0].signal, "y");
     }
 
     #[test]
@@ -340,7 +316,6 @@ mod tests {
     #[test]
     fn empty_scoreboard_scores_zero() {
         assert_eq!(Scoreboard::new().pass_rate(), 0.0);
-        assert!(!Scoreboard::new().all_passed());
     }
 
     #[test]

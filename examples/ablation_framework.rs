@@ -1,12 +1,13 @@
 //! Extension experiment (beyond the paper's Table III): ablates the two
-//! framework mechanisms DESIGN.md calls out — the score-register
-//! rollback and the MS→SL information escalation — quantifying what each
-//! contributes to the fix rate.
+//! framework mechanisms — the score-register rollback and the MS→SL
+//! information escalation — quantifying what each contributes to the
+//! fix rate. Campaign rows cannot express these configurations, so this
+//! runs the pipeline directly.
 //!
-//! Run: `cargo run -p uvllm-bench --bin ablation_framework --release`
+//! Run: `cargo run --release --example ablation_framework`
 
 use uvllm::{BenchInstance, Uvllm, VerifyConfig};
-use uvllm_bench::report::{pct_cell, percent, AsciiTable};
+use uvllm_campaign::report::{pct_cell, percent, AsciiTable};
 use uvllm_llm::{ModelProfile, OracleLlm};
 
 fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
@@ -40,10 +41,12 @@ fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
     (percent(fixed_syntax, n_syntax), percent(fixed_func, n_func))
 }
 
+/// Benchmark instances the ablation runs on.
+const SIZE: usize = 160;
+
 fn main() {
-    let size = std::env::var("UVLLM_BENCH_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(160);
-    eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A, &uvllm::StageMemo::new(), 1);
+    eprintln!("building dataset ({SIZE} instances)...");
+    let dataset = uvllm::build_dataset(SIZE, 0xDA7A, &uvllm::StageMemo::new(), 1);
 
     let configs: [(&str, VerifyConfig); 4] = [
         ("full framework", VerifyConfig::default()),

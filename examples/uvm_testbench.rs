@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run -p uvllm --example uvm_testbench`
 
-use uvllm_uvm::{Assertion, CornerSequence, Environment, RandomSequence, Sequence, UvmLog};
+use uvllm_uvm::{CornerSequence, Environment, RandomSequence, Sequence, UvmLog};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = uvllm_designs::by_name("fifo_sync").expect("catalogued design");
@@ -15,19 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(RandomSequence::new(&iface.inputs, 200, 0xF1F0)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    // Protocol assertions checked every cycle (the paper's
-    // extensibility hook for AI-generated properties).
-    let assertions = vec![
-        Assertion::parse("occupancy_bounded", "count <= 4'd8").map_err(std::io::Error::other)?,
-        Assertion::parse(
-            "flags_consistent",
-            "(full == (count == 4'd8)) && (empty == (count == 4'd0))",
-        )
-        .map_err(std::io::Error::other)?,
-    ];
     let env =
-        Environment::from_source(design.source, design.name, iface, (design.model)(), sequences)?
-            .with_assertions(assertions);
+        Environment::from_source(design.source, design.name, iface, (design.model)(), sequences)?;
     let summary = env.run();
     println!(
         "pristine FIFO: {} cycles, pass rate {:.1}%",
@@ -36,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  input coverage:  {:.1}%", summary.input_coverage * 100.0);
     println!("  toggle coverage: {:.1}%", summary.toggle_coverage * 100.0);
-    println!("  assertion failures: {}", summary.assertion_failures);
 
     // Now break the occupancy counter and watch the scoreboard object.
     let buggy = design.source.replace("count <= count - 4'd1;", "count <= count - 4'd2;");

@@ -1,8 +1,8 @@
 //! Whole-stack determinism: identical seeds reproduce identical
 //! datasets, repairs and evaluation records — the property that makes
-//! every experiment in EXPERIMENTS.md replayable bit-for-bit.
+//! every campaign replayable bit-for-bit (README, "Running a campaign").
 
-use uvllm_bench::harness::{evaluate_one, MethodKind};
+use uvllm_campaign::{evaluate_one, MethodKind};
 
 #[test]
 fn dataset_builds_identically() {

@@ -1,13 +1,17 @@
 //! The paper-facing numbers, pinned: the full 331 × 6 campaign at the
 //! default dataset seed must keep its row digest and its Table II /
 //! Fig. 5–6 roll-ups (hit and fix counts per method, the syntax /
-//! functional split, the outcome-label histogram).
+//! functional split, the outcome-label histogram), and the same run's
+//! rendered report — Table II/III and Figs. 5–7 — must read as
+//! committed.
 //!
 //! `tests/golden/paper_numbers.txt` was generated by the commit *before*
 //! the verdict memo and the fail-fast verdict runs landed, so an
 //! optimisation of how candidates are judged cannot silently shift a
-//! fix rate. The digest is the `rows_digest` that `uvllm-benchmark
-//! --workload campaign_full --seed 0xDA7A` prints.
+//! fix rate. The digest is the `rows_digest` that the repo benchmark's
+//! `--workload campaign_full --seed 0xDA7A` prints.
+//! `tests/golden/paper_artefacts.txt` is what `campaign run` prints
+//! below its run summary for the default campaign.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,4 +69,8 @@ fn full_campaign_reproduces_the_committed_paper_numbers() {
 
     let golden = include_str!("golden/paper_numbers.txt");
     assert_eq!(actual, golden, "paper-facing numbers moved; this run read:\n{actual}");
+
+    let rendered = report.render();
+    let golden = include_str!("golden/paper_artefacts.txt");
+    assert_eq!(rendered, golden, "the rendered paper tables moved; this run read:\n{rendered}");
 }
