@@ -746,6 +746,18 @@ mod tests {
     }
 
     #[test]
+    fn methods_are_deterministic() {
+        let d = by_name("counter_12").unwrap();
+        let inst = build_instance(d, ErrorKind::ValueMisuse, 9, &uvllm::StageMemo::new())
+            .expect("instance");
+        let a = evaluate_one(MethodKind::Meic, &inst);
+        let b = evaluate_one(MethodKind::Meic, &inst);
+        assert_eq!(a.fixed, b.fixed);
+        assert_eq!(a.hit, b.hit);
+        assert_eq!(a.usage.calls, b.usage.calls);
+    }
+
+    #[test]
     fn script_methods_report_zero_llm_usage() {
         let d = by_name("alu_8bit").unwrap();
         let inst = build_instance(d, ErrorKind::OperatorMisuse, 2, &uvllm::StageMemo::new())
