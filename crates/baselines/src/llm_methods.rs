@@ -77,15 +77,29 @@ fn answered(
 pub struct MeicRun<'d> {
     design: &'d Design,
     code: String,
+    /// The last acceptance test and the code it ran on: an answer that
+    /// leaves the code as it was (unparsable, empty or identical) is
+    /// not tested again.
+    tested: Option<(String, Acceptance)>,
     iterations: usize,
     /// Modelled LLM latency plus the compute of the steps.
     time: Duration,
 }
 
+/// What MEIC's acceptance test ([`directed_stage`]) said of a candidate.
+#[derive(Debug)]
+enum Acceptance {
+    Passed,
+    /// The last lines of the failing run's log.
+    Failed(String),
+    /// Why the candidate did not build.
+    BuildFailed(String),
+}
+
 impl<'d> MeicRun<'d> {
     /// A run on `src`, not yet started.
     pub fn new(design: &'d Design, src: &str) -> Self {
-        MeicRun { design, code: src.to_string(), iterations: 0, time: Duration::ZERO }
+        MeicRun { design, code: src.to_string(), tested: None, iterations: 0, time: Duration::ZERO }
     }
 
     /// Runs until the LLM must answer a repair prompt or the run ends;
@@ -121,13 +135,21 @@ impl<'d> MeicRun<'d> {
         self.iterations += 1;
         // Run the method's own (weak) acceptance test; its log's last
         // lines are the feedback.
-        let log_tail = match directed_stage(&self.code, design, memo) {
+        let acceptance = match self.tested.take() {
+            Some((code, acceptance)) if code == self.code => acceptance,
+            _ => match directed_stage(&self.code, design, memo) {
+                UvmOutcome::Ran(run) if run.all_passed() => Acceptance::Passed,
+                UvmOutcome::Ran(run) => Acceptance::Failed(run.log.render_tail(15)),
+                UvmOutcome::BuildFailed(msg) => Acceptance::BuildFailed(msg),
+            },
+        };
+        let log_tail = match &acceptance {
             // NOTE: if the weak tests never trip over the bug, MEIC
             // exits here *without any repair* — the escape the paper
             // measured at ~10%.
-            UvmOutcome::Ran(run) if run.all_passed() => return Step::Done(self.finish(true, wall)),
-            UvmOutcome::Ran(run) => run.log.render_tail(15),
-            UvmOutcome::BuildFailed(msg) => {
+            Acceptance::Passed => return Step::Done(self.finish(true, wall)),
+            Acceptance::Failed(tail) => tail.clone(),
+            Acceptance::BuildFailed(msg) => {
                 // Compiler output, minimally processed.
                 let lint = memo.lint(design.name, &self.code);
                 let log = if lint.diagnostics.is_empty() {
@@ -138,6 +160,7 @@ impl<'d> MeicRun<'d> {
                 tail_lines(&log, 15)
             }
         };
+        self.tested = Some((self.code.clone(), acceptance));
         self.time += wall.elapsed();
         Step::NeedLlm(
             RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &self.code)

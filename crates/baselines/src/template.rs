@@ -215,8 +215,8 @@ impl<'m> StriderRepair<'m> {
         self
     }
 
-    /// Takes elaborations from `memo` (a campaign passes its dataset's)
-    /// instead of a memo of each repair's own.
+    /// Asks `memo` (a campaign passes its dataset's) instead of a memo
+    /// of each repair's own.
     pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
         self.memo = Some(memo);
         self
@@ -287,8 +287,8 @@ impl<'m> RtlRepair<'m> {
         self
     }
 
-    /// Takes elaborations from `memo` (a campaign passes its dataset's)
-    /// instead of a memo of each repair's own.
+    /// Asks `memo` (a campaign passes its dataset's) instead of a memo
+    /// of each repair's own.
     pub fn with_memo(mut self, memo: &'m StageMemo) -> Self {
         self.memo = Some(memo);
         self

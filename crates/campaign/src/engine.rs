@@ -40,9 +40,10 @@ fn metrics() -> &'static CampaignMetrics {
 /// across leases instead of paying the build per shard.
 ///
 /// It also owns the [`StageMemo`] of everything run on it: a candidate
-/// text is elaborated, linted, simulated, localized and judged once per
-/// dataset, whichever job, worker or shard reaches it first. A fresh
-/// build starts with the elaborations of its own validation runs.
+/// text is linted, simulated, localized and judged once per dataset,
+/// whichever job, worker or shard reaches it first. The build pins the
+/// dataset's own texts, its mutants and goldens, in the memo: only
+/// those keep their elaborations.
 #[derive(Debug)]
 pub struct CampaignDataset {
     size: usize,
@@ -69,8 +70,8 @@ impl CampaignDataset {
     }
 
     /// What the build and the jobs run on this dataset so far have
-    /// learnt about their candidate texts: elaborations, lint reports,
-    /// UVM-stage facts and verdicts.
+    /// learnt about their candidate texts: lint reports, UVM-stage
+    /// facts and verdicts, and the elaborations of the pinned texts.
     pub fn memo(&self) -> &StageMemo {
         &self.memo
     }

@@ -50,14 +50,16 @@
 //!   once and serves every leased shard from it. The build validates
 //!   candidates on the campaign's worker count and is the same dataset
 //!   at any count.
-//! * [`StageMemo`] — owned by the dataset: a candidate text is
-//!   elaborated, linted, run through the UVM stage and judged (hit run +
-//!   fix run) once per dataset — mutated sources across methods,
-//!   candidates across metrics, the golden text behind every confirmed
-//!   fix — and a worker that asks for what another worker is working
-//!   out waits for that result (`campaign.stage_memo.{elab,lint,uvm}.*`,
+//! * [`StageMemo`] — owned by the dataset: a candidate text is linted,
+//!   run through the UVM stage and judged (hit run + fix run) once per
+//!   dataset — mutated sources across methods, candidates across
+//!   metrics, the golden text behind every confirmed fix — and a worker
+//!   that asks for what another worker is working out waits for that
+//!   result (`campaign.stage_memo.{elab,lint,uvm}.*`,
 //!   `campaign.verdict_memo.*`; the waits in
-//!   `campaign.stage_memo.wait_us`).
+//!   `campaign.stage_memo.wait_us`). Elaborations are kept only for the
+//!   dataset's own texts, its mutants and goldens; any other text is
+//!   elaborated per run (`campaign.stage_memo.elab.unpinned`).
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.

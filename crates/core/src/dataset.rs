@@ -59,16 +59,22 @@ impl Dataset {
 ///   fail the detection run — which is a strict prefix of the FR
 ///   campaign, so every admitted instance fails FR before repair.
 ///
-/// The detection run elaborates through `memo`, so a campaign that
-/// builds its dataset through its own memo finds every admitted
-/// mutant already elaborated.
+/// The detection run asks `memo`, so a campaign that builds its
+/// dataset through its own memo finds every candidate's text there, and
+/// the elaboration of the admitted one [pinned](StageMemo::pin).
 pub fn build_instance(
     design: &'static Design,
     kind: ErrorKind,
     base_seed: u64,
     memo: &StageMemo,
 ) -> Option<BenchInstance> {
-    build_prepared_instance(design, &prepare(design), kind, base_seed, memo)
+    let mut rejected = Vec::new();
+    let instance =
+        build_prepared_instance(design, &prepare(design), kind, base_seed, memo, &mut rejected);
+    for text in &rejected {
+        memo.unpin(design.name, text);
+    }
+    instance
 }
 
 /// `design`'s golden source, lexed and parsed for mutation.
@@ -77,17 +83,26 @@ fn prepare(design: &'static Design) -> Prepared<'static> {
 }
 
 /// [`build_instance`] from `golden`, `design`'s [`prepare`]d source.
+/// Each functional attempt is pinned in `memo` before its detection run,
+/// so the admitted one keeps the elaboration that run made; the texts of
+/// the attempts not admitted are pushed to `rejected`, for the caller to
+/// unpin once no validation runs.
 fn build_prepared_instance(
     design: &'static Design,
     golden: &Prepared<'static>,
     kind: ErrorKind,
     base_seed: u64,
     memo: &StageMemo,
+    rejected: &mut Vec<String>,
 ) -> Option<BenchInstance> {
     for attempt in 0..6u64 {
         let seed = base_seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
         let Ok(out) = golden.mutate(kind, seed) else { continue };
-        if kind.is_syntax() || mutant_is_detectable(design, &out.mutated_src, memo) {
+        let admitted = kind.is_syntax() || {
+            memo.pin(design.name, &out.mutated_src);
+            mutant_is_detectable(design, &out.mutated_src, memo)
+        };
+        if admitted {
             return Some(BenchInstance {
                 design,
                 kind,
@@ -96,6 +111,7 @@ fn build_prepared_instance(
                 ground_truth: out.ground_truth,
             });
         }
+        rejected.push(out.mutated_src);
     }
     None
 }
@@ -106,8 +122,13 @@ const ROUNDS: usize = 8;
 /// Builds a dataset of (up to) `target` instances by cycling over every
 /// `(design, kind)` pair with fresh seeds each round, mirroring the
 /// paper's "27 modules × 9 error types, 331 instances" construction.
-/// Validation runs elaborate through `memo` ([`build_instance`]); each
-/// golden source a candidate needs is lexed and parsed once per build.
+/// Validation runs ask `memo` ([`build_instance`]); each golden source a
+/// candidate needs is lexed and parsed once per build. Once built, the
+/// dataset's own texts — every admitted mutant and every golden source
+/// — are the texts [pinned](StageMemo::pin) in `memo`, so their
+/// elaborations are kept for the jobs, which all start from them: a
+/// candidate is pinned while it is validated and unpinned, its
+/// elaboration dropped, if it is not admitted.
 ///
 /// The candidates `(round, design, kind)` are examined in that order
 /// until `target` instances are found; a pair none of whose round-0
@@ -124,6 +145,7 @@ pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo, workers: u
     let kinds = ErrorKind::ALL.len();
     let pairs = designs.len() * kinds;
     let candidates = ROUNDS * pairs;
+    let rejected = Mutex::new(Vec::new());
     let validate = |candidate: usize| {
         let (round, index) = (candidate / pairs, candidate % pairs / kinds);
         let design = designs[index];
@@ -133,7 +155,11 @@ pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo, workers: u
             .wrapping_add(kind as u64 * 37)
             .wrapping_add(design.name.len() as u64);
         let golden = goldens[index].get_or_init(|| prepare(design));
-        build_prepared_instance(design, golden, kind, seed, memo).ok_or((design.name, kind))
+        let mut texts = Vec::new();
+        let instance = build_prepared_instance(design, golden, kind, seed, memo, &mut texts);
+        let mut rejected = rejected.lock().unwrap_or_else(PoisonError::into_inner);
+        rejected.extend(texts.into_iter().map(|text| (design.name, text)));
+        instance.ok_or((design.name, kind))
     };
 
     let claims = Mutex::new(Claims {
@@ -189,6 +215,15 @@ pub fn build_dataset(target: usize, base_seed: u64, memo: &StageMemo, workers: u
             Err(pair) if candidate < pairs => dataset.inapplicable.push(pair),
             Err(_) => {}
         }
+    }
+    for (design, text) in rejected.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        memo.unpin(design, &text);
+    }
+    for design in &designs {
+        memo.pin(design.name, design.source);
+    }
+    for instance in &dataset.instances {
+        memo.pin(instance.design.name, &instance.mutated_src);
     }
     dataset
 }

@@ -25,10 +25,11 @@
 //! [`metrics`] implements the paper's Hit Rate / Fix Rate split and
 //! [`dataset`] assembles the validated benchmark instances. [`memo`]
 //! keeps what the stages learn about a candidate text that is a pure
-//! function of it (elaboration, lint report, UVM-stage facts, verdict),
-//! so that many runs over one dataset analyse each text once
-//! ([`Verification::step`]); every function that simulates a text takes
-//! the memo to elaborate it through.
+//! function of it (lint report, UVM-stage facts, verdict), so that many
+//! runs over one dataset analyse each text once
+//! ([`Verification::step`]), and the elaborations of the dataset's own
+//! texts; every function that simulates a text takes the memo to
+//! elaborate it through.
 //!
 //! The loop itself is resumable state ([`Verification`], with
 //! [`Preprocessing`] inside it): a step runs the stages until the LLM

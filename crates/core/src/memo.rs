@@ -1,21 +1,31 @@
 //! The stage memo: a candidate text is analysed once per dataset.
 //!
 //! Everything the methods learn about a candidate text that is a pure
-//! function of it — its elaboration, its lint report, what the UVM stage
-//! found, whether it passes the public tests, its verdict — is kept in
-//! one entry per `(design, text)`, each slot filled by its first asker. The loop of Fig. 2 re-enters every
-//! stage with the text it already had whenever a repair does not apply
-//! or a rollback restores the best version, UVLLM and UVLLM(comp) start
-//! from the same mutant, and methods end on few distinct texts, so
-//! within one dataset most stage calls repeat an earlier one. The campaign's dataset owns
-//! one memo — the dataset builder's validation runs already elaborate
-//! through it — and every job of that dataset, on any worker and in any
-//! shard, asks it before analysing; a caller without a dataset passes a
-//! fresh one.
+//! function of it — its lint report, what the UVM stage found, whether
+//! it passes the public tests, its verdict — is kept in one entry per
+//! `(design, text)`, each slot filled by its first asker. The loop of
+//! Fig. 2 re-enters every stage with the text it already had whenever a
+//! repair does not apply or a rollback restores the best version, UVLLM
+//! and UVLLM(comp) start from the same mutant, and methods end on few
+//! distinct texts, so within one dataset most stage calls repeat an
+//! earlier one. The campaign's dataset owns one memo and every job of
+//! that dataset, on any worker and in any shard, asks it before
+//! analysing; a caller without a dataset passes a fresh one.
+//!
+//! An elaboration is kept only for the dataset's own texts — each
+//! admitted mutant and each golden source, which the dataset
+//! [pins](StageMemo::pin) before its first job: every method starts from
+//! them, so each is simulated four to five times in a default campaign.
+//! Any other text (a template candidate, an LLM answer, a sample), most
+//! of them simulated once, is elaborated by the run that needs it and
+//! dropped with that run; its answers are kept like anyone's. Which
+//! texts keep a design is fixed before the first job, so every count of
+//! elaborations is the same at any worker count.
 
 use crate::metrics::Verdict;
 use crate::stages::{localize, uvm_stage, Localized, UvmOutcome};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use uvllm_designs::Design;
@@ -44,7 +54,10 @@ impl SlotMetrics {
 /// and `campaign.stage_memo.wait_us`.
 #[derive(Debug)]
 struct MemoMetrics {
+    /// Asks about pinned texts only.
     elab: SlotMetrics,
+    /// Elaborations of unpinned texts, each made for its one asker.
+    elab_unpinned: &'static uvllm_obs::Counter,
     lint: SlotMetrics,
     uvm: SlotMetrics,
     hit: SlotMetrics,
@@ -58,6 +71,7 @@ fn metrics() -> &'static MemoMetrics {
     static METRICS: OnceLock<MemoMetrics> = OnceLock::new();
     METRICS.get_or_init(|| MemoMetrics {
         elab: SlotMetrics::named("campaign.stage_memo.elab"),
+        elab_unpinned: uvllm_obs::registry().counter("campaign.stage_memo.elab.unpinned"),
         lint: SlotMetrics::named("campaign.stage_memo.lint"),
         uvm: SlotMetrics::named("campaign.stage_memo.uvm"),
         hit: SlotMetrics::named("campaign.stage_memo.hit"),
@@ -155,6 +169,10 @@ type ByText = HashMap<Arc<str>, Arc<Entry>>;
 #[derive(Debug)]
 struct Entry {
     text: Arc<str>,
+    /// One of the dataset's own texts, or a candidate the dataset build
+    /// is validating ([`StageMemo::pin`]): the only entries whose `elab`
+    /// slot is filled.
+    pinned: AtomicBool,
     elab: OnceLock<Elaborated>,
     lint: OnceLock<Arc<LintReport>>,
     uvm: OnceLock<Arc<UvmFacts>>,
@@ -162,9 +180,9 @@ struct Entry {
     verdict: OnceLock<Judgement>,
 }
 
-/// `(design name, text)` → elaboration, lint report, UVM-stage facts,
-/// hit and verdict, keyed on the full text (a hash collision would be a
-/// wrong row).
+/// `(design name, text)` → lint report, UVM-stage facts, hit and
+/// verdict, plus the elaboration of a pinned text, keyed on the full
+/// text (a hash collision would be a wrong row).
 ///
 /// Every slot is filled once, with in-flight dedup: the map lock is held
 /// just long enough to find or insert the text's entry, and a caller
@@ -175,8 +193,12 @@ struct Entry {
 /// slot empty (the panic propagates to its caller only): the next
 /// asker, or one that was waiting, fills it.
 ///
-/// Unbounded on purpose: it holds what the jobs of the dataset that
-/// owns it asked about, and is dropped with that dataset.
+/// It holds the answers to what the jobs of the dataset that owns it
+/// asked about, and is dropped with that dataset. Answers are small;
+/// designs are not, so only the few hundred pinned texts keep one: most
+/// of the thousands of candidate texts a campaign checks are simulated
+/// once, and keeping all their designs was half the peak memory of a
+/// campaign.
 #[derive(Debug, Default)]
 pub struct StageMemo {
     /// Design name → text → entry. Nested so a lookup borrows the text
@@ -189,6 +211,10 @@ pub struct StageMemo {
 pub struct Analysed {
     pub design: &'static str,
     pub text: String,
+    /// Whether the text was [pinned](StageMemo::pin).
+    pub pinned: bool,
+    /// The kept elaboration: filled for a pinned text once a run asked
+    /// for it, never for any other.
     pub elab: Option<Elaborated>,
     pub lint: Option<Arc<LintReport>>,
     pub uvm: Option<Arc<UvmFacts>>,
@@ -211,6 +237,7 @@ impl StageMemo {
                 let text: Arc<str> = Arc::from(text);
                 let entry = Arc::new(Entry {
                     text: Arc::clone(&text),
+                    pinned: AtomicBool::new(false),
                     elab: OnceLock::new(),
                     lint: OnceLock::new(),
                     uvm: OnceLock::new(),
@@ -223,24 +250,51 @@ impl StageMemo {
         }
     }
 
-    /// `text` parsed and elaborated with `design` as its top module
-    /// ([`uvllm_sim::elaborate_source`]); every simulation of the text
-    /// shares the one [`uvllm_sim::Design`].
+    /// Marks `text`, an implementation of `design`, as one of the
+    /// dataset's own texts, whose elaboration is kept once made. The
+    /// dataset build also pins each candidate it validates, so an
+    /// admitted one keeps the elaboration of its validation run.
+    pub fn pin(&self, design: &'static str, text: &str) {
+        // Relaxed: the flag publishes no other data, and the thread that
+        // pins a text asks about it next (a validation), or pins before
+        // the threads of the jobs start.
+        self.entry(design, text).pinned.store(true, Ordering::Relaxed);
+    }
+
+    /// Undoes [`StageMemo::pin`] for a text that turned out not to be one
+    /// of the dataset's own (a candidate the dataset build did not
+    /// admit), dropping its elaboration. No ask of any text may be in
+    /// flight.
+    pub fn unpin(&self, design: &'static str, text: &str) {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = entries.get_mut(design).and_then(|of_design| of_design.get_mut(text)) {
+            let entry = Arc::get_mut(entry).expect("no ask holds an entry between asks");
+            *entry.pinned.get_mut() = false;
+            entry.elab.take();
+        }
+    }
+
+    /// `text` elaborated with `design` as its top module by `elaborate`.
+    /// For a pinned text the one elaboration is made by its first asker
+    /// and shared by every later simulation of the text; any other text
+    /// is elaborated for this asker and not kept.
     ///
     /// # Errors
     ///
     /// The parse or elaboration error message, kept like a success.
-    pub fn elaborate(&self, design: &'static str, text: &str) -> Elaborated {
-        self.elaborate_with(design, text, || uvllm_sim::elaborate_source(text, design))
-    }
-
-    fn elaborate_with(
+    pub fn elaborate(
         &self,
         design: &'static str,
         text: &str,
         elaborate: impl FnOnce() -> Elaborated,
     ) -> Elaborated {
-        fill(&self.entry(design, text).elab, &metrics().elab, elaborate)
+        let entry = self.entry(design, text);
+        if entry.pinned.load(Ordering::Relaxed) {
+            fill(&entry.elab, &metrics().elab, elaborate)
+        } else {
+            metrics().elab_unpinned.inc();
+            elaborate()
+        }
     }
 
     /// The lint report of `text`, an implementation of `design`.
@@ -343,6 +397,7 @@ impl StageMemo {
                 out.push(Analysed {
                     design,
                     text: text.to_string(),
+                    pinned: entry.pinned.load(Ordering::Relaxed),
                     elab: entry.elab.get().cloned(),
                     lint: entry.lint.get().cloned(),
                     uvm: entry.uvm.get().cloned(),
@@ -415,7 +470,8 @@ mod tests {
     }
 
     fn ask_elab(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
-        let elaborated = memo.elaborate_with(design().name, text, || Err(make().to_string()));
+        memo.pin(design().name, text);
+        let elaborated = memo.elaborate(design().name, text, || Err(make().to_string()));
         elaborated.expect_err("the failure put in").parse().unwrap()
     }
 
@@ -570,17 +626,27 @@ mod tests {
         }
     }
 
+    const ADD: &str = "module add(input [7:0] a, input [7:0] b, output [8:0] y);\n\
+                       assign y = a + b;\nendmodule\n";
+
+    /// Asks `memo` to elaborate `text` as `design`, counting the
+    /// elaborations made in `made`.
+    fn elaborate(
+        memo: &StageMemo,
+        design: &'static str,
+        text: &str,
+        made: &AtomicUsize,
+    ) -> Elaborated {
+        memo.elaborate(design, text, || {
+            made.fetch_add(1, Ordering::Relaxed);
+            uvllm_sim::elaborate_source(text, design)
+        })
+    }
+
     #[test]
-    fn one_elaboration_per_text_shared_and_failures_kept() {
-        const ADD: &str = "module add(input [7:0] a, input [7:0] b, output [8:0] y);\n\
-                           assign y = a + b;\nendmodule\n";
+    fn a_pinned_text_is_elaborated_once_and_shared() {
         let memo = StageMemo::new();
-        let elaborate = |design: &'static str, text: &str, made: &AtomicUsize| {
-            memo.elaborate_with(design, text, || {
-                made.fetch_add(1, Ordering::Relaxed);
-                uvllm_sim::elaborate_source(text, design)
-            })
-        };
+        memo.pin("add", ADD);
 
         // Eight threads at once on one text: one elaboration, one `Arc`.
         let made = AtomicUsize::new(0);
@@ -590,7 +656,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        elaborate("add", ADD, &made).unwrap()
+                        elaborate(&memo, "add", ADD, &made).unwrap()
                     })
                 })
                 .collect();
@@ -598,38 +664,87 @@ mod tests {
         });
         assert_eq!(made.load(Ordering::Relaxed), 1);
         assert!(designs.iter().all(|d| Arc::ptr_eq(d, &designs[0])), "one shared elaboration");
-        assert!(Arc::ptr_eq(&memo.elaborate("add", ADD).unwrap(), &designs[0]));
+        let kept = memo.analysed().into_iter().find(|a| a.text == ADD).unwrap();
+        assert!(kept.pinned && Arc::ptr_eq(&kept.elab.unwrap().unwrap(), &designs[0]));
 
         // A text that does not parse, and one that parses but does not
         // elaborate, are kept as their error messages.
         let unparsable = "module add(input a output y);\nendmodule\n";
         let undeclared = "module add(input a, output y);\nassign y = b;\nendmodule\n";
         for bad in [unparsable, undeclared] {
+            memo.pin("add", bad);
             let made = AtomicUsize::new(0);
-            let first = elaborate("add", bad, &made).unwrap_err();
+            let first = elaborate(&memo, "add", bad, &made).unwrap_err();
             assert_eq!(first, uvllm_sim::elaborate_source(bad, "add").unwrap_err());
-            assert_eq!(elaborate("add", bad, &made).unwrap_err(), first);
+            assert_eq!(elaborate(&memo, "add", bad, &made).unwrap_err(), first);
             assert_eq!(made.load(Ordering::Relaxed), 1, "{first}");
         }
 
-        // One text under two design names is two entries, each with its
-        // own top module.
+        // One text under two design names is two entries, each pinned
+        // on its own and with its own top module.
         let two = "module m1(input a, output y);\nassign y = a;\nendmodule\n\
                    module m2(input a, output y);\nassign y = ~a;\nendmodule\n";
-        assert_eq!(memo.elaborate("m1", two).unwrap().top, "m1");
-        assert_eq!(memo.elaborate("m2", two).unwrap().top, "m2");
+        let made = AtomicUsize::new(0);
+        for top in ["m1", "m2"] {
+            memo.pin(top, two);
+            assert_eq!(elaborate(&memo, top, two, &made).unwrap().top, top);
+        }
         let entries: Vec<_> = memo.analysed().into_iter().filter(|a| a.text == two).collect();
         assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|a| a.elab.is_some()));
+        assert!(entries.iter().all(|a| a.pinned && a.elab.is_some()));
 
         // A filler that panics leaves the slot empty for the next asker.
         let text = ADD.replace("a + b", "a - b");
-        let panicked =
-            catch_unwind(AssertUnwindSafe(|| memo.elaborate_with("add", &text, || panic!())));
+        memo.pin("add", &text);
+        let panicked = catch_unwind(AssertUnwindSafe(|| memo.elaborate("add", &text, || panic!())));
         assert!(panicked.is_err());
         let entry = memo.analysed().into_iter().find(|a| a.text == text).unwrap();
         assert!(entry.elab.is_none());
-        assert_eq!(memo.elaborate("add", &text).unwrap().top, "add");
+        assert_eq!(elaborate(&memo, "add", &text, &made).unwrap().top, "add");
+    }
+
+    #[test]
+    fn an_unpinned_text_is_elaborated_per_run_and_not_kept() {
+        let d = uvllm_designs::by_name("adder_8bit").unwrap();
+        let broken = d.source.replace("a + b", "a - b");
+        let memo = StageMemo::new();
+        let slot = |memo: &StageMemo, text: &str| {
+            memo.analysed().into_iter().find(|a| a.text == text).expect("an entry per text asked")
+        };
+
+        // Every ask elaborates afresh, and the entry keeps no design.
+        let made = AtomicUsize::new(0);
+        let first = elaborate(&memo, d.name, &broken, &made).unwrap();
+        let second = elaborate(&memo, d.name, &broken, &made).unwrap();
+        assert_eq!(made.load(Ordering::Relaxed), 2);
+        assert!(!Arc::ptr_eq(&first, &second));
+        let entry = slot(&memo, &broken);
+        assert!(!entry.pinned && entry.elab.is_none());
+
+        // The stages still run it, each on an elaboration of its own,
+        // and their answers are kept while the slot stays empty.
+        let direct = crate::stages::directed_stage(&broken, d, &memo);
+        assert!(matches!(direct, UvmOutcome::Ran(run) if !run.all_passed()));
+        assert!(!memo.uvm_stage(&broken, d, 40, 1).passed());
+        assert!(!crate::metrics::fix_confirmed(d, &broken, &memo));
+        let entry = slot(&memo, &broken);
+        assert!(entry.uvm.is_some() && entry.elab.is_none());
+
+        // Pinned later, the text keeps its next elaboration ...
+        memo.pin(d.name, &broken);
+        crate::stages::directed_stage(&broken, d, &memo);
+        let entry = slot(&memo, &broken);
+        assert!(entry.pinned && entry.elab.is_some_and(|e| e.is_ok()));
+
+        // ... until it is unpinned, which drops the design and keeps the
+        // answers.
+        memo.unpin(d.name, &broken);
+        let entry = slot(&memo, &broken);
+        assert!(!entry.pinned && entry.elab.is_none() && entry.uvm.is_some());
+        let made = AtomicUsize::new(0);
+        elaborate(&memo, d.name, &broken, &made).unwrap();
+        assert!(slot(&memo, &broken).elab.is_none());
+        assert_eq!(made.load(Ordering::Relaxed), 1);
     }
 
     #[test]

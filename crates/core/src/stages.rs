@@ -153,7 +153,9 @@ impl UvmOutcome {
 }
 
 /// The UVM environment of `code` as an implementation of `design`,
-/// driven by `seqs`, on the elaboration `memo` holds for the text.
+/// driven by `seqs`: the one place a text is elaborated, on the design
+/// `memo` keeps for a pinned text and on one made for this run (and
+/// dropped with it) for any other.
 pub(crate) fn environment(
     code: &str,
     design: &Design,
@@ -161,7 +163,9 @@ pub(crate) fn environment(
     seqs: Vec<Box<dyn Sequence>>,
     memo: &StageMemo,
 ) -> Result<Environment, UvmError> {
-    let elaborated = memo.elaborate(design.name, code).map_err(UvmError::Elab)?;
+    let elaborated = memo
+        .elaborate(design.name, code, || uvllm_sim::elaborate_source(code, design.name))
+        .map_err(UvmError::Elab)?;
     let sim = Simulator::from_arc(elaborated).map_err(|e| UvmError::Sim(e.to_string()))?;
     Environment::with_sim(sim, iface, (design.model)(), seqs)
 }

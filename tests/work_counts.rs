@@ -1,7 +1,7 @@
 //! What a campaign *does*, pinned: the full 331 × 6 campaign at the
 //! default dataset seed must keep its work counts — kernel settles and
-//! activations, elaborations, memo fills and reuses, dataset builds,
-//! LLM tickets — exactly, at one worker and at two.
+//! activations, elaborations (kept and not), memo fills and reuses,
+//! dataset builds, LLM tickets — exactly, at one worker and at two.
 //!
 //! Counts move before times do and are equal at any worker count, so
 //! this is the regression gate a wall-clock reading cannot be on a
@@ -18,12 +18,13 @@ use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
 /// (`llm_batch: None`, one direct service per job) never opens.
-const COUNTERS: [&str; 16] = [
+const COUNTERS: [&str; 17] = [
     "sim.event.settles",
     "sim.event.activations",
     "sim.elaborations",
     "campaign.stage_memo.elab.misses",
     "campaign.stage_memo.elab.hits",
+    "campaign.stage_memo.elab.unpinned",
     "campaign.stage_memo.lint.misses",
     "campaign.stage_memo.lint.hits",
     "campaign.stage_memo.uvm.misses",
