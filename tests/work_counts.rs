@@ -11,9 +11,64 @@
 //! One `#[test]` in a binary of its own: every counter read here is
 //! process-wide, and the exact deltas must not see another test's
 //! campaign.
+//!
+//! The binary also counts heap allocations: each thread counts its own
+//! (as in `alloc_steady_state.rs`) and hands its tally to a process
+//! total when it exits or is read, so a campaign's pool threads are all
+//! counted. Allocations per job are held under [`ALLOCATIONS_PER_JOB`].
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
+
+/// Allocations of threads that have exited or flushed.
+static FLUSHED: AtomicU64 = AtomicU64::new(0);
+
+/// This thread's allocations not yet added to [`FLUSHED`]; the total
+/// moves there when the thread exits.
+struct Tally(Cell<u64>);
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        FLUSHED.fetch_add(self.0.get(), Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    static TALLY: Tally = const { Tally(Cell::new(0)) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: delegates verbatim to `System`; the tally is a thread-local
+// cell and an atomic, with no further invariants.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = TALLY.try_with(|t| t.0.set(t.0.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = TALLY.try_with(|t| t.0.set(t.0.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations of every exited thread plus the calling one.
+fn allocations() -> u64 {
+    FLUSHED.load(Ordering::Relaxed) + TALLY.with(|t| t.0.get())
+}
+
+/// Heap allocations per job of a default campaign (`alloc` plus
+/// `realloc` calls on every thread, over the 1 986 jobs), at most.
+const ALLOCATIONS_PER_JOB: f64 = 786.0;
 
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
@@ -38,11 +93,15 @@ const COUNTERS: [&str; 17] = [
     "llm.flushed_prompts",
 ];
 
-/// One cold default campaign at `workers`, as golden-file text.
-fn counts_of_a_default_campaign(workers: usize) -> String {
+/// One cold default campaign at `workers`, as golden-file text, and
+/// its heap allocations per job.
+fn counts_of_a_default_campaign(workers: usize) -> (String, f64) {
     let before = uvllm_obs::registry().snapshot();
     let config = CampaignConfig { workers, ..CampaignConfig::default() };
-    Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
+    let allocations_before = allocations();
+    let mut sink = MemorySink::new();
+    Campaign::new(config).unwrap().run(&mut sink).unwrap();
+    let per_job = (allocations() - allocations_before) as f64 / sink.rows().len() as f64;
     let after = uvllm_obs::registry().snapshot();
 
     let mut text = String::new();
@@ -50,17 +109,23 @@ fn counts_of_a_default_campaign(workers: usize) -> String {
         let delta = after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
         let _ = writeln!(text, "{name} {delta}");
     }
-    text
+    (text, per_job)
 }
 
 #[test]
 fn full_campaign_does_the_committed_amount_of_work() {
     let golden = include_str!("golden/work_counts.txt");
     for workers in [1, 2] {
-        let actual = counts_of_a_default_campaign(workers);
+        let (actual, per_job) = counts_of_a_default_campaign(workers);
         assert_eq!(
             actual, golden,
             "work counts moved at {workers} workers; this run read:\n{actual}"
+        );
+        eprintln!("{workers} workers: {per_job:.1} allocations per job");
+        assert!(
+            per_job <= ALLOCATIONS_PER_JOB,
+            "{per_job:.1} allocations per job at {workers} workers, pinned at \
+             {ALLOCATIONS_PER_JOB}"
         );
     }
 }
