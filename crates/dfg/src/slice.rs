@@ -1,9 +1,11 @@
 //! DFG construction and static / time-aware dynamic slicing.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use uvllm_sim::logic::{Logic, Tri};
 use uvllm_verilog::ast::*;
 use uvllm_verilog::span::{LineMap, Span};
+use uvllm_verilog::{Names, Symbol};
 
 /// A guard under which an assignment site executes.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,9 +21,9 @@ pub enum Guard {
 #[derive(Debug, Clone)]
 pub struct Site {
     /// Signals written (base names).
-    pub targets: Vec<String>,
+    pub targets: Vec<Symbol>,
     /// Signals read by the right-hand side and by index expressions.
-    pub reads: Vec<String>,
+    pub reads: Vec<Symbol>,
     /// Guard stack (outermost first).
     pub guards: Vec<Guard>,
     /// Span of the assignment statement.
@@ -33,15 +35,15 @@ pub struct Site {
 impl Site {
     /// All signals read by this site including guard conditions — the
     /// edges followed during slicing.
-    pub fn influence_reads(&self) -> Vec<String> {
+    pub fn influence_reads(&self) -> Vec<Symbol> {
         let mut out = self.reads.clone();
         for g in &self.guards {
             match g {
-                Guard::If { cond, .. } => out.extend(cond.idents().iter().map(|s| s.to_string())),
-                Guard::Case { sel, .. } => out.extend(sel.idents().iter().map(|s| s.to_string())),
+                Guard::If { cond, .. } => cond.collect_idents(&mut out),
+                Guard::Case { sel, .. } => sel.collect_idents(&mut out),
             }
         }
-        out.sort();
+        out.sort_unstable();
         out.dedup();
         out
     }
@@ -68,7 +70,7 @@ pub struct Slice {
     /// Indices into [`Dfg::sites`] in discovery (breadth-first) order.
     pub sites: Vec<usize>,
     /// Signals visited during traversal.
-    pub signals: Vec<String>,
+    pub signals: Vec<Symbol>,
 }
 
 impl Slice {
@@ -88,10 +90,26 @@ impl Slice {
 pub struct Dfg {
     /// Every assignment site in the module.
     pub sites: Vec<Site>,
-    by_target: HashMap<String, Vec<usize>>,
+    /// The sites writing each symbol, indexed by symbol.
+    by_target: Vec<Vec<usize>>,
+    /// The module's identifiers.
+    names: Arc<Names>,
 }
 
+/// Signal values by symbol, for [`eval_ast`]: `None` where unknown.
+pub type SymbolValues = [Option<Logic>];
+
 impl Dfg {
+    /// The symbol of signal `name`, if the module's text has one.
+    pub fn symbol(&self, name: &str) -> Option<Symbol> {
+        self.names.get(name)
+    }
+
+    /// The values of `snapshot` by symbol of this module's text.
+    pub fn values(&self, snapshot: &HashMap<String, Logic>) -> Vec<Option<Logic>> {
+        self.names.iter().map(|(_, name)| snapshot.get(name).copied()).collect()
+    }
+
     /// Builds the DFG for `module`.
     pub fn build(module: &Module) -> Self {
         let mut sites = Vec::new();
@@ -111,18 +129,22 @@ impl Dfg {
                 _ => {}
             }
         }
-        let mut by_target: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut by_target: Vec<Vec<usize>> = vec![Vec::new(); module.names.len()];
         for (i, s) in sites.iter().enumerate() {
             for t in &s.targets {
-                by_target.entry(t.clone()).or_default().push(i);
+                by_target[t.0 as usize].push(i);
             }
         }
-        Dfg { sites, by_target }
+        Dfg { sites, by_target, names: Arc::clone(&module.names) }
     }
 
     /// Sites that write `signal`.
     pub fn writers(&self, signal: &str) -> &[usize] {
-        self.by_target.get(signal).map(Vec::as_slice).unwrap_or(&[])
+        self.symbol(signal).map_or(&[], |s| self.writers_of(s))
+    }
+
+    fn writers_of(&self, signal: Symbol) -> &[usize] {
+        &self.by_target[signal.0 as usize]
     }
 
     /// Static cone of influence of `signal` (unbounded depth).
@@ -138,38 +160,36 @@ impl Dfg {
         snapshot: &HashMap<String, Logic>,
         options: &SliceOptions,
     ) -> Slice {
-        self.slice(signal, Some(snapshot), options)
+        self.slice(signal, Some(&self.values(snapshot)), options)
     }
 
-    fn slice(
-        &self,
-        signal: &str,
-        snapshot: Option<&HashMap<String, Logic>>,
-        options: &SliceOptions,
-    ) -> Slice {
+    /// The slice of `signal` under `values` (by symbol; `None` for a
+    /// static slice).
+    fn slice(&self, signal: &str, values: Option<&SymbolValues>, options: &SliceOptions) -> Slice {
         let mut out = Slice::default();
-        let mut seen_sites = HashSet::new();
-        let mut seen_signals = HashSet::new();
-        let mut queue: VecDeque<(String, usize)> = VecDeque::new();
-        queue.push_back((signal.to_string(), 0));
-        seen_signals.insert(signal.to_string());
+        let Some(signal) = self.symbol(signal) else { return out };
+        let mut seen_sites = vec![false; self.sites.len()];
+        let mut seen_signals = vec![false; self.names.len()];
+        let mut queue: VecDeque<(Symbol, usize)> = VecDeque::new();
+        queue.push_back((signal, 0));
+        seen_signals[signal.0 as usize] = true;
         while let Some((sig, depth)) = queue.pop_front() {
-            out.signals.push(sig.clone());
+            out.signals.push(sig);
             if depth >= options.max_depth {
                 continue;
             }
-            for &site_idx in self.writers(&sig) {
+            for &site_idx in self.writers_of(sig) {
                 let site = &self.sites[site_idx];
-                if let Some(snap) = snapshot {
-                    if !guards_active(&site.guards, snap, options.include_unknown) {
+                if let Some(values) = values {
+                    if !guards_active(&site.guards, values, options.include_unknown) {
                         continue;
                     }
                 }
-                if seen_sites.insert(site_idx) {
+                if !std::mem::replace(&mut seen_sites[site_idx], true) {
                     out.sites.push(site_idx);
                 }
                 for read in site.influence_reads() {
-                    if seen_signals.insert(read.clone()) {
+                    if !std::mem::replace(&mut seen_signals[read.0 as usize], true) {
                         queue.push_back((read, depth + 1));
                     }
                 }
@@ -186,26 +206,20 @@ fn site_from_assign(
     guards: &[Guard],
     continuous: bool,
 ) -> Site {
-    let mut reads: Vec<String> = rhs.idents().iter().map(|s| s.to_string()).collect();
+    let mut reads = rhs.idents();
     collect_lvalue_index_reads(lhs, &mut reads);
-    reads.sort();
+    reads.sort_unstable();
     reads.dedup();
-    Site {
-        targets: lhs.base_names().iter().map(|s| s.to_string()).collect(),
-        reads,
-        guards: guards.to_vec(),
-        span,
-        continuous,
-    }
+    Site { targets: lhs.base_names(), reads, guards: guards.to_vec(), span, continuous }
 }
 
-fn collect_lvalue_index_reads(lv: &LValue, out: &mut Vec<String>) {
+fn collect_lvalue_index_reads(lv: &LValue, out: &mut Vec<Symbol>) {
     match lv {
         LValue::Ident(_, _) => {}
-        LValue::Index(_, i, _) => out.extend(i.idents().iter().map(|s| s.to_string())),
+        LValue::Index(_, i, _) => i.collect_idents(out),
         LValue::Part(_, m, l, _) => {
-            out.extend(m.idents().iter().map(|s| s.to_string()));
-            out.extend(l.idents().iter().map(|s| s.to_string()));
+            m.collect_idents(out);
+            l.collect_idents(out);
         }
         LValue::Concat(parts, _) => {
             for p in parts {
@@ -269,11 +283,7 @@ fn collect_sites(stmt: &Stmt, guards: &mut Vec<Guard>, sites: &mut Vec<Site>) {
 }
 
 /// Checks whether every guard on a site is compatible with `snapshot`.
-fn guards_active(
-    guards: &[Guard],
-    snapshot: &HashMap<String, Logic>,
-    include_unknown: bool,
-) -> bool {
+fn guards_active(guards: &[Guard], snapshot: &SymbolValues, include_unknown: bool) -> bool {
     for g in guards {
         let verdict = match g {
             Guard::If { cond, taken_then } => match eval_ast(cond, snapshot).truthiness() {
@@ -300,7 +310,7 @@ fn guards_active(
     true
 }
 
-fn label_matches(sel: &Logic, label: &Expr, snapshot: &HashMap<String, Logic>) -> bool {
+fn label_matches(sel: &Logic, label: &Expr, snapshot: &SymbolValues) -> bool {
     let lv = eval_ast(label, snapshot);
     match (sel.to_u128(), lv.to_u128()) {
         (Some(a), Some(b)) => a == b,
@@ -308,14 +318,17 @@ fn label_matches(sel: &Logic, label: &Expr, snapshot: &HashMap<String, Logic>) -
     }
 }
 
-/// Best-effort AST-level expression evaluation against a named snapshot.
+/// Best-effort AST-level expression evaluation against a snapshot held
+/// by symbol ([`Dfg::values`]).
 ///
 /// Used only for guard truthiness during dynamic slicing; widths are
 /// approximated (32-bit context), unknown names evaluate to X.
-pub fn eval_ast(e: &Expr, env: &HashMap<String, Logic>) -> Logic {
+pub fn eval_ast(e: &Expr, env: &SymbolValues) -> Logic {
     match e {
         Expr::Number(n) => Logic::from_planes(n.width.unwrap_or(32), n.value, n.xz),
-        Expr::Ident(name) => env.get(name).copied().unwrap_or_else(|| Logic::xs(32)),
+        Expr::Ident(name) => {
+            env.get(name.0 as usize).copied().flatten().unwrap_or_else(|| Logic::xs(32))
+        }
         Expr::Unary(op, a) => {
             let v = eval_ast(a, env);
             let w = v.width();
@@ -426,12 +439,12 @@ pub fn suspicious_lines(
 ) -> Vec<(u32, String)> {
     let dfg = Dfg::build(module);
     let options = SliceOptions::default();
+    let values = (!snapshot.is_empty()).then(|| dfg.values(snapshot));
     let mut lines: Vec<u32> = Vec::new();
     for sig in mismatch_signals {
-        let slice = if snapshot.is_empty() {
-            dfg.static_slice(sig)
-        } else {
-            dfg.dynamic_slice(sig, snapshot, &options)
+        let slice = match &values {
+            None => dfg.static_slice(sig),
+            Some(values) => dfg.slice(sig, Some(values), &options),
         };
         lines.extend(slice.lines(&dfg, src));
     }
@@ -475,7 +488,7 @@ mod tests {
         let dfg = Dfg::build(&m);
         let slice = dfg.static_slice("y");
         assert_eq!(slice.sites.len(), 3);
-        assert!(slice.signals.contains(&"a".to_string()));
+        assert!(slice.signals.contains(&dfg.symbol("a").unwrap()));
     }
 
     #[test]
@@ -488,7 +501,7 @@ mod tests {
         snap.insert("s".to_string(), Logic::bit(true));
         let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
         assert_eq!(slice.sites.len(), 1);
-        assert!(dfg.sites[slice.sites[0]].reads.contains(&"a".to_string()));
+        assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("a").unwrap()));
         // Unknown condition keeps both (conservative).
         let slice2 = dfg.dynamic_slice("y", &HashMap::new(), &SliceOptions::default());
         assert_eq!(slice2.sites.len(), 2);
@@ -505,7 +518,7 @@ mod tests {
         snap.insert("s".to_string(), Logic::from_u128(2, 1));
         let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
         assert_eq!(slice.sites.len(), 1);
-        assert!(dfg.sites[slice.sites[0]].reads.contains(&"b".to_string()));
+        assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("b").unwrap()));
         // Selector 3 matches no arm -> default.
         snap.insert("s".to_string(), Logic::from_u128(2, 3));
         let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
@@ -566,14 +579,15 @@ mod tests {
 
     #[test]
     fn eval_ast_basics() {
-        let mut env = HashMap::new();
-        env.insert("a".to_string(), Logic::from_u128(8, 5));
-        env.insert("b".to_string(), Logic::from_u128(8, 3));
-        let e = uvllm_verilog::parse_expr("a + b * 2").unwrap();
+        let mut names = Names::new();
+        let mut env = vec![None; 2];
+        env[names.intern("a").0 as usize] = Some(Logic::from_u128(8, 5));
+        env[names.intern("b").0 as usize] = Some(Logic::from_u128(8, 3));
+        let e = uvllm_verilog::parse_expr("a + b * 2", &mut names).unwrap();
         assert_eq!(eval_ast(&e, &env).to_u128(), Some(11));
-        let cmp = uvllm_verilog::parse_expr("a >= 5").unwrap();
+        let cmp = uvllm_verilog::parse_expr("a >= 5", &mut names).unwrap();
         assert_eq!(eval_ast(&cmp, &env).truthiness(), Tri::True);
-        let unk = uvllm_verilog::parse_expr("missing == 1").unwrap();
+        let unk = uvllm_verilog::parse_expr("missing == 1", &mut names).unwrap();
         assert_eq!(eval_ast(&unk, &env).truthiness(), Tri::Unknown);
     }
 }

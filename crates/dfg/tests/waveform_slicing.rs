@@ -40,7 +40,7 @@ fn dynamic_slice_follows_the_executed_case_arm() {
     let snapshot = wave.snapshot_at(10);
     let slice = dfg.dynamic_slice("y", &snapshot, &SliceOptions::default());
     assert_eq!(slice.sites.len(), 1, "exactly the executed arm");
-    assert!(dfg.sites[slice.sites[0]].reads.contains(&"b".to_string()));
+    assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("b").unwrap()));
     let lines = slice.lines(&dfg, ALU);
     assert_eq!(lines.len(), 1);
     let text = ALU.lines().nth(lines[0] as usize - 1).unwrap();

@@ -537,16 +537,16 @@ fn perturb_literal(text: &str) -> String {
 /// signal of the same width.
 fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
     // Declared name → width per module (flat, first module wins).
-    let mut widths: Vec<(String, Option<u32>)> = Vec::new();
+    let mut widths: Vec<(&str, Option<u32>)> = Vec::new();
     for module in &file.modules {
         for p in &module.ports {
-            widths.push((p.name.clone(), range_width_of(&p.range)));
+            widths.push((module.name_of(p.name), range_width_of(&p.range)));
         }
         for item in &module.items {
             if let Item::Net(d) = item {
                 for decl in &d.decls {
                     if decl.array.is_none() {
-                        widths.push((decl.name.clone(), range_width_of(&d.range)));
+                        widths.push((module.name_of(decl.name), range_width_of(&d.range)));
                     }
                 }
             }
@@ -569,14 +569,14 @@ fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
                 continue;
             }
             let name = t.span.text(src);
-            let Some((_, w)) = widths.iter().find(|(n, _)| n == name) else { continue };
+            let Some((_, w)) = widths.iter().find(|(n, _)| *n == name) else { continue };
             // Deterministic partner: the next declared signal of the
             // same width (candidate order is then shuffled by seed).
             for (other, ow) in &widths {
-                if other != name && ow == w {
+                if *other != name && ow == w {
                     out.push(Edit {
                         span: t.span,
-                        replacement: other.clone(),
+                        replacement: other.to_string(),
                         description: format!(
                             "signal '{name}' was mistaken for '{other}' (variable name misuse)"
                         ),
@@ -741,7 +741,7 @@ fn sensitivity_sites(src: &str, file: &SourceFile) -> Vec<Edit> {
                         replacement: to.to_string(),
                         description: format!(
                             "'{from} {}' was written as '{to} {}' (wrong sensitivity)",
-                            s.signal, s.signal
+                            &file.names[s.signal], &file.names[s.signal]
                         ),
                     });
                 }

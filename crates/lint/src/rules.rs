@@ -7,7 +7,7 @@ use uvllm_verilog::lexer::tokenize;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::token::TokenKind;
 use uvllm_verilog::visit::{walk_expr, Visitor};
-use uvllm_verilog::{parse, SourceFile};
+use uvllm_verilog::{parse, SourceFile, Symbol};
 
 /// Lints `src`, returning every finding.
 ///
@@ -32,10 +32,10 @@ pub fn lint(src: &str) -> LintReport {
 /// Declared-name table for one module.
 struct Symbols {
     /// name → declared width (None when unknown).
-    widths: HashMap<String, Option<u32>>,
-    params: HashSet<String>,
+    widths: HashMap<Symbol, Option<u32>>,
+    params: HashSet<Symbol>,
     /// Names with `reg`/`integer` storage (procedurally assignable).
-    regs: HashSet<String>,
+    regs: HashSet<Symbol>,
 }
 
 impl Symbols {
@@ -44,31 +44,31 @@ impl Symbols {
         let mut params = HashSet::new();
         let mut regs = HashSet::new();
         for p in &module.ports {
-            widths.insert(p.name.clone(), range_width(&p.range));
+            widths.insert(p.name, range_width(&p.range));
             if p.net == NetKind::Reg {
-                regs.insert(p.name.clone());
+                regs.insert(p.name);
             }
         }
         for item in &module.items {
             match item {
                 Item::Net(d) => {
                     for decl in &d.decls {
-                        widths.entry(decl.name.clone()).or_insert_with(|| range_width(&d.range));
+                        widths.entry(decl.name).or_insert_with(|| range_width(&d.range));
                         if d.kind == NetKind::Reg {
-                            regs.insert(decl.name.clone());
+                            regs.insert(decl.name);
                         }
                     }
                 }
                 Item::Integer(d) => {
-                    for n in &d.names {
-                        widths.insert(n.clone(), Some(32));
-                        regs.insert(n.clone());
+                    for &n in &d.names {
+                        widths.insert(n, Some(32));
+                        regs.insert(n);
                     }
                 }
                 Item::Param(p) => {
-                    for (n, _) in &p.params {
-                        widths.insert(n.clone(), Some(32));
-                        params.insert(n.clone());
+                    for &(n, _) in &p.params {
+                        widths.insert(n, Some(32));
+                        params.insert(n);
                     }
                 }
                 _ => {}
@@ -77,12 +77,12 @@ impl Symbols {
         Symbols { widths, params, regs }
     }
 
-    fn contains(&self, name: &str) -> bool {
-        self.widths.contains_key(name)
+    fn contains(&self, name: Symbol) -> bool {
+        self.widths.contains_key(&name)
     }
 
-    fn width(&self, name: &str) -> Option<u32> {
-        self.widths.get(name).copied().flatten()
+    fn width(&self, name: Symbol) -> Option<u32> {
+        self.widths.get(&name).copied().flatten()
     }
 }
 
@@ -135,8 +135,8 @@ fn lint_module(src: &str, file: &SourceFile, module: &Module, report: &mut LintR
 fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport) {
     struct U<'a> {
         symbols: &'a Symbols,
-        loop_vars: HashSet<String>,
-        found: Vec<(String, Span)>,
+        loop_vars: HashSet<Symbol>,
+        found: Vec<(Symbol, Span)>,
         current_span: Span,
     }
     impl Visitor for U<'_> {
@@ -149,7 +149,7 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
                 // are still reported (Verilator does too), so no special
                 // casing beyond tracking them once.
                 for n in f.init.0.base_names() {
-                    self.loop_vars.insert(n.to_string());
+                    self.loop_vars.insert(n);
                 }
             }
             uvllm_verilog::visit::walk_stmt(self, stmt);
@@ -157,8 +157,8 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
         }
         fn visit_expr(&mut self, expr: &Expr) {
             if let Expr::Ident(name) = expr {
-                if !self.symbols.contains(name) {
-                    self.found.push((name.clone(), self.current_span));
+                if !self.symbols.contains(*name) {
+                    self.found.push((*name, self.current_span));
                 }
             }
             walk_expr(self, expr);
@@ -166,7 +166,7 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
         fn visit_lvalue(&mut self, lv: &LValue) {
             for name in lv.base_names() {
                 if !self.symbols.contains(name) {
-                    self.found.push((name.to_string(), lv.span()));
+                    self.found.push((name, lv.span()));
                 }
             }
             uvllm_verilog::visit::walk_lvalue(self, lv);
@@ -185,8 +185,8 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
         if let Item::Always(a) = item {
             if let Sensitivity::List(items) = &a.sensitivity {
                 for s in items {
-                    if !symbols.contains(&s.signal) {
-                        u.found.push((s.signal.clone(), s.span));
+                    if !symbols.contains(s.signal) {
+                        u.found.push((s.signal, s.span));
                     }
                 }
             }
@@ -194,11 +194,11 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
     }
     let mut seen = HashSet::new();
     for (name, span) in u.found {
-        if seen.insert(name.clone()) {
+        if seen.insert(name) {
             report.diagnostics.push(Diagnostic::error(
                 LintCode::Undeclared,
                 span,
-                format!("signal '{name}' is used but not declared"),
+                format!("signal '{}' is used but not declared", module.name_of(name)),
             ));
         }
     }
@@ -211,19 +211,21 @@ fn check_undeclared(module: &Module, symbols: &Symbols, report: &mut LintReport)
 fn check_proc_wire(module: &Module, symbols: &Symbols, report: &mut LintReport) {
     struct P<'a> {
         symbols: &'a Symbols,
+        module: &'a Module,
         report: &'a mut LintReport,
     }
     impl Visitor for P<'_> {
         fn visit_stmt(&mut self, stmt: &Stmt) {
             if let Stmt::Blocking(a) | Stmt::NonBlocking(a) = stmt {
                 for name in a.lhs.base_names() {
-                    if self.symbols.contains(name) && !self.symbols.regs.contains(name) {
+                    if self.symbols.contains(name) && !self.symbols.regs.contains(&name) {
                         self.report.diagnostics.push(Diagnostic::error(
                             LintCode::ProcWire,
                             a.span,
                             format!(
-                                "procedural assignment to wire '{name}'; \
-                                 declare it as reg"
+                                "procedural assignment to wire '{}'; \
+                                 declare it as reg",
+                                self.module.name_of(name)
                             ),
                         ));
                     }
@@ -237,7 +239,7 @@ fn check_proc_wire(module: &Module, symbols: &Symbols, report: &mut LintReport) 
             uvllm_verilog::visit::walk_stmt(self, stmt);
         }
     }
-    let mut p = P { symbols, report };
+    let mut p = P { symbols, module, report };
     for item in &module.items {
         match item {
             Item::Always(a) => p.visit_stmt(&a.body),
@@ -254,11 +256,12 @@ fn check_proc_wire(module: &Module, symbols: &Symbols, report: &mut LintReport) 
 fn check_instances(file: &SourceFile, module: &Module, symbols: &Symbols, report: &mut LintReport) {
     for item in &module.items {
         let Item::Instance(inst) = item else { continue };
-        let Some(child) = file.module(&inst.module) else {
+        let module_name = module.name_of(inst.module);
+        let Some(child) = file.module_named(inst.module) else {
             report.diagnostics.push(Diagnostic::error(
                 LintCode::UnknownModule,
                 inst.span,
-                format!("cannot find module '{}'", inst.module),
+                format!("cannot find module '{module_name}'"),
             ));
             continue;
         };
@@ -267,23 +270,25 @@ fn check_instances(file: &SourceFile, module: &Module, symbols: &Symbols, report
                 LintCode::PortCount,
                 inst.span,
                 format!(
-                    "instance '{}' has {} connections but '{}' has {} ports",
-                    inst.name,
+                    "instance '{}' has {} connections but '{module_name}' has {} ports",
+                    module.name_of(inst.name),
                     inst.conns.len(),
-                    inst.module,
                     child.ports.len()
                 ),
             ));
         }
         for (idx, conn) in inst.conns.iter().enumerate() {
-            let port = match &conn.port {
-                Some(name) => match child.port(name) {
+            let port = match conn.port {
+                Some(name) => match child.port_named(name) {
                     Some(p) => p,
                     None => {
                         report.diagnostics.push(Diagnostic::error(
                             LintCode::UnknownPort,
                             conn.span,
-                            format!("module '{}' has no port '{name}'", inst.module),
+                            format!(
+                                "module '{module_name}' has no port '{}'",
+                                module.name_of(name)
+                            ),
                         ));
                         continue;
                     }
@@ -303,8 +308,8 @@ fn check_instances(file: &SourceFile, module: &Module, symbols: &Symbols, report
                     LintCode::PortWidth,
                     conn.span,
                     format!(
-                        "port '{}' of '{}' is {pw} bit(s) but connection is {cw} bit(s)",
-                        port.name, inst.module
+                        "port '{}' of '{module_name}' is {pw} bit(s) but connection is {cw} bit(s)",
+                        module.name_of(port.name)
                     ),
                 ));
             }
@@ -316,7 +321,7 @@ fn check_instances(file: &SourceFile, module: &Module, symbols: &Symbols, report
 fn expr_width(e: &Expr, symbols: &Symbols) -> Option<u32> {
     match e {
         Expr::Number(n) => n.width,
-        Expr::Ident(name) => symbols.width(name),
+        Expr::Ident(name) => symbols.width(*name),
         Expr::Index(_, _) => Some(1),
         Expr::Part(_, m, l) => {
             let m = lit_value(m)?;
@@ -436,7 +441,7 @@ fn assign_op_span(src: &str, a: &Assign) -> Option<Span> {
 fn check_width_trunc(module: &Module, symbols: &Symbols, report: &mut LintReport) {
     let mut check = |lhs: &LValue, rhs: &Expr, span: Span, report: &mut LintReport| {
         let LValue::Ident(name, _) = lhs else { return };
-        let (Some(lw), Expr::Number(n)) = (symbols.width(name), rhs) else { return };
+        let (Some(lw), Expr::Number(n)) = (symbols.width(*name), rhs) else { return };
         if let Some(rw) = n.width {
             if rw > lw {
                 report.diagnostics.push(Diagnostic::warning(
@@ -484,13 +489,14 @@ fn check_missing_sens(src: &str, module: &Module, report: &mut LintReport) {
         if a.sensitivity.is_edge_triggered() || items.is_empty() {
             continue;
         }
-        let listed: HashSet<&str> = items.iter().map(|i| i.signal.as_str()).collect();
+        let listed: HashSet<Symbol> = items.iter().map(|i| i.signal).collect();
         let mut read = HashSet::new();
         collect_reads(&a.body, &mut read);
-        let written: HashSet<String> = written_names(&a.body);
-        let missing: Vec<String> = read
+        let written: HashSet<Symbol> = written_names(&a.body);
+        let missing: Vec<&str> = read
             .into_iter()
-            .filter(|r| !listed.contains(r.as_str()) && !written.contains(r))
+            .filter(|r| !listed.contains(r) && !written.contains(r))
+            .map(|r| module.name_of(r))
             .collect();
         if missing.is_empty() {
             continue;
@@ -519,14 +525,14 @@ fn sens_paren_span(src: &str, items: &[SensItem]) -> Option<Span> {
     Some(Span::new(open, close + 1))
 }
 
-fn collect_reads(stmt: &Stmt, out: &mut HashSet<String>) {
+fn collect_reads(stmt: &Stmt, out: &mut HashSet<Symbol>) {
     struct R<'a> {
-        out: &'a mut HashSet<String>,
+        out: &'a mut HashSet<Symbol>,
     }
     impl Visitor for R<'_> {
         fn visit_expr(&mut self, expr: &Expr) {
             if let Expr::Ident(n) = expr {
-                self.out.insert(n.clone());
+                self.out.insert(*n);
             }
             walk_expr(self, expr);
         }
@@ -534,13 +540,13 @@ fn collect_reads(stmt: &Stmt, out: &mut HashSet<String>) {
             if let Stmt::For(f) = stmt {
                 // The loop variable is loop-local.
                 for n in f.init.0.base_names() {
-                    self.out.remove(n);
+                    self.out.remove(&n);
                 }
             }
             uvllm_verilog::visit::walk_stmt(self, stmt);
             if let Stmt::For(f) = stmt {
                 for n in f.init.0.base_names() {
-                    self.out.remove(n);
+                    self.out.remove(&n);
                 }
             }
         }
@@ -549,16 +555,16 @@ fn collect_reads(stmt: &Stmt, out: &mut HashSet<String>) {
     r.visit_stmt(stmt);
 }
 
-fn written_names(stmt: &Stmt) -> HashSet<String> {
+fn written_names(stmt: &Stmt) -> HashSet<Symbol> {
     let mut out = HashSet::new();
     struct W<'a> {
-        out: &'a mut HashSet<String>,
+        out: &'a mut HashSet<Symbol>,
     }
     impl Visitor for W<'_> {
         fn visit_stmt(&mut self, stmt: &Stmt) {
             if let Stmt::Blocking(a) | Stmt::NonBlocking(a) = stmt {
                 for n in a.lhs.base_names() {
-                    self.out.insert(n.to_string());
+                    self.out.insert(n);
                 }
             }
             uvllm_verilog::visit::walk_stmt(self, stmt);
@@ -616,12 +622,12 @@ fn check_case_completeness(module: &Module, symbols: &Symbols, report: &mut Lint
 fn check_drivers(module: &Module, report: &mut LintReport) {
     // Count whole-signal continuous drivers (assign / always writes count
     // per item; multiple writes inside one block are fine).
-    let mut drivers: HashMap<String, u32> = HashMap::new();
+    let mut drivers: HashMap<Symbol, u32> = HashMap::new();
     for item in &module.items {
         match item {
             Item::Assign(a) => {
                 for n in a.lhs.base_names() {
-                    *drivers.entry(n.to_string()).or_default() += 1;
+                    *drivers.entry(n).or_default() += 1;
                 }
             }
             Item::Always(a) => {
@@ -644,7 +650,7 @@ fn check_drivers(module: &Module, report: &mut LintReport) {
             report.diagnostics.push(Diagnostic::warning(
                 LintCode::MultiDriven,
                 module.span,
-                format!("signal '{name}' has {count} drivers"),
+                format!("signal '{}' has {count} drivers", module.name_of(*name)),
             ));
         }
     }
@@ -657,7 +663,7 @@ fn check_drivers(module: &Module, report: &mut LintReport) {
                 report.diagnostics.push(Diagnostic::warning(
                     LintCode::Undriven,
                     port.span,
-                    format!("output port '{}' is never driven", port.name),
+                    format!("output port '{}' is never driven", module.name_of(port.name)),
                 ));
             }
         }
@@ -676,7 +682,8 @@ fn check_latches(module: &Module, report: &mut LintReport) {
         }
         let all = written_names(&a.body);
         let definite = definitely_assigned(&a.body);
-        let mut partial: Vec<&String> = all.iter().filter(|n| !definite.contains(*n)).collect();
+        let mut partial: Vec<&str> =
+            all.iter().filter(|n| !definite.contains(*n)).map(|&n| module.name_of(n)).collect();
         partial.sort();
         for name in partial {
             report.diagnostics.push(Diagnostic::warning(
@@ -688,7 +695,7 @@ fn check_latches(module: &Module, report: &mut LintReport) {
     }
 }
 
-fn definitely_assigned(stmt: &Stmt) -> HashSet<String> {
+fn definitely_assigned(stmt: &Stmt) -> HashSet<Symbol> {
     match stmt {
         Stmt::Block(b) => {
             let mut out = HashSet::new();
@@ -700,7 +707,7 @@ fn definitely_assigned(stmt: &Stmt) -> HashSet<String> {
         Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
             // Only whole-signal writes count as definite.
             match &a.lhs {
-                LValue::Ident(n, _) => [n.clone()].into(),
+                LValue::Ident(n, _) => [*n].into(),
                 _ => HashSet::new(),
             }
         }
@@ -731,15 +738,15 @@ fn definitely_assigned(stmt: &Stmt) -> HashSet<String> {
 // ----------------------------------------------------------------------
 
 fn check_unused(module: &Module, symbols: &Symbols, report: &mut LintReport) {
-    let mut read: HashSet<String> = HashSet::new();
+    let mut read: HashSet<Symbol> = HashSet::new();
     for item in &module.items {
         struct R<'a> {
-            out: &'a mut HashSet<String>,
+            out: &'a mut HashSet<Symbol>,
         }
         impl Visitor for R<'_> {
             fn visit_expr(&mut self, expr: &Expr) {
                 if let Expr::Ident(n) = expr {
-                    self.out.insert(n.clone());
+                    self.out.insert(*n);
                 }
                 walk_expr(self, expr);
             }
@@ -753,16 +760,15 @@ fn check_unused(module: &Module, symbols: &Symbols, report: &mut LintReport) {
         if let Item::Always(a) = item {
             if let Sensitivity::List(items) = &a.sensitivity {
                 for s in items {
-                    read.insert(s.signal.clone());
+                    read.insert(s.signal);
                 }
             }
         }
     }
-    let port_names: HashSet<&str> = module.ports.iter().map(|p| p.name.as_str()).collect();
     for item in &module.items {
         let Item::Net(d) = item else { continue };
         for decl in &d.decls {
-            if port_names.contains(decl.name.as_str()) {
+            if module.port_named(decl.name).is_some() {
                 continue;
             }
             if symbols.params.contains(&decl.name) {
@@ -772,7 +778,7 @@ fn check_unused(module: &Module, symbols: &Symbols, report: &mut LintReport) {
                 report.diagnostics.push(Diagnostic::warning(
                     LintCode::Unused,
                     decl.span,
-                    format!("signal '{}' is declared but never read", decl.name),
+                    format!("signal '{}' is declared but never read", module.name_of(decl.name)),
                 ));
             }
         }

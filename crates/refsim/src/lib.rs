@@ -528,7 +528,8 @@ pub fn first_difference(a: &dyn SimControl, b: &dyn SimControl) -> Option<String
         for word in 0..info.words as u64 {
             let (x, y) = (a.peek_word(id, word), b.peek_word(id, word));
             if x != y {
-                return Some(format!("signal '{}' word {word}: {x} vs {y}", info.name));
+                let name = a.design().signal_name(id);
+                return Some(format!("signal '{name}' word {word}: {x} vs {y}"));
             }
         }
     }

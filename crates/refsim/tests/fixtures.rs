@@ -12,7 +12,7 @@ use uvllm_sim::{elaborate, Logic, SimControl, Simulator};
 use uvllm_verilog::ast::Expr;
 
 fn literal(text: &str) -> Logic {
-    match uvllm_verilog::parse_expr(text) {
+    match uvllm_verilog::parse_expr(text, &mut uvllm_verilog::Names::new()) {
         Ok(Expr::Number(n)) => Logic::from_planes(n.width.unwrap_or(32), n.value, n.xz),
         other => panic!("'{text}' is not a literal: {other:?}"),
     }

@@ -15,7 +15,7 @@ struct Pair {
 
 fn design(src: &str) -> Arc<Design> {
     let file = uvllm_verilog::parse(src).unwrap();
-    Arc::new(elaborate(&file, &file.top().unwrap().name).unwrap())
+    Arc::new(elaborate(&file, file.top().map(|m| m.name_of(m.name)).unwrap()).unwrap())
 }
 
 fn pair(src: &str) -> Pair {

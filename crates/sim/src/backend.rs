@@ -168,7 +168,8 @@ mod tests {
         check: impl Fn(&mut Simulator, &dyn Fn(&str) -> SignalId),
     ) {
         let file = parse(src).unwrap();
-        let design = Arc::new(elaborate(&file, &file.top().unwrap().name).unwrap());
+        let design =
+            Arc::new(elaborate(&file, file.top().map(|m| m.name_of(m.name)).unwrap()).unwrap());
         let id = |name: &str| design.signal_id(name).unwrap();
         let mut sim = Simulator::from_arc(Arc::clone(&design)).unwrap();
         for name in zeroed {

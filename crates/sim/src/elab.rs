@@ -6,14 +6,18 @@
 //! inlined with `inst.` name prefixes and port connections become
 //! continuous assignments), resolves identifiers to dense [`SignalId`]s
 //! and computes self-determined widths for every expression node.
+//!
+//! Names stay [`Symbol`]s of the text's [`Names`] table throughout: a
+//! signal is found by its scope and its symbol, and a hierarchical name
+//! (`u0.sum`) is spelled out only when a message or a caller asks for
+//! it ([`Design::signal_name`]).
 
 use crate::logic::{mask, Logic};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use uvllm_verilog::ast::*;
 use uvllm_verilog::span::Span;
-use uvllm_verilog::SourceFile;
+use uvllm_verilog::{Names, SourceFile, Symbol};
 
 /// Maximum `for`-loop iterations unrolled before elaboration fails.
 pub const MAX_UNROLL: u64 = 4096;
@@ -38,10 +42,14 @@ pub enum SignalKind {
 }
 
 /// Metadata for one elaborated signal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalInfo {
-    /// Hierarchical name (`u0.sum` for signals inside instances).
-    pub name: String,
+    /// Name within its scope, a symbol of [`Design::names`]; the
+    /// hierarchical name is [`Design::signal_name`].
+    pub name: Symbol,
+    /// The scope declaring the signal: 0 for the top module, one more
+    /// per instance.
+    pub scope: u32,
     pub width: u32,
     pub kind: SignalKind,
     /// Number of array words; 1 for scalars and plain vectors.
@@ -180,14 +188,68 @@ pub struct Process {
 pub struct Design {
     /// Name of the top module.
     pub top: String,
+    /// The identifiers of the text the design was elaborated from.
+    names: Arc<Names>,
+    /// Hierarchical prefix of each scope: `""` for the top module,
+    /// `"u0."` for its instance `u0`.
+    scopes: Vec<String>,
     signals: Vec<SignalInfo>,
-    by_name: HashMap<String, SignalId>,
+    /// The signal of symbol `s` in scope `c` at `c * names.len() + s`,
+    /// [`NO_SIGNAL`] where there is none.
+    by_name: Vec<u32>,
     processes: Vec<Process>,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
 }
 
+/// An entry of [`Design::by_name`] naming no signal.
+const NO_SIGNAL: u32 = u32::MAX;
+
+/// The hierarchical name of a signal (`u0.sum`), written out by its
+/// `Display`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignalName<'a> {
+    prefix: &'a str,
+    name: &'a str,
+}
+
+impl fmt::Display for SignalName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.prefix)?;
+        f.write_str(self.name)
+    }
+}
+
 impl Design {
+    /// The identifiers of the design's text.
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// The hierarchical name of `id`.
+    pub fn signal_name(&self, id: SignalId) -> SignalName<'_> {
+        let info = self.signal(id);
+        SignalName { prefix: &self.scopes[info.scope as usize], name: &self.names[info.name] }
+    }
+
+    /// The signal named `name` in `scope`.
+    fn lookup(&self, scope: u32, name: Symbol) -> Option<SignalId> {
+        match self.by_name[scope as usize * self.names.len() + name.0 as usize] {
+            NO_SIGNAL => None,
+            id => Some(SignalId(id)),
+        }
+    }
+
+    /// The scope with hierarchical prefix `prefix`, added when new.
+    fn scope(&mut self, prefix: String) -> u32 {
+        if let Some(found) = self.scopes.iter().position(|p| *p == prefix) {
+            return found as u32;
+        }
+        self.scopes.push(prefix);
+        self.by_name.resize(self.scopes.len() * self.names.len(), NO_SIGNAL);
+        self.scopes.len() as u32 - 1
+    }
+
     /// All signals.
     pub fn signals(&self) -> &[SignalInfo] {
         &self.signals
@@ -200,7 +262,10 @@ impl Design {
 
     /// Looks up a signal by (hierarchical) name.
     pub fn signal_id(&self, name: &str) -> Option<SignalId> {
-        self.by_name.get(name).copied()
+        self.scopes.iter().enumerate().find_map(|(scope, prefix)| {
+            let name = self.names.get(name.strip_prefix(prefix.as_str())?)?;
+            self.lookup(scope as u32, name)
+        })
     }
 
     /// All processes.
@@ -254,15 +319,17 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
         file,
         design: Design {
             top: top.to_string(),
+            names: Arc::clone(&file.names),
+            scopes: vec![String::new()],
             signals: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: vec![NO_SIGNAL; file.names.len()],
             processes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
         },
         depth: 0,
     };
-    ctx.module(top_module, "", &HashMap::new(), true)?;
+    ctx.module(top_module, 0, &Consts::new(&file.names), true)?;
     Ok(ctx.design)
 }
 
@@ -291,33 +358,88 @@ struct Elab<'a> {
     depth: u32,
 }
 
-/// Per-module lowering scope.
-struct Scope {
-    /// Hierarchical prefix, e.g. `"u0."`.
-    prefix: String,
-    /// Parameter and loop-variable constants.
-    consts: HashMap<String, i64>,
+/// Elaboration-time constants (parameters, loop variables) by name:
+/// a handful per scope, so a list searched in order. `names` spells
+/// them out for an error.
+#[derive(Debug, Clone)]
+pub struct Consts<'n> {
+    names: &'n Names,
+    values: Vec<(Symbol, i64)>,
 }
 
-impl Scope {
-    fn resolve(&self, design: &Design, name: &str) -> Option<SignalId> {
-        design.signal_id(&format!("{}{}", self.prefix, name))
+impl<'n> Consts<'n> {
+    /// No constants, over the names of one text.
+    pub fn new(names: &'n Names) -> Self {
+        Consts { names, values: Vec::new() }
+    }
+
+    /// The value of `name`, if it is a constant.
+    pub fn get(&self, name: &Symbol) -> Option<&i64> {
+        self.values.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, name: &Symbol) -> Option<&mut i64> {
+        self.values.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// True when `name` is a constant.
+    pub fn contains_key(&self, name: &Symbol) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Sets constant `name` to `value`.
+    pub fn insert(&mut self, name: Symbol, value: i64) {
+        match self.get_mut(&name) {
+            Some(slot) => *slot = value,
+            None => self.values.push((name, value)),
+        }
+    }
+
+    fn remove(&mut self, name: &Symbol) {
+        self.values.retain(|(n, _)| n != name);
+    }
+}
+
+/// Per-module lowering scope.
+struct Scope<'n> {
+    /// The design scope the module's names are declared in.
+    index: u32,
+    /// Parameter and loop-variable constants.
+    consts: Consts<'n>,
+}
+
+impl Scope<'_> {
+    fn resolve(&self, design: &Design, name: Symbol) -> Option<SignalId> {
+        design.lookup(self.index, name)
     }
 }
 
 impl<'a> Elab<'a> {
+    /// The spelling of `name`.
+    fn name(&self, name: Symbol) -> &'a str {
+        &self.file.names[name]
+    }
+
+    /// The signal `name` refers to in `scope`, or the "undeclared
+    /// signal" error at `span`.
+    fn resolve(&self, scope: &Scope, name: Symbol, span: Span) -> Result<SignalId, ElabError> {
+        scope
+            .resolve(&self.design, name)
+            .ok_or_else(|| ElabError::new(format!("undeclared signal '{}'", self.name(name)), span))
+    }
+
     fn module(
         &mut self,
         module: &Module,
-        prefix: &str,
-        param_overrides: &HashMap<String, i64>,
+        scope_index: u32,
+        param_overrides: &Consts<'_>,
         is_top: bool,
     ) -> Result<(), ElabError> {
         self.depth += 1;
         if self.depth > 16 {
             return Err(ElabError::new("module nesting exceeds 16 levels", module.span));
         }
-        let mut scope = Scope { prefix: prefix.to_string(), consts: HashMap::new() };
+        let mut scope = Scope { index: scope_index, consts: Consts::new(&self.file.names) };
 
         // Resolve parameters first (headers and body, in order).
         for item in &module.items {
@@ -327,7 +449,7 @@ impl<'a> Elab<'a> {
                         Some(v) if !p.local => *v,
                         _ => const_eval(value, &scope.consts, p.span)?,
                     };
-                    scope.consts.insert(name.clone(), v);
+                    scope.consts.insert(*name, v);
                 }
             }
         }
@@ -339,7 +461,7 @@ impl<'a> Elab<'a> {
             let kind = if port.net == NetKind::Reg { SignalKind::Var } else { SignalKind::Net };
             let id = self.declare(
                 &scope,
-                &port.name,
+                port.name,
                 width,
                 kind,
                 1,
@@ -367,7 +489,7 @@ impl<'a> Elab<'a> {
                     let width = range_width(&d.range, &scope.consts)?;
                     let lsb = range_lsb(&d.range, &scope.consts)?;
                     for decl in &d.decls {
-                        if scope.resolve(&self.design, &decl.name).is_some() {
+                        if scope.resolve(&self.design, decl.name).is_some() {
                             // Port re-declaration (`output reg q;` + `reg q;`).
                             continue;
                         }
@@ -384,13 +506,13 @@ impl<'a> Elab<'a> {
                         let kind =
                             if d.kind == NetKind::Reg { SignalKind::Var } else { SignalKind::Net };
                         self.declare(
-                            &scope, &decl.name, width, kind, words, lsb, array_lo, false, false,
+                            &scope, decl.name, width, kind, words, lsb, array_lo, false, false,
                             decl.span,
                         )?;
                     }
                 }
                 Item::Integer(d) => {
-                    for name in &d.names {
+                    for &name in &d.names {
                         if scope.resolve(&self.design, name).is_none() {
                             self.declare(
                                 &scope,
@@ -417,7 +539,7 @@ impl<'a> Elab<'a> {
             if let Item::Net(d) = item {
                 for decl in &d.decls {
                     if let Some(init) = &decl.init {
-                        let id = scope.resolve(&self.design, &decl.name).expect("just declared");
+                        let id = scope.resolve(&self.design, decl.name).expect("just declared");
                         let rhs = self.lower_expr(init, &scope, d.span)?;
                         let body = LStmt::Assign {
                             lhs: LTarget::Whole(id),
@@ -460,35 +582,13 @@ impl<'a> Elab<'a> {
                             if any_edge {
                                 let mut edges = Vec::new();
                                 for i in items {
-                                    let id = scope.resolve(&self.design, &i.signal).ok_or_else(
-                                        || {
-                                            ElabError::new(
-                                                format!(
-                                                    "undeclared signal '{}' in sensitivity list",
-                                                    i.signal
-                                                ),
-                                                i.span,
-                                            )
-                                        },
-                                    )?;
-                                    edges.push((id, i.edge));
+                                    edges.push((self.sensed(&scope, i)?, i.edge));
                                 }
                                 Trigger::Seq(edges)
                             } else {
                                 let mut deps = Vec::new();
                                 for i in items {
-                                    let id = scope.resolve(&self.design, &i.signal).ok_or_else(
-                                        || {
-                                            ElabError::new(
-                                                format!(
-                                                    "undeclared signal '{}' in sensitivity list",
-                                                    i.signal
-                                                ),
-                                                i.span,
-                                            )
-                                        },
-                                    )?;
-                                    deps.push(id);
+                                    deps.push(self.sensed(&scope, i)?);
                                 }
                                 Trigger::Comb(deps)
                             }
@@ -514,15 +614,27 @@ impl<'a> Elab<'a> {
         Ok(())
     }
 
+    /// The signal of sensitivity-list entry `item`.
+    fn sensed(&self, scope: &Scope, item: &SensItem) -> Result<SignalId, ElabError> {
+        scope.resolve(&self.design, item.signal).ok_or_else(|| {
+            ElabError::new(
+                format!("undeclared signal '{}' in sensitivity list", self.name(item.signal)),
+                item.span,
+            )
+        })
+    }
+
     /// Rejects procedural writes to nets, as IEEE 1364 compilers do —
     /// this is what makes the `output reg` → `output` mutation (Table I,
     /// Declare/Type Misuse) an actual error instead of a silent no-op.
     fn check_procedural_targets(&self, body: &LStmt, span: Span) -> Result<(), ElabError> {
         for sig in stmt_written_signals(body) {
-            let info = self.design.signal(sig);
-            if info.kind != SignalKind::Var {
+            if self.design.signal(sig).kind != SignalKind::Var {
                 return Err(ElabError::new(
-                    format!("procedural assignment to wire '{}' (declare it as reg)", info.name),
+                    format!(
+                        "procedural assignment to wire '{}' (declare it as reg)",
+                        self.design.signal_name(sig)
+                    ),
                     span,
                 ));
             }
@@ -531,62 +643,55 @@ impl<'a> Elab<'a> {
     }
 
     fn instance(&mut self, inst: &Instance, scope: &Scope) -> Result<(), ElabError> {
-        let child = self
-            .file
-            .module(&inst.module)
-            .ok_or_else(|| ElabError::new(format!("unknown module '{}'", inst.module), inst.span))?
-            .clone();
+        let file = self.file;
+        let module_name = self.name(inst.module);
+        let child = file
+            .module_named(inst.module)
+            .ok_or_else(|| ElabError::new(format!("unknown module '{module_name}'"), inst.span))?;
         // Resolve parameter overrides.
-        let mut overrides = HashMap::new();
-        let child_params: Vec<String> = child
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Param(p) if !p.local => {
-                    Some(p.params.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>())
-                }
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        for (idx, conn) in inst.params.iter().enumerate() {
+        let mut overrides = Consts::new(&file.names);
+        let mut child_params = child.items.iter().flat_map(|i| match i {
+            Item::Param(p) if !p.local => p.params.as_slice(),
+            _ => &[],
+        });
+        for conn in &inst.params {
+            let positional = child_params.next().map(|(n, _)| *n);
             let value = match &conn.expr {
                 Some(e) => const_eval(e, &scope.consts, conn.span)?,
                 None => continue,
             };
-            let name = match &conn.port {
-                Some(n) => n.clone(),
-                None => child_params.get(idx).cloned().ok_or_else(|| {
+            let name = match conn.port {
+                Some(n) => n,
+                None => positional.ok_or_else(|| {
                     ElabError::new("too many positional parameter overrides", conn.span)
                 })?,
             };
             overrides.insert(name, value);
         }
 
-        let child_prefix = format!("{}{}.", scope.prefix, inst.name);
-        self.module(&child, &child_prefix, &overrides, false)?;
+        let prefix =
+            format!("{}{}.", self.design.scopes[scope.index as usize], self.name(inst.name));
+        let child_scope = self.design.scope(prefix);
+        self.module(child, child_scope, &overrides, false)?;
 
         // Port connections become continuous assignments.
         for (idx, conn) in inst.conns.iter().enumerate() {
-            let port = match &conn.port {
-                Some(name) => child.port(name).cloned().ok_or_else(|| {
+            let port = match conn.port {
+                Some(name) => child.port_named(name).ok_or_else(|| {
                     ElabError::new(
-                        format!("module '{}' has no port '{}'", inst.module, name),
+                        format!("module '{module_name}' has no port '{}'", self.name(name)),
                         conn.span,
                     )
                 })?,
-                None => child.ports.get(idx).cloned().ok_or_else(|| {
+                None => child.ports.get(idx).ok_or_else(|| {
                     ElabError::new(
-                        format!("too many positional connections for '{}'", inst.module),
+                        format!("too many positional connections for '{module_name}'"),
                         conn.span,
                     )
                 })?,
             };
             let Some(expr) = &conn.expr else { continue };
-            let child_id = self
-                .design
-                .signal_id(&format!("{child_prefix}{}", port.name))
-                .expect("child port declared");
+            let child_id = self.design.lookup(child_scope, port.name).expect("child port declared");
             match port.dir {
                 PortDir::Input => {
                     let rhs = self.lower_expr(expr, scope, conn.span)?;
@@ -633,20 +738,13 @@ impl<'a> Elab<'a> {
         span: Span,
     ) -> Result<LTarget, ElabError> {
         match expr {
-            Expr::Ident(name) => {
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
-                Ok(LTarget::Whole(id))
-            }
+            Expr::Ident(name) => Ok(LTarget::Whole(self.resolve(scope, *name, span)?)),
             Expr::Index(base, index) => {
                 let Expr::Ident(name) = base.as_ref() else {
                     return Err(ElabError::new("unsupported output connection", span));
                 };
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, span)?;
+                let info = *self.design.signal(id);
                 let idx = self.lower_expr(index, scope, span)?;
                 let idx = offset_index(idx, info.lsb);
                 Ok(LTarget::Bit(id, idx))
@@ -655,10 +753,8 @@ impl<'a> Elab<'a> {
                 let Expr::Ident(name) = base.as_ref() else {
                     return Err(ElabError::new("unsupported output connection", span));
                 };
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, span)?;
+                let info = *self.design.signal(id);
                 let m = const_eval(msb, &scope.consts, span)?;
                 let l = const_eval(lsb, &scope.consts, span)?;
                 let (off, w) = part_offset(m, l, info.lsb, span)?;
@@ -681,7 +777,7 @@ impl<'a> Elab<'a> {
     fn declare(
         &mut self,
         scope: &Scope,
-        name: &str,
+        name: Symbol,
         width: u32,
         kind: SignalKind,
         words: u32,
@@ -691,19 +787,23 @@ impl<'a> Elab<'a> {
         is_output: bool,
         span: Span,
     ) -> Result<SignalId, ElabError> {
-        let full = format!("{}{}", scope.prefix, name);
-        if self.design.by_name.contains_key(&full) {
-            return Err(ElabError::new(format!("duplicate declaration of '{full}'"), span));
+        let full = || SignalName {
+            prefix: &self.design.scopes[scope.index as usize],
+            name: self.name(name),
+        };
+        if scope.resolve(&self.design, name).is_some() {
+            return Err(ElabError::new(format!("duplicate declaration of '{}'", full()), span));
         }
         if width == 0 || width > 128 {
             return Err(ElabError::new(
-                format!("signal '{full}' width {width} out of supported range 1..=128"),
+                format!("signal '{}' width {width} out of supported range 1..=128", full()),
                 span,
             ));
         }
         let id = SignalId(self.design.signals.len() as u32);
         self.design.signals.push(SignalInfo {
-            name: full.clone(),
+            name,
+            scope: scope.index,
             width,
             kind,
             words,
@@ -712,7 +812,8 @@ impl<'a> Elab<'a> {
             is_input,
             is_output,
         });
-        self.design.by_name.insert(full, id);
+        let entry = scope.index as usize * self.design.names.len() + name.0 as usize;
+        self.design.by_name[entry] = id.0;
         Ok(id)
     }
 
@@ -720,7 +821,7 @@ impl<'a> Elab<'a> {
         &mut self,
         stmt: &Stmt,
         scope: &Scope,
-        consts: &mut HashMap<String, i64>,
+        consts: &mut Consts<'_>,
     ) -> Result<LStmt, ElabError> {
         match stmt {
             Stmt::Block(b) => {
@@ -737,7 +838,7 @@ impl<'a> Elab<'a> {
                 if let LValue::Ident(name, _) = &a.lhs {
                     if consts.contains_key(name) {
                         let v = const_eval_with(&a.rhs, consts, a.span)?;
-                        consts.insert(name.clone(), v);
+                        consts.insert(*name, v);
                         return Ok(LStmt::Nop);
                     }
                 }
@@ -774,8 +875,9 @@ impl<'a> Elab<'a> {
                 let LValue::Ident(var, _) = &f.init.0 else {
                     return Err(ElabError::new("for-loop variable must be a plain name", f.span));
                 };
+                let var = *var;
                 let init = const_eval_with(&f.init.1, consts, f.span)?;
-                consts.insert(var.clone(), init);
+                consts.insert(var, init);
                 if runs_past_unroll_limit(f, var, consts) {
                     return Err(ElabError::new(
                         format!("for loop exceeds {MAX_UNROLL} unrolled iterations"),
@@ -798,9 +900,9 @@ impl<'a> Elab<'a> {
                     }
                     body.push(self.lower_stmt(&f.body, scope, consts)?);
                     let next = const_eval_with(&f.step.1, consts, f.span)?;
-                    consts.insert(var.clone(), next);
+                    consts.insert(var, next);
                 }
-                consts.remove(var);
+                consts.remove(&var);
                 Ok(LStmt::Block(body))
             }
             // System tasks have no behavioural effect in this subset.
@@ -814,29 +916,21 @@ impl<'a> Elab<'a> {
         scope: &Scope,
         span: Span,
     ) -> Result<LTarget, ElabError> {
-        let consts = scope.consts.clone();
-        self.lower_lvalue_in(lv, scope, &consts, span)
+        self.lower_lvalue_in(lv, scope, &scope.consts, span)
     }
 
     fn lower_lvalue_in(
         &mut self,
         lv: &LValue,
         scope: &Scope,
-        consts: &HashMap<String, i64>,
+        consts: &Consts<'_>,
         span: Span,
     ) -> Result<LTarget, ElabError> {
         match lv {
-            LValue::Ident(name, sp) => {
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), *sp))?;
-                Ok(LTarget::Whole(id))
-            }
+            LValue::Ident(name, sp) => Ok(LTarget::Whole(self.resolve(scope, *name, *sp)?)),
             LValue::Index(name, index, sp) => {
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), *sp))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, *sp)?;
+                let info = *self.design.signal(id);
                 let idx = self.lower_expr_in(index, scope, consts, span)?;
                 if info.words > 1 {
                     Ok(LTarget::Word(id, offset_index(idx, info.array_lo)))
@@ -845,10 +939,8 @@ impl<'a> Elab<'a> {
                 }
             }
             LValue::Part(name, msb, lsb, sp) => {
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), *sp))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, *sp)?;
+                let info = *self.design.signal(id);
                 let m = const_eval_with(msb, consts, *sp)?;
                 let l = const_eval_with(lsb, consts, *sp)?;
                 let (off, w) = part_offset(m, l, info.lsb, *sp)?;
@@ -865,15 +957,14 @@ impl<'a> Elab<'a> {
     }
 
     fn lower_expr(&mut self, e: &Expr, scope: &Scope, span: Span) -> Result<LExpr, ElabError> {
-        let consts = scope.consts.clone();
-        self.lower_expr_in(e, scope, &consts, span)
+        self.lower_expr_in(e, scope, &scope.consts, span)
     }
 
     fn lower_expr_in(
         &mut self,
         e: &Expr,
         scope: &Scope,
-        consts: &HashMap<String, i64>,
+        consts: &Consts<'_>,
         span: Span,
     ) -> Result<LExpr, ElabError> {
         Ok(match e {
@@ -888,12 +979,13 @@ impl<'a> Elab<'a> {
                         width: 32,
                     });
                 }
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
+                let id = self.resolve(scope, *name, span)?;
                 let info = self.design.signal(id);
                 if info.words > 1 {
-                    return Err(ElabError::new(format!("memory '{name}' must be indexed"), span));
+                    return Err(ElabError::new(
+                        format!("memory '{}' must be indexed", self.name(*name)),
+                        span,
+                    ));
                 }
                 LExpr { kind: LExprKind::Sig(id), width: info.width }
             }
@@ -941,10 +1033,8 @@ impl<'a> Elab<'a> {
                 let Expr::Ident(name) = base.as_ref() else {
                     return Err(ElabError::new("only named signals can be indexed", span));
                 };
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, span)?;
+                let info = *self.design.signal(id);
                 let idx = self.lower_expr_in(index, scope, consts, span)?;
                 if info.words > 1 {
                     LExpr {
@@ -962,10 +1052,8 @@ impl<'a> Elab<'a> {
                 let Expr::Ident(name) = base.as_ref() else {
                     return Err(ElabError::new("only named signals can be part-selected", span));
                 };
-                let id = scope
-                    .resolve(&self.design, name)
-                    .ok_or_else(|| ElabError::new(format!("undeclared signal '{name}'"), span))?;
-                let info = self.design.signal(id).clone();
+                let id = self.resolve(scope, *name, span)?;
+                let info = *self.design.signal(id);
                 let m = const_eval_with(msb, consts, span)?;
                 let l = const_eval_with(lsb, consts, span)?;
                 let (off, w) = part_offset(m, l, info.lsb, span)?;
@@ -1061,7 +1149,7 @@ fn concat_target(parts: Vec<LTarget>, design: &Design, span: Span) -> Result<LTa
     Ok(target)
 }
 
-fn range_width(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u32, ElabError> {
+fn range_width(range: &Option<Range>, consts: &Consts<'_>) -> Result<u32, ElabError> {
     match range {
         None => Ok(1),
         Some(r) => {
@@ -1077,7 +1165,7 @@ fn range_width(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u
     }
 }
 
-fn range_lsb(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u32, ElabError> {
+fn range_lsb(range: &Option<Range>, consts: &Consts<'_>) -> Result<u32, ElabError> {
     match range {
         None => Ok(0),
         Some(r) => {
@@ -1095,11 +1183,11 @@ fn range_lsb(range: &Option<Range>, consts: &HashMap<String, i64>) -> Result<u32
 /// condition or step that does not evaluate) answers `false` and the
 /// unrolling loop decides as it goes. `consts[var]` holds the initial
 /// value on entry and on return.
-fn runs_past_unroll_limit(f: &ForStmt, var: &str, consts: &mut HashMap<String, i64>) -> bool {
+fn runs_past_unroll_limit(f: &ForStmt, var: Symbol, consts: &mut Consts<'_>) -> bool {
     if writes_constant(&f.body, consts) {
         return false;
     }
-    let init = consts[var];
+    let init = *consts.get(&var).expect("the caller inserted the loop variable");
     let mut trips: u64 = 0;
     let past = loop {
         if !matches!(const_eval_with(&f.cond, consts, f.span), Ok(c) if c != 0) {
@@ -1110,16 +1198,16 @@ fn runs_past_unroll_limit(f: &ForStmt, var: &str, consts: &mut HashMap<String, i
             break true;
         }
         let Ok(next) = const_eval_with(&f.step.1, consts, f.span) else { break false };
-        *consts.get_mut(var).expect("the caller inserted the loop variable") = next;
+        consts.insert(var, next);
     };
-    *consts.get_mut(var).expect("the caller inserted the loop variable") = init;
+    consts.insert(var, init);
     past
 }
 
 /// True when lowering `stmt` can change `consts`: it assigns a name
 /// held there (see `Stmt::Blocking` in `lower_stmt`) or reuses one as
 /// the variable of a nested loop.
-fn writes_constant(stmt: &Stmt, consts: &HashMap<String, i64>) -> bool {
+fn writes_constant(stmt: &Stmt, consts: &Consts<'_>) -> bool {
     match stmt {
         Stmt::Block(b) => b.stmts.iter().any(|s| writes_constant(s, consts)),
         Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
@@ -1144,11 +1232,11 @@ fn writes_constant(stmt: &Stmt, consts: &HashMap<String, i64>) -> bool {
 }
 
 /// Evaluates a constant expression with the given name environment.
-pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>, span: Span) -> Result<i64, ElabError> {
+pub fn const_eval(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabError> {
     const_eval_with(e, consts, span)
 }
 
-fn const_eval_with(e: &Expr, consts: &HashMap<String, i64>, span: Span) -> Result<i64, ElabError> {
+fn const_eval_with(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabError> {
     Ok(match e {
         Expr::Number(n) => {
             if n.xz != 0 {
@@ -1156,9 +1244,9 @@ fn const_eval_with(e: &Expr, consts: &HashMap<String, i64>, span: Span) -> Resul
             }
             n.value as i64
         }
-        Expr::Ident(name) => *consts
-            .get(name)
-            .ok_or_else(|| ElabError::new(format!("'{name}' is not a constant"), span))?,
+        Expr::Ident(name) => *consts.get(name).ok_or_else(|| {
+            ElabError::new(format!("'{}' is not a constant", &consts.names[*name]), span)
+        })?,
         Expr::Unary(op, inner) => {
             let v = const_eval_with(inner, consts, span)?;
             match op {
@@ -1362,8 +1450,8 @@ mod tests {
 
     fn elab(src: &str) -> Design {
         let file = parse(src).unwrap();
-        let top = &file.top().unwrap().name;
-        elaborate(&file, top).unwrap()
+        let top = file.top().unwrap();
+        elaborate(&file, top.name_of(top.name)).unwrap()
     }
 
     #[test]

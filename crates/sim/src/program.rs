@@ -216,7 +216,7 @@ mod tests {
 
     fn program_for(src: &str, process: usize) -> ProcessProgram {
         let file = parse(src).unwrap();
-        let top = &file.top().unwrap().name;
+        let top = file.top().map(|m| m.name_of(m.name)).unwrap();
         let design = elaborate(&file, top).unwrap();
         lower_process(&design, &design.processes()[process].body)
     }

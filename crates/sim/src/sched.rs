@@ -703,7 +703,7 @@ mod tests {
 
     fn sim(src: &str) -> Simulator {
         let file = parse(src).unwrap();
-        let top = &file.top().unwrap().name;
+        let top = file.top().map(|m| m.name_of(m.name)).unwrap();
         let design = elaborate(&file, top).unwrap();
         Simulator::new(design).unwrap()
     }

@@ -15,7 +15,6 @@ pub struct Waveform {
     /// Signal names in snapshot order.
     names: Vec<String>,
     ids: Vec<SignalId>,
-    index: HashMap<String, usize>,
     /// Capture timestamps (monotonically non-decreasing).
     times: Vec<u64>,
     /// `frames[t][s]` = value of signal `s` at capture `t`.
@@ -26,16 +25,15 @@ impl Waveform {
     /// Creates an empty waveform recorder for `sim`'s design (works on
     /// anything that implements [`SimControl`]).
     pub fn new<S: SimControl + ?Sized>(sim: &S) -> Self {
-        let mut names = Vec::new();
-        let mut ids = Vec::new();
-        let mut index = HashMap::new();
-        for (id, _) in sim.scalar_values() {
-            let name = sim.design().signal(id).name.clone();
-            index.insert(name.clone(), names.len());
-            names.push(name);
-            ids.push(id);
-        }
-        Waveform { names, ids, index, times: Vec::new(), frames: Vec::new() }
+        let design = sim.design();
+        let ids: Vec<SignalId> = sim.scalar_values().into_iter().map(|(id, _)| id).collect();
+        let names = ids.iter().map(|&id| design.signal_name(id).to_string()).collect();
+        Waveform { names, ids, times: Vec::new(), frames: Vec::new() }
+    }
+
+    /// Position of `name` in [`Waveform::names`].
+    fn index(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
     }
 
     /// Records the current state of `sim` at its current time.
@@ -78,7 +76,7 @@ impl Waveform {
 
     /// Value of `name` at the last capture with `time' <= time`.
     pub fn value_at(&self, name: &str, time: u64) -> Option<Logic> {
-        let sig = *self.index.get(name)?;
+        let sig = self.index(name)?;
         let frame = match self.times.binary_search(&time) {
             Ok(mut i) => {
                 // Multiple captures can share a timestamp; take the last.
@@ -95,13 +93,13 @@ impl Waveform {
 
     /// Value of `name` at capture index `idx`.
     pub fn value_at_index(&self, name: &str, idx: usize) -> Option<Logic> {
-        let sig = *self.index.get(name)?;
+        let sig = self.index(name)?;
         self.frames.get(idx).map(|f| f[sig])
     }
 
     /// All values of `name` across captures.
     pub fn series(&self, name: &str) -> Option<Vec<(u64, Logic)>> {
-        let sig = *self.index.get(name)?;
+        let sig = self.index(name)?;
         Some(self.times.iter().zip(&self.frames).map(|(t, f)| (*t, f[sig])).collect())
     }
 

@@ -73,7 +73,7 @@ fn a_settle_with_nothing_to_run_counts_itself_and_does_nothing_else() {
         if id == spare {
             assert_eq!(now, bit(true));
         } else {
-            assert_eq!(now, *was, "{}", sim.design().signal(id).name);
+            assert_eq!(now, *was, "{}", sim.design().signal_name(id));
         }
     }
 

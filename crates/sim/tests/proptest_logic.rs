@@ -145,7 +145,8 @@ fn display_parses_back() {
     for _ in 0..256 {
         let a = known(&mut rng, 16);
         let text = a.to_string();
-        let e = uvllm_verilog::parse_expr(&text).expect("literal must parse");
+        let e = uvllm_verilog::parse_expr(&text, &mut uvllm_verilog::Names::new())
+            .expect("literal must parse");
         match e {
             uvllm_verilog::Expr::Number(n) => {
                 assert_eq!(n.value, a.to_u128().unwrap());

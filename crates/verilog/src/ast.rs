@@ -4,20 +4,30 @@
 //! localization engine and the error generator can map constructs back to
 //! source lines and perform text-surgical edits.
 
+use crate::names::{with_debug_names, Names, Symbol};
 use crate::span::Span;
 use crate::token::NumberBase;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed source file: one or more module definitions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct SourceFile {
     /// Modules in source order.
     pub modules: Vec<Module>,
+    /// The text's identifiers: every [`Symbol`] in the tree names one.
+    pub names: Arc<Names>,
 }
 
 impl SourceFile {
     /// Finds a module by name.
     pub fn module(&self, name: &str) -> Option<&Module> {
+        let name = self.names.get(name)?;
+        self.module_named(name)
+    }
+
+    /// Finds a module by its symbol.
+    pub fn module_named(&self, name: Symbol) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
     }
 
@@ -28,21 +38,59 @@ impl SourceFile {
 }
 
 /// A `module … endmodule` definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Module {
     /// Module identifier.
-    pub name: String,
+    pub name: Symbol,
     /// Ports in header order (ANSI or non-ANSI style, normalised).
     pub ports: Vec<Port>,
     /// Body items in source order.
     pub items: Vec<Item>,
     /// Span of the entire definition.
     pub span: Span,
+    /// The identifiers of the text the module was parsed from (shared
+    /// with its [`SourceFile`]).
+    pub names: Arc<Names>,
+}
+
+/// Spells symbols out as names ([`with_debug_names`]); the table
+/// itself is not printed.
+impl fmt::Debug for SourceFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        with_debug_names(&self.names, || {
+            f.debug_struct("SourceFile").field("modules", &self.modules).finish()
+        })
+    }
+}
+
+/// Spells symbols out as names ([`with_debug_names`]); the table
+/// itself is not printed.
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        with_debug_names(&self.names, || {
+            f.debug_struct("Module")
+                .field("name", &self.name)
+                .field("ports", &self.ports)
+                .field("items", &self.items)
+                .field("span", &self.span)
+                .finish()
+        })
+    }
 }
 
 impl Module {
+    /// The name of `symbol`, a symbol of this module's text.
+    pub fn name_of(&self, symbol: Symbol) -> &str {
+        &self.names[symbol]
+    }
+
     /// Looks up a port by name.
     pub fn port(&self, name: &str) -> Option<&Port> {
+        self.port_named(self.names.get(name)?)
+    }
+
+    /// Looks up a port by its symbol.
+    pub fn port_named(&self, name: Symbol) -> Option<&Port> {
         self.ports.iter().find(|p| p.name == name)
     }
 
@@ -94,7 +142,7 @@ impl fmt::Display for NetKind {
 /// A module port.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Port {
-    pub name: String,
+    pub name: Symbol,
     pub dir: PortDir,
     /// `reg` for ports declared `output reg`, otherwise `wire`.
     pub net: NetKind,
@@ -151,7 +199,7 @@ impl Item {
 /// unpacked array dimension and optional initialiser.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Declarator {
-    pub name: String,
+    pub name: Symbol,
     /// Unpacked dimension `[lo:hi]` for memories.
     pub array: Option<Range>,
     /// `wire x = expr;` style initialiser.
@@ -176,14 +224,14 @@ pub struct ParamDecl {
     pub local: bool,
     pub range: Option<Range>,
     /// `(name, value)` pairs.
-    pub params: Vec<(String, Expr)>,
+    pub params: Vec<(Symbol, Expr)>,
     pub span: Span,
 }
 
 /// An `integer` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegerDecl {
-    pub names: Vec<String>,
+    pub names: Vec<Symbol>,
     pub span: Span,
 }
 
@@ -233,7 +281,7 @@ impl Sensitivity {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensItem {
     pub edge: Option<Edge>,
-    pub signal: String,
+    pub signal: Symbol,
     pub span: Span,
 }
 
@@ -257,9 +305,9 @@ impl fmt::Display for Edge {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Name of the instantiated module.
-    pub module: String,
+    pub module: Symbol,
     /// Instance identifier.
-    pub name: String,
+    pub name: Symbol,
     /// Parameter overrides `#(.P(1))`, empty when absent.
     pub params: Vec<Connection>,
     /// Port connections (named or positional).
@@ -271,7 +319,7 @@ pub struct Instance {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Connection {
     /// Port name for named connections.
-    pub port: Option<String>,
+    pub port: Option<Symbol>,
     /// Connected expression; `None` for explicitly empty `.port()`.
     pub expr: Option<Expr>,
     pub span: Span,
@@ -316,7 +364,7 @@ impl Stmt {
 /// A `begin … end` block, optionally named.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    pub label: Option<String>,
+    pub label: Option<Symbol>,
     pub stmts: Vec<Stmt>,
     pub span: Span,
 }
@@ -393,7 +441,7 @@ pub struct ForStmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SysCall {
     /// Task name including `$`.
-    pub name: String,
+    pub name: Symbol,
     pub args: Vec<Expr>,
     pub span: Span,
 }
@@ -402,11 +450,11 @@ pub struct SysCall {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// `name`
-    Ident(String, Span),
+    Ident(Symbol, Span),
     /// `name[expr]` — bit-select of a vector or word-select of a memory.
-    Index(String, Box<Expr>, Span),
+    Index(Symbol, Box<Expr>, Span),
     /// `name[msb:lsb]` — constant part-select.
-    Part(String, Box<Expr>, Box<Expr>, Span),
+    Part(Symbol, Box<Expr>, Box<Expr>, Span),
     /// `{a, b, …}` concatenated targets.
     Concat(Vec<LValue>, Span),
 }
@@ -423,10 +471,10 @@ impl LValue {
     }
 
     /// The base signal names written by this target.
-    pub fn base_names(&self) -> Vec<&str> {
+    pub fn base_names(&self) -> Vec<Symbol> {
         match self {
             LValue::Ident(n, _) | LValue::Index(n, _, _) | LValue::Part(n, _, _, _) => {
-                vec![n.as_str()]
+                vec![*n]
             }
             LValue::Concat(parts, _) => parts.iter().flat_map(|p| p.base_names()).collect(),
         }
@@ -593,7 +641,7 @@ pub enum Expr {
     /// Numeric literal.
     Number(Number),
     /// Signal / parameter reference.
-    Ident(String),
+    Ident(Symbol),
     /// `op expr`
     Unary(UnaryOp, Box<Expr>),
     /// `lhs op rhs`
@@ -617,21 +665,22 @@ impl Expr {
     }
 
     /// Shorthand for an identifier expression.
-    pub fn ident(name: impl Into<String>) -> Expr {
-        Expr::Ident(name.into())
+    pub fn ident(name: Symbol) -> Expr {
+        Expr::Ident(name)
     }
 
     /// Collects every identifier referenced in the expression.
-    pub fn idents(&self) -> Vec<&str> {
+    pub fn idents(&self) -> Vec<Symbol> {
         let mut out = Vec::new();
         self.collect_idents(&mut out);
         out
     }
 
-    fn collect_idents<'a>(&'a self, out: &mut Vec<&'a str>) {
+    /// Appends every identifier referenced in the expression to `out`.
+    pub fn collect_idents(&self, out: &mut Vec<Symbol>) {
         match self {
             Expr::Number(_) => {}
-            Expr::Ident(name) => out.push(name),
+            Expr::Ident(name) => out.push(*name),
             Expr::Unary(_, e) => e.collect_idents(out),
             Expr::Binary(_, a, b) => {
                 a.collect_idents(out);
@@ -672,15 +721,16 @@ mod tests {
 
     #[test]
     fn sensitivity_edge_detection() {
+        let mut names = Names::new();
         let seq = Sensitivity::List(vec![SensItem {
             edge: Some(Edge::Pos),
-            signal: "clk".into(),
+            signal: names.intern("clk"),
             span: Span::default(),
         }]);
         assert!(seq.is_edge_triggered());
         let comb = Sensitivity::List(vec![SensItem {
             edge: None,
-            signal: "a".into(),
+            signal: names.intern("a"),
             span: Span::default(),
         }]);
         assert!(!comb.is_edge_triggered());
@@ -689,28 +739,29 @@ mod tests {
 
     #[test]
     fn expr_ident_collection() {
+        let mut names = Names::new();
+        let mut ident = |name| Box::new(Expr::ident(names.intern(name)));
         let e = Expr::Binary(
             BinaryOp::Add,
-            Box::new(Expr::ident("a")),
-            Box::new(Expr::Ternary(
-                Box::new(Expr::ident("sel")),
-                Box::new(Expr::ident("b")),
-                Box::new(Expr::number(0)),
-            )),
+            ident("a"),
+            Box::new(Expr::Ternary(ident("sel"), ident("b"), Box::new(Expr::number(0)))),
         );
-        assert_eq!(e.idents(), vec!["a", "sel", "b"]);
+        let idents: Vec<&str> = e.idents().into_iter().map(|s| &names[s]).collect();
+        assert_eq!(idents, vec!["a", "sel", "b"]);
     }
 
     #[test]
     fn lvalue_base_names() {
+        let mut names = Names::new();
         let lv = LValue::Concat(
             vec![
-                LValue::Ident("carry".into(), Span::default()),
-                LValue::Index("sum".into(), Box::new(Expr::number(0)), Span::default()),
+                LValue::Ident(names.intern("carry"), Span::default()),
+                LValue::Index(names.intern("sum"), Box::new(Expr::number(0)), Span::default()),
             ],
             Span::default(),
         );
-        assert_eq!(lv.base_names(), vec!["carry", "sum"]);
+        let bases: Vec<&str> = lv.base_names().into_iter().map(|s| &names[s]).collect();
+        assert_eq!(bases, vec!["carry", "sum"]);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!
 //! let src = "module inv(input a, output y);\nassign y = ~a;\nendmodule\n";
 //! let file = parse(src)?;
-//! assert_eq!(file.top().unwrap().name, "inv");
+//! let top = file.top().unwrap();
+//! assert_eq!(top.name_of(top.name), "inv");
 //! let canonical = print_source(&file);
 //! assert!(canonical.contains("assign y = ~a;"));
 //! # Ok(())
@@ -34,6 +35,7 @@
 pub mod ast;
 pub mod error;
 pub mod lexer;
+pub mod names;
 pub mod parser;
 pub mod printer;
 pub mod span;
@@ -42,6 +44,7 @@ pub mod visit;
 
 pub use ast::{Expr, Item, LValue, Module, SourceFile, Stmt};
 pub use error::{SyntaxError, SyntaxErrorKind};
+pub use names::{Names, Symbol};
 pub use parser::{parse, parse_expr};
 pub use printer::{print_expr, print_module_str, print_source, print_stmt};
 pub use span::{LineMap, Span};

@@ -3,8 +3,10 @@
 use crate::ast::*;
 use crate::error::{SyntaxError, SyntaxErrorKind};
 use crate::lexer::tokenize;
+use crate::names::{Names, Symbol};
 use crate::span::Span;
 use crate::token::{Keyword, NumberBase, NumberToken, Token, TokenKind};
+use std::sync::Arc;
 
 /// How deep expressions, statements and assignment targets may nest: a
 /// parenthesis, a unary operator, a `begin`, an `if` arm each add a
@@ -35,22 +37,44 @@ pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
 /// As [`parse`].
 pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), SyntaxError> {
     let tokens = tokenize(src)?;
-    let file = Parser::new(src, &tokens).parse_source_file()?;
-    Ok((file, tokens))
+    // Room for every identifier token, so the table never grows.
+    let (count, bytes) = tokens
+        .iter()
+        .filter(|t| matches!(t.kind, TokenKind::Ident | TokenKind::SysIdent))
+        .fold((0, 0), |(n, b), t| (n + 1, b + t.span.text(src).len()));
+    let mut names = Names::with_capacity(count, bytes);
+    let modules = Parser::new(src, &tokens, &mut names).parse_source_file()?;
+    let names = Arc::new(names);
+    let modules = modules
+        .into_iter()
+        .map(|(name, ports, items, span)| Module {
+            name,
+            ports,
+            items,
+            span,
+            names: Arc::clone(&names),
+        })
+        .collect();
+    Ok((SourceFile { modules, names }, tokens))
 }
 
-/// Parses a single expression (used by tests and patch validation).
+/// Parses a single expression (used by tests and patch validation),
+/// interning its identifiers into `names`.
 ///
 /// # Errors
 ///
 /// Returns an error when `src` is not exactly one expression.
-pub fn parse_expr(src: &str) -> Result<Expr, SyntaxError> {
+pub fn parse_expr(src: &str, names: &mut Names) -> Result<Expr, SyntaxError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser::new(src, &tokens);
+    let mut p = Parser::new(src, &tokens, names);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
+
+/// A module as the parser produces it: name, ports, items and span,
+/// before the finished table is attached.
+type ModuleParts = (Symbol, Vec<Port>, Vec<Item>, Span);
 
 struct Parser<'a> {
     src: &'a str,
@@ -59,11 +83,13 @@ struct Parser<'a> {
     pos: usize,
     /// Productions open under [`Parser::nested`].
     depth: usize,
+    /// The text's identifiers.
+    names: &'a mut Names,
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, tokens: &'a [Token]) -> Self {
-        Parser { src, tokens, pos: 0, depth: 0 }
+    fn new(src: &'a str, tokens: &'a [Token], names: &'a mut Names) -> Self {
+        Parser { src, tokens, pos: 0, depth: 0, names }
     }
 
     fn peek(&self) -> &'a Token {
@@ -82,9 +108,9 @@ impl<'a> Parser<'a> {
         t
     }
 
-    /// The source text at `span`, as the AST keeps it.
-    fn text(&self, span: Span) -> String {
-        span.text(self.src).to_string()
+    /// The identifier at `span`, as the AST keeps it.
+    fn symbol(&mut self, span: Span) -> Symbol {
+        self.names.intern(span.text(self.src))
     }
 
     /// Runs `production` one nesting level deeper, failing past
@@ -171,10 +197,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), SyntaxError> {
+    fn expect_ident(&mut self, what: &str) -> Result<(Symbol, Span), SyntaxError> {
         if self.at(&TokenKind::Ident) {
             let span = self.bump().span;
-            Ok((self.text(span), span))
+            Ok((self.symbol(span), span))
         } else {
             Err(self.error(what))
         }
@@ -192,7 +218,7 @@ impl<'a> Parser<'a> {
     // Source file and module structure
     // ------------------------------------------------------------------
 
-    fn parse_source_file(&mut self) -> Result<SourceFile, SyntaxError> {
+    fn parse_source_file(&mut self) -> Result<Vec<ModuleParts>, SyntaxError> {
         let mut modules = Vec::new();
         while !self.at(&TokenKind::Eof) {
             modules.push(self.module()?);
@@ -200,10 +226,10 @@ impl<'a> Parser<'a> {
         if modules.is_empty() {
             return Err(self.error("a module definition"));
         }
-        Ok(SourceFile { modules })
+        Ok(modules)
     }
 
-    fn module(&mut self) -> Result<Module, SyntaxError> {
+    fn module(&mut self) -> Result<ModuleParts, SyntaxError> {
         let start = self.expect_kw(Keyword::Module, "'module'")?.span;
         let (name, _) = self.expect_ident("module name")?;
         let mut ports: Vec<Port> = Vec::new();
@@ -313,7 +339,7 @@ impl<'a> Parser<'a> {
             self.item(&mut ports, &mut items)?;
         }
         let end = self.expect_kw(Keyword::Endmodule, "'endmodule'")?.span;
-        Ok(Module { name, ports, items, span: start.merge(end) })
+        Ok((name, ports, items, start.merge(end)))
     }
 
     fn prev_span(&self) -> Span {
@@ -434,7 +460,7 @@ impl<'a> Parser<'a> {
         let mut decls = Vec::new();
         loop {
             let (name, nspan) = self.expect_ident("port name")?;
-            decls.push(Declarator { name: name.clone(), array: None, init: None, span: nspan });
+            decls.push(Declarator { name, array: None, init: None, span: nspan });
             match ports.iter_mut().find(|p| p.name == name) {
                 Some(p) => {
                     p.dir = dir;
@@ -708,7 +734,7 @@ impl<'a> Parser<'a> {
     /// A system task call such as `$display(…);`.
     fn sys_task(&mut self) -> Result<Stmt, SyntaxError> {
         let start = self.bump().span;
-        let name = self.text(start);
+        let name = self.symbol(start);
         let mut args = Vec::new();
         if self.eat(&TokenKind::LParen) {
             if !self.at(&TokenKind::RParen) {
@@ -890,7 +916,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Ident => {
                 let span = self.bump().span;
-                Ok(Expr::Ident(self.text(span)))
+                Ok(Expr::Ident(self.symbol(span)))
             }
             TokenKind::SysIdent => {
                 // `$signed(x)` / `$unsigned(x)` are treated as transparent.
@@ -1001,7 +1027,7 @@ mod tests {
                    assign y = a + b;\nendmodule\n";
         let file = parse(src).unwrap();
         let m = file.top().unwrap();
-        assert_eq!(m.name, "add");
+        assert_eq!(m.name_of(m.name), "add");
         assert_eq!(m.ports.len(), 3);
         assert_eq!(m.ports[2].dir, PortDir::Output);
         assert_eq!(m.items.len(), 1);
@@ -1091,7 +1117,7 @@ mod tests {
             })
             .collect();
         assert_eq!(insts.len(), 2);
-        assert_eq!(insts[0].conns[0].port.as_deref(), Some("in"));
+        assert_eq!(insts[0].conns[0].port.map(|p| top.name_of(p)), Some("in"));
     }
 
     #[test]
@@ -1118,22 +1144,22 @@ mod tests {
 
     #[test]
     fn concat_and_repeat_expressions() {
-        let e = parse_expr("{2{a, 1'b0}}").unwrap();
+        let e = parse_expr("{2{a, 1'b0}}", &mut Names::new()).unwrap();
         assert!(matches!(e, Expr::Repeat(_, _)));
-        let e = parse_expr("{c, s[3:0]}").unwrap();
+        let e = parse_expr("{c, s[3:0]}", &mut Names::new()).unwrap();
         assert!(matches!(e, Expr::Concat(_)));
     }
 
     #[test]
     fn precedence_in_expressions() {
-        let e = parse_expr("a + b * c").unwrap();
+        let e = parse_expr("a + b * c", &mut Names::new()).unwrap();
         match e {
             Expr::Binary(BinaryOp::Add, _, rhs) => {
                 assert!(matches!(*rhs, Expr::Binary(BinaryOp::Mul, _, _)));
             }
             other => panic!("expected add at top, got {other:?}"),
         }
-        let e = parse_expr("a == b & c").unwrap();
+        let e = parse_expr("a == b & c", &mut Names::new()).unwrap();
         // `&` binds tighter than `==` in IEEE 1364? No: equality (7) binds
         // tighter than bitand (6), so the top node is `&`.
         assert!(matches!(e, Expr::Binary(BinaryOp::BitAnd, _, _)));
@@ -1141,7 +1167,7 @@ mod tests {
 
     #[test]
     fn ternary_nesting() {
-        let e = parse_expr("s ? a : t ? b : c").unwrap();
+        let e = parse_expr("s ? a : t ? b : c", &mut Names::new()).unwrap();
         match e {
             Expr::Ternary(_, _, els) => assert!(matches!(*els, Expr::Ternary(_, _, _))),
             other => panic!("expected ternary, got {other:?}"),
@@ -1150,7 +1176,7 @@ mod tests {
 
     #[test]
     fn xz_literals_resolve() {
-        let e = parse_expr("4'b1x0z").unwrap();
+        let e = parse_expr("4'b1x0z", &mut Names::new()).unwrap();
         match e {
             Expr::Number(n) => {
                 assert_eq!(n.value & !n.xz, 0b1000);

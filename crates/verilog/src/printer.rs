@@ -6,6 +6,7 @@
 //! generator when a mutation cannot be expressed as a local text edit.
 
 use crate::ast::*;
+use crate::names::Names;
 use crate::token::NumberBase;
 use std::fmt::Write;
 
@@ -16,7 +17,7 @@ pub fn print_source(file: &SourceFile) -> String {
         if i > 0 {
             out.push('\n');
         }
-        print_module(&mut out, m);
+        print_module(&mut out, &file.names, m);
     }
     out
 }
@@ -24,21 +25,21 @@ pub fn print_source(file: &SourceFile) -> String {
 /// Renders a single module.
 pub fn print_module_str(module: &Module) -> String {
     let mut out = String::new();
-    print_module(&mut out, module);
+    print_module(&mut out, &module.names, module);
     out
 }
 
-/// Renders an expression.
-pub fn print_expr(expr: &Expr) -> String {
+/// Renders an expression whose identifiers are in `nm`.
+pub fn print_expr(expr: &Expr, nm: &Names) -> String {
     let mut out = String::new();
-    expr_into(&mut out, expr, 0);
+    expr_into(&mut out, nm, expr, 0);
     out
 }
 
-/// Renders a statement at indent level 0.
-pub fn print_stmt(stmt: &Stmt) -> String {
+/// Renders a statement at indent level 0; its identifiers are in `nm`.
+pub fn print_stmt(stmt: &Stmt, nm: &Names) -> String {
     let mut out = String::new();
-    stmt_into(&mut out, stmt, 0);
+    stmt_into(&mut out, nm, stmt, 0);
     out
 }
 
@@ -48,8 +49,8 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn print_module(out: &mut String, m: &Module) {
-    let _ = write!(out, "module {}", m.name);
+fn print_module(out: &mut String, nm: &Names, m: &Module) {
+    let _ = write!(out, "module {}", &nm[m.name]);
     if m.ports.is_empty() {
         out.push_str(";\n");
     } else {
@@ -65,9 +66,9 @@ fn print_module(out: &mut String, m: &Module) {
             }
             if let Some(r) = &p.range {
                 out.push(' ');
-                range_into(out, r);
+                range_into(out, nm, r);
             }
-            let _ = write!(out, " {}", p.name);
+            let _ = write!(out, " {}", &nm[p.name]);
             if i + 1 < m.ports.len() {
                 out.push(',');
             }
@@ -76,20 +77,20 @@ fn print_module(out: &mut String, m: &Module) {
         out.push_str(");\n");
     }
     for item in &m.items {
-        item_into(out, item, 1);
+        item_into(out, nm, item, 1);
     }
     out.push_str("endmodule\n");
 }
 
-fn range_into(out: &mut String, r: &Range) {
+fn range_into(out: &mut String, nm: &Names, r: &Range) {
     out.push('[');
-    expr_into(out, &r.msb, 0);
+    expr_into(out, nm, &r.msb, 0);
     out.push(':');
-    expr_into(out, &r.lsb, 0);
+    expr_into(out, nm, &r.lsb, 0);
     out.push(']');
 }
 
-fn item_into(out: &mut String, item: &Item, level: usize) {
+fn item_into(out: &mut String, nm: &Names, item: &Item, level: usize) {
     match item {
         Item::Net(d) => {
             // Skip storage declarations synthesised from `output reg`
@@ -102,21 +103,21 @@ fn item_into(out: &mut String, item: &Item, level: usize) {
             }
             if let Some(r) = &d.range {
                 out.push(' ');
-                range_into(out, r);
+                range_into(out, nm, r);
             }
             for (i, decl) in d.decls.iter().enumerate() {
                 out.push(if i == 0 { ' ' } else { ',' });
                 if i > 0 {
                     out.push(' ');
                 }
-                out.push_str(&decl.name);
+                out.push_str(&nm[decl.name]);
                 if let Some(a) = &decl.array {
                     out.push(' ');
-                    range_into(out, a);
+                    range_into(out, nm, a);
                 }
                 if let Some(init) = &decl.init {
                     out.push_str(" = ");
-                    expr_into(out, init, 0);
+                    expr_into(out, nm, init, 0);
                 }
             }
             out.push_str(";\n");
@@ -126,28 +127,35 @@ fn item_into(out: &mut String, item: &Item, level: usize) {
             out.push_str(if p.local { "localparam" } else { "parameter" });
             if let Some(r) = &p.range {
                 out.push(' ');
-                range_into(out, r);
+                range_into(out, nm, r);
             }
             for (i, (name, value)) in p.params.iter().enumerate() {
                 out.push(if i == 0 { ' ' } else { ',' });
                 if i > 0 {
                     out.push(' ');
                 }
-                let _ = write!(out, "{name} = ");
-                expr_into(out, value, 0);
+                let _ = write!(out, "{} = ", &nm[*name]);
+                expr_into(out, nm, value, 0);
             }
             out.push_str(";\n");
         }
         Item::Integer(d) => {
             indent(out, level);
-            let _ = writeln!(out, "integer {};", d.names.join(", "));
+            out.push_str("integer ");
+            for (i, name) in d.names.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(&nm[*name]);
+            }
+            out.push_str(";\n");
         }
         Item::Assign(a) => {
             indent(out, level);
             out.push_str("assign ");
-            lvalue_into(out, &a.lhs);
+            lvalue_into(out, nm, &a.lhs);
             out.push_str(" = ");
-            expr_into(out, &a.rhs, 0);
+            expr_into(out, nm, &a.rhs, 0);
             out.push_str(";\n");
         }
         Item::Always(a) => {
@@ -163,48 +171,48 @@ fn item_into(out: &mut String, item: &Item, level: usize) {
                         if let Some(e) = s.edge {
                             let _ = write!(out, "{e} ");
                         }
-                        out.push_str(&s.signal);
+                        out.push_str(&nm[s.signal]);
                     }
                 }
             }
             out.push_str(") ");
-            stmt_tail(out, &a.body, level);
+            stmt_tail(out, nm, &a.body, level);
         }
         Item::Initial(i) => {
             indent(out, level);
             out.push_str("initial ");
-            stmt_tail(out, &i.body, level);
+            stmt_tail(out, nm, &i.body, level);
         }
         Item::Instance(inst) => {
             indent(out, level);
-            out.push_str(&inst.module);
+            out.push_str(&nm[inst.module]);
             if !inst.params.is_empty() {
                 out.push_str(" #(");
-                conns_into(out, &inst.params);
+                conns_into(out, nm, &inst.params);
                 out.push(')');
             }
-            let _ = write!(out, " {} (", inst.name);
-            conns_into(out, &inst.conns);
+            let _ = write!(out, " {} (", &nm[inst.name]);
+            conns_into(out, nm, &inst.conns);
             out.push_str(");\n");
         }
     }
 }
 
-fn conns_into(out: &mut String, conns: &[Connection]) {
+fn conns_into(out: &mut String, nm: &Names, conns: &[Connection]) {
     for (i, c) in conns.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         match (&c.port, &c.expr) {
             (Some(p), Some(e)) => {
-                let _ = write!(out, ".{p}(");
-                expr_into(out, e, 0);
+                let _ = write!(out, ".{}(", &nm[*p]);
+                expr_into(out, nm, e, 0);
                 out.push(')');
             }
             (Some(p), None) => {
-                let _ = write!(out, ".{p}()");
+                let _ = write!(out, ".{}()", &nm[*p]);
             }
-            (None, Some(e)) => expr_into(out, e, 0),
+            (None, Some(e)) => expr_into(out, nm, e, 0),
             (None, None) => {}
         }
     }
@@ -212,63 +220,63 @@ fn conns_into(out: &mut String, conns: &[Connection]) {
 
 /// Prints a statement that follows a header (`always @(…) `), writing the
 /// body inline for blocks and on the same line otherwise.
-fn stmt_tail(out: &mut String, stmt: &Stmt, level: usize) {
+fn stmt_tail(out: &mut String, nm: &Names, stmt: &Stmt, level: usize) {
     match stmt {
         Stmt::Block(_) => {
-            stmt_into_inline(out, stmt, level);
+            stmt_into_inline(out, nm, stmt, level);
         }
         _ => {
             out.push('\n');
-            stmt_into(out, stmt, level + 1);
+            stmt_into(out, nm, stmt, level + 1);
         }
     }
 }
 
-fn stmt_into(out: &mut String, stmt: &Stmt, level: usize) {
+fn stmt_into(out: &mut String, nm: &Names, stmt: &Stmt, level: usize) {
     indent(out, level);
-    stmt_into_inline(out, stmt, level);
+    stmt_into_inline(out, nm, stmt, level);
 }
 
-fn stmt_into_inline(out: &mut String, stmt: &Stmt, level: usize) {
+fn stmt_into_inline(out: &mut String, nm: &Names, stmt: &Stmt, level: usize) {
     match stmt {
         Stmt::Block(b) => {
             out.push_str("begin");
             if let Some(l) = &b.label {
-                let _ = write!(out, " : {l}");
+                let _ = write!(out, " : {}", &nm[*l]);
             }
             out.push('\n');
             for s in &b.stmts {
-                stmt_into(out, s, level + 1);
+                stmt_into(out, nm, s, level + 1);
             }
             indent(out, level);
             out.push_str("end\n");
         }
         Stmt::Blocking(a) => {
-            lvalue_into(out, &a.lhs);
+            lvalue_into(out, nm, &a.lhs);
             out.push_str(" = ");
-            expr_into(out, &a.rhs, 0);
+            expr_into(out, nm, &a.rhs, 0);
             out.push_str(";\n");
         }
         Stmt::NonBlocking(a) => {
-            lvalue_into(out, &a.lhs);
+            lvalue_into(out, nm, &a.lhs);
             out.push_str(" <= ");
-            expr_into(out, &a.rhs, 0);
+            expr_into(out, nm, &a.rhs, 0);
             out.push_str(";\n");
         }
         Stmt::If(i) => {
             out.push_str("if (");
-            expr_into(out, &i.cond, 0);
+            expr_into(out, nm, &i.cond, 0);
             out.push_str(") ");
-            branch_into(out, &i.then_branch, level);
+            branch_into(out, nm, &i.then_branch, level);
             if let Some(e) = &i.else_branch {
                 indent(out, level);
                 out.push_str("else ");
-                branch_into(out, e, level);
+                branch_into(out, nm, e, level);
             }
         }
         Stmt::Case(c) => {
             let _ = write!(out, "{} (", c.kind);
-            expr_into(out, &c.expr, 0);
+            expr_into(out, nm, &c.expr, 0);
             out.push_str(")\n");
             for arm in &c.arms {
                 indent(out, level + 1);
@@ -276,42 +284,42 @@ fn stmt_into_inline(out: &mut String, stmt: &Stmt, level: usize) {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    expr_into(out, l, 0);
+                    expr_into(out, nm, l, 0);
                 }
                 out.push_str(": ");
-                branch_into(out, &arm.body, level + 1);
+                branch_into(out, nm, &arm.body, level + 1);
             }
             if let Some(d) = &c.default {
                 indent(out, level + 1);
                 out.push_str("default: ");
-                branch_into(out, d, level + 1);
+                branch_into(out, nm, d, level + 1);
             }
             indent(out, level);
             out.push_str("endcase\n");
         }
         Stmt::For(f) => {
             out.push_str("for (");
-            lvalue_into(out, &f.init.0);
+            lvalue_into(out, nm, &f.init.0);
             out.push_str(" = ");
-            expr_into(out, &f.init.1, 0);
+            expr_into(out, nm, &f.init.1, 0);
             out.push_str("; ");
-            expr_into(out, &f.cond, 0);
+            expr_into(out, nm, &f.cond, 0);
             out.push_str("; ");
-            lvalue_into(out, &f.step.0);
+            lvalue_into(out, nm, &f.step.0);
             out.push_str(" = ");
-            expr_into(out, &f.step.1, 0);
+            expr_into(out, nm, &f.step.1, 0);
             out.push_str(") ");
-            branch_into(out, &f.body, level);
+            branch_into(out, nm, &f.body, level);
         }
         Stmt::SysCall(s) => {
-            out.push_str(&s.name);
+            out.push_str(&nm[s.name]);
             if !s.args.is_empty() {
                 out.push('(');
                 for (i, a) in s.args.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    expr_into(out, a, 0);
+                    expr_into(out, nm, a, 0);
                 }
                 out.push(')');
             }
@@ -322,31 +330,31 @@ fn stmt_into_inline(out: &mut String, stmt: &Stmt, level: usize) {
 }
 
 /// Prints a branch body: blocks inline, single statements on a new line.
-fn branch_into(out: &mut String, stmt: &Stmt, level: usize) {
+fn branch_into(out: &mut String, nm: &Names, stmt: &Stmt, level: usize) {
     match stmt {
-        Stmt::Block(_) => stmt_into_inline(out, stmt, level),
+        Stmt::Block(_) => stmt_into_inline(out, nm, stmt, level),
         _ => {
             out.push('\n');
-            stmt_into(out, stmt, level + 1);
+            stmt_into(out, nm, stmt, level + 1);
         }
     }
 }
 
-fn lvalue_into(out: &mut String, lv: &LValue) {
+fn lvalue_into(out: &mut String, nm: &Names, lv: &LValue) {
     match lv {
-        LValue::Ident(n, _) => out.push_str(n),
+        LValue::Ident(n, _) => out.push_str(&nm[*n]),
         LValue::Index(n, i, _) => {
-            out.push_str(n);
+            out.push_str(&nm[*n]);
             out.push('[');
-            expr_into(out, i, 0);
+            expr_into(out, nm, i, 0);
             out.push(']');
         }
         LValue::Part(n, m, l, _) => {
-            out.push_str(n);
+            out.push_str(&nm[*n]);
             out.push('[');
-            expr_into(out, m, 0);
+            expr_into(out, nm, m, 0);
             out.push(':');
-            expr_into(out, l, 0);
+            expr_into(out, nm, l, 0);
             out.push(']');
         }
         LValue::Concat(parts, _) => {
@@ -355,7 +363,7 @@ fn lvalue_into(out: &mut String, lv: &LValue) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                lvalue_into(out, p);
+                lvalue_into(out, nm, p);
             }
             out.push('}');
         }
@@ -420,20 +428,20 @@ fn digits_into(out: &mut String, n: &Number) {
     out.push_str(if trimmed.is_empty() { "0" } else { trimmed });
 }
 
-fn expr_into(out: &mut String, expr: &Expr, parent_prec: u8) {
+fn expr_into(out: &mut String, nm: &Names, expr: &Expr, parent_prec: u8) {
     match expr {
         Expr::Number(n) => number_into(out, n),
-        Expr::Ident(n) => out.push_str(n),
+        Expr::Ident(n) => out.push_str(&nm[*n]),
         Expr::Unary(op, e) => {
             out.push_str(op.as_str());
             // Parenthesise compound operands for readability/correctness.
             match **e {
                 Expr::Number(_) | Expr::Ident(_) | Expr::Index(_, _) | Expr::Part(_, _, _) => {
-                    expr_into(out, e, u8::MAX)
+                    expr_into(out, nm, e, u8::MAX)
                 }
                 _ => {
                     out.push('(');
-                    expr_into(out, e, 0);
+                    expr_into(out, nm, e, 0);
                     out.push(')');
                 }
             }
@@ -444,9 +452,9 @@ fn expr_into(out: &mut String, expr: &Expr, parent_prec: u8) {
             if need_paren {
                 out.push('(');
             }
-            expr_into(out, a, prec);
+            expr_into(out, nm, a, prec);
             let _ = write!(out, " {} ", op.as_str());
-            expr_into(out, b, prec + 1);
+            expr_into(out, nm, b, prec + 1);
             if need_paren {
                 out.push(')');
             }
@@ -456,27 +464,27 @@ fn expr_into(out: &mut String, expr: &Expr, parent_prec: u8) {
             if need_paren {
                 out.push('(');
             }
-            expr_into(out, c, 1);
+            expr_into(out, nm, c, 1);
             out.push_str(" ? ");
-            expr_into(out, t, 0);
+            expr_into(out, nm, t, 0);
             out.push_str(" : ");
-            expr_into(out, e, 0);
+            expr_into(out, nm, e, 0);
             if need_paren {
                 out.push(')');
             }
         }
         Expr::Index(b, i) => {
-            expr_into(out, b, u8::MAX);
+            expr_into(out, nm, b, u8::MAX);
             out.push('[');
-            expr_into(out, i, 0);
+            expr_into(out, nm, i, 0);
             out.push(']');
         }
         Expr::Part(b, m, l) => {
-            expr_into(out, b, u8::MAX);
+            expr_into(out, nm, b, u8::MAX);
             out.push('[');
-            expr_into(out, m, 0);
+            expr_into(out, nm, m, 0);
             out.push(':');
-            expr_into(out, l, 0);
+            expr_into(out, nm, l, 0);
             out.push(']');
         }
         Expr::Concat(items) => {
@@ -485,19 +493,19 @@ fn expr_into(out: &mut String, expr: &Expr, parent_prec: u8) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                expr_into(out, e, 0);
+                expr_into(out, nm, e, 0);
             }
             out.push('}');
         }
         Expr::Repeat(count, items) => {
             out.push('{');
-            expr_into(out, count, u8::MAX);
+            expr_into(out, nm, count, u8::MAX);
             out.push('{');
             for (i, e) in items.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                expr_into(out, e, 0);
+                expr_into(out, nm, e, 0);
             }
             out.push_str("}}");
         }
@@ -563,9 +571,10 @@ mod tests {
             "a - b - c",
             "(a == b) & c",
         ] {
-            let e1 = parse_expr(src).unwrap();
-            let printed = print_expr(&e1);
-            let e2 = parse_expr(&printed)
+            let mut names = Names::new();
+            let e1 = parse_expr(src, &mut names).unwrap();
+            let printed = print_expr(&e1, &names);
+            let e2 = parse_expr(&printed, &mut names)
                 .unwrap_or_else(|err| panic!("re-parse of `{printed}` failed: {err}"));
             assert_eq!(e1, e2, "round-trip changed `{src}` -> `{printed}`");
         }
@@ -573,10 +582,12 @@ mod tests {
 
     #[test]
     fn numbers_render_canonically() {
-        assert_eq!(print_expr(&parse_expr("8'hff").unwrap()), "8'hff");
-        assert_eq!(print_expr(&parse_expr("42").unwrap()), "42");
-        assert_eq!(print_expr(&parse_expr("4'b1010").unwrap()), "4'b1010");
-        assert_eq!(print_expr(&parse_expr("1'b0").unwrap()), "1'b0");
-        assert_eq!(print_expr(&parse_expr("4'bxxxx").unwrap()), "4'bxxxx");
+        let names = Names::new();
+        let print = |src| print_expr(&parse_expr(src, &mut Names::new()).unwrap(), &names);
+        assert_eq!(print("8'hff"), "8'hff");
+        assert_eq!(print("42"), "42");
+        assert_eq!(print("4'b1010"), "4'b1010");
+        assert_eq!(print("1'b0"), "1'b0");
+        assert_eq!(print("4'bxxxx"), "4'bxxxx");
     }
 }

@@ -2,6 +2,7 @@
 //! assignments and references, used by the linter and the DFG builder.
 
 use crate::ast::*;
+use crate::names::Symbol;
 
 /// A read-only visitor over a module's behavioural constructs.
 ///
@@ -158,13 +159,13 @@ pub fn walk_lvalue<V: Visitor + ?Sized>(v: &mut V, lv: &LValue) {
 
 /// Collects every signal name assigned anywhere in a module, paired with
 /// whether the write happens in an edge-triggered block.
-pub fn assigned_signals(module: &Module) -> Vec<(String, bool)> {
+pub fn assigned_signals(module: &Module) -> Vec<(Symbol, bool)> {
     let mut out = Vec::new();
     for item in &module.items {
         match item {
             Item::Assign(a) => {
                 for n in a.lhs.base_names() {
-                    out.push((n.to_string(), false));
+                    out.push((n, false));
                 }
             }
             Item::Always(a) => {
@@ -178,16 +179,16 @@ pub fn assigned_signals(module: &Module) -> Vec<(String, bool)> {
     out
 }
 
-fn collect_stmt_writes(stmt: &Stmt, seq: bool, out: &mut Vec<(String, bool)>) {
+fn collect_stmt_writes(stmt: &Stmt, seq: bool, out: &mut Vec<(Symbol, bool)>) {
     struct W<'a> {
         seq: bool,
-        out: &'a mut Vec<(String, bool)>,
+        out: &'a mut Vec<(Symbol, bool)>,
     }
     impl Visitor for W<'_> {
         fn visit_stmt(&mut self, stmt: &Stmt) {
             if let Stmt::Blocking(a) | Stmt::NonBlocking(a) = stmt {
                 for n in a.lhs.base_names() {
-                    self.out.push((n.to_string(), self.seq));
+                    self.out.push((n, self.seq));
                 }
             }
             walk_stmt(self, stmt);
@@ -198,14 +199,14 @@ fn collect_stmt_writes(stmt: &Stmt, seq: bool, out: &mut Vec<(String, bool)>) {
 }
 
 /// Collects every identifier read anywhere in a module (not written).
-pub fn referenced_signals(module: &Module) -> Vec<String> {
+pub fn referenced_signals(module: &Module) -> Vec<Symbol> {
     struct R {
-        out: Vec<String>,
+        out: Vec<Symbol>,
     }
     impl Visitor for R {
         fn visit_expr(&mut self, expr: &Expr) {
             if let Expr::Ident(n) = expr {
-                self.out.push(n.clone());
+                self.out.push(*n);
             }
             walk_expr(self, expr);
         }
@@ -227,17 +228,20 @@ mod tests {
         let src = "module m(input clk, input a, output reg q, output w);\n\
                    assign w = a;\nalways @(posedge clk) q <= a;\nendmodule\n";
         let file = parse(src).unwrap();
-        let writes = assigned_signals(file.top().unwrap());
-        assert!(writes.contains(&("w".to_string(), false)));
-        assert!(writes.contains(&("q".to_string(), true)));
+        let m = file.top().unwrap();
+        let writes: Vec<(&str, bool)> =
+            assigned_signals(m).into_iter().map(|(n, seq)| (m.name_of(n), seq)).collect();
+        assert!(writes.contains(&("w", false)));
+        assert!(writes.contains(&("q", true)));
     }
 
     #[test]
     fn collects_reads() {
         let src = "module m(input a, input b, output y);\nassign y = a ? b : 1'b0;\nendmodule\n";
         let file = parse(src).unwrap();
-        let reads = referenced_signals(file.top().unwrap());
-        assert!(reads.contains(&"a".to_string()));
-        assert!(reads.contains(&"b".to_string()));
+        let m = file.top().unwrap();
+        let reads: Vec<&str> = referenced_signals(m).into_iter().map(|n| m.name_of(n)).collect();
+        assert!(reads.contains(&"a"));
+        assert!(reads.contains(&"b"));
     }
 }

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use uvllm_verilog::ast::*;
-use uvllm_verilog::{parse, parse_expr, print_expr, print_source};
+use uvllm_verilog::{parse, parse_expr, print_expr, print_source, Names, Symbol};
 
 /// Random identifier that is never a keyword: `[a-z][a-z0-9_]{0,6}`.
 fn ident(rng: &mut StdRng) -> String {
@@ -44,37 +44,43 @@ fn number(rng: &mut StdRng) -> Expr {
     }
 }
 
-/// Random expression tree of bounded depth.
-fn expr(rng: &mut StdRng, depth: usize) -> Expr {
+/// Random expression tree of bounded depth, its identifiers interned
+/// into `names`.
+fn expr(rng: &mut StdRng, names: &mut Names, depth: usize) -> Expr {
     if depth == 0 || rng.random_range(0..4u32) == 0 {
-        return if rng.random::<bool>() { number(rng) } else { Expr::Ident(ident(rng)) };
+        return if rng.random::<bool>() {
+            number(rng)
+        } else {
+            let name = ident(rng);
+            Expr::Ident(names.intern(&name))
+        };
     }
     match rng.random_range(0..7u32) {
         0 => Expr::Binary(
             BinaryOp::Add,
-            Box::new(expr(rng, depth - 1)),
-            Box::new(expr(rng, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
         ),
         1 => Expr::Binary(
             BinaryOp::BitXor,
-            Box::new(expr(rng, depth - 1)),
-            Box::new(expr(rng, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
         ),
         2 => Expr::Binary(
             BinaryOp::Lt,
-            Box::new(expr(rng, depth - 1)),
-            Box::new(expr(rng, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
         ),
         3 => Expr::Ternary(
-            Box::new(expr(rng, depth - 1)),
-            Box::new(expr(rng, depth - 1)),
-            Box::new(expr(rng, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
+            Box::new(expr(rng, names, depth - 1)),
         ),
-        4 => Expr::Unary(UnaryOp::BitNot, Box::new(expr(rng, depth - 1))),
-        5 => Expr::Unary(UnaryOp::LogNot, Box::new(expr(rng, depth - 1))),
+        4 => Expr::Unary(UnaryOp::BitNot, Box::new(expr(rng, names, depth - 1))),
+        5 => Expr::Unary(UnaryOp::LogNot, Box::new(expr(rng, names, depth - 1))),
         _ => {
             let n = rng.random_range(1..4usize);
-            Expr::Concat((0..n).map(|_| expr(rng, depth - 1)).collect())
+            Expr::Concat((0..n).map(|_| expr(rng, names, depth - 1)).collect())
         }
     }
 }
@@ -104,10 +110,11 @@ fn unicode_alphabet() -> Vec<char> {
 fn expr_print_parse_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xE19A);
     for _ in 0..256 {
-        let e = expr(&mut rng, 4);
-        let printed = print_expr(&e);
-        let reparsed =
-            parse_expr(&printed).unwrap_or_else(|err| panic!("`{printed}` failed to parse: {err}"));
+        let mut names = Names::new();
+        let e = expr(&mut rng, &mut names, 4);
+        let printed = print_expr(&e, &names);
+        let reparsed = parse_expr(&printed, &mut names)
+            .unwrap_or_else(|err| panic!("`{printed}` failed to parse: {err}"));
         assert_eq!(reparsed, e, "printed: {printed}");
     }
 }
@@ -137,9 +144,9 @@ fn parser_is_total() {
 /// Simple generated modules round-trip through print_source.
 #[test]
 fn module_roundtrip() {
-    fn rename(e: &Expr, to: &str) -> Expr {
+    fn rename(e: &Expr, to: Symbol) -> Expr {
         match e {
-            Expr::Ident(_) => Expr::Ident(to.to_string()),
+            Expr::Ident(_) => Expr::Ident(to),
             Expr::Number(n) => Expr::Number(n.clone()),
             Expr::Unary(op, a) => Expr::Unary(*op, Box::new(rename(a, to))),
             Expr::Binary(op, a, b) => {
@@ -164,12 +171,14 @@ fn module_roundtrip() {
         let out_w = rng.random_range(1..16u32);
         // Restrict the RHS to declared identifiers by renaming all
         // identifiers to the input port.
-        let rhs = rename(&expr(&mut rng, 4), "din");
+        let mut names = Names::new();
+        let din = names.intern("din");
+        let rhs = rename(&expr(&mut rng, &mut names, 4), din);
         let src = format!(
             "module {name}(input [{0}:0] din, output [{1}:0] dout);\nassign dout = {2};\nendmodule\n",
             in_w - 1,
             out_w - 1,
-            print_expr(&rhs),
+            print_expr(&rhs, &names),
         );
         let ast1 = parse(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
         let printed = print_source(&ast1);
