@@ -237,9 +237,9 @@ impl RepairMethod for StriderRepair<'_> {
         // Localize: which outputs mismatch on the public tests?
         let public_run = directed_stage(src, design, memo);
         let src_passes = matches!(&public_run, UvmOutcome::Ran(run) if run.all_passed());
-        let mismatch_signals: Vec<String> = match public_run {
+        let mismatch_signals: Vec<&str> = match &public_run {
             UvmOutcome::Ran(run) => {
-                let mut s: Vec<String> = run.mismatches.iter().map(|m| m.signal.clone()).collect();
+                let mut s: Vec<&str> = run.mismatches.iter().map(|m| &*m.signal).collect();
                 s.sort();
                 s.dedup();
                 s

@@ -273,7 +273,7 @@ pub fn localize(design: &Design, run: &RunSummary) -> Localized {
             .collect();
         records.push(MismatchInfo {
             time: m.time,
-            signal: m.signal.clone(),
+            signal: m.signal.to_string(),
             expected: m.expected.to_string(),
             actual: m.actual.to_string(),
             input_values,

@@ -41,14 +41,13 @@ impl std::error::Error for UvmError {}
 pub struct Driver;
 
 impl Driver {
-    /// Pin-level fast path over pre-resolved ports (the environment's
-    /// hot loop — no name lookups). All pins are assigned in one time
-    /// step — staged, then settled once — so on return the inputs are
-    /// driven *and propagated*, and a process sensitive to several of
-    /// them has run once. Port *i* reads entry *i* of a transaction in
-    /// port order and searches by name otherwise. A port the
-    /// transaction does not name is driven to zero; the kernel resizes
-    /// each value to its signal.
+    /// Pin-level fast path over pre-resolved ports. All pins are
+    /// assigned in one time step — staged, then settled once — so on
+    /// return the inputs are driven *and propagated*, and a process
+    /// sensitive to several of them has run once. Port *i* reads slot
+    /// *i* of a transaction that names it there and searches by name
+    /// otherwise. A port the transaction does not name is driven to
+    /// zero; the kernel resizes each value to its signal.
     pub fn drive_resolved<S: SimControl + ?Sized>(
         &self,
         sim: &mut S,
@@ -58,6 +57,25 @@ impl Driver {
         for (slot, (name, id, width)) in ports.iter().enumerate() {
             let v = txn.slot(slot, name).copied().unwrap_or_else(|| Logic::zeros(*width));
             sim.stage(*id, v);
+        }
+        sim.settle()
+    }
+
+    /// [`Driver::drive_resolved`] over the inputs of `spec`, resolved
+    /// to `ports` (the environment's hot loop): a transaction bound to
+    /// `spec` is read slot by slot with no name compared; any other is
+    /// read by name.
+    pub(crate) fn drive_spec<S: SimControl + ?Sized>(
+        &self,
+        sim: &mut S,
+        spec: &IoSpec,
+        ports: &[(uvllm_sim::SignalId, u32)],
+        txn: &Transaction,
+    ) -> Result<(), SimError> {
+        let bound = txn.shares_names(spec.input_names());
+        for (slot, ((id, width), name)) in ports.iter().zip(spec.input_names().iter()).enumerate() {
+            let value = if bound { txn.values().get(slot) } else { txn.get(name) };
+            sim.stage(*id, value.copied().unwrap_or_else(|| Logic::zeros(*width)));
         }
         sim.settle()
     }
@@ -193,11 +211,11 @@ pub struct Environment {
     /// Interned I/O layout shared with the reference model; also the
     /// slot order of every buffer below.
     spec: IoSpec,
-    /// Input ports pre-resolved to `(name, id, width)` — the per-cycle
-    /// drive/observe loops must not do name lookups.
-    in_ports: Vec<(String, uvllm_sim::SignalId, u32)>,
-    /// Output ports pre-resolved to `(name, id)`.
-    out_ports: Vec<(String, uvllm_sim::SignalId)>,
+    /// Input ports pre-resolved to `(id, width)` in slot order — the
+    /// per-cycle drive/observe loops must not do name lookups.
+    in_ports: Vec<(uvllm_sim::SignalId, u32)>,
+    /// Output ports pre-resolved, in slot order.
+    out_ports: Vec<uvllm_sim::SignalId>,
     clock_id: Option<uvllm_sim::SignalId>,
     /// Reset line pre-resolved to `(id, active_low)`.
     reset_line: Option<(uvllm_sim::SignalId, bool)>,
@@ -206,6 +224,8 @@ pub struct Environment {
     inputs_buf: Vec<Logic>,
     outputs_buf: Vec<Logic>,
     expected_buf: Vec<Logic>,
+    /// Every output all-X: what `expected_buf` is reset to each cycle.
+    unknown_outputs: Vec<Logic>,
     /// When true, the run ends after the first cycle the scoreboard
     /// rejects ([`Environment::stop_at_first_mismatch`]).
     stop_at_first_mismatch: bool,
@@ -239,7 +259,7 @@ impl Environment {
         sim: impl Into<Simulator>,
         iface: DutInterface,
         mut refmodel: Box<dyn RefModel>,
-        sequences: Vec<Box<dyn Sequence>>,
+        mut sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
         let sim = sim.into();
         let design = sim.design();
@@ -259,19 +279,23 @@ impl Environment {
             }
         }
         let resolve = |name: &str| design.signal_id(name).expect("port presence checked above");
-        let in_ports: Vec<(String, uvllm_sim::SignalId, u32)> =
-            iface.inputs.iter().map(|p| (p.name.clone(), resolve(&p.name), p.width)).collect();
-        let out_ports: Vec<(String, uvllm_sim::SignalId)> =
-            iface.outputs.iter().map(|p| (p.name.clone(), resolve(&p.name))).collect();
+        let in_ports: Vec<(uvllm_sim::SignalId, u32)> =
+            iface.inputs.iter().map(|p| (resolve(&p.name), p.width)).collect();
+        let out_ports: Vec<uvllm_sim::SignalId> =
+            iface.outputs.iter().map(|p| resolve(&p.name)).collect();
         let clock_id = iface.clock.as_deref().map(resolve);
         let reset_line = iface.reset.as_ref().map(|r| (resolve(&r.name), r.active_low));
         // Intern the port layout once and hand it to the model: all
         // per-cycle traffic from here on is slot-indexed.
         let spec = IoSpec::from_interface(&iface);
         refmodel.bind(&spec);
+        for sequence in &mut sequences {
+            sequence.bind(&spec);
+        }
         let inputs_buf = iface.inputs.iter().map(|p| Logic::xs(p.width)).collect();
         let outputs_buf: Vec<Logic> = iface.outputs.iter().map(|p| Logic::xs(p.width)).collect();
         let expected_buf = outputs_buf.clone();
+        let unknown_outputs = outputs_buf.clone();
         let kept = KeptRecords::new(iface.outputs.len());
         Ok(Environment {
             sim,
@@ -297,6 +321,7 @@ impl Environment {
             inputs_buf,
             outputs_buf,
             expected_buf,
+            unknown_outputs,
             stop_at_first_mismatch: false,
         })
     }
@@ -441,7 +466,8 @@ impl Environment {
         // Initialise inputs to zero for a clean start, reset or not:
         // an empty transaction drives every port to its default, in one
         // time step like every later cycle's inputs.
-        self.in_agent.driver.drive_resolved(&mut self.sim, &self.in_ports, &Transaction::new())?;
+        let zeros = Transaction::new();
+        self.in_agent.driver.drive_spec(&mut self.sim, &self.spec, &self.in_ports, &zeros)?;
         let Some((reset, active_low)) = self.reset_line else {
             return Ok(());
         };
@@ -475,7 +501,7 @@ impl Environment {
     /// performs no name lookups and no per-cycle allocations beyond the
     /// waveform frame a run that records one per cycle takes.
     fn one_cycle(&mut self, cycle: usize, txn: &Transaction) -> Result<(), SimError> {
-        self.in_agent.driver.drive_resolved(&mut self.sim, &self.in_ports, txn)?;
+        self.in_agent.driver.drive_spec(&mut self.sim, &self.spec, &self.in_ports, txn)?;
         if let Some(clk) = self.clock_id {
             self.sim.poke(clk, Logic::bit(true))?;
         }
@@ -487,20 +513,18 @@ impl Environment {
 
         self.in_agent.monitor.observe_slots(
             &self.sim,
-            self.in_ports.iter().map(|(_, id, _)| *id),
+            self.in_ports.iter().map(|(id, _)| *id),
             &mut self.inputs_buf,
         );
         self.out_monitor.observe_slots(
             &self.sim,
-            self.out_ports.iter().map(|(_, id)| *id),
+            self.out_ports.iter().copied(),
             &mut self.outputs_buf,
         );
         // Expected outputs start each cycle as all-X: a model that
         // skips a port expects "unknown", it does not inherit last
         // cycle's (possibly correct) value.
-        for (slot, v) in self.expected_buf.iter_mut().enumerate() {
-            *v = Logic::xs(self.spec.output_width(slot));
-        }
+        self.expected_buf.copy_from_slice(&self.unknown_outputs);
         let mut frame = IoFrame::new(&self.inputs_buf, &mut self.expected_buf);
         self.refmodel.step(&mut frame);
         let time = self.sim.time();

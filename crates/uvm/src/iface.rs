@@ -1,6 +1,7 @@
 //! DUT interface descriptions shared by drivers, monitors and reference
 //! models.
 
+use std::sync::Arc;
 use uvllm_sim::Logic;
 
 /// One named port with its width.
@@ -68,15 +69,20 @@ impl DutInterface {
 
 /// A single stimulus item: values for every data input for one cycle.
 ///
-/// Values are held by input name, one entry per name, in the order
-/// they were first inserted. A transaction built in interface order
-/// holds port *i* at entry *i*, so the driver and the random sequence
-/// reach it by slot (checking the name there) instead of searching; a
-/// transaction in any other order still works, by name. Equality
-/// ignores the order and [`Transaction::render`] sorts by name.
+/// Values are held by slot, next to the input name of each slot. A
+/// sequence bound to an environment's [`crate::IoSpec`]
+/// ([`crate::Sequence::bind`]) fills transactions in the spec's input
+/// order and shares its name list, so the driver reads port *i* at slot
+/// *i* and a refill copies values, never names. A transaction built by
+/// name ([`Transaction::with`], [`Transaction::insert`]) holds one entry
+/// per name, in the order first inserted, and the driver finds its
+/// values by name. Equality ignores the order and
+/// [`Transaction::render`] sorts by name.
 #[derive(Debug, Clone, Default)]
 pub struct Transaction {
-    values: Vec<(String, Logic)>,
+    /// The input each value drives; `None` while there is no value.
+    names: Option<Arc<Vec<String>>>,
+    values: Vec<Logic>,
 }
 
 impl Transaction {
@@ -91,14 +97,25 @@ impl Transaction {
         self
     }
 
+    /// The input names, in slot order.
+    pub fn names(&self) -> &[String] {
+        self.names.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The values, in slot order.
+    pub fn values(&self) -> &[Logic] {
+        &self.values
+    }
+
     /// The value driven on input `name`, if the transaction names it.
     pub fn get(&self, name: &str) -> Option<&Logic> {
-        self.values.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        self.names().iter().position(|k| k == name).map(|i| &self.values[i])
     }
 
     /// Mutable access to the value driven on input `name`.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Logic> {
-        self.values.iter_mut().find(|(k, _)| k == name).map(|(_, v)| v)
+        let i = self.names().iter().position(|k| k == name)?;
+        Some(&mut self.values[i])
     }
 
     /// Sets input `name` to `value`, returning the value it replaces. A
@@ -107,7 +124,8 @@ impl Transaction {
         match self.get_mut(&name) {
             Some(slot) => Some(std::mem::replace(slot, value)),
             None => {
-                self.values.push((name, value));
+                Arc::make_mut(self.names.get_or_insert_with(Default::default)).push(name);
+                self.values.push(value);
                 None
             }
         }
@@ -115,29 +133,56 @@ impl Transaction {
 
     /// Removes every value, keeping the allocation.
     pub fn clear(&mut self) {
+        self.names = None;
         self.values.clear();
     }
 
-    /// [`Transaction::get_mut`], trying entry `slot` before searching.
-    pub(crate) fn slot_mut(&mut self, slot: usize, name: &str) -> Option<&mut Logic> {
-        match self.values.get(slot) {
-            Some((k, _)) if k == name => Some(&mut self.values[slot].1),
-            _ => self.get_mut(name),
+    /// Refills the transaction with `values`, the inputs named `names`
+    /// in slot order: copies the values into the kept allocation and
+    /// shares the names.
+    pub(crate) fn fill(&mut self, names: &Arc<Vec<String>>, values: &[Logic]) {
+        self.share_names(names);
+        self.values.clear();
+        self.values.extend_from_slice(values);
+    }
+
+    /// The values of a transaction over the inputs named `names`, to be
+    /// written in place: sized to `names`, reused as they are when the
+    /// transaction already holds those inputs.
+    pub(crate) fn slots_mut(&mut self, names: &Arc<Vec<String>>) -> &mut [Logic] {
+        if !self.shares_names(names) {
+            self.share_names(names);
+            self.values.clear();
+            self.values.resize(names.len(), Logic::zeros(1));
+        }
+        &mut self.values
+    }
+
+    /// True when the transaction's names are `names` itself (not a
+    /// copy): its slots are those of the spec `names` came from.
+    pub(crate) fn shares_names(&self, names: &Arc<Vec<String>>) -> bool {
+        self.names.as_ref().is_some_and(|own| Arc::ptr_eq(own, names))
+    }
+
+    fn share_names(&mut self, names: &Arc<Vec<String>>) {
+        if !self.shares_names(names) {
+            self.names = Some(Arc::clone(names));
         }
     }
 
-    /// [`Transaction::get`], trying entry `slot` before searching.
+    /// The value at `slot` when the transaction names `name` there,
+    /// else the value it holds for `name` anywhere.
     pub(crate) fn slot(&self, slot: usize, name: &str) -> Option<&Logic> {
-        match self.values.get(slot) {
-            Some((k, v)) if k == name => Some(v),
+        match self.names().get(slot) {
+            Some(k) if k == name => Some(&self.values[slot]),
             _ => self.get(name),
         }
     }
 
     /// Renders as `a=8'h12 b=8'h03` for logs, sorted by name.
     pub fn render(&self) -> String {
-        let mut sorted: Vec<_> = self.values.iter().collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut sorted: Vec<_> = self.names().iter().zip(&self.values).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
         sorted.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
     }
 }
@@ -146,7 +191,7 @@ impl PartialEq for Transaction {
     /// The same names with the same values, in any order.
     fn eq(&self, other: &Self) -> bool {
         self.values.len() == other.values.len()
-            && self.values.iter().all(|(k, v)| other.get(k) == Some(v))
+            && self.names().iter().zip(&self.values).all(|(k, v)| other.get(k) == Some(v))
     }
 }
 

@@ -6,6 +6,7 @@
 
 use crate::scoreboard::Mismatch;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use uvllm_sim::Logic;
 
 /// Log severity, following UVM report levels.
@@ -31,7 +32,7 @@ pub(crate) enum LogMessage {
     /// A scoreboard mismatch, rendered in the canonical format
     /// [`UvmLog::parse_mismatch_line`] reads back.
     Mismatch {
-        signal: String,
+        signal: Arc<str>,
         expected: Logic,
         actual: Logic,
     },
@@ -100,7 +101,7 @@ impl UvmLog {
     /// Records a scoreboard mismatch (typed; formatted when rendered).
     pub fn mismatch(&mut self, m: &Mismatch) {
         let message = LogMessage::Mismatch {
-            signal: m.signal.clone(),
+            signal: Arc::clone(&m.signal),
             expected: m.expected,
             actual: m.actual,
         };
@@ -213,7 +214,8 @@ mod tests {
         log.mismatch(&Mismatch {
             time: 125,
             cycle: 12,
-            signal: "sum".to_string(),
+            slot: 0,
+            signal: "sum".into(),
             expected: Logic::from_u128(8, 0x1a),
             actual: Logic::from_u128(8, 0x0a),
         });
@@ -235,7 +237,8 @@ mod tests {
         log.mismatch(&Mismatch {
             time: 10,
             cycle: 0,
-            signal: "it's".to_string(),
+            slot: 0,
+            signal: "it's".into(),
             expected: Logic::from_u128(4, 0x3),
             actual: Logic::xs(4),
         });
@@ -280,7 +283,8 @@ mod tests {
             log.mismatch(&Mismatch {
                 time: 7,
                 cycle: 1,
-                signal: signal.to_string(),
+                slot: 0,
+                signal: signal.into(),
                 expected: Logic::from_u128(4, 0x3),
                 actual: Logic::from_u128(4, 0x1),
             });

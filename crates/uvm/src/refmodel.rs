@@ -34,6 +34,7 @@
 //! step closure so slot resolution still happens exactly once.
 
 use crate::iface::{DutInterface, PortSig};
+use std::sync::Arc;
 use uvllm_sim::logic::mask;
 use uvllm_sim::Logic;
 
@@ -75,19 +76,37 @@ impl InSlot {
 /// model. Input slot `i` corresponds to the `i`-th interface input (and
 /// likewise for outputs), which is also the order of the environment's
 /// observation buffers and the scoreboard's comparison loop.
+///
+/// The input names are shared, not copied, by every
+/// [`crate::Transaction`] a sequence bound to the spec fills
+/// ([`crate::Sequence::bind`]), and each output name by every mismatch
+/// record of that output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoSpec {
-    inputs: Vec<(String, u32)>,
-    outputs: Vec<(String, u32)>,
+    input_names: Arc<Vec<String>>,
+    input_widths: Vec<u32>,
+    outputs: Vec<(Arc<str>, u32)>,
 }
 
 impl IoSpec {
     /// Builds a spec from explicit port lists.
     pub(crate) fn from_ports(inputs: &[PortSig], outputs: &[PortSig]) -> IoSpec {
         IoSpec {
-            inputs: inputs.iter().map(|p| (p.name.clone(), p.width)).collect(),
-            outputs: outputs.iter().map(|p| (p.name.clone(), p.width)).collect(),
+            input_names: Arc::new(inputs.iter().map(|p| p.name.clone()).collect()),
+            input_widths: inputs.iter().map(|p| p.width).collect(),
+            outputs: outputs.iter().map(|p| (Arc::from(p.name.as_str()), p.width)).collect(),
         }
+    }
+
+    /// Input names in slot order, shared with the transactions bound to
+    /// this spec.
+    pub fn input_names(&self) -> &Arc<Vec<String>> {
+        &self.input_names
+    }
+
+    /// Input widths in slot order.
+    pub fn input_widths(&self) -> &[u32] {
+        &self.input_widths
     }
 
     /// Builds a spec from a DUT interface (clock and reset lines are
@@ -121,28 +140,23 @@ impl IoSpec {
 
     /// Non-panicking [`IoSpec::input`].
     pub(crate) fn try_input(&self, name: &str) -> Option<InSlot> {
-        self.inputs
+        self.input_names
             .iter()
-            .position(|(n, _)| n == name)
-            .map(|i| InSlot { index: i as u32, width: self.inputs[i].1 })
+            .position(|n| n == name)
+            .map(|i| InSlot { index: i as u32, width: self.input_widths[i] })
     }
 
     /// Non-panicking [`IoSpec::output`].
     pub(crate) fn try_output(&self, name: &str) -> Option<OutSlot> {
         self.outputs
             .iter()
-            .position(|(n, _)| n == name)
+            .position(|(n, _)| **n == *name)
             .map(|i| OutSlot { index: i as u32, width: self.outputs[i].1 })
     }
 
     /// Name of output slot `i`.
-    pub(crate) fn output_name(&self, i: usize) -> &str {
+    pub(crate) fn output_name(&self, i: usize) -> &Arc<str> {
         &self.outputs[i].0
-    }
-
-    /// Width of output slot `i`.
-    pub(crate) fn output_width(&self, i: usize) -> u32 {
-        self.outputs[i].1
     }
 }
 
@@ -315,8 +329,8 @@ mod tests {
     #[test]
     fn spec_resolves_slots_once() {
         let spec = spec();
-        assert_eq!(spec.output_name(0), "y");
-        assert_eq!(spec.output_width(0), 8);
+        assert_eq!(&**spec.output_name(0), "y");
+        assert_eq!(spec.output("y").width(), 8);
         assert!(spec.try_input("missing").is_none());
         assert!(spec.try_output("a").is_none(), "inputs are not outputs");
     }

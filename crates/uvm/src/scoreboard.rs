@@ -8,6 +8,7 @@
 //! mismatch is actually recorded.
 
 use crate::refmodel::IoSpec;
+use std::sync::Arc;
 use uvllm_sim::Logic;
 
 /// One observed deviation between the DUT and the reference model.
@@ -17,8 +18,10 @@ pub struct Mismatch {
     pub time: u64,
     /// Cycle index within the run.
     pub cycle: usize,
-    /// Output signal that deviated.
-    pub signal: String,
+    /// Output slot that deviated (its [`IoSpec`] index).
+    pub slot: usize,
+    /// Name of that output: the spec's own string, shared, not copied.
+    pub signal: Arc<str>,
     pub expected: Logic,
     pub actual: Logic,
 }
@@ -54,8 +57,8 @@ impl KeptRecords {
         if self.is_done() {
             return false;
         }
-        let signal = &records[index].signal;
-        let before = self.kept.iter().filter(|&&k| records[k].signal == *signal).count();
+        let slot = records[index].slot;
+        let before = self.kept.iter().filter(|&&k| records[k].slot == slot).count();
         if before >= 2 {
             return false;
         }
@@ -109,7 +112,8 @@ impl Scoreboard {
                 self.mismatches.push(Mismatch {
                     time,
                     cycle,
-                    signal: spec.output_name(slot).to_string(),
+                    slot,
+                    signal: Arc::clone(spec.output_name(slot)),
                     expected: *exp,
                     actual: act,
                 });
@@ -278,7 +282,7 @@ mod tests {
         assert!(!sb.check_cycle(10, 1, &spec, &exp, &vals(&[(8, 11)])));
         assert!((sb.pass_rate() - 0.5).abs() < 1e-9);
         assert_eq!(sb.mismatches().len(), 1);
-        assert_eq!(sb.mismatches()[0].signal, "y");
+        assert_eq!(&*sb.mismatches()[0].signal, "y");
     }
 
     #[test]

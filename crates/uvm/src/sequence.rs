@@ -1,8 +1,16 @@
 //! Stimulus sequences: constrained-random, directed and corner-case.
+//!
+//! A sequence resolves port names once: when it is built from an input
+//! list, and when the environment binds it to its [`IoSpec`]
+//! ([`Sequence::bind`]). From then on it fills the run's one reused
+//! [`Transaction`] by slot, copying values and sharing the spec's names,
+//! so a steady-state cycle allocates nothing.
 
 use crate::iface::{PortSig, Transaction};
+use crate::refmodel::IoSpec;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use uvllm_sim::Logic;
 
 /// A source of transactions, played by the sequencer.
@@ -18,11 +26,11 @@ pub trait Sequence {
     /// allocations where possible; returns `false` when exhausted.
     ///
     /// The environment's run loop keeps one transaction buffer alive
-    /// across the whole run, so long sequences that override this (the
-    /// 800-cycle random campaigns) produce stimulus with zero per-cycle
-    /// allocations. The default delegates to [`Sequence::next`] and
-    /// replaces `txn` wholesale — correct for any sequence, reusing
-    /// nothing.
+    /// across the whole run, so sequences that override this produce
+    /// stimulus with zero per-cycle allocations (the random, directed
+    /// and corner sequences do). The default delegates to
+    /// [`Sequence::next`] and replaces `txn` wholesale — correct for any
+    /// sequence, reusing nothing.
     fn next_into(&mut self, cycle: usize, txn: &mut Transaction) -> bool {
         match self.next(cycle) {
             Some(t) => {
@@ -32,12 +40,35 @@ pub trait Sequence {
             None => false,
         }
     }
+
+    /// Resolves the sequence's names against `spec`, the interface of
+    /// the environment about to play it, once before the first cycle. A
+    /// sequence that then fills transactions over `spec.input_names()`
+    /// in slot order is driven by slot; one that does not is driven by
+    /// name, as any transaction can be. The default does nothing.
+    fn bind(&mut self, spec: &IoSpec) {
+        let _ = spec;
+    }
+}
+
+/// The input names of `inputs`, in order, as one shareable list.
+fn names_of(inputs: &[PortSig]) -> Arc<Vec<String>> {
+    Arc::new(inputs.iter().map(|p| p.name.clone()).collect())
+}
+
+/// Switches `names` to `spec`'s list when it holds the same names in
+/// the same order, so transactions filled over it drive by slot.
+fn adopt(names: &mut Arc<Vec<String>>, spec: &IoSpec) {
+    if **names == **spec.input_names() {
+        *names = Arc::clone(spec.input_names());
+    }
 }
 
 /// Uniform random stimulus over every input, seeded for reproducibility.
 #[derive(Debug)]
 pub struct RandomSequence {
-    inputs: Vec<PortSig>,
+    names: Arc<Vec<String>>,
+    widths: Vec<u32>,
     len: usize,
     produced: usize,
     rng: StdRng,
@@ -47,7 +78,8 @@ impl RandomSequence {
     /// `len` random transactions over `inputs` from `seed`.
     pub fn new(inputs: &[PortSig], len: usize, seed: u64) -> Self {
         RandomSequence {
-            inputs: inputs.to_vec(),
+            names: names_of(inputs),
+            widths: inputs.iter().map(|p| p.width).collect(),
             len,
             produced: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -67,27 +99,22 @@ impl Sequence for RandomSequence {
         self.next_into(cycle, &mut t).then_some(t)
     }
 
-    /// In-place refill: the key set is every input, inserted in input
-    /// order on the first cycle, so from then on input *i* is updated in
-    /// entry *i* and the random phase of a run allocates nothing and
-    /// searches nothing per cycle.
+    /// In-place refill: input *i* is drawn into slot *i*, in input order.
     fn next_into(&mut self, _cycle: usize, txn: &mut Transaction) -> bool {
         if self.produced >= self.len {
             return false;
         }
         self.produced += 1;
-        for (i, p) in self.inputs.iter().enumerate() {
+        for (slot, width) in txn.slots_mut(&self.names).iter_mut().zip(&self.widths) {
             let lo: u128 = self.rng.random::<u64>() as u128;
             let hi: u128 = self.rng.random::<u64>() as u128;
-            let v = Logic::from_u128(p.width, (hi << 64) | lo);
-            match txn.slot_mut(i, &p.name) {
-                Some(slot) => *slot = v,
-                None => {
-                    txn.insert(p.name.clone(), v);
-                }
-            }
+            *slot = Logic::from_u128(*width, (hi << 64) | lo);
         }
         true
+    }
+
+    fn bind(&mut self, spec: &IoSpec) {
+        adopt(&mut self.names, spec);
     }
 }
 
@@ -97,13 +124,16 @@ impl Sequence for RandomSequence {
 pub struct DirectedSequence {
     name: String,
     vectors: Vec<Transaction>,
+    /// The vectors resolved against a spec's inputs: its name list and
+    /// one row of values per vector, back to back.
+    bound: Option<(Arc<Vec<String>>, Vec<Logic>)>,
     at: usize,
 }
 
 impl DirectedSequence {
     /// Creates a directed sequence from explicit vectors.
     pub fn new(name: impl Into<String>, vectors: Vec<Transaction>) -> Self {
-        DirectedSequence { name: name.into(), vectors, at: 0 }
+        DirectedSequence { name: name.into(), vectors, bound: None, at: 0 }
     }
 
     /// Number of vectors.
@@ -127,52 +157,84 @@ impl Sequence for DirectedSequence {
         self.at += 1;
         t
     }
+
+    fn next_into(&mut self, _cycle: usize, txn: &mut Transaction) -> bool {
+        let Some(vector) = self.vectors.get(self.at) else { return false };
+        match &self.bound {
+            Some((names, rows)) => {
+                let at = self.at * names.len();
+                txn.fill(names, &rows[at..at + names.len()]);
+            }
+            None => txn.clone_from(vector),
+        }
+        self.at += 1;
+        true
+    }
+
+    /// Each vector becomes a row in `spec`'s input order, holding the
+    /// value the driver would find for each port by name: the vector's,
+    /// or zero for a port it omits. Names that are no port drop out.
+    fn bind(&mut self, spec: &IoSpec) {
+        let names = spec.input_names();
+        let mut rows = Vec::with_capacity(self.vectors.len() * names.len());
+        for vector in &self.vectors {
+            for (name, width) in names.iter().zip(spec.input_widths()) {
+                rows.push(vector.get(name).copied().unwrap_or_else(|| Logic::zeros(*width)));
+            }
+        }
+        self.bound = Some((Arc::clone(names), rows));
+    }
 }
 
 /// Corner-case stimulus: all-zeros, all-ones, walking-one per input,
 /// plus alternating patterns — the coverage-closing tail of a UVM run.
 #[derive(Debug)]
 pub struct CornerSequence {
-    patterns: Vec<Transaction>,
+    names: Arc<Vec<String>>,
+    /// One row of values per pattern, in input order, back to back.
+    rows: Vec<Logic>,
+    patterns: usize,
     at: usize,
 }
 
 impl CornerSequence {
     /// Builds the pattern table for `inputs`.
     pub fn new(inputs: &[PortSig]) -> Self {
-        let mut patterns = Vec::new();
-        let uniform = |f: &dyn Fn(u32) -> u128| {
-            let mut t = Transaction::new();
-            for p in inputs {
-                t.insert(p.name.clone(), Logic::from_u128(p.width, f(p.width)));
-            }
-            t
-        };
-        patterns.push(uniform(&|_| 0));
-        patterns.push(uniform(&|w| uvllm_sim::logic::mask(w)));
-        patterns.push(uniform(&|w| uvllm_sim::logic::mask(w) & 0xAAAA_AAAA_AAAA_AAAA));
-        patterns.push(uniform(&|w| uvllm_sim::logic::mask(w) & 0x5555_5555_5555_5555));
-        // Walking one across the widest input, others held at 1.
         let max_w = inputs.iter().map(|p| p.width).max().unwrap_or(1);
+        let patterns = 4 + max_w.min(16) as usize;
+        let mut rows = Vec::with_capacity(patterns * inputs.len());
+        let mut uniform = |f: &dyn Fn(u32) -> u128| {
+            rows.extend(inputs.iter().map(|p| Logic::from_u128(p.width, f(p.width))));
+        };
+        uniform(&|_| 0);
+        uniform(&|w| uvllm_sim::logic::mask(w));
+        uniform(&|w| uvllm_sim::logic::mask(w) & 0xAAAA_AAAA_AAAA_AAAA);
+        uniform(&|w| uvllm_sim::logic::mask(w) & 0x5555_5555_5555_5555);
+        // Walking one across the widest input, others held at 1.
         for bit in 0..max_w.min(16) {
-            let mut t = Transaction::new();
-            for p in inputs {
+            rows.extend(inputs.iter().map(|p| {
                 let v = if p.width > bit { 1u128 << bit } else { 1 };
-                t.insert(p.name.clone(), Logic::from_u128(p.width, v));
-            }
-            patterns.push(t);
+                Logic::from_u128(p.width, v)
+            }));
         }
-        CornerSequence { patterns, at: 0 }
+        CornerSequence { names: names_of(inputs), rows, patterns, at: 0 }
     }
 
     /// Number of patterns produced.
     pub fn len(&self) -> usize {
-        self.patterns.len()
+        self.patterns
     }
 
-    /// True when there are no patterns (no inputs).
+    /// True when there are no patterns.
     pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
+        self.patterns == 0
+    }
+
+    /// Pattern `at`, if there is one (empty for an interface without
+    /// data inputs).
+    fn row(&self, at: usize) -> Option<&[Logic]> {
+        let width = self.names.len();
+        (at < self.patterns).then(|| &self.rows[at * width..(at + 1) * width])
     }
 }
 
@@ -181,10 +243,20 @@ impl Sequence for CornerSequence {
         "corner"
     }
 
-    fn next(&mut self, _cycle: usize) -> Option<Transaction> {
-        let t = self.patterns.get(self.at).cloned();
+    fn next(&mut self, cycle: usize) -> Option<Transaction> {
+        let mut t = Transaction::new();
+        self.next_into(cycle, &mut t).then_some(t)
+    }
+
+    fn next_into(&mut self, _cycle: usize, txn: &mut Transaction) -> bool {
+        let Some(row) = self.row(self.at) else { return false };
+        txn.fill(&self.names, row);
         self.at += 1;
-        t
+        true
+    }
+
+    fn bind(&mut self, spec: &IoSpec) {
+        adopt(&mut self.names, spec);
     }
 }
 
