@@ -15,9 +15,9 @@
 //!   repair.
 
 use crate::memo::StageMemo;
-use crate::stages::environment;
+use crate::stages::{environment, Stimulus};
 use uvllm_designs::Design;
-use uvllm_uvm::{CornerSequence, DirectedSequence, RandomSequence, Sequence};
+use uvllm_uvm::Sequence;
 
 /// Seed of the first FR random campaign; the dataset builder validates
 /// instances against a prefix of this exact stream.
@@ -94,10 +94,11 @@ impl Verdict {
 fn run_verdict(
     code: &str,
     design: &Design,
+    stimulus: &Stimulus,
     seqs: Vec<Box<dyn Sequence>>,
     memo: &StageMemo,
 ) -> Verdict {
-    match environment(code, design, (design.iface)(), seqs, memo) {
+    match environment(code, design, stimulus, seqs, memo) {
         Ok(env) => {
             let summary = env.without_waveform().stop_at_first_mismatch().run();
             match summary.unstable {
@@ -121,19 +122,18 @@ fn run_verdict(
     }
 }
 
-fn hit_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
-    vec![Box::new(DirectedSequence::new("public", (design.directed_vectors)()))]
+fn hit_seqs(stimulus: &Stimulus) -> Vec<Box<dyn Sequence>> {
+    vec![Box::new(stimulus.public.clone())]
 }
 
-fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
-    let iface = (design.iface)();
+fn fr_seqs(stimulus: &Stimulus) -> Vec<Box<dyn Sequence>> {
     let mut seqs: Vec<Box<dyn Sequence>> = vec![
-        Box::new(RandomSequence::new(&iface.inputs, FR_CYCLES, FR_PRIMARY_SEED)),
-        Box::new(CornerSequence::new(&iface.inputs)),
-        Box::new(DirectedSequence::new("public", (design.directed_vectors)())),
+        Box::new(stimulus.random(FR_CYCLES, FR_PRIMARY_SEED)),
+        Box::new(stimulus.corner.clone()),
+        Box::new(stimulus.public.clone()),
     ];
     for seed in FR_EXTRA_SEEDS {
-        seqs.push(Box::new(RandomSequence::new(&iface.inputs, FR_CYCLES, seed)));
+        seqs.push(Box::new(stimulus.random(FR_CYCLES, seed)));
     }
     seqs
 }
@@ -143,7 +143,10 @@ fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
 /// question template search, the baselines' acceptance checks and every
 /// job's judgement all ask.
 pub fn hit_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
-    memo.hit(design.name, code, || run_verdict(code, design, hit_seqs(design), memo).passed())
+    memo.hit(design.name, code, || {
+        let stimulus = Stimulus::of_design(design);
+        run_verdict(code, design, &stimulus, hit_seqs(&stimulus), memo).passed()
+    })
 }
 
 /// Fix-Rate check: extended differential validation against the golden
@@ -156,18 +159,19 @@ pub fn fix_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
 /// "fails the differential campaign" from "oscillates" from "does not
 /// build".
 pub fn fix_verdict(design: &Design, code: &str, memo: &StageMemo) -> Verdict {
-    run_verdict(code, design, fr_seqs(design), memo)
+    let stimulus = Stimulus::of_design(design);
+    run_verdict(code, design, &stimulus, fr_seqs(&stimulus), memo)
 }
 
 /// The quick validation run used by the dataset builder: a strict prefix
 /// of the FR campaign, so "fails validation" implies "fails FR".
 pub fn mutant_is_detectable(design: &Design, code: &str, memo: &StageMemo) -> bool {
-    let iface = (design.iface)();
+    let stimulus = Stimulus::of_design(design);
     let seqs: Vec<Box<dyn Sequence>> = vec![
-        Box::new(RandomSequence::new(&iface.inputs, VALIDATION_CYCLES, FR_PRIMARY_SEED)),
-        Box::new(CornerSequence::new(&iface.inputs)),
+        Box::new(stimulus.random(VALIDATION_CYCLES, FR_PRIMARY_SEED)),
+        Box::new(stimulus.corner.clone()),
     ];
-    !run_verdict(code, design, seqs, memo).passed()
+    !run_verdict(code, design, &stimulus, seqs, memo).passed()
 }
 
 #[cfg(test)]
@@ -229,8 +233,14 @@ mod tests {
 
     /// The FR stimulus run to its end, as `(mismatches, unstable)`.
     fn unstopped_fr_run(d: &Design, code: &str) -> (usize, Option<usize>) {
-        let env = Environment::from_source(code, d.name, (d.iface)(), (d.model)(), fr_seqs(d))
-            .expect("env");
+        let env = Environment::from_source(
+            code,
+            d.name,
+            (d.iface)(),
+            (d.model)(),
+            fr_seqs(&Stimulus::of_design(d)),
+        )
+        .expect("env");
         let summary = env.without_waveform().run();
         (summary.mismatches.len(), summary.unstable)
     }

@@ -4,7 +4,7 @@
 use crate::memo::StageMemo;
 use crate::patch::apply_pairs;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use uvllm_designs::Design;
 use uvllm_dfg::suspicious_lines;
@@ -15,8 +15,8 @@ use uvllm_llm::{
 };
 use uvllm_sim::{Logic, SimBackend, Simulator};
 use uvllm_uvm::{
-    CornerSequence, DirectedSequence, DutInterface, Environment, KeptRecords, RandomSequence,
-    RunSummary, Sequence, UvmError,
+    CornerSequence, DirectedSequence, DutInterface, Environment, IoSpec, KeptRecords,
+    RandomSequence, RunSummary, Sequence, UvmError,
 };
 
 pub use uvllm_uvm::MAX_MISMATCH_RECORDS;
@@ -152,6 +152,55 @@ impl UvmOutcome {
     }
 }
 
+/// What every verification run of one design shares, its names
+/// resolved once: the interface, its I/O spec, and the prototypes of
+/// the design's stimulus — random and corner over its inputs, and the
+/// public vectors bound to the spec. A run's sequences are clones of
+/// these, which copy no name.
+pub(crate) struct Stimulus {
+    pub iface: DutInterface,
+    pub spec: IoSpec,
+    random: RandomSequence,
+    pub corner: CornerSequence,
+    pub public: DirectedSequence,
+}
+
+impl Stimulus {
+    fn of(design: &Design) -> Stimulus {
+        let iface = (design.iface)();
+        let spec = IoSpec::from_interface(&iface);
+        let mut public = DirectedSequence::new("public", (design.directed_vectors)());
+        public.bind(&spec);
+        Stimulus {
+            random: RandomSequence::new(&iface.inputs, 0, 0),
+            corner: CornerSequence::new(&iface.inputs),
+            iface,
+            spec,
+            public,
+        }
+    }
+
+    /// `len` random transactions from `seed`, as
+    /// `RandomSequence::new(&iface.inputs, len, seed)` plays them.
+    pub fn random(&self, len: usize, seed: u64) -> RandomSequence {
+        self.random.reseeded(len, seed)
+    }
+
+    /// The stimulus of `design`: built once per catalogue design and
+    /// kept for the process (it is a function of the design alone);
+    /// built afresh for any other.
+    pub fn of_design(design: &Design) -> Arc<Stimulus> {
+        static CATALOGUE: OnceLock<Vec<(&'static Design, Arc<Stimulus>)>> = OnceLock::new();
+        let catalogue = CATALOGUE.get_or_init(|| {
+            uvllm_designs::all().into_iter().map(|d| (d, Arc::new(Stimulus::of(d)))).collect()
+        });
+        match catalogue.iter().find(|(d, _)| std::ptr::eq(*d, design)) {
+            Some((_, stimulus)) => Arc::clone(stimulus),
+            None => Arc::new(Stimulus::of(design)),
+        }
+    }
+}
+
 /// The UVM environment of `code` as an implementation of `design`,
 /// driven by `seqs`: the one place a text is elaborated, on the design
 /// `memo` keeps for a pinned text and on one made for this run (and
@@ -159,7 +208,7 @@ impl UvmOutcome {
 pub(crate) fn environment(
     code: &str,
     design: &Design,
-    iface: DutInterface,
+    stimulus: &Stimulus,
     seqs: Vec<Box<dyn Sequence>>,
     memo: &StageMemo,
 ) -> Result<Environment, UvmError> {
@@ -167,7 +216,7 @@ pub(crate) fn environment(
         .elaborate(design.name, code, || uvllm_sim::elaborate_source(code, design.name))
         .map_err(UvmError::Elab)?;
     let sim = Simulator::from_arc(elaborated).map_err(|e| UvmError::Sim(e.to_string()))?;
-    Environment::with_sim(sim, iface, (design.model)(), seqs)
+    Environment::with_spec(sim, &stimulus.iface, &stimulus.spec, (design.model)(), seqs)
 }
 
 /// Runs the UVM testbench (random + corner sequences against the golden
@@ -181,12 +230,10 @@ pub fn uvm_stage(
     seed: u64,
     memo: &StageMemo,
 ) -> UvmOutcome {
-    let iface = (design.iface)();
-    let seqs: Vec<Box<dyn Sequence>> = vec![
-        Box::new(RandomSequence::new(&iface.inputs, cycles, seed)),
-        Box::new(CornerSequence::new(&iface.inputs)),
-    ];
-    match environment(code, design, iface, seqs, memo) {
+    let stimulus = Stimulus::of_design(design);
+    let seqs: Vec<Box<dyn Sequence>> =
+        vec![Box::new(stimulus.random(cycles, seed)), Box::new(stimulus.corner.clone())];
+    match environment(code, design, &stimulus, seqs, memo) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.frames_at_kept_records().run())),
         Err(UvmError::Elab(m)) => UvmOutcome::BuildFailed(m),
         Err(UvmError::MissingPort(p)) => {
@@ -215,9 +262,9 @@ pub fn uvm_stage_with(
 /// [`crate::metrics::hit_confirmed`], which stops at the first mismatch
 /// and is memoised.
 pub fn directed_stage(code: &str, design: &Design, memo: &StageMemo) -> UvmOutcome {
-    let seqs: Vec<Box<dyn Sequence>> =
-        vec![Box::new(DirectedSequence::new("public", (design.directed_vectors)()))];
-    match environment(code, design, (design.iface)(), seqs, memo) {
+    let stimulus = Stimulus::of_design(design);
+    let seqs: Vec<Box<dyn Sequence>> = vec![Box::new(stimulus.public.clone())];
+    match environment(code, design, &stimulus, seqs, memo) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.without_waveform().run())),
         Err(e) => UvmOutcome::BuildFailed(e.to_string()),
     }
@@ -253,7 +300,8 @@ enum Found {
 /// values from the waveform. The scan ends once no later record can be
 /// kept.
 pub fn localize(design: &Design, run: &RunSummary) -> Localized {
-    let iface = (design.iface)();
+    let stimulus = Stimulus::of_design(design);
+    let iface = &stimulus.iface;
     let mut kept = KeptRecords::new(iface.outputs.len());
     let mut records: Vec<MismatchInfo> = Vec::new();
     for (i, m) in run.mismatches.iter().enumerate() {

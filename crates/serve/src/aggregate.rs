@@ -38,6 +38,10 @@ struct RunAgg {
     /// The run's full job-id space (what "complete" means), shared
     /// with every other run of the same dataset and methods.
     expected: Arc<HashSet<String>>,
+    /// The report over the complete run's rows, rendered at the first
+    /// status read after the last row came in: a complete run's rows
+    /// cannot change, so every later read shares it.
+    report: Option<Arc<str>>,
 }
 
 /// A point-in-time copy of one run's aggregation, rows included — what
@@ -70,9 +74,10 @@ pub struct RunSummary {
     pub expected: usize,
     pub diags: Vec<String>,
     /// The Table-II style report over the run's rows, rendered once
-    /// every expected row is in; empty before that, so the polls of a
-    /// running campaign pay for no render.
-    pub report: String,
+    /// every expected row is in (and shared by every later read); `None`
+    /// before that, so the polls of a running campaign pay for no
+    /// render.
+    pub report: Option<Arc<str>>,
 }
 
 impl RunSummary {
@@ -132,6 +137,7 @@ impl Aggregator {
             rows: BTreeMap::new(),
             diags: Vec::new(),
             expected,
+            report: None,
         });
     }
 
@@ -206,18 +212,18 @@ impl Aggregator {
     /// One run's counts, diagnostics and — once complete — rendered
     /// report, or `None` for unknown runs.
     pub fn summary(&self, run: &str) -> Option<RunSummary> {
-        let runs = self.lock();
-        let agg = runs.iter().find(|a| a.run == run)?;
-        let complete = agg.rows.len() == agg.expected.len();
+        let mut runs = self.lock();
+        let agg = runs.iter_mut().find(|a| a.run == run)?;
+        let report = (agg.rows.len() == agg.expected.len()).then(|| {
+            let rows = &agg.rows;
+            let render = || CampaignReport::new(rows.values().collect()).render().into();
+            Arc::clone(agg.report.get_or_insert_with(render))
+        });
         Some(RunSummary {
             rows: agg.rows.len(),
             expected: agg.expected.len(),
             diags: agg.diags.clone(),
-            report: if complete {
-                CampaignReport::new(agg.rows.values().collect()).render()
-            } else {
-                String::new()
-            },
+            report,
         })
     }
 }
@@ -347,7 +353,8 @@ mod tests {
         let summary = agg.summary("run-a").unwrap();
         assert_eq!((summary.rows, summary.expected), (2, 2), "A's fresh rows fold in at once");
         assert!(summary.complete());
-        assert!(summary.report.contains("campaign rows: 2"), "{}", summary.report);
+        let report = summary.report.expect("a complete run has its report");
+        assert!(report.contains("campaign rows: 2"), "{report}");
         assert_eq!(agg.summary("run-b").unwrap().rows, 0, "B waits for the background poll");
         assert!(agg.summary("run-nope").is_none());
         agg.poll();
@@ -389,5 +396,26 @@ mod tests {
             runs[2].expected
         );
         assert!(runs[0].expected.is_disjoint(&runs[2].expected));
+    }
+
+    #[test]
+    fn a_complete_runs_report_is_rendered_once() {
+        let rows = real_rows();
+        let path = temp_path("report-once.jsonl");
+        std::fs::write(&path, format!("{}\n", rows[0].to_json_line())).unwrap();
+        let agg = Aggregator::new();
+        agg.register("run-r", &spec(), vec![path.clone()]);
+        agg.poll_run("run-r");
+        assert_eq!(agg.summary("run-r").unwrap().report, None, "no report before the last row");
+
+        std::fs::write(&path, format!("{}\n{}\n", rows[0].to_json_line(), rows[1].to_json_line()))
+            .unwrap();
+        agg.poll_run("run-r");
+        let (first, second) = (agg.summary("run-r").unwrap(), agg.summary("run-r").unwrap());
+        let (first, second) = (first.report.unwrap(), second.report.unwrap());
+        assert_eq!(first, second, "two reads of a complete run report the same");
+        assert!(Arc::ptr_eq(&first, &second), "the second read shares the first's render");
+        assert_eq!(*first, *CampaignReport::new(rows.iter().collect()).render());
+        let _ = std::fs::remove_file(&path);
     }
 }

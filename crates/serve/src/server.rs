@@ -407,7 +407,7 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         ("expected".to_string(), Json::Num(summary.expected as f64)),
         ("shards".to_string(), Json::Arr(shard_rows)),
         ("diags".to_string(), Json::Arr(summary.diags.into_iter().map(s).collect())),
-        ("report".to_string(), s(summary.report)),
+        ("report".to_string(), s(summary.report.as_deref().unwrap_or_default().to_string())),
     ]))
 }
 

@@ -71,6 +71,8 @@ struct Plan {
     comb_sens: Vec<Vec<ProcessId>>,
     /// Edge-triggered processes: (process, edge) per signal.
     seq_sens: Vec<Vec<(ProcessId, Option<Edge>)>>,
+    /// Width of each signal, for the per-write resize.
+    widths: Vec<u32>,
 }
 
 /// An event-driven four-state simulator over an elaborated [`Design`].
@@ -210,7 +212,8 @@ impl Plan {
             }
         }
         let programs = design.processes().iter().map(|p| lower_process(&design, &p.body)).collect();
-        Plan { design, programs, comb_sens, seq_sens }
+        let widths = design.signals().iter().map(|s| s.width).collect();
+        Plan { design, programs, comb_sens, seq_sens, widths }
     }
 
     /// Pushes the processes triggered by `signal` transitioning
@@ -370,8 +373,7 @@ impl Simulator {
 
     /// [`Simulator::stage`], reporting whether the value changed.
     fn write(&mut self, id: SignalId, value: Logic) -> bool {
-        let width = self.design().signal(id).width;
-        let value = value.resize(width);
+        let value = value.resize(self.plan.widths[id.0 as usize]);
         let old = self.words[id.0 as usize][0];
         if old == value {
             return false;

@@ -196,7 +196,6 @@ impl RunSummary {
 /// gave it one wake-up per changed pin in interface order.
 pub struct Environment {
     sim: Simulator,
-    iface: DutInterface,
     refmodel: Box<dyn RefModel>,
     in_agent: InAgent,
     out_monitor: Monitor,
@@ -244,7 +243,7 @@ enum Frames {
 
 impl fmt::Debug for Environment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Environment").field("iface", &self.iface).finish()
+        f.debug_struct("Environment").field("spec", &self.spec).finish()
     }
 }
 
@@ -258,6 +257,25 @@ impl Environment {
     pub fn with_sim(
         sim: impl Into<Simulator>,
         iface: DutInterface,
+        refmodel: Box<dyn RefModel>,
+        sequences: Vec<Box<dyn Sequence>>,
+    ) -> Result<Self, UvmError> {
+        let spec = IoSpec::from_interface(&iface);
+        Environment::with_spec(sim, &iface, &spec, refmodel, sequences)
+    }
+
+    /// [`Environment::with_sim`] over `iface` with its spec already
+    /// built (`spec` must be `IoSpec::from_interface(iface)`), for a
+    /// caller that runs one interface many times: the environment
+    /// shares `spec` instead of building its own.
+    ///
+    /// # Errors
+    ///
+    /// [`UvmError::MissingPort`] when the DUT lacks an interface port.
+    pub fn with_spec(
+        sim: impl Into<Simulator>,
+        iface: &DutInterface,
+        spec: &IoSpec,
         mut refmodel: Box<dyn RefModel>,
         mut sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
@@ -287,7 +305,7 @@ impl Environment {
         let reset_line = iface.reset.as_ref().map(|r| (resolve(&r.name), r.active_low));
         // Intern the port layout once and hand it to the model: all
         // per-cycle traffic from here on is slot-indexed.
-        let spec = IoSpec::from_interface(&iface);
+        let spec = spec.clone();
         refmodel.bind(&spec);
         for sequence in &mut sequences {
             sequence.bind(&spec);
@@ -299,7 +317,6 @@ impl Environment {
         let kept = KeptRecords::new(iface.outputs.len());
         Ok(Environment {
             sim,
-            iface,
             refmodel,
             in_agent: InAgent {
                 sequencer: Sequencer::new(sequences),

@@ -81,8 +81,12 @@ impl InSlot {
 /// [`crate::Transaction`] a sequence bound to the spec fills
 /// ([`crate::Sequence::bind`]), and each output name by every mismatch
 /// record of that output.
+/// A clone shares the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoSpec {
+pub struct IoSpec(Arc<IoLayout>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct IoLayout {
     input_names: Arc<Vec<String>>,
     input_widths: Vec<u32>,
     outputs: Vec<(Arc<str>, u32)>,
@@ -91,22 +95,22 @@ pub struct IoSpec {
 impl IoSpec {
     /// Builds a spec from explicit port lists.
     pub(crate) fn from_ports(inputs: &[PortSig], outputs: &[PortSig]) -> IoSpec {
-        IoSpec {
+        IoSpec(Arc::new(IoLayout {
             input_names: Arc::new(inputs.iter().map(|p| p.name.clone()).collect()),
             input_widths: inputs.iter().map(|p| p.width).collect(),
             outputs: outputs.iter().map(|p| (Arc::from(p.name.as_str()), p.width)).collect(),
-        }
+        }))
     }
 
     /// Input names in slot order, shared with the transactions bound to
     /// this spec.
     pub fn input_names(&self) -> &Arc<Vec<String>> {
-        &self.input_names
+        &self.0.input_names
     }
 
     /// Input widths in slot order.
     pub fn input_widths(&self) -> &[u32] {
-        &self.input_widths
+        &self.0.input_widths
     }
 
     /// Builds a spec from a DUT interface (clock and reset lines are
@@ -140,23 +144,25 @@ impl IoSpec {
 
     /// Non-panicking [`IoSpec::input`].
     pub(crate) fn try_input(&self, name: &str) -> Option<InSlot> {
-        self.input_names
+        self.0
+            .input_names
             .iter()
             .position(|n| n == name)
-            .map(|i| InSlot { index: i as u32, width: self.input_widths[i] })
+            .map(|i| InSlot { index: i as u32, width: self.0.input_widths[i] })
     }
 
     /// Non-panicking [`IoSpec::output`].
     pub(crate) fn try_output(&self, name: &str) -> Option<OutSlot> {
-        self.outputs
+        self.0
+            .outputs
             .iter()
             .position(|(n, _)| **n == *name)
-            .map(|i| OutSlot { index: i as u32, width: self.outputs[i].1 })
+            .map(|i| OutSlot { index: i as u32, width: self.0.outputs[i].1 })
     }
 
     /// Name of output slot `i`.
     pub(crate) fn output_name(&self, i: usize) -> &Arc<str> {
-        &self.outputs[i].0
+        &self.0.outputs[i].0
     }
 }
 

@@ -65,10 +65,10 @@ fn adopt(names: &mut Arc<Vec<String>>, spec: &IoSpec) {
 }
 
 /// Uniform random stimulus over every input, seeded for reproducibility.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RandomSequence {
     names: Arc<Vec<String>>,
-    widths: Vec<u32>,
+    widths: Arc<[u32]>,
     len: usize,
     produced: usize,
     rng: StdRng,
@@ -80,6 +80,19 @@ impl RandomSequence {
         RandomSequence {
             names: names_of(inputs),
             widths: inputs.iter().map(|p| p.width).collect(),
+            len,
+            produced: 0,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// `len` random transactions from `seed` over the inputs of this
+    /// sequence, sharing its resolved names: what [`RandomSequence::new`]
+    /// over the same inputs would play, built without copying a name.
+    pub fn reseeded(&self, len: usize, seed: u64) -> Self {
+        RandomSequence {
+            names: Arc::clone(&self.names),
+            widths: Arc::clone(&self.widths),
             len,
             produced: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -105,7 +118,7 @@ impl Sequence for RandomSequence {
             return false;
         }
         self.produced += 1;
-        for (slot, width) in txn.slots_mut(&self.names).iter_mut().zip(&self.widths) {
+        for (slot, width) in txn.slots_mut(&self.names).iter_mut().zip(self.widths.iter()) {
             let lo: u128 = self.rng.random::<u64>() as u128;
             let hi: u128 = self.rng.random::<u64>() as u128;
             *slot = Logic::from_u128(*width, (hi << 64) | lo);
@@ -120,20 +133,22 @@ impl Sequence for RandomSequence {
 
 /// Replays a fixed vector list — the "finite test cases" style of
 /// testbench the paper criticises in MEIC-like flows.
+///
+/// A clone shares the vectors and their resolution, and starts over.
 #[derive(Debug, Clone)]
 pub struct DirectedSequence {
-    name: String,
-    vectors: Vec<Transaction>,
+    name: Arc<str>,
+    vectors: Arc<[Transaction]>,
     /// The vectors resolved against a spec's inputs: its name list and
     /// one row of values per vector, back to back.
-    bound: Option<(Arc<Vec<String>>, Vec<Logic>)>,
+    bound: Option<(Arc<Vec<String>>, Arc<[Logic]>)>,
     at: usize,
 }
 
 impl DirectedSequence {
     /// Creates a directed sequence from explicit vectors.
     pub fn new(name: impl Into<String>, vectors: Vec<Transaction>) -> Self {
-        DirectedSequence { name: name.into(), vectors, bound: None, at: 0 }
+        DirectedSequence { name: name.into().into(), vectors: vectors.into(), bound: None, at: 0 }
     }
 
     /// Number of vectors.
@@ -176,23 +191,28 @@ impl Sequence for DirectedSequence {
     /// or zero for a port it omits. Names that are no port drop out.
     fn bind(&mut self, spec: &IoSpec) {
         let names = spec.input_names();
+        if matches!(&self.bound, Some((bound, _)) if Arc::ptr_eq(bound, names)) {
+            return;
+        }
         let mut rows = Vec::with_capacity(self.vectors.len() * names.len());
-        for vector in &self.vectors {
+        for vector in self.vectors.iter() {
             for (name, width) in names.iter().zip(spec.input_widths()) {
                 rows.push(vector.get(name).copied().unwrap_or_else(|| Logic::zeros(*width)));
             }
         }
-        self.bound = Some((Arc::clone(names), rows));
+        self.bound = Some((Arc::clone(names), rows.into()));
     }
 }
 
 /// Corner-case stimulus: all-zeros, all-ones, walking-one per input,
 /// plus alternating patterns — the coverage-closing tail of a UVM run.
-#[derive(Debug)]
+///
+/// A clone shares the pattern table and starts over.
+#[derive(Debug, Clone)]
 pub struct CornerSequence {
     names: Arc<Vec<String>>,
     /// One row of values per pattern, in input order, back to back.
-    rows: Vec<Logic>,
+    rows: Arc<[Logic]>,
     patterns: usize,
     at: usize,
 }
@@ -217,7 +237,7 @@ impl CornerSequence {
                 Logic::from_u128(p.width, v)
             }));
         }
-        CornerSequence { names: names_of(inputs), rows, patterns, at: 0 }
+        CornerSequence { names: names_of(inputs), rows: rows.into(), patterns, at: 0 }
     }
 
     /// Number of patterns produced.

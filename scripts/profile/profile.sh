@@ -8,7 +8,8 @@
 # it preloaded (PROFILE_US sets the sampling period in microseconds of
 # CPU time, default 1000; PROFILE_US=0 only reports memory) and hands
 # every sample file the command's processes wrote to report.py
-# (REPORT_ARGS, e.g. "--top 60 --match uvllm", are passed on). Build
+# (REPORT_ARGS, e.g. "--top 60 --match uvllm", or "--lines" for self
+# time by innermost function @file:line, are passed on). Build
 # the binary with debug info for inlined frames and line numbers.
 set -eu
 here="$(cd "$(dirname "$0")" && pwd)"

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Inclusive CPU shares from the sample files `sampler.c` writes.
 
-    scripts/profile/report.py [--top N] [--match TEXT] profile.<pid> [...]
+    scripts/profile/report.py [--top N] [--match TEXT] [--lines] profile.<pid> [...]
 
 A function's inclusive share is the fraction of samples with that
 function in any frame, inlined frames included; its self share is the
-fraction whose innermost frame it is. Each sampled address is mapped
+fraction whose innermost frame it is. `--lines` lists self shares by
+innermost `function @file:line` instead, the source line each sample
+stopped on (inlined frames resolved, so a hot line inside an inlined
+helper is named as such), to find the statement a hot function spends
+its time in. Each sampled address is mapped
 from the process's address space to a file offset through the file's
 line in /proc/self/maps, then to the virtual address `llvm-symbolizer`
 expects through the file's ELF LOAD program headers: the text segment
@@ -94,7 +98,8 @@ class AddressSpace:
 
 
 def symbolize(path, addresses):
-    """Function names per address, innermost inlined frame first."""
+    """`(function, file:line)` pairs per address, innermost inlined
+    frame first."""
     symbolizer = os.environ.get("LLVM_SYMBOLIZER", "llvm-symbolizer")
     query = "".join(f"0x{a:x}\n" for a in addresses)
     out = subprocess.run(
@@ -104,16 +109,31 @@ def symbolize(path, addresses):
         text=True,
         check=True,
     ).stdout
-    names = []
+    frames = []
     for block in out.split("\n\n")[: len(addresses)]:
         lines = block.strip("\n").split("\n")
         # Pairs of (function, file:line:column).
-        names.append([tidy(lines[i]) for i in range(0, len(lines), 2) if lines[i] != "??"])
-    return dict(zip(addresses, names))
+        frames.append(
+            [
+                (tidy(lines[i]), location(lines[i + 1] if i + 1 < len(lines) else ""))
+                for i in range(0, len(lines), 2)
+                if lines[i] != "??"
+            ]
+        )
+    return dict(zip(addresses, frames))
+
+
+def location(file_line_column):
+    """`file:line` (the file's base name) of a symbolizer location."""
+    parts = file_line_column.rsplit(":", 2)
+    if len(parts) < 3 or parts[0] in ("", "??"):
+        return "??"
+    return f"{os.path.basename(parts[0])}:{parts[1]}"
 
 
 def read(paths):
-    """Peak RSS per file and the samples as lists of frame names."""
+    """Peak RSS per file and the samples as lists of `(function,
+    file:line)` frames, innermost first."""
     rss, dropped, samples = [], 0, []
     for path in paths:
         raw, map_lines = [], []
@@ -152,7 +172,7 @@ def read(paths):
             for frame in frames:
                 # A frame without a symbol is named after its file.
                 unknown = f"?? ({os.path.basename(frame[0]) if frame else 'no file'})"
-                sample.extend(names.get(frame) or [unknown])
+                sample.extend(names.get(frame) or [(unknown, "??")])
             samples.append(sample)
     return rss, dropped, samples
 
@@ -162,6 +182,9 @@ def main():
     parser.add_argument("files", nargs="+", help="sample files written by sampler.so")
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     parser.add_argument("--match", default="", help="list only functions containing this text")
+    parser.add_argument(
+        "--lines", action="store_true", help="self shares by innermost function @file:line"
+    )
     args = parser.parse_args()
 
     rss, dropped, samples = read(args.files)
@@ -172,11 +195,19 @@ def main():
     if not samples:
         print("no samples")
         return
+    print(f"{len(samples)} samples")
+    if args.lines:
+        lines = collections.Counter(f"{s[0][0]} @{s[0][1]}" for s in samples)
+        print(f"{'self':>6}  function @file:line")
+        listed = [(n, c) for n, c in lines.most_common() if args.match in n]
+        for name, count in listed[: args.top]:
+            print(f"{count / len(samples):6.1%}  {name[:200]}")
+        return
     inclusive, own = collections.Counter(), collections.Counter()
     for sample in samples:
-        inclusive.update(set(sample))
-        own[sample[0]] += 1
-    print(f"{len(samples)} samples")
+        names = [name for name, _ in sample]
+        inclusive.update(set(names))
+        own[names[0]] += 1
     print(f"{'incl':>6} {'self':>6}  function")
     listed = [(n, c) for n, c in inclusive.most_common() if args.match in n]
     for name, count in listed[: args.top]:
