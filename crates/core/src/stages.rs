@@ -13,7 +13,7 @@ use uvllm_llm::{
     drive, AgentRole, CompleteResponse, Completion, ErrorInfo, LlmError, LlmService, MismatchInfo,
     OutputMode, RepairPair, RepairPrompt, RepairResponse, Step,
 };
-use uvllm_sim::{Logic, SimBackend, Simulator};
+use uvllm_sim::{Frame, Logic, SimBackend, Simulator};
 use uvllm_uvm::{
     CornerSequence, DirectedSequence, DutInterface, Environment, IoSpec, KeptRecords,
     RandomSequence, RunSummary, Sequence, UvmError,
@@ -273,7 +273,10 @@ pub fn directed_stage(code: &str, design: &Design, memo: &StageMemo) -> UvmOutco
 /// What post-processing keeps of a failed UVM run — the first half of
 /// Algorithm 2, everything that needs the records and the waveform. It
 /// is small (at most [`MAX_MISMATCH_RECORDS`] records and one waveform
-/// frame), so a memo can hold it where it could not hold the run.
+/// frame), so a memo can hold it where it could not hold the run. It
+/// keeps values and slots; names are the spec's and the waveform's,
+/// shared, and the records become text only when a prompt asks for
+/// them ([`Localized::error_info`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Localized {
     found: Found,
@@ -285,13 +288,26 @@ enum Found {
     /// lines of its log.
     RawLog(String),
     Mismatches {
-        /// The records [`KeptRecords`] keeps, in log order, each with
-        /// the input values at its timestamp.
-        records: Vec<MismatchInfo>,
+        /// The records [`KeptRecords`] keeps, in log order.
+        records: Vec<KeptRecord>,
+        /// The interface's input names, in slot order.
+        inputs: Arc<Vec<String>>,
         /// Every signal at the first record's timestamp — what the
-        /// dynamic slice of SL mode is taken under.
-        snapshot: HashMap<String, Logic>,
+        /// dynamic slice of SL mode is taken under (a static slice
+        /// without one).
+        snapshot: Option<Frame>,
     },
+}
+
+/// One kept mismatch record with the input values at its timestamp.
+#[derive(Debug, Clone, PartialEq)]
+struct KeptRecord {
+    time: u64,
+    signal: Arc<str>,
+    expected: Logic,
+    actual: Logic,
+    /// Input slot → its value in the waveform, where it has one.
+    inputs: Vec<Option<Logic>>,
 }
 
 /// Post-processing, first half (Algorithm 2's `getMismatch` and
@@ -301,9 +317,9 @@ enum Found {
 /// kept.
 pub fn localize(design: &Design, run: &RunSummary) -> Localized {
     let stimulus = Stimulus::of_design(design);
-    let iface = &stimulus.iface;
-    let mut kept = KeptRecords::new(iface.outputs.len());
-    let mut records: Vec<MismatchInfo> = Vec::new();
+    let inputs = stimulus.spec.input_names();
+    let mut kept = KeptRecords::new(stimulus.iface.outputs.len());
+    let mut records: Vec<KeptRecord> = Vec::new();
     for (i, m) in run.mismatches.iter().enumerate() {
         if kept.is_done() {
             break;
@@ -312,27 +328,17 @@ pub fn localize(design: &Design, run: &RunSummary) -> Localized {
             continue;
         }
         // getInputValue(W_S, MT).
-        let input_values = iface
-            .inputs
-            .iter()
-            .filter_map(|p| {
-                run.waveform.value_at(&p.name, m.time).map(|v| (p.name.clone(), v.to_string()))
-            })
-            .collect();
-        records.push(MismatchInfo {
+        records.push(KeptRecord {
             time: m.time,
-            signal: m.signal.to_string(),
-            expected: m.expected.to_string(),
-            actual: m.actual.to_string(),
-            input_values,
+            signal: Arc::clone(&m.signal),
+            expected: m.expected,
+            actual: m.actual,
+            inputs: inputs.iter().map(|name| run.waveform.value_at(name, m.time)).collect(),
         });
     }
-    let found = match records.first() {
+    let found = match records.first().map(|first| run.waveform.frame_at(first.time)) {
         None => Found::RawLog(run.log.render_tail(10)),
-        Some(first) => {
-            let snapshot = run.waveform.snapshot_at(first.time);
-            Found::Mismatches { records, snapshot }
-        }
+        Some(snapshot) => Found::Mismatches { records, inputs: Arc::clone(inputs), snapshot },
     };
     Localized { found }
 }
@@ -354,11 +360,13 @@ impl Localized {
     ) -> ErrorInfo {
         match &self.found {
             Found::RawLog(tail) => ErrorInfo::RawLog(tail.clone()),
-            Found::Mismatches { records, .. } if !sl_mode => {
-                ErrorInfo::MismatchSignals(records.clone())
-            }
-            Found::Mismatches { records, .. } => {
-                ErrorInfo::SuspiciousLines { signals: records.clone(), lines: lines() }
+            Found::Mismatches { records, inputs, .. } => {
+                let signals = records.iter().map(|r| r.info(inputs)).collect();
+                if sl_mode {
+                    ErrorInfo::SuspiciousLines { signals, lines: lines() }
+                } else {
+                    ErrorInfo::MismatchSignals(signals)
+                }
             }
         }
     }
@@ -368,13 +376,33 @@ impl Localized {
     /// Empty when `code` does not parse, has no module named after
     /// `design`, or the run left no mismatch line.
     pub fn slice(&self, code: &str, design: &Design) -> Vec<(u32, String)> {
-        let Found::Mismatches { records, snapshot } = &self.found else { return Vec::new() };
-        let mut signals: Vec<String> = records.iter().map(|m| m.signal.clone()).collect();
+        let Found::Mismatches { records, snapshot, .. } = &self.found else { return Vec::new() };
+        let mut signals: Vec<String> = records.iter().map(|m| m.signal.to_string()).collect();
         signals.dedup();
         let Ok(file) = uvllm_verilog::parse(code) else { return Vec::new() };
-        file.module(design.name)
-            .map(|module| suspicious_lines(module, code, &signals, snapshot))
-            .unwrap_or_default()
+        let Some(module) = file.module(design.name) else { return Vec::new() };
+        match snapshot {
+            Some(frame) => suspicious_lines(module, code, &signals, frame),
+            None => suspicious_lines(module, code, &signals, &HashMap::new()),
+        }
+    }
+}
+
+impl KeptRecord {
+    /// The record as the prompt renders it; `inputs` names its input
+    /// slots.
+    fn info(&self, inputs: &[String]) -> MismatchInfo {
+        MismatchInfo {
+            time: self.time,
+            signal: self.signal.to_string(),
+            expected: self.expected.to_string(),
+            actual: self.actual.to_string(),
+            input_values: inputs
+                .iter()
+                .zip(&self.inputs)
+                .filter_map(|(name, value)| Some((name.clone(), value.as_ref()?.to_string())))
+                .collect(),
+        }
     }
 }
 

@@ -33,4 +33,4 @@
 
 pub mod slice;
 
-pub use slice::{suspicious_lines, Dfg, Guard, Site, Slice, SliceOptions};
+pub use slice::{suspicious_lines, Dfg, Guard, Site, Slice, SliceOptions, Snapshot};

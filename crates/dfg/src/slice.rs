@@ -3,6 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use uvllm_sim::logic::{Logic, Tri};
+use uvllm_sim::Frame;
 use uvllm_verilog::ast::*;
 use uvllm_verilog::span::{LineMap, Span};
 use uvllm_verilog::{Names, Symbol};
@@ -99,6 +100,35 @@ pub struct Dfg {
 /// Signal values by symbol, for [`eval_ast`]: `None` where unknown.
 pub type SymbolValues = [Option<Logic>];
 
+/// Signal values by name, as a dynamic slice reads them: a name → value
+/// map, or a recorded waveform [`Frame`].
+pub trait Snapshot {
+    /// The value of signal `name`, if the snapshot holds it.
+    fn value(&self, name: &str) -> Option<Logic>;
+    /// True when the snapshot holds no signal (the slice is static).
+    fn is_empty(&self) -> bool;
+}
+
+impl Snapshot for HashMap<String, Logic> {
+    fn value(&self, name: &str) -> Option<Logic> {
+        self.get(name).copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        HashMap::is_empty(self)
+    }
+}
+
+impl Snapshot for Frame {
+    fn value(&self, name: &str) -> Option<Logic> {
+        self.get(name)
+    }
+
+    fn is_empty(&self) -> bool {
+        Frame::is_empty(self)
+    }
+}
+
 impl Dfg {
     /// The symbol of signal `name`, if the module's text has one.
     pub fn symbol(&self, name: &str) -> Option<Symbol> {
@@ -106,8 +136,8 @@ impl Dfg {
     }
 
     /// The values of `snapshot` by symbol of this module's text.
-    pub fn values(&self, snapshot: &HashMap<String, Logic>) -> Vec<Option<Logic>> {
-        self.names.iter().map(|(_, name)| snapshot.get(name).copied()).collect()
+    pub fn values<S: Snapshot + ?Sized>(&self, snapshot: &S) -> Vec<Option<Logic>> {
+        self.names.iter().map(|(_, name)| snapshot.value(name)).collect()
     }
 
     /// Builds the DFG for `module`.
@@ -431,11 +461,11 @@ pub fn eval_ast(e: &Expr, env: &SymbolValues) -> Logic {
 
 /// Convenience used by the repair pipeline: suspicious `(line, text)`
 /// pairs for a set of mismatch signals under a waveform snapshot.
-pub fn suspicious_lines(
+pub fn suspicious_lines<S: Snapshot + ?Sized>(
     module: &Module,
     src: &str,
     mismatch_signals: &[String],
-    snapshot: &HashMap<String, Logic>,
+    snapshot: &S,
 ) -> Vec<(u32, String)> {
     let dfg = Dfg::build(module);
     let options = SliceOptions::default();

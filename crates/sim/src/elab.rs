@@ -117,14 +117,19 @@ impl LTarget {
 
     /// Signals written by this target.
     pub fn signals(&self) -> Vec<SignalId> {
+        let mut out = Vec::new();
+        self.collect_signals(&mut out);
+        out
+    }
+
+    /// Appends the signals written by this target to `out`.
+    pub fn collect_signals(&self, out: &mut Vec<SignalId>) {
         match self {
             LTarget::Whole(s)
             | LTarget::Bit(s, _)
             | LTarget::Part(s, _, _)
-            | LTarget::Word(s, _) => {
-                vec![*s]
-            }
-            LTarget::Concat(parts) => parts.iter().flat_map(|p| p.signals()).collect(),
+            | LTarget::Word(s, _) => out.push(*s),
+            LTarget::Concat(parts) => parts.iter().for_each(|p| p.collect_signals(out)),
         }
     }
 }
@@ -1424,7 +1429,7 @@ fn collect_stmt_writes(s: &LStmt, out: &mut Vec<SignalId>) {
                 collect_stmt_writes(s, out);
             }
         }
-        LStmt::Assign { lhs, .. } => out.extend(lhs.signals()),
+        LStmt::Assign { lhs, .. } => lhs.collect_signals(out),
         LStmt::If { then_branch, else_branch, .. } => {
             collect_stmt_writes(then_branch, out);
             if let Some(e) = else_branch {

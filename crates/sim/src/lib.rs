@@ -70,4 +70,4 @@ pub use elab::{elaborate, elaborate_source, Design, ElabError, SignalId, SignalI
 pub use eval::{eval, eval_into, ValueReader};
 pub use logic::{Logic, Tri};
 pub use sched::{SimError, Simulator, MAX_ACTIVATIONS};
-pub use wave::Waveform;
+pub use wave::{Frame, Waveform};

@@ -8,12 +8,13 @@ use crate::backend::SimControl;
 use crate::elab::SignalId;
 use crate::logic::Logic;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A recorded waveform: one snapshot of every scalar signal per capture.
 #[derive(Debug, Clone, Default)]
 pub struct Waveform {
-    /// Signal names in snapshot order.
-    names: Vec<String>,
+    /// Signal names in snapshot order (shared with every [`Frame`]).
+    names: Arc<Vec<String>>,
     ids: Vec<SignalId>,
     /// Capture timestamps (monotonically non-decreasing).
     times: Vec<u64>,
@@ -28,7 +29,7 @@ impl Waveform {
         let design = sim.design();
         let ids: Vec<SignalId> = sim.scalar_values().into_iter().map(|(id, _)| id).collect();
         let names = ids.iter().map(|&id| design.signal_name(id).to_string()).collect();
-        Waveform { names, ids, times: Vec::new(), frames: Vec::new() }
+        Waveform { names: Arc::new(names), ids, times: Vec::new(), frames: Vec::new() }
     }
 
     /// Position of `name` in [`Waveform::names`].
@@ -159,20 +160,49 @@ impl Waveform {
     /// Snapshot of every signal at the last capture with `time' <= time`,
     /// as a name → value map (used for dynamic slicing).
     pub fn snapshot_at(&self, time: u64) -> HashMap<String, Logic> {
-        let frame = match self.times.binary_search(&time) {
+        self.frame_at(time).map(|f| f.to_map()).unwrap_or_default()
+    }
+
+    /// The capture [`Waveform::snapshot_at`] reads, kept as it was
+    /// recorded: the values, and the waveform's names shared, not
+    /// copied. `None` before the first capture.
+    pub fn frame_at(&self, time: u64) -> Option<Frame> {
+        let index = match self.times.binary_search(&time) {
             Ok(mut i) => {
                 while i + 1 < self.times.len() && self.times[i + 1] == time {
                     i += 1;
                 }
-                Some(i)
+                i
             }
-            Err(0) => None,
-            Err(i) => Some(i - 1),
+            Err(0) => return None,
+            Err(i) => i - 1,
         };
-        match frame {
-            Some(f) => self.names.iter().cloned().zip(self.frames[f].iter().copied()).collect(),
-            None => HashMap::new(),
-        }
+        Some(Frame { names: Arc::clone(&self.names), values: self.frames[index].clone() })
+    }
+}
+
+/// One capture of a [`Waveform`]: every recorded signal's value, by the
+/// waveform's (shared) names.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame {
+    names: Arc<Vec<String>>,
+    values: Vec<Logic>,
+}
+
+impl Frame {
+    /// The value of signal `name`, if the frame records it.
+    pub fn get(&self, name: &str) -> Option<Logic> {
+        self.names.iter().position(|n| n == name).map(|i| self.values[i])
+    }
+
+    /// True when the frame records no signal.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The frame as a name → value map.
+    pub fn to_map(&self) -> HashMap<String, Logic> {
+        self.names.iter().cloned().zip(self.values.iter().copied()).collect()
     }
 }
 

@@ -587,7 +587,7 @@ mod tests {
     use super::*;
     use crate::iface::PortSig;
     use crate::refmodel::{FnModel, InSlot, OutSlot};
-    use crate::sequence::{CornerSequence, RandomSequence};
+    use crate::sequence::{CornerSequence, DirectedSequence, RandomSequence};
 
     fn adder_iface() -> DutInterface {
         DutInterface::combinational(
@@ -937,5 +937,87 @@ mod tests {
         let summary = env.run();
         assert!(!summary.all_passed());
         assert!(summary.mismatches.iter().all(|m| !m.expected.is_fully_known()));
+    }
+
+    /// Plays `bound` through the environment's path (bound to the
+    /// interface's spec, driven by [`Driver::drive_spec`]) and `by_name`
+    /// (unbound, driven by [`Driver::drive_resolved`] over named ports)
+    /// side by side on two simulators of one design, checking after
+    /// every transaction that both drove the same pins. Returns the
+    /// number of transactions and whether every bound one was read by
+    /// slot.
+    fn drives_like_by_name(
+        mut bound: Box<dyn Sequence>,
+        mut by_name: Box<dyn Sequence>,
+    ) -> (usize, bool) {
+        let src = "module m(input [7:0] a, input [3:0] b, input c, output [12:0] y);\n\
+                   assign y = {a, b, c};\nendmodule\n";
+        let iface = DutInterface::combinational(
+            vec![PortSig::new("a", 8), PortSig::new("b", 4), PortSig::new("c", 1)],
+            vec![PortSig::new("y", 13)],
+        );
+        let spec = IoSpec::from_interface(&iface);
+        let design = uvllm_sim::elaborate_source(src, "m").unwrap();
+        let mut sims =
+            [Simulator::from_arc(design.clone()).unwrap(), Simulator::from_arc(design).unwrap()];
+        let id = |name: &str| sims[0].design().signal_id(name).unwrap();
+        let named: Vec<(String, uvllm_sim::SignalId, u32)> =
+            iface.inputs.iter().map(|p| (p.name.clone(), id(&p.name), p.width)).collect();
+        let ids: Vec<(uvllm_sim::SignalId, u32)> =
+            named.iter().map(|(_, id, width)| (*id, *width)).collect();
+        let y = id("y");
+        bound.bind(&spec);
+        let (mut t1, mut t2) = (Transaction::new(), Transaction::new());
+        let (mut cycles, mut by_slot) = (0, true);
+        loop {
+            let (more1, more2) =
+                (bound.next_into(cycles, &mut t1), by_name.next_into(cycles, &mut t2));
+            assert_eq!(more1, more2, "both paths play as many transactions");
+            if !more1 {
+                return (cycles, by_slot);
+            }
+            by_slot &= t1.shares_names(spec.input_names());
+            Driver.drive_spec(&mut sims[0], &spec, &ids, &t1).unwrap();
+            Driver.drive_resolved(&mut sims[1], &named, &t2).unwrap();
+            assert_eq!(sims[0].peek(y), sims[1].peek(y), "cycle {cycles}: {}", t2.render());
+            cycles += 1;
+        }
+    }
+
+    #[test]
+    fn bound_sequences_drive_the_pins_the_by_name_path_drives() {
+        let port = |name: &str, width| PortSig::new(name, width);
+        let (a, b, c, zz) = (port("a", 8), port("b", 4), port("c", 1), port("zz", 6));
+        let in_order = [a.clone(), b.clone(), c.clone()];
+        let reordered = [c.clone(), a.clone(), b.clone()];
+        let omits_b = [c.clone(), a.clone()];
+        let names_a_non_port = [b.clone(), zz.clone(), a.clone(), c.clone()];
+        for inputs in [&in_order[..], &reordered, &omits_b, &names_a_non_port] {
+            let random = || Box::new(RandomSequence::new(inputs, 40, 9)) as Box<dyn Sequence>;
+            let corner = || Box::new(CornerSequence::new(inputs)) as Box<dyn Sequence>;
+            let (cycles, by_slot) = drives_like_by_name(random(), random());
+            assert_eq!(cycles, 40);
+            assert_eq!(by_slot, inputs == in_order, "only the spec's own order reads by slot");
+            let (cycles, by_slot) = drives_like_by_name(corner(), corner());
+            assert_eq!(cycles, CornerSequence::new(inputs).len());
+            assert_eq!(by_slot, inputs == in_order);
+        }
+
+        let value = |p: &PortSig, v: u128| Logic::from_u128(p.width, v);
+        let vectors = vec![
+            // Reordered.
+            Transaction::new()
+                .with("c", value(&c, 1))
+                .with("b", value(&b, 9))
+                .with("a", value(&a, 77)),
+            // Omits `b`: driven to zero.
+            Transaction::new().with("a", value(&a, 200)).with("c", value(&c, 1)),
+            // Names a non-port, which drives nothing.
+            Transaction::new().with("zz", value(&zz, 63)).with("b", value(&b, 15)),
+            Transaction::new(),
+        ];
+        let directed =
+            || Box::new(DirectedSequence::new("mixed", vectors.clone())) as Box<dyn Sequence>;
+        assert_eq!(drives_like_by_name(directed(), directed()), (4, true));
     }
 }
