@@ -1,6 +1,7 @@
 //! Diagnostic types rendered in Verilator log style.
 
 use std::fmt;
+use std::fmt::Write as _;
 use uvllm_verilog::span::{LineMap, Span};
 
 /// Severity of a diagnostic.
@@ -124,9 +125,17 @@ impl Diagnostic {
     /// Renders in Verilator log style against `src`:
     /// `%Warning-COMBDLY: dut.v:12:5: message`.
     pub fn render(&self, src: &str) -> String {
-        let map = LineMap::new(src);
+        let mut out = String::new();
+        self.render_into(&LineMap::new(src), &mut out);
+        out
+    }
+
+    /// [`Diagnostic::render`] against the line map of `src`, appended to
+    /// `out`.
+    fn render_into(&self, map: &LineMap, out: &mut String) {
         let (line, col) = map.line_col(self.span.start);
-        format!("%{}-{}: dut.v:{}:{}: {}", self.severity, self.code.tag(), line, col, self.message)
+        let (severity, tag) = (self.severity, self.code.tag());
+        let _ = write!(out, "%{severity}-{tag}: dut.v:{line}:{col}: {}", self.message);
     }
 
     /// 1-based source line of the finding.
@@ -169,7 +178,15 @@ impl LintReport {
 
     /// Renders the full report as a compiler log.
     pub fn render(&self, src: &str) -> String {
-        self.diagnostics.iter().map(|d| d.render(src)).collect::<Vec<_>>().join("\n")
+        let map = LineMap::new(src);
+        let mut out = String::new();
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            d.render_into(&map, &mut out);
+        }
+        out
     }
 }
 

@@ -115,13 +115,6 @@ impl LTarget {
         }
     }
 
-    /// Signals written by this target.
-    pub fn signals(&self) -> Vec<SignalId> {
-        let mut out = Vec::new();
-        self.collect_signals(&mut out);
-        out
-    }
-
     /// Appends the signals written by this target to `out`.
     pub fn collect_signals(&self, out: &mut Vec<SignalId>) {
         match self {

@@ -98,12 +98,12 @@ impl Transaction {
     }
 
     /// The input names, in slot order.
-    pub fn names(&self) -> &[String] {
+    pub(crate) fn names(&self) -> &[String] {
         self.names.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// The values, in slot order.
-    pub fn values(&self) -> &[Logic] {
+    pub(crate) fn values(&self) -> &[Logic] {
         &self.values
     }
 

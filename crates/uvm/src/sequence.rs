@@ -139,10 +139,17 @@ impl Sequence for RandomSequence {
 pub struct DirectedSequence {
     name: Arc<str>,
     vectors: Arc<[Transaction]>,
-    /// The vectors resolved against a spec's inputs: its name list and
-    /// one row of values per vector, back to back.
-    bound: Option<(Arc<Vec<String>>, Arc<[Logic]>)>,
+    /// The vectors resolved against a spec's inputs.
+    bound: Option<Rows>,
     at: usize,
+}
+
+/// Transactions resolved against a spec's inputs: its name list and one
+/// row of values per transaction, back to back.
+#[derive(Debug, Clone)]
+struct Rows {
+    names: Arc<Vec<String>>,
+    values: Arc<[Logic]>,
 }
 
 impl DirectedSequence {
@@ -176,9 +183,9 @@ impl Sequence for DirectedSequence {
     fn next_into(&mut self, _cycle: usize, txn: &mut Transaction) -> bool {
         let Some(vector) = self.vectors.get(self.at) else { return false };
         match &self.bound {
-            Some((names, rows)) => {
+            Some(Rows { names, values }) => {
                 let at = self.at * names.len();
-                txn.fill(names, &rows[at..at + names.len()]);
+                txn.fill(names, &values[at..at + names.len()]);
             }
             None => txn.clone_from(vector),
         }
@@ -191,7 +198,7 @@ impl Sequence for DirectedSequence {
     /// or zero for a port it omits. Names that are no port drop out.
     fn bind(&mut self, spec: &IoSpec) {
         let names = spec.input_names();
-        if matches!(&self.bound, Some((bound, _)) if Arc::ptr_eq(bound, names)) {
+        if matches!(&self.bound, Some(bound) if Arc::ptr_eq(&bound.names, names)) {
             return;
         }
         let mut rows = Vec::with_capacity(self.vectors.len() * names.len());
@@ -200,7 +207,7 @@ impl Sequence for DirectedSequence {
                 rows.push(vector.get(name).copied().unwrap_or_else(|| Logic::zeros(*width)));
             }
         }
-        self.bound = Some((Arc::clone(names), rows.into()));
+        self.bound = Some(Rows { names: Arc::clone(names), values: rows.into() });
     }
 }
 
