@@ -12,48 +12,35 @@
 //! process-wide, and the exact deltas must not see another test's
 //! campaign.
 //!
-//! The binary also counts heap allocations: each thread counts its own
-//! (as in `alloc_steady_state.rs`) and hands its tally to a process
-//! total when it exits or is read, so a campaign's pool threads are all
-//! counted. Allocations per job are held under [`ALLOCATIONS_PER_JOB`].
+//! The binary also counts heap allocations: every `alloc` and `realloc`
+//! of every thread lands in one process-wide counter, so a campaign's
+//! pool threads are counted exactly (a per-thread tally handed over at
+//! thread exit can miss a scoped thread, whose join may return before
+//! its thread-locals are destroyed). Allocations per job are held under
+//! [`ALLOCATIONS_PER_JOB`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink};
 
-/// Allocations of threads that have exited or flushed.
-static FLUSHED: AtomicU64 = AtomicU64::new(0);
-
-/// This thread's allocations not yet added to [`FLUSHED`]; the total
-/// moves there when the thread exits.
-struct Tally(Cell<u64>);
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        FLUSHED.fetch_add(self.0.get(), Ordering::Relaxed);
-    }
-}
-
-thread_local! {
-    static TALLY: Tally = const { Tally(Cell::new(0)) };
-}
+/// Heap allocations made so far, by every thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
-// SAFETY: delegates verbatim to `System`; the tally is a thread-local
-// cell and an atomic, with no further invariants.
+// SAFETY: delegates verbatim to `System`; the counter is a plain atomic
+// with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TALLY.try_with(|t| t.0.set(t.0.get() + 1));
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = TALLY.try_with(|t| t.0.set(t.0.get() + 1));
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,9 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations of every exited thread plus the calling one.
+/// Heap allocations every thread has made so far.
 fn allocations() -> u64 {
-    FLUSHED.load(Ordering::Relaxed) + TALLY.with(|t| t.0.get())
+    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Heap allocations per job of a default campaign (`alloc` plus
