@@ -71,22 +71,24 @@ pub struct LExpr {
     pub width: u32,
 }
 
-/// Lowered expression node.
+/// Lowered expression node. Operands are shared (`Arc`), so cloning an
+/// expression — as the kernel does when it compiles a design's processes
+/// into programs — copies one node and allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LExprKind {
     Const(Logic),
     Sig(SignalId),
     /// Array word read `mem[addr]`.
-    Word(SignalId, Box<LExpr>),
+    Word(SignalId, Arc<LExpr>),
     /// Dynamic bit select `v[i]` (index is bit offset after LSB shift).
-    BitSel(SignalId, Box<LExpr>),
+    BitSel(SignalId, Arc<LExpr>),
     /// Constant part select: `(signal, lsb_offset)`, width in `LExpr`.
     PartSel(SignalId, u32),
-    Unary(UnaryOp, Box<LExpr>),
-    Binary(BinaryOp, Box<LExpr>, Box<LExpr>),
-    Ternary(Box<LExpr>, Box<LExpr>, Box<LExpr>),
+    Unary(UnaryOp, Arc<LExpr>),
+    Binary(BinaryOp, Arc<LExpr>, Arc<LExpr>),
+    Ternary(Arc<LExpr>, Arc<LExpr>, Arc<LExpr>),
     /// Concatenation, most-significant first.
-    Concat(Vec<LExpr>),
+    Concat(Arc<[LExpr]>),
 }
 
 /// A lowered assignment target.
@@ -999,7 +1001,7 @@ impl<'a> Elab<'a> {
                     | UnaryOp::RedXnor => 1,
                     _ => e.width,
                 };
-                LExpr { kind: LExprKind::Unary(*op, Box::new(e)), width }
+                LExpr { kind: LExprKind::Unary(*op, Arc::new(e)), width }
             }
             Expr::Binary(op, a, b) => {
                 let la = self.lower_expr_in(a, scope, consts, span)?;
@@ -1018,14 +1020,14 @@ impl<'a> Elab<'a> {
                     BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr | BinaryOp::Pow => la.width,
                     _ => la.width.max(lb.width),
                 };
-                LExpr { kind: LExprKind::Binary(*op, Box::new(la), Box::new(lb)), width }
+                LExpr { kind: LExprKind::Binary(*op, Arc::new(la), Arc::new(lb)), width }
             }
             Expr::Ternary(c, t, f) => {
                 let lc = self.lower_expr_in(c, scope, consts, span)?;
                 let lt = self.lower_expr_in(t, scope, consts, span)?;
                 let lf = self.lower_expr_in(f, scope, consts, span)?;
                 let width = lt.width.max(lf.width);
-                LExpr { kind: LExprKind::Ternary(Box::new(lc), Box::new(lt), Box::new(lf)), width }
+                LExpr { kind: LExprKind::Ternary(Arc::new(lc), Arc::new(lt), Arc::new(lf)), width }
             }
             Expr::Index(base, index) => {
                 let Expr::Ident(name) = base.as_ref() else {
@@ -1036,12 +1038,12 @@ impl<'a> Elab<'a> {
                 let idx = self.lower_expr_in(index, scope, consts, span)?;
                 if info.words > 1 {
                     LExpr {
-                        kind: LExprKind::Word(id, Box::new(offset_index(idx, info.array_lo))),
+                        kind: LExprKind::Word(id, Arc::new(offset_index(idx, info.array_lo))),
                         width: info.width,
                     }
                 } else {
                     LExpr {
-                        kind: LExprKind::BitSel(id, Box::new(offset_index(idx, info.lsb))),
+                        kind: LExprKind::BitSel(id, Arc::new(offset_index(idx, info.lsb))),
                         width: 1,
                     }
                 }
@@ -1065,7 +1067,7 @@ impl<'a> Elab<'a> {
                     width += e.width;
                     out.push(e);
                 }
-                LExpr { kind: LExprKind::Concat(out), width: width.min(128) }
+                LExpr { kind: LExprKind::Concat(out.into()), width: width.min(128) }
             }
             Expr::Repeat(count, items) => {
                 let n = const_eval_with(count, consts, span)?;
@@ -1087,7 +1089,7 @@ impl<'a> Elab<'a> {
                 if out.is_empty() {
                     LExpr { kind: LExprKind::Const(Logic::zeros(1)), width: 1 }
                 } else {
-                    LExpr { kind: LExprKind::Concat(out), width: width.min(128) }
+                    LExpr { kind: LExprKind::Concat(out.into()), width: width.min(128) }
                 }
             }
         })
@@ -1103,8 +1105,8 @@ fn offset_index(idx: LExpr, lsb: u32) -> LExpr {
     LExpr {
         kind: LExprKind::Binary(
             BinaryOp::Sub,
-            Box::new(idx),
-            Box::new(LExpr { kind: LExprKind::Const(Logic::from_u128(w, lsb as u128)), width: w }),
+            Arc::new(idx),
+            Arc::new(LExpr { kind: LExprKind::Const(Logic::from_u128(w, lsb as u128)), width: w }),
         ),
         width: w,
     }
@@ -1342,7 +1344,7 @@ fn collect_expr_signals(e: &LExpr, out: &mut Vec<SignalId>) {
             collect_expr_signals(f, out);
         }
         LExprKind::Concat(items) => {
-            for i in items {
+            for i in items.iter() {
                 collect_expr_signals(i, out);
             }
         }

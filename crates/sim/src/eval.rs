@@ -66,7 +66,7 @@ pub fn eval<R: ValueReader>(r: &R, e: &LExpr, ctx: u32) -> Logic {
         LExprKind::Concat(items) => {
             let mut acc = Logic::zeros(1);
             let mut first = true;
-            for item in items {
+            for item in items.iter() {
                 let v = eval(r, item, item.width).resize(item.width.max(1));
                 if first {
                     acc = v;
@@ -172,6 +172,7 @@ pub fn case_matches(kind: CaseKind, sel: &Logic, label: &Logic) -> bool {
 mod tests {
     use super::*;
     use crate::elab::{LExpr, LExprKind};
+    use std::sync::Arc;
 
     struct Fixed(Vec<Logic>);
     impl ValueReader for Fixed {
@@ -201,7 +202,7 @@ mod tests {
     fn context_width_preserves_carry() {
         let r = Fixed(vec![Logic::from_u128(8, 0xff), Logic::from_u128(8, 0x01)]);
         let add = LExpr {
-            kind: LExprKind::Binary(BinaryOp::Add, Box::new(sig(0, 8)), Box::new(sig(1, 8))),
+            kind: LExprKind::Binary(BinaryOp::Add, Arc::new(sig(0, 8)), Arc::new(sig(1, 8))),
             width: 8,
         };
         // Self-determined: carry wraps.
@@ -214,7 +215,7 @@ mod tests {
     fn comparison_operands_self_determined() {
         let r = Fixed(vec![Logic::from_u128(4, 0xf), Logic::from_u128(8, 0x0f)]);
         let eq = LExpr {
-            kind: LExprKind::Binary(BinaryOp::Eq, Box::new(sig(0, 4)), Box::new(sig(1, 8))),
+            kind: LExprKind::Binary(BinaryOp::Eq, Arc::new(sig(0, 4)), Arc::new(sig(1, 8))),
             width: 1,
         };
         assert_eq!(eval(&r, &eq, 1).to_u128(), Some(1));
@@ -224,7 +225,7 @@ mod tests {
     fn ternary_unknown_condition_merges() {
         let r = Fixed(vec![Logic::xs(1), Logic::from_u128(4, 0b1010), Logic::from_u128(4, 0b1000)]);
         let t = LExpr {
-            kind: LExprKind::Ternary(Box::new(sig(0, 1)), Box::new(sig(1, 4)), Box::new(sig(2, 4))),
+            kind: LExprKind::Ternary(Arc::new(sig(0, 1)), Arc::new(sig(1, 4)), Arc::new(sig(2, 4))),
             width: 4,
         };
         let v = eval(&r, &t, 4);
@@ -235,14 +236,14 @@ mod tests {
     #[test]
     fn concat_orders_msb_first() {
         let r = Fixed(vec![Logic::from_u128(4, 0xA), Logic::from_u128(4, 0x5)]);
-        let c = LExpr { kind: LExprKind::Concat(vec![sig(0, 4), sig(1, 4)]), width: 8 };
+        let c = LExpr { kind: LExprKind::Concat(vec![sig(0, 4), sig(1, 4)].into()), width: 8 };
         assert_eq!(eval(&r, &c, 8).to_u128(), Some(0xA5));
     }
 
     #[test]
     fn bitsel_out_of_range_is_x() {
         let r = Fixed(vec![Logic::from_u128(4, 0xF), Logic::from_u128(4, 9)]);
-        let b = LExpr { kind: LExprKind::BitSel(SignalId(0), Box::new(sig(1, 4))), width: 1 };
+        let b = LExpr { kind: LExprKind::BitSel(SignalId(0), Arc::new(sig(1, 4))), width: 1 };
         assert!(eval(&r, &b, 1).to_u128().is_none());
     }
 
@@ -250,7 +251,7 @@ mod tests {
     fn shift_amount_self_determined() {
         let r = Fixed(vec![Logic::from_u128(8, 1), Logic::from_u128(8, 200)]);
         let sh = LExpr {
-            kind: LExprKind::Binary(BinaryOp::Shl, Box::new(sig(0, 8)), Box::new(konst(4, 4))),
+            kind: LExprKind::Binary(BinaryOp::Shl, Arc::new(sig(0, 8)), Arc::new(konst(4, 4))),
             width: 8,
         };
         assert_eq!(eval(&r, &sh, 8).to_u128(), Some(16));

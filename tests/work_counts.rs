@@ -55,10 +55,10 @@ fn allocations() -> u64 {
 
 /// Heap allocations per job of a default campaign (`alloc` plus
 /// `realloc` calls on every thread, over the 1 986 jobs), at most. It
-/// read 785.4 while identifiers were copied at every layer and 469.4
+/// read 785.4 while identifiers were copied at every layer and 449.6
 /// once they were interned symbols, transactions and records were
 /// slot-indexed and each design's stimulus was resolved once.
-const ALLOCATIONS_PER_JOB: f64 = 470.0;
+const ALLOCATIONS_PER_JOB: f64 = 450.0;
 
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
