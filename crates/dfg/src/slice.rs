@@ -136,7 +136,7 @@ impl Dfg {
     }
 
     /// The values of `snapshot` by symbol of this module's text.
-    pub fn values<S: Snapshot + ?Sized>(&self, snapshot: &S) -> Vec<Option<Logic>> {
+    fn values<S: Snapshot + ?Sized>(&self, snapshot: &S) -> Vec<Option<Logic>> {
         self.names.iter().map(|(_, name)| snapshot.value(name)).collect()
     }
 

@@ -362,19 +362,19 @@ struct Elab<'a> {
 /// a handful per scope, so a list searched in order. `names` spells
 /// them out for an error.
 #[derive(Debug, Clone)]
-pub struct Consts<'n> {
+struct Consts<'n> {
     names: &'n Names,
     values: Vec<(Symbol, i64)>,
 }
 
 impl<'n> Consts<'n> {
     /// No constants, over the names of one text.
-    pub fn new(names: &'n Names) -> Self {
+    fn new(names: &'n Names) -> Self {
         Consts { names, values: Vec::new() }
     }
 
     /// The value of `name`, if it is a constant.
-    pub fn get(&self, name: &Symbol) -> Option<&i64> {
+    fn get(&self, name: &Symbol) -> Option<&i64> {
         self.values.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
@@ -383,12 +383,12 @@ impl<'n> Consts<'n> {
     }
 
     /// True when `name` is a constant.
-    pub fn contains_key(&self, name: &Symbol) -> bool {
+    fn contains_key(&self, name: &Symbol) -> bool {
         self.get(name).is_some()
     }
 
     /// Sets constant `name` to `value`.
-    pub fn insert(&mut self, name: Symbol, value: i64) {
+    fn insert(&mut self, name: Symbol, value: i64) {
         match self.get_mut(&name) {
             Some(slot) => *slot = value,
             None => self.values.push((name, value)),
@@ -837,7 +837,7 @@ impl<'a> Elab<'a> {
                 // evaluated at elaboration time when possible.
                 if let LValue::Ident(name, _) = &a.lhs {
                     if consts.contains_key(name) {
-                        let v = const_eval_with(&a.rhs, consts, a.span)?;
+                        let v = const_eval(&a.rhs, consts, a.span)?;
                         consts.insert(*name, v);
                         return Ok(LStmt::Nop);
                     }
@@ -876,7 +876,7 @@ impl<'a> Elab<'a> {
                     return Err(ElabError::new("for-loop variable must be a plain name", f.span));
                 };
                 let var = *var;
-                let init = const_eval_with(&f.init.1, consts, f.span)?;
+                let init = const_eval(&f.init.1, consts, f.span)?;
                 consts.insert(var, init);
                 if runs_past_unroll_limit(f, var, consts) {
                     return Err(ElabError::new(
@@ -887,7 +887,7 @@ impl<'a> Elab<'a> {
                 let mut body = Vec::new();
                 let mut iters: u64 = 0;
                 loop {
-                    let c = const_eval_with(&f.cond, consts, f.span)?;
+                    let c = const_eval(&f.cond, consts, f.span)?;
                     if c == 0 {
                         break;
                     }
@@ -899,7 +899,7 @@ impl<'a> Elab<'a> {
                         ));
                     }
                     body.push(self.lower_stmt(&f.body, scope, consts)?);
-                    let next = const_eval_with(&f.step.1, consts, f.span)?;
+                    let next = const_eval(&f.step.1, consts, f.span)?;
                     consts.insert(var, next);
                 }
                 consts.remove(&var);
@@ -941,8 +941,8 @@ impl<'a> Elab<'a> {
             LValue::Part(name, msb, lsb, sp) => {
                 let id = self.resolve(scope, *name, *sp)?;
                 let info = *self.design.signal(id);
-                let m = const_eval_with(msb, consts, *sp)?;
-                let l = const_eval_with(lsb, consts, *sp)?;
+                let m = const_eval(msb, consts, *sp)?;
+                let l = const_eval(lsb, consts, *sp)?;
                 let (off, w) = part_offset(m, l, info.lsb, *sp)?;
                 Ok(LTarget::Part(id, off, w))
             }
@@ -1054,8 +1054,8 @@ impl<'a> Elab<'a> {
                 };
                 let id = self.resolve(scope, *name, span)?;
                 let info = *self.design.signal(id);
-                let m = const_eval_with(msb, consts, span)?;
-                let l = const_eval_with(lsb, consts, span)?;
+                let m = const_eval(msb, consts, span)?;
+                let l = const_eval(lsb, consts, span)?;
                 let (off, w) = part_offset(m, l, info.lsb, span)?;
                 LExpr { kind: LExprKind::PartSel(id, off), width: w }
             }
@@ -1070,7 +1070,7 @@ impl<'a> Elab<'a> {
                 LExpr { kind: LExprKind::Concat(out.into()), width: width.min(128) }
             }
             Expr::Repeat(count, items) => {
-                let n = const_eval_with(count, consts, span)?;
+                let n = const_eval(count, consts, span)?;
                 if !(0..=128).contains(&n) {
                     return Err(ElabError::new(
                         format!("replication count {n} out of range"),
@@ -1190,14 +1190,14 @@ fn runs_past_unroll_limit(f: &ForStmt, var: Symbol, consts: &mut Consts<'_>) -> 
     let init = *consts.get(&var).expect("the caller inserted the loop variable");
     let mut trips: u64 = 0;
     let past = loop {
-        if !matches!(const_eval_with(&f.cond, consts, f.span), Ok(c) if c != 0) {
+        if !matches!(const_eval(&f.cond, consts, f.span), Ok(c) if c != 0) {
             break false;
         }
         trips += 1;
         if trips > MAX_UNROLL {
             break true;
         }
-        let Ok(next) = const_eval_with(&f.step.1, consts, f.span) else { break false };
+        let Ok(next) = const_eval(&f.step.1, consts, f.span) else { break false };
         consts.insert(var, next);
     };
     consts.insert(var, init);
@@ -1232,11 +1232,7 @@ fn writes_constant(stmt: &Stmt, consts: &Consts<'_>) -> bool {
 }
 
 /// Evaluates a constant expression with the given name environment.
-pub fn const_eval(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabError> {
-    const_eval_with(e, consts, span)
-}
-
-fn const_eval_with(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabError> {
+fn const_eval(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabError> {
     Ok(match e {
         Expr::Number(n) => {
             if n.xz != 0 {
@@ -1248,7 +1244,7 @@ fn const_eval_with(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, Ela
             ElabError::new(format!("'{}' is not a constant", &consts.names[*name]), span)
         })?,
         Expr::Unary(op, inner) => {
-            let v = const_eval_with(inner, consts, span)?;
+            let v = const_eval(inner, consts, span)?;
             match op {
                 UnaryOp::Neg => -v,
                 UnaryOp::Plus => v,
@@ -1263,8 +1259,8 @@ fn const_eval_with(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, Ela
             }
         }
         Expr::Binary(op, a, b) => {
-            let x = const_eval_with(a, consts, span)?;
-            let y = const_eval_with(b, consts, span)?;
+            let x = const_eval(a, consts, span)?;
+            let y = const_eval(b, consts, span)?;
             match op {
                 BinaryOp::Add => x.wrapping_add(y),
                 BinaryOp::Sub => x.wrapping_sub(y),
@@ -1305,10 +1301,10 @@ fn const_eval_with(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, Ela
             }
         }
         Expr::Ternary(c, t, f) => {
-            if const_eval_with(c, consts, span)? != 0 {
-                const_eval_with(t, consts, span)?
+            if const_eval(c, consts, span)? != 0 {
+                const_eval(t, consts, span)?
             } else {
-                const_eval_with(f, consts, span)?
+                const_eval(f, consts, span)?
             }
         }
         _ => return Err(ElabError::new("expression is not constant", span)),

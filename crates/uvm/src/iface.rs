@@ -151,7 +151,7 @@ impl Transaction {
     /// transaction already holds those inputs.
     pub(crate) fn slots_mut(&mut self, names: &Arc<Vec<String>>) -> &mut [Logic] {
         if !self.shares_names(names) {
-            self.share_names(names);
+            self.names = Some(Arc::clone(names));
             self.values.clear();
             self.values.resize(names.len(), Logic::zeros(1));
         }
