@@ -119,6 +119,21 @@ impl IoSpec {
         IoSpec::from_ports(&iface.inputs, &iface.outputs)
     }
 
+    /// Whether this spec lays out exactly `iface`'s ports, in order:
+    /// what [`IoSpec::from_interface`] would build, checked without
+    /// building it.
+    pub(crate) fn lays_out(&self, iface: &DutInterface) -> bool {
+        let layout = &self.0;
+        layout.input_names.len() == iface.inputs.len()
+            && layout.outputs.len() == iface.outputs.len()
+            && iface.inputs.iter().enumerate().all(|(i, p)| {
+                layout.input_names[i] == p.name && layout.input_widths[i] == p.width
+            })
+            && iface.outputs.iter().zip(&layout.outputs).all(|(p, (name, width))| {
+                **name == *p.name && *width == p.width
+            })
+    }
+
     /// Resolves an input port name to its slot.
     ///
     /// # Panics
