@@ -106,7 +106,9 @@ pub use eval::{
 pub use job::{expand_jobs, fnv1a64, parse_seed, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
 pub use queue::{PoolPolicy, PoolStats};
-pub use report::CampaignReport;
-pub use sink::{JsonlSink, LineTailer, MemorySink, ResultSink, SinkTailer, TailBatch};
+pub use report::{CampaignReport, ReportTallies};
+pub use sink::{
+    JsonlSink, LineTailer, MemorySink, RawLines, ResultSink, SinkTailer, TailBatch, TailedLine,
+};
 pub use uvllm::StageMemo;
 pub use uvllm_llm::{BatchConfig, FaultPlan, ResiliencePolicy};

@@ -1,23 +1,21 @@
 //! Campaign-level aggregation: the paper's tables — Table II (the
 //! segmented pipeline), Table III (pairs vs complete code) and
-//! Figs. 5–7 — rendered over [`EvalRow`]s, so fresh, resumed and merged
-//! runs print the same report. Texec is the rows' modelled LLM latency
+//! Figs. 5–7 — rendered from [`EvalRow`]s through one accumulator,
+//! [`ReportTallies`], so fresh, resumed, merged and served runs print
+//! the same report. Texec is the rows' modelled LLM latency
 //! (`sim_latency_ms`), never wall-clock.
 
 use crate::eval::{EvalRow, MethodKind};
-use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use uvllm::Stage;
 use uvllm_designs::Category;
 use uvllm_errgen::{FunctionalCategory, SyntaxCategory};
 
-/// Aggregated view over a set of result rows — owned (`EvalRow`, the
-/// default) or borrowed (`&EvalRow`, for a holder that renders a report
-/// over rows it keeps, like the service's live aggregator).
+/// Aggregated view over a set of result rows.
 #[derive(Debug, Clone, Default)]
-pub struct CampaignReport<R = EvalRow> {
-    rows: Vec<R>,
+pub struct CampaignReport {
+    rows: Vec<EvalRow>,
 }
 
 /// `100 * num / den` with an empty-set guard.
@@ -96,55 +94,171 @@ impl Tally {
     }
 }
 
-/// Which of a method's rows a [`Tally`] counts.
+/// Which of a method's rows a [`Tally`] counts. `L` is a label: an
+/// interned id inside [`ReportTallies`], its text where tables read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Slice<'r> {
+enum Slice<L> {
     All,
     /// Syntax (`true`) or functional rows.
     Class(bool),
     /// A design group's rows of one class (Table II).
-    Group(&'r str, bool),
+    Group(L, bool),
     /// An error category's rows, and the class they are of (Figs. 5–6).
-    Category(&'r str, bool),
-    Design(&'r str),
+    Category(L, bool),
+    Design(L),
     /// A design's rows of one class (Fig. 7).
-    DesignClass(&'r str, bool),
+    DesignClass(L, bool),
 }
 
-/// Every [`Tally`] the tables read, keyed by method label and slice.
-struct Tallies<'r>(HashMap<(&'r str, Slice<'r>), Tally>);
+impl<L> Slice<L> {
+    /// The same slice over the labels `f` maps, or `None` when one of
+    /// them does not map.
+    fn try_map<M>(self, f: impl Fn(L) -> Option<M>) -> Option<Slice<M>> {
+        Some(match self {
+            Slice::All => Slice::All,
+            Slice::Class(syntax) => Slice::Class(syntax),
+            Slice::Group(group, syntax) => Slice::Group(f(group)?, syntax),
+            Slice::Category(category, syntax) => Slice::Category(f(category)?, syntax),
+            Slice::Design(design) => Slice::Design(f(design)?),
+            Slice::DesignClass(design, syntax) => Slice::DesignClass(f(design)?, syntax),
+        })
+    }
+}
 
-impl<'r> Tallies<'r> {
-    fn new(rows: impl Iterator<Item = &'r EvalRow>) -> Self {
-        let mut tallies: HashMap<(&str, Slice), Tally> = HashMap::new();
-        for row in rows {
-            let (design, syntax) = (row.design.as_str(), row.syntax);
-            for slice in [
-                Slice::All,
-                Slice::Class(syntax),
-                Slice::Group(&row.group, syntax),
-                Slice::Category(&row.category, syntax),
-                Slice::Design(design),
-                Slice::DesignClass(design, syntax),
-            ] {
-                tallies.entry((&row.method, slice)).or_default().add(row);
-            }
-        }
-        Tallies(tallies)
+/// The report's accumulator: every [`Tally`] the tables read, keyed by
+/// method and slice, built one row at a time — add rows, then
+/// [`render`](ReportTallies::render). It owns no row, so a holder that
+/// folds rows in as they arrive (the service's live aggregator) keeps
+/// this instead of the rows. Labels are interned: a row allocates only
+/// for a label the accumulator has not seen.
+#[derive(Debug, Default)]
+pub struct ReportTallies {
+    rows: usize,
+    /// Label texts by id.
+    labels: Vec<Box<str>>,
+    ids: HashMap<Box<str>, u32>,
+    tallies: HashMap<(u32, Slice<u32>), Tally>,
+}
+
+impl ReportTallies {
+    /// An accumulator with no rows.
+    pub fn new() -> Self {
+        ReportTallies::default()
     }
 
-    fn get(&self, method: &'r str, slice: Slice<'r>) -> Tally {
-        self.0.get(&(method, slice)).copied().unwrap_or_default()
+    /// Counts `row` in every slice it belongs to.
+    pub fn add(&mut self, row: &EvalRow) {
+        self.rows += 1;
+        let syntax = row.syntax;
+        let method = self.intern(&row.method);
+        let group = self.intern(&row.group);
+        let category = self.intern(&row.category);
+        let design = self.intern(&row.design);
+        for slice in [
+            Slice::All,
+            Slice::Class(syntax),
+            Slice::Group(group, syntax),
+            Slice::Category(category, syntax),
+            Slice::Design(design),
+            Slice::DesignClass(design, syntax),
+        ] {
+            self.tallies.entry((method, slice)).or_default().add(row);
+        }
+    }
+
+    fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
+        }
+        let id = self.labels.len() as u32;
+        self.labels.push(label.into());
+        self.ids.insert(label.into(), id);
+        id
+    }
+
+    fn get(&self, method: &str, slice: Slice<&str>) -> Tally {
+        let id = |label: &str| self.ids.get(label).copied();
+        let key = id(method).zip(slice.try_map(id));
+        key.and_then(|key| self.tallies.get(&key)).copied().unwrap_or_default()
     }
 
     /// The labels `pick` reads off the keys present, in the order of
     /// `known`, then any other label in label order.
-    fn labels(
-        &self,
-        pick: impl Fn(&'r str, Slice<'r>) -> Option<&'r str>,
+    fn labels<'a>(
+        &'a self,
+        pick: impl Fn(&'a str, Slice<&'a str>) -> Option<&'a str>,
         known: &[&str],
-    ) -> Vec<&'r str> {
-        ordered(self.0.keys().filter_map(|&(method, slice)| pick(method, slice)), known)
+    ) -> Vec<&'a str> {
+        let text = |id: u32| Some(&*self.labels[id as usize]);
+        let picked = self
+            .tallies
+            .keys()
+            .filter_map(|&(method, slice)| pick(text(method)?, slice.try_map(text)?));
+        ordered(picked, known)
+    }
+
+    /// Renders the per-method summary and the paper's tables as aligned
+    /// ASCII tables; a table with no rows to show is left out.
+    pub fn render(&self) -> String {
+        let methods = self.labels(
+            |m, slice| (slice == Slice::All).then_some(m),
+            &MethodKind::ALL.map(|m| m.label()),
+        );
+        let mut out = String::new();
+        let _ = writeln!(out, "campaign rows: {}", self.rows);
+
+        let mut summary = AsciiTable::new(&[
+            "Method",
+            "Jobs",
+            "HR/%",
+            "FR/%",
+            "Claimed/%",
+            "SimT/s",
+            "LLM calls",
+        ]);
+        for &method in &methods {
+            let all = self.get(method, Slice::All);
+            summary.row(vec![
+                method.to_string(),
+                all.rows.to_string(),
+                pct_cell(all.hr()),
+                pct_cell(all.fr()),
+                pct_cell(percent(all.claimed, all.rows)),
+                secs_cell(all.texec()),
+                all.llm_calls.to_string(),
+            ]);
+        }
+        section(&mut out, "Per-method summary", &summary);
+
+        section(&mut out, "Table II: segmented UVLLM (FR/%, Texec/s)", &table2(self));
+        section(&mut out, "Table III: repair generation form (FR/%, Texec/s)", &table3(self));
+        let (syntax, functional) = (SyntaxCategory::ALL, FunctionalCategory::ALL);
+        let title = "Fig. 5: HR vs FR, syntax errors (%)";
+        figure(&mut out, title, self, true, &syntax.map(|c| c.label()), &FIG5);
+        let title = "Fig. 6: HR vs FR, functional errors (%)";
+        figure(&mut out, title, self, false, &functional.map(|c| c.label()), &FIG6);
+
+        let catalogue: Vec<&str> = uvllm_designs::all().iter().map(|d| d.name).collect();
+        let designs = self.labels(
+            |_, slice| match slice {
+                Slice::Design(design) => Some(design),
+                _ => None,
+            },
+            &catalogue,
+        );
+        section(&mut out, "Fig. 7: UVLLM FR per design (%)", &fig7(self, &designs));
+        let mut heat_header = vec!["Design"];
+        heat_header.extend(&methods);
+        let mut heat = AsciiTable::new(&heat_header);
+        for &design in &designs {
+            let mut cells = vec![design.to_string()];
+            for &method in &methods {
+                cells.push(pct_cell(self.get(method, Slice::Design(design)).fr()));
+            }
+            heat.row(cells);
+        }
+        section(&mut out, "Per-design FR, all methods (%)", &heat);
+        out
     }
 }
 
@@ -164,26 +278,22 @@ fn section(out: &mut String, title: &str, table: &AsciiTable) {
     }
 }
 
-impl<R: Borrow<EvalRow>> CampaignReport<R> {
+impl CampaignReport {
     /// Builds a report over `rows`.
-    pub fn new(rows: Vec<R>) -> Self {
+    pub fn new(rows: Vec<EvalRow>) -> Self {
         CampaignReport { rows }
     }
 
     /// The underlying rows.
-    pub fn rows(&self) -> &[R] {
+    pub fn rows(&self) -> &[EvalRow] {
         &self.rows
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &EvalRow> {
-        self.rows.iter().map(Borrow::borrow)
     }
 
     /// Method labels present: the known ones in table order
     /// ([`MethodKind::ALL`]), then any other label in label order.
     /// The report is a function of the row set, not of row order.
     pub fn methods(&self) -> Vec<String> {
-        let labels = self.iter().map(|row| row.method.as_str());
+        let labels = self.rows.iter().map(|row| row.method.as_str());
         ordered(labels, &MethodKind::ALL.map(|m| m.label())).into_iter().map(String::from).collect()
     }
 
@@ -199,73 +309,15 @@ impl<R: Borrow<EvalRow>> CampaignReport<R> {
 
     fn tally(&self, filter: impl Fn(&EvalRow) -> bool) -> Tally {
         let mut tally = Tally::default();
-        self.iter().filter(|r| filter(r)).for_each(|r| tally.add(r));
+        self.rows.iter().filter(|r| filter(r)).for_each(|r| tally.add(r));
         tally
     }
 
-    /// Renders the per-method summary and the paper's tables as aligned
-    /// ASCII tables; a table with no rows to show is left out.
+    /// Renders the report through [`ReportTallies`].
     pub fn render(&self) -> String {
-        let tallies = Tallies::new(self.iter());
-        let methods = tallies.labels(
-            |m, slice| (slice == Slice::All).then_some(m),
-            &MethodKind::ALL.map(|m| m.label()),
-        );
-        let mut out = String::new();
-        let _ = writeln!(out, "campaign rows: {}", self.rows.len());
-
-        let mut summary = AsciiTable::new(&[
-            "Method",
-            "Jobs",
-            "HR/%",
-            "FR/%",
-            "Claimed/%",
-            "SimT/s",
-            "LLM calls",
-        ]);
-        for &method in &methods {
-            let all = tallies.get(method, Slice::All);
-            summary.row(vec![
-                method.to_string(),
-                all.rows.to_string(),
-                pct_cell(all.hr()),
-                pct_cell(all.fr()),
-                pct_cell(percent(all.claimed, all.rows)),
-                secs_cell(all.texec()),
-                all.llm_calls.to_string(),
-            ]);
-        }
-        section(&mut out, "Per-method summary", &summary);
-
-        section(&mut out, "Table II: segmented UVLLM (FR/%, Texec/s)", &table2(&tallies));
-        section(&mut out, "Table III: repair generation form (FR/%, Texec/s)", &table3(&tallies));
-        let (syntax, functional) = (SyntaxCategory::ALL, FunctionalCategory::ALL);
-        let title = "Fig. 5: HR vs FR, syntax errors (%)";
-        figure(&mut out, title, &tallies, true, &syntax.map(|c| c.label()), &FIG5);
-        let title = "Fig. 6: HR vs FR, functional errors (%)";
-        figure(&mut out, title, &tallies, false, &functional.map(|c| c.label()), &FIG6);
-
-        let catalogue: Vec<&str> = uvllm_designs::all().iter().map(|d| d.name).collect();
-        let designs = tallies.labels(
-            |_, slice| match slice {
-                Slice::Design(design) => Some(design),
-                _ => None,
-            },
-            &catalogue,
-        );
-        section(&mut out, "Fig. 7: UVLLM FR per design (%)", &fig7(&tallies, &designs));
-        let mut heat_header = vec!["Design"];
-        heat_header.extend(&methods);
-        let mut heat = AsciiTable::new(&heat_header);
-        for &design in &designs {
-            let mut cells = vec![design.to_string()];
-            for &method in &methods {
-                cells.push(pct_cell(tallies.get(method, Slice::Design(design)).fr()));
-            }
-            heat.row(cells);
-        }
-        section(&mut out, "Per-design FR, all methods (%)", &heat);
-        out
+        let mut tallies = ReportTallies::new();
+        self.rows.iter().for_each(|row| tallies.add(row));
+        tallies.render()
     }
 }
 
@@ -287,7 +339,7 @@ const FIG6: [MethodKind; 5] = [
 /// the speedup. A fix UVLLM did not claim — its budget ran out on a
 /// version that passes — has no stage: it is counted under `Other FR`,
 /// so the four FR columns before `UVLLM FR` sum to it.
-fn table2(tallies: &Tallies<'_>) -> AsciiTable {
+fn table2(tallies: &ReportTallies) -> AsciiTable {
     let (uvllm, meic) = (MethodKind::Uvllm.label(), MethodKind::Meic.label());
     let groups = tallies.labels(
         |_, slice| match slice {
@@ -300,7 +352,7 @@ fn table2(tallies: &Tallies<'_>) -> AsciiTable {
         "Types", "Pre FR", "MS FR", "SL FR", "Other FR", "UVLLM FR", "UVLLM T", "MEIC FR",
         "MEIC T", "Speedup",
     ]);
-    let mut line = |label: String, slice: Slice<'_>| {
+    let mut line = |label: String, slice: Slice<&str>| {
         let (u, m) = (tallies.get(uvllm, slice), tallies.get(meic, slice));
         if u.rows == 0 {
             return;
@@ -329,7 +381,7 @@ fn table2(tallies: &Tallies<'_>) -> AsciiTable {
 }
 
 /// Table III: pair-wise repair vs complete-code regeneration.
-fn table3(tallies: &Tallies<'_>) -> AsciiTable {
+fn table3(tallies: &ReportTallies) -> AsciiTable {
     let mut table =
         AsciiTable::new(&["Framework", "FR Syntax", "FR Func.", "Texec Syntax", "Texec Func."]);
     for method in [MethodKind::Uvllm, MethodKind::UvllmComplete] {
@@ -355,7 +407,7 @@ fn table3(tallies: &Tallies<'_>) -> AsciiTable {
 fn figure(
     out: &mut String,
     title: &str,
-    tallies: &Tallies<'_>,
+    tallies: &ReportTallies,
     syntax: bool,
     known: &[&str],
     shown: &[MethodKind],
@@ -400,7 +452,7 @@ fn figure(
 
 /// Fig. 7: UVLLM's syntax and functional fix rates per design, with the
 /// design's group and module type from the catalogue.
-fn fig7(tallies: &Tallies<'_>, designs: &[&str]) -> AsciiTable {
+fn fig7(tallies: &ReportTallies, designs: &[&str]) -> AsciiTable {
     let uvllm = MethodKind::Uvllm.label();
     let mut table = AsciiTable::new(&["Module", "Group", "Type", "Syntax FR", "Function FR", "n"]);
     for &design in designs {

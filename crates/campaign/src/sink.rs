@@ -73,37 +73,39 @@ impl LineTailer {
         self.line
     }
 
-    /// Reads every complete line appended since the last poll, as
-    /// `(line_number, raw_bytes)` pairs (newlines stripped). A missing
-    /// file reads as empty — the writer may not have created it yet.
+    /// Reads every complete line appended since the last poll. A
+    /// missing file reads as empty — the writer may not have created it
+    /// yet — and a file that has not grown past the offset costs one
+    /// `stat`: it is not opened. No handle is kept between polls, so a
+    /// process tailing many files holds no descriptor for them.
     ///
     /// # Errors
     ///
     /// I/O failure other than the file not existing yet.
-    pub fn poll_raw(&mut self) -> std::io::Result<Vec<(u64, Vec<u8>)>> {
+    pub fn poll_raw(&mut self) -> std::io::Result<RawLines> {
+        let mut lines = RawLines { offset: self.offset, number: self.line, bytes: Vec::new() };
+        let not_found = |e: &std::io::Error| e.kind() == std::io::ErrorKind::NotFound;
+        let grown = match std::fs::metadata(&self.path) {
+            Ok(meta) => meta.len().saturating_sub(self.offset),
+            Err(e) if not_found(&e) => return Ok(lines),
+            Err(e) => return Err(e),
+        };
+        if grown == 0 {
+            return Ok(lines);
+        }
         let mut file = match File::open(&self.path) {
             Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if not_found(&e) => return Ok(lines),
             Err(e) => return Err(e),
         };
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        lines.bytes.reserve_exact(usize::try_from(grown).unwrap_or(0));
+        file.read_to_end(&mut lines.bytes)?;
         // Only whole lines are consumed; a torn tail stays pending.
-        let complete = match bytes.iter().rposition(|b| *b == b'\n') {
-            Some(last) => &bytes[..=last],
-            None => return Ok(Vec::new()),
-        };
-        // `complete` ends with a newline, so stripping it makes every
-        // split segment exactly one line (blank lines included — they
-        // must still advance the line number).
-        let mut lines = Vec::new();
-        for raw in complete[..complete.len() - 1].split(|b| *b == b'\n') {
-            let number = self.line;
-            self.line += 1;
-            lines.push((number, raw.to_vec()));
-        }
-        self.offset += complete.len() as u64;
+        let complete = lines.bytes.iter().rposition(|b| *b == b'\n').map_or(0, |last| last + 1);
+        lines.bytes.truncate(complete);
+        self.line += lines.bytes.iter().filter(|b| **b == b'\n').count() as u64;
+        self.offset += complete as u64;
         Ok(lines)
     }
 
@@ -114,6 +116,45 @@ impl LineTailer {
             Ok(meta) => meta.len().saturating_sub(self.offset),
             Err(_) => 0,
         }
+    }
+}
+
+/// The complete lines one [`LineTailer::poll_raw`] consumed, in one
+/// buffer.
+#[derive(Debug)]
+pub struct RawLines {
+    /// Byte offset of the first line in the file.
+    offset: u64,
+    /// 1-based number of the first line.
+    number: u64,
+    /// Whole lines, each ending in a newline.
+    bytes: Vec<u8>,
+}
+
+/// One complete line of a tailed file.
+#[derive(Debug, Clone, Copy)]
+pub struct TailedLine<'a> {
+    /// 1-based line number (diagnostics).
+    pub number: u64,
+    /// Byte offset of the line's first byte in the file.
+    pub offset: u64,
+    /// The line, newline stripped.
+    pub bytes: &'a [u8],
+}
+
+impl RawLines {
+    /// The lines in file order, blank ones included (they still count
+    /// as lines).
+    pub fn lines(&self) -> impl Iterator<Item = TailedLine<'_>> {
+        let mut offset = self.offset;
+        let body = self.bytes.strip_suffix(b"\n");
+        body.into_iter().flat_map(|body| body.split(|b| *b == b'\n')).zip(self.number..).map(
+            move |(bytes, number)| {
+                let line = TailedLine { number, offset, bytes };
+                offset += bytes.len() as u64 + 1;
+                line
+            },
+        )
     }
 }
 
@@ -150,20 +191,37 @@ impl SinkTailer {
     ///
     /// I/O failure other than the file not existing yet.
     pub fn poll(&mut self) -> std::io::Result<TailBatch> {
-        let mut batch = TailBatch::default();
-        for (number, raw) in self.lines.poll_raw()? {
-            let text = String::from_utf8_lossy(&raw);
+        let mut rows = Vec::new();
+        let diags = self.poll_rows(|row, _| rows.push(row))?;
+        Ok(TailBatch { rows, diags })
+    }
+
+    /// [`SinkTailer::poll`], handing each row to `each` with the line it
+    /// was parsed from instead of collecting the rows. Returns the
+    /// located diagnostics of unparsable lines.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure other than the file not existing yet.
+    pub fn poll_rows(
+        &mut self,
+        mut each: impl FnMut(EvalRow, TailedLine<'_>),
+    ) -> std::io::Result<Vec<String>> {
+        let mut diags = Vec::new();
+        let raw = self.lines.poll_raw()?;
+        for line in raw.lines() {
+            let text = String::from_utf8_lossy(line.bytes);
             if text.trim().is_empty() {
                 continue;
             }
             match EvalRow::from_json_line(&text) {
-                Ok(row) => batch.rows.push(row),
+                Ok(row) => each(row, line),
                 Err(message) => {
-                    batch.diags.push(format!("{}:{number}: {message}", self.path().display()))
+                    diags.push(format!("{}:{}: {message}", self.path().display(), line.number))
                 }
             }
         }
-        Ok(batch)
+        Ok(diags)
     }
 
     /// Strict end-of-file check: fails when bytes remain past the last
@@ -448,6 +506,26 @@ mod tests {
         assert!(err.contains("tail.jsonl:5:"), "{err}");
         assert!(err.contains("torn trailing line"), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn tailed_lines_carry_their_numbers_and_offsets() {
+        let dir = std::env::temp_dir().join(format!("uvllm-lines-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lines.txt");
+        std::fs::write(&path, "a\n\nbc\nd").unwrap();
+        let mut tailer = LineTailer::new(&path);
+        let raw = tailer.poll_raw().unwrap();
+        let seen: Vec<_> = raw.lines().map(|l| (l.number, l.offset, l.bytes.to_vec())).collect();
+        assert_eq!(seen, [(1, 0, b"a".to_vec()), (2, 2, Vec::new()), (3, 3, b"bc".to_vec())]);
+        assert_eq!(tailer.offset(), 6, "the torn 'd' stays pending");
+
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(b"e\nf\n").unwrap();
+        let raw = tailer.poll_raw().unwrap();
+        let seen: Vec<_> = raw.lines().map(|l| (l.number, l.offset, l.bytes.to_vec())).collect();
+        assert_eq!(seen, [(4, 6, b"de".to_vec()), (5, 9, b"f".to_vec())]);
+        assert_eq!(tailer.poll_raw().unwrap().lines().count(), 0, "nothing new");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

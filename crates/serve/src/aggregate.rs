@@ -1,8 +1,16 @@
-//! The live aggregator: a rolling, deduplicated view of every run's
+//! The live aggregator: a rolling, deduplicated index of every run's
 //! shard sinks, built by tailing their JSONL files with
 //! [`SinkTailer`] — the same reader `campaign merge` uses, minus the
 //! strictness: a torn trailing line here just means a worker is
 //! mid-append, so it stays pending until the next poll.
+//!
+//! A run holds no rows. Each new line is parsed once — to check its id,
+//! dedupe it and count it into the report's [`ReportTallies`] — and
+//! dropped. What stays is where each job's first copy lives (sink, byte
+//! offset, length: 16 bytes a job) and, once every job is in, the
+//! rendered report. `GET /runs/<id>/rows` reads the indexed lines back
+//! from the sinks, so a resident server's memory does not grow with
+//! the rows it has served.
 //!
 //! Work stealing makes duplicate rows *normal*: a stolen shard's first
 //! holder may have appended rows the thief re-evaluates. The
@@ -11,10 +19,11 @@
 //! flagging any duplicate that *differs* as a diagnostic, because that
 //! would mean the contract broke.
 
-use std::collections::{BTreeMap, HashSet};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use uvllm_campaign::{CampaignDataset, CampaignReport, EvalRow, MethodKind, SinkTailer};
+use uvllm_campaign::{CampaignDataset, EvalRow, MethodKind, ReportTallies, SinkTailer};
 
 use crate::memo::Memo;
 use crate::store::RunSpec;
@@ -26,27 +35,123 @@ const ID_SPACES_KEPT: usize = 8;
 /// What a run's job-id space is a function of.
 type IdSpaceKey = (usize, u64, Vec<MethodKind>);
 
+/// Where a job's first row lives: `len` bytes at `offset` in the run's
+/// sink number `sink`; `len == 0` while the job has no row. A line
+/// that is not its row's canonical encoding (nothing [`JsonlSink`]
+/// writes) is served re-encoded: `sink` is then [`REENCODED`] and
+/// `offset` indexes the run's `reencoded` lines.
+///
+/// [`JsonlSink`]: uvllm_campaign::JsonlSink
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    offset: u64,
+    len: u32,
+    sink: u32,
+}
+
+/// [`Slot::sink`] of a row served from its re-encoding.
+const REENCODED: u32 = u32::MAX;
+
+// A default run's index is 1 986 of these.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
 /// One run's rolling state.
 struct RunAgg {
     run: String,
     tailers: Vec<SinkTailer>,
-    /// Job id → first row seen. BTreeMap iteration *is* the canonical
-    /// sorted row order `campaign merge` produces.
-    rows: BTreeMap<String, EvalRow>,
+    /// The run's full job-id space, sorted — the canonical row order
+    /// `campaign merge` produces — and shared with every other run of
+    /// the same dataset and methods.
+    ids: Arc<[String]>,
+    /// Each job's first row, in `ids` order.
+    slots: Vec<Slot>,
+    /// Jobs with a row.
+    filled: usize,
+    /// Canonical encodings of first copies stored in another form.
+    reencoded: Vec<Box<str>>,
     /// Located parse failures, contract violations, foreign rows.
     diags: Vec<String>,
-    /// The run's full job-id space (what "complete" means), shared
-    /// with every other run of the same dataset and methods.
-    expected: Arc<HashSet<String>>,
-    /// The report over the complete run's rows, rendered at the first
-    /// status read after the last row came in: a complete run's rows
-    /// cannot change, so every later read shares it.
+    /// The report's tallies while rows come in; dropped when the last
+    /// row is in and `report` is rendered from them.
+    tallies: Option<ReportTallies>,
+    /// The complete run's report: its rows cannot change, so every read
+    /// shares one render.
     report: Option<Arc<str>>,
 }
 
-/// A point-in-time copy of one run's aggregation, rows included — what
-/// `GET /runs/<id>/rows` serves. Status queries use the copy-free
-/// [`RunSummary`].
+/// A row copy the tailer handed over that is not a job's first.
+enum Later {
+    /// Outside the run's job space (the id).
+    Foreign(String),
+    /// A later copy of job number `.0`, canonically encoded.
+    Copy(usize, String),
+}
+
+impl RunAgg {
+    /// Renders the report once every job has a row; `None` before.
+    fn complete_report(&mut self) -> Option<Arc<str>> {
+        if self.filled < self.ids.len() {
+            return None;
+        }
+        if let Some(tallies) = self.tallies.take() {
+            self.report = Some(tallies.render().into());
+        }
+        self.report.clone()
+    }
+
+    /// The canonical bytes of the first copy `slot` locates.
+    fn first_copy(&self, slot: Slot) -> std::io::Result<Vec<u8>> {
+        match slot.sink {
+            REENCODED => Ok(self.reencoded[slot.offset as usize].as_bytes().to_vec()),
+            sink => read_range(self.tailers[sink as usize].path(), slot.offset, slot.len.into()),
+        }
+    }
+
+    /// The deduplicated rows as canonical JSONL in job-id order, each
+    /// sink read once, up to the end of its last indexed line.
+    fn jsonl(&self) -> std::io::Result<String> {
+        let mut ends = vec![0u64; self.tailers.len()];
+        let stored = self.slots.iter().filter(|slot| slot.len > 0 && slot.sink != REENCODED);
+        for slot in stored {
+            let end = &mut ends[slot.sink as usize];
+            *end = (*end).max(slot.offset + u64::from(slot.len));
+        }
+        let sinks: Vec<Vec<u8>> = self
+            .tailers
+            .iter()
+            .zip(ends)
+            .map(|(tailer, end)| read_range(tailer.path(), 0, end))
+            .collect::<Result<_, _>>()?;
+        let mut text = Vec::with_capacity(sinks.iter().map(Vec::len).sum());
+        for slot in self.slots.iter().filter(|slot| slot.len > 0) {
+            let line = match slot.sink {
+                REENCODED => self.reencoded[slot.offset as usize].as_bytes(),
+                sink => {
+                    let start = slot.offset as usize;
+                    &sinks[sink as usize][start..start + slot.len as usize]
+                }
+            };
+            text.extend_from_slice(line);
+            text.push(b'\n');
+        }
+        String::from_utf8(text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// `len` bytes of `path` from `offset`.
+fn read_range(path: &Path, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = vec![0; len as usize];
+    if len > 0 {
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut bytes)?;
+    }
+    Ok(bytes)
+}
+
+/// A point-in-time copy of one run's aggregation, rows included, read
+/// back from its sinks. Status queries use the copy-free
+/// [`RunSummary`]; `GET /runs/<id>/rows` uses [`Aggregator::rows_jsonl`].
 #[derive(Debug, Clone)]
 pub struct RunView {
     pub run: String,
@@ -65,7 +170,7 @@ impl RunView {
 }
 
 /// What `GET /runs/<id>` reports of a run's aggregation, computed from
-/// the aggregator's own rows: a status poll copies none of them.
+/// the aggregator's index: a status poll reads no row.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Deduplicated rows so far.
@@ -95,7 +200,7 @@ pub struct Aggregator {
     runs: Mutex<Vec<RunAgg>>,
     /// Job-id spaces by spec. Its own lock: a first submission builds
     /// a dataset under it, which must not hold up polls and reads.
-    id_spaces: Mutex<Memo<IdSpaceKey, Arc<HashSet<String>>>>,
+    id_spaces: Mutex<Memo<IdSpaceKey, Arc<[String]>>>,
     /// `serve.rows_aggregated` — rows folded in across all runs.
     rows_aggregated: &'static uvllm_obs::Counter,
 }
@@ -113,15 +218,19 @@ impl Aggregator {
         self.runs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The job-id space of `spec` (dataset size × seed × methods),
-    /// built the first time a spec is seen, on one thread per CPU.
-    fn id_space(&self, spec: &RunSpec) -> Arc<HashSet<String>> {
+    /// The sorted job-id space of `spec` (dataset size × seed ×
+    /// methods), built the first time a spec is seen, on one thread per
+    /// CPU.
+    fn id_space(&self, spec: &RunSpec) -> Arc<[String]> {
         let mut id_spaces = self.id_spaces.lock().unwrap_or_else(PoisonError::into_inner);
         let key = (spec.size, spec.seed, spec.methods.clone());
         Arc::clone(id_spaces.get_or_insert_with(key, || {
             let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
             let dataset = CampaignDataset::build(spec.size, spec.seed, workers);
-            Arc::new(dataset.job_ids(&spec.methods).into_iter().collect())
+            let mut ids = dataset.job_ids(&spec.methods);
+            ids.sort_unstable();
+            ids.dedup();
+            ids.into()
         }))
     }
 
@@ -130,19 +239,22 @@ impl Aggregator {
     /// yet — a tailer on a missing file reports empty batches until the
     /// first worker creates it.
     pub fn register(&self, run: &str, spec: &RunSpec, sinks: Vec<PathBuf>) {
-        let expected = self.id_space(spec);
+        let ids = self.id_space(spec);
         self.lock().push(RunAgg {
             run: run.to_string(),
             tailers: sinks.into_iter().map(SinkTailer::new).collect(),
-            rows: BTreeMap::new(),
+            slots: vec![Slot::default(); ids.len()],
+            ids,
+            filled: 0,
+            reencoded: Vec::new(),
             diags: Vec::new(),
-            expected,
+            tallies: Some(ReportTallies::new()),
             report: None,
         });
     }
 
     /// Tails every registered sink and folds fresh rows in. Cheap when
-    /// nothing changed: each tailer resumes from its byte offset.
+    /// nothing changed: a sink that has not grown costs one `stat`.
     pub fn poll(&self) {
         for agg in self.lock().iter_mut() {
             self.fold(agg);
@@ -160,53 +272,88 @@ impl Aggregator {
     }
 
     fn fold(&self, agg: &mut RunAgg) {
-        for tailer in &mut agg.tailers {
-            let batch = match tailer.poll() {
-                Ok(batch) => batch,
-                Err(e) => {
-                    agg.diags.push(format!("{}: {e}", tailer.path().display()));
-                    continue;
+        for sink in 0..agg.tailers.len() {
+            let mut later = Vec::new();
+            let RunAgg { tailers, ids, slots, filled, reencoded, tallies, .. } = &mut *agg;
+            let polled = tailers[sink].poll_rows(|row, line| {
+                let Ok(at) = ids.binary_search(&row.id) else {
+                    later.push(Later::Foreign(row.id));
+                    return;
+                };
+                let canonical = row.to_json_line();
+                if slots[at].len > 0 {
+                    later.push(Later::Copy(at, canonical));
+                    return;
                 }
-            };
-            agg.diags.extend(batch.diags);
-            for row in batch.rows {
-                if !agg.expected.contains(&row.id) {
-                    agg.diags.push(format!(
-                        "{}: row '{}' is outside the run's job space",
-                        tailer.path().display(),
-                        row.id,
-                    ));
-                    continue;
+                slots[at] = match u32::try_from(line.bytes.len()) {
+                    Ok(len) if line.bytes == canonical.as_bytes() => {
+                        Slot { offset: line.offset, len, sink: sink as u32 }
+                    }
+                    _ => {
+                        reencoded.push(canonical.into());
+                        Slot { offset: reencoded.len() as u64 - 1, len: 1, sink: REENCODED }
+                    }
+                };
+                *filled += 1;
+                if let Some(tallies) = tallies {
+                    tallies.add(&row);
                 }
-                match agg.rows.get(&row.id) {
-                    None => {
-                        agg.rows.insert(row.id.clone(), row);
-                        self.rows_aggregated.inc();
+                self.rows_aggregated.inc();
+            });
+            let path = agg.tailers[sink].path().display();
+            match polled {
+                Ok(diags) => agg.diags.extend(diags),
+                Err(e) => agg.diags.push(format!("{path}: {e}")),
+            }
+            for later in later {
+                let diag = match later {
+                    Later::Foreign(id) => {
+                        format!("{path}: row '{id}' is outside the run's job space")
                     }
                     // A byte-identical duplicate is a stolen shard's
                     // overlap — expected, drop it.
-                    Some(first) if first.to_json_line() == row.to_json_line() => {}
-                    Some(_) => agg.diags.push(format!(
-                        "{}: row '{}' differs from an earlier copy — determinism \
-                         contract violation",
-                        tailer.path().display(),
-                        row.id,
-                    )),
-                }
+                    Later::Copy(at, canonical) => match agg.first_copy(agg.slots[at]) {
+                        Ok(first) if first == canonical.as_bytes() => continue,
+                        Ok(_) => format!(
+                            "{path}: row '{}' differs from an earlier copy — determinism \
+                             contract violation",
+                            agg.ids[at],
+                        ),
+                        Err(e) => {
+                            format!("{path}: row '{}': earlier copy unreadable: {e}", agg.ids[at])
+                        }
+                    },
+                };
+                agg.diags.push(diag);
             }
         }
+        agg.complete_report();
     }
 
-    /// A copy of one run's current state, or `None` for unknown runs.
+    /// One run's deduplicated rows as canonical JSONL (job-id order,
+    /// one line each) — what `GET /runs/<id>/rows` serves — read back
+    /// from its sinks; `None` for unknown runs.
+    pub fn rows_jsonl(&self, run: &str) -> Option<std::io::Result<String>> {
+        self.lock().iter().find(|a| a.run == run).map(RunAgg::jsonl)
+    }
+
+    /// A copy of one run's current state, rows read back from its
+    /// sinks, or `None` for unknown runs. A sink that cannot be read
+    /// back is a diagnostic.
     pub fn view(&self, run: &str) -> Option<RunView> {
         let runs = self.lock();
         let agg = runs.iter().find(|a| a.run == run)?;
-        Some(RunView {
-            run: agg.run.clone(),
-            rows: agg.rows.values().cloned().collect(),
-            diags: agg.diags.clone(),
-            expected: agg.expected.len(),
-        })
+        let mut diags = agg.diags.clone();
+        let rows = match agg.jsonl() {
+            Ok(text) => {
+                text.lines().filter_map(|line| EvalRow::from_json_line(line).ok()).collect()
+            }
+            Err(e) => {
+                diags.push(format!("run {run}: rows unreadable: {e}"));
+                Vec::new()
+            }
+        };
+        Some(RunView { run: agg.run.clone(), rows, diags, expected: agg.ids.len() })
     }
 
     /// One run's counts, diagnostics and — once complete — rendered
@@ -214,16 +361,11 @@ impl Aggregator {
     pub fn summary(&self, run: &str) -> Option<RunSummary> {
         let mut runs = self.lock();
         let agg = runs.iter_mut().find(|a| a.run == run)?;
-        let report = (agg.rows.len() == agg.expected.len()).then(|| {
-            let rows = &agg.rows;
-            let render = || CampaignReport::new(rows.values().collect()).render().into();
-            Arc::clone(agg.report.get_or_insert_with(render))
-        });
         Some(RunSummary {
-            rows: agg.rows.len(),
-            expected: agg.expected.len(),
+            rows: agg.filled,
+            expected: agg.ids.len(),
             diags: agg.diags.clone(),
-            report,
+            report: agg.complete_report(),
         })
     }
 }
@@ -239,7 +381,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::time::Duration;
-    use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
+    use uvllm_campaign::{Campaign, CampaignConfig, CampaignReport, MemorySink, MethodKind};
 
     fn spec() -> RunSpec {
         RunSpec {
@@ -387,15 +529,33 @@ mod tests {
         agg.register("run-s2", &same_ids, Vec::new());
         agg.register("run-s3", &other_methods, Vec::new());
         let runs = agg.lock();
-        assert!(Arc::ptr_eq(&runs[0].expected, &runs[1].expected), "one spec, one id space");
-        assert!(!Arc::ptr_eq(&runs[0].expected, &runs[2].expected));
-        assert_eq!(runs[2].expected.len(), 2);
-        assert!(
-            runs[2].expected.iter().all(|id| id.ends_with("@RTLrepair")),
-            "{:?}",
-            runs[2].expected
-        );
-        assert!(runs[0].expected.is_disjoint(&runs[2].expected));
+        assert!(Arc::ptr_eq(&runs[0].ids, &runs[1].ids), "one spec, one id space");
+        assert!(!Arc::ptr_eq(&runs[0].ids, &runs[2].ids));
+        assert_eq!(runs[2].ids.len(), 2);
+        assert!(runs[2].ids.iter().all(|id| id.ends_with("@RTLrepair")), "{:?}", runs[2].ids);
+        assert!(runs[0].ids.iter().all(|id| !runs[2].ids.contains(id)));
+        assert!(runs[0].ids.windows(2).all(|w| w[0] < w[1]), "sorted: {:?}", runs[0].ids);
+    }
+
+    /// A line that parses but is not its row's canonical encoding is
+    /// served re-encoded; a later canonical copy is the same row.
+    #[test]
+    fn a_non_canonical_line_is_served_re_encoded() {
+        let rows = real_rows();
+        let path = temp_path("reencode.jsonl");
+        let canonical: Vec<String> = rows.iter().map(EvalRow::to_json_line).collect();
+        let spaced = canonical[0].replace(",\"", ", \"");
+        assert_ne!(spaced, canonical[0]);
+        std::fs::write(&path, format!("{spaced}\n{}\n{}\n", canonical[1], canonical[0])).unwrap();
+        let agg = Aggregator::new();
+        agg.register("run-re", &spec(), vec![path.clone()]);
+        agg.poll();
+        let mut expected: Vec<String> = canonical.iter().map(|line| format!("{line}\n")).collect();
+        expected.sort();
+        assert_eq!(agg.rows_jsonl("run-re").unwrap().unwrap(), expected.concat());
+        assert!(agg.summary("run-re").unwrap().diags.is_empty());
+        assert!(agg.rows_jsonl("run-nope").is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -415,7 +575,7 @@ mod tests {
         let (first, second) = (first.report.unwrap(), second.report.unwrap());
         assert_eq!(first, second, "two reads of a complete run report the same");
         assert!(Arc::ptr_eq(&first, &second), "the second read shares the first's render");
-        assert_eq!(*first, *CampaignReport::new(rows.iter().collect()).render());
+        assert_eq!(*first, *CampaignReport::new(rows).render());
         let _ = std::fs::remove_file(&path);
     }
 }

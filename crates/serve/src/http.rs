@@ -8,7 +8,7 @@
 //! Client side: [`request`], used by remote workers, the CLI client
 //! subcommands and the test suite.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -117,20 +117,35 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 ///
 /// Socket write failures.
 pub fn respond(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",
         reason(status),
         body.len(),
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    );
+    send(stream, head.as_bytes(), body.as_bytes())
+}
+
+/// Writes `head` then `body` with vectored writes — one call when the
+/// writer takes both at once, as a socket does — without copying the
+/// body, then flushes.
+fn send(out: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match out.write_vectored(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    out.flush()
 }
 
 /// The canonical reason phrase for the handful of statuses the service
@@ -163,15 +178,8 @@ pub fn request(
 ) -> Result<(u16, String), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len(),
-    )
-    .and_then(|()| stream.write_all(body.as_bytes()))
-    .and_then(|()| stream.flush())
-    .map_err(|e| format!("send {method} {target}: {e}"))?;
+    write_request(&mut stream, addr, method, target, body)
+        .map_err(|e| format!("send {method} {target}: {e}"))?;
 
     let mut raw = Vec::new();
     // The server closes after one response, so EOF delimits it.
@@ -186,9 +194,27 @@ pub fn request(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line '{status_line}'"))?;
-    let body = String::from_utf8(raw[head_end + 4..].to_vec())
-        .map_err(|_| "response body is not UTF-8".to_string())?;
+    // The read buffer becomes the body: no second copy of it.
+    raw.drain(..head_end + 4);
+    let body = String::from_utf8(raw).map_err(|_| "response body is not UTF-8".to_string())?;
     Ok((status, body))
+}
+
+/// Writes one `Connection: close` request for `method target` with
+/// `body`.
+fn write_request(
+    out: &mut impl Write,
+    addr: &str,
+    method: &str,
+    target: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let head = format!(
+        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n",
+        body.len(),
+    );
+    send(out, head.as_bytes(), body.as_bytes())
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -334,6 +360,51 @@ mod tests {
         let err = read_request(&mut stream).unwrap_err();
         assert!(err.contains("head exceeds"), "{err}");
         let _ = writer.join();
+    }
+
+    /// A writer that takes everything it is handed and counts calls.
+    #[derive(Default)]
+    struct CountingWrite {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            bufs.iter().for_each(|buf| self.bytes.extend_from_slice(buf));
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_message_is_one_write() {
+        let body = "{\"rows\": 1}\n".repeat(1000);
+        let mut out = CountingWrite::default();
+        respond(&mut out, 200, "application/json", &body).unwrap();
+        assert_eq!(out.calls, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        let tail = format!("Content-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len());
+        assert!(text.ends_with(&tail), "{text}");
+
+        let mut out = CountingWrite::default();
+        write_request(&mut out, "127.0.0.1:1", "POST", "/lease", "{}").unwrap();
+        assert_eq!(out.calls, 1);
+        assert!(out.bytes.starts_with(b"POST /lease HTTP/1.1\r\n"));
+        assert!(out.bytes.ends_with(b"\r\n\r\n{}"));
+
+        let mut out = CountingWrite::default();
+        respond(&mut out, 204, "text/plain", "").unwrap();
+        assert_eq!(out.calls, 1, "an empty body is no second write");
     }
 
     #[test]

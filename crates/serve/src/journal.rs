@@ -457,19 +457,21 @@ pub fn replay(dir: &Path) -> std::io::Result<Replay> {
     let path = dir.join(JOURNAL_FILE);
     let mut tailer = LineTailer::new(&path);
     let mut replay = Replay::default();
-    for (number, raw) in tailer.poll_raw()? {
-        if raw.is_empty() {
+    let raw = tailer.poll_raw()?;
+    for line in raw.lines() {
+        if line.bytes.is_empty() {
             continue;
         }
-        match parse_line(&raw) {
+        match parse_line(line.bytes) {
             Ok((seq, event)) => {
                 replay.events.push((seq, event));
                 replay.records += 1;
             }
             Err(message) => {
                 replay.diag = Some(format!(
-                    "{}:{number}: {message} — dropping this and all later records",
-                    path.display()
+                    "{}:{}: {message} — dropping this and all later records",
+                    path.display(),
+                    line.number,
                 ));
                 return Ok(replay);
             }

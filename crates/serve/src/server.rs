@@ -360,7 +360,7 @@ fn post_renewal(
 }
 
 /// `GET /runs/<id>` (status JSON) and `GET /runs/<id>/rows` (the
-/// deduplicated rows as canonical sorted JSONL).
+/// deduplicated rows as canonical sorted JSONL, read from the sinks).
 fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
     let (run, rows_only) = match rest.strip_suffix("/rows") {
         Some(run) => (run, true),
@@ -370,15 +370,11 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
     // appended to this run's sinks since the last aggregator tick.
     state.agg.poll_run(run);
     if rows_only {
-        let Some(view) = state.agg.view(run) else {
-            return (404, "text/plain", format!("no such run: {run}\n"));
+        return match state.agg.rows_jsonl(run) {
+            None => (404, "text/plain", format!("no such run: {run}\n")),
+            Some(Ok(text)) => (200, "application/jsonl", text),
+            Some(Err(e)) => (500, "text/plain", format!("run {run}: rows unreadable: {e}\n")),
         };
-        let mut text = String::new();
-        for row in &view.rows {
-            text.push_str(&row.to_json_line());
-            text.push('\n');
-        }
-        return (200, "application/jsonl", text);
     }
     let Some(summary) = state.agg.summary(run) else {
         return (404, "text/plain", format!("no such run: {run}\n"));

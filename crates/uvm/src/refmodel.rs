@@ -126,12 +126,16 @@ impl IoSpec {
         let layout = &self.0;
         layout.input_names.len() == iface.inputs.len()
             && layout.outputs.len() == iface.outputs.len()
-            && iface.inputs.iter().enumerate().all(|(i, p)| {
-                layout.input_names[i] == p.name && layout.input_widths[i] == p.width
-            })
-            && iface.outputs.iter().zip(&layout.outputs).all(|(p, (name, width))| {
-                **name == *p.name && *width == p.width
-            })
+            && iface
+                .inputs
+                .iter()
+                .enumerate()
+                .all(|(i, p)| layout.input_names[i] == p.name && layout.input_widths[i] == p.width)
+            && iface
+                .outputs
+                .iter()
+                .zip(&layout.outputs)
+                .all(|(p, (name, width))| **name == *p.name && *width == p.width)
     }
 
     /// Resolves an input port name to its slot.
