@@ -113,11 +113,6 @@ pub fn by_name(name: &str) -> Option<&'static Design> {
     all().into_iter().find(|d| d.name == name)
 }
 
-/// Designs in one category.
-pub fn by_category(category: Category) -> Vec<&'static Design> {
-    all().into_iter().filter(|d| d.category == category).collect()
-}
-
 // ----------------------------------------------------------------------
 // Shared helpers for golden models and vectors
 // ----------------------------------------------------------------------
@@ -173,10 +168,11 @@ mod tests {
     #[test]
     fn catalog_shape_matches_paper() {
         assert_eq!(all().len(), 27, "the paper evaluates 27 modules");
-        assert_eq!(by_category(Category::Arithmetic).len(), 7);
-        assert_eq!(by_category(Category::Control).len(), 6);
-        assert_eq!(by_category(Category::Memory).len(), 5);
-        assert_eq!(by_category(Category::Miscellaneous).len(), 9);
+        let in_category = |c| all().iter().filter(|d| d.category == c).count();
+        assert_eq!(in_category(Category::Arithmetic), 7);
+        assert_eq!(in_category(Category::Control), 6);
+        assert_eq!(in_category(Category::Memory), 5);
+        assert_eq!(in_category(Category::Miscellaneous), 9);
         // Ten representative module types.
         let mut types: Vec<_> = all().iter().map(|d| d.module_type).collect();
         types.sort();

@@ -78,19 +78,6 @@ pub enum ErrorInfo {
     SuspiciousLines { signals: Vec<MismatchInfo>, lines: Vec<(u32, String)> },
 }
 
-impl ErrorInfo {
-    /// Short tag used in reports.
-    pub fn mode_name(&self) -> &'static str {
-        match self {
-            ErrorInfo::None => "none",
-            ErrorInfo::LintLog(_) => "lint",
-            ErrorInfo::RawLog(_) => "rawlog",
-            ErrorInfo::MismatchSignals(_) => "ms",
-            ErrorInfo::SuspiciousLines { .. } => "sl",
-        }
-    }
-}
-
 /// An original → patched snippet pair (the JSON `correct` entries of
 /// Fig. 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,12 +252,5 @@ mod tests {
         let p = RepairPrompt::new(AgentRole::WholeCodeReviewer, "spec", "code")
             .with_output_mode(OutputMode::Complete);
         assert!(p.render().contains("complete corrected"));
-    }
-
-    #[test]
-    fn mode_names() {
-        assert_eq!(ErrorInfo::None.mode_name(), "none");
-        assert_eq!(ErrorInfo::LintLog(String::new()).mode_name(), "lint");
-        assert_eq!(ErrorInfo::SuspiciousLines { signals: vec![], lines: vec![] }.mode_name(), "sl");
     }
 }

@@ -2,7 +2,12 @@
 //! shard sinks, built by tailing their JSONL files with
 //! [`SinkTailer`] — the same reader `campaign merge` uses, minus the
 //! strictness: a torn trailing line here just means a worker is
-//! mid-append, so it stays pending until the next poll.
+//! mid-append, so it stays pending until the next fold.
+//!
+//! Nothing folds on a timer. A read of one run folds that run's fresh
+//! lines under the lock it reads under, so no read is staler than the
+//! sinks; [`Aggregator::poll`] folds every run (for `GET /metrics`,
+//! boot and the final drain).
 //!
 //! A run holds no rows. Each new line is parsed once — to check its id,
 //! dedupe it and count it into the report's [`ReportTallies`] — and
@@ -23,7 +28,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use uvllm_campaign::{CampaignDataset, EvalRow, MethodKind, ReportTallies, SinkTailer};
+use uvllm_campaign::{expected_job_ids, EvalRow, MethodKind, ReportTallies, SinkTailer};
 
 use crate::memo::Memo;
 use crate::store::RunSpec;
@@ -88,17 +93,6 @@ enum Later {
 }
 
 impl RunAgg {
-    /// Renders the report once every job has a row; `None` before.
-    fn complete_report(&mut self) -> Option<Arc<str>> {
-        if self.filled < self.ids.len() {
-            return None;
-        }
-        if let Some(tallies) = self.tallies.take() {
-            self.report = Some(tallies.render().into());
-        }
-        self.report.clone()
-    }
-
     /// The canonical bytes of the first copy `slot` locates.
     fn first_copy(&self, slot: Slot) -> std::io::Result<Vec<u8>> {
         match slot.sink {
@@ -192,10 +186,8 @@ impl RunSummary {
     }
 }
 
-/// All runs' rolling aggregation. One aggregator thread calls
-/// [`Aggregator::poll`] on a cadence; request handlers call
-/// [`Aggregator::poll_run`] inline before reading so `GET /runs/<id>`
-/// is never staler than that run's sinks.
+/// All runs' rolling aggregation, folded only when asked (see the
+/// module doc).
 pub struct Aggregator {
     runs: Mutex<Vec<RunAgg>>,
     /// Job-id spaces by spec. Its own lock: a first submission builds
@@ -219,15 +211,12 @@ impl Aggregator {
     }
 
     /// The sorted job-id space of `spec` (dataset size × seed ×
-    /// methods), built the first time a spec is seen, on one thread per
-    /// CPU.
+    /// methods), built the first time a spec is seen.
     fn id_space(&self, spec: &RunSpec) -> Arc<[String]> {
         let mut id_spaces = self.id_spaces.lock().unwrap_or_else(PoisonError::into_inner);
         let key = (spec.size, spec.seed, spec.methods.clone());
         Arc::clone(id_spaces.get_or_insert_with(key, || {
-            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let dataset = CampaignDataset::build(spec.size, spec.seed, workers);
-            let mut ids = dataset.job_ids(&spec.methods);
+            let mut ids = expected_job_ids(spec.size, spec.seed, &spec.methods);
             ids.sort_unstable();
             ids.dedup();
             ids.into()
@@ -261,14 +250,14 @@ impl Aggregator {
         }
     }
 
-    /// [`Aggregator::poll`] for one run: the read-your-writes step of a
-    /// status query, whose cost must not grow with the run table. The
-    /// aggregator thread's `poll` still visits every run, finished ones
-    /// included, so no sink goes unchecked.
-    pub fn poll_run(&self, run: &str) {
-        if let Some(agg) = self.lock().iter_mut().find(|a| a.run == run) {
-            self.fold(agg);
-        }
+    /// Folds run `run`'s fresh sink lines in, then reads it with `read`
+    /// under the same lock: what every read of one run does, so no read
+    /// is staler than that run's sinks and none pays for the others.
+    fn read<T>(&self, run: &str, read: impl FnOnce(&mut RunAgg) -> T) -> Option<T> {
+        let mut runs = self.lock();
+        let agg = runs.iter_mut().find(|a| a.run == run)?;
+        self.fold(agg);
+        Some(read(agg))
     }
 
     fn fold(&self, agg: &mut RunAgg) {
@@ -327,45 +316,47 @@ impl Aggregator {
                 agg.diags.push(diag);
             }
         }
-        agg.complete_report();
+        if agg.filled == agg.ids.len() {
+            if let Some(tallies) = agg.tallies.take() {
+                agg.report = Some(tallies.render().into());
+            }
+        }
     }
 
     /// One run's deduplicated rows as canonical JSONL (job-id order,
     /// one line each) — what `GET /runs/<id>/rows` serves — read back
     /// from its sinks; `None` for unknown runs.
     pub fn rows_jsonl(&self, run: &str) -> Option<std::io::Result<String>> {
-        self.lock().iter().find(|a| a.run == run).map(RunAgg::jsonl)
+        self.read(run, |agg| agg.jsonl())
     }
 
     /// A copy of one run's current state, rows read back from its
     /// sinks, or `None` for unknown runs. A sink that cannot be read
     /// back is a diagnostic.
     pub fn view(&self, run: &str) -> Option<RunView> {
-        let runs = self.lock();
-        let agg = runs.iter().find(|a| a.run == run)?;
-        let mut diags = agg.diags.clone();
-        let rows = match agg.jsonl() {
-            Ok(text) => {
-                text.lines().filter_map(|line| EvalRow::from_json_line(line).ok()).collect()
-            }
-            Err(e) => {
-                diags.push(format!("run {run}: rows unreadable: {e}"));
-                Vec::new()
-            }
-        };
-        Some(RunView { run: agg.run.clone(), rows, diags, expected: agg.ids.len() })
+        self.read(run, |agg| {
+            let mut diags = agg.diags.clone();
+            let rows = match agg.jsonl() {
+                Ok(text) => {
+                    text.lines().filter_map(|line| EvalRow::from_json_line(line).ok()).collect()
+                }
+                Err(e) => {
+                    diags.push(format!("run {run}: rows unreadable: {e}"));
+                    Vec::new()
+                }
+            };
+            RunView { run: agg.run.clone(), rows, diags, expected: agg.ids.len() }
+        })
     }
 
     /// One run's counts, diagnostics and — once complete — rendered
     /// report, or `None` for unknown runs.
     pub fn summary(&self, run: &str) -> Option<RunSummary> {
-        let mut runs = self.lock();
-        let agg = runs.iter_mut().find(|a| a.run == run)?;
-        Some(RunSummary {
+        self.read(run, |agg| RunSummary {
             rows: agg.filled,
             expected: agg.ids.len(),
             diags: agg.diags.clone(),
-            report: agg.complete_report(),
+            report: agg.report.clone(),
         })
     }
 }
@@ -479,8 +470,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// `(rows, diags)` folded into `run` so far, read without folding.
+    fn folded(agg: &Aggregator, run: &str) -> (usize, usize) {
+        let runs = agg.lock();
+        let agg = runs.iter().find(|a| a.run == run).unwrap();
+        (agg.filled, agg.diags.len())
+    }
+
     #[test]
-    fn reading_one_run_leaves_the_others_to_the_background_poll() {
+    fn reading_one_run_folds_only_that_run() {
         let rows = real_rows();
         let (path_a, path_b) = (temp_path("read-a.jsonl"), temp_path("read-b.jsonl"));
         let both = format!("{}\n{}\n", rows[0].to_json_line(), rows[1].to_json_line());
@@ -490,31 +488,27 @@ mod tests {
         let agg = Aggregator::new();
         agg.register("run-a", &spec(), vec![path_a.clone()]);
         agg.register("run-b", &spec(), vec![path_b.clone()]);
-        agg.poll_run("run-a");
-        agg.poll_run("run-nope");
         let summary = agg.summary("run-a").unwrap();
         assert_eq!((summary.rows, summary.expected), (2, 2), "A's fresh rows fold in at once");
         assert!(summary.complete());
         let report = summary.report.expect("a complete run has its report");
         assert!(report.contains("campaign rows: 2"), "{report}");
-        assert_eq!(agg.summary("run-b").unwrap().rows, 0, "B waits for the background poll");
+        assert_eq!(folded(&agg, "run-b"), (0, 0), "reading A leaves B's sink unread");
         assert!(agg.summary("run-nope").is_none());
         agg.poll();
-        assert_eq!(agg.view("run-b").unwrap().rows.len(), 2);
+        assert_eq!(folded(&agg, "run-b"), (2, 0), "a poll folds every run");
 
-        // A finished run nobody reads any more is still checked: the
-        // background poll reports a differing duplicate in its sink.
+        // A finished run is checked at its next read: B's own read
+        // reports the differing duplicate in its sink, A's does not.
         let mut mutated = rows[0].clone();
         mutated.llm_calls += 1;
         let mut file = std::fs::OpenOptions::new().append(true).open(&path_b).unwrap();
         writeln!(file, "{}", mutated.to_json_line()).unwrap();
-        agg.poll_run("run-a");
-        assert!(agg.summary("run-b").unwrap().diags.is_empty());
-        agg.poll();
+        assert!(agg.summary("run-a").unwrap().diags.is_empty());
+        assert_eq!(folded(&agg, "run-b"), (2, 0));
         let diags = agg.summary("run-b").unwrap().diags;
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].contains("determinism contract violation"), "{}", diags[0]);
-        assert!(agg.summary("run-a").unwrap().diags.is_empty());
         let _ = std::fs::remove_file(&path_a);
         let _ = std::fs::remove_file(&path_b);
     }
@@ -565,12 +559,10 @@ mod tests {
         std::fs::write(&path, format!("{}\n", rows[0].to_json_line())).unwrap();
         let agg = Aggregator::new();
         agg.register("run-r", &spec(), vec![path.clone()]);
-        agg.poll_run("run-r");
         assert_eq!(agg.summary("run-r").unwrap().report, None, "no report before the last row");
 
         std::fs::write(&path, format!("{}\n{}\n", rows[0].to_json_line(), rows[1].to_json_line()))
             .unwrap();
-        agg.poll_run("run-r");
         let (first, second) = (agg.summary("run-r").unwrap(), agg.summary("run-r").unwrap());
         let (first, second) = (first.report.unwrap(), second.report.unwrap());
         assert_eq!(first, second, "two reads of a complete run report the same");

@@ -58,10 +58,10 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--out FILE] SHARD.jsonl..\n\
      \x20      campaign metrics-check METRICS.json\n\
      \x20      campaign serve [--addr HOST:PORT] [--addr-file FILE] [--data-dir DIR] \
-     [--lease-ms MS] [--poll-ms MS] [--fsync always|never|every:N] [--compact-every N] \
+     [--lease-ms MS] [--fsync always|never|every:N] [--compact-every N] \
      [--crash-after EVENT[:N]]\n\
      \x20      campaign worker --connect HOST:PORT [--addr-file FILE] [--name NAME] [--workers N] \
-     [--poll-ms MS] [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
+     [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
      [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
      [--shards N] [--lease-ms MS]\n\
@@ -441,7 +441,6 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
             "--addr-file" => addr_file = Some(f.value(flag)?),
             "--data-dir" => config.data_dir = f.value(flag)?,
             "--lease-ms" => config.default_lease = Duration::from_millis(f.positive(flag)?),
-            "--poll-ms" => config.poll = Duration::from_millis(f.positive(flag)?),
             "--fsync" => config.journal.fsync = f.parse(flag, FsyncPolicy::parse)?,
             "--compact-every" => config.journal.compact_every = f.value(flag)?,
             "--crash-after" => config.journal.crash_after = Some(f.parse(flag, CrashSpec::parse)?),
@@ -500,7 +499,6 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
             "--addr-file" => options.addr_file = Some(f.value(flag)?),
             "--name" => options.name = f.value(flag)?,
             "--workers" => options.workers = f.value(flag)?,
-            "--poll-ms" => options.poll = Duration::from_millis(f.positive(flag)?),
             "--idle-exit" => options.max_idle = Some(f.positive(flag)?),
             "--once" => options.once = true,
             // Deterministic fault injection for the steal drills: die
@@ -758,9 +756,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_a_zero_interval() {
-        for flag in ["--lease-ms", "--poll-ms"] {
-            let err = run_serve(args(&format!("{flag} 0"))).unwrap_err();
-            assert!(err.contains(flag), "{err}");
-        }
+        let err = run_serve(args("--lease-ms 0")).unwrap_err();
+        assert!(err.contains("--lease-ms"), "{err}");
     }
 }

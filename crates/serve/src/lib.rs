@@ -13,12 +13,14 @@
 //! * [`aggregate`] — a rolling, deduplicated view of every run built by
 //!   tailing the shard JSONL sinks with
 //!   [`SinkTailer`](uvllm_campaign::SinkTailer), torn-line-safe while
-//!   workers are mid-append.
+//!   workers are mid-append. Nothing tails on a timer: each read folds
+//!   the sinks it reports on first.
 //! * [`server`] — routing and lifecycle: `POST /jobs`, `POST /lease`,
 //!   `POST /heartbeat`, `POST /complete`, `GET /runs/<id>[/rows]`,
 //!   `GET /metrics` (the [`uvllm_obs`] snapshot, `uvllm-metrics/v1`),
 //!   `POST /shutdown` (drain leases → final aggregation → final
-//!   metrics snapshot on disk).
+//!   metrics snapshot on disk). An idle server runs one thread, the
+//!   accept loop.
 //! * [`worker`] — the client loop: lease, evaluate through the normal
 //!   [`Campaign`](uvllm_campaign::Campaign) engine, heartbeat (pushing
 //!   `rows_done` progress), complete; one shared

@@ -1,12 +1,12 @@
-//! The resident HTTP server: accept loop, routing, the aggregator
-//! thread, and the graceful-shutdown sequence.
+//! The resident HTTP server: accept loop, routing, and the
+//! graceful-shutdown sequence.
 //!
-//! Threading model: one accept thread, one handler thread per
-//! connection (requests are one round trip and handlers share only the
-//! `Arc<ServeState>`), one aggregator thread polling shard sinks on a
-//! cadence. `GET /runs/<id>…` (that run's sinks) and `GET /metrics`
-//! (every sink) also poll inline so reads are never staler than the
-//! sinks.
+//! Threading model: one accept thread, one thread per request
+//! (requests are one round trip and handlers share only the
+//! `Arc<ServeState>`), and a detached drain thread on shutdown. An idle
+//! server runs only its accept thread: nothing works on a timer. A read
+//! folds the sinks it reports on first — `GET /runs/<id>…` that run's,
+//! `GET /metrics` every run's — so no read is staler than the sinks.
 //!
 //! Shutdown (from `POST /shutdown`, [`Server::shutdown`], or the CLI's
 //! SIGINT handler — idempotent, first caller wins):
@@ -14,7 +14,7 @@
 //! 2. wait for in-flight leases to complete or expire;
 //! 3. one final aggregation pass over every sink;
 //! 4. the final metrics snapshot lands in `<data_dir>/metrics.json`;
-//! 5. the accept and aggregator threads stop and join.
+//! 5. the accept thread stops and joins.
 
 use crate::aggregate::Aggregator;
 use crate::http::{self, Request};
@@ -40,8 +40,6 @@ pub struct ServeConfig {
     pub data_dir: PathBuf,
     /// Lease duration for submissions that don't specify `lease_ms`.
     pub default_lease: Duration,
-    /// Aggregator poll cadence.
-    pub poll: Duration,
     /// Write-ahead journal behavior: fsync policy, compaction
     /// threshold, and the deterministic crash knob.
     pub journal: JournalConfig,
@@ -53,7 +51,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             data_dir: PathBuf::from("campaign-serve"),
             default_lease: Duration::from_secs(60),
-            poll: Duration::from_millis(200),
             journal: JournalConfig::default(),
         }
     }
@@ -63,8 +60,7 @@ impl Default for ServeConfig {
 struct ServeState {
     store: JobStore,
     agg: Aggregator,
-    /// Set once the drain has completed; stops the accept and
-    /// aggregator loops.
+    /// Set once the drain has completed; stops the accept loop.
     stopped: AtomicBool,
     /// Guards the shutdown sequence against double entry.
     shutting_down: AtomicBool,
@@ -75,16 +71,15 @@ struct ServeState {
 /// A running resident service.
 pub struct Server {
     state: Arc<ServeState>,
-    accept: Option<JoinHandle<()>>,
-    aggregator: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     recovery: RecoveryReport,
 }
 
 impl Server {
     /// Opens the store (recovering whatever a previous process left in
     /// `data_dir` — see [`crate::recovery`]), re-registers recovered
-    /// runs with the aggregator, binds, spawns the accept and
-    /// aggregator threads, returns immediately.
+    /// runs with the aggregator, binds, spawns the accept thread,
+    /// returns immediately.
     ///
     /// # Errors
     ///
@@ -134,16 +129,7 @@ impl Server {
             }
         });
 
-        let agg_state = Arc::clone(&state);
-        let poll = config.poll;
-        let aggregator = std::thread::spawn(move || {
-            while !agg_state.stopped.load(Ordering::SeqCst) {
-                agg_state.agg.poll();
-                std::thread::sleep(poll);
-            }
-        });
-
-        Ok(Server { state, accept: Some(accept), aggregator: Some(aggregator), recovery })
+        Ok(Server { state, accept, recovery })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -162,38 +148,21 @@ impl Server {
         self.state.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// True once the shutdown sequence has fully completed.
-    pub fn stopped(&self) -> bool {
-        self.state.stopped.load(Ordering::SeqCst)
-    }
-
     /// Runs the graceful-shutdown sequence (drain → wait → final
-    /// aggregation → final metrics snapshot) and joins the service
-    /// threads. Safe to call after `POST /shutdown` already started
+    /// aggregation → final metrics snapshot) and joins the accept
+    /// thread. Safe to call after `POST /shutdown` already started
     /// the sequence — this then just waits for it.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         begin_shutdown(&self.state);
-        self.join_threads();
+        self.join();
     }
 
     /// Blocks until the service stops (a `POST /shutdown` or a
     /// concurrent [`Server::shutdown`]).
-    pub fn join(mut self) {
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        // The shutdown thread flips `stopped` and pokes the accept
-        // loop; until then both threads are parked in their loops.
-        while !self.state.stopped.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.aggregator.take() {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        // The accept thread returns only once the drain thread has set
+        // `stopped` and connected to it, after the whole sequence.
+        let _ = self.accept.join();
     }
 }
 
@@ -209,9 +178,7 @@ fn begin_shutdown(state: &Arc<ServeState>) {
     state.store.drain();
     let state = Arc::clone(state);
     std::thread::spawn(move || {
-        while !state.store.drained() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        state.store.wait_drained();
         // Completed leases have flushed their rows; fold them in and
         // persist the final metrics snapshot next to the run data.
         state.agg.poll();
@@ -343,8 +310,8 @@ fn post_renewal(
     let result = if complete {
         state.store.complete(run, shard as usize, epoch)
     } else {
-        // Optional worker-pushed progress: fresher than the
-        // aggregator's next sink poll, defaulting to 0 for old clients.
+        // Optional worker-pushed progress as of its last heartbeat,
+        // defaulting to 0 for old clients.
         let rows_done = json.get("rows_done").and_then(Json::as_u64).unwrap_or(0);
         state.store.heartbeat(run, shard as usize, epoch, rows_done)
     };
@@ -366,9 +333,6 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         Some(run) => (run, true),
         None => (rest, false),
     };
-    // Read-your-writes for status queries: fold in anything workers
-    // appended to this run's sinks since the last aggregator tick.
-    state.agg.poll_run(run);
     if rows_only {
         return match state.agg.rows_jsonl(run) {
             None => (404, "text/plain", format!("no such run: {run}\n")),
@@ -419,7 +383,6 @@ mod tests {
         Server::start(ServeConfig {
             data_dir,
             default_lease: Duration::from_millis(500),
-            poll: Duration::from_millis(50),
             ..ServeConfig::default()
         })
         .unwrap()

@@ -31,7 +31,7 @@ use crate::recovery::{self, RecoveryReport, RunImage, ShardPhase, StoreImage};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use uvllm_campaign::{parse_seed, MethodKind};
 use uvllm_json::{s, Json};
@@ -327,6 +327,9 @@ pub struct JobStore {
     data_dir: PathBuf,
     default_lease: Duration,
     inner: Mutex<StoreInner>,
+    /// Paired with `inner`: notified when a lease completes, so
+    /// [`JobStore::wait_drained`] wakes without polling.
+    lease_done: Condvar,
     draining: AtomicBool,
 }
 
@@ -362,6 +365,7 @@ impl JobStore {
             data_dir,
             default_lease,
             inner: Mutex::new(inner),
+            lease_done: Condvar::new(),
             draining: AtomicBool::new(false),
         };
         Ok((store, recovered.report))
@@ -496,6 +500,7 @@ impl JobStore {
             .commit(&event, &self.data_dir)
             .map_err(|e| LeaseError::Internal(format!("journal append failed: {e}")))?;
         inner.deadlines.remove(&(index, shard));
+        self.lease_done.notify_all();
         let shards = &inner.image.runs[index].shards;
         if shards.iter().all(|s| matches!(s.phase, ShardPhase::Done { .. })) {
             // Derived state; losing this append loses only an audit
@@ -511,12 +516,22 @@ impl JobStore {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// True once no shard holds an unexpired lease — in-flight workers
-    /// have either completed or run out their deadlines, so shutdown
-    /// can proceed to the final aggregation pass.
-    pub fn drained(&self) -> bool {
-        let now = Instant::now();
-        self.lock().deadlines.values().all(|deadline| *deadline <= now)
+    /// Blocks until no shard holds an unexpired lease — in-flight
+    /// workers have either completed or run out their deadlines, so
+    /// shutdown can proceed to the final aggregation pass. Wakes when a
+    /// lease completes, and otherwise at the latest live deadline, which
+    /// a heartbeat may since have pushed back.
+    pub fn wait_drained(&self) {
+        let mut inner = self.lock();
+        loop {
+            let now = Instant::now();
+            let Some(latest) = inner.deadlines.values().filter(|d| **d > now).max() else {
+                return;
+            };
+            let wait = *latest - now;
+            inner =
+                self.lease_done.wait_timeout(inner, wait).unwrap_or_else(PoisonError::into_inner).0;
+        }
     }
 
     /// The spec a run was submitted with, if the run exists.
@@ -680,12 +695,14 @@ mod tests {
 
     #[test]
     fn expired_leases_are_stolen_and_fenced() {
-        let store = store("steal", Duration::from_millis(20));
-        let run = store.submit(spec(1, Duration::from_millis(20))).unwrap();
+        // Long enough that the grant's journal fsync cannot outlast it.
+        let lease = Duration::from_millis(200);
+        let store = store("steal", lease);
+        let run = store.submit(spec(1, lease)).unwrap();
         let dead = grant(&store, "dead");
         // Not yet expired: nothing to steal.
         assert!(matches!(store.lease("thief"), LeaseOutcome::Empty));
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(lease + Duration::from_millis(50));
         let stolen = grant(&store, "thief");
         assert!(stolen.stolen);
         assert_eq!(stolen.shard, dead.shard);
@@ -714,16 +731,36 @@ mod tests {
         assert!(done);
     }
 
+    /// The drain wait wakes on the completion, not at the 60 s deadline.
     #[test]
     fn drain_refuses_new_leases_and_reports_quiescence() {
-        let store = store("drain", Duration::from_millis(20));
-        let run = store.submit(spec(1, Duration::from_millis(20))).unwrap();
+        let lease = Duration::from_secs(60);
+        let store = store("drain", lease);
+        let run = store.submit(spec(1, lease)).unwrap();
         let g = grant(&store, "w");
         store.drain();
         assert!(matches!(store.lease("w2"), LeaseOutcome::Draining));
-        assert!(!store.drained(), "a live lease blocks quiescence");
-        store.complete(&run, 0, g.epoch).unwrap();
-        assert!(store.drained());
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| store.wait_drained());
+            // Time for the waiter to park, so the completion wakes it.
+            std::thread::sleep(Duration::from_millis(20));
+            store.complete(&run, 0, g.epoch).unwrap();
+            waiter.join().unwrap();
+        });
+        assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+    }
+
+    #[test]
+    fn an_uncompleted_lease_stops_blocking_the_drain_at_its_deadline() {
+        let lease = Duration::from_millis(30);
+        let store = store("drain-expiry", lease);
+        store.submit(spec(1, lease)).unwrap();
+        let granted = Instant::now();
+        grant(&store, "gone");
+        store.drain();
+        store.wait_drained();
+        assert!(granted.elapsed() >= lease, "returned {:?} into the lease", granted.elapsed());
     }
 
     #[test]

@@ -43,6 +43,10 @@ use uvllm_llm::BatchedLlm;
 /// keeps a resident worker from growing with every spec it has served.
 const DATASETS_KEPT: usize = 2;
 
+/// The wait after a lease poll that found no work, and between retries
+/// while the server is unreachable.
+const POLL: Duration = Duration::from_millis(100);
+
 /// The worker's built datasets, keyed by the size and seed
 /// [`CampaignDataset::build`] takes (its thread count changes nothing).
 type Datasets = Memo<(usize, u64), CampaignDataset>;
@@ -57,11 +61,10 @@ pub struct WorkerOptions {
     /// Pool threads per leased shard (0 = one per CPU); with
     /// `llm_batch`, jobs waiting on the LLM are parked, not threads.
     pub workers: usize,
-    /// Delay between `204 No Content` lease polls.
-    pub poll: Duration,
-    /// Exit after this many consecutive empty polls (`None` = poll
-    /// until the server drains). With an `addr_file`, failed polls
-    /// while the server is down also count against this budget.
+    /// Exit after this many consecutive empty lease polls, 100 ms
+    /// apart (`None` = poll until the server drains). With an
+    /// `addr_file`, failed polls while the server is down also count
+    /// against this budget.
     pub max_idle: Option<u64>,
     /// Exit after the first granted lease finishes (tests, CI).
     pub once: bool,
@@ -88,7 +91,6 @@ impl WorkerOptions {
             server: server.into(),
             name: format!("worker-{}", std::process::id()),
             workers: 0,
-            poll: Duration::from_millis(100),
             max_idle: None,
             once: false,
             llm_batch: None,
@@ -180,7 +182,7 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
                 if options.max_idle.is_some_and(|max| idle >= max) {
                     break;
                 }
-                std::thread::sleep(options.poll);
+                std::thread::sleep(POLL);
                 continue;
             }
         };
@@ -191,7 +193,7 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
                 if options.max_idle.is_some_and(|max| idle >= max) {
                     break;
                 }
-                std::thread::sleep(options.poll);
+                std::thread::sleep(POLL);
                 continue;
             }
             200 => {}
@@ -333,7 +335,7 @@ fn post_complete(
                     return Err(e);
                 }
                 summary.reconnects += 1;
-                std::thread::sleep(options.poll);
+                std::thread::sleep(POLL);
             }
         }
     }

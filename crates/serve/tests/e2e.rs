@@ -38,7 +38,6 @@ fn start_server(name: &str) -> Server {
     Server::start(ServeConfig {
         data_dir,
         default_lease: Duration::from_millis(400),
-        poll: Duration::from_millis(20),
         ..ServeConfig::default()
     })
     .unwrap()
@@ -84,7 +83,6 @@ fn stolen_lease_rows_are_byte_identical_event_driven() {
         name: "thief".to_string(),
         workers: 2,
         once: true,
-        poll: Duration::from_millis(50),
         ..WorkerOptions::new(addr.clone())
     };
     let summary = run_worker(&thief).unwrap();
@@ -148,7 +146,6 @@ fn workers_exit_on_idle_budget_and_drain() {
     let addr = server.addr().to_string();
     let idle = WorkerOptions {
         name: "idle".to_string(),
-        poll: Duration::from_millis(10),
         max_idle: Some(3),
         ..WorkerOptions::new(addr.clone())
     };

@@ -66,7 +66,7 @@ fn spawn_server(data_dir: &Path, addr_file: &Path, extra: &[&str]) -> Child {
         .arg(addr_file)
         .arg("--data-dir")
         .arg(data_dir)
-        .args(["--lease-ms", "600", "--poll-ms", "20", "--fsync", "always"])
+        .args(["--lease-ms", "600", "--fsync", "always"])
         .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -121,11 +121,10 @@ fn spawn_workers(addr: &str, addr_file: &Path) -> Vec<std::thread::JoinHandle<Wo
             let options = WorkerOptions {
                 name: format!("survivor-{i}"),
                 workers: 2,
-                // The idle budget (~6 s of polls) must outlast the
-                // kill → restart gap; it is also how workers exit once
-                // the drained server is gone.
-                poll: Duration::from_millis(50),
-                max_idle: Some(120),
+                // The idle budget (~6 s of polls, 100 ms apart) must
+                // outlast the kill → restart gap; it is also how workers
+                // exit once the drained server is gone.
+                max_idle: Some(60),
                 addr_file: Some(addr_file.to_path_buf()),
                 ..WorkerOptions::new(addr.to_string())
             };

@@ -8,7 +8,6 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
 use uvllm_campaign::{CampaignReport, EvalRow};
 use uvllm_json::Json;
 use uvllm_serve::{http, ServeConfig, Server};
@@ -27,12 +26,8 @@ fn campaign(dir: &Path, args: &[&str]) {
 }
 
 fn start(data_dir: &Path) -> Server {
-    Server::start(ServeConfig {
-        data_dir: data_dir.to_path_buf(),
-        poll: Duration::from_millis(20),
-        ..ServeConfig::default()
-    })
-    .unwrap()
+    Server::start(ServeConfig { data_dir: data_dir.to_path_buf(), ..ServeConfig::default() })
+        .unwrap()
 }
 
 fn get(server: &Server, target: &str) -> String {

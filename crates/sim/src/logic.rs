@@ -144,26 +144,6 @@ impl Logic {
         out
     }
 
-    /// Stores `value` (1 bit) at `index` in place; out-of-range writes
-    /// are ignored. The in-place masked word ops are the kernel's
-    /// write-application primitive — no temporary value is built.
-    pub fn set_bit(&mut self, index: u32, value: Logic) {
-        if index >= self.width {
-            return;
-        }
-        let bit = 1u128 << index;
-        self.val = (self.val & !bit) | (((value.val & 1) << index) & bit);
-        self.xz = (self.xz & !bit) | (((value.xz & 1) << index) & bit);
-    }
-
-    /// Returns a copy with `value` (1 bit) stored at `index`; out-of-range
-    /// writes are ignored.
-    pub fn with_bit(&self, index: u32, value: Logic) -> Logic {
-        let mut out = *self;
-        out.set_bit(index, value);
-        out
-    }
-
     /// Stores `value` at bits `[lsb, lsb+value.width)` in place (masked
     /// word ops on both planes); out-of-range writes are ignored.
     pub fn set_slice(&mut self, lsb: u32, value: Logic) {
@@ -610,11 +590,11 @@ mod tests {
         assert_eq!(v.get_slice(4, 4).to_u128(), Some(0b1100));
         let w = v.with_slice(0, Logic::from_u128(4, 0b0101));
         assert_eq!(w.to_u128(), Some(0b1100_0101));
-        let w2 = v.with_bit(7, Logic::bit(false));
+        let w2 = v.with_slice(7, Logic::bit(false));
         assert_eq!(w2.to_u128(), Some(0b0100_1010));
         // Out-of-range access.
         assert!(v.get_bit(8).to_u128().is_none());
-        assert_eq!(v.with_bit(8, Logic::bit(true)), v);
+        assert_eq!(v.with_slice(8, Logic::bit(true)), v);
     }
 
     #[test]

@@ -664,11 +664,6 @@ impl Expr {
         Expr::Number(Number::dec(value))
     }
 
-    /// Shorthand for an identifier expression.
-    pub fn ident(name: Symbol) -> Expr {
-        Expr::Ident(name)
-    }
-
     /// Collects every identifier referenced in the expression.
     pub fn idents(&self) -> Vec<Symbol> {
         let mut out = Vec::new();
@@ -740,7 +735,7 @@ mod tests {
     #[test]
     fn expr_ident_collection() {
         let mut names = Names::new();
-        let mut ident = |name| Box::new(Expr::ident(names.intern(name)));
+        let mut ident = |name| Box::new(Expr::Ident(names.intern(name)));
         let e = Expr::Binary(
             BinaryOp::Add,
             ident("a"),

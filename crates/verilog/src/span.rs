@@ -96,11 +96,6 @@ impl LineMap {
         (line, (offset.saturating_sub(line_start)) as u32 + 1)
     }
 
-    /// Number of lines in the mapped source.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// Byte offset at which 1-based `line` starts, if it exists.
     pub fn line_start(&self, line: u32) -> Option<usize> {
         self.line_starts.get((line as usize).checked_sub(1)?).copied()
@@ -126,7 +121,6 @@ mod tests {
     fn line_map_basic() {
         let src = "abc\ndef\nghi";
         let map = LineMap::new(src);
-        assert_eq!(map.line_count(), 3);
         assert_eq!(map.line_col(0), (1, 1));
         assert_eq!(map.line_col(3), (1, 4));
         assert_eq!(map.line_col(4), (2, 1));
@@ -144,7 +138,8 @@ mod tests {
     #[test]
     fn line_map_empty_source() {
         let map = LineMap::new("");
-        assert_eq!(map.line_count(), 1);
+        assert_eq!(map.line_start(1), Some(0));
+        assert_eq!(map.line_start(2), None);
         assert_eq!(map.line_col(0), (1, 1));
     }
 }

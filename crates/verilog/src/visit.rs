@@ -1,8 +1,7 @@
-//! AST walkers: a read-only [`Visitor`] and helpers for collecting
-//! assignments and references, used by the linter and the DFG builder.
+//! AST walkers: a read-only [`Visitor`] and the `walk_*` functions its
+//! default methods recurse through, used by the linter.
 
 use crate::ast::*;
-use crate::names::Symbol;
 
 /// A read-only visitor over a module's behavioural constructs.
 ///
@@ -154,94 +153,5 @@ pub fn walk_lvalue<V: Visitor + ?Sized>(v: &mut V, lv: &LValue) {
                 v.visit_lvalue(p);
             }
         }
-    }
-}
-
-/// Collects every signal name assigned anywhere in a module, paired with
-/// whether the write happens in an edge-triggered block.
-pub fn assigned_signals(module: &Module) -> Vec<(Symbol, bool)> {
-    let mut out = Vec::new();
-    for item in &module.items {
-        match item {
-            Item::Assign(a) => {
-                for n in a.lhs.base_names() {
-                    out.push((n, false));
-                }
-            }
-            Item::Always(a) => {
-                let seq = a.sensitivity.is_edge_triggered();
-                collect_stmt_writes(&a.body, seq, &mut out);
-            }
-            Item::Initial(i) => collect_stmt_writes(&i.body, false, &mut out),
-            _ => {}
-        }
-    }
-    out
-}
-
-fn collect_stmt_writes(stmt: &Stmt, seq: bool, out: &mut Vec<(Symbol, bool)>) {
-    struct W<'a> {
-        seq: bool,
-        out: &'a mut Vec<(Symbol, bool)>,
-    }
-    impl Visitor for W<'_> {
-        fn visit_stmt(&mut self, stmt: &Stmt) {
-            if let Stmt::Blocking(a) | Stmt::NonBlocking(a) = stmt {
-                for n in a.lhs.base_names() {
-                    self.out.push((n, self.seq));
-                }
-            }
-            walk_stmt(self, stmt);
-        }
-    }
-    let mut w = W { seq, out };
-    w.visit_stmt(stmt);
-}
-
-/// Collects every identifier read anywhere in a module (not written).
-pub fn referenced_signals(module: &Module) -> Vec<Symbol> {
-    struct R {
-        out: Vec<Symbol>,
-    }
-    impl Visitor for R {
-        fn visit_expr(&mut self, expr: &Expr) {
-            if let Expr::Ident(n) = expr {
-                self.out.push(*n);
-            }
-            walk_expr(self, expr);
-        }
-    }
-    let mut r = R { out: Vec::new() };
-    for item in &module.items {
-        r.visit_item(item);
-    }
-    r.out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parser::parse;
-
-    #[test]
-    fn collects_writes_with_kind() {
-        let src = "module m(input clk, input a, output reg q, output w);\n\
-                   assign w = a;\nalways @(posedge clk) q <= a;\nendmodule\n";
-        let file = parse(src).unwrap();
-        let m = file.top().unwrap();
-        let writes: Vec<(&str, bool)> =
-            assigned_signals(m).into_iter().map(|(n, seq)| (m.name_of(n), seq)).collect();
-        assert!(writes.contains(&("w", false)));
-        assert!(writes.contains(&("q", true)));
-    }
-
-    #[test]
-    fn collects_reads() {
-        let src = "module m(input a, input b, output y);\nassign y = a ? b : 1'b0;\nendmodule\n";
-        let file = parse(src).unwrap();
-        let m = file.top().unwrap();
-        let reads: Vec<&str> = referenced_signals(m).into_iter().map(|n| m.name_of(n)).collect();
-        assert!(reads.contains(&"a"));
-        assert!(reads.contains(&"b"));
     }
 }
