@@ -1,9 +1,9 @@
 //! The campaign engine: dataset assembly, shard/resume filtering and the
 //! worker pool, glued to a result sink.
 
-use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
+use crate::eval::{EvalRecord, LlmPolicy, MethodKind};
 use crate::job::{expand_jobs, Job, ShardSpec};
-use crate::queue::{run_pool_supervised, PoolPolicy, PoolStats};
+use crate::queue::{run_pool_supervised, PoolStats};
 use crate::report::CampaignReport;
 use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -92,9 +92,9 @@ pub struct CampaignConfig {
     /// Methods to evaluate on every instance.
     pub methods: Vec<MethodKind>,
     /// Pool threads, i.e. jobs that compute at once (0 = one per
-    /// available CPU). On a batched service (`llm_batch`, or a
-    /// caller-owned one) a job waiting on the LLM is parked and its
-    /// thread takes another.
+    /// available CPU). On a service loop (`llm_batch`, latency, faults
+    /// or resilience) a job waiting on the LLM is parked and its thread
+    /// takes another.
     pub workers: usize,
     /// Which `i/n` slice of the job space this process owns.
     pub shard: ShardSpec,
@@ -111,11 +111,6 @@ pub struct CampaignConfig {
     /// exclusive connection (a batch is one prompt without `llm_batch`).
     /// The knob behind the overlap benchmark; `None` for real runs.
     pub llm_latency: Option<Duration>,
-    /// Record per-job `llm_wait_ms` / `llm_batch_max` telemetry members
-    /// in JSONL rows. Off by default: the members are wall-clock
-    /// measurements and therefore excluded from the row byte-identity
-    /// contract.
-    pub llm_telemetry: bool,
     /// `Some` writes a [`uvllm_obs`] snapshot (`MetricsSnapshot::render`)
     /// to this path at the end of the run, plus a best-effort periodic
     /// flush every [`CampaignConfig::metrics_flush_jobs`] finished jobs.
@@ -133,9 +128,10 @@ pub struct CampaignConfig {
     /// `Some` retries, breaks and degrades every job's session under
     /// this policy (per-job jitter derivation). Independent of `fault`.
     pub resilience: Option<ResiliencePolicy>,
-    /// Worker-pool supervision: per-job deadline and the deterministic
-    /// failure-injection knobs (see [`PoolPolicy`]).
-    pub pool: PoolPolicy,
+    /// Fault injection for the worker pool's supervision: panic every
+    /// job whose id contains this substring (deterministic, so the job
+    /// fails its retry too and quarantines as a `worker_panic` row).
+    pub inject_panic: Option<String>,
 }
 
 impl Default for CampaignConfig {
@@ -149,12 +145,11 @@ impl Default for CampaignConfig {
             backend: SimBackend,
             llm_batch: None,
             llm_latency: None,
-            llm_telemetry: false,
             metrics_out: None,
             metrics_flush_jobs: 64,
             fault: None,
             resilience: None,
-            pool: PoolPolicy::default(),
+            inject_panic: None,
         }
     }
 }
@@ -178,7 +173,7 @@ pub struct CampaignOutcome {
     /// roll-ups; per-job waits stay on [`EvalRecord`]).
     pub metrics: uvllm_obs::MetricsSnapshot,
     /// What worker supervision did: panics caught, requeues granted,
-    /// deadline overruns, quarantined rows.
+    /// quarantined rows.
     pub pool_stats: PoolStats,
 }
 
@@ -231,7 +226,7 @@ impl Campaign {
     ///
     /// Returns the first sink I/O error, after the pool has wound down.
     pub fn run(&self, sink: &mut dyn ResultSink) -> std::io::Result<CampaignOutcome> {
-        self.run_on(&self.build_dataset(), sink, None)
+        self.run_on(&self.build_dataset(), sink)
     }
 
     /// Builds this campaign's dataset for [`Campaign::run_on`], on as
@@ -242,10 +237,7 @@ impl Campaign {
 
     /// [`Campaign::run`] on a dataset the caller already built — the
     /// resident-worker path, where one [`CampaignDataset`] serves every
-    /// shard leased from the same run — and, with `shared`, on a
-    /// caller-owned LLM service loop that keeps batching prompts across
-    /// leased shards (`None`: the run's [`LlmPolicy`] starts its own
-    /// loop if it needs one). Rows are byte-identical either way.
+    /// shard leased from the same run.
     ///
     /// # Errors
     ///
@@ -260,7 +252,6 @@ impl Campaign {
         &self,
         dataset: &CampaignDataset,
         sink: &mut dyn ResultSink,
-        shared: Option<&SharedLlm>,
     ) -> std::io::Result<CampaignOutcome> {
         let config = &self.config;
         assert!(
@@ -296,23 +287,18 @@ impl Campaign {
         let existing_rows = sink.existing_rows();
         let sink = Mutex::new(sink);
         let sink_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let telemetry = self.config.llm_telemetry;
         let metrics_out = self.config.metrics_out.as_deref();
         let flush_every = self.config.metrics_flush_jobs;
         let finished = std::sync::atomic::AtomicUsize::new(0);
 
-        // One service loop for the whole pool: every job opens a session
-        // on it, so LLM round trips from all workers coalesce while the
-        // rest of the pool keeps simulating. A caller-owned loop
-        // (resident workers) takes precedence and outlives this run.
-        let llm = match shared {
-            Some(service) => LlmPolicy::batched(service),
-            None => LlmPolicy::direct()
-                .with_batch(self.config.llm_batch.clone())
-                .with_latency(self.config.llm_latency),
-        }
-        .with_faults(self.config.fault.clone())
-        .with_resilience(self.config.resilience.clone());
+        // One service loop for the whole pool, when it needs one: every
+        // job opens a session on it, so LLM round trips from all workers
+        // coalesce while the rest of the pool keeps simulating.
+        let llm = LlmPolicy::direct()
+            .with_batch(self.config.llm_batch.clone())
+            .with_latency(self.config.llm_latency)
+            .with_faults(self.config.fault.clone())
+            .with_resilience(self.config.resilience.clone());
 
         // Sink locks recover from poisoning: a worker that panics while
         // the row callback holds the lock must not wedge the remaining
@@ -324,9 +310,9 @@ impl Campaign {
             self.workers,
             &llm,
             &dataset.memo,
-            &self.config.pool,
+            self.config.inject_panic.as_deref(),
             |_, record| {
-                let row = if telemetry { record.to_row_with_telemetry() } else { record.to_row() };
+                let row = record.to_row();
                 {
                     let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
                     if let Err(e) = guard.append(&row) {
@@ -347,8 +333,7 @@ impl Campaign {
             },
         );
         // Joins this run's loop before the snapshot; every session was
-        // drained when its job finished. A caller-owned `shared` loop
-        // keeps running for the next run.
+        // drained when its job finished.
         drop(llm);
         if let Some(e) = sink_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
@@ -421,7 +406,7 @@ mod tests {
         };
         let campaign = Campaign::new(config).unwrap();
         let dataset = campaign.build_dataset();
-        let outcome = campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+        let outcome = campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
         let jobs = expand_jobs(&dataset.instances, &campaign.config.methods);
         assert_eq!(outcome.new_records.len(), jobs.len());
         for (record, job) in outcome.new_records.iter().zip(&jobs) {
@@ -499,8 +484,7 @@ mod tests {
     #[test]
     fn injected_panics_quarantine_but_the_campaign_completes() {
         let mut config = tiny_config(2);
-        config.pool =
-            PoolPolicy { inject_panic: Some("@RTLrepair".to_string()), ..PoolPolicy::default() };
+        config.inject_panic = Some("@RTLrepair".to_string());
         let mut sink = MemorySink::new();
         let outcome = Campaign::new(config).unwrap().run(&mut sink).unwrap();
         assert_eq!(sink.rows().len(), 12, "every job answers, crashed ones included");

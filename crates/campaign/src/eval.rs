@@ -259,11 +259,7 @@ impl EvalRecord {
         job_id(&self.instance_id, self.method)
     }
 
-    /// Projects the record onto its deterministic JSONL row. The
-    /// telemetry members stay `None` here; the engine fills them in
-    /// only when the campaign opts into `llm_telemetry` (they are
-    /// wall-clock measurements, excluded from the byte-identity
-    /// contract).
+    /// Projects the record onto its deterministic JSONL row.
     pub fn to_row(&self) -> EvalRow {
         EvalRow {
             id: self.job_id(),
@@ -285,20 +281,7 @@ impl EvalRecord {
             sim_latency_ms: self.usage.latency.as_millis() as u64,
             fixed_by: self.fixed_by.map(|s| s.label().to_string()),
             degraded: if self.degraded { Some(true) } else { None },
-            llm_wait_ms: None,
-            llm_batch_max: None,
         }
-    }
-
-    /// [`EvalRecord::to_row`] with the wall-clock LLM telemetry members
-    /// filled in (opt-in: these vary with batch schedule and machine
-    /// load, so rows carrying them are excluded from the determinism
-    /// contract).
-    pub(crate) fn to_row_with_telemetry(&self) -> EvalRow {
-        let mut row = self.to_row();
-        row.llm_wait_ms = Some(self.llm_wait.as_millis() as u64);
-        row.llm_batch_max = Some(self.llm_batch_max);
-        row
     }
 }
 
@@ -355,18 +338,11 @@ pub struct EvalRow {
     /// stay byte-identical to pre-resilience rows; degraded rows are
     /// the explicit carve-out of the byte-identity gate.
     pub degraded: Option<bool>,
-    /// Opt-in telemetry: wall-clock ms the job spent blocked on the
-    /// LLM service. Serialized only when present; absent by default so
-    /// canonical rows stay byte-identical across batch schedules.
-    pub llm_wait_ms: Option<u64>,
-    /// Opt-in telemetry: largest service flush the job's prompts rode
-    /// in. Same serialization rule as `llm_wait_ms`.
-    pub llm_batch_max: Option<u64>,
 }
 
 impl EvalRow {
-    /// Serialises to one compact JSON line (fixed member order; the
-    /// optional telemetry members are appended only when present).
+    /// Serialises to one compact JSON line (fixed member order;
+    /// `degraded` is appended only when set).
     pub fn to_json_line(&self) -> String {
         let mut members = vec![
             ("id".into(), Json::Str(self.id.clone())),
@@ -397,16 +373,11 @@ impl EvalRow {
         if let Some(degraded) = self.degraded {
             members.push(("degraded".into(), Json::Bool(degraded)));
         }
-        if let Some(wait) = self.llm_wait_ms {
-            members.push(("llm_wait_ms".into(), Json::Num(wait as f64)));
-        }
-        if let Some(batch) = self.llm_batch_max {
-            members.push(("llm_batch_max".into(), Json::Num(batch as f64)));
-        }
         Json::Obj(members).render()
     }
 
-    /// Parses one JSONL line.
+    /// Parses one JSONL line. Unknown members are ignored, so rows that
+    /// older builds wrote with extra members decode.
     ///
     /// # Errors
     ///
@@ -499,8 +470,6 @@ impl EvalRow {
                 }
             },
             degraded: v.get("degraded").and_then(Json::as_bool),
-            llm_wait_ms: v.get("llm_wait_ms").and_then(Json::as_u64),
-            llm_batch_max: v.get("llm_batch_max").and_then(Json::as_u64),
         })
     }
 }

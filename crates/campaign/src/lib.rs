@@ -21,9 +21,9 @@
 //!   takes a woken or a new job, up to `workers + 2 × max_batch` in
 //!   flight. The pool is supervision-grade:
 //!   `catch_unwind` around every step with requeue-once-then-quarantine
-//!   (`worker_panic` rows), an optional per-job deadline checked when
-//!   the job is done (`job_timeout` rows), and poison-recovering locks
-//!   — see [`PoolPolicy`] / [`PoolStats`].
+//!   (`worker_panic` rows) and poison-recovering locks — see
+//!   [`PoolStats`]. No pool setting reads the clock, so no setting can
+//!   make a row depend on it.
 //! * fault tolerance — `CampaignConfig::fault` injects seeded LLM
 //!   faults ([`uvllm_llm::FaultPlan`]) and `CampaignConfig::resilience`
 //!   retries, breaks and degrades ([`uvllm_llm::ResiliencePolicy`]):
@@ -105,7 +105,7 @@ pub use eval::{
 };
 pub use job::{expand_jobs, fnv1a64, parse_seed, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
-pub use queue::{PoolPolicy, PoolStats};
+pub use queue::PoolStats;
 pub use report::{CampaignReport, ReportTallies};
 pub use sink::{
     JsonlSink, LineTailer, MemorySink, RawLines, ResultSink, SinkTailer, TailBatch, TailedLine,

@@ -42,21 +42,17 @@
 //!   chance; a second failure quarantines the job as a distinct
 //!   [`Verdict::WorkerPanic`] row so the campaign stays complete and
 //!   honest instead of silently losing coverage.
-//! * An optional per-job wall-clock deadline is checked when the job is
-//!   done (safe Rust cannot preempt a compute-bound thread): a job that
-//!   took longer has its late result discarded and
-//!   is requeued once / quarantined as [`Verdict::JobTimeout`]. (The row
-//!   is pure wall-clock policy and therefore only meaningful when the
-//!   deadline knob is set — deadline-free campaigns keep the
-//!   determinism contract.)
 //! * Shared-state locks recover from poisoning (`PoisonError::into_inner`)
 //!   — a defense-in-depth layer behind `catch_unwind`: even a panic in
 //!   an observability callback cannot wedge the remaining workers.
 //!
-//! Deterministic failure-injection knobs ([`PoolPolicy::inject_panic`],
-//! [`PoolPolicy::inject_stall`]) exist so the supervision machinery is
-//! testable end-to-end: they fire by job-id substring match inside the
-//! supervised region, exactly where a real fault would.
+//! Only a panic fails an attempt: no setting of the pool reads the
+//! clock, so every row stays a pure function of its job. The
+//! deterministic failure-injection knob
+//! ([`CampaignConfig::inject_panic`](crate::CampaignConfig::inject_panic))
+//! exists so the supervision machinery is testable end-to-end: it fires
+//! by job-id substring match inside the supervised region, exactly where
+//! a real fault would.
 
 use crate::eval::{EvalRecord, JobRun, LlmPolicy};
 use crate::job::Job;
@@ -65,7 +61,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Poll, Wake, Waker};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use uvllm::{StageMemo, Verdict};
 use uvllm_llm::Usage;
 
@@ -76,8 +72,6 @@ struct PoolMetrics {
     panics: &'static uvllm_obs::Counter,
     /// Jobs given their one retry after a failed attempt.
     requeues: &'static uvllm_obs::Counter,
-    /// Job attempts that blew the wall-clock deadline.
-    job_timeouts: &'static uvllm_obs::Counter,
 }
 
 fn metrics() -> &'static PoolMetrics {
@@ -85,7 +79,6 @@ fn metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| PoolMetrics {
         panics: uvllm_obs::registry().counter("campaign.panics"),
         requeues: uvllm_obs::registry().counter("campaign.requeues"),
-        job_timeouts: uvllm_obs::registry().counter("campaign.job_timeouts"),
     })
 }
 
@@ -161,40 +154,21 @@ impl WorkQueue {
     }
 }
 
-/// Supervision policy of a worker pool.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolPolicy {
-    /// Per-job wall-clock budget. `None` (default) disables the
-    /// deadline — the deterministic configuration.
-    pub job_deadline: Option<Duration>,
-    /// Fault injection: panic any job whose id contains this substring
-    /// (deterministic, so the job fails its retry too and quarantines).
-    pub inject_panic: Option<String>,
-    /// Fault injection: stall any job whose id contains the substring
-    /// by the given duration before evaluating (used with
-    /// [`PoolPolicy::job_deadline`] to exercise the deadline).
-    pub inject_stall: Option<(String, Duration)>,
-}
-
 /// What supervision did during one pool run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Job attempts that panicked.
     pub panicked: u64,
-    /// Jobs requeued for their single retry (panic or timeout).
+    /// Jobs requeued for their single retry.
     pub requeued: u64,
-    /// Job attempts that blew the wall-clock deadline.
-    pub timed_out: u64,
     /// Jobs quarantined with a `worker_panic` row.
     pub quarantined_panics: u64,
-    /// Jobs quarantined with a `job_timeout` row.
-    pub quarantined_timeouts: u64,
 }
 
 /// The row recorded for a quarantined job: every identity field comes
 /// from the job itself (the evaluation never produced a record), the
-/// verdict marks why, and all result fields are the honest zeros.
-fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
+/// verdict marks the panic, and all result fields are the honest zeros.
+fn quarantine_record(job: &Job) -> EvalRecord {
     EvalRecord {
         instance_id: job.instance.id(),
         design: job.instance.design.name,
@@ -205,7 +179,7 @@ fn quarantine_record(job: &Job, verdict: Verdict) -> EvalRecord {
         backend: Default::default(),
         hit: false,
         fixed: false,
-        fix_outcome: verdict,
+        fix_outcome: Verdict::WorkerPanic,
         claimed: false,
         texec: 0.0,
         stage_times: None,
@@ -224,7 +198,6 @@ struct Flight {
     job: Job,
     /// `None` until the job's first step starts it.
     run: Option<JobRun>,
-    started: Instant,
     /// Moves the flight from the parked table to the woken queue.
     waker: Waker,
 }
@@ -263,32 +236,26 @@ impl Board {
 }
 
 impl BoardState {
-    /// Books a failed attempt of `job`: its first failure requeues it
+    /// Books a panicked attempt of `job`: its first failure requeues it
     /// (while it still counts as in flight, so no thread exits while
     /// its retry is owed); its second quarantines it with a distinct
     /// outcome row, so coverage stays complete and the failure visible.
     fn failed(
         &mut self,
         job: &Job,
-        verdict: Verdict,
         queue: &WorkQueue,
         depth: &uvllm_obs::Gauge,
     ) -> Option<EvalRecord> {
-        let stats = &mut self.stats;
-        let (failed, quarantined) = match verdict {
-            Verdict::JobTimeout => (&mut stats.timed_out, &mut stats.quarantined_timeouts),
-            _ => (&mut stats.panicked, &mut stats.quarantined_panics),
-        };
-        *failed += 1;
+        self.stats.panicked += 1;
         if self.retried.insert(job.index) {
-            stats.requeued += 1;
+            self.stats.requeued += 1;
             metrics().requeues.inc();
             depth.inc();
             queue.push(job.clone());
             return None;
         }
-        *quarantined += 1;
-        Some(quarantine_record(job, verdict))
+        self.stats.quarantined_panics += 1;
+        Some(quarantine_record(job))
     }
 }
 
@@ -317,27 +284,20 @@ impl Wake for FlightWaker {
 
 /// Steps `flight` until it is done (its record) or waits on an answer
 /// that is not in yet. A new flight starts here, under the caller's
-/// `catch_unwind`, where the injected faults fire.
+/// `catch_unwind`, where an injected panic fires.
 fn fly(
     flight: &mut Flight,
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
-    policy: &PoolPolicy,
+    inject_panic: Option<&str>,
 ) -> Poll<EvalRecord> {
-    let Flight { job, run, waker, .. } = flight;
+    let Flight { job, run, waker } = flight;
     let run = match run {
         Some(run) => run,
         None => {
             let job_id = job.id();
-            if let Some(pattern) = &policy.inject_panic {
-                if job_id.contains(pattern.as_str()) {
-                    panic!("injected worker panic for job {job_id}");
-                }
-            }
-            if let Some((pattern, stall)) = &policy.inject_stall {
-                if job_id.contains(pattern.as_str()) {
-                    std::thread::sleep(*stall);
-                }
+            if inject_panic.is_some_and(|pattern| job_id.contains(pattern)) {
+                panic!("injected worker panic for job {job_id}");
             }
             run.insert(JobRun::start(job.method, &job.instance, llm))
         }
@@ -348,9 +308,10 @@ fn fly(
 /// Runs `jobs` on `workers` threads (`0` is treated as 1), drawing LLM
 /// service handles from `llm` (a per-job [`uvllm_llm::DirectService`],
 /// or sessions of the shared [`crate::SharedLlm`], on which a job
-/// waiting for an answer is parked — module docs), under the
-/// supervision `policy` and on the caller's stage memo (the dataset's,
-/// so shards and resumed runs share what they learn about a text).
+/// waiting for an answer is parked — module docs), panicking jobs whose
+/// id contains `inject_panic`, on the caller's stage memo (the
+/// dataset's, so shards and resumed runs share what they learn about a
+/// text).
 /// `on_record` observes every finished job (from pool threads, in
 /// completion order); the returned list is sorted back into job order,
 /// beside what supervision did.
@@ -359,7 +320,7 @@ pub(crate) fn run_pool_supervised(
     workers: usize,
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
-    policy: &PoolPolicy,
+    inject_panic: Option<&str>,
     on_record: impl Fn(&Job, &EvalRecord) + Sync,
 ) -> (Vec<EvalRecord>, PoolStats) {
     let workers = workers.max(1);
@@ -394,7 +355,7 @@ pub(crate) fn run_pool_supervised(
                                 let waker =
                                     FlightWaker { board: Arc::clone(board), index: job.index };
                                 let waker = Waker::from(Arc::new(waker));
-                                break Flight { job, run: None, started: Instant::now(), waker };
+                                break Flight { job, run: None, waker };
                             }
                             if state.in_flight == 0 {
                                 return;
@@ -406,13 +367,8 @@ pub(crate) fn run_pool_supervised(
                     }
                 };
                 let outcome =
-                    catch_unwind(AssertUnwindSafe(|| fly(&mut flight, llm, memo, policy)));
-
-                // Classify the attempt: a panic always fails it; a
-                // finished job fails when it took longer than the
-                // deadline — the late result is discarded, never
-                // half-trusted.
-                let attempt = match outcome {
+                    catch_unwind(AssertUnwindSafe(|| fly(&mut flight, llm, memo, inject_panic)));
+                let record = match outcome {
                     Ok(Poll::Pending) => {
                         let mut state = board.lock();
                         if state.early.remove(&flight.job.index) {
@@ -422,23 +378,13 @@ pub(crate) fn run_pool_supervised(
                         }
                         continue;
                     }
+                    Ok(Poll::Ready(record)) => Some(record),
                     Err(_) => {
                         metrics().panics.inc();
-                        Err(Verdict::WorkerPanic)
+                        board.lock().failed(&flight.job, queue, depth)
                     }
-                    Ok(Poll::Ready(_))
-                        if policy.job_deadline.is_some_and(|d| flight.started.elapsed() >= d) =>
-                    {
-                        metrics().job_timeouts.inc();
-                        Err(Verdict::JobTimeout)
-                    }
-                    Ok(Poll::Ready(record)) => Ok(record),
                 };
                 let job = flight.job;
-                let record = match attempt {
-                    Ok(record) => Some(record),
-                    Err(verdict) => board.lock().failed(&job, verdict, queue, depth),
-                };
                 if let Some(record) = &record {
                     thread_jobs.inc();
                     on_record(&job, record);
@@ -481,7 +427,7 @@ mod tests {
         on_record: impl Fn(&Job, &EvalRecord) + Sync,
     ) -> Vec<EvalRecord> {
         let memo = StageMemo::new();
-        run_pool_supervised(jobs, workers, llm, &memo, &PoolPolicy::default(), on_record).0
+        run_pool_supervised(jobs, workers, llm, &memo, None, on_record).0
     }
 
     fn jobs_on(design: &str, methods: &[MethodKind], seeds: u64) -> Vec<Job> {
@@ -735,13 +681,12 @@ mod tests {
         let expected: Vec<String> = jobs.iter().map(Job::id).collect();
         // Deterministic panic on the first job: it fails, gets its one
         // retry, fails again and quarantines — the other jobs complete.
-        let policy = PoolPolicy { inject_panic: Some(expected[0].clone()), ..Default::default() };
         let (records, stats) = run_pool_supervised(
             jobs,
             2,
             &LlmPolicy::direct(),
             &StageMemo::new(),
-            &policy,
+            Some(&expected[0]),
             |_, _| {},
         );
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
@@ -752,38 +697,12 @@ mod tests {
         assert_eq!(stats.panicked, 2, "first attempt + retry");
         assert_eq!(stats.requeued, 1);
         assert_eq!(stats.quarantined_panics, 1);
-        assert_eq!(stats.quarantined_timeouts, 0);
-    }
-
-    #[test]
-    fn stalled_job_blows_the_deadline_and_quarantines() {
-        let jobs = jobs_on("mux4", &[MethodKind::Strider], 2);
-        let expected: Vec<String> = jobs.iter().map(Job::id).collect();
-        let policy = PoolPolicy {
-            job_deadline: Some(Duration::from_millis(100)),
-            inject_stall: Some((expected[1].clone(), Duration::from_millis(400))),
-            ..Default::default()
-        };
-        let (records, stats) = run_pool_supervised(
-            jobs,
-            2,
-            &LlmPolicy::direct(),
-            &StageMemo::new(),
-            &policy,
-            |_, _| {},
-        );
-        let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
-        assert_eq!(got, expected);
-        assert_eq!(records[1].fix_outcome, Verdict::JobTimeout);
-        assert_ne!(records[0].fix_outcome, Verdict::JobTimeout, "only the stalled job overran");
-        assert_eq!(stats.timed_out, 2, "stall is deterministic: attempt + retry both overrun");
-        assert_eq!(stats.quarantined_timeouts, 1);
     }
 
     #[test]
     fn panic_rows_serialize_with_the_worker_panic_outcome() {
         let jobs = jobs_on("mux4", &[MethodKind::Strider], 1);
-        let record = quarantine_record(&jobs[0], Verdict::WorkerPanic);
+        let record = quarantine_record(&jobs[0]);
         let row = record.to_row();
         assert_eq!(row.outcome, "worker_panic");
         let line = row.to_json_line();

@@ -549,8 +549,6 @@ mod tests {
             sim_latency_ms: 2000,
             fixed_by: fixed.then(|| "Repair in MS Mode".to_string()),
             degraded: None,
-            llm_wait_ms: None,
-            llm_batch_max: None,
         }
     }
 

@@ -392,8 +392,6 @@ mod tests {
             sim_latency_ms: 1234,
             fixed_by: None,
             degraded: None,
-            llm_wait_ms: None,
-            llm_batch_max: None,
         }
     }
 
@@ -443,6 +441,23 @@ mod tests {
         let rows = sink.existing_rows();
         assert_eq!(rows.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(), ["a@M", "b@M"]);
         assert_eq!(rows[0].llm_calls, first.llm_calls, "the first copy wins");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A row an older build wrote with the since-removed wall-clock
+    /// members (`llm_wait_ms`, `llm_batch_max`) resumes as completed.
+    #[test]
+    fn jsonl_sink_resumes_a_row_with_the_old_wait_members() {
+        let dir = std::env::temp_dir().join(format!("uvllm-sink-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.jsonl");
+        let line = row("a@M").to_json_line();
+        let old = format!("{},\"llm_wait_ms\":3,\"llm_batch_max\":2}}\n", &line[..line.len() - 1]);
+        std::fs::write(&path, &old).unwrap();
+        let sink = JsonlSink::open(&path).unwrap();
+        assert_eq!(sink.resumed(), 1);
+        assert!(sink.completed_ids().contains("a@M"));
+        assert_eq!(sink.existing_rows(), [row("a@M")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

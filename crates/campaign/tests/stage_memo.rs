@@ -57,7 +57,7 @@ fn a_text_is_analysed_once_per_dataset() {
     let unsharded = Campaign::new(config(1)).unwrap().build_dataset();
     let (rows, counters) = measured(|| {
         let mut sink = MemorySink::new();
-        Campaign::new(config(1)).unwrap().run_on(&unsharded, &mut sink, None).unwrap();
+        Campaign::new(config(1)).unwrap().run_on(&unsharded, &mut sink).unwrap();
         lines(&sink)
     });
     assert_eq!(rows.len(), 24 * 6);
@@ -91,7 +91,7 @@ fn a_text_is_analysed_once_per_dataset() {
             let mut shard = config(2);
             shard.shard = ShardSpec { index, count: 2 };
             let mut sink = MemorySink::new();
-            Campaign::new(shard).unwrap().run_on(&dataset, &mut sink, None).unwrap();
+            Campaign::new(shard).unwrap().run_on(&dataset, &mut sink).unwrap();
             union.extend(lines(&sink));
         }
         assert_eq!(slots(dataset.memo()), filled);

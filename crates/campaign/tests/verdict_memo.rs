@@ -70,7 +70,7 @@ fn a_text_is_judged_once_per_dataset() {
             let mut shard = config(2);
             shard.shard = ShardSpec { index, count: 2 };
             let mut sink = MemorySink::new();
-            Campaign::new(shard).unwrap().run_on(&dataset, &mut sink, None).unwrap();
+            Campaign::new(shard).unwrap().run_on(&dataset, &mut sink).unwrap();
             union.extend(lines(&sink));
         }
         assert_eq!(dataset.memo().judged().len() as u64, misses);

@@ -57,9 +57,6 @@ pub enum Verdict {
     /// unwind, quarantined the job and recorded this row instead of
     /// dying (fault isolation — see `uvllm-campaign`'s worker pool).
     WorkerPanic,
-    /// The job blew its per-job wall-clock deadline and was quarantined
-    /// by the campaign's worker pool.
-    JobTimeout,
 }
 
 impl Verdict {
@@ -76,7 +73,6 @@ impl Verdict {
             Verdict::Unstable { .. } => "unstable",
             Verdict::BuildFailed => "build-failed",
             Verdict::WorkerPanic => "worker_panic",
-            Verdict::JobTimeout => "job_timeout",
         }
     }
 }

@@ -141,14 +141,10 @@ fn drive_differentially(d: &uvllm_designs::Design, seed: u64, batched: bool) {
         }
     }
 
-    // The recorded waveforms render to byte-identical VCD.
+    // The recorded waveforms are identical: both simulators run one
+    // `Arc<Design>`, so they record the same signal ids.
     assert_eq!(wave_kernel.len(), CYCLES);
-    assert_eq!(
-        wave_kernel.to_vcd(d.name),
-        wave_reference.to_vcd(d.name),
-        "{}: VCD diverged",
-        pair.ctx
-    );
+    assert_eq!(wave_kernel, wave_reference, "{}: waveforms diverged", pair.ctx);
 }
 
 /// The headline acceptance test: all 27 designs, every seed, inputs

@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn information_quality_ordering_holds() {
         // For functional kinds: SpecOnly <= RawLog <= Ms <= Sl.
-        for kind in ErrorKind::functional_kinds() {
+        for kind in ErrorKind::ALL.into_iter().filter(|k| !k.is_syntax()) {
             let p = ModelProfile::Gpt4Turbo;
             let spec = p.success_prob(kind, InfoMode::SpecOnly);
             let raw = p.success_prob(kind, InfoMode::RawLog);
@@ -242,11 +242,13 @@ mod tests {
     #[test]
     fn syntax_easier_than_functional() {
         let p = ModelProfile::Gpt4Turbo;
-        let avg = |kinds: Vec<ErrorKind>, mode: InfoMode| {
+        let avg = |syntax: bool, mode: InfoMode| {
+            let kinds: Vec<_> =
+                ErrorKind::ALL.into_iter().filter(|k| k.is_syntax() == syntax).collect();
             kinds.iter().map(|k| p.success_prob(*k, mode)).sum::<f64>() / kinds.len() as f64
         };
-        let syn = avg(ErrorKind::syntax_kinds(), InfoMode::Lint);
-        let func = avg(ErrorKind::functional_kinds(), InfoMode::Ms);
+        let syn = avg(true, InfoMode::Lint);
+        let func = avg(false, InfoMode::Ms);
         assert!(syn > func);
     }
 

@@ -532,7 +532,9 @@ mod tests {
     }
 
     /// A line that parses but is not its row's canonical encoding is
-    /// served re-encoded; a later canonical copy is the same row.
+    /// served re-encoded; a later canonical copy is the same row. An
+    /// older build's line with the since-removed `llm_wait_ms` /
+    /// `llm_batch_max` members is such a line.
     #[test]
     fn a_non_canonical_line_is_served_re_encoded() {
         let rows = real_rows();
@@ -540,7 +542,10 @@ mod tests {
         let canonical: Vec<String> = rows.iter().map(EvalRow::to_json_line).collect();
         let spaced = canonical[0].replace(",\"", ", \"");
         assert_ne!(spaced, canonical[0]);
-        std::fs::write(&path, format!("{spaced}\n{}\n{}\n", canonical[1], canonical[0])).unwrap();
+        let old = canonical[1].replace('}', ",\"llm_wait_ms\":3,\"llm_batch_max\":2}");
+        assert!(old.ends_with(",\"llm_wait_ms\":3,\"llm_batch_max\":2}"), "{old}");
+        let lines = [&spaced, &old, &canonical[1], &canonical[0]];
+        std::fs::write(&path, lines.map(|line| format!("{line}\n")).concat()).unwrap();
         let agg = Aggregator::new();
         agg.register("run-re", &spec(), vec![path.clone()]);
         agg.poll();

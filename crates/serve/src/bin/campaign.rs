@@ -15,7 +15,8 @@
 //! Re-running with the same `--out` resumes: completed jobs are read
 //! back from the file and skipped. Output rows are byte-identical
 //! (modulo order) for any `--workers` value, with `--llm-batch` on or
-//! off — batching changes wall-clock, not rows.
+//! off — batching changes wall-clock, not rows. No flag makes a row
+//! depend on the wall clock.
 //!
 //! `merge` combines shard files into one report, validating shard
 //! disjointness and full job-space coverage (pass the same `--size` /
@@ -47,13 +48,11 @@ use uvllm_serve::{
 };
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
-     [--seed HEX] [--methods A,B,..] \
-     [--llm-batch N] [--llm-max-wait-ms MS] [--llm-latency-ms MS] \
-     [--llm-telemetry] [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
+     [--seed HEX] [--methods A,B,..] [--llm-batch N] \
+     [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
      \x20      campaign [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
      [--fault-latency-ms MS]\n\
-     \x20      campaign [--llm-retries N] [--llm-timeout-ms MS] [--llm-breaker-threshold N] \
-     [--job-deadline-ms MS] [--inject-panic PAT] [--inject-stall PAT:MS]\n\
+     \x20      campaign [--llm-retries N] [--llm-breaker-threshold N] [--inject-panic PAT]\n\
      \x20      campaign merge [--size N] [--seed HEX] [--methods A,B,..] \
      [--out FILE] SHARD.jsonl..\n\
      \x20      campaign metrics-check METRICS.json\n\
@@ -61,8 +60,7 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--lease-ms MS] [--fsync always|never|every:N] [--compact-every N] \
      [--crash-after EVENT[:N]]\n\
      \x20      campaign worker --connect HOST:PORT [--addr-file FILE] [--name NAME] [--workers N] \
-     [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
-     [--abort-after-rows N]\n\
+     [--idle-exit N] [--once] [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
      [--shards N] [--lease-ms MS]\n\
      \x20      campaign status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
@@ -173,48 +171,18 @@ fn parse_methods(text: &str) -> Result<Vec<MethodKind>, String> {
         .collect()
 }
 
-/// `--llm-batch N` and `--llm-max-wait-ms MS`, shared by the run and
-/// worker verbs.
-#[derive(Default)]
-struct LlmBatch {
-    batch: Option<BatchConfig>,
-    max_wait: Option<Duration>,
-}
-
-impl LlmBatch {
-    fn take(&mut self, f: &mut Flags, flag: &str) -> Result<bool, String> {
-        match flag {
-            "--llm-batch" => {
-                let max_batch = f.positive(flag)?;
-                self.batch = Some(BatchConfig { max_batch, ..BatchConfig::default() });
-            }
-            "--llm-max-wait-ms" => self.max_wait = Some(Duration::from_millis(f.value(flag)?)),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn finish(self) -> Result<Option<BatchConfig>, String> {
-        match (self.batch, self.max_wait) {
-            // Tuning the flush window only makes sense on the batched
-            // service; applying it alone must not silently enable batching.
-            (None, Some(_)) => Err("--llm-max-wait-ms needs --llm-batch".to_string()),
-            (Some(batch), Some(max_wait)) => Ok(Some(BatchConfig { max_wait, ..batch })),
-            (batch, None) => Ok(batch),
-        }
-    }
-}
-
 /// The run verb's flags: the campaign configuration and the sink path.
 fn parse_run(args: Vec<String>) -> Result<(CampaignConfig, String), String> {
     let mut config = CampaignConfig::default();
     let mut out = "campaign.jsonl".to_string();
-    let mut batch = LlmBatch::default();
     Flags::new("campaign", args).each(false, &mut |f, flag| {
         match flag {
             "--workers" => config.workers = f.value(flag)?,
             "--shard" => config.shard = f.parse(flag, ShardSpec::parse)?,
-            "--llm-latency-ms" => config.llm_latency = Some(Duration::from_millis(f.value(flag)?)),
+            "--llm-batch" => {
+                let max_batch = f.positive(flag)?;
+                config.llm_batch = Some(BatchConfig { max_batch, ..BatchConfig::default() });
+            }
             "--fault-seed" => fault(&mut config).seed = f.parse(flag, parse_seed)?,
             "--fault-error-rate" => fault(&mut config).error_rate = f.rate(flag)?,
             "--fault-malform-rate" => fault(&mut config).malform_rate = f.rate(flag)?,
@@ -226,26 +194,16 @@ fn parse_run(args: Vec<String>) -> Result<(CampaignConfig, String), String> {
                 }
             }
             "--llm-retries" => resilience(&mut config).retries = f.value(flag)?,
-            "--llm-timeout-ms" => {
-                resilience(&mut config).ticket_deadline =
-                    Some(Duration::from_millis(f.value(flag)?))
-            }
             "--llm-breaker-threshold" => {
                 resilience(&mut config).breaker_threshold = f.positive(flag)?;
             }
-            "--job-deadline-ms" => {
-                config.pool.job_deadline = Some(Duration::from_millis(f.positive(flag)?))
-            }
-            "--inject-panic" => config.pool.inject_panic = Some(f.value(flag)?),
-            "--inject-stall" => config.pool.inject_stall = Some(f.parse(flag, parse_stall)?),
-            "--llm-telemetry" => config.llm_telemetry = true,
+            "--inject-panic" => config.inject_panic = Some(f.value(flag)?),
             "--metrics-out" => config.metrics_out = Some(f.value(flag)?),
             "--metrics-flush-jobs" => config.metrics_flush_jobs = f.value(flag)?,
-            _ => return Ok(batch.take(f, flag)? || f.campaign(flag, &mut config, &mut out)?),
+            _ => return f.campaign(flag, &mut config, &mut out),
         }
         Ok(true)
     })?;
-    config.llm_batch = batch.finish()?;
     if config.fault.is_some() {
         // Injected faults without retries would wreck every row; the
         // point of the fault plan is to exercise the resilience layer.
@@ -270,12 +228,6 @@ fn resilience(config: &mut CampaignConfig) -> &mut ResiliencePolicy {
         max_backoff: Duration::from_millis(8),
         ..ResiliencePolicy::default()
     })
-}
-
-fn parse_stall(text: &str) -> Result<(String, Duration), String> {
-    let (pattern, ms) = text.rsplit_once(':').ok_or("wants PATTERN:MS")?;
-    let ms = ms.parse().map_err(|_| "wants PATTERN:MS")?;
-    Ok((pattern.to_string(), Duration::from_millis(ms)))
 }
 
 fn run_campaign(args: Vec<String>) -> Result<(), String> {
@@ -337,17 +289,16 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
     println!(
         "llm service: {tickets} tickets across {flushes} flushes (mean batch {mean_batch:.2})",
     );
-    if config.resilience.is_some() || config.pool.job_deadline.is_some() {
+    if config.resilience.is_some() {
         println!(
             "resilience: {} retries, {} breaker transitions, {} degraded; \
-             pool: {} panics ({} requeued), {} timeouts, {} quarantined rows",
+             pool: {} panics ({} requeued), {} quarantined rows",
             outcome.metrics.counter("llm.retries").unwrap_or(0),
             outcome.metrics.counter("llm.breaker_transitions").unwrap_or(0),
             outcome.metrics.counter("llm.degraded").unwrap_or(0),
             outcome.pool_stats.panicked,
             outcome.pool_stats.requeued,
-            outcome.pool_stats.timed_out,
-            outcome.pool_stats.quarantined_panics + outcome.pool_stats.quarantined_timeouts,
+            outcome.pool_stats.quarantined_panics,
         );
     }
     if let Some(path) = &config.metrics_out {
@@ -489,7 +440,6 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
 /// drains (or the idle budget runs out).
 fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
     let mut options = WorkerOptions::new(String::new());
-    let mut batch = LlmBatch::default();
     Flags::new("worker", args).each(false, &mut |f, flag| {
         match flag {
             "--connect" => options.server = f.value(flag)?,
@@ -504,7 +454,7 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
             // Deterministic fault injection for the steal drills: die
             // (stop appending, never complete) after N rows.
             "--abort-after-rows" => options.abort_after_rows = Some(f.value(flag)?),
-            _ => return batch.take(f, flag),
+            _ => return Ok(false),
         }
         Ok(true)
     })?;
@@ -518,7 +468,6 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
         }
         (true, None) => return Err("worker needs --connect HOST:PORT or --addr-file".to_string()),
     }
-    options.llm_batch = batch.finish()?;
     let summary = run_worker(&options)?;
     println!(
         "worker {}: {} lease(s) ({} stolen), {} completed, {} aborted, {} lost, {} reconnect(s)",
@@ -706,17 +655,16 @@ mod tests {
     fn run_flags_fill_the_config() {
         let (config, out) = parse_run(args(
             "--size 6 --seed 0X42 --methods Strider,RTLrepair --workers 2 --shard 1/2 \
-             --llm-batch 4 --llm-max-wait-ms 0 --fault-seed 42 --inject-stall @MEIC:7 --out o",
+             --llm-batch 4 --fault-seed 42 --inject-panic @MEIC --out o",
         ))
         .unwrap();
         assert_eq!((config.dataset_size, config.dataset_seed, config.workers), (6, 0x42, 2));
         assert_eq!(config.methods, [MethodKind::Strider, MethodKind::RtlRepair]);
         assert_eq!(config.shard, ShardSpec { index: 1, count: 2 });
-        let batch = config.llm_batch.unwrap();
-        assert_eq!((batch.max_batch, batch.max_wait), (4, Duration::ZERO));
+        assert_eq!(config.llm_batch.unwrap().max_batch, 4);
         assert_eq!(config.fault.unwrap().seed, 0x42);
         assert!(config.resilience.is_some(), "a fault plan turns the resilience policy on");
-        assert_eq!(config.pool.inject_stall, Some(("@MEIC".to_string(), Duration::from_millis(7))));
+        assert_eq!(config.inject_panic.as_deref(), Some("@MEIC"));
         assert_eq!(out, "o");
     }
 
@@ -731,9 +679,6 @@ mod tests {
             ("--shard 2/2", "--shard"),
             ("--llm-batch 0", "--llm-batch"),
             ("--fault-error-rate 1.5", "--fault-error-rate"),
-            ("--job-deadline-ms 0", "--job-deadline-ms"),
-            ("--inject-stall @MEIC", "--inject-stall"),
-            ("--llm-max-wait-ms 5", "--llm-max-wait-ms"),
             ("--bogus", "--bogus"),
         ] {
             let err = parse_run(args(line)).unwrap_err();

@@ -23,10 +23,10 @@
 //!   accept loop.
 //! * [`worker`] — the client loop: lease, evaluate through the normal
 //!   [`Campaign`](uvllm_campaign::Campaign) engine, heartbeat (pushing
-//!   `rows_done` progress), complete; one shared
-//!   [`BatchedLlm`](uvllm_llm::BatchedLlm) can span every lease the
-//!   worker takes; an `--addr-file` lets workers re-find a server that
-//!   restarted on a new port.
+//!   `rows_done` progress), complete; each lease runs the spec's
+//!   default campaign, answering the LLM inline per job; an
+//!   `--addr-file` lets workers re-find a server that restarted on a
+//!   new port.
 //! * [`journal`] / [`recovery`] — crash safety: every store transition
 //!   is appended to a length-prefixed, checksummed write-ahead journal
 //!   (`data_dir/journal.jsonl`, configurable fsync policy,

@@ -32,11 +32,9 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use uvllm_campaign::{
-    BatchConfig, Campaign, CampaignConfig, CampaignDataset, EvalRow, JsonlSink, ResultSink,
-    ShardSpec, SharedLlm,
+    Campaign, CampaignConfig, CampaignDataset, EvalRow, JsonlSink, ResultSink, ShardSpec,
 };
 use uvllm_json::{s, Json};
-use uvllm_llm::BatchedLlm;
 
 /// Built datasets a worker keeps, most recently leased first. Two
 /// covers a worker alternating between two live runs; the bound is what
@@ -58,8 +56,7 @@ pub struct WorkerOptions {
     pub server: String,
     /// Worker name quoted in leases (shows up in run status).
     pub name: String,
-    /// Pool threads per leased shard (0 = one per CPU); with
-    /// `llm_batch`, jobs waiting on the LLM are parked, not threads.
+    /// Pool threads per leased shard (0 = one per CPU).
     pub workers: usize,
     /// Exit after this many consecutive empty lease polls, 100 ms
     /// apart (`None` = poll until the server drains). With an
@@ -68,10 +65,6 @@ pub struct WorkerOptions {
     pub max_idle: Option<u64>,
     /// Exit after the first granted lease finishes (tests, CI).
     pub once: bool,
-    /// `Some` starts one shared [`BatchedLlm`] that lives across every
-    /// lease this worker takes — the resident-service path where the
-    /// batching window spans shards.
-    pub llm_batch: Option<BatchConfig>,
     /// Fault injection for the steal tests: the sink starts refusing
     /// appends after this many rows, simulating a worker dying
     /// mid-shard (rows already flushed stay on disk; no complete is
@@ -93,7 +86,6 @@ impl WorkerOptions {
             workers: 0,
             max_idle: None,
             once: false,
-            llm_batch: None,
             abort_after_rows: None,
             addr_file: None,
         }
@@ -161,7 +153,6 @@ impl Endpoint {
 /// A lost lease is *not* an error — the thief owns the shard now; it
 /// counts in the summary.
 pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
-    let shared: Option<SharedLlm> = options.llm_batch.clone().map(BatchedLlm::start);
     let endpoint = Endpoint::new(options);
     let mut datasets = Datasets::new(DATASETS_KEPT);
     let mut summary = WorkerSummary::default();
@@ -205,7 +196,7 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
         if grant.stolen {
             summary.stolen += 1;
         }
-        run_lease(options, &endpoint, &grant, shared.as_ref(), &mut datasets, &mut summary)?;
+        run_lease(options, &endpoint, &grant, &mut datasets, &mut summary)?;
         if options.once {
             break;
         }
@@ -238,7 +229,6 @@ fn run_lease(
     options: &WorkerOptions,
     endpoint: &Endpoint,
     grant: &LeaseGrant,
-    shared: Option<&SharedLlm>,
     datasets: &mut Datasets,
     summary: &mut WorkerSummary,
 ) -> Result<(), String> {
@@ -281,7 +271,7 @@ fn run_lease(
         });
         let dataset =
             datasets.get_or_insert_with((spec.size, spec.seed), || campaign.build_dataset());
-        let run = campaign.run_on(dataset, &mut sink, shared);
+        let run = campaign.run_on(dataset, &mut sink);
         drop(stop);
         // A heartbeat thread that died renewed nothing and learned
         // nothing: `POST /complete` still answers 409 if the lease went.

@@ -1,7 +1,8 @@
 //! The `campaign` binary end to end: sharded runs merge into the rows
 //! of a whole run, a re-run on the same `--out` resumes without
 //! appending, `merge` refuses a shard set that is not an exact cover,
-//! and both spellings of a hex seed name the same dataset.
+//! both spellings of a hex seed name the same dataset, and no flag lets
+//! a row depend on the wall clock.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -106,5 +107,30 @@ fn both_hex_seed_spellings_give_the_same_rows() {
     let bad = campaign(&dir, &["--seed", "0x0x42", "--out", "bad.jsonl"]);
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--seed"), "the error names its flag");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Flags that would make a row depend on the wall clock, or that no
+/// caller sets, are unknown: each exits 1 naming itself before anything
+/// runs.
+#[test]
+fn removed_flags_are_unknown() {
+    let dir = fresh_dir("removed-flags");
+    for (args, error) in [
+        (&["--llm-latency-ms", "5"][..], "unknown campaign flag '--llm-latency-ms'"),
+        (&["--llm-max-wait-ms", "1"], "unknown campaign flag '--llm-max-wait-ms'"),
+        (&["--llm-timeout-ms", "5"], "unknown campaign flag '--llm-timeout-ms'"),
+        (&["--llm-telemetry"], "unknown campaign flag '--llm-telemetry'"),
+        (&["--job-deadline-ms", "5"], "unknown campaign flag '--job-deadline-ms'"),
+        (&["--inject-stall", "@MEIC:5"], "unknown campaign flag '--inject-stall'"),
+        (&["worker", "--llm-batch", "4"], "unknown worker flag '--llm-batch'"),
+        (&["worker", "--llm-max-wait-ms", "1"], "unknown worker flag '--llm-max-wait-ms'"),
+    ] {
+        let output = campaign(&dir, args);
+        assert_eq!(output.status.code(), Some(1), "campaign {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(error), "campaign {args:?}: {stderr}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no run started");
     std::fs::remove_dir_all(&dir).unwrap();
 }

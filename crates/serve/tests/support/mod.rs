@@ -58,8 +58,6 @@ fn row(id: &str, n: usize) -> EvalRow {
         sim_latency_ms: 12_000 + n as u64,
         fixed_by: fixed.then(|| "Repair in MS Mode".to_string()),
         degraded: None,
-        llm_wait_ms: None,
-        llm_batch_max: None,
     }
 }
 

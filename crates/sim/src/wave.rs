@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A recorded waveform: one snapshot of every scalar signal per capture.
-#[derive(Debug, Clone, Default)]
+/// Two waveforms are equal when they record the same signals, at the
+/// same times, with the same values.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Waveform {
     /// Signal names in snapshot order (shared with every [`Frame`]).
     names: Arc<Vec<String>>,
@@ -65,16 +67,6 @@ impl Waveform {
         &self.names
     }
 
-    /// Signal ids in the same order as [`Waveform::names`].
-    pub fn ids(&self) -> &[SignalId] {
-        &self.ids
-    }
-
-    /// Capture timestamps.
-    pub fn times(&self) -> &[u64] {
-        &self.times
-    }
-
     /// Value of `name` at the last capture with `time' <= time`.
     pub fn value_at(&self, name: &str, time: u64) -> Option<Logic> {
         let sig = self.index(name)?;
@@ -102,59 +94,6 @@ impl Waveform {
     pub fn series(&self, name: &str) -> Option<Vec<(u64, Logic)>> {
         let sig = self.index(name)?;
         Some(self.times.iter().zip(&self.frames).map(|(t, f)| (*t, f[sig])).collect())
-    }
-
-    /// Exports the waveform as a standard VCD document, viewable in
-    /// GTKWave and friends. Each capture becomes one `#time` block.
-    pub fn to_vcd(&self, top: &str) -> String {
-        let mut out = String::new();
-        out.push_str("$version uvllm-sim $end\n$timescale 1ns $end\n");
-        out.push_str(&format!("$scope module {top} $end\n"));
-        // VCD id codes: printable ASCII starting at '!'.
-        let id = |i: usize| -> String {
-            let mut n = i;
-            let mut s = String::new();
-            loop {
-                s.push((b'!' + (n % 94) as u8) as char);
-                n /= 94;
-                if n == 0 {
-                    break;
-                }
-            }
-            s
-        };
-        let widths: Vec<u32> = self
-            .frames
-            .first()
-            .map(|f| f.iter().map(|l| l.width()).collect())
-            .unwrap_or_else(|| vec![1; self.names.len()]);
-        for (i, name) in self.names.iter().enumerate() {
-            let w = widths.get(i).copied().unwrap_or(1);
-            // Hierarchical separators are not legal in VCD identifiers.
-            let clean = name.replace('.', "_");
-            out.push_str(&format!("$var wire {w} {} {clean} $end\n", id(i)));
-        }
-        out.push_str("$upscope $end\n$enddefinitions $end\n");
-        let mut last: Vec<Option<Logic>> = vec![None; self.names.len()];
-        for (t, frame) in self.times.iter().zip(&self.frames) {
-            out.push_str(&format!("#{t}\n"));
-            for (i, v) in frame.iter().enumerate() {
-                if last[i] == Some(*v) {
-                    continue;
-                }
-                last[i] = Some(*v);
-                if v.width() == 1 {
-                    out.push_str(&format!("{}{}\n", bit_char(*v, 0), id(i)));
-                } else {
-                    out.push('b');
-                    for bit in (0..v.width()).rev() {
-                        out.push(bit_char(*v, bit));
-                    }
-                    out.push_str(&format!(" {}\n", id(i)));
-                }
-            }
-        }
-        out
     }
 
     /// Snapshot of every signal at the last capture with `time' <= time`,
@@ -203,17 +142,6 @@ impl Frame {
     /// The frame as a name → value map.
     pub fn to_map(&self) -> HashMap<String, Logic> {
         self.names.iter().cloned().zip(self.values.iter().copied()).collect()
-    }
-}
-
-/// The VCD character for bit `index` of `v`.
-fn bit_char(v: Logic, index: u32) -> char {
-    let b = v.get_bit(index);
-    match (b.xz() & 1, b.val() & 1) {
-        (0, 0) => '0',
-        (0, 1) => '1',
-        (1, 0) => 'x',
-        _ => 'z',
     }
 }
 
@@ -270,28 +198,6 @@ mod tests {
         assert!(snap.contains_key("clk"));
         assert!(snap.contains_key("q"));
         assert_eq!(snap["q"].to_u128(), Some(0));
-    }
-
-    #[test]
-    fn vcd_export_is_wellformed() {
-        let mut sim = counter_sim();
-        let mut wave = Waveform::new(&sim);
-        sim.poke_by_name("rst_n", Logic::bit(false)).unwrap();
-        sim.poke_by_name("rst_n", Logic::bit(true)).unwrap();
-        for t in 0..3u64 {
-            sim.set_time(t * 10);
-            sim.poke_by_name("clk", Logic::bit(true)).unwrap();
-            wave.capture(&sim);
-            sim.poke_by_name("clk", Logic::bit(false)).unwrap();
-        }
-        let vcd = wave.to_vcd("c");
-        assert!(vcd.contains("$enddefinitions $end"));
-        assert!(vcd.contains("$var wire 4"));
-        assert!(vcd.contains("#0"));
-        assert!(vcd.contains("#20"));
-        // Unchanged signals are not re-emitted.
-        let q_lines = vcd.lines().filter(|l| l.starts_with('b')).count();
-        assert!(q_lines >= 3, "q changes every cycle: {vcd}");
     }
 
     #[test]

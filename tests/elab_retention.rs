@@ -89,7 +89,7 @@ fn elaborations_of_a_campaign(workers: usize) -> [[u64; 4]; 2] {
     let (dataset, build) = measured(|| campaign.build_dataset());
     let after_build = kept(&dataset, &own, &format!("after the build at {workers} workers"));
     let ((), run) =
-        measured(|| campaign.run_on(&dataset, &mut MemorySink::new(), None).map(drop).unwrap());
+        measured(|| campaign.run_on(&dataset, &mut MemorySink::new()).map(drop).unwrap());
     let after_run = kept(&dataset, &own, &format!("after the run at {workers} workers"));
 
     for (what, [elaborations, fills, unpinned, _]) in [("build", build), ("run", run)] {

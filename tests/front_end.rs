@@ -175,7 +175,7 @@ fn front_end_output_is_unchanged_on_the_default_corpus() {
     let campaign =
         Campaign::new(CampaignConfig { workers: 2, ..CampaignConfig::default() }).unwrap();
     let dataset = campaign.build_dataset();
-    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
 
     let mut texts: BTreeSet<String> =
         dataset.memo().analysed().into_iter().map(|a| a.text).collect();

@@ -72,7 +72,7 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
     };
     let campaign = Campaign::new(config).unwrap();
     let dataset = campaign.build_dataset();
-    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
     let staged: Vec<_> =
         dataset.memo().analysed().into_iter().filter(|a| a.uvm.is_some()).collect();
     assert_eq!(staged.len(), 659, "distinct texts through the UVM stage");

@@ -102,7 +102,7 @@ fn the_same_fault_seed_replays_rows_and_counters() {
 fn an_injected_panic_quarantines_one_job_and_the_rest_complete() {
     let mut with_panic = config();
     let victim = "@GPT-4-turbo";
-    with_panic.pool.inject_panic = Some(victim.to_string());
+    with_panic.inject_panic = Some(victim.to_string());
     let mut sink = MemorySink::new();
     let outcome = Campaign::new(with_panic).unwrap().run(&mut sink).unwrap();
     assert_eq!(sink.rows().len(), 24, "every job answers, crashed ones included");

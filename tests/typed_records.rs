@@ -114,7 +114,7 @@ fn typed_records_localize_like_a_parsed_log_over_a_full_waveform() {
     };
     let campaign = Campaign::new(config).unwrap();
     let dataset = campaign.build_dataset();
-    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
     let staged: Vec<_> =
         dataset.memo().analysed().into_iter().filter(|a| a.uvm.is_some()).collect();
     assert_eq!(staged.len(), 659, "distinct texts through the UVM stage");
@@ -164,7 +164,7 @@ fn every_hit_asked_equals_passing_the_directed_run_to_its_end() {
     let campaign =
         Campaign::new(CampaignConfig { workers: 2, ..CampaignConfig::default() }).unwrap();
     let dataset = campaign.build_dataset();
-    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
     let asked: Vec<_> = dataset.memo().analysed().into_iter().filter(|a| a.hit.is_some()).collect();
     assert!(asked.len() > 2000, "{} texts asked about", asked.len());
     let passing = on_two_threads(&asked, |analysed| {

@@ -66,7 +66,7 @@ fn sweep(seed: u64) -> usize {
     let config = CampaignConfig { dataset_seed: seed, workers: 2, ..CampaignConfig::default() };
     let campaign = Campaign::new(config).unwrap();
     let dataset = campaign.build_dataset();
-    campaign.run_on(&dataset, &mut MemorySink::new(), None).unwrap();
+    campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
     let judged = dataset.memo().judged();
 
     // Two threads, like the campaign itself: the run-to-the-end side
