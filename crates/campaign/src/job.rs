@@ -73,9 +73,15 @@ impl ShardSpec {
         Ok(())
     }
 
-    /// Does this shard own `job`?
+    /// Does this shard own `job`? Spells the id only when sharded.
     pub fn owns(&self, job: &Job) -> bool {
-        self.count <= 1 || fnv1a64(job.id().as_bytes()) % self.count as u64 == self.index as u64
+        self.count <= 1 || self.owns_id(&job.id())
+    }
+
+    /// Does this shard own the job with id `id`? The one ownership
+    /// rule of the engine and the served store.
+    pub fn owns_id(&self, id: &str) -> bool {
+        self.count <= 1 || fnv1a64(id.as_bytes()) % self.count as u64 == self.index as u64
     }
 }
 

@@ -314,6 +314,17 @@ impl JsonlSink {
     pub fn resumed(&self) -> usize {
         self.existing.len()
     }
+
+    /// Flushes and then `fdatasync`s the file: every row appended so
+    /// far survives a power loss, not only a process kill.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the flush or sync failure.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.writer.flush()?;
+        self.writer.get_ref().sync_data()
+    }
 }
 
 impl ResultSink for JsonlSink {

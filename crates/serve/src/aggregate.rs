@@ -28,7 +28,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use uvllm_campaign::{expected_job_ids, EvalRow, MethodKind, ReportTallies, SinkTailer};
+use uvllm_campaign::{expected_job_ids, EvalRow, MethodKind, ReportTallies, ShardSpec, SinkTailer};
 
 use crate::memo::Memo;
 use crate::store::RunSpec;
@@ -321,6 +321,20 @@ impl Aggregator {
                 agg.report = Some(tallies.render().into());
             }
         }
+    }
+
+    /// The shards of run `run` whose jobs all have a row in the index,
+    /// as of the last fold (one shard per registered sink). Reads no
+    /// file; empty for unknown runs.
+    pub fn filled_shards(&self, run: &str) -> Vec<usize> {
+        let runs = self.lock();
+        let Some(agg) = runs.iter().find(|a| a.run == run) else { return Vec::new() };
+        let count = agg.tailers.len();
+        let filled = |index| {
+            let shard = ShardSpec { index, count };
+            agg.ids.iter().zip(&agg.slots).all(|(id, slot)| slot.len > 0 || !shard.owns_id(id))
+        };
+        (0..count).filter(|&index| filled(index)).collect()
     }
 
     /// One run's deduplicated rows as canonical JSONL (job-id order,

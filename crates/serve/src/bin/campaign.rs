@@ -28,10 +28,11 @@
 //! `shutdown` / `ping` are thin clients over the same endpoints. Rows
 //! served this way are byte-identical to a plain CLI run of the same
 //! configuration — including across worker deaths, stolen leases, and
-//! `kill -9` of the server itself: the job store is write-ahead
-//! journaled into `--data-dir`, a restart replays it (see `--fsync`,
-//! `--compact-every`, and the `--crash-after` chaos knob), and workers
-//! given `--addr-file` re-find the restarted server on their own.
+//! `kill -9` of the server itself: each submitted spec is journaled
+//! into `--data-dir`, each shard's rows are synced to its sink before
+//! the shard completes, a restart reads both back (see the
+//! `--crash-after` chaos knob), and workers given `--addr-file` re-find
+//! the restarted server on their own.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,9 +44,7 @@ use uvllm_campaign::{
     CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec,
 };
 use uvllm_json::{s, Json};
-use uvllm_serve::{
-    http, post_json, run_worker, CrashSpec, FsyncPolicy, ServeConfig, Server, WorkerOptions,
-};
+use uvllm_serve::{http, post_json, run_worker, CrashSpec, ServeConfig, Server, WorkerOptions};
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--seed HEX] [--methods A,B,..] [--llm-batch N] \
@@ -57,8 +56,7 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--out FILE] SHARD.jsonl..\n\
      \x20      campaign metrics-check METRICS.json\n\
      \x20      campaign serve [--addr HOST:PORT] [--addr-file FILE] [--data-dir DIR] \
-     [--lease-ms MS] [--fsync always|never|every:N] [--compact-every N] \
-     [--crash-after EVENT[:N]]\n\
+     [--lease-ms MS] [--crash-after EVENT[:N]]\n\
      \x20      campaign worker --connect HOST:PORT [--addr-file FILE] [--name NAME] [--workers N] \
      [--idle-exit N] [--once] [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
@@ -291,11 +289,15 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
     );
     if config.resilience.is_some() {
         println!(
-            "resilience: {} retries, {} breaker transitions, {} degraded; \
-             pool: {} panics ({} requeued), {} quarantined rows",
+            "resilience: {} retries, {} breaker transitions, {} degraded",
             outcome.metrics.counter("llm.retries").unwrap_or(0),
             outcome.metrics.counter("llm.breaker_transitions").unwrap_or(0),
             outcome.metrics.counter("llm.degraded").unwrap_or(0),
+        );
+    }
+    if outcome.pool_stats.panicked > 0 {
+        println!(
+            "pool: {} panics ({} requeued), {} quarantined rows",
             outcome.pool_stats.panicked,
             outcome.pool_stats.requeued,
             outcome.pool_stats.quarantined_panics,
@@ -392,9 +394,7 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
             "--addr-file" => addr_file = Some(f.value(flag)?),
             "--data-dir" => config.data_dir = f.value(flag)?,
             "--lease-ms" => config.default_lease = Duration::from_millis(f.positive(flag)?),
-            "--fsync" => config.journal.fsync = f.parse(flag, FsyncPolicy::parse)?,
-            "--compact-every" => config.journal.compact_every = f.value(flag)?,
-            "--crash-after" => config.journal.crash_after = Some(f.parse(flag, CrashSpec::parse)?),
+            "--crash-after" => config.crash_after = Some(f.parse(flag, CrashSpec::parse)?),
             _ => return Ok(false),
         }
         Ok(true)

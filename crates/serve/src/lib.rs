@@ -27,14 +27,15 @@
 //!   default campaign, answering the LLM inline per job; an
 //!   `--addr-file` lets workers re-find a server that restarted on a
 //!   new port.
-//! * [`journal`] / [`recovery`] — crash safety: every store transition
-//!   is appended to a length-prefixed, checksummed write-ahead journal
-//!   (`data_dir/journal.jsonl`, configurable fsync policy,
-//!   torn-tail-tolerant replay) and periodically compacted into
-//!   `store.snapshot.json`; on boot the store replays snapshot +
-//!   journal, expires in-flight leases with bumped epochs (pre-crash
-//!   workers get the same `409 LeaseLost` as after work stealing), and
-//!   resumes granting. A deterministic `--crash-after <event>[:N]`
+//! * [`journal`] / [`recovery`] — crash safety: each submitted spec is
+//!   one fsynced, length-prefixed, checksummed record in
+//!   `data_dir/journal.jsonl` (torn-tail-tolerant replay), each server
+//!   start one `boot` record, and each shard's rows are synced to its
+//!   sink before the shard completes. On boot the store rebuilds the
+//!   submitted runs, a shard is done exactly when its sink holds a row
+//!   for every job it owns, and every epoch carries the new boot
+//!   generation (pre-crash workers get the same `409 LeaseLost` as
+//!   after work stealing). A deterministic `--crash-after <event>[:N]`
 //!   knob aborts the process mid-transition for the chaos harness.
 //!
 //! The service adds coordination, never meaning: any run served here

@@ -1,80 +1,66 @@
-//! Cold-start recovery: rebuild the job store from
-//! `store.snapshot.json` + `journal.jsonl` after a crash (or a clean
-//! restart — the path is the same).
+//! Cold-start recovery: rebuild the job store from `journal.jsonl`
+//! after a crash (or a clean restart — the path is the same).
 //!
-//! [`StoreImage`] is the store's one state machine. A live transition
-//! is appended, then applied by the same [`StoreImage::apply`] that
-//! replay runs, so the state a restart rebuilds is the state the
-//! crashed process held.
+//! The journal says which runs were submitted and how many boots came
+//! before (see [`crate::journal`]); [`recover`] rebuilds each run with
+//! every shard pending. The shard sinks decide the rest: once the
+//! server's boot poll has indexed them, a shard whose sink holds a row
+//! for every job it owns is marked done (see [`crate::server`]). No
+//! lease survives a restart, and every epoch the restarted store grants
+//! carries the new boot generation, so a pre-crash worker that reports
+//! in gets the same `409 LeaseLost` it would after work stealing. Rows
+//! the dead leases flushed stay in the sinks, and the sink resume
+//! protocol skips them on re-lease, which is what makes recovered runs
+//! byte-identical to uninterrupted ones.
 //!
-//! The snapshot is a periodic compaction checkpoint: the full store
-//! image plus the sequence number of the last journal record folded
-//! into it. Recovery loads the snapshot (a corrupt or missing one
-//! degrades to the empty image, with a diagnostic), replays the
-//! journal, and applies only records with `seq > snapshot.seq` — so a
-//! crash *between* snapshot write and journal truncation is harmless,
-//! and where the two disagree the journal wins by construction.
-//!
-//! Recovery's last act is to expire every in-flight lease: each leased
-//! shard reverts to pending with its epoch bumped, so a pre-crash
-//! worker that reconnects and quotes its old epoch gets the same
-//! `409 LeaseLost` it would after ordinary work stealing, while the
-//! shard itself is immediately re-grantable. Rows the dead leases
-//! already flushed still sit in the per-shard sinks; the aggregator
-//! re-scans those on boot and the sink resume protocol skips them on
-//! re-lease, which is what makes recovered runs byte-identical to
-//! uninterrupted ones.
+//! Older builds compacted the journal into `store.snapshot.json`. Such a
+//! snapshot is still read for each run's `id` and `spec`, and the
+//! journal records it already covers (`seq <= snapshot.seq`) are
+//! skipped. Nothing writes one any more.
 
 use crate::journal::{self, Event};
 use crate::store::RunSpec;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use uvllm_json::{s, Json};
+use uvllm_json::Json;
 
-/// File name of the compaction checkpoint inside the data directory.
+/// File name of an older build's compaction checkpoint inside the data
+/// directory.
 pub const SNAPSHOT_FILE: &str = "store.snapshot.json";
 
-/// Format tag the snapshot self-identifies with.
+/// Format tag that checkpoint self-identifies with.
 pub const SNAPSHOT_FORMAT: &str = "uvllm-store-snapshot/v1";
 
-/// A shard's durable lifecycle phase. Lease deadlines are `Instant`s
-/// and meaningless across processes, so they are not part of the
-/// image — the live store keeps them beside it, and recovery expires
-/// every lease anyway.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A shard's lifecycle phase in the live store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPhase {
-    /// Never leased, or reclaimed and waiting.
+    /// Never leased since boot, or its sink was short of rows at boot.
     Pending,
-    /// Leased to `worker`.
-    Leased { worker: String },
-    /// Completed by `worker`.
-    Done { worker: String },
+    /// Leased; the live store keeps its deadline beside the image.
+    Leased,
+    /// Completed, or its sink held all its rows at boot.
+    Done,
 }
 
 impl ShardPhase {
     /// The wire label: `"pending" | "leased" | "done"`.
-    pub fn label(&self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             ShardPhase::Pending => "pending",
-            ShardPhase::Leased { .. } => "leased",
-            ShardPhase::Done { .. } => "done",
-        }
-    }
-
-    /// The holding or completing worker, if any.
-    pub fn worker(&self) -> Option<&str> {
-        match self {
-            ShardPhase::Pending => None,
-            ShardPhase::Leased { worker } | ShardPhase::Done { worker } => Some(worker),
+            ShardPhase::Leased => "leased",
+            ShardPhase::Done => "done",
         }
     }
 }
 
-/// One shard's durable state.
+/// One shard's state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardImage {
     pub phase: ShardPhase,
-    /// Fencing token at image time.
+    /// The holding or completing worker, when this process granted the
+    /// lease.
+    pub worker: Option<String>,
+    /// Fencing token of the shard's latest grant (0 before this boot
+    /// granted one).
     pub epoch: u64,
     /// Times an expired lease was re-granted.
     pub steals: u64,
@@ -84,7 +70,7 @@ pub struct ShardImage {
     pub rows_done: u64,
 }
 
-/// One run's durable state.
+/// One run's state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunImage {
     pub id: String,
@@ -92,12 +78,33 @@ pub struct RunImage {
     pub shards: Vec<ShardImage>,
 }
 
-/// The whole store's durable state: what the live store transitions,
-/// what the snapshot holds and what journal replay folds events into.
+impl RunImage {
+    /// A run as submitted: every shard pending, its sinks in
+    /// `data_dir/<id>/`.
+    fn new(id: String, spec: RunSpec, data_dir: &Path) -> RunImage {
+        let dir = data_dir.join(&id);
+        let shards = (0..spec.shards)
+            .map(|i| ShardImage {
+                phase: ShardPhase::Pending,
+                worker: None,
+                epoch: 0,
+                steals: 0,
+                sink: dir.join(format!("shard-{i}.jsonl")),
+                rows_done: 0,
+            })
+            .collect();
+        RunImage { id, spec, shards }
+    }
+}
+
+/// The store's state: what the live store transitions and what journal
+/// replay folds records into.
 #[derive(Debug, Clone, Default)]
 pub struct StoreImage {
     /// Sequence number of the last record folded in (0 = none).
     pub seq: u64,
+    /// `boot` records folded in: the live store's generation.
+    pub boots: u64,
     pub runs: Vec<RunImage>,
 }
 
@@ -114,189 +121,79 @@ impl StoreImage {
     }
 
     /// Folds one journal record in, skipping stale sequence numbers
-    /// (already in the snapshot): every live transition right after
-    /// its append, and every replayed record at boot. Unknown
-    /// runs/shards are reported, not fatal — a truncated journal
-    /// suffix must not brick the boot.
+    /// (already in an older build's snapshot): every live submission
+    /// and boot right after its append, and every replayed record at
+    /// boot. An older build's lease, heartbeat, complete and finish
+    /// records fold nothing — the sinks hold the progress they tracked
+    /// — but one naming an unknown run is reported, not fatal.
     pub fn apply(&mut self, seq: u64, event: &Event, data_dir: &Path, diags: &mut Vec<String>) {
         if seq <= self.seq {
             return;
         }
         self.seq = seq;
-        let mut diag = |message: String| diags.push(format!("journal seq {seq}: {message}"));
         match event {
             Event::Submit { run, spec } => {
-                let dir = data_dir.join(run);
-                let shards = (0..spec.shards)
-                    .map(|i| ShardImage {
-                        phase: ShardPhase::Pending,
-                        epoch: 0,
-                        steals: 0,
-                        sink: dir.join(format!("shard-{i}.jsonl")),
-                        rows_done: 0,
-                    })
-                    .collect();
-                self.runs.push(RunImage { id: run.clone(), spec: spec.clone(), shards });
+                self.runs.push(RunImage::new(run.clone(), spec.clone(), data_dir));
             }
-            Event::Lease { run, shard, epoch, worker, stolen } => {
-                let Some(image) = self.runs.iter_mut().find(|r| &r.id == run) else {
-                    return diag(format!("lease for unknown run '{run}'"));
-                };
-                let Some(image) = image.shards.get_mut(*shard) else {
-                    return diag(format!("lease for unknown shard {shard} of '{run}'"));
-                };
-                image.phase = ShardPhase::Leased { worker: worker.clone() };
-                image.epoch = *epoch;
-                image.steals += u64::from(*stolen);
-            }
-            Event::Heartbeat { run, shard, epoch, rows_done } => {
-                let Some(image) = self
-                    .runs
-                    .iter_mut()
-                    .find(|r| &r.id == run)
-                    .and_then(|r| r.shards.get_mut(*shard))
-                else {
-                    return diag(format!("heartbeat for unknown shard {shard} of '{run}'"));
-                };
-                if image.epoch == *epoch {
-                    image.rows_done = *rows_done;
+            Event::Boot => self.boots += 1,
+            other => {
+                let run = other.run().unwrap_or_default();
+                if !self.runs.iter().any(|r| r.id == run) {
+                    diags.push(format!(
+                        "journal seq {seq}: {} for unknown run '{run}'",
+                        other.kind()
+                    ));
                 }
             }
-            Event::Complete { run, shard, epoch: _, worker } => {
-                let Some(image) = self
-                    .runs
-                    .iter_mut()
-                    .find(|r| &r.id == run)
-                    .and_then(|r| r.shards.get_mut(*shard))
-                else {
-                    return diag(format!("complete for unknown shard {shard} of '{run}'"));
-                };
-                image.phase = ShardPhase::Done { worker: worker.clone() };
-            }
-            // Derived state (all shards done) — journaled for the
-            // crash knob and the audit trail, nothing to fold in.
-            Event::Finish { .. } => {}
         }
     }
+}
 
-    fn to_json(&self) -> Json {
-        let runs = self
-            .runs
-            .iter()
-            .map(|run| {
-                let shards = run
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        Json::Obj(vec![
-                            ("state".to_string(), s(shard.phase.label())),
-                            ("worker".to_string(), shard.phase.worker().map_or(Json::Null, s)),
-                            ("epoch".to_string(), Json::Num(shard.epoch as f64)),
-                            ("steals".to_string(), Json::Num(shard.steals as f64)),
-                            ("sink".to_string(), s(shard.sink.display().to_string())),
-                            ("rows_done".to_string(), Json::Num(shard.rows_done as f64)),
-                        ])
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("id".to_string(), s(run.id.clone())),
-                    ("spec".to_string(), run.spec.to_json()),
-                    ("shards".to_string(), Json::Arr(shards)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("format".to_string(), s(SNAPSHOT_FORMAT)),
-            ("seq".to_string(), Json::Num(self.seq as f64)),
-            ("runs".to_string(), Json::Arr(runs)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<StoreImage, String> {
+/// Reads an older build's `store.snapshot.json`: its `seq` and each
+/// run's `id` and `spec`. A missing file is the empty image; a corrupt
+/// one is a diagnostic and the empty image.
+fn read_snapshot(dir: &Path, diags: &mut Vec<String>) -> std::io::Result<StoreImage> {
+    let path = dir.join(SNAPSHOT_FILE);
+    let text = match std::fs::read_to_string(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(StoreImage::default()),
+        result => result?,
+    };
+    let image = Json::parse(&text).map_err(|e| e.to_string()).and_then(|json| {
         let format =
             json.get("format").and_then(Json::as_str).ok_or("snapshot missing 'format'")?;
         if format != SNAPSHOT_FORMAT {
             return Err(format!("unknown snapshot format '{format}'"));
         }
         let seq = json.get("seq").and_then(Json::as_u64).ok_or("snapshot missing 'seq'")?;
-        let mut runs = Vec::new();
+        let mut image = StoreImage { seq, ..StoreImage::default() };
         for run in json.get("runs").and_then(Json::as_array).ok_or("snapshot missing 'runs'")? {
-            let id = run
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or("snapshot run missing 'id'")?
-                .to_string();
+            let id = run.get("id").and_then(Json::as_str).ok_or("snapshot run missing 'id'")?;
             let spec = RunSpec::from_json(
                 run.get("spec").ok_or("snapshot run missing 'spec'")?,
                 std::time::Duration::from_secs(60),
             )?;
-            let mut shards = Vec::new();
-            for shard in
-                run.get("shards").and_then(Json::as_array).ok_or("snapshot run missing 'shards'")?
-            {
-                let worker = shard.get("worker").and_then(Json::as_str).map(str::to_string);
-                let phase = match shard.get("state").and_then(Json::as_str) {
-                    Some("pending") => ShardPhase::Pending,
-                    Some("leased") => ShardPhase::Leased {
-                        worker: worker.ok_or("leased snapshot shard missing 'worker'")?,
-                    },
-                    Some("done") => ShardPhase::Done {
-                        worker: worker.ok_or("done snapshot shard missing 'worker'")?,
-                    },
-                    other => return Err(format!("bad snapshot shard state {other:?}")),
-                };
-                shards.push(ShardImage {
-                    phase,
-                    epoch: shard
-                        .get("epoch")
-                        .and_then(Json::as_u64)
-                        .ok_or("snapshot shard missing 'epoch'")?,
-                    steals: shard.get("steals").and_then(Json::as_u64).unwrap_or(0),
-                    sink: PathBuf::from(
-                        shard
-                            .get("sink")
-                            .and_then(Json::as_str)
-                            .ok_or("snapshot shard missing 'sink'")?,
-                    ),
-                    rows_done: shard.get("rows_done").and_then(Json::as_u64).unwrap_or(0),
-                });
-            }
-            runs.push(RunImage { id, spec, shards });
+            image.runs.push(RunImage::new(id.to_string(), spec, dir));
         }
-        Ok(StoreImage { seq, runs })
-    }
+        Ok(image)
+    });
+    Ok(image.unwrap_or_else(|message| {
+        // The journal still rebuilds the runs submitted after it.
+        diags.push(format!("{}: corrupt snapshot ({message}) — ignoring it", path.display()));
+        StoreImage::default()
+    }))
 }
 
-/// Writes the compaction checkpoint atomically: temp file, fsync,
-/// rename over the old snapshot. A crash at any point leaves either
-/// the old snapshot or the new one, never a torn mix.
-///
-/// # Errors
-///
-/// File-system failures.
-pub fn write_snapshot(dir: &Path, image: &StoreImage) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(image.to_json().render().as_bytes())?;
-    file.sync_data()?;
-    drop(file);
-    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))
-}
-
-/// What a boot-time recovery found and did.
+/// What a boot-time recovery found.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Runs alive again after recovery.
     pub runs: usize,
-    /// Journal records newer than the snapshot that were folded in.
+    /// Journal records newer than the snapshot that were replayed.
     pub records_replayed: u64,
-    /// Sequence number the snapshot covered (0 = no usable snapshot).
+    /// Sequence number an older build's snapshot covered (0 = none).
     pub snapshot_seq: u64,
-    /// In-flight leases expired (epochs bumped) so pre-crash workers
-    /// are fenced to `409 LeaseLost`.
-    pub leases_expired: u64,
     /// Everything non-fatal that was wrong: torn journal tail, corrupt
-    /// records, a corrupt snapshot, events naming unknown runs.
+    /// records, a corrupt snapshot, records naming unknown runs.
     pub diags: Vec<String>,
 }
 
@@ -310,12 +207,10 @@ impl RecoveryReport {
     /// One log line for the CLI.
     pub fn render(&self) -> String {
         format!(
-            "recovered {} run(s): snapshot seq {}, {} journal record(s) replayed, {} lease(s) \
-             expired{}",
+            "recovered {} run(s): snapshot seq {}, {} journal record(s) replayed{}",
             self.runs,
             self.snapshot_seq,
             self.records_replayed,
-            self.leases_expired,
             if self.diags.is_empty() {
                 String::new()
             } else {
@@ -325,22 +220,17 @@ impl RecoveryReport {
     }
 }
 
-/// The outcome of [`recover`]: the rebuilt image plus what the journal
-/// file physically holds (the store needs both to reopen the journal
-/// with correct sequence and compaction accounting).
+/// The outcome of [`recover`]: the rebuilt image and its report.
 #[derive(Debug)]
 pub struct Recovery {
     pub image: StoreImage,
-    /// Valid records currently in the journal file (including ones
-    /// older than the snapshot — they still occupy file space and
-    /// count toward the compaction threshold).
-    pub journal_records: u64,
     pub report: RecoveryReport,
 }
 
-/// Rebuilds the store image from `dir`: snapshot, then journal records
-/// with `seq > snapshot.seq` (journal wins), then lease expiry. An
-/// empty directory recovers to the empty image with an empty report.
+/// Rebuilds the store image from `dir`: an older build's snapshot, if
+/// any, then the journal records with `seq > snapshot.seq`. Every shard
+/// comes back pending. An empty directory recovers to the empty image
+/// with an empty report.
 ///
 /// # Errors
 ///
@@ -348,54 +238,18 @@ pub struct Recovery {
 /// diagnostic, not an error.
 pub fn recover(dir: &Path) -> std::io::Result<Recovery> {
     let mut report = RecoveryReport::default();
-    let snapshot_path = dir.join(SNAPSHOT_FILE);
-    let mut image = match std::fs::read_to_string(&snapshot_path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => StoreImage::default(),
-        Err(e) => return Err(e),
-        Ok(text) => match Json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|json| StoreImage::from_json(&json))
-        {
-            Ok(image) => image,
-            Err(message) => {
-                // A corrupt snapshot degrades to a journal-only boot:
-                // worst case some compacted history is gone and the
-                // affected runs restart from their sinks.
-                report.diags.push(format!(
-                    "{}: corrupt snapshot ({message}) — ignoring it",
-                    snapshot_path.display()
-                ));
-                StoreImage::default()
-            }
-        },
-    };
+    let mut image = read_snapshot(dir, &mut report.diags)?;
     report.snapshot_seq = image.seq;
-
     let replay = journal::replay(dir)?;
-    if let Some(diag) = replay.diag {
-        report.diags.push(diag);
-    }
+    report.diags.extend(replay.diag);
     for (seq, event) in &replay.events {
-        let before = image.seq;
-        image.apply(*seq, event, dir, &mut report.diags);
-        if image.seq > before {
+        if *seq > image.seq {
             report.records_replayed += 1;
         }
-    }
-
-    // Fence out every pre-crash lease: pending again, epoch bumped, so
-    // stale heartbeats/completes answer 409 and the shard re-grants.
-    for run in &mut image.runs {
-        for shard in &mut run.shards {
-            if matches!(shard.phase, ShardPhase::Leased { .. }) {
-                shard.phase = ShardPhase::Pending;
-                shard.epoch += 1;
-                report.leases_expired += 1;
-            }
-        }
+        image.apply(*seq, event, dir, &mut report.diags);
     }
     report.runs = image.runs.len();
-    Ok(Recovery { image, journal_records: replay.records, report })
+    Ok(Recovery { image, report })
 }
 
 #[cfg(test)]
@@ -430,6 +284,35 @@ mod tests {
         }
     }
 
+    /// A `store.snapshot.json` as older builds wrote it at `seq`, with
+    /// `run`'s shards in `state` — the shard half recovery ignores.
+    fn old_snapshot(dir: &Path, seq: u64, run: &str, spec: &RunSpec, state: &str) {
+        let shards: Vec<String> = (0..spec.shards)
+            .map(|i| {
+                let sink = dir.join(run).join(format!("shard-{i}.jsonl"));
+                format!(
+                    "{{\"state\":\"{state}\",\"worker\":\"old\",\"epoch\":2,\"steals\":1,\
+                     \"sink\":\"{}\",\"rows_done\":5}}",
+                    sink.display()
+                )
+            })
+            .collect();
+        let text = format!(
+            "{{\"format\":\"{SNAPSHOT_FORMAT}\",\"seq\":{seq},\"runs\":[{{\"id\":\"{run}\",\
+             \"spec\":{},\"shards\":[{}]}}]}}",
+            spec.to_json().render(),
+            shards.join(",")
+        );
+        std::fs::write(dir.join(SNAPSHOT_FILE), text).unwrap();
+    }
+
+    fn assert_pending(run: &RunImage, dir: &Path) {
+        for (i, shard) in run.shards.iter().enumerate() {
+            assert_eq!((shard.phase, &shard.worker, shard.epoch), (ShardPhase::Pending, &None, 0));
+            assert_eq!(shard.sink, dir.join(&run.id).join(format!("shard-{i}.jsonl")));
+        }
+    }
+
     #[test]
     fn empty_dir_recovers_to_empty_image() {
         let dir = temp_dir("empty");
@@ -439,9 +322,13 @@ mod tests {
         assert!(recovery.report.diags.is_empty());
     }
 
+    /// A journal an older build wrote, with every record kind it
+    /// journaled: each record counts as replayed, only the submit
+    /// folds, and every shard comes back pending for the sinks to
+    /// judge.
     #[test]
-    fn journal_only_boot_rebuilds_runs_and_expires_leases() {
-        let dir = temp_dir("journal-only");
+    fn an_older_builds_journal_replays_and_only_submits_fold() {
+        let dir = temp_dir("older-journal");
         journaled(
             &dir,
             &[
@@ -454,32 +341,21 @@ mod tests {
                     stolen: false,
                 },
                 Event::Heartbeat { run: "run-7".into(), shard: 0, epoch: 1, rows_done: 3 },
-                Event::Lease {
-                    run: "run-7".into(),
-                    shard: 1,
-                    epoch: 1,
-                    worker: "b".into(),
-                    stolen: false,
-                },
-                Event::Complete { run: "run-7".into(), shard: 1, epoch: 1, worker: "b".into() },
+                Event::Complete { run: "run-7".into(), shard: 0, epoch: 1, worker: "a".into() },
+                Event::Finish { run: "run-7".into() },
             ],
         );
         let recovery = recover(&dir).unwrap();
         let report = &recovery.report;
         assert!(report.recovered_state());
+        assert!(report.diags.is_empty(), "{:?}", report.diags);
         assert_eq!(report.records_replayed, 5);
-        assert_eq!(report.leases_expired, 1, "only shard 0 was in flight");
+        assert_eq!((recovery.image.seq, recovery.image.boots), (5, 0));
         assert_eq!(recovery.image.max_run_number(), 7);
-
         let run = &recovery.image.runs[0];
         assert_eq!(run.spec, spec(2));
-        // The in-flight lease is expired and fenced...
-        assert_eq!(run.shards[0].phase, ShardPhase::Pending);
-        assert_eq!(run.shards[0].epoch, 2, "bumped past the dead worker's epoch 1");
-        assert_eq!(run.shards[0].rows_done, 3, "pushed progress survives");
-        // ...while the completed shard stands.
-        assert_eq!(run.shards[1].phase, ShardPhase::Done { worker: "b".into() });
-        assert_eq!(run.shards[1].sink, dir.join("run-7").join("shard-1.jsonl"));
+        assert_pending(run, &dir);
+        assert_eq!(run.shards[0].rows_done, 0, "progress is the sink's, not the journal's");
     }
 
     /// Recovers a journal whose `Submit` record carries the retired
@@ -494,21 +370,13 @@ mod tests {
         .unwrap();
         // Later records append behind the legacy one as usual.
         let mut journal = Journal::open(&dir, JournalConfig::default(), 2, 1).unwrap();
-        journal
-            .append(&Event::Lease {
-                run: "run-7".into(),
-                shard: 0,
-                epoch: 1,
-                worker: "a".into(),
-                stolen: false,
-            })
-            .unwrap();
+        journal.append(&Event::Boot).unwrap();
         drop(journal);
         let recovery = recover(&dir).unwrap();
         assert!(recovery.report.diags.is_empty(), "{:?}", recovery.report.diags);
         assert_eq!(recovery.report.records_replayed, 2);
+        assert_eq!(recovery.image.boots, 1);
         assert_eq!(recovery.image.runs[0].spec, spec(2));
-        assert_eq!(recovery.report.leases_expired, 1);
     }
 
     /// A journal written before `opt_level` left the spec.
@@ -524,99 +392,53 @@ mod tests {
         legacy_journal_recovers_as_current("legacy-backend", "\"backend\":\"compiled\"");
     }
 
+    /// An older build's snapshot restores its runs, its shard states
+    /// ignored; journal records it covers are skipped and newer ones
+    /// fold in.
     #[test]
     fn snapshot_round_trips_and_journal_wins_disagreements() {
         let dir = temp_dir("journal-wins");
-        // Snapshot at seq 4: shard 0 leased, shard 1 pending.
-        let image = StoreImage {
-            seq: 4,
-            runs: vec![RunImage {
-                id: "run-3".into(),
-                spec: spec(2),
-                shards: vec![
-                    ShardImage {
-                        phase: ShardPhase::Leased { worker: "old".into() },
-                        epoch: 2,
-                        steals: 1,
-                        sink: dir.join("run-3").join("shard-0.jsonl"),
-                        rows_done: 5,
-                    },
-                    ShardImage {
-                        phase: ShardPhase::Pending,
-                        epoch: 0,
-                        steals: 0,
-                        sink: dir.join("run-3").join("shard-1.jsonl"),
-                        rows_done: 0,
-                    },
-                ],
-            }],
-        };
-        write_snapshot(&dir, &image).unwrap();
-
-        // The journal carries both pre-snapshot records (seq ≤ 4, must
-        // be skipped — a crash before truncation leaves exactly this)
-        // and newer ones that contradict the snapshot (must win).
+        old_snapshot(&dir, 4, "run-3", &spec(2), "done");
+        // Records the snapshot covers (a crash before the older build
+        // truncated leaves exactly this) and one it does not.
         let mut journal = Journal::open(&dir, JournalConfig::default(), 3, 0).unwrap();
-        journal // seq 3: stale — folding it again would double-count the steal
-            .append(&Event::Lease {
-                run: "run-3".into(),
-                shard: 0,
-                epoch: 2,
-                worker: "old".into(),
-                stolen: true,
-            })
+        journal // seq 3: stale — folding it would duplicate run-3
+            .append(&Event::Submit { run: "run-3".into(), spec: spec(2) })
             .unwrap();
-        journal // seq 4: stale heartbeat
+        journal // seq 4: stale
             .append(&Event::Heartbeat { run: "run-3".into(), shard: 0, epoch: 2, rows_done: 5 })
             .unwrap();
-        journal // seq 5: news — the lease completed after the snapshot
-            .append(&Event::Complete {
-                run: "run-3".into(),
-                shard: 0,
-                epoch: 2,
-                worker: "old".into(),
-            })
+        journal // seq 5: news
+            .append(&Event::Submit { run: "run-4".into(), spec: spec(1) })
             .unwrap();
         drop(journal);
 
         let recovery = recover(&dir).unwrap();
         let report = &recovery.report;
+        assert!(report.diags.is_empty(), "{:?}", report.diags);
         assert_eq!(report.snapshot_seq, 4);
         assert_eq!(report.records_replayed, 1, "only seq 5 is newer than the snapshot");
-        assert_eq!(recovery.journal_records, 3, "the file still holds all three");
-        assert_eq!(report.leases_expired, 0);
-        let shard = &recovery.image.runs[0].shards[0];
-        assert_eq!(shard.phase, ShardPhase::Done { worker: "old".into() }, "journal wins");
-        assert_eq!(shard.steals, 1, "stale records were not double-applied");
+        let ids: Vec<&str> = recovery.image.runs.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["run-3", "run-4"]);
+        assert_eq!(recovery.image.runs[0].spec, spec(2));
+        for run in &recovery.image.runs {
+            assert_pending(run, &dir);
+        }
     }
 
     #[test]
     fn empty_journal_with_stale_snapshot_restores_the_snapshot() {
         let dir = temp_dir("stale-snapshot");
-        let image = StoreImage {
-            seq: 9,
-            runs: vec![RunImage {
-                id: "run-2".into(),
-                spec: spec(1),
-                shards: vec![ShardImage {
-                    phase: ShardPhase::Leased { worker: "gone".into() },
-                    epoch: 4,
-                    steals: 0,
-                    sink: dir.join("run-2").join("shard-0.jsonl"),
-                    rows_done: 1,
-                }],
-            }],
-        };
-        write_snapshot(&dir, &image).unwrap();
-        // No journal file at all — compaction truncated it and the
-        // crash hit before any further writes.
+        old_snapshot(&dir, 9, "run-2", &spec(1), "leased");
+        // No journal file at all — the older build's compaction
+        // truncated it and the crash hit before any further writes.
         let recovery = recover(&dir).unwrap();
         assert_eq!(recovery.report.records_replayed, 0);
         assert_eq!(recovery.report.snapshot_seq, 9);
         assert!(recovery.report.recovered_state());
-        let shard = &recovery.image.runs[0].shards[0];
-        assert_eq!(shard.phase, ShardPhase::Pending, "the stale lease is expired");
-        assert_eq!(shard.epoch, 5);
+        assert_eq!(recovery.image.seq, 9, "the next record is seq 10");
+        assert_eq!(recovery.image.max_run_number(), 2);
+        assert_pending(&recovery.image.runs[0], &dir);
     }
 
     #[test]

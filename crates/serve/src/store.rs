@@ -9,16 +9,20 @@
 //! deadline — the rows are already on disk and byte-identical to what
 //! any other worker would produce, so late completion loses nothing.
 //!
-//! The store's state is a [`StoreImage`], and it is write-ahead
-//! journaled: every transition is validated against the image,
-//! appended to `data_dir/journal.jsonl` (see [`crate::journal`]), then
-//! applied by the same [`StoreImage::apply`] that replay runs. The
-//! journal is periodically compacted into `store.snapshot.json`.
-//! [`JobStore::open`] replays both on boot (see [`crate::recovery`]),
-//! so runs survive server crashes the same way they already survive
-//! worker crashes. The journal lives inside the state mutex — journal
-//! order *is* state-mutation order. Only lease deadlines, which mean
-//! nothing to another process, live beside the image.
+//! The store's state is a [`StoreImage`]. Only submissions are
+//! durable: [`JobStore::submit`] appends and fsyncs the run's spec to
+//! `data_dir/journal.jsonl` (see [`crate::journal`]) before it answers,
+//! and folds it in with the [`StoreImage::apply`] that boot replay runs.
+//! Lease, heartbeat and complete change the image in memory and touch
+//! no file: which shards are done is a fact about their sinks, which
+//! the worker fsyncs before it reports `complete` and the server reads
+//! back on boot (see [`crate::recovery`]). Lease deadlines live beside
+//! the image.
+//!
+//! [`JobStore::open`] appends one fsynced `boot` record. The number of
+//! boot records so far is the store's generation, and every epoch it
+//! grants carries it in the high 32 bits, so no epoch a pre-crash
+//! worker quotes can name a live lease.
 //!
 //! Leases are granted round-robin across active runs: the scan starts
 //! at the run after the previously granted one, so two concurrent
@@ -26,7 +30,7 @@
 //! second.
 
 use crate::http;
-use crate::journal::{Event, Journal, JournalConfig};
+use crate::journal::{CrashSpec, Event, Journal, JournalConfig};
 use crate::recovery::{self, RecoveryReport, RunImage, ShardPhase, StoreImage};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -221,9 +225,6 @@ pub enum LeaseOutcome {
     Empty,
     /// The server is draining; workers should exit.
     Draining,
-    /// The journal append failed, so no lease was granted — the state
-    /// transition would not have survived a crash (HTTP 500).
-    Error(String),
 }
 
 /// Why a heartbeat/complete was refused.
@@ -234,12 +235,9 @@ pub enum LeaseError {
     /// Shard index out of range (HTTP 404).
     UnknownShard,
     /// The quoted epoch is stale: the lease expired and was re-granted,
-    /// or the shard was completed by someone else (HTTP 409).
+    /// the shard was completed by someone else, or the epoch is from
+    /// before a restart (HTTP 409).
     LeaseLost,
-    /// The journal append failed, so the transition was refused (HTTP
-    /// 500). Write-ahead discipline: never mutate what you cannot
-    /// replay.
-    Internal(String),
 }
 
 /// A summary row for `GET /runs/<id>`.
@@ -255,11 +253,9 @@ pub struct ShardStatus {
     pub rows_done: u64,
 }
 
-/// Everything under the store mutex. The journal lives here so record
-/// order is exactly state-mutation order — no torn interleavings.
+/// Everything under the store mutex.
 #[derive(Debug)]
 struct StoreInner {
-    /// The store's state, transitioned only by [`StoreInner::commit`].
     image: StoreImage,
     journal: Journal,
     /// Lease deadlines by `(run index, shard)`: an entry exactly while
@@ -270,35 +266,34 @@ struct StoreInner {
     cursor: usize,
     /// The number the next submitted run's `run-N` id gets.
     next_run: u64,
+    /// The armed crash knob, and the matching transitions seen so far.
+    crash_after: Option<CrashSpec>,
+    crash_matches: u64,
 }
 
 impl StoreInner {
-    /// Journals `event`, then applies it to the image with the function
-    /// boot-time replay runs. The caller has validated `event` against
-    /// the image.
+    /// Journals `event` (fsynced), then folds it into the image with
+    /// the function boot replay runs.
     fn commit(&mut self, event: &Event, data_dir: &Path) -> std::io::Result<()> {
         let seq = self.journal.append(event)?;
+        self.crash_point(event.kind());
         let mut diags = Vec::new();
         self.image.apply(seq, event, data_dir, &mut diags);
-        debug_assert!(diags.is_empty(), "a validated transition failed to apply: {diags:?}");
+        debug_assert!(diags.is_empty(), "a validated record failed to apply: {diags:?}");
         Ok(())
     }
 
-    /// Compacts when the journal has grown past its threshold: write
-    /// the image as `store.snapshot.json`, then truncate the journal.
-    /// Called once a transition's records are all in. A failed
-    /// compaction is non-fatal — the journal just keeps growing and the
-    /// next transition retries.
-    fn maybe_compact(&mut self, data_dir: &Path) {
-        if !self.journal.wants_compaction() {
-            return;
-        }
-        if let Err(e) = recovery::write_snapshot(data_dir, &self.image) {
-            eprintln!("serve: snapshot write failed ({e}); journal keeps growing");
-            return;
-        }
-        if let Err(e) = self.journal.truncate() {
-            eprintln!("serve: journal truncate after snapshot failed ({e})");
+    /// The crash knob: aborts the process (no destructors, no reply —
+    /// what `kill -9` leaves) at the armed transition, after its durable
+    /// effect, if it has one, and before its state change.
+    fn crash_point(&mut self, transition: &str) {
+        let Some(crash) = &self.crash_after else { return };
+        if crash.event == transition {
+            self.crash_matches += 1;
+            if self.crash_matches == crash.count {
+                eprintln!("crash-after {}:{}: aborting now", crash.event, crash.count);
+                std::process::abort();
+            }
         }
     }
 
@@ -306,14 +301,14 @@ impl StoreInner {
         self.image.runs.iter().find(|r| r.id == id)
     }
 
-    /// The run's index and the holder of the lease `epoch` names on its
-    /// `shard`, if that lease is still the shard's.
-    fn live_lease(&self, run: &str, shard: usize, epoch: u64) -> Result<(usize, &str), LeaseError> {
+    /// The run's index, if the lease `epoch` names on its `shard` is
+    /// still the shard's.
+    fn live_lease(&self, run: &str, shard: usize, epoch: u64) -> Result<usize, LeaseError> {
         let index =
             self.image.runs.iter().position(|r| r.id == run).ok_or(LeaseError::UnknownRun)?;
         let image = self.image.runs[index].shards.get(shard).ok_or(LeaseError::UnknownShard)?;
-        match &image.phase {
-            ShardPhase::Leased { worker } if image.epoch == epoch => Ok((index, worker)),
+        match image.phase {
+            ShardPhase::Leased if image.epoch == epoch => Ok(index),
             _ => Err(LeaseError::LeaseLost),
         }
     }
@@ -338,11 +333,11 @@ impl JobStore {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Opens the store on `data_dir`, recovering whatever a previous
-    /// process left there: snapshot + journal replay, sink-backed runs
-    /// rehydrated, in-flight leases expired with bumped epochs. A
-    /// fresh directory recovers to an empty store with an empty
-    /// report.
+    /// Opens the store on `data_dir`, recovering the runs a previous
+    /// process submitted there with every shard pending (the server
+    /// then marks done the shards whose sinks hold all their rows), and
+    /// journals this boot. A fresh directory recovers to an empty store
+    /// with an empty report. `crash_after` arms the crash knob.
     ///
     /// # Errors
     ///
@@ -351,16 +346,25 @@ impl JobStore {
     pub fn open(
         data_dir: impl Into<PathBuf>,
         default_lease: Duration,
-        config: JournalConfig,
+        crash_after: Option<CrashSpec>,
     ) -> std::io::Result<(JobStore, RecoveryReport)> {
         let data_dir = data_dir.into();
         std::fs::create_dir_all(&data_dir)?;
         let recovered = recovery::recover(&data_dir)?;
         let image = recovered.image;
-        let journal = Journal::open(&data_dir, config, image.seq + 1, recovered.journal_records)?;
-        // Recovery expired every lease, so no deadline is owed yet.
+        let journal = Journal::open(&data_dir, JournalConfig::default(), image.seq + 1, 0)?;
         let next_run = image.max_run_number() + 1;
-        let inner = StoreInner { image, journal, deadlines: HashMap::new(), cursor: 0, next_run };
+        let mut inner = StoreInner {
+            image,
+            journal,
+            deadlines: HashMap::new(),
+            cursor: 0,
+            next_run,
+            crash_after,
+            crash_matches: 0,
+        };
+        // Durable before any grant: two boots never share a generation.
+        inner.commit(&Event::Boot, &data_dir)?;
         let store = JobStore {
             data_dir,
             default_lease,
@@ -391,7 +395,6 @@ impl JobStore {
         inner.next_run += 1;
         std::fs::create_dir_all(self.data_dir.join(&run))?;
         inner.commit(&Event::Submit { run: run.clone(), spec }, &self.data_dir)?;
-        inner.maybe_compact(&self.data_dir);
         drop(inner);
         metrics().jobs_submitted.inc();
         Ok(run)
@@ -417,37 +420,32 @@ impl JobStore {
             let candidate =
                 run.shards.iter().enumerate().find_map(|(i, shard)| match shard.phase {
                     ShardPhase::Pending => Some((i, false)),
-                    ShardPhase::Leased { .. } if expired(i) => Some((i, true)),
+                    ShardPhase::Leased if expired(i) => Some((i, true)),
                     _ => None,
                 });
             let Some((shard, stolen)) = candidate else { continue };
-            let deadline = now + run.spec.lease;
-            let event = Event::Lease {
-                run: run.id.clone(),
-                shard,
-                epoch: run.shards[shard].epoch + 1,
-                worker: worker.to_string(),
-                stolen,
-            };
-            if let Err(e) = inner.commit(&event, &self.data_dir) {
-                return LeaseOutcome::Error(format!("journal append failed: {e}"));
-            }
-            inner.deadlines.insert((run_index, shard), deadline);
+            inner.crash_point("lease");
+            let generation = inner.image.boots << 32;
+            let run = &mut inner.image.runs[run_index];
+            let image = &mut run.shards[shard];
+            image.phase = ShardPhase::Leased;
+            image.worker = Some(worker.to_string());
+            image.epoch = image.epoch.max(generation) + 1;
+            image.steals += u64::from(stolen);
+            inner.deadlines.insert((run_index, shard), now + run.spec.lease);
             if stolen {
                 metrics().leases_expired.inc();
                 metrics().leases_stolen.inc();
             }
             metrics().leases_granted.inc();
             inner.cursor = (run_index + 1) % count;
-            inner.maybe_compact(&self.data_dir);
-            let run = &inner.image.runs[run_index];
             return LeaseOutcome::Granted(Box::new(LeaseGrant {
                 run: run.id.clone(),
                 shard,
-                epoch: run.shards[shard].epoch,
+                epoch: image.epoch,
                 stolen,
                 lease: run.spec.lease,
-                sink: run.shards[shard].sink.clone(),
+                sink: image.sink.clone(),
                 spec: run.spec.clone(),
             }));
         }
@@ -459,8 +457,7 @@ impl JobStore {
     ///
     /// # Errors
     ///
-    /// [`LeaseError`] for unknown runs/shards, stale epochs, and
-    /// journal failures.
+    /// [`LeaseError`] for unknown runs/shards and stale epochs.
     pub fn heartbeat(
         &self,
         run: &str,
@@ -469,46 +466,42 @@ impl JobStore {
         rows_done: u64,
     ) -> Result<(), LeaseError> {
         let now = Instant::now();
-        let mut inner = self.lock();
-        let (index, _) = inner.live_lease(run, shard, epoch)?;
-        let deadline = now + inner.image.runs[index].spec.lease;
-        let event = Event::Heartbeat { run: run.to_string(), shard, epoch, rows_done };
-        inner
-            .commit(&event, &self.data_dir)
-            .map_err(|e| LeaseError::Internal(format!("journal append failed: {e}")))?;
-        inner.deadlines.insert((index, shard), deadline);
-        inner.maybe_compact(&self.data_dir);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let index = inner.live_lease(run, shard, epoch)?;
+        inner.crash_point("heartbeat");
+        let run = &mut inner.image.runs[index];
+        run.shards[shard].rows_done = rows_done;
+        inner.deadlines.insert((index, shard), now + run.spec.lease);
         metrics().heartbeats.inc();
         Ok(())
     }
 
     /// Marks a shard done. Accepted on a matching epoch even past the
-    /// deadline — as long as nobody re-leased it, the rows on disk are
-    /// complete and the late worker's work stands. When the last shard
-    /// completes, a `finish` record is journaled for the audit trail.
+    /// deadline — as long as nobody re-leased it, the worker has synced
+    /// the shard's rows to its sink and its work stands.
     ///
     /// # Errors
     ///
-    /// [`LeaseError`] for unknown runs/shards, stale epochs, and
-    /// journal failures.
+    /// [`LeaseError`] for unknown runs/shards and stale epochs.
     pub fn complete(&self, run: &str, shard: usize, epoch: u64) -> Result<(), LeaseError> {
         let mut inner = self.lock();
-        let (index, worker) = inner.live_lease(run, shard, epoch)?;
-        let event =
-            Event::Complete { run: run.to_string(), shard, epoch, worker: worker.to_string() };
-        inner
-            .commit(&event, &self.data_dir)
-            .map_err(|e| LeaseError::Internal(format!("journal append failed: {e}")))?;
+        let index = inner.live_lease(run, shard, epoch)?;
+        inner.crash_point("complete");
+        inner.image.runs[index].shards[shard].phase = ShardPhase::Done;
         inner.deadlines.remove(&(index, shard));
         self.lease_done.notify_all();
-        let shards = &inner.image.runs[index].shards;
-        if shards.iter().all(|s| matches!(s.phase, ShardPhase::Done { .. })) {
-            // Derived state; losing this append loses only an audit
-            // record, so it doesn't fail the complete.
-            let _ = inner.commit(&Event::Finish { run: run.to_string() }, &self.data_dir);
-        }
-        inner.maybe_compact(&self.data_dir);
         Ok(())
+    }
+
+    /// Marks a shard done before any lease: the server's verdict at
+    /// boot for a shard whose sink holds a row for every job it owns.
+    pub(crate) fn mark_done(&self, run: &str, shard: usize) {
+        let mut inner = self.lock();
+        let run = inner.image.runs.iter_mut().find(|r| r.id == run);
+        if let Some(image) = run.and_then(|r| r.shards.get_mut(shard)) {
+            image.phase = ShardPhase::Done;
+        }
     }
 
     /// Stops granting leases; `POST /lease` answers `410 Gone`.
@@ -560,7 +553,7 @@ impl JobStore {
             .map(|(shard, image)| ShardStatus {
                 shard,
                 state: image.phase.label(),
-                worker: image.phase.worker().map(str::to_string),
+                worker: image.worker.clone(),
                 steals: image.steals,
                 rows_done: image.rows_done,
             })
@@ -588,9 +581,6 @@ pub fn post_json(addr: &str, path: &str, body: &Json) -> Result<(u16, Json), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{FsyncPolicy, JOURNAL_FILE};
-    use crate::recovery::SNAPSHOT_FILE;
-    use std::collections::HashSet;
 
     fn spec(shards: usize, lease: Duration) -> RunSpec {
         RunSpec { size: 2, seed: 0x42, methods: vec![MethodKind::Strider], shards, lease }
@@ -604,7 +594,7 @@ mod tests {
     }
 
     fn store_at(dir: &Path, lease: Duration) -> (JobStore, RecoveryReport) {
-        JobStore::open(dir, lease, JournalConfig::default()).unwrap()
+        JobStore::open(dir, lease, None).unwrap()
     }
 
     fn store(name: &str, lease: Duration) -> JobStore {
@@ -695,7 +685,7 @@ mod tests {
 
     #[test]
     fn expired_leases_are_stolen_and_fenced() {
-        // Long enough that the grant's journal fsync cannot outlast it.
+        // Long enough that the first grant outlives the empty poll.
         let lease = Duration::from_millis(200);
         let store = store("steal", lease);
         let run = store.submit(spec(1, lease)).unwrap();
@@ -787,102 +777,9 @@ mod tests {
         assert_eq!(first.submit(spec(1, lease)).unwrap(), "run-2");
     }
 
-    /// xorshift64: the seeded transition loop's deterministic dice.
-    fn roll(state: &mut u64, below: u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state % below
-    }
-
-    /// Shards with an entry in the deadline table, and shards leased in
-    /// the image: the two must always be the same set.
-    fn deadline_keys_and_leased_shards(store: &JobStore) -> [HashSet<(usize, usize)>; 2] {
-        let inner = store.lock();
-        let leased = inner.image.runs.iter().enumerate().flat_map(|(run, image)| {
-            image.shards.iter().enumerate().filter_map(move |(shard, image)| {
-                matches!(image.phase, ShardPhase::Leased { .. }).then_some((run, shard))
-            })
-        });
-        [inner.deadlines.keys().copied().collect(), leased.collect()]
-    }
-
-    #[test]
-    fn live_state_is_replayed_state() {
-        for compact_every in [0, 3] {
-            let dir = store_dir(&format!("replayed-{compact_every}"));
-            let config =
-                JournalConfig { fsync: FsyncPolicy::Never, compact_every, crash_after: None };
-            // A zero lease: every held lease is expired at once, so the
-            // next grant on its shard is a steal, with no waiting.
-            let lease = Duration::ZERO;
-            let (store, _) = JobStore::open(&dir, lease, config).unwrap();
-            let mut dice = 0x5EED_CAFE + compact_every;
-            let mut grants: Vec<LeaseGrant> = Vec::new();
-            let (mut steals, mut refused) = (0, 0);
-            for _ in 0..400 {
-                match roll(&mut dice, 10) {
-                    0 => {
-                        let shards = 1 + roll(&mut dice, 3) as usize;
-                        store.submit(spec(shards, lease)).unwrap();
-                    }
-                    1..=4 => {
-                        let worker = format!("w{}", roll(&mut dice, 3));
-                        if let LeaseOutcome::Granted(grant) = store.lease(&worker) {
-                            steals += u64::from(grant.stolen);
-                            grants.push(*grant);
-                        }
-                    }
-                    verb if !grants.is_empty() => {
-                        // Any grant ever made: most of them are stale.
-                        let g = &grants[roll(&mut dice, grants.len() as u64) as usize];
-                        let outcome = if verb < 7 {
-                            store.heartbeat(&g.run, g.shard, g.epoch, roll(&mut dice, 100))
-                        } else {
-                            store.complete(&g.run, g.shard, g.epoch)
-                        };
-                        match outcome {
-                            Ok(()) => {}
-                            Err(LeaseError::LeaseLost) => refused += 1,
-                            Err(other) => panic!("{other:?}"),
-                        }
-                    }
-                    _ => {}
-                }
-                let [deadlines, leased] = deadline_keys_and_leased_shards(&store);
-                assert_eq!(deadlines, leased, "a deadline exactly while leased");
-            }
-            assert!(steals > 0 && refused > 0, "{steals} steals, {refused} stale calls refused");
-
-            let live: Vec<(String, Vec<ShardStatus>)> = store
-                .run_ids()
-                .into_iter()
-                .map(|run| (run.clone(), store.status(&run).unwrap().0))
-                .collect();
-            drop(store);
-            let (store, report) = store_at(&dir, lease);
-            assert!(report.diags.is_empty(), "{:?}", report.diags);
-            assert_eq!(store.run_ids().len(), live.len());
-            for (run, live) in &live {
-                let replayed = store.status(run).unwrap().0;
-                assert_eq!(replayed.len(), live.len());
-                for (live, replayed) in live.iter().zip(&replayed) {
-                    // Recovery expires a lease: only that differs.
-                    let (state, worker) = match live.state {
-                        "leased" => ("pending", None),
-                        state => (state, live.worker.clone()),
-                    };
-                    assert_eq!(
-                        (replayed.state, &replayed.worker, replayed.steals, replayed.rows_done),
-                        (state, &worker, live.steals, live.rows_done),
-                        "{run} shard {} at compact_every {compact_every}",
-                        live.shard
-                    );
-                }
-            }
-            let next = store.submit(spec(1, lease)).unwrap();
-            assert_eq!(next, format!("run-{}", live.len() + 1), "ids resume past the recovered");
-        }
+    /// The generation in the high 32 bits of an epoch.
+    fn generation(epoch: u64) -> u64 {
+        epoch >> 32
     }
 
     #[test]
@@ -903,19 +800,20 @@ mod tests {
         let (store, report) = store_at(&dir, lease);
         assert!(report.recovered_state());
         assert_eq!(report.runs, 1);
-        assert_eq!(report.leases_expired, 1);
-        assert!(report.records_replayed >= 5, "{report:?}");
+        assert_eq!(report.records_replayed, 2, "a boot and a submit: no lease is journaled");
         assert_eq!(store.run_ids(), vec![run.clone()]);
         assert_eq!(store.spec(&run).unwrap(), spec(2, lease));
 
+        // The store alone knows no sink: every shard comes back pending,
+        // and the server marks done the ones whose sinks are full.
         let (rows, done) = store.status(&run).unwrap();
         assert!(!done);
-        assert_eq!(rows[0].state, "done");
-        assert_eq!(rows[0].worker.as_deref(), Some("a"));
-        assert_eq!(rows[0].rows_done, 2, "pushed progress survives the crash");
-        assert_eq!(rows[1].state, "pending", "the in-flight lease expired");
+        for row in &rows {
+            assert_eq!((row.state, &row.worker, row.rows_done), ("pending", &None, 0));
+        }
+        store.mark_done(&run, done_grant.shard);
 
-        // The pre-crash holder is fenced out…
+        // The pre-crash holders are fenced out…
         assert_eq!(
             store.heartbeat(&run, live_grant.shard, live_grant.epoch, 0),
             Err(LeaseError::LeaseLost)
@@ -924,43 +822,36 @@ mod tests {
             store.complete(&run, done_grant.shard, done_grant.epoch),
             Err(LeaseError::LeaseLost)
         );
-        // …and the shard re-grants to a reconnecting worker.
+        // …and the shard re-grants to a reconnecting worker, in a new
+        // generation: the same count within it no longer matches.
         let retry = grant(&store, "b2");
         assert_eq!(retry.shard, live_grant.shard);
-        assert!(retry.epoch > live_grant.epoch, "epoch bumped past the dead lease");
+        assert_eq!(retry.epoch as u32, live_grant.epoch as u32, "same low bits");
+        assert_eq!(generation(retry.epoch), generation(live_grant.epoch) + 1);
+        assert_eq!(
+            store.heartbeat(&run, live_grant.shard, live_grant.epoch, 0),
+            Err(LeaseError::LeaseLost)
+        );
         assert_eq!(retry.sink, live_grant.sink, "same sink — resume, don't redo");
         store.complete(&run, retry.shard, retry.epoch).unwrap();
         assert!(store.status(&run).unwrap().1);
     }
 
+    /// Each open is a new generation, with or without a submission in
+    /// between.
     #[test]
-    fn compaction_snapshots_and_truncates_then_recovers() {
-        let dir = store_dir("compact");
+    fn every_boot_is_a_new_generation() {
+        let dir = store_dir("generations");
         let lease = Duration::from_secs(60);
-        let run = {
-            let config = JournalConfig { compact_every: 4, ..JournalConfig::default() };
-            let (store, _) = JobStore::open(&dir, lease, config).unwrap();
-            let run = store.submit(spec(2, lease)).unwrap();
-            let a = grant(&store, "a");
-            let b = grant(&store, "b");
-            // 4 records so far → this complete triggers compaction.
-            store.complete(&run, a.shard, a.epoch).unwrap();
-            store.complete(&run, b.shard, b.epoch).unwrap();
-            run
-        };
-        assert!(dir.join(SNAPSHOT_FILE).exists(), "compaction wrote the checkpoint");
-        let journal_len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
-        // The tail past the last compaction is short; the bulk was
-        // folded into the snapshot.
+        let run = store_at(&dir, lease).0.submit(spec(1, lease)).unwrap();
+        let epochs: Vec<u64> = (0..3).map(|_| grant(&store_at(&dir, lease).0, "w").epoch).collect();
+        assert_eq!(epochs.iter().map(|e| generation(*e)).collect::<Vec<_>>(), [2, 3, 4]);
+        assert!(epochs.iter().all(|e| *e as u32 == 1), "{epochs:x?}");
         let (store, report) = store_at(&dir, lease);
-        assert!(report.recovered_state());
-        assert!(report.snapshot_seq >= 4, "{report:?}");
-        assert!(
-            report.records_replayed <= 2,
-            "replay is bounded by the snapshot: {report:?} (journal {journal_len}B)"
-        );
-        let (rows, done) = store.status(&run).unwrap();
-        assert!(done, "{rows:?}");
+        assert_eq!(report.records_replayed, 5, "one submit, four boots");
+        for epoch in epochs {
+            assert_eq!(store.complete(&run, 0, epoch), Err(LeaseError::LeaseLost));
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The leased-shard worker: polls `POST /lease`, runs each granted
 //! shard through the normal campaign engine into the grant's JSONL
 //! sink, heartbeats while evaluating (pushing `rows_done` progress),
-//! and reports `POST /complete`.
+//! fsyncs the sink once, and reports `POST /complete`. The sink is the
+//! durable record of the shard's progress: a restarted server counts
+//! the shard done only if its sink holds every row.
 //!
 //! Determinism does the heavy lifting: a worker needs *no* state from
 //! the server beyond the grant — the [`RunSpec`](crate::RunSpec) pins
@@ -21,8 +23,9 @@
 //! "the server is restarting", re-reads the file (a restarted server
 //! republishes its — possibly new — address there), and keeps polling
 //! within its idle budget. Leases held across the crash are fenced by
-//! recovery's epoch bump, so the reconnecting worker sees the ordinary
-//! `409 LeaseLost`, abandons the shard, and re-leases it fresh.
+//! the restarted store's new generation, so the reconnecting worker
+//! sees the ordinary `409 LeaseLost`, abandons the shard, and re-leases
+//! it fresh.
 
 use crate::memo::Memo;
 use crate::store::{post_json, LeaseGrant};
@@ -271,7 +274,12 @@ fn run_lease(
         });
         let dataset =
             datasets.get_or_insert_with((spec.size, spec.seed), || campaign.build_dataset());
-        let run = campaign.run_on(dataset, &mut sink);
+        // The sink's rows must outlive a power loss before the server
+        // is told the shard is done.
+        let run = campaign.run_on(dataset, &mut sink).and_then(|outcome| {
+            sink.sync()?;
+            Ok(outcome)
+        });
         drop(stop);
         // A heartbeat thread that died renewed nothing and learned
         // nothing: `POST /complete` still answers 409 if the lease went.
@@ -304,8 +312,8 @@ fn run_lease(
 
 /// Reports completion, riding out a restarting server: with an
 /// `addr_file`, transport errors refresh the address and retry within
-/// the idle budget (the shard's rows are already durable, and recovery
-/// will answer 409 if the epoch was fenced meanwhile — both outcomes
+/// the idle budget (the shard's rows are already synced to its sink,
+/// and a restarted server answers 409 to the old epoch — both outcomes
 /// are fine, silence is not).
 fn post_complete(
     options: &WorkerOptions,
@@ -365,6 +373,10 @@ impl AbortingSink {
 
     fn aborted(&self) -> bool {
         self.aborted
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.inner.sync()
     }
 }
 

@@ -1,8 +1,8 @@
 //! The `campaign` binary end to end: sharded runs merge into the rows
 //! of a whole run, a re-run on the same `--out` resumes without
 //! appending, `merge` refuses a shard set that is not an exact cover,
-//! both spellings of a hex seed name the same dataset, and no flag lets
-//! a row depend on the wall clock.
+//! both spellings of a hex seed name the same dataset, injected panics
+//! are reported, and no flag lets a row depend on the wall clock.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -110,6 +110,27 @@ fn both_hex_seed_spellings_give_the_same_rows() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `--inject-panic` alone reports what the pool quarantined.
+#[test]
+fn injected_panics_print_the_pool_line() {
+    let dir = fresh_dir("inject-panic");
+    let stdout = campaign_ok(
+        &dir,
+        &[
+            "--size",
+            "2",
+            "--methods",
+            "RTLrepair",
+            "--inject-panic",
+            "@RTLrepair",
+            "--out",
+            "p.jsonl",
+        ],
+    );
+    assert!(stdout.contains("2 quarantined rows"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Flags that would make a row depend on the wall clock, or that no
 /// caller sets, are unknown: each exits 1 naming itself before anything
 /// runs.
@@ -125,6 +146,8 @@ fn removed_flags_are_unknown() {
         (&["--inject-stall", "@MEIC:5"], "unknown campaign flag '--inject-stall'"),
         (&["worker", "--llm-batch", "4"], "unknown worker flag '--llm-batch'"),
         (&["worker", "--llm-max-wait-ms", "1"], "unknown worker flag '--llm-max-wait-ms'"),
+        (&["serve", "--fsync", "always"], "unknown serve flag '--fsync'"),
+        (&["serve", "--compact-every", "8"], "unknown serve flag '--compact-every'"),
     ] {
         let output = campaign(&dir, args);
         assert_eq!(output.status.code(), Some(1), "campaign {args:?}");
