@@ -247,8 +247,8 @@ pub struct EvalRecord {
     /// (1 on a direct service; telemetry, like `llm_wait`).
     pub llm_batch_max: u64,
     /// True when any of this job's completions came from the
-    /// resilience layer's degradation fallback (retry budget, deadline
-    /// or breaker exhausted) — the row-honesty tag the fault-tolerance
+    /// resilience layer's degradation fallback (retry budget or breaker
+    /// exhausted) — the row-honesty tag the fault-tolerance
     /// byte-identity gate filters on.
     pub degraded: bool,
 }

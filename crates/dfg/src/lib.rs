@@ -15,6 +15,11 @@
 //!   mismatch timestamp, so only sites on *executed* paths survive,
 //!   giving the repair agent far denser information.
 //!
+//! Neither mode takes options. A static slice is unbounded; a dynamic
+//! slice follows signals at most 8 assignments upstream and keeps a site
+//! whose guard evaluates to unknown (X), so a missing waveform value
+//! widens the slice rather than hiding the bug.
+//!
 //! ## Example
 //!
 //! ```rust
@@ -33,4 +38,4 @@
 
 pub mod slice;
 
-pub use slice::{suspicious_lines, Dfg, Guard, Site, Slice, SliceOptions, Snapshot};
+pub use slice::{suspicious_lines, Dfg, Guard, Site, Slice, Snapshot};

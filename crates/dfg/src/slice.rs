@@ -50,20 +50,12 @@ impl Site {
     }
 }
 
-/// Options controlling slice construction.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceOptions {
-    /// Maximum backward traversal depth.
-    pub max_depth: usize,
-    /// Include sites whose guards evaluate to unknown (X) — conservative.
-    pub include_unknown: bool,
-}
+/// Backward traversal depth of a dynamic slice: signals more than this
+/// many assignments upstream of the sliced one are not followed.
+const DYNAMIC_DEPTH: usize = 8;
 
-impl Default for SliceOptions {
-    fn default() -> Self {
-        SliceOptions { max_depth: 8, include_unknown: true }
-    }
-}
+/// Backward traversal depth of a static slice: the whole cone.
+const STATIC_DEPTH: usize = usize::MAX;
 
 /// The result of a slice: contributing sites and the signal frontier.
 #[derive(Debug, Clone, Default)]
@@ -179,23 +171,20 @@ impl Dfg {
 
     /// Static cone of influence of `signal` (unbounded depth).
     pub fn static_slice(&self, signal: &str) -> Slice {
-        self.slice(signal, None, &SliceOptions { max_depth: usize::MAX, include_unknown: true })
+        self.slice(signal, None)
     }
 
-    /// Time-aware dynamic slice: only sites whose guard conditions are
-    /// satisfied (or unknown) under `snapshot` are followed.
-    pub fn dynamic_slice(
-        &self,
-        signal: &str,
-        snapshot: &HashMap<String, Logic>,
-        options: &SliceOptions,
-    ) -> Slice {
-        self.slice(signal, Some(&self.values(snapshot)), options)
+    /// Time-aware dynamic slice, [`DYNAMIC_DEPTH`] deep: only sites whose
+    /// guard conditions are satisfied or unknown (conservative) under
+    /// `snapshot` are followed.
+    pub fn dynamic_slice(&self, signal: &str, snapshot: &HashMap<String, Logic>) -> Slice {
+        self.slice(signal, Some(&self.values(snapshot)))
     }
 
     /// The slice of `signal` under `values` (by symbol; `None` for a
     /// static slice).
-    fn slice(&self, signal: &str, values: Option<&SymbolValues>, options: &SliceOptions) -> Slice {
+    fn slice(&self, signal: &str, values: Option<&SymbolValues>) -> Slice {
+        let max_depth = if values.is_some() { DYNAMIC_DEPTH } else { STATIC_DEPTH };
         let mut out = Slice::default();
         let Some(signal) = self.symbol(signal) else { return out };
         let mut seen_sites = vec![false; self.sites.len()];
@@ -205,13 +194,13 @@ impl Dfg {
         seen_signals[signal.0 as usize] = true;
         while let Some((sig, depth)) = queue.pop_front() {
             out.signals.push(sig);
-            if depth >= options.max_depth {
+            if depth >= max_depth {
                 continue;
             }
             for &site_idx in self.writers_of(sig) {
                 let site = &self.sites[site_idx];
                 if let Some(values) = values {
-                    if !guards_active(&site.guards, values, options.include_unknown) {
+                    if !guards_active(&site.guards, values) {
                         continue;
                     }
                 }
@@ -312,19 +301,20 @@ fn collect_sites(stmt: &Stmt, guards: &mut Vec<Guard>, sites: &mut Vec<Site>) {
     }
 }
 
-/// Checks whether every guard on a site is compatible with `snapshot`.
-fn guards_active(guards: &[Guard], snapshot: &SymbolValues, include_unknown: bool) -> bool {
+/// Checks whether every guard on a site is compatible with `snapshot`;
+/// a guard that evaluates to unknown (X) counts as compatible.
+fn guards_active(guards: &[Guard], snapshot: &SymbolValues) -> bool {
     for g in guards {
         let verdict = match g {
             Guard::If { cond, taken_then } => match eval_ast(cond, snapshot).truthiness() {
                 Tri::True => *taken_then,
                 Tri::False => !*taken_then,
-                Tri::Unknown => include_unknown,
+                Tri::Unknown => true,
             },
             Guard::Case { sel, labels, all_labels, is_default } => {
                 let sv = eval_ast(sel, snapshot);
                 if !sv.is_fully_known() {
-                    include_unknown
+                    true
                 } else if *is_default {
                     // Default fires when no label matches.
                     !all_labels.iter().any(|l| label_matches(&sv, l, snapshot))
@@ -468,13 +458,12 @@ pub fn suspicious_lines<S: Snapshot + ?Sized>(
     snapshot: &S,
 ) -> Vec<(u32, String)> {
     let dfg = Dfg::build(module);
-    let options = SliceOptions::default();
     let values = (!snapshot.is_empty()).then(|| dfg.values(snapshot));
     let mut lines: Vec<u32> = Vec::new();
     for sig in mismatch_signals {
         let slice = match &values {
             None => dfg.static_slice(sig),
-            Some(values) => dfg.slice(sig, Some(values), &options),
+            Some(values) => dfg.slice(sig, Some(values)),
         };
         lines.extend(slice.lines(&dfg, src));
     }
@@ -529,11 +518,11 @@ mod tests {
         let dfg = Dfg::build(&m);
         let mut snap = HashMap::new();
         snap.insert("s".to_string(), Logic::bit(true));
-        let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
+        let slice = dfg.dynamic_slice("y", &snap);
         assert_eq!(slice.sites.len(), 1);
         assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("a").unwrap()));
         // Unknown condition keeps both (conservative).
-        let slice2 = dfg.dynamic_slice("y", &HashMap::new(), &SliceOptions::default());
+        let slice2 = dfg.dynamic_slice("y", &HashMap::new());
         assert_eq!(slice2.sites.len(), 2);
     }
 
@@ -546,12 +535,12 @@ mod tests {
         let dfg = Dfg::build(&m);
         let mut snap = HashMap::new();
         snap.insert("s".to_string(), Logic::from_u128(2, 1));
-        let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
+        let slice = dfg.dynamic_slice("y", &snap);
         assert_eq!(slice.sites.len(), 1);
         assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("b").unwrap()));
         // Selector 3 matches no arm -> default.
         snap.insert("s".to_string(), Logic::from_u128(2, 3));
-        let slice = dfg.dynamic_slice("y", &snap, &SliceOptions::default());
+        let slice = dfg.dynamic_slice("y", &snap);
         assert_eq!(slice.sites.len(), 1);
         assert!(matches!(
             dfg.sites[slice.sites[0]].guards[0],
@@ -585,7 +574,7 @@ mod tests {
     #[test]
     fn slice_depth_limit_respected() {
         let mut src = String::from("module m(input a, output y);\n");
-        let n = 20;
+        let n = 4 * DYNAMIC_DEPTH;
         src.push_str("wire ");
         let names: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
         src.push_str(&names.join(", "));
@@ -597,14 +586,12 @@ mod tests {
         src.push_str(&format!("assign y = t{};\nendmodule\n", n - 1));
         let m = module_of(&src);
         let dfg = Dfg::build(&m);
-        let slice = dfg.dynamic_slice(
-            "y",
-            &HashMap::new(),
-            &SliceOptions { max_depth: 3, include_unknown: true },
-        );
-        assert!(slice.sites.len() <= 4);
+        // One site per level: y's writer, then t{n-1}'s, and so on.
+        let slice = dfg.dynamic_slice("y", &HashMap::new());
+        assert_eq!(slice.sites.len(), DYNAMIC_DEPTH);
+        assert_eq!(slice.signals.len(), DYNAMIC_DEPTH + 1, "the frontier is visited, not expanded");
         let full = dfg.static_slice("y");
-        assert_eq!(full.sites.len(), (n + 1) as usize);
+        assert_eq!(full.sites.len(), n + 1);
     }
 
     #[test]

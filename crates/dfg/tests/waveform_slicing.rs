@@ -2,7 +2,7 @@
 //! waveforms (the exact data path of Algorithm 2 in production).
 
 use std::collections::HashMap;
-use uvllm_dfg::{suspicious_lines, Dfg, SliceOptions};
+use uvllm_dfg::{suspicious_lines, Dfg};
 use uvllm_sim::{elaborate, Logic, Simulator, Waveform};
 
 const ALU: &str = "module alu(input [7:0] a, input [7:0] b, input [1:0] op,\n\
@@ -38,7 +38,7 @@ fn dynamic_slice_follows_the_executed_case_arm() {
     // op = 1: only the subtraction arm executed.
     let (_, wave) = run_and_capture(1);
     let snapshot = wave.snapshot_at(10);
-    let slice = dfg.dynamic_slice("y", &snapshot, &SliceOptions::default());
+    let slice = dfg.dynamic_slice("y", &snapshot);
     assert_eq!(slice.sites.len(), 1, "exactly the executed arm");
     assert!(dfg.sites[slice.sites[0]].reads.contains(&dfg.symbol("b").unwrap()));
     let lines = slice.lines(&dfg, ALU);
@@ -49,7 +49,7 @@ fn dynamic_slice_follows_the_executed_case_arm() {
     // op = 3: the default arm.
     let (_, wave) = run_and_capture(3);
     let snapshot = wave.snapshot_at(10);
-    let slice = dfg.dynamic_slice("y", &snapshot, &SliceOptions::default());
+    let slice = dfg.dynamic_slice("y", &snapshot);
     assert_eq!(slice.sites.len(), 1);
     let lines = slice.lines(&dfg, ALU);
     let text = ALU.lines().nth(lines[0] as usize - 1).unwrap();
@@ -103,7 +103,7 @@ fn slicing_through_sequential_state() {
     let mut snapshot = HashMap::new();
     snapshot.insert("rst_n".to_string(), Logic::bit(true));
     snapshot.insert("en".to_string(), Logic::bit(true));
-    let slice = dfg.dynamic_slice("q", &snapshot, &SliceOptions::default());
+    let slice = dfg.dynamic_slice("q", &snapshot);
     // Reaches both the enabled register write and the adder, not the
     // reset branch.
     let lines = slice.lines(&dfg, src);

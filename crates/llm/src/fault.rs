@@ -19,9 +19,9 @@ use uvllm_obs::registry;
 
 /// A seeded fault schedule: what a session injects, and how often.
 ///
-/// Rates are independent probabilities per sent prompt, resolved in the
-/// order error → malformed → truncated from one uniform draw (so the
-/// three exclude each other); the latency decision is a second draw.
+/// The two rates are probabilities per sent prompt, resolved in the
+/// order error → malformed from one uniform draw (so the two exclude
+/// each other). A non-zero [`FaultPlan::latency`] stalls every answer.
 /// All zeros (the default) injects nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -35,25 +35,13 @@ pub struct FaultPlan {
     /// Probability of a fabricated *malformed* completion (prose where
     /// the agents expect structured JSON) replacing the answer.
     pub malform_rate: f64,
-    /// Probability of a fabricated *truncated* completion (structured
-    /// output cut mid-string, as when a stream drops) replacing it.
-    pub truncate_rate: f64,
-    /// Probability of the answer landing [`FaultPlan::latency`] late.
-    pub latency_rate: f64,
-    /// The injected stall when the latency fault fires.
+    /// How late every answer lands (zero: on time).
     pub latency: Duration,
 }
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        FaultPlan {
-            seed: 0xFA17,
-            error_rate: 0.0,
-            malform_rate: 0.0,
-            truncate_rate: 0.0,
-            latency_rate: 0.0,
-            latency: Duration::ZERO,
-        }
+        FaultPlan { seed: 0xFA17, error_rate: 0.0, malform_rate: 0.0, latency: Duration::ZERO }
     }
 }
 
@@ -78,7 +66,7 @@ impl FaultStream {
         FaultStream { rng: StdRng::seed_from_u64(plan.seed), plan }
     }
 
-    /// Draws one sent prompt's faults — exactly two uniform draws
+    /// Draws one sent prompt's fault — exactly two uniform draws
     /// whatever the rates, so the stream position is a function of the
     /// prompt index alone — and returns the answer that replaces the
     /// model's, if one does, and the stall of the prompt's answer.
@@ -86,23 +74,21 @@ impl FaultStream {
         &mut self,
         prompt: &RepairPrompt,
     ) -> (Option<Result<Completion, LlmError>>, Duration) {
-        let (draw, stall_draw): (f64, f64) = (self.rng.random(), self.rng.random());
+        // The second draw decides nothing (every answer stalls by the
+        // plan's latency); it is taken so that each seed keeps the
+        // error/malformed schedule of a two-draw stream.
+        let (draw, _): (f64, f64) = (self.rng.random(), self.rng.random());
         let plan = &self.plan;
         let replaced = if draw < plan.error_rate {
             registry().counter("llm.faults.errors").inc();
             let error = LlmError::Transient("injected transient endpoint failure".to_string());
             Some(Err(error))
-        } else if draw < plan.error_rate + plan.malform_rate + plan.truncate_rate {
+        } else if draw < plan.error_rate + plan.malform_rate {
             registry().counter("llm.faults.malformed").inc();
-            // Prose where the agents expect JSON, or a structured reply
-            // torn mid-string (a dropped stream): unparsable as either
+            // Prose where the agents expect JSON: unparsable as either
             // schema, so validation (and an honest agent) rejects it.
-            let content = if draw < plan.error_rate + plan.malform_rate {
-                "I'm sorry, but as a language model I cannot complete this request without \
-                 additional context about the design."
-            } else {
-                "{\n  \"module name\": \"dut\",\n  \"analysis\": \"the always block"
-            };
+            let content = "I'm sorry, but as a language model I cannot complete this request \
+                           without additional context about the design.";
             let (prompt_tokens, completion_tokens) =
                 (count_tokens(&prompt.render()), count_tokens(content));
             let content = content.to_string();
@@ -115,11 +101,10 @@ impl FaultStream {
         } else {
             None
         };
-        let stall = if stall_draw < plan.latency_rate { plan.latency } else { Duration::ZERO };
-        if !stall.is_zero() {
+        if !plan.latency.is_zero() {
             registry().counter("llm.faults.stalls").inc();
         }
-        (replaced, stall)
+        (replaced, plan.latency)
     }
 }
 
@@ -217,7 +202,7 @@ mod tests {
     #[test]
     fn fabricated_completions_are_unparsable() {
         use crate::response::{CompleteResponse, RepairResponse};
-        let garbage = FaultPlan { malform_rate: 0.5, truncate_rate: 0.5, ..plan(0.0, 0.0) };
+        let garbage = plan(0.0, 1.0);
         let (answers, model) = answers(garbage, 8, 1);
         for c in answers {
             let c = c.unwrap();

@@ -130,15 +130,11 @@ pub enum LlmError {
     /// by real transports and injected faults ([`crate::FaultPlan`]);
     /// retried under a [`crate::ResiliencePolicy`].
     Transient(String),
-    /// The ticket's answer did not arrive within the configured
-    /// per-ticket deadline (see
-    /// [`crate::resilient::ResiliencePolicy::ticket_deadline`]).
-    DeadlineExceeded(String),
 }
 
 impl LlmError {
     /// True for failures a retry can plausibly cure (transient
-    /// infrastructure errors and blown deadlines) — the class the
+    /// infrastructure errors) — the class the
     /// resilience layer retries and counts against its circuit
     /// breaker. Semantic answers ([`LlmError::NoResponse`]) and
     /// terminal shutdown ([`LlmError::ServiceClosed`]) are not
@@ -146,7 +142,7 @@ impl LlmError {
     /// infrastructure faults would make the resilience layer perturb
     /// fault-free runs.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, LlmError::Transient(_) | LlmError::DeadlineExceeded(_))
+        matches!(self, LlmError::Transient(_))
     }
 }
 
@@ -156,7 +152,6 @@ impl fmt::Display for LlmError {
             LlmError::NoResponse(m) => write!(f, "no response: {m}"),
             LlmError::ServiceClosed(m) => write!(f, "llm service closed: {m}"),
             LlmError::Transient(m) => write!(f, "transient llm failure: {m}"),
-            LlmError::DeadlineExceeded(m) => write!(f, "llm deadline exceeded: {m}"),
         }
     }
 }

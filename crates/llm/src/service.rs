@@ -404,8 +404,7 @@ struct Request {
     session: u64,
     prompt: RepairPrompt,
     reply: Reply,
-    /// When the ticket was submitted: its wait and deadline count from
-    /// here.
+    /// When the ticket was submitted: its wait counts from here.
     submitted: Instant,
     /// Retries issued so far.
     attempt: u32,
@@ -588,17 +587,15 @@ impl<M: LanguageModel> ServiceLoop<M> {
         batch_size: usize,
         at: Instant,
     ) {
-        let waited = at.saturating_duration_since(request.submitted);
         let session = self.sessions.get_mut(&request.session);
         let (result, resilience) = match session.and_then(|s| s.resilience.as_mut()) {
-            Some(policy) => {
-                match policy.settle(&request.prompt, outcome, &mut request.attempt, waited) {
-                    Settled::Retry(backoff) => return self.enqueue(request, at + backoff),
-                    Settled::Answer(result) => (result, Some(policy.stats)),
-                }
-            }
+            Some(policy) => match policy.settle(&request.prompt, outcome, &mut request.attempt) {
+                Settled::Retry(backoff) => return self.enqueue(request, at + backoff),
+                Settled::Answer(result) => (result, Some(policy.stats)),
+            },
             None => (outcome.expect("only a resilient session fast-fails"), None),
         };
+        let waited = at.saturating_duration_since(request.submitted);
         request.reply.send(Delivery { result, batch_size, waited, resilience });
     }
 }
@@ -1133,7 +1130,7 @@ mod tests {
             max_wait: Duration::from_secs(1),
             round_trip: rtt,
         });
-        let stalling = FaultPlan { latency_rate: 1.0, latency: stall, ..FaultPlan::default() };
+        let stalling = FaultPlan { latency: stall, ..FaultPlan::default() };
         // Four sessions share one batch; two of them stall.
         let mut clients: Vec<_> = (0..4)
             .map(|i| {

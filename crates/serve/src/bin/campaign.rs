@@ -46,6 +46,16 @@ use uvllm_campaign::{
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, CrashSpec, ServeConfig, Server, WorkerOptions};
 
+/// `println!` that drops a failed write: a verb's stdout is its log, and
+/// a reader that goes away (`campaign … | head`) must not fail a run
+/// whose rows and files are written either way.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--seed HEX] [--methods A,B,..] [--llm-batch N] \
      [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
@@ -89,7 +99,7 @@ impl Flags {
         let mut rest = Vec::new();
         while let Some(arg) = self.args.next() {
             if arg == "--help" || arg == "-h" {
-                println!("{USAGE}");
+                say!("{USAGE}");
                 std::process::exit(0);
             }
             if own(&mut self, &arg)? {
@@ -185,11 +195,7 @@ fn parse_run(args: Vec<String>) -> Result<(CampaignConfig, String), String> {
             "--fault-error-rate" => fault(&mut config).error_rate = f.rate(flag)?,
             "--fault-malform-rate" => fault(&mut config).malform_rate = f.rate(flag)?,
             "--fault-latency-ms" => {
-                let plan = fault(&mut config);
-                plan.latency = Duration::from_millis(f.value(flag)?);
-                if plan.latency_rate == 0.0 {
-                    plan.latency_rate = 1.0;
-                }
+                fault(&mut config).latency = Duration::from_millis(f.value(flag)?);
             }
             "--llm-retries" => resilience(&mut config).retries = f.value(flag)?,
             "--llm-breaker-threshold" => {
@@ -235,7 +241,7 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
     let llm_mode = config.llm_batch.as_ref().map_or("per-job llm".to_string(), |batch| {
         format!("batched llm (max_batch {}, max_wait {:?})", batch.max_batch, batch.max_wait)
     });
-    println!(
+    say!(
         "campaign: {} instances x {} methods, {} workers, shard {}/{}, {llm_mode}, sink {out}",
         config.dataset_size,
         config.methods.len(),
@@ -245,34 +251,30 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
     );
 
     if let Some(fault) = &config.fault {
-        println!(
-            "fault injection: seed {:#x}, error {:.0}%, malform {:.0}%, truncate {:.0}%, \
-             stall {:?} at {:.0}%",
+        say!(
+            "fault injection: seed {:#x}, error {:.0}%, malform {:.0}%, stall {:?}",
             fault.seed,
             fault.error_rate * 100.0,
             fault.malform_rate * 100.0,
-            fault.truncate_rate * 100.0,
             fault.latency,
-            fault.latency_rate * 100.0,
         );
     }
     if let Some(policy) = &config.resilience {
-        println!(
-            "resilience policy: {} retries, backoff {:?}..{:?}, breaker threshold {}, deadline {:?}",
+        say!(
+            "resilience policy: {} retries, backoff {:?}..{:?}, breaker threshold {}",
             policy.retries,
             policy.base_backoff,
             policy.max_backoff,
             policy.breaker_threshold,
-            policy.ticket_deadline,
         );
     }
     let mut sink = JsonlSink::open(&out).map_err(|e| format!("cannot open sink {out}: {e}"))?;
     if sink.resumed() > 0 {
-        println!("resuming: {} completed rows found in {out}", sink.resumed());
+        say!("resuming: {} completed rows found in {out}", sink.resumed());
     }
     let started = std::time::Instant::now();
     let outcome = campaign.run(&mut sink).map_err(|e| format!("campaign failed: {e}"))?;
-    println!(
+    say!(
         "done in {:.1?}: {} jobs total, {} evaluated now, {} resumed, {} other shards",
         started.elapsed(),
         outcome.total_jobs,
@@ -284,11 +286,9 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
     let flushes = outcome.metrics.counter("llm.flushes").unwrap_or(0);
     let prompts = outcome.metrics.counter("llm.flushed_prompts").unwrap_or(0);
     let mean_batch = if flushes > 0 { prompts as f64 / flushes as f64 } else { 0.0 };
-    println!(
-        "llm service: {tickets} tickets across {flushes} flushes (mean batch {mean_batch:.2})",
-    );
+    say!("llm service: {tickets} tickets across {flushes} flushes (mean batch {mean_batch:.2})",);
     if config.resilience.is_some() {
-        println!(
+        say!(
             "resilience: {} retries, {} breaker transitions, {} degraded",
             outcome.metrics.counter("llm.retries").unwrap_or(0),
             outcome.metrics.counter("llm.breaker_transitions").unwrap_or(0),
@@ -296,7 +296,7 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
         );
     }
     if outcome.pool_stats.panicked > 0 {
-        println!(
+        say!(
             "pool: {} panics ({} requeued), {} quarantined rows",
             outcome.pool_stats.panicked,
             outcome.pool_stats.requeued,
@@ -304,9 +304,9 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
         );
     }
     if let Some(path) = &config.metrics_out {
-        println!("metrics snapshot written to {}", path.display());
+        say!("metrics snapshot written to {}", path.display());
     }
-    println!("{}", outcome.report.render());
+    say!("{}", outcome.report.render());
     Ok(())
 }
 
@@ -319,7 +319,7 @@ fn run_metrics_check(paths: Vec<String>) -> Result<(), String> {
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         uvllm_obs::validate_snapshot_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: valid {} snapshot", uvllm_obs::SNAPSHOT_SCHEMA);
+        say!("{path}: valid {} snapshot", uvllm_obs::SNAPSHOT_SCHEMA);
     }
     Ok(())
 }
@@ -338,7 +338,7 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let expected = expected_job_ids(config.dataset_size, config.dataset_seed, &config.methods);
     let merged = merge_rows(&shards, &expected)?;
-    println!(
+    say!(
         "merged {} shards: {} rows, full coverage of {} (instance, method) pairs",
         merged.shards,
         merged.rows.len(),
@@ -348,9 +348,9 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
         let text: String =
             merged.rows.iter().map(|row| format!("{}\n", row.to_json_line())).collect();
         std::fs::write(&out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
+        say!("wrote {out}");
     }
-    println!("{}", CampaignReport::new(merged.rows).render());
+    say!("{}", CampaignReport::new(merged.rows).render());
     Ok(())
 }
 
@@ -405,7 +405,7 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
     let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     let report = server.recovery();
     if report.recovered_state() {
-        println!("{}", report.render());
+        say!("{}", report.render());
         for diag in &report.diags {
             eprintln!("recovery diag: {diag}");
         }
@@ -417,8 +417,8 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
             .and_then(|()| std::fs::rename(&tmp, path))
             .map_err(|e| format!("cannot publish address to {}: {e}", path.display()))?;
     }
-    println!("serving on {}", server.addr());
-    println!(
+    say!("serving on {}", server.addr());
+    say!(
         "data dir {}; default lease {:?}; POST /shutdown or SIGINT to drain",
         data_dir.display(),
         lease,
@@ -427,12 +427,12 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(100));
     }
     if SIGINT.load(Ordering::SeqCst) {
-        println!("SIGINT: draining in-flight leases and flushing the final metrics snapshot");
+        say!("SIGINT: draining in-flight leases and flushing the final metrics snapshot");
     }
     // Idempotent: if POST /shutdown started the sequence this just
     // waits for it; final metrics land in <data_dir>/metrics.json.
     server.shutdown();
-    println!("shutdown complete; final metrics in {}", data_dir.join("metrics.json").display());
+    say!("shutdown complete; final metrics in {}", data_dir.join("metrics.json").display());
     Ok(())
 }
 
@@ -469,7 +469,7 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
         (true, None) => return Err("worker needs --connect HOST:PORT or --addr-file".to_string()),
     }
     let summary = run_worker(&options)?;
-    println!(
+    say!(
         "worker {}: {} lease(s) ({} stolen), {} completed, {} aborted, {} lost, {} reconnect(s)",
         options.name,
         summary.leases,
@@ -518,7 +518,7 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         config.dataset_size,
         config.methods.len(),
     );
-    println!("{run}");
+    say!("{run}");
     Ok(())
 }
 
@@ -548,9 +548,9 @@ fn run_status(args: Vec<String>) -> Result<(), String> {
         eprintln!("{run}: {} rows, waiting …", progress(&json));
         std::thread::sleep(Duration::from_millis(500));
     };
-    println!("{run}: done={done} rows={}", progress(&json));
+    say!("{run}: done={done} rows={}", progress(&json));
     for shard in json.get("shards").and_then(Json::as_array).unwrap_or(&[]) {
-        println!(
+        say!(
             "  shard {}: {} (worker {}, {} steal(s))",
             number(shard, "shard"),
             shard.get("state").and_then(Json::as_str).unwrap_or("?"),
@@ -559,18 +559,18 @@ fn run_status(args: Vec<String>) -> Result<(), String> {
         );
     }
     for diag in json.get("diags").and_then(Json::as_array).unwrap_or(&[]) {
-        println!("  diag: {}", diag.as_str().unwrap_or("?"));
+        say!("  diag: {}", diag.as_str().unwrap_or("?"));
     }
     // Save rows before the (chatty) report print: the file must land
     // even when stdout is a closed pipe.
     if let Some(path) = rows_out {
         let body = call(&server, "GET", &format!("/runs/{run}/rows"))?;
         std::fs::write(&path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {} row(s) to {path}", body.lines().count());
+        say!("wrote {} row(s) to {path}", body.lines().count());
     }
     // The server renders the report only once every row is in.
     if let Some(report) = json.get("report").and_then(Json::as_str).filter(|r| !r.is_empty()) {
-        println!("{report}");
+        say!("{report}");
     }
     Ok(())
 }
@@ -591,9 +591,9 @@ fn run_remote_metrics(args: Vec<String>) -> Result<(), String> {
     match out {
         Some(path) => {
             std::fs::write(&path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("{path}: valid {} snapshot", uvllm_obs::SNAPSHOT_SCHEMA);
+            say!("{path}: valid {} snapshot", uvllm_obs::SNAPSHOT_SCHEMA);
         }
-        None => println!("{body}"),
+        None => say!("{body}"),
     }
     Ok(())
 }
@@ -606,7 +606,7 @@ fn run_remote_simple(verb: &'static str, args: Vec<String>) -> Result<(), String
         _ => ("GET", "/healthz", "ok"),
     };
     call(&server, method, path)?;
-    println!("{server}: {said}");
+    say!("{server}: {said}");
     Ok(())
 }
 

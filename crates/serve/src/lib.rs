@@ -22,8 +22,9 @@
 //!   metrics snapshot on disk). An idle server runs one thread, the
 //!   accept loop.
 //! * [`worker`] — the client loop: lease, evaluate through the normal
-//!   [`Campaign`](uvllm_campaign::Campaign) engine, heartbeat (pushing
-//!   `rows_done` progress), complete; each lease runs the spec's
+//!   [`Campaign`](uvllm_campaign::Campaign) engine, heartbeat (renewing
+//!   the lease; a run's progress is what its sinks hold), complete;
+//!   each lease runs the spec's
 //!   default campaign, answering the LLM inline per job; an
 //!   `--addr-file` lets workers re-find a server that restarted on a
 //!   new port.

@@ -66,8 +66,6 @@ pub struct ShardImage {
     pub steals: u64,
     /// The shard's JSONL sink.
     pub sink: PathBuf,
-    /// Last worker-pushed progress (heartbeat `rows_done`).
-    pub rows_done: u64,
 }
 
 /// One run's state.
@@ -90,7 +88,6 @@ impl RunImage {
                 epoch: 0,
                 steals: 0,
                 sink: dir.join(format!("shard-{i}.jsonl")),
-                rows_done: 0,
             })
             .collect();
         RunImage { id, spec, shards }
@@ -355,7 +352,6 @@ mod tests {
         let run = &recovery.image.runs[0];
         assert_eq!(run.spec, spec(2));
         assert_pending(run, &dir);
-        assert_eq!(run.shards[0].rows_done, 0, "progress is the sink's, not the journal's");
     }
 
     /// Recovers a journal whose `Submit` record carries the retired

@@ -315,10 +315,9 @@ fn post_renewal(
     let result = if complete {
         state.store.complete(run, shard as usize, epoch)
     } else {
-        // Optional worker-pushed progress as of its last heartbeat,
-        // defaulting to 0 for old clients.
-        let rows_done = json.get("rows_done").and_then(Json::as_u64).unwrap_or(0);
-        state.store.heartbeat(run, shard as usize, epoch, rows_done)
+        // Older workers also send their progress: it is read from the
+        // sinks instead, so that member is ignored.
+        state.store.heartbeat(run, shard as usize, epoch)
     };
     match result {
         Ok(()) => json_ok(Json::Obj(vec![("ok".to_string(), Json::Bool(true))])),
@@ -350,7 +349,6 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
     let Some((shards, shards_done)) = state.store.status(run) else {
         return (500, "text/plain", format!("run {run} is aggregated but unknown to the store\n"));
     };
-    let rows_pushed: u64 = shards.iter().map(|s| s.rows_done).sum();
     let shard_rows: Vec<Json> = shards
         .iter()
         .map(|shard| {
@@ -359,7 +357,6 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
                 ("state".to_string(), s(shard.state)),
                 ("worker".to_string(), shard.worker.as_ref().map_or(Json::Null, |w| s(w.clone()))),
                 ("steals".to_string(), Json::Num(shard.steals as f64)),
-                ("rows_done".to_string(), Json::Num(shard.rows_done as f64)),
             ])
         })
         .collect();
@@ -367,7 +364,6 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
         ("run".to_string(), s(run)),
         ("done".to_string(), Json::Bool(shards_done && summary.complete())),
         ("rows".to_string(), Json::Num(summary.rows as f64)),
-        ("rows_pushed".to_string(), Json::Num(rows_pushed as f64)),
         ("expected".to_string(), Json::Num(summary.expected as f64)),
         ("shards".to_string(), Json::Arr(shard_rows)),
         ("diags".to_string(), Json::Arr(summary.diags.into_iter().map(s).collect())),
@@ -487,6 +483,41 @@ mod tests {
             .filter(|name| name.starts_with("serve.run."))
             .collect();
         assert!(per_run.is_empty(), "per-run counters leak for the server's life: {per_run:?}");
+        server.shutdown();
+    }
+
+    /// An older worker's heartbeat still carries `rows_done`: it renews
+    /// the lease, and the member shows nowhere. Run status reports the
+    /// rows the sinks hold, per run only.
+    #[test]
+    fn a_heartbeat_with_rows_done_renews_and_status_reports_only_sink_rows() {
+        let server = test_server("legacy-heartbeat");
+        let addr = server.addr().to_string();
+        let (status, body) =
+            http::request(&addr, "POST", "/jobs", "{\"size\": 1, \"shards\": 1}").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let run = Json::parse(&body).unwrap().get("run").unwrap().as_str().unwrap().to_string();
+        let (status, grant) =
+            http::request(&addr, "POST", "/lease", "{\"worker\": \"old\"}").unwrap();
+        assert_eq!(status, 200, "{grant}");
+        let grant = Json::parse(&grant).unwrap();
+        let renewal = Json::Obj(vec![
+            ("run".to_string(), s(run.clone())),
+            ("shard".to_string(), grant.get("shard").unwrap().clone()),
+            ("epoch".to_string(), grant.get("epoch").unwrap().clone()),
+            ("rows_done".to_string(), Json::Num(1.0)),
+        ]);
+        let (status, body) = http::request(&addr, "POST", "/heartbeat", &renewal.render()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = http::request(&addr, "GET", &format!("/runs/{run}"), "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let json = Json::parse(&body).unwrap();
+        assert_eq!(json.get("rows").and_then(Json::as_u64), Some(0), "{body}");
+        assert!(json.get("rows_pushed").is_none(), "{body}");
+        let shards = json.get("shards").and_then(Json::as_array).unwrap();
+        assert_eq!(shards.len(), 1, "{body}");
+        assert!(shards[0].get("rows_done").is_none(), "{body}");
+        assert_eq!(shards[0].get("state").and_then(Json::as_str), Some("leased"), "{body}");
         server.shutdown();
     }
 

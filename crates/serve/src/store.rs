@@ -249,8 +249,6 @@ pub struct ShardStatus {
     /// Current or completing worker, if any.
     pub worker: Option<String>,
     pub steals: u64,
-    /// Last worker-pushed progress for this shard.
-    pub rows_done: u64,
 }
 
 /// Everything under the store mutex.
@@ -452,27 +450,19 @@ impl JobStore {
         LeaseOutcome::Empty
     }
 
-    /// Extends a live lease's deadline and records the worker's pushed
-    /// progress (`rows_done`).
+    /// Extends a live lease's deadline.
     ///
     /// # Errors
     ///
     /// [`LeaseError`] for unknown runs/shards and stale epochs.
-    pub fn heartbeat(
-        &self,
-        run: &str,
-        shard: usize,
-        epoch: u64,
-        rows_done: u64,
-    ) -> Result<(), LeaseError> {
+    pub fn heartbeat(&self, run: &str, shard: usize, epoch: u64) -> Result<(), LeaseError> {
         let now = Instant::now();
         let mut guard = self.lock();
         let inner = &mut *guard;
         let index = inner.live_lease(run, shard, epoch)?;
         inner.crash_point("heartbeat");
-        let run = &mut inner.image.runs[index];
-        run.shards[shard].rows_done = rows_done;
-        inner.deadlines.insert((index, shard), now + run.spec.lease);
+        let lease = inner.image.runs[index].spec.lease;
+        inner.deadlines.insert((index, shard), now + lease);
         metrics().heartbeats.inc();
         Ok(())
     }
@@ -555,7 +545,6 @@ impl JobStore {
                 state: image.phase.label(),
                 worker: image.worker.clone(),
                 steals: image.steals,
-                rows_done: image.rows_done,
             })
             .collect();
         let done = rows.iter().all(|r| r.state == "done");
@@ -669,17 +658,16 @@ mod tests {
         assert_eq!(grant_b.shard, 1);
         assert!(matches!(store.lease("c"), LeaseOutcome::Empty));
 
-        store.heartbeat(&run, 0, grant_a.epoch, 1).unwrap();
+        store.heartbeat(&run, 0, grant_a.epoch).unwrap();
         store.complete(&run, 0, grant_a.epoch).unwrap();
         store.complete(&run, 1, grant_b.epoch).unwrap();
         let (rows, done) = store.status(&run).unwrap();
         assert!(done);
         assert_eq!(rows[0].worker.as_deref(), Some("a"));
-        assert_eq!(rows[0].rows_done, 1, "heartbeat progress sticks");
         assert_eq!(rows[1].worker.as_deref(), Some("b"));
 
-        assert_eq!(store.heartbeat("run-none", 0, 1, 0), Err(LeaseError::UnknownRun));
-        assert_eq!(store.heartbeat(&run, 9, 1, 0), Err(LeaseError::UnknownShard));
+        assert_eq!(store.heartbeat("run-none", 0, 1), Err(LeaseError::UnknownRun));
+        assert_eq!(store.heartbeat(&run, 9, 1), Err(LeaseError::UnknownShard));
         assert_eq!(store.complete(&run, 0, grant_a.epoch), Err(LeaseError::LeaseLost));
     }
 
@@ -699,7 +687,7 @@ mod tests {
         assert!(stolen.epoch > dead.epoch);
         assert_eq!(stolen.sink, dead.sink, "the thief resumes the same sink");
         // The corpse's epoch is fenced out of both verbs.
-        assert_eq!(store.heartbeat(&run, 0, dead.epoch, 0), Err(LeaseError::LeaseLost));
+        assert_eq!(store.heartbeat(&run, 0, dead.epoch), Err(LeaseError::LeaseLost));
         assert_eq!(store.complete(&run, 0, dead.epoch), Err(LeaseError::LeaseLost));
         // The thief finishes normally.
         store.complete(&run, 0, stolen.epoch).unwrap();
@@ -791,7 +779,7 @@ mod tests {
             assert!(!report.recovered_state(), "fresh directory");
             let run = store.submit(spec(2, lease)).unwrap();
             let a = grant(&store, "a");
-            store.heartbeat(&run, a.shard, a.epoch, 2).unwrap();
+            store.heartbeat(&run, a.shard, a.epoch).unwrap();
             store.complete(&run, a.shard, a.epoch).unwrap();
             let b = grant(&store, "b");
             (run, a, b)
@@ -809,13 +797,13 @@ mod tests {
         let (rows, done) = store.status(&run).unwrap();
         assert!(!done);
         for row in &rows {
-            assert_eq!((row.state, &row.worker, row.rows_done), ("pending", &None, 0));
+            assert_eq!((row.state, &row.worker), ("pending", &None));
         }
         store.mark_done(&run, done_grant.shard);
 
         // The pre-crash holders are fenced out…
         assert_eq!(
-            store.heartbeat(&run, live_grant.shard, live_grant.epoch, 0),
+            store.heartbeat(&run, live_grant.shard, live_grant.epoch),
             Err(LeaseError::LeaseLost)
         );
         assert_eq!(
@@ -829,7 +817,7 @@ mod tests {
         assert_eq!(retry.epoch as u32, live_grant.epoch as u32, "same low bits");
         assert_eq!(generation(retry.epoch), generation(live_grant.epoch) + 1);
         assert_eq!(
-            store.heartbeat(&run, live_grant.shard, live_grant.epoch, 0),
+            store.heartbeat(&run, live_grant.shard, live_grant.epoch),
             Err(LeaseError::LeaseLost)
         );
         assert_eq!(retry.sink, live_grant.sink, "same sink — resume, don't redo");

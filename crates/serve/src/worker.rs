@@ -1,9 +1,10 @@
 //! The leased-shard worker: polls `POST /lease`, runs each granted
 //! shard through the normal campaign engine into the grant's JSONL
-//! sink, heartbeats while evaluating (pushing `rows_done` progress),
-//! fsyncs the sink once, and reports `POST /complete`. The sink is the
-//! durable record of the shard's progress: a restarted server counts
-//! the shard done only if its sink holds every row.
+//! sink, heartbeats while evaluating (renewing the lease, nothing
+//! more), fsyncs the sink once, and reports `POST /complete`. The sink
+//! is the record of the shard's progress: the server reads rows from it,
+//! and a restarted server counts the shard done only if it holds every
+//! row.
 //!
 //! Determinism does the heavy lifting: a worker needs *no* state from
 //! the server beyond the grant — the [`RunSpec`](crate::RunSpec) pins
@@ -22,17 +23,19 @@
 //! with an `addr_file` configured, a worker treats transport errors as
 //! "the server is restarting", re-reads the file (a restarted server
 //! republishes its — possibly new — address there), and keeps polling
-//! within its idle budget. Leases held across the crash are fenced by
-//! the restarted store's new generation, so the reconnecting worker
-//! sees the ordinary `409 LeaseLost`, abandons the shard, and re-leases
-//! it fresh.
+//! within its idle budget; the lease loop and `POST /complete` retry
+//! through the one [`Endpoint::reconnect`]. Leases held across the
+//! crash are fenced by the restarted store's new generation, so the
+//! reconnecting worker sees the ordinary `409 LeaseLost`, abandons the
+//! shard, and re-leases it fresh. A server that never comes back costs
+//! a synced shard nothing: the worker counts it lost and returns, and
+//! the next server to boot on the data dir finds it done in its sink.
 
 use crate::memo::Memo;
 use crate::store::{post_json, LeaseGrant};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use uvllm_campaign::{
     Campaign, CampaignConfig, CampaignDataset, EvalRow, JsonlSink, ResultSink, ShardSpec,
@@ -47,6 +50,11 @@ const DATASETS_KEPT: usize = 2;
 /// The wait after a lease poll that found no work, and between retries
 /// while the server is unreachable.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Attempts at `POST /complete` for a worker with no idle budget: one
+/// that polls until the server drains must still give up on a server
+/// that is gone for good.
+const COMPLETE_ATTEMPTS: u64 = 100;
 
 /// The worker's built datasets, keyed by the size and seed
 /// [`CampaignDataset::build`] takes (its thread count changes nothing).
@@ -106,9 +114,12 @@ pub struct WorkerSummary {
     pub stolen: u64,
     /// Shards abandoned by injected sink failure (`abort_after_rows`).
     pub aborted: u64,
-    /// Completions/heartbeats refused with a stale epoch — the shard
-    /// was re-leased out from under us while we evaluated (work
-    /// stealing) or the server crashed and recovery fenced our epoch.
+    /// Shards evaluated but not completed here: a completion or
+    /// heartbeat was refused with a stale epoch — the shard was
+    /// re-leased out from under us while we evaluated (work stealing) or
+    /// the server crashed and recovery fenced our epoch — or
+    /// `POST /complete` found no server within the idle budget. Either
+    /// way the rows are synced to the shard's sink, which decides.
     pub lost: u64,
     /// Transport errors survived by re-reading the address file.
     pub reconnects: u64,
@@ -145,6 +156,47 @@ impl Endpoint {
         }
         true
     }
+
+    /// Rides out the transport error `error` of a call the caller is
+    /// about to retry: refreshes the address, counts a reconnect and
+    /// spends one poll of the idle budget. `Ok(true)`: call again;
+    /// `Ok(false)`: the budget is spent. Without an address file the
+    /// error is returned: it is fatal.
+    fn reconnect(
+        &self,
+        error: String,
+        idle: &mut Idle,
+        summary: &mut WorkerSummary,
+    ) -> Result<bool, String> {
+        if !self.refresh() {
+            return Err(error);
+        }
+        summary.reconnects += 1;
+        Ok(idle.wait())
+    }
+}
+
+/// Consecutive polls that found no work or no server, against a budget.
+struct Idle {
+    spent: u64,
+    budget: Option<u64>,
+}
+
+impl Idle {
+    fn new(budget: Option<u64>) -> Idle {
+        Idle { spent: 0, budget }
+    }
+
+    /// Spends one poll: `false` when that was the budget's last,
+    /// otherwise waits [`POLL`] and returns `true`.
+    fn wait(&mut self) -> bool {
+        self.spent += 1;
+        if self.budget.is_some_and(|budget| self.spent >= budget) {
+            return false;
+        }
+        std::thread::sleep(POLL);
+        true
+    }
 }
 
 /// Runs the worker loop until the server drains, the idle budget runs
@@ -159,48 +211,28 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
     let endpoint = Endpoint::new(options);
     let mut datasets = Datasets::new(DATASETS_KEPT);
     let mut summary = WorkerSummary::default();
-    let mut idle = 0u64;
+    let mut idle = Idle::new(options.max_idle);
     loop {
         let body = Json::Obj(vec![("worker".to_string(), s(options.name.clone()))]);
-        let (status, json) = match post_json(&endpoint.get(), "/lease", &body) {
-            Ok(reply) => reply,
-            Err(e) => {
-                // Server unreachable. With an address file this is a
-                // restart in progress: refresh, spend idle budget,
-                // retry. Without one it stays fatal.
-                if !endpoint.refresh() {
-                    return Err(e);
+        let again = match post_json(&endpoint.get(), "/lease", &body) {
+            // Server unreachable: with an address file, a restart in
+            // progress.
+            Err(e) => endpoint.reconnect(e, &mut idle, &mut summary)?,
+            Ok((410, _)) => break,
+            Ok((204, _)) => idle.wait(),
+            Ok((200, json)) => {
+                idle.spent = 0;
+                let grant = LeaseGrant::from_json(&json)?;
+                summary.leases += 1;
+                if grant.stolen {
+                    summary.stolen += 1;
                 }
-                summary.reconnects += 1;
-                idle += 1;
-                if options.max_idle.is_some_and(|max| idle >= max) {
-                    break;
-                }
-                std::thread::sleep(POLL);
-                continue;
+                run_lease(options, &endpoint, &grant, &mut datasets, &mut summary)?;
+                !options.once
             }
+            Ok((other, _)) => return Err(format!("POST /lease: unexpected status {other}")),
         };
-        match status {
-            410 => break,
-            204 => {
-                idle += 1;
-                if options.max_idle.is_some_and(|max| idle >= max) {
-                    break;
-                }
-                std::thread::sleep(POLL);
-                continue;
-            }
-            200 => {}
-            other => return Err(format!("POST /lease: unexpected status {other}")),
-        }
-        idle = 0;
-        let grant = LeaseGrant::from_json(&json)?;
-        summary.leases += 1;
-        if grant.stolen {
-            summary.stolen += 1;
-        }
-        run_lease(options, &endpoint, &grant, &mut datasets, &mut summary)?;
-        if options.once {
+        if !again {
             break;
         }
     }
@@ -247,10 +279,7 @@ fn run_lease(
     let campaign = Campaign::new(config).map_err(|e| format!("bad grant config: {e}"))?;
     let sink = JsonlSink::open(&grant.sink)
         .map_err(|e| format!("cannot open sink {}: {e}", grant.sink.display()))?;
-    // The progress the heartbeat pushes counts everything in the sink,
-    // including rows a previous holder flushed before dying.
-    let rows_done = Arc::new(AtomicU64::new(sink.completed_ids().len() as u64));
-    let mut sink = AbortingSink::new(sink, options.abort_after_rows, Arc::clone(&rows_done));
+    let mut sink = AbortingSink::new(sink, options.abort_after_rows);
 
     // Heartbeat at a third of the lease so two misses still fit inside
     // the deadline. The thread starts before the dataset is looked up:
@@ -258,14 +287,12 @@ fn run_lease(
     // unrenewed.
     let interval = (grant.lease / 3).max(Duration::from_millis(10));
     let (stop, stopped) = mpsc::channel::<()>();
-    let rows_pushed = &*rows_done;
     let (run, lost) = std::thread::scope(|scope| {
         let beat = scope.spawn(move || {
             heartbeat_loop(&stopped, interval, || {
-                let body = renewal_body(grant, Some(rows_pushed.load(Ordering::SeqCst)));
                 // A restarting server may move: refresh the address on
                 // transport errors.
-                post_json(&endpoint.get(), "/heartbeat", &body)
+                post_json(&endpoint.get(), "/heartbeat", &renewal_body(grant))
                     .map(|(status, _)| status)
                     .inspect_err(|_| {
                         endpoint.refresh();
@@ -299,76 +326,67 @@ fn run_lease(
                 summary.lost += 1;
                 return Ok(());
             }
-            let (status, _) = post_complete(options, endpoint, grant, summary)?;
-            match status {
-                200 => summary.completed += 1,
-                409 => summary.lost += 1,
-                other => return Err(format!("POST /complete: unexpected status {other}")),
+            match post_complete(options, endpoint, grant, summary)? {
+                Some(200) => summary.completed += 1,
+                Some(409) | None => summary.lost += 1,
+                Some(other) => return Err(format!("POST /complete: unexpected status {other}")),
             }
             Ok(())
         }
     }
 }
 
-/// Reports completion, riding out a restarting server: with an
-/// `addr_file`, transport errors refresh the address and retry within
-/// the idle budget (the shard's rows are already synced to its sink,
-/// and a restarted server answers 409 to the old epoch — both outcomes
-/// are fine, silence is not).
+/// Reports completion and returns the reply's status, riding out a
+/// restarting server: with an `addr_file`, transport errors refresh the
+/// address and retry within the idle budget (the shard's rows are
+/// already synced to its sink, and a restarted server answers 409 to
+/// the old epoch). `None`: the budget ran out with no server; the sink
+/// decides at the next server's boot.
 fn post_complete(
     options: &WorkerOptions,
     endpoint: &Endpoint,
     grant: &LeaseGrant,
     summary: &mut WorkerSummary,
-) -> Result<(u16, Json), String> {
-    let body = renewal_body(grant, None);
-    let retries = options.max_idle.unwrap_or(100);
-    let mut attempt = 0u64;
+) -> Result<Option<u16>, String> {
+    let body = renewal_body(grant);
+    let mut idle = Idle::new(Some(options.max_idle.unwrap_or(COMPLETE_ATTEMPTS)));
     loop {
         match post_json(&endpoint.get(), "/complete", &body) {
-            Ok(reply) => return Ok(reply),
+            Ok((status, _)) => return Ok(Some(status)),
             Err(e) => {
-                attempt += 1;
-                if !endpoint.refresh() || attempt >= retries {
-                    return Err(e);
+                if !endpoint.reconnect(e, &mut idle, summary)? {
+                    return Ok(None);
                 }
-                summary.reconnects += 1;
-                std::thread::sleep(POLL);
             }
         }
     }
 }
 
-fn renewal_body(grant: &LeaseGrant, rows_done: Option<u64>) -> Json {
-    let mut members = vec![
+/// The body of `POST /heartbeat` and `POST /complete`: the lease's
+/// identity and epoch.
+fn renewal_body(grant: &LeaseGrant) -> Json {
+    Json::Obj(vec![
         ("run".to_string(), s(grant.run.clone())),
         ("shard".to_string(), Json::Num(grant.shard as f64)),
         ("epoch".to_string(), Json::Num(grant.epoch as f64)),
-    ];
-    if let Some(rows) = rows_done {
-        members.push(("rows_done".to_string(), Json::Num(rows as f64)));
-    }
-    Json::Obj(members)
+    ])
 }
 
 /// A sink that dies on schedule: forwards the first `limit` appends to
 /// the wrapped [`JsonlSink`], then refuses every append with an I/O
 /// error. `limit: None` forwards everything. Because the engine
 /// flushes per row, the file is left exactly as a `kill -9` at that
-/// point would leave it — which is what the steal tests need. Also
-/// the worker's progress meter: every successful append bumps the
-/// shared counter the heartbeat thread reads.
+/// point would leave it — which is what the steal tests need.
 struct AbortingSink {
     inner: JsonlSink,
     limit: Option<usize>,
     written: usize,
     aborted: bool,
-    rows_done: Arc<AtomicU64>,
 }
 
 impl AbortingSink {
-    fn new(inner: JsonlSink, limit: Option<usize>, rows_done: Arc<AtomicU64>) -> AbortingSink {
-        AbortingSink { inner, limit, written: 0, aborted: false, rows_done }
+    fn new(inner: JsonlSink, limit: Option<usize>) -> AbortingSink {
+        AbortingSink { inner, limit, written: 0, aborted: false }
     }
 
     fn aborted(&self) -> bool {
@@ -399,7 +417,6 @@ impl ResultSink for AbortingSink {
         }
         self.inner.append(row)?;
         self.written += 1;
-        self.rows_done.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -407,7 +424,66 @@ impl ResultSink for AbortingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{read_request, respond};
+    use crate::store::RunSpec;
+    use std::net::TcpListener;
     use std::time::Instant;
+    use uvllm_campaign::MethodKind;
+
+    /// A shard evaluated and synced whose server then goes for good: the
+    /// address file names a closed port, so every `POST /complete`
+    /// retry fails to connect. The worker counts the shard lost and
+    /// returns; the row stays in the sink for the next server's boot.
+    #[test]
+    fn a_synced_shard_survives_a_server_gone_for_good() {
+        let dir = std::env::temp_dir().join(format!("uvllm-worker-{}-gone", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let closed = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let addr_file = dir.join("serve.addr");
+        std::fs::write(&addr_file, format!("{closed}\n")).unwrap();
+        let lease = Duration::from_secs(60);
+        let spec = RunSpec {
+            size: 1,
+            seed: 0xDA7A,
+            methods: vec![MethodKind::RtlRepair],
+            shards: 1,
+            lease,
+        };
+        let sink = dir.join("run-1.shard-0.jsonl");
+        let grant = LeaseGrant {
+            run: "run-1".to_string(),
+            shard: 0,
+            epoch: 1,
+            stolen: false,
+            lease,
+            sink: sink.clone(),
+            spec,
+        };
+        // A server that grants one lease and is gone before the worker
+        // reads the grant.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = listener.local_addr().unwrap();
+        let granting = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            drop(listener);
+            read_request(&mut stream).unwrap();
+            respond(&mut stream, 200, "application/json", &grant.to_json().render()).unwrap();
+        });
+        let options = WorkerOptions {
+            workers: 1,
+            max_idle: Some(2),
+            once: true,
+            addr_file: Some(addr_file),
+            ..WorkerOptions::new(server.to_string())
+        };
+        let summary = run_worker(&options).expect("a synced shard never fails the worker");
+        granting.join().unwrap();
+        assert_eq!((summary.leases, summary.completed, summary.lost), (1, 0, 1));
+        assert_eq!(summary.reconnects, 2, "one per failed POST /complete");
+        assert_eq!(std::fs::read_to_string(&sink).unwrap().lines().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn heartbeat_beats_at_the_interval_until_stopped() {

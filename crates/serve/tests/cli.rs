@@ -2,10 +2,11 @@
 //! of a whole run, a re-run on the same `--out` resumes without
 //! appending, `merge` refuses a shard set that is not an exact cover,
 //! both spellings of a hex seed name the same dataset, injected panics
-//! are reported, and no flag lets a row depend on the wall clock.
+//! are reported, a closed stdout fails nothing, and no flag lets a row
+//! depend on the wall clock.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SIZE: &str = "6";
 const METHODS: &str = "Strider,RTLrepair";
@@ -128,6 +129,35 @@ fn injected_panics_print_the_pool_line() {
         ],
     );
     assert!(stdout.contains("2 quarantined rows"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A reader that goes away before the run prints anything
+/// (`campaign … | head`) costs the run nothing: it exits 0 without a
+/// panic and its sink holds the rows a plain run writes.
+#[test]
+fn a_closed_stdout_fails_nothing() {
+    let dir = fresh_dir("closed-stdout");
+    let args = ["--size", "12", "--methods", METHODS, "--shard", "0/3"];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .current_dir(&dir)
+        .args(args)
+        .args(["--out", "closed.jsonl"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let mut plain = args.to_vec();
+    plain.extend(["--out", "plain.jsonl"]);
+    campaign_ok(&dir, &plain);
+    let rows = sorted_lines(&dir.join("plain.jsonl"));
+    assert!(!rows.is_empty());
+    assert_eq!(sorted_lines(&dir.join("closed.jsonl")), rows);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
