@@ -1,10 +1,10 @@
 //! The campaign engine: dataset assembly, shard/resume filtering and the
 //! worker pool, glued to a result sink.
 
-use crate::eval::{EvalRecord, LlmPolicy, MethodKind};
+use crate::eval::{LlmPolicy, MethodKind};
 use crate::job::{expand_jobs, Job, ShardSpec};
 use crate::queue::{run_pool_supervised, PoolStats};
-use crate::report::CampaignReport;
+use crate::report::ReportTallies;
 use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -154,13 +154,15 @@ impl Default for CampaignConfig {
     }
 }
 
-/// What a finished (shard of a) campaign looked like.
+/// What a finished (shard of a) campaign looked like. It keeps no
+/// row: the sink holds them.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// Rollups over every row in the sink (resumed + fresh).
-    pub report: CampaignReport,
-    /// Records freshly evaluated by this run, in job order.
-    pub new_records: Vec<EvalRecord>,
+    /// The paper's tables over every row in the sink: the resumed ones,
+    /// then each fresh one as the sink took it.
+    pub report: ReportTallies,
+    /// Rows this run evaluated and appended to the sink.
+    pub evaluated: usize,
     /// Jobs in the full job space.
     pub total_jobs: usize,
     /// Jobs owned by other shards.
@@ -169,8 +171,7 @@ pub struct CampaignOutcome {
     pub resumed: usize,
     /// Registry snapshot taken when the pool wound down: kernel, stage-memo,
     /// campaign and LLM-service counters (`llm.ticket_wait_us` and
-    /// friends replace the old `llm_wait_total` / `llm_batch_max`
-    /// roll-ups; per-job waits stay on [`EvalRecord`]).
+    /// friends).
     pub metrics: uvllm_obs::MetricsSnapshot,
     /// What worker supervision did: panics caught, requeues granted,
     /// quarantined rows.
@@ -224,7 +225,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns the first sink I/O error, after the pool has wound down.
+    /// Returns the first row the sink refuses: no job starts after it,
+    /// and the rows of the jobs in flight are dropped.
     pub fn run(&self, sink: &mut dyn ResultSink) -> std::io::Result<CampaignOutcome> {
         self.run_on(&self.build_dataset(), sink)
     }
@@ -241,7 +243,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns the first sink I/O error, after the pool has wound down.
+    /// Returns the first row the sink refuses: no job starts after it,
+    /// and the rows of the jobs in flight are dropped.
     ///
     /// # Panics
     ///
@@ -284,12 +287,11 @@ impl Campaign {
             campaign_metrics.resume_skips.add(resumed as u64);
         }
 
-        let existing_rows = sink.existing_rows();
-        let sink = Mutex::new(sink);
-        let sink_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
+        // The one read of the sink's rows, right before the pool starts.
+        let report = sink.existing_rows().iter().collect();
+        let written = Mutex::new(Written { sink, report, evaluated: 0, error: None });
         let metrics_out = self.config.metrics_out.as_deref();
         let flush_every = self.config.metrics_flush_jobs;
-        let finished = std::sync::atomic::AtomicUsize::new(0);
 
         // One service loop for the whole pool, when it needs one: every
         // job opens a session on it, so LLM round trips from all workers
@@ -300,12 +302,12 @@ impl Campaign {
             .with_faults(self.config.fault.clone())
             .with_resilience(self.config.resilience.clone());
 
-        // Sink locks recover from poisoning: a worker that panics while
-        // the row callback holds the lock must not wedge the remaining
-        // workers or swallow the sink-error report — the sink's own
-        // append is atomic per row (JSONL lines), so the recovered
-        // state is usable.
-        let (new_records, pool_stats) = run_pool_supervised(
+        // The lock recovers from poisoning: a worker that panics while
+        // the row callback holds it must not wedge the remaining
+        // workers or swallow the sink error — the sink's own append is
+        // atomic per row (JSONL lines), so the recovered state is
+        // usable.
+        let pool_stats = run_pool_supervised(
             jobs,
             self.workers,
             &llm,
@@ -313,29 +315,35 @@ impl Campaign {
             self.config.inject_panic.as_deref(),
             |_, record| {
                 let row = record.to_row();
-                {
-                    let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Err(e) = guard.append(&row) {
-                        sink_error.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
-                        return;
-                    }
+                let mut written = written.lock().unwrap_or_else(PoisonError::into_inner);
+                if written.error.is_some() {
+                    return false;
                 }
+                if let Err(e) = written.sink.append(&row) {
+                    written.error = Some(e);
+                    return false;
+                }
+                written.report.add(&row);
+                written.evaluated += 1;
+                let done = written.evaluated;
+                drop(written);
                 campaign_metrics.sink_rows.inc();
-                let done = finished.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if let Some(path) = metrics_out {
-                    // Periodic flush is best-effort (a torn write here
-                    // must not fail the campaign); the end-of-run write
-                    // below is the authoritative one and does error.
-                    if flush_every > 0 && done.is_multiple_of(flush_every) {
-                        let _ = std::fs::write(path, uvllm_obs::registry().snapshot().render());
-                    }
+                // Periodic flush is best-effort (a torn write here must
+                // not fail the campaign); the end-of-run write below is
+                // the authoritative one and does error.
+                let flush = flush_every > 0 && done.is_multiple_of(flush_every);
+                if let Some(path) = metrics_out.filter(|_| flush) {
+                    let _ = std::fs::write(path, uvllm_obs::registry().snapshot().render());
                 }
+                true
             },
         );
         // Joins this run's loop before the snapshot; every session was
         // drained when its job finished.
         drop(llm);
-        if let Some(e) = sink_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        let Written { report, evaluated, error, .. } =
+            written.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = error {
             return Err(e);
         }
 
@@ -343,11 +351,9 @@ impl Campaign {
         if let Some(path) = &self.config.metrics_out {
             std::fs::write(path, metrics_snapshot.render())?;
         }
-        let mut rows = existing_rows;
-        rows.extend(new_records.iter().map(EvalRecord::to_row));
         Ok(CampaignOutcome {
-            report: CampaignReport::new(rows),
-            new_records,
+            report,
+            evaluated,
             total_jobs,
             sharded_out,
             resumed,
@@ -355,6 +361,16 @@ impl Campaign {
             pool_stats,
         })
     }
+}
+
+/// What the pool's row callback writes to, under one lock: the sink,
+/// the report each appended row folds into, how many rows were
+/// appended, and the first append that failed.
+struct Written<'s> {
+    sink: &'s mut dyn ResultSink,
+    report: ReportTallies,
+    evaluated: usize,
+    error: Option<std::io::Error>,
 }
 
 #[cfg(test)]
@@ -373,16 +389,21 @@ mod tests {
         }
     }
 
+    /// The report a fold of `sink`'s rows renders.
+    fn report_of(sink: &MemorySink) -> String {
+        sink.rows().iter().collect::<ReportTallies>().render()
+    }
+
     #[test]
     fn campaign_runs_and_reports() {
         let mut sink = MemorySink::new();
         let outcome = Campaign::new(tiny_config(2)).unwrap().run(&mut sink).unwrap();
         assert_eq!(outcome.total_jobs, 12);
-        assert_eq!(outcome.new_records.len(), 12);
+        assert_eq!(outcome.evaluated, 12);
         assert_eq!(sink.rows().len(), 12);
         assert_eq!(outcome.resumed, 0);
         assert_eq!(outcome.sharded_out, 0);
-        assert_eq!(outcome.report.rows().len(), 12);
+        assert_eq!(outcome.report.render(), report_of(&sink));
     }
 
     #[test]
@@ -393,9 +414,9 @@ mod tests {
         // Second run over the same sink: everything is already there.
         let outcome = campaign.run(&mut sink).unwrap();
         assert_eq!(outcome.resumed, 12);
-        assert!(outcome.new_records.is_empty());
+        assert_eq!(outcome.evaluated, 0);
         assert_eq!(sink.rows().len(), 12, "no duplicate rows on resume");
-        assert_eq!(outcome.report.rows().len(), 12);
+        assert_eq!(outcome.report.render(), report_of(&sink));
     }
 
     #[test]
@@ -406,14 +427,50 @@ mod tests {
         };
         let campaign = Campaign::new(config).unwrap();
         let dataset = campaign.build_dataset();
-        let outcome = campaign.run_on(&dataset, &mut MemorySink::new()).unwrap();
+        let mut sink = MemorySink::new();
+        let outcome = campaign.run_on(&dataset, &mut sink).unwrap();
         let jobs = expand_jobs(&dataset.instances, &campaign.config.methods);
-        assert_eq!(outcome.new_records.len(), jobs.len());
-        for (record, job) in outcome.new_records.iter().zip(&jobs) {
-            let serial = crate::eval::evaluate_one(job.method, &job.instance);
-            assert_eq!(record.job_id(), job.id(), "records come back in job order");
-            assert_eq!(record.to_row().to_json_line(), serial.to_row().to_json_line());
+        assert_eq!(outcome.evaluated, jobs.len());
+        let mut rows: Vec<String> = sink.rows().iter().map(|r| r.to_json_line()).collect();
+        let mut serial: Vec<String> = jobs
+            .iter()
+            .map(|job| crate::eval::evaluate_one(job.method, &job.instance).to_row().to_json_line())
+            .collect();
+        rows.sort();
+        serial.sort();
+        assert_eq!(rows, serial);
+    }
+
+    /// Refuses every row, counting the offers.
+    struct RefusingSink {
+        appends: usize,
+    }
+
+    impl ResultSink for RefusingSink {
+        fn completed_ids(&self) -> std::collections::HashSet<String> {
+            Default::default()
         }
+
+        fn existing_rows(&self) -> Vec<crate::eval::EvalRow> {
+            Vec::new()
+        }
+
+        fn append(&mut self, _: &crate::eval::EvalRow) -> std::io::Result<()> {
+            self.appends += 1;
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn a_campaign_stops_at_the_first_row_its_sink_refuses() {
+        let config = CampaignConfig { dataset_size: 15, ..tiny_config(2) };
+        let campaign = Campaign::new(config).unwrap();
+        let dataset = campaign.build_dataset();
+        assert_eq!(dataset.job_ids(&campaign.config.methods).len(), 30);
+        let mut sink = RefusingSink { appends: 0 };
+        let error = campaign.run_on(&dataset, &mut sink).unwrap_err();
+        assert_eq!(error.to_string(), "disk full");
+        assert_eq!(sink.appends, 1, "no row is offered after the first refusal");
     }
 
     #[test]

@@ -63,9 +63,11 @@
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.
-//! * [`CampaignReport`] — the paper's tables over rows (Table II/III,
-//!   Figs. 5–7), identical for fresh, resumed and merged runs: every
-//!   artefact is a view of the rows, never a second evaluation.
+//! * [`ReportTallies`] — the paper's tables (Table II/III, Figs. 5–7)
+//!   folded from rows as they are written, read or tailed, so fresh,
+//!   resumed, merged and served runs print the same report: every
+//!   artefact is a view of the rows, never a second evaluation. A run
+//!   keeps no row; the sink holds them.
 //!
 //! **Determinism contract:** the same [`CampaignConfig`] produces
 //! byte-identical JSONL rows (modulo row order) at any worker count and
@@ -86,7 +88,7 @@
 //! };
 //! let mut sink = MemorySink::new();
 //! let outcome = Campaign::new(config).unwrap().run(&mut sink).unwrap();
-//! assert_eq!(outcome.new_records.len(), sink.rows().len());
+//! assert_eq!(outcome.evaluated, sink.rows().len());
 //! println!("{}", outcome.report.render());
 //! ```
 
@@ -106,7 +108,7 @@ pub use eval::{
 pub use job::{expand_jobs, fnv1a64, parse_seed, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};
 pub use queue::PoolStats;
-pub use report::{CampaignReport, ReportTallies};
+pub use report::ReportTallies;
 pub use sink::{
     JsonlSink, LineTailer, MemorySink, RawLines, ResultSink, SinkTailer, TailBatch, TailedLine,
 };

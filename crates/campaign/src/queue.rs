@@ -223,7 +223,8 @@ struct BoardState {
     early: HashSet<usize>,
     /// Job indices that already used their single retry.
     retried: HashSet<usize>,
-    results: Vec<(usize, EvalRecord)>,
+    /// Set once `on_record` refuses a record: no new job starts.
+    stopped: bool,
     stats: PoolStats,
 }
 
@@ -312,17 +313,18 @@ fn fly(
 /// id contains `inject_panic`, on the caller's stage memo (the
 /// dataset's, so shards and resumed runs share what they learn about a
 /// text).
-/// `on_record` observes every finished job (from pool threads, in
-/// completion order); the returned list is sorted back into job order,
-/// beside what supervision did.
+/// `on_record` takes every finished job's record (from pool threads, in
+/// completion order) and is the only place it goes; once it returns
+/// `false` no new job starts, and the jobs still in flight finish and
+/// are handed to it too. Returns what supervision did.
 pub(crate) fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
     llm: &LlmPolicy<'_>,
     memo: &StageMemo,
     inject_panic: Option<&str>,
-    on_record: impl Fn(&Job, &EvalRecord) + Sync,
-) -> (Vec<EvalRecord>, PoolStats) {
+    on_record: impl Fn(&Job, &EvalRecord) -> bool + Sync,
+) -> PoolStats {
     let workers = workers.max(1);
     let threads = workers.min(jobs.len().max(1));
     let cap = llm.jobs_in_flight(workers);
@@ -341,7 +343,8 @@ pub(crate) fn run_pool_supervised(
             let (queue, board, on_record) = (&queue, &board, &on_record);
             scope.spawn(move || loop {
                 // A woken job first, then a new one while in flight
-                // stays below the cap; otherwise wait for either.
+                // stays below the cap and the pool is not stopped;
+                // otherwise wait for either.
                 let mut flight = {
                     let mut state = board.lock();
                     loop {
@@ -349,7 +352,8 @@ pub(crate) fn run_pool_supervised(
                             break flight;
                         }
                         if state.in_flight < cap {
-                            if let Some(job) = queue.pop(thread) {
+                            let job = if state.stopped { None } else { queue.pop(thread) };
+                            if let Some(job) = job {
                                 depth.dec();
                                 state.in_flight += 1;
                                 let waker =
@@ -384,14 +388,13 @@ pub(crate) fn run_pool_supervised(
                         board.lock().failed(&flight.job, queue, depth)
                     }
                 };
-                let job = flight.job;
-                if let Some(record) = &record {
+                let accepted = record.is_none_or(|record| {
                     thread_jobs.inc();
-                    on_record(&job, record);
-                }
+                    on_record(&flight.job, &record)
+                });
                 let mut state = board.lock();
                 state.in_flight -= 1;
-                state.results.extend(record.map(|record| (job.index, record)));
+                state.stopped |= !accepted;
                 let wake = state.waiting > 0;
                 drop(state);
                 if wake {
@@ -401,10 +404,8 @@ pub(crate) fn run_pool_supervised(
         }
     });
 
-    let mut state = board.lock();
-    let mut results = std::mem::take(&mut state.results);
-    results.sort_by_key(|(index, _)| *index);
-    (results.into_iter().map(|(_, record)| record).collect(), state.stats)
+    let stats = board.lock().stats;
+    stats
 }
 
 #[cfg(test)]
@@ -419,15 +420,24 @@ mod tests {
     use uvllm_errgen::ErrorKind;
     use uvllm_llm::Ticket;
 
-    /// [`run_pool_supervised`] on a memo of its own, unsupervised.
+    /// [`run_pool_supervised`] on a memo of its own, panicking the jobs
+    /// whose id contains `inject_panic`: the records `on_record` took,
+    /// in job order, and what supervision did.
     fn run_pool(
         jobs: Vec<Job>,
         workers: usize,
         llm: &LlmPolicy<'_>,
-        on_record: impl Fn(&Job, &EvalRecord) + Sync,
-    ) -> Vec<EvalRecord> {
+        inject_panic: Option<&str>,
+    ) -> (Vec<EvalRecord>, PoolStats) {
+        let records = Mutex::new(Vec::new());
         let memo = StageMemo::new();
-        run_pool_supervised(jobs, workers, llm, &memo, None, on_record).0
+        let stats = run_pool_supervised(jobs, workers, llm, &memo, inject_panic, |job, record| {
+            records.lock().unwrap().push((job.index, record.clone()));
+            true
+        });
+        let mut records = records.into_inner().unwrap();
+        records.sort_by_key(|&(index, _)| index);
+        (records.into_iter().map(|(_, record)| record).collect(), stats)
     }
 
     fn jobs_on(design: &str, methods: &[MethodKind], seeds: u64) -> Vec<Job> {
@@ -571,16 +581,41 @@ mod tests {
     }
 
     #[test]
-    fn pool_preserves_job_order_in_results() {
+    fn on_record_takes_every_job_once() {
         let jobs = jobs_on("mux4", &[MethodKind::Strider, MethodKind::RtlRepair], 3);
         let expected: Vec<String> = jobs.iter().map(Job::id).collect();
-        let seen = AtomicUsize::new(0);
-        let records = run_pool(jobs, 4, &LlmPolicy::direct(), |_, _| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), expected.len());
+        let (records, _) = run_pool(jobs, 4, &LlmPolicy::direct(), None);
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
-        assert_eq!(got, expected, "results must come back in job order");
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn a_refused_record_stops_new_jobs() {
+        let jobs = jobs_on("mux4", &[MethodKind::Strider, MethodKind::RtlRepair], 3);
+        let offered = AtomicUsize::new(0);
+        let stats =
+            run_pool_supervised(jobs, 1, &LlmPolicy::direct(), &StageMemo::new(), None, |_, _| {
+                offered.fetch_add(1, Ordering::Relaxed);
+                false
+            });
+        assert_eq!(offered.into_inner(), 1, "one thread, one job in flight");
+        assert_eq!(stats, PoolStats::default());
+    }
+
+    /// A batched pool parks a job waiting on the LLM and starts another
+    /// on the same thread: one worker keeps enough jobs in flight to
+    /// fill a four-prompt flush, which one job per thread never can.
+    #[test]
+    fn one_batched_worker_fills_a_four_prompt_flush_from_four_jobs() {
+        let llm = LlmPolicy::direct().with_batch(Some(uvllm_llm::BatchConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(20),
+            ..uvllm_llm::BatchConfig::default()
+        }));
+        let methods = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect];
+        let (records, _) = run_pool(jobs_on("alu_8bit", &methods, 6), 1, &llm, None);
+        let batch_max = records.iter().map(|r| r.llm_batch_max).max();
+        assert_eq!(batch_max, Some(4), "no flush carried four jobs' prompts");
     }
 
     /// Tickets submitted and not yet answered, across every job.
@@ -659,7 +694,7 @@ mod tests {
         let methods = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect];
         let jobs = jobs_on("alu_8bit", &methods, 6);
         let expected = jobs.len();
-        let records = run_pool(jobs, workers, &llm, |_, _| {});
+        let (records, _) = run_pool(jobs, workers, &llm, None);
         assert_eq!(records.len(), expected);
         assert_eq!(SUBMITTERS.lock().unwrap().len(), workers, "one thread per worker");
         assert_eq!(OUTSTANDING.load(Ordering::SeqCst), 0);
@@ -671,7 +706,7 @@ mod tests {
 
     #[test]
     fn empty_queue_is_fine() {
-        let records = run_pool(Vec::new(), 8, &LlmPolicy::direct(), |_, _| {});
+        let (records, _) = run_pool(Vec::new(), 8, &LlmPolicy::direct(), None);
         assert!(records.is_empty());
     }
 
@@ -681,14 +716,7 @@ mod tests {
         let expected: Vec<String> = jobs.iter().map(Job::id).collect();
         // Deterministic panic on the first job: it fails, gets its one
         // retry, fails again and quarantines — the other jobs complete.
-        let (records, stats) = run_pool_supervised(
-            jobs,
-            2,
-            &LlmPolicy::direct(),
-            &StageMemo::new(),
-            Some(&expected[0]),
-            |_, _| {},
-        );
+        let (records, stats) = run_pool(jobs, 2, &LlmPolicy::direct(), Some(&expected[0]));
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
         assert_eq!(got, expected, "quarantine keeps coverage complete and ordered");
         assert_eq!(records[0].fix_outcome, Verdict::WorkerPanic);

@@ -12,12 +12,6 @@ use uvllm::Stage;
 use uvllm_designs::Category;
 use uvllm_errgen::{FunctionalCategory, SyntaxCategory};
 
-/// Aggregated view over a set of result rows.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignReport {
-    rows: Vec<EvalRow>,
-}
-
 /// `100 * num / den` with an empty-set guard.
 pub fn percent(num: usize, den: usize) -> f64 {
     if den == 0 {
@@ -128,9 +122,11 @@ impl<L> Slice<L> {
 /// The report's accumulator: every [`Tally`] the tables read, keyed by
 /// method and slice, built one row at a time — add rows, then
 /// [`render`](ReportTallies::render). It owns no row, so a holder that
-/// folds rows in as they arrive (the service's live aggregator) keeps
-/// this instead of the rows. Labels are interned: a row allocates only
-/// for a label the accumulator has not seen.
+/// folds rows in as they arrive keeps this instead of the rows: a
+/// campaign run as its sink takes each row, `campaign merge` over the
+/// merged rows, the service's live aggregator as it tails the sinks.
+/// Labels are interned: a row allocates only for a label the
+/// accumulator has not seen.
 #[derive(Debug, Default)]
 pub struct ReportTallies {
     rows: usize,
@@ -262,6 +258,14 @@ impl ReportTallies {
     }
 }
 
+impl<'r> FromIterator<&'r EvalRow> for ReportTallies {
+    fn from_iter<I: IntoIterator<Item = &'r EvalRow>>(rows: I) -> Self {
+        let mut tallies = ReportTallies::new();
+        rows.into_iter().for_each(|row| tallies.add(row));
+        tallies
+    }
+}
+
 /// `labels` in the order of `known`, then any other label in label
 /// order: a function of the label set, not of row order.
 fn ordered<'r>(labels: impl Iterator<Item = &'r str>, known: &[&str]) -> Vec<&'r str> {
@@ -275,49 +279,6 @@ fn ordered<'r>(labels: impl Iterator<Item = &'r str>, known: &[&str]) -> Vec<&'r
 fn section(out: &mut String, title: &str, table: &AsciiTable) {
     if !table.rows.is_empty() {
         let _ = write!(out, "\n== {title} ==\n{}", table.render());
-    }
-}
-
-impl CampaignReport {
-    /// Builds a report over `rows`.
-    pub fn new(rows: Vec<EvalRow>) -> Self {
-        CampaignReport { rows }
-    }
-
-    /// The underlying rows.
-    pub fn rows(&self) -> &[EvalRow] {
-        &self.rows
-    }
-
-    /// Method labels present: the known ones in table order
-    /// ([`MethodKind::ALL`]), then any other label in label order.
-    /// The report is a function of the row set, not of row order.
-    pub fn methods(&self) -> Vec<String> {
-        let labels = self.rows.iter().map(|row| row.method.as_str());
-        ordered(labels, &MethodKind::ALL.map(|m| m.label())).into_iter().map(String::from).collect()
-    }
-
-    /// Fix rate (%) over rows matching `filter`.
-    pub fn fr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        self.tally(filter).fr()
-    }
-
-    /// Hit rate (%) over rows matching `filter`.
-    pub fn hr(&self, filter: impl Fn(&EvalRow) -> bool) -> f64 {
-        self.tally(filter).hr()
-    }
-
-    fn tally(&self, filter: impl Fn(&EvalRow) -> bool) -> Tally {
-        let mut tally = Tally::default();
-        self.rows.iter().filter(|r| filter(r)).for_each(|r| tally.add(r));
-        tally
-    }
-
-    /// Renders the report through [`ReportTallies`].
-    pub fn render(&self) -> String {
-        let mut tallies = ReportTallies::new();
-        self.rows.iter().for_each(|row| tallies.add(row));
-        tallies.render()
     }
 }
 
@@ -626,43 +587,50 @@ mod tests {
             .collect()
     }
 
+    /// The report a fold of `rows` renders.
+    fn render(rows: &[EvalRow]) -> String {
+        rows.iter().collect::<ReportTallies>().render()
+    }
+
+    /// The per-method summary's first column: the methods, in order.
+    fn methods(rendered: &str) -> Vec<&str> {
+        table_lines(rendered, "Per-method summary").iter().map(|cells| cells[0]).collect()
+    }
+
     #[test]
     fn rates_and_rendering() {
-        let report = CampaignReport::new(vec![
+        let rendered = render(&[
             row("UVLLM", "adder_8bit", true, true, true),
             row("UVLLM", "adder_8bit", false, true, false),
             row("MEIC", "mux4", false, false, false),
         ]);
-        assert!((report.fr(|r| r.method == "UVLLM") - 50.0).abs() < 1e-9);
-        assert!((report.hr(|r| r.method == "UVLLM") - 100.0).abs() < 1e-9);
-        assert!(report.fr(|r| r.method == "nope").is_nan());
-        assert_eq!(report.methods(), vec!["UVLLM".to_string(), "MEIC".to_string()]);
-        let rendered = report.render();
+        assert!(rendered.starts_with("campaign rows: 3\n"), "{rendered}");
+        let summary = table_lines(&rendered, "Per-method summary");
+        // Method, jobs, HR, FR: known methods in table order.
+        let rates: Vec<&[&str]> = summary.iter().map(|cells| &cells[..4]).collect();
+        assert_eq!(rates, [["UVLLM", "2", "100.0", "50.0"], ["MEIC", "1", "0.0", "0.0"]]);
         for heading in ["Per-method summary", "Table II", "Table III", "Fig. 5", "Fig. 6", "Fig. 7"]
         {
             assert!(rendered.contains(heading), "missing {heading}:\n{rendered}");
         }
         // Every row's modelled latency is 2 s, so every Texec mean is too.
-        let summary = table_lines(&rendered, "Per-method summary");
         assert!(summary.iter().all(|cells| cells[5] == "2.00"), "{rendered}");
     }
 
     #[test]
     fn report_is_a_function_of_the_row_set_not_row_order() {
         let mut rows = rows_for_every_table();
-        let forward = CampaignReport::new(rows.clone());
+        let rendered = render(&rows);
         rows.reverse();
-        let backward = CampaignReport::new(rows);
+        assert_eq!(rendered, render(&rows));
         let table_order = ["UVLLM", "UVLLM(comp)", "MEIC", "GPT-4-turbo", "Strider", "RTLrepair"];
         let mut known_then_others = table_order.to_vec();
         known_then_others.push("Custom");
         assert_eq!(
-            forward.methods(),
+            methods(&rendered),
             known_then_others,
             "known labels in table order, then others"
         );
-        let rendered = forward.render();
-        assert_eq!(rendered, backward.render());
         for heading in [
             "Per-method summary",
             "Table II",
@@ -689,7 +657,7 @@ mod tests {
 
     #[test]
     fn table2_stage_cells_sum_to_the_uvllm_cell() {
-        let rendered = CampaignReport::new(rows_for_every_table()).render();
+        let rendered = render(&rows_for_every_table());
         let lines = table_lines(&rendered, "Table II");
         assert_eq!(lines.len(), 7, "{rendered}");
         let mut others = 0.0;
@@ -724,13 +692,11 @@ mod tests {
             row("Alpha", "adder_8bit", true, false, false),
             row("MEIC", "mux4", true, true, true),
         ];
-        let mut reversed = rows.clone();
+        let rendered = render(&rows);
+        assert_eq!(methods(&rendered), ["UVLLM", "MEIC", "Alpha", "Zeta"]);
+        let mut reversed = rows;
         reversed.reverse();
-        let forward = CampaignReport::new(rows);
-        let backward = CampaignReport::new(reversed);
-        assert_eq!(forward.methods(), ["UVLLM", "MEIC", "Alpha", "Zeta"]);
-        assert_eq!(forward.methods(), backward.methods());
-        assert_eq!(forward.render(), backward.render());
+        assert_eq!(rendered, render(&reversed));
     }
 
     #[test]

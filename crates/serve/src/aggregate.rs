@@ -386,7 +386,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::time::Duration;
-    use uvllm_campaign::{Campaign, CampaignConfig, CampaignReport, MemorySink, MethodKind};
+    use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 
     fn spec() -> RunSpec {
         RunSpec {
@@ -586,7 +586,7 @@ mod tests {
         let (first, second) = (first.report.unwrap(), second.report.unwrap());
         assert_eq!(first, second, "two reads of a complete run report the same");
         assert!(Arc::ptr_eq(&first, &second), "the second read shares the first's render");
-        assert_eq!(*first, *CampaignReport::new(rows).render());
+        assert_eq!(*first, *rows.iter().collect::<ReportTallies>().render());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use uvllm_campaign::{
     expected_job_ids, merge_rows, parse_seed, read_shard, BatchConfig, Campaign, CampaignConfig,
-    CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec,
+    FaultPlan, JsonlSink, MethodKind, ReportTallies, ResiliencePolicy, ShardSpec,
 };
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, CrashSpec, ServeConfig, Server, WorkerOptions};
@@ -278,7 +278,7 @@ fn run_campaign(args: Vec<String>) -> Result<(), String> {
         "done in {:.1?}: {} jobs total, {} evaluated now, {} resumed, {} other shards",
         started.elapsed(),
         outcome.total_jobs,
-        outcome.new_records.len(),
+        outcome.evaluated,
         outcome.resumed,
         outcome.sharded_out,
     );
@@ -350,7 +350,7 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
         std::fs::write(&out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
         say!("wrote {out}");
     }
-    say!("{}", CampaignReport::new(merged.rows).render());
+    say!("{}", merged.rows.iter().collect::<ReportTallies>().render());
     Ok(())
 }
 

@@ -8,7 +8,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use uvllm_campaign::{CampaignReport, EvalRow};
+use uvllm_campaign::{EvalRow, ReportTallies};
 use uvllm_json::Json;
 use uvllm_serve::{http, ServeConfig, Server};
 
@@ -66,7 +66,7 @@ fn served_rows_are_the_merge_of_the_shard_files() {
     assert_eq!(merged.lines().count(), 12, "6 instances x 2 methods");
     let rows: Vec<EvalRow> =
         merged.lines().map(|line| EvalRow::from_json_line(line).unwrap()).collect();
-    let report = CampaignReport::new(rows).render();
+    let report = rows.iter().collect::<ReportTallies>().render();
     let s0 = std::fs::read_to_string(dir.join("s0.jsonl")).unwrap();
     let s1 = std::fs::read_to_string(dir.join("s1.jsonl")).unwrap();
     let s0_lines: Vec<&str> = s0.lines().collect();

@@ -3,7 +3,8 @@
 
 use std::path::PathBuf;
 use uvllm_campaign::{
-    Campaign, CampaignConfig, JsonlSink, MemorySink, MethodKind, ResultSink, ShardSpec,
+    Campaign, CampaignConfig, EvalRow, JsonlSink, MemorySink, MethodKind, ReportTallies,
+    ResultSink, ShardSpec,
 };
 
 fn small_config(workers: usize) -> CampaignConfig {
@@ -23,6 +24,11 @@ fn sorted_lines(sink: &MemorySink) -> Vec<String> {
     let mut lines: Vec<String> = sink.rows().iter().map(|r| r.to_json_line()).collect();
     lines.sort();
     lines
+}
+
+/// The report a fold of `rows` renders.
+fn report_of(rows: &[EvalRow]) -> String {
+    rows.iter().collect::<ReportTallies>().render()
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -82,7 +88,7 @@ fn resume_after_partial_sink_skips_completed_jobs() {
     // Uninterrupted reference run.
     let mut reference = MemorySink::new();
     let outcome = campaign.run(&mut reference).unwrap();
-    let total = outcome.new_records.len();
+    let total = outcome.evaluated;
     assert_eq!(total, 30);
 
     // Simulate the kill: a file holding 11 completed rows and a torn
@@ -103,8 +109,8 @@ fn resume_after_partial_sink_skips_completed_jobs() {
     assert_eq!(sink.resumed(), keep, "torn line must not count as completed");
     let outcome = campaign.run(&mut sink).unwrap();
     assert_eq!(outcome.resumed, keep);
-    assert_eq!(outcome.new_records.len(), total - keep);
-    assert_eq!(outcome.report.rows().len(), total);
+    assert_eq!(outcome.evaluated, total - keep);
+    assert_eq!(outcome.report.render(), report_of(reference.rows()));
 
     // The merged file holds every job exactly once, matching the
     // uninterrupted run.
@@ -142,8 +148,10 @@ fn resumed_report_counts_a_repeated_row_once() {
     assert_eq!(sink.resumed(), 5);
     let outcome = campaign.run(&mut sink).unwrap();
     assert_eq!(outcome.resumed, 5);
-    assert_eq!(outcome.report.rows().len(), outcome.total_jobs);
-    let mut got: Vec<String> = outcome.report.rows().iter().map(|r| r.to_json_line()).collect();
+    assert_eq!(outcome.report.render(), report_of(reference.rows()));
+    drop(sink);
+    let reopened = JsonlSink::open(&path).unwrap();
+    let mut got: Vec<String> = reopened.existing_rows().iter().map(|r| r.to_json_line()).collect();
     got.sort();
     assert_eq!(got, sorted_lines(&reference));
     let _ = std::fs::remove_file(&path);

@@ -49,11 +49,11 @@ fn batched_rows_match_direct_rows_at_1_2_and_8_workers() {
     }
 }
 
-/// A batched pool parks a job waiting on the LLM and starts another on
-/// the same thread: one worker keeps enough jobs in flight to fill a
-/// four-prompt flush, which one job per thread never can.
+/// A batched campaign's registry snapshot carries the service-wide
+/// ticket count. (That one batched worker fills a four-prompt flush is
+/// pinned in the pool's unit tests, on the records the pool hands out.)
 #[test]
-fn one_batched_worker_fills_a_four_prompt_flush_from_four_jobs() {
+fn a_batched_campaign_snapshot_counts_its_llm_tickets() {
     let mut config = llm_config(1);
     config.llm_batch = Some(BatchConfig {
         max_batch: 4,
@@ -61,9 +61,6 @@ fn one_batched_worker_fills_a_four_prompt_flush_from_four_jobs() {
         ..BatchConfig::default()
     });
     let outcome = Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap();
-    let batch_max = outcome.new_records.iter().map(|r| r.llm_batch_max).max();
-    assert_eq!(batch_max, Some(4), "no flush carried four jobs' prompts");
-    // The registry snapshot carries the service-wide ticket count.
     assert!(outcome.metrics.counter("llm.tickets").unwrap_or(0) >= 1);
 }
 

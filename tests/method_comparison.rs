@@ -1,11 +1,12 @@
 //! Cross-method integration tests: a campaign's rows show the paper's
 //! qualitative orderings on a small fixed dataset.
 
-use uvllm_campaign::{Campaign, CampaignConfig, CampaignReport, EvalRow, MemorySink, MethodKind};
+use uvllm_campaign::report::percent;
+use uvllm_campaign::{Campaign, CampaignConfig, EvalRow, MemorySink, MethodKind};
 
-/// The report of a campaign of `methods` over the `size`-instance
+/// The rows of a campaign of `methods` over the `size`-instance
 /// dataset of `seed`.
-fn campaign(size: usize, seed: u64, methods: &[MethodKind]) -> CampaignReport {
+fn campaign(size: usize, seed: u64, methods: &[MethodKind]) -> Vec<EvalRow> {
     let config = CampaignConfig {
         dataset_size: size,
         dataset_seed: seed,
@@ -13,11 +14,25 @@ fn campaign(size: usize, seed: u64, methods: &[MethodKind]) -> CampaignReport {
         workers: 2,
         ..CampaignConfig::default()
     };
-    Campaign::new(config).unwrap().run(&mut MemorySink::new()).unwrap().report
+    let mut sink = MemorySink::new();
+    Campaign::new(config).unwrap().run(&mut sink).unwrap();
+    sink.rows().to_vec()
 }
 
-fn small_campaign(methods: &[MethodKind]) -> CampaignReport {
+fn small_campaign(methods: &[MethodKind]) -> Vec<EvalRow> {
     campaign(48, 0x7E57, methods)
+}
+
+/// Fix rate (%) over the `rows` that match `filter`.
+fn fr(rows: &[EvalRow], filter: impl Fn(&EvalRow) -> bool) -> f64 {
+    let matching: Vec<&EvalRow> = rows.iter().filter(|r| filter(r)).collect();
+    percent(matching.iter().filter(|r| r.fixed).count(), matching.len())
+}
+
+/// Hit rate (%) over the `rows` that match `filter`.
+fn hr(rows: &[EvalRow], filter: impl Fn(&EvalRow) -> bool) -> f64 {
+    let matching: Vec<&EvalRow> = rows.iter().filter(|r| filter(r)).collect();
+    percent(matching.iter().filter(|r| r.hit).count(), matching.len())
 }
 
 /// Rows of `method` on functional instances.
@@ -27,8 +42,8 @@ fn functional(method: MethodKind) -> impl Fn(&EvalRow) -> bool {
 
 #[test]
 fn uvllm_beats_baselines_on_fix_rate() {
-    let report = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect]);
-    let fr = |method: MethodKind| report.fr(|r| r.method == method.label());
+    let rows = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic, MethodKind::GptDirect]);
+    let fr = |method: MethodKind| fr(&rows, |r| r.method == method.label());
     let (u, m, g) = (fr(MethodKind::Uvllm), fr(MethodKind::Meic), fr(MethodKind::GptDirect));
     assert!(u > m, "UVLLM {u:.1} should beat MEIC {m:.1}");
     assert!(u > g, "UVLLM {u:.1} should beat GPT-direct {g:.1}");
@@ -36,8 +51,8 @@ fn uvllm_beats_baselines_on_fix_rate() {
 
 #[test]
 fn overfitting_gap_is_larger_for_weakly_tested_methods() {
-    let report = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic]);
-    let gap = |method| report.hr(functional(method)) - report.fr(functional(method));
+    let rows = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic]);
+    let gap = |method| hr(&rows, functional(method)) - fr(&rows, functional(method));
     let (uvllm_gap, meic_gap) = (gap(MethodKind::Uvllm), gap(MethodKind::Meic));
     assert!(
         meic_gap > uvllm_gap,
@@ -47,8 +62,8 @@ fn overfitting_gap_is_larger_for_weakly_tested_methods() {
 
 #[test]
 fn template_methods_only_touch_functional_instances() {
-    let report = small_campaign(&[MethodKind::Strider]);
-    let syntax: Vec<&EvalRow> = report.rows().iter().filter(|r| r.syntax).collect();
+    let rows = small_campaign(&[MethodKind::Strider]);
+    let syntax: Vec<&EvalRow> = rows.iter().filter(|r| r.syntax).collect();
     // Strider never claims success on unparseable inputs.
     assert!(syntax.iter().all(|r| !r.claimed));
     assert!(syntax.iter().all(|r| !r.fixed));
@@ -59,7 +74,7 @@ fn fixed_records_always_hit() {
     // FR is a strict superset of HR's test content, so fixed ⇒ hit for
     // every method — a consistency invariant of the evaluation itself.
     let methods = [MethodKind::Uvllm, MethodKind::Meic, MethodKind::Strider, MethodKind::RtlRepair];
-    for row in campaign(24, 0xAB, &methods).rows() {
+    for row in campaign(24, 0xAB, &methods) {
         if row.fixed {
             assert!(row.hit, "{}: fixed but not hit", row.id);
         }
@@ -71,10 +86,9 @@ fn uvllm_claims_match_reality_more_often_than_meic() {
     // UVLLM's claim = strong UVM testbench; MEIC's claim = weak directed
     // tests. False claims (claimed but not fixed) should be rarer for
     // UVLLM — Result 2 of the paper.
-    let report = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic]);
-    let count_false = |method| {
-        report.rows().iter().filter(|r| functional(method)(r) && r.claimed && !r.fixed).count()
-    };
+    let rows = small_campaign(&[MethodKind::Uvllm, MethodKind::Meic]);
+    let count_false =
+        |method| rows.iter().filter(|r| functional(method)(r) && r.claimed && !r.fixed).count();
     let uvllm_false = count_false(MethodKind::Uvllm);
     let meic_false = count_false(MethodKind::Meic);
     assert!(

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use uvllm_campaign::{fnv1a64, Campaign, CampaignConfig, EvalRow, MemorySink};
+use uvllm_campaign::{fnv1a64, Campaign, CampaignConfig, EvalRow, MemorySink, MethodKind};
 
 /// Counts of `rows` as `<what> <total> hit <n> fixed <n>`.
 fn tally<'r>(rows: impl Iterator<Item = &'r EvalRow>) -> String {
@@ -34,7 +34,8 @@ fn full_campaign_reproduces_the_committed_paper_numbers() {
     let mut sink = MemorySink::new();
     let outcome = Campaign::new(config).unwrap().run(&mut sink).unwrap();
 
-    let mut lines: Vec<String> = sink.rows().iter().map(EvalRow::to_json_line).collect();
+    let rows = sink.rows();
+    let mut lines: Vec<String> = rows.iter().map(EvalRow::to_json_line).collect();
     lines.sort();
     let mut file = String::new();
     for line in &lines {
@@ -42,17 +43,13 @@ fn full_campaign_reproduces_the_committed_paper_numbers() {
         file.push('\n');
     }
 
-    let report = &outcome.report;
     let mut actual = String::new();
     let _ = writeln!(actual, "rows_digest {:016x}", fnv1a64(file.as_bytes()));
-    let _ = writeln!(actual, "rows {}", report.rows().len());
-    for method in report.methods() {
+    let _ = writeln!(actual, "rows {}", rows.len());
+    for method in MethodKind::ALL.map(|m| m.label()) {
         let of = |syntax: Option<bool>| {
             tally(
-                report
-                    .rows()
-                    .iter()
-                    .filter(|r| r.method == method && syntax.is_none_or(|s| r.syntax == s)),
+                rows.iter().filter(|r| r.method == method && syntax.is_none_or(|s| r.syntax == s)),
             )
         };
         let _ = writeln!(actual, "method {method}: all {}", of(None));
@@ -60,7 +57,7 @@ fn full_campaign_reproduces_the_committed_paper_numbers() {
         let _ = writeln!(actual, "method {method}: functional {}", of(Some(false)));
     }
     let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
-    for row in report.rows() {
+    for row in rows {
         *outcomes.entry(row.outcome.as_str()).or_default() += 1;
     }
     for (label, n) in outcomes {
@@ -70,7 +67,7 @@ fn full_campaign_reproduces_the_committed_paper_numbers() {
     let golden = include_str!("golden/paper_numbers.txt");
     assert_eq!(actual, golden, "paper-facing numbers moved; this run read:\n{actual}");
 
-    let rendered = report.render();
+    let rendered = outcome.report.render();
     let golden = include_str!("golden/paper_artefacts.txt");
     assert_eq!(rendered, golden, "the rendered paper tables moved; this run read:\n{rendered}");
 }

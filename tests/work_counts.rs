@@ -58,8 +58,12 @@ fn allocations() -> u64 {
 /// read 785.4 while identifiers were copied at every layer and 449.6
 /// once they were interned symbols, transactions and records were
 /// slot-indexed, each design's stimulus was resolved once and lowered
-/// expressions shared their operands.
-const ALLOCATIONS_PER_JOB: f64 = 450.0;
+/// expressions shared their operands. It reads 439.4 at one worker and
+/// 438.6 at two (in debug and release alike) since a run stopped
+/// keeping its records and a second copy of every row for the report,
+/// and folds each row into the report as the sink takes it: the pin
+/// sits 0.6 above that, so one more allocation per job fails it.
+const ALLOCATIONS_PER_JOB: f64 = 440.0;
 
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
