@@ -8,7 +8,6 @@
 //! alone. The paper's comparison is exactly about this harness gap.
 
 use crate::method::{MethodOutcome, RepairMethod};
-use std::time::{Duration, Instant};
 use uvllm::metrics::hit_confirmed;
 use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
@@ -82,8 +81,6 @@ pub struct MeicRun<'d> {
     /// not tested again.
     tested: Option<(String, Acceptance)>,
     iterations: usize,
-    /// Modelled LLM latency plus the compute of the steps.
-    time: Duration,
 }
 
 /// What MEIC's acceptance test ([`directed_stage`]) said of a candidate.
@@ -99,7 +96,7 @@ enum Acceptance {
 impl<'d> MeicRun<'d> {
     /// A run on `src`, not yet started.
     pub fn new(design: &'d Design, src: &str) -> Self {
-        MeicRun { design, code: src.to_string(), tested: None, iterations: 0, time: Duration::ZERO }
+        MeicRun { design, code: src.to_string(), tested: None, iterations: 0 }
     }
 
     /// Runs until the LLM must answer a repair prompt or the run ends;
@@ -109,17 +106,11 @@ impl<'d> MeicRun<'d> {
         memo: &StageMemo,
         reply: Option<Result<Completion, LlmError>>,
     ) -> Step<MethodOutcome> {
-        let wall = Instant::now();
         let design = self.design;
         match reply {
             None => {}
-            Some(Err(_)) => return Step::Done(self.finish(self.passes(memo), wall)),
+            Some(Err(_)) => return Step::Done(self.finish(self.passes(memo))),
             Some(Ok(completion)) => {
-                // MEIC's dual-agent design runs a second, scoring model
-                // pass over every candidate (comparable prompt, shorter
-                // output); account its latency without disturbing the
-                // repair draw.
-                self.time += completion.latency + completion.latency.mul_f32(0.8);
                 if let Ok(resp) = CompleteResponse::parse(&completion.content) {
                     if !resp.code.trim().is_empty() {
                         self.code = resp.code;
@@ -130,7 +121,7 @@ impl<'d> MeicRun<'d> {
         if self.iterations == MEIC_ITERATIONS {
             // Budget exhausted: report the last candidate, claimed
             // state from a final check.
-            return Step::Done(self.finish(self.passes(memo), wall));
+            return Step::Done(self.finish(self.passes(memo)));
         }
         self.iterations += 1;
         // Run the method's own (weak) acceptance test; its log's last
@@ -147,7 +138,7 @@ impl<'d> MeicRun<'d> {
             // NOTE: if the weak tests never trip over the bug, MEIC
             // exits here *without any repair* — the escape the paper
             // measured at ~10%.
-            Acceptance::Passed => return Step::Done(self.finish(true, wall)),
+            Acceptance::Passed => return Step::Done(self.finish(true)),
             Acceptance::Failed(tail) => tail.clone(),
             Acceptance::BuildFailed(msg) => {
                 // Compiler output, minimally processed.
@@ -161,7 +152,6 @@ impl<'d> MeicRun<'d> {
             }
         };
         self.tested = Some((self.code.clone(), acceptance));
-        self.time += wall.elapsed();
         Step::NeedLlm(
             RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &self.code)
                 .with_error_info(ErrorInfo::RawLog(log_tail))
@@ -173,8 +163,8 @@ impl<'d> MeicRun<'d> {
         hit_confirmed(self.design, &self.code, memo)
     }
 
-    fn finish(&mut self, claimed: bool, wall: Instant) -> MethodOutcome {
-        outcome(&mut self.code, claimed, self.iterations, self.time + wall.elapsed())
+    fn finish(&mut self, claimed: bool) -> MethodOutcome {
+        outcome(&mut self.code, claimed, self.iterations)
     }
 }
 
@@ -221,8 +211,6 @@ pub struct GptDirectRun<'d> {
     /// The last sample that parsed (the mutant until one does).
     best: String,
     iterations: usize,
-    /// Modelled LLM latency plus the compute of the steps.
-    time: Duration,
 }
 
 impl<'d> GptDirectRun<'d> {
@@ -230,7 +218,7 @@ impl<'d> GptDirectRun<'d> {
     pub fn new(design: &'d Design, src: &str) -> Self {
         let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, src)
             .with_output_mode(OutputMode::Complete);
-        GptDirectRun { design, prompt, best: src.to_string(), iterations: 0, time: Duration::ZERO }
+        GptDirectRun { design, prompt, best: src.to_string(), iterations: 0 }
     }
 
     /// Judges the sample `reply` answers, then asks for the next one
@@ -240,45 +228,34 @@ impl<'d> GptDirectRun<'d> {
         memo: &StageMemo,
         reply: Option<Result<Completion, LlmError>>,
     ) -> Step<MethodOutcome> {
-        let wall = Instant::now();
         let claimed = match reply {
             None => false,
-            Some(Err(_)) => return Step::Done(self.finish(false, wall)),
-            Some(Ok(completion)) => {
-                self.time += completion.latency;
-                match CompleteResponse::parse(&completion.content) {
-                    Ok(resp) if !resp.code.trim().is_empty() => {
-                        self.best = resp.code;
-                        hit_confirmed(self.design, &self.best, memo)
-                    }
-                    _ => false,
+            Some(Err(_)) => return Step::Done(self.finish(false)),
+            Some(Ok(completion)) => match CompleteResponse::parse(&completion.content) {
+                Ok(resp) if !resp.code.trim().is_empty() => {
+                    self.best = resp.code;
+                    hit_confirmed(self.design, &self.best, memo)
                 }
-            }
+                _ => false,
+            },
         };
         if claimed || self.iterations == GPT_SAMPLES {
-            return Step::Done(self.finish(claimed, wall));
+            return Step::Done(self.finish(claimed));
         }
         self.iterations += 1;
-        self.time += wall.elapsed();
         Step::NeedLlm(self.prompt.clone())
     }
 
-    fn finish(&mut self, claimed: bool, wall: Instant) -> MethodOutcome {
-        outcome(&mut self.best, claimed, self.iterations, self.time + wall.elapsed())
+    fn finish(&mut self, claimed: bool) -> MethodOutcome {
+        outcome(&mut self.best, claimed, self.iterations)
     }
 }
 
 /// A step function's outcome, settled on `code`; its `usage` is zero,
 /// the caller owns the service.
-fn outcome(code: &mut String, claimed: bool, iterations: usize, time: Duration) -> MethodOutcome {
+fn outcome(code: &mut String, claimed: bool, iterations: usize) -> MethodOutcome {
     let final_code = std::mem::take(code);
-    MethodOutcome {
-        final_code,
-        claimed_success: claimed,
-        iterations,
-        time,
-        usage: Usage::default(),
-    }
+    MethodOutcome { final_code, claimed_success: claimed, iterations, usage: Usage::default() }
 }
 
 #[cfg(test)]
@@ -348,6 +325,5 @@ mod tests {
         let out = gpt.repair(d, &m.mutated_src);
         assert!(out.iterations >= 1 && out.iterations <= 5);
         assert!(out.usage.calls >= 1);
-        assert!(out.time > Duration::ZERO);
     }
 }

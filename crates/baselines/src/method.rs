@@ -1,11 +1,11 @@
 //! The common interface every repair method implements, so the
 //! experiment harness can evaluate them uniformly.
 
-use std::time::Duration;
 use uvllm_designs::Design;
 use uvllm_llm::Usage;
 
-/// The result a repair method reports for one instance.
+/// The result a repair method reports for one instance. It holds no
+/// time: Texec is `usage.latency`, the modelled LLM latency.
 #[derive(Debug, Clone)]
 pub struct MethodOutcome {
     /// The candidate the method settled on.
@@ -15,8 +15,6 @@ pub struct MethodOutcome {
     pub claimed_success: bool,
     /// Iterations / candidates attempted.
     pub iterations: usize,
-    /// Total execution time (simulated LLM latency + measured).
-    pub time: Duration,
     /// LLM accounting (zero for purely script-based methods).
     pub usage: Usage,
 }

@@ -7,7 +7,6 @@
 //! their Hit Rates outrun their Fix Rates in Fig. 6.
 
 use crate::method::{MethodOutcome, RepairMethod};
-use std::time::Instant;
 use uvllm::metrics::hit_confirmed;
 use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm::StageMemo;
@@ -140,7 +139,6 @@ fn unrepaired(src: &str) -> MethodOutcome {
         final_code: src.to_string(),
         claimed_success: false,
         iterations: 0,
-        time: std::time::Duration::ZERO,
         usage: Usage::default(),
     }
 }
@@ -155,7 +153,6 @@ fn template_search(
     budget: usize,
     memo: &StageMemo,
 ) -> MethodOutcome {
-    let wall = Instant::now();
     let mut iterations = 0;
     // Unrepaired code that already passes: accept as-is (the escape
     // hatch the paper criticises).
@@ -164,7 +161,6 @@ fn template_search(
             final_code: src.to_string(),
             claimed_success: true,
             iterations: 0,
-            time: wall.elapsed(),
             usage: Usage::default(),
         };
     }
@@ -179,7 +175,6 @@ fn template_search(
                 final_code: candidate,
                 claimed_success: true,
                 iterations,
-                time: wall.elapsed(),
                 usage: Usage::default(),
             };
         }
@@ -188,7 +183,6 @@ fn template_search(
         final_code: src.to_string(),
         claimed_success: false,
         iterations,
-        time: wall.elapsed(),
         usage: Usage::default(),
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::memo::StageMemo;
 use crate::stages::{apply_repair, repair_prompt, Preprocessing};
-use std::time::{Duration, Instant};
 use uvllm_designs::Design;
 use uvllm_llm::{
     drive, Completion, DirectService, LanguageModel, LlmError, LlmService, OutputMode, RepairPair,
@@ -34,24 +33,12 @@ impl Stage {
     }
 }
 
-/// Simulated + measured execution time per stage (Table II's `Texec`):
-/// the modelled LLM latency plus the compute the stage did, never time
-/// spent waiting for an answer.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimes {
-    pub preprocess: Duration,
-    pub ms: Duration,
-    pub sl: Duration,
-    /// Simulation/testbench time (attributed to the stage that follows).
-    pub uvm: Duration,
-}
-
-impl StageTimes {
-    /// Total pipeline time.
-    pub fn total(&self) -> Duration {
-        self.preprocess + self.ms + self.sl + self.uvm
-    }
-}
+/// Benchmark compatibility: the type `EvalRecord::stage_times` names,
+/// always `None`; goes with the next `benchmark` PR. Texec is the rows'
+/// modelled LLM latency (`Usage::latency`); nothing times the stages.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct StageTimes;
 
 /// Configuration of the verification loop.
 #[derive(Debug, Clone)]
@@ -96,7 +83,8 @@ impl Default for VerifyConfig {
     }
 }
 
-/// The result of one verification run.
+/// The result of one verification run. It holds no time: Texec is
+/// `usage.latency`, the modelled LLM latency.
 #[derive(Debug, Clone)]
 pub struct VerifyOutcome {
     /// True when the UVM testbench fully passed within the budget.
@@ -108,8 +96,6 @@ pub struct VerifyOutcome {
     /// Stage whose change led to success (None when the input already
     /// passed or the run failed).
     pub fixed_by: Option<Stage>,
-    /// Per-stage execution time.
-    pub times: StageTimes,
     /// LLM token/cost accounting (zero from [`Verification::step`]: the
     /// caller owns the service).
     pub usage: Usage,
@@ -170,7 +156,6 @@ pub struct Verification<'d> {
     /// Main-loop iterations begun.
     iterations: usize,
     phase: Phase,
-    times: StageTimes,
     rollbacks: usize,
     script_fixes: usize,
     damage: Vec<RepairPair>,
@@ -187,9 +172,8 @@ enum Phase {
     Iterate,
     /// Step 1, pre-processing.
     Preprocess(Preprocessing<'static>),
-    /// Step 4, waiting for the repair agent (in SL mode or not), the
-    /// prompt's compute `spent`.
-    Repair { sl_mode: bool, spent: Duration },
+    /// Step 4, waiting for the repair agent (in SL mode or not).
+    Repair { sl_mode: bool },
 }
 
 impl<'d> Verification<'d> {
@@ -201,7 +185,6 @@ impl<'d> Verification<'d> {
             code: src.to_string(),
             iterations: 0,
             phase: Phase::Iterate,
-            times: StageTimes::default(),
             rollbacks: 0,
             script_fixes: 0,
             damage: Vec::new(),
@@ -220,14 +203,13 @@ impl<'d> Verification<'d> {
     /// repair does not apply or a rollback restores the best version,
     /// and other runs on the same memo (the other methods of an
     /// instance start from the same mutant) have met some of its texts
-    /// already. A stage served from the memo takes no time.
+    /// already.
     pub fn step(
         &mut self,
         memo: &StageMemo,
         mut reply: Option<Result<Completion, LlmError>>,
     ) -> Step<VerifyOutcome> {
         let design = self.design;
-        let mut lap = Instant::now();
         loop {
             match &mut self.phase {
                 Phase::Iterate => {
@@ -245,12 +227,10 @@ impl<'d> Verification<'d> {
                 Phase::Preprocess(stage) => {
                     // -------- Step 1: pre-processing ------------------
                     let step = stage.step(reply.take(), &|code| memo.lint(design.name, code));
-                    self.times.preprocess += lap.elapsed();
                     let (pre_code, pre_stats) = match step {
                         Step::NeedLlm(prompt) => return Step::NeedLlm(prompt),
                         Step::Done(done) => done,
                     };
-                    self.times.preprocess += pre_stats.llm_time;
                     self.script_fixes += pre_stats.script_fixes;
                     if pre_stats.changed {
                         self.code = pre_code;
@@ -258,10 +238,8 @@ impl<'d> Verification<'d> {
                     }
 
                     // -------- Step 2: UVM processing ------------------
-                    lap = Instant::now();
                     let cfg = &self.config;
                     let outcome = memo.uvm_stage(&self.code, design, cfg.uvm_cycles, cfg.uvm_seed);
-                    self.times.uvm += lap.elapsed();
                     let score = outcome.score();
                     self.final_score = score;
                     if outcome.passed() {
@@ -284,7 +262,6 @@ impl<'d> Verification<'d> {
                     let error_info = outcome.error_info(&self.code, design, sl_mode);
 
                     // -------- Step 4: repair --------------------------
-                    lap = Instant::now();
                     let prompt = repair_prompt(
                         &self.code,
                         design.spec,
@@ -293,26 +270,18 @@ impl<'d> Verification<'d> {
                         cfg.output_mode,
                         sl_mode,
                     );
-                    self.phase = Phase::Repair { sl_mode, spent: lap.elapsed() };
+                    self.phase = Phase::Repair { sl_mode };
                     return Step::NeedLlm(prompt);
                 }
-                Phase::Repair { sl_mode, spent } => {
-                    let (stage, time) = if *sl_mode {
-                        (Stage::RepairSl, &mut self.times.sl)
-                    } else {
-                        (Stage::RepairMs, &mut self.times.ms)
-                    };
+                Phase::Repair { sl_mode } => {
+                    let stage = if *sl_mode { Stage::RepairSl } else { Stage::RepairMs };
                     let answer = reply.take().expect("a repair step is called with its answer");
                     let attempt = apply_repair(&self.code, answer, self.config.output_mode);
-                    // Stage time = simulated LLM latency + measured
-                    // substrate time.
-                    *time += *spent + attempt.llm_time + lap.elapsed();
                     if attempt.changed {
                         self.code = attempt.code;
                         self.last_change = Some((stage, attempt.applied));
                     }
                     self.phase = Phase::Iterate;
-                    lap = Instant::now();
                 }
             }
         }
@@ -334,7 +303,6 @@ impl<'d> Verification<'d> {
             final_code: std::mem::take(&mut self.code),
             iterations: self.iterations,
             fixed_by,
-            times: self.times,
             usage: Usage::default(),
             rollbacks: self.rollbacks,
             damage_repairs: self.damage.len(),
@@ -443,16 +411,5 @@ mod tests {
         // not the damaged one.
         assert!(out.final_code.contains("q <= q + 4'd1;"));
         assert!(out.final_code.contains("4'd13"));
-    }
-
-    #[test]
-    fn times_accumulate_per_stage() {
-        let d = by_name("adder_8bit").unwrap();
-        let m = mutate(d.source, ErrorKind::OperatorMisuse, 2).unwrap();
-        let mut llm = OracleLlm::new(m.ground_truth.clone(), d.source, ModelProfile::Gpt4Turbo, 2);
-        let mut uvllm = Uvllm::new(&mut llm, VerifyConfig::default());
-        let out = uvllm.verify(d, &m.mutated_src);
-        assert!(out.times.total() > Duration::ZERO);
-        assert!(out.times.ms + out.times.sl > Duration::ZERO);
     }
 }

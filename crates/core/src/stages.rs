@@ -5,7 +5,6 @@ use crate::memo::StageMemo;
 use crate::patch::apply_pairs;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use uvllm_designs::Design;
 use uvllm_dfg::suspicious_lines;
 use uvllm_lint::LintReport;
@@ -30,8 +29,6 @@ pub struct PreprocessStats {
     pub script_fixes: usize,
     /// LLM calls made for syntax errors.
     pub llm_calls: usize,
-    /// Simulated LLM latency spent here.
-    pub llm_time: Duration,
     /// Whether the code changed at all.
     pub changed: bool,
     /// True when the stage exited with the code lint-clean.
@@ -92,7 +89,6 @@ impl<'s> Preprocessing<'s> {
             Some(answer) => {
                 self.stats.llm_calls += 1;
                 let attempt = apply_repair(&self.code, answer, self.output_mode);
-                self.stats.llm_time += attempt.llm_time;
                 if attempt.changed {
                     self.stats.changed = true;
                     self.code = attempt.code;
@@ -422,8 +418,6 @@ pub struct RepairAttempt {
     pub applied: Vec<RepairPair>,
     /// Whether the code changed.
     pub changed: bool,
-    /// Simulated LLM latency.
-    pub llm_time: Duration,
 }
 
 /// Invokes the repair agent (§III-D) in the given mode: asks `llm` the
@@ -465,43 +459,22 @@ pub(crate) fn apply_repair(
     reply: Result<Completion, LlmError>,
     output_mode: OutputMode,
 ) -> RepairAttempt {
-    let Ok(completion) = reply else {
-        return RepairAttempt {
-            code: code.to_string(),
-            applied: Vec::new(),
-            changed: false,
-            llm_time: Duration::ZERO,
-        };
-    };
-    let llm_time = completion.latency;
+    let unchanged =
+        || RepairAttempt { code: code.to_string(), applied: Vec::new(), changed: false };
+    let Ok(completion) = reply else { return unchanged() };
     match output_mode {
         OutputMode::Pairs => match RepairResponse::parse(&completion.content) {
             Ok(resp) => {
                 let (next, report) = apply_pairs(code, &resp.correct);
-                RepairAttempt {
-                    changed: report.changed(),
-                    applied: report.applied,
-                    code: next,
-                    llm_time,
-                }
+                RepairAttempt { changed: report.changed(), applied: report.applied, code: next }
             }
-            Err(_) => RepairAttempt {
-                code: code.to_string(),
-                applied: Vec::new(),
-                changed: false,
-                llm_time,
-            },
+            Err(_) => unchanged(),
         },
         OutputMode::Complete => match CompleteResponse::parse(&completion.content) {
             Ok(resp) if !resp.code.trim().is_empty() && resp.code != code => {
-                RepairAttempt { changed: true, applied: Vec::new(), code: resp.code, llm_time }
+                RepairAttempt { changed: true, applied: Vec::new(), code: resp.code }
             }
-            _ => RepairAttempt {
-                code: code.to_string(),
-                applied: Vec::new(),
-                changed: false,
-                llm_time,
-            },
+            _ => unchanged(),
         },
     }
 }

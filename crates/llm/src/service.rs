@@ -204,7 +204,8 @@ impl Wake for Unpark {
 
 /// Adapts one [`LanguageModel`] to the [`LlmService`] protocol with no
 /// threads and no queue: the answer is computed at submit time and the
-/// ticket redeems it. Batch size is always 1.
+/// ticket redeems it. Batch size is always 1, and no ticket waits: its
+/// [`WaitStats::wait`] stays zero.
 #[derive(Debug)]
 pub struct DirectService<M: LanguageModel> {
     model: M,
@@ -233,12 +234,7 @@ impl<M: LanguageModel> LlmService for DirectService<M> {
     fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        // The caller blocks right here while the model answers (that is
-        // what "direct" means), so the elapsed time is this ticket's wait.
-        let asked = Instant::now();
-        let result = self.model.complete(prompt);
-        self.stats.wait += asked.elapsed();
-        self.ready.insert(ticket.0, result);
+        self.ready.insert(ticket.0, self.model.complete(prompt));
         ticket
     }
 

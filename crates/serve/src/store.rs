@@ -135,7 +135,9 @@ impl RunSpec {
         let lease = match json.get("lease_ms") {
             None => default_lease,
             Some(v) => Duration::from_millis(
-                v.as_u64().ok_or("submission member 'lease_ms' must be a positive integer")?,
+                v.as_u64()
+                    .filter(|&n| n >= 1)
+                    .ok_or("submission member 'lease_ms' must be a positive integer")?,
             ),
         };
         Ok(RunSpec { size, seed, methods, shards, lease })
@@ -644,6 +646,7 @@ mod tests {
         assert!(err("{}").contains("'size'"));
         assert!(err("{\"size\": 1, \"methods\": [\"nope\"]}").contains("'nope'"));
         assert!(err("{\"size\": 1, \"seed\": \"0xZZ\"}").contains("'0xZZ'"));
+        assert!(err("{\"size\": 1, \"lease_ms\": 0}").contains("'lease_ms'"));
     }
 
     #[test]

@@ -9,9 +9,10 @@ use crate::token::{Keyword, NumberBase, NumberToken, Token, TokenKind};
 use std::sync::Arc;
 
 /// How deep expressions, statements and assignment targets may nest: a
-/// parenthesis, a unary operator, a `begin`, an `if` arm each add a
-/// level. Deeper input is a [`SyntaxErrorKind::TooDeep`] error instead
-/// of a stack overflow, here or in the recursive passes over the AST.
+/// parenthesis, a unary operator, an operator of a chain, a `begin`,
+/// an `if` arm each add a level. Deeper input is a
+/// [`SyntaxErrorKind::TooDeep`] error instead of a stack overflow, here
+/// or in the recursive passes over the AST.
 /// A text at the bound parses, lints, elaborates and simulates on a
 /// 2 MB thread even unoptimised (`tests/nesting.rs`); the default
 /// corpus nests far less deeply.
@@ -117,7 +118,7 @@ impl<'a> Parser<'a> {
     /// [`MAX_NESTING`].
     fn nested<T>(
         &mut self,
-        production: fn(&mut Self) -> Result<T, SyntaxError>,
+        production: impl FnOnce(&mut Self) -> Result<T, SyntaxError>,
     ) -> Result<T, SyntaxError> {
         if self.depth == MAX_NESTING {
             return Err(SyntaxError::new(
@@ -855,7 +856,11 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Each operator folded into the left spine nests it one level
+    /// deeper, so a flat chain counts against [`MAX_NESTING`] as
+    /// parentheses do (an error ends the parse, so only `Ok` restores).
     fn binary(&mut self, min_prec: u8) -> Result<Expr, SyntaxError> {
+        let depth = self.depth;
         let mut lhs = self.unary()?;
         while let Some(op) = self.binop_of() {
             let prec = op.precedence();
@@ -863,9 +868,11 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
-            let rhs = self.binary(prec + 1)?;
+            let rhs = self.nested(|p| p.binary(prec + 1))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            self.depth += 1;
         }
+        self.depth = depth;
         Ok(lhs)
     }
 

@@ -33,10 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  rollbacks:      {}", outcome.rollbacks);
     println!("  LLM calls:      {}", outcome.usage.calls);
     println!("  token cost:     ${:.4}", outcome.usage.cost(Pricing::GPT4_TURBO));
-    println!(
-        "  exec time:      {:.2}s (simulated API + measured substrate)",
-        outcome.times.total().as_secs_f64()
-    );
+    let texec = outcome.usage.latency.as_secs_f64();
+    println!("  Texec:          {texec:.2}s (modelled LLM latency)");
 
     // 5. Independent validation — the paper's Fix-Rate check.
     if outcome.success {

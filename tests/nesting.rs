@@ -49,10 +49,15 @@ const AT_BOUND: usize = MAX_NESTING - 2;
 /// A text nesting its construct the given number of levels.
 type Shape = fn(usize) -> String;
 
-/// The four shapes. `y` reads `a` through each (an even number of `~`
+/// The five shapes. `y` reads `a` through each (an even number of `~`
 /// at the bound).
-const SHAPES: [(&str, Shape); 4] =
-    [("parentheses", parens), ("unary ~", tildes), ("nested begin", begins), ("else if", else_ifs)];
+const SHAPES: [(&str, Shape); 5] = [
+    ("parentheses", parens),
+    ("unary ~", tildes),
+    ("nested begin", begins),
+    ("else if", else_ifs),
+    ("flat & chain", |n| module(&format!("always @(*) y = a{};", " & a".repeat(n)))),
+];
 
 #[test]
 fn deep_nesting_is_a_typed_error_on_a_pool_stack() {
