@@ -35,7 +35,7 @@ pub type SharedLlm = BatchedLlm<Box<dyn LanguageModel>>;
 /// [`DirectService`] around the job's own model; otherwise a session on
 /// a [`SharedLlm`] loop — the caller's (*batched*), or one the policy
 /// starts on first use, sending one prompt at a time unless
-/// [`LlmPolicy::with_batch`] says otherwise. Either way a job's model
+/// `LlmPolicy::with_batch` says otherwise. Either way a job's model
 /// sees the same prompts in the same order, so rows are byte-identical.
 #[derive(Debug, Clone)]
 pub struct LlmPolicy<'s> {

@@ -119,7 +119,7 @@ impl<L> Slice<L> {
     }
 }
 
-/// The report's accumulator: every [`Tally`] the tables read, keyed by
+/// The report's accumulator: every `Tally` the tables read, keyed by
 /// method and slice, built one row at a time — add rows, then
 /// [`render`](ReportTallies::render). It owns no row, so a holder that
 /// folds rows in as they arrive keeps this instead of the rows: a

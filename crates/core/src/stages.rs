@@ -421,7 +421,7 @@ pub struct RepairAttempt {
 }
 
 /// Invokes the repair agent (§III-D) in the given mode: asks `llm` the
-/// [`repair_prompt`] and applies its answer ([`apply_repair`]).
+/// `repair_prompt` and applies its answer (`apply_repair`).
 pub fn repair(
     code: &str,
     spec: &str,

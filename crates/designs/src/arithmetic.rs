@@ -2,9 +2,7 @@
 //! divider.
 
 use crate::{tx, Category, Design};
-use uvllm_uvm::{
-    DutInterface, FnModel, InSlot, IoFrame, IoSpec, OutSlot, PortSig, RefModel, Transaction,
-};
+use uvllm_uvm::{DutInterface, FnModel, InSlot, IoFrame, IoSpec, OutSlot, PortSig, RefModel};
 
 /// The arithmetic group (7 designs).
 pub static DESIGNS: [Design; 7] = [
@@ -294,6 +292,3 @@ impl RefModel for MulPipe {
         io.set(self.p, self.s2);
     }
 }
-
-/// `Transaction` re-export used by sibling modules' vector builders.
-pub(crate) type _Tx = Transaction;

@@ -174,7 +174,7 @@ impl Dfg {
         self.slice(signal, None)
     }
 
-    /// Time-aware dynamic slice, [`DYNAMIC_DEPTH`] deep: only sites whose
+    /// Time-aware dynamic slice, `DYNAMIC_DEPTH` deep: only sites whose
     /// guard conditions are satisfied or unknown (conservative) under
     /// `snapshot` are followed.
     pub fn dynamic_slice(&self, signal: &str, snapshot: &HashMap<String, Logic>) -> Slice {
@@ -339,7 +339,7 @@ fn label_matches(sel: &Logic, label: &Expr, snapshot: &SymbolValues) -> bool {
 }
 
 /// Best-effort AST-level expression evaluation against a snapshot held
-/// by symbol ([`Dfg::values`]).
+/// by symbol (`Dfg::values`).
 ///
 /// Used only for guard truthiness during dynamic slicing; widths are
 /// approximated (32-bit context), unknown names evaluate to X.

@@ -1,6 +1,6 @@
 //! Scripted fix application — the `Replace` step of Algorithm 1.
 
-use crate::diag::{Diagnostic, LintReport};
+use crate::diag::LintReport;
 
 /// Applies every scripted fix in `report` to `src`, returning the
 /// rewritten source and the number of fixes applied.
@@ -23,17 +23,6 @@ pub fn apply_fixes(src: &str, report: &LintReport) -> (String, usize) {
         applied += 1;
     }
     (out, applied)
-}
-
-/// Applies one diagnostic's fix (if any).
-pub fn apply_fix(src: &str, diag: &Diagnostic) -> Option<String> {
-    let fix = diag.fix.as_ref()?;
-    if fix.span.end > src.len() {
-        return None;
-    }
-    let mut out = src.to_string();
-    out.replace_range(fix.span.start..fix.span.end, &fix.replacement);
-    Some(out)
 }
 
 #[cfg(test)]

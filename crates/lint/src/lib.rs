@@ -32,5 +32,5 @@ pub mod fix;
 pub mod rules;
 
 pub use diag::{Diagnostic, LintCode, LintReport, Severity, TextFix};
-pub use fix::{apply_fix, apply_fixes};
+pub use fix::apply_fixes;
 pub use rules::lint;

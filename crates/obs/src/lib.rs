@@ -96,7 +96,7 @@ fn cell_index() -> usize {
 }
 
 /// A monotonically increasing event count, sharded over
-/// [`COUNTER_CELLS`] cache lines: `inc`/`add` are one relaxed atomic op
+/// `COUNTER_CELLS` cache lines: `inc`/`add` are one relaxed atomic op
 /// on the recording thread's own line (workers recording the same
 /// counter do not bounce it between cores), `get` sums the cells.
 /// Allocation-free by construction.

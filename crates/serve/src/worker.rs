@@ -16,7 +16,7 @@
 //! A shard's turnaround is its engine run: the heartbeat thread waits
 //! on a channel, so it stops the moment the run returns (not at its
 //! next wake-up), and the worker keeps the datasets it has built
-//! ([`DATASETS_KEPT`] of them) so the shards of one run — or of a
+//! (`DATASETS_KEPT` of them) so the shards of one run — or of a
 //! resubmitted spec — share one build.
 //!
 //! Crash-safe serving needs the mirror-image property on this side:
@@ -24,7 +24,7 @@
 //! "the server is restarting", re-reads the file (a restarted server
 //! republishes its — possibly new — address there), and keeps polling
 //! within its idle budget; the lease loop and `POST /complete` retry
-//! through the one [`Endpoint::reconnect`]. Leases held across the
+//! through the one `Endpoint::reconnect`. Leases held across the
 //! crash are fenced by the restarted store's new generation, so the
 //! reconnecting worker sees the ordinary `409 LeaseLost`, abandons the
 //! shard, and re-leases it fresh. A server that never comes back costs

@@ -2,7 +2,7 @@
 //! non-blocking assignment regions.
 //!
 //! The interpreter executes **precompiled process programs**
-//! ([`crate::program`]): each body is lowered once at construction into
+//! (`crate::program`): each body is lowered once at construction into
 //! a flat op array with pre-resolved targets and precomputed widths,
 //! and the scheduler keeps persistent scratch planes (the active event
 //! set, the NBA queue, the write-staging buffer — cleared, never

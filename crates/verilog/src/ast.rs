@@ -113,30 +113,11 @@ pub enum PortDir {
     Inout,
 }
 
-impl fmt::Display for PortDir {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PortDir::Input => "input",
-            PortDir::Output => "output",
-            PortDir::Inout => "inout",
-        })
-    }
-}
-
 /// Net kind of a declaration or port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetKind {
     Wire,
     Reg,
-}
-
-impl fmt::Display for NetKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            NetKind::Wire => "wire",
-            NetKind::Reg => "reg",
-        })
-    }
 }
 
 /// A module port.
@@ -292,15 +273,6 @@ pub enum Edge {
     Neg,
 }
 
-impl fmt::Display for Edge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Edge::Pos => "posedge",
-            Edge::Neg => "negedge",
-        })
-    }
-}
-
 /// A module instantiation `mod name (.a(x), …);`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
@@ -393,16 +365,6 @@ pub enum CaseKind {
     Case,
     Casez,
     Casex,
-}
-
-impl fmt::Display for CaseKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CaseKind::Case => "case",
-            CaseKind::Casez => "casez",
-            CaseKind::Casex => "casex",
-        })
-    }
 }
 
 /// A `case` statement.
@@ -505,11 +467,6 @@ impl Number {
     pub fn sized(width: u32, base: NumberBase, value: u128) -> Self {
         Number { width: Some(width), base, value, xz: 0, signed: false }
     }
-
-    /// Effective width: the explicit width, or 32 for unsized constants.
-    pub fn effective_width(&self) -> u32 {
-        self.width.unwrap_or(32)
-    }
 }
 
 /// Unary operators.
@@ -535,25 +492,6 @@ pub enum UnaryOp {
     RedNor,
     /// `~^`
     RedXnor,
-}
-
-impl UnaryOp {
-    /// Source spelling.
-    pub fn as_str(&self) -> &'static str {
-        use UnaryOp::*;
-        match self {
-            LogNot => "!",
-            BitNot => "~",
-            Neg => "-",
-            Plus => "+",
-            RedAnd => "&",
-            RedOr => "|",
-            RedXor => "^",
-            RedNand => "~&",
-            RedNor => "~|",
-            RedXnor => "~^",
-        }
-    }
 }
 
 /// Binary operators.
@@ -585,38 +523,8 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    /// Source spelling.
-    pub fn as_str(&self) -> &'static str {
-        use BinaryOp::*;
-        match self {
-            Add => "+",
-            Sub => "-",
-            Mul => "*",
-            Div => "/",
-            Mod => "%",
-            Pow => "**",
-            Shl => "<<",
-            Shr => ">>",
-            AShr => ">>>",
-            Lt => "<",
-            Le => "<=",
-            Gt => ">",
-            Ge => ">=",
-            Eq => "==",
-            Ne => "!=",
-            CaseEq => "===",
-            CaseNe => "!==",
-            LogAnd => "&&",
-            LogOr => "||",
-            BitAnd => "&",
-            BitOr => "|",
-            BitXor => "^",
-            BitXnor => "~^",
-        }
-    }
-
-    /// Binding power for the pretty-printer and parser; higher binds
-    /// tighter. Mirrors IEEE 1364 precedence.
+    /// The parser's binding power; higher binds tighter. Mirrors IEEE
+    /// 1364 precedence.
     pub fn precedence(&self) -> u8 {
         use BinaryOp::*;
         match self {

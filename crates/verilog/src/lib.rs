@@ -1,7 +1,7 @@
 //! # uvllm-verilog
 //!
 //! Verilog HDL frontend for the UVLLM framework: lexer, recursive-descent
-//! parser, abstract syntax tree, visitors and a canonical pretty-printer.
+//! parser, abstract syntax tree and visitors.
 //!
 //! The supported subset covers the synthesizable behavioural Verilog used
 //! by the UVLLM benchmark designs: modules with ANSI or non-ANSI ports,
@@ -20,14 +20,16 @@
 //!
 //! ```rust
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use uvllm_verilog::{parse, print_source};
+//! use uvllm_verilog::{parse, Item};
 //!
 //! let src = "module inv(input a, output y);\nassign y = ~a;\nendmodule\n";
 //! let file = parse(src)?;
 //! let top = file.top().unwrap();
 //! assert_eq!(top.name_of(top.name), "inv");
-//! let canonical = print_source(&file);
-//! assert!(canonical.contains("assign y = ~a;"));
+//! let outputs: Vec<&str> = top.outputs().map(|p| top.name_of(p.name)).collect();
+//! assert_eq!(outputs, ["y"]);
+//! assert!(top.port("a").is_some());
+//! assert!(matches!(top.items[..], [Item::Assign(_)]));
 //! # Ok(())
 //! # }
 //! ```
@@ -37,7 +39,6 @@ pub mod error;
 pub mod lexer;
 pub mod names;
 pub mod parser;
-pub mod printer;
 pub mod span;
 pub mod token;
 pub mod visit;
@@ -46,5 +47,4 @@ pub use ast::{Expr, Item, LValue, Module, SourceFile, Stmt};
 pub use error::{SyntaxError, SyntaxErrorKind};
 pub use names::{Names, Symbol};
 pub use parser::{parse, parse_expr};
-pub use printer::{print_expr, print_module_str, print_source, print_stmt};
 pub use span::{LineMap, Span};
