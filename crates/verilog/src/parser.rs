@@ -6,7 +6,7 @@ use crate::lexer::tokenize;
 use crate::names::{Names, Symbol};
 use crate::span::Span;
 use crate::token::{Keyword, NumberBase, NumberToken, Token, TokenKind};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How deep expressions, statements and assignment targets may nest: a
 /// parenthesis, a unary operator, an operator of a chain, a `begin`,
@@ -37,6 +37,7 @@ pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
 ///
 /// As [`parse`].
 pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), SyntaxError> {
+    parses().inc();
     let tokens = tokenize(src)?;
     // Room for every identifier token, so the table never grows.
     let (count, bytes) = tokens
@@ -57,6 +58,13 @@ pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), SyntaxEr
         })
         .collect();
     Ok((SourceFile { modules, names }, tokens))
+}
+
+/// `verilog.parses`: calls of [`parse_with_tokens`] (and so of
+/// [`parse`]), failed ones included.
+fn parses() -> &'static uvllm_obs::Counter {
+    static COUNTER: OnceLock<&'static uvllm_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| uvllm_obs::registry().counter("verilog.parses"))
 }
 
 /// Parses a single expression (used by tests and patch validation),

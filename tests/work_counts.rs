@@ -68,7 +68,8 @@ const ALLOCATIONS_PER_JOB: f64 = 440.0;
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
 /// (`llm_batch: None`, one direct service per job) never opens.
-const COUNTERS: [&str; 17] = [
+const COUNTERS: [&str; 18] = [
+    "verilog.parses",
     "sim.event.settles",
     "sim.event.activations",
     "sim.elaborations",
