@@ -7,14 +7,15 @@
 //! their Hit Rates outrun their Fix Rates in Fig. 6.
 
 use crate::method::{MethodOutcome, RepairMethod};
-use uvllm::metrics::hit_confirmed;
+use std::sync::Arc;
+use uvllm::metrics::{hit_confirmed, hit_confirmed_with};
 use uvllm::stages::{directed_stage, UvmOutcome};
-use uvllm::StageMemo;
+use uvllm::{parse_text, Parsed, StageMemo};
 use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
 use uvllm_sim::SimBackend;
-use uvllm_verilog::parser::parse_with_tokens;
+use uvllm_verilog::lexer::tokenize;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::token::{Token, TokenKind};
 use uvllm_verilog::SourceFile;
@@ -32,27 +33,30 @@ struct Candidate {
 fn template_candidates(src: &str, tokens: &[Token], regions: Option<&[Span]>) -> Vec<Candidate> {
     let in_region = |t: &Token| match regions {
         None => true,
-        Some(rs) => rs.iter().any(|r| t.span.start >= r.start && t.span.end <= r.end),
+        Some(rs) => rs.iter().any(|r| t.span().start >= r.start && t.span().end <= r.end),
     };
     let mut out = Vec::new();
     for t in tokens.iter().filter(|t| in_region(t)) {
         match t.kind {
-            TokenKind::Plus => out.push(Candidate { span: t.span, replacement: "-".into() }),
-            TokenKind::Minus => out.push(Candidate { span: t.span, replacement: "+".into() }),
-            TokenKind::Amp => out.push(Candidate { span: t.span, replacement: "|".into() }),
-            TokenKind::Pipe => out.push(Candidate { span: t.span, replacement: "&".into() }),
-            TokenKind::Caret => out.push(Candidate { span: t.span, replacement: "~^".into() }),
-            TokenKind::Shl => out.push(Candidate { span: t.span, replacement: ">>".into() }),
-            TokenKind::Shr => out.push(Candidate { span: t.span, replacement: "<<".into() }),
-            TokenKind::Lt => out.push(Candidate { span: t.span, replacement: "<=".into() }),
-            TokenKind::Gt => out.push(Candidate { span: t.span, replacement: ">=".into() }),
-            TokenKind::EqEq => out.push(Candidate { span: t.span, replacement: "!=".into() }),
-            TokenKind::NotEq => out.push(Candidate { span: t.span, replacement: "==".into() }),
-            TokenKind::Number(n) if n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) => {
-                let text = t.span.text(src);
+            TokenKind::Plus => out.push(Candidate { span: t.span(), replacement: "-".into() }),
+            TokenKind::Minus => out.push(Candidate { span: t.span(), replacement: "+".into() }),
+            TokenKind::Amp => out.push(Candidate { span: t.span(), replacement: "|".into() }),
+            TokenKind::Pipe => out.push(Candidate { span: t.span(), replacement: "&".into() }),
+            TokenKind::Caret => out.push(Candidate { span: t.span(), replacement: "~^".into() }),
+            TokenKind::Shl => out.push(Candidate { span: t.span(), replacement: ">>".into() }),
+            TokenKind::Shr => out.push(Candidate { span: t.span(), replacement: "<<".into() }),
+            TokenKind::Lt => out.push(Candidate { span: t.span(), replacement: "<=".into() }),
+            TokenKind::Gt => out.push(Candidate { span: t.span(), replacement: ">=".into() }),
+            TokenKind::EqEq => out.push(Candidate { span: t.span(), replacement: "!=".into() }),
+            TokenKind::NotEq => out.push(Candidate { span: t.span(), replacement: "==".into() }),
+            TokenKind::Number
+                if t.number(src)
+                    .is_some_and(|n| n.digit_chars(src).all(|c| c.is_ascii_hexdigit())) =>
+            {
+                let text = t.span().text(src);
                 for delta in [1i64, -1] {
                     if let Some(rep) = shift_literal(text, delta) {
-                        out.push(Candidate { span: t.span, replacement: rep });
+                        out.push(Candidate { span: t.span(), replacement: rep });
                     }
                 }
             }
@@ -133,6 +137,18 @@ fn apply(src: &str, c: &Candidate) -> String {
     s
 }
 
+/// The parse of `candidate`, `c` applied to a text lexed to `tokens`:
+/// an edit of those tokens, or lexed whole where the edit does not lex
+/// in place.
+fn parse_candidate(candidate: &str, tokens: &[Token], c: &Candidate) -> Parsed {
+    match uvllm_verilog::edit_tokens(tokens, c.span, &c.replacement, candidate) {
+        Some(edited) => {
+            uvllm_verilog::parse_tokens(candidate, edited).map(|p| Arc::new(p.0)).map_err(Arc::from)
+        }
+        None => parse_text(candidate),
+    }
+}
+
 /// The outcome for an input a template method does not take on.
 fn unrepaired(src: &str) -> MethodOutcome {
     MethodOutcome {
@@ -143,11 +159,12 @@ fn unrepaired(src: &str) -> MethodOutcome {
     }
 }
 
-/// Shared search driver for the two template methods. `src_passes`:
-/// the untouched `src` already passes the public tests.
+/// Shared search driver for the two template methods over `src`, lexed
+/// to `tokens`. `src_passes`: the untouched `src` passes the public tests.
 fn template_search(
     design: &Design,
     src: &str,
+    tokens: &[Token],
     src_passes: bool,
     candidates: Vec<Candidate>,
     budget: usize,
@@ -170,7 +187,9 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if hit_confirmed(design, &candidate, memo) {
+        let parse = || parse_candidate(&candidate, tokens, &c);
+        let elaborate = || memo.elaborate_with(design.name, &candidate, parse);
+        if hit_confirmed_with(design, &candidate, memo, elaborate) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -225,9 +244,11 @@ impl RepairMethod for StriderRepair<'_> {
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
         // Functional-only method: syntax-broken inputs are returned
         // unrepaired (the paper evaluates Strider on functional errors).
-        let Ok((file, tokens)) = parse_with_tokens(src) else { return unrepaired(src) };
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
+        let (Ok(file), Ok(tokens)) = (memo.parse(design.name, src), tokenize(src)) else {
+            return unrepaired(src);
+        };
         // Localize: which outputs mismatch on the public tests?
         let public_run = directed_stage(src, design, memo);
         let src_passes = matches!(&public_run, UvmOutcome::Ran(run) if run.all_passed());
@@ -255,7 +276,7 @@ impl RepairMethod for StriderRepair<'_> {
         if candidates.is_empty() {
             candidates = template_candidates(src, &tokens, None);
         }
-        template_search(design, src, src_passes, candidates, self.budget, memo)
+        template_search(design, src, &tokens, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -295,15 +316,17 @@ impl RepairMethod for RtlRepair<'_> {
     }
 
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
-        let Ok((file, tokens)) = parse_with_tokens(src) else { return unrepaired(src) };
+        let own_memo = StageMemo::new();
+        let memo = self.memo.unwrap_or(&own_memo);
+        let (Ok(file), Ok(tokens)) = (memo.parse(design.name, src), tokenize(src)) else {
+            return unrepaired(src);
+        };
         // Width templates first (the method's signature strength), then
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(&file);
         candidates.extend(template_candidates(src, &tokens, None));
-        let own_memo = StageMemo::new();
-        let memo = self.memo.unwrap_or(&own_memo);
         let src_passes = hit_confirmed(design, src, memo);
-        template_search(design, src, src_passes, candidates, self.budget, memo)
+        template_search(design, src, &tokens, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -368,6 +391,47 @@ mod tests {
         assert!(!strider.repair(d, &broken).claimed_success);
         let mut rtl = RtlRepair::new();
         assert!(!rtl.repair(d, &broken).claimed_success);
+    }
+
+    /// Every candidate either template method makes of a golden or of
+    /// one of its functional mutants, parsed as an edit of its base's
+    /// tokens, equals the fresh parse of its text, tokens included; an
+    /// edit that does not lex in place falls back to that fresh parse.
+    #[test]
+    fn an_edited_candidate_parses_as_its_text() {
+        let (mut edited, mut whole) = (0, 0);
+        for d in uvllm_designs::all() {
+            let golden = uvllm_errgen::Prepared::new(d.source).unwrap();
+            let mutants = uvllm_errgen::ErrorKind::ALL
+                .iter()
+                .filter(|k| !k.is_syntax())
+                .flat_map(|k| (0..3).filter_map(|seed| golden.mutate(*k, seed).ok()));
+            let texts = std::iter::once(d.source.to_string()).chain(mutants.map(|m| m.mutated_src));
+            for src in texts {
+                let (file, tokens) = uvllm_verilog::parse_with_tokens(&src).unwrap();
+                let mut candidates = bitwidth_candidates(&file);
+                candidates.extend(template_candidates(&src, &tokens, None));
+                for c in &candidates {
+                    let candidate = apply(&src, c);
+                    let fresh = parse_text(&candidate);
+                    match uvllm_verilog::edit_tokens(&tokens, c.span, &c.replacement, &candidate) {
+                        Some(tokens) => {
+                            edited += 1;
+                            assert_eq!(Some(&tokens), tokenize(&candidate).ok().as_ref());
+                            let parsed = uvllm_verilog::parse_tokens(&candidate, tokens);
+                            match (parsed, &fresh) {
+                                (Ok(p), Ok(f)) => assert!(p.0 == **f, "{candidate}"),
+                                (Err(p), Err(f)) => assert_eq!(*p, **f, "{candidate}"),
+                                (p, f) => panic!("{candidate}: {p:?} against {f:?}"),
+                            }
+                        }
+                        None => whole += 1,
+                    }
+                    assert_eq!(parse_candidate(&candidate, &tokens, c), fresh, "{candidate}");
+                }
+            }
+        }
+        assert!(edited > 10 * whole, "{edited} edited, {whole} lexed whole");
     }
 
     #[test]

@@ -122,8 +122,8 @@ fn a_text_is_analysed_once_per_dataset() {
         assert_eq!(other.score(), fresh.score());
         for sl_mode in [false, true] {
             assert_eq!(
-                other.error_info(&kept.text, design, sl_mode),
-                fresh.error_info(&kept.text, design, sl_mode)
+                other.error_info(&kept.text, design, sl_mode, memo),
+                fresh.error_info(&kept.text, design, sl_mode, &StageMemo::new())
             );
         }
     }

@@ -31,6 +31,7 @@ use std::time::Instant;
 use uvllm_designs::Design;
 use uvllm_lint::LintReport;
 use uvllm_llm::ErrorInfo;
+use uvllm_verilog::{SourceFile, SyntaxError};
 
 /// Registry handles of one slot kind, resolved once.
 #[derive(Debug)]
@@ -93,6 +94,15 @@ pub type Judgement = (bool, Verdict);
 /// (the parse or elaboration error message).
 pub type Elaborated = Result<Arc<uvllm_sim::Design>, String>;
 
+/// A text's parse, or its syntax error.
+pub type Parsed = Result<Arc<SourceFile>, Arc<SyntaxError>>;
+
+/// `text` lexed and parsed whole, timed in the `parse` span.
+pub fn parse_text(text: &str) -> Parsed {
+    let _span = uvllm_obs::Span::enter("parse");
+    uvllm_verilog::parse(text).map(Arc::new).map_err(Arc::new)
+}
+
 /// What a UVM-stage run was driven with: `(cycles, seed)` of the random
 /// sequence.
 type Stimulus = (usize, u64);
@@ -145,18 +155,25 @@ impl UvmFacts {
     /// diagnostic as a lint log for one that did not build,
     /// [`ErrorInfo::None`] for one that passed. `code` is the text the
     /// run was made on unless a rollback has replaced it since; the
-    /// slice of the run's own text is kept.
-    pub fn error_info(&self, code: &str, design: &Design, sl_mode: bool) -> ErrorInfo {
+    /// slice of the run's own text is kept. `code` is sliced on its parse
+    /// in `memo`.
+    pub fn error_info(
+        &self,
+        code: &str,
+        design: &Design,
+        sl_mode: bool,
+        memo: &StageMemo,
+    ) -> ErrorInfo {
+        let slice =
+            |found: &Localized| found.slice_of(code, design, || memo.parse(design.name, code));
         match &self.result {
             UvmResult::Passed => ErrorInfo::None,
             // Unbuildable code: hand the diagnostic text to the repair
             // agent as a lint log.
             UvmResult::BuildFailed(msg) => ErrorInfo::LintLog(format!("%Error: dut.v:1:1: {msg}")),
             UvmResult::Failed(localized) if code == &*self.text => localized
-                .error_info_from(sl_mode, || {
-                    self.lines.get_or_init(|| localized.slice(code, design)).clone()
-                }),
-            UvmResult::Failed(localized) => localized.error_info(code, design, sl_mode),
+                .error_info_from(sl_mode, || self.lines.get_or_init(|| slice(localized)).clone()),
+            UvmResult::Failed(localized) => localized.error_info_from(sl_mode, || slice(localized)),
         }
     }
 }
@@ -171,8 +188,10 @@ struct Entry {
     text: Arc<str>,
     /// One of the dataset's own texts, or a candidate the dataset build
     /// is validating ([`StageMemo::pin`]): the only entries whose `elab`
-    /// slot is filled.
+    /// slot is filled and whose `parse` slot keeps a file.
     pinned: AtomicBool,
+    /// A pinned text's file, `Ok(None)` for any other that parses.
+    parse: OnceLock<Result<Option<Arc<SourceFile>>, Arc<SyntaxError>>>,
     elab: OnceLock<Elaborated>,
     lint: OnceLock<Arc<LintReport>>,
     uvm: OnceLock<Arc<UvmFacts>>,
@@ -238,6 +257,7 @@ impl StageMemo {
                 let entry = Arc::new(Entry {
                     text: Arc::clone(&text),
                     pinned: AtomicBool::new(false),
+                    parse: OnceLock::new(),
                     elab: OnceLock::new(),
                     lint: OnceLock::new(),
                     uvm: OnceLock::new(),
@@ -270,25 +290,49 @@ impl StageMemo {
         if let Some(entry) = entries.get_mut(design).and_then(|of_design| of_design.get_mut(text)) {
             let entry = Arc::get_mut(entry).expect("no ask holds an entry between asks");
             *entry.pinned.get_mut() = false;
+            entry.parse.take();
             entry.elab.take();
         }
     }
 
-    /// `text` elaborated with `design` as its top module by `elaborate`.
-    /// For a pinned text the one elaboration is made by its first asker
-    /// and shared by every later simulation of the text; any other text
-    /// is elaborated for this asker and not kept.
+    /// The parse of `text`, an implementation of `design`: a pinned
+    /// text's is kept for all its lints, elaborations, slices and template
+    /// searches; any other's is made per asker, and kept only if it failed.
+    pub fn parse(&self, design: &'static str, text: &str) -> Parsed {
+        self.entry(design, text).parsed(|| parse_text(text))
+    }
+
+    /// `text` elaborated with `design` as its top module. For a pinned
+    /// text the one elaboration is made by its first asker and shared by
+    /// every later simulation of the text; any other text is elaborated
+    /// for this asker and not kept.
     ///
     /// # Errors
     ///
     /// The parse or elaboration error message, kept like a success.
-    pub fn elaborate(
+    pub fn elaborate(&self, design: &'static str, text: &str) -> Elaborated {
+        self.elaborate_with(design, text, || parse_text(text))
+    }
+
+    /// [`StageMemo::elaborate`], with `text`'s parse, if the memo holds
+    /// none, made by `parse` (a template candidate's edits its base's).
+    pub fn elaborate_with(
         &self,
         design: &'static str,
         text: &str,
-        elaborate: impl FnOnce() -> Elaborated,
+        parse: impl FnOnce() -> Parsed,
     ) -> Elaborated {
         let entry = self.entry(design, text);
+        self.elaborated(&entry, || {
+            uvllm_sim::elab::elaborate_parsed(
+                entry.parsed(parse).as_deref().map_err(|e| &**e),
+                design,
+            )
+        })
+    }
+
+    /// `entry`'s elaboration by `elaborate`: kept for a pinned text.
+    fn elaborated(&self, entry: &Entry, elaborate: impl FnOnce() -> Elaborated) -> Elaborated {
         if entry.pinned.load(Ordering::Relaxed) {
             fill(&entry.elab, &metrics().elab, elaborate)
         } else {
@@ -299,7 +343,10 @@ impl StageMemo {
 
     /// The lint report of `text`, an implementation of `design`.
     pub fn lint(&self, design: &'static str, text: &str) -> Arc<LintReport> {
-        self.lint_with(design, text, || uvllm_lint::lint(text))
+        self.lint_with(design, text, || {
+            let parsed = self.parse(design, text);
+            uvllm_lint::lint_parsed(text, parsed.as_deref().map_err(|e| &**e))
+        })
     }
 
     fn lint_with(
@@ -425,6 +472,31 @@ impl StageMemo {
     }
 }
 
+impl Entry {
+    /// The entry's parse, made by `parse` unless kept ([`StageMemo::parse`]);
+    /// askers wait for the first, so parses count alike at any worker count.
+    fn parsed(&self, parse: impl FnOnce() -> Parsed) -> Parsed {
+        let mut parse = Some(parse);
+        let mut made = None;
+        let kept = self.parse.get_or_init(|| {
+            let parsed = parse.take().expect("the slot is filled once")();
+            let kept = match &parsed {
+                Ok(file) if self.pinned.load(Ordering::Relaxed) => Ok(Some(Arc::clone(file))),
+                Ok(_) => Ok(None),
+                Err(e) => Err(Arc::clone(e)),
+            };
+            made = Some(parsed);
+            kept
+        });
+        match (made, kept) {
+            (Some(parsed), _) => parsed,
+            (None, Ok(Some(file))) => Ok(Arc::clone(file)),
+            (None, Err(e)) => Err(Arc::clone(e)),
+            (None, Ok(None)) => parse.take().expect("not made here")(),
+        }
+    }
+}
+
 /// The value of `slot`, made by `make` if this is its first asker;
 /// counted as a miss when `make` ran here and as a hit otherwise
 /// (waiting for another thread's `make` included, that wait also
@@ -471,7 +543,8 @@ mod tests {
 
     fn ask_elab(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
         memo.pin(design().name, text);
-        let elaborated = memo.elaborate(design().name, text, || Err(make().to_string()));
+        let entry = memo.entry(design().name, text);
+        let elaborated = memo.elaborated(&entry, || Err(make().to_string()));
         elaborated.expect_err("the failure put in").parse().unwrap()
     }
 
@@ -637,7 +710,7 @@ mod tests {
         text: &str,
         made: &AtomicUsize,
     ) -> Elaborated {
-        memo.elaborate(design, text, || {
+        memo.elaborated(&memo.entry(design, text), || {
             made.fetch_add(1, Ordering::Relaxed);
             uvllm_sim::elaborate_source(text, design)
         })
@@ -696,7 +769,9 @@ mod tests {
         // A filler that panics leaves the slot empty for the next asker.
         let text = ADD.replace("a + b", "a - b");
         memo.pin("add", &text);
-        let panicked = catch_unwind(AssertUnwindSafe(|| memo.elaborate("add", &text, || panic!())));
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            memo.elaborated(&memo.entry("add", &text), || panic!())
+        }));
         assert!(panicked.is_err());
         let entry = memo.analysed().into_iter().find(|a| a.text == text).unwrap();
         assert!(entry.elab.is_none());
@@ -759,7 +834,7 @@ mod tests {
         };
         let same = |a: &UvmFacts, b: &UvmFacts| {
             a.score == b.score
-                && a.error_info(&broken, d, true) == b.error_info(&broken, d, true)
+                && a.error_info(&broken, d, true, &memo) == b.error_info(&broken, d, true, &memo)
                 && a.stimulus == b.stimulus
         };
         let made = facts(40, 1);

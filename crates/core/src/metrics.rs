@@ -14,7 +14,7 @@
 //!   instance admitted to the benchmark is guaranteed to fail FR before
 //!   repair.
 
-use crate::memo::StageMemo;
+use crate::memo::{Elaborated, StageMemo};
 use crate::stages::{environment, Stimulus};
 use uvllm_designs::Design;
 use uvllm_uvm::Sequence;
@@ -77,8 +77,8 @@ impl Verdict {
     }
 }
 
-/// Runs a set of sequences against `code`, elaborated through `memo`,
-/// and classifies the outcome.
+/// Runs a set of sequences against `elaborated`, a text elaborated as an
+/// implementation of `design`, and classifies the outcome.
 ///
 /// A verdict is a class, not a pass rate: the environment runs with
 /// waveform capture disabled (nobody reads the frames) and stops at the
@@ -88,13 +88,12 @@ impl Verdict {
 /// (the hit and fix runs of a campaign job, the dataset builder's
 /// validation run) keeps only [`Verdict::passed`] or the class.
 fn run_verdict(
-    code: &str,
+    elaborated: Elaborated,
     design: &Design,
     stimulus: &Stimulus,
     seqs: Vec<Box<dyn Sequence>>,
-    memo: &StageMemo,
 ) -> Verdict {
-    match environment(code, design, stimulus, seqs, memo) {
+    match environment(elaborated, design, stimulus, seqs) {
         Ok(env) => {
             let summary = env.without_waveform().stop_at_first_mismatch().run();
             match summary.unstable {
@@ -137,11 +136,24 @@ fn fr_seqs(stimulus: &Stimulus) -> Vec<Box<dyn Sequence>> {
 /// Hit-Rate check: does `code` pass the public directed vectors? A
 /// verdict run, asked once per text through `memo`'s hit slot — the
 /// question template search, the baselines' acceptance checks and every
-/// job's judgement all ask.
+/// job's judgement all ask. The golden source passes by identity
+/// (`metrics::tests::pristine_designs_pass_both_metrics` runs it).
 pub fn hit_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
+    hit_confirmed_with(design, code, memo, || memo.elaborate(design.name, code))
+}
+
+/// [`hit_confirmed`], with `code` elaborated by `elaborate` if its hit
+/// run is made.
+pub fn hit_confirmed_with(
+    design: &Design,
+    code: &str,
+    memo: &StageMemo,
+    elaborate: impl FnOnce() -> Elaborated,
+) -> bool {
     memo.hit(design.name, code, || {
         let stimulus = Stimulus::of_design(design);
-        run_verdict(code, design, &stimulus, hit_seqs(&stimulus), memo).passed()
+        code == design.source
+            || run_verdict(elaborate(), design, &stimulus, hit_seqs(&stimulus)).passed()
     })
 }
 
@@ -153,10 +165,13 @@ pub fn fix_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
 
 /// The full classified Fix-Rate outcome: lets campaign rows distinguish
 /// "fails the differential campaign" from "oscillates" from "does not
-/// build".
+/// build". The golden source passes by identity.
 pub fn fix_verdict(design: &Design, code: &str, memo: &StageMemo) -> Verdict {
+    if code == design.source {
+        return Verdict::Pass;
+    }
     let stimulus = Stimulus::of_design(design);
-    run_verdict(code, design, &stimulus, fr_seqs(&stimulus), memo)
+    run_verdict(memo.elaborate(design.name, code), design, &stimulus, fr_seqs(&stimulus))
 }
 
 /// The quick validation run used by the dataset builder: a strict prefix
@@ -167,7 +182,7 @@ pub fn mutant_is_detectable(design: &Design, code: &str, memo: &StageMemo) -> bo
         Box::new(stimulus.random(VALIDATION_CYCLES, FR_PRIMARY_SEED)),
         Box::new(stimulus.corner.clone()),
     ];
-    !run_verdict(code, design, &stimulus, seqs, memo).passed()
+    !run_verdict(memo.elaborate(design.name, code), design, &stimulus, seqs).passed()
 }
 
 #[cfg(test)]
@@ -176,13 +191,17 @@ mod tests {
     use uvllm_designs::by_name;
     use uvllm_uvm::Environment;
 
+    /// Every golden source passes the hit and the FR sequences when run,
+    /// so judging it by identity is the same verdict.
     #[test]
     fn pristine_designs_pass_both_metrics() {
         let memo = StageMemo::new();
-        for name in ["adder_8bit", "counter_12", "fifo_sync", "alu_8bit"] {
-            let d = by_name(name).unwrap();
-            assert!(hit_confirmed(d, d.source, &memo), "{name} HR");
-            assert!(fix_confirmed(d, d.source, &memo), "{name} FR");
+        for d in uvllm_designs::all() {
+            let stimulus = Stimulus::of_design(d);
+            let run = |seqs| run_verdict(memo.elaborate(d.name, d.source), d, &stimulus, seqs);
+            assert_eq!(run(hit_seqs(&stimulus)), Verdict::Pass, "{} HR", d.name);
+            assert_eq!(run(fr_seqs(&stimulus)), Verdict::Pass, "{} FR", d.name);
+            assert!(hit_confirmed(d, d.source, &memo) && fix_confirmed(d, d.source, &memo));
         }
     }
 

@@ -259,7 +259,7 @@ impl<'d> Verification<'d> {
 
                     // -------- Step 3: post-processing -----------------
                     let sl_mode = cfg.sl_enabled && self.iterations > cfg.ms_threshold;
-                    let error_info = outcome.error_info(&self.code, design, sl_mode);
+                    let error_info = outcome.error_info(&self.code, design, sl_mode, memo);
 
                     // -------- Step 4: repair --------------------------
                     let prompt = repair_prompt(

@@ -1,7 +1,7 @@
 //! The four pipeline stages of Fig. 2: pre-processing (Algorithm 1),
 //! UVM processing, post-processing (Algorithm 2) and repair.
 
-use crate::memo::StageMemo;
+use crate::memo::{parse_text, Elaborated, Parsed, StageMemo};
 use crate::patch::apply_pairs;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -197,21 +197,16 @@ impl Stimulus {
     }
 }
 
-/// The UVM environment of `code` as an implementation of `design`,
-/// driven by `seqs`: the one place a text is elaborated, on the design
-/// `memo` keeps for a pinned text and on one made for this run (and
-/// dropped with it) for any other.
+/// The UVM environment of `elaborated`, a text of `design` as
+/// [`StageMemo::elaborate`] made it, driven by `seqs`.
 pub(crate) fn environment(
-    code: &str,
+    elaborated: Elaborated,
     design: &Design,
     stimulus: &Stimulus,
     seqs: Vec<Box<dyn Sequence>>,
-    memo: &StageMemo,
 ) -> Result<Environment, UvmError> {
-    let elaborated = memo
-        .elaborate(design.name, code, || uvllm_sim::elaborate_source(code, design.name))
-        .map_err(UvmError::Elab)?;
-    let sim = Simulator::from_arc(elaborated).map_err(|e| UvmError::Sim(e.to_string()))?;
+    let sim = Simulator::from_arc(elaborated.map_err(UvmError::Elab)?)
+        .map_err(|e| UvmError::Sim(e.to_string()))?;
     Environment::with_spec(sim, &stimulus.iface, &stimulus.spec, (design.model)(), seqs)
 }
 
@@ -229,7 +224,7 @@ pub fn uvm_stage(
     let stimulus = Stimulus::of_design(design);
     let seqs: Vec<Box<dyn Sequence>> =
         vec![Box::new(stimulus.random(cycles, seed)), Box::new(stimulus.corner.clone())];
-    match environment(code, design, &stimulus, seqs, memo) {
+    match environment(memo.elaborate(design.name, code), design, &stimulus, seqs) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.frames_at_kept_records().run())),
         Err(UvmError::Elab(m)) => UvmOutcome::BuildFailed(m),
         Err(UvmError::MissingPort(p)) => {
@@ -260,7 +255,7 @@ pub fn uvm_stage_with(
 pub fn directed_stage(code: &str, design: &Design, memo: &StageMemo) -> UvmOutcome {
     let stimulus = Stimulus::of_design(design);
     let seqs: Vec<Box<dyn Sequence>> = vec![Box::new(stimulus.public.clone())];
-    match environment(code, design, &stimulus, seqs, memo) {
+    match environment(memo.elaborate(design.name, code), design, &stimulus, seqs) {
         Ok(env) => UvmOutcome::Ran(Box::new(env.without_waveform().run())),
         Err(e) => UvmOutcome::BuildFailed(e.to_string()),
     }
@@ -372,11 +367,21 @@ impl Localized {
     /// Empty when `code` does not parse, has no module named after
     /// `design`, or the run left no mismatch line.
     pub fn slice(&self, code: &str, design: &Design) -> Vec<(u32, String)> {
+        self.slice_of(code, design, || parse_text(code))
+    }
+
+    /// [`Localized::slice`] on `code`'s parse, asked for at most once.
+    pub(crate) fn slice_of(
+        &self,
+        code: &str,
+        design: &Design,
+        parse: impl FnOnce() -> Parsed,
+    ) -> Vec<(u32, String)> {
         let Found::Mismatches { records, snapshot, .. } = &self.found else { return Vec::new() };
         let mut signals: Vec<String> = records.iter().map(|m| m.signal.to_string()).collect();
         signals.dedup();
-        let Ok(file) = uvllm_verilog::parse(code) else { return Vec::new() };
-        let Some(module) = file.module(design.name) else { return Vec::new() };
+        let Ok(parsed) = parse() else { return Vec::new() };
+        let Some(module) = parsed.module(design.name) else { return Vec::new() };
         match snapshot {
             Some(frame) => suspicious_lines(module, code, &signals, frame),
             None => suspicious_lines(module, code, &signals, &HashMap::new()),

@@ -274,7 +274,7 @@ fn collect_sites(stmt: &Stmt, guards: &mut Vec<Guard>, sites: &mut Vec<Site>) {
             for arm in &c.arms {
                 guards.push(Guard::Case {
                     sel: c.expr.clone(),
-                    labels: arm.labels.clone(),
+                    labels: arm.labels.to_vec(),
                     all_labels: all_labels.clone(),
                     is_default: false,
                 });
@@ -365,7 +365,8 @@ pub fn eval_ast(e: &Expr, env: &SymbolValues) -> Logic {
                 UnaryOp::RedXnor => v.red_xor().bitnot(1),
             }
         }
-        Expr::Binary(op, a, b) => {
+        Expr::Binary(op, operands) => {
+            let [a, b] = &**operands;
             let x = eval_ast(a, env);
             let y = eval_ast(b, env);
             let w = x.width().max(y.width());
@@ -395,24 +396,26 @@ pub fn eval_ast(e: &Expr, env: &SymbolValues) -> Logic {
                 BinaryOp::BitXnor => x.bitxnor(&y, w),
             }
         }
-        Expr::Ternary(c, t, f) => match eval_ast(c, env).truthiness() {
-            Tri::True => eval_ast(t, env),
-            Tri::False => eval_ast(f, env),
+        Expr::Ternary(operands) => match eval_ast(&operands[0], env).truthiness() {
+            Tri::True => eval_ast(&operands[1], env),
+            Tri::False => eval_ast(&operands[2], env),
             Tri::Unknown => {
-                let tv = eval_ast(t, env);
-                let fv = eval_ast(f, env);
+                let tv = eval_ast(&operands[1], env);
+                let fv = eval_ast(&operands[2], env);
                 let w = tv.width().max(fv.width());
                 tv.merge(&fv, w)
             }
         },
-        Expr::Index(base, index) => {
+        Expr::Index(operands) => {
+            let [base, index] = &**operands;
             let b = eval_ast(base, env);
             match eval_ast(index, env).to_u128() {
                 Some(i) if i < 128 => b.get_bit(i as u32),
                 _ => Logic::xs(1),
             }
         }
-        Expr::Part(base, msb, lsb) => {
+        Expr::Part(operands) => {
+            let [base, msb, lsb] = &**operands;
             let b = eval_ast(base, env);
             match (eval_ast(msb, env).to_u128(), eval_ast(lsb, env).to_u128()) {
                 (Some(m), Some(l)) if m >= l && m < 128 => {

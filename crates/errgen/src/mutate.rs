@@ -222,7 +222,7 @@ fn collect_candidates(
             .iter()
             .filter(|t| t.kind == TokenKind::Semi)
             .map(|t| Edit {
-                span: t.span,
+                span: t.span(),
                 replacement: String::new(),
                 description: "a statement is missing its terminating ';'".into(),
             })
@@ -236,7 +236,7 @@ fn collect_candidates(
                 )
             })
             .map(|t| Edit {
-                span: t.span,
+                span: t.span(),
                 replacement: String::new(),
                 description: "a block is missing its closing 'end'".into(),
             })
@@ -245,7 +245,7 @@ fn collect_candidates(
             .iter()
             .filter(|t| t.kind == TokenKind::Keyword(Keyword::Begin))
             .map(|t| Edit {
-                span: t.span,
+                span: t.span(),
                 replacement: String::new(),
                 description: "a block is missing its opening 'begin'".into(),
             })
@@ -262,9 +262,12 @@ fn collect_candidates(
                     _ => return None,
                 };
                 Some(Edit {
-                    span: t.span,
+                    span: t.span(),
                     replacement: rep.to_string(),
-                    description: format!("operator '{}' was mistyped as '{rep}'", t.span.text(src)),
+                    description: format!(
+                        "operator '{}' was mistyped as '{rep}'",
+                        t.span().text(src)
+                    ),
                 })
             })
             .collect(),
@@ -287,7 +290,7 @@ fn collect_candidates(
                     _ => return None,
                 };
                 Some(Edit {
-                    span: t.span,
+                    span: t.span(),
                     replacement: rep.to_string(),
                     description: format!("keyword '{}' was misspelled as '{rep}'", kw.as_str()),
                 })
@@ -296,10 +299,12 @@ fn collect_candidates(
         ErrorKind::MalformedLiteral => tokens
             .iter()
             .filter_map(|t| {
-                let TokenKind::Number(_) = &t.kind else { return None };
-                let text = t.span.text(src);
+                if t.kind != TokenKind::Number {
+                    return None;
+                }
+                let text = t.span().text(src);
                 let apos = text.find('\'')?;
-                let base_at = t.span.start + apos + 1;
+                let base_at = t.span().start + apos + 1;
                 // Skip a signedness marker.
                 let off = if src[base_at..].starts_with(['s', 'S']) { 1 } else { 0 };
                 Some(Edit {
@@ -328,12 +333,12 @@ fn decl_type_sites(src: &str, tokens: &[Token]) -> Vec<Edit> {
             && pair[1].kind == TokenKind::Keyword(Keyword::Reg)
         {
             // Delete `reg` plus the following whitespace run.
-            let mut end = pair[1].span.end;
+            let mut end = pair[1].span().end;
             while src.as_bytes().get(end).is_some_and(|b| *b == b' ') {
                 end += 1;
             }
             out.push(Edit {
-                span: Span::new(pair[1].span.start, end),
+                span: Span::new(pair[1].span().start, end),
                 replacement: String::new(),
                 description: "an 'output reg' port lost its reg storage class \
                               (type misuse in declaration)"
@@ -434,7 +439,8 @@ fn operator_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
     let mut out = Vec::new();
     for (span, blocking) in &regions {
         let mut seen_assign_op = false;
-        for t in tokens.iter().filter(|t| t.span.start >= span.start && t.span.end <= span.end) {
+        for t in tokens.iter().filter(|t| t.span().start >= span.start && t.span().end <= span.end)
+        {
             // Skip the assignment operator itself.
             if !seen_assign_op {
                 match t.kind {
@@ -461,11 +467,11 @@ fn operator_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
                 _ => continue,
             };
             out.push(Edit {
-                span: t.span,
+                span: t.span(),
                 replacement: rep.to_string(),
                 description: format!(
                     "operator '{}' should be used instead of '{rep}' (operator misuse)",
-                    t.span.text(src)
+                    t.span().text(src)
                 ),
             });
         }
@@ -478,18 +484,19 @@ fn value_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
     let regions = assignment_regions(file);
     let mut out = Vec::new();
     for (span, _) in &regions {
-        for t in tokens.iter().filter(|t| t.span.start >= span.start && t.span.end <= span.end) {
-            let TokenKind::Number(n) = t.kind else { continue };
+        for t in tokens.iter().filter(|t| t.span().start >= span.start && t.span().end <= span.end)
+        {
+            let Some(n) = t.number(src) else { continue };
             if !n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) {
                 continue;
             }
-            let text = t.span.text(src);
+            let text = t.span().text(src);
             let new_text = perturb_literal(text);
             if new_text == text {
                 continue;
             }
             out.push(Edit {
-                span: t.span,
+                span: t.span(),
                 replacement: new_text.clone(),
                 description: format!(
                     "constant '{text}' was miswritten as '{new_text}' (value misuse)"
@@ -556,7 +563,8 @@ fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
     let mut out = Vec::new();
     for (span, blocking) in &regions {
         let mut seen_assign_op = false;
-        for t in tokens.iter().filter(|t| t.span.start >= span.start && t.span.end <= span.end) {
+        for t in tokens.iter().filter(|t| t.span().start >= span.start && t.span().end <= span.end)
+        {
             if !seen_assign_op {
                 match t.kind {
                     TokenKind::Assign if *blocking => seen_assign_op = true,
@@ -568,14 +576,14 @@ fn variable_sites(src: &str, file: &SourceFile, tokens: &[Token]) -> Vec<Edit> {
             if t.kind != TokenKind::Ident {
                 continue;
             }
-            let name = t.span.text(src);
+            let name = t.span().text(src);
             let Some((_, w)) = widths.iter().find(|(n, _)| *n == name) else { continue };
             // Deterministic partner: the next declared signal of the
             // same width (candidate order is then shuffled by seed).
             for (other, ow) in &widths {
                 if *other != name && ow == w {
                     out.push(Edit {
-                        span: t.span,
+                        span: t.span(),
                         replacement: other.to_string(),
                         description: format!(
                             "signal '{name}' was mistaken for '{other}' (variable name misuse)"
@@ -635,12 +643,15 @@ fn judgment_sites(src: &str, tokens: &[Token]) -> Vec<Edit> {
         }
         for t in &tokens[start..=end.min(tokens.len() - 1)] {
             match &t.kind {
-                TokenKind::Number(n) if n.digit_chars(src).all(|c| c.is_ascii_hexdigit()) => {
-                    let text = t.span.text(src);
+                TokenKind::Number
+                    if t.number(src)
+                        .is_some_and(|n| n.digit_chars(src).all(|c| c.is_ascii_hexdigit())) =>
+                {
+                    let text = t.span().text(src);
                     let doubled = double_literal(text);
                     if doubled != text {
                         out.push(Edit {
-                            span: t.span,
+                            span: t.span(),
                             replacement: doubled.clone(),
                             description: format!(
                                 "condition constant '{text}' was miswritten as \
@@ -665,11 +676,11 @@ fn judgment_sites(src: &str, tokens: &[Token]) -> Vec<Edit> {
 
 fn flip_edit(src: &str, t: &Token, rep: &str) -> Edit {
     Edit {
-        span: t.span,
+        span: t.span(),
         replacement: rep.to_string(),
         description: format!(
             "comparison '{}' should not be '{rep}' (wrong judgment)",
-            t.span.text(src)
+            t.span().text(src)
         ),
     }
 }

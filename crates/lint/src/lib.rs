@@ -33,4 +33,4 @@ pub mod rules;
 
 pub use diag::{Diagnostic, LintCode, LintReport, Severity, TextFix};
 pub use fix::apply_fixes;
-pub use rules::lint;
+pub use rules::{lint, lint_parsed};

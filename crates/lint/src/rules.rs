@@ -7,7 +7,7 @@ use uvllm_verilog::lexer::tokenize;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::token::TokenKind;
 use uvllm_verilog::visit::{walk_expr, Visitor};
-use uvllm_verilog::{parse, SourceFile, Symbol};
+use uvllm_verilog::{parse, SourceFile, Symbol, SyntaxError};
 
 /// Lints `src`, returning every finding.
 ///
@@ -15,16 +15,17 @@ use uvllm_verilog::{parse, SourceFile, Symbol};
 /// file cannot be analysed further), mirroring how a real compiler stops
 /// at the first syntax error.
 pub fn lint(src: &str) -> LintReport {
+    lint_parsed(src, parse(src).as_ref())
+}
+
+/// [`lint`] of `src` from `parsed`, its parse.
+pub fn lint_parsed(src: &str, parsed: Result<&SourceFile, &SyntaxError>) -> LintReport {
     let mut report = LintReport::default();
-    let file = match parse(src) {
-        Ok(f) => f,
+    match parsed {
+        Ok(file) => file.modules.iter().for_each(|m| lint_module(src, file, m, &mut report)),
         Err(e) => {
-            report.diagnostics.push(Diagnostic::error(LintCode::Syntax, e.span, e.message.clone()));
-            return report;
+            report.diagnostics.push(Diagnostic::error(LintCode::Syntax, e.span, e.message.clone()))
         }
-    };
-    for module in &file.modules {
-        lint_module(src, &file, module, &mut report);
     }
     report
 }
@@ -100,7 +101,8 @@ fn lit_value(e: &Expr) -> Option<i64> {
     match e {
         Expr::Number(n) if n.xz == 0 => Some(n.value as i64),
         Expr::Unary(UnaryOp::Neg, inner) => lit_value(inner).map(|v| -v),
-        Expr::Binary(op, a, b) => {
+        Expr::Binary(op, operands) => {
+            let [a, b] = &**operands;
             let x = lit_value(a)?;
             let y = lit_value(b)?;
             Some(match op {
@@ -322,8 +324,9 @@ fn expr_width(e: &Expr, symbols: &Symbols) -> Option<u32> {
     match e {
         Expr::Number(n) => n.width,
         Expr::Ident(name) => symbols.width(*name),
-        Expr::Index(_, _) => Some(1),
-        Expr::Part(_, m, l) => {
+        Expr::Index(_) => Some(1),
+        Expr::Part(operands) => {
+            let [_, m, l] = &**operands;
             let m = lit_value(m)?;
             let l = lit_value(l)?;
             Some(m.abs_diff(l) as u32 + 1)
@@ -425,7 +428,7 @@ fn assign_op_span(src: &str, a: &Assign) -> Option<Span> {
     for t in tokens {
         match t.kind {
             TokenKind::Assign | TokenKind::LeAssign => {
-                return Some(Span::new(start + t.span.start, start + t.span.end));
+                return Some(Span::new(start + t.span().start, start + t.span().end));
             }
             TokenKind::Eof => break,
             _ => {}

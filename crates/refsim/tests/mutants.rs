@@ -1,5 +1,6 @@
-//! Every mutant of the default dataset (seed `0xDA7A`, 331 instances)
-//! that elaborates, on the event kernel and the reference in lockstep:
+//! Every mutant of the default dataset (seed `0xDA7A`, 331 instances),
+//! and every text a default campaign judges, that elaborates, on the
+//! event kernel and the reference in lockstep:
 //! the environment's reset protocol, then 200 cycles of random inputs
 //! staged as one time step, comparing every word of every signal — the
 //! ports included — after every drive. An oscillating mutant must be
@@ -133,4 +134,35 @@ fn every_mutant_of_the_default_dataset_agrees_with_the_reference() {
     // Syntax-kind mutants do not parse, and some functional ones fail
     // to build on purpose (141 run at this dataset seed).
     assert!(tally.ran > 100, "only {} mutants ran", tally.ran);
+}
+
+#[test]
+#[ignore = "a default campaign, then its judged texts on the slow reference; CI runs it in release"]
+fn every_text_a_default_campaign_judges_agrees_with_the_reference() {
+    let campaign = uvllm_campaign::Campaign::new(Default::default()).unwrap();
+    let dataset = campaign.build_dataset();
+    campaign.run_on(&dataset, &mut uvllm_campaign::MemorySink::new()).unwrap();
+    let judged = dataset.memo().judged();
+    let (mut texts, mut runs, mut divergences) = (0, 0, Vec::new());
+    for (name, text, _) in &judged {
+        let design = uvllm_designs::by_name(name).unwrap();
+        for seed in 0..3 {
+            match check(design, text, seed) {
+                Ok(None) => break,
+                Ok(Some(_)) => runs += 1,
+                Err(divergence) => {
+                    divergences.push(format!("{name}, seed {seed}: {divergence}\n{text}"))
+                }
+            }
+            texts += usize::from(seed == 0);
+        }
+    }
+    eprintln!(
+        "{texts} of {} judged texts elaborated: {runs} runs, {} diverged",
+        judged.len(),
+        divergences.len()
+    );
+    assert!(divergences.is_empty(), "{}", divergences.join("\n"));
+    // 268 texts elaborate at the default seed.
+    assert!(texts > 200, "only {texts} judged texts ran");
 }

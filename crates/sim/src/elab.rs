@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 use uvllm_verilog::ast::*;
 use uvllm_verilog::span::Span;
-use uvllm_verilog::{Names, SourceFile, Symbol};
+use uvllm_verilog::{Names, SourceFile, Symbol, SyntaxError};
 
 /// Maximum `for`-loop iterations unrolled before elaboration fails.
 pub const MAX_UNROLL: u64 = 4096;
@@ -305,13 +305,16 @@ impl fmt::Display for ElabError {
 
 impl std::error::Error for ElabError {}
 
-/// Elaborates `file` with `top` as the root module.
+/// Elaborates `file` with `top` as the root module. Counted in
+/// `sim.elaborations` and timed in the `elab` span, failures included.
 ///
 /// # Errors
 ///
 /// Fails on undeclared identifiers, non-constant ranges, unknown child
 /// modules, unsupported constructs and loop-unroll overflow.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
+    crate::metrics::elaborations().inc();
+    let _span = uvllm_obs::Span::enter("elab");
     let top_module = file
         .module(top)
         .ok_or_else(|| ElabError::new(format!("top module '{top}' not found"), Span::default()))?;
@@ -333,23 +336,27 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
     Ok(ctx.design)
 }
 
-/// Parses `src` and elaborates it with `top` as the root module — the
-/// one way from source text to a shareable [`Design`]. Uncached: a
-/// caller that meets a text repeatedly keeps the result (a campaign
-/// keeps it in its dataset's stage memo). Counted in
-/// `sim.elaborations`; the `parse` and `elab` spans time the two halves.
+/// Parses `src` and [`elaborate_parsed`]s it, uncached.
 ///
 /// # Errors
 ///
 /// The parse or elaboration error message.
 pub fn elaborate_source(src: &str, top: &str) -> Result<Arc<Design>, String> {
-    crate::metrics::elaborations().inc();
-    let file = {
-        let _span = uvllm_obs::Span::enter("parse");
-        uvllm_verilog::parse(src).map_err(|e| e.to_string())?
-    };
-    let _span = uvllm_obs::Span::enter("elab");
-    elaborate(&file, top).map(Arc::new).map_err(|e| e.to_string())
+    elaborate_parsed(uvllm_verilog::parse(src).as_ref(), top)
+}
+
+/// `parsed` (or its syntax error, counted as a failed elaboration)
+/// [`elaborate`]d with `top` as the root module, as a shareable [`Design`],
+/// or the error message.
+pub fn elaborate_parsed(
+    parsed: Result<&SourceFile, &SyntaxError>,
+    top: &str,
+) -> Result<Arc<Design>, String> {
+    let file = parsed.map_err(|e| {
+        crate::metrics::elaborations().inc();
+        e.to_string()
+    })?;
+    elaborate(file, top).map(Arc::new).map_err(|e| e.to_string())
 }
 
 struct Elab<'a> {
@@ -651,7 +658,7 @@ impl<'a> Elab<'a> {
         // Resolve parameter overrides.
         let mut overrides = Consts::new(&file.names);
         let mut child_params = child.items.iter().flat_map(|i| match i {
-            Item::Param(p) if !p.local => p.params.as_slice(),
+            Item::Param(p) if !p.local => &p.params[..],
             _ => &[],
         });
         for conn in &inst.params {
@@ -739,8 +746,9 @@ impl<'a> Elab<'a> {
     ) -> Result<LTarget, ElabError> {
         match expr {
             Expr::Ident(name) => Ok(LTarget::Whole(self.resolve(scope, *name, span)?)),
-            Expr::Index(base, index) => {
-                let Expr::Ident(name) = base.as_ref() else {
+            Expr::Index(operands) => {
+                let [base, index] = &**operands;
+                let Expr::Ident(name) = base else {
                     return Err(ElabError::new("unsupported output connection", span));
                 };
                 let id = self.resolve(scope, *name, span)?;
@@ -749,8 +757,9 @@ impl<'a> Elab<'a> {
                 let idx = offset_index(idx, info.lsb);
                 Ok(LTarget::Bit(id, idx))
             }
-            Expr::Part(base, msb, lsb) => {
-                let Expr::Ident(name) = base.as_ref() else {
+            Expr::Part(operands) => {
+                let [base, msb, lsb] = &**operands;
+                let Expr::Ident(name) = base else {
                     return Err(ElabError::new("unsupported output connection", span));
                 };
                 let id = self.resolve(scope, *name, span)?;
@@ -860,7 +869,7 @@ impl<'a> Elab<'a> {
                 let mut arms = Vec::with_capacity(c.arms.len());
                 for arm in &c.arms {
                     let mut labels = Vec::with_capacity(arm.labels.len());
-                    for l in &arm.labels {
+                    for l in arm.labels.iter() {
                         labels.push(self.lower_expr_in(l, scope, consts, arm.span)?);
                     }
                     arms.push((labels, self.lower_stmt(&arm.body, scope, consts)?));
@@ -1003,7 +1012,8 @@ impl<'a> Elab<'a> {
                 };
                 LExpr { kind: LExprKind::Unary(*op, Arc::new(e)), width }
             }
-            Expr::Binary(op, a, b) => {
+            Expr::Binary(op, operands) => {
+                let [a, b] = &**operands;
                 let la = self.lower_expr_in(a, scope, consts, span)?;
                 let lb = self.lower_expr_in(b, scope, consts, span)?;
                 let width = match op {
@@ -1022,15 +1032,17 @@ impl<'a> Elab<'a> {
                 };
                 LExpr { kind: LExprKind::Binary(*op, Arc::new(la), Arc::new(lb)), width }
             }
-            Expr::Ternary(c, t, f) => {
+            Expr::Ternary(operands) => {
+                let [c, t, f] = &**operands;
                 let lc = self.lower_expr_in(c, scope, consts, span)?;
                 let lt = self.lower_expr_in(t, scope, consts, span)?;
                 let lf = self.lower_expr_in(f, scope, consts, span)?;
                 let width = lt.width.max(lf.width);
                 LExpr { kind: LExprKind::Ternary(Arc::new(lc), Arc::new(lt), Arc::new(lf)), width }
             }
-            Expr::Index(base, index) => {
-                let Expr::Ident(name) = base.as_ref() else {
+            Expr::Index(operands) => {
+                let [base, index] = &**operands;
+                let Expr::Ident(name) = base else {
                     return Err(ElabError::new("only named signals can be indexed", span));
                 };
                 let id = self.resolve(scope, *name, span)?;
@@ -1048,8 +1060,9 @@ impl<'a> Elab<'a> {
                     }
                 }
             }
-            Expr::Part(base, msb, lsb) => {
-                let Expr::Ident(name) = base.as_ref() else {
+            Expr::Part(operands) => {
+                let [base, msb, lsb] = &**operands;
+                let Expr::Ident(name) = base else {
                     return Err(ElabError::new("only named signals can be part-selected", span));
                 };
                 let id = self.resolve(scope, *name, span)?;
@@ -1215,11 +1228,11 @@ fn writes_constant(stmt: &Stmt, consts: &Consts<'_>) -> bool {
         }
         Stmt::If(i) => {
             writes_constant(&i.then_branch, consts)
-                || i.else_branch.as_deref().is_some_and(|e| writes_constant(e, consts))
+                || i.else_branch.as_ref().is_some_and(|e| writes_constant(e, consts))
         }
         Stmt::Case(c) => {
             c.arms.iter().any(|arm| writes_constant(&arm.body, consts))
-                || c.default.as_deref().is_some_and(|d| writes_constant(d, consts))
+                || c.default.as_ref().is_some_and(|d| writes_constant(d, consts))
         }
         Stmt::For(f) => match &f.init.0 {
             LValue::Ident(name, _) if !consts.contains_key(name) => {
@@ -1258,7 +1271,8 @@ fn const_eval(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabErro
                 }
             }
         }
-        Expr::Binary(op, a, b) => {
+        Expr::Binary(op, operands) => {
+            let [a, b] = &**operands;
             let x = const_eval(a, consts, span)?;
             let y = const_eval(b, consts, span)?;
             match op {
@@ -1300,7 +1314,8 @@ fn const_eval(e: &Expr, consts: &Consts<'_>, span: Span) -> Result<i64, ElabErro
                 BinaryOp::BitXnor => !(x ^ y),
             }
         }
-        Expr::Ternary(c, t, f) => {
+        Expr::Ternary(operands) => {
+            let [c, t, f] = &**operands;
             if const_eval(c, consts, span)? != 0 {
                 const_eval(t, consts, span)?
             } else {

@@ -17,12 +17,12 @@
 //! [`wave::Waveform`] records per-cycle snapshots for the localization
 //! engine.
 //!
-//! [`elaborate_source`] is the one way from source text to a shareable
-//! `Arc<Design>`: parse plus elaboration, uncached, counted in
-//! `sim.elaborations`. This crate keeps no process-wide state about
-//! texts; a caller that simulates one text many times holds its
-//! elaboration (a campaign holds it in its dataset's stage memo, one
-//! per `(design, text)`) and builds each [`Simulator`] from it.
+//! [`elaborate`] lowers a parsed file, counted in `sim.elaborations`;
+//! [`elaborate_source`] parses a text first. This crate keeps no
+//! process-wide state about texts; a caller that simulates one text
+//! many times holds its parse and elaboration (a campaign holds them in
+//! its dataset's stage memo, one per `(design, text)`) and builds each
+//! [`Simulator`] from it.
 //!
 //! Harnesses drive the simulator through [`SimControl`]. The
 //! workspace's test-only `uvllm-refsim` crate implements the same

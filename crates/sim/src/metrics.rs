@@ -40,8 +40,8 @@ pub(crate) fn event_kernel() -> &'static EventKernelMetrics {
     })
 }
 
-/// `sim.elaborations`: calls of [`crate::elaborate_source`], failed
-/// ones included.
+/// `sim.elaborations`: calls of [`crate::elaborate`], failed ones
+/// included.
 pub(crate) fn elaborations() -> &'static Counter {
     static COUNTER: OnceLock<&'static Counter> = OnceLock::new();
     COUNTER.get_or_init(|| registry().counter("sim.elaborations"))

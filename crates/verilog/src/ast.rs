@@ -10,11 +10,45 @@ use crate::token::NumberBase;
 use std::fmt;
 use std::sync::Arc;
 
+/// A list that keeps a lone node inline (most texts hold one module,
+/// most declarations name one signal); it reads and prints as a slice.
+#[derive(Clone, PartialEq)]
+pub enum List<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> std::ops::Deref for List<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            List::One(node) => std::slice::from_ref(node),
+            List::Many(nodes) => nodes,
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a List<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for List<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A parsed source file: one or more module definitions.
 #[derive(Clone, PartialEq)]
 pub struct SourceFile {
     /// Modules in source order.
-    pub modules: Vec<Module>,
+    pub modules: List<Module>,
     /// The text's identifiers: every [`Symbol`] in the tree names one.
     pub names: Arc<Names>,
 }
@@ -36,6 +70,11 @@ impl SourceFile {
         self.modules.first()
     }
 }
+
+// Every list of them holds its largest variant.
+const _: () = assert!(std::mem::size_of::<Expr>() <= 48);
+const _: () = assert!(std::mem::size_of::<Stmt>() <= 64);
+const _: () = assert!(std::mem::size_of::<Item>() <= 64);
 
 /// A `module … endmodule` definition.
 #[derive(Clone, PartialEq)]
@@ -142,23 +181,23 @@ pub struct Range {
     pub span: Span,
 }
 
-/// An item in a module body.
+/// An item in a module body; variants too large for the enum are boxed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// `wire`/`reg` declaration (possibly multiple names, arrays, inits).
-    Net(NetDecl),
+    Net(Box<NetDecl>),
     /// `parameter`/`localparam` declaration.
-    Param(ParamDecl),
+    Param(Box<ParamDecl>),
     /// `integer i, j;`
     Integer(IntegerDecl),
     /// `assign lhs = rhs;`
-    Assign(ContAssign),
+    Assign(Box<ContAssign>),
     /// `always @(…) stmt`
-    Always(AlwaysBlock),
+    Always(Box<AlwaysBlock>),
     /// `initial stmt`
-    Initial(InitialBlock),
+    Initial(Box<InitialBlock>),
     /// Module instantiation.
-    Instance(Instance),
+    Instance(Box<Instance>),
 }
 
 impl Item {
@@ -194,7 +233,7 @@ pub struct NetDecl {
     pub kind: NetKind,
     pub signed: bool,
     pub range: Option<Range>,
-    pub decls: Vec<Declarator>,
+    pub decls: List<Declarator>,
     pub span: Span,
 }
 
@@ -205,14 +244,14 @@ pub struct ParamDecl {
     pub local: bool,
     pub range: Option<Range>,
     /// `(name, value)` pairs.
-    pub params: Vec<(Symbol, Expr)>,
+    pub params: List<(Symbol, Expr)>,
     pub span: Span,
 }
 
 /// An `integer` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegerDecl {
-    pub names: Vec<Symbol>,
+    pub names: List<Symbol>,
     pub span: Span,
 }
 
@@ -245,7 +284,7 @@ pub enum Sensitivity {
     /// `@(*)` or `@*`.
     Star,
     /// `@(a or posedge clk, …)`.
-    List(Vec<SensItem>),
+    List(List<SensItem>),
 }
 
 impl Sensitivity {
@@ -297,21 +336,21 @@ pub struct Connection {
     pub span: Span,
 }
 
-/// A behavioural statement.
+/// A behavioural statement; variants too large for the enum are boxed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `begin … end`
     Block(Block),
     /// Blocking assignment `lhs = rhs;`
-    Blocking(Assign),
+    Blocking(Box<Assign>),
     /// Non-blocking assignment `lhs <= rhs;`
-    NonBlocking(Assign),
+    NonBlocking(Box<Assign>),
     /// `if (…) … else …`
-    If(IfStmt),
+    If(Box<IfStmt>),
     /// `case`/`casez`/`casex`
-    Case(CaseStmt),
+    Case(Box<CaseStmt>),
     /// `for (i = …; cond; i = …) body`
-    For(ForStmt),
+    For(Box<ForStmt>),
     /// A system task call such as `$display(…);` (executed as no-op).
     SysCall(SysCall),
     /// Lone `;`
@@ -354,8 +393,8 @@ pub struct Assign {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IfStmt {
     pub cond: Expr,
-    pub then_branch: Box<Stmt>,
-    pub else_branch: Option<Box<Stmt>>,
+    pub then_branch: Stmt,
+    pub else_branch: Option<Stmt>,
     pub span: Span,
 }
 
@@ -374,7 +413,7 @@ pub struct CaseStmt {
     pub expr: Expr,
     pub arms: Vec<CaseArm>,
     /// `default:` arm, if present.
-    pub default: Option<Box<Stmt>>,
+    pub default: Option<Stmt>,
     pub span: Span,
 }
 
@@ -382,7 +421,7 @@ pub struct CaseStmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseArm {
     /// Comma-separated label expressions.
-    pub labels: Vec<Expr>,
+    pub labels: List<Expr>,
     pub body: Stmt,
     pub span: Span,
 }
@@ -395,7 +434,7 @@ pub struct ForStmt {
     pub cond: Expr,
     /// `i = step`
     pub step: (LValue, Expr),
-    pub body: Box<Stmt>,
+    pub body: Stmt,
     pub span: Span,
 }
 
@@ -543,8 +582,8 @@ impl BinaryOp {
     }
 }
 
-/// An expression.
-#[derive(Debug, Clone, PartialEq)]
+/// An expression. A node with several operands keeps them in one box.
+#[derive(Clone, PartialEq)]
 pub enum Expr {
     /// Numeric literal.
     Number(Number),
@@ -553,17 +592,38 @@ pub enum Expr {
     /// `op expr`
     Unary(UnaryOp, Box<Expr>),
     /// `lhs op rhs`
-    Binary(BinaryOp, Box<Expr>, Box<Expr>),
+    Binary(BinaryOp, Box<[Expr; 2]>),
     /// `cond ? then : else`
-    Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
+    Ternary(Box<[Expr; 3]>),
     /// `base[index]`
-    Index(Box<Expr>, Box<Expr>),
+    Index(Box<[Expr; 2]>),
     /// `base[msb:lsb]`
-    Part(Box<Expr>, Box<Expr>, Box<Expr>),
+    Part(Box<[Expr; 3]>),
     /// `{a, b, …}`
     Concat(Vec<Expr>),
     /// `{count{expr, …}}`
     Repeat(Box<Expr>, Vec<Expr>),
+}
+
+/// Each operand as a field of its own, as when every operand had a box.
+impl fmt::Debug for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut tuple = |name, fields: &[&dyn fmt::Debug]| {
+            let mut t = f.debug_tuple(name);
+            fields.iter().fold(&mut t, |t, field| t.field(field)).finish()
+        };
+        match self {
+            Expr::Number(n) => tuple("Number", &[n]),
+            Expr::Ident(name) => tuple("Ident", &[name]),
+            Expr::Unary(op, e) => tuple("Unary", &[op, e]),
+            Expr::Binary(op, operands) => tuple("Binary", &[op, &operands[0], &operands[1]]),
+            Expr::Ternary(o) => tuple("Ternary", &[&o[0], &o[1], &o[2]]),
+            Expr::Index(o) => tuple("Index", &[&o[0], &o[1]]),
+            Expr::Part(o) => tuple("Part", &[&o[0], &o[1], &o[2]]),
+            Expr::Concat(es) => tuple("Concat", &[es]),
+            Expr::Repeat(c, es) => tuple("Repeat", &[c, es]),
+        }
+    }
 }
 
 impl Expr {
@@ -585,23 +645,11 @@ impl Expr {
             Expr::Number(_) => {}
             Expr::Ident(name) => out.push(*name),
             Expr::Unary(_, e) => e.collect_idents(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_idents(out);
-                b.collect_idents(out);
+            Expr::Binary(_, operands) | Expr::Index(operands) => {
+                operands.iter().for_each(|e| e.collect_idents(out))
             }
-            Expr::Ternary(c, t, e) => {
-                c.collect_idents(out);
-                t.collect_idents(out);
-                e.collect_idents(out);
-            }
-            Expr::Index(b, i) => {
-                b.collect_idents(out);
-                i.collect_idents(out);
-            }
-            Expr::Part(b, m, l) => {
-                b.collect_idents(out);
-                m.collect_idents(out);
-                l.collect_idents(out);
+            Expr::Ternary(operands) | Expr::Part(operands) => {
+                operands.iter().for_each(|e| e.collect_idents(out))
             }
             Expr::Concat(es) => {
                 for e in es {
@@ -625,17 +673,17 @@ mod tests {
     #[test]
     fn sensitivity_edge_detection() {
         let mut names = Names::new();
-        let seq = Sensitivity::List(vec![SensItem {
+        let seq = Sensitivity::List(List::One(SensItem {
             edge: Some(Edge::Pos),
             signal: names.intern("clk"),
             span: Span::default(),
-        }]);
+        }));
         assert!(seq.is_edge_triggered());
-        let comb = Sensitivity::List(vec![SensItem {
+        let comb = Sensitivity::List(List::Many(vec![SensItem {
             edge: None,
             signal: names.intern("a"),
             span: Span::default(),
-        }]);
+        }]));
         assert!(!comb.is_edge_triggered());
         assert!(!Sensitivity::Star.is_edge_triggered());
     }
@@ -643,12 +691,9 @@ mod tests {
     #[test]
     fn expr_ident_collection() {
         let mut names = Names::new();
-        let mut ident = |name| Box::new(Expr::Ident(names.intern(name)));
-        let e = Expr::Binary(
-            BinaryOp::Add,
-            ident("a"),
-            Box::new(Expr::Ternary(ident("sel"), ident("b"), Box::new(Expr::number(0)))),
-        );
+        let mut ident = |name| Expr::Ident(names.intern(name));
+        let ternary = Expr::Ternary(Box::new([ident("sel"), ident("b"), Expr::number(0)]));
+        let e = Expr::Binary(BinaryOp::Add, Box::new([ident("a"), ternary]));
         let idents: Vec<&str> = e.idents().into_iter().map(|s| &names[s]).collect();
         assert_eq!(idents, vec!["a", "sel", "b"]);
     }

@@ -34,6 +34,8 @@ pub enum SyntaxErrorKind {
         /// The nesting bound that was exceeded.
         limit: usize,
     },
+    /// The text is 4 GiB or longer, past what a token's offsets hold.
+    TooLong,
 }
 
 /// A fatal syntax error with location information.
@@ -52,14 +54,15 @@ pub struct SyntaxError {
 }
 
 impl SyntaxError {
-    /// Creates an error of `kind` at `span` with `message`.
-    pub fn new(kind: SyntaxErrorKind, span: Span, message: impl Into<String>) -> Self {
-        SyntaxError { kind, span, message: message.into() }
+    /// Creates an error of `kind` at `span` with `message`, boxed: every
+    /// `?` of the lexer and the parser moves a `Result` of one.
+    pub fn new(kind: SyntaxErrorKind, span: Span, message: impl Into<String>) -> Box<Self> {
+        Box::new(SyntaxError { kind, span, message: message.into() })
     }
 
     /// A literal at `span` whose width, `written` without underscores,
     /// is outside 1..=128.
-    pub(crate) fn unsupported_width(span: Span, written: impl fmt::Display) -> Self {
+    pub(crate) fn unsupported_width(span: Span, written: impl fmt::Display) -> Box<Self> {
         SyntaxError::new(
             SyntaxErrorKind::MalformedNumber,
             span,
@@ -87,6 +90,8 @@ impl fmt::Display for SyntaxError {
 }
 
 impl std::error::Error for SyntaxError {}
+
+const _: () = assert!(std::mem::size_of::<Result<crate::Expr, Box<SyntaxError>>>() <= 48);
 
 #[cfg(test)]
 mod tests {

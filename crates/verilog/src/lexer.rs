@@ -25,15 +25,21 @@ impl<'a> Lexer<'a> {
     /// Lexes the entire input, returning tokens (including a final
     /// [`TokenKind::Eof`]) or the first lexical error.
     ///
-    /// The token vector is the one allocation: every token covers at
-    /// least one byte, so it is sized for one token per byte plus `Eof`.
+    /// The token vector is the one allocation, sized by [`token_bound`].
     ///
     /// # Errors
     ///
     /// Returns a [`SyntaxError`] for unterminated comments/strings,
-    /// malformed based literals and unexpected characters.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, SyntaxError> {
-        let mut out = Vec::with_capacity(self.bytes.len() + 1);
+    /// malformed based literals, unexpected characters and 4 GiB texts.
+    pub fn tokenize(mut self) -> Result<Vec<Token>, Box<SyntaxError>> {
+        if self.bytes.len() >= u32::MAX as usize {
+            return Err(SyntaxError::new(
+                SyntaxErrorKind::TooLong,
+                Span::point(0),
+                "text of 4 GiB or more",
+            ));
+        }
+        let mut out = Vec::with_capacity(token_bound(self.bytes));
         loop {
             let tok = self.next_token()?;
             let eof = tok.kind == TokenKind::Eof;
@@ -52,13 +58,7 @@ impl<'a> Lexer<'a> {
         *self.bytes.get(self.pos + 1).unwrap_or(&0)
     }
 
-    fn bump(&mut self) -> u8 {
-        let b = self.peek();
-        self.pos += 1;
-        b
-    }
-
-    fn skip_trivia(&mut self) -> Result<(), SyntaxError> {
+    fn skip_trivia(&mut self) -> Result<(), Box<SyntaxError>> {
         loop {
             match self.peek() {
                 b' ' | b'\t' | b'\r' | b'\n' => {
@@ -100,218 +100,81 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token, SyntaxError> {
+    /// Consumes the current byte as (the last byte of) a `kind` token.
+    fn bump_as(&mut self, kind: TokenKind) -> TokenKind {
+        self.pos += 1;
+        kind
+    }
+
+    /// Consumes the current byte, and `next` if it follows: `long` then.
+    fn one_or_two(&mut self, next: u8, long: TokenKind, short: TokenKind) -> TokenKind {
+        self.pos += 1;
+        if self.peek() == next {
+            return self.bump_as(long);
+        }
+        short
+    }
+
+    fn next_token(&mut self) -> Result<Token, Box<SyntaxError>> {
+        use TokenKind::*;
         self.skip_trivia()?;
         let start = self.pos;
         if self.pos >= self.bytes.len() {
-            return Ok(Token::new(TokenKind::Eof, Span::point(start)));
+            return Ok(Token::new(Eof, Span::point(start)));
         }
-        let c = self.peek();
-        let kind = match c {
+        let single = match self.peek() {
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => return Ok(self.lex_ident(start)),
             b'0'..=b'9' => return self.lex_number(start),
             b'\'' => return self.lex_based_literal(start, None),
             b'$' => return Ok(self.lex_sys_ident(start)),
             b'"' => return self.lex_string(start),
-            b'(' => {
-                self.bump();
-                TokenKind::LParen
-            }
-            b')' => {
-                self.bump();
-                TokenKind::RParen
-            }
-            b'[' => {
-                self.bump();
-                TokenKind::LBracket
-            }
-            b']' => {
-                self.bump();
-                TokenKind::RBracket
-            }
-            b'{' => {
-                self.bump();
-                TokenKind::LBrace
-            }
-            b'}' => {
-                self.bump();
-                TokenKind::RBrace
-            }
-            b';' => {
-                self.bump();
-                TokenKind::Semi
-            }
-            b',' => {
-                self.bump();
-                TokenKind::Comma
-            }
-            b':' => {
-                self.bump();
-                TokenKind::Colon
-            }
-            b'.' => {
-                self.bump();
-                TokenKind::Dot
-            }
-            b'#' => {
-                self.bump();
-                TokenKind::Hash
-            }
-            b'@' => {
-                self.bump();
-                TokenKind::At
-            }
-            b'?' => {
-                self.bump();
-                TokenKind::Question
-            }
-            b'+' => {
-                self.bump();
-                if self.peek() == b':' {
-                    self.bump();
-                    TokenKind::PlusColon
-                } else {
-                    TokenKind::Plus
-                }
-            }
-            b'-' => {
-                self.bump();
-                if self.peek() == b':' {
-                    self.bump();
-                    TokenKind::MinusColon
-                } else {
-                    TokenKind::Minus
-                }
-            }
-            b'*' => {
-                self.bump();
-                if self.peek() == b'*' {
-                    self.bump();
-                    TokenKind::Power
-                } else {
-                    TokenKind::Star
-                }
-            }
-            b'/' => {
-                self.bump();
-                TokenKind::Slash
-            }
-            b'%' => {
-                self.bump();
-                TokenKind::Percent
-            }
-            b'!' => {
-                self.bump();
-                if self.peek() == b'=' {
-                    self.bump();
-                    if self.peek() == b'=' {
-                        self.bump();
-                        TokenKind::CaseNe
-                    } else {
-                        TokenKind::NotEq
-                    }
-                } else {
-                    TokenKind::Not
-                }
-            }
-            b'~' => {
-                self.bump();
-                match self.peek() {
-                    b'&' => {
-                        self.bump();
-                        TokenKind::TildeAmp
-                    }
-                    b'|' => {
-                        self.bump();
-                        TokenKind::TildePipe
-                    }
-                    b'^' => {
-                        self.bump();
-                        TokenKind::TildeCaret
-                    }
-                    _ => TokenKind::Tilde,
-                }
-            }
-            b'&' => {
-                self.bump();
-                if self.peek() == b'&' {
-                    self.bump();
-                    TokenKind::AndAnd
-                } else {
-                    TokenKind::Amp
-                }
-            }
-            b'|' => {
-                self.bump();
-                if self.peek() == b'|' {
-                    self.bump();
-                    TokenKind::OrOr
-                } else {
-                    TokenKind::Pipe
-                }
-            }
-            b'^' => {
-                self.bump();
-                if self.peek() == b'~' {
-                    self.bump();
-                    TokenKind::TildeCaret
-                } else {
-                    TokenKind::Caret
-                }
-            }
-            b'=' => {
-                self.bump();
-                if self.peek() == b'=' {
-                    self.bump();
-                    if self.peek() == b'=' {
-                        self.bump();
-                        TokenKind::CaseEq
-                    } else {
-                        TokenKind::EqEq
-                    }
-                } else {
-                    TokenKind::Assign
-                }
-            }
-            b'<' => {
-                self.bump();
-                match self.peek() {
-                    b'=' => {
-                        self.bump();
-                        TokenKind::LeAssign
-                    }
-                    b'<' => {
-                        self.bump();
-                        if self.peek() == b'<' {
-                            self.bump();
-                            TokenKind::AShl
-                        } else {
-                            TokenKind::Shl
-                        }
-                    }
-                    _ => TokenKind::Lt,
-                }
-            }
-            b'>' => {
-                self.bump();
-                match self.peek() {
-                    b'=' => {
-                        self.bump();
-                        TokenKind::Ge
-                    }
-                    b'>' => {
-                        self.bump();
-                        if self.peek() == b'>' {
-                            self.bump();
-                            TokenKind::AShr
-                        } else {
-                            TokenKind::Shr
-                        }
-                    }
-                    _ => TokenKind::Gt,
-                }
-            }
-            other => {
+            b'(' => Some(LParen),
+            b')' => Some(RParen),
+            b'[' => Some(LBracket),
+            b']' => Some(RBracket),
+            b'{' => Some(LBrace),
+            b'}' => Some(RBrace),
+            b';' => Some(Semi),
+            b',' => Some(Comma),
+            b':' => Some(Colon),
+            b'.' => Some(Dot),
+            b'#' => Some(Hash),
+            b'@' => Some(At),
+            b'?' => Some(Question),
+            b'/' => Some(Slash),
+            b'%' => Some(Percent),
+            _ => None,
+        };
+        let kind = match (single, self.peek()) {
+            (Some(kind), _) => self.bump_as(kind),
+            (None, b'+') => self.one_or_two(b':', PlusColon, Plus),
+            (None, b'-') => self.one_or_two(b':', MinusColon, Minus),
+            (None, b'*') => self.one_or_two(b'*', Power, Star),
+            (None, b'&') => self.one_or_two(b'&', AndAnd, Amp),
+            (None, b'|') => self.one_or_two(b'|', OrOr, Pipe),
+            (None, b'^') => self.one_or_two(b'~', TildeCaret, Caret),
+            (None, b'!') => match self.one_or_two(b'=', NotEq, Not) {
+                NotEq if self.peek() == b'=' => self.bump_as(CaseNe),
+                kind => kind,
+            },
+            (None, b'=') => match self.one_or_two(b'=', EqEq, Assign) {
+                EqEq if self.peek() == b'=' => self.bump_as(CaseEq),
+                kind => kind,
+            },
+            (None, b'~') => match self.one_or_two(b'&', TildeAmp, Tilde) {
+                Tilde if self.peek() == b'|' => self.bump_as(TildePipe),
+                Tilde if self.peek() == b'^' => self.bump_as(TildeCaret),
+                kind => kind,
+            },
+            (None, b'<') => match self.one_or_two(b'=', LeAssign, Lt) {
+                Lt if self.peek() == b'<' => self.one_or_two(b'<', AShl, Shl),
+                kind => kind,
+            },
+            (None, b'>') => match self.one_or_two(b'=', Ge, Gt) {
+                Gt if self.peek() == b'>' => self.one_or_two(b'>', AShr, Shr),
+                kind => kind,
+            },
+            (None, other) => {
                 return Err(SyntaxError::new(
                     SyntaxErrorKind::UnexpectedChar(other as char),
                     Span::new(start, start + 1),
@@ -341,7 +204,7 @@ impl<'a> Lexer<'a> {
         Token::new(TokenKind::SysIdent, Span::new(start, self.pos))
     }
 
-    fn lex_string(&mut self, start: usize) -> Result<Token, SyntaxError> {
+    fn lex_string(&mut self, start: usize) -> Result<Token, Box<SyntaxError>> {
         self.pos += 1; // opening quote
         while self.pos < self.bytes.len() && self.peek() != b'"' {
             if self.peek() == b'\\' {
@@ -360,14 +223,13 @@ impl<'a> Lexer<'a> {
         Ok(Token::new(TokenKind::Str, Span::new(start, self.pos)))
     }
 
-    fn lex_number(&mut self, start: usize) -> Result<Token, SyntaxError> {
+    fn lex_number(&mut self, start: usize) -> Result<Token, Box<SyntaxError>> {
         while matches!(self.peek(), b'0'..=b'9' | b'_') {
             self.pos += 1;
         }
         let digits = Span::new(start, self.pos);
         if self.peek() != b'\'' {
-            let number = NumberToken { width: None, base: NumberBase::Dec, digits, signed: false };
-            return Ok(Token::new(TokenKind::Number(number), digits));
+            return Ok(Token::new(TokenKind::Number, digits));
         }
         let written = digits.text(self.src);
         let width = written
@@ -377,7 +239,7 @@ impl<'a> Lexer<'a> {
         let token = self.lex_based_literal(start, width)?;
         match width {
             Some(_) => Ok(token),
-            None => Err(SyntaxError::unsupported_width(token.span, written.replace('_', ""))),
+            None => Err(SyntaxError::unsupported_width(token.span(), written.replace('_', ""))),
         }
     }
 
@@ -387,7 +249,7 @@ impl<'a> Lexer<'a> {
         &mut self,
         start: usize,
         width: Option<u32>,
-    ) -> Result<Token, SyntaxError> {
+    ) -> Result<Token, Box<SyntaxError>> {
         debug_assert_eq!(self.peek(), b'\'');
         self.pos += 1;
         let mut signed = false;
@@ -397,19 +259,13 @@ impl<'a> Lexer<'a> {
             signed = true;
             self.pos += 1;
         }
-        let base = match self.peek() {
-            b'b' | b'B' => NumberBase::Bin,
-            b'o' | b'O' => NumberBase::Oct,
-            b'd' | b'D' => NumberBase::Dec,
-            b'h' | b'H' => NumberBase::Hex,
-            other => {
-                return Err(SyntaxError::new(
-                    SyntaxErrorKind::MalformedNumber,
-                    Span::new(start, self.pos + 1),
-                    format!("invalid base specifier '{}' in literal", other as char),
-                ));
-            }
-        };
+        let base = NumberBase::of_letter(self.peek()).ok_or_else(|| {
+            SyntaxError::new(
+                SyntaxErrorKind::MalformedNumber,
+                Span::new(start, self.pos + 1),
+                format!("invalid base specifier '{}' in literal", self.peek() as char),
+            )
+        })?;
         self.pos += 1;
         // Digits may include x/z/? plus underscores; validate per base.
         let digits_start = self.pos;
@@ -442,8 +298,25 @@ impl<'a> Lexer<'a> {
                 ));
             }
         }
-        Ok(Token::new(TokenKind::Number(number), span))
+        Ok(Token::new(TokenKind::Number, span))
     }
+}
+
+/// At least as many tokens as `bytes` lexes to, `Eof` included: a token
+/// starts at a byte that is not whitespace and starts a word (a run of
+/// `[A-Za-z0-9_]`, or a letter after a digit or `_`) or is no word byte,
+/// save a name glued to a based literal (`8'hffgo`), which is counted at
+/// the literal's `'` and base letter instead.
+fn token_bound(bytes: &[u8]) -> usize {
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut prev = b' ';
+    let mut bound = 1;
+    for &b in bytes {
+        let glued = word(prev) && (!b.is_ascii_alphabetic() || prev.is_ascii_alphabetic());
+        bound += usize::from(!(b.is_ascii_whitespace() || word(b) && glued));
+        prev = b;
+    }
+    bound
 }
 
 /// Convenience wrapper: lexes `src` in one call.
@@ -451,7 +324,7 @@ impl<'a> Lexer<'a> {
 /// # Errors
 ///
 /// Propagates the first [`SyntaxError`] found by the lexer.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, SyntaxError> {
+pub fn tokenize(src: &str) -> Result<Vec<Token>, Box<SyntaxError>> {
     Lexer::new(src).tokenize()
 }
 
@@ -463,11 +336,12 @@ mod tests {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
-    fn digits(src: &str, kind: &TokenKind) -> String {
-        match kind {
-            TokenKind::Number(n) => n.digit_chars(src).collect(),
-            other => panic!("expected number, got {other:?}"),
-        }
+    fn number(src: &str, index: usize) -> NumberToken {
+        tokenize(src).unwrap()[index].number(src).expect("a number")
+    }
+
+    fn digits(src: &str, index: usize) -> String {
+        number(src, index).digit_chars(src).collect()
     }
 
     #[test]
@@ -491,27 +365,12 @@ mod tests {
     #[test]
     fn lexes_based_literals() {
         let src = "8'hFF 4'b10x1 'd15 12'o777 3'sb101";
-        let ks = kinds(src);
-        match &ks[0] {
-            TokenKind::Number(n) => {
-                assert_eq!(n.width, Some(8));
-                assert_eq!(n.base, NumberBase::Hex);
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
-        assert_eq!(digits(src, &ks[0]), "ff");
-        assert_eq!(digits(src, &ks[1]), "10x1");
-        match &ks[2] {
-            TokenKind::Number(n) => {
-                assert_eq!(n.width, None);
-                assert_eq!(n.base, NumberBase::Dec);
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &ks[4] {
-            TokenKind::Number(n) => assert!(n.signed),
-            other => panic!("expected number, got {other:?}"),
-        }
+        assert_eq!((number(src, 0).width, number(src, 0).base), (Some(8), NumberBase::Hex));
+        assert_eq!(digits(src, 0), "ff");
+        assert_eq!(digits(src, 1), "10x1");
+        assert_eq!((number(src, 2).width, number(src, 2).base), (None, NumberBase::Dec));
+        assert_eq!((number(src, 3).width, number(src, 3).base), (Some(12), NumberBase::Oct));
+        assert!(number(src, 4).signed && !number(src, 3).signed);
     }
 
     #[test]
@@ -552,9 +411,9 @@ mod tests {
     fn spans_are_exact() {
         let src = "assign y = a;";
         let toks = tokenize(src).unwrap();
-        assert_eq!(toks[0].span.text(src), "assign");
-        assert_eq!(toks[1].span.text(src), "y");
-        assert_eq!(toks[3].span.text(src), "a");
+        assert_eq!(toks[0].span().text(src), "assign");
+        assert_eq!(toks[1].span().text(src), "y");
+        assert_eq!(toks[3].span().text(src), "a");
     }
 
     #[test]
@@ -573,9 +432,8 @@ mod tests {
     #[test]
     fn underscores_in_numbers() {
         let src = "32'hDEAD_BEEF 1_000";
-        let ks = kinds(src);
-        assert_eq!(digits(src, &ks[0]), "deadbeef");
-        assert_eq!(digits(src, &ks[1]), "1000");
+        assert_eq!(digits(src, 0), "deadbeef");
+        assert_eq!(digits(src, 1), "1000");
     }
 
     #[test]
@@ -600,14 +458,25 @@ mod tests {
     fn tokens_own_no_text() {
         let src = "assign y = $f(\"s\") + 8'sh_A;";
         let toks = tokenize(src).unwrap();
-        let texts: Vec<&str> = toks.iter().map(|t| t.span.text(src)).collect();
+        let texts: Vec<&str> = toks.iter().map(|t| t.span().text(src)).collect();
         assert_eq!(texts, ["assign", "y", "=", "$f", "(", "\"s\"", ")", "+", "8'sh_A", ";", ""]);
         assert_eq!(toks[1].kind, TokenKind::Ident);
         assert_eq!(toks[3].kind, TokenKind::SysIdent);
         assert_eq!(toks[5].kind, TokenKind::Str);
-        let TokenKind::Number(n) = toks[8].kind else { panic!("{:?}", toks[8]) };
+        let n = toks[8].number(src).expect("a number");
         assert_eq!((n.width, n.base, n.signed), (Some(8), NumberBase::Hex, true));
         assert_eq!(n.digits.text(src), "_A");
+    }
+
+    #[test]
+    fn the_token_bound_holds() {
+        for src in
+            ["8'hffgo 123abc 123_abc 8'sh_A_b 'hF?x a$b$c x8'd1", "", "  ", "a", "8'hAAgo'hBBgo"]
+        {
+            let tokens = tokenize(src).unwrap().len();
+            assert!(token_bound(src.as_bytes()) >= tokens, "{src:?}: {tokens} tokens");
+        }
+        assert_eq!(token_bound(b"assign y = a_1 + 8'hFF;"), 10);
     }
 
     #[test]

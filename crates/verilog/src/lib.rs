@@ -43,8 +43,8 @@ pub mod span;
 pub mod token;
 pub mod visit;
 
-pub use ast::{Expr, Item, LValue, Module, SourceFile, Stmt};
+pub use ast::{Expr, Item, LValue, List, Module, SourceFile, Stmt};
 pub use error::{SyntaxError, SyntaxErrorKind};
 pub use names::{Names, Symbol};
-pub use parser::{parse, parse_expr};
+pub use parser::{edit_tokens, parse, parse_expr, parse_tokens, parse_with_tokens};
 pub use span::{LineMap, Span};

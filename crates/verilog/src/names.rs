@@ -50,7 +50,7 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// Slot of [`Names::table`] that holds no symbol.
+/// Slot of the table of [`Names`] that holds no symbol.
 const EMPTY: u32 = u32::MAX;
 
 /// The identifiers of one text, each stored once.
@@ -59,17 +59,18 @@ const EMPTY: u32 = u32::MAX;
 /// in the list of names, and an open-addressing table of symbols finds
 /// a name's symbol. Interning a name seen before allocates nothing, and
 /// a table sized up front for a text ([`Names::with_capacity`]) makes
-/// three allocations in all.
+/// two allocations in all.
 #[derive(Clone, Default)]
 pub struct Names {
     /// Every name, back to back.
     text: String,
-    /// End offset in `text` of each symbol's name; symbol *i* is
+    /// The first `buckets` entries are the symbols by hash, linear
+    /// probing, [`EMPTY`] marking a free slot; `buckets` is zero or a
+    /// power of two at least twice the name count. The rest are the end
+    /// offsets in `text` of each symbol's name: symbol *i* is
     /// `text[ends[i - 1]..ends[i]]`.
-    ends: Vec<u32>,
-    /// Symbols by hash, linear probing; [`EMPTY`] marks a free slot. The
-    /// length is zero or a power of two at least twice the name count.
-    table: Vec<u32>,
+    slots: Vec<u32>,
+    buckets: usize,
 }
 
 /// FNV-1a over the name's bytes.
@@ -86,21 +87,24 @@ impl Names {
     /// An empty table with room for `names` names of `bytes` bytes in
     /// all before it grows.
     pub fn with_capacity(names: usize, bytes: usize) -> Names {
-        Names {
-            text: String::with_capacity(bytes),
-            ends: Vec::with_capacity(names),
-            table: vec![EMPTY; (2 * names).next_power_of_two().max(8)],
-        }
+        let buckets = (2 * names).next_power_of_two().max(8);
+        let mut slots = Vec::with_capacity(buckets + names);
+        slots.resize(buckets, EMPTY);
+        Names { text: String::with_capacity(bytes), slots, buckets }
+    }
+
+    fn ends(&self) -> &[u32] {
+        &self.slots[self.buckets..]
     }
 
     /// Number of distinct names.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.slots.len() - self.buckets
     }
 
     /// True when no name has been interned.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
     /// The name of `symbol`.
@@ -109,14 +113,14 @@ impl Names {
     ///
     /// When `symbol` is not from this table.
     pub fn name(&self, symbol: Symbol) -> &str {
-        let i = symbol.0 as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[start..self.ends[i] as usize]
+        let (i, ends) = (symbol.0 as usize, self.ends());
+        let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+        &self.text[start..ends[i] as usize]
     }
 
     /// The symbol of `name`, if the table holds it.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        match self.table[self.probe(name)?] {
+        match self.slots[self.probe(name)?] {
             EMPTY => None,
             found => Some(Symbol(found)),
         }
@@ -124,35 +128,35 @@ impl Names {
 
     /// The symbol of `name`, added to the table when new.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if 2 * (self.ends.len() + 1) > self.table.len() {
+        if 2 * (self.len() + 1) > self.buckets {
             self.grow();
         }
         let slot = self.probe(name).expect("the table has a free slot");
-        if self.table[slot] != EMPTY {
-            return Symbol(self.table[slot]);
+        if self.slots[slot] != EMPTY {
+            return Symbol(self.slots[slot]);
         }
-        let symbol = self.ends.len() as u32;
+        let symbol = self.len() as u32;
         self.text.push_str(name);
-        self.ends.push(self.text.len() as u32);
-        self.table[slot] = symbol;
+        self.slots.push(self.text.len() as u32);
+        self.slots[slot] = symbol;
         Symbol(symbol)
     }
 
     /// Every symbol with its name, in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        (0..self.ends.len() as u32).map(|i| (Symbol(i), self.name(Symbol(i))))
+        (0..self.len() as u32).map(|i| (Symbol(i), self.name(Symbol(i))))
     }
 
     /// The slot holding `name`, or the free slot where it would go;
     /// `None` for an empty table.
     fn probe(&self, name: &str) -> Option<usize> {
-        if self.table.is_empty() {
+        if self.buckets == 0 {
             return None;
         }
-        let mask = self.table.len() - 1;
+        let mask = self.buckets - 1;
         let mut slot = hash(name) as usize & mask;
         loop {
-            match self.table[slot] {
+            match self.slots[slot] {
                 EMPTY => return Some(slot),
                 symbol if self.name(Symbol(symbol)) == name => return Some(slot),
                 _ => slot = (slot + 1) & mask,
@@ -162,11 +166,13 @@ impl Names {
 
     /// Doubles the table (at least 8 slots) and re-files every symbol.
     fn grow(&mut self) {
-        let len = (2 * self.table.len()).max(8);
-        self.table = vec![EMPTY; len];
-        for i in 0..self.ends.len() as u32 {
+        let buckets = (2 * self.buckets).max(8);
+        let mut slots = vec![EMPTY; buckets];
+        slots.extend_from_slice(self.ends());
+        (self.slots, self.buckets) = (slots, buckets);
+        for i in 0..self.len() as u32 {
             let slot = self.probe(self.name(Symbol(i))).expect("a free slot");
-            self.table[slot] = i;
+            self.slots[slot] = i;
         }
     }
 }
@@ -182,7 +188,7 @@ impl std::ops::Index<Symbol> for Names {
 impl PartialEq for Names {
     /// The same names with the same symbols.
     fn eq(&self, other: &Names) -> bool {
-        self.ends == other.ends && self.text == other.text
+        self.ends() == other.ends() && self.text == other.text
     }
 }
 

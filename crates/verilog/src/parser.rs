@@ -27,37 +27,84 @@ pub const MAX_NESTING: usize = 128;
 /// [`SyntaxError::render`]) so the pre-processing stage can feed them to
 /// repair back-ends unchanged.
 pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
-    parse_with_tokens(src).map(|(file, _)| file)
+    parse_with_tokens(src).map(|(file, _)| file).map_err(|e| *e)
 }
 
 /// [`parse`], also returning the tokens it parsed, for callers that read
-/// both: the text is lexed once.
+/// both: the text is lexed once. Counted in `verilog.parses`.
 ///
 /// # Errors
 ///
 /// As [`parse`].
-pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), SyntaxError> {
+pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), Box<SyntaxError>> {
     parses().inc();
-    let tokens = tokenize(src)?;
+    parse_tokens(src, tokenize(src)?)
+}
+
+/// Parses `src` from its `tokens` ([`tokenize`], [`edit_tokens`]), failing
+/// as [`parse`] does, lexical errors aside.
+pub fn parse_tokens(
+    src: &str,
+    tokens: Vec<Token>,
+) -> Result<(SourceFile, Vec<Token>), Box<SyntaxError>> {
     // Room for every identifier token, so the table never grows.
     let (count, bytes) = tokens
         .iter()
         .filter(|t| matches!(t.kind, TokenKind::Ident | TokenKind::SysIdent))
-        .fold((0, 0), |(n, b), t| (n + 1, b + t.span.text(src).len()));
+        .fold((0, 0), |(n, b), t| (n + 1, b + t.len as usize));
     let mut names = Names::with_capacity(count, bytes);
-    let modules = Parser::new(src, &tokens, &mut names).parse_source_file()?;
+    let mut modules = Parser::new(src, &tokens, &mut names).parse_source_file()?;
     let names = Arc::new(names);
-    let modules = modules
-        .into_iter()
-        .map(|(name, ports, items, span)| Module {
-            name,
-            ports,
-            items,
-            span,
-            names: Arc::clone(&names),
-        })
-        .collect();
+    match &mut modules {
+        List::One(module) => module.names = Arc::clone(&names),
+        List::Many(modules) => modules.iter_mut().for_each(|m| m.names = Arc::clone(&names)),
+    }
     Ok((SourceFile { modules, names }, tokens))
+}
+
+/// The tokens of `edited`, the text `tokens` were lexed from with the
+/// whole tokens at `span` replaced by `replacement`, lexing only the
+/// replacement and the token on each side of it. `None` when `span` does
+/// not cover whole tokens, or the replacement would not lex in place as
+/// it does there (it glues onto a neighbour, say): lex `edited` whole.
+pub fn edit_tokens(
+    tokens: &[Token],
+    span: Span,
+    replacement: &str,
+    edited: &str,
+) -> Option<Vec<Token>> {
+    // `tokens[first..after]` are replaced; `tokens[after]` (`Eof` at the
+    // latest) and the token before `first`, if any, bound the window.
+    let first = tokens.iter().position(|t| t.span().start >= span.start)?;
+    let after = first + tokens[first..].iter().position(|t| t.span().start >= span.end)?;
+    if after == first
+        || tokens[first].span().start != span.start
+        || tokens[after - 1].span().end != span.end
+    {
+        return None;
+    }
+    let before = first.checked_sub(1);
+    let start = before.map_or(0, |i| tokens[i].span().start);
+    // Where a byte at or after the replaced tokens of the text moved to.
+    let moved = |at: usize| at + replacement.len() - span.len();
+    let next = tokens[after];
+    let window = edited.get(start..moved(next.span().end))?;
+    let lexed = tokenize(window).ok()?;
+    let last = lexed.len().checked_sub(1 + usize::from(next.kind != TokenKind::Eof))?;
+    let same = |t: &Token, was: &Token, at: usize| {
+        t.kind == was.kind && t.len == was.len && t.start as usize + start == at
+    };
+    let glued = before.is_some_and(|i| !same(&lexed[0], &tokens[i], start));
+    if glued || !same(&lexed[last], &next, moved(next.span().start)) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(tokens.len() + lexed.len() - (after - first));
+    out.extend_from_slice(&tokens[..before.unwrap_or(0)]);
+    out.extend(lexed[..=last].iter().map(|t| Token { start: t.start + start as u32, ..*t }));
+    out.extend(
+        tokens[after + 1..].iter().map(|t| Token { start: moved(t.start as usize) as u32, ..*t }),
+    );
+    Some(out)
 }
 
 /// `verilog.parses`: calls of [`parse_with_tokens`] (and so of
@@ -73,7 +120,7 @@ fn parses() -> &'static uvllm_obs::Counter {
 /// # Errors
 ///
 /// Returns an error when `src` is not exactly one expression.
-pub fn parse_expr(src: &str, names: &mut Names) -> Result<Expr, SyntaxError> {
+pub fn parse_expr(src: &str, names: &mut Names) -> Result<Expr, Box<SyntaxError>> {
     let tokens = tokenize(src)?;
     let mut p = Parser::new(src, &tokens, names);
     let e = p.expr()?;
@@ -81,9 +128,11 @@ pub fn parse_expr(src: &str, names: &mut Names) -> Result<Expr, SyntaxError> {
     Ok(e)
 }
 
-/// A module as the parser produces it: name, ports, items and span,
-/// before the finished table is attached.
-type ModuleParts = (Symbol, Vec<Port>, Vec<Item>, Span);
+/// A module's table until its text's is finished.
+fn unfinished() -> Arc<Names> {
+    static EMPTY: OnceLock<Arc<Names>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Default::default))
+}
 
 struct Parser<'a> {
     src: &'a str,
@@ -126,12 +175,12 @@ impl<'a> Parser<'a> {
     /// [`MAX_NESTING`].
     fn nested<T>(
         &mut self,
-        production: impl FnOnce(&mut Self) -> Result<T, SyntaxError>,
-    ) -> Result<T, SyntaxError> {
+        production: impl FnOnce(&mut Self) -> Result<T, Box<SyntaxError>>,
+    ) -> Result<T, Box<SyntaxError>> {
         if self.depth == MAX_NESTING {
             return Err(SyntaxError::new(
                 SyntaxErrorKind::TooDeep { limit: MAX_NESTING },
-                self.peek().span,
+                self.peek().span(),
                 format!("syntax error, nesting deeper than {MAX_NESTING} levels"),
             ));
         }
@@ -167,12 +216,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn error(&self, expected: &str) -> SyntaxError {
+    fn error(&self, expected: &str) -> Box<SyntaxError> {
         let tok = self.peek();
         if tok.kind == TokenKind::Eof {
             SyntaxError::new(
                 SyntaxErrorKind::UnexpectedEof { expected: expected.to_string() },
-                tok.span,
+                tok.span(),
                 format!("unexpected end of input, expected {expected}"),
             )
         } else {
@@ -181,7 +230,7 @@ impl<'a> Parser<'a> {
                     found: tok.display(self.src).to_string(),
                     expected: expected.to_string(),
                 },
-                tok.span,
+                tok.span(),
                 format!(
                     "syntax error, unexpected '{}', expected {expected}",
                     tok.display(self.src)
@@ -190,7 +239,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, SyntaxError> {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, Box<SyntaxError>> {
         if self.at(kind) {
             Ok(self.bump())
         } else {
@@ -198,7 +247,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_kw(&mut self, kw: Keyword, what: &str) -> Result<Token, SyntaxError> {
+    fn expect_kw(&mut self, kw: Keyword, what: &str) -> Result<Token, Box<SyntaxError>> {
         if self.at_kw(kw) {
             Ok(self.bump())
         } else {
@@ -206,16 +255,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(Symbol, Span), SyntaxError> {
+    fn expect_ident(&mut self, what: &str) -> Result<(Symbol, Span), Box<SyntaxError>> {
         if self.at(&TokenKind::Ident) {
-            let span = self.bump().span;
+            let span = self.bump().span();
             Ok((self.symbol(span), span))
         } else {
             Err(self.error(what))
         }
     }
 
-    fn expect_eof(&mut self) -> Result<(), SyntaxError> {
+    fn expect_eof(&mut self) -> Result<(), Box<SyntaxError>> {
         if self.at(&TokenKind::Eof) {
             Ok(())
         } else {
@@ -227,19 +276,46 @@ impl<'a> Parser<'a> {
     // Source file and module structure
     // ------------------------------------------------------------------
 
-    fn parse_source_file(&mut self) -> Result<Vec<ModuleParts>, SyntaxError> {
-        let mut modules = Vec::new();
+    fn parse_source_file(&mut self) -> Result<List<Module>, Box<SyntaxError>> {
+        if self.at(&TokenKind::Eof) {
+            return Err(self.error("a module definition"));
+        }
+        let first = self.module()?;
+        if self.at(&TokenKind::Eof) {
+            return Ok(List::One(first));
+        }
+        let mut modules = vec![first];
         while !self.at(&TokenKind::Eof) {
             modules.push(self.module()?);
         }
-        if modules.is_empty() {
-            return Err(self.error("a module definition"));
-        }
-        Ok(modules)
+        Ok(List::Many(modules))
     }
 
-    fn module(&mut self) -> Result<ModuleParts, SyntaxError> {
-        let start = self.expect_kw(Keyword::Module, "'module'")?.span;
+    /// `entry`s separated by commas (or, in a sensitivity list, `or`s),
+    /// sized before filled; a lone entry is kept inline.
+    fn list<T>(
+        &mut self,
+        sensitivity: bool,
+        mut entry: impl FnMut(&mut Self) -> Result<T, Box<SyntaxError>>,
+    ) -> Result<List<T>, Box<SyntaxError>> {
+        let separated =
+            |p: &mut Self| (sensitivity && p.eat_kw(Keyword::Or)) || p.eat(&TokenKind::Comma);
+        let first = entry(self)?;
+        if !separated(self) {
+            return Ok(List::One(first));
+        }
+        let mut entries = Vec::with_capacity(self.entries(true) + 1);
+        entries.push(first);
+        loop {
+            entries.push(entry(self)?);
+            if !separated(self) {
+                return Ok(List::Many(entries));
+            }
+        }
+    }
+
+    fn module(&mut self) -> Result<Module, Box<SyntaxError>> {
+        let start = self.expect_kw(Keyword::Module, "'module'")?.span();
         let (name, _) = self.expect_ident("module name")?;
         let mut ports: Vec<Port> = Vec::new();
         let mut items: Vec<Item> = Vec::new();
@@ -248,19 +324,19 @@ impl<'a> Parser<'a> {
         if self.eat(&TokenKind::Hash) {
             self.expect(&TokenKind::LParen, "'(' after '#'")?;
             loop {
-                let pstart = self.peek().span;
+                let pstart = self.peek().span();
                 self.eat_kw(Keyword::Parameter);
                 let range = self.optional_range()?;
                 let (pname, _) = self.expect_ident("parameter name")?;
                 self.expect(&TokenKind::Assign, "'=' in parameter")?;
                 let value = self.expr()?;
                 let pspan = pstart.merge(self.prev_span());
-                items.push(Item::Param(ParamDecl {
+                items.push(Item::Param(Box::new(ParamDecl {
                     local: false,
                     range,
-                    params: vec![(pname, value)],
+                    params: List::One((pname, value)),
                     span: pspan,
-                }));
+                })));
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -271,67 +347,39 @@ impl<'a> Parser<'a> {
         // Port header: ANSI declarations or bare names.
         if self.eat(&TokenKind::LParen) {
             if !self.at(&TokenKind::RParen) {
-                let mut last: Option<(PortDir, NetKind, bool, Option<Range>)> = None;
+                ports.reserve_exact(self.entries(false));
+                // The port a bare name continues, if any.
+                let mut last: Option<usize> = None;
                 loop {
-                    let pstart = self.peek().span;
-                    let dir = match self.peek_kind() {
-                        TokenKind::Keyword(Keyword::Input) => {
-                            self.bump();
-                            Some(PortDir::Input)
-                        }
-                        TokenKind::Keyword(Keyword::Output) => {
-                            self.bump();
-                            Some(PortDir::Output)
-                        }
-                        TokenKind::Keyword(Keyword::Inout) => {
-                            self.bump();
-                            Some(PortDir::Inout)
-                        }
-                        _ => None,
-                    };
-                    if let Some(dir) = dir {
+                    let pstart = self.peek().span();
+                    let port = match self.port_dir() {
                         // ANSI-style declared port.
-                        let net = if self.eat_kw(Keyword::Reg) {
-                            NetKind::Reg
-                        } else {
-                            self.eat_kw(Keyword::Wire);
-                            NetKind::Wire
-                        };
-                        let signed = self.eat_kw(Keyword::Signed);
-                        let range = self.optional_range()?;
-                        let (pname, pspan) = self.expect_ident("port name")?;
-                        ports.push(Port {
-                            name: pname,
-                            dir,
-                            net,
-                            range: range.clone(),
-                            signed,
-                            span: pstart.merge(pspan),
-                        });
-                        last = Some((dir, net, signed, range));
-                    } else {
+                        Some(dir) => {
+                            let net = self.net_kind();
+                            let signed = self.eat_kw(Keyword::Signed);
+                            let range = self.optional_range()?;
+                            let (name, pspan) = self.expect_ident("port name")?;
+                            last = Some(ports.len());
+                            Port { name, dir, net, range, signed, span: pstart.merge(pspan) }
+                        }
                         // Bare name: continuation of previous ANSI decl,
                         // or a non-ANSI port completed in the body.
-                        let (pname, pspan) = self.expect_ident("port name")?;
-                        match &last {
-                            Some((dir, net, signed, range)) => ports.push(Port {
-                                name: pname,
-                                dir: *dir,
-                                net: *net,
-                                range: range.clone(),
-                                signed: *signed,
-                                span: pspan,
-                            }),
-                            None => ports.push(Port {
-                                name: pname,
-                                dir: PortDir::Input,
-                                net: NetKind::Wire,
-                                range: None,
-                                signed: false,
-                                span: pspan,
-                            }),
+                        None => {
+                            let (name, span) = self.expect_ident("port name")?;
+                            match last {
+                                Some(i) => Port { name, span, ..ports[i].clone() },
+                                None => Port {
+                                    name,
+                                    dir: PortDir::Input,
+                                    net: NetKind::Wire,
+                                    range: None,
+                                    signed: false,
+                                    span,
+                                },
+                            }
                         }
-                    }
+                    };
+                    ports.push(port);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
@@ -347,23 +395,46 @@ impl<'a> Parser<'a> {
             }
             self.item(&mut ports, &mut items)?;
         }
-        let end = self.expect_kw(Keyword::Endmodule, "'endmodule'")?.span;
-        Ok((name, ports, items, start.merge(end)))
+        let end = self.expect_kw(Keyword::Endmodule, "'endmodule'")?.span();
+        Ok(Module { name, ports, items, span: start.merge(end), names: unfinished() })
+    }
+
+    /// Entries of the list at the cursor: one more than its commas (and
+    /// `or`s) outside brackets before a closing bracket, a `;` or, with
+    /// `to_colon`, a `:`. Lists are sized before they are filled.
+    fn entries(&self, to_colon: bool) -> usize {
+        let (mut depth, mut entries) = (0usize, 1);
+        for token in &self.tokens[self.pos..] {
+            match token.kind {
+                TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => depth += 1,
+                TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace if depth > 0 => {
+                    depth -= 1
+                }
+                TokenKind::Comma | TokenKind::Keyword(Keyword::Or) if depth == 0 => entries += 1,
+                TokenKind::Colon if depth == 0 && to_colon => break,
+                TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace | TokenKind::Semi => {
+                    break
+                }
+                TokenKind::Eof => break,
+                _ => {}
+            }
+        }
+        entries
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1)].span
+        self.tokens[self.pos.saturating_sub(1)].span()
     }
 
-    fn optional_range(&mut self) -> Result<Option<Range>, SyntaxError> {
+    fn optional_range(&mut self) -> Result<Option<Range>, Box<SyntaxError>> {
         if !self.at(&TokenKind::LBracket) {
             return Ok(None);
         }
-        let start = self.bump().span;
+        let start = self.bump().span();
         let msb = self.expr()?;
         self.expect(&TokenKind::Colon, "':' in range")?;
         let lsb = self.expr()?;
-        let end = self.expect(&TokenKind::RBracket, "']' closing range")?.span;
+        let end = self.expect(&TokenKind::RBracket, "']' closing range")?.span();
         Ok(Some(Range { msb, lsb, span: start.merge(end) }))
     }
 
@@ -371,18 +442,17 @@ impl<'a> Parser<'a> {
     // Module items
     // ------------------------------------------------------------------
 
-    fn item(&mut self, ports: &mut Vec<Port>, items: &mut Vec<Item>) -> Result<(), SyntaxError> {
-        match self.peek_kind() {
-            TokenKind::Keyword(Keyword::Input) => self.body_port_decl(PortDir::Input, ports, items),
-            TokenKind::Keyword(Keyword::Output) => {
-                self.body_port_decl(PortDir::Output, ports, items)
-            }
-            TokenKind::Keyword(Keyword::Inout) => self.body_port_decl(PortDir::Inout, ports, items),
-            TokenKind::Keyword(Keyword::Wire) => {
-                let d = self.net_decl(NetKind::Wire)?;
-                items.push(Item::Net(d));
-                Ok(())
-            }
+    fn item(
+        &mut self,
+        ports: &mut Vec<Port>,
+        items: &mut Vec<Item>,
+    ) -> Result<(), Box<SyntaxError>> {
+        let start = self.peek().span();
+        if let Some(dir) = self.port_dir() {
+            return self.body_port_decl(start, dir, ports, items);
+        }
+        let item = match self.peek_kind() {
+            TokenKind::Keyword(Keyword::Wire) => Item::Net(Box::new(self.net_decl(NetKind::Wire)?)),
             TokenKind::Keyword(Keyword::Reg) => {
                 let d = self.net_decl(NetKind::Reg)?;
                 // `reg` re-declaration of an output port upgrades it.
@@ -394,82 +464,76 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                items.push(Item::Net(d));
-                Ok(())
+                Item::Net(Box::new(d))
             }
             TokenKind::Keyword(Keyword::Integer) => {
-                let start = self.bump().span;
-                let mut names = Vec::new();
-                loop {
-                    let (n, _) = self.expect_ident("integer name")?;
-                    names.push(n);
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-                let end = self.expect(&TokenKind::Semi, "';' after integer declaration")?.span;
-                items.push(Item::Integer(IntegerDecl { names, span: start.merge(end) }));
-                Ok(())
+                let start = self.bump().span();
+                let names = self.list(false, |p| Ok(p.expect_ident("integer name")?.0))?;
+                let end = self.expect(&TokenKind::Semi, "';' after integer declaration")?.span();
+                Item::Integer(IntegerDecl { names, span: start.merge(end) })
             }
             TokenKind::Keyword(Keyword::Parameter) => {
-                let d = self.param_decl(false)?;
-                items.push(Item::Param(d));
-                Ok(())
+                Item::Param(Box::new(self.param_decl(false)?))
             }
             TokenKind::Keyword(Keyword::Localparam) => {
-                let d = self.param_decl(true)?;
-                items.push(Item::Param(d));
-                Ok(())
+                Item::Param(Box::new(self.param_decl(true)?))
             }
             TokenKind::Keyword(Keyword::Assign) => {
-                let start = self.bump().span;
+                let start = self.bump().span();
                 let lhs = self.lvalue()?;
                 self.expect(&TokenKind::Assign, "'=' in continuous assignment")?;
                 let rhs = self.expr()?;
-                let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
-                items.push(Item::Assign(ContAssign { lhs, rhs, span: start.merge(end) }));
-                Ok(())
+                let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span();
+                Item::Assign(Box::new(ContAssign { lhs, rhs, span: start.merge(end) }))
             }
-            TokenKind::Keyword(Keyword::Always) => {
-                let a = self.always_block()?;
-                items.push(Item::Always(a));
-                Ok(())
-            }
+            TokenKind::Keyword(Keyword::Always) => Item::Always(Box::new(self.always_block()?)),
             TokenKind::Keyword(Keyword::Initial) => {
-                let start = self.bump().span;
+                let start = self.bump().span();
                 let body = self.stmt()?;
                 let span = start.merge(body.span());
-                items.push(Item::Initial(InitialBlock { body, span }));
-                Ok(())
+                Item::Initial(Box::new(InitialBlock { body, span }))
             }
-            TokenKind::Ident => {
-                let inst = self.instance()?;
-                items.push(Item::Instance(inst));
-                Ok(())
-            }
-            _ => Err(self.error("a module item")),
-        }
+            TokenKind::Ident => Item::Instance(Box::new(self.instance()?)),
+            _ => return Err(self.error("a module item")),
+        };
+        items.push(item);
+        Ok(())
     }
 
+    /// The direction keyword at the cursor, consumed.
+    fn port_dir(&mut self) -> Option<PortDir> {
+        let dir = match self.peek_kind() {
+            TokenKind::Keyword(Keyword::Input) => PortDir::Input,
+            TokenKind::Keyword(Keyword::Output) => PortDir::Output,
+            TokenKind::Keyword(Keyword::Inout) => PortDir::Inout,
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(dir)
+    }
+
+    /// An optional `reg` or `wire` after a direction.
+    fn net_kind(&mut self) -> NetKind {
+        if self.eat_kw(Keyword::Reg) {
+            return NetKind::Reg;
+        }
+        self.eat_kw(Keyword::Wire);
+        NetKind::Wire
+    }
+
+    /// A port declaration in the body; `start` is its direction's span.
     fn body_port_decl(
         &mut self,
+        start: Span,
         dir: PortDir,
         ports: &mut Vec<Port>,
         items: &mut Vec<Item>,
-    ) -> Result<(), SyntaxError> {
-        let start = self.bump().span;
-        let net = if self.eat_kw(Keyword::Reg) {
-            NetKind::Reg
-        } else {
-            self.eat_kw(Keyword::Wire);
-            NetKind::Wire
-        };
+    ) -> Result<(), Box<SyntaxError>> {
+        let net = self.net_kind();
         let signed = self.eat_kw(Keyword::Signed);
         let range = self.optional_range()?;
-        let mut decls = Vec::new();
-        loop {
-            let (name, nspan) = self.expect_ident("port name")?;
-            decls.push(Declarator { name, array: None, init: None, span: nspan });
+        let decls = self.list(false, |p| {
+            let (name, nspan) = p.expect_ident("port name")?;
             match ports.iter_mut().find(|p| p.name == name) {
                 Some(p) => {
                     p.dir = dir;
@@ -485,62 +549,50 @@ impl<'a> Parser<'a> {
                     ports.push(Port { name, dir, net, range: range.clone(), signed, span: nspan })
                 }
             }
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
-        }
-        let end = self.expect(&TokenKind::Semi, "';' after port declaration")?.span;
+            Ok(Declarator { name, array: None, init: None, span: nspan })
+        })?;
+        let end = self.expect(&TokenKind::Semi, "';' after port declaration")?.span();
         // Body port declarations for `output reg` also declare storage.
         if net == NetKind::Reg {
-            items.push(Item::Net(NetDecl {
+            items.push(Item::Net(Box::new(NetDecl {
                 kind: NetKind::Reg,
                 signed,
                 range,
                 decls,
                 span: start.merge(end),
-            }));
+            })));
         }
         Ok(())
     }
 
-    fn net_decl(&mut self, kind: NetKind) -> Result<NetDecl, SyntaxError> {
-        let start = self.bump().span;
+    fn net_decl(&mut self, kind: NetKind) -> Result<NetDecl, Box<SyntaxError>> {
+        let start = self.bump().span();
         let signed = self.eat_kw(Keyword::Signed);
         let range = self.optional_range()?;
-        let mut decls = Vec::new();
-        loop {
-            let (name, nspan) = self.expect_ident("net name")?;
-            let array = self.optional_range()?;
-            let init = if self.eat(&TokenKind::Assign) { Some(self.expr()?) } else { None };
-            let span = nspan.merge(self.prev_span());
-            decls.push(Declarator { name, array, init, span });
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
-        }
-        let end = self.expect(&TokenKind::Semi, "';' after declaration")?.span;
+        let decls = self.list(false, |p| {
+            let (name, nspan) = p.expect_ident("net name")?;
+            let array = p.optional_range()?;
+            let init = if p.eat(&TokenKind::Assign) { Some(p.expr()?) } else { None };
+            Ok(Declarator { name, array, init, span: nspan.merge(p.prev_span()) })
+        })?;
+        let end = self.expect(&TokenKind::Semi, "';' after declaration")?.span();
         Ok(NetDecl { kind, signed, range, decls, span: start.merge(end) })
     }
 
-    fn param_decl(&mut self, local: bool) -> Result<ParamDecl, SyntaxError> {
-        let start = self.bump().span;
+    fn param_decl(&mut self, local: bool) -> Result<ParamDecl, Box<SyntaxError>> {
+        let start = self.bump().span();
         let range = self.optional_range()?;
-        let mut params = Vec::new();
-        loop {
-            let (name, _) = self.expect_ident("parameter name")?;
-            self.expect(&TokenKind::Assign, "'=' in parameter")?;
-            let value = self.expr()?;
-            params.push((name, value));
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
-        }
-        let end = self.expect(&TokenKind::Semi, "';' after parameter")?.span;
+        let params = self.list(false, |p| {
+            let (name, _) = p.expect_ident("parameter name")?;
+            p.expect(&TokenKind::Assign, "'=' in parameter")?;
+            Ok((name, p.expr()?))
+        })?;
+        let end = self.expect(&TokenKind::Semi, "';' after parameter")?.span();
         Ok(ParamDecl { local, range, params, span: start.merge(end) })
     }
 
-    fn always_block(&mut self) -> Result<AlwaysBlock, SyntaxError> {
-        let start = self.bump().span;
+    fn always_block(&mut self) -> Result<AlwaysBlock, Box<SyntaxError>> {
+        let start = self.bump().span();
         self.expect(&TokenKind::At, "'@' after 'always'")?;
         let sensitivity = if self.eat(&TokenKind::Star) {
             Sensitivity::Star
@@ -550,22 +602,18 @@ impl<'a> Parser<'a> {
                 self.expect(&TokenKind::RParen, "')' after '*'")?;
                 Sensitivity::Star
             } else {
-                let mut list = Vec::new();
-                loop {
-                    let istart = self.peek().span;
-                    let edge = if self.eat_kw(Keyword::Posedge) {
+                let list = self.list(true, |p| {
+                    let istart = p.peek().span();
+                    let edge = if p.eat_kw(Keyword::Posedge) {
                         Some(Edge::Pos)
-                    } else if self.eat_kw(Keyword::Negedge) {
+                    } else if p.eat_kw(Keyword::Negedge) {
                         Some(Edge::Neg)
                     } else {
                         None
                     };
-                    let (signal, sspan) = self.expect_ident("signal in sensitivity list")?;
-                    list.push(SensItem { edge, signal, span: istart.merge(sspan) });
-                    if !(self.eat_kw(Keyword::Or) || self.eat(&TokenKind::Comma)) {
-                        break;
-                    }
-                }
+                    let (signal, sspan) = p.expect_ident("signal in sensitivity list")?;
+                    Ok(SensItem { edge, signal, span: istart.merge(sspan) })
+                })?;
                 self.expect(&TokenKind::RParen, "')' closing sensitivity list")?;
                 Sensitivity::List(list)
             }
@@ -575,7 +623,7 @@ impl<'a> Parser<'a> {
         Ok(AlwaysBlock { sensitivity, body, span })
     }
 
-    fn instance(&mut self) -> Result<Instance, SyntaxError> {
+    fn instance(&mut self) -> Result<Instance, Box<SyntaxError>> {
         let (module, start) = self.expect_ident("module name")?;
         let mut params = Vec::new();
         if self.eat(&TokenKind::Hash) {
@@ -587,19 +635,19 @@ impl<'a> Parser<'a> {
         self.expect(&TokenKind::LParen, "'(' opening port connections")?;
         let conns = if self.at(&TokenKind::RParen) { Vec::new() } else { self.connection_list()? };
         self.expect(&TokenKind::RParen, "')' closing port connections")?;
-        let end = self.expect(&TokenKind::Semi, "';' after instantiation")?.span;
+        let end = self.expect(&TokenKind::Semi, "';' after instantiation")?.span();
         Ok(Instance { module, name, params, conns, span: start.merge(end) })
     }
 
-    fn connection_list(&mut self) -> Result<Vec<Connection>, SyntaxError> {
-        let mut out = Vec::new();
+    fn connection_list(&mut self) -> Result<Vec<Connection>, Box<SyntaxError>> {
+        let mut out = Vec::with_capacity(self.entries(false));
         loop {
-            let start = self.peek().span;
+            let start = self.peek().span();
             if self.eat(&TokenKind::Dot) {
                 let (port, _) = self.expect_ident("port name after '.'")?;
                 self.expect(&TokenKind::LParen, "'(' after port name")?;
                 let expr = if self.at(&TokenKind::RParen) { None } else { Some(self.expr()?) };
-                let end = self.expect(&TokenKind::RParen, "')' closing connection")?.span;
+                let end = self.expect(&TokenKind::RParen, "')' closing connection")?.span();
                 out.push(Connection { port: Some(port), expr, span: start.merge(end) });
             } else {
                 let expr = self.expr()?;
@@ -620,15 +668,15 @@ impl<'a> Parser<'a> {
     // Statements
     // ------------------------------------------------------------------
 
-    fn stmt(&mut self) -> Result<Stmt, SyntaxError> {
+    fn stmt(&mut self) -> Result<Stmt, Box<SyntaxError>> {
         self.nested(Self::stmt_body)
     }
 
-    fn stmt_body(&mut self) -> Result<Stmt, SyntaxError> {
+    fn stmt_body(&mut self) -> Result<Stmt, Box<SyntaxError>> {
         // Tolerate (and discard) simple delay controls `#N`.
         if self.at(&TokenKind::Hash) {
             self.bump();
-            if matches!(self.peek_kind(), TokenKind::Number(_)) {
+            if self.at(&TokenKind::Number) {
                 self.bump();
             }
         }
@@ -642,14 +690,14 @@ impl<'a> Parser<'a> {
             TokenKind::Keyword(Keyword::Casex) => self.case_stmt(CaseKind::Casex),
             TokenKind::Keyword(Keyword::For) => self.for_stmt(),
             TokenKind::SysIdent => self.sys_task(),
-            TokenKind::Semi => Ok(Stmt::Null(self.bump().span)),
+            TokenKind::Semi => Ok(Stmt::Null(self.bump().span())),
             _ => self.assignment(),
         }
     }
 
     /// `begin [: label] … end`.
-    fn block(&mut self) -> Result<Stmt, SyntaxError> {
-        let start = self.bump().span;
+    fn block(&mut self) -> Result<Stmt, Box<SyntaxError>> {
+        let start = self.bump().span();
         let label = if self.eat(&TokenKind::Colon) {
             Some(self.expect_ident("block label")?.0)
         } else {
@@ -662,31 +710,25 @@ impl<'a> Parser<'a> {
             }
             stmts.push(self.stmt()?);
         }
-        let end = self.bump().span; // `end`
+        let end = self.bump().span(); // `end`
         Ok(Stmt::Block(Block { label, stmts, span: start.merge(end) }))
     }
 
     /// `if (…) … [else …]`.
-    fn if_stmt(&mut self) -> Result<Stmt, SyntaxError> {
-        let start = self.bump().span;
+    fn if_stmt(&mut self) -> Result<Stmt, Box<SyntaxError>> {
+        let start = self.bump().span();
         self.expect(&TokenKind::LParen, "'(' after 'if'")?;
         let cond = self.expr()?;
         self.expect(&TokenKind::RParen, "')' closing condition")?;
-        let then_branch = Box::new(self.stmt()?);
-        let (else_branch, end) = if self.at_kw(Keyword::Else) {
-            self.bump();
-            let e = self.stmt()?;
-            let sp = e.span();
-            (Some(Box::new(e)), sp)
-        } else {
-            (None, then_branch.span())
-        };
-        Ok(Stmt::If(IfStmt { cond, then_branch, else_branch, span: start.merge(end) }))
+        let then_branch = self.stmt()?;
+        let else_branch = if self.eat_kw(Keyword::Else) { Some(self.stmt()?) } else { None };
+        let end = else_branch.as_ref().unwrap_or(&then_branch).span();
+        Ok(Stmt::If(Box::new(IfStmt { cond, then_branch, else_branch, span: start.merge(end) })))
     }
 
     /// `case`/`casez`/`casex` (`kind`) through `endcase`.
-    fn case_stmt(&mut self, kind: CaseKind) -> Result<Stmt, SyntaxError> {
-        let start = self.bump().span;
+    fn case_stmt(&mut self, kind: CaseKind) -> Result<Stmt, Box<SyntaxError>> {
+        let start = self.bump().span();
         self.expect(&TokenKind::LParen, "'(' after 'case'")?;
         let expr = self.expr()?;
         self.expect(&TokenKind::RParen, "')' closing case expression")?;
@@ -698,26 +740,23 @@ impl<'a> Parser<'a> {
             }
             if self.eat_kw(Keyword::Default) {
                 self.eat(&TokenKind::Colon);
-                default = Some(Box::new(self.stmt()?));
+                default = Some(self.stmt()?);
             } else {
-                let astart = self.peek().span;
-                let mut labels = vec![self.expr()?];
-                while self.eat(&TokenKind::Comma) {
-                    labels.push(self.expr()?);
-                }
+                let astart = self.peek().span();
+                let labels = self.list(false, Self::expr)?;
                 self.expect(&TokenKind::Colon, "':' after case label")?;
                 let body = self.stmt()?;
                 let span = astart.merge(body.span());
                 arms.push(CaseArm { labels, body, span });
             }
         }
-        let end = self.bump().span; // `endcase`
-        Ok(Stmt::Case(CaseStmt { kind, expr, arms, default, span: start.merge(end) }))
+        let end = self.bump().span(); // `endcase`
+        Ok(Stmt::Case(Box::new(CaseStmt { kind, expr, arms, default, span: start.merge(end) })))
     }
 
     /// `for (init; cond; step) body`.
-    fn for_stmt(&mut self) -> Result<Stmt, SyntaxError> {
-        let start = self.bump().span;
+    fn for_stmt(&mut self) -> Result<Stmt, Box<SyntaxError>> {
+        let start = self.bump().span();
         self.expect(&TokenKind::LParen, "'(' after 'for'")?;
         let init_lhs = self.lvalue()?;
         self.expect(&TokenKind::Assign, "'=' in for initialiser")?;
@@ -729,24 +768,25 @@ impl<'a> Parser<'a> {
         self.expect(&TokenKind::Assign, "'=' in for step")?;
         let step_rhs = self.expr()?;
         self.expect(&TokenKind::RParen, "')' closing for header")?;
-        let body = Box::new(self.stmt()?);
+        let body = self.stmt()?;
         let span = start.merge(body.span());
-        Ok(Stmt::For(ForStmt {
+        Ok(Stmt::For(Box::new(ForStmt {
             init: (init_lhs, init_rhs),
             cond,
             step: (step_lhs, step_rhs),
             body,
             span,
-        }))
+        })))
     }
 
     /// A system task call such as `$display(…);`.
-    fn sys_task(&mut self) -> Result<Stmt, SyntaxError> {
-        let start = self.bump().span;
+    fn sys_task(&mut self) -> Result<Stmt, Box<SyntaxError>> {
+        let start = self.bump().span();
         let name = self.symbol(start);
         let mut args = Vec::new();
         if self.eat(&TokenKind::LParen) {
             if !self.at(&TokenKind::RParen) {
+                args.reserve_exact(self.entries(false));
                 loop {
                     // String arguments to $display etc. are kept
                     // as zero literals; they have no behavioural
@@ -763,39 +803,40 @@ impl<'a> Parser<'a> {
             }
             self.expect(&TokenKind::RParen, "')' closing call")?;
         }
-        let end = self.expect(&TokenKind::Semi, "';' after system task")?.span;
+        let end = self.expect(&TokenKind::Semi, "';' after system task")?.span();
         Ok(Stmt::SysCall(SysCall { name, args, span: start.merge(end) }))
     }
 
     /// A blocking or non-blocking assignment statement.
-    fn assignment(&mut self) -> Result<Stmt, SyntaxError> {
+    fn assignment(&mut self) -> Result<Stmt, Box<SyntaxError>> {
         let lhs = self.lvalue()?;
         let start = lhs.span();
         if self.eat(&TokenKind::Assign) {
             let rhs = self.expr()?;
-            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
-            Ok(Stmt::Blocking(Assign { lhs, rhs, span: start.merge(end) }))
+            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span();
+            Ok(Stmt::Blocking(Box::new(Assign { lhs, rhs, span: start.merge(end) })))
         } else if self.eat(&TokenKind::LeAssign) {
             let rhs = self.expr()?;
-            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span;
-            Ok(Stmt::NonBlocking(Assign { lhs, rhs, span: start.merge(end) }))
+            let end = self.expect(&TokenKind::Semi, "';' after assignment")?.span();
+            Ok(Stmt::NonBlocking(Box::new(Assign { lhs, rhs, span: start.merge(end) })))
         } else {
             Err(self.error("'=' or '<='"))
         }
     }
 
-    fn lvalue(&mut self) -> Result<LValue, SyntaxError> {
+    fn lvalue(&mut self) -> Result<LValue, Box<SyntaxError>> {
         self.nested(Self::lvalue_body)
     }
 
-    fn lvalue_body(&mut self) -> Result<LValue, SyntaxError> {
+    fn lvalue_body(&mut self) -> Result<LValue, Box<SyntaxError>> {
         if self.at(&TokenKind::LBrace) {
-            let start = self.bump().span;
-            let mut parts = vec![self.lvalue()?];
+            let start = self.bump().span();
+            let mut parts = Vec::with_capacity(self.entries(false));
+            parts.push(self.lvalue()?);
             while self.eat(&TokenKind::Comma) {
                 parts.push(self.lvalue()?);
             }
-            let end = self.expect(&TokenKind::RBrace, "'}' closing concatenation")?.span;
+            let end = self.expect(&TokenKind::RBrace, "'}' closing concatenation")?.span();
             return Ok(LValue::Concat(parts, start.merge(end)));
         }
         let (name, start) = self.expect_ident("assignment target")?;
@@ -804,10 +845,10 @@ impl<'a> Parser<'a> {
             let first = self.expr()?;
             if self.eat(&TokenKind::Colon) {
                 let lsb = self.expr()?;
-                let end = self.expect(&TokenKind::RBracket, "']' closing part-select")?.span;
+                let end = self.expect(&TokenKind::RBracket, "']' closing part-select")?.span();
                 Ok(LValue::Part(name, Box::new(first), Box::new(lsb), start.merge(end)))
             } else {
-                let end = self.expect(&TokenKind::RBracket, "']' closing index")?.span;
+                let end = self.expect(&TokenKind::RBracket, "']' closing index")?.span();
                 Ok(LValue::Index(name, Box::new(first), start.merge(end)))
             }
         } else {
@@ -819,17 +860,17 @@ impl<'a> Parser<'a> {
     // Expressions (precedence climbing)
     // ------------------------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn expr(&mut self) -> Result<Expr, Box<SyntaxError>> {
         self.nested(Self::ternary)
     }
 
-    fn ternary(&mut self) -> Result<Expr, SyntaxError> {
+    fn ternary(&mut self) -> Result<Expr, Box<SyntaxError>> {
         let cond = self.binary(0)?;
         if self.eat(&TokenKind::Question) {
             let then = self.expr()?;
             self.expect(&TokenKind::Colon, "':' in conditional expression")?;
             let els = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(then), Box::new(els)))
+            Ok(Expr::Ternary(Box::new([cond, then, els])))
         } else {
             Ok(cond)
         }
@@ -867,7 +908,7 @@ impl<'a> Parser<'a> {
     /// Each operator folded into the left spine nests it one level
     /// deeper, so a flat chain counts against [`MAX_NESTING`] as
     /// parentheses do (an error ends the parse, so only `Ok` restores).
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, SyntaxError> {
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, Box<SyntaxError>> {
         let depth = self.depth;
         let mut lhs = self.unary()?;
         while let Some(op) = self.binop_of() {
@@ -877,14 +918,14 @@ impl<'a> Parser<'a> {
             }
             self.bump();
             let rhs = self.nested(|p| p.binary(prec + 1))?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Binary(op, Box::new([lhs, rhs]));
             self.depth += 1;
         }
         self.depth = depth;
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, SyntaxError> {
+    fn unary(&mut self) -> Result<Expr, Box<SyntaxError>> {
         let op = match self.peek_kind() {
             TokenKind::Not => Some(UnaryOp::LogNot),
             TokenKind::Tilde => Some(UnaryOp::BitNot),
@@ -906,7 +947,7 @@ impl<'a> Parser<'a> {
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, SyntaxError> {
+    fn postfix(&mut self) -> Result<Expr, Box<SyntaxError>> {
         let mut e = self.primary()?;
         while self.at(&TokenKind::LBracket) {
             self.bump();
@@ -914,23 +955,24 @@ impl<'a> Parser<'a> {
             if self.eat(&TokenKind::Colon) {
                 let lsb = self.expr()?;
                 self.expect(&TokenKind::RBracket, "']' closing part-select")?;
-                e = Expr::Part(Box::new(e), Box::new(first), Box::new(lsb));
+                e = Expr::Part(Box::new([e, first, lsb]));
             } else {
                 self.expect(&TokenKind::RBracket, "']' closing index")?;
-                e = Expr::Index(Box::new(e), Box::new(first));
+                e = Expr::Index(Box::new([e, first]));
             }
         }
         Ok(e)
     }
 
-    fn primary(&mut self) -> Result<Expr, SyntaxError> {
+    fn primary(&mut self) -> Result<Expr, Box<SyntaxError>> {
         match self.peek_kind() {
-            TokenKind::Number(n) => {
-                let span = self.bump().span;
-                Ok(Expr::Number(self.number_from_token(n, span)?))
+            TokenKind::Number => {
+                let token = self.bump();
+                let n = token.number(self.src).expect("a number token");
+                Ok(Expr::Number(self.number_from_token(&n, token.span())?))
             }
             TokenKind::Ident => {
-                let span = self.bump().span;
+                let span = self.bump().span();
                 Ok(Expr::Ident(self.symbol(span)))
             }
             TokenKind::SysIdent => {
@@ -948,12 +990,13 @@ impl<'a> Parser<'a> {
                 Ok(e)
             }
             TokenKind::LBrace => {
-                let start = self.bump().span;
+                let start = self.bump().span();
                 let first = self.expr()?;
                 // `{count{items}}` replication.
                 if self.at(&TokenKind::LBrace) {
                     self.bump();
-                    let mut items = vec![self.expr()?];
+                    let mut items = Vec::with_capacity(self.entries(false));
+                    items.push(self.expr()?);
                     while self.eat(&TokenKind::Comma) {
                         items.push(self.expr()?);
                     }
@@ -961,7 +1004,8 @@ impl<'a> Parser<'a> {
                     self.expect(&TokenKind::RBrace, "'}' closing replication")?;
                     return Ok(Expr::Repeat(Box::new(first), items));
                 }
-                let mut items = vec![first];
+                let mut items = Vec::with_capacity(self.entries(false));
+                items.push(first);
                 while self.eat(&TokenKind::Comma) {
                     items.push(self.expr()?);
                 }
@@ -973,7 +1017,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number_from_token(&self, n: &NumberToken, span: Span) -> Result<Number, SyntaxError> {
+    fn number_from_token(&self, n: &NumberToken, span: Span) -> Result<Number, Box<SyntaxError>> {
         let mut value: u128 = 0;
         let mut xz: u128 = 0;
         let digits = || n.digit_chars(self.src);
@@ -1169,22 +1213,22 @@ mod tests {
     fn precedence_in_expressions() {
         let e = parse_expr("a + b * c", &mut Names::new()).unwrap();
         match e {
-            Expr::Binary(BinaryOp::Add, _, rhs) => {
-                assert!(matches!(*rhs, Expr::Binary(BinaryOp::Mul, _, _)));
+            Expr::Binary(BinaryOp::Add, operands) => {
+                assert!(matches!(operands[1], Expr::Binary(BinaryOp::Mul, _)));
             }
             other => panic!("expected add at top, got {other:?}"),
         }
         let e = parse_expr("a == b & c", &mut Names::new()).unwrap();
         // `&` binds tighter than `==` in IEEE 1364? No: equality (7) binds
         // tighter than bitand (6), so the top node is `&`.
-        assert!(matches!(e, Expr::Binary(BinaryOp::BitAnd, _, _)));
+        assert!(matches!(e, Expr::Binary(BinaryOp::BitAnd, _)));
     }
 
     #[test]
     fn ternary_nesting() {
         let e = parse_expr("s ? a : t ? b : c", &mut Names::new()).unwrap();
         match e {
-            Expr::Ternary(_, _, els) => assert!(matches!(*els, Expr::Ternary(_, _, _))),
+            Expr::Ternary(operands) => assert!(matches!(operands[2], Expr::Ternary(_))),
             other => panic!("expected ternary, got {other:?}"),
         }
     }

@@ -3,20 +3,35 @@
 use crate::span::Span;
 use std::fmt::{self, Write as _};
 
-/// A lexed token: kind plus the source span it was read from.
+/// A lexed token: its kind and where in the source it was read.
 ///
 /// A token owns no text: identifiers, literals and strings are read
-/// back from the source through [`Token::span`].
+/// back from the source through [`Token::span`], and a literal's parts
+/// through [`Token::number`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub kind: TokenKind,
-    pub span: Span,
+    /// Byte offset of the token's first character.
+    pub start: u32,
+    /// Length of the token in bytes.
+    pub len: u32,
 }
 
 impl Token {
-    /// Creates a token of `kind` covering `span`.
+    /// A token of `kind` at `span` (texts are under 4 GiB).
     pub fn new(kind: TokenKind, span: Span) -> Self {
-        Token { kind, span }
+        Token { kind, start: span.start as u32, len: span.len() as u32 }
+    }
+
+    /// The source range the token was read from.
+    pub fn span(&self) -> Span {
+        let start = self.start as usize;
+        Span::new(start, start + self.len as usize)
+    }
+
+    /// The parts of a number token lexed from `src`.
+    pub fn number(&self, src: &str) -> Option<NumberToken> {
+        (self.kind == TokenKind::Number).then(|| NumberToken::read(self.span(), src))
     }
 
     /// The token as error messages show it, read from `src` (the text
@@ -28,6 +43,9 @@ impl Token {
     }
 }
 
+// A golden design lexes to a few hundred of these.
+const _: () = assert!(std::mem::size_of::<Token>() == 12);
+
 /// [`Token::display`]'s rendering.
 struct Shown<'s> {
     token: &'s Token,
@@ -38,9 +56,10 @@ impl fmt::Display for Shown<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.token.kind {
             TokenKind::Ident | TokenKind::SysIdent | TokenKind::Str => {
-                f.write_str(self.token.span.text(self.src))
+                f.write_str(self.token.span().text(self.src))
             }
-            TokenKind::Number(n) => {
+            TokenKind::Number => {
+                let n = NumberToken::read(self.token.span(), self.src);
                 if let Some(w) = n.width {
                     write!(f, "{w}'{}", n.base.letter())?;
                 } else if n.base != NumberBase::Dec {
@@ -53,130 +72,50 @@ impl fmt::Display for Shown<'_> {
     }
 }
 
-/// Verilog keywords recognised by the lexer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Keyword {
-    Module,
-    Endmodule,
-    Input,
-    Output,
-    Inout,
-    Wire,
-    Reg,
-    Integer,
-    Parameter,
-    Localparam,
-    Assign,
-    Always,
-    Initial,
-    Begin,
-    End,
-    If,
-    Else,
-    Case,
-    Casez,
-    Casex,
-    Endcase,
-    Default,
-    For,
-    While,
-    Posedge,
-    Negedge,
-    Or,
-    Signed,
-    Function,
-    Endfunction,
-    Genvar,
-    Generate,
-    Endgenerate,
-}
-
-impl Keyword {
-    /// Looks up a keyword from its source spelling.
-    pub fn lookup(s: &str) -> Option<Keyword> {
-        use Keyword::*;
-        Some(match s {
-            "module" => Module,
-            "endmodule" => Endmodule,
-            "input" => Input,
-            "output" => Output,
-            "inout" => Inout,
-            "wire" => Wire,
-            "reg" => Reg,
-            "integer" => Integer,
-            "parameter" => Parameter,
-            "localparam" => Localparam,
-            "assign" => Assign,
-            "always" => Always,
-            "initial" => Initial,
-            "begin" => Begin,
-            "end" => End,
-            "if" => If,
-            "else" => Else,
-            "case" => Case,
-            "casez" => Casez,
-            "casex" => Casex,
-            "endcase" => Endcase,
-            "default" => Default,
-            "for" => For,
-            "while" => While,
-            "posedge" => Posedge,
-            "negedge" => Negedge,
-            "or" => Or,
-            "signed" => Signed,
-            "function" => Function,
-            "endfunction" => Endfunction,
-            "genvar" => Genvar,
-            "generate" => Generate,
-            "endgenerate" => Endgenerate,
-            _ => return None,
-        })
-    }
-
-    /// The canonical source spelling of the keyword.
-    pub fn as_str(&self) -> &'static str {
-        use Keyword::*;
-        match self {
-            Module => "module",
-            Endmodule => "endmodule",
-            Input => "input",
-            Output => "output",
-            Inout => "inout",
-            Wire => "wire",
-            Reg => "reg",
-            Integer => "integer",
-            Parameter => "parameter",
-            Localparam => "localparam",
-            Assign => "assign",
-            Always => "always",
-            Initial => "initial",
-            Begin => "begin",
-            End => "end",
-            If => "if",
-            Else => "else",
-            Case => "case",
-            Casez => "casez",
-            Casex => "casex",
-            Endcase => "endcase",
-            Default => "default",
-            For => "for",
-            While => "while",
-            Posedge => "posedge",
-            Negedge => "negedge",
-            Or => "or",
-            Signed => "signed",
-            Function => "function",
-            Endfunction => "endfunction",
-            Genvar => "genvar",
-            Generate => "generate",
-            Endgenerate => "endgenerate",
+/// Declares [`Keyword`], each keyword with its source spelling.
+macro_rules! keywords {
+    ($($keyword:ident $spelling:literal),* $(,)?) => {
+        /// Verilog keywords recognised by the lexer.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Keyword {
+            $($keyword,)*
         }
-    }
+
+        impl Keyword {
+            /// Looks up a keyword from its source spelling.
+            pub fn lookup(s: &str) -> Option<Keyword> {
+                Some(match s {
+                    $($spelling => Keyword::$keyword,)*
+                    _ => return None,
+                })
+            }
+
+            /// The canonical source spelling of the keyword.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $(Keyword::$keyword => $spelling,)*
+                }
+            }
+        }
+    };
 }
 
-/// A numeric literal as written in the source.
+keywords! {
+    Module "module", Endmodule "endmodule", Input "input", Output "output",
+    Inout "inout", Wire "wire", Reg "reg", Integer "integer",
+    Parameter "parameter", Localparam "localparam", Assign "assign", Always "always",
+    Initial "initial", Begin "begin", End "end", If "if",
+    Else "else", Case "case", Casez "casez", Casex "casex",
+    Endcase "endcase", Default "default", For "for", While "while",
+    Posedge "posedge", Negedge "negedge", Or "or", Signed "signed",
+    Function "function", Endfunction "endfunction", Genvar "genvar", Generate "generate",
+    Endgenerate "endgenerate",
+}
+
+/// A numeric literal as written in the source, read back from a
+/// [`TokenKind::Number`] token ([`Token::number`]).
 ///
-/// `32'hDEAD_beef` lexes to `width: Some(32)`, `base: Hex` and `digits`
+/// `32'hDEAD_beef` reads as `width: Some(32)`, `base: Hex` and `digits`
 /// spanning `DEAD_beef`, which [`NumberToken::digit_chars`] reads as
 /// `deadbeef`. Plain decimal numbers have `width: None` and `base: Dec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +132,22 @@ pub struct NumberToken {
 }
 
 impl NumberToken {
+    /// The parts of the literal at `span` of `src`, which the lexer
+    /// accepted as one (so a width fits in `u32`).
+    fn read(span: Span, src: &str) -> NumberToken {
+        let text = span.text(src);
+        let Some(apos) = text.find('\'') else {
+            return NumberToken { width: None, base: NumberBase::Dec, digits: span, signed: false };
+        };
+        let width = (apos > 0).then(|| {
+            text[..apos].bytes().filter(|b| *b != b'_').fold(0, |w, b| w * 10 + u32::from(b - b'0'))
+        });
+        let signed = matches!(text.as_bytes()[apos + 1], b's' | b'S');
+        let at = apos + 1 + usize::from(signed);
+        let base = NumberBase::of_letter(text.as_bytes()[at]).expect("the lexer read a base");
+        NumberToken { width, base, digits: Span::new(span.start + at + 1, span.end), signed }
+    }
+
     /// The digits read from `src` with underscores dropped and letters
     /// lower-cased.
     pub fn digit_chars<'s>(&self, src: &'s str) -> impl Iterator<Item = char> + 's {
@@ -210,6 +165,12 @@ pub enum NumberBase {
 }
 
 impl NumberBase {
+    /// The base a letter (`b`, `o`, `d`, `h`, either case) names.
+    pub fn of_letter(letter: u8) -> Option<NumberBase> {
+        let bases = [NumberBase::Bin, NumberBase::Oct, NumberBase::Dec, NumberBase::Hex];
+        bases.into_iter().find(|base| base.letter() as u8 == (letter | 0x20))
+    }
+
     /// The numeric radix.
     pub fn radix(&self) -> u32 {
         match self {
@@ -241,136 +202,56 @@ impl NumberBase {
     }
 }
 
-/// The kind of a lexed token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
-    /// Identifier (not a keyword); the token's span is its name.
-    Ident,
-    /// Reserved word.
-    Keyword(Keyword),
-    /// Numeric literal.
-    Number(NumberToken),
-    /// String literal; the token's span covers it with its quotes.
-    Str,
-    /// System task/function name including the `$`, e.g. `$display`;
-    /// the token's span is the name.
-    SysIdent,
+/// Declares [`TokenKind`] with the fixed spelling of each punctuation
+/// and operator kind.
+macro_rules! token_kinds {
+    ($($kind:ident $spelling:literal),* $(,)?) => {
+        /// The kind of a lexed token.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TokenKind {
+            /// Identifier (not a keyword); the token's span is its name.
+            Ident,
+            /// Reserved word.
+            Keyword(Keyword),
+            /// Numeric literal; [`Token::number`] reads its parts.
+            Number,
+            /// String literal; the token's span covers it with its quotes.
+            Str,
+            /// System task/function name including the `$`, e.g.
+            /// `$display`; the token's span is the name.
+            SysIdent,
+            /// End of input.
+            Eof,
+            $($kind,)*
+        }
 
-    // Punctuation and operators.
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Semi,
-    Comma,
-    Colon,
-    Dot,
-    Hash,
-    At,
-    Question,
-    Assign,     // =
-    PlusColon,  // +:
-    MinusColon, // -:
-
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Percent,
-    Power, // **
-
-    Not,        // !
-    Tilde,      // ~
-    Amp,        // &
-    Pipe,       // |
-    Caret,      // ^
-    TildeAmp,   // ~&
-    TildePipe,  // ~|
-    TildeCaret, // ~^ or ^~
-
-    AndAnd, // &&
-    OrOr,   // ||
-
-    EqEq,   // ==
-    NotEq,  // !=
-    CaseEq, // ===
-    CaseNe, // !==
-
-    Lt,
-    Le,
-    Gt,
-    Ge,
-
-    Shl,  // <<
-    Shr,  // >>
-    AShr, // >>>
-    AShl, // <<<
-
-    LeAssign, // <= (non-blocking assign / less-equal, disambiguated by parser)
-
-    /// End of input.
-    Eof,
+        impl TokenKind {
+            /// The fixed source spelling of a keyword or punctuation kind
+            /// (`^~` spells as `~^`, `<=` is `LeAssign` whichever it
+            /// means); identifiers, literals and strings, whose text is
+            /// in the source, spell as the empty string.
+            fn spelling(&self) -> &'static str {
+                match self {
+                    TokenKind::Keyword(k) => k.as_str(),
+                    TokenKind::Ident | TokenKind::Number | TokenKind::Str | TokenKind::SysIdent => "",
+                    TokenKind::Eof => "<eof>",
+                    $(TokenKind::$kind => $spelling,)*
+                }
+            }
+        }
+    };
 }
 
-impl TokenKind {
-    /// The fixed source spelling of a keyword or punctuation kind
-    /// (`^~` spells as `~^`); identifiers, literals and strings, whose
-    /// text is in the source, spell as the empty string.
-    fn spelling(&self) -> &'static str {
-        use TokenKind::*;
-        match self {
-            Keyword(k) => k.as_str(),
-            Ident | Number(_) | Str | SysIdent => "",
-            LParen => "(",
-            RParen => ")",
-            LBracket => "[",
-            RBracket => "]",
-            LBrace => "{",
-            RBrace => "}",
-            Semi => ";",
-            Comma => ",",
-            Colon => ":",
-            Dot => ".",
-            Hash => "#",
-            At => "@",
-            Question => "?",
-            Assign => "=",
-            PlusColon => "+:",
-            MinusColon => "-:",
-            Plus => "+",
-            Minus => "-",
-            Star => "*",
-            Slash => "/",
-            Percent => "%",
-            Power => "**",
-            Not => "!",
-            Tilde => "~",
-            Amp => "&",
-            Pipe => "|",
-            Caret => "^",
-            TildeAmp => "~&",
-            TildePipe => "~|",
-            TildeCaret => "~^",
-            AndAnd => "&&",
-            OrOr => "||",
-            EqEq => "==",
-            NotEq => "!=",
-            CaseEq => "===",
-            CaseNe => "!==",
-            Lt => "<",
-            Le => "<=",
-            Gt => ">",
-            Ge => ">=",
-            Shl => "<<",
-            Shr => ">>",
-            AShr => ">>>",
-            AShl => "<<<",
-            LeAssign => "<=",
-            Eof => "<eof>",
-        }
-    }
+token_kinds! {
+    LParen "(", RParen ")", LBracket "[", RBracket "]", LBrace "{",
+    RBrace "}", Semi ";", Comma ",", Colon ":", Dot ".",
+    Hash "#", At "@", Question "?", Assign "=", PlusColon "+:",
+    MinusColon "-:", Plus "+", Minus "-", Star "*", Slash "/",
+    Percent "%", Power "**", Not "!", Tilde "~", Amp "&",
+    Pipe "|", Caret "^", TildeAmp "~&", TildePipe "~|", TildeCaret "~^",
+    AndAnd "&&", OrOr "||", EqEq "==", NotEq "!=", CaseEq "===",
+    CaseNe "!==", Lt "<", Gt ">", Ge ">=", Shl "<<",
+    Shr ">>", AShr ">>>", AShl "<<<", LeAssign "<=",
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, stmt: &Stmt) {
         Stmt::Case(c) => {
             v.visit_expr(&c.expr);
             for arm in &c.arms {
-                for l in &arm.labels {
+                for l in arm.labels.iter() {
                     v.visit_expr(l);
                 }
                 v.visit_stmt(&arm.body);
@@ -107,23 +107,11 @@ pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, expr: &Expr) {
     match expr {
         Expr::Number(_) | Expr::Ident(_) => {}
         Expr::Unary(_, e) => v.visit_expr(e),
-        Expr::Binary(_, a, b) => {
-            v.visit_expr(a);
-            v.visit_expr(b);
+        Expr::Binary(_, operands) | Expr::Index(operands) => {
+            operands.iter().for_each(|e| v.visit_expr(e))
         }
-        Expr::Ternary(c, t, e) => {
-            v.visit_expr(c);
-            v.visit_expr(t);
-            v.visit_expr(e);
-        }
-        Expr::Index(b, i) => {
-            v.visit_expr(b);
-            v.visit_expr(i);
-        }
-        Expr::Part(b, m, l) => {
-            v.visit_expr(b);
-            v.visit_expr(m);
-            v.visit_expr(l);
+        Expr::Ternary(operands) | Expr::Part(operands) => {
+            operands.iter().for_each(|e| v.visit_expr(e))
         }
         Expr::Concat(es) => {
             for e in es {

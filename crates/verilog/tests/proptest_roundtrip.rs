@@ -65,7 +65,8 @@ fn expr_into(out: &mut String, nm: &Names, e: &Expr, parent: u8) {
             expr_into(out, nm, a, 0);
             out.push_str(if wrap { ")" } else { "" });
         }
-        Expr::Binary(op, a, b) => {
+        Expr::Binary(op, operands) => {
+            let [a, b] = &**operands;
             let prec = op.precedence();
             out.push_str(if prec < parent { "(" } else { "" });
             expr_into(out, nm, a, prec);
@@ -73,7 +74,8 @@ fn expr_into(out: &mut String, nm: &Names, e: &Expr, parent: u8) {
             expr_into(out, nm, b, prec + 1);
             out.push_str(if prec < parent { ")" } else { "" });
         }
-        Expr::Ternary(c, t, f) => {
+        Expr::Ternary(operands) => {
+            let [c, t, f] = &**operands;
             out.push_str(if parent > 0 { "(" } else { "" });
             expr_into(out, nm, c, 1);
             out.push_str(" ? ");
@@ -99,8 +101,11 @@ fn expr_into(out: &mut String, nm: &Names, e: &Expr, parent: u8) {
 fn print_source(file: &SourceFile) -> String {
     let nm = &file.names;
     let [m] = &file.modules[..] else { panic!("the generators emit one module") };
-    let [Item::Assign(ContAssign { lhs: LValue::Ident(lhs, _), rhs, .. })] = &m.items[..] else {
-        panic!("the generators emit one `assign` to a name: {:?}", m.items)
+    let [Item::Assign(assign)] = &m.items[..] else {
+        panic!("the generators emit one `assign`: {:?}", m.items)
+    };
+    let ContAssign { lhs: LValue::Ident(lhs, _), rhs, .. } = &**assign else {
+        panic!("the generators assign to a name: {assign:?}")
     };
     let port = |p: &Port, dir: PortDir, word: &str| match p {
         Port { dir: d, net: NetKind::Wire, range: Some(r), signed: false, .. } if *d == dir => {
@@ -173,24 +178,21 @@ fn expr(rng: &mut StdRng, names: &mut Names, depth: usize) -> Expr {
     match rng.random_range(0..7u32) {
         0 => Expr::Binary(
             BinaryOp::Add,
-            Box::new(expr(rng, names, depth - 1)),
-            Box::new(expr(rng, names, depth - 1)),
+            Box::new([expr(rng, names, depth - 1), expr(rng, names, depth - 1)]),
         ),
         1 => Expr::Binary(
             BinaryOp::BitXor,
-            Box::new(expr(rng, names, depth - 1)),
-            Box::new(expr(rng, names, depth - 1)),
+            Box::new([expr(rng, names, depth - 1), expr(rng, names, depth - 1)]),
         ),
         2 => Expr::Binary(
             BinaryOp::Lt,
-            Box::new(expr(rng, names, depth - 1)),
-            Box::new(expr(rng, names, depth - 1)),
+            Box::new([expr(rng, names, depth - 1), expr(rng, names, depth - 1)]),
         ),
-        3 => Expr::Ternary(
-            Box::new(expr(rng, names, depth - 1)),
-            Box::new(expr(rng, names, depth - 1)),
-            Box::new(expr(rng, names, depth - 1)),
-        ),
+        3 => Expr::Ternary(Box::new([
+            expr(rng, names, depth - 1),
+            expr(rng, names, depth - 1),
+            expr(rng, names, depth - 1),
+        ])),
         4 => Expr::Unary(UnaryOp::BitNot, Box::new(expr(rng, names, depth - 1))),
         5 => Expr::Unary(UnaryOp::LogNot, Box::new(expr(rng, names, depth - 1))),
         _ => {
@@ -264,14 +266,12 @@ fn module_roundtrip() {
             Expr::Ident(_) => Expr::Ident(to),
             Expr::Number(n) => Expr::Number(n.clone()),
             Expr::Unary(op, a) => Expr::Unary(*op, Box::new(rename(a, to))),
-            Expr::Binary(op, a, b) => {
-                Expr::Binary(*op, Box::new(rename(a, to)), Box::new(rename(b, to)))
+            Expr::Binary(op, operands) => {
+                Expr::Binary(*op, Box::new(operands.each_ref().map(|e| rename(e, to))))
             }
-            Expr::Ternary(c, t, e2) => Expr::Ternary(
-                Box::new(rename(c, to)),
-                Box::new(rename(t, to)),
-                Box::new(rename(e2, to)),
-            ),
+            Expr::Ternary(operands) => {
+                Expr::Ternary(Box::new(operands.each_ref().map(|e| rename(e, to))))
+            }
             Expr::Concat(items) => Expr::Concat(items.iter().map(|i| rename(i, to)).collect()),
             other => other.clone(),
         }
@@ -310,12 +310,12 @@ fn token_spans_are_valid() {
     for _ in 0..256 {
         let s = random_text(&mut rng, &alphabet, 200);
         if let Ok(tokens) = uvllm_verilog::lexer::tokenize(&s) {
-            for t in tokens {
-                assert!(t.span.end <= s.len());
-                assert!(t.span.start <= t.span.end);
+            for t in tokens.iter().map(|t| t.span()) {
+                assert!(t.end <= s.len());
+                assert!(t.start <= t.end);
                 // Spans must lie on char boundaries.
-                assert!(s.is_char_boundary(t.span.start));
-                assert!(s.is_char_boundary(t.span.end));
+                assert!(s.is_char_boundary(t.start));
+                assert!(s.is_char_boundary(t.end));
             }
         }
     }

@@ -16,7 +16,8 @@
 //! design, and disabled here the way metric runs disable it).
 //!
 //! The Verilog front end is pinned too: lexing a golden design is one
-//! allocation, and each golden's parse stays at its measured count.
+//! allocation, and each golden's parse stays at its measured count and
+//! the mean bytes it asks for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,26 +30,30 @@ thread_local! {
     /// this file can order against a measuring window; `const`
     /// initialisation keeps the access itself allocation-free.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for: each allocation's size, and a
+    /// reallocation's new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread tears its
     // locals down, where there is nothing left to count into.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: delegates verbatim to `System`; the counter is a plain
 // thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,6 +64,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations the calling thread has made so far.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Heap bytes the calling thread has asked for so far.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 use uvllm_sim::{Logic, Simulator};
@@ -245,56 +255,73 @@ fn tokenize_makes_one_allocation_per_golden() {
     }
 }
 
-/// Allocations of one `parse` of each golden design, as measured when the
-/// parser started interning identifiers into one table per text (the
-/// mean was 137 with copied tokens and 44.7 with a `String` per
-/// identifier): the token vector, the three parts of the names table
-/// and the AST's boxes and lists.
+/// Allocations of one `parse` of each golden design, as measured once
+/// tokens were 12 bytes and the AST kept a lone list entry inline and an
+/// operator's operands in one box (the mean was 137 with copied tokens,
+/// 44.7 with a `String` per identifier and 29.9 with one names table per
+/// text): the token vector, the two parts of the names table and its
+/// `Arc`, and the AST's boxes and lists.
 const PARSE_ALLOCATIONS: [(&str, u64); 27] = [
-    ("accu", 20),
-    ("adder_8bit", 18),
-    ("adder_16bit", 44),
-    ("sub_8bit", 22),
-    ("mul_8bit", 11),
+    ("accu", 17),
+    ("adder_8bit", 11),
+    ("adder_16bit", 26),
+    ("sub_8bit", 13),
+    ("mul_8bit", 8),
     ("mul_pipe_8bit", 21),
-    ("div_8bit", 37),
-    ("counter_12", 25),
-    ("updown_counter_8", 25),
-    ("gray_counter_4", 22),
-    ("johnson_counter_4", 23),
-    ("seq_detector_101", 41),
-    ("traffic_light", 51),
-    ("ram_sync", 17),
-    ("fifo_sync", 67),
-    ("lifo_stack", 44),
-    ("regfile", 28),
-    ("rom_16x8", 29),
-    ("alu_8bit", 48),
-    ("mux4", 16),
-    ("decoder_3to8", 14),
-    ("priority_encoder_8", 40),
-    ("parity_gen_8", 14),
+    ("div_8bit", 31),
+    ("counter_12", 21),
+    ("updown_counter_8", 21),
+    ("gray_counter_4", 19),
+    ("johnson_counter_4", 18),
+    ("seq_detector_101", 32),
+    ("traffic_light", 49),
+    ("ram_sync", 14),
+    ("fifo_sync", 57),
+    ("lifo_stack", 36),
+    ("regfile", 23),
+    ("rom_16x8", 28),
+    ("alu_8bit", 32),
+    ("mux4", 14),
+    ("decoder_3to8", 9),
+    ("priority_encoder_8", 32),
+    ("parity_gen_8", 10),
     ("edge_detector", 20),
-    ("shift_reg_8", 21),
-    ("barrel_shifter_8", 30),
-    ("pwm_8", 19),
+    ("shift_reg_8", 16),
+    ("barrel_shifter_8", 19),
+    ("pwm_8", 17),
 ];
 
-/// No golden design's parse allocates more than its pin, and the mean
-/// stays under 30.
+/// Heap bytes one `parse` of a golden design asks for, on average (each
+/// allocation's size, a reallocation's new size): 24.5 KB for the mean
+/// 334 bytes of source while a token was 48 bytes and the token vector
+/// held one per source byte; 5.2 KB since.
+const PARSE_BYTES_MEAN: u64 = 5_300;
+
+/// No golden design's parse allocates more than its pin, the mean stays
+/// under 23, and the bytes asked for stay under [`PARSE_BYTES_MEAN`] on
+/// average. Each design is parsed once before it is measured: the first
+/// parse of a process also registers the `verilog.parses` counter.
 #[test]
 fn parse_allocations_stay_at_their_pins() {
     assert_eq!(PARSE_ALLOCATIONS.len(), uvllm_designs::all().len());
-    let mut total = 0;
+    let (mut total, mut total_bytes) = (0, 0);
     for (name, pin) in PARSE_ALLOCATIONS {
         let design = uvllm_designs::by_name(name).unwrap();
-        let before = allocations();
+        drop(uvllm_verilog::parse(design.source).unwrap());
+        let (before, before_bytes) = (allocations(), bytes());
         let file = uvllm_verilog::parse(design.source).unwrap();
-        let delta = allocations() - before;
+        let (delta, delta_bytes) = (allocations() - before, bytes() - before_bytes);
         drop(file);
         assert!(delta <= pin, "{name}: parse made {delta} allocations, pinned at {pin}");
         total += delta;
+        total_bytes += delta_bytes;
     }
     let mean = total as f64 / PARSE_ALLOCATIONS.len() as f64;
-    assert!(mean < 30.0, "parse makes {mean:.1} allocations per golden design on average");
+    assert!(mean < 23.0, "parse makes {mean:.1} allocations per golden design on average");
+    let mean_bytes = total_bytes / PARSE_ALLOCATIONS.len() as u64;
+    assert!(
+        mean_bytes <= PARSE_BYTES_MEAN,
+        "parse asks for {mean_bytes} bytes per golden design on average, pinned at \
+         {PARSE_BYTES_MEAN}"
+    );
 }

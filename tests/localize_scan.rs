@@ -108,7 +108,7 @@ fn localize_agrees_with_a_scan_of_the_whole_log_on_the_default_corpus() {
                                 "{name}, sl {sl_mode}:\n{code}"
                             );
                             assert_eq!(
-                                facts.error_info(code, design, sl_mode),
+                                facts.error_info(code, design, sl_mode, memo),
                                 whole,
                                 "memo, {name}, sl {sl_mode}:\n{code}"
                             );
