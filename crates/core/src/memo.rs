@@ -12,13 +12,13 @@
 //! that dataset, on any worker and in any shard, asks it before
 //! analysing; a caller without a dataset passes a fresh one.
 //!
-//! An elaboration is kept only for the dataset's own texts — each
-//! admitted mutant and each golden source, which the dataset
+//! A parse and an elaboration are kept only for the dataset's own texts
+//! — each admitted mutant and each golden source, which the dataset
 //! [pins](StageMemo::pin) before its first job: every method starts from
-//! them, so each is simulated four to five times in a default campaign.
-//! Any other text (a template candidate, an LLM answer, a sample), most
-//! of them simulated once, is elaborated by the run that needs it and
-//! dropped with that run; its answers are kept like anyone's. Which
+//! them. Any other text (a template candidate, an LLM answer, a sample),
+//! most of them simulated once, is parsed (only a syntax error is kept)
+//! and elaborated by the run that needs it and dropped with that run;
+//! its answers are kept like anyone's. Which
 //! texts keep a design is fixed before the first job, so every count of
 //! elaborations is the same at any worker count.
 
@@ -97,9 +97,8 @@ pub type Elaborated = Result<Arc<uvllm_sim::Design>, String>;
 /// A text's parse, or its syntax error.
 pub type Parsed = Result<Arc<SourceFile>, Arc<SyntaxError>>;
 
-/// `text` lexed and parsed whole, timed in the `parse` span.
+/// `text` lexed and parsed whole.
 pub fn parse_text(text: &str) -> Parsed {
-    let _span = uvllm_obs::Span::enter("parse");
     uvllm_verilog::parse(text).map(Arc::new).map_err(Arc::new)
 }
 
@@ -343,8 +342,8 @@ impl StageMemo {
 
     /// The lint report of `text`, an implementation of `design`.
     pub fn lint(&self, design: &'static str, text: &str) -> Arc<LintReport> {
-        self.lint_with(design, text, || {
-            let parsed = self.parse(design, text);
+        self.lint_with(design, text, |entry| {
+            let parsed = entry.parsed(|| parse_text(text));
             uvllm_lint::lint_parsed(text, parsed.as_deref().map_err(|e| &**e))
         })
     }
@@ -353,9 +352,10 @@ impl StageMemo {
         &self,
         design: &'static str,
         text: &str,
-        lint: impl FnOnce() -> LintReport,
+        lint: impl FnOnce(&Entry) -> LintReport,
     ) -> Arc<LintReport> {
-        fill(&self.entry(design, text).lint, &metrics().lint, || Arc::new(lint()))
+        let entry = self.entry(design, text);
+        fill(&entry.lint, &metrics().lint, || Arc::new(lint(&entry)))
     }
 
     /// What [`uvm_stage`] finds about `code` as an implementation of
@@ -549,7 +549,7 @@ mod tests {
     }
 
     fn ask_lint(memo: &StageMemo, text: &str, make: &mut dyn FnMut() -> u64) -> u64 {
-        let report = memo.lint_with(design().name, text, || LintReport {
+        let report = memo.lint_with(design().name, text, |_| LintReport {
             diagnostics: vec![Diagnostic {
                 severity: Severity::Error,
                 code: LintCode::Syntax,

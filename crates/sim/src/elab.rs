@@ -306,7 +306,7 @@ impl fmt::Display for ElabError {
 impl std::error::Error for ElabError {}
 
 /// Elaborates `file` with `top` as the root module. Counted in
-/// `sim.elaborations` and timed in the `elab` span, failures included.
+/// `sim.elaborations`, failures included.
 ///
 /// # Errors
 ///
@@ -314,7 +314,6 @@ impl std::error::Error for ElabError {}
 /// modules, unsupported constructs and loop-unroll overflow.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
     crate::metrics::elaborations().inc();
-    let _span = uvllm_obs::Span::enter("elab");
     let top_module = file
         .module(top)
         .ok_or_else(|| ElabError::new(format!("top module '{top}' not found"), Span::default()))?;
