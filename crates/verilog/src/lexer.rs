@@ -308,13 +308,24 @@ impl<'a> Lexer<'a> {
 /// save a name glued to a based literal (`8'hffgo`), which is counted at
 /// the literal's `'` and base letter instead.
 fn token_bound(bytes: &[u8]) -> usize {
-    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut prev = b' ';
-    let mut bound = 1;
+    // Each byte's class, bit 0 a word byte, bit 1 a letter, bit 2 space.
+    const CLASS: [u8; 256] = {
+        let (mut class, mut b) = ([0; 256], 0);
+        while b < 256 {
+            let c = b as u8;
+            class[b] = (c.is_ascii_alphanumeric() || c == b'_') as u8
+                | (c.is_ascii_alphabetic() as u8) << 1
+                | (c.is_ascii_whitespace() as u8) << 2;
+            b += 1;
+        }
+        class
+    };
+    let (mut prev, mut bound) = (CLASS[b' ' as usize], 1);
     for &b in bytes {
-        let glued = word(prev) && (!b.is_ascii_alphabetic() || prev.is_ascii_alphabetic());
-        bound += usize::from(!(b.is_ascii_whitespace() || word(b) && glued));
-        prev = b;
+        let class = CLASS[b as usize];
+        let glued = class & prev & 1 & !((class >> 1) & (!prev >> 1));
+        bound += usize::from(((class >> 2) | glued) == 0);
+        prev = class;
     }
     bound
 }

@@ -199,21 +199,11 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.at(kind) {
-            self.bump();
-            true
-        } else {
-            false
-        }
+        self.at(kind).then(|| self.bump()).is_some()
     }
 
     fn eat_kw(&mut self, kw: Keyword) -> bool {
-        if self.at_kw(kw) {
-            self.bump();
-            true
-        } else {
-            false
-        }
+        self.at_kw(kw).then(|| self.bump()).is_some()
     }
 
     fn error(&self, expected: &str) -> Box<SyntaxError> {
