@@ -11,8 +11,9 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A list that keeps a lone node inline (most texts hold one module,
-/// most declarations name one signal); it reads and prints as a slice.
-#[derive(Clone, PartialEq)]
+/// most declarations name one signal); it reads, compares and prints as
+/// a slice, so `One(x)` equals `Many(vec![x])`.
+#[derive(Clone)]
 pub enum List<T> {
     One(T),
     Many(Vec<T>),
@@ -35,6 +36,12 @@ impl<'a, T> IntoIterator for &'a List<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for List<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
     }
 }
 
@@ -686,6 +693,15 @@ mod tests {
         }]));
         assert!(!comb.is_edge_triggered());
         assert!(!Sensitivity::Star.is_edge_triggered());
+    }
+
+    #[test]
+    fn a_list_compares_as_its_slice() {
+        let one = List::One(Expr::number(1));
+        assert_eq!(one, List::Many(vec![Expr::number(1)]));
+        assert_ne!(one, List::Many(vec![Expr::number(1), Expr::number(1)]));
+        assert_ne!(one, List::Many(Vec::new()));
+        assert_ne!(one, List::One(Expr::number(2)));
     }
 
     #[test]
