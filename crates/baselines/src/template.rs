@@ -7,15 +7,13 @@
 //! their Hit Rates outrun their Fix Rates in Fig. 6.
 
 use crate::method::{MethodOutcome, RepairMethod};
-use std::sync::Arc;
-use uvllm::metrics::{hit_confirmed, hit_confirmed_with};
+use uvllm::metrics::hit_confirmed;
 use uvllm::stages::{directed_stage, UvmOutcome};
-use uvllm::{parse_text, Parsed, StageMemo};
+use uvllm::StageMemo;
 use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
 use uvllm_sim::SimBackend;
-use uvllm_verilog::lexer::tokenize;
 use uvllm_verilog::span::Span;
 use uvllm_verilog::token::{Token, TokenKind};
 use uvllm_verilog::SourceFile;
@@ -137,18 +135,6 @@ fn apply(src: &str, c: &Candidate) -> String {
     s
 }
 
-/// The parse of `candidate`, `c` applied to a text lexed to `tokens`:
-/// an edit of those tokens, or lexed whole where the edit does not lex
-/// in place.
-fn parse_candidate(candidate: &str, tokens: &[Token], c: &Candidate) -> Parsed {
-    match uvllm_verilog::edit_tokens(tokens, c.span, &c.replacement, candidate) {
-        Some(edited) => {
-            uvllm_verilog::parse_tokens(candidate, edited).map(|p| Arc::new(p.0)).map_err(Arc::from)
-        }
-        None => parse_text(candidate),
-    }
-}
-
 /// The outcome for an input a template method does not take on.
 fn unrepaired(src: &str) -> MethodOutcome {
     MethodOutcome {
@@ -159,12 +145,11 @@ fn unrepaired(src: &str) -> MethodOutcome {
     }
 }
 
-/// Shared search driver for the two template methods over `src`, lexed
-/// to `tokens`. `src_passes`: the untouched `src` passes the public tests.
+/// Shared search driver for the two template methods. `src_passes`:
+/// the untouched `src` already passes the public tests.
 fn template_search(
     design: &Design,
     src: &str,
-    tokens: &[Token],
     src_passes: bool,
     candidates: Vec<Candidate>,
     budget: usize,
@@ -187,9 +172,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        let parse = || parse_candidate(&candidate, tokens, &c);
-        let elaborate = || memo.elaborate_with(design.name, &candidate, parse);
-        if hit_confirmed_with(design, &candidate, memo, elaborate) {
+        if hit_confirmed(design, &candidate, memo) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -246,9 +229,7 @@ impl RepairMethod for StriderRepair<'_> {
         // unrepaired (the paper evaluates Strider on functional errors).
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
-        let (Ok(file), Ok(tokens)) = (memo.parse(design.name, src), tokenize(src)) else {
-            return unrepaired(src);
-        };
+        let Ok((file, tokens)) = memo.parse(design.name, src) else { return unrepaired(src) };
         // Localize: which outputs mismatch on the public tests?
         let public_run = directed_stage(src, design, memo);
         let src_passes = matches!(&public_run, UvmOutcome::Ran(run) if run.all_passed());
@@ -276,7 +257,7 @@ impl RepairMethod for StriderRepair<'_> {
         if candidates.is_empty() {
             candidates = template_candidates(src, &tokens, None);
         }
-        template_search(design, src, &tokens, src_passes, candidates, self.budget, memo)
+        template_search(design, src, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -318,15 +299,13 @@ impl RepairMethod for RtlRepair<'_> {
     fn repair(&mut self, design: &Design, src: &str) -> MethodOutcome {
         let own_memo = StageMemo::new();
         let memo = self.memo.unwrap_or(&own_memo);
-        let (Ok(file), Ok(tokens)) = (memo.parse(design.name, src), tokenize(src)) else {
-            return unrepaired(src);
-        };
+        let Ok((file, tokens)) = memo.parse(design.name, src) else { return unrepaired(src) };
         // Width templates first (the method's signature strength), then
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(&file);
         candidates.extend(template_candidates(src, &tokens, None));
         let src_passes = hit_confirmed(design, src, memo);
-        template_search(design, src, &tokens, src_passes, candidates, self.budget, memo)
+        template_search(design, src, src_passes, candidates, self.budget, memo)
     }
 }
 
@@ -391,47 +370,6 @@ mod tests {
         assert!(!strider.repair(d, &broken).claimed_success);
         let mut rtl = RtlRepair::new();
         assert!(!rtl.repair(d, &broken).claimed_success);
-    }
-
-    /// Every candidate either template method makes of a golden or of
-    /// one of its functional mutants, parsed as an edit of its base's
-    /// tokens, equals the fresh parse of its text, tokens included; an
-    /// edit that does not lex in place falls back to that fresh parse.
-    #[test]
-    fn an_edited_candidate_parses_as_its_text() {
-        let (mut edited, mut whole) = (0, 0);
-        for d in uvllm_designs::all() {
-            let golden = uvllm_errgen::Prepared::new(d.source).unwrap();
-            let mutants = uvllm_errgen::ErrorKind::ALL
-                .iter()
-                .filter(|k| !k.is_syntax())
-                .flat_map(|k| (0..3).filter_map(|seed| golden.mutate(*k, seed).ok()));
-            let texts = std::iter::once(d.source.to_string()).chain(mutants.map(|m| m.mutated_src));
-            for src in texts {
-                let (file, tokens) = uvllm_verilog::parse_with_tokens(&src).unwrap();
-                let mut candidates = bitwidth_candidates(&file);
-                candidates.extend(template_candidates(&src, &tokens, None));
-                for c in &candidates {
-                    let candidate = apply(&src, c);
-                    let fresh = parse_text(&candidate);
-                    match uvllm_verilog::edit_tokens(&tokens, c.span, &c.replacement, &candidate) {
-                        Some(tokens) => {
-                            edited += 1;
-                            assert_eq!(Some(&tokens), tokenize(&candidate).ok().as_ref());
-                            let parsed = uvllm_verilog::parse_tokens(&candidate, tokens);
-                            match (parsed, &fresh) {
-                                (Ok(p), Ok(f)) => assert!(p.0 == **f, "{candidate}"),
-                                (Err(p), Err(f)) => assert_eq!(*p, **f, "{candidate}"),
-                                (p, f) => panic!("{candidate}: {p:?} against {f:?}"),
-                            }
-                        }
-                        None => whole += 1,
-                    }
-                    assert_eq!(parse_candidate(&candidate, &tokens, c), fresh, "{candidate}");
-                }
-            }
-        }
-        assert!(edited > 10 * whole, "{edited} edited, {whole} lexed whole");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod pipeline;
 pub mod stages;
 
 pub use dataset::{build_dataset, build_dataset_with, build_instance, BenchInstance, Dataset};
-pub use memo::{parse_text, Analysed, Elaborated, Judgement, Parsed, StageMemo, UvmFacts};
+pub use memo::{Analysed, Elaborated, Judgement, Parsed, StageMemo, UvmFacts};
 pub use metrics::{fix_confirmed, fix_verdict, hit_confirmed, mutant_is_detectable, Verdict};
 pub use patch::{apply_pairs, PatchReport};
 pub use pipeline::{Stage, StageTimes, Uvllm, Verification, VerifyConfig, VerifyOutcome};

@@ -12,15 +12,16 @@
 //! that dataset, on any worker and in any shard, asks it before
 //! analysing; a caller without a dataset passes a fresh one.
 //!
-//! A parse and an elaboration are kept only for the dataset's own texts
-//! — each admitted mutant and each golden source, which the dataset
+//! An elaboration is kept only for the dataset's own texts — each
+//! admitted mutant and each golden source, which the dataset
 //! [pins](StageMemo::pin) before its first job: every method starts from
 //! them. Any other text (a template candidate, an LLM answer, a sample),
-//! most of them simulated once, is parsed (only a syntax error is kept)
-//! and elaborated by the run that needs it and dropped with that run;
-//! its answers are kept like anyone's. Which
+//! most of them simulated once, is elaborated by the run that needs it
+//! and dropped with that run; its answers are kept like anyone's. Which
 //! texts keep a design is fixed before the first job, so every count of
-//! elaborations is the same at any worker count.
+//! elaborations is the same at any worker count. No text keeps its
+//! parse: each asker parses afresh, and only a syntax error is kept, so
+//! a text that does not parse is lexed once.
 
 use crate::metrics::Verdict;
 use crate::stages::{localize, uvm_stage, Localized, UvmOutcome};
@@ -31,6 +32,7 @@ use std::time::Instant;
 use uvllm_designs::Design;
 use uvllm_lint::LintReport;
 use uvllm_llm::ErrorInfo;
+use uvllm_verilog::token::Token;
 use uvllm_verilog::{SourceFile, SyntaxError};
 
 /// Registry handles of one slot kind, resolved once.
@@ -94,12 +96,13 @@ pub type Judgement = (bool, Verdict);
 /// (the parse or elaboration error message).
 pub type Elaborated = Result<Arc<uvllm_sim::Design>, String>;
 
-/// A text's parse, or its syntax error.
-pub type Parsed = Result<Arc<SourceFile>, Arc<SyntaxError>>;
+/// A text's parse with the tokens it was parsed from, or its syntax
+/// error.
+pub type Parsed = Result<(SourceFile, Vec<Token>), Arc<SyntaxError>>;
 
-/// `text` lexed and parsed whole.
-pub fn parse_text(text: &str) -> Parsed {
-    uvllm_verilog::parse(text).map(Arc::new).map_err(Arc::new)
+/// `text` lexed and parsed.
+pub(crate) fn parse_text(text: &str) -> Parsed {
+    uvllm_verilog::parse_with_tokens(text).map_err(Arc::from)
 }
 
 /// What a UVM-stage run was driven with: `(cycles, seed)` of the random
@@ -154,8 +157,8 @@ impl UvmFacts {
     /// diagnostic as a lint log for one that did not build,
     /// [`ErrorInfo::None`] for one that passed. `code` is the text the
     /// run was made on unless a rollback has replaced it since; the
-    /// slice of the run's own text is kept. `code` is sliced on its parse
-    /// in `memo`.
+    /// slice of the run's own text is kept. `code` is parsed through
+    /// `memo`, which keeps a syntax error.
     pub fn error_info(
         &self,
         code: &str,
@@ -163,8 +166,7 @@ impl UvmFacts {
         sl_mode: bool,
         memo: &StageMemo,
     ) -> ErrorInfo {
-        let slice =
-            |found: &Localized| found.slice_of(code, design, || memo.parse(design.name, code));
+        let slice = |found: &Localized| found.slice(code, design, || memo.parse(design.name, code));
         match &self.result {
             UvmResult::Passed => ErrorInfo::None,
             // Unbuildable code: hand the diagnostic text to the repair
@@ -187,10 +189,10 @@ struct Entry {
     text: Arc<str>,
     /// One of the dataset's own texts, or a candidate the dataset build
     /// is validating ([`StageMemo::pin`]): the only entries whose `elab`
-    /// slot is filled and whose `parse` slot keeps a file.
+    /// slot is filled.
     pinned: AtomicBool,
-    /// A pinned text's file, `Ok(None)` for any other that parses.
-    parse: OnceLock<Result<Option<Arc<SourceFile>>, Arc<SyntaxError>>>,
+    /// The text's syntax error, `Ok(())` if it parses.
+    parse: OnceLock<Result<(), Arc<SyntaxError>>>,
     elab: OnceLock<Elaborated>,
     lint: OnceLock<Arc<LintReport>>,
     uvm: OnceLock<Arc<UvmFacts>>,
@@ -289,16 +291,14 @@ impl StageMemo {
         if let Some(entry) = entries.get_mut(design).and_then(|of_design| of_design.get_mut(text)) {
             let entry = Arc::get_mut(entry).expect("no ask holds an entry between asks");
             *entry.pinned.get_mut() = false;
-            entry.parse.take();
             entry.elab.take();
         }
     }
 
-    /// The parse of `text`, an implementation of `design`: a pinned
-    /// text's is kept for all its lints, elaborations, slices and template
-    /// searches; any other's is made per asker, and kept only if it failed.
+    /// The parse of `text`, an implementation of `design`, made for this
+    /// asker; a syntax error is kept and handed to every later one.
     pub fn parse(&self, design: &'static str, text: &str) -> Parsed {
-        self.entry(design, text).parsed(|| parse_text(text))
+        self.entry(design, text).parsed()
     }
 
     /// `text` elaborated with `design` as its top module. For a pinned
@@ -310,23 +310,10 @@ impl StageMemo {
     ///
     /// The parse or elaboration error message, kept like a success.
     pub fn elaborate(&self, design: &'static str, text: &str) -> Elaborated {
-        self.elaborate_with(design, text, || parse_text(text))
-    }
-
-    /// [`StageMemo::elaborate`], with `text`'s parse, if the memo holds
-    /// none, made by `parse` (a template candidate's edits its base's).
-    pub fn elaborate_with(
-        &self,
-        design: &'static str,
-        text: &str,
-        parse: impl FnOnce() -> Parsed,
-    ) -> Elaborated {
         let entry = self.entry(design, text);
         self.elaborated(&entry, || {
-            uvllm_sim::elab::elaborate_parsed(
-                entry.parsed(parse).as_deref().map_err(|e| &**e),
-                design,
-            )
+            let parsed = entry.parsed();
+            uvllm_sim::elab::elaborate_parsed(file_of(&parsed), design)
         })
     }
 
@@ -343,8 +330,7 @@ impl StageMemo {
     /// The lint report of `text`, an implementation of `design`.
     pub fn lint(&self, design: &'static str, text: &str) -> Arc<LintReport> {
         self.lint_with(design, text, |entry| {
-            let parsed = entry.parsed(|| parse_text(text));
-            uvllm_lint::lint_parsed(text, parsed.as_deref().map_err(|e| &**e))
+            uvllm_lint::lint_parsed(text, file_of(&entry.parsed()))
         })
     }
 
@@ -473,28 +459,28 @@ impl StageMemo {
 }
 
 impl Entry {
-    /// The entry's parse, made by `parse` unless kept ([`StageMemo::parse`]);
-    /// askers wait for the first, so parses count alike at any worker count.
-    fn parsed(&self, parse: impl FnOnce() -> Parsed) -> Parsed {
-        let mut parse = Some(parse);
+    /// The entry's parse ([`StageMemo::parse`]); askers wait for the
+    /// first, so parses count alike at any worker count.
+    fn parsed(&self) -> Parsed {
         let mut made = None;
         let kept = self.parse.get_or_init(|| {
-            let parsed = parse.take().expect("the slot is filled once")();
-            let kept = match &parsed {
-                Ok(file) if self.pinned.load(Ordering::Relaxed) => Ok(Some(Arc::clone(file))),
-                Ok(_) => Ok(None),
-                Err(e) => Err(Arc::clone(e)),
-            };
+            let parsed = parse_text(&self.text);
+            let kept = parsed.as_ref().map(|_| ()).map_err(Arc::clone);
             made = Some(parsed);
             kept
         });
         match (made, kept) {
             (Some(parsed), _) => parsed,
-            (None, Ok(Some(file))) => Ok(Arc::clone(file)),
             (None, Err(e)) => Err(Arc::clone(e)),
-            (None, Ok(None)) => parse.take().expect("not made here")(),
+            (None, Ok(())) => parse_text(&self.text),
         }
     }
+}
+
+/// The file of `parsed`, or its syntax error, as the lint and the
+/// elaboration take them.
+fn file_of(parsed: &Parsed) -> Result<&SourceFile, &SyntaxError> {
+    parsed.as_ref().map(|(file, _)| file).map_err(|e| &**e)
 }
 
 /// The value of `slot`, made by `make` if this is its first asker;

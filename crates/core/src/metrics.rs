@@ -139,21 +139,16 @@ fn fr_seqs(stimulus: &Stimulus) -> Vec<Box<dyn Sequence>> {
 /// job's judgement all ask. The golden source passes by identity
 /// (`metrics::tests::pristine_designs_pass_both_metrics` runs it).
 pub fn hit_confirmed(design: &Design, code: &str, memo: &StageMemo) -> bool {
-    hit_confirmed_with(design, code, memo, || memo.elaborate(design.name, code))
-}
-
-/// [`hit_confirmed`], with `code` elaborated by `elaborate` if its hit
-/// run is made.
-pub fn hit_confirmed_with(
-    design: &Design,
-    code: &str,
-    memo: &StageMemo,
-    elaborate: impl FnOnce() -> Elaborated,
-) -> bool {
     memo.hit(design.name, code, || {
         let stimulus = Stimulus::of_design(design);
         code == design.source
-            || run_verdict(elaborate(), design, &stimulus, hit_seqs(&stimulus)).passed()
+            || run_verdict(
+                memo.elaborate(design.name, code),
+                design,
+                &stimulus,
+                hit_seqs(&stimulus),
+            )
+            .passed()
     })
 }
 

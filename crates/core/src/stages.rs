@@ -339,7 +339,7 @@ impl Localized {
     /// records (MS mode), plus the suspicious lines of `code` in SL
     /// mode; the raw log tail when the run left no mismatch line.
     pub fn error_info(&self, code: &str, design: &Design, sl_mode: bool) -> ErrorInfo {
-        self.error_info_from(sl_mode, || self.slice(code, design))
+        self.error_info_from(sl_mode, || self.slice(code, design, || parse_text(code)))
     }
 
     /// [`Localized::error_info`] with the SL-mode lines supplied by the
@@ -365,13 +365,9 @@ impl Localized {
     /// Post-processing, second half: the time-aware dynamic slice of
     /// `code` at the first mismatch timestamp — its suspicious lines.
     /// Empty when `code` does not parse, has no module named after
-    /// `design`, or the run left no mismatch line.
-    pub fn slice(&self, code: &str, design: &Design) -> Vec<(u32, String)> {
-        self.slice_of(code, design, || parse_text(code))
-    }
-
-    /// [`Localized::slice`] on `code`'s parse, asked for at most once.
-    pub(crate) fn slice_of(
+    /// `design`, or the run left no mismatch line. `code` is parsed by
+    /// `parse`, asked for at most once.
+    pub fn slice(
         &self,
         code: &str,
         design: &Design,
@@ -380,8 +376,8 @@ impl Localized {
         let Found::Mismatches { records, snapshot, .. } = &self.found else { return Vec::new() };
         let mut signals: Vec<String> = records.iter().map(|m| m.signal.to_string()).collect();
         signals.dedup();
-        let Ok(parsed) = parse() else { return Vec::new() };
-        let Some(module) = parsed.module(design.name) else { return Vec::new() };
+        let Ok((file, _)) = parse() else { return Vec::new() };
+        let Some(module) = file.module(design.name) else { return Vec::new() };
         match snapshot {
             Some(frame) => suspicious_lines(module, code, &signals, frame),
             None => suspicious_lines(module, code, &signals, &HashMap::new()),

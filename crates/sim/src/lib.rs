@@ -20,8 +20,8 @@
 //! [`elaborate`] lowers a parsed file, counted in `sim.elaborations`;
 //! [`elaborate_source`] parses a text first. This crate keeps no
 //! process-wide state about texts; a caller that simulates one text
-//! many times holds its parse and elaboration (a campaign holds them in
-//! its dataset's stage memo, one per `(design, text)`) and builds each
+//! many times holds its elaboration (a campaign holds it in its
+//! dataset's stage memo, one per `(design, text)`) and builds each
 //! [`Simulator`] from it.
 //!
 //! Harnesses drive the simulator through [`SimControl`]. The

@@ -46,5 +46,5 @@ pub mod visit;
 pub use ast::{Expr, Item, LValue, List, Module, SourceFile, Stmt};
 pub use error::{SyntaxError, SyntaxErrorKind};
 pub use names::{Names, Symbol};
-pub use parser::{edit_tokens, parse, parse_expr, parse_tokens, parse_with_tokens};
+pub use parser::{parse, parse_expr, parse_with_tokens};
 pub use span::{LineMap, Span};

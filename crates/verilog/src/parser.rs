@@ -31,22 +31,15 @@ pub fn parse(src: &str) -> Result<SourceFile, SyntaxError> {
 }
 
 /// [`parse`], also returning the tokens it parsed, for callers that read
-/// both: the text is lexed once. Counted in `verilog.parses`.
+/// both: the text is lexed once. Every parse comes through here and is
+/// counted in `verilog.parses`.
 ///
 /// # Errors
 ///
 /// As [`parse`].
 pub fn parse_with_tokens(src: &str) -> Result<(SourceFile, Vec<Token>), Box<SyntaxError>> {
     parses().inc();
-    parse_tokens(src, tokenize(src)?)
-}
-
-/// Parses `src` from its `tokens` ([`tokenize`], [`edit_tokens`]), failing
-/// as [`parse`] does, lexical errors aside.
-pub fn parse_tokens(
-    src: &str,
-    tokens: Vec<Token>,
-) -> Result<(SourceFile, Vec<Token>), Box<SyntaxError>> {
+    let tokens = tokenize(src)?;
     // Room for every identifier token, so the table never grows.
     let (count, bytes) = tokens
         .iter()
@@ -60,51 +53,6 @@ pub fn parse_tokens(
         List::Many(modules) => modules.iter_mut().for_each(|m| m.names = Arc::clone(&names)),
     }
     Ok((SourceFile { modules, names }, tokens))
-}
-
-/// The tokens of `edited`, the text `tokens` were lexed from with the
-/// whole tokens at `span` replaced by `replacement`, lexing only the
-/// replacement and the token on each side of it. `None` when `span` does
-/// not cover whole tokens, or the replacement would not lex in place as
-/// it does there (it glues onto a neighbour, say): lex `edited` whole.
-pub fn edit_tokens(
-    tokens: &[Token],
-    span: Span,
-    replacement: &str,
-    edited: &str,
-) -> Option<Vec<Token>> {
-    // `tokens[first..after]` are replaced; `tokens[after]` (`Eof` at the
-    // latest) and the token before `first`, if any, bound the window.
-    let first = tokens.iter().position(|t| t.span().start >= span.start)?;
-    let after = first + tokens[first..].iter().position(|t| t.span().start >= span.end)?;
-    if after == first
-        || tokens[first].span().start != span.start
-        || tokens[after - 1].span().end != span.end
-    {
-        return None;
-    }
-    let before = first.checked_sub(1);
-    let start = before.map_or(0, |i| tokens[i].span().start);
-    // Where a byte at or after the replaced tokens of the text moved to.
-    let moved = |at: usize| at + replacement.len() - span.len();
-    let next = tokens[after];
-    let window = edited.get(start..moved(next.span().end))?;
-    let lexed = tokenize(window).ok()?;
-    let last = lexed.len().checked_sub(1 + usize::from(next.kind != TokenKind::Eof))?;
-    let same = |t: &Token, was: &Token, at: usize| {
-        t.kind == was.kind && t.len == was.len && t.start as usize + start == at
-    };
-    let glued = before.is_some_and(|i| !same(&lexed[0], &tokens[i], start));
-    if glued || !same(&lexed[last], &next, moved(next.span().start)) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(tokens.len() + lexed.len() - (after - first));
-    out.extend_from_slice(&tokens[..before.unwrap_or(0)]);
-    out.extend(lexed[..=last].iter().map(|t| Token { start: t.start + start as u32, ..*t }));
-    out.extend(
-        tokens[after + 1..].iter().map(|t| Token { start: moved(t.start as usize) as u32, ..*t }),
-    );
-    Some(out)
 }
 
 /// `verilog.parses`: calls of [`parse_with_tokens`] (and so of
