@@ -809,6 +809,20 @@ mod tests {
     }
 
     #[test]
+    fn a_syntax_error_is_kept_and_a_parse_is_not() {
+        let memo = StageMemo::new();
+        let broken = "module add(input a output y);\nendmodule\n";
+        let first = memo.parse("add", broken).unwrap_err();
+        assert!(Arc::ptr_eq(&first, &memo.parse("add", broken).unwrap_err()), "one error");
+        for _ in 0..2 {
+            let (file, tokens) = memo.parse("add", ADD).unwrap();
+            assert!(file.module("add").is_some() && !tokens.is_empty());
+        }
+        assert_eq!(memo.lint("add", broken).diagnostics[0].message, first.message);
+        assert!(memo.elaborate("add", broken).unwrap_err().contains(&first.message));
+    }
+
+    #[test]
     fn a_uvm_slot_is_served_only_for_its_own_stimulus() {
         let d = uvllm_designs::by_name("adder_8bit").unwrap();
         let memo = StageMemo::new();
