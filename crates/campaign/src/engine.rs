@@ -12,25 +12,32 @@ use uvllm::{BenchInstance, StageMemo};
 use uvllm_llm::{BatchConfig, FaultPlan, ResiliencePolicy};
 use uvllm_sim::SimBackend;
 
-/// Registry handles for the engine (`campaign.*`), resolved once.
-/// Worker-side counters (`campaign.worker.<i>.jobs`, `campaign.queue_depth`)
-/// live in [`crate::queue::run_pool_supervised`].
+/// Registry handles for the engine (`campaign.*`) and the per-job stage
+/// timings ([`crate::eval`]), resolved once. Worker-side counters
+/// (`campaign.worker.<i>.jobs`, `campaign.queue_depth`) live in
+/// [`crate::queue::run_pool_supervised`].
 #[derive(Debug)]
-struct CampaignMetrics {
+pub(crate) struct CampaignMetrics {
     /// Rows successfully appended to the sink by this process.
     sink_rows: &'static uvllm_obs::Counter,
     /// Jobs skipped because the sink already held their rows.
     resume_skips: &'static uvllm_obs::Counter,
     /// Datasets built and validated ([`CampaignDataset::build`]).
     dataset_builds: &'static uvllm_obs::Counter,
+    /// `stage_us.repair`: one sample per job.
+    pub(crate) repair_us: &'static uvllm_obs::Histogram,
+    /// `stage_us.simulate`: one sample per job.
+    pub(crate) simulate_us: &'static uvllm_obs::Histogram,
 }
 
-fn metrics() -> &'static CampaignMetrics {
+pub(crate) fn metrics() -> &'static CampaignMetrics {
     static METRICS: std::sync::OnceLock<CampaignMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| CampaignMetrics {
         sink_rows: uvllm_obs::registry().counter("campaign.sink_rows"),
         resume_skips: uvllm_obs::registry().counter("campaign.resume_skips"),
         dataset_builds: uvllm_obs::registry().counter("campaign.dataset_builds"),
+        repair_us: uvllm_obs::registry().histogram("stage_us.repair"),
+        simulate_us: uvllm_obs::registry().histogram("stage_us.simulate"),
     })
 }
 
@@ -404,6 +411,48 @@ mod tests {
         assert_eq!(outcome.resumed, 0);
         assert_eq!(outcome.sharded_out, 0);
         assert_eq!(outcome.report.render(), report_of(&sink));
+    }
+
+    /// A sink that notes the thread each row was appended on.
+    #[derive(Default)]
+    struct ThreadNoting {
+        rows: Vec<(std::thread::ThreadId, String)>,
+    }
+
+    impl ResultSink for ThreadNoting {
+        fn completed_ids(&self) -> std::collections::HashSet<String> {
+            Default::default()
+        }
+
+        fn existing_rows(&self) -> Vec<crate::eval::EvalRow> {
+            Vec::new()
+        }
+
+        fn append(&mut self, row: &crate::eval::EvalRow) -> std::io::Result<()> {
+            self.rows.push((std::thread::current().id(), row.to_json_line()));
+            Ok(())
+        }
+    }
+
+    /// Worker 0 is the calling thread, so one worker spawns none and
+    /// two spawn one, with the same rows.
+    #[test]
+    fn the_pool_runs_on_its_calling_thread() {
+        let caller = std::thread::current().id();
+        let run = |workers| {
+            let mut sink = ThreadNoting::default();
+            Campaign::new(tiny_config(workers)).unwrap().run(&mut sink).unwrap();
+            let threads: std::collections::HashSet<_> =
+                sink.rows.iter().map(|&(thread, _)| thread).collect();
+            let mut rows: Vec<String> = sink.rows.into_iter().map(|(_, row)| row).collect();
+            rows.sort_unstable();
+            (threads, rows)
+        };
+        let (threads, one) = run(1);
+        assert_eq!(threads, [caller].into(), "one worker appends on the caller");
+        let (threads, two) = run(2);
+        assert_eq!(two, one, "rows differ between one worker and two");
+        assert!(threads.len() <= 2 && threads.contains(&caller), "{threads:?}");
     }
 
     #[test]

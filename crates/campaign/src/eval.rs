@@ -635,12 +635,12 @@ impl JobRun {
         // (localize + repair attempts + internal re-simulation), waits
         // on the LLM excluded, mirroring the paper's repair stage;
         // parse/elab/simulate stages are timed at their own layers.
-        uvllm_obs::registry().histogram("stage_us.repair").record(self.compute.as_micros() as u64);
+        crate::engine::metrics().repair_us.record(self.compute.as_micros() as u64);
         // `stage_us.simulate`: the verdict runs driving the final
         // candidate through the UVM environment — or the memo lookup
         // that stands in for them.
         let (hit, fix_outcome) = {
-            let _span = uvllm_obs::Span::enter("simulate");
+            let _span = uvllm_obs::Span::into_histogram(crate::engine::metrics().simulate_us);
             memo.judge(design.name, &final_code, || {
                 (
                     uvllm::metrics::hit_confirmed(design, &final_code, memo),

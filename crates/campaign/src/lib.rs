@@ -10,8 +10,8 @@
 //!   [`ShardSpec`] assigns jobs to cooperating processes by stable
 //!   hash, so `--shard i/n` partitions a campaign with no coordination.
 //! * [`queue`] — the job list cut into one
-//!   contiguous stretch per pool thread, drained by those threads
-//!   (`std::thread::scope`): thread *k* starts at job `k·n/t`, a thread
+//!   contiguous stretch per pool thread, drained by those threads (the
+//!   caller and scoped ones, `std::thread::scope`): thread *k* starts at job `k·n/t`, a thread
 //!   whose stretch is empty steals the back half of the largest
 //!   remaining one, and requeued jobs go first. Threads so hold
 //!   different instances and do not wait on each other's memo slots;

@@ -1,9 +1,10 @@
 //! The shared work queue and the supervised worker pool that drains it.
 //!
 //! Deliberately boring concurrency: one `Mutex` over the job list,
-//! popped by the pool's threads (`std::thread::scope`). Jobs are coarse
-//! — one job is a full verification run with hundreds of simulated
-//! cycles — so a single uncontended lock per job is noise, and plain
+//! popped by the pool's threads: the calling thread and `workers − 1`
+//! scoped ones (`std::thread::scope`). Jobs are coarse — one job is a
+//! full verification run with hundreds of simulated cycles — so a
+//! single uncontended lock per job is noise, and plain
 //! `std` keeps the engine dependency-free. Determinism does not depend
 //! on pop order: every record is a pure function of its job.
 //!
@@ -306,17 +307,19 @@ fn fly(
     run.advance(&job.instance, memo, waker)
 }
 
-/// Runs `jobs` on `workers` threads (`0` is treated as 1), drawing LLM
+/// Runs `jobs` on `workers` threads (`0` is treated as 1), the calling
+/// thread as worker 0 and `workers − 1` spawned ones, drawing LLM
 /// service handles from `llm` (a per-job [`uvllm_llm::DirectService`],
 /// or sessions of the shared [`crate::SharedLlm`], on which a job
 /// waiting for an answer is parked — module docs), panicking jobs whose
 /// id contains `inject_panic`, on the caller's stage memo (the
 /// dataset's, so shards and resumed runs share what they learn about a
 /// text).
-/// `on_record` takes every finished job's record (from pool threads, in
-/// completion order) and is the only place it goes; once it returns
-/// `false` no new job starts, and the jobs still in flight finish and
-/// are handed to it too. Returns what supervision did.
+/// `on_record` takes every finished job's record (on any of the pool's
+/// threads, the caller's included, in completion order) and is the only
+/// place it goes; once it returns `false` no new job starts, and the
+/// jobs still in flight finish and are handed to it too. Returns what
+/// supervision did.
 pub(crate) fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
@@ -336,72 +339,77 @@ pub(crate) fn run_pool_supervised(
     let depth = uvllm_obs::registry().gauge("campaign.queue_depth");
     depth.set(queue.remaining() as i64);
 
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let thread_jobs =
-                uvllm_obs::registry().counter(&format!("campaign.worker.{thread}.jobs"));
-            let (queue, board, on_record) = (&queue, &board, &on_record);
-            scope.spawn(move || loop {
-                // A woken job first, then a new one while in flight
-                // stays below the cap and the pool is not stopped;
-                // otherwise wait for either.
-                let mut flight = {
-                    let mut state = board.lock();
-                    loop {
-                        if let Some(flight) = state.woken.pop_front() {
-                            break flight;
-                        }
-                        if state.in_flight < cap {
-                            let job = if state.stopped { None } else { queue.pop(thread) };
-                            if let Some(job) = job {
-                                depth.dec();
-                                state.in_flight += 1;
-                                let waker =
-                                    FlightWaker { board: Arc::clone(board), index: job.index };
-                                let waker = Waker::from(Arc::new(waker));
-                                break Flight { job, run: None, waker };
-                            }
-                            if state.in_flight == 0 {
-                                return;
-                            }
-                        }
-                        state.waiting += 1;
-                        state = board.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
-                        state.waiting -= 1;
-                    }
-                };
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| fly(&mut flight, llm, memo, inject_panic)));
-                let record = match outcome {
-                    Ok(Poll::Pending) => {
-                        let mut state = board.lock();
-                        if state.early.remove(&flight.job.index) {
-                            state.woken.push_back(flight);
-                        } else {
-                            state.parked.insert(flight.job.index, flight);
-                        }
-                        continue;
-                    }
-                    Ok(Poll::Ready(record)) => Some(record),
-                    Err(_) => {
-                        metrics().panics.inc();
-                        board.lock().failed(&flight.job, queue, depth)
-                    }
-                };
-                let accepted = record.is_none_or(|record| {
-                    thread_jobs.inc();
-                    on_record(&flight.job, &record)
-                });
+    // Worker `thread`'s loop. Worker 0 runs it on the calling thread,
+    // which would otherwise sit idle in the join: one thread fewer also
+    // means one malloc arena fewer holding freed memory.
+    let work = |thread: usize| {
+        let thread_jobs = uvllm_obs::registry().counter(&format!("campaign.worker.{thread}.jobs"));
+        loop {
+            // A woken job first, then a new one while in flight
+            // stays below the cap and the pool is not stopped;
+            // otherwise wait for either.
+            let mut flight = {
                 let mut state = board.lock();
-                state.in_flight -= 1;
-                state.stopped |= !accepted;
-                let wake = state.waiting > 0;
-                drop(state);
-                if wake {
-                    board.changed.notify_all();
+                loop {
+                    if let Some(flight) = state.woken.pop_front() {
+                        break flight;
+                    }
+                    if state.in_flight < cap {
+                        let job = if state.stopped { None } else { queue.pop(thread) };
+                        if let Some(job) = job {
+                            depth.dec();
+                            state.in_flight += 1;
+                            let waker = FlightWaker { board: Arc::clone(&board), index: job.index };
+                            let waker = Waker::from(Arc::new(waker));
+                            break Flight { job, run: None, waker };
+                        }
+                        if state.in_flight == 0 {
+                            return;
+                        }
+                    }
+                    state.waiting += 1;
+                    state = board.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                    state.waiting -= 1;
                 }
+            };
+            let outcome =
+                catch_unwind(AssertUnwindSafe(|| fly(&mut flight, llm, memo, inject_panic)));
+            let record = match outcome {
+                Ok(Poll::Pending) => {
+                    let mut state = board.lock();
+                    if state.early.remove(&flight.job.index) {
+                        state.woken.push_back(flight);
+                    } else {
+                        state.parked.insert(flight.job.index, flight);
+                    }
+                    continue;
+                }
+                Ok(Poll::Ready(record)) => Some(record),
+                Err(_) => {
+                    metrics().panics.inc();
+                    board.lock().failed(&flight.job, &queue, depth)
+                }
+            };
+            let accepted = record.is_none_or(|record| {
+                thread_jobs.inc();
+                on_record(&flight.job, &record)
             });
+            let mut state = board.lock();
+            state.in_flight -= 1;
+            state.stopped |= !accepted;
+            let wake = state.waiting > 0;
+            drop(state);
+            if wake {
+                board.changed.notify_all();
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for thread in 1..threads {
+            let work = &work;
+            scope.spawn(move || work(thread));
+        }
+        work(0);
     });
 
     let stats = board.lock().stats;

@@ -25,7 +25,8 @@
 
 use crate::metrics::Verdict;
 use crate::stages::{localize, uvm_stage, Localized, UvmOutcome};
-use std::collections::HashMap;
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -179,13 +180,51 @@ impl UvmFacts {
     }
 }
 
-/// Text → entry, of one design.
-type ByText = HashMap<Arc<str>, Arc<Entry>>;
+/// A 64-bit digest of `(design, text)`, read eight bytes at a time: the
+/// key of the text's [`StageMemo`] entry. Two texts may share one (the
+/// memo compares the texts behind a digest).
+fn digest(design: &str, text: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut h = 0;
+    for part in [design, text] {
+        let mut words = part.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h = mix(mix(h, u64::from_le_bytes(tail)), part.len() as u64);
+    }
+    // The murmur3 finaliser: every bit of `h` moves the map's bucket bits.
+    h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Hashes a [`digest`] to itself.
+#[derive(Default)]
+struct Digested(u64);
+
+impl Hasher for Digested {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the memo's keys are u64 digests")
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
 
 /// Everything known about one `(design, text)`; a slot is empty until
 /// its first asker has filled it.
 #[derive(Debug)]
 struct Entry {
+    design: &'static str,
     text: Arc<str>,
     /// One of the dataset's own texts, or a candidate the dataset build
     /// is validating ([`StageMemo::pin`]): the only entries whose `elab`
@@ -201,8 +240,9 @@ struct Entry {
 }
 
 /// `(design name, text)` → lint report, UVM-stage facts, hit and
-/// verdict, plus the elaboration of a pinned text, keyed on the full
-/// text (a hash collision would be a wrong row).
+/// verdict, plus the elaboration of a pinned text, keyed on a digest of
+/// both and checked against the full text (a digest collision would
+/// otherwise be a wrong row).
 ///
 /// Every slot is filled once, with in-flight dedup: the map lock is held
 /// just long enough to find or insert the text's entry, and a caller
@@ -221,9 +261,11 @@ struct Entry {
 /// campaign.
 #[derive(Debug, Default)]
 pub struct StageMemo {
-    /// Design name → text → entry. Nested so a lookup borrows the text
-    /// instead of building an owned key.
-    entries: Mutex<HashMap<&'static str, ByText>>,
+    /// [`digest`] → entry. Texts whose digests collide take the next
+    /// free keys up (no entry is ever removed, so a lookup walks up from
+    /// its digest to its text or a free key). The digest is computed
+    /// before the lock is taken.
+    entries: Mutex<HashMap<u64, Arc<Entry>, BuildHasherDefault<Digested>>>,
 }
 
 /// One text of a [`StageMemo`] and which of its slots are filled.
@@ -249,24 +291,27 @@ impl StageMemo {
     }
 
     fn entry(&self, design: &'static str, text: &str) -> Arc<Entry> {
+        let mut key = digest(design, text);
         let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let of_design = entries.entry(design).or_default();
-        match of_design.get(text) {
-            Some(entry) => Arc::clone(entry),
-            None => {
-                let text: Arc<str> = Arc::from(text);
-                let entry = Arc::new(Entry {
-                    text: Arc::clone(&text),
-                    pinned: AtomicBool::new(false),
-                    parse: OnceLock::new(),
-                    elab: OnceLock::new(),
-                    lint: OnceLock::new(),
-                    uvm: OnceLock::new(),
-                    hit: OnceLock::new(),
-                    verdict: OnceLock::new(),
-                });
-                of_design.insert(text, Arc::clone(&entry));
-                entry
+        loop {
+            match entries.entry(key) {
+                hash_map::Entry::Occupied(kept) if kept.get().is(design, text) => {
+                    return Arc::clone(kept.get())
+                }
+                hash_map::Entry::Occupied(_) => key = key.wrapping_add(1),
+                hash_map::Entry::Vacant(free) => {
+                    return Arc::clone(free.insert(Arc::new(Entry {
+                        design,
+                        text: Arc::from(text),
+                        pinned: AtomicBool::new(false),
+                        parse: OnceLock::new(),
+                        elab: OnceLock::new(),
+                        lint: OnceLock::new(),
+                        uvm: OnceLock::new(),
+                        hit: OnceLock::new(),
+                        verdict: OnceLock::new(),
+                    })))
+                }
             }
         }
     }
@@ -287,11 +332,16 @@ impl StageMemo {
     /// admit), dropping its elaboration. No ask of any text may be in
     /// flight.
     pub fn unpin(&self, design: &'static str, text: &str) {
+        let mut key = digest(design, text);
         let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = entries.get_mut(design).and_then(|of_design| of_design.get_mut(text)) {
-            let entry = Arc::get_mut(entry).expect("no ask holds an entry between asks");
-            *entry.pinned.get_mut() = false;
-            entry.elab.take();
+        while let Some(entry) = entries.get_mut(&key) {
+            if entry.is(design, text) {
+                let entry = Arc::get_mut(entry).expect("no ask holds an entry between asks");
+                *entry.pinned.get_mut() = false;
+                entry.elab.take();
+                return;
+            }
+            key = key.wrapping_add(1);
         }
     }
 
@@ -424,41 +474,39 @@ impl StageMemo {
     /// two runs filled; no job reads it.
     pub fn analysed(&self) -> Vec<Analysed> {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::new();
-        for (design, of_design) in entries.iter() {
-            for (text, entry) in of_design {
-                out.push(Analysed {
-                    design,
-                    text: text.to_string(),
-                    pinned: entry.pinned.load(Ordering::Relaxed),
-                    elab: entry.elab.get().cloned(),
-                    lint: entry.lint.get().cloned(),
-                    uvm: entry.uvm.get().cloned(),
-                    hit: entry.hit.get().copied(),
-                    verdict: entry.verdict.get().copied(),
-                });
-            }
-        }
-        out
+        entries
+            .values()
+            .map(|entry| Analysed {
+                design: entry.design,
+                text: entry.text.to_string(),
+                pinned: entry.pinned.load(Ordering::Relaxed),
+                elab: entry.elab.get().cloned(),
+                lint: entry.lint.get().cloned(),
+                uvm: entry.uvm.get().cloned(),
+                hit: entry.hit.get().copied(),
+                verdict: entry.verdict.get().copied(),
+            })
+            .collect()
     }
 
     /// Every text judged so far as `(design name, text, judgement)`, in
     /// no particular order — what the class-preservation sweep walks.
     pub fn judged(&self) -> Vec<(&'static str, String, Judgement)> {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::new();
-        for (design, of_design) in entries.iter() {
-            for (text, entry) in of_design {
-                if let Some(judgement) = entry.verdict.get() {
-                    out.push((*design, text.to_string(), *judgement));
-                }
-            }
-        }
-        out
+        entries
+            .values()
+            .filter_map(|entry| Some((entry.design, entry.text.to_string(), *entry.verdict.get()?)))
+            .collect()
     }
 }
 
 impl Entry {
+    /// Whether this is the entry of `text` as an implementation of
+    /// `design`.
+    fn is(&self, design: &str, text: &str) -> bool {
+        self.design == design && *self.text == *text
+    }
+
     /// The entry's parse ([`StageMemo::parse`]); askers wait for the
     /// first, so parses count alike at any worker count.
     fn parsed(&self) -> Parsed {
@@ -639,6 +687,32 @@ mod tests {
         assert!(memo.hit("a", "text", || unreachable!("memoised")));
         assert!(!memo.hit("b", "text", || false));
         assert_eq!(memo.judged().len(), 2);
+    }
+
+    /// A text whose digest another text's entry already holds gets an
+    /// entry of its own at the next free key, found again by every ask.
+    #[test]
+    fn texts_whose_digests_collide_keep_their_own_entries() {
+        assert_ne!(digest("ab", "c"), digest("a", "bc"), "the parts are delimited");
+        let memo = StageMemo::new();
+        let (a, b) = ("module a; endmodule", "module b; endmodule");
+        assert_eq!(memo.judge("a", a, || (true, Verdict::Pass)), (true, Verdict::Pass));
+        {
+            // Move `a`'s entry to `b`'s digest, as a collision would have
+            // placed it.
+            let mut entries = memo.entries.lock().unwrap();
+            let entry = entries.remove(&digest("a", a)).unwrap();
+            entries.insert(digest("a", b), entry);
+        }
+        assert_eq!(memo.judge("a", b, || (false, Verdict::Mismatch)), (false, Verdict::Mismatch));
+        assert_eq!(memo.judge("a", b, || unreachable!("memoised")), (false, Verdict::Mismatch));
+        let entries = memo.entries.lock().unwrap();
+        assert_eq!(&*entries[&digest("a", b)].text, a);
+        assert_eq!(&*entries[&digest("a", b).wrapping_add(1)].text, b);
+        drop(entries);
+        memo.pin("a", b);
+        memo.unpin("a", b);
+        assert!(memo.analysed().iter().all(|entry| !entry.pinned));
     }
 
     #[test]

@@ -4,20 +4,88 @@
 //! and the build is dependency-free.
 //!
 //! Server side: [`read_request`] / [`respond`], one request per
-//! connection (`Connection: close`), bounded head and body sizes.
+//! connection (`Connection: close`), bounded head and body sizes. The
+//! server reads and writes each connection under one deadline
+//! ([`REQUEST_DEADLINE`]).
 //! Client side: [`request`], used by remote workers, the CLI client
 //! subcommands and the test suite.
 
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request/status line + headers.
 const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on a request or response body.
 const MAX_BODY: usize = 8 * 1024 * 1024;
-/// Socket read timeout: a stalled peer must not pin a handler thread.
+/// Client-side socket read timeout, per read.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a server-side connection may wait on its peer, all its
+/// reads and writes together. The server answers one connection at a
+/// time, so a stalled or trickling peer holds every other client up by
+/// at most this.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(3);
+
+/// A server-side connection under one deadline for every read and
+/// write: each waits at most until the deadline, and none starts after
+/// it ([`std::io::ErrorKind::TimedOut`]).
+#[derive(Debug)]
+pub(crate) struct Connection {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Connection {
+    /// `stream`, due [`REQUEST_DEADLINE`] from now.
+    pub(crate) fn new(stream: TcpStream) -> Connection {
+        Connection { stream, deadline: Instant::now() + REQUEST_DEADLINE }
+    }
+
+    /// Runs `answer` off the peer's clock: the deadline moves on by the
+    /// time it took, so only waits on the peer count against it.
+    pub(crate) fn off_the_clock<T>(&mut self, answer: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let answered = answer();
+        self.deadline += started.elapsed();
+        answered
+    }
+
+    /// Sets the socket timeout `set` to the time left before the
+    /// deadline.
+    fn arm(
+        &self,
+        set: fn(&TcpStream, Option<Duration>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        set(&self.stream, Some(left))
+    }
+}
+
+impl Read for Connection {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.arm(TcpStream::set_read_timeout)?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Connection {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.arm(TcpStream::set_write_timeout)?;
+        self.stream.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.arm(TcpStream::set_write_timeout)?;
+        self.stream.write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,15 +98,16 @@ pub struct Request {
     pub body: String,
 }
 
-/// Reads one request from `stream`.
+/// Reads one request from `stream`; how long a read may wait is the
+/// stream's to say (the server's reads share the connection's
+/// [`REQUEST_DEADLINE`]).
 ///
 /// # Errors
 ///
 /// Malformed request lines, oversized heads/bodies, connections closed
 /// mid-request, and socket errors — all as displayable messages (the
 /// server answers them with `400`).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
+pub fn read_request(stream: &mut impl Read) -> Result<Request, String> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 2048];
     let head_end = loop {

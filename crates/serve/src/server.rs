@@ -1,12 +1,19 @@
 //! The resident HTTP server: accept loop, routing, and the
 //! graceful-shutdown sequence.
 //!
-//! Threading model: one accept thread, one thread per request
-//! (requests are one round trip and handlers share only the
-//! `Arc<ServeState>`), and a detached drain thread on shutdown. An idle
-//! server runs only its accept thread: nothing works on a timer. A read
-//! folds the sinks it reports on first — `GET /runs/<id>…` that run's,
-//! `GET /metrics` every run's — so no read is staler than the sinks.
+//! Threading model: one accept thread, which answers each connection
+//! itself before it accepts the next, and a detached drain thread on
+//! shutdown. Every route is a short store or aggregator call (the
+//! slowest, a spec's first `POST /jobs`, builds its id space in about
+//! 20 ms), so a thread per request bought no throughput, only a malloc
+//! arena per thread holding freed memory. Two things keep the one loop
+//! up: a connection's reads and writes share one
+//! [`http::REQUEST_DEADLINE`], so a stalled or trickling peer holds the
+//! others up by at most that, and a route that panics answers `500`. An
+//! idle server runs only its accept thread: nothing works on a timer. A
+//! read folds the sinks it reports on first — `GET /runs/<id>…` that
+//! run's, `GET /metrics` every run's — so no read is staler than the
+//! sinks.
 //!
 //! Shutdown (from `POST /shutdown`, [`Server::shutdown`], or the CLI's
 //! SIGINT handler — idempotent, first caller wins):
@@ -17,11 +24,12 @@
 //! 5. the accept thread stops and joins.
 
 use crate::aggregate::Aggregator;
-use crate::http::{self, Request};
+use crate::http::{self, Connection, Request};
 use crate::journal::CrashSpec;
 use crate::recovery::RecoveryReport;
 use crate::store::{JobStore, LeaseError, LeaseOutcome, RunSpec};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,7 +86,8 @@ impl Server {
     /// Opens the store (recovering the runs a previous process left in
     /// `data_dir` — see [`crate::recovery`]), re-registers them with the
     /// aggregator, marks done each shard whose sink holds all its rows,
-    /// binds, spawns the accept thread, returns immediately.
+    /// binds, spawns the accept thread, which answers every connection
+    /// (module docs), returns immediately.
     ///
     /// # Errors
     ///
@@ -127,11 +136,8 @@ impl Server {
                 if accept_state.stopped.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(mut stream) = stream else { continue };
-                let handler_state = Arc::clone(&accept_state);
-                // Handlers are one short round trip each; detached is
-                // fine — shutdown waits on leases, not sockets.
-                std::thread::spawn(move || handle(&handler_state, &mut stream));
+                let Ok(stream) = stream else { continue };
+                handle(&accept_state, &mut Connection::new(stream));
             }
         });
 
@@ -196,17 +202,20 @@ fn begin_shutdown(state: &Arc<ServeState>) {
     });
 }
 
-fn handle(state: &Arc<ServeState>, stream: &mut TcpStream) {
-    let request = match http::read_request(stream) {
-        Ok(request) => request,
-        Err(e) => {
-            let _ = http::respond(stream, 400, "text/plain", &format!("{e}\n"));
-            return;
+/// Answers one connection. The route runs off the peer's clock, and a
+/// route that panics answers `500` (its message goes to stderr).
+fn handle(state: &Arc<ServeState>, conn: &mut Connection) {
+    let (status, content_type, body) = match http::read_request(conn) {
+        Ok(request) => {
+            state.http_requests.inc();
+            conn.off_the_clock(|| {
+                catch_unwind(AssertUnwindSafe(|| route(state, &request)))
+                    .unwrap_or_else(|_| (500, "text/plain", "the route panicked\n".to_string()))
+            })
         }
+        Err(e) => (400, "text/plain", format!("{e}\n")),
     };
-    state.http_requests.inc();
-    let (status, content_type, body) = route(state, &request);
-    let _ = http::respond(stream, status, content_type, &body);
+    let _ = http::respond(conn, status, content_type, &body);
 }
 
 /// Dispatch. Returns `(status, content-type, body)`.
@@ -222,6 +231,8 @@ fn route(state: &Arc<ServeState>, request: &Request) -> (u16, &'static str, Stri
             json_ok(Json::Obj(vec![("draining".to_string(), Json::Bool(true))]))
         }
         ("GET", "/healthz") => (200, "text/plain", "ok\n".to_string()),
+        #[cfg(test)]
+        ("GET", "/panic") => panic!("a route panicked on purpose"),
         ("GET", "/metrics") => {
             // Metrics include per-run row counters; poll first so they
             // reflect every row currently on disk.
@@ -374,6 +385,8 @@ fn get_run(state: &Arc<ServeState>, rest: &str) -> (u16, &'static str, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{ErrorKind, Read, Write};
+    use std::time::Instant;
 
     fn test_dir(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("uvllm-serve-unit-{}-{name}", std::process::id()))
@@ -518,6 +531,80 @@ mod tests {
         assert_eq!(shards.len(), 1, "{body}");
         assert!(shards[0].get("rows_done").is_none(), "{body}");
         assert_eq!(shards[0].get("state").and_then(Json::as_str), Some("leased"), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_route_is_a_500_and_the_server_serves_on() {
+        let server = test_server("panic");
+        let addr = server.addr().to_string();
+        let (status, body) = http::request(&addr, "GET", "/panic", "").unwrap();
+        assert_eq!((status, body.as_str()), (500, "the route panicked\n"));
+        let (status, body) = http::request(&addr, "GET", "/healthz", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        server.shutdown();
+    }
+
+    /// How late past the deadline a cut-off or a held-up answer may come
+    /// on a loaded box.
+    const SLACK: Duration = Duration::from_secs(1);
+
+    /// A peer that sends half a request head and then nothing holds the
+    /// one accept loop up until its deadline, no longer.
+    #[test]
+    fn a_stalled_peer_holds_others_up_at_most_the_deadline() {
+        let server = test_server("stalled-peer");
+        let addr = server.addr().to_string();
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /healthz HTTP/1.1\r\nHost: ").unwrap();
+        let asked = Instant::now();
+        let (status, body) = http::request(&addr, "GET", "/healthz", "").unwrap();
+        let waited = asked.elapsed();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        assert!(waited < http::REQUEST_DEADLINE + SLACK, "held up {waited:?}");
+        // The stalled peer was cut off: its deadline left no time to
+        // answer it.
+        let mut answer = String::new();
+        stalled.read_to_string(&mut answer).unwrap();
+        assert_eq!(answer, "");
+        server.shutdown();
+    }
+
+    /// A peer that trickles one byte every 100 ms never lets a single
+    /// read wait long: the deadline on the whole request cuts it off.
+    #[test]
+    fn a_trickling_peer_is_cut_off_at_the_deadline() {
+        let server = test_server("trickling-peer");
+        // Before the connect: the server's deadline starts after it.
+        let connected = Instant::now();
+        let mut peer = TcpStream::connect(server.addr()).unwrap();
+        // Paced by a read that waits 100 ms for the server's answer: the
+        // head never ends, so only a cut-off answers. It is long enough
+        // to trickle for twice the time the cut-off may take.
+        let pace = Duration::from_millis(100);
+        peer.set_read_timeout(Some(pace)).unwrap();
+        let pad = "y"
+            .repeat((2 * (http::REQUEST_DEADLINE + SLACK).as_millis() / pace.as_millis()) as usize);
+        let head = format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}");
+        let mut answer = [0u8; 64];
+        let cut_off = head.bytes().any(|byte| {
+            if peer.write_all(&[byte]).is_err() {
+                return true;
+            }
+            match peer.read(&mut answer) {
+                Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                Ok(read) => {
+                    assert_eq!(read, 0, "a cut-off peer gets no answer");
+                    true
+                }
+            }
+        });
+        let lasted = connected.elapsed();
+        assert!(cut_off, "sent the whole head in {lasted:?} without a cut-off");
+        assert!(
+            lasted >= http::REQUEST_DEADLINE && lasted < http::REQUEST_DEADLINE + SLACK,
+            "cut off after {lasted:?}"
+        );
         server.shutdown();
     }
 

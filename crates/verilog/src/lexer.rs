@@ -25,7 +25,8 @@ impl<'a> Lexer<'a> {
     /// Lexes the entire input, returning tokens (including a final
     /// [`TokenKind::Eof`]) or the first lexical error.
     ///
-    /// The token vector is the one allocation, sized by [`token_bound`].
+    /// The token vector is the one allocation, sized by an upper bound
+    /// on the input's token count.
     ///
     /// # Errors
     ///

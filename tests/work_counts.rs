@@ -63,9 +63,12 @@ fn allocations() -> u64 {
 /// keeping its records and a second copy of every row for the report,
 /// and folds each row into the report as the sink takes it. It reads
 /// 406.6 at one worker and 405.8 at two since a parse is made of smaller
-/// nodes, a syntax error is kept and a golden is judged by identity: the
-/// pin sits 0.4 above that, so one more allocation per job fails it.
-const ALLOCATIONS_PER_JOB: f64 = 407.0;
+/// nodes, a syntax error is kept and a golden is judged by identity. It
+/// reads 405.5 at one worker and 404.8 at two since a job's repair and
+/// simulate timings record into histograms resolved once instead of
+/// formatting and looking up their names: the pin sits 0.4 above that,
+/// so one more allocation per job fails it.
+const ALLOCATIONS_PER_JOB: f64 = 405.9;
 
 /// The pinned counters, in the golden's order. The `llm.*` pair counts
 /// prompts through the shared batched service, which a default campaign
